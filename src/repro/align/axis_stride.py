@@ -34,9 +34,9 @@ from ..adg.nodes import (
     TransformerPayload,
 )
 from ..ir.affine import AffineForm
-from ..ir.closedform import weighted_moments
 from ..ir.symbols import LIV
 from ..solvers.dp import DiscreteLabelingProblem
+from .cost import cached_moments
 from .position import Alignment, AxisAlignment
 
 # A skeleton label is an Alignment whose offsets are all zero; only the
@@ -482,7 +482,7 @@ class AxisStrideSolver:
     # -- cost weights ---------------------------------------------------------------
 
     def _edge_weight(self, e) -> Fraction:
-        m = weighted_moments(e.space, e.weight)
+        m = cached_moments(e.space, e.weight)
         return m.m0 * Fraction(e.control_weight).limit_denominator(10**6)
 
     # -- identity contraction --------------------------------------------------------

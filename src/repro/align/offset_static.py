@@ -35,11 +35,11 @@ from typing import Iterable, Mapping
 from ..adg.graph import ADG, ADGEdge, ADGNode, Port
 from ..adg.nodes import NodeKind
 from ..ir.affine import AffineForm
-from ..ir.closedform import weighted_moments
 from ..ir.itspace import IterationSpace
 from ..ir.symbols import LIV
 from ..solvers.lp import LinExpr, LPModel
 from .constraints import EntryEval, EqualShift, LoopBack, OffsetRelation, node_offset_relations
+from .cost import cached_moments
 from .position import Alignment
 
 # (Port.key, template_axis) -> whether that port/axis is replicated.
@@ -197,7 +197,7 @@ class OffsetLP:
             for j, sub in enumerate(subranges):
                 if sub.is_empty():
                     continue
-                moments = weighted_moments(sub, e.weight)
+                moments = cached_moments(sub, e.weight)
                 inner = LinExpr()
                 inner = inner + LinExpr(
                     {self._slot(e.tail, None): float(moments.m0)}

@@ -31,9 +31,9 @@ from typing import Mapping
 from ..adg.graph import ADG, ADGNode, Port
 from ..adg.nodes import NodeKind, SourcePayload, SpreadPayload
 from ..ir.affine import AffineForm
-from ..ir.closedform import weighted_moments
 from ..lang.ast import Program, walk_stmts, Assign
 from ..solvers.maxflow import INF, FlowNetwork
+from .cost import cached_moments
 from .offset_static import OffsetMap
 from .position import Alignment
 
@@ -130,7 +130,7 @@ class ReplicationLabeler:
         self.readonly = read_only_arrays(program) if program is not None else set()
 
     def _edge_weight(self, e) -> float:
-        m = weighted_moments(e.space, e.weight)
+        m = cached_moments(e.space, e.weight)
         return float(m.m0) * e.control_weight
 
     def label_axis(self, axis: int) -> tuple[dict[int, str], Fraction, dict[str, str]]:

@@ -38,21 +38,21 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..adg.graph import ADG
+from ..adg.graph import ADG, ADGEdge
 from ..align.cost import AlignmentMap
 from ..align.position import Alignment
 from ..cachestats import MISS, BoundedCache, _cell
+from ..ir.symbols import LIV
 from ..machine.comm import _axis_positions
 from ..machine.distribution import AxisDistribution, Distribution
 from ..machine.executor import _shape_at
 from ..topology import AxisMetric, Topology, distribution_metrics
 
-# Move-record compilation re-builds the same per-axis coordinate arrays
-# once per iteration point even when the evaluated strides/offsets are
-# identical across points (every static-offset edge).  The arrays are
-# pure functions of (shape, per-axis evaluated numbers), so they cache
-# across points, edges and programs.  Cached arrays are shared and must
-# be treated as read-only by all consumers.
+# Move-record compilation needs the same per-axis coordinate arrays for
+# every edge (and every program) whose evaluated strides/offsets agree.
+# The arrays are pure functions of (shape, per-axis evaluated numbers),
+# so they cache across classes, edges and programs.  Cached arrays are
+# shared and must be treated as read-only by all consumers.
 _POSITIONS = BoundedCache("distrib.move_records", maxsize=2048)
 _AXIS_HOPS_STATS = _cell("distrib.axis_hops")
 
@@ -77,14 +77,15 @@ def _axis_key(align: Alignment, env) -> tuple:
 
 
 def _cached_axis_positions(
-    align: Alignment, shape: tuple[int, ...], env
+    align: Alignment, shape: tuple[int, ...], axis_key: tuple, env
 ) -> tuple[np.ndarray, ...]:
     """Memoized :func:`repro.machine.comm._axis_positions`.
 
-    Keyed on the *evaluated* per-axis numbers (matching the ``int()``
-    casts inside ``_axis_positions``), not on the LIV environment, so
-    static offsets hit once per distinct geometry instead of once per
-    iteration point.
+    Keyed on the *evaluated* per-axis numbers (``axis_key``, matching
+    the ``int()`` casts inside ``_axis_positions``), not on the LIV
+    environment: :func:`build_profile` looks it up once per distinct
+    class of iteration points, and ``env`` is any one point of that
+    class.
 
     Entries are immutable by construction: a **tuple** of **read-only**
     arrays, frozen on the one store path — so no consumer can swap an
@@ -94,7 +95,7 @@ def _cached_axis_positions(
     The mutation-detection tests write through every returned array and
     expect numpy to refuse.
     """
-    key = (shape, _axis_key(align, env))
+    key = (shape, axis_key)
     pos = _POSITIONS.lookup(key)
     if pos is MISS:
         arrays = tuple(_axis_positions(align, shape, env))
@@ -145,8 +146,9 @@ class MoveRecord:
     non-replicated); ``src``/``dst`` hold, per listed axis, the template
     coordinate of every element (full-shape integer arrays).  ``count``
     is the number of identical moves folded into this record — static
-    offsets repeat the same move every loop iteration, so deduplication
-    routinely collapses an O(iterations) walk to O(1) records.
+    offsets repeat the same move every loop iteration, so one record
+    (built once per distinct class of iteration points, not once per
+    point) routinely stands for O(iterations) moves.
     """
 
     axes: tuple[int, ...]
@@ -301,6 +303,21 @@ def _stride_mismatch(src, dst, env) -> bool:
     return False
 
 
+def _walked_livs(e: ADGEdge, src: Alignment, dst: Alignment) -> set[LIV]:
+    """The LIVs the moves of edge ``e`` can depend on: those its tail
+    shape, its strides and its non-replicated offsets mention."""
+    forms = list(e.tail.shape)
+    for align in (src, dst):
+        for ax in align.axes:
+            if ax.is_replicated:
+                continue
+            forms.append(ax.offset)
+            if ax.is_body:
+                assert ax.stride is not None
+                forms.append(ax.stride)
+    return set().union(*(f.livs() for f in forms))
+
+
 def build_profile(adg: ADG, alignments: AlignmentMap) -> CommProfile:
     """Compile an aligned ADG into a :class:`CommProfile`.
 
@@ -308,6 +325,14 @@ def build_profile(adg: ADG, alignments: AlignmentMap) -> CommProfile:
     move for move; the only difference is that distribution-dependent
     moves are *recorded* (coordinates kept) instead of counted under one
     fixed distribution.
+
+    Unlike the executor, it does not visit every iteration point: an
+    edge's moves depend only on the LIVs its shape and alignments
+    mention, so the walk covers the projection of the edge's space onto
+    those LIVs, every point of it standing for ``mult`` identical moves.
+    Points of the projection are then grouped by the numbers the move
+    is a function of, and the array work is done once per group.  Both
+    steps keep the order in which distinct moves first appear.
     """
     rank = adg.template_rank
     profile = CommProfile(template_rank=rank)
@@ -315,14 +340,32 @@ def build_profile(adg: ADG, alignments: AlignmentMap) -> CommProfile:
     hi: list[int | None] = [None] * rank
     dedup: dict[tuple, MoveRecord] = {}
     for e in adg.edges:
+        if e.space.is_empty():
+            continue
         src = alignments[e.tail.key]
         dst = alignments[e.head.key]
-        for env in e.space.points():
-            shape = _shape_at(e.tail, env)
+        walk = e.space.projected(_walked_livs(e, src, dst))
+        mult = e.space.count // walk.count
+        axes_differ = src.axis_signature() != dst.axis_signature()
+        # (shape, src axis key, dst axis key, general) -> [a point, moves]
+        classes: dict[tuple, list] = {}
+        for env in walk.points():
+            cls = (
+                _shape_at(e.tail, env),
+                _axis_key(src, env),
+                _axis_key(dst, env),
+                axes_differ or _stride_mismatch(src, dst, env),
+            )
+            seen = classes.get(cls)
+            if seen is None:
+                classes[cls] = [env, mult]
+            else:
+                seen[1] += mult
+        for (shape, src_key, dst_key, general), (env, moves) in classes.items():
             n = int(np.prod(shape)) if shape else 1
-            profile.elements += n
-            src_pos = _cached_axis_positions(src, shape, env)
-            dst_pos = _cached_axis_positions(dst, shape, env)
+            profile.elements += n * moves
+            src_pos = _cached_axis_positions(src, shape, src_key, env)
+            dst_pos = _cached_axis_positions(dst, shape, dst_key, env)
             # Window bounds (same rule as executor.coordinate_bounds,
             # folded into this walk): min/max coordinate of either
             # endpoint on every non-replicated axis.
@@ -333,18 +376,15 @@ def build_profile(adg: ADG, alignments: AlignmentMap) -> CommProfile:
                     a_lo, a_hi = int(arr.min()), int(arr.max())
                     lo[t] = a_lo if lo[t] is None else min(lo[t], a_lo)
                     hi[t] = a_hi if hi[t] is None else max(hi[t], a_hi)
-            general = src.axis_signature() != dst.axis_signature()
-            if not general:
-                general = _stride_mismatch(src, dst, env)
             if general:
                 # General comm has no routing distance: moves, not hops
                 # (mirrors count_move, keeping topology costs well-defined).
-                profile.fixed = profile.fixed + CostVector(moved=n)
-                profile.general_moves += 1
+                profile.fixed = profile.fixed + CostVector(moved=n * moves)
+                profile.general_moves += moves
                 continue
             for a1, a2 in zip(src.axes, dst.axes):
                 if a2.is_replicated and not a1.is_replicated:
-                    profile.broadcast += n
+                    profile.broadcast += n * moves
             active = tuple(
                 t
                 for t, (a1, a2) in enumerate(zip(src.axes, dst.axes))
@@ -364,11 +404,10 @@ def build_profile(adg: ADG, alignments: AlignmentMap) -> CommProfile:
             )
             rec = dedup.get(key)
             if rec is None:
-                rec = MoveRecord(active, s, d)
-                dedup[key] = rec
+                dedup[key] = rec = MoveRecord(active, s, d, moves)
                 profile.records.append(rec)
             else:
-                rec.count += 1
+                rec.count += moves
     profile.window = tuple(
         (0, 0) if l is None else (l, h)  # type: ignore[misc]
         for l, h in zip(lo, hi)

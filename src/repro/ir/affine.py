@@ -212,9 +212,6 @@ class AffineForm:
 
     def rounded(self) -> "AffineForm":
         """Round every coefficient to the nearest integer (the R of RLP)."""
-        def r(x: Fraction) -> Fraction:
-            return Fraction(int(Fraction(round(x))))
-
         return AffineForm(
             round(self._const), {v: Fraction(round(c)) for v, c in self._coeffs.items()}
         )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .symbols import LIV
 
@@ -162,7 +162,13 @@ class IterationSpace:
         return any(t.is_empty() for t in self.triplets)
 
     def points(self) -> Iterator[dict[LIV, int]]:
-        """Iterate all LIV environments (exponential; test/small use only)."""
+        """Iterate all LIV environments in lexicographic nest order.
+
+        ``count`` environments, i.e. exponential in the depth.  The
+        comm-profile compiler and the machine simulator both walk it, so
+        callers that depend on only some LIVs should walk
+        :meth:`projected` instead.
+        """
         for combo in product(*(iter(t) for t in self.triplets)):
             yield dict(zip(self.livs, combo))
 
@@ -177,6 +183,20 @@ class IterationSpace:
         if liv in self.livs:
             raise ValueError(f"LIV {liv.name} already present")
         return IterationSpace(self.livs + (liv,), self.triplets + (t,))
+
+    def projected(self, livs: Iterable[LIV]) -> "IterationSpace":
+        """Keep only the dimensions whose LIV is in ``livs``, in nest order.
+
+        LIVs the space does not have are ignored.  Every point of the
+        projection stands for ``count // projected.count`` points of a
+        non-empty space, and walking :meth:`points` visits the projected
+        tuples in the order ``projected(livs).points()`` yields them.
+        """
+        keep = set(livs)
+        kept = [(v, t) for v, t in zip(self.livs, self.triplets) if v in keep]
+        return IterationSpace(
+            tuple(v for v, _ in kept), tuple(t for _, t in kept)
+        )
 
     def restricted(self, liv: LIV, t: Triplet) -> "IterationSpace":
         """Replace the triplet of one LIV (subrange restriction)."""

@@ -152,17 +152,22 @@ class ReplicationFixpointPass(FixpointPass):
             adg, skel.skeletons, program, state.offsets_in
         )
         new_rep = state.replication.replicated_ports() | (state.seen or set())
-        state.offsets = solve_mobile_offsets(
-            adg,
-            skel.skeletons,
-            opts.algorithm,
-            replicated=new_rep,
-            backend=opts.backend,
-            static=not opts.mobile,
-            **opts.algorithm_kwargs,
-        )
-        state.offsets_in = state.offsets.offsets
         converged = new_rep == state.seen
+        # The offset problem is a function of the replicated set alone,
+        # and ``seen`` only grows: the converged round would re-solve
+        # exactly the previous round's problem, so it keeps that answer.
+        # (Round one has ``seen is None``, so it always solves.)
+        if not converged:
+            state.offsets = solve_mobile_offsets(
+                adg,
+                skel.skeletons,
+                opts.algorithm,
+                replicated=new_rep,
+                backend=opts.backend,
+                static=not opts.mobile,
+                **opts.algorithm_kwargs,
+            )
+            state.offsets_in = state.offsets.offsets
         state.seen = new_rep
         state.replicated = new_rep
         return state, converged

@@ -169,3 +169,42 @@ class TestAbsWeightedSpan:
         # sum |i - 5000| for i=1..10000
         brute = sum(abs(i - 5000) for i in (1, 10000))  # just ends for speed
         assert got == sum(abs(i - 5000) for i in range(1, 10001))
+
+
+class TestMomentSumsGoThroughTheMemo:
+    """The §4.3 closed-form sums are exact ``Fraction`` arithmetic and
+    the same (space, weight) pair is summed by the axis-stride weights,
+    the min-cut capacities, every LP build of every fixpoint round and
+    the final pricing — so every caller under ``repro.align`` must reach
+    them through :func:`repro.align.cost.cached_moments`."""
+
+    def test_cold_plan_mostly_hits(self):
+        from repro import cachestats
+        from repro.align import align_and_distribute
+        from repro.align.cost import _MOMENTS
+
+        cachestats.clear_caches()
+        before = cachestats.snapshot()
+        align_and_distribute(programs.figure1(), nprocs=16)
+        hits, misses = cachestats.delta(before)["align.moments"]
+        assert hits + misses > 100
+        assert hits / (hits + misses) >= 0.85
+        # No new cache, and the one cell keeps its bound.
+        assert 0 < len(_MOMENTS) <= _MOMENTS.maxsize == 4096
+
+    def test_only_cost_module_imports_the_uncached_function(self):
+        import re
+        from pathlib import Path
+
+        import repro.align
+
+        offenders = [
+            path.name
+            for path in sorted(Path(repro.align.__file__).parent.glob("*.py"))
+            if path.name != "cost.py"
+            and re.search(r"\bweighted_moments\b", path.read_text())
+        ]
+        assert not offenders, (
+            f"{offenders} mention ir.closedform.weighted_moments; "
+            "use repro.align.cost.cached_moments"
+        )

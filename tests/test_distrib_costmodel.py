@@ -1,12 +1,21 @@
 """Unit tests for the distribution-planner cost model."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.align import align_program
 from repro.distrib import CostVector, build_profile
-from repro.distrib.costmodel import window_extents
+from repro.distrib.costmodel import (
+    CommProfile,
+    MoveRecord,
+    _walked_livs,
+    window_extents,
+)
+from repro.ir import LIV, AffineForm
 from repro.lang import programs
+from repro.lang.generate import FAMILIES, generate_scenario
 from repro.machine import (
     Block,
     Cyclic,
@@ -14,6 +23,8 @@ from repro.machine import (
     coordinate_bounds,
     measure_traffic,
 )
+from repro.machine.comm import _axis_positions
+from repro.machine.executor import _shape_at
 
 
 def _profile(prog, **kw):
@@ -87,6 +98,176 @@ class TestBuildProfile:
         _, profile = _profile(programs.example1(n=16))
         text = profile.describe()
         assert "records=" in text and "window=" in text
+
+
+def reference_profile(adg, alignments) -> CommProfile:
+    """The per-point walker :func:`build_profile` replaced, kept as the
+    oracle: it visits every point of every edge's iteration space and
+    shares no code with the projected, class-grouped walk."""
+    rank = adg.template_rank
+    profile = CommProfile(template_rank=rank)
+    lo = [None] * rank
+    hi = [None] * rank
+    dedup = {}
+    for e in adg.edges:
+        src = alignments[e.tail.key]
+        dst = alignments[e.head.key]
+        for env in e.space.points():
+            shape = _shape_at(e.tail, env)
+            n = int(np.prod(shape)) if shape else 1
+            profile.elements += n
+            src_pos = _axis_positions(src, shape, env)
+            dst_pos = _axis_positions(dst, shape, env)
+            for align, pos in ((src, src_pos), (dst, dst_pos)):
+                for t, (ax, arr) in enumerate(zip(align.axes, pos)):
+                    if ax.is_replicated or arr.size == 0:
+                        continue
+                    a_lo, a_hi = int(arr.min()), int(arr.max())
+                    lo[t] = a_lo if lo[t] is None else min(lo[t], a_lo)
+                    hi[t] = a_hi if hi[t] is None else max(hi[t], a_hi)
+            general = src.axis_signature() != dst.axis_signature() or any(
+                a1.is_body and a1.stride.evaluate(env) != a2.stride.evaluate(env)
+                for a1, a2 in zip(src.axes, dst.axes)
+            )
+            if general:
+                profile.fixed = profile.fixed + CostVector(moved=n)
+                profile.general_moves += 1
+                continue
+            for a1, a2 in zip(src.axes, dst.axes):
+                if a2.is_replicated and not a1.is_replicated:
+                    profile.broadcast += n
+            active = tuple(
+                t
+                for t, (a1, a2) in enumerate(zip(src.axes, dst.axes))
+                if not (a1.is_replicated or a2.is_replicated)
+            )
+            if not active:
+                continue
+            s = tuple(np.ascontiguousarray(src_pos[t]) for t in active)
+            d = tuple(np.ascontiguousarray(dst_pos[t]) for t in active)
+            if all(np.array_equal(a, b) for a, b in zip(s, d)):
+                continue
+            key = (
+                active,
+                tuple(a.shape for a in s),
+                tuple(a.tobytes() for a in s),
+                tuple(a.tobytes() for a in d),
+            )
+            rec = dedup.get(key)
+            if rec is None:
+                rec = dedup[key] = MoveRecord(active, s, d)
+                profile.records.append(rec)
+            else:
+                rec.count += 1
+    profile.window = tuple(
+        (0, 0) if l is None else (l, h) for l, h in zip(lo, hi)
+    )
+    return profile
+
+
+def assert_same_profile(got: CommProfile, want: CommProfile) -> None:
+    assert got.template_rank == want.template_rank
+    assert got.window == want.window
+    assert got.fixed == want.fixed
+    assert got.broadcast == want.broadcast
+    assert got.elements == want.elements
+    assert got.general_moves == want.general_moves
+    assert len(got.records) == len(want.records)
+    for i, (g, w) in enumerate(zip(got.records, want.records)):
+        assert g.axes == w.axes, i
+        assert g.count == w.count, i
+        for field in ("src", "dst"):
+            ga, wa = getattr(g, field), getattr(w, field)
+            assert len(ga) == len(wa), (i, field)
+            for x, y in zip(ga, wa):
+                assert x.dtype == y.dtype and x.shape == y.shape, (i, field)
+                assert np.array_equal(x, y), (i, field)
+
+
+# Every fragment maker lang/programs.py defines (the paper's six and the
+# six extension fragments).
+FRAGMENTS = {
+    name: make
+    for name, make in vars(programs).items()
+    if inspect.isfunction(make) and make.__module__ == programs.__name__
+}
+
+
+class TestProfileEqualsPerPointWalk:
+    """``build_profile`` walks a projection of each edge's space and
+    builds arrays once per class of points; field by field, and record
+    by record in order, it must equal the walk over every point."""
+
+    @staticmethod
+    def _check(program):
+        plan, profile = _profile(program)
+        assert_same_profile(
+            profile, reference_profile(plan.adg, plan.alignments)
+        )
+        return plan
+
+    @pytest.mark.parametrize("name", sorted(FRAGMENTS))
+    def test_paper_fragments(self, name):
+        self._check(FRAGMENTS[name]())
+
+    @pytest.mark.parametrize("seed", [3, 41])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_generated_families(self, family, seed):
+        self._check(generate_scenario(seed, family=family).parse())
+
+    def test_all_twelve_fragments_are_covered(self):
+        assert len(FRAGMENTS) == 12
+
+    def test_tail_shape_depending_on_a_liv(self):
+        # Sizes differ per k, so nothing may be folded across k.
+        plan = self._check(programs.triangular_sections(iters=6, m=4))
+        assert any(
+            ext.livs() for e in plan.adg.edges for ext in e.tail.shape
+        )
+
+    @pytest.mark.parametrize("which", ["inner", "outer"])
+    def test_offset_depending_on_one_liv_of_a_nest(self, which):
+        # The walk keeps one LIV of the 2-deep nest and multiplies by the
+        # other's trip count; "inner" is the case a prefix-of-the-nest
+        # shortcut would get wrong.
+        plan = align_program(programs.doubly_nested(n=6))
+        edge = next(
+            e
+            for e in plan.adg.edges
+            if e.space.depth == 2
+            and not any(
+                ax.offset.livs()
+                for p in (e.tail, e.head)
+                for ax in plan.alignments[p.key].axes
+            )
+        )
+        liv = edge.space.livs[1 if which == "inner" else 0]
+        alignments = dict(plan.alignments)
+        tail = alignments[edge.tail.key]
+        axis = next(
+            t for t, ax in enumerate(tail.axes) if not ax.is_replicated
+        )
+        alignments[edge.tail.key] = tail.with_offset(
+            axis, tail.axes[axis].offset + AffineForm.variable(liv, 2)
+        )
+        assert _walked_livs(
+            edge, alignments[edge.tail.key], alignments[edge.head.key]
+        ) == {liv}
+        assert_same_profile(
+            build_profile(plan.adg, alignments),
+            reference_profile(plan.adg, alignments),
+        )
+
+    def test_unbound_liv_still_raises_keyerror(self):
+        plan = align_program(programs.example1(n=8))
+        edge = plan.adg.edges[0]
+        alignments = dict(plan.alignments)
+        tail = alignments[edge.tail.key]
+        alignments[edge.tail.key] = tail.with_offset(
+            0, AffineForm.variable(LIV("nowhere", 0))
+        )
+        with pytest.raises(KeyError, match="unbound LIV nowhere"):
+            build_profile(plan.adg, alignments)
 
 
 class TestEvaluateExactness:

@@ -1,11 +1,14 @@
 """Unit tests for triplets and iteration spaces."""
 
+import math
+
 import pytest
 
 from repro.ir import LIV, IterationSpace, Triplet
 
 k = LIV("k")
 j = LIV("j")
+i = LIV("i")
 
 
 class TestTriplet:
@@ -123,3 +126,65 @@ class TestIterationSpace:
         assert s.triplet_of(k) == Triplet(1, 5)
         with pytest.raises(KeyError):
             s.triplet_of(j)
+
+
+class TestProjected:
+    nest = IterationSpace(
+        (i, j, k), (Triplet(1, 3), Triplet(2, 8, 3), Triplet(5, 1, -2))
+    )
+
+    SUBSETS = [(), (i,), (j,), (k,), (i, j), (i, k), (j, k), (i, j, k)]
+
+    def test_keeps_nest_order_whatever_the_argument_order(self):
+        p = self.nest.projected([k, i])
+        assert p.livs == (i, k)
+        assert p.triplets == (Triplet(1, 3), Triplet(5, 1, -2))
+        assert self.nest.projected({k, j, i}) == self.nest
+
+    def test_livs_outside_the_space_are_ignored(self):
+        assert self.nest.projected([LIV("z"), j]).livs == (j,)
+
+    @pytest.mark.parametrize("livs", SUBSETS)
+    def test_count_is_projected_count_times_multiplicity(self, livs):
+        p = self.nest.projected(livs)
+        mult = math.prod(
+            len(t)
+            for v, t in zip(self.nest.livs, self.nest.triplets)
+            if v not in livs
+        )
+        assert self.nest.count == p.count * mult
+        assert self.nest.count // p.count == mult
+
+    @pytest.mark.parametrize("livs", SUBSETS)
+    def test_first_appearance_order_is_the_projected_walk(self, livs):
+        # The comm-profile compiler relies on this: walking the
+        # projection meets distinct moves in the order the full walk does.
+        first_seen = list(
+            dict.fromkeys(
+                tuple(env[v] for v in self.nest.livs if v in livs)
+                for env in self.nest.points()
+            )
+        )
+        p = self.nest.projected(livs)
+        assert first_seen == [
+            tuple(env[v] for v in p.livs) for env in p.points()
+        ]
+
+    def test_scalar_space(self):
+        s = IterationSpace.scalar()
+        assert s.projected([k]) == s
+        assert list(s.projected([]).points()) == [{}]
+
+    def test_projecting_everything_away_leaves_the_scalar_space(self):
+        p = self.nest.projected([])
+        assert p == IterationSpace.scalar() and p.count == 1
+
+    def test_empty_space(self):
+        empty = IterationSpace((j, k), (Triplet(1, 4), Triplet(2, 1)))
+        assert empty.is_empty()
+        # Keeping the empty dimension keeps the space empty; dropping it
+        # does not, so callers must test the *space* for emptiness.
+        assert empty.projected([k]).is_empty()
+        assert empty.projected([k]).count == 0
+        assert not empty.projected([j]).is_empty()
+        assert list(empty.points()) == []

@@ -12,7 +12,13 @@ import pickle
 
 import pytest
 
-from repro.align import DistributionOptionsError, align_and_distribute, align_program
+from repro.align import (
+    DistributionOptionsError,
+    align_and_distribute,
+    align_program,
+    solve_mobile_offsets,
+)
+from repro.align.offset_mobile import ALGORITHMS
 from repro.align.pipeline import plan_context
 from repro.lang import parse, programs
 from repro.passes import (
@@ -148,6 +154,92 @@ class TestFixpoint:
         Pipeline().run(ctx, goal="plan")
         (ev,) = [e for e in ctx.trace if e["pass"] == "replication-offsets"]
         assert ev["rounds"] == ctx.get("plan").replication_rounds >= 2
+
+
+class TestFixpointSolvesEachOffsetProblemOnce:
+    """The offset problem is a function of the replicated set, so the
+    fixpoint solves once per distinct set: the converged round, which
+    would repeat the previous round's problem, keeps its answer."""
+
+    PROGRAMS = {
+        "figure1": lambda: programs.figure1(n=24),  # 3 rounds, mobile
+        "figure4": lambda: programs.figure4(nt=12, nk=10),  # replicated
+    }
+    # Every registered mobile-offset algorithm, and the static baseline.
+    CONFIGS = [(alg, True) for alg in sorted(ALGORITHMS)] + [("fixed", False)]
+
+    @staticmethod
+    def _run(monkeypatch, program, algorithm, mobile, **kw):
+        from repro.passes import align_passes
+
+        solved = []
+
+        def counting(adg, skeletons, alg, **kwargs):
+            solved.append(frozenset(kwargs["replicated"]))
+            return solve_mobile_offsets(adg, skeletons, alg, **kwargs)
+
+        monkeypatch.setattr(align_passes, "solve_mobile_offsets", counting)
+        ctx = plan_context(program, algorithm=algorithm, mobile=mobile, **kw)
+        Pipeline().run(ctx, goal="plan")
+        (ev,) = [e for e in ctx.trace if e["pass"] == "replication-offsets"]
+        return ctx, ev, solved
+
+    @staticmethod
+    def _direct_offsets(ctx, algorithm, mobile):
+        return solve_mobile_offsets(
+            ctx.get("adg"),
+            ctx.get("skeletons").skeletons,
+            algorithm,
+            replicated=ctx.get("replicated"),
+            static=not mobile,
+        ).offsets
+
+    @pytest.mark.parametrize("algorithm,mobile", CONFIGS)
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_one_solve_per_distinct_replicated_set(
+        self, monkeypatch, name, algorithm, mobile
+    ):
+        ctx, ev, solved = self._run(
+            monkeypatch, self.PROGRAMS[name](), algorithm, mobile
+        )
+        assert ev["converged"] is True and ev["rounds"] >= 2
+        assert len(solved) == len(set(solved)) == ev["rounds"] - 1
+        assert solved[-1] == ctx.get("replicated")
+        # The answer kept from the last solving round is the answer.
+        assert ctx.get("offsets").offsets == self._direct_offsets(
+            ctx, algorithm, mobile
+        )
+
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_reports_match_golden(self, name, golden):
+        # Snapshots were written by the fixpoint that re-solved in its
+        # converged round; equal strings are equal bytes.
+        reports = {
+            f"{algorithm}{'' if mobile else '-static'}": align_program(
+                self.PROGRAMS[name](), algorithm=algorithm, mobile=mobile
+            ).report()
+            for algorithm, mobile in self.CONFIGS
+        }
+        golden.check(f"fixpoint_reports_{name}", reports)
+
+    def test_exhausted_round_cap_still_solves_in_its_last_round(
+        self, monkeypatch
+    ):
+        # figure1 needs three rounds; capped at two, the second round
+        # sees a new replicated set and must not reuse round one's answer.
+        ctx, ev, solved = self._run(
+            monkeypatch,
+            self.PROGRAMS["figure1"](),
+            "fixed",
+            True,
+            max_replication_rounds=2,
+        )
+        assert ev["converged"] is False and ev["rounds"] == 2
+        assert len(solved) == len(set(solved)) == 2
+        assert solved[-1] == ctx.get("replicated")
+        assert ctx.get("offsets").offsets == self._direct_offsets(
+            ctx, "fixed", True
+        )
 
 
 class TestPrefixReuse:
