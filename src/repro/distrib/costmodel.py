@@ -179,9 +179,10 @@ class CommProfile:
     # again per local-search restart.  Keyed on the candidate's scheme
     # parameters; excluded from equality/repr.
     _hops_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    # Padded coordinate tensors for the vectorized front-pricing path
-    # (:mod:`repro.distrib.vectorized`), compiled lazily once per
-    # profile; excluded from equality/repr like the hop memo.
+    # Per-axis cell pairs and padded group tensors for the vectorized
+    # front-pricing path (:mod:`repro.distrib.vectorized`), compiled
+    # lazily once per profile; excluded from equality/repr like the hop
+    # memo.
     _front_tensors: object = field(default=None, repr=False, compare=False)
 
     # -- evaluation --------------------------------------------------------

@@ -10,7 +10,8 @@ all-cyclic, identity) the planner is benchmarked against.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+import math
+from typing import Iterable, Iterator, Sequence
 
 from ..machine.distribution import Distribution
 from ..topology import Topology
@@ -94,6 +95,14 @@ def candidate_spaces(
         yield grid, cands
 
 
+def covered_size(
+    spaces: Iterable[tuple[tuple[int, ...], list[list[AxisPlan]]]],
+) -> int:
+    """Candidate distributions covered by ``spaces``: the per-grid
+    cross-product of the per-axis candidate lists, summed over grids."""
+    return sum(math.prod(len(c) for c in cands) for _, cands in spaces)
+
+
 def space_size(
     profile: CommProfile,
     nprocs: int,
@@ -101,13 +110,7 @@ def space_size(
     topology: Topology | None = None,
 ) -> int:
     """Total number of candidate distributions across all grid shapes."""
-    total = 0
-    for _, cands in candidate_spaces(profile, nprocs, block_sizes, topology):
-        prod = 1
-        for c in cands:
-            prod *= len(c)
-        total += prod
-    return total
+    return covered_size(candidate_spaces(profile, nprocs, block_sizes, topology))
 
 
 def naive_distributions(

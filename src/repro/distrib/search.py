@@ -9,7 +9,9 @@ Two regimes, chosen by the size of the candidate space:
   star graph (one node per axis, an anchor carrying the per-candidate
   hop costs) reusing the compact dynamic programming of
   :mod:`repro.solvers.dp`; the winner over all factorizations is the
-  hop-optimal distribution.
+  hop-optimal distribution.  The DP already knows each grid winner's
+  hops, and cost orders by hops first, so only the grids tied at the
+  minimum are priced in full (``moved`` breaks the tie).
 
 * **Greedy + local search** (large spaces): greedy per-axis choice on a
   sample of grid shapes, then hill-climbing over the factorization
@@ -34,8 +36,8 @@ from .enumerate import (
     axis_candidates,
     balanced_factorization,
     candidate_spaces,
+    covered_size,
     grid_factorizations,
-    space_size,
 )
 from .plan import AxisPlan, DistributionPlan
 
@@ -145,19 +147,38 @@ def _solve_axes_dp(
         return chosen, int(res.cost)
 
 
-def _finish(
-    profile: CommProfile,
-    axes: Sequence[AxisPlan],
-    exact: bool,
-    searched: int,
-    topology: Topology | None = None,
-) -> DistributionPlan:
+def _distribution(axes: Sequence[AxisPlan]):
     from ..machine.distribution import Distribution
 
-    dist = Distribution(tuple(a.to_axis_distribution() for a in axes))
+    return Distribution(tuple(a.to_axis_distribution() for a in axes))
+
+
+def _price_winners(
+    profile: CommProfile,
+    winners: Sequence[Sequence[AxisPlan]],
+    topology: Topology | None,
+    vectorize: bool,
+) -> list[CostVector]:
+    """Full cost of each grid winner: one vectorized front, or the
+    scalar oracle per winner under ``vectorize=False``."""
+    dists = [_distribution(axes) for axes in winners]
+    if vectorize:
+        from .vectorized import front_costs
+
+        return front_costs(profile, dists, topology)
+    return [profile.evaluate(dist, topology) for dist in dists]
+
+
+def _plan(
+    axes: Sequence[AxisPlan],
+    cost: CostVector,
+    exact: bool,
+    searched: int,
+    topology: Topology | None,
+) -> DistributionPlan:
     return DistributionPlan(
         tuple(axes),
-        profile.evaluate(dist, topology),
+        cost,
         exact,
         searched,
         topology=None if topology is None else topology.spec(),
@@ -206,22 +227,29 @@ def plan_distribution(
         exhaustive=dp_work <= exhaustive_limit,
         vectorized=vectorize,
     ):
-        if dp_work <= exhaustive_limit:
-            covered = space_size(profile, nprocs, block_sizes, topology)
-            best: DistributionPlan | None = None
-            for grid, cands in spaces:
-                metrics = _metrics_for_grid(topology, grid)
-                axes, _ = _solve_axes_dp(profile, cands, metrics, vectorize)
-                plan = _finish(
-                    profile, axes, exact=True, searched=covered, topology=topology
-                )
-                if best is None or (plan.cost, plan.grid) < (best.cost, best.grid):
-                    best = plan
-            assert best is not None
-            return best
-        return _local_search(
-            profile, nprocs, block_sizes, seed, restarts, topology, vectorize
-        )
+        if dp_work > exhaustive_limit:
+            # No tie rule here: the search's one result is priced in full.
+            obs.annotate(grids_tied=0, grids_priced=1)
+            return _local_search(
+                profile, nprocs, block_sizes, seed, restarts, topology, vectorize
+            )
+        covered = covered_size(spaces)
+        solved = []
+        for grid, cands in spaces:
+            metrics = _metrics_for_grid(topology, grid)
+            solved.append(_solve_axes_dp(profile, cands, metrics, vectorize))
+        # Cost orders by hops first and the DP's hop sum is the winner's
+        # own (less the profile's fixed hops), so a grid above the
+        # minimum cannot win: only the tied grids need ``moved``.
+        least = min(hops for _, hops in solved)
+        tied = [axes for axes, hops in solved if hops == least]
+        obs.annotate(grids_tied=len(tied), grids_priced=len(tied))
+        costs = _price_winners(profile, tied, topology, vectorize)
+        plans = [
+            _plan(axes, cost, True, covered, topology)
+            for axes, cost in zip(tied, costs)
+        ]
+        return min(plans, key=lambda pl: (pl.cost, pl.grid))
 
 
 def rank_plans(
@@ -261,7 +289,7 @@ def rank_plans(
         grids = sorted(keep)
     win = tuple(window) if window is not None else profile.window
     extents = tuple(hi - lo + 1 for lo, hi in win)
-    plans = []
+    winners = []
     for grid in grids:
         cands = [
             axis_candidates(lo, ext, p, block_sizes)
@@ -269,15 +297,13 @@ def rank_plans(
         ]
         metrics = _metrics_for_grid(topology, grid)
         axes, _ = _solve_axes_dp(profile, cands, metrics, vectorize)
-        plans.append(
-            _finish(
-                profile,
-                axes,
-                exact=True,
-                searched=len(grids),
-                topology=topology,
-            )
-        )
+        winners.append(axes)
+    # Ranking needs every grid's full cost, so every winner is priced.
+    costs = _price_winners(profile, winners, topology, vectorize)
+    plans = [
+        _plan(axes, cost, True, len(grids), topology)
+        for axes, cost in zip(winners, costs)
+    ]
     plans.sort(key=lambda pl: (pl.cost, pl.grid))
     return plans[: max(1, k)]
 
@@ -393,6 +419,6 @@ def _local_search(
                 searched += 1
                 break
     assert best_axes is not None
-    return _finish(
-        profile, best_axes, exact=False, searched=searched, topology=topology
-    )
+    # The search's one result: priced by the scalar evaluator.
+    cost = profile.evaluate(_distribution(best_axes), topology)
+    return _plan(best_axes, cost, False, searched, topology)

@@ -7,20 +7,24 @@ per-axis DP prices hundreds of (scheme, grid) candidates per program.
 This module prices an *entire enumeration front* in a handful of
 broadcasted NumPy ops instead:
 
-* :func:`compile_front` stacks each profile's ragged move-record
-  coordinate arrays into padded 2-D tensors **once per profile** (rows =
-  records, columns = elements, padded slots carry zero weight), cached
-  on the profile and instrumented under the ``distrib.front_tensors``
-  cachestats counter;
-* :func:`axis_front_hops` maps one axis's template coordinates to
-  processor coordinates for *all* candidate axis schemes at once —
-  scheme parameters become broadcast arrays, the topology's vectorized
-  metric kernels (:meth:`~repro.topology.AxisMetric.hops`) price the
-  whole ``(candidates, records, elements)`` tensor in one call — and
-  returns the per-candidate hop totals the per-axis DP consumes;
-* :func:`evaluate_front` prices full candidate distributions the same
-  way and returns an ``(n_candidates, 3)`` cost matrix with columns
-  ``(hops, moved, broadcast)``.
+* :func:`compile_front` compiles each profile's move records **once per
+  profile**, cached on the profile and instrumented under the
+  ``distrib.front_tensors`` cachestats counter.  Per template axis it
+  keeps only the distinct ``(source cell, destination cell)`` pairs that
+  differ on that axis, each with its summed weight — an axis's hop
+  total depends on nothing else; per active-axes signature it stacks the
+  ragged coordinate arrays into padded 2-D tensors (rows = records,
+  columns = elements, padded slots carry zero weight), because ``moved``
+  needs every element's mask over all axes;
+* :func:`axis_front_hops` maps one axis's cell pairs to processor
+  coordinates for *all* candidate axis schemes at once — scheme
+  parameters become broadcast arrays, the topology's vectorized metric
+  kernels (:meth:`~repro.topology.AxisMetric.hops`) price the whole
+  ``(candidates, pairs)`` array in one call — and returns the
+  per-candidate hop totals the per-axis DP consumes;
+* :func:`evaluate_front` prices full candidate distributions over the
+  padded group tensors and returns an ``(n_candidates, 3)`` cost matrix
+  with columns ``(hops, moved, broadcast)``.
 
 The pure-Python path stays intact as the differential oracle: every
 number produced here is an exact integer equal to the scalar path and to
@@ -68,14 +72,15 @@ _MODE_IDENTITY = 2  # proc = cell
 
 @dataclass(frozen=True)
 class AxisFront:
-    """Padded 2-D tensors of every record touching one template axis.
+    """The distinct cell pairs of every record touching one template axis.
 
-    ``src``/``dst`` are ``(records, max_len)`` int64 coordinate tensors;
-    rows shorter than ``max_len`` are padded with the row's own first
-    coordinate (always in-window, so padded slots stay inside every
-    candidate's covered range) and ``weight`` zeroes them out: a valid
-    slot carries the record's fold ``count``, a padded slot carries 0.
-    ``lo``/``hi`` bound the valid coordinates for contract checks.
+    An axis's hop total is a function of the multiset of ``(source
+    cell, destination cell)`` pairs on that axis alone, so the front
+    keeps one entry per distinct pair with ``src != dst`` (an unmoved
+    pair is zero hops under every scheme): ``src``/``dst`` are
+    ``(pairs,)`` int64 arrays and ``weight`` sums the fold ``count`` of
+    every element carrying that pair.  ``lo``/``hi`` bound *all* the
+    axis's coordinates, unmoved ones included, for contract checks.
     """
 
     src: np.ndarray
@@ -128,8 +133,33 @@ def _pad_rows(rows: Sequence[np.ndarray], counts: Sequence[int]):
     return src, weight
 
 
+def _axis_front(
+    srcs: Sequence[np.ndarray], dsts: Sequence[np.ndarray], counts: Sequence[int]
+) -> AxisFront:
+    """Fold one axis's per-record coordinate rows into distinct pairs."""
+    src = np.concatenate(srcs).astype(np.int64, copy=False)
+    dst = np.concatenate(dsts).astype(np.int64, copy=False)
+    # Bounds first: an unmoved cell outside a candidate's covered range
+    # is still a contract violation.
+    lo = int(min(src.min(), dst.min())) if src.size else 0
+    hi = int(max(src.max(), dst.max())) if src.size else 0
+    weight = np.repeat(
+        np.asarray(counts, dtype=np.int64), [row.size for row in srcs]
+    )
+    moving = src != dst
+    src, dst, weight = src[moving], dst[moving], weight[moving]
+    order = np.lexsort((dst, src))
+    src, dst, weight = src[order], dst[order], weight[order]
+    first = np.ones(src.size, dtype=bool)
+    first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    starts = np.flatnonzero(first)
+    return AxisFront(
+        src[starts], dst[starts], np.add.reduceat(weight, starts), lo, hi
+    )
+
+
 def compile_front(profile) -> FrontTensors:
-    """The profile's padded coordinate tensors, compiled once and cached.
+    """The profile's pricing tensors, compiled once and cached.
 
     The cache lives on the profile instance (like its per-candidate hop
     memo) so it ships with the profile across process pools and dies
@@ -143,7 +173,8 @@ def compile_front(profile) -> FrontTensors:
     _TENSOR_STATS[1] += 1
 
     rank = profile.template_rank
-    # -- per-axis stacks: every record touching axis t, ragged-padded.
+    # -- per-axis fronts: the distinct moving cell pairs of every record
+    # touching axis t.
     axes: list[Optional[AxisFront]] = []
     for t in range(rank):
         srcs, dsts, counts = [], [], []
@@ -154,15 +185,7 @@ def compile_front(profile) -> FrontTensors:
             srcs.append(r.src[j].ravel())
             dsts.append(r.dst[j].ravel())
             counts.append(r.count)
-        if not srcs:
-            axes.append(None)
-            continue
-        src, weight = _pad_rows(srcs, counts)
-        dst, _ = _pad_rows(dsts, counts)
-        filled = [a for a in srcs + dsts if a.size]
-        lo = min((int(a.min()) for a in filled), default=0)
-        hi = max((int(a.max()) for a in filled), default=0)
-        axes.append(AxisFront(src, dst, weight, lo, hi))
+        axes.append(_axis_front(srcs, dsts, counts) if srcs else None)
 
     # -- per-signature groups for full-distribution pricing.
     by_axes: dict[tuple[int, ...], list] = {}
@@ -178,17 +201,12 @@ def compile_front(profile) -> FrontTensors:
             d, _ = _pad_rows([r.dst[j].ravel() for r in recs], counts)
             srcs.append(s)
             dsts.append(d)
-        def _bound(j: int, fn) -> int:
-            vals = [
-                fn(arr)
-                for r in recs
-                for arr in (r.src[j], r.dst[j])
-                if arr.size
-            ]
-            return int(fn(np.array(vals))) if vals else 0
-
-        lo = tuple(_bound(j, np.min) for j in range(len(sig)))
-        hi = tuple(_bound(j, np.max) for j in range(len(sig)))
+        # Bounds over the valid slots only: padding repeats in-window
+        # cells, but an empty record's row is all zeros.
+        valid = weight > 0
+        cells = [np.concatenate((s[valid], d[valid])) for s, d in zip(srcs, dsts)]
+        lo = tuple(int(c.min()) if c.size else 0 for c in cells)
+        hi = tuple(int(c.max()) if c.size else 0 for c in cells)
         groups.append(GroupFront(sig, tuple(srcs), tuple(dsts), weight, lo, hi))
 
     tensors = FrontTensors(rank, tuple(axes), tuple(groups))
@@ -249,8 +267,8 @@ def _proc_coords(
     block: np.ndarray,
     base: np.ndarray,
 ) -> np.ndarray:
-    """Processor coordinates of ``cells`` (R, L) under every candidate
-    at once: (C, R, L) via broadcasting.
+    """Processor coordinates of ``cells`` under every candidate at
+    once: ``(C,) + cells.shape`` via broadcasting.
 
     Cyclic is block-cyclic with block 1, so the wrap modes share one
     kernel; identity rows pass coordinates through unchanged.
@@ -266,7 +284,8 @@ def _metric_hops(
     metric: Optional[AxisMetric], a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
     # None is the paper's open chain; every registered metric kernel is
-    # elementwise-broadcasting, so (C, R, L) tensors go through in one call.
+    # elementwise-broadcasting, so whole candidate tensors go through in
+    # one call.
     if metric is None:
         return np.abs(a - b)
     return metric.hops(a, b)
@@ -306,7 +325,7 @@ def axis_front_hops(
     ps = _proc_coords(front.src, mode, p, block, base)
     pd = _proc_coords(front.dst, mode, p, block, base)
     hops = _metric_hops(metric, ps, pd)
-    return np.sum(front.weight[None] * hops, axis=(1, 2), dtype=np.int64)
+    return np.sum(front.weight[None] * hops, axis=1, dtype=np.int64)
 
 
 def _front_metrics(

@@ -55,8 +55,11 @@ from .._io import atomic_write_bytes
 #: persisted entry is stamped with it and mismatches are invalidated at
 #: load time (deleted, reported as misses).  2: prefix contexts carry
 #: statement-provenance-stamped ADGs (``ADGNode.stmt``), which the
-#: delta replan path reads.
-SCHEMA_VERSION = 2
+#: delta replan path reads.  3: a prefix pickled after its first suffix
+#: run carries ``profile._front_tensors``, whose ``AxisFront``s are now
+#: 1-D distinct cell pairs under the old field names, not padded
+#: ``(records, max_len)`` tensors.
+SCHEMA_VERSION = 3
 
 #: Sentinel distinguishing "no entry" from a stored ``None`` payload.
 MISS = object()

@@ -1,9 +1,12 @@
 """Unit tests for the distribution search (exact DP and local search)."""
 
+from dataclasses import replace
 from itertools import product
 
+import numpy as np
 import pytest
 
+from repro import obs
 from repro.align import align_program
 from repro.distrib import (
     build_profile,
@@ -11,11 +14,19 @@ from repro.distrib import (
     plan_distribution,
     rank_plans,
 )
-from repro.distrib.enumerate import candidate_spaces
+from repro.distrib.costmodel import CommProfile, CostVector, MoveRecord
+from repro.distrib.enumerate import candidate_spaces, space_size
 from repro.distrib.plan import DistributionPlan
-from repro.distrib.search import _neighbor_grids, _prime_factors
+from repro.distrib.search import (
+    _metrics_for_grid,
+    _neighbor_grids,
+    _prime_factors,
+    _solve_axes_dp,
+)
 from repro.lang import programs
+from repro.lang.generate import FAMILIES, generate_scenario, topology_corpus
 from repro.machine import Distribution
+from repro.topology import parse_topology
 
 
 def _profile(prog, **kw):
@@ -131,3 +142,176 @@ class TestRankPlans:
         wide = ((profile.window[0][0] - 8, profile.window[0][1] + 8),)
         plans = rank_plans(profile, 4, k=1, window=wide)
         assert plans[0].axes[0].base == wide[0][0]
+
+
+# -- tied-grid pricing vs the per-grid scalar planner --------------------------
+
+
+def _reference_grid_plans(profile, nprocs, topology=None, vectorize=True):
+    """Every grid's DP winner priced by the scalar evaluator, the way the
+    planner did before it priced only the tied grids."""
+    covered = space_size(profile, nprocs, topology=topology)
+    plans = []
+    for grid, cands in candidate_spaces(profile, nprocs, topology=topology):
+        metrics = _metrics_for_grid(topology, grid)
+        axes, dp_hops = _solve_axes_dp(profile, cands, metrics, vectorize)
+        dist = Distribution(tuple(a.to_axis_distribution() for a in axes))
+        cost = profile.evaluate(dist, topology)
+        # What lets the planner skip the grids above the minimum.
+        assert cost.hops == profile.fixed.hops + dp_hops, grid
+        plans.append(
+            DistributionPlan(
+                tuple(axes),
+                cost,
+                True,
+                covered,
+                topology=None if topology is None else topology.spec(),
+            )
+        )
+    return plans
+
+
+def reference_plan_distribution(profile, nprocs, topology=None, vectorize=True):
+    return min(
+        _reference_grid_plans(profile, nprocs, topology, vectorize),
+        key=lambda pl: (pl.cost, pl.grid),
+    )
+
+
+def reference_rank_plans(profile, nprocs, k, topology=None, vectorize=True):
+    plans = _reference_grid_plans(profile, nprocs, topology, vectorize)
+    plans.sort(key=lambda pl: (pl.cost, pl.grid))
+    return [replace(pl, searched=len(plans)) for pl in plans[:k]]
+
+
+def _assert_same_plan(got, want):
+    assert got.axes == want.axes
+    assert got.cost == want.cost
+    assert got.exact == want.exact
+    assert got.searched == want.searched
+    assert got.topology == want.topology
+
+
+_FRAGMENTS = {
+    "figure1": lambda: programs.figure1(n=12),
+    "figure4": lambda: programs.figure4(nt=6, nk=8),
+    "example1": lambda: programs.example1(n=12),
+    "example2": lambda: programs.example2(n=12),
+    "example3": lambda: programs.example3(n=8),
+    "example5": lambda: programs.example5(iters=4, m=4),
+    "lookup_table": lambda: programs.lookup_table(n=16, m=24),
+    "stencil_sweep": lambda: programs.stencil_sweep(n=24, iters=2),
+    "skewed_wavefront": lambda: programs.skewed_wavefront(n=8),
+    "triangular_sections": lambda: programs.triangular_sections(iters=4, m=4),
+    "doubly_nested": lambda: programs.doubly_nested(n=6),
+    "conditional_update": lambda: programs.conditional_update(n=12),
+}
+_GENERATED = {
+    f"{family}_{seed}": (family, seed)
+    for family in sorted(FAMILIES)
+    for seed in (5, 6)
+}
+
+
+@pytest.fixture(scope="module")
+def profiles():
+    out = {name: _profile(make()) for name, make in _FRAGMENTS.items()}
+    for name, (family, seed) in _GENERATED.items():
+        out[name] = _profile(generate_scenario(seed, family=family).parse())
+    return out
+
+
+class TestTiedGridPricing:
+    @pytest.mark.parametrize("vectorize", [True, False], ids=["vector", "scalar"])
+    @pytest.mark.parametrize("nprocs", [16, 64])
+    @pytest.mark.parametrize("name", [*_FRAGMENTS, *_GENERATED])
+    def test_equals_per_grid_scalar_planner(self, profiles, name, nprocs, vectorize):
+        profile = profiles[name]
+        for spec in topology_corpus(5, seed=0, nprocs=nprocs):
+            topology = parse_topology(spec)
+            if not list(candidate_spaces(profile, nprocs, topology=topology)):
+                with pytest.raises(ValueError, match="no realizable"):
+                    plan_distribution(
+                        profile, nprocs, topology=topology, vectorize=vectorize
+                    )
+                continue
+            _assert_same_plan(
+                plan_distribution(
+                    profile, nprocs, topology=topology, vectorize=vectorize
+                ),
+                reference_plan_distribution(profile, nprocs, topology, vectorize),
+            )
+            got = rank_plans(
+                profile, nprocs, k=4, topology=topology, vectorize=vectorize
+            )
+            want = reference_rank_plans(profile, nprocs, 4, topology, vectorize)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                _assert_same_plan(g, w)
+
+    @pytest.mark.parametrize("nprocs", [4, 16, 64])
+    @pytest.mark.parametrize("name", list(_FRAGMENTS))
+    def test_searched_is_the_space_size(self, profiles, name, nprocs):
+        # The planner counts the covered cross-product from the spaces it
+        # already enumerated; the public counter must agree.
+        profile = profiles[name]
+        assert plan_distribution(profile, nprocs).searched == space_size(
+            profile, nprocs
+        )
+
+    @staticmethod
+    def _two_axis_profile(axis1_moves):
+        """Rank 2 on a 3x3 window, 3 processors: the grids are (1, 3) and
+        (3, 1), and a 3-processor axis owns one cell per processor under
+        every scheme, so hops are plain cell distances."""
+
+        def record(axis, moves):
+            src, dst = (np.array(cells) for cells in zip(*moves))
+            return MoveRecord((axis,), (src,), (dst,))
+
+        return CommProfile(
+            2,
+            [record(0, [(0, 2)]), record(1, axis1_moves)],
+            window=((0, 2), (0, 2)),
+        )
+
+    @pytest.mark.parametrize("vectorize", [True, False], ids=["vector", "scalar"])
+    def test_hop_tie_is_broken_by_moved(self, vectorize):
+        # Axis 0 moves one element two cells, axis 1 two elements one
+        # cell each: both grids cost 2 hops, (3, 1) moves fewer elements.
+        profile = self._two_axis_profile([(0, 1), (1, 2)])
+        with obs.recording() as rec:
+            plan = plan_distribution(profile, 3, vectorize=vectorize)
+        assert plan.grid == (3, 1)
+        assert plan.cost == CostVector(hops=2, moved=1)
+        _assert_same_plan(
+            plan, reference_plan_distribution(profile, 3, vectorize=vectorize)
+        )
+        tags = rec.find("distrib.plan")[0].tags
+        assert (tags["grids"], tags["grids_tied"], tags["grids_priced"]) == (2, 2, 2)
+
+    @pytest.mark.parametrize("vectorize", [True, False], ids=["vector", "scalar"])
+    def test_full_cost_tie_goes_to_the_smaller_grid(self, vectorize):
+        profile = self._two_axis_profile([(0, 2)])
+        plan = plan_distribution(profile, 3, vectorize=vectorize)
+        assert plan.grid == (1, 3)
+        assert plan.cost == CostVector(hops=2, moved=1)
+        _assert_same_plan(
+            plan, reference_plan_distribution(profile, 3, vectorize=vectorize)
+        )
+        ranked = rank_plans(profile, 3, k=4, vectorize=vectorize)
+        assert [pl.grid for pl in ranked] == [(1, 3), (3, 1)]
+
+    def test_only_the_tied_grids_are_priced(self):
+        profile = _profile(programs.figure1(n=12), replication=False)
+        with obs.recording() as rec:
+            plan_distribution(profile, 16)
+        tags = rec.find("distrib.plan")[0].tags
+        assert 1 <= tags["grids_tied"] == tags["grids_priced"] < tags["grids"]
+
+    def test_local_search_prices_its_one_result(self):
+        profile = _profile(programs.figure1(n=12), replication=False)
+        with obs.recording() as rec:
+            plan_distribution(profile, 16, exhaustive_limit=0)
+        tags = rec.find("distrib.plan")[0].tags
+        assert (tags["grids_tied"], tags["grids_priced"]) == (0, 1)

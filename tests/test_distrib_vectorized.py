@@ -23,7 +23,7 @@ from repro.distrib import (
     naive_costs,
     plan_distribution,
 )
-from repro.distrib.costmodel import CostVector
+from repro.distrib.costmodel import CommProfile, CostVector, MoveRecord
 from repro.distrib.enumerate import axis_candidates
 from repro.distrib.vectorized import (
     _MODE_BLOCK,
@@ -33,6 +33,7 @@ from repro.distrib.vectorized import (
     _pad_rows,
 )
 from repro.lang import programs
+from repro.lang.generate import FAMILIES, generate_scenario, topology_corpus
 from repro.machine import Block, BlockCyclic, Cyclic, Distribution, Identity
 from repro.machine.distribution import AxisDistribution
 from repro.topology import parse_topology
@@ -112,6 +113,160 @@ class TestCompileFront:
         want = sum(r.count * r.src[0].size for r in profile.records if r.axes)
         got = sum(int(g.weight.sum()) for g in tensors.groups if g.axes)
         assert got == want
+
+
+def _hand_profile(records, window):
+    return CommProfile(len(window), list(records), window=tuple(window))
+
+
+def _record(axes, pairs_per_axis, count=1):
+    """A MoveRecord from per-axis ``[(src, dst), ...]`` cell pairs."""
+    return MoveRecord(
+        tuple(axes),
+        tuple(np.array([a for a, _ in p], dtype=np.int64) for p in pairs_per_axis),
+        tuple(np.array([b for _, b in p], dtype=np.int64) for p in pairs_per_axis),
+        count,
+    )
+
+
+class TestAxisFrontPairs:
+    """Axis fronts keep the distinct moving cell pairs, nothing else."""
+
+    def test_repeated_pairs_fold_into_summed_weights(self):
+        prof = _hand_profile(
+            [
+                _record((0,), [[(0, 1), (0, 1), (2, 2), (3, 1)]], count=5),
+                _record((0,), [[(0, 1), (3, 1)]], count=2),
+            ],
+            [(0, 3)],
+        )
+        front = compile_front(prof).axes[0]
+        assert front.src.tolist() == [0, 3]
+        assert front.dst.tolist() == [1, 1]
+        assert front.weight.tolist() == [5 + 5 + 2, 5 + 2]
+        assert (front.lo, front.hi) == (0, 3)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_weights_count_the_moving_elements(self, family):
+        prof = _profile(generate_scenario(3, family=family).parse())
+        for t, front in enumerate(compile_front(prof).axes):
+            want = sum(
+                r.count
+                * int(np.sum(r.src[r.axes.index(t)] != r.dst[r.axes.index(t)]))
+                for r in prof.records
+                if t in r.axes
+            )
+            if front is None:
+                assert not any(t in r.axes for r in prof.records)
+                continue
+            assert int(front.weight.sum()) == want
+            assert np.all(front.src != front.dst)
+            pairs = set(zip(front.src.tolist(), front.dst.tolist()))
+            assert len(pairs) == front.src.size  # distinct
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_matches_scalar_per_candidate_on_every_topology(self, family):
+        prof = _profile(generate_scenario(4, family=family).parse())
+        for spec in topology_corpus(5, seed=0, nprocs=8):
+            topo = parse_topology(spec)
+            nprocs = topo.nprocs
+            for t, (lo, hi) in enumerate(prof.window):
+                grid = tuple(
+                    nprocs if u == t else 1 for u in range(prof.template_rank)
+                )
+                if not topo.supports_grid(grid):
+                    continue
+                metric = topo.metrics(grid)[t]
+                cands = axis_candidates(lo, hi - lo + 1, nprocs)
+                hops = axis_front_hops(prof, t, cands, metric)
+                for i, c in enumerate(cands):
+                    assert int(hops[i]) == prof.axis_hops(
+                        t, c.to_axis_distribution(), metric
+                    ), (spec, t, i)
+
+    def test_unmoved_cell_outside_the_window_still_raises(self):
+        # Cell 9 never moves on axis 0, so it is in no pair — but it is
+        # outside the candidates' covered range, and the scalar path
+        # refuses it, so the front must too.
+        prof = _hand_profile(
+            [_record((0,), [[(0, 1), (9, 9)]])],
+            [(0, 3)],
+        )
+        front = compile_front(prof).axes[0]
+        assert front.src.tolist() == [0] and front.hi == 9
+        cands = axis_candidates(0, 4, 2)
+        with pytest.raises(ValueError, match="cell 9 outside covered range"):
+            axis_front_hops(prof, 0, cands)
+        with pytest.raises(ValueError, match="outside covered range"):
+            prof.axis_hops(0, cands[0].to_axis_distribution())
+
+    def test_axis_with_only_unmoved_pairs_prices_to_zero(self):
+        # Every element keeps its axis-1 cell: the axis has a front (and
+        # bounds to check) but no pairs.
+        prof = _hand_profile(
+            [_record((0, 1), [[(0, 2), (1, 3)], [(1, 1), (2, 2)]], count=3)],
+            [(0, 3), (0, 3)],
+        )
+        front = compile_front(prof).axes[1]
+        assert front is not None and front.src.size == 0
+        assert (front.lo, front.hi) == (1, 2)
+        cands = axis_candidates(0, 4, 4)
+        assert axis_front_hops(prof, 1, cands).tolist() == [0] * len(cands)
+        assert all(
+            prof.axis_hops(1, c.to_axis_distribution()) == 0 for c in cands
+        )
+
+
+class TestGroupFrontPadding:
+    """Group fronts keep the padded (records, max_len) layout."""
+
+    @pytest.fixture()
+    def ragged(self):
+        empty = np.zeros(0, dtype=np.int64)
+        return _hand_profile(
+            [
+                _record((0,), [[(5, 6), (6, 7), (7, 5)]], count=10),
+                MoveRecord((0,), (empty,), (empty,), 20),
+                _record((0,), [[(9, 4)]], count=30),
+            ],
+            [(4, 9)],
+        )
+
+    def test_ragged_rows_pad_with_first_coordinate(self, ragged):
+        (group,) = compile_front(ragged).groups
+        assert group.axes == (0,)
+        assert group.src[0].tolist() == [[5, 6, 7], [0, 0, 0], [9, 9, 9]]
+        assert group.dst[0].tolist() == [[6, 7, 5], [0, 0, 0], [4, 4, 4]]
+        assert group.weight.tolist() == [[10, 10, 10], [0, 0, 0], [30, 0, 0]]
+
+    def test_bounds_skip_empty_records_and_padding(self, ragged):
+        # The empty record's row is all zeros: cell 0 is below the
+        # window and must not leak into the contract bounds.
+        (group,) = compile_front(ragged).groups
+        assert (group.lo, group.hi) == ((4,), (9,))
+
+    def test_empty_record_prices_to_zero(self, ragged):
+        dist = Distribution((Block(2, 3, 4),))
+        assert front_costs(ragged, [dist], None) == [ragged.evaluate(dist)]
+
+    def test_all_empty_group_has_zero_bounds(self):
+        empty = np.zeros(0, dtype=np.int64)
+        prof = _hand_profile([MoveRecord((0,), (empty,), (empty,), 1)], [(0, 0)])
+        tensors = compile_front(prof)
+        assert (tensors.groups[0].lo, tensors.groups[0].hi) == ((0,), (0,))
+        assert tensors.axes[0].src.size == 0
+        assert axis_front_hops(prof, 0, axis_candidates(0, 1, 2)).tolist() == [0, 0]
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_bounds_equal_the_per_record_extremes(self, family):
+        prof = _profile(generate_scenario(3, family=family).parse())
+        for g in compile_front(prof).groups:
+            recs = [r for r in prof.records if r.axes == g.axes]
+            for j in range(len(g.axes)):
+                cells = np.concatenate(
+                    [a.ravel() for r in recs for a in (r.src[j], r.dst[j])]
+                )
+                assert (g.lo[j], g.hi[j]) == (int(cells.min()), int(cells.max()))
 
 
 class TestFrontEdgeCases:

@@ -303,6 +303,47 @@ class TestPlanService:
                     cold[req.name].plan
                 ), f"{req.name}: cache hit drifted from cold plan"
 
+    def test_prefix_with_padded_axis_fronts_is_replanned(self, tmp_path):
+        # Schema 2 prefixes carry `profile._front_tensors` whose
+        # AxisFronts are padded (records, max_len) tensors under the
+        # field names schema 3 uses for 1-D pairs; pricing one would
+        # raise on every prefix hit.  A warm start must drop it.
+        import dataclasses
+
+        import numpy as np
+
+        from repro.lang.generate import generate_corpus
+
+        root = str(tmp_path / "cache")
+        (scenario,) = [
+            s for s in generate_corpus(7, seed=3) if s.name.startswith("shift1d")
+        ]
+        with PlanService(cache_dir=root) as svc:
+            assert svc.handle(ServeRequest("q", scenario.source, nprocs=4)).ok
+        (path,) = [
+            os.path.join(root, "prefix", f)
+            for f in os.listdir(os.path.join(root, "prefix"))
+        ]
+        entry = pickle.loads(open(path, "rb").read())
+        profile = entry["payload"].get("profile")
+        tensors = profile._front_tensors
+        (front,) = tensors.axes
+        assert front.src.ndim == 1 and front.src.size > 1
+        padded = dataclasses.replace(
+            front,
+            src=np.stack([front.src, front.src]),
+            dst=np.stack([front.dst, front.dst]),
+            weight=np.stack([front.weight, front.weight]),
+        )
+        profile._front_tensors = dataclasses.replace(tensors, axes=(padded,))
+        entry["schema"] = 2
+        with open(path, "wb") as f:
+            f.write(pickle.dumps(entry))
+        with PlanService(cache_dir=root) as svc:
+            other = svc.handle(ServeRequest("q", scenario.source, nprocs=8))
+            assert other.ok and other.cached is None, other.error
+            assert svc.cache.stats.invalidated == 1
+
     def test_default_machine_applied(self):
         with PlanService(default_nprocs=6) as svc:
             resp = svc.handle(ServeRequest("q", SRC))
