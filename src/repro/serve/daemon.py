@@ -33,7 +33,10 @@ Protocol — one JSON object per line, one response line per request::
 
 ``op`` defaults to ``"plan"``.  Malformed JSON or a missing ``source``
 yields ``{"status": "error", ...}`` on that line; the connection stays
-open.  Past the admission high-water mark the daemon answers
+open.  A line longer than :data:`MAX_LINE_BYTES` is answered with one
+``{"status": "error", "error": "request line exceeds N bytes"}`` line
+and that connection is closed; the daemon and its other connections
+stay up.  Past the admission high-water mark the daemon answers
 ``{"status": "rejected", "retry_after": ...}`` immediately — clients
 should back off and retry — rather than queueing without bound.
 
@@ -67,6 +70,10 @@ from ..obs.metrics import registry
 from ..obs.prom import render_prometheus
 from .accesslog import AccessLog
 from .service import PlanService, ServeRequest
+
+#: The longest request line the daemon reads (asyncio's own default,
+#: now stated).  A longer one gets an error reply, never a traceback.
+MAX_LINE_BYTES = 64 * 1024
 
 
 class PlanDaemon:
@@ -104,7 +111,10 @@ class PlanDaemon:
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection,
+            self.host,
+            self.port,
+            limit=MAX_LINE_BYTES,
         )
 
     async def serve_forever(self) -> None:
@@ -123,7 +133,13 @@ class PlanDaemon:
     ) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as eof:
+                    line = eof.partial  # an unterminated last line, or b""
+                except asyncio.LimitOverrunError as over:
+                    await self._refuse_oversized(reader, writer, over.consumed)
+                    break
                 if not line:
                     break
                 stripped = line.strip()
@@ -145,6 +161,34 @@ class PlanDaemon:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
+
+    async def _refuse_oversized(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        consumed: int,
+    ) -> None:
+        """Answer a line over :data:`MAX_LINE_BYTES`, then read it away.
+
+        The rest of the line is discarded (``consumed`` bytes of it are
+        buffered and hold no newline) before the caller closes: closing
+        a socket with unread input resets the connection, and a reset
+        can reach the client ahead of the reply.
+        """
+        error = f"request line exceeds {MAX_LINE_BYTES} bytes"
+        self._event("malformed_request", error=error)
+        reply = {"status": "error", "error": error}
+        writer.write(json.dumps(reply).encode() + b"\n")
+        await writer.drain()
+        while True:
+            await reader.readexactly(consumed)
+            try:
+                await reader.readuntil(b"\n")
+                return
+            except asyncio.IncompleteReadError:
+                return
+            except asyncio.LimitOverrunError as over:
+                consumed = over.consumed
 
     async def _scrape(
         self, writer: asyncio.StreamWriter, http: bool

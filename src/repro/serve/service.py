@@ -38,6 +38,16 @@ surfaces under ``window`` and the declarative SLO objectives
 (``slos=``, default :func:`repro.obs.live.default_serve_slos`) burn
 against.  ``serve.inflight`` gauges the requests currently admitted.
 
+Deriving the cache key is most of a hit (parse the source, walk the
+program for its fingerprint), so the service remembers it: a bounded
+**request-key memo** maps a digest of ``(name, source)`` to the program
+fingerprint that text parsed to (``serve.key_memo.hits`` /
+``serve.key_memo.misses``).  A known text goes straight to the cache
+probes and is parsed only where a pass needs the program — a delta or
+cold plan.  The memo stores no plan: :class:`PlanCache` stays the only
+store of results, and a text the memo forgot is re-parsed to the same
+key.
+
 When ``access_log`` is set, every request — served, errored, or
 rejected — appends exactly one structured JSON line
 (:class:`repro.serve.accesslog.AccessLog`): name, fingerprint chain,
@@ -55,16 +65,29 @@ would refuse the store, and the service counts it as
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
 from .. import cachestats
+from ..align.pipeline import plan_context
+from ..batch.engine import machine_label
+from ..lang.parser import parse
 from ..obs import spans as obs
 from ..obs.live import SLOTracker, default_serve_slos
 from ..obs.metrics import registry
+from ..passes import (
+    AlignOptions,
+    MachineSpec,
+    Pipeline,
+    PlanContext,
+    content_fingerprint,
+    replan,
+)
 from .accesslog import AccessLog
 from .cache import MISS, PlanCache
 
@@ -170,6 +193,21 @@ def _trace_totals(rec, program: str) -> dict:
     return totals
 
 
+def _text_digest(request: ServeRequest) -> bytes:
+    """The request-key memo's key: a digest of ``(name, source)``.
+
+    The name is in it because it is in the program fingerprint (one
+    source under two names is two programs); its length prefix keeps
+    ``("ab", "c")`` and ``("a", "bc")`` apart.  ``surrogatepass`` lets a
+    lone surrogate from a JSON escape reach the parser's own error.
+    """
+    name = request.name.encode("utf-8", "surrogatepass")
+    h = hashlib.sha256(len(name).to_bytes(8, "little"))
+    h.update(name)
+    h.update(request.source.encode("utf-8", "surrogatepass"))
+    return h.digest()
+
+
 def _payload(name: str, label: str, sub) -> dict:
     """The canonical plan payload for one solved context.
 
@@ -197,8 +235,6 @@ def _payload(name: str, label: str, sub) -> dict:
 
 def _run_suffix(ctx, machine, name: str, label: str) -> dict:
     """Fork a machine-independent prefix and run the distribution suffix."""
-    from ..passes import Pipeline
-
     sub = ctx.fork()
     sub.put("machine", machine)
     Pipeline().run(sub, goal=("plan", "distribution"))
@@ -272,7 +308,19 @@ class PlanService:
         self.slo = SLOTracker(
             slos if slos is not None else default_serve_slos()
         )
+        # The options are the service's own constant: fingerprint them
+        # once, through the same ``put`` a request's context would use.
+        self._options_fp = (
+            PlanContext()
+            .put("align_options", AlignOptions.of(**self.align_kw))
+            .fingerprint
+        )
         self._lock = threading.Lock()
+        # Request-key memo: digest of (name, source) -> content
+        # fingerprint of the program that text parses to, LRU-bounded by
+        # the cache's ``max_entries`` and guarded by ``_lock``.  It holds
+        # no plan — a known text only skips re-deriving its cache key.
+        self._key_memo: OrderedDict[bytes, str] = OrderedDict()
         self._trace_lock = threading.Lock()
         self._pending = 0
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -373,11 +421,32 @@ class PlanService:
             trace=trace,
         )
 
+    def _memo_lookup(self, text: bytes) -> Optional[str]:
+        """The program fingerprint ``text`` parsed to last time, if kept."""
+        with self._lock:
+            pfp = self._key_memo.get(text)
+            if pfp is not None:
+                self._key_memo.move_to_end(text)
+        registry().counter(
+            "serve.key_memo.misses" if pfp is None else "serve.key_memo.hits"
+        ).inc()
+        return pfp
+
+    def _memo_store(self, text: bytes, pfp: str) -> None:
+        with self._lock:
+            self._key_memo[text] = pfp
+            self._key_memo.move_to_end(text)
+            while len(self._key_memo) > self.cache.max_entries:
+                self._key_memo.popitem(last=False)
+
+    def _parsed(self, request: ServeRequest) -> PlanContext:
+        """Parse the request onto a fresh context; raises ``ParseError``."""
+        return plan_context(
+            parse(request.source, name=request.name), **self.align_kw
+        )
+
     def _handle_impl(self, request: ServeRequest) -> ServeResponse:
         """The post-admission pipeline: cache probe → plan → respond."""
-        from ..batch.engine import machine_label
-        from ..passes import MachineSpec, content_fingerprint
-
         reg = registry()
         reg.counter("serve.requests").inc()
         t0 = time.perf_counter()
@@ -399,14 +468,21 @@ class PlanService:
                     # processor count) before any planning work.
                     machine.resolved_nprocs()
                     label = machine_label(nprocs, topology)
-                    from ..align.pipeline import plan_context
-                    from ..lang.parser import parse
-
-                    program = parse(request.source, name=request.name)
-                    ctx = plan_context(program, **self.align_kw)
-                    pfp = ctx.artifact("program").fingerprint
-                    afp = ctx.artifact("align_options").fingerprint
                     mfp = content_fingerprint(machine)
+                    afp = self._options_fp
+                    # A text seen before goes to the cache probes on its
+                    # remembered fingerprint; it is parsed only where a
+                    # pass needs the program (delta, cold).  Only content
+                    # fingerprints are remembered: an identity one is
+                    # minted per context and a parse error has none.
+                    text = _text_digest(request)
+                    ctx = None
+                    pfp = self._memo_lookup(text)
+                    if pfp is None:
+                        ctx = self._parsed(request)
+                        pfp = ctx.artifact("program").fingerprint
+                        if not pfp.startswith("v"):
+                            self._memo_store(text, pfp)
 
                 fingerprints = {
                     "program": pfp[:12],
@@ -458,6 +534,8 @@ class PlanService:
                             )
                         elif base_ctx is not MISS:
                             cached = "delta"
+                            if ctx is None:
+                                ctx = self._parsed(request)
                             prefix, payload = self._plan_delta(
                                 base_ctx, ctx, machine, request.name, label
                             )
@@ -518,8 +596,6 @@ class PlanService:
         uses — so the payload is built byte-identically to a cold one.
         Returns ``(new_prefix_context, payload)``.
         """
-        from ..passes.delta import replan
-
         new_ctx, report = replan(
             base_ctx, program=ctx.get("program"), goal=("plan", "profile")
         )
@@ -537,9 +613,9 @@ class PlanService:
         Returns ``(prefix_context, payload)``.  A broken pool degrades
         to inline planning permanently (same results, no concurrency),
         mirroring :func:`repro.batch.plan_many`'s serial fallback.
+        ``ctx`` is the request's parsed context when the caller already
+        has one; the worker parses for itself.
         """
-        from ..passes import Pipeline
-
         payload_tuple = (
             request.name,
             request.source,
@@ -556,7 +632,8 @@ class PlanService:
                     self._pool_broken = True
                 registry().counter("serve.pool_fallbacks").inc()
                 obs.instant("serve.pool_fallback", error=type(exc).__name__)
-        # Inline: reuse the already-parsed context for the prefix.
+        if ctx is None:
+            ctx = self._parsed(request)
         Pipeline().run(ctx, goal="profile")
         return ctx, _run_suffix(ctx, machine, request.name, label)
 
@@ -618,6 +695,8 @@ class PlanService:
                 "serve.pool_fallbacks",
             )
         }
+        with self._lock:
+            memo_entries = len(self._key_memo)
         windows = reg.snapshot(include_cachestats=False).get("windows", {})
         reuse_h, reuse_m = cachestats.snapshot().get(
             "passes.artifact_reuse", (0, 0)
@@ -629,6 +708,12 @@ class PlanService:
             "cache_dir": self.cache.root,
             "cache_entries": len(self.cache),
             "cache": self.cache.stats.as_dict(),
+            # Process-wide like ``counters``; ``entries`` is this service's.
+            "key_memo": {
+                "entries": memo_entries,
+                "hits": reg.counter("serve.key_memo.hits").value,
+                "misses": reg.counter("serve.key_memo.misses").value,
+            },
             "counters": counters,
             # Artifact-level reuse from the delta replans this process
             # ran (entries carried over vs recomputed), alongside the

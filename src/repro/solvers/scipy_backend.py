@@ -3,16 +3,20 @@
 An independent, industrial-strength solver used to cross-validate the
 from-scratch simplex in the test suite and available as a faster backend
 for large alignment problems.
+
+``scipy.optimize`` is imported by the first solve, not with this module:
+it is about 0.4 s and 40 MB of a process's start-up, and a process that
+only serves cached plans (:mod:`repro.serve`) never solves an LP.
 """
 
 from __future__ import annotations
-
-from scipy.optimize import linprog
 
 from .lp import LPModel, LPSolution
 
 
 def solve_scipy(model: LPModel) -> LPSolution:
+    from scipy.optimize import linprog
+
     c, a_ub, b_ub, a_eq, b_eq, bounds = model.to_dense()
     res = linprog(
         c,

@@ -375,9 +375,9 @@ class TestPlanService:
     def test_uncacheable_requests_are_planned_but_not_stored(self, monkeypatch):
         # Simulate a fingerprint chain degrading to identity: the
         # request must still be answered, but nothing may be persisted.
-        import repro.passes as passes
+        import repro.serve.service as service
 
-        monkeypatch.setattr(passes, "content_fingerprint", lambda v: None)
+        monkeypatch.setattr(service, "content_fingerprint", lambda v: None)
         with PlanService() as svc:
             before = _counter("serve.uncacheable")
             a = svc.handle(ServeRequest("q", SRC, nprocs=4))
@@ -408,6 +408,243 @@ class TestPlanService:
             pooled = svc.handle(req)
         assert inline.ok and pooled.ok
         assert pickle.dumps(inline.plan) == pickle.dumps(pooled.plan)
+
+
+# -- the request-key memo ------------------------------------------------------
+
+
+SRC_EDIT = SRC.replace("A(1:63) + B(2:64)", "A(1:63) - B(2:64)")
+
+PAPER_FRAGMENTS = (
+    "figure1", "figure4", "example1", "example2", "example3", "example5",
+    "lookup_table", "stencil_sweep", "skewed_wavefront",
+    "triangular_sections", "doubly_nested", "conditional_update",
+)
+
+
+def _answer(resp) -> tuple:
+    """What a client can tell two answers apart by (timing aside)."""
+    return (resp.status, resp.plan, resp.fingerprints, resp.error)
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Every ``parse`` call the service makes, by program name."""
+    import repro.serve.service as service
+
+    calls: list[str] = []
+    real = service.parse
+
+    def counting(source, name="main"):
+        calls.append(name)
+        return real(source, name=name)
+
+    monkeypatch.setattr(service, "parse", counting)
+    return calls
+
+
+class TestRequestKeyMemo:
+    def test_known_text_is_parsed_only_where_a_pass_needs_it(self, parses):
+        with PlanService() as svc:
+            cold = svc.handle(ServeRequest("q", SRC, nprocs=4))
+            assert cold.cached is None and parses == ["q"]
+            hit = svc.handle(ServeRequest("q", SRC, nprocs=4))
+            assert hit.cached == "plan" and parses == ["q"]
+            prefix = svc.handle(ServeRequest("q", SRC, nprocs=8))
+            assert prefix.cached == "prefix" and parses == ["q"]
+            base = cold.fingerprints["program"]
+            delta = svc.handle(
+                ServeRequest("q", SRC_EDIT, nprocs=4, base_fingerprint=base)
+            )
+            assert delta.cached == "delta" and parses == ["q", "q"]
+            again = svc.handle(
+                ServeRequest("q", SRC_EDIT, nprocs=4, base_fingerprint=base)
+            )
+            assert again.cached == "plan" and parses == ["q", "q"]
+            assert pickle.dumps(hit.plan) == pickle.dumps(cold.plan)
+            assert pickle.dumps(again.plan) == pickle.dumps(delta.plan)
+
+    def test_memo_counters_follow_the_texts_not_the_outcomes(self):
+        hit, miss = (1, 0), (0, 1)
+        with PlanService() as svc:
+
+            def ask(request, cached):
+                """The response, and how far (hits, misses) moved."""
+                before = svc.stats()["key_memo"]
+                resp = svc.handle(request)
+                assert resp.cached == cached
+                after = svc.stats()["key_memo"]
+                assert after["hits"] == _counter("serve.key_memo.hits")
+                assert after["misses"] == _counter("serve.key_memo.misses")
+                return resp, (
+                    after["hits"] - before["hits"],
+                    after["misses"] - before["misses"],
+                )
+
+            cold, moved = ask(ServeRequest("q", SRC, nprocs=4), None)
+            assert moved == miss
+            assert ask(ServeRequest("q", SRC, nprocs=8), "prefix")[1] == hit
+            assert ask(ServeRequest("q", SRC, nprocs=8), "plan")[1] == hit
+            edit = ServeRequest(
+                "q", SRC_EDIT, nprocs=4,
+                base_fingerprint=cold.fingerprints["program"],
+            )
+            assert ask(edit, "delta")[1] == miss
+            bad, moved = ask(ServeRequest("bad", "real A(; nonsense"), None)
+            assert not bad.ok and moved == miss  # counted, never kept
+            assert svc.stats()["key_memo"]["entries"] == 2
+
+    def test_one_source_under_two_names_is_two_programs(self):
+        # The name is part of the program and so of its fingerprint:
+        # a memo keyed on the source alone would answer y with x's plan.
+        with PlanService() as svc:
+            x = svc.handle(ServeRequest("x", SRC, nprocs=4))
+            y = svc.handle(ServeRequest("y", SRC, nprocs=4))
+            assert x.ok and y.ok
+            assert x.cached is None and y.cached is None
+            assert x.fingerprints["program"] != y.fingerprints["program"]
+            assert (x.plan["name"], y.plan["name"]) == ("x", "y")
+            assert svc.handle(ServeRequest("y", SRC, nprocs=4)).plan == y.plan
+
+    def test_two_texts_of_one_program_share_its_plan(self, parses):
+        with PlanService() as svc:
+            first = svc.handle(ServeRequest("q", SRC, nprocs=4))
+            second = svc.handle(ServeRequest("q", SRC + "\n\n", nprocs=4))
+            assert second.cached == "plan" and parses == ["q", "q"]
+            assert second.fingerprints == first.fingerprints
+            assert second.plan == first.plan
+            assert svc.stats()["key_memo"]["entries"] == 2
+
+    def test_parse_error_is_answered_afresh_and_never_kept(self, tmp_path):
+        log = str(tmp_path / "access.jsonl")
+        bad = ServeRequest("bad", "real A(; nonsense")
+        with PlanService(access_log=log) as svc:
+            before = _counter("serve.errors")
+            first, second = svc.handle(bad), svc.handle(bad)
+            assert first.status == second.status == "error"
+            assert first.error == second.error
+            assert first.error.startswith("LexError: line 1")
+            assert _counter("serve.errors") == before + 2
+            assert svc.stats()["key_memo"]["entries"] == 0
+        from repro.serve import read_access_log
+
+        records = [r for r in read_access_log(log) if r["kind"] == "access"]
+        assert [(r["status"], r["error"]) for r in records] == [
+            ("error", first.error)
+        ] * 2
+
+    def test_identity_fingerprint_is_never_kept(self, monkeypatch, parses):
+        # An over-budget program fingerprints by identity ("v..."): each
+        # context mints its own, so the text must be parsed every time.
+        import repro.passes.core as core
+
+        monkeypatch.setattr(core, "_FINGERPRINT_BUDGET", 3)
+        with PlanService() as svc:
+            before = _counter("serve.uncacheable")
+            a = svc.handle(ServeRequest("q", SRC, nprocs=4))
+            b = svc.handle(ServeRequest("q", SRC, nprocs=4))
+            assert a.ok and b.ok and b.cached is None
+            assert a.fingerprints["program"].startswith("v")
+            assert a.fingerprints["program"] != b.fingerprints["program"]
+            assert parses == ["q", "q"]
+            assert svc.stats()["key_memo"]["entries"] == 0
+            assert _counter("serve.uncacheable") == before + 2
+
+    def test_memo_is_bounded_and_a_forgotten_text_still_hits(self, parses):
+        # Ten texts of one program: the plan cache keeps its two entries
+        # while the memo, bounded like the cache, forgets the oldest.
+        texts = [SRC + "\n" * i for i in range(10)]
+        with PlanService(max_entries=4) as svc:
+            answers = [svc.handle(ServeRequest("q", t, nprocs=4)) for t in texts]
+            assert [a.cached for a in answers] == [None] + ["plan"] * 9
+            assert svc.stats()["key_memo"]["entries"] == 4
+            assert len(parses) == 10
+            kept = svc.handle(ServeRequest("q", texts[-1], nprocs=4))
+            assert kept.cached == "plan" and len(parses) == 10
+            forgotten = svc.handle(ServeRequest("q", texts[0], nprocs=4))
+            assert forgotten.cached == "plan" and len(parses) == 11
+            assert forgotten.plan == answers[0].plan
+            assert svc.stats()["key_memo"]["entries"] == 4
+
+    def test_forgotten_plan_of_a_known_text_is_replanned(self, parses):
+        # The other way round: the memo knows the text, the cache has
+        # evicted its entries — the cold branch parses for itself.
+        with PlanService(max_entries=2) as svc:
+            first = svc.handle(ServeRequest("q", SRC, nprocs=4))
+            svc.handle(ServeRequest("r", SRC2, nprocs=4))  # evicts q's two
+            again = svc.handle(ServeRequest("q", SRC, nprocs=4))
+            assert again.cached is None and parses == ["q", "r", "q"]
+            assert _answer(again) == _answer(first)
+
+    def test_threads_answer_what_a_serial_service_answers(self):
+        import random
+        import threading
+
+        machines = [{"nprocs": 4}, {"nprocs": 8}, {"topology": "ring:4"}]
+        texts = [
+            ("q", SRC), ("r", SRC2), ("q", SRC + "\n"), ("e", SRC_EDIT),
+            ("bad", "real A(; nonsense"),
+        ]
+        pool = [
+            ServeRequest(name, source, **machine)
+            for name, source in texts
+            for machine in machines
+        ]
+        with PlanService() as serial:
+            want = {req: _answer(serial.handle(req)) for req in pool}
+        rng = random.Random(0)
+        scripts = [[rng.choice(pool) for _ in range(50)] for _ in range(8)]
+        got: list[list] = [[] for _ in scripts]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with PlanService() as svc:
+                memo = svc.stats()["key_memo"]
+                lookups = memo["hits"] + memo["misses"]
+
+                def run(i: int) -> None:
+                    for req in scripts[i]:
+                        got[i].append(_answer(svc.handle(req)))
+
+                threads = [
+                    threading.Thread(target=run, args=(i,))
+                    for i in range(len(scripts))
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+                memo = svc.stats()["key_memo"]
+                lookups = memo["hits"] + memo["misses"] - lookups
+        finally:
+            sys.setswitchinterval(interval)
+        for script, answers in zip(scripts, got):
+            assert answers == [want[req] for req in script]
+        # Every request looked its text up exactly once, and only the
+        # four texts that parse were ever kept.
+        assert lookups == 8 * 50
+        assert memo["entries"] == 4
+
+    def test_second_ask_equals_a_fresh_service_on_the_paper_fragments(self):
+        from repro.lang import pretty, programs
+
+        machines = [
+            {"nprocs": 16}, {"topology": "torus:4x4"}, {"topology": "ring:16"},
+        ]
+        with PlanService() as svc:
+            for name in PAPER_FRAGMENTS:
+                source = pretty(getattr(programs, name)())
+                for machine in machines:
+                    req = ServeRequest(name, source, **machine)
+                    with PlanService() as fresh:
+                        want = fresh.handle(req)
+                    first, second = svc.handle(req), svc.handle(req)
+                    assert want.ok and want.cached is None
+                    assert second.cached == "plan"
+                    assert _answer(first) == _answer(want), (name, machine)
+                    assert _answer(second) == _answer(want), (name, machine)
+                    assert pickle.dumps(second.plan) == pickle.dumps(want.plan)
 
 
 # -- the daemon ----------------------------------------------------------------

@@ -332,6 +332,89 @@ class TestDaemonMetricsOp:
         assert event["host"] == "127.0.0.1"
 
 
+class TestDaemonOversizedLine:
+    """A request line over the daemon's limit: one defined reply, one
+    event, that connection closed, everything else up (ROADMAP item 5)."""
+
+    # Past the limit but inside asyncio's 2x buffer (the newline is seen
+    # with the overrun); past both; and long enough that a close before
+    # the line is read away resets the connection ahead of the reply.
+    @pytest.mark.parametrize("size", [70_000, 140_000, 20_000_000])
+    def test_error_line_then_eof_and_daemon_stays_up(self, size):
+        from repro.serve.daemon import MAX_LINE_BYTES
+
+        stream = io.StringIO()
+
+        async def ping(host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b'{"op": "ping"}\n')
+            await writer.drain()
+            reply = json.loads(await reader.readline())
+            writer.close()
+            return reply
+
+        async def drive():
+            daemon = PlanDaemon(
+                PlanService(), port=0, log=AccessLog(stream=stream)
+            )
+            await daemon.start()
+            server = asyncio.create_task(daemon.serve_forever())
+            host, port = daemon.address
+            bystander = await asyncio.open_connection(host, port)
+            reader, writer = await asyncio.open_connection(host, port)
+            big = {"op": "plan", "name": "big", "source": "! " + "x" * size}
+            writer.write(json.dumps(big).encode() + b"\n")
+            writer.write(b'{"op": "ping"}\n')  # never answered: closed first
+            await writer.drain()
+            first = json.loads(await reader.readline())
+            rest = await reader.read()  # the daemon closes: EOF
+            writer.close()
+            bystander[1].write(b'{"op": "ping"}\n')
+            await bystander[1].drain()
+            kept = json.loads(await bystander[0].readline())
+            bystander[1].close()
+            fresh = await ping(host, port)
+            daemon.shutdown()
+            await server
+            return first, rest, kept, fresh
+
+        first, rest, kept, fresh = _drive(asyncio.wait_for(drive(), 30))
+        assert first == {
+            "status": "error",
+            "error": f"request line exceeds {MAX_LINE_BYTES} bytes",
+        }
+        assert rest == b""
+        assert kept == fresh == {"status": "ok", "pong": True}
+        events = [json.loads(line) for line in stream.getvalue().splitlines()]
+        assert [(e["event"], e["error"]) for e in events] == [
+            ("malformed_request", first["error"])
+        ]
+
+    def test_line_at_the_limit_is_still_served(self):
+        from repro.serve.daemon import MAX_LINE_BYTES
+
+        async def drive():
+            daemon = PlanDaemon(PlanService(), port=0)
+            await daemon.start()
+            server = asyncio.create_task(daemon.serve_forever())
+            reader, writer = await asyncio.open_connection(*daemon.address)
+            msg = json.dumps({"op": "ping", "pad": ""}).encode()
+            pad = b"x" * (MAX_LINE_BYTES - len(msg))
+            line = msg.replace(b'""', b'"' + pad + b'"')
+            assert len(line) == MAX_LINE_BYTES
+            writer.write(line + b"\n")
+            await writer.drain()
+            reply = json.loads(await reader.readline())
+            writer.close()
+            daemon.shutdown()
+            await server
+            return reply
+
+        assert _drive(asyncio.wait_for(drive(), 30)) == {
+            "status": "ok", "pong": True,
+        }
+
+
 class TestDaemonConcurrentClients:
     STATS_KEYS = {
         "pending", "max_pending", "jobs", "cache_dir", "cache_entries",

@@ -1,5 +1,9 @@
 """Unit tests for the LP layer: from-scratch simplex vs HiGHS."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.solvers import LPModel
@@ -112,6 +116,42 @@ class TestBackendsAgree:
         assert s1.status == s2.status
         if s1.status == "optimal":
             assert s1.objective == pytest.approx(s2.objective, abs=1e-6)
+
+
+class TestDeferredSciPyImport:
+    def test_serve_entry_point_imports_without_scipy(self):
+        # A daemon that only answers cache hits never solves an LP, so
+        # importing it must not pay for the solver; the first scipy
+        # solve of the process imports it and still agrees with simplex.
+        probe = (
+            "import sys\n"
+            "import repro, repro.serve.__main__\n"
+            "assert 'scipy' not in sys.modules, 'scipy imported at start-up'\n"
+            "from repro.solvers import LPModel\n"
+            "m = LPModel()\n"
+            "x = m.var('x'); y = m.var('y', lower=0)\n"
+            "m.add(x - y, '>=', 1); m.add(x + y, '>=', 3)\n"
+            "m.minimize(x + 2 * y)\n"
+            "a, b = m.solve(backend='simplex'), m.solve(backend='scipy')\n"
+            "assert 'scipy.optimize' in sys.modules\n"
+            "assert a.status == b.status == 'optimal'\n"
+            "assert abs(a.objective - b.objective) < 1e-6, (a, b)\n"
+            "print('deferred-ok')\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src")]
+            + env.get("PYTHONPATH", "").split(os.pathsep)
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "deferred-ok" in out.stdout
 
 
 class TestModelLayer:
