@@ -299,11 +299,15 @@ class AxisStrideSolver:
         self.rounds = rounds
         self.candidates: dict[str, list[Skeleton]] = {}
         self.port_by_key: dict[str, Port] = {}
+        # (use site, source Port.key) -> how many of the source's
+        # candidates that site has read; see _fresh.
+        self._offered: dict[tuple[object, str], int] = {}
 
     # -- candidate generation --------------------------------------------------
 
     def _seed(self) -> None:
         t = self.adg.template_rank
+        self._offered.clear()
         for p in self.adg.ports():
             self.port_by_key[p.key] = p
             self.candidates[p.key] = []
@@ -327,42 +331,49 @@ class AxisStrideSolver:
                 changed = True
         return changed
 
+    def _fresh(self, site: object, src: Port) -> list[Skeleton]:
+        """The labels ``src`` gained since ``site`` last read it.
+
+        Propagation is semi-naive: the image of a label a use site has
+        offered once is either present at the target or refused for good
+        (``_offer`` refuses on rank, stride integrality or the cap, and a
+        candidate list only grows), so offering it again changes
+        nothing.  A site is the node, or the edge's eid, that reads
+        ``src``: within one node every source port is read at one place,
+        into one pool or through one transform, so the targets fed from
+        that place share the watermark.
+        """
+        cands = self.candidates[src.key]
+        key = (site, src.key)
+        start = self._offered.get(key, 0)
+        self._offered[key] = len(cands)
+        return cands[start:]
+
     def _propagate_node(self, n: ADGNode) -> bool:
         changed = False
         kind = n.kind
+        offer, fresh = self._offer, self._fresh
         if kind in (
             NodeKind.ELEMENTWISE,
             NodeKind.MERGE,
             NodeKind.FANOUT,
             NodeKind.BRANCH,
         ):
-            pool: list[Skeleton] = []
+            pool = [l for p in n.ports for l in fresh(n, p)]
             for p in n.ports:
-                pool.extend(self.candidates[p.key])
-            for p in n.ports:
-                changed |= self._offer(p, pool)
+                changed |= offer(p, pool)
         elif kind is NodeKind.TRANSPOSE:
             inp, out = n.inputs()[0], n.outputs()[0]
-            changed |= self._offer(
-                out, [transpose_transform(l) for l in self.candidates[inp.key]]
-            )
-            changed |= self._offer(
-                inp, [transpose_transform(l) for l in self.candidates[out.key]]
-            )
+            changed |= offer(out, [transpose_transform(l) for l in fresh(n, inp)])
+            changed |= offer(inp, [transpose_transform(l) for l in fresh(n, out)])
         elif kind is NodeKind.SECTION:
             payload = n.payload
             assert isinstance(payload, SectionPayload)
             inp, out = n.inputs()[0], n.outputs()[0]
-            changed |= self._offer(
-                out,
-                [section_forward(l, payload.subscripts) for l in self.candidates[inp.key]],
-            )
-            changed |= self._offer(
-                inp,
-                [
-                    section_backward(l, payload.subscripts, inp.rank)
-                    for l in self.candidates[out.key]
-                ],
+            subs = payload.subscripts
+            changed |= offer(out, [section_forward(l, subs) for l in fresh(n, inp)])
+            changed |= offer(
+                inp, [section_backward(l, subs, inp.rank) for l in fresh(n, out)]
             )
         elif kind is NodeKind.SECTION_ASSIGN:
             payload = n.payload
@@ -370,35 +381,29 @@ class AxisStrideSolver:
             ports = {p.name: p for p in n.ports}
             arr, out = ports["array"], ports["out"]
             value = ports.get("value")
-            pool = self.candidates[arr.key] + self.candidates[out.key]
-            changed |= self._offer(arr, pool)
-            changed |= self._offer(out, pool)
+            subs = payload.subscripts
+            pool = fresh(n, arr) + fresh(n, out)
+            changed |= offer(arr, pool)
+            changed |= offer(out, pool)
             if value is not None:
-                changed |= self._offer(
-                    value, [section_forward(l, payload.subscripts) for l in pool]
-                )
-                changed |= self._offer(
-                    arr,
-                    [
-                        section_backward(l, payload.subscripts, arr.rank)
-                        for l in self.candidates[value.key]
-                    ],
-                )
-                changed |= self._offer(
-                    out,
-                    [
-                        section_backward(l, payload.subscripts, arr.rank)
-                        for l in self.candidates[value.key]
-                    ],
-                )
+                changed |= offer(value, [section_forward(l, subs) for l in pool])
+                gained = fresh(n, value)
+                # One image per target: ``AffineForm`` memoizes its
+                # evaluations per instance, so which ports share a label
+                # object shows in the ``affine.evaluate`` cell.
+                for target in (arr, out):
+                    changed |= offer(
+                        target,
+                        [section_backward(l, subs, arr.rank) for l in gained],
+                    )
         elif kind is NodeKind.SPREAD:
             payload = n.payload
             assert isinstance(payload, SpreadPayload)
             inp, out = n.inputs()[0], n.outputs()[0]
-            for l in self.candidates[inp.key]:
-                changed |= self._offer(out, spread_forward(l, payload.dim))
-            changed |= self._offer(
-                inp, [spread_backward(l, payload.dim) for l in self.candidates[out.key]]
+            for l in fresh(n, inp):
+                changed |= offer(out, spread_forward(l, payload.dim))
+            changed |= offer(
+                inp, [spread_backward(l, payload.dim) for l in fresh(n, out)]
             )
         elif kind is NodeKind.REDUCE:
             payload = n.payload
@@ -406,17 +411,17 @@ class AxisStrideSolver:
             outs = n.outputs()
             if outs and payload.dim is not None:
                 inp, out = n.inputs()[0], outs[0]
-                changed |= self._offer(
-                    out, [reduce_forward(l, payload.dim) for l in self.candidates[inp.key]]
+                changed |= offer(
+                    out, [reduce_forward(l, payload.dim) for l in fresh(n, inp)]
                 )
-                for l in self.candidates[out.key]:
-                    changed |= self._offer(inp, reduce_backward(l, payload.dim))
+                for l in fresh(n, out):
+                    changed |= offer(inp, reduce_backward(l, payload.dim))
         elif kind is NodeKind.GATHER:
             ports = {p.name: p for p in n.ports}
             index, out = ports["index"], ports["out"]
-            pool = self.candidates[index.key] + self.candidates[out.key]
-            changed |= self._offer(index, pool)
-            changed |= self._offer(out, pool)
+            pool = fresh(n, index) + fresh(n, out)
+            changed |= offer(index, pool)
+            changed |= offer(out, pool)
         elif kind is NodeKind.TRANSFORMER:
             payload = n.payload
             assert isinstance(payload, TransformerPayload)
@@ -425,41 +430,33 @@ class AxisStrideSolver:
             if payload.kind == "entry":
                 # f_out(k=lo) = f_in: constants pass through; backward
                 # evaluates the mobile label at the first iteration.
-                changed |= self._offer(out, self.candidates[inp.key])
-                changed |= self._offer(
-                    inp,
-                    [
-                        substitute_liv(l, k, AffineForm(payload.value))
-                        for l in self.candidates[out.key]
-                    ],
+                at = AffineForm(payload.value)
+                changed |= offer(out, fresh(n, inp))
+                changed |= offer(
+                    inp, [substitute_liv(l, k, at) for l in fresh(n, out)]
                 )
             elif payload.kind == "exit":
-                changed |= self._offer(
-                    out,
-                    [
-                        substitute_liv(l, k, AffineForm(payload.value))
-                        for l in self.candidates[inp.key]
-                    ],
+                at = AffineForm(payload.value)
+                changed |= offer(
+                    out, [substitute_liv(l, k, at) for l in fresh(n, inp)]
                 )
-                changed |= self._offer(inp, self.candidates[out.key])
+                changed |= offer(inp, fresh(n, out))
             else:  # loop_back: f_out(k) = f_in(k - step)
                 shift_out = AffineForm.variable(k) - payload.value
                 shift_in = AffineForm.variable(k) + payload.value
-                changed |= self._offer(
-                    out,
-                    [substitute_liv(l, k, shift_out) for l in self.candidates[inp.key]],
+                changed |= offer(
+                    out, [substitute_liv(l, k, shift_out) for l in fresh(n, inp)]
                 )
-                changed |= self._offer(
-                    inp,
-                    [substitute_liv(l, k, shift_in) for l in self.candidates[out.key]],
+                changed |= offer(
+                    inp, [substitute_liv(l, k, shift_in) for l in fresh(n, out)]
                 )
         return changed
 
     def _propagate_edges(self) -> bool:
         changed = False
         for e in self.adg.edges:
-            changed |= self._offer(e.head, self.candidates[e.tail.key])
-            changed |= self._offer(e.tail, self.candidates[e.head.key])
+            changed |= self._offer(e.head, self._fresh(e.eid, e.tail))
+            changed |= self._offer(e.tail, self._fresh(e.eid, e.head))
         return changed
 
     def generate_candidates(self) -> None:

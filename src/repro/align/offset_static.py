@@ -37,7 +37,7 @@ from ..adg.nodes import NodeKind
 from ..ir.affine import AffineForm
 from ..ir.itspace import IterationSpace
 from ..ir.symbols import LIV
-from ..solvers.lp import LinExpr, LPModel
+from ..solvers.lp import LinExpr, LPModel, Variable
 from .constraints import EntryEval, EqualShift, LoopBack, OffsetRelation, node_offset_relations
 from .cost import cached_moments
 from .position import Alignment
@@ -91,13 +91,23 @@ def edge_is_offset_costed(
 
 
 class OffsetLP:
-    """One offset LP instance for a fixed template axis and plan."""
+    """One offset LP instance for a fixed template axis and plan.
+
+    ``relations`` are this axis's node relations, in node order.  Rows
+    are written straight into the model as ``{variable: float}`` maps
+    (:meth:`LPModel.add_row`).  The LP has ties, and HiGHS returns a
+    different optimal vertex under a column permutation, so the order in
+    which ``_slot`` first sees each variable is part of the result:
+    relation rows in node order, then edge rows tail before head with
+    ``theta`` after its slots, then the pins.
+    """
 
     def __init__(
         self,
         adg: ADG,
         skeleton: Mapping[str, Alignment],
         axis: int,
+        relations: list[OffsetRelation],
         plan: PartitionPlan,
         replicated: ReplicationLabels | None = None,
         backend: str = "scipy",
@@ -106,17 +116,17 @@ class OffsetLP:
         self.adg = adg
         self.skeleton = skeleton
         self.axis = axis
+        self.relations = relations
         self.plan = plan
         self.replicated = replicated or set()
         self.backend = backend
         self.static = static
         self.model = LPModel(f"offset-axis{axis}")
-        self.vars: dict[Slot, object] = {}
-        self.relations: list[OffsetRelation] = []
+        self.vars: dict[Slot, Variable] = {}
 
     # -- variables ------------------------------------------------------------
 
-    def _slot(self, p: Port, liv: LIV | None):
+    def _slot(self, p: Port, liv: LIV | None) -> Variable:
         key = (p.key, liv)
         v = self.vars.get(key)
         if v is None:
@@ -125,71 +135,56 @@ class OffsetLP:
             self.vars[key] = v
         return v
 
-    def _offset_expr(self, p: Port) -> LinExpr:
-        expr = LinExpr.of(self._slot(p, None))
-        for liv in p.space.livs:
-            expr = expr + LinExpr({self._slot(p, liv): 1.0})
-        return expr
-
     # -- constraints --------------------------------------------------------------
 
     def _emit_relation(self, rel: OffsetRelation) -> None:
-        m = self.model
+        # A relation joins two distinct ports of one node, so the slots
+        # of one row are distinct variables.
+        slot, add_row = self._slot, self.model.add_row
         if isinstance(rel, EqualShift):
             p, q, shift = rel.p, rel.q, rel.shift
-            m.add(
-                LinExpr.of(self._slot(q, None)) - self._slot(p, None),
-                "==",
-                float(shift.const),
+            add_row(
+                {slot(q, None): 1.0, slot(p, None): -1.0}, "==", float(shift.const)
             )
             livs = set(q.space.livs) | set(p.space.livs) | set(shift.livs())
             for liv in livs:
-                lhs = LinExpr()
+                row = {}
                 if liv in q.space.livs:
-                    lhs = lhs + self._slot(q, liv)
+                    row[slot(q, liv)] = 1.0
                 if liv in p.space.livs:
-                    lhs = lhs - LinExpr.of(self._slot(p, liv))
-                m.add(lhs, "==", float(shift.coeff(liv)))
+                    row[slot(p, liv)] = -1.0
+                add_row(row, "==", float(shift.coeff(liv)))
         elif isinstance(rel, EntryEval):
             p, q, k, v = rel.p, rel.q, rel.liv, rel.value
             # a_q0 + v*a_qk = a_p0
-            m.add(
-                LinExpr.of(self._slot(q, None))
-                + LinExpr({self._slot(q, k): float(v)})
-                - self._slot(p, None),
-                "==",
-                0,
-            )
+            row = {slot(q, None): 1.0}
+            qk = slot(q, k)
+            if v:
+                row[qk] = float(v)
+            row[slot(p, None)] = -1.0
+            add_row(row, "==", 0.0)
             for liv in p.space.livs:
-                m.add(
-                    LinExpr.of(self._slot(q, liv)) - self._slot(p, liv), "==", 0
-                )
+                add_row({slot(q, liv): 1.0, slot(p, liv): -1.0}, "==", 0.0)
         elif isinstance(rel, LoopBack):
             p, q, k, s = rel.p, rel.q, rel.liv, rel.step
             # f_q(k) = f_p(k - s):  a_q0 = a_p0 - s*a_pk ;  a_qk = a_pk
-            m.add(
-                LinExpr.of(self._slot(q, None))
-                - self._slot(p, None)
-                + LinExpr({self._slot(p, k): float(s)}),
-                "==",
-                0,
-            )
+            row = {slot(q, None): 1.0, slot(p, None): -1.0}
+            pk = slot(p, k)
+            if s:
+                row[pk] = float(s)
+            add_row(row, "==", 0.0)
             for liv in q.space.livs:
-                m.add(
-                    LinExpr.of(self._slot(q, liv)) - self._slot(p, liv), "==", 0
-                )
+                add_row({slot(q, liv): 1.0, slot(p, liv): -1.0}, "==", 0.0)
         else:  # pragma: no cover - exhaustive
             raise TypeError(f"unknown relation {rel!r}")
 
     # -- assembly ----------------------------------------------------------------------
 
     def build(self) -> None:
-        for n in self.adg.nodes:
-            for rel in node_offset_relations(n, dict(self.skeleton)):
-                if rel.axis == self.axis:
-                    self.relations.append(rel)
-                    self._emit_relation(rel)
-        objective = LinExpr()
+        slot, add_row = self._slot, self.model.add_row
+        for rel in self.relations:
+            self._emit_relation(rel)
+        objective: dict[Variable, float] = {}
         for e in self.adg.edges:
             if not edge_is_offset_costed(e, self.skeleton, self.axis, self.replicated):
                 continue
@@ -198,19 +193,23 @@ class OffsetLP:
                 if sub.is_empty():
                     continue
                 moments = cached_moments(sub, e.weight)
-                inner = LinExpr()
-                inner = inner + LinExpr(
-                    {self._slot(e.tail, None): float(moments.m0)}
-                ) - LinExpr({self._slot(e.head, None): float(moments.m0)})
-                for liv, m1 in moments.m1.items():
-                    inner = (
-                        inner
-                        + LinExpr({self._slot(e.tail, liv): float(m1)})
-                        - LinExpr({self._slot(e.head, liv): float(m1)})
-                    )
+                # theta >= |inner|, inner = sum of moment * (tail slot -
+                # head slot), as the two rows theta +- inner >= 0.  An
+                # edge runs from an output port to an input port, so
+                # each slot gets exactly one coefficient.
+                plus: dict[Variable, float] = {}
+                minus: dict[Variable, float] = {}
+                for liv, moment in ((None, moments.m0), *moments.m1.items()):
+                    m = float(moment)
+                    tail, head = slot(e.tail, liv), slot(e.head, liv)
+                    if m != 0.0:
+                        plus[tail] = minus[head] = m
+                        plus[head] = minus[tail] = -m
                 theta = self.model.var(f"th_e{e.eid}_{j}", lower=0)
-                self.model.add_abs_bound(theta, inner, name=f"abs_e{e.eid}_{j}")
-                objective = objective + theta * e.control_weight
+                plus[theta] = minus[theta] = 1.0
+                add_row(plus, ">=", 0.0, f"abs_e{e.eid}_{j}+")
+                add_row(minus, ">=", 0.0, f"abs_e{e.eid}_{j}-")
+                objective[theta] = e.control_weight
         # Pin one port per weakly-connected component to anchor translation.
         self._pin_components()
         if self.static:
@@ -221,10 +220,8 @@ class OffsetLP:
                 if n.kind in (NodeKind.SOURCE, NodeKind.MERGE, NodeKind.SINK):
                     for p in n.ports:
                         for liv in p.space.livs:
-                            self.model.add(
-                                LinExpr.of(self._slot(p, liv)), "==", 0
-                            )
-        self.model.minimize(objective)
+                            add_row({slot(p, liv): 1.0}, "==", 0.0)
+        self.model.minimize(LinExpr(objective))
 
     def _pin_components(self) -> None:
         parent: dict[str, str] = {}
@@ -250,7 +247,7 @@ class OffsetLP:
             root = find(p.key)
             if root not in pinned:
                 pinned.add(root)
-                self.model.add(LinExpr.of(self._slot(p, None)), "==", 0)
+                self.model.add_row({self._slot(p, None): 1.0}, "==", 0.0)
 
     # -- solve + round -----------------------------------------------------------------
 
@@ -372,8 +369,11 @@ def solve_offsets(
     """Solve the offset problem for every template axis under one plan."""
     offsets: OffsetMap = {}
     stats = []
+    skel = dict(skeleton)
+    relations = [rel for n in adg.nodes for rel in node_offset_relations(n, skel)]
     for axis in range(adg.template_rank):
-        lp = OffsetLP(adg, skeleton, axis, plan, replicated, backend, static)
+        on_axis = [rel for rel in relations if rel.axis == axis]
+        lp = OffsetLP(adg, skeleton, axis, on_axis, plan, replicated, backend, static)
         values, st = lp.solve()
         offsets.update(lp.rounded_offsets(values))
         stats.append(st)

@@ -7,7 +7,7 @@ weight unless the labels at its two ports agree after the node's
 transformation.  This is the "compact dynamic programming" of the
 authors' POPL'93 paper: exact on trees via bottom-up tables over the
 candidate sets, with spanning-tree + iterated-local-search refinement on
-graphs with cycles, and exhaustive enumeration for (small) verification.
+graphs with cycles, and exhaustive enumeration of small label spaces.
 
 The formulation here is deliberately generic — a
 :class:`DiscreteLabelingProblem` over hashable labels with per-edge
@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Callable, Hashable, Iterable, Mapping
 
 Label = Hashable
@@ -194,25 +195,54 @@ class DiscreteLabelingProblem:
                     down.append((child, ei))
         return LabelingResult(labels, total, exact=True)
 
-    # -- exhaustive (verification only) ------------------------------------------
+    # -- exhaustive enumeration --------------------------------------------------
 
     def solve_exhaustive(self, limit: int = 2_000_000) -> LabelingResult:
+        """Exact minimum by enumerating every labeling.
+
+        Not only a test oracle: :meth:`AxisStrideSolver.solve
+        <repro.align.axis_stride.AxisStrideSolver.solve>` calls it in
+        production for every label space of at most 200 000 labelings.
+        That threshold is the caller's and is the one that governs a
+        plan; ``limit`` is only this method's own refusal point for a
+        direct caller, above which it raises ``ValueError``.
+
+        Each edge is priced once per pair of candidate labels, into a
+        table of integer numerators over the weights' common
+        denominator; the walk is ``itertools.product`` order over the
+        nodes in insertion order, and the first minimum wins.
+        """
         nodes = list(self.candidates)
         size = 1
         for n in nodes:
             size *= len(self.candidates[n])
             if size > limit:
                 raise ValueError(f"search space exceeds limit ({limit})")
-        best_cost: Fraction | None = None
-        best: dict[NodeId, Label] = {}
-        for combo in product(*(self.candidates[n] for n in nodes)):
-            labels = dict(zip(nodes, combo))
-            c = self.total_cost(labels)
+        den = lcm(*(e.weight.denominator for e in self.edges))
+        pos = {n: i for i, n in enumerate(nodes)}
+        priced = [
+            (
+                pos[e.u],
+                pos[e.v],
+                [
+                    [int(e.cost(lu, lv) * den) for lv in self.candidates[e.v]]
+                    for lu in self.candidates[e.u]
+                ],
+            )
+            for e in self.edges
+        ]
+        best_cost: int | None = None
+        best: tuple[int, ...] = ()
+        for combo in product(*(range(len(self.candidates[n])) for n in nodes)):
+            c = 0
+            for iu, iv, table in priced:
+                c += table[combo[iu]][combo[iv]]
             if best_cost is None or c < best_cost:
                 best_cost = c
-                best = labels
+                best = combo
         assert best_cost is not None
-        return LabelingResult(best, best_cost, exact=True)
+        labels = {n: self.candidates[n][i] for n, i in zip(nodes, best)}
+        return LabelingResult(labels, Fraction(best_cost, den), exact=True)
 
     # -- general graphs: spanning-tree seed + iterated conditional modes ---------
 

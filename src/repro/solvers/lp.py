@@ -114,11 +114,19 @@ class LinExpr:
 Sense = Literal["<=", ">=", "=="]
 
 
+def _nonzero(coeffs: Mapping[Variable, float]) -> dict[Variable, float]:
+    return {v: c for v, c in coeffs.items() if c != 0.0}
+
+
 @dataclass
 class Constraint:
-    """``expr (sense) rhs`` with the expression's constant folded into rhs."""
+    """One row ``sum coeffs[v] * v  (sense)  rhs``.
 
-    expr: LinExpr
+    ``coeffs`` holds nonzero floats only; an expression's constant is
+    already folded into ``rhs``.
+    """
+
+    coeffs: dict[Variable, float]
     sense: Sense
     rhs: float
     name: str = ""
@@ -168,6 +176,23 @@ class LPModel:
         self.upper.append(None if upper is None else float(upper))
         return v
 
+    def add_row(
+        self,
+        coeffs: dict[Variable, float],
+        sense: Sense,
+        rhs: float,
+        name: str = "",
+    ) -> Constraint:
+        """Append the row ``sum coeffs[v] * v  (sense)  rhs``.
+
+        The row-level entry point every other way of adding a constraint
+        goes through.  ``coeffs`` is adopted, not copied: the caller hands
+        over a dict of nonzero floats and does not touch it again.
+        """
+        con = Constraint(coeffs, sense, rhs, name)
+        self.constraints.append(con)
+        return con
+
     def add(
         self,
         expr: "Variable | LinExpr",
@@ -176,11 +201,7 @@ class LPModel:
         name: str = "",
     ) -> Constraint:
         e = LinExpr.of(expr)
-        con = Constraint(
-            LinExpr(e.coeffs), sense, float(rhs) - e.const, name
-        )
-        self.constraints.append(con)
-        return con
+        return self.add_row(_nonzero(e.coeffs), sense, float(rhs) - e.const, name)
 
     def add_abs_bound(
         self, bound: Variable, inner: "Variable | LinExpr", name: str = ""
@@ -193,8 +214,13 @@ class LPModel:
         weight.
         """
         e = LinExpr.of(inner)
-        self.add(LinExpr.of(bound) + e, ">=", 0, name=f"{name}+")
-        self.add(LinExpr.of(bound) - e, ">=", 0, name=f"{name}-")
+        plus = {bound: 1.0}
+        minus = {bound: 1.0}
+        for v, c in e.coeffs.items():
+            plus[v] = plus.get(v, 0.0) + c
+            minus[v] = minus.get(v, 0.0) - c
+        self.add_row(_nonzero(plus), ">=", 0.0 - e.const, name=f"{name}+")
+        self.add_row(_nonzero(minus), ">=", 0.0 + e.const, name=f"{name}-")
 
     def minimize(self, expr: "Variable | LinExpr") -> None:
         self.objective = LinExpr.of(expr)
@@ -233,29 +259,26 @@ class LPModel:
         c = np.zeros(n)
         for v, coef in self.objective.coeffs.items():
             c[v.index] = coef
-        a_ub: list[list[float]] = []
-        b_ub: list[float] = []
-        a_eq: list[list[float]] = []
-        b_eq: list[float] = []
+        # (row, column, value) triplets and right-hand sides per block.
+        ub: tuple[list, list, list, list] = ([], [], [], [])
+        eq: tuple[list, list, list, list] = ([], [], [], [])
         for con in self.constraints:
-            row = [0.0] * n
-            for v, coef in con.expr.coeffs.items():
-                row[v.index] = coef
-            if con.sense == "<=":
-                a_ub.append(row)
-                b_ub.append(con.rhs)
-            elif con.sense == ">=":
-                a_ub.append([-x for x in row])
-                b_ub.append(-con.rhs)
+            rows, cols, vals, rhs = eq if con.sense == "==" else ub
+            cols.extend([v.index for v in con.coeffs])
+            rows.extend([len(rhs)] * len(con.coeffs))
+            if con.sense == ">=":
+                vals.extend([-x for x in con.coeffs.values()])
+                rhs.append(-con.rhs)
             else:
-                a_eq.append(row)
-                b_eq.append(con.rhs)
-        bounds = list(zip(self.lower, self.upper))
-        return (
-            c,
-            np.array(a_ub) if a_ub else np.zeros((0, n)),
-            np.array(b_ub),
-            np.array(a_eq) if a_eq else np.zeros((0, n)),
-            np.array(b_eq),
-            bounds,
-        )
+                vals.extend(con.coeffs.values())
+                rhs.append(con.rhs)
+
+        def dense(rows, cols, vals, rhs):
+            a = np.zeros((len(rhs), n))
+            if rows:
+                a[rows, cols] = vals
+            return a, np.array(rhs)
+
+        a_ub, b_ub = dense(*ub)
+        a_eq, b_eq = dense(*eq)
+        return c, a_ub, b_ub, a_eq, b_eq, list(zip(self.lower, self.upper))

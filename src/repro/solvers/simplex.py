@@ -74,7 +74,7 @@ def solve_simplex(model: LPModel, max_iter: int | None = None) -> LPSolution:
     rhs: list[float] = []
     senses: list[str] = []
     for con in model.constraints:
-        pairs = [(v.index, c) for v, c in con.expr.coeffs.items()]
+        pairs = [(v.index, c) for v, c in con.coeffs.items()]
         row, corr = substituted_row(pairs)
         rows.append(row)
         rhs.append(con.rhs - corr)

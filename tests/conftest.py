@@ -1,4 +1,5 @@
-"""Shared pytest plumbing: golden snapshot files.
+"""Shared pytest plumbing: golden snapshot files, and the program set
+of the solver differential tests.
 
 ``pytest --update-golden`` rewrites the files under ``tests/golden/``
 from the current plans instead of comparing against them; commit the
@@ -52,3 +53,32 @@ class GoldenChecker:
 @pytest.fixture
 def golden(request: pytest.FixtureRequest) -> GoldenChecker:
     return GoldenChecker(request.config.getoption("--update-golden"))
+
+
+def _differential_programs() -> list:
+    """The 12 paper fragments of ``lang/programs.py`` and seeds 5, 6 of
+    every generator family, each as a zero-argument ``Program`` maker."""
+    from repro.lang import programs
+    from repro.lang.generate import FAMILIES, generate_scenario
+
+    fragments = [
+        programs.figure1, programs.figure4, programs.example1, programs.example2,
+        programs.example3, programs.example5, programs.lookup_table,
+        programs.stencil_sweep, programs.skewed_wavefront,
+        programs.triangular_sections, programs.doubly_nested,
+        programs.conditional_update,
+    ]  # fmt: skip
+    out = [pytest.param(fn, id=fn.__name__) for fn in fragments]
+    for family in sorted(FAMILIES):
+        for seed in (5, 6):
+            sc = generate_scenario(seed, family=family)
+            out.append(pytest.param(sc.parse, id=sc.name))
+    return out
+
+
+def pytest_generate_tests(metafunc: pytest.Metafunc) -> None:
+    # A test that names ``make_program`` runs once per differential
+    # program: a fast path is compared with its test-only reference
+    # (LP rows, candidate propagation) on the same inputs everywhere.
+    if "make_program" in metafunc.fixturenames:
+        metafunc.parametrize("make_program", _differential_programs())

@@ -1,13 +1,16 @@
 """Unit tests for Section 3: axis and mobile stride alignment."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from repro.adg import build_adg
 from repro.adg.nodes import SubscriptSpec
+from repro.align import axis_stride as axs
 from repro.align import canonical_skeletons, solve_axis_stride
 from repro.align.axis_stride import (
+    AxisStrideSolver,
     _div_affine,
     section_backward,
     section_forward,
@@ -136,3 +139,271 @@ class TestPaperExamples:
         adg = build_adg(programs.lookup_table(n=16, m=8))
         res = solve_axis_stride(adg)
         assert res.cost == 0
+
+
+# ---------------------------------------------------------------------------
+# Differential: semi-naive candidate propagation == the naive propagation
+# ---------------------------------------------------------------------------
+
+
+class NaiveSolver(AxisStrideSolver):
+    """``reference_generate_candidates``: the propagation as it was before
+    use sites kept watermarks — every round re-transforms and re-offers
+    every label of every source port.  Kept as the reference only."""
+
+    def _propagate_node(self, n):
+        from repro.adg.nodes import NodeKind
+
+        cands, offer = self.candidates, self._offer
+        changed = False
+        kind = n.kind
+        if kind in (
+            NodeKind.ELEMENTWISE, NodeKind.MERGE, NodeKind.FANOUT, NodeKind.BRANCH
+        ):  # fmt: skip
+            pool = []
+            for p in n.ports:
+                pool.extend(cands[p.key])
+            for p in n.ports:
+                changed |= offer(p, pool)
+        elif kind is NodeKind.TRANSPOSE:
+            inp, out = n.inputs()[0], n.outputs()[0]
+            changed |= offer(out, [axs.transpose_transform(l) for l in cands[inp.key]])
+            changed |= offer(inp, [axs.transpose_transform(l) for l in cands[out.key]])
+        elif kind is NodeKind.SECTION:
+            subs = n.payload.subscripts
+            inp, out = n.inputs()[0], n.outputs()[0]
+            changed |= offer(out, [axs.section_forward(l, subs) for l in cands[inp.key]])
+            changed |= offer(
+                inp, [axs.section_backward(l, subs, inp.rank) for l in cands[out.key]]
+            )
+        elif kind is NodeKind.SECTION_ASSIGN:
+            subs = n.payload.subscripts
+            ports = {p.name: p for p in n.ports}
+            arr, out = ports["array"], ports["out"]
+            value = ports.get("value")
+            pool = cands[arr.key] + cands[out.key]
+            changed |= offer(arr, pool)
+            changed |= offer(out, pool)
+            if value is not None:
+                changed |= offer(value, [axs.section_forward(l, subs) for l in pool])
+                for target in (arr, out):
+                    changed |= offer(
+                        target,
+                        [
+                            axs.section_backward(l, subs, arr.rank)
+                            for l in cands[value.key]
+                        ],
+                    )
+        elif kind is NodeKind.SPREAD:
+            dim = n.payload.dim
+            inp, out = n.inputs()[0], n.outputs()[0]
+            for l in cands[inp.key]:
+                changed |= offer(out, axs.spread_forward(l, dim))
+            changed |= offer(inp, [axs.spread_backward(l, dim) for l in cands[out.key]])
+        elif kind is NodeKind.REDUCE:
+            dim = n.payload.dim
+            outs = n.outputs()
+            if outs and dim is not None:
+                inp, out = n.inputs()[0], outs[0]
+                changed |= offer(out, [axs.reduce_forward(l, dim) for l in cands[inp.key]])
+                for l in cands[out.key]:
+                    changed |= offer(inp, axs.reduce_backward(l, dim))
+        elif kind is NodeKind.GATHER:
+            ports = {p.name: p for p in n.ports}
+            index, out = ports["index"], ports["out"]
+            pool = cands[index.key] + cands[out.key]
+            changed |= offer(index, pool)
+            changed |= offer(out, pool)
+        elif kind is NodeKind.TRANSFORMER:
+            payload = n.payload
+            inp, out = n.inputs()[0], n.outputs()[0]
+            k = payload.liv
+            if payload.kind == "entry":
+                at = AffineForm(payload.value)
+                changed |= offer(out, cands[inp.key])
+                changed |= offer(
+                    inp, [axs.substitute_liv(l, k, at) for l in cands[out.key]]
+                )
+            elif payload.kind == "exit":
+                at = AffineForm(payload.value)
+                changed |= offer(
+                    out, [axs.substitute_liv(l, k, at) for l in cands[inp.key]]
+                )
+                changed |= offer(inp, cands[out.key])
+            else:
+                shift_out = AffineForm.variable(k) - payload.value
+                shift_in = AffineForm.variable(k) + payload.value
+                changed |= offer(
+                    out, [axs.substitute_liv(l, k, shift_out) for l in cands[inp.key]]
+                )
+                changed |= offer(
+                    inp, [axs.substitute_liv(l, k, shift_in) for l in cands[out.key]]
+                )
+        return changed
+
+    def _propagate_edges(self):
+        changed = False
+        for e in self.adg.edges:
+            changed |= self._offer(e.head, self.candidates[e.tail.key])
+            changed |= self._offer(e.tail, self.candidates[e.head.key])
+        return changed
+
+
+TRANSFORMS = (
+    "transpose_transform", "section_forward", "section_backward", "spread_forward",
+    "spread_backward", "reduce_forward", "reduce_backward", "substitute_liv",
+)  # fmt: skip
+
+
+class Tracked:
+    """Mixin: remembers which node is being propagated, and counts how
+    often ``_fresh`` hands one label of one source port to one site."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.current = None
+        self.handed = Counter()
+
+    def _propagate_node(self, n):
+        self.current = n
+        return super()._propagate_node(n)
+
+    def _fresh(self, site, src):
+        labels = super()._fresh(site, src)
+        self.handed.update((site, src.key, lab) for lab in labels)
+        return labels
+
+
+class TrackedSolver(Tracked, AxisStrideSolver):
+    pass
+
+
+class TrackedNaiveSolver(Tracked, NaiveSolver):
+    pass
+
+
+def count_transforms(monkeypatch, solver):
+    """``{(node being propagated, transform name and arguments, label):
+    calls}`` of every label transform ``solver`` makes from here on."""
+    calls = Counter()
+    for name in TRANSFORMS:
+
+        def counted(lab, *args, _real=getattr(axs, name), _name=name):
+            calls[(solver.current, (_name, *args), lab)] += 1
+            return _real(lab, *args)
+
+        monkeypatch.setattr(axs, name, counted)
+    return calls
+
+
+class TestSemiNaivePropagation:
+    """Each use site offers only the labels its source port gained since
+    the site last ran; the additions, their order and the round count
+    are the naive loop's."""
+
+    @pytest.mark.parametrize("cap", [64, 4], ids=["default-cap", "cap-4"])
+    def test_candidate_lists_equal_the_naive_ones_in_order(self, make_program, cap):
+        adg = build_adg(make_program())
+        fast = AxisStrideSolver(adg, max_candidates=cap)
+        naive = NaiveSolver(adg, max_candidates=cap)
+        fast.generate_candidates()
+        naive.generate_candidates()
+        assert list(fast.candidates) == list(naive.candidates)
+        for key, labels in naive.candidates.items():
+            assert fast.candidates[key] == labels, fast.port_by_key[key]
+
+    def test_the_cap_of_4_does_refuse_labels(self):
+        adg = build_adg(programs.example5())
+        capped = AxisStrideSolver(adg, max_candidates=4)
+        free = AxisStrideSolver(adg)
+        capped.generate_candidates()
+        free.generate_candidates()
+        assert max(map(len, capped.candidates.values())) == 4
+        assert max(map(len, free.candidates.values())) > 4
+
+    def test_every_round_reports_the_same_changed(self, make_program):
+        adg = build_adg(make_program())
+        fast, naive = AxisStrideSolver(adg), NaiveSolver(adg)
+        fast._seed()
+        naive._seed()
+        for _ in range(fast.rounds):
+            got = [fast._propagate_node(n) for n in adg.nodes]
+            want = [naive._propagate_node(n) for n in adg.nodes]
+            got.append(fast._propagate_edges())
+            want.append(naive._propagate_edges())
+            assert got == want
+            if not any(want):
+                break
+
+    def test_each_site_transforms_each_label_once(self, make_program, monkeypatch):
+        from repro.adg.nodes import NodeKind
+
+        adg = build_adg(make_program())
+        solver = TrackedSolver(adg)
+        calls = count_transforms(monkeypatch, solver)
+        solver.generate_candidates()
+        # A site reads each label of its source port once ...
+        assert solver.handed and set(solver.handed.values()) == {1}
+        # ... so a node applies one transform to one label once, or
+        # twice where the transform has two uses in the node: a transpose
+        # maps input to output and back, a SectionAssign forwards a pool
+        # fed by two ports and sends each image of ``value`` to two.
+        for (node, transform, _label), count in calls.items():
+            two_uses = node.kind in (NodeKind.TRANSPOSE, NodeKind.SECTION_ASSIGN)
+            assert count <= (2 if two_uses else 1), (node, transform, count)
+
+    def test_fewer_transforms_than_the_naive_loop(self, monkeypatch):
+        adg = build_adg(programs.figure4())
+        totals = []
+        for cls in (TrackedSolver, TrackedNaiveSolver):
+            solver = cls(adg)
+            with monkeypatch.context() as patch:
+                calls = count_transforms(patch, solver)
+                solver.generate_candidates()
+            totals.append(sum(calls.values()))
+        assert 0 < totals[0] < totals[1]
+
+
+class TestSolverObjectReuse:
+    """The watermarks live and die with the candidate lists."""
+
+    @pytest.mark.parametrize(
+        "make", [programs.example5, programs.figure4, programs.skewed_wavefront]
+    )
+    def test_solve_twice_on_one_solver(self, make):
+        solver = AxisStrideSolver(build_adg(make()))
+        first = solver.solve()
+        lists = {k: list(v) for k, v in solver.candidates.items()}
+        again = solver.solve()  # regenerate=True re-seeds: lists emptied
+        assert solver.candidates == lists
+        assert again.skeletons == first.skeletons
+        assert (again.cost, again.exact) == (first.cost, first.exact)
+
+    def test_hand_edited_candidates_do_not_consult_the_watermarks(self):
+        """The best-static-stride baseline: generate, strike the mobile
+        labels, solve with ``regenerate=False``."""
+
+        def static_only(solver):
+            for key, cands in solver.candidates.items():
+                kept = [
+                    lab
+                    for lab in cands
+                    if all(ax.stride.is_constant for ax in lab.axes if ax.is_body)
+                ]
+                if kept:
+                    solver.candidates[key] = kept
+
+        adg = build_adg(programs.example5())
+        solver = AxisStrideSolver(adg)
+        solver.generate_candidates()
+        static_only(solver)
+        edited = {k: list(v) for k, v in solver.candidates.items()}
+        solver._offered = None  # any read or write of a watermark raises
+        static = solver.solve(regenerate=False)
+        assert solver.candidates == edited
+        assert static.cost > solve_axis_stride(adg).cost == 980
+        # ... and a naive solver given the same edit agrees.
+        naive = NaiveSolver(adg)
+        naive.generate_candidates()
+        static_only(naive)
+        assert naive.solve(regenerate=False).skeletons == static.skeletons

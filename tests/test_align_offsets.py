@@ -208,3 +208,208 @@ class TestMomentSumsGoThroughTheMemo:
             f"{offenders} mention ir.closedform.weighted_moments; "
             "use repro.align.cost.cached_moments"
         )
+
+
+# ---------------------------------------------------------------------------
+# Differential: rows written as numbers == the LinExpr-built LP, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def reference_build(lp):
+    """The offset LP of ``lp``'s inputs assembled through ``LinExpr``
+    arithmetic, ``LPModel.add`` and ``add_abs_bound`` — the builder
+    ``OffsetLP`` had before it wrote its rows as numbers, kept as the
+    reference: same variables in the same first-use order, same rows."""
+    from repro.adg.nodes import NodeKind
+    from repro.align.constraints import (
+        EntryEval,
+        EqualShift,
+        LoopBack,
+        node_offset_relations,
+    )
+    from repro.align.cost import cached_moments
+    from repro.align.offset_static import edge_is_offset_costed
+    from repro.solvers.lp import LinExpr, LPModel
+
+    m = LPModel(f"offset-axis{lp.axis}")
+    slots = {}
+
+    def slot(p, liv):
+        key = (p.key, liv)
+        if key not in slots:
+            slots[key] = m.var(f"p{p.key}_{'c' if liv is None else liv.name}")
+        return slots[key]
+
+    relations = []
+    for n in lp.adg.nodes:
+        for rel in node_offset_relations(n, dict(lp.skeleton)):
+            if rel.axis != lp.axis:
+                continue
+            relations.append(rel)
+            p, q = rel.p, rel.q
+            if isinstance(rel, EqualShift):
+                shift = rel.shift
+                m.add(LinExpr.of(slot(q, None)) - slot(p, None), "==", float(shift.const))
+                livs = set(q.space.livs) | set(p.space.livs) | set(shift.livs())
+                for liv in livs:
+                    lhs = LinExpr()
+                    if liv in q.space.livs:
+                        lhs = lhs + slot(q, liv)
+                    if liv in p.space.livs:
+                        lhs = lhs - LinExpr.of(slot(p, liv))
+                    m.add(lhs, "==", float(shift.coeff(liv)))
+            elif isinstance(rel, EntryEval):
+                m.add(
+                    LinExpr.of(slot(q, None))
+                    + LinExpr({slot(q, rel.liv): float(rel.value)})
+                    - slot(p, None),
+                    "==",
+                    0,
+                )
+                for liv in p.space.livs:
+                    m.add(LinExpr.of(slot(q, liv)) - slot(p, liv), "==", 0)
+            else:
+                assert isinstance(rel, LoopBack)
+                m.add(
+                    LinExpr.of(slot(q, None))
+                    - slot(p, None)
+                    + LinExpr({slot(p, rel.liv): float(rel.step)}),
+                    "==",
+                    0,
+                )
+                for liv in q.space.livs:
+                    m.add(LinExpr.of(slot(q, liv)) - slot(p, liv), "==", 0)
+    objective = LinExpr()
+    for e in lp.adg.edges:
+        if not edge_is_offset_costed(e, lp.skeleton, lp.axis, lp.replicated):
+            continue
+        for j, sub in enumerate(lp.plan.get(e.eid, [e.space])):
+            if sub.is_empty():
+                continue
+            moments = cached_moments(sub, e.weight)
+            inner = LinExpr()
+            inner = inner + LinExpr({slot(e.tail, None): float(moments.m0)}) - LinExpr(
+                {slot(e.head, None): float(moments.m0)}
+            )
+            for liv, m1 in moments.m1.items():
+                inner = (
+                    inner
+                    + LinExpr({slot(e.tail, liv): float(m1)})
+                    - LinExpr({slot(e.head, liv): float(m1)})
+                )
+            theta = m.var(f"th_e{e.eid}_{j}", lower=0)
+            m.add_abs_bound(theta, inner, name=f"abs_e{e.eid}_{j}")
+            objective = objective + theta * e.control_weight
+    # One pin per weakly-connected component, first port in port order.
+    parent = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in [(r.p.key, r.q.key) for r in relations] + [
+        (e.tail.key, e.head.key) for e in lp.adg.edges
+    ]:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    pinned = set()
+    for p in lp.adg.ports():
+        root = find(p.key)
+        if root not in pinned:
+            pinned.add(root)
+            m.add(LinExpr.of(slot(p, None)), "==", 0)
+    if lp.static:
+        for n in lp.adg.nodes:
+            if n.kind in (NodeKind.SOURCE, NodeKind.MERGE, NodeKind.SINK):
+                for p in n.ports:
+                    for liv in p.space.livs:
+                        m.add(LinExpr.of(slot(p, liv)), "==", 0)
+    m.minimize(objective)
+    return m
+
+
+@pytest.fixture
+def every_built_lp(monkeypatch):
+    """Every ``OffsetLP`` the planner builds while the fixture is live."""
+    from repro.align.offset_static import OffsetLP
+
+    built = []
+    real_build = OffsetLP.build
+
+    def recording_build(lp):
+        real_build(lp)
+        built.append(lp)
+
+    monkeypatch.setattr(OffsetLP, "build", recording_build)
+    return built
+
+
+class TestRowsAreTheLinExprRows:
+    """HiGHS must receive the problem it received when ``OffsetLP``
+    assembled its rows through ``LinExpr`` arithmetic: an LP with ties
+    returns a different vertex under a column permutation."""
+
+    @pytest.mark.parametrize("mobile", [True, False], ids=["mobile", "static"])
+    def test_dense_export_bit_equal_on_every_lp_of_a_plan(
+        self, make_program, mobile, every_built_lp
+    ):
+        import numpy as np
+
+        from repro.align import align_program
+
+        # The real fixpoint: every template axis, under the replicated
+        # set of every round that re-solves.
+        align_program(make_program(), mobile=mobile)
+        assert every_built_lp
+        assert {lp.static for lp in every_built_lp} == {not mobile}
+        for lp in every_built_lp:
+            ref = reference_build(lp)
+            assert [v.name for v in lp.model.variables] == [
+                v.name for v in ref.variables
+            ]
+            got, want = lp.model.to_dense(), ref.to_dense()
+            for g, w in zip(got[:5], want[:5]):
+                assert g.shape == w.shape and g.dtype == w.dtype
+                assert np.array_equal(g, w)
+            assert got[5] == want[5]
+
+    @pytest.mark.parametrize(
+        "make", [programs.figure4, programs.stencil_sweep, programs.example5]
+    )
+    def test_backends_agree_on_the_new_rows(self, make):
+        # Both backends read ``model.constraints``.  (Not figure1 or
+        # skewed_wavefront: the from-scratch simplex loses those two to
+        # round-off, before and after this change.)
+        _, _, a = solve(make(), backend="scipy")
+        _, _, b = solve(make(), backend="simplex")
+        assert a.cost == b.cost
+
+    def test_corpus_round_solves_what_the_parent_solved(
+        self, every_built_lp, monkeypatch
+    ):
+        """A ``cold_kernels`` round (the 16 pinned kernels of
+        ``benchmarks/perf/corpus``) is 19 offset solves and 30 LPs: the
+        rows got cheaper to write, no problem was added or dropped."""
+        from pathlib import Path
+
+        from repro.align import align_and_distribute
+        from repro.passes import align_passes
+
+        solves = []
+        real = align_passes.solve_mobile_offsets
+
+        def counting(*args, **kw):
+            solves.append(1)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(align_passes, "solve_mobile_offsets", counting)
+        corpus = Path(__file__).parent.parent / "benchmarks" / "perf" / "corpus"
+        kernels = sorted(corpus.glob("*.dp"))
+        assert len(kernels) == 16
+        for path in kernels:
+            align_and_distribute(parse(path.read_text(), name=path.stem), nprocs=16)
+        assert (len(solves), len(every_built_lp)) == (19, 30)

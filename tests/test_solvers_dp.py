@@ -126,3 +126,105 @@ class TestGeneralSolve:
     def test_total_cost_fractions(self):
         p = chain([[1], [2]], [Fraction(3, 2)])
         assert p.total_cost({0: 1, 1: 2}) == Fraction(3, 2)
+
+
+def reference_exhaustive(p):
+    """The plain enumerator ``solve_exhaustive`` was: every labeling in
+    ``product`` order, every edge re-priced, ``Fraction`` sums, first
+    minimum wins.  Kept as the reference only."""
+    from itertools import product
+
+    nodes = list(p.candidates)
+    best_cost, best = None, {}
+    for combo in product(*(p.candidates[n] for n in nodes)):
+        labels = dict(zip(nodes, combo))
+        c = p.total_cost(labels)
+        if best_cost is None or c < best_cost:
+            best_cost, best = c, labels
+    return best, best_cost
+
+
+class TestExhaustiveTables:
+    def _mixed(self):
+        """Predicate, relation and identity edges, a cycle, a parallel
+        edge, weights with denominators 1, 2, 3 and 7."""
+        p = DiscreteLabelingProblem()
+        p.add_node("a", [1, 2, 3])
+        p.add_node("b", [2, 4, 6])
+        p.add_node("c", [3, 2, 1])
+        p.add_node("d", [5, 1])
+        p.add_edge("a", "b", Fraction(3, 2), relation=lambda v: v * 2)
+        p.add_edge("b", "c", Fraction(1, 3))
+        p.add_edge("c", "a", 4, predicate=lambda x, y: x + y == 4)
+        p.add_edge("a", "d", Fraction(5, 7))
+        p.add_edge("d", "a", Fraction(1, 7), predicate=lambda x, y: x > y)
+        return p
+
+    def test_equals_the_plain_enumerator(self):
+        p = self._mixed()
+        labels, cost = reference_exhaustive(p)
+        r = p.solve_exhaustive()
+        assert (r.labels, r.cost, r.exact) == (labels, cost, True)
+        assert isinstance(r.cost, Fraction)
+        assert list(r.labels) == list(p.candidates)
+
+    def test_first_minimum_in_product_order_wins_a_tie(self):
+        # Four labelings cost 0; product order reaches (1, 1) first.
+        p = chain([[1, 2, 3, 4], [4, 3, 1, 2]], [Fraction(7, 3)])
+        r = p.solve_exhaustive()
+        assert r.labels == reference_exhaustive(p)[0] == {0: 1, 1: 1}
+        # Every labeling ties at the full weight: the very first one wins.
+        q = chain([["x", "y"], ["p", "q"], ["r"]], [2, Fraction(1, 2)])
+        r = q.solve_exhaustive()
+        assert r.labels == reference_exhaustive(q)[0] == {0: "x", 1: "p", 2: "r"}
+        assert r.cost == Fraction(5, 2)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_problems_equal_the_plain_enumerator(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        p = DiscreteLabelingProblem()
+        n = 5
+        for i in range(n):
+            p.add_node(i, rng.sample(range(4), rng.randint(1, 4)))
+        for _ in range(8):
+            u, v = rng.randrange(n), rng.randrange(n)
+            w = Fraction(rng.randint(0, 6), rng.choice([1, 2, 3, 5]))
+            if rng.random() < 0.5:
+                p.add_edge(u, v, w)
+            else:
+                k = rng.randrange(3)
+                p.add_edge(u, v, w, predicate=lambda a, b, k=k: (a + b) % 3 == k)
+        r = p.solve_exhaustive()
+        assert (r.labels, r.cost) == reference_exhaustive(p)
+
+    def test_each_edge_priced_once_per_label_pair(self, monkeypatch):
+        from repro.solvers.dp import LabelEdge
+
+        p = self._mixed()
+        calls = []
+        real = LabelEdge.cost
+        monkeypatch.setattr(
+            LabelEdge, "cost", lambda e, lu, lv: calls.append(e) or real(e, lu, lv)
+        )
+        p.solve_exhaustive()
+        want = sum(len(p.candidates[e.u]) * len(p.candidates[e.v]) for e in p.edges)
+        assert len(calls) == want == 9 + 9 + 9 + 6 + 6
+        # ... where the plain enumerator prices every edge per labeling.
+        calls.clear()
+        reference_exhaustive(p)
+        assert len(calls) == 54 * len(p.edges)
+
+    def test_no_edges_and_no_nodes(self):
+        p = DiscreteLabelingProblem()
+        assert p.solve_exhaustive().labels == {}
+        p.add_node("a", [7, 8])
+        r = p.solve_exhaustive()
+        assert (r.labels, r.cost) == ({"a": 7}, 0)
+
+    def test_over_limit_error_unchanged(self):
+        p = chain([[1, 2, 3], [1, 2, 3]], [1])
+        with pytest.raises(ValueError, match=r"search space exceeds limit \(8\)"):
+            p.solve_exhaustive(limit=8)
+        assert p.solve_exhaustive(limit=9).cost == 0

@@ -183,3 +183,89 @@ class TestModelLayer:
         s = m.solve("simplex")
         assert s.status == "optimal"
         assert s.objective == pytest.approx(0.0)
+
+
+class TestRowEntryPoint:
+    """``add`` and ``add_abs_bound`` go through ``add_row`` and give the
+    rows they gave when ``Constraint`` held a ``LinExpr``."""
+
+    def test_add_row_adopts_the_mapping(self):
+        m = LPModel()
+        x = m.var("x")
+        coeffs = {x: 2.0}
+        con = m.add_row(coeffs, "<=", 4.0, name="r")
+        assert con.coeffs is coeffs
+        assert m.constraints == [con]
+        assert (con.sense, con.rhs, con.name) == ("<=", 4.0, "r")
+
+    def test_add_drops_zeros_and_folds_the_constant(self):
+        m = LPModel()
+        x, y, z = m.var("x"), m.var("y"), m.var("z")
+        con = m.add(2 * x + y - y + 0 * z + 5, "<=", 8)
+        assert con.coeffs == {x: 2.0}
+        assert con.rhs == 3.0
+        assert all(type(c) is float for c in con.coeffs.values())
+
+    def test_add_copies_the_expression(self):
+        m = LPModel()
+        x = m.var("x")
+        e = x + 1
+        con = m.add(e, "==", 0)
+        assert con.coeffs is not e.coeffs
+
+    def test_abs_bound_rows(self):
+        m = LPModel()
+        x, y, t = m.var("x"), m.var("y"), m.var("t", lower=0)
+        m.add_abs_bound(t, 3 * x - y + 2, name="a")
+        plus, minus = m.constraints
+        assert (plus.name, minus.name) == ("a+", "a-")
+        assert plus.coeffs == {t: 1.0, x: 3.0, y: -1.0}
+        assert minus.coeffs == {t: 1.0, x: -3.0, y: 1.0}
+        assert (plus.sense, plus.rhs) == (">=", -2.0)
+        assert (minus.sense, minus.rhs) == (">=", 2.0)
+
+    def test_abs_bound_on_the_bound_itself_cancels(self):
+        m = LPModel()
+        x, t = m.var("x"), m.var("t")
+        m.add_abs_bound(t, x + t)
+        plus, minus = m.constraints
+        assert plus.coeffs == {t: 2.0, x: 1.0}
+        assert minus.coeffs == {x: -1.0}  # t - t dropped
+
+    def test_to_dense_negates_ge_rows_once(self):
+        import numpy as np
+
+        m = LPModel()
+        x, y = m.var("x"), m.var("y", lower=0, upper=9)
+        m.add(x - 2 * y, ">=", 1)
+        m.add(x + y, "<=", 7)
+        m.add(3 * y, "==", 6)
+        m.minimize(x + 2 * y)
+        c, a_ub, b_ub, a_eq, b_eq, bounds = m.to_dense()
+        assert np.array_equal(c, [1.0, 2.0])
+        assert np.array_equal(a_ub, [[-1.0, 2.0], [1.0, 1.0]])
+        assert np.array_equal(b_ub, [-1.0, 7.0])
+        assert np.array_equal(a_eq, [[0.0, 3.0]])
+        assert np.array_equal(b_eq, [6.0])
+        assert bounds == [(None, None), (0.0, 9.0)]
+
+    @pytest.mark.parametrize("sense", ["<=", "=="])
+    def test_an_absent_block_still_exports_zero_by_n(self, sense):
+        m = LPModel()
+        x, y = m.var("x"), m.var("y")
+        m.add(x + y, sense, 1)
+        _, a_ub, b_ub, a_eq, b_eq, _ = m.to_dense()
+        absent_a, absent_b = (a_eq, b_eq) if sense == "<=" else (a_ub, b_ub)
+        assert absent_a.shape == (0, 2) and absent_b.shape == (0,)
+        assert absent_a.dtype == absent_b.dtype == float
+        assert m.solve("scipy").status == m.solve("simplex").status
+
+    def test_an_empty_row_is_kept(self):
+        # OffsetLP emits ``0 == shift coefficient`` for a LIV neither port
+        # carries; the row must reach the backend, not vanish.
+        m = LPModel()
+        m.var("x", lower=0)
+        m.add_row({}, "==", 1.0)
+        _, _, _, a_eq, b_eq, _ = m.to_dense()
+        assert a_eq.shape == (1, 1) and not a_eq.any() and b_eq[0] == 1.0
+        assert m.solve("scipy").status == m.solve("simplex").status == "infeasible"
