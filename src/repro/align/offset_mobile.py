@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, MutableMapping
 
 from ..adg.graph import ADG, ADGEdge
 from ..ir.affine import AffineForm
@@ -81,8 +81,9 @@ def _solve_plan(
     replicated: ReplicationLabels | None,
     backend: str,
     static: bool = False,
+    memo: MutableMapping | None = None,
 ) -> OffsetSolution:
-    return solve_offsets(adg, skeleton, plan, replicated, backend, static)
+    return solve_offsets(adg, skeleton, plan, replicated, backend, static, memo)
 
 
 def _exact_cost(
@@ -122,11 +123,12 @@ def fixed_partitioning(
     replicated: ReplicationLabels | None = None,
     backend: str = "scipy",
     static: bool = False,
+    memo: MutableMapping | None = None,
 ) -> MobileOffsetResult:
     """Partition every edge space into ``m`` equal subranges per axis and
     solve once.  Guaranteed within ``1 + 2/m**2`` of optimal."""
     plan = _plan_fixed(adg, m)
-    sol = _solve_plan(adg, skeleton, plan, replicated, backend, static)
+    sol = _solve_plan(adg, skeleton, plan, replicated, backend, static, memo)
     cost = _exact_cost(adg, skeleton, sol.offsets, replicated)
     return MobileOffsetResult(
         f"fixed(m={m})", sol.offsets, cost, sol.stats, 1, _count_subranges(plan)
@@ -144,12 +146,13 @@ def unrolling(
     replicated: ReplicationLabels | None = None,
     backend: str = "scipy",
     static: bool = False,
+    memo: MutableMapping | None = None,
 ) -> MobileOffsetResult:
     """Every iteration its own subrange: the exact mobile-offset optimum
     (over affine alignments), at the price of an LP that scales with the
     iteration count."""
     plan = _plan_unrolled(adg)
-    sol = _solve_plan(adg, skeleton, plan, replicated, backend, static)
+    sol = _solve_plan(adg, skeleton, plan, replicated, backend, static, memo)
     cost = _exact_cost(adg, skeleton, sol.offsets, replicated)
     return MobileOffsetResult(
         "unrolling", sol.offsets, cost, sol.stats, 1, _count_subranges(plan)
@@ -168,6 +171,7 @@ def state_space_search(
     backend: str = "scipy",
     max_passes: int = 4,
     static: bool = False,
+    memo: MutableMapping | None = None,
 ) -> MobileOffsetResult:
     """One-subrange RLP seed, then steepest descent on the exact cost.
 
@@ -178,7 +182,7 @@ def state_space_search(
     their roots.
     """
     plan = _plan_fixed(adg, 1)
-    sol = _solve_plan(adg, skeleton, plan, replicated, backend, static)
+    sol = _solve_plan(adg, skeleton, plan, replicated, backend, static, memo)
     offsets = dict(sol.offsets)
     best = _exact_cost(adg, skeleton, offsets, replicated)
     # Group ports per node: moving a node's ports together preserves all
@@ -229,12 +233,13 @@ def tracking_zero_crossings(
     backend: str = "scipy",
     max_iter: int = 8,
     static: bool = False,
+    memo: MutableMapping | None = None,
 ) -> MobileOffsetResult:
     """Two equal subranges per edge; then move subrange boundaries to the
     solved spans' zero crossings and re-solve until the cost stops
     improving (convergence is not guaranteed; the paper says so)."""
     plan = _plan_fixed(adg, 2)
-    sol = _solve_plan(adg, skeleton, plan, replicated, backend, static)
+    sol = _solve_plan(adg, skeleton, plan, replicated, backend, static, memo)
     best_offsets = sol.offsets
     best = _exact_cost(adg, skeleton, best_offsets, replicated)
     stats = list(sol.stats)
@@ -253,7 +258,7 @@ def tracking_zero_crossings(
             break
         iters += 1
         plan = newplan
-        sol = _solve_plan(adg, skeleton, plan, replicated, backend, static)
+        sol = _solve_plan(adg, skeleton, plan, replicated, backend, static, memo)
         stats.extend(sol.stats)
         c = _exact_cost(adg, skeleton, sol.offsets, replicated)
         if c < best:
@@ -278,11 +283,12 @@ def recursive_refinement(
     backend: str = "scipy",
     max_iter: int = 8,
     static: bool = False,
+    memo: MutableMapping | None = None,
 ) -> MobileOffsetResult:
     """One subrange; split any subrange whose solved span changes sign at
     the crossing; re-solve; repeat until clean, stalled, or capped."""
     plan: PartitionPlan = _plan_fixed(adg, 1)
-    sol = _solve_plan(adg, skeleton, plan, replicated, backend, static)
+    sol = _solve_plan(adg, skeleton, plan, replicated, backend, static, memo)
     best_offsets = sol.offsets
     best = _exact_cost(adg, skeleton, best_offsets, replicated)
     stats = list(sol.stats)
@@ -314,7 +320,7 @@ def recursive_refinement(
             break
         iters += 1
         plan = newplan
-        sol = _solve_plan(adg, skeleton, plan, replicated, backend, static)
+        sol = _solve_plan(adg, skeleton, plan, replicated, backend, static, memo)
         stats.extend(sol.stats)
         c = _exact_cost(adg, skeleton, sol.offsets, replicated)
         if c < best:

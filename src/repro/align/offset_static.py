@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, MutableMapping
 
 from ..adg.graph import ADG, ADGEdge, ADGNode, Port
 from ..adg.nodes import NodeKind
@@ -112,6 +112,7 @@ class OffsetLP:
         replicated: ReplicationLabels | None = None,
         backend: str = "scipy",
         static: bool = False,
+        memo: MutableMapping | None = None,
     ) -> None:
         self.adg = adg
         self.skeleton = skeleton
@@ -121,6 +122,9 @@ class OffsetLP:
         self.replicated = replicated or set()
         self.backend = backend
         self.static = static
+        # (backend, digest of a built LP) -> (solution by variable
+        # index, objective)
+        self.memo = {} if memo is None else memo
         self.model = LPModel(f"offset-axis{axis}")
         self.vars: dict[Slot, Variable] = {}
 
@@ -253,18 +257,28 @@ class OffsetLP:
 
     def solve(self) -> tuple[dict[Slot, Fraction], OffsetLPStats]:
         self.build()
-        sol = self.model.solve(backend=self.backend)
-        if sol.status != "optimal":
-            raise RuntimeError(f"offset LP axis {self.axis}: {sol.status}")
+        # An equal digest under one backend is an equal solver input,
+        # hence the same vertex.
+        key = ("offset_lp", self.backend, self.model.digest())
+        solved = self.memo.get(key)
+        if solved is None:
+            sol = self.model.solve(backend=self.backend)
+            if sol.status != "optimal":
+                raise RuntimeError(f"offset LP axis {self.axis}: {sol.status}")
+            solved = self.memo[key] = (
+                tuple(sol.values[v] for v in self.model.variables),
+                sol.objective,
+            )
+        x, objective = solved
         values = {
-            key: Fraction(sol.values[v]).limit_denominator(10**9)
+            key: Fraction(x[v.index]).limit_denominator(10**9)
             for key, v in self.vars.items()
         }
         stats = OffsetLPStats(
             self.axis,
             self.model.num_vars,
             self.model.num_constraints,
-            sol.objective,
+            objective,
         )
         return values, stats
 
@@ -365,15 +379,23 @@ def solve_offsets(
     replicated: ReplicationLabels | None = None,
     backend: str = "scipy",
     static: bool = False,
+    memo: MutableMapping | None = None,
 ) -> OffsetSolution:
-    """Solve the offset problem for every template axis under one plan."""
+    """Solve the offset problem for every template axis under one plan.
+
+    ``memo`` keeps each distinct numeric LP's solution
+    (:meth:`LPModel.digest`); pass one mapping to many calls and an LP
+    any of them has solved is not solved again.
+    """
     offsets: OffsetMap = {}
     stats = []
     skel = dict(skeleton)
     relations = [rel for n in adg.nodes for rel in node_offset_relations(n, skel)]
     for axis in range(adg.template_rank):
         on_axis = [rel for rel in relations if rel.axis == axis]
-        lp = OffsetLP(adg, skeleton, axis, on_axis, plan, replicated, backend, static)
+        lp = OffsetLP(
+            adg, skeleton, axis, on_axis, plan, replicated, backend, static, memo
+        )
         values, st = lp.solve()
         offsets.update(lp.rounded_offsets(values))
         stats.append(st)

@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..adg.graph import ADG, ADGEdge
+from ..adg.graph import ADG
 from ..align.cost import AlignmentMap
 from ..align.position import Alignment
 from ..cachestats import MISS, BoundedCache, _cell
@@ -304,10 +304,10 @@ def _stride_mismatch(src, dst, env) -> bool:
     return False
 
 
-def _walked_livs(e: ADGEdge, src: Alignment, dst: Alignment) -> set[LIV]:
-    """The LIVs the moves of edge ``e`` can depend on: those its tail
-    shape, its strides and its non-replicated offsets mention."""
-    forms = list(e.tail.shape)
+def _walked_livs(shape, src: Alignment, dst: Alignment) -> set[LIV]:
+    """The LIVs the moves of an edge can depend on: those its tail
+    ``shape``, its strides and its non-replicated offsets mention."""
+    forms = list(shape)
     for align in (src, dst):
         for ax in align.axes:
             if ax.is_replicated:
@@ -319,7 +319,123 @@ def _walked_livs(e: ADGEdge, src: Alignment, dst: Alignment) -> set[LIV]:
     return set().union(*(f.livs() for f in forms))
 
 
-def build_profile(adg: ADG, alignments: AlignmentMap) -> CommProfile:
+@dataclass(frozen=True)
+class EdgeContribution:
+    """What one ADG edge adds to a :class:`CommProfile`.
+
+    A pure function of the edge's two alignments, its iteration space
+    and its tail shape, hence shared between every edge — of this
+    program, of an edit of it — that agrees on those.  Arrays reachable
+    from here are read-only.
+    """
+
+    elements: int = 0
+    # per template axis: None, or (lo, hi) of the coordinates touched
+    window: tuple[tuple[int, int] | None, ...] = ()
+    general_moved: int = 0
+    general_moves: int = 0
+    broadcast: int = 0
+    # distinct distribution-dependent moves in order of first appearance:
+    # (dedup key, active axes, src arrays, dst arrays, multiplicity)
+    moves: tuple[tuple, ...] = ()
+
+
+def _edge_contribution(
+    rank: int, src: Alignment, dst: Alignment, space, tail
+) -> EdgeContribution:
+    """Compile one edge with alignments ``src`` → ``dst``.
+
+    The walk covers the projection of the edge's space onto the LIVs
+    its shape and alignments mention, every point of it standing for
+    ``mult`` identical moves.  Points are grouped by the numbers the
+    move is a function of, and the array work is done once per group.
+    """
+    if space.is_empty():
+        return EdgeContribution()
+    walk = space.projected(_walked_livs(tail.shape, src, dst))
+    mult = space.count // walk.count
+    axes_differ = src.axis_signature() != dst.axis_signature()
+    # (shape, src axis key, dst axis key, general) -> [a point, moves]
+    classes: dict[tuple, list] = {}
+    for env in walk.points():
+        cls = (
+            _shape_at(tail, env),
+            _axis_key(src, env),
+            _axis_key(dst, env),
+            axes_differ or _stride_mismatch(src, dst, env),
+        )
+        seen = classes.get(cls)
+        if seen is None:
+            classes[cls] = [env, mult]
+        else:
+            seen[1] += mult
+    elements = general_moved = general_moves = broadcast = 0
+    lo: list[int | None] = [None] * rank
+    hi: list[int | None] = [None] * rank
+    distinct: dict[tuple, list] = {}
+    for (shape, src_key, dst_key, general), (env, moves) in classes.items():
+        n = int(np.prod(shape)) if shape else 1
+        elements += n * moves
+        src_pos = _cached_axis_positions(src, shape, src_key, env)
+        dst_pos = _cached_axis_positions(dst, shape, dst_key, env)
+        # Window bounds (same rule as executor.coordinate_bounds,
+        # folded into this walk): min/max coordinate of either
+        # endpoint on every non-replicated axis.
+        for align, pos in ((src, src_pos), (dst, dst_pos)):
+            for t, (ax, arr) in enumerate(zip(align.axes, pos)):
+                if ax.is_replicated or arr.size == 0:
+                    continue
+                a_lo, a_hi = int(arr.min()), int(arr.max())
+                lo[t] = a_lo if lo[t] is None else min(lo[t], a_lo)
+                hi[t] = a_hi if hi[t] is None else max(hi[t], a_hi)
+        if general:
+            # General comm has no routing distance: moves, not hops
+            # (mirrors count_move, keeping topology costs well-defined).
+            general_moved += n * moves
+            general_moves += moves
+            continue
+        for a1, a2 in zip(src.axes, dst.axes):
+            if a2.is_replicated and not a1.is_replicated:
+                broadcast += n * moves
+        active = tuple(
+            t
+            for t, (a1, a2) in enumerate(zip(src.axes, dst.axes))
+            if not (a1.is_replicated or a2.is_replicated)
+        )
+        if not active:
+            continue
+        s = tuple(np.ascontiguousarray(src_pos[t]) for t in active)
+        d = tuple(np.ascontiguousarray(dst_pos[t]) for t in active)
+        if all(np.array_equal(a, b) for a, b in zip(s, d)):
+            continue  # no axis shifts: free under every distribution
+        key = (
+            active,
+            tuple(a.shape for a in s),
+            tuple(a.tobytes() for a in s),
+            tuple(a.tobytes() for a in d),
+        )
+        seen = distinct.get(key)
+        if seen is None:
+            for a in s + d:
+                # ascontiguousarray copies a non-contiguous input, and
+                # the copy is writable; records share these arrays.
+                a.setflags(write=False)
+            distinct[key] = [active, s, d, moves]
+        else:
+            seen[3] += moves
+    return EdgeContribution(
+        elements,
+        tuple(None if l is None else (l, h) for l, h in zip(lo, hi)),
+        general_moved,
+        general_moves,
+        broadcast,
+        tuple((key, *move) for key, move in distinct.items()),
+    )
+
+
+def build_profile(
+    adg: ADG, alignments: AlignmentMap, memo=None
+) -> CommProfile:
     """Compile an aligned ADG into a :class:`CommProfile`.
 
     Mirrors the classification of :func:`repro.machine.comm.count_move`
@@ -327,88 +443,44 @@ def build_profile(adg: ADG, alignments: AlignmentMap) -> CommProfile:
     moves are *recorded* (coordinates kept) instead of counted under one
     fixed distribution.
 
-    Unlike the executor, it does not visit every iteration point: an
-    edge's moves depend only on the LIVs its shape and alignments
-    mention, so the walk covers the projection of the edge's space onto
-    those LIVs, every point of it standing for ``mult`` identical moves.
-    Points of the projection are then grouped by the numbers the move
-    is a function of, and the array work is done once per group.  Both
-    steps keep the order in which distinct moves first appear.
+    Each distinct edge — distinct in (tail alignment, head alignment,
+    space, tail shape) — is compiled once (:func:`_edge_contribution`)
+    and kept in ``memo``, a mapping the caller may share between
+    programs (``None``: one for this call).  What is left here is the
+    fold over ``adg.edges``, which keeps the order in which distinct
+    moves first appear.
     """
+    if memo is None:
+        memo = {}
     rank = adg.template_rank
     profile = CommProfile(template_rank=rank)
     lo: list[int | None] = [None] * rank
     hi: list[int | None] = [None] * rank
+    general_moved = 0
     dedup: dict[tuple, MoveRecord] = {}
     for e in adg.edges:
-        if e.space.is_empty():
-            continue
         src = alignments[e.tail.key]
         dst = alignments[e.head.key]
-        walk = e.space.projected(_walked_livs(e, src, dst))
-        mult = e.space.count // walk.count
-        axes_differ = src.axis_signature() != dst.axis_signature()
-        # (shape, src axis key, dst axis key, general) -> [a point, moves]
-        classes: dict[tuple, list] = {}
-        for env in walk.points():
-            cls = (
-                _shape_at(e.tail, env),
-                _axis_key(src, env),
-                _axis_key(dst, env),
-                axes_differ or _stride_mismatch(src, dst, env),
-            )
-            seen = classes.get(cls)
-            if seen is None:
-                classes[cls] = [env, mult]
-            else:
-                seen[1] += mult
-        for (shape, src_key, dst_key, general), (env, moves) in classes.items():
-            n = int(np.prod(shape)) if shape else 1
-            profile.elements += n * moves
-            src_pos = _cached_axis_positions(src, shape, src_key, env)
-            dst_pos = _cached_axis_positions(dst, shape, dst_key, env)
-            # Window bounds (same rule as executor.coordinate_bounds,
-            # folded into this walk): min/max coordinate of either
-            # endpoint on every non-replicated axis.
-            for align, pos in ((src, src_pos), (dst, dst_pos)):
-                for t, (ax, arr) in enumerate(zip(align.axes, pos)):
-                    if ax.is_replicated or arr.size == 0:
-                        continue
-                    a_lo, a_hi = int(arr.min()), int(arr.max())
-                    lo[t] = a_lo if lo[t] is None else min(lo[t], a_lo)
-                    hi[t] = a_hi if hi[t] is None else max(hi[t], a_hi)
-            if general:
-                # General comm has no routing distance: moves, not hops
-                # (mirrors count_move, keeping topology costs well-defined).
-                profile.fixed = profile.fixed + CostVector(moved=n * moves)
-                profile.general_moves += moves
-                continue
-            for a1, a2 in zip(src.axes, dst.axes):
-                if a2.is_replicated and not a1.is_replicated:
-                    profile.broadcast += n * moves
-            active = tuple(
-                t
-                for t, (a1, a2) in enumerate(zip(src.axes, dst.axes))
-                if not (a1.is_replicated or a2.is_replicated)
-            )
-            if not active:
-                continue
-            s = tuple(np.ascontiguousarray(src_pos[t]) for t in active)
-            d = tuple(np.ascontiguousarray(dst_pos[t]) for t in active)
-            if all(np.array_equal(a, b) for a, b in zip(s, d)):
-                continue  # no axis shifts: free under every distribution
-            key = (
-                active,
-                tuple(a.shape for a in s),
-                tuple(a.tobytes() for a in s),
-                tuple(a.tobytes() for a in d),
-            )
-            rec = dedup.get(key)
+        key = ("edge", rank, src, dst, e.space, e.tail.shape)
+        c = memo.get(key)
+        if c is None:
+            c = memo[key] = _edge_contribution(rank, src, dst, e.space, e.tail)
+        profile.elements += c.elements
+        profile.general_moves += c.general_moves
+        profile.broadcast += c.broadcast
+        general_moved += c.general_moved
+        for t, bounds in enumerate(c.window):
+            if bounds is not None:
+                lo[t] = bounds[0] if lo[t] is None else min(lo[t], bounds[0])
+                hi[t] = bounds[1] if hi[t] is None else max(hi[t], bounds[1])
+        for move_key, active, s, d, moves in c.moves:
+            rec = dedup.get(move_key)
             if rec is None:
-                dedup[key] = rec = MoveRecord(active, s, d, moves)
+                dedup[move_key] = rec = MoveRecord(active, s, d, moves)
                 profile.records.append(rec)
             else:
                 rec.count += moves
+    profile.fixed = CostVector(moved=general_moved)
     profile.window = tuple(
         (0, 0) if l is None else (l, h)  # type: ignore[misc]
         for l, h in zip(lo, hi)

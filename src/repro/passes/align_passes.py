@@ -145,6 +145,7 @@ class ReplicationFixpointPass(FixpointPass):
                 replicated=state.replicated,
                 backend=opts.backend,
                 static=not opts.mobile,
+                memo=ctx.memo,
                 **opts.algorithm_kwargs,
             )
             return state, True
@@ -165,6 +166,7 @@ class ReplicationFixpointPass(FixpointPass):
                 replicated=new_rep,
                 backend=opts.backend,
                 static=not opts.mobile,
+                memo=ctx.memo,
                 **opts.algorithm_kwargs,
             )
             state.offsets_in = state.offsets.offsets

@@ -184,6 +184,63 @@ def _fingerprint(value: Any, version: int, nonce: str = "") -> str:
     return f"v{version}.{nonce}" if nonce else f"v{version}"
 
 
+class SubproblemMemo:
+    """Results of solver subproblems, by content key, in layers.
+
+    A key is a tuple whose first element names the kind of subproblem
+    (``"edge"``: one ADG edge compiled into the comm profile;
+    ``"offset_lp"``: one numeric offset LP) and whose rest determines
+    the result completely; a value is immutable and never ``None``.
+    Solvers use it as a plain mapping — ``get`` then ``__setitem__`` —
+    so a ``dict`` does in its place.
+
+    Writes go to the memo's own layer.  Reads fall through to the
+    layers of the contexts it descends from (:meth:`child`), which it
+    can never write: a replan or fork reads what its base solved and
+    leaves the base exactly as it found it.  ``hits`` / ``misses`` count
+    this memo's own lookups per kind.
+
+    The memo has no say in any reuse decision.  A lookup that misses
+    costs a solve; it cannot change an answer.
+    """
+
+    #: Ancestor layers a child keeps: a chain of replans, each the next
+    #: one's base, must not pin every ancestor's entries for ever.
+    MAX_PARENTS = 8
+
+    __slots__ = ("_own", "_parents", "hits", "misses")
+
+    def __init__(self, parents: tuple[dict, ...] = ()) -> None:
+        self._own: dict[tuple, Any] = {}
+        self._parents = parents
+        self.hits: dict[str, int] = {}
+        self.misses: dict[str, int] = {}
+
+    def get(self, key: tuple, default: Any = None) -> Any:
+        hit = self._own.get(key)
+        if hit is None:
+            for layer in self._parents:
+                hit = layer.get(key)
+                if hit is not None:
+                    break
+            else:
+                self.misses[key[0]] = self.misses.get(key[0], 0) + 1
+                return default
+        self.hits[key[0]] = self.hits.get(key[0], 0) + 1
+        return hit
+
+    def __setitem__(self, key: tuple, value: Any) -> None:
+        self._own[key] = value
+
+    def __len__(self) -> int:
+        """Entries of its own layer (inherited ones are not counted)."""
+        return len(self._own)
+
+    def child(self) -> "SubproblemMemo":
+        """An empty memo that reads through to this one's entries."""
+        return SubproblemMemo((self._own, *self._parents)[: self.MAX_PARENTS])
+
+
 @dataclass(frozen=True)
 class Artifact:
     """One stored artifact: value plus versioning metadata."""
@@ -206,6 +263,11 @@ class PlanContext:
     trace is a list of structured per-pass event dicts, and the ledger
     records the input signature each pass last ran under — the basis of
     the pipeline's reuse decision.
+
+    Beside the artifacts the context carries a :class:`SubproblemMemo`:
+    the solvers fill it while the context is solved, and a ``fork()`` or
+    a replan of the context reads it.  It is in no pass's ``requires``
+    and is not pickled.
     """
 
     def __init__(self) -> None:
@@ -220,6 +282,11 @@ class PlanContext:
         self._ledger: dict[str, dict[str, tuple[int, str]]] = {}
         self.trace: list[dict] = []
         self._current_event: dict | None = None
+        self.memo = SubproblemMemo()
+        # What :mod:`repro.passes.delta` derives from this context as the
+        # *base* of a replan (projection fingerprints, statement keys):
+        # computed once, however many edits are replanned against it.
+        self._delta_base_memo: dict = {}
 
     # -- artifact access ---------------------------------------------------
 
@@ -284,21 +351,27 @@ class PlanContext:
         The child sees the parent's artifacts and run ledger (so
         unchanged passes are reused with their object identity intact)
         but has its own trace and an independent future: ``put`` on the
-        child never mutates the parent.
+        child never mutates the parent.  Its memo reads the parent's
+        entries and keeps its own to itself.
         """
         child = PlanContext()
         child._artifacts = dict(self._artifacts)
         child._clock = self._clock
         child._ledger = {name: dict(sig) for name, sig in self._ledger.items()}
+        child.memo = self.memo.child()
         return child
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_current_event"] = None  # never ship a live event handle
+        # Memos are recomputable and would only grow a cache entry.
+        del state["memo"], state["_delta_base_memo"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        self.memo = SubproblemMemo()
+        self._delta_base_memo = {}
         # An unpickled copy is a new lineage: its future puts must not
         # mint the same identity fingerprints as the original's (both
         # clocks continue from the same value in different processes).

@@ -45,9 +45,51 @@ resulting plans match from-scratch plans on every edit pair.  Any
 value that fails content fingerprinting degrades the projection to
 ``None``, which disables carry-over rather than risking a stale reuse.
 
+Below the whole-program projections sits the **subproblem memo**
+(:class:`~repro.passes.core.SubproblemMemo`).  A replan's context reads
+the memo its base filled while it was solved, so a pass that does have
+to run answers from the base whatever separates out of the edited
+program.  The memo decides nothing: strategies, ``reused`` /
+``recomputed`` and ``pass_status`` are what they would be without it.
+What separates was measured, not assumed — one replan of each of the 31
+pinned structural edits of ``benchmarks/perf/corpus`` against its
+cold-planned kernel, ``PYTHONHASHSEED=0`` (``tests/test_delta.py`` pins
+the table):
+
+=============  =================  ===============
+edit class     edge hits/lookups  LP hits/lookups
+=============  =================  ===============
+stmt_insert    254 / 254           1 / 15
+stmt_delete    165 / 182           1 / 14
+section_shift  150 / 176           8 / 15
+iters_change   160 / 220           1 / 15
+=============  =================  ===============
+
+* **Holds: one ADG edge's share of the comm profile.**  The cost is a
+  sum over edges (equation 1), and an edge's moves are a function of
+  (tail alignment, head alignment, space, tail shape) alone —
+  :func:`repro.distrib.costmodel.build_profile`.
+* **Holds: one template axis's numeric offset LP.**  The grid metric is
+  separable (Sections 2.3, 4.1), so an edit confined to one axis leaves
+  the other axis's LP number for number what the base solved; an equal
+  solver input has an equal vertex —
+  :meth:`repro.solvers.lp.LPModel.digest`.
+* **Does not hold: axis/stride labeling.**  Candidate propagation and
+  the labeling DP couple every port of a connected component; there is
+  no per-statement piece whose answer is independent of the rest.
+* **Does not hold: the offset LP across connected components.**  The
+  LP has ties, and HiGHS picks the vertex by column order; solving a
+  component on its own moves the vertex, hence the plan.
+* **Does not hold: the replication min-cut.**  A key that determines
+  the cut — the labeled graph and its capacities — costs what the cut
+  costs.
+
 Every per-pass reuse/recompute shows up in the context trace, the
 ``passes.artifact_reuse`` cachestats cell, and the obs counters
-``passes.delta.dirty_ports`` / ``passes.delta.reused``.
+``passes.delta.dirty_ports`` / ``passes.delta.reused``; memo outcomes
+are on the report (``memo_hits`` / ``memo_misses``) and in the counters
+``passes.delta.memo_hits.<kind>`` / ``passes.delta.memo_misses.<kind>``
+(kinds ``edge``, ``offset_lp``).
 """
 
 from __future__ import annotations
@@ -174,24 +216,35 @@ def _lcs_pairs(a: Sequence[str], b: Sequence[str]) -> list[tuple[int, int]]:
     return pairs
 
 
-def diff_programs(base: A.Program, new: A.Program) -> ProgramDiff:
-    """Statement-level diff of two programs (see :class:`ProgramDiff`)."""
-    base_keys = tuple(statement_key(s) for s in base.body)
-    new_keys = tuple(statement_key(s) for s in new.body)
+#: One side of a diff: (statement keys, declaration-list fingerprint).
+_DiffSide = tuple[tuple[str, ...], Optional[str]]
+
+
+def _diff_side(program: A.Program) -> _DiffSide:
+    return (
+        tuple(statement_key(s) for s in program.body),
+        content_fingerprint(program.decls),
+    )
+
+
+def _diff_sides(base: _DiffSide, new: _DiffSide) -> ProgramDiff:
+    (base_keys, base_decls), (new_keys, new_decls) = base, new
     matched = tuple(_lcs_pairs(base_keys, new_keys))
     mb = {i for i, _ in matched}
     mn = {j for _, j in matched}
-    decls_changed = content_fingerprint(base.decls) != content_fingerprint(
-        new.decls
-    ) or content_fingerprint(new.decls) is None
     return ProgramDiff(
         base_keys=base_keys,
         new_keys=new_keys,
         matched=matched,
         changed_base=tuple(i for i in range(len(base_keys)) if i not in mb),
         changed_new=tuple(j for j in range(len(new_keys)) if j not in mn),
-        decls_changed=decls_changed,
+        decls_changed=new_decls is None or base_decls != new_decls,
     )
+
+
+def diff_programs(base: A.Program, new: A.Program) -> ProgramDiff:
+    """Statement-level diff of two programs (see :class:`ProgramDiff`)."""
+    return _diff_sides(_diff_side(base), _diff_side(new))
 
 
 # -- dirty-region computation ---------------------------------------------
@@ -278,7 +331,12 @@ def _payload_key(payload: Any, offsets: bool) -> Optional[str]:
     return content_fingerprint(payload)
 
 
-def _projection(program: A.Program, adg: ADG, offsets: bool) -> Optional[str]:
+def _projection(
+    program: A.Program,
+    adg: ADG,
+    offsets: bool,
+    memo: Optional[dict[int, tuple[Any, Optional[str]]]] = None,
+) -> Optional[str]:
     """Projection fingerprint of everything the planning phases read.
 
     Node display labels and provenance tags are excluded (cosmetic), so
@@ -291,10 +349,13 @@ def _projection(program: A.Program, adg: ADG, offsets: bool) -> Optional[str]:
 
     # Shapes, spaces and edge weights are heavily shared between ports
     # (one iteration space serves a whole loop nest), so fingerprints
-    # are memoized by object identity for the duration of this walk.
-    # The memo holds a reference alongside each digest — an id() can
-    # only be recycled after its object is collected.
-    memo: dict[int, tuple[Any, Optional[str]]] = {}
+    # are memoized by object identity for the duration of this walk —
+    # or of both projections of one graph, when the caller passes one
+    # ``memo`` to the two walks: they hash the same objects.  The memo
+    # holds a reference alongside each digest — an id() can only be
+    # recycled after its object is collected.
+    if memo is None:
+        memo = {}
 
     def _fp(obj: Any) -> Optional[str]:
         hit = memo.get(id(obj))
@@ -333,27 +394,21 @@ def _projection(program: A.Program, adg: ADG, offsets: bool) -> Optional[str]:
     return hashlib.sha1("|".join(parts).encode()).hexdigest()[:16]
 
 
-def _base_projection(
-    base: PlanContext, program: A.Program, adg: ADG, offsets: bool
-) -> Optional[str]:
-    """`_projection` of the *base* side, memoized on the base context.
+def _once_per_base(base: PlanContext, what: str, objs: tuple, compute) -> Any:
+    """``compute()``, once per base context and identity of ``objs``.
 
     A base context is replanned against many times (one edit stream =
     one base, dozens of edits) and its program/graph never change, so
-    the projection is computed once per (program, adg, offsets) triple.
-    The memo keeps references to the keyed objects: identity keys stay
-    valid exactly as long as the objects they name are alive.
+    whatever a replan derives from the base side alone — projection
+    fingerprints, statement keys — is computed once.  The memo keeps
+    references to the keyed objects: identity keys stay valid exactly
+    as long as the objects they name are alive.
     """
-    try:
-        memo = base.__dict__.setdefault("_delta_proj_memo", {})
-    except AttributeError:  # slotted/frozen stand-ins in tests
-        return _projection(program, adg, offsets)
-    key = (id(program), id(adg), offsets)
-    hit = memo.get(key)
+    key = (what, *map(id, objs))
+    hit = base._delta_base_memo.get(key)
     if hit is None:
-        hit = (program, adg, _projection(program, adg, offsets))
-        memo[key] = hit
-    return hit[2]
+        hit = base._delta_base_memo[key] = (objs, compute())
+    return hit[1]
 
 
 # -- copy-on-write carriers -----------------------------------------------
@@ -407,6 +462,12 @@ class DeltaReport:
     offsets onward re-ran), ``full`` (nothing carriable).  ``reused`` /
     ``recomputed`` count artifact *entries* (per-port map sizes), the
     same granularity ``passes.artifact_reuse`` accumulates.
+
+    ``memo_hits`` / ``memo_misses`` count, per kind of subproblem
+    (``edge``, ``offset_lp``), the lookups the passes that *ran* made in
+    the context's :class:`~repro.passes.core.SubproblemMemo`.  They say
+    how much of a recomputed pass was answered by the base; they change
+    nothing about ``reused`` / ``recomputed`` / ``pass_status``.
     """
 
     strategy: str
@@ -418,6 +479,8 @@ class DeltaReport:
     reused: dict[str, int] = field(default_factory=dict)
     recomputed: dict[str, int] = field(default_factory=dict)
     pass_status: dict[str, str] = field(default_factory=dict)
+    memo_hits: dict[str, int] = field(default_factory=dict)
+    memo_misses: dict[str, int] = field(default_factory=dict)
     remap: Any = None  # CostVector for machine deltas with a base distribution
     seconds: float = 0.0
 
@@ -452,6 +515,18 @@ class DeltaReport:
             f"  recomputed: {_fmt(self.recomputed)} "
             f"({self.recomputed_entries} entries)"
         )
+        kinds = sorted(set(self.memo_hits) | set(self.memo_misses))
+        lines.append(
+            "  memo:       "
+            + (
+                ", ".join(
+                    f"{k}={self.memo_hits.get(k, 0)} hit/"
+                    f"{self.memo_misses.get(k, 0)} miss"
+                    for k in kinds
+                )
+                or "none"
+            )
+        )
         for name, status in self.pass_status.items():
             lines.append(f"  pass {name:<22s} {status}")
         if self.remap is not None:
@@ -479,6 +554,17 @@ _ALIGN_ARTIFACTS = (
 
 def _machine_fp(machine) -> Optional[str]:
     return None if machine is None else content_fingerprint(machine)
+
+
+def _put_carried(ctx: PlanContext, base: PlanContext, key: str, value) -> None:
+    """Store ``value`` — the base's ``key`` artifact or a shallow copy of
+    it — on ``ctx``.  It has the same *content* as the base artifact, so
+    when the base ledger entry is content-addressed its fingerprint
+    transfers verbatim: no re-hash on the replan hot path."""
+    art = base.artifact(key)
+    ctx.put(
+        key, value, fingerprint=art.fingerprint if art.content_addressed else None
+    )
 
 
 def _carry_skeletons(ctx: PlanContext, base: PlanContext, new_adg: ADG):
@@ -516,22 +602,12 @@ def _carry_alignment(ctx: PlanContext, base: PlanContext, new_adg: ADG) -> None:
     rounds = base.get("replication_rounds")
     cost = base.get("total_cost")
 
-    def _put_copy(key: str, value) -> None:
-        # A shallow copy has the same *content* as the base artifact, so
-        # when the base ledger entry is content-addressed its
-        # fingerprint transfers verbatim — no re-hash of a solver-sized
-        # map on the replan hot path.
-        art = base.artifact(key)
-        ctx.put(
-            key, value, fingerprint=art.fingerprint if art.content_addressed else None
-        )
-
-    _put_copy("replication", rep)
-    _put_copy("offsets", off)
-    _put_copy("replicated", set(base.get("replicated")))
-    _put_copy("replication_rounds", rounds)
-    _put_copy("alignments", alignments)
-    _put_copy("total_cost", cost)
+    _put_carried(ctx, base, "replication", rep)
+    _put_carried(ctx, base, "offsets", off)
+    _put_carried(ctx, base, "replicated", set(base.get("replicated")))
+    _put_carried(ctx, base, "replication_rounds", rounds)
+    _put_carried(ctx, base, "alignments", alignments)
+    _put_carried(ctx, base, "total_cost", cost)
     ctx.put(
         "plan",
         AlignmentPlan(
@@ -595,12 +671,19 @@ def replan(
     """
     t0 = time.perf_counter()
     pipeline = pipeline if pipeline is not None else Pipeline()
-    base_program = base.get("program")
+    base_art = base.artifact("program")
+    base_program = base_art.value
     new_program = program if program is not None else base_program
+    # Each program is fingerprinted once: the base's when it was stored,
+    # the new one here (and handed on to ``put`` below).
+    base_fp = base_art.fingerprint if base_art.content_addressed else None
+    new_fp = (
+        base_fp
+        if new_program is base_program
+        else content_fingerprint(new_program)
+    )
     program_same = new_program is base_program or (
-        content_fingerprint(base_program) is not None
-        and content_fingerprint(base_program)
-        == content_fingerprint(new_program)
+        base_fp is not None and base_fp == new_fp
     )
     base_machine = base.get("machine") if base.has("machine") else None
     new_machine = machine if machine is not None else base_machine
@@ -613,10 +696,18 @@ def replan(
     )
 
     with obs.span("passes.delta", kind="delta"):
-        report = DeltaReport(strategy="full", diff=None)
+        base_side = _once_per_base(
+            base, "diff", (base_program,), lambda: _diff_side(base_program)
+        )
+        diff = _diff_sides(
+            base_side,
+            base_side
+            if new_program is base_program
+            else _diff_side(new_program),
+        )
+        report = DeltaReport(strategy="full", diff=diff)
+        graph_seconds = 0.0
         if program_same:
-            diff = diff_programs(base_program, new_program)
-            report.diff = diff
             ctx = base.fork()
             if machine_same or new_machine is None:
                 report.strategy = "identical"
@@ -636,18 +727,22 @@ def replan(
                 report.total_nodes = len(adg.nodes)
                 report.total_ports = sum(len(n.ports) for n in adg.nodes)
         else:
-            diff = diff_programs(base_program, new_program)
-            report.diff = diff
             ctx = PlanContext()
-            ctx.put("program", new_program)
-            ctx.put("align_options", base.get("align_options"))
+            # The passes that run read what the base solved; what they
+            # solve themselves stays on the new context.
+            ctx.memo = base.memo.child()
+            ctx.put("program", new_program, fingerprint=new_fp)
+            _put_carried(ctx, base, "align_options", base.get("align_options"))
             if new_machine is not None:
                 ctx.put("machine", new_machine)
             if base.has("phase_options"):
                 ctx.put("phase_options", base.get("phase_options"))
             # The graph prefix always re-runs: the diff needs the new
-            # ADG, and typecheck/build are the cheap passes.
+            # ADG, and typecheck/build are the cheap passes.  Its passes
+            # report their own seconds, so the diff event leaves them out.
+            t_graph = time.perf_counter()
             pipeline.run(ctx, goal="adg")
+            graph_seconds = time.perf_counter() - t_graph
             new_adg = ctx.get("adg")
             dirty_nodes, dirty_ports = dirty_region(new_adg, diff)
             report.dirty_nodes = len(dirty_nodes)
@@ -655,11 +750,15 @@ def replan(
             report.total_nodes = len(new_adg.nodes)
             report.total_ports = sum(len(n.ports) for n in new_adg.nodes)
             base_adg = base.get("adg") if base.has("adg") else None
+            fp_memo: dict = {}  # both projections hash the same objects
 
             def _match(offsets: bool) -> bool:
-                new_proj = _projection(new_program, new_adg, offsets)
-                return new_proj is not None and new_proj == _base_projection(
-                    base, base_program, base_adg, offsets
+                new_proj = _projection(new_program, new_adg, offsets, fp_memo)
+                return new_proj is not None and new_proj == _once_per_base(
+                    base,
+                    "projection",
+                    (base_program, base_adg, offsets),
+                    lambda: _projection(base_program, base_adg, offsets),
                 )
 
             if base_adg is not None:
@@ -671,15 +770,12 @@ def replan(
                 elif base.has("skeletons") and _match(offsets=False):
                     report.strategy = "carry_skeletons"
                     _carry_skeletons(ctx, base, new_adg)
-                else:
-                    report.strategy = "full"
 
-        diff_seconds = time.perf_counter() - t0
         ctx.trace.append(
             {
                 "pass": "delta",
                 "event": "diff",
-                "seconds": diff_seconds,
+                "seconds": time.perf_counter() - t0 - graph_seconds,
                 "strategy": report.strategy,
                 "dirty_nodes": report.dirty_nodes,
                 "dirty_ports": report.dirty_ports,
@@ -705,10 +801,18 @@ def replan(
             )
 
         _account(ctx, pipeline, report)
+        report.memo_hits = dict(ctx.memo.hits)
+        report.memo_misses = dict(ctx.memo.misses)
         report.seconds = time.perf_counter() - t0
         reg = registry()
         reg.counter("passes.delta.dirty_ports").inc(report.dirty_ports)
         reg.counter("passes.delta.reused").inc(report.reused_entries)
+        for outcome, counts in (
+            ("memo_hits", report.memo_hits),
+            ("memo_misses", report.memo_misses),
+        ):
+            for kind, n in counts.items():
+                reg.counter(f"passes.delta.{outcome}.{kind}").inc(n)
         cachestats.record_hit("passes.artifact_reuse", report.reused_entries)
         cachestats.record_miss(
             "passes.artifact_reuse", report.recomputed_entries

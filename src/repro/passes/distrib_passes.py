@@ -82,7 +82,10 @@ class CommProfilePass(Pass):
     provides = ("profile",)
 
     def run(self, ctx: PlanContext) -> None:
-        ctx.put("profile", build_profile(ctx.get("adg"), ctx.get("alignments")))
+        ctx.put(
+            "profile",
+            build_profile(ctx.get("adg"), ctx.get("alignments"), ctx.memo),
+        )
 
 
 class DistributePass(Pass):

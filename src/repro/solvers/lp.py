@@ -13,6 +13,8 @@ which may be negative; the backends handle the free-variable split.
 
 from __future__ import annotations
 
+import hashlib
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Literal, Mapping, Sequence, Union
@@ -112,6 +114,7 @@ class LinExpr:
 
 
 Sense = Literal["<=", ">=", "=="]
+_SENSE_CODE = {"<=": 0, ">=": 1, "==": 2}
 
 
 def _nonzero(coeffs: Mapping[Variable, float]) -> dict[Variable, float]:
@@ -244,6 +247,32 @@ class LPModel:
 
             return solve_scipy(self)
         raise ValueError(f"unknown LP backend {backend!r}")
+
+    def digest(self) -> bytes:
+        """A digest of exactly the numbers a backend receives.
+
+        Bounds, every row in order as (variable index, coefficient)
+        pairs with its sense and right-hand side, and the objective.
+        Two models with one digest are one solver input — same columns
+        in the same order — so a backend returns one vertex for both;
+        names play no part.  Full-width SHA-256: to whoever keys solved
+        LPs by it, a collision would be a wrong answer.
+        """
+        ints = array("q", [self.num_vars, len(self.constraints)])
+        nums = array("d")
+        for bounds in (self.lower, self.upper):
+            ints.extend([b is not None for b in bounds])
+            nums.extend([0.0 if b is None else b for b in bounds])
+        for con in self.constraints:
+            ints.append(_SENSE_CODE[con.sense])
+            ints.append(len(con.coeffs))
+            ints.extend([v.index for v in con.coeffs])
+            nums.append(con.rhs)
+            nums.extend(con.coeffs.values())
+        ints.extend([v.index for v in self.objective.coeffs])
+        nums.extend(self.objective.coeffs.values())
+        nums.append(self.objective.const)
+        return hashlib.sha256(ints.tobytes() + nums.tobytes()).digest()
 
     # -- dense export shared by backends ------------------------------------
 

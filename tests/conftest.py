@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+CORPUS_DIR = Path(__file__).parent.parent / "benchmarks" / "perf" / "corpus"
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:
@@ -53,6 +54,22 @@ class GoldenChecker:
 @pytest.fixture
 def golden(request: pytest.FixtureRequest) -> GoldenChecker:
     return GoldenChecker(request.config.getoption("--update-golden"))
+
+
+@pytest.fixture(scope="session")
+def corpus_kernels() -> dict[str, str]:
+    """Name -> source of the 16 pinned kernels of ``benchmarks/perf``."""
+    return {p.stem: p.read_text() for p in sorted(CORPUS_DIR.glob("*.dp"))}
+
+
+@pytest.fixture(scope="session")
+def corpus_edits() -> list[tuple[str, str, str]]:
+    """``(kernel, edit class, source)`` of its 48 pinned single edits."""
+    out = []
+    for p in sorted((CORPUS_DIR / "edits").glob("*.dp")):
+        kernel, edit_class = p.stem.split(".")
+        out.append((kernel, edit_class, p.read_text()))
+    return out
 
 
 def _differential_programs() -> list:

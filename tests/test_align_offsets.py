@@ -413,3 +413,102 @@ class TestRowsAreTheLinExprRows:
         for path in kernels:
             align_and_distribute(parse(path.read_text(), name=path.stem), nprocs=16)
         assert (len(solves), len(every_built_lp)) == (19, 30)
+
+
+class TestEachDistinctLPIsSolvedOnce:
+    """``OffsetLP.solve`` keeps each solved LP under a digest of the
+    numbers the backend receives; an equal digest is an equal solver
+    input, so a hit must return what a fresh solve returns."""
+
+    @pytest.fixture
+    def backend_calls(self, monkeypatch):
+        from repro.solvers.lp import LPModel
+
+        calls = []
+        real = LPModel.solve
+
+        def counting(model, backend="simplex"):
+            calls.append(model)
+            return real(model, backend=backend)
+
+        monkeypatch.setattr(LPModel, "solve", counting)
+        return calls
+
+    @pytest.mark.parametrize("alg", sorted(ALGORITHMS))
+    def test_a_hit_returns_what_a_fresh_solve_returns(self, alg, backend_calls):
+        adg = build_adg(programs.figure1(n=10))
+        skel = solve_axis_stride(adg).skeletons
+        memo = {}
+        first = solve_mobile_offsets(adg, skel, alg, memo=memo)
+        solved = len(backend_calls)
+        assert 0 < len(memo) == solved <= len(first.lp_stats)
+        again = solve_mobile_offsets(adg, skel, alg, memo=memo)
+        assert len(backend_calls) == solved  # answered from the memo
+        fresh = solve_mobile_offsets(adg, skel, alg)
+        assert len(backend_calls) == 2 * solved
+        for other in (again, fresh):
+            assert other.offsets == first.offsets
+            assert other.lp_stats == first.lp_stats
+            assert other.cost == first.cost
+
+    def test_on_every_lp_of_a_plan(self, make_program, backend_calls):
+        adg = build_adg(make_program())
+        skel = solve_axis_stride(adg).skeletons
+        plan = {e.eid: e.space.grid_partition(3) for e in adg.edges}
+        memo = {}
+        first = solve_offsets(adg, skel, plan, memo=memo)
+        solved = len(backend_calls)
+        again = solve_offsets(adg, skel, plan, memo=memo)
+        assert len(backend_calls) == solved
+        assert again.offsets == first.offsets and again.stats == first.stats
+
+    def test_a_non_optimal_outcome_is_not_kept(self, monkeypatch):
+        from repro.solvers.lp import LPModel, LPSolution
+
+        monkeypatch.setattr(
+            LPModel, "solve", lambda model, backend="simplex": LPSolution("infeasible")
+        )
+        adg = build_adg(programs.example1())
+        skel = solve_axis_stride(adg).skeletons
+        memo = {}
+        with pytest.raises(RuntimeError, match="infeasible"):
+            solve_offsets(adg, skel, {}, memo=memo)
+        assert memo == {}
+
+    @staticmethod
+    def _model(rhs=1.0, lower=0.0, coeff=2.0, names=("x", "y")):
+        from repro.solvers.lp import LPModel
+
+        m = LPModel()
+        x = m.var(names[0])
+        y = m.var(names[1], lower=lower)
+        m.add_row({x: coeff, y: -1.0}, ">=", rhs)
+        m.add_row({x: 1.0}, "==", 0.0)
+        m.minimize(x + 3 * y)
+        return m
+
+    def test_one_number_apart_is_another_digest(self):
+        base = self._model().digest()
+        assert base == self._model().digest()
+        # names are not part of what the backend receives
+        assert base == self._model(names=("p", "q")).digest()
+        others = [
+            self._model(rhs=2.0).digest(),
+            self._model(lower=1.0).digest(),
+            self._model(lower=None).digest(),
+            self._model(coeff=3.0).digest(),
+        ]
+        assert len({base, *others}) == len(others) + 1
+        assert all(len(d) == 32 for d in others)  # full-width SHA-256
+
+    def test_backends_never_share_an_entry(self):
+        adg = build_adg(programs.example1())
+        skel = solve_axis_stride(adg).skeletons
+        memo = {}
+        for backend in BACKENDS:
+            solve_offsets(adg, skel, {}, backend=backend, memo=memo)
+        assert sorted(k[:2] for k in memo) == [
+            ("offset_lp", "scipy"),
+            ("offset_lp", "simplex"),
+        ]
+        assert len({k[2] for k in memo}) == 1  # one LP, solved by each

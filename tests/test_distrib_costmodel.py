@@ -251,7 +251,9 @@ class TestProfileEqualsPerPointWalk:
             axis, tail.axes[axis].offset + AffineForm.variable(liv, 2)
         )
         assert _walked_livs(
-            edge, alignments[edge.tail.key], alignments[edge.head.key]
+            edge.tail.shape,
+            alignments[edge.tail.key],
+            alignments[edge.head.key],
         ) == {liv}
         assert_same_profile(
             build_profile(plan.adg, alignments),
@@ -268,6 +270,81 @@ class TestProfileEqualsPerPointWalk:
         )
         with pytest.raises(KeyError, match="unbound LIV nowhere"):
             build_profile(plan.adg, alignments)
+
+
+class TestEdgesAreCompiledOnce:
+    """``build_profile`` keeps each distinct edge's contribution in a
+    memo; whoever filled the memo — this program, the program it is an
+    edit of — the profile must equal the walk over every point."""
+
+    @staticmethod
+    def _aligned(source, name):
+        from repro.lang import parse
+
+        plan = align_program(parse(source, name=name))
+        return plan.adg, plan.alignments
+
+    def test_corpus_kernels_and_their_edits(self, corpus_kernels, corpus_edits):
+        assert (len(corpus_kernels), len(corpus_edits)) == (16, 48)
+        seeded = {}
+        for name, source in corpus_kernels.items():
+            adg, alignments = self._aligned(source, name)
+            memo = seeded[name] = {}
+            assert_same_profile(
+                build_profile(adg, alignments, memo),
+                reference_profile(adg, alignments),
+            )
+            # duplicate edges inside one program share an entry
+            assert 0 < len(memo) <= len(adg.edges)
+        for kernel, edit_class, source in corpus_edits:
+            adg, alignments = self._aligned(source, kernel)
+            memo = dict(seeded[kernel])
+            assert_same_profile(
+                build_profile(adg, alignments, memo),
+                reference_profile(adg, alignments),
+            )
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_generated_families_share_one_memo(self, family):
+        # Seed 6 is compiled through what seed 5 left behind.
+        memo = {}
+        for seed in (5, 6):
+            plan = align_program(generate_scenario(seed, family=family).parse())
+            assert_same_profile(
+                build_profile(plan.adg, plan.alignments, memo),
+                reference_profile(plan.adg, plan.alignments),
+            )
+
+    def test_a_hit_adds_nothing_and_a_second_profile_is_equal(self):
+        plan = align_program(programs.stencil_sweep(n=32, iters=8))
+        memo = {}
+        first = build_profile(plan.adg, plan.alignments, memo)
+        entries = dict(memo)
+        second = build_profile(plan.adg, plan.alignments, memo)
+        assert memo == entries
+        assert all(memo[k] is entries[k] for k in memo)
+        assert_same_profile(second, first)
+        # Profiles count into their own records, never into the memo's.
+        assert all(a is not b for a, b in zip(first.records, second.records))
+
+    def test_every_array_reachable_from_the_memo_is_read_only(self):
+        memo = {}
+        for make in FRAGMENTS.values():
+            plan = align_program(make())
+            profile = build_profile(plan.adg, plan.alignments, memo)
+            for rec in profile.records:
+                for arr in rec.src + rec.dst:
+                    assert not arr.flags.writeable
+        arrays = [
+            arr
+            for c in memo.values()
+            for _, _, s, d, _ in c.moves
+            for arr in s + d
+        ]
+        assert arrays
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = -1
 
 
 class TestEvaluateExactness:
