@@ -557,3 +557,66 @@ class TestTraceAndExplain:
         totals = report.pass_totals()
         assert totals["axis-stride"][0] == 1
         assert "distribute" not in totals
+
+
+#: The nine machines ``machine_sweep`` of ``benchmarks/perf`` prices.
+SWEEP_MACHINES = (
+    "grid:4x4",
+    "torus:4x4",
+    "ring:16",
+    "hypercube:16",
+    "hier:(grid:2)/(grid:8)@16",
+    "grid:8x8",
+    "torus:8x8",
+    "ring:64",
+    "hypercube:64",
+)
+
+
+class TestPinnedFingerprints:
+    def test_digests_match_the_pinned_ones(
+        self, golden, corpus_kernels, corpus_edits
+    ):
+        """Fingerprints are on-disk cache keys (``repro.serve``) and the
+        delta engine's carry decisions: a renderer change that moves one
+        silently strands every stored entry.  The digests of the pinned
+        corpus, its edits, the sweep machines and the default options
+        are compared with ``tests/golden/fingerprints.json``."""
+        from repro.adg import build_adg
+        from repro.passes import content_fingerprint, statement_key
+        from repro.passes.delta import _projection
+
+        def program_digests(program) -> dict:
+            return {
+                "program": content_fingerprint(program),
+                "decls": content_fingerprint(program.decls),
+                "statements": [statement_key(s) for s in program.body],
+            }
+
+        kernels = {}
+        for name, source in corpus_kernels.items():
+            program = parse(source, name=name)
+            adg = build_adg(program)
+            kernels[name] = program_digests(program) | {
+                "alignment_projection": _projection(program, adg, True),
+                "skeleton_projection": _projection(program, adg, False),
+            }
+        edits = {
+            f"{kernel}.{edit_class}": program_digests(parse(source, name=kernel))
+            for kernel, edit_class, source in corpus_edits
+        }
+        machines = {
+            spec: content_fingerprint(MachineSpec.of(topology=spec))
+            for spec in SWEEP_MACHINES
+        }
+        machines["P16"] = content_fingerprint(MachineSpec.of(16))
+        assert len(kernels) == 16 and len(edits) == 48
+        golden.check(
+            "fingerprints",
+            {
+                "kernels": kernels,
+                "edits": edits,
+                "machines": machines,
+                "align_options": content_fingerprint(AlignOptions.of()),
+            },
+        )
