@@ -94,6 +94,9 @@ class ADGBuilder:
         self.cw = 1.0
         self._distributors: dict[int, _Distributor] = {}  # keyed by id(def port)
         self._use_regions: dict[int, str] = {}  # keyed by id(use port)
+        # Edge weights of this build, one per distinct tail shape: edges
+        # leaving equal shapes share the object.
+        self._sizes: dict[tuple[AffineForm, ...], Polynomial] = {}
 
     # -- helpers -----------------------------------------------------------
 
@@ -103,6 +106,12 @@ class ADGBuilder:
 
     def _decl_shape(self, name: str) -> tuple[AffineForm, ...]:
         return tuple(AffineForm(d) for d in self.program.decl(name).dims)
+
+    def _size(self, shape: tuple[AffineForm, ...]) -> Polynomial:
+        size = self._sizes.get(shape)
+        if size is None:
+            size = self._sizes[shape] = size_poly(shape)
+        return size
 
     def connect(
         self,
@@ -115,7 +124,7 @@ class ADGBuilder:
         the definition already has a consumer."""
         space = space if space is not None else tail.space
         cw = cw if cw is not None else self.cw
-        weight = size_poly(tail.shape)
+        weight = self._size(tail.shape)
         existing = self.adg.out_edges(tail)
         dist = self._distributors.get(id(tail))
         if dist is None and not existing:
@@ -265,7 +274,7 @@ class ADGBuilder:
             m_out = m.add_port("out", shape, inner_space, True)
             # Entry edge flows only at the first iteration.
             first_space = inner_space.restricted(liv, Triplet(s.lo, s.lo, s.step))
-            self.adg.add_edge(tin_out, m_entry, size_poly(shape), first_space, self.cw)
+            self.adg.add_edge(tin_out, m_entry, self._size(shape), first_space, self.cw)
             self._note_use(tin_out, m_entry)
             merges[name] = m
             self.defs[name] = m_out
@@ -293,7 +302,7 @@ class ADGBuilder:
                     send_space = inner_space.restricted(
                         liv, Triplet(s.lo, last - s.step, s.step)
                     )
-                    self.adg.add_edge(br_back, tb_in, size_poly(shape), send_space, self.cw)
+                    self.adg.add_edge(br_back, tb_in, self._size(shape), send_space, self.cw)
                     self._note_use(br_back, tb_in)
                 tx = self.adg.add_node(
                     NodeKind.TRANSFORMER,
@@ -303,7 +312,7 @@ class ADGBuilder:
                 tx_in = tx.add_port("in", shape, inner_space, False)
                 tx_out = tx.add_port("out", shape, outer_space, True)
                 last_space = inner_space.restricted(liv, Triplet(last, last, s.step))
-                self.adg.add_edge(br_exit, tx_in, size_poly(shape), last_space, self.cw)
+                self.adg.add_edge(br_exit, tx_in, self._size(shape), last_space, self.cw)
                 self._note_use(br_exit, tx_in)
                 self.defs[name] = tx_out
             else:
@@ -321,7 +330,7 @@ class ADGBuilder:
                     liv, Triplet(s.lo + s.step, last, s.step)
                 )
                 self.adg.add_edge(
-                    tb_out, m.inputs()[1], size_poly(shape), recv_space, self.cw
+                    tb_out, m.inputs()[1], self._size(shape), recv_space, self.cw
                 )
                 self._note_use(tb_out, m.inputs()[1])
 

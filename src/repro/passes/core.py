@@ -95,6 +95,120 @@ class _NotContentAddressable(Exception):
 _FINGERPRINT_BUDGET = 10_000  # recursion item cap: stay cheap on big values
 
 
+#: Renders one value of a given exact type, drawing on the shared budget.
+_Renderer = Callable[[Any, list[int]], str]
+
+#: ``type(value)`` → how values of exactly that type are rendered.  It
+#: holds code, never a rendered value: what a type resolves to depends
+#: on the type alone (:func:`_resolve_renderer`).
+_RENDERERS: dict[type, _Renderer] = {}
+
+
+def _render_atom(value: Any, budget: list[int]) -> str:
+    return repr(value)
+
+
+def _render_sequence(value: Any, budget: list[int]) -> str:
+    inner = ",".join([_stable_repr(v, budget) for v in value])
+    return f"{type(value).__name__}({inner})"
+
+
+def _render_set(value: Any, budget: list[int]) -> str:
+    inner = ",".join(sorted([_stable_repr(v, budget) for v in value]))
+    return f"{type(value).__name__}({inner})"
+
+
+def _render_dict(value: Any, budget: list[int]) -> str:
+    items = sorted(
+        [
+            (_stable_repr(k, budget), _stable_repr(v, budget))
+            for k, v in value.items()
+        ]
+    )
+    return "dict(" + ",".join([f"{k}:{v}" for k, v in items]) + ")"
+
+
+def _render_opaque(value: Any, budget: list[int]) -> str:
+    raise _NotContentAddressable
+
+
+def _digest(type_name: str, text: str) -> str:
+    return hashlib.sha1(f"{type_name}|{text}".encode()).hexdigest()[:12]
+
+
+class Rendered:
+    """A value rendered once: its canonical string, the type name its
+    digest is taken under, and the budget it cost (:func:`render`).
+
+    Put in the value's place inside a larger value, it renders as that
+    string for that cost, so the larger value's fingerprint is exactly
+    what it was — without walking the part again.  The delta engine keys
+    a program's statements this way and then fingerprints the program.
+    """
+
+    __slots__ = ("text", "type_name", "cost")
+
+    def __init__(self, text: str, type_name: str, cost: int) -> None:
+        self.text = text
+        self.type_name = type_name
+        self.cost = cost
+
+    @property
+    def fingerprint(self) -> str:
+        """``content_fingerprint`` of the value this was rendered from."""
+        return _digest(self.type_name, self.text)
+
+
+def _render_rendered(value: Rendered, budget: list[int]) -> str:
+    budget[0] -= value.cost - 1  # one unit is already paid, like any value
+    if budget[0] < 0:
+        raise _NotContentAddressable
+    return value.text
+
+
+# The one type the precedence of the scheme does not cover.
+_RENDERERS[Rendered] = _render_rendered
+
+
+def _resolve_renderer(tp: type) -> _Renderer:
+    """The renderer for values whose exact type is ``tp``.
+
+    The precedence is part of the fingerprint scheme: atoms, then
+    tuple/list, set/frozenset, dict, frozen dataclass, a class exposing
+    ``__content_key__``, and otherwise not content-addressable.  A
+    subclass renders as its first matching base does, under its own
+    name (a ``NamedTuple`` as a tuple, an ``IntEnum`` member by its
+    ``repr``).
+    """
+    if tp is type(None) or issubclass(tp, (bool, int, float, str, Fraction)):
+        return _render_atom
+    if issubclass(tp, (tuple, list)):
+        return _render_sequence
+    if issubclass(tp, (set, frozenset)):
+        return _render_set
+    if issubclass(tp, dict):
+        return _render_dict
+    qualname = tp.__qualname__
+    if dataclasses.is_dataclass(tp) and tp.__dataclass_params__.frozen:
+        names = tuple(f.name for f in dataclasses.fields(tp))
+
+        def render_dataclass(value: Any, budget: list[int]) -> str:
+            fields = ",".join(
+                [f"{n}={_stable_repr(getattr(value, n), budget)}" for n in names]
+            )
+            return f"{qualname}({fields})"
+
+        return render_dataclass
+    if getattr(tp, "__content_key__", None) is not None:
+        # Immutable non-dataclass values opt in by returning the
+        # structural content that fully determines them.
+        def render_keyed(value: Any, budget: list[int]) -> str:
+            return f"{qualname}<{_stable_repr(value.__content_key__(), budget)}>"
+
+        return render_keyed
+    return _render_opaque
+
+
 def _stable_repr(value: Any, budget: list[int]) -> str:
     """A canonical string for values whose *content* fully determines it.
 
@@ -107,40 +221,18 @@ def _stable_repr(value: Any, budget: list[int]) -> str:
     contents — raises :class:`_NotContentAddressable` so the fingerprint
     falls back to store-version identity, which never spuriously
     matches.
+
+    Each value costs one unit of ``budget``; how it is rendered is
+    resolved once per exact type (:data:`_RENDERERS`).
     """
     budget[0] -= 1
     if budget[0] < 0:
         raise _NotContentAddressable
-    if value is None or isinstance(value, (bool, int, float, str, Fraction)):
-        return repr(value)
-    if isinstance(value, (tuple, list)):
-        inner = ",".join(_stable_repr(v, budget) for v in value)
-        return f"{type(value).__name__}({inner})"
-    if isinstance(value, (set, frozenset)):
-        inner = ",".join(sorted(_stable_repr(v, budget) for v in value))
-        return f"{type(value).__name__}({inner})"
-    if isinstance(value, dict):
-        items = sorted(
-            (_stable_repr(k, budget), _stable_repr(v, budget))
-            for k, v in value.items()
-        )
-        return "dict(" + ",".join(f"{k}:{v}" for k, v in items) + ")"
-    if (
-        dataclasses.is_dataclass(value)
-        and not isinstance(value, type)
-        and type(value).__dataclass_params__.frozen
-    ):
-        fields = ",".join(
-            f"{f.name}={_stable_repr(getattr(value, f.name), budget)}"
-            for f in dataclasses.fields(value)
-        )
-        return f"{type(value).__qualname__}({fields})"
-    key_fn = getattr(value, "__content_key__", None)
-    if key_fn is not None:
-        # Immutable non-dataclass values opt in by returning the
-        # structural content that fully determines them.
-        return f"{type(value).__qualname__}<{_stable_repr(key_fn(), budget)}>"
-    raise _NotContentAddressable
+    tp = type(value)
+    render = _RENDERERS.get(tp)
+    if render is None:
+        render = _RENDERERS[tp] = _resolve_renderer(tp)
+    return render(value, budget)
 
 
 def content_fingerprint(value: Any) -> Optional[str]:
@@ -156,8 +248,19 @@ def content_fingerprint(value: Any) -> Optional[str]:
         r = _stable_repr(value, [_FINGERPRINT_BUDGET])
     except Exception:  # noqa: BLE001 - fingerprinting must never fail
         return None
-    digest = hashlib.sha1(f"{type(value).__name__}|{r}".encode()).hexdigest()
-    return digest[:12]
+    return _digest(type(value).__name__, r)
+
+
+def render(value: Any) -> Optional[Rendered]:
+    """``value`` rendered for reuse inside a larger value (see
+    :class:`Rendered`); ``None`` exactly where :func:`content_fingerprint`
+    is."""
+    budget = [_FINGERPRINT_BUDGET]
+    try:
+        text = _stable_repr(value, budget)
+    except Exception:  # noqa: BLE001 - as content_fingerprint
+        return None
+    return Rendered(text, type(value).__name__, _FINGERPRINT_BUDGET - budget[0])
 
 
 def _fresh_nonce() -> str:

@@ -18,7 +18,8 @@ artifact are untouched.  This module closes that gap:
 * :func:`replan` re-enters the pipeline against a fresh context with
   unchanged artifacts carried over from a prior ``PlanContext`` —
   skeletons, replication labels, mobile offsets, per-port alignments
-  and the comm profile — so only the genuinely invalidated suffix
+  and the comm profile, and the distribution when the machine has not
+  changed either — so only the genuinely invalidated suffix
   recomputes.  A machine-only delta (same program, new
   nprocs/topology) forks the base context and re-runs exactly the
   distribution suffix, pricing the move with the existing remap cost
@@ -41,9 +42,24 @@ Equal alignment projections mean the alignment solvers would see
 byte-for-byte identical inputs, so every alignment artifact of the
 base is *the* answer for the edited program and carrying it over is
 exact, not approximate — the differential harness asserts the
-resulting plans match from-scratch plans on every edit pair.  Any
-value that fails content fingerprinting degrades the projection to
-``None``, which disables carry-over rather than risking a stale reuse.
+resulting plans match from-scratch plans on every edit pair.  The
+paper's second phase is a function of what the first leaves behind: the
+comm profile is computed from the alignments (equation 1's sum over
+edges) and the distribution from the profile and the machine, nothing
+else.  So ``carry_all`` carries the base's profile, and when the new
+machine is the base's, the distribution beside the profile it was
+computed from — the search would replay the base's own memo to arrive at
+the base's own answer.  The pipeline honours it as a supplied output
+pinned to the new context's ``(profile, machine)``: a later
+``put("machine", ...)`` re-runs ``distribute``.  A label edit *with* a
+machine change, or against a base solved only to ``profile`` (the serve
+prefix), runs ``distribute`` as any other replan does.
+
+Any value that fails content fingerprinting degrades the projection to
+``None``, which disables carry-over rather than risking a stale reuse;
+the report says so (``fallback``: ``uncacheable``, beside
+``projection_mismatch`` for an edit that is structural and ``no_base``
+for a base with no solved graph to compare with).
 
 Below the whole-program projections sits the **subproblem memo**
 (:class:`~repro.passes.core.SubproblemMemo`).  A replan's context reads
@@ -86,7 +102,8 @@ iters_change   160 / 220           1 / 15
 
 Every per-pass reuse/recompute shows up in the context trace, the
 ``passes.artifact_reuse`` cachestats cell, and the obs counters
-``passes.delta.dirty_ports`` / ``passes.delta.reused``; memo outcomes
+``passes.delta.dirty_ports`` / ``passes.delta.reused`` /
+``passes.delta.fallback.<reason>``; memo outcomes
 are on the report (``memo_hits`` / ``memo_misses``) and in the counters
 ``passes.delta.memo_hits.<kind>`` / ``passes.delta.memo_misses.<kind>``
 (kinds ``edge``, ``offset_lp``).
@@ -114,7 +131,7 @@ from ..adg.nodes import (
 from ..lang import ast as A
 from ..obs import spans as obs
 from ..obs.metrics import registry
-from .core import Pipeline, PlanContext, content_fingerprint
+from .core import Pipeline, PlanContext, Rendered, content_fingerprint, render
 
 __all__ = [
     "DeltaReport",
@@ -139,8 +156,13 @@ def statement_key(stmt: Any) -> str:
     exceeding the fingerprint budget) never matches anything, which
     degrades the diff to "changed" — conservative, never stale.
     """
-    fp = content_fingerprint(stmt)
-    return fp if fp is not None else f"!opaque-{id(stmt):x}"
+    return _statement_key(stmt, render(stmt))
+
+
+def _statement_key(stmt: Any, rendered: Optional[Rendered]) -> str:
+    if rendered is None:
+        return f"!opaque-{id(stmt):x}"
+    return rendered.fingerprint
 
 
 @dataclass(frozen=True)
@@ -220,10 +242,32 @@ def _lcs_pairs(a: Sequence[str], b: Sequence[str]) -> list[tuple[int, int]]:
 _DiffSide = tuple[tuple[str, ...], Optional[str]]
 
 
-def _diff_side(program: A.Program) -> _DiffSide:
+#: A program's statements and its declaration list, each rendered once.
+_Parts = tuple[list[Optional[Rendered]], Optional[Rendered]]
+
+
+def _render_parts(program: A.Program) -> _Parts:
+    return [render(s) for s in program.body], render(program.decls)
+
+
+def _diff_side(program: A.Program, parts: Optional[_Parts] = None) -> _DiffSide:
+    stmts, decls = parts if parts is not None else _render_parts(program)
     return (
-        tuple(statement_key(s) for s in program.body),
-        content_fingerprint(program.decls),
+        tuple(_statement_key(s, r) for s, r in zip(program.body, stmts)),
+        None if decls is None else decls.fingerprint,
+    )
+
+
+def _program_fingerprint(program: A.Program, parts: _Parts) -> Optional[str]:
+    """``content_fingerprint(program)``, the parts not walked again: a
+    copy of the program holding the rendered parts renders — and costs —
+    what the program does, and a part that cannot be rendered leaves the
+    program as opaque as itself."""
+    stmts, decls = parts
+    if decls is None or None in stmts:
+        return None
+    return content_fingerprint(
+        dataclasses.replace(program, decls=decls, body=tuple(stmts))
     )
 
 
@@ -457,11 +501,20 @@ class DeltaReport:
 
     ``strategy`` is one of ``identical`` (nothing changed — pure
     reuse), ``machine_only`` (distribute suffix re-ran against a new
-    machine), ``carry_all`` (every alignment artifact carried, only the
-    distribution suffix ran), ``carry_skeletons`` (axis/stride carried,
-    offsets onward re-ran), ``full`` (nothing carriable).  ``reused`` /
-    ``recomputed`` count artifact *entries* (per-port map sizes), the
-    same granularity ``passes.artifact_reuse`` accumulates.
+    machine), ``carry_all`` (every alignment artifact and the comm
+    profile carried; the distribution too when the machine is the
+    base's, otherwise ``distribute`` ran), ``carry_skeletons``
+    (axis/stride carried, offsets onward re-ran), ``full`` (nothing
+    carriable).  ``reused`` / ``recomputed`` count artifact *entries*
+    (per-port map sizes), the same granularity
+    ``passes.artifact_reuse`` accumulates.
+
+    ``fallback`` says why a replan is ``full`` and is ``None`` on every
+    other rung: ``projection_mismatch`` (the edit changes what the
+    alignment phases read), ``uncacheable`` (a constituent of a
+    projection is not content-addressable, so nothing could be
+    compared), ``no_base`` (the base holds no graph, or no solution on
+    it, to compare with).
 
     ``memo_hits`` / ``memo_misses`` count, per kind of subproblem
     (``edge``, ``offset_lp``), the lookups the passes that *ran* made in
@@ -481,6 +534,7 @@ class DeltaReport:
     pass_status: dict[str, str] = field(default_factory=dict)
     memo_hits: dict[str, int] = field(default_factory=dict)
     memo_misses: dict[str, int] = field(default_factory=dict)
+    fallback: Optional[str] = None  # why ``full``; None on every other rung
     remap: Any = None  # CostVector for machine deltas with a base distribution
     seconds: float = 0.0
 
@@ -494,6 +548,8 @@ class DeltaReport:
 
     def render(self) -> str:
         lines = [f"delta replan: strategy={self.strategy}"]
+        if self.fallback is not None:
+            lines.append(f"  fallback: {self.fallback}")
         if self.diff is not None:
             lines.append(f"  diff: {self.diff.summary()}")
         lines.append(
@@ -552,10 +608,6 @@ _ALIGN_ARTIFACTS = (
 )
 
 
-def _machine_fp(machine) -> Optional[str]:
-    return None if machine is None else content_fingerprint(machine)
-
-
 def _put_carried(ctx: PlanContext, base: PlanContext, key: str, value) -> None:
     """Store ``value`` — the base's ``key`` artifact or a shallow copy of
     it — on ``ctx``.  It has the same *content* as the base artifact, so
@@ -582,11 +634,34 @@ def _carry_skeletons(ctx: PlanContext, base: PlanContext, new_adg: ADG):
     return rebound
 
 
-def _carry_alignment(ctx: PlanContext, base: PlanContext, new_adg: ADG) -> None:
+def _distribution_current(base: PlanContext) -> bool:
+    """Whether the base's ``distribution`` is the one its ledger says
+    was computed from (or honoured under) the inputs it holds now — not
+    one left behind by a ``put`` of the profile or the machine that no
+    pipeline run has followed."""
+    last = base._ledger.get("distribute")
+    return (
+        last is not None
+        and base.has("distribution")
+        and all(
+            base.has(key) and base.artifact(key).version == version
+            for key, (version, _) in last.items()
+        )
+    )
+
+
+def _carry_alignment(
+    ctx: PlanContext, base: PlanContext, new_adg: ADG, machine_same: bool
+) -> None:
     """Carry every alignment artifact (copy-on-write) and hand-assemble
     the plan object against the new program/graph — exactly what
     :class:`~repro.passes.align_passes.AssemblePass` would build, with
-    the solver outputs supplied instead of recomputed."""
+    the solver outputs supplied instead of recomputed.
+
+    The comm profile is a function of the alignments and the
+    distribution a function of the profile and the machine, so the
+    profile goes along, and with it — when the machine is the base's
+    (``machine_same``) — the distribution computed from it."""
     from ..align.pipeline import AlignmentPlan
 
     skel = _carry_skeletons(ctx, base, new_adg)
@@ -623,6 +698,11 @@ def _carry_alignment(ctx: PlanContext, base: PlanContext, new_adg: ADG) -> None:
     )
     if base.has("profile"):
         ctx.put("profile", _cow_profile(base.get("profile")))
+    if machine_same and _distribution_current(base):
+        # Frozen, so shared as is.  The pipeline honours it as a supplied
+        # output and pins it to the (profile, machine) of ``ctx``: a
+        # later ``put("machine", ...)`` re-runs distribute.
+        _put_carried(ctx, base, "distribution", base.get("distribution"))
 
 
 def _account(
@@ -674,25 +754,35 @@ def replan(
     base_art = base.artifact("program")
     base_program = base_art.value
     new_program = program if program is not None else base_program
-    # Each program is fingerprinted once: the base's when it was stored,
-    # the new one here (and handed on to ``put`` below).
+    # Each program is walked once: the base's when it was stored, the new
+    # one here — its statements for the diff keys, and the fingerprint
+    # (handed on to ``put`` below) from those.
     base_fp = base_art.fingerprint if base_art.content_addressed else None
-    new_fp = (
-        base_fp
-        if new_program is base_program
-        else content_fingerprint(new_program)
-    )
+    if new_program is base_program:
+        new_parts, new_fp = None, base_fp
+    else:
+        new_parts = _render_parts(new_program)
+        new_fp = _program_fingerprint(new_program, new_parts)
     program_same = new_program is base_program or (
         base_fp is not None and base_fp == new_fp
     )
-    base_machine = base.get("machine") if base.has("machine") else None
+    # Likewise each machine: the base's when it was stored, a new one here.
+    machine_art = base.artifact("machine") if base.has("machine") else None
+    base_machine = machine_art.value if machine_art is not None else None
     new_machine = machine if machine is not None else base_machine
+    base_mfp = (
+        machine_art.fingerprint
+        if machine_art is not None and machine_art.content_addressed
+        else None
+    )
+    new_mfp = (
+        base_mfp
+        if new_machine is base_machine
+        else content_fingerprint(new_machine)
+    )
     machine_same = base_machine is not None and (
         new_machine is base_machine
-        or (
-            _machine_fp(new_machine) is not None
-            and _machine_fp(new_machine) == _machine_fp(base_machine)
-        )
+        or (base_mfp is not None and base_mfp == new_mfp)
     )
 
     with obs.span("passes.delta", kind="delta"):
@@ -703,7 +793,7 @@ def replan(
             base_side,
             base_side
             if new_program is base_program
-            else _diff_side(new_program),
+            else _diff_side(new_program, new_parts),
         )
         report = DeltaReport(strategy="full", diff=diff)
         graph_seconds = 0.0
@@ -721,7 +811,7 @@ def replan(
                     ctx.put("profile", _cow_profile(base.get("profile")))
                 if base.has("plan"):
                     ctx.put("plan", dataclasses.replace(base.get("plan")))
-                ctx.put("machine", new_machine)
+                ctx.put("machine", new_machine, fingerprint=new_mfp)
             adg = base.get("adg") if base.has("adg") else None
             if adg is not None:
                 report.total_nodes = len(adg.nodes)
@@ -734,7 +824,7 @@ def replan(
             ctx.put("program", new_program, fingerprint=new_fp)
             _put_carried(ctx, base, "align_options", base.get("align_options"))
             if new_machine is not None:
-                ctx.put("machine", new_machine)
+                ctx.put("machine", new_machine, fingerprint=new_mfp)
             if base.has("phase_options"):
                 ctx.put("phase_options", base.get("phase_options"))
             # The graph prefix always re-runs: the diff needs the new
@@ -751,25 +841,34 @@ def replan(
             report.total_ports = sum(len(n.ports) for n in new_adg.nodes)
             base_adg = base.get("adg") if base.has("adg") else None
             fp_memo: dict = {}  # both projections hash the same objects
+            fallback = "no_base"  # until a projection has been compared
 
             def _match(offsets: bool) -> bool:
+                nonlocal fallback
                 new_proj = _projection(new_program, new_adg, offsets, fp_memo)
-                return new_proj is not None and new_proj == _once_per_base(
+                base_proj = None if new_proj is None else _once_per_base(
                     base,
                     "projection",
                     (base_program, base_adg, offsets),
                     lambda: _projection(base_program, base_adg, offsets),
                 )
+                if base_proj is None:
+                    fallback = "uncacheable"
+                    return False
+                fallback = "projection_mismatch"
+                return new_proj == base_proj
 
             if base_adg is not None:
                 if all(base.has(k) for k in _ALIGN_ARTIFACTS) and _match(
                     offsets=True
                 ):
                     report.strategy = "carry_all"
-                    _carry_alignment(ctx, base, new_adg)
+                    _carry_alignment(ctx, base, new_adg, machine_same)
                 elif base.has("skeletons") and _match(offsets=False):
                     report.strategy = "carry_skeletons"
                     _carry_skeletons(ctx, base, new_adg)
+            if report.strategy == "full":
+                report.fallback = fallback
 
         ctx.trace.append(
             {
@@ -807,6 +906,8 @@ def replan(
         reg = registry()
         reg.counter("passes.delta.dirty_ports").inc(report.dirty_ports)
         reg.counter("passes.delta.reused").inc(report.reused_entries)
+        if report.fallback is not None:
+            reg.counter(f"passes.delta.fallback.{report.fallback}").inc()
         for outcome, counts in (
             ("memo_hits", report.memo_hits),
             ("memo_misses", report.memo_misses),

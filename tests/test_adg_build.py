@@ -174,3 +174,71 @@ class TestWeightsAndRender:
         st = build_adg(programs.example1()).stats()
         assert st["nodes"] == len(build_adg(programs.example1()).nodes)
         assert "kind_SECTION" in st
+
+
+def _structure(adg):
+    """Everything an ADG holds, as plain comparable values."""
+    nodes = [
+        (
+            n.nid, n.kind, n.label, n.stmt, n.payload,
+            [(p.key, p.name, p.shape, p.space, p.is_output) for p in n.ports],
+        )
+        for n in adg.nodes
+    ]  # fmt: skip
+    edges = [
+        (e.eid, e.tail.key, e.head.key, e.weight, e.space, e.control_weight)
+        for e in adg.edges
+    ]
+    return adg.name, adg.template_rank, nodes, edges
+
+
+class TestSizeMemo:
+    """One ``size_poly`` per distinct shape per build: the weights are
+    what they were, shared within a build and never across builds."""
+
+    def test_every_weight_is_the_size_of_its_tail(self, make_program):
+        from repro.adg.build import size_poly
+
+        adg = build_adg(make_program())
+        assert adg.edges
+        for e in adg.edges:
+            assert e.weight == size_poly(e.tail.shape), e
+
+    def test_corpus_kernels(self, corpus_kernels):
+        from repro.adg.build import size_poly
+
+        assert len(corpus_kernels) == 16
+        for name, source in corpus_kernels.items():
+            adg = build_adg(parse(source, name=name))
+            by_shape = {}
+            for e in adg.edges:
+                assert e.weight == size_poly(e.tail.shape), (name, e)
+                # equal shapes share the object
+                assert by_shape.setdefault(e.tail.shape, e.weight) is e.weight
+
+    def test_two_builds_share_no_weight_objects(self, make_program):
+        program = make_program()
+        first, second = build_adg(program), build_adg(program)
+        assert _structure(first) == _structure(second)
+        assert not {id(e.weight) for e in first.edges} & {
+            id(e.weight) for e in second.edges
+        }
+
+    def test_a_pickled_prefix_round_trips_to_an_equal_graph(self):
+        import pickle
+
+        from repro.align.pipeline import plan_context
+        from repro.passes import Pipeline
+
+        ctx = plan_context(programs.figure1())
+        Pipeline().run(ctx, goal=("plan", "profile"))
+        adg = ctx.get("adg")
+        thawed = pickle.loads(pickle.dumps(ctx)).get("adg")
+        assert thawed is not adg
+        assert _structure(thawed) == _structure(adg)
+        assert len({id(e.weight) for e in thawed.edges}) == len(
+            {id(e.weight) for e in adg.edges}
+        )
+        assert len({id(e.weight) for e in adg.edges}) == len(
+            {e.tail.shape for e in adg.edges}
+        )

@@ -145,6 +145,49 @@ class TestDiff:
         assert d.decls_changed
         assert not d.identical
 
+    def test_the_program_fingerprint_is_spliced_from_the_statement_renders(
+        self, corpus_kernels, corpus_edits
+    ):
+        """``replan`` walks an edited program once: the parts rendered
+        for the diff keys are what its fingerprint is made of."""
+        from repro.passes.delta import (
+            _diff_side,
+            _program_fingerprint,
+            _render_parts,
+        )
+
+        sources = [(k, src) for k, src in corpus_kernels.items()]
+        sources += [(k, src) for k, _, src in corpus_edits]
+        for name, source in sources:
+            program = parse(source, name=name)
+            parts = _render_parts(program)
+            assert _program_fingerprint(program, parts) == content_fingerprint(
+                program
+            )
+            assert _diff_side(program, parts) == (
+                tuple(statement_key(s) for s in program.body),
+                content_fingerprint(program.decls),
+            )
+
+    def test_a_statement_that_cannot_be_rendered_matches_nothing(self):
+        from repro.passes.delta import _program_fingerprint, _render_parts
+
+        base = parse(BASE_SRC)
+        unhashable = tuple(range(10_001))  # over the fingerprint budget
+        new = dataclasses.replace(base, body=base.body + (unhashable,))
+        assert statement_key(unhashable).startswith("!opaque-")
+        d = diff_programs(base, new)
+        assert d.changed_new == (2,) and d.changed_base == ()
+        assert content_fingerprint(new) is None
+        assert _program_fingerprint(new, _render_parts(new)) is None
+        # parts that each fit the budget, in a program that does not
+        halves = (tuple(range(6_000)), tuple(range(6_000)))
+        wide = dataclasses.replace(base, body=halves)
+        parts = _render_parts(wide)
+        assert None not in parts[0]
+        assert content_fingerprint(wide) is None
+        assert _program_fingerprint(wide, parts) is None
+
     def test_summary_readable(self):
         d = diff_programs(parse(BASE_SRC), parse(EDITS["op_swap"][1]))
         assert "changed" in d.summary()
@@ -291,6 +334,213 @@ class TestMachineDelta:
         a = _payload("p", machine_label(8, None), new_ctx)
         b = _payload("p", machine_label(8, None), scratch)
         assert pickle.dumps(a) == pickle.dumps(b)
+
+
+# -- the carried distribution --------------------------------------------------
+
+LABEL_CLASSES = ("op_swap", "intrinsic_swap")
+
+
+def _distribution_facts(dist):
+    return (dist.directive(), dist.cost, dist.searched, dist.exact)
+
+
+def _ran(ctx, name):
+    return [ev["event"] for ev in ctx.trace if ev["pass"] == name]
+
+
+class TestCarriedDistribution:
+    """``carry_all`` carries the distribution beside the profile it was
+    computed from, when the machine is the base's — and only then."""
+
+    @pytest.fixture(scope="class")
+    def corpus_bases(self, corpus_kernels, corpus_edits):
+        kernels = sorted({kernel for kernel, _, _ in corpus_edits})
+        return {
+            k: _plan(parse(corpus_kernels[k], name=k), MachineSpec.of(16))
+            for k in kernels
+        }
+
+    def test_every_pinned_label_edit_carries_it(self, corpus_bases, corpus_edits):
+        from repro.align import align_and_distribute
+
+        label = [e for e in corpus_edits if e[1] in LABEL_CLASSES]
+        assert len(label) == 17
+        for kernel, edit_class, source in label:
+            base = corpus_bases[kernel]
+            art = base.artifact("distribution")
+            program = parse(source, name=kernel)
+            ctx, rpt = replan(base, program)
+            where = f"{kernel}.{edit_class}"
+            assert ctx.artifact("program").fingerprint == content_fingerprint(
+                program
+            )
+            assert rpt.strategy == "carry_all" and rpt.fallback is None, where
+            assert rpt.pass_status["distribute"] == "reused (clean)", where
+            assert rpt.pass_status["comm-profile"] == "reused (clean)", where
+            assert rpt.reused["distribution"] == 1
+            assert "distribution" not in rpt.recomputed
+            cold = align_and_distribute(parse(source, name=kernel), nprocs=16)
+            assert _distribution_facts(
+                ctx.get("distribution")
+            ) == _distribution_facts(cold.distribution), where
+            assert ctx.artifact("distribution").fingerprint == art.fingerprint
+            assert base.artifact("distribution") is art, where
+
+    @pytest.mark.parametrize("edit", LABEL_CLASSES)
+    def test_label_edit_with_another_machine_runs_distribute(self, edit):
+        base = _plan(parse(BASE_SRC))
+        program = parse(EDITS[edit][1])
+        other = MachineSpec.of(topology="ring:8")
+        ctx, rpt = replan(base, program=program, machine=other)
+        assert rpt.strategy == "carry_all"
+        assert rpt.pass_status["distribute"] == "ran (dirty)"
+        assert _ran(ctx, "distribute") == ["run"]
+        cold = _plan(program, machine=other)
+        assert ctx.get("distribution") == cold.get("distribution")
+        assert ctx.get("distribution") != base.get("distribution")
+
+    def test_an_equal_machine_object_counts_as_the_base_machine(self):
+        base = _plan(parse(BASE_SRC))
+        ctx, rpt = replan(
+            base, program=parse(EDITS["op_swap"][1]), machine=MachineSpec.of(4)
+        )
+        assert rpt.pass_status["distribute"] == "reused (clean)"
+        assert ctx.get("distribution") is base.get("distribution")
+        assert (
+            ctx.artifact("machine").fingerprint
+            == base.artifact("machine").fingerprint
+        )
+
+    def test_a_base_solved_to_the_profile_has_nothing_to_carry(self):
+        base = plan_context(parse(BASE_SRC))
+        Pipeline().run(base, goal=("plan", "profile"))
+        program = parse(EDITS["op_swap"][1])
+        ctx, rpt = replan(base, program=program, machine=MachineSpec.of(4))
+        assert rpt.strategy == "carry_all"
+        assert rpt.pass_status["comm-profile"] == "reused (clean)"
+        assert rpt.pass_status["distribute"] == "ran (dirty)"
+        assert ctx.get("distribution") == _plan(program).get("distribution")
+
+    def test_a_later_machine_change_reruns_distribute(self):
+        """The carried distribution is pinned to the (profile, machine)
+        it was honoured under, like any supplied output."""
+        base = _plan(parse(BASE_SRC))
+        program = parse(EDITS["op_swap"][1])
+        ctx, _ = replan(base, program=program)
+        assert _ran(ctx, "distribute") == ["reuse"]
+        carried = ctx.get("distribution")
+        pipe = Pipeline()
+        pipe.run(ctx, goal="distribution")
+        assert pipe.stats["distribute"].runs == 0  # still pinned, still valid
+        other = MachineSpec.of(8)
+        ctx.put("machine", other)
+        pipe.run(ctx, goal="distribution")
+        assert pipe.stats["distribute"].runs == 1
+        assert ctx.get("distribution") == _plan(program, other).get("distribution")
+        assert ctx.get("distribution") != carried
+        assert base.get("distribution") is carried
+
+    def test_a_distribution_the_base_machine_has_outrun_is_not_carried(self):
+        """``put("machine", ...)`` on the base with no run after it: the
+        distribution there belongs to the machine before."""
+        base = _plan(parse(BASE_SRC))
+        other = MachineSpec.of(8)
+        base.put("machine", other)
+        program = parse(EDITS["op_swap"][1])
+        ctx, rpt = replan(base, program=program)
+        assert rpt.strategy == "carry_all"
+        assert rpt.pass_status["distribute"] == "ran (dirty)"
+        assert ctx.get("distribution") == _plan(program, other).get("distribution")
+
+    def test_a_hand_put_distribution_is_not_carried(self):
+        base = _plan(parse(BASE_SRC), goal=("plan", "profile"))
+        base.put("distribution", _plan(parse(BASE_SRC)).get("distribution"))
+        _, rpt = replan(base, program=parse(EDITS["op_swap"][1]))
+        assert rpt.pass_status["distribute"] == "ran (dirty)"
+
+    def test_a_carried_replan_is_a_base_that_carries(self):
+        base = _plan(parse(BASE_SRC))
+        first, _ = replan(base, program=parse(EDITS["op_swap"][1]))
+        second, rpt = replan(first, program=parse(EDITS["intrinsic_swap"][1]))
+        assert rpt.strategy == "carry_all"
+        assert rpt.pass_status["distribute"] == "reused (clean)"
+        assert second.get("distribution") is base.get("distribution")
+
+    def test_structural_edits_never_carry_it(self, corpus_bases, corpus_edits):
+        structural = [e for e in corpus_edits if e[1] not in LABEL_CLASSES]
+        assert len(structural) == 31
+        strategies = set()
+        for kernel, edit_class, source in structural:
+            ctx, rpt = replan(corpus_bases[kernel], parse(source, name=kernel))
+            strategies.add(rpt.strategy)
+            where = f"{kernel}.{edit_class}"
+            assert rpt.pass_status["distribute"] == "ran (dirty)", where
+            assert _ran(ctx, "distribute") == ["run"], where
+            assert rpt.recomputed["distribution"] == 1
+        assert strategies == {"carry_skeletons", "full"}
+
+
+class TestFallbackReason:
+    """Why a replan fell to ``full`` — on the report, in ``render()`` and
+    in ``passes.delta.fallback.<reason>``."""
+
+    def _replan(self, base, src=EDITS["stmt_add"][1]):
+        reg = registry()
+        names = [
+            f"passes.delta.fallback.{r}"
+            for r in ("projection_mismatch", "uncacheable", "no_base")
+        ]
+        before = {n: reg.counter(n).value for n in names}
+        _, rpt = replan(base, program=parse(src))
+        moved = {
+            n.rsplit(".", 1)[1]: reg.counter(n).value - before[n] for n in names
+        }
+        return rpt, {r: n for r, n in moved.items() if n}
+
+    def test_a_structural_edit_is_a_projection_mismatch(self):
+        rpt, moved = self._replan(_plan(parse(BASE_SRC)))
+        assert rpt.strategy == "full"
+        assert rpt.fallback == "projection_mismatch"
+        assert moved == {"projection_mismatch": 1}
+        assert "  fallback: projection_mismatch" in rpt.render().splitlines()
+
+    def test_a_constituent_that_cannot_be_hashed_is_uncacheable(self, monkeypatch):
+        """A label edit that would carry, were its payloads addressable."""
+        from repro.passes import delta
+
+        monkeypatch.setattr(delta, "_payload_key", lambda payload, offsets: None)
+        rpt, moved = self._replan(_plan(parse(BASE_SRC)), EDITS["op_swap"][1])
+        assert rpt.strategy == "full"
+        assert rpt.fallback == "uncacheable"
+        assert moved == {"uncacheable": 1}
+
+    def test_a_base_with_no_graph_or_solution_is_no_base(self):
+        base = plan_context(parse(BASE_SRC))
+        base.put("machine", MachineSpec.of(4))
+        rpt, moved = self._replan(base, EDITS["op_swap"][1])
+        assert rpt.strategy == "full" and rpt.fallback == "no_base"
+        Pipeline().run(base, goal="adg")  # a graph, nothing solved on it
+        rpt, more = self._replan(base, EDITS["op_swap"][1])
+        assert rpt.strategy == "full" and rpt.fallback == "no_base"
+        assert moved == more == {"no_base": 1}
+
+    def test_no_other_rung_names_one(self):
+        base = _plan(parse(BASE_SRC))
+        reports = [
+            replan(base, program=parse(EDITS[e][1]))[1]
+            for e in ("op_swap", "section_shift")
+        ]
+        reports.append(replan(base, machine=MachineSpec.of(8))[1])
+        reports.append(replan(base)[1])
+        assert [r.strategy for r in reports] == [
+            "carry_all",
+            "carry_skeletons",
+            "machine_only",
+            "identical",
+        ]
+        assert all(r.fallback is None for r in reports)
+        assert all("fallback" not in r.render() for r in reports)
 
 
 # -- the subproblem memo -------------------------------------------------------

@@ -8,9 +8,15 @@ with the staged pipeline, and pickling of context prefixes — the
 property the batch engine's sweep mode is built on.
 """
 
+import dataclasses
+import enum
 import pickle
+from fractions import Fraction
+from typing import Any, ClassVar, NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.align import (
     DistributionOptionsError,
@@ -30,6 +36,13 @@ from repro.passes import (
     Pipeline,
     PipelineError,
     PlanContext,
+    content_fingerprint,
+)
+from repro.passes.core import (
+    _FINGERPRINT_BUDGET,
+    _NotContentAddressable,
+    _stable_repr,
+    render,
 )
 
 
@@ -559,6 +572,249 @@ class TestTraceAndExplain:
         assert "distribute" not in totals
 
 
+# -- the fingerprint renderer --------------------------------------------------
+
+
+class _Color(enum.IntEnum):
+    RED = 1
+
+
+class _Point(NamedTuple):
+    x: int
+    y: int
+
+
+@dataclasses.dataclass(frozen=True)
+class _Frozen:
+    a: Any
+    b: Any = ()
+    tag: ClassVar[str] = "not a field"
+
+
+@dataclasses.dataclass
+class _Thawed:
+    a: Any
+
+
+class _FrozenChild(_Frozen):
+    """Not a dataclass itself: renders its base's fields, its own name."""
+
+
+class _Keyed:
+    """A non-frozen class that opts in with ``__content_key__``."""
+
+    def __init__(self, *parts):
+        self.parts = parts
+
+    def __content_key__(self):
+        return self.parts
+
+
+class _Opaque:
+    pass
+
+
+def _reference_repr(value, budget):
+    """``_stable_repr`` as it was before the per-type table: the
+    ``isinstance`` chain, kept here as the renderer's reference."""
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise _NotContentAddressable
+    if value is None or isinstance(value, (bool, int, float, str, Fraction)):
+        return repr(value)
+    if isinstance(value, (tuple, list)):
+        inner = ",".join(_reference_repr(v, budget) for v in value)
+        return f"{type(value).__name__}({inner})"
+    if isinstance(value, (set, frozenset)):
+        inner = ",".join(sorted(_reference_repr(v, budget) for v in value))
+        return f"{type(value).__name__}({inner})"
+    if isinstance(value, dict):
+        items = sorted(
+            (_reference_repr(k, budget), _reference_repr(v, budget))
+            for k, v in value.items()
+        )
+        return "dict(" + ",".join(f"{k}:{v}" for k, v in items) + ")"
+    if (
+        dataclasses.is_dataclass(value)
+        and not isinstance(value, type)
+        and type(value).__dataclass_params__.frozen
+    ):
+        fields = ",".join(
+            f"{f.name}={_reference_repr(getattr(value, f.name), budget)}"
+            for f in dataclasses.fields(value)
+        )
+        return f"{type(value).__qualname__}({fields})"
+    key_fn = getattr(value, "__content_key__", None)
+    if key_fn is not None:
+        return f"{type(value).__qualname__}<{_reference_repr(key_fn(), budget)}>"
+    raise _NotContentAddressable
+
+
+def _rendered(render, value):
+    """``(string, budget left)``, or ``None`` where ``content_fingerprint``
+    would answer ``None``."""
+    budget = [_FINGERPRINT_BUDGET]
+    try:
+        return render(value, budget), budget[0]
+    except Exception:  # noqa: BLE001 - as content_fingerprint catches
+        return None
+
+
+_hashable_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(allow_nan=False, width=16),
+    st.fractions(max_denominator=4),
+    st.text("ab'\"", max_size=3),
+    st.just(_Color.RED),
+    st.builds(_Point, st.integers(0, 2), st.integers(0, 2)),
+    st.builds(_Frozen, st.integers(0, 2)),
+)
+_leaves = _hashable_leaves | st.builds(_Opaque) | st.just(_Frozen)
+_values = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.sets(_hashable_leaves, max_size=3),
+        st.frozensets(_hashable_leaves, max_size=3),
+        st.dictionaries(_hashable_leaves, inner, max_size=3),
+        st.builds(_Frozen, inner, inner),
+        st.builds(_FrozenChild, inner),
+        st.builds(_Thawed, inner),
+        st.builds(_Keyed, inner, inner),
+    ),
+    max_leaves=12,
+)
+
+
+class TestStableRepr:
+    #: One row per kind of value: what it renders to, exactly.
+    ROWS = [
+        (None, "None"),
+        (True, "True"),
+        (1, "1"),
+        (1.0, "1.0"),
+        (Fraction(1), "Fraction(1, 1)"),
+        (_Color.RED, "<_Color.RED: 1>"),
+        ("it's", '"it\'s"'),
+        ((1, "a"), "tuple(1,'a')"),
+        ([1, "a"], "list(1,'a')"),
+        ((), "tuple()"),
+        (_Point(1, 2), "_Point(1,2)"),
+        ({10, 9}, "set(10,9)"),  # ordered by the rendered strings
+        (frozenset({2, 1}), "frozenset(1,2)"),
+        ({"b": 1, "a": [2]}, "dict('a':list(2),'b':1)"),
+        (_Frozen(1, (2,)), "_Frozen(a=1,b=tuple(2))"),
+        (_FrozenChild(None), "_FrozenChild(a=None,b=tuple())"),
+        (_Keyed(1, "k"), "_Keyed<tuple(1,'k')>"),
+        (MachineSpec.of(4, seed=0), "MachineSpec(nprocs=4,topology=None,options=tuple(tuple('seed',0)))"),
+    ]  # fmt: skip
+
+    @pytest.mark.parametrize("value, expected", ROWS, ids=[r[1] for r in ROWS])
+    def test_renders_exactly(self, value, expected):
+        assert _stable_repr(value, [_FINGERPRINT_BUDGET]) == expected
+        assert _reference_repr(value, [_FINGERPRINT_BUDGET]) == expected
+        assert content_fingerprint(value) is not None
+
+    def test_equal_numbers_of_different_types_differ(self):
+        digests = {content_fingerprint(v) for v in (True, 1, 1.0, Fraction(1))}
+        assert len(digests) == 4
+
+    def test_containers_ignore_insertion_order(self):
+        assert content_fingerprint({1, 2, 3}) == content_fingerprint({3, 2, 1})
+        assert content_fingerprint({"a": 1, "b": 2}) == content_fingerprint(
+            {"b": 2, "a": 1}
+        )
+        assert content_fingerprint((1, 2)) != content_fingerprint([1, 2])
+        assert content_fingerprint((1, 2)) != content_fingerprint(_Point(1, 2))
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            _Thawed(1),  # a dataclass, but not frozen
+            _Frozen,  # a dataclass *class object*
+            _Keyed,  # its __content_key__ needs an instance
+            _Opaque(),
+            object(),
+            (1, [_Opaque()]),  # poisons whatever holds it
+            _Frozen(_Thawed(1)),
+        ],
+        ids=repr,
+    )
+    def test_not_content_addressable(self, value):
+        assert content_fingerprint(value) is None
+        assert _rendered(_reference_repr, value) is None
+
+    def test_an_adg_is_not_content_addressable(self):
+        from repro.adg import build_adg
+
+        assert content_fingerprint(build_adg(programs.example1())) is None
+
+    def test_the_budget_is_one_unit_per_value(self):
+        """10 000 values: the container counts as one of them."""
+        assert content_fingerprint(tuple(range(9_999))) is not None
+        assert content_fingerprint(tuple(range(10_000))) is None
+        assert content_fingerprint(tuple(range(10_001))) is None
+        assert content_fingerprint([(i,) for i in range(5_000)]) is None
+        budget = [_FINGERPRINT_BUDGET]
+        _stable_repr(_Frozen({"k": (1, 2)}), budget)
+        # the dataclass, a dict, its key, a tuple, two items, and b=()
+        assert budget[0] == _FINGERPRINT_BUDGET - 7
+
+    def test_a_type_is_resolved_once_and_holds_no_value(self):
+        from repro.passes.core import _RENDERERS
+
+        class Local:
+            def __content_key__(self):
+                return 7
+
+        assert Local not in _RENDERERS
+        first = content_fingerprint(Local())
+        render = _RENDERERS[Local]
+        assert content_fingerprint(Local()) == first
+        assert _RENDERERS[Local] is render
+        assert _RENDERERS[bool] is _RENDERERS[str]  # code, shared by kind
+
+    @given(_values)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_isinstance_chain(self, value):
+        assert _rendered(_stable_repr, value) == _rendered(_reference_repr, value)
+
+    @given(_values)
+    @settings(max_examples=200, deadline=None)
+    def test_a_rendered_part_stands_for_its_value(self, value):
+        """Same string, same budget, same digest, wherever it is put."""
+        part = render(value)
+        if part is None:
+            assert content_fingerprint(value) is None
+            return
+        assert part.fingerprint == content_fingerprint(value)
+        for hold in (
+            lambda v: (1, v),
+            lambda v: [v, v],
+            lambda v: _Frozen(v, {"k": (v,)}),
+        ):
+            whole = _rendered(_stable_repr, hold(value))
+            assert whole is not None
+            assert _rendered(_stable_repr, hold(part)) == whole
+            assert content_fingerprint(hold(part)) == content_fingerprint(
+                hold(value)
+            )
+
+    def test_a_rendered_part_is_charged_what_it_cost(self):
+        half = tuple(range(5_000))
+        part = render(half)
+        assert part.cost == 5_001
+        assert content_fingerprint((part,)) == content_fingerprint((half,))
+        assert content_fingerprint((half,)) is not None
+        # each half fits the budget; the two together do not
+        assert content_fingerprint((half, half)) is None
+        assert content_fingerprint((part, part)) is None
+        assert render((part, part)) is None
+
+
 #: The nine machines ``machine_sweep`` of ``benchmarks/perf`` prices.
 SWEEP_MACHINES = (
     "grid:4x4",
@@ -583,7 +839,7 @@ class TestPinnedFingerprints:
         corpus, its edits, the sweep machines and the default options
         are compared with ``tests/golden/fingerprints.json``."""
         from repro.adg import build_adg
-        from repro.passes import content_fingerprint, statement_key
+        from repro.passes import statement_key
         from repro.passes.delta import _projection
 
         def program_digests(program) -> dict:
