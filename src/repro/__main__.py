@@ -78,7 +78,24 @@ from .lang import parse
 from .machine import measure_plan
 
 
-def _run_batch(args, align_kw: dict) -> int:
+def _load(path: str):
+    """The program in ``path`` (``-``: stdin), parsed.  A missing,
+    unreadable or unparsable file is a one-line diagnostic and exit
+    status 1 — the ``Type: message`` a ``--batch`` row reports — not a
+    traceback."""
+    try:
+        if path == "-":
+            source = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as f:
+                source = f.read()
+        return parse(source, name=path)
+    except (OSError, SyntaxError, ValueError) as exc:
+        print(f"error: {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        raise SystemExit(1) from None
+
+
+def _run_batch(args, align_kw: dict, distrib_options: dict | None) -> int:
     from .batch import PlanRequest, plan_many
     from .lang.generate import generate_corpus
 
@@ -117,9 +134,6 @@ def _run_batch(args, align_kw: dict) -> int:
             print("--batch: corpus count must be >= 1", file=sys.stderr)
             return 1
         corpus = generate_corpus(count, seed=args.batch_seed)
-    # Only a set flag reaches the planner: the default machine spec must
-    # stay byte-identical (specs feed artifact fingerprints).
-    distrib_options = {"vectorize": False} if args.no_vectorize else None
     report = plan_many(
         corpus,
         nprocs=args.distribute,
@@ -128,7 +142,7 @@ def _run_batch(args, align_kw: dict) -> int:
         align_kw=align_kw,
         distrib_options=distrib_options,
         verify=True,
-        topology=args.topology,
+        topology=args.topology if args.distribute is not None else None,
         trace=args.trace_out is not None,
     )
     print(report.render())
@@ -296,35 +310,56 @@ def main(argv: list[str] | None = None) -> int:
             topology = parse_topology(args.topology)
         except ValueError as exc:
             ap.error(f"--topology: {exc}")
-        if topology.shape:
-            if (
-                args.distribute is not None
-                and args.distribute != topology.nprocs
-            ):
-                ap.error(
-                    f"--topology {topology.spec()} is a "
-                    f"{topology.nprocs}-processor machine but --distribute "
-                    f"asked for {args.distribute}"
-                )
-            if args.distribute is None and args.measure is None:
-                # A finite machine implies the processor count.
-                args.distribute = topology.nprocs
+        if topology.shape and args.distribute is None and args.measure is None:
+            # A finite machine implies the processor count.
+            args.distribute = topology.nprocs
     if args.distribute is not None and args.distribute < 1:
         ap.error("--distribute needs at least 1 processor")
     if args.phases and args.distribute is None and not args.explain:
         ap.error("--phases requires --distribute")
     if args.explain and args.batch is not None:
         ap.error("--explain cannot be combined with --batch")
-    if args.explain:
-        from .passes import Pipeline
 
-        if args.phases:
-            goal: tuple[str, ...] = ("plan", "distribution", "phase_plan")
-        elif args.distribute is not None or args.topology is not None:
-            goal = ("plan", "distribution")
-        else:
-            goal = ("plan",)
-        print(Pipeline().explain(goal=goal))
+    from .align.pipeline import (
+        DistributionOptionsError,
+        explain_plan,
+        planning_records,
+        solve_prefix,
+        solve_suffix,
+    )
+
+    align_kw = dict(
+        algorithm=args.algorithm,
+        replication=not args.no_replication,
+        mobile=not args.static,
+    )
+    if args.algorithm == "fixed":
+        align_kw["m"] = args.m
+    # Only a set flag reaches the planner: the default machine spec must
+    # stay byte-identical (specs feed artifact fingerprints).
+    distrib_options = {"vectorize": False} if args.no_vectorize else None
+    try:
+        # The flags become the two option records here, once; without
+        # --distribute (given or implied) there is no machine to plan for.
+        options, machine = planning_records(
+            args.distribute,
+            args.topology if args.distribute is not None else None,
+            align_kw,
+            distrib_options,
+        )
+    except DistributionOptionsError:
+        ap.error(
+            f"--topology {topology.spec()} is a "
+            f"{topology.nprocs}-processor machine but --distribute "
+            f"asked for {args.distribute}"
+        )
+    if args.explain:
+        print(
+            explain_plan(
+                machine=machine is not None or args.topology is not None,
+                phases=args.phases,
+            )
+        )
         return 0
     if args.batch is None and args.file is None:
         ap.error("a program file is required unless --batch is given")
@@ -349,75 +384,33 @@ def main(argv: list[str] | None = None) -> int:
                 ap.error(f"{flag} requires --batch")
     if args.replan_from is not None and args.phases:
         ap.error("--replan-from cannot be combined with --phases")
-
-    kw = {}
-    if args.algorithm == "fixed":
-        kw["m"] = args.m
     if args.batch is not None:
-        align_kw = dict(
-            algorithm=args.algorithm,
-            replication=not args.no_replication,
-            mobile=not args.static,
-            **kw,
-        )
-        return _run_batch(args, align_kw)
+        return _run_batch(args, align_kw, distrib_options)
 
-    # Single-program mode drives the staged pipeline explicitly: one
-    # context, goals chosen by the flags, every artifact (plan, profile,
-    # distribution, phase plan) read back off the context.
-    from .align.pipeline import plan_context
-    from .passes import MachineSpec, Pipeline, trace_table
+    from .passes import trace_table
+
+    def planned(program):
+        """``program`` planned cold: the prefix, and the suffix on the
+        same context when the flags name a machine."""
+        ctx = solve_prefix(program, options, profile=machine is not None)
+        return ctx if machine is None else solve_suffix(ctx, machine)
 
     def run_single():
-        source = (
-            sys.stdin.read() if args.file == "-" else open(args.file).read()
-        )
-        program = parse(source, name=args.file)
-        pipeline = Pipeline()
-        align_kw = dict(
-            algorithm=args.algorithm,
-            replication=not args.no_replication,
-            mobile=not args.static,
-            **kw,
-        )
-        machine = None
-        goals = ["plan"]
-        if args.distribute is not None:
-            machine_kw = {"vectorize": False} if args.no_vectorize else {}
-            machine = MachineSpec.of(
-                args.distribute, topology=args.topology, **machine_kw
-            )
-            goals.append("distribution")
+        program = _load(args.file)
         if args.replan_from is not None:
             # Incremental mode: solve the base program fully, then
-            # re-enter the pipeline for FILE as an edit of it.
-            from .passes import replan
-
-            base_program = parse(
-                open(args.replan_from).read(), name=args.replan_from
-            )
-            base_ctx = plan_context(base_program, **align_kw)
-            if machine is not None:
-                base_ctx.put("machine", machine)
-            pipeline.run(base_ctx, goal=tuple(goals))
-            ctx, dreport = replan(
-                base_ctx,
-                program=program,
-                machine=machine,
-                goal=tuple(goals),
-                pipeline=pipeline,
+            # re-plan FILE as an edit of it, as far as the base went.
+            base_ctx = planned(_load(args.replan_from))
+            ctx, dreport = solve_prefix(
+                program, options, base=base_ctx, profile=machine is not None
             )
             print(dreport.render())
-            print(pipeline.explain(goal=tuple(goals), delta=dreport))
+            print(explain_plan(machine=machine is not None, delta=dreport))
             print()
         else:
-            ctx = plan_context(program, **align_kw)
-            if machine is not None:
-                ctx.put("machine", machine)
+            ctx = planned(program)
             if args.phases:
-                ctx.put("phase_options", {})
-                goals.append("phase_plan")
-            pipeline.run(ctx, goal=tuple(goals))
+                solve_suffix(ctx, machine, phases={})
         plan = ctx.get("plan")
         print(plan.report())
 

@@ -1,4 +1,4 @@
-"""The full alignment pipeline — stable wrappers over :mod:`repro.passes`.
+"""The full alignment pipeline — the planning kernel over :mod:`repro.passes`.
 
 Phases, in the paper's order (each one a registered pass):
 
@@ -15,19 +15,21 @@ Phases, in the paper's order (each one a registered pass):
    the phase the paper defers — via :func:`align_and_distribute`,
    which attaches a :class:`repro.distrib.DistributionPlan`.
 
-:func:`align_program` and :func:`align_and_distribute` keep their
-historical signatures and produce byte-identical results to the old
-monolithic driver; they build a :class:`~repro.passes.core.PlanContext`
-and run the staged pipeline.  Callers that sweep machines should use
-the pipeline directly (``ctx.fork()`` + goal ``"distribution"``) to
-reuse the machine-independent prefix.
+:func:`planning_records`, :func:`solve_prefix`, :func:`solve_suffix`
+and :func:`plan_facts` are the planning kernel: the one way any driver
+— :func:`align_program` and :func:`align_and_distribute` here,
+:mod:`repro.batch`, :mod:`repro.serve`, the CLI — turns keywords into
+option records, runs phases 1–5 (the machine-independent prefix) and
+phase 6 (the machine-dependent suffix), and reads the result.  A caller
+that sweeps machines solves the prefix once and hands
+``solve_suffix`` a ``prefix.fork()`` per machine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (distrib uses align)
     from ..distrib.plan import DistributionPlan
@@ -109,105 +111,207 @@ class AlignmentPlan:
         return "\n".join(lines)
 
 
-def plan_context(
-    program: Program,
-    info: TypeInfo | None = None,
-    algorithm: str = "fixed",
-    backend: str = "scipy",
-    replication: bool = True,
-    mobile: bool = True,
-    max_replication_rounds: int = 3,
-    **alg_kw,
-):
-    """A :class:`~repro.passes.core.PlanContext` seeded for ``program``.
-
-    The shared front door for every consumer of the staged pipeline
-    (wrappers, CLI, batch engine, benchmarks): puts the program, the
-    frozen alignment options and — when supplied — a precomputed
-    :class:`TypeInfo` onto a fresh context.
-    """
-    from ..passes import AlignOptions, PlanContext
+def _seeded(program: Program, options, info: TypeInfo | None = None):
+    """A fresh context holding ``program``, the frozen ``options`` and —
+    when supplied — a precomputed :class:`TypeInfo`."""
+    from ..passes import PlanContext
 
     ctx = PlanContext()
     ctx.put("program", program)
     if info is not None:
         ctx.put("typeinfo", info)
-    ctx.put(
-        "align_options",
-        AlignOptions.of(
-            algorithm=algorithm,
-            backend=backend,
-            replication=replication,
-            mobile=mobile,
-            max_replication_rounds=max_replication_rounds,
-            **alg_kw,
-        ),
-    )
+    ctx.put("align_options", options)
     return ctx
 
 
-def align_program(
+def plan_context(program: Program, info: TypeInfo | None = None, **align_kw):
+    """A :class:`~repro.passes.core.PlanContext` seeded for ``program``
+    (``align_kw`` as for :func:`align_program`), not yet solved: for
+    callers that drive a :class:`~repro.passes.core.Pipeline` by hand
+    (tests, benchmarks).  Whatever wants a *plan* asks the kernel below.
+    """
+    return _seeded(program, planning_records(align_kw=align_kw)[0], info)
+
+
+# -- the planning kernel ------------------------------------------------------
+
+
+def planning_records(
+    nprocs: Optional[int] = None,
+    topology=None,
+    align_kw: Optional[Mapping] = None,
+    distrib_options: Optional[Mapping] = None,
+):
+    """``(AlignOptions, MachineSpec | None)`` from a driver's keywords:
+    the two frozen records on either side of the prefix/suffix line.
+
+    The one boundary where options are checked — a key on the wrong side
+    here, the machine by :func:`machine_record`
+    (:class:`DistributionOptionsError`, or the topology parser's
+    ``ValueError``) — so nothing past it re-checks.  With neither
+    ``nprocs`` nor a topology there is no machine: alignment only.
+    """
+    from ..passes import AlignOptions
+
+    align_kw = align_kw or {}
+    distrib_options = distrib_options or {}
+    _validate_distrib_options(distrib_options, align_kw)
+    machine = None
+    if nprocs is not None or topology is not None or "topology" in distrib_options:
+        machine = machine_record(nprocs, topology, distrib_options)
+    return AlignOptions.of(**align_kw), machine
+
+
+def machine_record(nprocs, topology, distrib_options: Mapping):
+    """The machine half of :func:`planning_records`, for a caller whose
+    options are records already (the serve daemon, once per request).
+
+    Raises on a topology given twice, a bad spec, a machine that fixes
+    no processor count, and a finite topology whose size contradicts
+    ``nprocs``.
+    """
+    from ..passes import MachineSpec
+
+    if topology is not None:
+        if "topology" in distrib_options:
+            raise DistributionOptionsError(
+                f"topology given twice: {topology!r} and distrib_options "
+                f"topology {distrib_options['topology']!r}; drop one"
+            )
+        distrib_options = {**distrib_options, "topology": topology}
+    machine = MachineSpec.of(nprocs, **distrib_options)
+    topo = machine.topology_object()
+    count = machine.resolved_nprocs(topo)  # raises when nothing fixes one
+    if topo is not None and topo.shape and topo.nprocs != count:
+        raise DistributionOptionsError(
+            f"distrib_options topology {machine.topology!r} is a "
+            f"{topo.nprocs}-processor machine but nprocs={nprocs} was "
+            "requested; make the two agree (or drop one)"
+        )
+    return machine
+
+
+def explain_plan(machine: bool = False, phases: bool = False, delta=None) -> str:
+    """The pass graph a plan with these stages runs (``--explain``);
+    ``delta`` adds a replan's dirty/clean column."""
+    from ..passes import default_pipeline
+
+    goal = ("plan",) + ("distribution",) * machine + ("phase_plan",) * phases
+    return default_pipeline().explain(goal, delta)
+
+
+def solve_prefix(
     program: Program,
-    algorithm: str = "fixed",
-    backend: str = "scipy",
-    replication: bool = True,
-    mobile: bool = True,
-    max_replication_rounds: int = 3,
+    options,
+    *,
     info: TypeInfo | None = None,
-    **alg_kw,
+    base=None,
+    profile: bool = True,
+):
+    """Run the machine-independent passes for ``program``.
+
+    Returns a context solved to ``plan`` — and to ``profile``, which the
+    suffix starts from, unless the caller wants the alignment only.  It
+    pickles: a sweep ships it across its pool, the serve cache keeps it.
+
+    With ``base`` (a solved context of the program this one is an edit
+    of, under the same options) the prefix is re-planned incrementally
+    (:func:`repro.passes.delta.replan`) and the ``DeltaReport`` is
+    returned beside the context.
+    """
+    from ..passes import content_fingerprint, default_pipeline, replan
+
+    goal = ("plan", "profile") if profile else ("plan",)
+    if base is None:
+        return default_pipeline().run(_seeded(program, options, info), goal=goal)
+    if content_fingerprint(options) != base.artifact("align_options").fingerprint:
+        raise ValueError(
+            "solve_prefix: options differ from the base context's "
+            "align_options; plan cold (base=None) instead"
+        )
+    if base.has("distribution"):
+        # A base solved past the prefix (the CLI's) is re-planned as far,
+        # on its own machine, so the report covers ``distribute`` too.
+        goal += ("distribution",)
+    return replan(base, program=program, goal=goal)
+
+
+def solve_suffix(ctx, machine, phases: Optional[Mapping] = None):
+    """Put ``machine`` on ``ctx`` and run the machine-dependent passes.
+
+    ``ctx`` is solved in place and returned: a caller that keeps its
+    prefix (a sweep, the serve cache) passes ``prefix.fork()``.  The goal
+    is the program's distribution; with ``phases`` (the phase-chain
+    options, possibly empty) it is the per-phase plan with costed remaps
+    (:mod:`repro.distrib.remap`) instead.
+    """
+    from ..passes import default_pipeline
+
+    ctx.put("machine", machine)
+    if phases is not None:
+        ctx.put("phase_options", phases)
+    goal = ("plan", "distribution") if phases is None else ("phase_plan",)
+    return default_pipeline().run(ctx, goal=goal)
+
+
+def plan_facts(ctx) -> dict:
+    """What a solved context decided, rendered the one way.
+
+    ``total_cost`` is the equation-1 realignment cost as an exact
+    ``Fraction`` string, ``alignments`` each declared array's source-port
+    alignment (sorted), the other four the chosen distribution (``None``
+    on a context solved for alignment only).  Key order and value types
+    are the serve cache's on-disk payload format.
+    """
+    plan = ctx.get("plan")
+    dplan = ctx.get("distribution") if ctx.has("distribution") else None
+    return {
+        "total_cost": str(ctx.get("total_cost")),
+        "alignments": {
+            arr: repr(al) for arr, al in sorted(plan.source_alignments().items())
+        },
+        "distribution": None if dplan is None else dplan.directive(),
+        "hops": None if dplan is None else dplan.cost.hops,
+        "moved": None if dplan is None else dplan.cost.moved,
+        "exact": None if dplan is None else dplan.exact,
+    }
+
+
+def align_program(
+    program: Program, info: TypeInfo | None = None, **align_kw
 ) -> AlignmentPlan:
     """Run the complete alignment analysis on a program.
 
-    ``algorithm`` selects the Section 4.2 mobile-offset algorithm;
-    ``mobile=False`` computes the best *static* alignment baseline
-    (program variables pinned, derived positions still track sections);
-    ``replication=False`` disables Section 5 labeling (every port N).
-
-    Thin wrapper: builds a plan context and runs the registered pass
-    pipeline to the ``"plan"`` goal.
+    ``align_kw`` are the keywords of
+    :meth:`repro.passes.AlignOptions.of`: ``algorithm`` selects the
+    Section 4.2 mobile-offset algorithm (its own keywords, e.g. ``m``,
+    ride along); ``mobile=False`` computes the best *static* alignment
+    baseline (program variables pinned, derived positions still track
+    sections); ``replication=False`` disables Section 5 labeling (every
+    port N); ``backend`` and ``max_replication_rounds`` as named.
     """
-    from ..passes import Pipeline
-
-    ctx = plan_context(
-        program,
-        info=info,
-        algorithm=algorithm,
-        backend=backend,
-        replication=replication,
-        mobile=mobile,
-        max_replication_rounds=max_replication_rounds,
-        **alg_kw,
-    )
-    Pipeline().run(ctx, goal="plan")
-    return ctx.get("plan")
+    options, _ = planning_records(align_kw=align_kw)
+    return solve_prefix(program, options, info=info, profile=False).get("plan")
 
 
-def _validate_distrib_options(
-    distrib_options: Optional[dict], align_kw: dict
-) -> None:
-    """Reject conflicting machine/metric specs instead of ignoring one.
-
-    Two historical silent footguns: a distribution-planner keyword
-    (``topology`` above all) smuggled into the alignment keywords — the
-    alignment phases always price on the paper's unbounded L1 grid, so
-    the option would be dropped on the floor — and a finite-topology
-    machine in ``distrib_options`` whose processor count contradicts the
-    explicit ``nprocs`` argument.  Both now raise a single named error
-    listing the two sides of the conflict.
-    """
-    misplaced = sorted(_DISTRIB_ONLY_KEYS & set(align_kw))
+def _validate_distrib_options(distrib_options: Mapping, align_kw: Mapping) -> None:
+    """Reject an option on the wrong side instead of ignoring it: a
+    planner keyword (``topology`` above all) among the alignment keywords
+    would be dropped on the floor, an alignment keyword in
+    ``distrib_options`` would reach a planner that does not take it."""
+    misplaced = _DISTRIB_ONLY_KEYS.intersection(align_kw)
     if misplaced:
         raise DistributionOptionsError(
-            f"distribution option(s) {misplaced} passed in align_kw="
+            f"distribution option(s) {sorted(misplaced)} passed in align_kw="
             f"{sorted(align_kw)} but belong in distrib_options="
-            f"{sorted(distrib_options or {})}; the alignment metric is "
+            f"{sorted(distrib_options)}; the alignment metric is "
             "always the paper's L1 grid, so they would be silently ignored"
         )
-    misplaced = sorted(_ALIGN_ONLY_KEYS & set(distrib_options or {}))
+    misplaced = _ALIGN_ONLY_KEYS.intersection(distrib_options)
     if misplaced:
         raise DistributionOptionsError(
-            f"alignment option(s) {misplaced} passed in distrib_options="
-            f"{sorted(distrib_options or {})} but belong in align_kw="
+            f"alignment option(s) {sorted(misplaced)} passed in distrib_options="
+            f"{sorted(distrib_options)} but belong in align_kw="
             f"{sorted(align_kw)}; the distribution planner does not "
             "accept them"
         )
@@ -217,12 +321,12 @@ def align_and_distribute(
     program: Program,
     nprocs: int,
     distrib_options: Optional[dict] = None,
+    info: TypeInfo | None = None,
     **align_kw,
 ) -> AlignmentPlan:
     """Alignment plus the paper's deferred phase: distribution planning.
 
-    Runs the full staged pipeline to the ``"distribution"`` goal for
-    ``nprocs`` processors and attaches the chosen
+    Plans ``program`` for ``nprocs`` processors and attaches the chosen
     :class:`~repro.distrib.plan.DistributionPlan` to the returned plan
     (``plan.distribution``); ``distrib_options`` forwards keyword
     arguments to :func:`repro.distrib.search.plan_distribution`.
@@ -231,21 +335,10 @@ def align_and_distribute(
     conflict — a planner option in ``align_kw``, or a finite
     ``distrib_options`` topology whose size contradicts ``nprocs``.
     """
-    from ..passes import MachineSpec, Pipeline
-
-    _validate_distrib_options(distrib_options, align_kw)
-    machine = MachineSpec.of(nprocs, **(distrib_options or {}))
-    topo = machine.topology_object()
-    if topo is not None and topo.shape and topo.nprocs != nprocs:
-        raise DistributionOptionsError(
-            f"distrib_options topology {machine.topology!r} is a "
-            f"{topo.nprocs}-processor machine but nprocs={nprocs} was "
-            "requested; make the two agree (or drop one)"
-        )
-    info = align_kw.pop("info", None)
-    ctx = plan_context(program, info=info, **align_kw)
-    ctx.put("machine", machine)
-    Pipeline().run(ctx, goal=("plan", "distribution"))
+    options, machine = planning_records(
+        nprocs, align_kw=align_kw, distrib_options=distrib_options
+    )
+    ctx = solve_suffix(solve_prefix(program, options, info=info), machine)
     plan = ctx.get("plan")
     plan.distribution = ctx.get("distribution")
     return plan

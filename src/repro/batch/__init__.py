@@ -15,6 +15,10 @@ many concurrently.  This subpackage provides:
   pipeline timings, and the cache-hit counters of the memoized hot
   kernels (:mod:`repro.cachestats`).
 
+The engine adds measurement and a pool; every task's plan comes from the
+planning kernel (:mod:`repro.align.pipeline`), and options are turned
+into records and checked once per call, before anything is planned.
+
 Quickstart::
 
     from repro.batch import plan_many
@@ -32,7 +36,6 @@ from .engine import (
     plan_many,
     plan_one,
     plan_sweep,
-    prefix_context,
 )
 
 __all__ = [
@@ -43,5 +46,4 @@ __all__ = [
     "plan_many",
     "plan_one",
     "plan_sweep",
-    "prefix_context",
 ]

@@ -12,19 +12,23 @@ Execution is a :class:`concurrent.futures.ProcessPoolExecutor` fan-out
 with a deterministic serial fallback (``jobs=1``, ``serial=True``, or
 any failure to spawn the pool): results are identical and arrive in
 corpus order either way, because planning itself is deterministic and
-``Executor.map`` preserves input order.  Work items cross the process
-boundary as source text; the machine topology rides along the same
-way, as its :func:`~repro.topology.parse_topology` spec string,
-re-hydrated inside each worker.
+``Executor.map`` preserves input order.
 
-Every task runs the staged pass pipeline (:mod:`repro.passes`); the
-per-pass wall times travel back inside each :class:`PlanResult` and are
-folded into the :class:`BatchReport`.  :func:`plan_sweep` plans one
-corpus against *many* machines in two pool stages: stage one computes
-each program's machine-independent :class:`~repro.passes.PlanContext`
-prefix (alignments keyed by stable port uids, so the context pickles),
-stage two ships those prefixes back across the pool and runs only the
-machine-dependent suffix per (program, machine) pair.
+The engine plans nothing itself.  Each entry point turns its keywords
+into the two frozen option records once, up front
+(:func:`repro.align.pipeline.planning_records` — a bad option or
+machine fails the call, not every task), and each task asks the
+planning kernel for its plan (``solve_prefix`` / ``solve_suffix`` /
+``plan_facts``); what crosses the pool is source text and those
+records.  What the engine adds is the measurement around a task
+(:func:`_measured`: wall time, cache-counter deltas, per-pass seconds
+off ``ctx.trace``, the span tree, failure → diagnostic) and the pool
+(:func:`_run_pool`).  :func:`plan_sweep` plans one corpus against
+*many* machines in two stages on one pool: stage one solves each
+program's machine-independent prefix (a
+:class:`~repro.passes.PlanContext`, which pickles), stage two ships
+those prefixes back across the pool and runs only the suffix, on a
+fork, per (program, machine) pair.
 """
 
 from __future__ import annotations
@@ -33,10 +37,18 @@ import dataclasses
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .. import cachestats
+from ..align.pipeline import (
+    machine_record,
+    plan_facts,
+    planning_records,
+    solve_prefix,
+    solve_suffix,
+)
 from ..obs import spans as obs
 from ..obs.metrics import latency_summary
 from ..obs.recorder import TraceRecorder
@@ -111,138 +123,20 @@ class PlanResult:
     trace: Optional[TraceRecorder] = None
 
 
-def plan_one(
-    request: PlanRequest,
-    nprocs: int | None = 4,
-    align_kw: Mapping | None = None,
-    distrib_options: Mapping | None = None,
-    verify: bool = False,
-    topology: str | None = None,
-    trace: bool = False,
-) -> PlanResult:
-    """Plan a single program; never raises — failures become diagnostics.
-
-    ``topology`` is a machine spec string (``"torus:4x4"``, …): specs —
-    not topology objects — cross the process-pool boundary, so each
-    worker re-parses it here.  A bad spec is a per-task diagnostic like
-    any other failure.  ``trace=True`` records the task's span tree
-    (pipeline passes, DP, front pricing, simulation) into a picklable
-    recorder on :attr:`PlanResult.trace`; tracing never changes the
-    plan, only observes it.
-    """
-    if not trace:
-        return _plan_one_impl(
-            request, nprocs, align_kw, distrib_options, verify, topology
-        )
-    with obs.recording(label=request.name) as rec:
-        result = _plan_one_impl(
-            request, nprocs, align_kw, distrib_options, verify, topology
-        )
-    return dataclasses.replace(result, trace=rec)
+def machine_label(nprocs: Optional[int], spec: Optional[str]) -> str:
+    """The one-line machine tag used across batch and serve reports
+    (``"torus:4x4/P16"``, ``"P8"``, ``"ring:8"``)."""
+    if spec is not None and nprocs is not None:
+        return f"{spec}/P{nprocs}"
+    return spec if spec is not None else f"P{nprocs}"
 
 
-def _plan_one_impl(
-    request: PlanRequest,
-    nprocs: int | None,
-    align_kw: Mapping | None,
-    distrib_options: Mapping | None,
-    verify: bool,
-    topology: str | None,
-) -> PlanResult:
-    from ..align.pipeline import plan_context
-    from ..passes import MachineSpec, Pipeline
-    from ..topology import parse_topology
-
-    before = cachestats.snapshot()
-    t0 = time.perf_counter()
-    # Same label scheme as plan_sweep ("torus:4x4", "P8", ...), so the
-    # machine field of a BatchReport has one schema across both engines.
-    label = (
-        None
-        if nprocs is None and topology is None
-        else _machine_label(nprocs, topology)
-    )
-    with obs.span(
-        f"plan:{request.name}", program=request.name, machine=label
-    ):
-        try:
-            topo = None if topology is None else parse_topology(topology)
-            program = parse(request.source, name=request.name)
-            ctx = plan_context(program, **dict(align_kw or {}))
-            goals = ["plan"]
-            if nprocs is not None:
-                ctx.put(
-                    "machine",
-                    MachineSpec.of(
-                        nprocs, topology=topology, **dict(distrib_options or {})
-                    ),
-                )
-                goals.append("distribution")
-            Pipeline().run(ctx, goal=tuple(goals))
-            plan = ctx.get("plan")
-            alignments = {
-                arr: repr(al)
-                for arr, al in sorted(plan.source_alignments().items())
-            }
-            directive = hops = moved = exact = None
-            profile = None
-            if nprocs is not None:
-                profile = ctx.get("profile")
-                dplan = ctx.get("distribution")
-                plan.distribution = dplan
-                directive = dplan.directive()
-                hops, moved = dplan.cost.hops, dplan.cost.moved
-                exact = dplan.exact
-            verified = None
-            if verify:
-                with obs.span("batch.verify"):
-                    verified = _verify(plan, profile, topo)
-            resets: set[str] = set()
-            lost: dict[str, tuple[int, int]] = {}
-            cache = cachestats.delta(before, resets=resets, lost=lost)
-            return PlanResult(
-                name=request.name,
-                ok=True,
-                seconds=time.perf_counter() - t0,
-                total_cost=str(plan.total_cost),
-                alignments=alignments,
-                distribution=directive,
-                dist_hops=hops,
-                dist_moved=moved,
-                dist_exact=exact,
-                verified=verified,
-                cache=cache,
-                passes=_pass_seconds(ctx.trace),
-                machine=label,
-                cache_resets=tuple(sorted(resets)),
-                cache_reset_lost=lost,
-            )
-        except Exception as exc:  # noqa: BLE001 - diagnostics, not control flow
-            resets = set()
-            lost = {}
-            cache = cachestats.delta(before, resets=resets, lost=lost)
-            return PlanResult(
-                name=request.name,
-                ok=False,
-                seconds=time.perf_counter() - t0,
-                error=f"{type(exc).__name__}: {exc}",
-                cache=cache,
-                machine=label,
-                cache_resets=tuple(sorted(resets)),
-                cache_reset_lost=lost,
-            )
+def _label(machine) -> Optional[str]:
+    """:func:`machine_label` of a ``MachineSpec`` (``None``: no machine)."""
+    return machine and machine_label(machine.nprocs, machine.topology)
 
 
-def _pass_seconds(trace) -> dict[str, float]:
-    """Executed-pass wall seconds from a context trace (reuses excluded)."""
-    out: dict[str, float] = {}
-    for ev in trace:
-        if ev.get("event") == "run":
-            out[ev["pass"]] = out.get(ev["pass"], 0.0) + ev.get("seconds", 0.0)
-    return out
-
-
-def _verify(plan, profile, topo=None) -> bool:
+def _verify(ctx) -> bool:
     """The differential cross-check, inline: analytic cost == simulator.
 
     Two oracles, both under the identity distribution but priced on the
@@ -257,14 +151,16 @@ def _verify(plan, profile, topo=None) -> bool:
     from ..machine.distribution import Distribution
     from ..machine.executor import measure_traffic
 
+    plan = ctx.get("plan")
+    topo = ctx.get("machine").topology_object() if ctx.has("machine") else None
     ident = Distribution.identity(plan.adg.template_rank)
     rep = measure_traffic(plan.adg, plan.alignments, ident, topology=topo)
     if topo is None or topo.kind == "grid":
         total = rep.hop_cost + rep.broadcast_elements + rep.general_elements
         if plan.total_cost != total:
             return False
-    if profile is not None:
-        cv = profile.evaluate(ident, topo)
+    if ctx.has("profile"):
+        cv = ctx.get("profile").evaluate(ident, topo)
         if (
             cv.hops != rep.hop_cost
             or cv.moved != rep.elements_moved
@@ -274,11 +170,128 @@ def _verify(plan, profile, topo=None) -> bool:
     return True
 
 
-def _worker(payload: tuple) -> PlanResult:
-    request, nprocs, align_kw, distrib_options, verify, topology, trace = payload
-    return plan_one(
-        request, nprocs, align_kw, distrib_options, verify, topology, trace
+def _measured(
+    name: str,
+    label: Optional[str],
+    trace: bool,
+    body: Callable,
+    verify: bool = False,
+    prefix: Optional[PlanResult] = None,
+    kind: str = "plan",
+) -> tuple[PlanResult, object]:
+    """Run ``body()``, which returns a solved context, as one task:
+    ``(its PlanResult, the context or None)``.  A task never raises.
+
+    What a task reports beside the plan is taken here, the same way for
+    every entry point: cache-counter deltas, wall time, the ``kind:name``
+    span (in a recorder of its own when ``trace``), the simulator check,
+    the executed passes' seconds off ``ctx.trace`` (reuses contribute
+    nothing), an exception as the ``error`` diagnostic.  ``prefix`` is
+    the measured sweep stage 1 the context was forked from: its pass
+    seconds and span tree are charged to this result, success or failure.
+    """
+    rec = None
+    if trace:
+        rec = TraceRecorder(label=name)
+        if prefix is not None and prefix.trace is not None:
+            rec.merge(prefix.trace, program=name)
+    passes = dict(prefix.passes) if prefix is not None else {}
+    facts: dict = {}
+    ctx = error = verified = None
+    with obs.recording(into=rec) if trace else nullcontext():
+        before = cachestats.snapshot()
+        t0 = time.perf_counter()
+        with obs.span(f"{kind}:{name}", program=name, machine=label):
+            try:
+                ctx = body()
+                facts = plan_facts(ctx)
+                if verify:
+                    with obs.span("batch.verify"):
+                        verified = _verify(ctx)
+                for ev in ctx.trace:
+                    if ev["event"] == "run":
+                        passes[ev["pass"]] = passes.get(ev["pass"], 0.0) + ev["seconds"]
+            except Exception as exc:  # noqa: BLE001 - diagnostics, not control flow
+                error = f"{type(exc).__name__}: {exc}"
+        resets: set[str] = set()
+        lost: dict[str, tuple[int, int]] = {}
+        cache = cachestats.delta(before, resets=resets, lost=lost)
+        result = PlanResult(
+            name=name,
+            ok=error is None,
+            seconds=time.perf_counter() - t0,
+            total_cost=facts.get("total_cost"),
+            alignments=facts.get("alignments", {}),
+            distribution=facts.get("distribution"),
+            dist_hops=facts.get("hops"),
+            dist_moved=facts.get("moved"),
+            dist_exact=facts.get("exact"),
+            error=error,
+            verified=verified,
+            cache=cache,
+            passes=passes,
+            machine=label,
+            cache_resets=tuple(sorted(resets)),
+            cache_reset_lost=lost,
+            trace=rec,
+        )
+    return result, ctx
+
+
+def _solve(request: PlanRequest, options, machine):
+    """Parse one request and plan it: the prefix, then — given a machine
+    — the suffix on the same context (nothing keeps the prefix)."""
+    program = parse(request.source, name=request.name)
+    ctx = solve_prefix(program, options, profile=machine is not None)
+    return ctx if machine is None else solve_suffix(ctx, machine)
+
+
+def plan_one(
+    request: PlanRequest,
+    nprocs: int | None = 4,
+    align_kw: Mapping | None = None,
+    distrib_options: Mapping | None = None,
+    verify: bool = False,
+    topology: str | None = None,
+    trace: bool = False,
+) -> PlanResult:
+    """Plan a single program; never raises — failures become diagnostics.
+
+    ``topology`` is a machine spec string (``"torus:4x4"``, …); a bad
+    spec or option is a diagnostic like any other failure.
+    ``nprocs=None`` with no topology plans the alignment only.
+    ``trace=True`` records the task's span tree (pipeline passes, DP,
+    front pricing, simulation) into a picklable recorder on
+    :attr:`PlanResult.trace`; tracing never changes the plan, only
+    observes it.
+    """
+    # Same label scheme as plan_sweep ("torus:4x4", "P8", ...), so the
+    # machine field of a BatchReport has one schema across both engines.
+    label = (
+        None
+        if nprocs is None and topology is None
+        else machine_label(nprocs, topology)
     )
+
+    def body():
+        options, machine = planning_records(
+            nprocs, topology, align_kw, distrib_options
+        )
+        return _solve(request, options, machine)
+
+    return _measured(request.name, label, trace, body, verify)[0]
+
+
+def _plan_task(payload: tuple) -> PlanResult:
+    """One program of :func:`plan_many` (the pool's entry point)."""
+    request, options, machine, verify, trace = payload
+    return _measured(
+        request.name,
+        _label(machine),
+        trace,
+        lambda: _solve(request, options, machine),
+        verify,
+    )[0]
 
 
 def _family(name: str) -> str:
@@ -468,6 +481,53 @@ class BatchReport:
         return "\n".join(lines)
 
 
+def _run_pool(
+    work: Callable,
+    tasks: int,
+    jobs: Optional[int],
+    serial: bool,
+    topology: Optional[str] = None,
+) -> BatchReport:
+    """The report of ``work(pmap, jobs)`` run on a process pool, or inline.
+
+    ``work`` gets a ``map``-like ``pmap(fn, payloads)`` and the worker
+    count (default: the CPU count, capped at ``tasks``) and returns the
+    results; it may map twice — a sweep's stages share one pool.  With
+    ``serial`` or one job ``pmap`` is the builtin ``map``, and when the
+    pool cannot be had (sandbox, worker killed mid-run, interpreter
+    teardown…) the work is run again that way — same results, same
+    order — and the report says why.
+    """
+    jobs = jobs if jobs is not None else (os.cpu_count() or 1)
+    jobs = max(1, min(jobs, tasks or 1))
+    reason = None
+    t0 = time.perf_counter()
+    if jobs > 1 and not serial:
+
+        def pmap(fn, payloads):
+            chunk = max(1, len(payloads) // (4 * jobs))
+            return pool.map(fn, payloads, chunksize=chunk)
+
+        try:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                results = work(pmap, jobs)
+            return BatchReport(
+                results, time.perf_counter() - t0, jobs, "process", topology=topology
+            )
+        except (OSError, ValueError, RuntimeError) as exc:
+            reason = f"{type(exc).__name__}: {exc}"
+            t0 = time.perf_counter()
+    results = work(map, 1)
+    return BatchReport(
+        results,
+        time.perf_counter() - t0,
+        1,
+        "serial",
+        fallback_reason=reason,
+        topology=topology,
+    )
+
+
 def plan_many(
     corpus: Iterable[Work],
     nprocs: int | None = 4,
@@ -483,59 +543,24 @@ def plan_many(
 
     ``jobs`` defaults to the machine's CPU count.  ``serial=True`` (or
     ``jobs=1``) runs the same work inline — the deterministic fallback —
-    and any failure to spawn the pool degrades to it silently, so
-    ``plan_many`` works in restricted environments.  ``topology`` is a
-    machine spec string applied to every task (validated up front so a
-    typo fails fast, then shipped to workers as text).  ``trace=True``
-    records every task's span tree in its worker and ships the
-    recorders back for :meth:`BatchReport.merged_trace`.
+    and any failure to spawn the pool degrades to it, so ``plan_many``
+    works in restricted environments.  ``topology`` is a machine spec
+    string applied to every task.  Options and machine are checked here,
+    once: a typo raises before anything is planned.  ``trace=True``
+    records every task's span tree in its worker and ships the recorders
+    back for :meth:`BatchReport.merged_trace`.
     """
-    if topology is not None:
-        from ..topology import parse_topology
-
-        parse_topology(topology)  # fail fast on a bad spec
-    requests = [PlanRequest.of(item, i) for i, item in enumerate(corpus)]
+    options, machine = planning_records(nprocs, topology, align_kw, distrib_options)
     payloads = [
-        (
-            req,
-            nprocs,
-            dict(align_kw or {}),
-            dict(distrib_options or {}),
-            verify,
-            topology,
-            trace,
-        )
-        for req in requests
+        (PlanRequest.of(item, i), options, machine, verify, trace)
+        for i, item in enumerate(corpus)
     ]
-    jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-    jobs = max(1, min(jobs, len(requests) or 1))
-    t0 = time.perf_counter()
-    if serial or jobs == 1:
-        results = [_worker(p) for p in payloads]
-        return BatchReport(
-            results, time.perf_counter() - t0, 1, "serial", topology=topology
-        )
-    try:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, len(payloads) // (4 * jobs))
-            results = list(pool.map(_worker, payloads, chunksize=chunk))
-    except (OSError, ValueError, RuntimeError) as exc:
-        # No usable pool (sandboxed environment, worker killed mid-run,
-        # interpreter teardown…): fall back to the serial path — same
-        # results, same order — but say so in the report.
-        reason = f"{type(exc).__name__}: {exc}"
-        t0 = time.perf_counter()
-        results = [_worker(p) for p in payloads]
-        return BatchReport(
-            results,
-            time.perf_counter() - t0,
-            1,
-            "serial",
-            fallback_reason=reason,
-            topology=topology,
-        )
-    return BatchReport(
-        results, time.perf_counter() - t0, jobs, "process", topology=topology
+    return _run_pool(
+        lambda pmap, _: list(pmap(_plan_task, payloads)),
+        len(payloads),
+        jobs,
+        serial,
+        topology=topology,
     )
 
 
@@ -560,195 +585,44 @@ def _normalize_machine(m: Machine) -> tuple[Optional[int], Optional[str]]:
     )
 
 
-def machine_label(nprocs: Optional[int], spec: Optional[str]) -> str:
-    """The one-line machine tag used across batch and serve reports
-    (``"torus:4x4/P16"``, ``"P8"``, ``"ring:8"``)."""
-    if spec is not None and nprocs is not None:
-        return f"{spec}/P{nprocs}"
-    return spec if spec is not None else f"P{nprocs}"
+def _prefix_task(payload: tuple):
+    """Sweep stage 1: one program's machine-independent prefix, measured.
+    The solved context goes back across the pool beside the result
+    (``None`` beside a failure)."""
+    request, options, trace = payload
+    return _measured(
+        request.name,
+        None,
+        trace,
+        lambda: solve_prefix(parse(request.source, name=request.name), options),
+        kind="prefix",
+    )
 
 
-_machine_label = machine_label
-
-
-def prefix_context(request: PlanRequest, align_kw: Mapping | None = None):
-    """Parse one request and run the machine-independent pipeline prefix.
-
-    The shared cold-path kernel: :func:`plan_sweep` stage 1 runs it in
-    pool workers, and the :mod:`repro.serve` daemon shards cache misses
-    through it — the returned :class:`~repro.passes.PlanContext` is
-    exactly what the persistent prefix cache pickles.
-    """
-    from ..align.pipeline import plan_context
-    from ..passes import Pipeline
-
-    program = parse(request.source, name=request.name)
-    ctx = plan_context(program, **dict(align_kw or {}))
-    Pipeline().run(ctx, goal="profile")
-    return ctx
-
-
-def replan_context(base_ctx, request: PlanRequest, align_kw: Mapping | None = None):
-    """Incremental counterpart of :func:`prefix_context`.
-
-    Parses the (edited) request and re-plans the machine-independent
-    prefix against an already-solved base context, carrying over every
-    alignment artifact the edit left valid
-    (:func:`repro.passes.delta.replan`).  ``align_kw`` must match the
-    base's — differing options change the ``align_options`` artifact,
-    so the delta engine would refuse the carry anyway; the base context
-    is never mutated.  Returns ``(ctx, DeltaReport)``.
-    """
-    from ..passes.delta import replan
-
-    program = parse(request.source, name=request.name)
-    if align_kw:
-        from ..passes import AlignOptions, content_fingerprint
-
-        opts = AlignOptions.of(**dict(align_kw))
-        if content_fingerprint(opts) != base_ctx.artifact(
-            "align_options"
-        ).fingerprint:
-            raise ValueError(
-                "replan_context: align_kw differs from the base context's "
-                "align_options; plan cold with prefix_context instead"
-            )
-    return replan(base_ctx, program=program, goal=("plan", "profile"))
-
-
-def _prefix_worker(payload: tuple):
-    """Stage 1: run the machine-independent pipeline prefix for one
-    program; the returned PlanContext crosses the pool boundary (so
-    does the prefix's trace recorder, when the sweep is traced)."""
-    request, align_kw, trace = payload
-
-    def run():
-        return prefix_context(request, align_kw)
-
-    try:
-        if trace:
-            with obs.recording(label=request.name) as rec:
-                with obs.span(f"prefix:{request.name}", program=request.name):
-                    ctx = run()
-            return (request.name, ctx, None, rec)
-        return (request.name, run(), None, None)
-    except Exception as exc:  # noqa: BLE001 - diagnostics, not control flow
-        return (request.name, None, f"{type(exc).__name__}: {exc}", None)
-
-
-def _suffix_worker(payload: tuple) -> list[PlanResult]:
-    """Stage 2: fork a shipped prefix context once per machine of the
-    chunk and run only the machine-dependent suffix.
+def _sweep_task(payload: tuple) -> list[PlanResult]:
+    """Sweep stage 2: the suffix on a fork of a shipped prefix, once per
+    machine of the chunk.
 
     Machines arrive *chunked* so the (heavy) context crosses the pool
     once per chunk, not once per machine — the suffix itself is a few
     milliseconds of DP, so serialization would otherwise dominate.
+    ``prefix`` is the measured stage 1 on a program's first chunk and
+    ``None`` on the others: the chunk's first result is charged with it.
     """
-    from ..passes import MachineSpec, Pipeline
-    from ..topology import parse_topology
-
-    (
-        name,
-        ctx,
-        chunk,
-        distrib_options,
-        verify,
-        include_prefix,
-        trace,
-        prefix_rec,
-    ) = payload
-    # The prefix trace traveled with the context; charge its pass
-    # timings to the chunk's first result — success or failure — so
-    # BatchReport.pass_totals() counts the stage-1 executions exactly
-    # once per program.  The same policy covers the prefix's *span*
-    # recorder: merged into the first result's recorder below.
-    prefix_passes = _pass_seconds(ctx.trace) if include_prefix else {}
-    if not include_prefix:
-        prefix_rec = None
-    results: list[PlanResult] = []
-    for nprocs, spec in chunk:
-        label = _machine_label(nprocs, spec)
-        task_name = f"{name}@{label}"
-        rec = recording_cm = None
-        if trace:
-            rec = TraceRecorder(label=task_name)
-            if prefix_rec is not None:
-                rec.merge(prefix_rec, program=task_name)
-                prefix_rec = None
-            recording_cm = obs.recording(into=rec)
-            recording_cm.__enter__()
-        before = cachestats.snapshot()
-        t0 = time.perf_counter()
-        try:
-            with obs.span(
-                f"plan:{task_name}", program=task_name, machine=label
-            ):
-                sub = ctx.fork()
-                sub.put(
-                    "machine",
-                    MachineSpec.of(nprocs, topology=spec, **distrib_options),
-                )
-                Pipeline().run(sub, goal=("plan", "distribution"))
-                plan = sub.get("plan")
-                dplan = sub.get("distribution")
-                verified = None
-                if verify:
-                    topo = None if spec is None else parse_topology(spec)
-                    with obs.span("batch.verify"):
-                        verified = _verify(plan, sub.get("profile"), topo)
-            passes = _pass_seconds(sub.trace)
-            for p, s in prefix_passes.items():
-                passes[p] = passes.get(p, 0.0) + s
-            prefix_passes = {}
-            resets: set[str] = set()
-            lost: dict[str, tuple[int, int]] = {}
-            cache = cachestats.delta(before, resets=resets, lost=lost)
-            results.append(
-                PlanResult(
-                    name=task_name,
-                    ok=True,
-                    seconds=time.perf_counter() - t0,
-                    total_cost=str(sub.get("total_cost")),
-                    alignments={
-                        arr: repr(al)
-                        for arr, al in sorted(plan.source_alignments().items())
-                    },
-                    distribution=dplan.directive(),
-                    dist_hops=dplan.cost.hops,
-                    dist_moved=dplan.cost.moved,
-                    dist_exact=dplan.exact,
-                    verified=verified,
-                    cache=cache,
-                    passes=passes,
-                    machine=label,
-                    cache_resets=tuple(sorted(resets)),
-                    cache_reset_lost=lost,
-                    trace=rec,
-                )
-            )
-        except Exception as exc:  # noqa: BLE001 - diagnostics, not control flow
-            passes = dict(prefix_passes)
-            prefix_passes = {}
-            resets = set()
-            lost = {}
-            cache = cachestats.delta(before, resets=resets, lost=lost)
-            results.append(
-                PlanResult(
-                    name=task_name,
-                    ok=False,
-                    seconds=time.perf_counter() - t0,
-                    error=f"{type(exc).__name__}: {exc}",
-                    cache=cache,
-                    passes=passes,
-                    machine=label,
-                    cache_resets=tuple(sorted(resets)),
-                    cache_reset_lost=lost,
-                    trace=rec,
-                )
-            )
-        finally:
-            if recording_cm is not None:
-                recording_cm.__exit__(None, None, None)
+    name, prefix, ctx, chunk, verify, trace = payload
+    results = []
+    for machine in chunk:
+        label = _label(machine)
+        result, _ = _measured(
+            f"{name}@{label}",
+            label,
+            trace,
+            lambda: solve_suffix(ctx.fork(), machine),
+            verify,
+            prefix,
+        )
+        results.append(result)
+        prefix = None
     return results
 
 
@@ -764,90 +638,64 @@ def plan_sweep(
 ) -> BatchReport:
     """Plan every program against every machine, reusing aligned prefixes.
 
-    Two pool stages.  Stage one aligns and profiles each program once —
-    the machine-independent pipeline prefix — and ships the resulting
+    Two stages on one pool.  Stage one aligns and profiles each program
+    once — the machine-independent prefix — and ships the resulting
     :class:`~repro.passes.PlanContext` back across the pool (possible
     because every artifact is keyed by stable port uids, not object
     identity).  Stage two fans each prefix out over the machine list;
     every (program, machine) task forks the shipped context and runs
     only the distribution suffix.  Results are program-major, machine
-    order preserved, named ``program@machine``.
+    order preserved, named ``program@machine``.  Options and machines are
+    checked here, once: a bad machine raises before anything is planned.
     """
     requests = [PlanRequest.of(item, i) for i, item in enumerate(corpus)]
-    specs = [_normalize_machine(m) for m in machines]
+    options, _ = planning_records(align_kw=align_kw, distrib_options=distrib_options)
+    specs = [
+        machine_record(*_normalize_machine(m), distrib_options or {})
+        for m in machines
+    ]
     if not specs:
         raise ValueError("plan_sweep needs at least one machine")
-    dopts = dict(distrib_options or {})
-    prefix_payloads = [
-        (req, dict(align_kw or {}), trace) for req in requests
-    ]
 
-    jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-    jobs = max(1, min(jobs, len(requests) * len(specs) or 1))
-
-    def machine_chunks() -> list[list]:
+    def work(pmap, jobs):
         # One chunk per program when programs alone fill the pool; more
         # (down to per-machine) when they don't — chunking bounds how
         # often each heavy context is re-pickled across the pool while
         # keeping every worker busy.
         n = max(1, min(len(specs), jobs // max(1, len(requests))))
         size = -(-len(specs) // n)  # ceil
-        return [specs[i : i + size] for i in range(0, len(specs), size)]
-
-    def stage2_payloads(prefixes):
-        out = []
-        for name, ctx, err, rec in prefixes:
-            if err is not None:
-                out.append((name, err))
-                continue
-            for i, chunk in enumerate(machine_chunks()):
-                out.append(
-                    (name, ctx, chunk, dopts, verify, i == 0, trace, rec)
-                )
-        return out
-
-    def failed(name: str, err: str) -> list[PlanResult]:
-        return [
-            PlanResult(
-                name=f"{name}@{_machine_label(*machine)}",
-                ok=False,
-                seconds=0.0,
-                error=err,
-                machine=_machine_label(*machine),
-            )
-            for machine in specs
-        ]
-
-    def run_serial(reason: Optional[str] = None) -> BatchReport:
-        t0 = time.perf_counter()
-        prefixes = [_prefix_worker(p) for p in prefix_payloads]
-        results = [
-            r
-            for p in stage2_payloads(prefixes)
-            for r in (failed(*p) if len(p) == 2 else _suffix_worker(p))
-        ]
-        return BatchReport(
-            results,
-            time.perf_counter() - t0,
-            1,
-            "serial",
-            fallback_reason=reason,
+        chunks = [specs[i : i + size] for i in range(0, len(specs), size)]
+        prefixes = list(
+            pmap(_prefix_task, [(req, options, trace) for req in requests])
         )
+        solved = iter(
+            pmap(
+                _sweep_task,
+                [
+                    (p.name, p if i == 0 else None, ctx, chunk, verify, trace)
+                    for p, ctx in prefixes
+                    if p.ok
+                    for i, chunk in enumerate(chunks)
+                ],
+            )
+        )
+        results: list[PlanResult] = []
+        for p, _ in prefixes:
+            if p.ok:
+                for _ in chunks:
+                    results.extend(next(solved))
+            else:  # the prefix's failure, once per machine it was meant for
+                results.extend(
+                    dataclasses.replace(
+                        p,
+                        name=f"{p.name}@{_label(m)}",
+                        machine=_label(m),
+                        seconds=0.0,
+                        cache={},
+                        trace=None,
+                    )
+                    for m in specs
+                )
+        return results
 
-    t0 = time.perf_counter()
-    if serial or jobs == 1:
-        return run_serial()
-    try:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            prefixes = list(pool.map(_prefix_worker, prefix_payloads))
-            payloads = stage2_payloads(prefixes)
-            ready = [p for p in payloads if len(p) != 2]
-            mapped = iter(pool.map(_suffix_worker, ready))
-            results = [
-                r
-                for p in payloads
-                for r in (failed(*p) if len(p) == 2 else next(mapped))
-            ]
-    except (OSError, ValueError, RuntimeError) as exc:
-        return run_serial(reason=f"{type(exc).__name__}: {exc}")
-    return BatchReport(results, time.perf_counter() - t0, jobs, "process")
+    return _run_pool(work, len(requests) * len(specs), jobs, serial)

@@ -221,15 +221,13 @@ def plan_program_phases(
     Single-statement programs degenerate to one phase with no remaps —
     the same answer as :func:`repro.distrib.search.plan_distribution`.
 
-    Thin wrapper over the staged pipeline (goal ``"phase_plan"``): the
+    The phase goal of the planning kernel
+    (:func:`repro.align.pipeline.solve_suffix` with ``phases=``): the
     per-phase profiles are a machine-independent artifact, so sweeping
     machines over a forked context re-runs only the phase-chain DP.
     """
-    from ..align.pipeline import plan_context
-    from ..passes import MachineSpec, Pipeline
+    from ..align.pipeline import machine_record, plan_context, solve_suffix
 
     ctx = plan_context(program, **(align_kw or {}))
-    ctx.put("machine", MachineSpec.of(nprocs, topology=topology))
-    ctx.put("phase_options", dict(k=k, **rank_kw))
-    Pipeline().run(ctx, goal="phase_plan")
-    return ctx.get("phase_plan")
+    machine = machine_record(nprocs, topology, {})
+    return solve_suffix(ctx, machine, phases=dict(k=k, **rank_kw)).get("phase_plan")

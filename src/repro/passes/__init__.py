@@ -21,8 +21,12 @@ the machine-dependent suffix against a shared aligned prefix::
         sub.put("machine", MachineSpec.of(topology=spec))
         pipe.run(sub, goal="distribution")   # suffix only: prefix reused
 
-``repro.align.align_program`` and ``align_and_distribute`` remain the
-stable one-call wrappers over exactly this pipeline.
+Driving a :class:`Pipeline` by hand like this is for tests and
+benchmarks.  Whatever wants a *plan* asks the planning kernel in
+:mod:`repro.align.pipeline` (``planning_records`` / ``solve_prefix`` /
+``solve_suffix`` / ``plan_facts``), which runs exactly this recipe on the
+one shared :func:`default_pipeline`; a pipeline keeps no per-run state —
+what ran is on ``ctx.trace``.
 """
 
 from .align_passes import (
@@ -39,7 +43,6 @@ from .core import (
     FunctionPass,
     MissingArtifactError,
     Pass,
-    PassStats,
     Pipeline,
     PipelineError,
     PlanContext,
@@ -61,7 +64,7 @@ from .distrib_passes import (
     PhaseProfilesPass,
     PhaseRemapPass,
 )
-from .registry import alignment_passes, default_passes
+from .registry import alignment_passes, default_passes, default_pipeline
 
 __all__ = [
     "AlignOptions",
@@ -77,7 +80,6 @@ __all__ = [
     "MachineSpec",
     "MissingArtifactError",
     "Pass",
-    "PassStats",
     "PhaseProfilesPass",
     "PhaseRemapPass",
     "Pipeline",
@@ -89,6 +91,7 @@ __all__ = [
     "alignment_passes",
     "content_fingerprint",
     "default_passes",
+    "default_pipeline",
     "diff_programs",
     "dirty_region",
     "replan",

@@ -565,18 +565,6 @@ class FixpointPass(Pass):
         ctx.annotate(rounds=rounds, converged=converged)
 
 
-@dataclass
-class PassStats:
-    """Aggregate per-pass accounting across every context a pipeline ran."""
-
-    runs: int = 0
-    reuses: int = 0
-    seconds: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {"runs": self.runs, "reuses": self.reuses, "seconds": self.seconds}
-
-
 class Pipeline:
     """Dependency-resolving, instrumented driver over registered passes.
 
@@ -586,6 +574,10 @@ class Pipeline:
     pass whose outputs are already present and whose recorded input
     signature still matches — version *or* content fingerprint — so
     forked contexts re-execute only what actually changed.
+
+    A pipeline holds no per-run state — what happened is on the context
+    (``ctx.trace``) — so one instance serves every caller and thread
+    (:func:`repro.passes.registry.default_pipeline`).
     """
 
     def __init__(self, passes: Sequence[Pass] | None = None) -> None:
@@ -594,9 +586,6 @@ class Pipeline:
 
             passes = default_passes()
         self.passes: list[Pass] = self._order(list(passes))
-        self.stats: dict[str, PassStats] = {
-            p.name: PassStats() for p in self.passes
-        }
 
     # -- graph validation / ordering ---------------------------------------
 
@@ -688,7 +677,6 @@ class Pipeline:
                     # later replaced, a supplied TypeInfo goes stale and
                     # the pass re-runs instead of serving stale artifacts.
                     ctx._ledger[p.name] = signature
-                self.stats[p.name].reuses += 1
                 obs.instant(f"pass:{p.name}", event="reuse")
                 ctx.trace.append(
                     {
@@ -732,9 +720,6 @@ class Pipeline:
             }
             ctx.trace.append(event)
             ctx._ledger[p.name] = signature
-            st = self.stats[p.name]
-            st.runs += 1
-            st.seconds += event["seconds"]
         return ctx
 
     @staticmethod
@@ -789,15 +774,6 @@ class Pipeline:
             )
             lines.append(
                 f"  {i + 1}. {p.name:<22s} [{kind}]{col}  {req}  ->  {prov}"
-            )
-        return "\n".join(lines)
-
-    def stats_table(self) -> str:
-        lines = ["pass                     runs  reuses   seconds"]
-        for p in self.passes:
-            st = self.stats[p.name]
-            lines.append(
-                f"{p.name:<22s} {st.runs:6d}  {st.reuses:6d}  {st.seconds:8.3f}"
             )
         return "\n".join(lines)
 

@@ -132,6 +132,7 @@ from ..lang import ast as A
 from ..obs import spans as obs
 from ..obs.metrics import registry
 from .core import Pipeline, PlanContext, Rendered, content_fingerprint, render
+from .registry import default_pipeline
 
 __all__ = [
     "DeltaReport",
@@ -750,7 +751,7 @@ def replan(
     solve would have received identical inputs.
     """
     t0 = time.perf_counter()
-    pipeline = pipeline if pipeline is not None else Pipeline()
+    pipeline = pipeline if pipeline is not None else default_pipeline()
     base_art = base.artifact("program")
     base_program = base_art.value
     new_program = program if program is not None else base_program

@@ -121,19 +121,17 @@ class PhaseProfilesPass(Pass):
     provides = ("phase_profiles",)
 
     def run(self, ctx: PlanContext) -> None:
+        from ..align.pipeline import solve_prefix
         from ..distrib.remap import split_phases
-        from .core import Pipeline
-        from .registry import alignment_passes
 
-        inner = Pipeline(alignment_passes() + [CommProfilePass()])
-        profiles = []
-        for sub in split_phases(ctx.get("program")):
-            sub_ctx = PlanContext()
-            sub_ctx.put("program", sub)
-            sub_ctx.put("align_options", ctx.get("align_options"))
-            inner.run(sub_ctx, goal="profile")
-            profiles.append((sub.name, sub_ctx.get("profile")))
-        ctx.put("phase_profiles", profiles)
+        options = ctx.get("align_options")
+        ctx.put(
+            "phase_profiles",
+            [
+                (sub.name, solve_prefix(sub, options).get("profile"))
+                for sub in split_phases(ctx.get("program"))
+            ],
+        )
 
 
 class PhaseRemapPass(Pass):

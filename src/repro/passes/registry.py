@@ -10,6 +10,8 @@ passes that goal transitively requires.
 
 from __future__ import annotations
 
+import functools
+
 from .align_passes import (
     AssemblePass,
     AxisStridePass,
@@ -17,13 +19,14 @@ from .align_passes import (
     ReplicationFixpointPass,
     TypecheckPass,
 )
-from .core import Pass
+from .core import Pass, Pipeline
 from .distrib_passes import (
     CommProfilePass,
     DistributePass,
     PhaseProfilesPass,
     PhaseRemapPass,
 )
+
 
 def alignment_passes() -> list[Pass]:
     """The paper's alignment phases (all machine-independent)."""
@@ -44,3 +47,11 @@ def default_passes() -> list[Pass]:
         PhaseProfilesPass(),
         PhaseRemapPass(),
     ]
+
+
+@functools.cache
+def default_pipeline() -> Pipeline:
+    """The one pipeline over :func:`default_passes` that the planning
+    kernel (:mod:`repro.align.pipeline`) and :func:`~repro.passes.delta.replan`
+    run every context through."""
+    return Pipeline(default_passes())

@@ -8,7 +8,9 @@ long-running front end the north star asks for.  Three layers:
   atomic writes and warm start;
 * :mod:`repro.serve.service` — :class:`PlanService`: admission with
   bounded backpressure, cache probe, cold-miss sharding over a
-  worker-process pool, :mod:`repro.obs` spans and metrics throughout;
+  worker-process pool, :mod:`repro.obs` spans and metrics throughout.
+  It plans nothing itself: cold, prefix-hit and delta answers are calls
+  to the planning kernel (:mod:`repro.align.pipeline`);
 * :mod:`repro.serve.daemon` — :class:`PlanDaemon`: the asyncio
   JSON-lines TCP front end (``python -m repro.serve``), with a
   Prometheus ``/metrics`` scrape mode and structured lifecycle events;

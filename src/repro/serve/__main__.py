@@ -112,26 +112,23 @@ def main(argv: list[str] | None = None) -> int:
         ap.error(f"--window must be positive: {args.window}")
     if args.trace_sample and not args.access_log:
         ap.error("--trace-sample needs --access-log")
-    if args.topology is not None:
-        from ..topology import parse_topology
-
-        try:
-            parse_topology(args.topology)
-        except ValueError as exc:
-            ap.error(f"--topology: {exc}")
-
-    service = PlanService(
-        cache_dir=args.cache_dir,
-        max_entries=args.max_entries,
-        jobs=args.jobs,
-        max_pending=args.max_pending,
-        retry_after=args.retry_after,
-        default_nprocs=args.distribute,
-        default_topology=args.topology,
-        access_log=args.access_log,
-        trace_sample=args.trace_sample,
-        window=args.window,
-    )
+    try:
+        # The service checks its options and default machine itself, as
+        # it checks a request's machine.
+        service = PlanService(
+            cache_dir=args.cache_dir,
+            max_entries=args.max_entries,
+            jobs=args.jobs,
+            max_pending=args.max_pending,
+            retry_after=args.retry_after,
+            default_nprocs=args.distribute,
+            default_topology=args.topology,
+            access_log=args.access_log,
+            trace_sample=args.trace_sample,
+            window=args.window,
+        )
+    except ValueError as exc:
+        ap.error(str(exc))
     try:
         asyncio.run(run_daemon(service, host=args.host, port=args.port))
     except KeyboardInterrupt:

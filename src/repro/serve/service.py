@@ -18,9 +18,20 @@ produced:
   ``serve.delta_ms``; a stale base ticks ``serve.delta_stale`` and
   degrades to cold);
 * ``cached=None`` — a cold miss: the full pipeline ran, sharded to the
-  worker-process pool when the service has one (``jobs > 1``, reusing
-  the :mod:`repro.batch` cold-path kernel), and both cache namespaces
-  were populated for the next request.
+  worker-process pool when the service has one (``jobs > 1``), and both
+  cache namespaces were populated for the next request.
+
+The service plans nothing itself: the three planning outcomes are calls
+to the planning kernel (:mod:`repro.align.pipeline`) — ``solve_prefix``
+(with ``base=`` for a delta), then ``solve_suffix`` on a fork of the
+prefix the cache keeps — and the payload is ``name``, ``machine`` and
+the kernel's ``plan_facts``, built the same way on every path so a hit
+is byte-identical (pickled) to the cold answer it was stored from.
+Options are turned into records and checked once, at construction
+(``planning_records``); a request's machine goes through that
+function's machine half (``machine_record``), so a machine no other
+driver would plan for is ``status="error"`` here too and never reaches
+the cache.
 
 Admission applies bounded backpressure: past ``max_pending``
 concurrently admitted requests the service answers
@@ -70,24 +81,24 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
 from .. import cachestats
-from ..align.pipeline import plan_context
+from ..align.pipeline import (
+    machine_record,
+    plan_facts,
+    planning_records,
+    solve_prefix,
+    solve_suffix,
+)
 from ..batch.engine import machine_label
 from ..lang.parser import parse
 from ..obs import spans as obs
 from ..obs.live import SLOTracker, default_serve_slos
 from ..obs.metrics import registry
-from ..passes import (
-    AlignOptions,
-    MachineSpec,
-    Pipeline,
-    PlanContext,
-    content_fingerprint,
-    replan,
-)
+from ..passes import PlanContext, content_fingerprint
 from .accesslog import AccessLog
 from .cache import MISS, PlanCache
 
@@ -208,52 +219,27 @@ def _text_digest(request: ServeRequest) -> bytes:
     return h.digest()
 
 
-def _payload(name: str, label: str, sub) -> dict:
-    """The canonical plan payload for one solved context.
+def _answer(prefix, machine, name: str) -> dict:
+    """The plan payload of ``prefix`` on ``machine``.
 
-    Built identically on every path (inline cold, pooled cold, prefix
-    hit), with deterministic field and alignment ordering — a cache-hit
-    payload must be *byte-identical* (pickled) to the cold payload it
-    was stored from, and the serve benchmark asserts exactly that.
+    The suffix runs on a fork (the prefix is what the cache keeps), and
+    the payload is built here on every path — inline cold, pooled cold,
+    prefix hit, delta — with deterministic field and alignment ordering:
+    a cache-hit payload must be *byte-identical* (pickled) to the cold
+    payload it was stored from.
     """
-    plan = sub.get("plan")
-    dplan = sub.get("distribution")
     return {
         "name": name,
-        "machine": label,
-        "total_cost": str(sub.get("total_cost")),
-        "alignments": {
-            arr: repr(al)
-            for arr, al in sorted(plan.source_alignments().items())
-        },
-        "distribution": dplan.directive(),
-        "hops": dplan.cost.hops,
-        "moved": dplan.cost.moved,
-        "exact": dplan.exact,
+        "machine": machine_label(machine.nprocs, machine.topology),
+        **plan_facts(solve_suffix(prefix.fork(), machine)),
     }
 
 
-def _run_suffix(ctx, machine, name: str, label: str) -> dict:
-    """Fork a machine-independent prefix and run the distribution suffix."""
-    sub = ctx.fork()
-    sub.put("machine", machine)
-    Pipeline().run(sub, goal=("plan", "distribution"))
-    return _payload(name, label, sub)
-
-
-def _cold_worker(payload: tuple):
-    """The sharded cold path: full pipeline for one (program, machine).
-
-    Module-level so it pickles into the worker-process pool; reuses the
-    :func:`repro.batch.prefix_context` kernel, then prices the machine
-    suffix on a fork.  Returns the prefix context (for the prefix
-    cache) alongside the plan payload.
-    """
-    from ..batch.engine import PlanRequest, prefix_context
-
-    name, source, align_kw, machine, label = payload
-    ctx = prefix_context(PlanRequest(name, source), align_kw)
-    return ctx, _run_suffix(ctx, machine, name, label)
+def _cold(program, options, machine):
+    """The cold path: ``(prefix context, payload)`` of one program.
+    Module-level, so it pickles into the worker-process pool."""
+    prefix = solve_prefix(program, options)
+    return prefix, _answer(prefix, machine, program.name)
 
 
 class PlanService:
@@ -286,12 +272,16 @@ class PlanService:
         self.jobs = max(1, jobs)
         self.max_pending = max_pending
         self.retry_after = retry_after
-        self.align_kw = dict(align_kw or {})
         self.distrib_options = dict(distrib_options or {})
         # Service-wide machine defaults for requests naming neither
         # nprocs nor topology; per-request fields always win.
         self.default_nprocs = default_nprocs
         self.default_topology = default_topology
+        # The one options check: a misplaced key or an unplannable
+        # default machine fails construction, not every request.
+        self.options, _ = planning_records(
+            default_nprocs, default_topology, align_kw, self.distrib_options
+        )
         self.window = float(window)
         if isinstance(access_log, str):
             access_log = AccessLog(access_log, trace_sample=trace_sample)
@@ -311,9 +301,7 @@ class PlanService:
         # The options are the service's own constant: fingerprint them
         # once, through the same ``put`` a request's context would use.
         self._options_fp = (
-            PlanContext()
-            .put("align_options", AlignOptions.of(**self.align_kw))
-            .fingerprint
+            PlanContext().put("align_options", self.options).fingerprint
         )
         self._lock = threading.Lock()
         # Request-key memo: digest of (name, source) -> content
@@ -439,12 +427,6 @@ class PlanService:
             while len(self._key_memo) > self.cache.max_entries:
                 self._key_memo.popitem(last=False)
 
-    def _parsed(self, request: ServeRequest) -> PlanContext:
-        """Parse the request onto a fresh context; raises ``ParseError``."""
-        return plan_context(
-            parse(request.source, name=request.name), **self.align_kw
-        )
-
     def _handle_impl(self, request: ServeRequest) -> ServeResponse:
         """The post-admission pipeline: cache probe → plan → respond."""
         reg = registry()
@@ -459,15 +441,12 @@ class PlanService:
                         topology = self.default_topology
                     if nprocs is None and topology is None:
                         nprocs = DEFAULT_NPROCS
-                    machine = MachineSpec.of(
-                        nprocs,
-                        topology=topology,
-                        **self.distrib_options,
+                    # Fails fast on an unplannable machine (bad spec, no
+                    # processor count, a size that contradicts nprocs)
+                    # before any planning work.
+                    machine = machine_record(
+                        nprocs, topology, self.distrib_options
                     )
-                    # Fail fast on an unplannable machine (bad spec, no
-                    # processor count) before any planning work.
-                    machine.resolved_nprocs()
-                    label = machine_label(nprocs, topology)
                     mfp = content_fingerprint(machine)
                     afp = self._options_fp
                     # A text seen before goes to the cache probes on its
@@ -476,11 +455,11 @@ class PlanService:
                     # fingerprints are remembered: an identity one is
                     # minted per context and a parse error has none.
                     text = _text_digest(request)
-                    ctx = None
+                    program = None
                     pfp = self._memo_lookup(text)
                     if pfp is None:
-                        ctx = self._parsed(request)
-                        pfp = ctx.artifact("program").fingerprint
+                        program = parse(request.source, name=request.name)
+                        pfp = PlanContext().put("program", program).fingerprint
                         if not pfp.startswith("v"):
                             self._memo_store(text, pfp)
 
@@ -529,20 +508,17 @@ class PlanService:
                     with obs.span("serve.plan", kind="serve"):
                         if prefix is not MISS:
                             cached = "prefix"
-                            payload = _run_suffix(
-                                prefix, machine, request.name, label
-                            )
-                        elif base_ctx is not MISS:
-                            cached = "delta"
-                            if ctx is None:
-                                ctx = self._parsed(request)
-                            prefix, payload = self._plan_delta(
-                                base_ctx, ctx, machine, request.name, label
-                            )
+                            payload = _answer(prefix, machine, request.name)
                         else:
-                            prefix, payload = self._plan_cold(
-                                request, ctx, machine, label
-                            )
+                            if program is None:
+                                program = parse(request.source, name=request.name)
+                            if base_ctx is not MISS:
+                                cached = "delta"
+                                prefix, payload = self._plan_delta(
+                                    base_ctx, program, machine
+                                )
+                            else:
+                                prefix, payload = self._plan_cold(program, machine)
                     if cacheable:
                         if cached is None or cached == "delta":
                             # The delta path solves a fresh prefix too —
@@ -586,56 +562,46 @@ class PlanService:
                     error=f"{type(exc).__name__}: {exc}",
                 )
 
-    def _plan_delta(self, base_ctx, ctx, machine, name: str, label: str):
-        """Incremental plan against a cached base prefix.
-
-        Diffs the edited program against the base context's and
-        re-enters the pipeline with unchanged artifacts carried over
-        (:func:`repro.passes.delta.replan`), then prices the machine
-        suffix through the same :func:`_run_suffix` every other path
-        uses — so the payload is built byte-identically to a cold one.
-        Returns ``(new_prefix_context, payload)``.
-        """
-        new_ctx, report = replan(
-            base_ctx, program=ctx.get("program"), goal=("plan", "profile")
-        )
+    def _plan_delta(self, base_ctx, program, machine):
+        """Incremental plan against a cached base prefix: the kernel
+        diffs ``program`` against the base context's and carries the
+        unchanged artifacts over (:func:`repro.passes.delta.replan`).
+        Returns ``(new prefix, payload)``."""
+        prefix, report = solve_prefix(program, self.options, base=base_ctx)
         obs.instant(
             "serve.delta",
             strategy=report.strategy,
             dirty_ports=report.dirty_ports,
             reused=report.reused_entries,
         )
-        return new_ctx, _run_suffix(new_ctx, machine, name, label)
+        return prefix, _answer(prefix, machine, program.name)
 
-    def _plan_cold(self, request: ServeRequest, ctx, machine, label: str):
+    def _plan_cold(self, program, machine):
         """Full-pipeline cold path, sharded to the worker pool if any.
 
-        Returns ``(prefix_context, payload)``.  A broken pool degrades
-        to inline planning permanently (same results, no concurrency),
-        mirroring :func:`repro.batch.plan_many`'s serial fallback.
-        ``ctx`` is the request's parsed context when the caller already
-        has one; the worker parses for itself.
+        Returns ``(prefix, payload)``.  Only a fault of the *pool* — it
+        cannot take the task, or a worker died under it — degrades the
+        service to inline planning (for good: same results, no
+        concurrency; counted by ``serve.pool_fallbacks``).  An exception
+        the planner raised inside a worker is that request's error and
+        leaves the pool up.
         """
-        payload_tuple = (
-            request.name,
-            request.source,
-            self.align_kw,
-            machine,
-            label,
-        )
         pool = self._worker_pool()
         if pool is not None:
             try:
-                return pool.submit(_cold_worker, payload_tuple).result()
+                future = pool.submit(_cold, program, self.options, machine)
             except (OSError, RuntimeError) as exc:
-                with self._lock:
-                    self._pool_broken = True
-                registry().counter("serve.pool_fallbacks").inc()
-                obs.instant("serve.pool_fallback", error=type(exc).__name__)
-        if ctx is None:
-            ctx = self._parsed(request)
-        Pipeline().run(ctx, goal="profile")
-        return ctx, _run_suffix(ctx, machine, request.name, label)
+                fault: Exception = exc
+            else:
+                try:
+                    return future.result()
+                except BrokenProcessPool as exc:
+                    fault = exc
+            with self._lock:
+                self._pool_broken = True
+            registry().counter("serve.pool_fallbacks").inc()
+            obs.instant("serve.pool_fallback", error=type(fault).__name__)
+        return _cold(program, self.options, machine)
 
     def _worker_pool(self) -> Optional[ProcessPoolExecutor]:
         if self.jobs <= 1:

@@ -117,6 +117,40 @@ class TestCLI:
                 ]
             )
 
+    @pytest.mark.parametrize(
+        "argv,diagnostic",
+        [
+            (
+                ["missing.dp"],
+                "error: missing.dp: FileNotFoundError: [Errno 2] "
+                "No such file or directory: 'missing.dp'",
+            ),
+            (
+                ["ok.dp", "--replan-from", "missing.dp"],
+                "error: missing.dp: FileNotFoundError: [Errno 2] "
+                "No such file or directory: 'missing.dp'",
+            ),
+            (
+                ["bad.dp"],
+                "error: bad.dp: ValueError: array A has nonpositive extent",
+            ),
+        ],
+    )
+    def test_unreadable_program_is_a_diagnostic_not_a_traceback(
+        self, argv, diagnostic, tmp_path, monkeypatch, capsys
+    ):
+        """The ``Type: message`` a ``--batch`` row reports for the same
+        file, on stderr, exit status 1."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ok.dp").write_text(FIG1, encoding="utf-8")
+        (tmp_path / "bad.dp").write_text("real A(0)\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip() == diagnostic
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_subprocess_invocation(self, prog_file):
         res = subprocess.run(
             [sys.executable, "-m", "repro", prog_file, "--m", "3"],

@@ -23,12 +23,13 @@ import threading
 import pytest
 
 from repro import cachestats
-from repro.align.pipeline import plan_context
-from repro.batch.engine import machine_label, replan_context, PlanRequest
+from repro.align.pipeline import plan_context, plan_facts, solve_prefix
+from repro.batch.engine import machine_label
 from repro.lang import ast as A
 from repro.lang.parser import parse
 from repro.obs.metrics import registry
 from repro.passes import (
+    AlignOptions,
     DeltaReport,
     MachineSpec,
     Pipeline,
@@ -39,7 +40,12 @@ from repro.passes import (
     statement_key,
 )
 from repro.serve import PlanDaemon, PlanService, ServeRequest
-from repro.serve.service import _payload
+
+
+def _payload(name, label, ctx):
+    """The serve payload of a solved context (``repro.serve.service``)."""
+    return {"name": name, "machine": label, **plan_facts(ctx)}
+
 
 BASE_SRC = """
 real A(64), B(64), C(64)
@@ -432,11 +438,11 @@ class TestCarriedDistribution:
         carried = ctx.get("distribution")
         pipe = Pipeline()
         pipe.run(ctx, goal="distribution")
-        assert pipe.stats["distribute"].runs == 0  # still pinned, still valid
+        assert "run" not in _ran(ctx, "distribute")  # still pinned, still valid
         other = MachineSpec.of(8)
         ctx.put("machine", other)
         pipe.run(ctx, goal="distribution")
-        assert pipe.stats["distribute"].runs == 1
+        assert _ran(ctx, "distribute").count("run") == 1
         assert ctx.get("distribution") == _plan(program, other).get("distribution")
         assert ctx.get("distribution") != carried
         assert base.get("distribution") is carried
@@ -803,23 +809,25 @@ class TestMutationIsolation:
         )
 
 
-# -- the batch entry point -----------------------------------------------------
+# -- the kernel's incremental entry point --------------------------------------
 
 
 class TestReplanContext:
     def test_replan_context_round_trip(self):
         base_ctx = _plan(parse(BASE_SRC), goal=("plan", "profile"))
-        req = PlanRequest(name="edited", source=EDITS["op_swap"][1])
-        ctx, rpt = replan_context(base_ctx, req)
+        edited = parse(EDITS["op_swap"][1], name="edited")
+        ctx, rpt = solve_prefix(edited, AlignOptions.of(), base=base_ctx)
         assert isinstance(rpt, DeltaReport)
         assert rpt.strategy == "carry_all"
         assert ctx.has("plan") and ctx.has("profile")
 
     def test_align_kw_mismatch_rejected(self):
         base_ctx = _plan(parse(BASE_SRC), goal=("plan", "profile"))
-        req = PlanRequest(name="edited", source=EDITS["op_swap"][1])
+        edited = parse(EDITS["op_swap"][1], name="edited")
         with pytest.raises(ValueError, match="align"):
-            replan_context(base_ctx, req, align_kw={"offset_mode": "static"})
+            solve_prefix(
+                edited, AlignOptions.of(offset_mode="static"), base=base_ctx
+            )
 
     def test_batch_report_exposes_artifact_reuse(self):
         """A replanning batch task's cachestats delta carries the
@@ -829,8 +837,8 @@ class TestReplanContext:
 
         base_ctx = _plan(parse(BASE_SRC), goal=("plan", "profile"))
         before = cachestats.snapshot()
-        replan_context(
-            base_ctx, PlanRequest(name="e", source=EDITS["op_swap"][1])
+        solve_prefix(
+            parse(EDITS["op_swap"][1], name="e"), AlignOptions.of(), base=base_ctx
         )
         inc = cachestats.delta(before)
         assert "passes.artifact_reuse" in inc

@@ -289,10 +289,12 @@ def test_incremental_replan_matches_scratch(scenario):
     simulator oracle."""
     import pickle
 
-    from repro.align.pipeline import plan_context
+    from repro.align.pipeline import plan_context, plan_facts
     from repro.batch.engine import machine_label
     from repro.passes import MachineSpec, Pipeline, replan
-    from repro.serve.service import _payload
+
+    def _payload(name, label, ctx):
+        return {"name": name, "machine": label, **plan_facts(ctx)}
 
     def scratch_plan(p):
         ctx = plan_context(p)

@@ -1,0 +1,346 @@
+"""The planning kernel: one way to ask for a plan, the same answer from
+every driver.
+
+``repro.align.pipeline`` holds the kernel — ``planning_records``,
+``solve_prefix``, ``solve_suffix``, ``plan_facts`` — and every driver
+(``align_and_distribute``, ``repro.batch``, ``repro.serve``, the CLI) is
+a caller of it.  These tests hold the drivers to that: the same facts
+for the same problem, the same named error for the same bad options,
+and no second recipe anywhere in the tree.
+"""
+
+from __future__ import annotations
+
+import pickle
+import re
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.__main__ import main
+from repro.align.pipeline import (
+    DistributionOptionsError,
+    align_and_distribute,
+    align_program,
+    plan_facts,
+    planning_records,
+    solve_prefix,
+    solve_suffix,
+)
+from repro.batch import PlanRequest, plan_many, plan_one, plan_sweep
+from repro.lang.generate import FAMILIES, generate_scenario
+from repro.obs import spans as obs
+from repro.serve import PlanService, ServeRequest
+
+SCENARIOS = [
+    generate_scenario(seed, family=family)
+    for family in sorted(FAMILIES)
+    for seed in (5, 6)
+]
+#: ``(nprocs, topology spec, label)`` — a bare count and a finite machine.
+MACHINES = [(16, None, "P16"), (None, "torus:4x4", "torus:4x4")]
+
+FACT_KEYS = ("total_cost", "alignments", "distribution", "hops", "moved", "exact")
+
+
+def _result_facts(result) -> dict:
+    """A ``PlanResult``'s fields under the names ``plan_facts`` uses."""
+    assert result.ok, result.error
+    return {
+        "total_cost": result.total_cost,
+        "alignments": dict(result.alignments),
+        "distribution": result.distribution,
+        "hops": result.dist_hops,
+        "moved": result.dist_moved,
+        "exact": result.dist_exact,
+    }
+
+
+def _label_edit(source: str) -> str:
+    """``source`` with its first binary operator swapped for another."""
+    for old, new in ((" + ", " - "), (" - ", " + "), (" * ", " + ")):
+        if old in source:
+            return source.replace(old, new, 1)
+    raise AssertionError(source)
+
+
+# -- every driver returns the same facts ---------------------------------------
+
+
+@pytest.fixture(scope="module")
+def batch_facts():
+    """``{(driver, program, label): facts}`` off the pooled and sweeping
+    batch entry points, each called once over the whole corpus."""
+    out = {}
+    for nprocs, spec, label in MACHINES:
+        report = plan_many(SCENARIOS, nprocs=nprocs, topology=spec, jobs=2)
+        assert report.mode == "process", report.fallback_reason
+        for sc, r in zip(SCENARIOS, report.results):
+            out["plan_many", sc.name, label] = _result_facts(r)
+    machines = [(nprocs, spec) for nprocs, spec, _ in MACHINES]
+    for driver, kw in (("sweep_serial", {"serial": True}), ("sweep_pool", {"jobs": 2})):
+        report = plan_sweep(SCENARIOS, machines, **kw)
+        assert (report.mode == "process") == (driver == "sweep_pool")
+        for r in report.results:
+            name, label = r.name.split("@")
+            out[driver, name, label] = _result_facts(r)
+    return out
+
+
+@pytest.mark.parametrize("nprocs,spec,label", MACHINES, ids=[m[2] for m in MACHINES])
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda sc: sc.name)
+def test_every_driver_returns_the_same_facts(
+    scenario, nprocs, spec, label, batch_facts, tmp_path, capsys
+):
+    program = scenario.parse()
+    options, machine = planning_records(nprocs, spec)
+    want = plan_facts(solve_suffix(solve_prefix(program, options), machine))
+    assert tuple(want) == FACT_KEYS
+
+    # The wrapper: read off the AlignmentPlan by hand, not by plan_facts.
+    plan = align_and_distribute(
+        program, nprocs, distrib_options={"topology": spec} if spec else None
+    )
+    dist = plan.distribution
+    assert want == {
+        "total_cost": str(plan.total_cost),
+        "alignments": {
+            arr: repr(al) for arr, al in sorted(plan.source_alignments().items())
+        },
+        "distribution": dist.directive(),
+        "hops": dist.cost.hops,
+        "moved": dist.cost.moved,
+        "exact": dist.exact,
+    }
+
+    # The batch engine, inline and across the pool.
+    request = PlanRequest(scenario.name, scenario.source)
+    assert _result_facts(plan_one(request, nprocs=nprocs, topology=spec)) == want
+    for driver in ("plan_many", "sweep_serial", "sweep_pool"):
+        assert batch_facts[driver, scenario.name, label] == want, driver
+
+    # The service: five ways to the same payload, byte for byte.
+    ask = ServeRequest(scenario.name, scenario.source, nprocs=nprocs, topology=spec)
+    with PlanService() as svc:
+        cold = svc.handle(ask)
+        plan_hit = svc.handle(ask)
+    with PlanService() as svc:
+        svc.handle(ServeRequest(scenario.name, scenario.source, nprocs=2))
+        prefix_hit = svc.handle(ask)
+    with PlanService() as svc:
+        base = svc.handle(
+            ServeRequest(scenario.name, _label_edit(scenario.source), nprocs=2)
+        )
+        delta = svc.handle(
+            ServeRequest(
+                scenario.name,
+                scenario.source,
+                nprocs=nprocs,
+                topology=spec,
+                base_fingerprint=base.fingerprints["program"],
+            )
+        )
+    with PlanService(jobs=2) as svc:
+        pooled = svc.handle(ask)
+        assert svc._pool is not None and svc._pool_broken is False
+    replies = [cold, pooled, prefix_hit, plan_hit, delta]
+    assert [r.cached for r in replies] == [None, None, "prefix", "plan", "delta"]
+    payload = {"name": scenario.name, "machine": label, **want}
+    for reply in replies:
+        assert reply.ok, reply.error
+        assert list(reply.plan) == list(payload)
+        assert pickle.dumps(dict(reply.plan)) == pickle.dumps(payload), reply.cached
+
+    # The CLI prints the same directive and cost.
+    path = tmp_path / "p.dp"
+    path.write_text(scenario.source, encoding="utf-8")
+    flags = ["--distribute", str(nprocs)] if spec is None else ["--topology", spec]
+    assert main([str(path), *flags]) == 0
+    out = capsys.readouterr().out
+    assert want["distribution"] in out
+    assert f"total realignment cost {want['total_cost']}" in out
+    assert f"hops={want['hops']} moved={want['moved']}" in out
+
+
+# -- what runs, and who is charged for it --------------------------------------
+
+
+def test_alignment_only_callers_never_profile():
+    scenario = SCENARIOS[0]
+    program = scenario.parse()
+    options, machine = planning_records()
+    assert machine is None
+    ctx = solve_prefix(program, options, profile=False)
+    assert "comm-profile" not in {ev["pass"] for ev in ctx.trace}
+    assert plan_facts(ctx)["distribution"] is None
+    with obs.recording(label="align") as rec:
+        align_program(program)
+    assert "pass:assemble" in rec.span_names()
+    assert "pass:comm-profile" not in rec.span_names()
+    request = PlanRequest(scenario.name, scenario.source)
+    one = plan_one(request, nprocs=None)
+    assert one.ok and one.distribution is None and one.machine is None
+    assert "assemble" in one.passes and "comm-profile" not in one.passes
+    many = plan_many([scenario], nprocs=None, serial=True)
+    assert "comm-profile" not in many.pass_totals()
+
+
+def test_a_sweep_charges_the_prefix_once_per_program():
+    scenario = SCENARIOS[0]
+    one = plan_one(PlanRequest(scenario.name, scenario.source), nprocs=16)
+    report = plan_sweep([scenario], [16, "torus:4x4", 8], serial=True)
+    first, *rest = report.results
+    # A fork-free plan and the sweep task that carries the prefix name the
+    # same passes; the other machines of the program ran the suffix only.
+    assert set(first.passes) == set(one.passes)
+    assert all(set(r.passes) == {"distribute"} for r in rest)
+    totals = report.pass_totals()
+    assert totals["distribute"][0] == 3
+    assert {n for name, (n, _) in totals.items() if name != "distribute"} == {1}
+
+
+# -- the same named error from every driver ------------------------------------
+
+SRC = "real A(8), B(8)\nA(1:7) = B(2:8)"
+
+#: Bad options, as ``(nprocs, topology, align_kw, distrib_options)``; what
+#: ``planning_records`` raises for them is what every driver must raise.
+BAD_OPTIONS = {
+    "mismatch": (8, "torus:2x2", None, None),
+    "misplaced_align_key": (4, None, {"topology": "ring:4"}, None),
+    "misplaced_distrib_key": (4, None, None, {"algorithm": "fixed"}),
+    "bad_spec": (None, "grid:bogus", None, None),
+}
+
+
+def _align_and_distribute(nprocs, topology, align_kw, distrib_options):
+    if topology is not None:
+        distrib_options = {**(distrib_options or {}), "topology": topology}
+    align_and_distribute(
+        repro.parse(SRC), nprocs, distrib_options=distrib_options, **(align_kw or {})
+    )
+
+
+def _plan_many(nprocs, topology, align_kw, distrib_options):
+    plan_many(
+        [SRC], nprocs=nprocs, topology=topology, serial=True,
+        align_kw=align_kw, distrib_options=distrib_options,
+    )
+
+
+def _plan_sweep(nprocs, topology, align_kw, distrib_options):
+    plan_sweep(
+        [SRC], [(nprocs, topology)], serial=True,
+        align_kw=align_kw, distrib_options=distrib_options,
+    )
+
+
+def _plan_service(nprocs, topology, align_kw, distrib_options):
+    PlanService(
+        default_nprocs=nprocs, default_topology=topology,
+        align_kw=align_kw, distrib_options=distrib_options,
+    )
+
+
+@pytest.mark.parametrize("case", BAD_OPTIONS)
+@pytest.mark.parametrize(
+    "driver", [_align_and_distribute, _plan_many, _plan_sweep, _plan_service]
+)
+def test_bad_options_are_one_named_error_everywhere(driver, case):
+    args = BAD_OPTIONS[case]
+    with pytest.raises(ValueError) as boundary:
+        planning_records(*args)
+    named = case != "bad_spec"  # a bad spec is the topology parser's ValueError
+    assert isinstance(boundary.value, DistributionOptionsError) == named
+    with pytest.raises(type(boundary.value)) as raised:
+        driver(*args)
+    assert str(raised.value) == str(boundary.value)
+
+
+@pytest.mark.parametrize("case", ["mismatch", "bad_spec"])
+def test_a_bad_machine_on_one_request_is_an_error_never_a_cached_plan(case):
+    nprocs, topology, _, _ = BAD_OPTIONS[case]
+    with pytest.raises(ValueError) as boundary:
+        planning_records(nprocs, topology)
+    with PlanService() as svc:
+        for _ in range(2):
+            reply = svc.handle(ServeRequest("q", SRC, nprocs=nprocs, topology=topology))
+            assert reply.status == "error" and reply.plan is None
+            assert reply.error == f"{type(boundary.value).__name__}: {boundary.value}"
+        assert len(svc.cache) == 0
+        assert svc.handle(ServeRequest("q", SRC, nprocs=4)).ok
+
+
+def test_the_cli_refuses_the_same_machines_in_its_own_words(tmp_path, capsys):
+    path = tmp_path / "p.dp"
+    path.write_text(SRC, encoding="utf-8")
+    with pytest.raises(SystemExit) as exit_:
+        main([str(path), "--distribute", "8", "--topology", "torus:2x2"])
+    assert exit_.value.code == 2
+    assert (
+        "--topology torus:2x2 is a 4-processor machine but --distribute asked for 8"
+        in capsys.readouterr().err
+    )
+    with pytest.raises(SystemExit) as exit_:
+        main([str(path), "--topology", "grid:bogus"])
+    assert exit_.value.code == 2
+    assert "--topology: grid: bad axis extent 'bogus'" in capsys.readouterr().err
+
+
+# -- one recipe in the tree ----------------------------------------------------
+
+SRC_ROOT = Path(repro.__file__).parent
+
+
+def _sources(*skip: str):
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        rel = path.relative_to(SRC_ROOT).as_posix()
+        if not any(rel == s or rel.startswith(s) for s in skip):
+            yield rel, path.read_text(encoding="utf-8")
+
+
+def test_nothing_outside_the_kernel_builds_a_pipeline_or_names_a_goal():
+    offenders = [
+        (rel, token)
+        for rel, text in _sources("align/pipeline.py", "passes/")
+        for token in ("Pipeline(", "goal=")
+        if token in text
+    ]
+    assert offenders == []
+
+
+def test_a_solved_context_is_read_for_rendering_in_two_places():
+    calls = {
+        rel: text.count("source_alignments()")
+        for rel, text in _sources()
+        if "source_alignments()" in text
+    }
+    assert calls == {"align/pipeline.py": 2}
+    text = (SRC_ROOT / "align/pipeline.py").read_text(encoding="utf-8")
+    owners = [
+        re.findall(r"^ *def (\w+)\(", text[: match.start()], re.M)[-1]
+        for match in re.finditer(r"source_alignments\(\)", text)
+    ]
+    assert owners == ["report", "plan_facts"]
+
+
+def test_a_plan_result_is_constructed_in_one_function():
+    for rel, text in _sources("batch/engine.py"):
+        assert "PlanResult(" not in text, rel
+    text = (SRC_ROOT / "batch/engine.py").read_text(encoding="utf-8")
+    sites = [m.start() for m in re.finditer(r"(?<![\w.])PlanResult\(", text)]
+    assert len(sites) == 1
+    assert re.findall(r"^def (\w+)\(", text[: sites[0]], re.M)[-1] == "_measured"
+
+
+def test_the_entry_points_the_kernel_replaced_are_gone():
+    gone = (
+        "prefix_context", "replan_context", "_plan_one_impl", "_prefix_worker",
+        "_suffix_worker", "_pass_seconds", "_run_suffix", "_cold_worker",
+        "PassStats", "stats_table",
+    )
+    for rel, text in _sources():
+        for name in gone:
+            assert name not in text, (rel, name)
+        assert not re.search(r"\b_worker\b|\b_payload\b|\.stats\[", text), rel

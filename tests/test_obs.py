@@ -452,12 +452,10 @@ class TestOverheadGuard:
         build where the obs hooks are literally no-ops."""
         from contextlib import nullcontext
 
-        from repro.batch.engine import _plan_one_impl
-
         req = PlanRequest("small", SMALL)
 
         def run():
-            r = _plan_one_impl(req, 4, None, None, False, None)
+            r = plan_one(req, nprocs=4, trace=False)
             assert r.ok, r.error
             return r
 

@@ -25,7 +25,12 @@ from repro.align import (
     solve_mobile_offsets,
 )
 from repro.align.offset_mobile import ALGORITHMS
-from repro.align.pipeline import plan_context
+from repro.align.pipeline import (
+    plan_context,
+    planning_records,
+    solve_prefix,
+    solve_suffix,
+)
 from repro.lang import parse, programs
 from repro.passes import (
     AlignOptions,
@@ -255,6 +260,16 @@ class TestFixpointSolvesEachOffsetProblemOnce:
         )
 
 
+def _events(event, name, *contexts):
+    """How many ``event`` ("run" / "reuse") records of pass ``name`` the
+    contexts' traces hold — the record a pipeline leaves of what it did."""
+    return sum(
+        e["event"] == event and e["pass"] == name
+        for ctx in contexts
+        for e in ctx.trace
+    )
+
+
 class TestPrefixReuse:
     def test_topology_sweep_reuses_aligned_prefix(self):
         """The ADG/alignment objects keep their identity across a sweep;
@@ -264,8 +279,10 @@ class TestPrefixReuse:
         adg, alignments, profile = (
             ctx.get("adg"), ctx.get("alignments"), ctx.get("profile"),
         )
+        subs = []
         for spec in ("grid:4x4", "torus:4x4", "ring:16", "hypercube:16"):
             sub = ctx.fork()
+            subs.append(sub)
             sub.put("machine", MachineSpec.of(topology=spec))
             pipe.run(sub, goal="distribution")
             assert sub.get("adg") is adg
@@ -275,21 +292,23 @@ class TestPrefixReuse:
             assert ran == ["distribute"], ran
             reused = {e["pass"] for e in sub.trace if e["event"] == "reuse"}
             assert {"axis-stride", "replication-offsets", "comm-profile"} <= reused
-        st = pipe.stats
-        assert st["axis-stride"].runs == 1 and st["axis-stride"].reuses == 4
-        assert st["distribute"].runs == 4
+        assert _events("run", "axis-stride", ctx, *subs) == 1
+        assert _events("reuse", "axis-stride", ctx, *subs) == 4
+        assert _events("run", "distribute", ctx, *subs) == 4
 
     def test_nproc_sweep_reuses_aligned_prefix(self):
         pipe = Pipeline()
         ctx = pipe.run(plan_context(programs.example1()), goal="profile")
         grids = set()
+        subs = []
         for nprocs in (2, 4, 8):
             sub = ctx.fork()
+            subs.append(sub)
             sub.put("machine", MachineSpec.of(nprocs))
             pipe.run(sub, goal="distribution")
             grids.add(sub.get("distribution").grid)
-        assert pipe.stats["axis-stride"].runs == 1
-        assert pipe.stats["distribute"].runs == 3
+        assert _events("run", "axis-stride", ctx, *subs) == 1
+        assert _events("run", "distribute", ctx, *subs) == 3
         assert len(grids) == 3  # different machines, different plans
 
     def test_content_identical_machine_is_not_replanned(self):
@@ -301,8 +320,8 @@ class TestPrefixReuse:
         pipe.run(ctx, goal="distribution")
         ctx.put("machine", MachineSpec.of(4))  # same content, new version
         pipe.run(ctx, goal="distribution")
-        assert pipe.stats["distribute"].runs == 1
-        assert pipe.stats["distribute"].reuses == 1
+        assert _events("run", "distribute", ctx) == 1
+        assert _events("reuse", "distribute", ctx) == 1
 
     def test_changed_program_invalidates_prefix(self):
         pipe = Pipeline()
@@ -331,10 +350,10 @@ class TestPrefixReuse:
         pipe = Pipeline()
         ctx = plan_context(p1, info=typecheck(p1))
         pipe.run(ctx, goal="plan")
-        assert pipe.stats["typecheck"].runs == 0  # honored external info
+        assert _events("run", "typecheck", ctx) == 0  # honored external info
         ctx.put("program", p2)
         pipe.run(ctx, goal="plan")
-        assert pipe.stats["typecheck"].runs == 1  # stale info re-derived
+        assert _events("run", "typecheck", ctx) == 1  # stale info re-derived
         assert ctx.get("plan").total_cost == align_program(p2).total_cost
 
     def test_summary_reprs_are_not_content_fingerprinted(self):
@@ -453,18 +472,14 @@ class TestPickling:
         """The batch sweep contract: a machine-independent prefix can be
         pickled (stable port uids, no id() keys anywhere), shipped, and
         completed against any machine with identical results."""
-        pipe = Pipeline()
-        ctx = pipe.run(plan_context(programs.figure1()), goal="profile")
+        options, machine = planning_records(16, "hypercube:16")
+        ctx = solve_prefix(programs.figure1(), options)
         shipped = pickle.loads(pickle.dumps(ctx))
-        sub = shipped.fork()
-        sub.put("machine", MachineSpec.of(16, topology="hypercube:16"))
-        Pipeline().run(sub, goal="distribution")
+        sub = solve_suffix(shipped.fork(), machine)
         ran = [e["pass"] for e in sub.trace if e["event"] == "run"]
         assert ran == ["distribute"], ran
 
-        direct = ctx.fork()
-        direct.put("machine", MachineSpec.of(16, topology="hypercube:16"))
-        Pipeline().run(direct, goal="distribution")
+        direct = solve_suffix(ctx.fork(), machine)
         assert sub.get("distribution") == direct.get("distribution")
         assert str(sub.get("total_cost")) == str(direct.get("total_cost"))
 
@@ -556,20 +571,36 @@ class TestTraceAndExplain:
         with pytest.raises(SystemExit):
             main(["--batch", "2", "--explain"])
 
-    def test_sweep_prefix_timings_survive_suffix_failure(self):
+    def test_sweep_prefix_timings_survive_suffix_failure(self, monkeypatch):
         """When every machine of a program's chunk fails, the stage-1
         prefix executions still appear in the pass totals."""
+        import repro.batch.engine as engine
         from repro.batch import plan_sweep
 
+        def failing_suffix(ctx, machine):
+            raise RuntimeError("offset LP axis 0: infeasible")
+
+        monkeypatch.setattr(engine, "solve_suffix", failing_suffix)
         report = plan_sweep(
             ["real A(8), B(8)\nA(1:7) = B(2:8)"],
-            ["grid:bogus"],
+            ["grid:2x2"],
             serial=True,
         )
         assert report.results[0].ok is False
+        assert report.results[0].error.startswith("RuntimeError: offset LP")
         totals = report.pass_totals()
         assert totals["axis-stride"][0] == 1
         assert "distribute" not in totals
+
+    def test_sweep_bad_machine_fails_fast(self):
+        """A machine no task could plan for fails the call — as
+        ``plan_many``'s ``topology=`` typo does — not one row per program."""
+        from repro.batch import plan_sweep
+
+        with pytest.raises(ValueError, match="bogus"):
+            plan_sweep(
+                ["real A(8), B(8)\nA(1:7) = B(2:8)"], ["grid:bogus"], serial=True
+            )
 
 
 # -- the fingerprint renderer --------------------------------------------------
