@@ -109,14 +109,6 @@ class PlanResult:
     # passes contribute nothing); the machine spec the task planned for.
     passes: Mapping[str, float] = field(default_factory=dict)
     machine: Optional[str] = None
-    # Counter names that went backwards during the task (cachestats.reset
-    # fired mid-measurement): their cache entries are clamped to the
-    # post-reset counts, and the report surfaces the names explicitly —
-    # plus the magnitude floor each reset wiped (the pre-reset counts).
-    cache_resets: tuple[str, ...] = ()
-    cache_reset_lost: Mapping[str, tuple[int, int]] = field(
-        default_factory=dict
-    )
     # The task's span tree when the batch ran with tracing (``trace=True``):
     # a picklable recorder shipped back across the process pool, merged by
     # :meth:`BatchReport.merged_trace`.
@@ -213,9 +205,6 @@ def _measured(
                         passes[ev["pass"]] = passes.get(ev["pass"], 0.0) + ev["seconds"]
             except Exception as exc:  # noqa: BLE001 - diagnostics, not control flow
                 error = f"{type(exc).__name__}: {exc}"
-        resets: set[str] = set()
-        lost: dict[str, tuple[int, int]] = {}
-        cache = cachestats.delta(before, resets=resets, lost=lost)
         result = PlanResult(
             name=name,
             ok=error is None,
@@ -228,11 +217,9 @@ def _measured(
             dist_exact=facts.get("exact"),
             error=error,
             verified=verified,
-            cache=cache,
+            cache=cachestats.delta(before),
             passes=passes,
             machine=label,
-            cache_resets=tuple(sorted(resets)),
-            cache_reset_lost=lost,
             trace=rec,
         )
     return result, ctx
@@ -343,21 +330,6 @@ class BatchReport:
     def cache_hit_rates(self) -> dict[str, float]:
         return cachestats.hit_rate(self.cache_totals())
 
-    def cache_reset_names(self) -> tuple[str, ...]:
-        """Counters observed going backwards in any task (clamped deltas)."""
-        names: set[str] = set()
-        for r in self.results:
-            names.update(r.cache_resets)
-        return tuple(sorted(names))
-
-    def cache_reset_lost(self) -> dict[str, tuple[int, int]]:
-        """Summed magnitude floor each reset counter lost across tasks
-        (the pre-reset ``(hits, misses)`` wiped by each observed reset)."""
-        out: dict[str, tuple[int, int]] = {}
-        for r in self.results:
-            cachestats.merge(out, r.cache_reset_lost)
-        return out
-
     def latency_summaries(self, unit: float = 1e3) -> dict[str, dict]:
         """Histogram-backed per-task latency (p50/p90/p99) per program
         family, plus an ``"*"`` row for the whole batch; milliseconds by
@@ -400,11 +372,6 @@ class BatchReport:
             "cache": {
                 name: {"hits": h, "misses": m}
                 for name, (h, m) in sorted(self.cache_totals().items())
-            },
-            "cache_resets": list(self.cache_reset_names()),
-            "cache_reset_lost": {
-                name: {"hits": h, "misses": m}
-                for name, (h, m) in sorted(self.cache_reset_lost().items())
             },
             "latency": self.latency_summaries(),
             "passes": {
@@ -449,18 +416,6 @@ class BatchReport:
             lines.append(
                 f"  cache {name:22s} hits={h:8d} misses={m:8d} "
                 f"rate={rates[name]:.1%}"
-            )
-        resets = self.cache_reset_names()
-        if resets:
-            lost = self.cache_reset_lost()
-            detail = ", ".join(
-                f"{name} (lost >= {lost.get(name, (0, 0))[0]}h/"
-                f"{lost.get(name, (0, 0))[1]}m)"
-                for name in resets
-            )
-            lines.append(
-                "  WARNING: counters reset mid-task (deltas clamped): "
-                + detail
             )
         for fam, s in self.latency_summaries().items():
             if s.get("count"):

@@ -45,40 +45,19 @@ def snapshot() -> dict[str, tuple[int, int]]:
 def delta(
     before: Mapping[str, tuple[int, int]],
     after: Mapping[str, tuple[int, int]] | None = None,
-    resets: set[str] | None = None,
-    lost: dict[str, tuple[int, int]] | None = None,
 ) -> dict[str, tuple[int, int]]:
     """Counter increments between two snapshots (``after`` defaults to now).
 
-    Iterates the *union* of the two snapshots' names, so a counter that
-    was alive in ``before`` but absent from ``after`` (a registry wiped
-    by :func:`reset` in another thread, or a stale snapshot from a
-    worker process) still shows up rather than vanishing silently.
-
-    A counter that went *backwards* — ``after`` below ``before`` on
-    either field — means :func:`reset` fired between the snapshots.  The
-    honest increment is unknowable, so the contribution is clamped to
-    the counts accumulated *since* the reset (the raw ``after`` values,
-    never negative), and the name is added to ``resets`` when the caller
-    passes a set to collect them.  ``lost`` (when passed) additionally
-    records the reset's *magnitude*: the ``before`` counts are a floor
-    on what the reset wiped (the counter held at least that much when it
-    was zeroed), so ``lost[name] = (hits, misses)`` from ``before``.
+    Counters only ever grow, so this is the per-name difference over the
+    union of the two snapshots' names; names that did not move are left
+    out.
     """
     after = snapshot() if after is None else after
     out: dict[str, tuple[int, int]] = {}
     for name in before.keys() | after.keys():
         h, m = after.get(name, (0, 0))
         h0, m0 = before.get(name, (0, 0))
-        if h < h0 or m < m0:
-            # Counter went backwards: a reset happened in between.
-            if resets is not None:
-                resets.add(name)
-            if lost is not None:
-                lost[name] = (h0, m0)
-            if h or m:
-                out[name] = (h, m)
-        elif h != h0 or m != m0:
+        if h != h0 or m != m0:
             out[name] = (h - h0, m - m0)
     return out
 
@@ -90,12 +69,6 @@ def merge(
         h0, m0 = into.get(name, (0, 0))
         into[name] = (h0 + h, m0 + m)
     return into
-
-
-def reset() -> None:
-    """Zero every counter (cache contents are left alone)."""
-    for c in _STATS.values():
-        c[0] = c[1] = 0
 
 
 def clear_caches() -> None:

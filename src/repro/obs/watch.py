@@ -3,7 +3,7 @@
 Polls a running :mod:`repro.serve` daemon over its JSON-lines protocol
 (the ``stats`` and ``metrics`` ops) and renders a refreshing ASCII
 table: lifetime vs rolling-window request counts and hit ratios, the
-windowed p50/p99 of the warm/cold latency histograms, the in-flight
+windowed p50/p99 of the warm/delta/cold latency histograms, the in-flight
 gauge, cache occupancy, and per-SLO burn rates.
 
 No curses, no third-party TUI — plain ANSI clear-and-redraw, so it
@@ -65,12 +65,11 @@ def render_dashboard(stats: dict, metrics: dict, address: str) -> str:
     def wsum(name: str) -> dict:
         return windows.get(name, {}).get("summary", {})
 
+    hit_names = ("serve.hits.plan", "serve.hits.prefix", "serve.hits.delta")
     requests = counters.get("serve.requests", 0)
-    hits = counters.get("serve.hits.plan", 0) + counters.get(
-        "serve.hits.prefix", 0
-    )
+    hits = sum(counters.get(name, 0) for name in hit_names)
     w_requests = wval("serve.requests")
-    w_hits = wval("serve.hits.plan") + wval("serve.hits.prefix")
+    w_hits = sum(wval(name) for name in hit_names)
 
     width = 64
     lines = [
@@ -91,6 +90,11 @@ def render_dashboard(stats: dict, metrics: dict, address: str) -> str:
             "prefix hits",
             f"{counters.get('serve.hits.prefix', 0)}",
             f"{wval('serve.hits.prefix'):g}",
+        ),
+        (
+            "delta hits",
+            f"{counters.get('serve.hits.delta', 0)}",
+            f"{wval('serve.hits.delta'):g}",
         ),
         (
             "misses",
@@ -116,6 +120,11 @@ def render_dashboard(stats: dict, metrics: dict, address: str) -> str:
             "warm p50/p99",
             _ms(hists.get("serve.warm_ms", {})),
             _ms(wsum("serve.warm_ms")),
+        ),
+        (
+            "delta p50/p99",
+            _ms(hists.get("serve.delta_ms", {})),
+            _ms(wsum("serve.delta_ms")),
         ),
         (
             "cold p50/p99",

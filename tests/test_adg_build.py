@@ -65,6 +65,10 @@ class TestLoops:
         assert c[NodeKind.TRANSFORMER] == 5
         assert c[NodeKind.MERGE] == 2
         assert c[NodeKind.BRANCH] == 1  # A's loop-exit branch
+        # ... around the body Figure 2 draws: two sections, a '+', an assign.
+        assert c[NodeKind.SECTION] == 2
+        assert c[NodeKind.ELEMENTWISE] == 1
+        assert c[NodeKind.SECTION_ASSIGN] == 1
 
     def test_transformer_payloads(self):
         adg = build_adg(programs.figure1())

@@ -118,14 +118,27 @@ class TestEndToEnd:
         # table replicated or at least analysis completes with zero cost
         assert plan.total_cost >= 0
 
-    def test_cut_optimality_vs_exhaustive(self):
-        """Theorem 1: the cut cost matches brute-force optimal labeling."""
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: programs.figure4(nt=6, nk=4),
+            lambda: programs.figure4(nt=20, nk=30),
+            lambda: programs.figure1(n=10),
+        ],
+        ids=["figure4-small", "figure4-paper", "figure1"],
+    )
+    def test_cut_optimality_vs_exhaustive(self, make):
+        """Theorem 1: the cut cost matches brute-force optimal labeling
+        (the forced-labels-only labeling is one of those enumerated),
+        whichever max-flow algorithm finds it."""
         from itertools import product
 
-        program = programs.figure4(nt=6, nk=4)
+        program = make()
         adg = build_adg(program)
         skel = solve_axis_stride(adg).skeletons
         rep = label_replication(adg, skel, program)
+        ek = label_replication(adg, skel, program, method="edmonds-karp")
+        assert ek.cut_value == rep.cut_value
         axis = 1
         labeler_cost = rep.cut_value[axis]
 

@@ -124,67 +124,12 @@ class TestPlanMany:
 
 
 class TestCacheStatsDelta:
-    """Snapshot arithmetic: unions, clamping, and explicit reset reporting."""
+    """Snapshot arithmetic: the per-name difference over the union of names."""
 
     def test_plain_increments(self):
         before = {"a": (1, 2), "b": (0, 0)}
         after = {"a": (4, 2), "b": (0, 0), "c": (5, 1)}
         assert cachestats.delta(before, after) == {"a": (3, 0), "c": (5, 1)}
-
-    def test_before_only_counters_are_not_dropped(self):
-        # A name alive in `before` but missing from `after` is a reset
-        # (registry wiped), not a no-op: it must be reported, clamped to
-        # the post-reset counts (zero), never silently vanish.
-        before = {"gone": (7, 3), "still": (1, 1)}
-        after = {"still": (2, 1)}
-        resets: set[str] = set()
-        out = cachestats.delta(before, after, resets=resets)
-        assert out == {"still": (1, 0)}
-        assert resets == {"gone"}
-
-    def test_backwards_counters_clamp_and_report_the_reset(self):
-        # Counter went 10/10 -> 3/1: reset() fired between snapshots.
-        # The delta is clamped to the counts since the reset — never a
-        # negative number — and the name lands in `resets`.
-        before = {"x": (10, 10)}
-        after = {"x": (3, 1)}
-        resets: set[str] = set()
-        out = cachestats.delta(before, after, resets=resets)
-        assert out == {"x": (3, 1)}
-        assert resets == {"x"}
-        assert all(h >= 0 and m >= 0 for h, m in out.values())
-
-    def test_reset_to_exact_zero_is_reported_but_contributes_nothing(self):
-        resets: set[str] = set()
-        out = cachestats.delta({"x": (5, 5)}, {"x": (0, 0)}, resets=resets)
-        assert out == {}
-        assert resets == {"x"}
-
-    def test_resets_param_is_optional(self):
-        out = cachestats.delta({"x": (10, 0)}, {"x": (2, 0)})
-        assert out == {"x": (2, 0)}
-
-    def test_live_reset_between_snapshots(self):
-        cachestats.record_hit("test.delta.live")
-        before = cachestats.snapshot()
-        cachestats.record_hit("test.delta.live")
-        cachestats.reset()
-        cachestats.record_miss("test.delta.live")
-        resets: set[str] = set()
-        out = cachestats.delta(before, resets=resets)
-        assert out["test.delta.live"] == (0, 1)
-        assert "test.delta.live" in resets
-
-    def test_plan_result_carries_reset_names(self):
-        scenario = generate_corpus(1, seed=0)[0]
-        result = plan_one(PlanRequest.of(scenario, 0), nprocs=4)
-        assert result.ok
-        assert result.cache_resets == ()
-        report = plan_many([scenario], nprocs=4, serial=True)
-        assert report.cache_reset_names() == ()
-        blob = report.to_json()
-        assert blob["cache_resets"] == []
-        assert "WARNING: counters reset" not in report.render()
 
 
 class TestCacheHygiene:

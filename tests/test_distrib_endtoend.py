@@ -40,6 +40,10 @@ class TestAcceptance:
         _, profile, dplan = _planned(make, kw)
         best_naive = min(c.hops for c in naive_costs(profile, 4).values())
         assert dplan.cost.hops <= best_naive, name
+        if name == "figure1":
+            # The search is not vacuous: the mobile V alignment makes a
+            # skewed grid strictly better than every uniform scheme.
+            assert dplan.cost.hops < best_naive
 
     @pytest.mark.parametrize("name,make,kw", EXAMPLES)
     def test_model_exact_under_identity(self, name, make, kw):

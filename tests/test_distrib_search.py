@@ -100,13 +100,24 @@ class TestLocalSearch:
         local = plan_distribution(profile, 4, exhaustive_limit=0)
         assert local.cost.hops == exact.cost.hops
 
-    def test_two_dim_fallback_close_to_naive(self):
-        profile = _profile(programs.figure1(n=10), replication=False)
+    @pytest.mark.parametrize(
+        "make,kw",
+        [
+            (lambda: programs.figure1(n=10), dict(replication=False)),
+            (lambda: programs.figure1(n=16), dict(replication=False)),
+            (lambda: programs.figure4(nt=8, nk=6), {}),
+        ],
+        ids=["figure1-10", "figure1-16", "figure4"],
+    )
+    def test_two_dim_fallback_close_to_naive(self, make, kw):
+        profile = _profile(make(), **kw)
         local = plan_distribution(profile, 4, exhaustive_limit=0, seed=1)
         naive = naive_costs(profile, 4)
         assert local.cost.hops <= min(
             naive["all-block"].hops, naive["all-cyclic"].hops
         )
+        exact = plan_distribution(profile, 4)
+        assert exact.cost.hops <= local.cost.hops <= 2 * max(1, exact.cost.hops)
 
     def test_prime_factors(self):
         assert _prime_factors(12) == [2, 2, 3]

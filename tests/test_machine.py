@@ -158,10 +158,16 @@ class TestMeasurePlan:
             (programs.figure1(n=16), dict(replication=False)),
             (programs.example1(n=32), {}),
             (programs.stencil_sweep(n=24, iters=2), dict(replication=False)),
+            (programs.skewed_wavefront(n=12), dict(replication=False)),
         ]:
             plan = align_program(prog, **kwargs)
             rep = measure_plan(plan, scheme="identity")
             assert rep.hop_cost == plan.total_cost, prog.name
+            # a coarser distribution can only keep more moves on-processor
+            block = measure_plan(
+                plan, scheme="block", processors=(4,) * plan.adg.template_rank
+            )
+            assert block.elements_moved <= rep.elements_moved, prog.name
 
     def test_broadcast_counted(self):
         plan = align_program(programs.figure4(nt=8, nk=6))

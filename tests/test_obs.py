@@ -326,42 +326,6 @@ class TestExport:
         assert rec.roots[0].children[0].child_coverage() == 1.0
 
 
-# -- cachestats reset magnitudes (satellite) ----------------------------------
-
-
-class TestResetMagnitude:
-    def test_delta_reports_lost_floor(self):
-        before = {"x": (10, 4), "y": (1, 1)}
-        after = {"x": (2, 0), "y": (2, 2)}
-        resets, lost = set(), {}
-        out = cachestats.delta(before, after, resets=resets, lost=lost)
-        assert resets == {"x"}
-        assert lost == {"x": (10, 4)}  # the pre-reset floor
-        assert out["x"] == (2, 0) and out["y"] == (1, 1)
-
-    def test_vanished_counter_counts_as_full_loss(self):
-        resets, lost = set(), {}
-        out = cachestats.delta({"gone": (7, 3)}, {}, resets=resets, lost=lost)
-        assert resets == {"gone"} and lost == {"gone": (7, 3)}
-        assert "gone" not in out  # nothing accumulated since
-
-    def test_batch_report_surfaces_lost_magnitudes(self):
-        from repro.batch.engine import BatchReport, PlanResult
-
-        r = PlanResult(
-            name="t",
-            ok=True,
-            seconds=0.01,
-            cache_resets=("k",),
-            cache_reset_lost={"k": (5, 2)},
-        )
-        rep = BatchReport([r, r], seconds=0.02, jobs=1, mode="serial")
-        assert rep.cache_reset_lost() == {"k": (10, 4)}
-        blob = rep.to_json()
-        assert blob["cache_reset_lost"] == {"k": {"hits": 10, "misses": 4}}
-        assert "lost >= 10h/4m" in rep.render()
-
-
 # -- pipeline + planner spans -------------------------------------------------
 
 

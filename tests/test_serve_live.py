@@ -15,6 +15,7 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import socket
 import threading
 
 import pytest
@@ -34,6 +35,8 @@ SRC = """
 real A(64), B(64)
 A(1:63) = A(1:63) + B(2:64)
 """
+
+SRC_EDIT = SRC.replace("A(1:63) + B(2:64)", "A(1:63) - B(2:64)")
 
 SRC2 = """
 real C(32), D(32)
@@ -205,9 +208,13 @@ def _drive(coro):
 
 
 class TestDaemonMetricsOp:
-    def _roundtrip(self, messages, log=None):
+    def _roundtrip(self, messages, log=None, service=None, then=None):
+        """The replies to ``messages``; ``then(host, port)`` is a blocking
+        client run in a thread while the daemon still serves, its result
+        appended."""
+
         async def drive():
-            daemon = PlanDaemon(PlanService(), port=0, log=log)
+            daemon = PlanDaemon(service or PlanService(), port=0, log=log)
             await daemon.start()
             server = asyncio.create_task(daemon.serve_forever())
             reader, writer = await asyncio.open_connection(*daemon.address)
@@ -216,6 +223,8 @@ class TestDaemonMetricsOp:
                 writer.write(json.dumps(msg).encode() + b"\n")
                 await writer.drain()
                 replies.append(json.loads(await reader.readline()))
+            if then is not None:
+                replies.append(await asyncio.to_thread(then, *daemon.address))
             writer.close()
             daemon.shutdown()
             await server
@@ -256,6 +265,66 @@ class TestDaemonMetricsOp:
             "malformed_request", "malformed_request",
         ]
         assert "wat" in events[0]["error"]
+
+    def test_watch_and_scrape_against_a_live_daemon(self, capsys):
+        from repro.obs import prom, watch
+
+        def client(host, port):
+            with socket.create_connection((host, port), timeout=30) as sock:
+                f = sock.makefile("rwb")
+
+                def ask(**msg):
+                    msg = {"op": "plan", "name": "q", "nprocs": 4, **msg}
+                    f.write(json.dumps(msg).encode() + b"\n")
+                    f.flush()
+                    return json.loads(f.readline())
+
+                cold = ask(source=SRC)
+                hit = ask(source=SRC)
+                delta = ask(
+                    source=SRC_EDIT,
+                    base_fingerprint=cold["fingerprints"]["program"],
+                )
+            return (
+                [r["cached"] for r in (cold, hit, delta)],
+                watch.snapshot(host, port),
+                prom.scrape(host, port),
+                watch.main([f"{host}:{port}", "--once"]),
+            )
+
+        # A clock of its own: the rolling windows start empty whatever
+        # earlier tests in this process asked of the shared registry.
+        service = PlanService(clock=FakeClock())
+        ((outcomes, frame, scraped, status),) = self._roundtrip(
+            [], service=service, then=client
+        )
+        assert outcomes == [None, "plan", "delta"]
+        life, window = {}, {}
+        for line in frame.split("-" * 64)[1].strip().splitlines():
+            name = line[:18].strip()
+            life[name], window[name] = line[18:].split()
+        # Every request is in exactly one outcome row, a delta one too.
+        outcome_rows = ("plan hits", "prefix hits", "delta hits", "misses", "errors")
+        assert window["requests"] == "3"
+        assert [window[r] for r in outcome_rows] == ["1", "0", "1", "1", "0"]
+        assert window["hit ratio"] == "66.7%"
+        hits = sum(int(life[r]) for r in outcome_rows[:3])
+        assert life["hit ratio"] == f"{100 * hits / int(life['requests']):.1f}%"
+        assert window["delta p50/p99"] != "--/--"
+        assert "repro.serve" in frame and "SLO" in frame
+        assert prom.check_exposition(scraped) == []
+        assert status == 0 and "delta hits" in capsys.readouterr().out
+
+    def test_watch_once_on_a_dead_port_is_a_one_line_failure(self, capsys):
+        from repro.obs import watch
+
+        with socket.socket() as sock:  # a port nothing listens on
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        assert watch.main([f"127.0.0.1:{port}", "--once"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("watch: ")
+        assert len(captured.err.splitlines()) == 1
 
     def test_raw_metrics_line_scrapes_and_closes(self):
         from repro.obs.prom import check_exposition
