@@ -33,7 +33,7 @@ from ..adg.nodes import (
     SubscriptSpec,
     TransformerPayload,
 )
-from ..ir.affine import AffineForm
+from ..ir.affine import AffineForm, Scalar, exact_div, scalar
 from ..ir.symbols import LIV
 from ..solvers.dp import DiscreteLabelingProblem
 from .cost import cached_moments
@@ -167,7 +167,7 @@ def _div_affine(num: AffineForm, den: AffineForm) -> AffineForm | None:
     k = next(iter(livs))
     if den.coeff(k) == 0:
         return None
-    c = num.coeff(k) / den.coeff(k)
+    c = exact_div(num.coeff(k), den.coeff(k))
     if num - den * c == AffineForm(0):
         return AffineForm(c)
     return None
@@ -283,7 +283,7 @@ class AxisStrideResult:
 
     skeletons: dict[str, Skeleton]  # keyed by Port.key
     port_by_key: dict[str, Port]
-    cost: Fraction
+    cost: Scalar
     exact: bool
 
     def of(self, p: Port) -> Skeleton:
@@ -478,9 +478,9 @@ class AxisStrideSolver:
 
     # -- cost weights ---------------------------------------------------------------
 
-    def _edge_weight(self, e) -> Fraction:
+    def _edge_weight(self, e) -> Scalar:
         m = cached_moments(e.space, e.weight)
-        return m.m0 * Fraction(e.control_weight).limit_denominator(10**6)
+        return scalar(m.m0 * Fraction(e.control_weight).limit_denominator(10**6))
 
     # -- identity contraction --------------------------------------------------------
 
@@ -560,7 +560,7 @@ class AxisStrideSolver:
         prob = DiscreteLabelingProblem()
         for root, cands in class_cands.items():
             prob.add_node(root, cands)
-        total_w = sum((self._edge_weight(e) for e in self.adg.edges), Fraction(0))
+        total_w = sum(self._edge_weight(e) for e in self.adg.edges)
         big = total_w * 1000 + 1
 
         # Functional node constraints between classes.

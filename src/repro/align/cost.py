@@ -22,7 +22,7 @@ from typing import Mapping
 
 from ..adg.graph import ADG, ADGEdge, Port
 from ..cachestats import MISS, BoundedCache
-from ..ir.affine import AffineForm
+from ..ir.affine import AffineForm, Scalar, scalar
 from ..ir.closedform import Moments, weighted_moments
 from ..ir.itspace import IterationSpace
 from ..ir.polynomial import Polynomial
@@ -53,7 +53,7 @@ def cached_moments(space: IterationSpace, weight: Polynomial) -> Moments:
 
 def abs_weighted_span(
     span: AffineForm, weight: Polynomial, space: IterationSpace
-) -> Fraction:
+) -> Scalar:
     """Exact ``sum_i weight(i) * |span(i)|`` over the space.
 
     Requires the weight to be nonnegative on the space (data weights
@@ -64,14 +64,14 @@ def abs_weighted_span(
     cached = _SPANS.lookup(key)
     if cached is not MISS:
         return cached  # type: ignore[return-value]
-    return _SPANS.store(key, _abs_weighted_span(span, weight, space))  # type: ignore[return-value]
+    return _SPANS.store(key, scalar(_abs_weighted_span(span, weight, space)))  # type: ignore[return-value]
 
 
 def _abs_weighted_span(
     span: AffineForm, weight: Polynomial, space: IterationSpace
-) -> Fraction:
+) -> Scalar:
     if space.is_empty():
-        return Fraction(0)
+        return 0
     if space.depth == 0:
         return abs(span.const) * weight.const if weight.is_constant else abs(
             span.const
@@ -80,7 +80,7 @@ def _abs_weighted_span(
         m = cached_moments(space, weight)
         return abs(m.span_sum(span.const, span.coeffs))
     if space.count <= _ENUM_LIMIT:
-        total = Fraction(0)
+        total = 0
         for env in space.points():
             total += weight.evaluate(env) * abs(span.evaluate(env))
         return total
@@ -89,7 +89,7 @@ def _abs_weighted_span(
     axis = max(range(space.depth), key=lambda j: sizes[j])
     trip = space.triplets[axis]
     left, right = trip.split_at(len(trip) // 2)
-    total = Fraction(0)
+    total = 0
     for part in (left, right):
         if not part.is_empty():
             total += abs_weighted_span(
@@ -102,21 +102,21 @@ def _abs_weighted_span(
 class EdgeCost:
     edge: ADGEdge
     kind: str  # "aligned", "shift", "general", "broadcast"
-    cost: Fraction
+    cost: Scalar
 
 
 def edge_cost(e: ADGEdge, alignments: Mapping[str, Alignment]) -> EdgeCost:
     """Exact realignment cost of one edge under the alignment map."""
     ax = alignments[e.tail.key]
     ay = alignments[e.head.key]
-    cw = Fraction(e.control_weight).limit_denominator(10**9)
+    cw = scalar(Fraction(e.control_weight).limit_denominator(10**9))
     if (
         ax.axis_signature() != ay.axis_signature()
         or ax.stride_signature() != ay.stride_signature()
     ):
         m = cached_moments(e.space, e.weight)
-        return EdgeCost(e, "general", cw * m.m0)
-    total = Fraction(0)
+        return EdgeCost(e, "general", scalar(cw * m.m0))
+    total = 0
     kind = "aligned"
     for tau in range(ax.template_rank):
         a1, a2 = ax.axes[tau], ay.axes[tau]
@@ -136,11 +136,11 @@ def edge_cost(e: ADGEdge, alignments: Mapping[str, Alignment]) -> EdgeCost:
             total += c
             if kind == "aligned":
                 kind = "shift"
-    return EdgeCost(e, kind, cw * total)
+    return EdgeCost(e, kind, scalar(cw * total))
 
 
-def total_cost(adg: ADG, alignments: Mapping[str, Alignment]) -> Fraction:
-    return sum((edge_cost(e, alignments).cost for e in adg.edges), Fraction(0))
+def total_cost(adg: ADG, alignments: Mapping[str, Alignment]) -> Scalar:
+    return scalar(sum(edge_cost(e, alignments).cost for e in adg.edges))
 
 
 def cost_breakdown(
@@ -154,16 +154,16 @@ def offset_only_cost(
     skeleton: Mapping[str, Alignment],
     offsets: Mapping[tuple[str, int], AffineForm],
     replicated: set[tuple[str, int]] | None = None,
-) -> Fraction:
+) -> Scalar:
     """Grid-metric cost of an offset assignment, skipping edges that are
     general communication (skeleton mismatch) or replicated — the exact
     objective the mobile-offset algorithms of Section 4 approximate."""
     replicated = replicated or set()
-    total = Fraction(0)
+    total = 0
     for e in adg.edges:
         if skeleton[e.tail.key] != skeleton[e.head.key]:
             continue
-        cw = Fraction(e.control_weight).limit_denominator(10**9)
+        cw = scalar(Fraction(e.control_weight).limit_denominator(10**9))
         for tau in range(adg.template_rank):
             if (e.tail.key, tau) in replicated or (e.head.key, tau) in replicated:
                 continue
@@ -171,7 +171,7 @@ def offset_only_cost(
             if span == AffineForm(0):
                 continue
             total += cw * abs_weighted_span(span, e.weight, e.space)
-    return total
+    return scalar(total)
 
 
 def assemble_alignments(

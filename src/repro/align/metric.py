@@ -22,10 +22,9 @@ distribution maps cells to processors (:mod:`repro.machine`,
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping
 
-from ..ir.affine import AffineForm
+from ..ir.affine import AffineForm, Scalar, scalar
 from ..ir.symbols import LIV
 from ..topology import default_topology
 from .position import Alignment
@@ -40,7 +39,7 @@ def discrete(a: object, b: object) -> int:
     return 0 if a == b else 1
 
 
-def grid(p: tuple[Fraction, ...], q: tuple[Fraction, ...]) -> Fraction:
+def grid(p: tuple[Scalar, ...], q: tuple[Scalar, ...]) -> Scalar:
     """Distance between two template cells on the default topology
     (the unbounded grid — L1, per the paper)."""
     return _CELL_METRIC.distance(p, q)
@@ -65,7 +64,7 @@ def alignment_distance(
     env: Mapping[LIV, int],
     elements: int,
     extent_per_axis: Mapping[int, int] | None = None,
-) -> Fraction:
+) -> Scalar:
     """Per-iteration realignment cost of moving an object of ``elements``
     elements from alignment ``a`` to ``b`` at LIV environment ``env``.
 
@@ -83,13 +82,13 @@ def alignment_distance(
     if a.template_rank != b.template_rank:
         raise ValueError("alignments live in different templates")
     if not axes_strides_equal(a, b, env):
-        return Fraction(elements)
-    total = Fraction(0)
+        return elements
+    total = 0
     for ax_a, ax_b in zip(a.axes, b.axes):
         if ax_b.is_replicated:
             if not ax_a.is_replicated:
                 # Broadcast along this axis: pay the object size once.
-                total += Fraction(elements)
+                total += elements
             continue
         if ax_a.is_replicated:
             continue  # source replicated: a copy exists at the target offset
@@ -97,4 +96,4 @@ def alignment_distance(
             ax_a.offset.evaluate(env), ax_b.offset.evaluate(env)
         )
         total += d * elements
-    return total
+    return scalar(total)

@@ -21,11 +21,10 @@ subranges, and whether the partition is iterated:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping, MutableMapping
 
 from ..adg.graph import ADG, ADGEdge
-from ..ir.affine import AffineForm
+from ..ir.affine import AffineForm, Scalar
 from ..ir.itspace import IterationSpace
 from ..ir.symbols import LIV
 from .cost import offset_only_cost
@@ -48,7 +47,7 @@ Skeleton = Mapping[str, Alignment]
 class MobileOffsetResult:
     algorithm: str
     offsets: OffsetMap
-    cost: Fraction
+    cost: Scalar
     lp_stats: list[OffsetLPStats] = field(default_factory=list)
     iterations: int = 1
     subranges_total: int = 0
@@ -91,7 +90,7 @@ def _exact_cost(
     skeleton: Skeleton,
     offsets: OffsetMap,
     replicated: ReplicationLabels | None,
-) -> Fraction:
+) -> Scalar:
     return offset_only_cost(adg, skeleton, offsets, set(replicated or ()))
 
 

@@ -34,7 +34,7 @@ from typing import Iterable, Mapping, MutableMapping
 
 from ..adg.graph import ADG, ADGEdge, ADGNode, Port
 from ..adg.nodes import NodeKind
-from ..ir.affine import AffineForm
+from ..ir.affine import AffineForm, Scalar
 from ..ir.itspace import IterationSpace
 from ..ir.symbols import LIV
 from ..solvers.lp import LinExpr, LPModel, Variable
@@ -287,12 +287,12 @@ class OffsetLP:
     def rounded_offsets(self, values: dict[Slot, Fraction]) -> OffsetMap:
         out: OffsetMap = {}
 
-        def lp_slot(p: Port, liv: LIV | None) -> Fraction:
-            return values.get((p.key, liv), Fraction(0))
+        def lp_slot(p: Port, liv: LIV | None) -> Scalar:
+            return values.get((p.key, liv), 0)
 
         def rounded_port(p: Port) -> AffineForm:
-            coeffs = {liv: Fraction(round(lp_slot(p, liv))) for liv in p.space.livs}
-            return AffineForm(Fraction(round(lp_slot(p, None))), coeffs)
+            coeffs = {liv: round(lp_slot(p, liv)) for liv in p.space.livs}
+            return AffineForm(round(lp_slot(p, None)), coeffs)
 
         for n in self.adg.nodes:
             rels = [r for r in self.relations if r.p.node is n or r.q.node is n]
@@ -345,7 +345,7 @@ class OffsetLP:
             return pa + rel.shift
         if isinstance(rel, EntryEval):
             k, v = rel.liv, rel.value
-            ak = Fraction(round(values.get((q.key, k), Fraction(0))))
+            ak = round(values.get((q.key, k), 0))
             coeffs = {liv: pa.coeff(liv) for liv in rel.p.space.livs}
             coeffs[k] = ak
             const = pa.const - v * ak

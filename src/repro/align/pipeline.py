@@ -28,13 +28,13 @@ that sweeps machines solves the prefix once and hands
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (distrib uses align)
     from ..distrib.plan import DistributionPlan
 
 from ..adg.graph import ADG, Port
+from ..ir.affine import Scalar
 from ..lang.ast import Program
 from ..lang.typecheck import TypeInfo
 from .axis_stride import AxisStrideResult
@@ -71,7 +71,7 @@ class AlignmentPlan:
     replication: Optional[ReplicationResult]
     offsets: MobileOffsetResult
     alignments: AlignmentMap
-    total_cost: Fraction
+    total_cost: Scalar
     replication_rounds: int = 1
     distribution: Optional["DistributionPlan"] = None
 

@@ -13,10 +13,9 @@ single position to a regular section of the template axis, written
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Optional
 
-from ..ir.affine import AffineForm
+from ..ir.affine import AffineForm, Scalar, scalar
 from ..ir.symbols import LIV
 
 
@@ -71,8 +70,8 @@ class AxisAlignment:
             raise ValueError("replication is restricted to space axes (Section 5)")
 
     def position(
-        self, index: Mapping[int, Fraction | int], env: Mapping[LIV, int]
-    ) -> Fraction:
+        self, index: Mapping[int, Scalar], env: Mapping[LIV, int]
+    ) -> Scalar:
         """Template coordinate for an element, at a LIV environment.
 
         ``index`` maps array-axis number to the element's index value.
@@ -85,7 +84,7 @@ class AxisAlignment:
         if not self.is_body:
             return off
         assert self.stride is not None and self.array_axis is not None
-        return off + self.stride.evaluate(env) * Fraction(index[self.array_axis])
+        return scalar(off + self.stride.evaluate(env) * index[self.array_axis])
 
     def __repr__(self) -> str:
         if self.is_replicated:
@@ -141,7 +140,7 @@ class Alignment:
 
     def position(
         self, index: Mapping[int, int], env: Mapping[LIV, int]
-    ) -> tuple[Fraction, ...]:
+    ) -> tuple[Scalar, ...]:
         """Template cell of one element (no replicated axes allowed)."""
         return tuple(a.position(index, env) for a in self.axes)
 

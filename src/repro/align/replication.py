@@ -30,7 +30,7 @@ from typing import Mapping
 
 from ..adg.graph import ADG, ADGNode, Port
 from ..adg.nodes import NodeKind, SourcePayload, SpreadPayload
-from ..ir.affine import AffineForm
+from ..ir.affine import AffineForm, Scalar, scalar
 from ..lang.ast import Program, walk_stmts, Assign
 from ..solvers.maxflow import INF, FlowNetwork
 from .cost import cached_moments
@@ -45,7 +45,7 @@ class ReplicationResult:
     """Per-axis labels plus the broadcast cost the cut certifies."""
 
     labels: dict[tuple[str, int], str] = field(default_factory=dict)  # (Port.key, axis) -> R/N
-    cut_value: dict[int, Fraction] = field(default_factory=dict)  # axis -> cost
+    cut_value: dict[int, Scalar] = field(default_factory=dict)  # axis -> cost
 
     def replicated_ports(self) -> set[tuple[str, int]]:
         return {k for k, v in self.labels.items() if v == "R"}
@@ -133,7 +133,7 @@ class ReplicationLabeler:
         m = cached_moments(e.space, e.weight)
         return float(m.m0) * e.control_weight
 
-    def label_axis(self, axis: int) -> tuple[dict[int, str], Fraction, dict[str, str]]:
+    def label_axis(self, axis: int) -> tuple[dict[int, str], Scalar, dict[str, str]]:
         """Label every node for one axis; returns (node labels, cut value,
         spread-split labels keyed by port key)."""
         g = FlowNetwork()
@@ -239,7 +239,7 @@ class ReplicationLabeler:
             if _current_axis_spread(n, self.skeleton, axis):
                 for p in n.ports:
                     spread_labels[p.key] = "R" if not p.is_output else "N"
-        return labels, Fraction(value).limit_denominator(10**6), spread_labels
+        return labels, scalar(Fraction(value).limit_denominator(10**6)), spread_labels
 
     def solve(self) -> ReplicationResult:
         result = ReplicationResult()

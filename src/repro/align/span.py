@@ -11,11 +11,10 @@ and crossing-aware splitting of iteration triplets.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import ceil, floor
+from math import ceil
 from typing import Mapping
 
-from ..ir.affine import AffineForm
+from ..ir.affine import AffineForm, Scalar, exact_div
 from ..ir.itspace import IterationSpace, Triplet
 from ..ir.symbols import LIV
 
@@ -25,7 +24,7 @@ def span_form(offset_x: AffineForm, offset_y: AffineForm) -> AffineForm:
     return offset_x - offset_y
 
 
-def crossing_point(span: AffineForm, liv: LIV) -> Fraction | None:
+def crossing_point(span: AffineForm, liv: LIV) -> Scalar | None:
     """The real value of ``liv`` where the span crosses zero, holding all
     other LIVs fixed at zero contribution.  None when the span is constant
     in ``liv``."""
@@ -35,7 +34,7 @@ def crossing_point(span: AffineForm, liv: LIV) -> Fraction | None:
     rest = span - AffineForm.variable(liv, c)
     if not rest.is_constant:
         raise ValueError("crossing_point needs a single-LIV span")
-    return -rest.const / c
+    return exact_div(-rest.const, c)
 
 
 def has_sign_change(span: AffineForm, space: IterationSpace) -> bool:
@@ -64,7 +63,7 @@ def has_sign_change(span: AffineForm, space: IterationSpace) -> bool:
     return False
 
 
-def split_at_crossing(trip: Triplet, cross: Fraction) -> list[Triplet]:
+def split_at_crossing(trip: Triplet, cross: Scalar) -> list[Triplet]:
     """Split a triplet at a real crossing point into sign-pure halves.
 
     Values strictly below the crossing go left, the rest right.  Returns
@@ -79,7 +78,7 @@ def split_at_crossing(trip: Triplet, cross: Fraction) -> list[Triplet]:
         if cross > last:
             return [trip.normalized()]
         # Number of values strictly below the crossing:
-        n_left = int(ceil((cross - lo) / s))
+        n_left = ceil(exact_div(cross - lo, s))
         n_left = max(1, min(n_left, len(trip) - 1))
         left, right = trip.split_at(n_left)
         return [t for t in (left, right) if not t.is_empty()]
@@ -88,7 +87,7 @@ def split_at_crossing(trip: Triplet, cross: Fraction) -> list[Triplet]:
         return [trip.normalized()]
     if cross < last:
         return [trip.normalized()]
-    n_left = int(ceil((lo - cross) / (-s)))
+    n_left = ceil(exact_div(lo - cross, -s))
     n_left = max(1, min(n_left, len(trip) - 1))
     left, right = trip.split_at(n_left)
     return [t for t in (left, right) if not t.is_empty()]
@@ -114,12 +113,12 @@ def refine_space_at_crossings(
             continue
         # Fix other LIVs at midpoints to locate the marginal crossing.
         rest = span - AffineForm.variable(liv, c)
-        env: dict[LIV, Fraction] = {}
+        env: dict[LIV, Scalar] = {}
         for l2, t2 in zip(space.livs, space.triplets):
             if l2 != liv:
-                env[l2] = Fraction(t2.lo + t2.last, 2)
+                env[l2] = exact_div(t2.lo + t2.last, 2)
         base = rest.evaluate(env) if not rest.is_constant else rest.const
-        cross = -base / c
+        cross = exact_div(-base, c)
         per_axis.append(split_at_crossing(trip, cross))
     from itertools import product
 

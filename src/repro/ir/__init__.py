@@ -1,12 +1,13 @@
 """Symbolic substrate: LIVs, affine forms, polynomials, iteration spaces.
 
 Everything the alignment algorithms manipulate symbolically lives here.
-All arithmetic is exact (``fractions.Fraction``); floats only appear at
-the LP-solver boundary.
+All arithmetic is exact — an ``int`` while a value is integral, a
+``fractions.Fraction`` once a denominator appears (:func:`scalar`,
+:func:`exact_div`); floats only appear at the LP-solver boundary.
 """
 
 from .symbols import LIV, LoopContext, SymbolTable
-from .affine import AffineForm, ONE, ZERO
+from .affine import AffineForm, ONE, ZERO, Scalar, exact_div, scalar
 from .polynomial import Polynomial, sum_powers
 from .itspace import IterationSpace, Triplet
 from .closedform import (
@@ -26,6 +27,9 @@ __all__ = [
     "AffineForm",
     "ZERO",
     "ONE",
+    "Scalar",
+    "scalar",
+    "exact_div",
     "Polynomial",
     "sum_powers",
     "IterationSpace",

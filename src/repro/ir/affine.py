@@ -6,9 +6,24 @@ alignment is ``a0 + a1*i1 + ... + ak*ik``, written ``a i^T`` with
 ``i = (1, i1, ..., ik)``.
 
 :class:`AffineForm` is that coefficient vector with exact rational
-arithmetic (``fractions.Fraction``) so that LP round-off never leaks into
-the symbolic layer; rounding to integers is an explicit, separate step
-(the "R" in the paper's RLP).
+arithmetic so that LP round-off never leaks into the symbolic layer;
+rounding to integers is an explicit, separate step (the "R" in the
+paper's RLP).
+
+**The canonical scalar.**  Every exact value the planner stores — a
+coefficient here or in a :class:`~repro.ir.polynomial.Polynomial`, a
+moment sum, a cost — is a Python ``int`` whenever it is integral and a
+``fractions.Fraction`` only when a denominator survives (:func:`scalar`
+normalises; the constructors apply it).  Strides, rounded offsets and
+sums over integer triplets are integers, so almost all of the planner's
+arithmetic is ``int`` arithmetic.  ``int`` and ``Fraction`` of equal
+value compare and hash equal, so no dict, set or LP row order depends on
+which one a value is; ``str`` renders both alike and ``__content_key__``
+writes both as a ``Fraction``, so no fingerprint or payload does either.
+
+**The division rule.**  A planner scalar is never divided with ``/``:
+``int / int`` is a ``float``, and no ``float`` may enter the symbolic
+layer.  :func:`exact_div` is the one division.
 """
 
 from __future__ import annotations
@@ -28,15 +43,25 @@ _EVAL_CACHE_LIMIT = 512
 _MISS = object()
 
 
-def _frac(x: Scalar) -> Fraction:
-    if isinstance(x, Fraction):
+def scalar(x: Scalar | float) -> Scalar:
+    """``x`` as the canonical exact scalar: an ``int`` when integral."""
+    if type(x) is int:
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, float):
         # Floats appear only at the LP boundary; convert exactly.
-        return Fraction(x).limit_denominator(10**12)
-    raise TypeError(f"cannot build Fraction from {type(x).__name__}")
+        x = Fraction(x).limit_denominator(10**12)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
+    raise TypeError(f"cannot build an exact scalar from {type(x).__name__}")
+
+
+def exact_div(a: Scalar, b: Scalar) -> Scalar:
+    """``a / b`` exactly: an ``int`` when ``b`` divides ``a``, else a
+    ``Fraction``.  The one division of planner scalars (``int / int``
+    is a ``float``)."""
+    return scalar(Fraction(a) / b)
 
 
 class AffineForm:
@@ -46,25 +71,26 @@ class AffineForm:
     zero.  Supports +, -, scalar *, substitution, and evaluation.
     """
 
-    __slots__ = ("_const", "_coeffs", "_ecache")
+    __slots__ = ("_const", "_coeffs", "_ecache", "_hash")
 
     def __init__(
         self,
         const: Scalar = 0,
         coeffs: Mapping[LIV, Scalar] | None = None,
     ) -> None:
-        self._const = _frac(const)
-        cleaned: dict[LIV, Fraction] = {}
+        self._const = scalar(const)
+        cleaned: dict[LIV, Scalar] = {}
         if coeffs:
             for liv, c in coeffs.items():
-                fc = _frac(c)
+                fc = scalar(c)
                 if fc != 0:
                     cleaned[liv] = fc
         self._coeffs = cleaned
         # Per-instance evaluation memo, keyed on the tuple of bound LIV
         # values (the instance itself is immutable).  Created lazily so
-        # short-lived forms pay nothing.
-        self._ecache: dict[tuple, Fraction] | None = None
+        # short-lived forms pay nothing; so is the hash.
+        self._ecache: dict[tuple, Scalar] | None = None
+        self._hash: int | None = None
 
     # -- constructors -------------------------------------------------
 
@@ -79,14 +105,14 @@ class AffineForm:
     # -- inspection ----------------------------------------------------
 
     @property
-    def const(self) -> Fraction:
+    def const(self) -> Scalar:
         return self._const
 
-    def coeff(self, liv: LIV) -> Fraction:
-        return self._coeffs.get(liv, Fraction(0))
+    def coeff(self, liv: LIV) -> Scalar:
+        return self._coeffs.get(liv, 0)
 
     @property
-    def coeffs(self) -> dict[LIV, Fraction]:
+    def coeffs(self) -> dict[LIV, Scalar]:
         return dict(self._coeffs)
 
     def livs(self) -> frozenset[LIV]:
@@ -98,20 +124,20 @@ class AffineForm:
 
     def is_integral(self) -> bool:
         """True when every coefficient (and the constant) is an integer."""
-        return self._const.denominator == 1 and all(
-            c.denominator == 1 for c in self._coeffs.values()
+        return type(self._const) is int and all(
+            type(c) is int for c in self._coeffs.values()
         )
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "AffineForm | Scalar") -> "AffineForm":
         if isinstance(other, (int, Fraction)):
-            return AffineForm(self._const + _frac(other), self._coeffs)
+            return AffineForm(self._const + other, self._coeffs)
         if not isinstance(other, AffineForm):
             return NotImplemented
         coeffs = dict(self._coeffs)
         for liv, c in other._coeffs.items():
-            coeffs[liv] = coeffs.get(liv, Fraction(0)) + c
+            coeffs[liv] = coeffs.get(liv, 0) + c
         return AffineForm(self._const + other._const, coeffs)
 
     __radd__ = __add__
@@ -121,33 +147,31 @@ class AffineForm:
 
     def __sub__(self, other: "AffineForm | Scalar") -> "AffineForm":
         if isinstance(other, (int, Fraction)):
-            return self + (-_frac(other))
+            return self + (-other)
         if not isinstance(other, AffineForm):
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other: Scalar) -> "AffineForm":
-        return (-self) + _frac(other)
+        return (-self) + other
 
     def __mul__(self, k: Scalar) -> "AffineForm":
         if not isinstance(k, (int, Fraction)):
             return NotImplemented
-        kf = _frac(k)
         return AffineForm(
-            self._const * kf, {v: c * kf for v, c in self._coeffs.items()}
+            self._const * k, {v: c * k for v, c in self._coeffs.items()}
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, k: Scalar) -> "AffineForm":
-        kf = _frac(k)
-        if kf == 0:
+        if k == 0:
             raise ZeroDivisionError("division of AffineForm by zero")
-        return self * (Fraction(1) / kf)
+        return self * exact_div(1, k)
 
     # -- evaluation and substitution ------------------------------------
 
-    def evaluate(self, env: Mapping[LIV, Scalar]) -> Fraction:
+    def evaluate(self, env: Mapping[LIV, Scalar]) -> Scalar:
         """Evaluate at a point; every LIV with nonzero coefficient must be bound.
 
         Results are memoized per instance, keyed on the values the form
@@ -169,7 +193,8 @@ class AffineForm:
         _EVAL_STATS[1] += 1
         total = self._const
         for liv, c in self._coeffs.items():
-            total += c * _frac(env[liv])
+            total += c * env[liv]
+        total = scalar(total)
         if len(cache) >= _EVAL_CACHE_LIMIT:
             cache.clear()
         cache[key] = total
@@ -188,16 +213,16 @@ class AffineForm:
             elif isinstance(repl, AffineForm):
                 result = result + repl * c
             else:
-                result = result + _frac(repl) * c
+                result = result + repl * c
         return result
 
     def shift_liv(self, liv: LIV, delta: Scalar) -> "AffineForm":
         """Substitute ``liv -> liv + delta`` (loop-back transformer semantics)."""
-        return self.substitute({liv: AffineForm.variable(liv) + _frac(delta)})
+        return self.substitute({liv: AffineForm.variable(liv) + delta})
 
     # -- vector view -----------------------------------------------------
 
-    def coefficient_vector(self, livs: Iterable[LIV]) -> tuple[Fraction, ...]:
+    def coefficient_vector(self, livs: Iterable[LIV]) -> tuple[Scalar, ...]:
         """``(a0, a1, ..., ak)`` against an explicit LIV ordering."""
         return (self._const,) + tuple(self.coeff(v) for v in livs)
 
@@ -213,17 +238,18 @@ class AffineForm:
     def rounded(self) -> "AffineForm":
         """Round every coefficient to the nearest integer (the R of RLP)."""
         return AffineForm(
-            round(self._const), {v: Fraction(round(c)) for v, c in self._coeffs.items()}
+            round(self._const), {v: round(c) for v, c in self._coeffs.items()}
         )
 
-    # -- pickling (drop the evaluation memo) --------------------------------
+    # -- pickling (drop the evaluation memo and the hash) --------------------
 
     def __getstate__(self):
         return (self._const, self._coeffs)
 
     def __setstate__(self, state) -> None:
-        self._const, self._coeffs = state
-        self._ecache = None
+        # Through the constructor: a state written before scalars were
+        # canonical holds ``Fraction(3, 1)`` where this one holds ``3``.
+        self.__init__(*state)
 
     # -- equality, hashing, display ----------------------------------------
 
@@ -233,8 +259,14 @@ class AffineForm:
         map (the evaluation memo is excluded — it is state, not content).
         Without this, every AST containing an affine form would degrade
         to an identity fingerprint and fall out of the persistent plan
-        cache of :mod:`repro.serve`."""
-        return (self._const, self._coeffs)
+        cache of :mod:`repro.serve`.
+
+        Scalars are written as ``Fraction``, integral or not: the key is
+        an on-disk format older than the canonical scalar."""
+        return (
+            Fraction(self._const),
+            {liv: Fraction(c) for liv, c in self._coeffs.items()},
+        )
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -244,7 +276,10 @@ class AffineForm:
         return self._const == other._const and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash((self._const, frozenset(self._coeffs.items())))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self._const, frozenset(self._coeffs.items())))
+        return h
 
     def __repr__(self) -> str:
         parts: list[str] = []

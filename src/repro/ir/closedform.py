@@ -21,39 +21,39 @@ the linear program of Section 4.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
+from .affine import Scalar, exact_div, scalar
 from .itspace import IterationSpace, Triplet
 from .polynomial import Polynomial
 from .symbols import LIV
 
 
-def sigma0(t: Triplet) -> Fraction:
+def sigma0(t: Triplet) -> int:
     """Iteration count ``sum 1`` over the triplet."""
-    return Fraction(len(t))
+    return len(t)
 
 
-def sigma1(t: Triplet) -> Fraction:
+def sigma1(t: Triplet) -> Scalar:
     """``sum i`` over the triplet, by the paper's closed form."""
     s0 = sigma0(t)
-    s = Fraction(t.step)
-    l = Fraction(t.lo)
-    return (s * s0**2 + (2 * l - s) * s0) / 2
+    s = t.step
+    l = t.lo
+    return exact_div(s * s0**2 + (2 * l - s) * s0, 2)
 
 
-def sigma2(t: Triplet) -> Fraction:
+def sigma2(t: Triplet) -> Scalar:
     """``sum i**2`` over the triplet, by the paper's closed form."""
     s0 = sigma0(t)
-    s = Fraction(t.step)
-    l = Fraction(t.lo)
-    return (
+    s = t.step
+    l = t.lo
+    return exact_div(
         2 * s**2 * s0**3
         + (6 * l * s - 3 * s**2) * s0**2
-        + (6 * l**2 - 6 * l * s + s**2) * s0
-    ) / 6
+        + (6 * l**2 - 6 * l * s + s**2) * s0,
+        6,
+    )
 
 
-def average_index(t: Triplet) -> Fraction:
+def average_index(t: Triplet) -> Scalar:
     """Mean LIV value over the triplet: ``(l + h')/2`` for nonempty triplets.
 
     Appears in equation (3): the fixed-size no-sign-change cost is the
@@ -61,7 +61,7 @@ def average_index(t: Triplet) -> Fraction:
     """
     if t.is_empty():
         raise ValueError("empty triplet has no average index")
-    return Fraction(t.lo + t.last, 2)
+    return exact_div(t.lo + t.last, 2)
 
 
 class Moments:
@@ -78,19 +78,19 @@ class Moments:
 
     __slots__ = ("space", "m0", "m1")
 
-    def __init__(self, space: IterationSpace, m0: Fraction, m1: dict[LIV, Fraction]):
+    def __init__(self, space: IterationSpace, m0: Scalar, m1: dict[LIV, Scalar]):
         self.space = space
         self.m0 = m0
         self.m1 = m1
 
-    def span_sum(self, delta0: Fraction, deltas: dict[LIV, Fraction]) -> Fraction:
+    def span_sum(self, delta0: Scalar, deltas: dict[LIV, Scalar]) -> Scalar:
         """Evaluate ``delta0*m0 + sum_j deltas[j]*m1[j]`` (signed, no abs)."""
         total = delta0 * self.m0
         for liv, d in deltas.items():
             if d == 0:
                 continue
-            total += d * self.m1.get(liv, Fraction(0))
-        return total
+            total += d * self.m1.get(liv, 0)
+        return scalar(total)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         inner = ", ".join(f"{v.name}:{c}" for v, c in self.m1.items())
@@ -109,7 +109,7 @@ def weighted_moments(space: IterationSpace, weight: Polynomial) -> Moments:
         names = ", ".join(sorted(v.name for v in extra))
         raise ValueError(f"weight mentions LIVs outside the iteration space: {names}")
 
-    def total(poly: Polynomial) -> Fraction:
+    def total(poly: Polynomial) -> Scalar:
         for liv, trip in zip(space.livs, space.triplets):
             poly = poly.sum_over(liv, trip.lo, trip.hi, trip.step)
         if not poly.is_constant:
@@ -124,8 +124,8 @@ def weighted_moments(space: IterationSpace, weight: Polynomial) -> Moments:
 
 
 def fixed_size_cost_closed_form(
-    t: Triplet, a_minus_a1: Fraction, a0_minus_a0p: Fraction
-) -> Fraction:
+    t: Triplet, a_minus_a1: Scalar, a0_minus_a0p: Scalar
+) -> Scalar:
     """Equation (3): ``C = |sigma0 * (d0 + d1*(l+h')/2)|`` for unit weights.
 
     ``a0_minus_a0p`` is the constant-coefficient difference d0 and
@@ -134,5 +134,5 @@ def fixed_size_cost_closed_form(
     guarantee that must subrange first.
     """
     if t.is_empty():
-        return Fraction(0)
-    return abs(sigma0(t) * (a0_minus_a0p + a_minus_a1 * average_index(t)))
+        return 0
+    return scalar(abs(sigma0(t) * (a0_minus_a0p + a_minus_a1 * average_index(t))))

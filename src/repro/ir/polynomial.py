@@ -9,6 +9,13 @@ Communication weights in both the stride problem (Section 3) and the
 offset problem (Sections 4.2–4.3) are sums of these polynomials over
 iteration spaces, which this module evaluates exactly in closed form via
 Faulhaber power sums.
+
+Coefficients and results are the canonical scalar of
+:mod:`repro.ir.affine` — an ``int`` when integral, a ``Fraction``
+otherwise — and the two divisions of the closed forms (the Bernoulli
+recurrence, Faulhaber's ``1/(p+1)``) go through
+:func:`~repro.ir.affine.exact_div`: an element count summed over an
+integer triplet is an ``int`` from end to end.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from functools import lru_cache
 from math import comb
 from typing import Mapping, Union
 
-from .affine import AffineForm, Scalar, _frac
+from .affine import AffineForm, Scalar, exact_div, scalar
 from .symbols import LIV
 
 # A monomial is a frozenset-free canonical form: a tuple of (LIV, exponent)
@@ -36,27 +43,27 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 @lru_cache(maxsize=None)
-def _bernoulli(n: int) -> Fraction:
+def _bernoulli(n: int) -> Scalar:
     """Bernoulli numbers B_n (B_1 = -1/2 convention), via the standard recurrence."""
     if n == 0:
-        return Fraction(1)
-    total = Fraction(0)
+        return 1
+    total = 0
     for k in range(n):
         total += comb(n + 1, k) * _bernoulli(k)
-    return -total / (n + 1)
+    return exact_div(-total, n + 1)
 
 
-def sum_powers(n: int, p: int) -> Fraction:
+def sum_powers(n: int, p: int) -> Scalar:
     """Exact ``sum_{t=0}^{n-1} t**p`` (Faulhaber).  ``n >= 0``, ``p >= 0``."""
     if n <= 0:
-        return Fraction(0)
+        return 0
     if p == 0:
-        return Fraction(n)
+        return n
     # Faulhaber: sum_{t=0}^{n-1} t^p = (1/(p+1)) sum_{j=0}^{p} C(p+1, j) B_j n^{p+1-j}
-    total = Fraction(0)
+    total = 0
     for j in range(p + 1):
-        total += comb(p + 1, j) * _bernoulli(j) * Fraction(n) ** (p + 1 - j)
-    return total / (p + 1)
+        total += comb(p + 1, j) * _bernoulli(j) * n ** (p + 1 - j)
+    return exact_div(total, p + 1)
 
 
 class Polynomial:
@@ -66,16 +73,17 @@ class Polynomial:
     (operations return new instances).
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None) -> None:
-        cleaned: dict[Monomial, Fraction] = {}
+        cleaned: dict[Monomial, Scalar] = {}
         if terms:
             for mono, c in terms.items():
-                fc = _frac(c)
+                fc = scalar(c)
                 if fc != 0:
                     cleaned[mono] = fc
         self._terms = cleaned
+        self._hash: int | None = None
 
     # -- constructors ----------------------------------------------------
 
@@ -89,7 +97,7 @@ class Polynomial:
 
     @classmethod
     def from_affine(cls, form: AffineForm) -> "Polynomial":
-        terms: dict[Monomial, Fraction] = {_EMPTY: form.const}
+        terms: dict[Monomial, Scalar] = {_EMPTY: form.const}
         for liv, c in form.coeffs.items():
             terms[((liv, 1),)] = c
         return cls(terms)
@@ -97,15 +105,15 @@ class Polynomial:
     # -- inspection --------------------------------------------------------
 
     @property
-    def terms(self) -> dict[Monomial, Fraction]:
+    def terms(self) -> dict[Monomial, Scalar]:
         return dict(self._terms)
 
-    def coeff(self, mono: Monomial) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
+    def coeff(self, mono: Monomial) -> Scalar:
+        return self._terms.get(mono, 0)
 
     @property
-    def const(self) -> Fraction:
-        return self._terms.get(_EMPTY, Fraction(0))
+    def const(self) -> Scalar:
+        return self._terms.get(_EMPTY, 0)
 
     @property
     def is_constant(self) -> bool:
@@ -127,8 +135,9 @@ class Polynomial:
         :func:`repro.passes.core.content_fingerprint`): the term map as a
         canonically ordered tuple.  Monomials sort by their (LIV, exponent)
         pairs — :class:`LIV` is an ordered dataclass — so two polynomials
-        with equal terms always serialize identically."""
-        return tuple(sorted(self._terms.items()))
+        with equal terms always serialize identically.  Coefficients are
+        written as ``Fraction``, as :class:`AffineForm` writes its own."""
+        return tuple(sorted((m, Fraction(c)) for m, c in self._terms.items()))
 
     def as_affine(self) -> AffineForm:
         """Convert to an AffineForm; raises ``ValueError`` if degree > 1."""
@@ -147,7 +156,7 @@ class Polynomial:
             return NotImplemented
         terms = dict(self._terms)
         for m, c in other._terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
+            terms[m] = terms.get(m, 0) + c
         return Polynomial(terms)
 
     __radd__ = __add__
@@ -162,17 +171,17 @@ class Polynomial:
         return self + (-other)
 
     def __rsub__(self, other: Scalar) -> "Polynomial":
-        return (-self) + _frac(other)
+        return (-self) + other
 
     def __mul__(self, other: "Polynomial | AffineForm | Scalar") -> "Polynomial":
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, Scalar] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 m = _mono_mul(m1, m2)
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
+                terms[m] = terms.get(m, 0) + c1 * c2
         return Polynomial(terms)
 
     __rmul__ = __mul__
@@ -191,16 +200,16 @@ class Polynomial:
 
     # -- evaluation, substitution, summation ---------------------------------
 
-    def evaluate(self, env: Mapping[LIV, Scalar]) -> Fraction:
-        total = Fraction(0)
+    def evaluate(self, env: Mapping[LIV, Scalar]) -> Scalar:
+        total = 0
         for m, c in self._terms.items():
             val = c
             for liv, e in m:
                 if liv not in env:
                     raise KeyError(f"unbound LIV {liv.name}")
-                val *= _frac(env[liv]) ** e
+                val *= env[liv] ** e
             total += val
-        return total
+        return scalar(total)
 
     def substitute(self, env: Mapping[LIV, "Polynomial | AffineForm | Scalar"]) -> "Polynomial":
         """Replace LIVs by polynomials; absent LIVs stay symbolic."""
@@ -242,14 +251,9 @@ class Polynomial:
             rest: Monomial = tuple((v, e) for v, e in m if v != liv)
             p = next((e for v, e in m if v == liv), 0)
             # sum_t (lo + step*t)^p = sum_j C(p,j) lo^(p-j) step^j S_j(n)
-            s = Fraction(0)
+            s = 0
             for j in range(p + 1):
-                s += (
-                    comb(p, j)
-                    * Fraction(lo) ** (p - j)
-                    * Fraction(step) ** j
-                    * sum_powers(n, j)
-                )
+                s += comb(p, j) * lo ** (p - j) * step**j * sum_powers(n, j)
             result = result + Polynomial({rest: c * s})
         return result
 
@@ -265,7 +269,20 @@ class Polynomial:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(frozenset(self._terms.items()))
+        return h
+
+    # -- pickling (drop the hash: LIV names hash per process) --------------------
+
+    def __getstate__(self):
+        return None, {"_terms": self._terms}
+
+    def __setstate__(self, state) -> None:
+        # Through the constructor: a state written before scalars were
+        # canonical holds ``Fraction(3, 1)`` where this one holds ``3``.
+        self.__init__(state[1]["_terms"])
 
     def __repr__(self) -> str:
         if not self._terms:

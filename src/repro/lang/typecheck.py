@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor
 
-from ..ir.affine import AffineForm
+from ..ir.affine import AffineForm, exact_div
 from ..ir.itspace import Triplet
 from ..ir.polynomial import Polynomial
 from ..ir.symbols import LIV
@@ -83,7 +83,7 @@ def section_extent(
         # Floor correction must be a constant over the iteration ranges.
         corrections = set()
         for env in env_points(diff.livs()):
-            val = diff.evaluate(env) / s
+            val = exact_div(diff.evaluate(env), s)
             corrections.add(floor(val) - val)
         vals = {c for c in corrections}
         if len(vals) == 1:
@@ -107,7 +107,7 @@ def section_extent(
         if sv == 0:
             raise TypeError_(f"section step {step} vanishes at {k.name}={kv}")
         dv = diff.evaluate({k: kv})
-        counts.add(floor(dv / sv) + 1)
+        counts.add(floor(exact_div(dv, sv)) + 1)
     if len(counts) == 1:
         return AffineForm(next(iter(counts)))
     raise TypeError_(

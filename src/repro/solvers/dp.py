@@ -19,10 +19,11 @@ alignment are both thin wrappers around it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 from math import lcm
 from typing import Callable, Hashable, Iterable, Mapping
+
+from ..ir.affine import Scalar, exact_div, scalar
 
 Label = Hashable
 NodeId = Hashable
@@ -42,20 +43,20 @@ def identity_relation(x: Label) -> Label:
 class LabelEdge:
     u: NodeId
     v: NodeId
-    weight: Fraction
+    weight: Scalar
     relation: Relation = identity_relation
     predicate: Predicate | None = None
 
-    def cost(self, lu: Label, lv: Label) -> Fraction:
+    def cost(self, lu: Label, lv: Label) -> Scalar:
         if self.predicate is not None:
-            return Fraction(0) if self.predicate(lu, lv) else self.weight
-        return Fraction(0) if self.relation(lu) == lv else self.weight
+            return 0 if self.predicate(lu, lv) else self.weight
+        return 0 if self.relation(lu) == lv else self.weight
 
 
 @dataclass
 class LabelingResult:
     labels: dict[NodeId, Label]
-    cost: Fraction
+    cost: Scalar
     exact: bool
 
 
@@ -82,13 +83,13 @@ class DiscreteLabelingProblem:
         self,
         u: NodeId,
         v: NodeId,
-        weight: Fraction | int,
+        weight: Scalar,
         relation: Relation = identity_relation,
         predicate: Predicate | None = None,
     ) -> None:
         if u not in self.candidates or v not in self.candidates:
             raise KeyError("both endpoints must be added before the edge")
-        e = LabelEdge(u, v, Fraction(weight), relation, predicate)
+        e = LabelEdge(u, v, scalar(weight), relation, predicate)
         idx = len(self.edges)
         self.edges.append(e)
         self._adj[u].append(idx)
@@ -96,10 +97,8 @@ class DiscreteLabelingProblem:
 
     # -- cost of a complete labeling -----------------------------------------
 
-    def total_cost(self, labels: Mapping[NodeId, Label]) -> Fraction:
-        return sum(
-            (e.cost(labels[e.u], labels[e.v]) for e in self.edges), Fraction(0)
-        )
+    def total_cost(self, labels: Mapping[NodeId, Label]) -> Scalar:
+        return scalar(sum(e.cost(labels[e.u], labels[e.v]) for e in self.edges))
 
     # -- exact DP on trees ------------------------------------------------------
 
@@ -130,7 +129,7 @@ class DiscreteLabelingProblem:
         if not self._is_forest():
             raise ValueError("labeling graph is not a forest; use solve()")
         labels: dict[NodeId, Label] = {}
-        total = Fraction(0)
+        total = 0
         visited: set[NodeId] = set()
         for root in self.candidates:
             if root in visited:
@@ -150,10 +149,10 @@ class DiscreteLabelingProblem:
                         visited.add(other)
                         stack.append((other, ei))
             # table[node][label] = best cost of node's subtree given label
-            table: dict[NodeId, dict[Label, Fraction]] = {}
+            table: dict[NodeId, dict[Label, Scalar]] = {}
             choice: dict[tuple[NodeId, Label, int], Label] = {}
             for node, via in reversed(order):
-                t = {lab: Fraction(0) for lab in self.candidates[node]}
+                t = {lab: 0 for lab in self.candidates[node]}
                 for ei in self._adj[node]:
                     if ei == via:
                         continue
@@ -193,7 +192,7 @@ class DiscreteLabelingProblem:
                         continue
                     labels[child] = choice[(node, labels[node], ei)]
                     down.append((child, ei))
-        return LabelingResult(labels, total, exact=True)
+        return LabelingResult(labels, scalar(total), exact=True)
 
     # -- exhaustive enumeration --------------------------------------------------
 
@@ -242,7 +241,7 @@ class DiscreteLabelingProblem:
                 best = combo
         assert best_cost is not None
         labels = {n: self.candidates[n][i] for n, i in zip(nodes, best)}
-        return LabelingResult(labels, Fraction(best_cost, den), exact=True)
+        return LabelingResult(labels, exact_div(best_cost, den), exact=True)
 
     # -- general graphs: spanning-tree seed + iterated conditional modes ---------
 
@@ -299,8 +298,8 @@ class DiscreteLabelingProblem:
 
     def _local_cost(
         self, node: NodeId, lab: Label, labels: Mapping[NodeId, Label]
-    ) -> Fraction:
-        total = Fraction(0)
+    ) -> Scalar:
+        total = 0
         for ei in self._adj[node]:
             e = self.edges[ei]
             if e.u == node:

@@ -142,3 +142,36 @@ class TestEqualityHash:
     def test_repr_readable(self):
         assert repr(AffineForm(3, {k: 2})) == "3 + 2*k"
         assert repr(AffineForm(0)) == "0"
+
+
+
+def _unpickled(cls, state):
+    """What ``pickle.loads`` builds from ``state``: ``cls.__new__`` and
+    then ``__setstate__`` (the BUILD opcode)."""
+    obj = cls.__new__(cls)
+    obj.__setstate__(state)
+    return obj
+
+
+class TestPickle:
+    def test_a_state_of_fractions_loads_canonical(self):
+        """What a ``SCHEMA_VERSION = 3`` prefix entry holds: integral
+        ``Fraction`` values.  They load as the ``int`` they are."""
+        f = _unpickled(AffineForm, (Fraction(3), {k: Fraction(2), j: Fraction(1, 2)}))
+        want = AffineForm(3, {k: 2, j: Fraction(1, 2)})
+        assert f == want and hash(f) == hash(want)
+        assert type(f.const) is int and type(f.coeff(k)) is int
+        assert f.coeff(j) == Fraction(1, 2) and not f.is_integral()
+        assert f.evaluate({k: 1, j: 4}) == 7  # the memo slot was set too
+        g = _unpickled(AffineForm, (Fraction(3), {k: Fraction(2)}))
+        assert g == AffineForm(3, {k: 2}) and hash(g) == hash(AffineForm(3, {k: 2}))
+        assert g.is_integral() and repr(g) == "3 + 2*k"
+
+    def test_roundtrip_keeps_neither_memo_nor_hash(self):
+        import pickle
+
+        f = AffineForm(3, {k: 2})
+        f.evaluate({k: 1}), hash(f)
+        assert f.__getstate__() == (3, {k: 2})
+        g = pickle.loads(pickle.dumps(f))
+        assert g == f and hash(g) == hash(f) and g._ecache is None

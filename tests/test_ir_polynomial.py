@@ -106,3 +106,27 @@ def _triplet(lo, hi, step):
             vals.append(v)
             v += step
     return vals
+
+
+
+class TestPickle:
+    def test_a_state_of_fractions_loads_canonical(self):
+        """The slot state a ``Polynomial`` pickled with before its
+        scalars were canonical: integral ``Fraction`` coefficients."""
+        terms = {((k, 1),): Fraction(2), (): Fraction(1, 2), ((j, 2),): Fraction(0)}
+        p = Polynomial.__new__(Polynomial)
+        p.__setstate__((None, {"_terms": terms}))  # pickle's BUILD
+        want = Polynomial.variable(k) * 2 + Fraction(1, 2)
+        assert p == want and hash(p) == hash(want)
+        assert type(p.coeff(((k, 1),))) is int and p.const == Fraction(1, 2)
+        assert repr(p) == repr(want) == "2*k + 1/2"
+
+    def test_roundtrip_keeps_the_slot_state_shape_and_no_hash(self):
+        import pickle
+
+        p = Polynomial.variable(k) * 2 + 1
+        hash(p)
+        assert p.__getstate__() == (None, {"_terms": {((k, 1),): 2, (): 1}})
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p and q._hash is None
+        assert pickle.loads(pickle.dumps(Polynomial())) == Polynomial()  # an empty one still builds
