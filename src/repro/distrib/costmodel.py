@@ -11,6 +11,16 @@ active axis (exactly the arrays :func:`repro.machine.comm.count_move`
 would build) plus a multiplicity.  Evaluating a candidate distribution
 is then a handful of vectorized map/abs/sum passes over the records.
 
+A move is a function of a few integers: the extents of the object and
+the stride and offset of each template axis at both ends, evaluated at
+the iteration point.  Those numbers decide everything but the record:
+the window (an axis is monotone in its index, so its two ends bound
+it), the element count, whether the move is general (strides differ)
+and whether it is free (the same numbers on every active axis are the
+same coordinates, which is what a mobile alignment achieves at every
+iteration).  Arrays exist only for records: they are built for a move
+whose numbers differ, and kept when its coordinates do.
+
 Because the records hold the *same coordinates* the executor maps, the
 model is exact by construction: for any distribution,
 ``profile.evaluate(dist)`` equals the executor's measured counts, and
@@ -33,7 +43,9 @@ profile serves any number of machine models.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,38 +54,20 @@ from ..adg.graph import ADG
 from ..align.cost import AlignmentMap
 from ..align.position import Alignment
 from ..cachestats import MISS, BoundedCache, _cell
+from ..ir.affine import AffineForm, scalar
 from ..ir.symbols import LIV
 from ..machine.comm import _axis_positions
 from ..machine.distribution import AxisDistribution, Distribution
-from ..machine.executor import _shape_at
 from ..topology import AxisMetric, Topology, distribution_metrics
 
-# Move-record compilation needs the same per-axis coordinate arrays for
-# every edge (and every program) whose evaluated strides/offsets agree.
-# The arrays are pure functions of (shape, per-axis evaluated numbers),
-# so they cache across classes, edges and programs.  Cached arrays are
-# shared and must be treated as read-only by all consumers.
+# Move-record compilation: only a move whose evaluated strides/offsets
+# differ between its two ends on an active axis needs coordinate arrays
+# (the numbers alone decide free, general and window).  The arrays are
+# pure functions of (shape, per-axis evaluated numbers), so they cache
+# across classes, edges and programs.  Cached arrays are shared and must
+# be treated as read-only by all consumers.
 _POSITIONS = BoundedCache("distrib.move_records", maxsize=2048)
 _AXIS_HOPS_STATS = _cell("distrib.axis_hops")
-
-
-def _axis_key(align: Alignment, env) -> tuple:
-    parts = []
-    for ax in align.axes:
-        if ax.is_replicated:
-            parts.append("R")
-        elif ax.is_body:
-            assert ax.stride is not None
-            parts.append(
-                (
-                    ax.array_axis,
-                    int(ax.stride.evaluate(env)),
-                    int(ax.offset.evaluate(env)),
-                )
-            )
-        else:
-            parts.append((None, int(ax.offset.evaluate(env))))
-    return tuple(parts)
 
 
 def _cached_axis_positions(
@@ -81,11 +75,11 @@ def _cached_axis_positions(
 ) -> tuple[np.ndarray, ...]:
     """Memoized :func:`repro.machine.comm._axis_positions`.
 
-    Keyed on the *evaluated* per-axis numbers (``axis_key``, matching
-    the ``int()`` casts inside ``_axis_positions``), not on the LIV
+    Keyed on the *evaluated* per-axis numbers (``axis_key``, the
+    integers ``_axis_positions`` computes from ``env``), not on the LIV
     environment: :func:`build_profile` looks it up once per distinct
-    class of iteration points, and ``env`` is any one point of that
-    class.
+    class of iteration points that moves, and ``env`` is any one point
+    of that class.
 
     Entries are immutable by construction: a **tuple** of **read-only**
     arrays, frozen on the one store path — so no consumer can swap an
@@ -295,28 +289,26 @@ class CommProfile:
         )
 
 
-def _stride_mismatch(src, dst, env) -> bool:
-    for a1, a2 in zip(src.axes, dst.axes):
-        if a1.is_body:
-            assert a1.stride is not None and a2.stride is not None
-            if a1.stride.evaluate(env) != a2.stride.evaluate(env):
-                return True
-    return False
+def _key_forms(shape, src: Alignment, dst: Alignment):
+    """``(what, form)`` for everything the moves of an edge are a
+    function of: its tail extents, then the stride and the offset of
+    every non-replicated axis of both alignments."""
+    for ext in shape:
+        yield "extent", ext
+    for align in (src, dst):
+        for ax in align.axes:
+            if ax.is_replicated:
+                continue
+            if ax.is_body:
+                assert ax.stride is not None
+                yield "stride", ax.stride
+            yield "offset", ax.offset
 
 
 def _walked_livs(shape, src: Alignment, dst: Alignment) -> set[LIV]:
     """The LIVs the moves of an edge can depend on: those its tail
     ``shape``, its strides and its non-replicated offsets mention."""
-    forms = list(shape)
-    for align in (src, dst):
-        for ax in align.axes:
-            if ax.is_replicated:
-                continue
-            forms.append(ax.offset)
-            if ax.is_body:
-                assert ax.stride is not None
-                forms.append(ax.stride)
-    return set().union(*(f.livs() for f in forms))
+    return set().union(*(f.livs() for _, f in _key_forms(shape, src, dst)))
 
 
 @dataclass(frozen=True)
@@ -348,62 +340,116 @@ def _edge_contribution(
     The walk covers the projection of the edge's space onto the LIVs
     its shape and alignments mention, every point of it standing for
     ``mult`` identical moves.  Points are grouped by the numbers the
-    move is a function of, and the array work is done once per group.
+    move is a function of; those numbers decide the window and whether
+    the move is free or general, and arrays are built only for a class
+    whose numbers differ on an active axis.
     """
     if space.is_empty():
         return EdgeContribution()
     walk = space.projected(_walked_livs(tail.shape, src, dst))
     mult = space.count // walk.count
-    axes_differ = src.axis_signature() != dst.axis_signature()
-    # (shape, src axis key, dst axis key, general) -> [a point, moves]
+    # The distinct forms, numbered, each as its constant and its
+    # (position in walk.livs, coefficient) terms.
+    position = {liv: j for j, liv in enumerate(walk.livs)}
+    slot_of: dict[AffineForm, int] = {}
+    table = []
+    for what, form in _key_forms(tail.shape, src, dst):
+        if form in slot_of:
+            continue
+        try:
+            terms = tuple((position[v], c) for v, c in form.coeffs.items())
+        except KeyError as exc:
+            raise KeyError(
+                f"unbound LIV {exc.args[0].name} in evaluation"
+            ) from None
+        slot_of[form] = len(table)
+        table.append((what, form, form.const, terms))
+    # the values of all forms at a point -> [that point, moves]
     classes: dict[tuple, list] = {}
-    for env in walk.points():
-        cls = (
-            _shape_at(tail, env),
-            _axis_key(src, env),
-            _axis_key(dst, env),
-            axes_differ or _stride_mismatch(src, dst, env),
-        )
-        seen = classes.get(cls)
-        if seen is None:
-            classes[cls] = [env, mult]
-        else:
-            seen[1] += mult
+    for point in product(*walk.triplets):
+        vals = []
+        for what, form, v, terms in table:
+            for j, c in terms:
+                v += c * point[j]
+            if type(v) is not int:
+                v = scalar(v)
+            if type(v) is not int or (v < 0 and what == "extent"):
+                raise ValueError(
+                    f"{what} {form} evaluates to {v} at "
+                    f"{dict(zip(walk.livs, point))}"
+                )
+            vals.append(v)
+        seen = classes.setdefault(tuple(vals), [point, 0])
+        seen[1] += mult
+    # Where each part of the class key reads its numbers from.
+    shape_slots = [slot_of[ext] for ext in tail.shape]
+    key_slots = [
+        [
+            "R"
+            if ax.is_replicated
+            else (ax.array_axis, slot_of[ax.stride], slot_of[ax.offset])
+            if ax.is_body
+            else (None, slot_of[ax.offset])
+            for ax in align.axes
+        ]
+        for align in (src, dst)
+    ]
+    axes_differ = src.axis_signature() != dst.axis_signature()
+    pairs = list(zip(src.axes, dst.axes))
+    broadcasts = sum(
+        a2.is_replicated and not a1.is_replicated for a1, a2 in pairs
+    )
+    active = tuple(
+        t
+        for t, (a1, a2) in enumerate(pairs)
+        if not (a1.is_replicated or a2.is_replicated)
+    )
+    body = [t for t, ax in enumerate(src.axes) if ax.is_body]
     elements = general_moved = general_moves = broadcast = 0
     lo: list[int | None] = [None] * rank
     hi: list[int | None] = [None] * rank
     distinct: dict[tuple, list] = {}
-    for (shape, src_key, dst_key, general), (env, moves) in classes.items():
-        n = int(np.prod(shape)) if shape else 1
+    for vals, (point, moves) in classes.items():
+        shape = tuple([vals[i] for i in shape_slots])
+        src_key, dst_key = (
+            tuple(
+                [
+                    p if p == "R" else (p[0], *[vals[i] for i in p[1:]])
+                    for p in parts
+                ]
+            )
+            for parts in key_slots
+        )
+        n = math.prod(shape)
         elements += n * moves
-        src_pos = _cached_axis_positions(src, shape, src_key, env)
-        dst_pos = _cached_axis_positions(dst, shape, dst_key, env)
-        # Window bounds (same rule as executor.coordinate_bounds,
-        # folded into this walk): min/max coordinate of either
-        # endpoint on every non-replicated axis.
-        for align, pos in ((src, src_pos), (dst, dst_pos)):
-            for t, (ax, arr) in enumerate(zip(align.axes, pos)):
-                if ax.is_replicated or arr.size == 0:
+        # Window bounds (same rule as executor.coordinate_bounds):
+        # min/max coordinate of either endpoint on every non-replicated
+        # axis.  A body axis is monotone in its index, so its extremes
+        # are its two ends; an empty object touches nothing.
+        for key in (src_key, dst_key) if n else ():
+            for t, part in enumerate(key):
+                if part == "R":
                     continue
-                a_lo, a_hi = int(arr.min()), int(arr.max())
+                if part[0] is None:
+                    a_lo = a_hi = part[1]
+                else:
+                    axis, stride, off = part
+                    last = off + stride * (shape[axis] if shape else 1)
+                    a_lo, a_hi = sorted((off + stride, last))
                 lo[t] = a_lo if lo[t] is None else min(lo[t], a_lo)
                 hi[t] = a_hi if hi[t] is None else max(hi[t], a_hi)
-        if general:
+        if axes_differ or any(src_key[t][1] != dst_key[t][1] for t in body):
             # General comm has no routing distance: moves, not hops
             # (mirrors count_move, keeping topology costs well-defined).
             general_moved += n * moves
             general_moves += moves
             continue
-        for a1, a2 in zip(src.axes, dst.axes):
-            if a2.is_replicated and not a1.is_replicated:
-                broadcast += n * moves
-        active = tuple(
-            t
-            for t, (a1, a2) in enumerate(zip(src.axes, dst.axes))
-            if not (a1.is_replicated or a2.is_replicated)
-        )
-        if not active:
-            continue
+        broadcast += broadcasts * n * moves
+        if all(src_key[t] == dst_key[t] for t in active):
+            continue  # the same numbers: the same coordinates
+        env = dict(zip(walk.livs, point))
+        src_pos = _cached_axis_positions(src, shape, src_key, env)
+        dst_pos = _cached_axis_positions(dst, shape, dst_key, env)
         s = tuple(np.ascontiguousarray(src_pos[t]) for t in active)
         d = tuple(np.ascontiguousarray(dst_pos[t]) for t in active)
         if all(np.array_equal(a, b) for a, b in zip(s, d)):

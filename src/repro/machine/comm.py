@@ -60,6 +60,14 @@ class MoveCount:
         )
 
 
+def _integer_at(what: str, form: AffineForm, env: Mapping[LIV, int]) -> int:
+    """``form`` at ``env``; a template cell has no fractional coordinate."""
+    v = form.evaluate(env)
+    if type(v) is not int:
+        raise ValueError(f"{what} {form} evaluates to {v} at {env}")
+    return v
+
+
 def _axis_positions(
     align: Alignment,
     shape: tuple[int, ...],
@@ -73,10 +81,10 @@ def _axis_positions(
         if ax.is_replicated:
             out.append(np.zeros(shape or (), dtype=np.int64))
             continue
-        off = int(ax.offset.evaluate(env))
+        off = _integer_at("offset", ax.offset, env)
         if ax.is_body:
             assert ax.array_axis is not None and ax.stride is not None
-            stride = int(ax.stride.evaluate(env))
+            stride = _integer_at("stride", ax.stride, env)
             idx = grids[ax.array_axis] if grids is not None else np.array(1)
             out.append(off + stride * idx)
         else:

@@ -1,19 +1,26 @@
 """Unit tests for the distribution-planner cost model."""
 
 import inspect
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro import cachestats
 from repro.align import align_program
+from repro.align.position import Alignment, AxisAlignment
 from repro.distrib import CostVector, build_profile
 from repro.distrib.costmodel import (
     CommProfile,
     MoveRecord,
+    _edge_contribution,
     _walked_livs,
     window_extents,
 )
-from repro.ir import LIV, AffineForm
+from repro.ir import LIV, AffineForm, IterationSpace
 from repro.lang import programs
 from repro.lang.generate import FAMILIES, generate_scenario
 from repro.machine import (
@@ -270,6 +277,147 @@ class TestProfileEqualsPerPointWalk:
         )
         with pytest.raises(KeyError, match="unbound LIV nowhere"):
             build_profile(plan.adg, alignments)
+
+
+def one_edge(shape, src, dst, space=IterationSpace.scalar()):
+    """A one-edge stand-in for an aligned ADG: what ``build_profile``,
+    ``reference_profile`` and the simulator read of one, and no more."""
+    edge = SimpleNamespace(
+        tail=SimpleNamespace(key="tail", shape=tuple(map(AffineForm, shape))),
+        head=SimpleNamespace(key="head"),
+        space=space,
+    )
+    adg = SimpleNamespace(template_rank=src.template_rank, edges=[edge])
+    return adg, {"tail": src, "head": dst}
+
+
+def body(array_axis, stride, offset):
+    return AxisAlignment(array_axis, AffineForm(stride), AffineForm(offset))
+
+
+def space_axis(offset):
+    return AxisAlignment(None, None, AffineForm(offset))
+
+
+@st.composite
+def constant_edges(draw):
+    """``(shape, src, dst)``: every array axis on a body axis with stride
+    in -3..3, one space axis, offsets in -20..20.  Extents run from 0,
+    and a scalar object may still sit on a body axis."""
+    shape = tuple(draw(st.lists(st.integers(0, 4), max_size=3)))
+    bodies = len(shape) or draw(st.integers(0, 1))
+    offset = st.integers(-20, 20)
+
+    def alignment():
+        axes = [
+            body(a, draw(st.integers(-3, 3)), draw(offset))
+            for a in range(bodies)
+        ]
+        return Alignment((*axes, space_axis(draw(offset))))
+
+    return shape, alignment(), alignment()
+
+
+class TestNumbersDecideBeforeArrays:
+    """The window, and whether a move is free or general, come from the
+    evaluated stride/offset integers; coordinate arrays are built only
+    for a class whose numbers differ on an active axis."""
+
+    @given(constant_edges())
+    def test_window_from_the_numbers_is_the_arrays_min_and_max(self, edge):
+        shape, src, dst = edge
+        adg, alignments = one_edge(shape, src, dst)
+        got = _edge_contribution(
+            adg.template_rank, src, dst, adg.edges[0].space, adg.edges[0].tail
+        )
+        for t, bounds in enumerate(got.window):
+            arrays = [_axis_positions(a, shape, {})[t] for a in (src, dst)]
+            if 0 in shape:
+                assert bounds is None  # an empty object touches no cell
+            else:
+                assert bounds == (
+                    min(int(a.min()) for a in arrays),
+                    max(int(a.max()) for a in arrays),
+                )
+        assert_same_profile(
+            build_profile(adg, alignments), reference_profile(adg, alignments)
+        )
+
+    @pytest.mark.parametrize(
+        "shape, src, dst, general",
+        [
+            # extent 1: 0 + 2*1 == 1 + 1*1, yet the strides differ
+            ((1,), body(0, 2, 0), body(0, 1, 1), 1),
+            # nothing to move: only array_equal can tell
+            ((0,), body(0, 1, 0), body(0, 1, 3), 0),
+            ((3, 0), body(1, 1, 5), body(1, 1, -5), 0),
+        ],
+    )
+    def test_differing_numbers_with_equal_coordinates_leave_no_record(
+        self, shape, src, dst, general
+    ):
+        adg, alignments = one_edge(
+            shape, Alignment((src, space_axis(0))), Alignment((dst, space_axis(0)))
+        )
+        profile = build_profile(adg, alignments)
+        assert profile.records == [] and profile.general_moves == general
+        assert_same_profile(profile, reference_profile(adg, alignments))
+
+    def test_arrays_are_built_only_for_classes_whose_numbers_differ(self):
+        plan = align_program(programs.doubly_nested())
+
+        def numbers(align, env):
+            return tuple(
+                None
+                if ax.is_replicated
+                else (ax.is_body and ax.stride.evaluate(env), ax.offset.evaluate(env))
+                for ax in align.axes
+            )
+
+        # build_profile compiles each distinct edge once
+        edges = {
+            (plan.alignments[e.tail.key], plan.alignments[e.head.key],
+             e.space, e.tail.shape): e
+            for e in plan.adg.edges
+        }
+        moving = 0
+        for (src, dst, space, _), e in edges.items():
+            if src.axis_signature() != dst.axis_signature():
+                continue
+            classes = {
+                (_shape_at(e.tail, env), numbers(src, env), numbers(dst, env))
+                for env in space.points()
+            }
+            for _, s, d in classes:
+                active = [(a, b) for a, b in zip(s, d) if a and b]
+                if all(a[0] == b[0] for a, b in active):  # not general
+                    moving += any(a != b for a, b in active)
+        assert moving
+        cachestats.clear_caches()
+        before = cachestats.snapshot()
+        build_profile(plan.adg, plan.alignments)
+        counts = cachestats.delta(before)
+        assert sum(counts["distrib.move_records"]) == 2 * moving
+        assert sum(counts["affine.evaluate"]) < 1000
+
+
+class TestFractionalCoordinateIsAnError:
+    """A stride or offset that is not an integer at some point used to
+    be truncated, alike in the model and in the simulator."""
+
+    def test_model_and_simulator_both_refuse(self):
+        k = LIV("k", 0)
+        half = AffineForm.variable(k, Fraction(1, 2))
+        adg, alignments = one_edge(
+            (4,),
+            Alignment((AxisAlignment(0, AffineForm(1), half),)),
+            Alignment((body(0, 1, 0),)),
+            IterationSpace.single(k, 1, 4),
+        )
+        with pytest.raises(ValueError, match=r"offset 1/2\*k evaluates to 1/2 at"):
+            build_profile(adg, alignments)
+        with pytest.raises(ValueError, match=r"offset 1/2\*k evaluates to 1/2 at"):
+            measure_traffic(adg, alignments, Distribution.identity(1))
 
 
 class TestEdgesAreCompiledOnce:
