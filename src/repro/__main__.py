@@ -7,7 +7,7 @@ Usage::
                          [--measure identity|block|cyclic] [--procs N,N]
                          [--distribute P] [--phases] [--topology SPEC]
                          [--replan-from BASE]
-                         [--trace-passes] [--no-vectorize]
+                         [--trace-passes]
                          [--trace-out OUT.json] [--metrics]
                          [--prom-out OUT.prom]
     python -m repro --batch <dir|count> [--jobs J] [--serial]
@@ -95,7 +95,7 @@ def _load(path: str):
         raise SystemExit(1) from None
 
 
-def _run_batch(args, align_kw: dict, distrib_options: dict | None) -> int:
+def _run_batch(args, align_kw: dict) -> int:
     from .batch import PlanRequest, plan_many
     from .lang.generate import generate_corpus
 
@@ -140,7 +140,6 @@ def _run_batch(args, align_kw: dict, distrib_options: dict | None) -> int:
         jobs=args.jobs,
         serial=args.serial,
         align_kw=align_kw,
-        distrib_options=distrib_options,
         verify=True,
         topology=args.topology if args.distribute is not None else None,
         trace=args.trace_out is not None,
@@ -229,13 +228,6 @@ def main(argv: list[str] | None = None) -> int:
         "--phases",
         action="store_true",
         help="with --distribute: plan per program phase with costed remaps",
-    )
-    ap.add_argument(
-        "--no-vectorize",
-        action="store_true",
-        help="price candidates through the scalar per-record oracle "
-        "instead of the NumPy front-pricing kernels (same plans, slower; "
-        "for differential debugging)",
     )
     ap.add_argument(
         "--trace-passes",
@@ -335,9 +327,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     if args.algorithm == "fixed":
         align_kw["m"] = args.m
-    # Only a set flag reaches the planner: the default machine spec must
-    # stay byte-identical (specs feed artifact fingerprints).
-    distrib_options = {"vectorize": False} if args.no_vectorize else None
     try:
         # The flags become the two option records here, once; without
         # --distribute (given or implied) there is no machine to plan for.
@@ -345,7 +334,6 @@ def main(argv: list[str] | None = None) -> int:
             args.distribute,
             args.topology if args.distribute is not None else None,
             align_kw,
-            distrib_options,
         )
     except DistributionOptionsError:
         ap.error(
@@ -385,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.replan_from is not None and args.phases:
         ap.error("--replan-from cannot be combined with --phases")
     if args.batch is not None:
-        return _run_batch(args, align_kw, distrib_options)
+        return _run_batch(args, align_kw)
 
     from .passes import trace_table
 
@@ -441,12 +429,7 @@ def main(argv: list[str] | None = None) -> int:
             profile = ctx.get("profile")
             dplan = ctx.get("distribution")
             print(dplan.render())
-            naive = naive_costs(
-                profile,
-                args.distribute,
-                topology,
-                vectorize=not args.no_vectorize,
-            )
+            naive = naive_costs(profile, args.distribute, topology)
             for name, cost in sorted(naive.items()):
                 print(
                     f"  naive {name:>9s}: hops={cost.hops} moved={cost.moved}"

@@ -43,11 +43,10 @@ from .offset_mobile import MobileOffsetResult
 from .position import Alignment
 from .replication import ReplicationResult
 
-#: Planner keywords that belong in ``distrib_options`` — used to catch
-#: machine options smuggled into the alignment keywords (and vice versa).
+#: The planner keywords: what ``distrib_options`` may hold, and what is
+#: caught when smuggled into the alignment keywords.
 _DISTRIB_ONLY_KEYS = frozenset(
-    {"topology", "block_sizes", "exhaustive_limit", "seed", "restarts",
-     "vectorize"}
+    {"topology", "block_sizes", "exhaustive_limit", "seed", "restarts"}
 )
 #: Alignment keywords that belong in ``align_kw`` — the other direction.
 _ALIGN_ONLY_KEYS = frozenset(
@@ -58,7 +57,8 @@ _ALIGN_ONLY_KEYS = frozenset(
 
 class DistributionOptionsError(ValueError):
     """Conflicting machine/metric options between ``align_kw`` and
-    ``distrib_options`` — raised instead of silently preferring one."""
+    ``distrib_options``, or a ``distrib_options`` key the planner does
+    not take — raised instead of silently preferring one."""
 
 
 @dataclass
@@ -159,19 +159,35 @@ def planning_records(
     machine = None
     if nprocs is not None or topology is not None or "topology" in distrib_options:
         machine = machine_record(nprocs, topology, distrib_options)
+    else:
+        _known_distrib_options(distrib_options)
     return AlignOptions.of(**align_kw), machine
+
+
+def _known_distrib_options(distrib_options: Mapping) -> None:
+    """Reject a key the distribution planner does not take, here and
+    not as a ``TypeError`` from the distribute pass after the whole
+    alignment prefix has run."""
+    unknown = set(distrib_options) - _DISTRIB_ONLY_KEYS
+    if unknown:
+        raise DistributionOptionsError(
+            f"unknown distribution option(s) {sorted(unknown)} in "
+            f"distrib_options={sorted(distrib_options)}; the distribution "
+            f"planner takes {sorted(_DISTRIB_ONLY_KEYS)}"
+        )
 
 
 def machine_record(nprocs, topology, distrib_options: Mapping):
     """The machine half of :func:`planning_records`, for a caller whose
     options are records already (the serve daemon, once per request).
 
-    Raises on a topology given twice, a bad spec, a machine that fixes
-    no processor count, and a finite topology whose size contradicts
-    ``nprocs``.
+    Raises on an option the planner does not take, a topology given
+    twice, a bad spec, a machine that fixes no processor count, and a
+    finite topology whose size contradicts ``nprocs``.
     """
     from ..passes import MachineSpec
 
+    _known_distrib_options(distrib_options)
     if topology is not None:
         if "topology" in distrib_options:
             raise DistributionOptionsError(

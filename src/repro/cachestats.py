@@ -2,7 +2,7 @@
 
 The batched planning engine (:mod:`repro.batch`) hammers a handful of
 kernels — affine evaluation, edge-cost moment sums, move-record
-compilation, per-axis hop costs — hard enough that memoization pays.
+compilation — hard enough that memoization pays.
 Every cache in the package registers here under a dotted name so the
 batch report can surface hit rates, and so tests can assert the caches
 stay bounded.

@@ -14,11 +14,12 @@ Modules:
   simulator's measured hop counts;
 * :mod:`repro.distrib.enumerate` — grid factorizations, per-axis scheme
   candidates, naive uniform baselines;
-* :mod:`repro.distrib.search` — exhaustive per-axis DP (reusing
-  :mod:`repro.solvers.dp`) with a greedy/local-search fallback;
+* :mod:`repro.distrib.search` — the per-axis argmin over every grid
+  shape, exhaustive on small spaces and a local search on large ones;
 * :mod:`repro.distrib.vectorized` — NumPy batch pricing of whole
-  candidate fronts (the fast path under the DP; the scalar evaluator
-  stays as the differential oracle, ``vectorize=False``);
+  candidate fronts, which is how the search prices (the scalar
+  evaluators of ``CommProfile`` stay as the reference tests compare
+  against);
 * :mod:`repro.distrib.remap` — redistribution planning between program
   phases with costed remap edges;
 * :mod:`repro.distrib.plan` — the :class:`DistributionPlan` output

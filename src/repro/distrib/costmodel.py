@@ -37,8 +37,7 @@ Distribution-independent traffic is folded into the profile up front:
 
 Hop pricing is topology-aware: ``evaluate`` and ``axis_hops`` accept
 the interconnect metrics of :mod:`repro.topology`, defaulting to the
-paper's L1 grid.  The per-axis memo keys include the metric, so one
-profile serves any number of machine models.
+paper's L1 grid, so one profile serves any number of machine models.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ import numpy as np
 from ..adg.graph import ADG
 from ..align.cost import AlignmentMap
 from ..align.position import Alignment
-from ..cachestats import MISS, BoundedCache, _cell
+from ..cachestats import MISS, BoundedCache
 from ..ir.affine import AffineForm, scalar
 from ..ir.symbols import LIV
 from ..machine.comm import _axis_positions
@@ -67,7 +66,6 @@ from ..topology import AxisMetric, Topology, distribution_metrics
 # across classes, edges and programs.  Cached arrays are shared and must
 # be treated as read-only by all consumers.
 _POSITIONS = BoundedCache("distrib.move_records", maxsize=2048)
-_AXIS_HOPS_STATS = _cell("distrib.axis_hops")
 
 
 def _cached_axis_positions(
@@ -168,15 +166,9 @@ class CommProfile:
     # General (axis/stride-mismatch) moves, counted per iteration point —
     # unlike TrafficReport.general_edges, which counts edges.
     general_moves: int = 0
-    # Per-profile memo of axis_hops results: the search layer re-prices
-    # the same (axis, candidate) pair once per grid factorization and
-    # again per local-search restart.  Keyed on the candidate's scheme
-    # parameters; excluded from equality/repr.
-    _hops_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    # Per-axis cell pairs and padded group tensors for the vectorized
-    # front-pricing path (:mod:`repro.distrib.vectorized`), compiled
-    # lazily once per profile; excluded from equality/repr like the hop
-    # memo.
+    # Per-axis cell pairs and padded group tensors for front pricing
+    # (:mod:`repro.distrib.vectorized`), compiled lazily once per
+    # profile; excluded from equality/repr.
     _front_tensors: object = field(default=None, repr=False, compare=False)
 
     # -- evaluation --------------------------------------------------------
@@ -243,19 +235,12 @@ class CommProfile:
         distance decomposes over axes — so per-axis hop costs can be
         optimized independently once the processor count per axis is
         fixed, for any interconnect, not just the L1 grid.  This is
-        what makes the exhaustive search a per-axis dynamic program
-        rather than a cross-product sweep.
+        what makes the exhaustive search a per-axis argmin rather than
+        a cross-product sweep.  The planner prices whole candidate
+        lists with :func:`~repro.distrib.vectorized.axis_front_hops`;
+        this is the one-candidate reference it is checked against, and
+        it computes on every call.
         """
-        # Axis distributions and metrics are frozen value objects, so
-        # the instances themselves are the key: every scheme/metric
-        # parameter participates, and a future class can never collide
-        # with an existing one.
-        key = (axis, axdist, metric)
-        cached = self._hops_cache.get(key)
-        if cached is not None:
-            _AXIS_HOPS_STATS[0] += 1
-            return cached
-        _AXIS_HOPS_STATS[1] += 1
         total = 0
         for r in self.records:
             if axis not in r.axes:
@@ -265,9 +250,6 @@ class CommProfile:
                 r.src[j], r.dst[j], metric
             )
             total += int(np.sum(d)) * r.count
-        if len(self._hops_cache) >= 4096:
-            self._hops_cache.clear()
-        self._hops_cache[key] = total
         return total
 
     # -- introspection -----------------------------------------------------

@@ -18,6 +18,7 @@ from ..topology import Topology
 from ..topology.models import factorizations, most_balanced
 from .costmodel import CommProfile, CostVector, window_extents
 from .plan import BLOCK, BLOCK_CYCLIC, CYCLIC, AxisPlan
+from .vectorized import front_costs
 
 DEFAULT_BLOCK_SIZES = (2, 4, 8)
 
@@ -72,27 +73,39 @@ def axis_candidates(
     return out
 
 
+def grid_candidates(
+    window: Sequence[tuple[int, int]],
+    grid: Sequence[int],
+    block_sizes: Sequence[int] = DEFAULT_BLOCK_SIZES,
+) -> list[list[AxisPlan]]:
+    """The per-axis candidate lists of one grid shape over ``window``
+    (per-axis ``(lo, hi)`` cells): the one place they are built."""
+    return [
+        axis_candidates(lo, hi - lo + 1, p, block_sizes)
+        for (lo, hi), p in zip(window, grid)
+    ]
+
+
 def candidate_spaces(
     profile: CommProfile,
     nprocs: int,
     block_sizes: Sequence[int] = DEFAULT_BLOCK_SIZES,
     topology: Topology | None = None,
+    window: Sequence[tuple[int, int]] | None = None,
 ) -> Iterator[tuple[tuple[int, ...], list[list[AxisPlan]]]]:
     """Yield ``(grid shape, per-axis candidate lists)`` per factorization.
 
     ``topology`` drops grid shapes the machine cannot realize (e.g. a
     hypercube only folds onto power-of-two axis counts); the default
-    grid machine accepts every factorization.
+    grid machine accepts every factorization.  ``window`` sizes the
+    candidates over other cells than the profile's own.
     """
-    extents = window_extents(profile)
+    if window is None:
+        window = profile.window
     for grid in grid_factorizations(nprocs, profile.template_rank):
         if topology is not None and not topology.supports_grid(grid):
             continue
-        cands = [
-            axis_candidates(lo, ext, p, block_sizes)
-            for (lo, _), ext, p in zip(profile.window, extents, grid)
-        ]
-        yield grid, cands
+        yield grid, grid_candidates(window, grid, block_sizes)
 
 
 def covered_size(
@@ -149,21 +162,9 @@ def naive_costs(
     profile: CommProfile,
     nprocs: int,
     topology: Topology | None = None,
-    vectorize: bool = True,
 ) -> dict[str, CostVector]:
-    """Modeled cost of each naive baseline (priced on ``topology``).
-
-    The baselines are priced as one vectorized front
-    (:func:`~repro.distrib.vectorized.evaluate_front`);
-    ``vectorize=False`` prices each through the scalar oracle instead.
-    """
+    """Modeled cost of each naive baseline (priced on ``topology``),
+    as one :func:`~repro.distrib.vectorized.front_costs` front."""
     naive = naive_distributions(profile, nprocs)
-    if not vectorize:
-        return {
-            name: profile.evaluate(dist, topology)
-            for name, dist in naive.items()
-        }
-    from .vectorized import front_costs
-
     costs = front_costs(profile, list(naive.values()), topology)
     return dict(zip(naive.keys(), costs))

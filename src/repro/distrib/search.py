@@ -1,23 +1,22 @@
 """Search over the distribution-candidate space.
 
-Two regimes, chosen by the size of the candidate space:
+Every hop metric decomposes over template axes, so once a grid
+factorization fixes the processor count per axis, the best scheme per
+axis is an independent choice: :func:`_best_axes` prices each axis's
+whole candidate list in one array call and takes the first minimum.
+Two regimes share it, chosen by the size of the candidate space:
 
-* **Exhaustive** (small spaces): the L1 hop metric decomposes over
-  template axes, so once a grid factorization fixes the processor count
-  per axis, the best scheme per axis is an independent choice.  Each
-  factorization is solved exactly as a discrete labeling problem on a
-  star graph (one node per axis, an anchor carrying the per-candidate
-  hop costs) reusing the compact dynamic programming of
-  :mod:`repro.solvers.dp`; the winner over all factorizations is the
-  hop-optimal distribution.  The DP already knows each grid winner's
-  hops, and cost orders by hops first, so only the grids tied at the
-  minimum are priced in full (``moved`` breaks the tie).
+* **Exhaustive** (small spaces): every grid factorization is solved
+  exactly; the winner over all factorizations is the hop-optimal
+  distribution.  The argmin already knows each grid winner's hops, and
+  cost orders by hops first, so only the grids tied at the minimum are
+  priced in full (``moved`` breaks the tie).
 
-* **Greedy + local search** (large spaces): greedy per-axis choice on a
-  sample of grid shapes, then hill-climbing over the factorization
-  neighborhood (moving one prime factor between two axes), with random
-  restarts — the GSAT recipe for discrete local search: cheap moves,
-  steepest descent, restart when stuck.
+* **Local search** (large spaces): the per-grid optimum on a sample of
+  grid shapes, then hill-climbing over the factorization neighborhood
+  (moving one prime factor between two axes), with random restarts —
+  the GSAT recipe for discrete local search: cheap moves, steepest
+  descent, restart when stuck.
 """
 
 from __future__ import annotations
@@ -25,27 +24,23 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from ..cachestats import _cell
+from ..machine.distribution import Distribution
 from ..obs import spans as obs
-from ..solvers.dp import DiscreteLabelingProblem
 from ..topology import AxisMetric, Topology
 from ..topology.models import most_balanced
-from .costmodel import CommProfile, CostVector, window_extents
+from .costmodel import CommProfile, CostVector
 from .enumerate import (
     DEFAULT_BLOCK_SIZES,
-    axis_candidates,
     balanced_factorization,
     candidate_spaces,
     covered_size,
+    grid_candidates,
     grid_factorizations,
 )
 from .plan import AxisPlan, DistributionPlan
+from .vectorized import axis_front_hops, front_costs
 
 EXHAUSTIVE_LIMIT = 20_000
-_ANCHOR = "$cost"
-# Shared with repro.distrib.vectorized: [vectorized, scalar] candidate
-# pricings — the counter's hit rate is the fraction that took the fast path.
-_FRONT_STATS = _cell("distrib.front_price")
 
 
 def _metrics_for_grid(
@@ -54,119 +49,38 @@ def _metrics_for_grid(
     return None if topology is None else topology.metrics(tuple(grid))
 
 
-def _axis_hop_table(
+def _best_axes(
     profile: CommProfile,
     cands: Sequence[Sequence[AxisPlan]],
     metrics: Sequence[AxisMetric] | None = None,
-    vectorize: bool = True,
-) -> list[list[int]]:
-    """Per-axis candidate hop costs for one grid's whole front.
+) -> tuple[list[AxisPlan], int]:
+    """The hop-optimal scheme per axis for one grid, and their hop sum.
 
-    The default path prices each axis's entire candidate list in one
-    vectorized call (:func:`~repro.distrib.vectorized.axis_front_hops`);
-    ``vectorize=False`` keeps the per-candidate pure-Python path — the
-    differential oracle, and the ``--no-vectorize`` debugging fallback.
+    Each axis's candidate list is priced in one
+    :func:`~repro.distrib.vectorized.axis_front_hops` call and the first
+    minimum wins, so a tie goes to the earlier candidate in
+    :func:`~repro.distrib.enumerate.axis_candidates` order.  The sum is
+    the axes' own hops: ``profile.fixed.hops`` is not in it.
     """
     with obs.span(
         "distrib.front_price",
         candidates=sum(len(clist) for clist in cands),
         axes=len(cands),
-        vectorized=vectorize,
     ):
-        if vectorize:
-            from .vectorized import axis_front_hops
-
-            return [
-                [
-                    int(h)
-                    for h in axis_front_hops(
-                        profile,
-                        t,
-                        clist,
-                        None if metrics is None else metrics[t],
-                    )
-                ]
-                for t, clist in enumerate(cands)
-            ]
-        _FRONT_STATS[1] += sum(len(clist) for clist in cands)
-        return [
-            [
-                profile.axis_hops(
-                    t,
-                    c.to_axis_distribution(),
-                    None if metrics is None else metrics[t],
-                )
-                for c in clist
-            ]
-            for t, clist in enumerate(cands)
-        ]
-
-
-def _solve_axes_dp(
-    profile: CommProfile,
-    cands: Sequence[Sequence[AxisPlan]],
-    metrics: Sequence[AxisMetric] | None = None,
-    vectorize: bool = True,
-) -> tuple[list[AxisPlan], int]:
-    """Exact per-axis choice by DP on a star-shaped labeling problem.
-
-    Candidate hop costs become edges to a pinned anchor node whose
-    predicate charges the weight exactly when the axis picks that
-    candidate; the star is a tree, so
-    :meth:`~repro.solvers.dp.DiscreteLabelingProblem.solve_tree` is
-    exact.  (The per-axis independence makes this equivalent to an
-    argmin per axis — the DP formulation keeps the planner on the same
-    machinery the alignment phases use, and stays correct if coupled
-    inter-axis costs are ever added as real edges.)
-    """
-    with obs.span(
-        "distrib.axis_dp",
-        axes=len(cands),
-        candidates=sum(len(clist) for clist in cands),
-        vectorized=vectorize,
-    ):
-        prob = DiscreteLabelingProblem()
-        hops = _axis_hop_table(profile, cands, metrics, vectorize)
+        axes: list[AxisPlan] = []
+        total = 0
         for t, clist in enumerate(cands):
-            prob.add_node(t, list(range(len(clist))))
-            for ci in range(len(clist)):
-                w = hops[t][ci]
-                if w:
-                    # One anchor per (axis, candidate): parallel edges to a
-                    # shared anchor would not be a forest.
-                    anchor = (_ANCHOR, t, ci)
-                    prob.fix_node(anchor, 0)
-                    prob.add_edge(
-                        t,
-                        anchor,
-                        w,
-                        predicate=lambda lu, lv, ci=ci: lu != ci,
-                    )
-        res = prob.solve_tree()
-        chosen = [clist[res.labels[t]] for t, clist in enumerate(cands)]
-        return chosen, int(res.cost)
+            hops = axis_front_hops(
+                profile, t, clist, None if metrics is None else metrics[t]
+            )
+            best = int(hops.argmin())
+            axes.append(clist[best])
+            total += int(hops[best])
+        return axes, total
 
 
-def _distribution(axes: Sequence[AxisPlan]):
-    from ..machine.distribution import Distribution
-
+def _distribution(axes: Sequence[AxisPlan]) -> Distribution:
     return Distribution(tuple(a.to_axis_distribution() for a in axes))
-
-
-def _price_winners(
-    profile: CommProfile,
-    winners: Sequence[Sequence[AxisPlan]],
-    topology: Topology | None,
-    vectorize: bool,
-) -> list[CostVector]:
-    """Full cost of each grid winner: one vectorized front, or the
-    scalar oracle per winner under ``vectorize=False``."""
-    dists = [_distribution(axes) for axes in winners]
-    if vectorize:
-        from .vectorized import front_costs
-
-        return front_costs(profile, dists, topology)
-    return [profile.evaluate(dist, topology) for dist in dists]
 
 
 def _plan(
@@ -185,6 +99,43 @@ def _plan(
     )
 
 
+def _priced(
+    profile: CommProfile,
+    winners: Sequence[Sequence[AxisPlan]],
+    searched: int,
+    topology: Topology | None,
+) -> list[DistributionPlan]:
+    """The grid winners as exact plans, priced in full as one front
+    and ordered best first (cost, then the smaller grid)."""
+    costs = front_costs(
+        profile, [_distribution(axes) for axes in winners], topology
+    )
+    plans = [
+        _plan(axes, cost, True, searched, topology)
+        for axes, cost in zip(winners, costs)
+    ]
+    plans.sort(key=lambda pl: (pl.cost, pl.grid))
+    return plans
+
+
+def _spaces(
+    profile: CommProfile,
+    nprocs: int,
+    block_sizes: Sequence[int],
+    topology: Topology | None,
+    window: Sequence[tuple[int, int]] | None = None,
+) -> list[tuple[tuple[int, ...], list[list[AxisPlan]]]]:
+    """Every realizable grid with its per-axis candidate lists."""
+    spaces = list(candidate_spaces(profile, nprocs, block_sizes, topology, window))
+    if not spaces:
+        raise ValueError(
+            f"{topology.spec() if topology else 'machine'}: no realizable "
+            f"processor grid for {nprocs} processors on a rank-"
+            f"{profile.template_rank} template"
+        )
+    return spaces
+
+
 def plan_distribution(
     profile: CommProfile,
     nprocs: int,
@@ -193,63 +144,45 @@ def plan_distribution(
     seed: int = 0,
     restarts: int = 8,
     topology: Topology | None = None,
-    vectorize: bool = True,
 ) -> DistributionPlan:
     """Choose the distribution minimizing modeled hops for ``nprocs``.
 
     Exhaustive (hop-optimal) when the work of solving every grid shape
-    exactly is affordable; otherwise greedy + local search.  Because
-    every hop metric decomposes over axes (all :mod:`repro.topology`
-    models are separable), the exhaustive DP's work is the per-axis
-    candidate *sum* per grid (not the cross-product), so
-    ``exhaustive_limit`` bounds that sum over all grid shapes — the
-    cross-product space actually covered (reported in ``searched``) is
-    usually far larger.  ``topology`` prices hops on the machine's
-    interconnect and rules out unrealizable grid shapes; the default is
-    the paper's open L1 grid.  ``vectorize`` selects the batched NumPy
-    front pricing (the default; plans are identical either way —
-    ``False`` is the pure-Python differential oracle, exposed on the
-    CLI as ``--no-vectorize``).
+    exactly is affordable; otherwise local search.  Because every hop
+    metric decomposes over axes (all :mod:`repro.topology` models are
+    separable), the exhaustive work is the per-axis candidate *sum* per
+    grid (not the cross-product), so ``exhaustive_limit`` bounds that
+    sum over all grid shapes — the cross-product space actually covered
+    (reported in ``searched``) is usually far larger.  ``topology``
+    prices hops on the machine's interconnect and rules out
+    unrealizable grid shapes; the default is the paper's open L1 grid.
     """
-    spaces = list(candidate_spaces(profile, nprocs, block_sizes, topology))
-    if not spaces:
-        raise ValueError(
-            f"{topology.spec() if topology else 'machine'}: no realizable "
-            f"processor grid for {nprocs} processors on a rank-"
-            f"{profile.template_rank} template"
-        )
-    dp_work = sum(len(c) for _, cands in spaces for c in cands)
+    spaces = _spaces(profile, nprocs, block_sizes, topology)
+    work = sum(len(c) for _, cands in spaces for c in cands)
     with obs.span(
         "distrib.plan",
         nprocs=nprocs,
         grids=len(spaces),
-        candidates=dp_work,
-        exhaustive=dp_work <= exhaustive_limit,
-        vectorized=vectorize,
+        candidates=work,
+        exhaustive=work <= exhaustive_limit,
     ):
-        if dp_work > exhaustive_limit:
+        if work > exhaustive_limit:
             # No tie rule here: the search's one result is priced in full.
             obs.annotate(grids_tied=0, grids_priced=1)
             return _local_search(
-                profile, nprocs, block_sizes, seed, restarts, topology, vectorize
+                profile, nprocs, block_sizes, seed, restarts, topology
             )
-        covered = covered_size(spaces)
-        solved = []
-        for grid, cands in spaces:
-            metrics = _metrics_for_grid(topology, grid)
-            solved.append(_solve_axes_dp(profile, cands, metrics, vectorize))
-        # Cost orders by hops first and the DP's hop sum is the winner's
+        solved = [
+            _best_axes(profile, cands, _metrics_for_grid(topology, grid))
+            for grid, cands in spaces
+        ]
+        # Cost orders by hops first and a grid's hop sum is its winner's
         # own (less the profile's fixed hops), so a grid above the
         # minimum cannot win: only the tied grids need ``moved``.
         least = min(hops for _, hops in solved)
         tied = [axes for axes, hops in solved if hops == least]
         obs.annotate(grids_tied=len(tied), grids_priced=len(tied))
-        costs = _price_winners(profile, tied, topology, vectorize)
-        plans = [
-            _plan(axes, cost, True, covered, topology)
-            for axes, cost in zip(tied, costs)
-        ]
-        return min(plans, key=lambda pl: (pl.cost, pl.grid))
+        return _priced(profile, tied, covered_size(spaces), topology)[0]
 
 
 def rank_plans(
@@ -261,7 +194,6 @@ def rank_plans(
     seed: int = 0,
     window: Sequence[tuple[int, int]] | None = None,
     topology: Topology | None = None,
-    vectorize: bool = True,
 ) -> list[DistributionPlan]:
     """The ``k`` best distributions, one per grid shape, best first.
 
@@ -271,68 +203,23 @@ def rank_plans(
     profile's own) lets that planner size candidates over the union of
     all phase windows so every candidate owns every remapped cell.
     """
-    grids = grid_factorizations(nprocs, profile.template_rank)
-    if topology is not None:
-        grids = [g for g in grids if topology.supports_grid(g)]
-        if not grids:
-            raise ValueError(
-                f"{topology.spec()}: no realizable processor grid for "
-                f"{nprocs} processors on a rank-{profile.template_rank} "
-                "template"
-            )
-    if len(grids) > max_grids:
+    spaces = _spaces(profile, nprocs, block_sizes, topology, window)
+    if len(spaces) > max_grids:
         rng = random.Random(seed)
-        keep = {most_balanced(grids)}
+        keep = {most_balanced([grid for grid, _ in spaces])}
         keep.update(
-            grids[i] for i in rng.sample(range(len(grids)), max_grids - 1)
+            spaces[i][0] for i in rng.sample(range(len(spaces)), max_grids - 1)
         )
-        grids = sorted(keep)
-    win = tuple(window) if window is not None else profile.window
-    extents = tuple(hi - lo + 1 for lo, hi in win)
-    winners = []
-    for grid in grids:
-        cands = [
-            axis_candidates(lo, ext, p, block_sizes)
-            for (lo, _), ext, p in zip(win, extents, grid)
-        ]
-        metrics = _metrics_for_grid(topology, grid)
-        axes, _ = _solve_axes_dp(profile, cands, metrics, vectorize)
-        winners.append(axes)
+        spaces = [space for space in spaces if space[0] in keep]
     # Ranking needs every grid's full cost, so every winner is priced.
-    costs = _price_winners(profile, winners, topology, vectorize)
-    plans = [
-        _plan(axes, cost, True, len(grids), topology)
-        for axes, cost in zip(winners, costs)
+    winners = [
+        _best_axes(profile, cands, _metrics_for_grid(topology, grid))[0]
+        for grid, cands in spaces
     ]
-    plans.sort(key=lambda pl: (pl.cost, pl.grid))
-    return plans[: max(1, k)]
+    return _priced(profile, winners, len(spaces), topology)[: max(1, k)]
 
 
-# -- greedy + local search ----------------------------------------------------
-
-
-def _greedy_axes(
-    profile: CommProfile,
-    grid: tuple[int, ...],
-    block_sizes: Sequence[int],
-    topology: Topology | None = None,
-    vectorize: bool = True,
-) -> tuple[list[AxisPlan], int]:
-    """Per-axis argmin of hop cost (the per-grid optimum)."""
-    extents = window_extents(profile)
-    metrics = _metrics_for_grid(topology, grid)
-    cand_lists = [
-        axis_candidates(lo, ext, p, block_sizes)
-        for (lo, _), ext, p in zip(profile.window, extents, grid)
-    ]
-    hops = _axis_hop_table(profile, cand_lists, metrics, vectorize)
-    axes: list[AxisPlan] = []
-    total = profile.fixed.hops
-    for cands, costs in zip(cand_lists, hops):
-        best = min(range(len(cands)), key=costs.__getitem__)
-        axes.append(cands[best])
-        total += costs[best]
-    return axes, total
+# -- local search -------------------------------------------------------------
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -369,10 +256,16 @@ def _local_search(
     seed: int,
     restarts: int,
     topology: Topology | None = None,
-    vectorize: bool = True,
 ) -> DistributionPlan:
     def supported(g: tuple[int, ...]) -> bool:
         return topology is None or topology.supports_grid(g)
+
+    def best_on(g: tuple[int, ...]) -> tuple[list[AxisPlan], int]:
+        return _best_axes(
+            profile,
+            grid_candidates(profile.window, g, block_sizes),
+            _metrics_for_grid(topology, g),
+        )
 
     rng = random.Random(seed)
     rank = profile.template_rank
@@ -390,7 +283,7 @@ def _local_search(
             grid = tuple(g)
         if not supported(grid):
             continue
-        axes, hops = _greedy_axes(profile, grid, block_sizes, topology, vectorize)
+        axes, hops = best_on(grid)
         searched += 1
         improved = True
         while improved:
@@ -398,9 +291,7 @@ def _local_search(
             for ng in _neighbor_grids(grid):
                 if not supported(ng):
                     continue
-                n_axes, n_hops = _greedy_axes(
-                    profile, ng, block_sizes, topology, vectorize
-                )
+                n_axes, n_hops = best_on(ng)
                 searched += 1
                 if n_hops < hops:
                     grid, axes, hops = ng, n_axes, n_hops
@@ -413,9 +304,7 @@ def _local_search(
         # supported factorization (plan_distribution guarantees one).
         for grid in grid_factorizations(nprocs, rank):
             if supported(grid):
-                best_axes, _ = _greedy_axes(
-                    profile, grid, block_sizes, topology, vectorize
-                )
+                best_axes, _ = best_on(grid)
                 searched += 1
                 break
     assert best_axes is not None

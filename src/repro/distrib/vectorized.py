@@ -1,11 +1,11 @@
 """Vectorized batch pricing of whole candidate enumerations.
 
-The scalar pricing path (:meth:`CommProfile.axis_hops`,
-:meth:`CommProfile.evaluate`) walks the move records in Python once per
-candidate — fine for a single plan, dominant in batch planning where the
-per-axis DP prices hundreds of (scheme, grid) candidates per program.
-This module prices an *entire enumeration front* in a handful of
-broadcasted NumPy ops instead:
+The scalar evaluators (:meth:`CommProfile.axis_hops`,
+:meth:`CommProfile.evaluate`) walk the move records in Python once per
+candidate — fine for a single plan, dominant in a search that prices
+hundreds of (scheme, grid) candidates per program.  This module is what
+the planner prices with: an *entire enumeration front* in a handful of
+broadcasted NumPy ops:
 
 * :func:`compile_front` compiles each profile's move records **once per
   profile**, cached on the profile and instrumented under the
@@ -21,19 +21,16 @@ broadcasted NumPy ops instead:
   parameters become broadcast arrays, the topology's vectorized metric
   kernels (:meth:`~repro.topology.AxisMetric.hops`) price the whole
   ``(candidates, pairs)`` array in one call — and returns the
-  per-candidate hop totals the per-axis DP consumes;
+  per-candidate hop totals the per-axis argmin consumes;
 * :func:`evaluate_front` prices full candidate distributions over the
   padded group tensors and returns an ``(n_candidates, 3)`` cost matrix
   with columns ``(hops, moved, broadcast)``.
 
-The pure-Python path stays intact as the differential oracle: every
-number produced here is an exact integer equal to the scalar path and to
-the machine simulator (asserted per scenario and per topology family in
-``tests/test_differential.py``).  Pass ``vectorize=False`` to
-:func:`~repro.distrib.search.plan_distribution` (CLI:
-``--no-vectorize``) to fall back for debugging; the
-``distrib.front_price`` counter records how many candidate prices went
-through each path.
+The scalar evaluators stay as the reference: every number produced
+here is an exact integer equal to theirs and to the machine simulator
+(asserted per scenario and per topology family in
+``tests/test_differential.py``).  The ``distrib.front_price`` counter
+records how many candidates were priced.
 """
 
 from __future__ import annotations
@@ -53,9 +50,7 @@ from ..machine.distribution import (
 )
 from ..topology import AxisMetric, Topology, distribution_metrics_batch
 
-# [vectorized candidate prices, scalar-fallback candidate prices]: the
-# "hit rate" of this counter is the fraction of candidate pricings that
-# took the fast path.
+# Candidates priced, in slot 0 (the cell's "hits"; slot 1 stays 0).
 _FRONT_STATS = _cell("distrib.front_price")
 # [tensor-cache hits, tensor compilations] per profile.
 _TENSOR_STATS = _cell("distrib.front_tensors")
@@ -161,10 +156,9 @@ def _axis_front(
 def compile_front(profile) -> FrontTensors:
     """The profile's pricing tensors, compiled once and cached.
 
-    The cache lives on the profile instance (like its per-candidate hop
-    memo) so it ships with the profile across process pools and dies
-    with it; hits and compilations are counted under
-    ``distrib.front_tensors``.
+    The cache lives on the profile instance, so it ships with the
+    profile across process pools and dies with it; hits and
+    compilations are counted under ``distrib.front_tensors``.
     """
     cached = getattr(profile, "_front_tensors", None)
     if cached is not None:
@@ -228,8 +222,9 @@ def _axis_dist_params(ax) -> tuple[int, int, int, int]:
     if isinstance(ax, Identity):
         return (_MODE_IDENTITY, 1, 1, 0)
     raise TypeError(
-        f"cannot vectorize axis distribution {type(ax).__name__}; "
-        "use the scalar pricing path (vectorize=False)"
+        f"no front-pricing kernel for axis distribution "
+        f"{type(ax).__name__}: the planner prices Block, Cyclic, "
+        "BlockCyclic and Identity"
     )
 
 

@@ -19,9 +19,9 @@ Usage::
 
     with obs.recording(label="figure1") as rec:
         with obs.span("plan", program="figure1"):
-            with obs.span("distrib.axis_dp", axes=2):
+            with obs.span("distrib.front_price", axes=2):
                 ...
-    rec.roots[0].children[0].name   # "distrib.axis_dp"
+    rec.roots[0].children[0].name   # "distrib.front_price"
 """
 
 from __future__ import annotations

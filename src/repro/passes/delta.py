@@ -462,16 +462,12 @@ def _once_per_base(base: PlanContext, what: str, objs: tuple, compute) -> Any:
 def _cow_profile(profile):
     """A copy-on-write clone of a comm profile.
 
-    Containers the distribution search mutates — the hop memo, and the
-    record list in principle — are copied; the records themselves and
-    the lazily-compiled front tensors are immutable-in-practice and
-    shared.  The base context's profile is never touched by a replan.
+    The record list — the one container a consumer could mutate — is
+    copied; the records themselves and the lazily-compiled front
+    tensors are immutable-in-practice and shared.  The base context's
+    profile is never touched by a replan.
     """
-    return dataclasses.replace(
-        profile,
-        records=list(profile.records),
-        _hops_cache=dict(profile._hops_cache),
-    )
+    return dataclasses.replace(profile, records=list(profile.records))
 
 
 #: Per-port (or per-record) entry counts of the carriable artifacts, for

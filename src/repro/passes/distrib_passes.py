@@ -90,8 +90,9 @@ class CommProfilePass(Pass):
 
 class DistributePass(Pass):
     """The program-level distribution search (the paper's deferred phase
-    2): grid factorization × per-axis HPF scheme, exact per-axis DP with
-    a local-search fallback, priced on the machine's interconnect."""
+    2): grid factorization × per-axis HPF scheme, an exact per-axis
+    argmin with a local search on large spaces, priced on the machine's
+    interconnect."""
 
     name = "distribute"
     requires = ("profile", "machine")

@@ -61,9 +61,10 @@ def _gray(x: np.ndarray) -> np.ndarray:
 class AxisMetric:
     """Distance kernel on the processor coordinates of one grid axis.
 
-    Frozen and hashable: metrics participate in the planner's memo keys
-    (:meth:`repro.distrib.costmodel.CommProfile.axis_hops`), so every
+    Frozen and hashable: front pricing groups candidates by their
+    metric (:func:`repro.distrib.vectorized.evaluate_front`), so every
     parameter that changes the distance must be a dataclass field.
+    :meth:`hops` is an elementwise array kernel that broadcasts.
     """
 
     def hops(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

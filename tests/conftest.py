@@ -9,6 +9,7 @@ file fails the test with instructions.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -99,3 +100,63 @@ def pytest_generate_tests(metafunc: pytest.Metafunc) -> None:
     # (LP rows, candidate propagation) on the same inputs everywhere.
     if "make_program" in metafunc.fixturenames:
         metafunc.parametrize("make_program", _differential_programs())
+
+
+class ReferencePlanner:
+    """``plan_distribution`` / ``rank_plans`` rebuilt on the scalar
+    oracles only, the way the planner worked before it priced fronts and
+    only the tied grids: per grid and per axis the first minimum of
+    ``profile.axis_hops`` over the enumerator's candidates, every grid's
+    winner priced by ``profile.evaluate``.  Shares nothing with
+    ``repro.distrib.search`` or ``repro.distrib.vectorized``."""
+
+    @staticmethod
+    def grid_plans(profile, nprocs, topology=None) -> list:
+        from repro.distrib.enumerate import candidate_spaces, space_size
+        from repro.distrib.plan import DistributionPlan
+        from repro.machine import Distribution
+
+        covered = space_size(profile, nprocs, topology=topology)
+        plans = []
+        for grid, cands in candidate_spaces(profile, nprocs, topology=topology):
+            metrics = [None] * len(grid) if topology is None else topology.metrics(grid)
+            axes, axis_hops = [], 0
+            for t, clist in enumerate(cands):
+                hops = [
+                    profile.axis_hops(t, c.to_axis_distribution(), metrics[t])
+                    for c in clist
+                ]
+                axes.append(clist[hops.index(min(hops))])
+                axis_hops += min(hops)
+            dist = Distribution(tuple(a.to_axis_distribution() for a in axes))
+            cost = profile.evaluate(dist, topology)
+            # What lets the planner skip the grids above the minimum.
+            assert cost.hops == profile.fixed.hops + axis_hops, grid
+            plans.append(
+                DistributionPlan(
+                    tuple(axes),
+                    cost,
+                    True,
+                    covered,
+                    topology=None if topology is None else topology.spec(),
+                )
+            )
+        return plans
+
+    @classmethod
+    def plan_distribution(cls, profile, nprocs, topology=None):
+        return min(
+            cls.grid_plans(profile, nprocs, topology),
+            key=lambda pl: (pl.cost, pl.grid),
+        )
+
+    @classmethod
+    def rank_plans(cls, profile, nprocs, k, topology=None) -> list:
+        plans = cls.grid_plans(profile, nprocs, topology)
+        plans.sort(key=lambda pl: (pl.cost, pl.grid))
+        return [dataclasses.replace(pl, searched=len(plans)) for pl in plans[:k]]
+
+
+@pytest.fixture(scope="session")
+def reference_planner() -> type[ReferencePlanner]:
+    return ReferencePlanner

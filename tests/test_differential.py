@@ -27,7 +27,7 @@ from __future__ import annotations
 import pytest
 
 from repro.align import align_program
-from repro.distrib import plan_distribution
+from repro.distrib import plan_distribution, rank_plans
 from repro.lang.generate import (
     FAMILIES,
     generate_corpus,
@@ -205,28 +205,35 @@ def test_front_pricing_matches_scalar_and_simulator(family, spec, planned):
         assert int(matrix[i][2]) == rep.broadcast_elements, (family, spec, i)
 
 
+def _assert_planner_is_reference(profile, nprocs, topology, reference, where):
+    """plan_distribution and rank_plans pick the plans the scalar-oracle
+    reference planner picks — axes, cost, exactness and search count."""
+    got = plan_distribution(profile, nprocs, topology=topology)
+    assert got == reference.plan_distribution(profile, nprocs, topology), where
+    ranked = rank_plans(profile, nprocs, k=4, topology=topology)
+    assert ranked == reference.rank_plans(profile, nprocs, 4, topology), where
+
+
 @pytest.mark.parametrize("scenario", CORPUS, ids=_ids(CORPUS))
-def test_vectorized_and_scalar_planning_agree_exactly(scenario, planned):
-    """plan_distribution(vectorize=True) and the scalar oracle pick
-    byte-identical plans — axes, cost, exactness and search count."""
+def test_planner_and_reference_planner_agree_exactly(
+    scenario, planned, reference_planner
+):
     _, profile = planned[scenario.name]
-    fast = plan_distribution(profile, NPROCS, vectorize=True)
-    slow = plan_distribution(profile, NPROCS, vectorize=False)
-    assert fast == slow, scenario.name
+    _assert_planner_is_reference(
+        profile, NPROCS, None, reference_planner, scenario.name
+    )
 
 
 @pytest.mark.parametrize("spec", TOPOLOGIES, ids=TOPOLOGIES)
-def test_vectorized_planning_agrees_on_every_topology(spec, planned):
+def test_planner_agrees_with_reference_on_every_topology(
+    spec, planned, reference_planner
+):
     topo = parse_topology(spec)
     for scenario in CORPUS[:6]:
         _, profile = planned[scenario.name]
-        fast = plan_distribution(
-            profile, topo.nprocs, topology=topo, vectorize=True
+        _assert_planner_is_reference(
+            profile, topo.nprocs, topo, reference_planner, (scenario.name, spec)
         )
-        slow = plan_distribution(
-            profile, topo.nprocs, topology=topo, vectorize=False
-        )
-        assert fast == slow, (scenario.name, spec)
 
 
 def _single_edit(program):

@@ -1,6 +1,5 @@
-"""Unit tests for the distribution search (exact DP and local search)."""
+"""Unit tests for the distribution search (exact argmin and local search)."""
 
-from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -9,20 +8,17 @@ import pytest
 from repro import obs
 from repro.align import align_program
 from repro.distrib import (
+    BLOCK,
+    BLOCK_CYCLIC,
+    CYCLIC,
     build_profile,
     naive_costs,
     plan_distribution,
     rank_plans,
 )
 from repro.distrib.costmodel import CommProfile, CostVector, MoveRecord
-from repro.distrib.enumerate import candidate_spaces, space_size
-from repro.distrib.plan import DistributionPlan
-from repro.distrib.search import (
-    _metrics_for_grid,
-    _neighbor_grids,
-    _prime_factors,
-    _solve_axes_dp,
-)
+from repro.distrib.enumerate import axis_candidates, candidate_spaces, space_size
+from repro.distrib.search import _neighbor_grids, _prime_factors
 from repro.lang import programs
 from repro.lang.generate import FAMILIES, generate_scenario, topology_corpus
 from repro.machine import Distribution
@@ -154,45 +150,20 @@ class TestRankPlans:
         plans = rank_plans(profile, 4, k=1, window=wide)
         assert plans[0].axes[0].base == wide[0][0]
 
+    def test_max_grids_samples_the_grids_and_keeps_the_balanced_one(self):
+        profile = _profile(programs.figure1(n=12))
+        every = rank_plans(profile, 64, k=99)
+        assert len(every) == 7 and every[0].searched == 7
+        some = rank_plans(profile, 64, k=99, max_grids=3, seed=1)
+        assert some == rank_plans(profile, 64, k=99, max_grids=3, seed=1)
+        assert len(some) == 3 and {pl.searched for pl in some} == {3}
+        assert (8, 8) in {pl.grid for pl in some}
+        by_grid = {pl.grid: pl for pl in every}
+        for pl in some:
+            assert (pl.axes, pl.cost) == (by_grid[pl.grid].axes, by_grid[pl.grid].cost)
+
 
 # -- tied-grid pricing vs the per-grid scalar planner --------------------------
-
-
-def _reference_grid_plans(profile, nprocs, topology=None, vectorize=True):
-    """Every grid's DP winner priced by the scalar evaluator, the way the
-    planner did before it priced only the tied grids."""
-    covered = space_size(profile, nprocs, topology=topology)
-    plans = []
-    for grid, cands in candidate_spaces(profile, nprocs, topology=topology):
-        metrics = _metrics_for_grid(topology, grid)
-        axes, dp_hops = _solve_axes_dp(profile, cands, metrics, vectorize)
-        dist = Distribution(tuple(a.to_axis_distribution() for a in axes))
-        cost = profile.evaluate(dist, topology)
-        # What lets the planner skip the grids above the minimum.
-        assert cost.hops == profile.fixed.hops + dp_hops, grid
-        plans.append(
-            DistributionPlan(
-                tuple(axes),
-                cost,
-                True,
-                covered,
-                topology=None if topology is None else topology.spec(),
-            )
-        )
-    return plans
-
-
-def reference_plan_distribution(profile, nprocs, topology=None, vectorize=True):
-    return min(
-        _reference_grid_plans(profile, nprocs, topology, vectorize),
-        key=lambda pl: (pl.cost, pl.grid),
-    )
-
-
-def reference_rank_plans(profile, nprocs, k, topology=None, vectorize=True):
-    plans = _reference_grid_plans(profile, nprocs, topology, vectorize)
-    plans.sort(key=lambda pl: (pl.cost, pl.grid))
-    return [replace(pl, searched=len(plans)) for pl in plans[:k]]
 
 
 def _assert_same_plan(got, want):
@@ -233,29 +204,42 @@ def profiles():
 
 
 class TestTiedGridPricing:
-    @pytest.mark.parametrize("vectorize", [True, False], ids=["vector", "scalar"])
-    @pytest.mark.parametrize("nprocs", [16, 64])
-    @pytest.mark.parametrize("name", [*_FRAGMENTS, *_GENERATED])
-    def test_equals_per_grid_scalar_planner(self, profiles, name, nprocs, vectorize):
-        profile = profiles[name]
+    @staticmethod
+    def _machines(profile, nprocs):
+        """``(topology, has a realizable grid)`` over five machines."""
         for spec in topology_corpus(5, seed=0, nprocs=nprocs):
             topology = parse_topology(spec)
-            if not list(candidate_spaces(profile, nprocs, topology=topology)):
+            yield topology, any(candidate_spaces(profile, nprocs, topology=topology))
+
+    @pytest.mark.parametrize("nprocs", [16, 64])
+    @pytest.mark.parametrize("name", [*_FRAGMENTS, *_GENERATED])
+    def test_plan_equals_per_grid_scalar_planner(
+        self, profiles, name, nprocs, reference_planner
+    ):
+        profile = profiles[name]
+        for topology, realizable in self._machines(profile, nprocs):
+            if not realizable:
                 with pytest.raises(ValueError, match="no realizable"):
-                    plan_distribution(
-                        profile, nprocs, topology=topology, vectorize=vectorize
-                    )
+                    plan_distribution(profile, nprocs, topology=topology)
                 continue
             _assert_same_plan(
-                plan_distribution(
-                    profile, nprocs, topology=topology, vectorize=vectorize
-                ),
-                reference_plan_distribution(profile, nprocs, topology, vectorize),
+                plan_distribution(profile, nprocs, topology=topology),
+                reference_planner.plan_distribution(profile, nprocs, topology),
             )
-            got = rank_plans(
-                profile, nprocs, k=4, topology=topology, vectorize=vectorize
-            )
-            want = reference_rank_plans(profile, nprocs, 4, topology, vectorize)
+
+    @pytest.mark.parametrize("nprocs", [16, 64])
+    @pytest.mark.parametrize("name", [*_FRAGMENTS, *_GENERATED])
+    def test_ranking_equals_per_grid_scalar_planner(
+        self, profiles, name, nprocs, reference_planner
+    ):
+        profile = profiles[name]
+        for topology, realizable in self._machines(profile, nprocs):
+            if not realizable:
+                with pytest.raises(ValueError, match="no realizable"):
+                    rank_plans(profile, nprocs, k=4, topology=topology)
+                continue
+            got = rank_plans(profile, nprocs, k=4, topology=topology)
+            want = reference_planner.rank_plans(profile, nprocs, 4, topology)
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 _assert_same_plan(g, w)
@@ -286,32 +270,45 @@ class TestTiedGridPricing:
             window=((0, 2), (0, 2)),
         )
 
-    @pytest.mark.parametrize("vectorize", [True, False], ids=["vector", "scalar"])
-    def test_hop_tie_is_broken_by_moved(self, vectorize):
+    def test_hop_tie_is_broken_by_moved(self, reference_planner):
         # Axis 0 moves one element two cells, axis 1 two elements one
         # cell each: both grids cost 2 hops, (3, 1) moves fewer elements.
         profile = self._two_axis_profile([(0, 1), (1, 2)])
         with obs.recording() as rec:
-            plan = plan_distribution(profile, 3, vectorize=vectorize)
+            plan = plan_distribution(profile, 3)
         assert plan.grid == (3, 1)
         assert plan.cost == CostVector(hops=2, moved=1)
-        _assert_same_plan(
-            plan, reference_plan_distribution(profile, 3, vectorize=vectorize)
-        )
+        _assert_same_plan(plan, reference_planner.plan_distribution(profile, 3))
         tags = rec.find("distrib.plan")[0].tags
         assert (tags["grids"], tags["grids_tied"], tags["grids_priced"]) == (2, 2, 2)
 
-    @pytest.mark.parametrize("vectorize", [True, False], ids=["vector", "scalar"])
-    def test_full_cost_tie_goes_to_the_smaller_grid(self, vectorize):
+    def test_full_cost_tie_goes_to_the_smaller_grid(self, reference_planner):
         profile = self._two_axis_profile([(0, 2)])
-        plan = plan_distribution(profile, 3, vectorize=vectorize)
+        plan = plan_distribution(profile, 3)
         assert plan.grid == (1, 3)
         assert plan.cost == CostVector(hops=2, moved=1)
-        _assert_same_plan(
-            plan, reference_plan_distribution(profile, 3, vectorize=vectorize)
-        )
-        ranked = rank_plans(profile, 3, k=4, vectorize=vectorize)
+        _assert_same_plan(plan, reference_planner.plan_distribution(profile, 3))
+        ranked = rank_plans(profile, 3, k=4)
         assert [pl.grid for pl in ranked] == [(1, 3), (3, 1)]
+
+    def test_axis_tie_goes_to_the_earlier_candidate(self):
+        # Axis 1 carries no traffic, so on the hop-free (1, 3) grid all
+        # three of its schemes cost 0 hops: the first in axis_candidates
+        # order wins, the rule benchmarks/perf/expected/ pins on every plan.
+        profile = CommProfile(
+            2,
+            [MoveRecord((0,), (np.array([0]),), (np.array([8]),))],
+            window=((0, 8), (0, 8)),
+        )
+        tied = axis_candidates(0, 9, 3)
+        assert [c.scheme for c in tied] == [BLOCK, CYCLIC, BLOCK_CYCLIC]
+        exhaustive = plan_distribution(profile, 3)
+        searched = plan_distribution(profile, 3, exhaustive_limit=0)
+        assert (exhaustive.exact, searched.exact) == (True, False)
+        for plan in (exhaustive, searched, rank_plans(profile, 3, k=1)[0]):
+            assert plan.grid == (1, 3)
+            assert plan.cost.hops == 0
+            assert plan.axes[1] == tied[0]
 
     def test_only_the_tied_grids_are_priced(self):
         profile = _profile(programs.figure1(n=12), replication=False)

@@ -3,8 +3,8 @@
 The exhaustive scalar/simulator equalities live in
 ``tests/test_differential.py``; this file covers the machinery itself —
 padding of ragged records, tensor caching and its counters, the
-empty/single/degenerate fronts, contract-violation parity with the
-scalar path, and the ``vectorize=False`` fallback plumbing.
+empty/single/degenerate fronts, and contract-violation parity with the
+scalar evaluators.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import cachestats
+from repro import cachestats, obs
 from repro.align import align_program
 from repro.distrib import (
     axis_front_hops,
@@ -21,6 +21,7 @@ from repro.distrib import (
     evaluate_front,
     front_costs,
     naive_costs,
+    naive_distributions,
     plan_distribution,
 )
 from repro.distrib.costmodel import CommProfile, CostVector, MoveRecord
@@ -76,12 +77,12 @@ class TestAxisDistParams:
         assert _axis_dist_params(BlockCyclic(4, 2, 0)) == (_MODE_WRAP, 4, 2, 0)
         assert _axis_dist_params(Identity()) == (_MODE_IDENTITY, 1, 1, 0)
 
-    def test_unknown_scheme_rejected_with_fallback_hint(self):
+    def test_unknown_scheme_rejected_by_name(self):
         class Weird(AxisDistribution):
             def owner(self, cell):  # pragma: no cover - never called
                 return 0
 
-        with pytest.raises(TypeError, match="vectorize=False"):
+        with pytest.raises(TypeError, match="no front-pricing kernel .* Weird"):
             _axis_dist_params(Weird())
 
 
@@ -346,23 +347,25 @@ class TestFrontEdgeCases:
 
 
 class TestCountersAndFallback:
-    def test_front_price_counter_tracks_both_paths(self, profile):
+    def test_front_price_counter_counts_candidates_priced(self, profile):
         cell = cachestats._cell("distrib.front_price")
-        v0, s0 = cell
-        plan_distribution(profile, 4, vectorize=True)
-        v1, s1 = cell
-        assert v1 > v0  # fast-path candidate pricings
-        plan_distribution(profile, 4, vectorize=False)
-        v2, s2 = cell
-        assert s2 > s1  # scalar-fallback candidate pricings
-        assert v2 == v1
+        priced0, other0 = cell
+        with obs.recording() as rec:
+            plan = plan_distribution(profile, 4)
+        tags = rec.find("distrib.plan")[0].tags
+        # Every candidate once per axis, then the tied winners in full.
+        assert cell[0] - priced0 == tags["candidates"] + tags["grids_priced"]
+        assert cell[1] == other0
+        assert plan.exact
 
-    def test_naive_costs_fallback_equality(self, profile):
+    def test_naive_costs_equal_the_scalar_evaluator(self, profile):
         topo = parse_topology("torus:2x2")
-        fast = naive_costs(profile, 4, topo, vectorize=True)
-        slow = naive_costs(profile, 4, topo, vectorize=False)
-        assert fast == slow
-        assert all(isinstance(c, CostVector) for c in fast.values())
+        costs = naive_costs(profile, 4, topo)
+        assert costs == {
+            name: profile.evaluate(dist, topo)
+            for name, dist in naive_distributions(profile, 4).items()
+        }
+        assert all(isinstance(c, CostVector) for c in costs.values())
 
     def test_front_costs_are_costvectors_summable(self, profile):
         ident = Distribution.identity(profile.template_rank)

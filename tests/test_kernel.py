@@ -11,6 +11,7 @@ and no second recipe anywhere in the tree.
 
 from __future__ import annotations
 
+import ast
 import pickle
 import re
 from pathlib import Path
@@ -210,6 +211,7 @@ BAD_OPTIONS = {
     "mismatch": (8, "torus:2x2", None, None),
     "misplaced_align_key": (4, None, {"topology": "ring:4"}, None),
     "misplaced_distrib_key": (4, None, None, {"algorithm": "fixed"}),
+    "unknown_distrib_key": (4, None, None, {"restart": 3}),
     "bad_spec": (None, "grid:bogus", None, None),
 }
 
@@ -308,6 +310,18 @@ def test_nothing_outside_the_kernel_builds_a_pipeline_or_names_a_goal():
         if token in text
     ]
     assert offenders == []
+
+
+def test_the_distribution_search_has_one_pricing_path_and_no_switch():
+    for rel, text in _sources():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                names = {x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs)}
+                assert "vectorize" not in names, (rel, node.name)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and rel.startswith("distrib/"):
+                modules = [getattr(node, "module", None), *(n.name for n in node.names)]
+                assert not any("solvers" in (m or "") for m in modules), (rel, node.lineno)
 
 
 def test_a_solved_context_is_read_for_rendering_in_two_places():

@@ -345,12 +345,15 @@ class TestPipelineSpans:
         names = rec.span_names()
         assert executed <= names
         assert "distrib.plan" in names
-        assert "distrib.axis_dp" in names
         assert "distrib.front_price" in names
-        # Candidate counts and the vectorized flag ride on the spans.
-        front = rec.find("distrib.front_price")[0]
-        assert front.tags["candidates"] > 0
-        assert front.tags["vectorized"] is True
+        # One front-pricing span per grid, nothing between it and the
+        # plan; candidate counts ride on the spans.
+        plan_span = rec.find("distrib.plan")[0]
+        fronts = rec.find("distrib.front_price")
+        assert {child.name for child in plan_span.children} == {"distrib.front_price"}
+        assert len(fronts) == plan_span.tags["grids"]
+        assert set(fronts[0].tags) == {"candidates", "axes"}
+        assert sum(f.tags["candidates"] for f in fronts) == plan_span.tags["candidates"]
 
     def test_reuse_shows_as_instant(self):
         from repro.align.pipeline import plan_context

@@ -274,6 +274,18 @@ class TestFingerprintNonces:
 
 
 class TestPlanService:
+    def test_an_unknown_distrib_option_fails_construction(self):
+        """Not every request after its whole prefix has been planned."""
+        from repro.align.pipeline import DistributionOptionsError
+
+        for leftover in ({"restart": 3}, {"vectorize": False}):
+            with pytest.raises(DistributionOptionsError) as err:
+                PlanService(distrib_options=leftover)
+            (key,) = leftover
+            assert f"['{key}']" in str(err.value)
+            for valid in ("block_sizes", "exhaustive_limit", "restarts", "seed", "topology"):
+                assert valid in str(err.value)
+
     def test_cold_then_plan_hit_then_prefix_hit(self):
         with PlanService() as svc:
             cold = svc.handle(ServeRequest("q", SRC, nprocs=4))
@@ -503,6 +515,34 @@ class TestParentFormatCache:
         assert pickle.dumps(hit.plan) == pickle.dumps(want4.plan)
         assert list(hit.plan) == list(want4.plan)
         assert pickle.dumps(prefix.plan) == pickle.dumps(want8.plan)
+
+
+    def test_a_profile_pickled_with_a_hop_memo_loads_prices_and_replans(self):
+        """The golden prefix's ``CommProfile`` was pickled when the class
+        still had a ``_hops_cache`` field: the state loads as a stray
+        attribute, and the profile prices and replans like a fresh one."""
+        from pathlib import Path
+
+        from repro import parse
+        from repro.align.pipeline import planning_records, solve_prefix, solve_suffix
+        from repro.distrib import plan_distribution
+        from repro.passes import MachineSpec, replan
+
+        golden = Path(__file__).parent / "golden" / "serve_cache_pr17" / "prefix"
+        (path,) = golden.glob("*.pkl")
+        ctx = pickle.loads(path.read_bytes())["payload"]
+        profile = ctx.get("profile")
+        assert "_hops_cache" in vars(profile)
+        options, _ = planning_records()
+        fresh = solve_prefix(parse(SRC, name="q"), options).get("profile")
+        want = plan_distribution(fresh, 8)
+        assert plan_distribution(profile, 8) == want
+        dist = want.to_distribution()
+        assert profile.evaluate(dist) == fresh.evaluate(dist) == want.cost
+        solved = solve_suffix(ctx.fork(), MachineSpec.of(4))
+        new_ctx, report = replan(solved, machine=MachineSpec.of(8))
+        assert report.strategy == "machine_only"
+        assert new_ctx.get("distribution") == want
 
 
 # -- the request-key memo ------------------------------------------------------
