@@ -30,14 +30,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, MutableMapping
+from typing import Mapping, MutableMapping
 
-from ..adg.graph import ADG, ADGEdge, ADGNode, Port
+from ..adg.graph import ADG, ADGEdge, Port
 from ..adg.nodes import NodeKind
 from ..ir.affine import AffineForm, Scalar
 from ..ir.itspace import IterationSpace
 from ..ir.symbols import LIV
-from ..solvers.lp import LinExpr, LPModel, Variable
+from ..solvers.lp import LPModel
 from .constraints import EntryEval, EqualShift, LoopBack, OffsetRelation, node_offset_relations
 from .cost import cached_moments
 from .position import Alignment
@@ -90,16 +90,63 @@ def edge_is_offset_costed(
     return True
 
 
+def lp_value(x: float) -> Scalar:
+    """An LP value as the planner's exact scalar: the nearest fraction
+    with a denominator up to ``10**9``, an ``int`` when that is integral."""
+    if x.is_integer():
+        return int(x)
+    f = Fraction(x).limit_denominator(10**9)
+    return f.numerator if f.denominator == 1 else f
+
+
+class EdgeTerms:
+    """The moment terms of one plan's edge rows, for every template axis.
+
+    An edge's rows are the same sums ``delta a . M_R`` on every axis
+    (Section 4.2); only the replicated set decides, per axis, whether
+    the edge takes part.  ``edges`` are the edges whose two ends share a
+    skeleton, in edge order; :meth:`of` gives one edge's
+    ``(subrange index, [(liv, float moment), ...])`` per non-empty
+    subrange, the constant slot (``None``) first, and looks its moments
+    up once, on the first axis that costs the edge.
+    """
+
+    def __init__(
+        self, adg: ADG, skeleton: Mapping[str, Alignment], plan: PartitionPlan
+    ) -> None:
+        self.plan = plan
+        self.edges = [
+            e for e in adg.edges if skeleton[e.tail.key] == skeleton[e.head.key]
+        ]
+        self._terms: dict[int, list[tuple[int, list[tuple[LIV | None, float]]]]] = {}
+
+    def of(self, e: ADGEdge) -> list[tuple[int, list[tuple[LIV | None, float]]]]:
+        terms = self._terms.get(e.eid)
+        if terms is None:
+            terms = self._terms[e.eid] = []
+            for j, sub in enumerate(self.plan.get(e.eid, [e.space])):
+                if sub.is_empty():
+                    continue
+                moments = cached_moments(sub, e.weight)
+                row = [(None, float(moments.m0))]
+                row.extend((liv, float(m)) for liv, m in moments.m1.items())
+                terms.append((j, row))
+        return terms
+
+
 class OffsetLP:
     """One offset LP instance for a fixed template axis and plan.
 
-    ``relations`` are this axis's node relations, in node order.  Rows
-    are written straight into the model as ``{variable: float}`` maps
-    (:meth:`LPModel.add_row`).  The LP has ties, and HiGHS returns a
-    different optimal vertex under a column permutation, so the order in
-    which ``_slot`` first sees each variable is part of the result:
-    relation rows in node order, then edge rows tail before head with
-    ``theta`` after its slots, then the pins.
+    ``relations`` are this axis's node relations, in node order;
+    ``terms`` are the plan's edge terms, shared by the axes of one
+    :func:`solve_offsets`.  Columns are integers and each row is written
+    once, as a column list and a value list (:meth:`LPModel.add_row`):
+    zero coefficients are left out and a slot with a zero moment still
+    gets its column.  The LP has ties, and HiGHS returns a different
+    optimal vertex under a column permutation, so the order in which
+    :meth:`_col` first sees each slot is part of the result: relation
+    rows in node order, then edge rows tail before head with ``theta``
+    after its slots, then the pins, then the static rows.
     """
 
     def __init__(
@@ -113,6 +160,7 @@ class OffsetLP:
         backend: str = "scipy",
         static: bool = False,
         memo: MutableMapping | None = None,
+        terms: EdgeTerms | None = None,
     ) -> None:
         self.adg = adg
         self.skeleton = skeleton
@@ -122,98 +170,107 @@ class OffsetLP:
         self.replicated = replicated or set()
         self.backend = backend
         self.static = static
-        # (backend, digest of a built LP) -> (solution by variable
-        # index, objective)
+        # (backend, digest of a built LP) -> (exact value by column,
+        # objective)
         self.memo = {} if memo is None else memo
+        self.terms = EdgeTerms(adg, skeleton, plan) if terms is None else terms
         self.model = LPModel(f"offset-axis{axis}")
-        self.vars: dict[Slot, Variable] = {}
+        self.cols: dict[Slot, int] = {}
 
-    # -- variables ------------------------------------------------------------
+    # -- columns ----------------------------------------------------------------
 
-    def _slot(self, p: Port, liv: LIV | None) -> Variable:
+    def _col(self, p: Port, liv: LIV | None) -> int:
         key = (p.key, liv)
-        v = self.vars.get(key)
-        if v is None:
+        c = self.cols.get(key)
+        if c is None:
             name = f"p{p.key}_{'c' if liv is None else liv.name}"
-            v = self.model.var(name)
-            self.vars[key] = v
-        return v
+            c = self.cols[key] = self.model.add_column(name)
+        return c
 
     # -- constraints --------------------------------------------------------------
 
     def _emit_relation(self, rel: OffsetRelation) -> None:
         # A relation joins two distinct ports of one node, so the slots
-        # of one row are distinct variables.
-        slot, add_row = self._slot, self.model.add_row
+        # of one row are distinct columns.
+        col, add_row = self._col, self.model.add_row
         if isinstance(rel, EqualShift):
             p, q, shift = rel.p, rel.q, rel.shift
-            add_row(
-                {slot(q, None): 1.0, slot(p, None): -1.0}, "==", float(shift.const)
-            )
-            livs = set(q.space.livs) | set(p.space.livs) | set(shift.livs())
-            for liv in livs:
-                row = {}
-                if liv in q.space.livs:
-                    row[slot(q, liv)] = 1.0
-                if liv in p.space.livs:
-                    row[slot(p, liv)] = -1.0
-                add_row(row, "==", float(shift.coeff(liv)))
+            add_row([col(q, None), col(p, None)], [1.0, -1.0], "==", float(shift.const))
+            q_livs, p_livs = q.space.livs, p.space.livs
+            for liv in sorted({*q_livs, *p_livs, *shift.livs()}):
+                cols, vals = [], []
+                if liv in q_livs:
+                    cols.append(col(q, liv))
+                    vals.append(1.0)
+                if liv in p_livs:
+                    cols.append(col(p, liv))
+                    vals.append(-1.0)
+                add_row(cols, vals, "==", float(shift.coeff(liv)))
         elif isinstance(rel, EntryEval):
             p, q, k, v = rel.p, rel.q, rel.liv, rel.value
             # a_q0 + v*a_qk = a_p0
-            row = {slot(q, None): 1.0}
-            qk = slot(q, k)
+            cols, vals = [col(q, None)], [1.0]
+            qk = col(q, k)
             if v:
-                row[qk] = float(v)
-            row[slot(p, None)] = -1.0
-            add_row(row, "==", 0.0)
+                cols.append(qk)
+                vals.append(float(v))
+            cols.append(col(p, None))
+            vals.append(-1.0)
+            add_row(cols, vals, "==", 0.0)
             for liv in p.space.livs:
-                add_row({slot(q, liv): 1.0, slot(p, liv): -1.0}, "==", 0.0)
+                add_row([col(q, liv), col(p, liv)], [1.0, -1.0], "==", 0.0)
         elif isinstance(rel, LoopBack):
             p, q, k, s = rel.p, rel.q, rel.liv, rel.step
             # f_q(k) = f_p(k - s):  a_q0 = a_p0 - s*a_pk ;  a_qk = a_pk
-            row = {slot(q, None): 1.0, slot(p, None): -1.0}
-            pk = slot(p, k)
+            cols, vals = [col(q, None), col(p, None)], [1.0, -1.0]
+            pk = col(p, k)
             if s:
-                row[pk] = float(s)
-            add_row(row, "==", 0.0)
+                cols.append(pk)
+                vals.append(float(s))
+            add_row(cols, vals, "==", 0.0)
             for liv in q.space.livs:
-                add_row({slot(q, liv): 1.0, slot(p, liv): -1.0}, "==", 0.0)
+                add_row([col(q, liv), col(p, liv)], [1.0, -1.0], "==", 0.0)
         else:  # pragma: no cover - exhaustive
             raise TypeError(f"unknown relation {rel!r}")
 
     # -- assembly ----------------------------------------------------------------------
 
     def build(self) -> None:
-        slot, add_row = self._slot, self.model.add_row
+        model, col = self.model, self._col
+        add_row = model.add_row
         for rel in self.relations:
             self._emit_relation(rel)
-        objective: dict[Variable, float] = {}
-        for e in self.adg.edges:
-            if not edge_is_offset_costed(e, self.skeleton, self.axis, self.replicated):
+        axis, replicated = self.axis, self.replicated
+        obj_cols: list[int] = []
+        obj_vals: list[float] = []
+        for e in self.terms.edges:
+            tail, head = e.tail, e.head
+            if (tail.key, axis) in replicated or (head.key, axis) in replicated:
                 continue
-            subranges = self.plan.get(e.eid, [e.space])
-            for j, sub in enumerate(subranges):
-                if sub.is_empty():
-                    continue
-                moments = cached_moments(sub, e.weight)
+            weight = float(e.control_weight)
+            for j, terms in self.terms.of(e):
                 # theta >= |inner|, inner = sum of moment * (tail slot -
                 # head slot), as the two rows theta +- inner >= 0.  An
                 # edge runs from an output port to an input port, so
                 # each slot gets exactly one coefficient.
-                plus: dict[Variable, float] = {}
-                minus: dict[Variable, float] = {}
-                for liv, moment in ((None, moments.m0), *moments.m1.items()):
-                    m = float(moment)
-                    tail, head = slot(e.tail, liv), slot(e.head, liv)
+                plus: list[int] = []
+                minus: list[int] = []
+                vals: list[float] = []
+                for liv, m in terms:
+                    t, h = col(tail, liv), col(head, liv)
                     if m != 0.0:
-                        plus[tail] = minus[head] = m
-                        plus[head] = minus[tail] = -m
-                theta = self.model.var(f"th_e{e.eid}_{j}", lower=0)
-                plus[theta] = minus[theta] = 1.0
-                add_row(plus, ">=", 0.0, f"abs_e{e.eid}_{j}+")
-                add_row(minus, ">=", 0.0, f"abs_e{e.eid}_{j}-")
-                objective[theta] = e.control_weight
+                        plus += (t, h)
+                        minus += (h, t)
+                        vals += (m, -m)
+                theta = model.add_column(f"th_e{e.eid}_{j}", lower=0)
+                plus.append(theta)
+                minus.append(theta)
+                vals.append(1.0)
+                add_row(plus, vals, ">=", 0.0)
+                add_row(minus, vals, ">=", 0.0)
+                if weight != 0.0:
+                    obj_cols.append(theta)
+                    obj_vals.append(weight)
         # Pin one port per weakly-connected component to anchor translation.
         self._pin_components()
         if self.static:
@@ -224,8 +281,8 @@ class OffsetLP:
                 if n.kind in (NodeKind.SOURCE, NodeKind.MERGE, NodeKind.SINK):
                     for p in n.ports:
                         for liv in p.space.livs:
-                            add_row({slot(p, liv): 1.0}, "==", 0.0)
-        self.model.minimize(LinExpr(objective))
+                            add_row([col(p, liv)], [1.0], "==", 0.0)
+        model.set_objective(obj_cols, obj_vals)
 
     def _pin_components(self) -> None:
         parent: dict[str, str] = {}
@@ -251,11 +308,11 @@ class OffsetLP:
             root = find(p.key)
             if root not in pinned:
                 pinned.add(root)
-                self.model.add_row({self._slot(p, None): 1.0}, "==", 0.0)
+                self.model.add_row([self._col(p, None)], [1.0], "==", 0.0)
 
     # -- solve + round -----------------------------------------------------------------
 
-    def solve(self) -> tuple[dict[Slot, Fraction], OffsetLPStats]:
+    def solve(self) -> tuple[dict[Slot, Scalar], OffsetLPStats]:
         self.build()
         # An equal digest under one backend is an equal solver input,
         # hence the same vertex.
@@ -265,15 +322,9 @@ class OffsetLP:
             sol = self.model.solve(backend=self.backend)
             if sol.status != "optimal":
                 raise RuntimeError(f"offset LP axis {self.axis}: {sol.status}")
-            solved = self.memo[key] = (
-                tuple(sol.values[v] for v in self.model.variables),
-                sol.objective,
-            )
+            solved = self.memo[key] = (tuple(map(lp_value, sol.x)), sol.objective)
         x, objective = solved
-        values = {
-            key: Fraction(x[v.index]).limit_denominator(10**9)
-            for key, v in self.vars.items()
-        }
+        values = {slot: x[c] for slot, c in self.cols.items()}
         stats = OffsetLPStats(
             self.axis,
             self.model.num_vars,
@@ -284,7 +335,7 @@ class OffsetLP:
 
     # -- rounding: per-node derivation keeps constraints exact ---------------------------
 
-    def rounded_offsets(self, values: dict[Slot, Fraction]) -> OffsetMap:
+    def rounded_offsets(self, values: dict[Slot, Scalar]) -> OffsetMap:
         out: OffsetMap = {}
 
         def lp_slot(p: Port, liv: LIV | None) -> Scalar:
@@ -294,16 +345,15 @@ class OffsetLP:
             coeffs = {liv: round(lp_slot(p, liv)) for liv in p.space.livs}
             return AffineForm(round(lp_slot(p, None)), coeffs)
 
+        # A relation joins two ports of one node: group them by node once.
+        by_node: dict[int, list[OffsetRelation]] = {}
+        for rel in self.relations:
+            if rel.p.node is rel.q.node:
+                by_node.setdefault(id(rel.p.node), []).append(rel)
         for n in self.adg.nodes:
-            rels = [r for r in self.relations if r.p.node is n or r.q.node is n]
-            node_rels = [
-                r for r in rels if r.p.node is n and r.q.node is n
-            ]
             assigned: dict[str, AffineForm] = {}
             # Repeatedly derive ports from already-assigned neighbours.
-            pending = list(node_rels)
-            # Seed: root any port not derivable otherwise.
-            order = list(n.ports)
+            pending = list(by_node.get(id(n), ()))
             progress = True
             while progress:
                 progress = False
@@ -331,10 +381,9 @@ class OffsetLP:
                             assigned[rel.q.key] = rounded_port(rel.q)
                             progress = True
                             break
-            for p in order:
+            for p in n.ports:
                 if p.key not in assigned:
                     assigned[p.key] = rounded_port(p)
-            for p in n.ports:
                 out[(p.key, self.axis)] = assigned[p.key]
         return out
 
@@ -383,7 +432,8 @@ def solve_offsets(
 ) -> OffsetSolution:
     """Solve the offset problem for every template axis under one plan.
 
-    ``memo`` keeps each distinct numeric LP's solution
+    The node relations and the edge terms are compiled once and shared
+    by the axes.  ``memo`` keeps each distinct numeric LP's solution
     (:meth:`LPModel.digest`); pass one mapping to many calls and an LP
     any of them has solved is not solved again.
     """
@@ -391,10 +441,11 @@ def solve_offsets(
     stats = []
     skel = dict(skeleton)
     relations = [rel for n in adg.nodes for rel in node_offset_relations(n, skel)]
+    terms = EdgeTerms(adg, skel, plan)
     for axis in range(adg.template_rank):
         on_axis = [rel for rel in relations if rel.axis == axis]
         lp = OffsetLP(
-            adg, skeleton, axis, on_axis, plan, replicated, backend, static, memo
+            adg, skeleton, axis, on_axis, plan, replicated, backend, static, memo, terms
         )
         values, st = lp.solve()
         offsets.update(lp.rounded_offsets(values))

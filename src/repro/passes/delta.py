@@ -69,8 +69,8 @@ program.  The memo decides nothing: strategies, ``reused`` /
 ``recomputed`` and ``pass_status`` are what they would be without it.
 What separates was measured, not assumed — one replan of each of the 31
 pinned structural edits of ``benchmarks/perf/corpus`` against its
-cold-planned kernel, ``PYTHONHASHSEED=0`` (``tests/test_delta.py`` pins
-the table):
+cold-planned kernel, the same under every hash seed
+(``tests/test_delta.py`` pins the table under two):
 
 =============  =================  ===============
 edit class     edge hits/lookups  LP hits/lookups

@@ -4,7 +4,7 @@ These are the "standard packages" the paper assumes; all are implemented
 from scratch here, with scipy/networkx used only as cross-checks.
 """
 
-from .lp import Constraint, LinExpr, LPModel, LPSolution, Variable
+from .lp import LinExpr, LPModel, LPSolution, Variable
 from .simplex import SimplexError, solve_simplex
 from .scipy_backend import solve_scipy
 from .maxflow import INF, FlowNetwork
@@ -16,7 +16,6 @@ from .dp import (
 )
 
 __all__ = [
-    "Constraint",
     "LinExpr",
     "LPModel",
     "LPSolution",

@@ -3,9 +3,13 @@
 Section 4.1 reduces offset alignment to linear programming: minimize
 ``sum w_xy * theta_xy`` subject to ``theta_xy >= +-(pi_x - pi_y)`` plus the
 linear node constraints.  This module is the declarative model those
-reductions target; it is solver-agnostic, with two interchangeable
-backends (:mod:`repro.solvers.simplex` from scratch, and
-:mod:`repro.solvers.scipy_backend` wrapping HiGHS).
+reductions target, with two backends: :mod:`repro.solvers.scipy_backend`
+wraps HiGHS and is the one the planner uses;
+:mod:`repro.solvers.simplex` is a from-scratch dense tableau kept as a
+cross-check.  They are not interchangeable: the simplex loses
+``figure1`` and ``skewed_wavefront`` to round-off (it disagrees with
+HiGHS on their cost) and reports "infeasible" on ``jacobi2d`` and
+``cg_step``.
 
 Variables are free (unbounded both ways) by default, matching offsets
 which may be negative; the backends handle the free-variable split.
@@ -14,10 +18,11 @@ which may be negative; the backends handle the free-variable split.
 from __future__ import annotations
 
 import hashlib
+import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal, Mapping, Sequence, Union
+from typing import Literal, Mapping, Sequence, Union
 
 Number = Union[int, float, Fraction]
 
@@ -114,35 +119,20 @@ class LinExpr:
 
 
 Sense = Literal["<=", ">=", "=="]
-_SENSE_CODE = {"<=": 0, ">=": 1, "==": 2}
-
-
-def _nonzero(coeffs: Mapping[Variable, float]) -> dict[Variable, float]:
-    return {v: c for v, c in coeffs.items() if c != 0.0}
-
-
-@dataclass
-class Constraint:
-    """One row ``sum coeffs[v] * v  (sense)  rhs``.
-
-    ``coeffs`` holds nonzero floats only; an expression's constant is
-    already folded into ``rhs``.
-    """
-
-    coeffs: dict[Variable, float]
-    sense: Sense
-    rhs: float
-    name: str = ""
+SENSES: tuple[Sense, ...] = ("<=", ">=", "==")
+_SENSE_CODE = {s: code for code, s in enumerate(SENSES)}
 
 
 @dataclass
 class LPSolution:
+    """A backend's answer; ``x`` holds the values by column index."""
+
     status: Literal["optimal", "infeasible", "unbounded"]
     objective: float = 0.0
-    values: dict[Variable, float] = field(default_factory=dict)
+    x: Sequence[float] = ()
 
     def __getitem__(self, v: Variable) -> float:
-        return self.values[v]
+        return self.x[v.index]
 
 
 class LPModel:
@@ -155,15 +145,36 @@ class LPModel:
         m.add(x - y, ">=", 1)
         m.minimize(x + 2*y)
         sol = m.solve(backend="simplex")
+
+    Columns are integers in creation order.  The rows live in one store
+    of flat arrays: row ``i`` is ``vals[k] * x[cols[k]]`` summed over
+    ``k`` in ``range(starts[i], starts[i + 1])``, compared by
+    ``SENSES[senses[i]]`` with ``rhs[i]``.  Bounds are floats, ``-inf`` /
+    ``inf`` where a column has none.
     """
 
     def __init__(self, name: str = "lp") -> None:
         self.name = name
-        self.variables: list[Variable] = []
-        self.lower: list[float | None] = []
-        self.upper: list[float | None] = []
-        self.constraints: list[Constraint] = []
-        self.objective: LinExpr = LinExpr()
+        self.names: list[str] = []
+        self.lower: list[float] = []
+        self.upper: list[float] = []
+        self.cols: list[int] = []
+        self.vals: list[float] = []
+        self.starts: list[int] = [0]
+        self.senses: list[int] = []
+        self.rhs: list[float] = []
+        self.obj_cols: list[int] = []
+        self.obj_vals: list[float] = []
+        self.obj_const = 0.0
+
+    def add_column(
+        self, name: str, lower: Number | None = None, upper: Number | None = None
+    ) -> int:
+        """Append a column and return its index; bounds default to free."""
+        self.names.append(name)
+        self.lower.append(-math.inf if lower is None else float(lower))
+        self.upper.append(math.inf if upper is None else float(upper))
+        return len(self.names) - 1
 
     def var(
         self,
@@ -172,43 +183,37 @@ class LPModel:
         upper: Number | None = None,
     ) -> Variable:
         """Create a variable; default bounds are free (-inf, +inf)."""
-        idx = len(self.variables)
-        v = Variable(idx, name or f"x{idx}")
-        self.variables.append(v)
-        self.lower.append(None if lower is None else float(lower))
-        self.upper.append(None if upper is None else float(upper))
-        return v
+        name = name or f"x{self.num_vars}"
+        return Variable(self.add_column(name, lower, upper), name)
 
     def add_row(
-        self,
-        coeffs: dict[Variable, float],
-        sense: Sense,
-        rhs: float,
-        name: str = "",
-    ) -> Constraint:
-        """Append the row ``sum coeffs[v] * v  (sense)  rhs``.
+        self, cols: Sequence[int], vals: Sequence[float], sense: Sense, rhs: float
+    ) -> int:
+        """Append the row ``sum vals[k] * x[cols[k]]  (sense)  rhs``.
 
-        The row-level entry point every other way of adding a constraint
-        goes through.  ``coeffs`` is adopted, not copied: the caller hands
-        over a dict of nonzero floats and does not touch it again.
+        The entry point every other way of adding a constraint goes
+        through; returns the row's index.  ``cols`` are distinct and
+        ``vals`` nonzero floats: a backend receives them as they are.
         """
-        con = Constraint(coeffs, sense, rhs, name)
-        self.constraints.append(con)
-        return con
+        self.cols.extend(cols)
+        self.vals.extend(vals)
+        self.starts.append(len(self.cols))
+        self.senses.append(_SENSE_CODE[sense])
+        self.rhs.append(rhs)
+        return len(self.rhs) - 1
 
     def add(
-        self,
-        expr: "Variable | LinExpr",
-        sense: Sense,
-        rhs: Number = 0,
-        name: str = "",
-    ) -> Constraint:
+        self, expr: "Variable | LinExpr", sense: Sense, rhs: Number = 0
+    ) -> int:
         e = LinExpr.of(expr)
-        return self.add_row(_nonzero(e.coeffs), sense, float(rhs) - e.const, name)
+        return self.add_row(
+            [v.index for v in e.coeffs],
+            list(e.coeffs.values()),
+            sense,
+            float(rhs) - e.const,
+        )
 
-    def add_abs_bound(
-        self, bound: Variable, inner: "Variable | LinExpr", name: str = ""
-    ) -> None:
+    def add_abs_bound(self, bound: Variable, inner: "Variable | LinExpr") -> None:
         """Add ``bound >= |inner|`` via the paper's two inequalities.
 
         Section 4.1: ``theta + pi_x - pi_y >= 0`` and
@@ -217,24 +222,33 @@ class LPModel:
         weight.
         """
         e = LinExpr.of(inner)
-        plus = {bound: 1.0}
-        minus = {bound: 1.0}
-        for v, c in e.coeffs.items():
-            plus[v] = plus.get(v, 0.0) + c
-            minus[v] = minus.get(v, 0.0) - c
-        self.add_row(_nonzero(plus), ">=", 0.0 - e.const, name=f"{name}+")
-        self.add_row(_nonzero(minus), ">=", 0.0 + e.const, name=f"{name}-")
+        self.add(bound + e, ">=", 0)
+        self.add(bound - e, ">=", 0)
 
     def minimize(self, expr: "Variable | LinExpr") -> None:
-        self.objective = LinExpr.of(expr)
+        e = LinExpr.of(expr)
+        self.set_objective([v.index for v in e.coeffs], list(e.coeffs.values()), e.const)
+
+    def set_objective(
+        self, cols: Sequence[int], vals: Sequence[float], const: float = 0.0
+    ) -> None:
+        """Minimize ``sum vals[k] * x[cols[k]] + const`` (nonzero floats)."""
+        self.obj_cols = list(cols)
+        self.obj_vals = list(vals)
+        self.obj_const = float(const)
 
     @property
     def num_vars(self) -> int:
-        return len(self.variables)
+        return len(self.names)
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self.rhs)
+
+    def row(self, i: int) -> tuple[list[int], list[float], Sense, float]:
+        """Row ``i`` as ``(cols, vals, sense, rhs)``."""
+        lo, hi = self.starts[i], self.starts[i + 1]
+        return self.cols[lo:hi], self.vals[lo:hi], SENSES[self.senses[i]], self.rhs[i]
 
     def solve(self, backend: str = "simplex") -> LPSolution:
         """Solve with the chosen backend ("simplex" or "scipy")."""
@@ -251,63 +265,22 @@ class LPModel:
     def digest(self) -> bytes:
         """A digest of exactly the numbers a backend receives.
 
-        Bounds, every row in order as (variable index, coefficient)
-        pairs with its sense and right-hand side, and the objective.
-        Two models with one digest are one solver input — same columns
-        in the same order — so a backend returns one vertex for both;
-        names play no part.  Full-width SHA-256: to whoever keys solved
-        LPs by it, a collision would be a wrong answer.
+        The bounds, the row store and the objective, with their lengths
+        up front.  Two models with one digest are one solver input —
+        same columns in the same order — so a backend returns one vertex
+        for both; names play no part.  Full-width SHA-256: to whoever
+        keys solved LPs by it, a collision would be a wrong answer.
         """
-        ints = array("q", [self.num_vars, len(self.constraints)])
-        nums = array("d")
-        for bounds in (self.lower, self.upper):
-            ints.extend([b is not None for b in bounds])
-            nums.extend([0.0 if b is None else b for b in bounds])
-        for con in self.constraints:
-            ints.append(_SENSE_CODE[con.sense])
-            ints.append(len(con.coeffs))
-            ints.extend([v.index for v in con.coeffs])
-            nums.append(con.rhs)
-            nums.extend(con.coeffs.values())
-        ints.extend([v.index for v in self.objective.coeffs])
-        nums.extend(self.objective.coeffs.values())
-        nums.append(self.objective.const)
+        ints = array("q", [self.num_vars, self.num_constraints, len(self.cols)])
+        ints.append(len(self.obj_cols))
+        ints.extend(self.starts)
+        ints.extend(self.cols)
+        ints.extend(self.senses)
+        ints.extend(self.obj_cols)
+        nums = array("d", self.lower)
+        nums.extend(self.upper)
+        nums.extend(self.vals)
+        nums.extend(self.rhs)
+        nums.extend(self.obj_vals)
+        nums.append(self.obj_const)
         return hashlib.sha256(ints.tobytes() + nums.tobytes()).digest()
-
-    # -- dense export shared by backends ------------------------------------
-
-    def to_dense(self):
-        """Return ``(c, A_ub, b_ub, A_eq, b_eq, bounds)`` as numpy arrays.
-
-        All constraints are normalized: ``<=`` rows in A_ub, ``==`` rows in
-        A_eq (``>=`` rows are negated into ``<=``).
-        """
-        import numpy as np
-
-        n = self.num_vars
-        c = np.zeros(n)
-        for v, coef in self.objective.coeffs.items():
-            c[v.index] = coef
-        # (row, column, value) triplets and right-hand sides per block.
-        ub: tuple[list, list, list, list] = ([], [], [], [])
-        eq: tuple[list, list, list, list] = ([], [], [], [])
-        for con in self.constraints:
-            rows, cols, vals, rhs = eq if con.sense == "==" else ub
-            cols.extend([v.index for v in con.coeffs])
-            rows.extend([len(rhs)] * len(con.coeffs))
-            if con.sense == ">=":
-                vals.extend([-x for x in con.coeffs.values()])
-                rhs.append(-con.rhs)
-            else:
-                vals.extend(con.coeffs.values())
-                rhs.append(con.rhs)
-
-        def dense(rows, cols, vals, rhs):
-            a = np.zeros((len(rhs), n))
-            if rows:
-                a[rows, cols] = vals
-            return a, np.array(rhs)
-
-        a_ub, b_ub = dense(*ub)
-        a_eq, b_eq = dense(*eq)
-        return c, a_ub, b_ub, a_eq, b_eq, list(zip(self.lower, self.upper))

@@ -3,9 +3,12 @@
 The paper assumes "a linear programming package" (Section 4.1); this is
 ours.  It is a textbook tableau implementation with Bland's anti-cycling
 rule, adequate for the RLP instances produced by alignment analysis
-(O(|E|) variables; a few hundred for realistic procedures).  The scipy
-HiGHS backend (:mod:`repro.solvers.scipy_backend`) provides an
-independent cross-check in the test suite.
+(O(|E|) variables; a few hundred for realistic procedures).  The
+planner solves with the scipy HiGHS backend
+(:mod:`repro.solvers.scipy_backend`); this one is the cross-check, and
+its float pivots are not exact enough for every corpus kernel (see
+:mod:`repro.solvers.lp`).  It reads the model row by row through
+:meth:`LPModel.row`.
 
 Standard-form conversion:
 
@@ -41,7 +44,7 @@ def solve_simplex(model: LPModel, max_iter: int | None = None) -> LPSolution:
     extra_rows: list[tuple[list[tuple[int, float]], str, float]] = []
     for j in range(n):
         lo, hi = model.lower[j], model.upper[j]
-        if lo is None:
+        if lo == -np.inf:
             pos_col.append(ncols)
             neg_col.append(ncols + 1)
             shift.append(0.0)
@@ -51,7 +54,7 @@ def solve_simplex(model: LPModel, max_iter: int | None = None) -> LPSolution:
             neg_col.append(None)
             shift.append(lo)
             ncols += 1
-        if hi is not None:
+        if hi != np.inf:
             # x <= hi, expressed on the substituted variable(s) later.
             extra_rows.append(([(j, 1.0)], "<=", hi))
 
@@ -73,12 +76,12 @@ def solve_simplex(model: LPModel, max_iter: int | None = None) -> LPSolution:
     rows: list[np.ndarray] = []
     rhs: list[float] = []
     senses: list[str] = []
-    for con in model.constraints:
-        pairs = [(v.index, c) for v, c in con.coeffs.items()]
-        row, corr = substituted_row(pairs)
+    for i in range(model.num_constraints):
+        cols, vals, sense, b = model.row(i)
+        row, corr = substituted_row(zip(cols, vals))
         rows.append(row)
-        rhs.append(con.rhs - corr)
-        senses.append(con.sense)
+        rhs.append(b - corr)
+        senses.append(sense)
     for pairs, sense, b in extra_rows:
         row, corr = substituted_row(pairs)
         rows.append(row)
@@ -86,13 +89,13 @@ def solve_simplex(model: LPModel, max_iter: int | None = None) -> LPSolution:
         senses.append(sense)
 
     obj = np.zeros(ncols)
-    obj_const = model.objective.const
-    for v, coef in model.objective.coeffs.items():
-        obj[pos_col[v.index]] += coef
-        nc = neg_col[v.index]
+    obj_const = model.obj_const
+    for j, coef in zip(model.obj_cols, model.obj_vals):
+        obj[pos_col[j]] += coef
+        nc = neg_col[j]
         if nc is not None:
             obj[nc] -= coef
-        obj_const += coef * shift[v.index]
+        obj_const += coef * shift[j]
 
     m = len(rows)
     if m == 0:
@@ -102,8 +105,7 @@ def solve_simplex(model: LPModel, max_iter: int | None = None) -> LPSolution:
         # problem unbounded (free-variable splits give +-c pairs).
         if np.any(obj < 0):
             return LPSolution("unbounded")
-        values = {v: shift[v.index] for v in model.variables}
-        return LPSolution("optimal", obj_const, values)
+        return LPSolution("optimal", obj_const, list(shift))
 
     # --- slack variables and artificial variables ----------------------------
     a = np.array(rows, dtype=float)
@@ -190,14 +192,13 @@ def solve_simplex(model: LPModel, max_iter: int | None = None) -> LPSolution:
     for i, bi in enumerate(basis):
         if bi >= 0:
             x[bi] = b[i]
-    values = {}
-    for v in model.variables:
-        j = v.index
+    values = []
+    for j in range(n):
         val = x[pos_col[j]]
         nc = neg_col[j]
         if nc is not None:
             val -= x[nc]
-        values[v] = val + shift[j]
+        values.append(float(val + shift[j]))
     return LPSolution("optimal", value + obj_const, values)
 
 

@@ -296,7 +296,7 @@ def reference_build(lp):
                 shift = rel.shift
                 m.add(LinExpr.of(slot(q, None)) - slot(p, None), "==", float(shift.const))
                 livs = set(q.space.livs) | set(p.space.livs) | set(shift.livs())
-                for liv in livs:
+                for liv in sorted(livs):
                     lhs = LinExpr()
                     if liv in q.space.livs:
                         lhs = lhs + slot(q, liv)
@@ -324,7 +324,7 @@ def reference_build(lp):
                 )
                 for liv in q.space.livs:
                     m.add(LinExpr.of(slot(q, liv)) - slot(p, liv), "==", 0)
-    objective = LinExpr()
+    objective = {}
     for e in lp.adg.edges:
         if not edge_is_offset_costed(e, lp.skeleton, lp.axis, lp.replicated):
             continue
@@ -343,8 +343,8 @@ def reference_build(lp):
                     - LinExpr({slot(e.head, liv): float(m1)})
                 )
             theta = m.var(f"th_e{e.eid}_{j}", lower=0)
-            m.add_abs_bound(theta, inner, name=f"abs_e{e.eid}_{j}")
-            objective = objective + theta * e.control_weight
+            m.add_abs_bound(theta, inner)
+            objective[theta] = e.control_weight
     # One pin per weakly-connected component, first port in port order.
     parent = {}
 
@@ -373,8 +373,102 @@ def reference_build(lp):
                 for p in n.ports:
                     for liv in p.space.livs:
                         m.add(LinExpr.of(slot(p, liv)), "==", 0)
-    m.minimize(objective)
+    m.minimize(LinExpr(objective))
     return m
+
+
+def dense_reference(model):
+    """``(c, (A_ub, b_ub), (A_eq, b_eq))`` of ``model`` the way the scipy
+    backend exported it before it handed ``linprog`` sparse blocks, kept
+    as the reference: dense rows, ``>=`` rows negated into ``A_ub``
+    beside the ``<=`` rows, ``==`` rows in ``A_eq``; each ``A`` is what
+    ``linprog`` made of it, ``csc_array(np.vstack(dense))`` (``None``
+    for a block with no rows).  The dense rows are stacked a slab at a
+    time, so an unrolled LP does not hold its whole matrix dense."""
+    import numpy as np
+    from scipy.sparse import csc_array, vstack
+
+    n = model.num_vars
+    c = np.zeros(n)
+    for j, coef in zip(model.obj_cols, model.obj_vals):
+        c[j] = coef
+    ub, eq = [], []
+    for i in range(model.num_constraints):
+        (eq if model.row(i)[2] == "==" else ub).append(i)
+    slab = max(1, 2**20 // max(n, 1))
+
+    def block(rows):
+        if not rows:
+            return None, None
+        parts, rhs = [], []
+        for k in range(0, len(rows), slab):
+            dense = []
+            for i in rows[k : k + slab]:
+                cols, vals, sense, b = model.row(i)
+                row = np.zeros(n)
+                if sense == ">=":
+                    row[cols] = [-v for v in vals]
+                    rhs.append(-b)
+                else:
+                    row[cols] = vals
+                    rhs.append(b)
+                dense.append(row)
+            parts.append(csc_array(np.vstack(dense)))
+        a = parts[0] if len(parts) == 1 else vstack(parts, format="csc")
+        return a, np.array(rhs)
+
+    return c, block(ub), block(eq)
+
+
+def reference_rounded_offsets(lp, values):
+    """``OffsetLP.rounded_offsets`` as it was written first, kept as the
+    reference: every node scans every relation for its own."""
+    out = {}
+
+    def lp_slot(p, liv):
+        return values.get((p.key, liv), 0)
+
+    def rounded_port(p):
+        coeffs = {liv: round(lp_slot(p, liv)) for liv in p.space.livs}
+        return AffineForm(round(lp_slot(p, None)), coeffs)
+
+    for n in lp.adg.nodes:
+        rels = [r for r in lp.relations if r.p.node is n or r.q.node is n]
+        node_rels = [r for r in rels if r.p.node is n and r.q.node is n]
+        assigned = {}
+        pending = list(node_rels)
+        progress = True
+        while progress:
+            progress = False
+            for rel in list(pending):
+                pa, qa = assigned.get(rel.p.key), assigned.get(rel.q.key)
+                if pa is not None and qa is not None:
+                    pending.remove(rel)
+                    continue
+                if pa is None and qa is None:
+                    continue
+                if pa is not None:
+                    assigned[rel.q.key] = lp._derive_q(rel, pa, rel.q, values)
+                else:
+                    assigned[rel.p.key] = lp._derive_p(rel, qa, rel.p, values)
+                pending.remove(rel)
+                progress = True
+            if not progress and pending:
+                for rel in pending:
+                    if rel.p.key not in assigned:
+                        assigned[rel.p.key] = rounded_port(rel.p)
+                        progress = True
+                        break
+                    if rel.q.key not in assigned:
+                        assigned[rel.q.key] = rounded_port(rel.q)
+                        progress = True
+                        break
+        for p in n.ports:
+            if p.key not in assigned:
+                assigned[p.key] = rounded_port(p)
+        for p in n.ports:
+            out[(p.key, lp.axis)] = assigned[p.key]
+    return out
 
 
 @pytest.fixture
@@ -395,38 +489,75 @@ def every_built_lp(monkeypatch):
 
 class TestRowsAreTheLinExprRows:
     """HiGHS must receive the problem it received when ``OffsetLP``
-    assembled its rows through ``LinExpr`` arithmetic: an LP with ties
-    returns a different vertex under a column permutation."""
+    assembled its rows through ``LinExpr`` arithmetic and the backend
+    exported them dense: an LP with ties returns a different vertex under
+    a column permutation."""
 
     @pytest.mark.parametrize("mobile", [True, False], ids=["mobile", "static"])
-    def test_dense_export_bit_equal_on_every_lp_of_a_plan(
-        self, make_program, mobile, every_built_lp
+    @pytest.mark.parametrize("alg", sorted(ALGORITHMS))
+    def test_sparse_input_is_the_dense_reference_on_every_lp(
+        self, make_program, alg, mobile, every_built_lp
     ):
         import numpy as np
 
         from repro.align import align_program
+        from repro.solvers.scipy_backend import linprog_input
 
         # The real fixpoint: every template axis, under the replicated
         # set of every round that re-solves.
-        align_program(make_program(), mobile=mobile)
+        align_program(make_program(), algorithm=alg, mobile=mobile)
         assert every_built_lp
         assert {lp.static for lp in every_built_lp} == {not mobile}
         for lp in every_built_lp:
             ref = reference_build(lp)
-            assert [v.name for v in lp.model.variables] == [
-                v.name for v in ref.variables
-            ]
-            got, want = lp.model.to_dense(), ref.to_dense()
-            for g, w in zip(got[:5], want[:5]):
-                assert g.shape == w.shape and g.dtype == w.dtype
-                assert np.array_equal(g, w)
-            assert got[5] == want[5]
+            assert lp.model.names == ref.names
+            got = linprog_input(lp.model)
+            c, ub, eq = dense_reference(ref)
+            assert got["c"].tobytes() == c.tobytes()
+            for a, b, (want, rhs) in (
+                (got["A_ub"], got["b_ub"], ub),
+                (got["A_eq"], got["b_eq"], eq),
+            ):
+                if want is None:
+                    assert a is None and b is None
+                    continue
+                assert a.format == "csc" and a.has_canonical_format
+                assert a.data.all()  # no explicit zeros
+                assert a.shape == want.shape
+                assert np.array_equal(a.indptr, want.indptr)
+                assert np.array_equal(a.indices, want.indices)
+                assert a.data.tobytes() == want.data.tobytes()
+                assert b.tobytes() == rhs.tobytes()
+            bounds = np.column_stack((ref.lower, ref.upper))
+            assert got["bounds"].tobytes() == bounds.tobytes()
+
+    @pytest.mark.parametrize("mobile", [True, False], ids=["mobile", "static"])
+    def test_rounding_is_the_quadratic_reference(
+        self, make_program, mobile, monkeypatch
+    ):
+        from repro.align import align_program
+        from repro.align.offset_static import OffsetLP
+
+        seen = []
+        real = OffsetLP.rounded_offsets
+
+        def recording(lp, values):
+            out = real(lp, values)
+            seen.append((lp, values, out))
+            return out
+
+        monkeypatch.setattr(OffsetLP, "rounded_offsets", recording)
+        align_program(make_program(), mobile=mobile)
+        assert seen
+        for lp, values, out in seen:
+            want = reference_rounded_offsets(lp, values)
+            assert list(out.items()) == list(want.items())
 
     @pytest.mark.parametrize(
         "make", [programs.figure4, programs.stencil_sweep, programs.example5]
     )
     def test_backends_agree_on_the_new_rows(self, make):
-        # Both backends read ``model.constraints``.  (Not figure1 or
+        # Both backends read the row store.  (Not figure1 or
         # skewed_wavefront: the from-scratch simplex loses those two to
         # round-off, before and after this change.)
         _, _, a = solve(make(), backend="scipy")
@@ -527,8 +658,8 @@ class TestEachDistinctLPIsSolvedOnce:
         m = LPModel()
         x = m.var(names[0])
         y = m.var(names[1], lower=lower)
-        m.add_row({x: coeff, y: -1.0}, ">=", rhs)
-        m.add_row({x: 1.0}, "==", 0.0)
+        m.add_row([x.index, y.index], [coeff, -1.0], ">=", rhs)
+        m.add_row([x.index], [1.0], "==", 0.0)
         m.minimize(x + 3 * y)
         return m
 
@@ -557,3 +688,59 @@ class TestEachDistinctLPIsSolvedOnce:
             ("offset_lp", "simplex"),
         ]
         assert len({k[2] for k in memo}) == 1  # one LP, solved by each
+
+
+class TestOneCompiledProblemPerSolve:
+    """``solve_offsets`` prices each edge's moments once for all template
+    axes and reads the LP's values by column."""
+
+    def test_moments_are_looked_up_once_per_costed_subrange(self, monkeypatch):
+        from repro.align import offset_static
+        from repro.align.offset_static import edge_is_offset_costed
+
+        adg = build_adg(programs.figure1())
+        skel = solve_axis_stride(adg).skeletons
+        assert adg.template_rank == 2
+        plan = {e.eid: e.space.grid_partition(3) for e in adg.edges}
+        lookups = []
+        real = offset_static.cached_moments
+
+        def counting(space, weight):
+            lookups.append(space)
+            return real(space, weight)
+
+        monkeypatch.setattr(offset_static, "cached_moments", counting)
+        solve_offsets(adg, skel, plan)
+        costed = [
+            (e.eid, j, axis)
+            for axis in range(adg.template_rank)
+            for e in adg.edges
+            if edge_is_offset_costed(e, skel, axis, set())
+            for j, sub in enumerate(plan[e.eid])
+            if not sub.is_empty()
+        ]
+        once = {(eid, j) for eid, j, _ in costed}
+        # Every edge costed on one axis is costed on the other: a lookup
+        # per axis would be twice as many.
+        assert len(costed) == 2 * len(once)
+        assert 0 < len(lookups) <= len(once)
+
+    @pytest.mark.parametrize(
+        "x", [0.5000000001, 2.4999999999, -1.5, 0.5, 2.5, -0.4999999999, 1 / 3]
+    )
+    def test_a_value_near_a_half_rounds_as_its_fraction(self, x):
+        from repro.align.offset_static import lp_value
+
+        want = Fraction(x).limit_denominator(10**9)
+        assert lp_value(x) == want
+        assert round(lp_value(x)) == round(want)
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, 3.0, -7.0, 2.0**60, 4.0000000000001, -1e-12])
+    def test_an_integral_value_is_an_int(self, x):
+        # ... and so is solver noise around one: the planner's canonical
+        # scalar never stores an integral Fraction.
+        from repro.align.offset_static import lp_value
+
+        got = lp_value(x)
+        assert type(got) is int
+        assert got == Fraction(x).limit_denominator(10**9) == round(x)

@@ -32,7 +32,7 @@ class TestBasicLPs:
         m.minimize(3 * x + y)
         s = m.solve(backend)
         assert s.objective == pytest.approx(10.0)
-        assert s.values[y] == pytest.approx(10.0)
+        assert s[y] == pytest.approx(10.0)
 
     def test_free_variable_negative_optimum(self, backend):
         m = LPModel()
@@ -74,7 +74,7 @@ class TestBasicLPs:
         m.minimize(t1 + t2)
         s = m.solve(backend)
         assert s.objective == pytest.approx(4.0)
-        assert 5 - 1e-6 <= s.values[x] <= 9 + 1e-6
+        assert 5 - 1e-6 <= s[x] <= 9 + 1e-6
 
     def test_weighted_median(self, backend):
         # minimize sum w_i |x - a_i|: optimum at weighted median (a=3)
@@ -87,7 +87,7 @@ class TestBasicLPs:
             total = t * w if total is None else total + t * w
         m.minimize(total)
         s = m.solve(backend)
-        assert s.values[x] == pytest.approx(3.0, abs=1e-6)
+        assert s[x] == pytest.approx(3.0, abs=1e-6)
 
 
 class TestBackendsAgree:
@@ -158,8 +158,8 @@ class TestModelLayer:
     def test_constraint_const_folding(self):
         m = LPModel()
         x = m.var("x")
-        con = m.add(x + 5, "<=", 8)
-        assert con.rhs == 3.0
+        i = m.add(x + 5, "<=", 8)
+        assert m.row(i)[3] == 3.0
 
     def test_linexpr_ops(self):
         m = LPModel()
@@ -186,54 +186,60 @@ class TestModelLayer:
 
 
 class TestRowEntryPoint:
-    """``add`` and ``add_abs_bound`` go through ``add_row`` and give the
-    rows they gave when ``Constraint`` held a ``LinExpr``."""
+    """``add`` and ``add_abs_bound`` go through ``add_row`` into the one
+    row store and give the rows they gave when each row was a
+    ``{Variable: float}`` map."""
 
-    def test_add_row_adopts_the_mapping(self):
+    @staticmethod
+    def rows(m):
+        return [m.row(i) for i in range(m.num_constraints)]
+
+    def test_add_row_appends_to_the_row_store(self):
         m = LPModel()
-        x = m.var("x")
-        coeffs = {x: 2.0}
-        con = m.add_row(coeffs, "<=", 4.0, name="r")
-        assert con.coeffs is coeffs
-        assert m.constraints == [con]
-        assert (con.sense, con.rhs, con.name) == ("<=", 4.0, "r")
+        x, y = m.var("x"), m.var("y")
+        assert m.add_row([y.index, x.index], [2.0, -1.0], "<=", 4.0) == 0
+        assert m.add_row([x.index], [1.0], "==", 0.0) == 1
+        assert (m.cols, m.vals, m.starts) == ([1, 0, 0], [2.0, -1.0, 1.0], [0, 2, 3])
+        assert (m.senses, m.rhs) == ([0, 2], [4.0, 0.0])
+        assert m.num_constraints == 2
+        assert m.row(0) == ([1, 0], [2.0, -1.0], "<=", 4.0)
 
     def test_add_drops_zeros_and_folds_the_constant(self):
         m = LPModel()
         x, y, z = m.var("x"), m.var("y"), m.var("z")
-        con = m.add(2 * x + y - y + 0 * z + 5, "<=", 8)
-        assert con.coeffs == {x: 2.0}
-        assert con.rhs == 3.0
-        assert all(type(c) is float for c in con.coeffs.values())
+        i = m.add(2 * x + y - y + 0 * z + 5, "<=", 8)
+        assert m.row(i) == ([x.index], [2.0], "<=", 3.0)
+        assert all(type(c) is float for c in m.vals)
 
     def test_add_copies_the_expression(self):
         m = LPModel()
         x = m.var("x")
         e = x + 1
-        con = m.add(e, "==", 0)
-        assert con.coeffs is not e.coeffs
+        i = m.add(e, "==", 0)
+        e.coeffs[x] = 5.0
+        assert m.row(i) == ([x.index], [1.0], "==", -1.0)
 
     def test_abs_bound_rows(self):
         m = LPModel()
         x, y, t = m.var("x"), m.var("y"), m.var("t", lower=0)
-        m.add_abs_bound(t, 3 * x - y + 2, name="a")
-        plus, minus = m.constraints
-        assert (plus.name, minus.name) == ("a+", "a-")
-        assert plus.coeffs == {t: 1.0, x: 3.0, y: -1.0}
-        assert minus.coeffs == {t: 1.0, x: -3.0, y: 1.0}
-        assert (plus.sense, plus.rhs) == (">=", -2.0)
-        assert (minus.sense, minus.rhs) == (">=", 2.0)
+        m.add_abs_bound(t, 3 * x - y + 2)
+        assert self.rows(m) == [
+            ([t.index, x.index, y.index], [1.0, 3.0, -1.0], ">=", -2.0),
+            ([t.index, x.index, y.index], [1.0, -3.0, 1.0], ">=", 2.0),
+        ]
 
     def test_abs_bound_on_the_bound_itself_cancels(self):
         m = LPModel()
         x, t = m.var("x"), m.var("t")
         m.add_abs_bound(t, x + t)
-        plus, minus = m.constraints
-        assert plus.coeffs == {t: 2.0, x: 1.0}
-        assert minus.coeffs == {x: -1.0}  # t - t dropped
+        plus, minus = self.rows(m)
+        assert plus[:2] == ([t.index, x.index], [2.0, 1.0])
+        assert minus[:2] == ([x.index], [-1.0])  # t - t dropped
 
-    def test_to_dense_negates_ge_rows_once(self):
+    def test_sparse_export_negates_ge_rows_once(self):
         import numpy as np
+
+        from repro.solvers.scipy_backend import linprog_input
 
         m = LPModel()
         x, y = m.var("x"), m.var("y", lower=0, upper=9)
@@ -241,31 +247,67 @@ class TestRowEntryPoint:
         m.add(x + y, "<=", 7)
         m.add(3 * y, "==", 6)
         m.minimize(x + 2 * y)
-        c, a_ub, b_ub, a_eq, b_eq, bounds = m.to_dense()
-        assert np.array_equal(c, [1.0, 2.0])
-        assert np.array_equal(a_ub, [[-1.0, 2.0], [1.0, 1.0]])
-        assert np.array_equal(b_ub, [-1.0, 7.0])
-        assert np.array_equal(a_eq, [[0.0, 3.0]])
-        assert np.array_equal(b_eq, [6.0])
-        assert bounds == [(None, None), (0.0, 9.0)]
+        got = linprog_input(m)
+        assert np.array_equal(got["c"], [1.0, 2.0])
+        assert got["A_ub"].format == got["A_eq"].format == "csc"
+        assert np.array_equal(got["A_ub"].toarray(), [[-1.0, 2.0], [1.0, 1.0]])
+        assert np.array_equal(got["b_ub"], [-1.0, 7.0])
+        assert np.array_equal(got["A_eq"].toarray(), [[0.0, 3.0]])
+        assert np.array_equal(got["b_eq"], [6.0])
+        assert np.array_equal(got["bounds"], [[-np.inf, np.inf], [0.0, 9.0]])
 
     @pytest.mark.parametrize("sense", ["<=", "=="])
-    def test_an_absent_block_still_exports_zero_by_n(self, sense):
+    def test_an_absent_block_is_left_out(self, sense):
+        from repro.solvers.scipy_backend import linprog_input
+
         m = LPModel()
         x, y = m.var("x"), m.var("y")
         m.add(x + y, sense, 1)
-        _, a_ub, b_ub, a_eq, b_eq, _ = m.to_dense()
-        absent_a, absent_b = (a_eq, b_eq) if sense == "<=" else (a_ub, b_ub)
-        assert absent_a.shape == (0, 2) and absent_b.shape == (0,)
-        assert absent_a.dtype == absent_b.dtype == float
+        got = linprog_input(m)
+        present, absent = ("ub", "eq") if sense == "<=" else ("eq", "ub")
+        assert got[f"A_{absent}"] is None and got[f"b_{absent}"] is None
+        assert got[f"A_{present}"].shape == (1, 2)
         assert m.solve("scipy").status == m.solve("simplex").status
 
     def test_an_empty_row_is_kept(self):
         # OffsetLP emits ``0 == shift coefficient`` for a LIV neither port
         # carries; the row must reach the backend, not vanish.
+        from repro.solvers.scipy_backend import linprog_input
+
         m = LPModel()
         m.var("x", lower=0)
-        m.add_row({}, "==", 1.0)
-        _, _, _, a_eq, b_eq, _ = m.to_dense()
-        assert a_eq.shape == (1, 1) and not a_eq.any() and b_eq[0] == 1.0
+        m.add_row([], [], "==", 1.0)
+        got = linprog_input(m)
+        assert got["A_eq"].shape == (1, 1) and got["A_eq"].nnz == 0
+        assert got["b_eq"][0] == 1.0
         assert m.solve("scipy").status == m.solve("simplex").status == "infeasible"
+
+    def test_solve_hands_linprog_the_sparse_export(self, monkeypatch):
+        import numpy as np
+        import scipy.optimize
+
+        from repro.solvers.scipy_backend import linprog_input
+
+        seen = []
+        real = scipy.optimize.linprog
+
+        def spy(**kw):
+            seen.append(kw)
+            return real(**kw)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", spy)
+        m = LPModel()
+        x, y = m.var("x"), m.var("y", lower=0)
+        m.add(x - y, ">=", 1)
+        m.add(x + y, "==", 3)
+        m.minimize(x + 2 * y + 5)
+        s = m.solve("scipy")
+        (kw,) = seen
+        want = linprog_input(m)
+        for key in ("A_ub", "A_eq"):
+            assert kw[key].format == "csc" and kw[key].has_canonical_format
+            assert np.array_equal(kw[key].toarray(), want[key].toarray())
+        assert kw["bounds"].shape == (2, 2) and kw["method"] == "highs"
+        assert type(s.x) is list and all(type(v) is float for v in s.x)
+        assert (s[x], s[y]) == (pytest.approx(3.0), pytest.approx(0.0))
+        assert s.objective == pytest.approx(8.0)
