@@ -60,8 +60,7 @@ flame summary is printed too.  With ``--batch``, every worker records
 its tasks and the per-process traces are merged into one file.
 ``--metrics`` prints the typed metric registry, cache hit counters
 included; ``--prom-out OUT.prom`` writes the same registry as
-Prometheus text exposition (validated in CI by
-``python -m repro.obs.prom --check``).
+Prometheus text exposition.
 """
 
 from __future__ import annotations
@@ -169,7 +168,7 @@ def _run_batch(args, align_kw: dict) -> int:
 
 def _write_prom(path: str) -> None:
     """Write the registry as Prometheus exposition (atomic: a crash
-    must not leave a truncated scrape file where CI validates one)."""
+    must not leave a truncated scrape file where a reader expects one)."""
     from ._io import atomic_write_text
     from .obs import render_prometheus
 
@@ -252,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
         "--prom-out",
         metavar="OUT",
         help="write the post-run metric registry as Prometheus text "
-        "exposition (validate with python -m repro.obs.prom --check)",
+        "exposition",
     )
     ap.add_argument(
         "--replan-from",

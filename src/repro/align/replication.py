@@ -116,14 +116,12 @@ class ReplicationLabeler:
         skeleton: Skeleton,
         program: Program | None = None,
         offsets: OffsetMap | None = None,
-        method: str = "dinic",
         minimal: bool = False,
     ) -> None:
         self.adg = adg
         self.skeleton = skeleton
         self.program = program
         self.offsets = offsets or {}
-        self.method = method
         # minimal: apply only the *forced* labels (spread inputs R,
         # everything else N) — the no-replication-optimization baseline.
         self.minimal = minimal
@@ -219,7 +217,7 @@ class ReplicationLabeler:
                 w for (u, v, w) in g.cut_edges(s_side) if w != INF
             )
         elif pinned_r or pinned_n:
-            value, s_side, _ = g.min_cut(S, T, method=self.method)
+            value, s_side, _ = g.min_cut(S, T)
         else:
             # Nothing forces replication: all N, no broadcasts.
             value, s_side = 0.0, {g.name_of(i) for i in range(g.num_nodes)}
@@ -267,7 +265,6 @@ def label_replication(
     skeleton: Skeleton,
     program: Program | None = None,
     offsets: OffsetMap | None = None,
-    method: str = "dinic",
     minimal: bool = False,
 ) -> ReplicationResult:
     """Run replication labeling for every template axis.
@@ -276,5 +273,5 @@ def label_replication(
     baseline); otherwise the min-cut of Theorem 1 decides.
     """
     return ReplicationLabeler(
-        adg, skeleton, program, offsets, method, minimal
+        adg, skeleton, program, offsets, minimal
     ).solve()

@@ -1,46 +1,28 @@
 """Unified observability: hierarchical tracing spans + typed metrics.
 
-The telemetry substrate under every instrumented layer of the planner
-(ROADMAP item 1's prerequisite).  Four pieces:
+The telemetry substrate under every instrumented layer of the planner:
 
 * :mod:`repro.obs.spans` — hierarchical :class:`Span` contexts with a
-  thread-local active stack, ``@traced``, and a near-zero disabled
-  path; tracing is off unless a recorder is installed.
-* :mod:`repro.obs.metrics` — a typed registry of counters, gauges, and
-  log-scaled histograms (p50/p90/p99), absorbing
-  :mod:`repro.cachestats` as a compatibility facade.
+  thread-local active stack and a near-zero disabled path; tracing is
+  off unless :func:`recording` is active.
+* :mod:`repro.obs.metrics` — a typed registry of cumulative counters,
+  gauges, and log-scaled histograms (p50/p90/p99), absorbing
+  :mod:`repro.cachestats` as a compatibility facade.  A rolling view is
+  its reader's difference of two snapshots (:meth:`Histogram.since`).
 * :mod:`repro.obs.recorder` — picklable :class:`TraceRecorder` /
   :class:`SpanRecord` trees; what batch workers ship back across the
   process pool, mergeable into one multi-process trace.
 * :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto-loadable,
-  CLI ``--trace-out``), structured JSON, and an ASCII flame summary;
-  :mod:`repro.obs.check` validates emitted files.
-* :mod:`repro.obs.live` — rolling-window telemetry:
-  :class:`WindowedCounter` / :class:`WindowedHistogram` (time-sliced
-  ring shards alongside the lifetime view) and :class:`SLOTracker`
-  burn-rate evaluation over declarative latency/error objectives.
+  CLI ``--trace-out``) and an ASCII flame summary.
+* :mod:`repro.obs.slo` — declarative latency/error objectives and their
+  burn rates over a metrics snapshot (:class:`SLOTracker`).
 * :mod:`repro.obs.prom` — Prometheus text-format exposition of the
-  registry plus a pure-python format checker
-  (``python -m repro.obs.prom --check``).
+  registry.
 * :mod:`repro.obs.watch` — a live ASCII dashboard polling a running
   serve daemon (``python -m repro.obs.watch HOST:PORT``).
 """
 
-from .export import (
-    flame,
-    root_coverage,
-    to_chrome,
-    to_json,
-    write_chrome_trace,
-)
-from .live import (
-    ErrorRateSLO,
-    LatencySLO,
-    SLOTracker,
-    WindowedCounter,
-    WindowedHistogram,
-    default_serve_slos,
-)
+from .export import flame, to_chrome, write_chrome_trace
 from .metrics import (
     Counter,
     Gauge,
@@ -49,20 +31,10 @@ from .metrics import (
     latency_summary,
     registry,
 )
-from .prom import check_exposition, render_prometheus
+from .prom import render_prometheus
 from .recorder import SpanRecord, TraceRecorder
-from .spans import (
-    Span,
-    annotate,
-    current,
-    disable,
-    enable,
-    enabled,
-    instant,
-    recording,
-    span,
-    traced,
-)
+from .slo import ErrorRateSLO, LatencySLO, SLOTracker, default_serve_slos
+from .spans import Span, annotate, enabled, instant, recording, span
 
 __all__ = [
     "Counter",
@@ -75,14 +47,8 @@ __all__ = [
     "Span",
     "SpanRecord",
     "TraceRecorder",
-    "WindowedCounter",
-    "WindowedHistogram",
     "annotate",
-    "check_exposition",
-    "current",
     "default_serve_slos",
-    "disable",
-    "enable",
     "enabled",
     "flame",
     "instant",
@@ -90,10 +56,7 @@ __all__ = [
     "recording",
     "registry",
     "render_prometheus",
-    "root_coverage",
     "span",
     "to_chrome",
-    "to_json",
-    "traced",
     "write_chrome_trace",
 ]

@@ -1,4 +1,4 @@
-"""Trace serialization: structured JSON, Chrome trace-event, ASCII flame.
+"""Trace serialization: Chrome trace-event JSON and an ASCII flame.
 
 Chrome trace-event output follows the documented JSON object format —
 ``{"traceEvents": [...], "displayTimeUnit": "ms"}`` with complete
@@ -6,15 +6,9 @@ Chrome trace-event output follows the documented JSON object format —
 process lane — and loads directly into Perfetto / ``chrome://tracing``.
 Timestamps are microseconds, rebased per pid to that process's earliest
 span (perf_counter epochs are not comparable across processes).
-
-``python -m repro.obs.check trace.json`` validates an emitted file
-against this schema; CI runs it on the benchmark job's artifact.
 """
 
 from __future__ import annotations
-
-import json
-from typing import Optional
 
 from .recorder import SpanRecord, TraceRecorder
 
@@ -77,24 +71,10 @@ def to_chrome(recorder: TraceRecorder) -> dict:
 
 def write_chrome_trace(path: str, recorder: TraceRecorder) -> None:
     # Atomic: a run killed mid-export must not leave a truncated trace
-    # where Perfetto (or repro.obs.check in CI) expects valid JSON.
+    # where Perfetto expects valid JSON.
     from .._io import atomic_write_json
 
     atomic_write_json(path, to_chrome(recorder), indent=1)
-
-
-def to_json(recorder: TraceRecorder) -> dict:
-    """Structured (non-Chrome) trace JSON: the full span tree plus
-    per-name aggregates — the machine-readable companion report."""
-    return {
-        "label": recorder.label,
-        "total_seconds": recorder.total_seconds(),
-        "totals": {
-            name: {"count": n, "seconds": s}
-            for name, (n, s) in sorted(recorder.totals().items())
-        },
-        "roots": [r.to_dict() for r in recorder.roots],
-    }
 
 
 def flame(recorder: TraceRecorder, width: int = 34) -> str:
@@ -119,16 +99,3 @@ def _walk_depth(rec: SpanRecord, depth: int = 0):
     yield rec, depth
     for child in rec.children:
         yield from _walk_depth(child, depth + 1)
-
-
-def root_coverage(recorder: TraceRecorder, name: Optional[str] = None) -> float:
-    """Fraction of the named root span's wall time covered by its
-    children (the acceptance gate asks >= 0.9 for the CLI root)."""
-    roots = [
-        r for r in recorder.roots if name is None or r.name == name
-    ]
-    if not roots:
-        return 0.0
-    covered = sum(r.seconds * r.child_coverage() for r in roots)
-    total = sum(r.seconds for r in roots)
-    return covered / total if total else 1.0

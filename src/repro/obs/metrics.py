@@ -7,8 +7,8 @@ Three metric kinds, all cheap enough for hot paths:
   level tracking (in-flight requests, queue depths).
 * :class:`Histogram` — log-scaled buckets (base ``2**0.25``, ~19%
   resolution) with exact count/sum/min/max; percentiles are read off
-  the bucket boundaries by geometric interpolation, so p50/p90/p99 are
-  within one bucket width of exact at constant memory.
+  the bucket boundaries, so p50/p90/p99 are within one bucket width of
+  exact at constant memory.
 
 All three are **thread-safe**: the serve daemon plans in a thread pool,
 so ``inc``/``set``/``observe`` take a per-metric lock (an uncontended
@@ -16,11 +16,11 @@ so ``inc``/``set``/``observe`` take a per-metric lock (an uncontended
 test in ``tests/test_obs_live.py`` holds that line, and the hammer test
 there asserts exact counts under concurrent increments).
 
-:mod:`repro.obs.live` adds windowed variants (:class:`WindowedCounter`,
-:class:`WindowedHistogram`) that subclass these, so they register and
-snapshot through the same :class:`Registry` — the lifetime view stays
-where it always was and a rolling ``last_<W>s`` view appears alongside
-under ``snapshot()["windows"]``.
+Every metric is **cumulative** since the process started.  A reader
+that wants a rolling view ("the last 5 s") polls twice and subtracts:
+counters by value, histograms exactly with :meth:`Histogram.since`.
+That is how the Prometheus reader of ``/metrics`` derives rates and
+quantiles, and how :mod:`repro.obs.watch` draws its interval column.
 
 The process-global :func:`registry` is the front door.  It *absorbs*
 :mod:`repro.cachestats` as a compatibility facade: cache hit/miss
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Callable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .. import cachestats
 
@@ -100,39 +100,17 @@ class Histogram:
         if value < 0:
             raise ValueError(f"histogram {self.name}: negative value {value}")
         with self._lock:
-            self._observe(value)
-
-    def _observe(self, value: float) -> None:
-        """The unlocked update body (callers hold ``self._lock``)."""
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        if value == 0:
-            self.zeros += 1
-            return
-        i = math.ceil(math.log(value) / _LN_BASE - 1e-12)
-        self.buckets[i] = self.buckets.get(i, 0) + 1
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold ``other`` into this histogram — an *exact* merge: the
-        merged counts, sum, extrema, and per-bucket tallies equal what
-        one histogram observing both streams would hold.
-
-        ``other`` is read without taking its lock; callers merge either
-        quiescent histograms (window shards guarded by their parent's
-        lock, :func:`latency_summary` locals) or accept the race.
-        """
-        with self._lock:
-            self.count += other.count
-            self.total += other.total
-            self.min = min(self.min, other.min)
-            self.max = max(self.max, other.max)
-            self.zeros += other.zeros
-            for i, n in other.buckets.items():
-                self.buckets[i] = self.buckets.get(i, 0) + n
+            self.count += 1
+            self.total += value
+            if value < self.min:
+                self.min = value
+            if value > self.max:
+                self.max = value
+            if value == 0:
+                self.zeros += 1
+                return
+            i = math.ceil(math.log(value) / _LN_BASE - 1e-12)
+            self.buckets[i] = self.buckets.get(i, 0) + 1
 
     def to_dict(self) -> dict:
         """A JSON-ready exact encoding; :meth:`from_dict` round-trips it.
@@ -162,6 +140,38 @@ class Histogram:
         h.buckets = {int(i): int(n) for i, n in data["buckets"].items()}
         return h
 
+    def since(self, earlier: Mapping) -> "Histogram":
+        """The observations made after ``earlier``, a :meth:`to_dict` of
+        this histogram taken before them, as a histogram of their own.
+
+        ``count``, ``zeros`` and every bucket are differences of integers,
+        so they — and every percentile and :meth:`count_le` read off them —
+        equal those of a histogram that observed only the later values;
+        ``sum`` is their float difference.  Extremes do not subtract:
+        ``min``/``max`` are the edges of the outermost occupied buckets,
+        a bound on the true extremes at bucket resolution.  Raises
+        ``ValueError`` when ``earlier`` holds something this histogram
+        does not (another histogram, or one from before a restart).
+        """
+        past = Histogram.from_dict(self.name, earlier)
+        out = Histogram(self.name)
+        with self._lock:
+            out.count = self.count - past.count
+            out.total = self.total - past.total
+            out.zeros = self.zeros - past.zeros
+            for i in self.buckets.keys() | past.buckets.keys():
+                n = self.buckets.get(i, 0) - past.buckets.get(i, 0)
+                if n:
+                    out.buckets[i] = n
+        if out.zeros < 0 or any(n < 0 for n in out.buckets.values()):
+            raise ValueError(
+                f"histogram {self.name}: the earlier snapshot is not a prefix"
+            )
+        if out.count:
+            out.min = 0.0 if out.zeros else _LOG_BASE ** (min(out.buckets) - 1)
+            out.max = _LOG_BASE ** max(out.buckets) if out.buckets else 0.0
+        return out
+
     def count_le(self, value: float) -> int:
         """Observations known to be ``<= value``, at bucket resolution.
 
@@ -182,8 +192,12 @@ class Histogram:
             return n
 
     def percentile(self, q: float) -> float:
-        """The value at quantile ``q`` in [0, 1], bucket-resolution.
+        """The value at quantile ``q`` in [0, 1], bucket-resolution: the
+        geometric midpoint of the bucket holding the observation ``q``
+        falls on (``0.0`` for the zeros bucket).
 
+        A function of the buckets alone, so a :meth:`since` difference
+        reads the same percentiles as a histogram of the same values.
         Edge cases are defined, not accidental — serve-side p50/p99
         reporting reads these without guards:
 
@@ -191,28 +205,22 @@ class Histogram:
         * an **all-zeros** histogram (zeros live outside ``buckets``)
           returns ``0.0`` for every ``q`` — the zeros mass is counted,
           never skipped;
-        * ``q == 0`` returns the observed minimum (``0.0`` only when a
-          zero was actually observed), instead of inventing a zero.
+        * ``q == 0`` reads the lowest occupied bucket (``0.0`` only when
+          a zero was actually observed), instead of inventing a zero.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile {q} outside [0, 1]")
         if self.count == 0:
             return 0.0
-        if q == 0.0:
-            return 0.0 if self.zeros else self.min
-        target = q * self.count
+        target = max(q * self.count, 1)
         seen = self.zeros
         if seen >= target:
             return 0.0
         for i in sorted(self.buckets):
             seen += self.buckets[i]
             if seen >= target:
-                lo = _LOG_BASE ** (i - 1)
-                hi = _LOG_BASE ** i
-                # Geometric bucket midpoint, clamped to observed range.
-                mid = math.sqrt(lo * hi)
-                return min(max(mid, self.min), self.max)
-        return self.max
+                break
+        return math.sqrt(_LOG_BASE ** (i - 1) * _LOG_BASE ** i)
 
     def summary(self) -> dict:
         """JSON-ready summary; always the full schema, so consumers can
@@ -242,11 +250,6 @@ class Histogram:
 
 
 Metric = Union[Counter, Gauge, Histogram]
-
-
-def _window_label(seconds: float) -> str:
-    n = int(seconds)
-    return f"last_{n}s" if n == seconds else f"last_{seconds:g}s"
 
 
 class Registry:
@@ -282,179 +285,31 @@ class Registry:
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)  # type: ignore[return-value]
 
-    # -- windowed variants (repro.obs.live) --------------------------------
-
-    def _get_windowed(
-        self,
-        name: str,
-        kind: type,
-        base_kind: type,
-        window: float,
-        slices: int,
-        clock: Optional[Callable[[], float]],
-    ):
-        """Fetch-or-create a windowed metric, *upgrading* an existing
-        cumulative metric of the base kind in place (its lifetime state
-        carries over) — so a service can widen ``serve.requests`` to a
-        windowed counter without breaking earlier ``counter()`` users.
-
-        An existing windowed metric is reconfigured (window state reset,
-        lifetime kept) only when the requested window or clock actually
-        differs; repeat registrations are idempotent.
-        """
-        with self._lock:
-            m = self._metrics.get(name)
-            if isinstance(m, kind):
-                if m.window_seconds == window and (
-                    clock is None or clock is m.clock
-                ):
-                    return m
-            elif m is not None and not isinstance(m, base_kind):
-                raise TypeError(
-                    f"metric {name!r} is a {type(m).__name__}, "
-                    f"not a {base_kind.__name__}"
-                )
-            fresh = kind(name, window=window, slices=slices, clock=clock)
-            if m is not None:
-                fresh.absorb_lifetime(m)
-            self._metrics[name] = fresh
-            return fresh
-
-    def windowed_counter(
-        self,
-        name: str,
-        window: float = 60.0,
-        slices: int = 12,
-        clock: Optional[Callable[[], float]] = None,
-    ):
-        from .live import WindowedCounter
-
-        return self._get_windowed(
-            name, WindowedCounter, Counter, window, slices, clock
-        )
-
-    def windowed_histogram(
-        self,
-        name: str,
-        window: float = 60.0,
-        slices: int = 12,
-        clock: Optional[Callable[[], float]] = None,
-    ):
-        from .live import WindowedHistogram
-
-        return self._get_windowed(
-            name, WindowedHistogram, Histogram, window, slices, clock
-        )
-
-    def names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._metrics)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._metrics.clear()
-
-    def collect(self, include_cachestats: bool = True) -> list[dict]:
-        """Every metric as a typed record — the exporter feed.
-
-        Unlike :meth:`snapshot` (summaries for humans and JSON stats),
-        ``collect`` carries *raw* histogram buckets, which the
-        Prometheus renderer needs to derive cumulative ``le`` bounds.
-        Windowed metrics attach their rolling view under ``window``.
-        """
-        from .live import WindowedCounter, WindowedHistogram
-
-        with self._lock:
-            metrics = [self._metrics[k] for k in sorted(self._metrics)]
-        out: list[dict] = []
-        for m in metrics:
-            if isinstance(m, Counter):
-                rec = {"kind": "counter", "name": m.name, "value": m.value}
-                if isinstance(m, WindowedCounter):
-                    rec["window"] = {
-                        "seconds": m.window_seconds,
-                        "label": _window_label(m.window_seconds),
-                        "value": m.window_value(),
-                    }
-            elif isinstance(m, Gauge):
-                rec = {"kind": "gauge", "name": m.name, "value": m.value}
-            else:
-                rec = {
-                    "kind": "histogram",
-                    "name": m.name,
-                    "data": m.to_dict(),
-                }
-                if isinstance(m, WindowedHistogram):
-                    rec["window"] = {
-                        "seconds": m.window_seconds,
-                        "label": _window_label(m.window_seconds),
-                        "data": m.window().to_dict(),
-                    }
-            out.append(rec)
-        if include_cachestats:
-            for name, (hits, misses) in sorted(cachestats.snapshot().items()):
-                out.append(
-                    {
-                        "kind": "counter",
-                        "name": f"cache.{name}.hits",
-                        "value": hits,
-                    }
-                )
-                out.append(
-                    {
-                        "kind": "counter",
-                        "name": f"cache.{name}.misses",
-                        "value": misses,
-                    }
-                )
-        return out
-
     def snapshot(self, include_cachestats: bool = True) -> dict:
-        """Everything, JSON-ready — cachestats counters included via the
-        compatibility facade (``cache.<name>.hits`` / ``.misses``).
-
-        Windowed metrics report twice: their lifetime totals live under
-        ``counters``/``histograms`` exactly like cumulative metrics, and
-        their rolling view lands under ``windows`` keyed by metric name
-        (``{"window_seconds", "label", "value" | "summary"}``).
+        """Everything, JSON-ready, each kind keyed by metric name: counter
+        and gauge values, and each histogram as its exact
+        :meth:`Histogram.to_dict` (raw buckets, so two snapshots subtract
+        exactly and the Prometheus renderer derives ``le`` bounds).
+        Cachestats counters are included via the compatibility facade
+        (``cache.<name>.hits`` / ``.misses``).
         """
-        from .live import WindowedCounter, WindowedHistogram
-
         counters: dict[str, int] = {}
         gauges: dict[str, Optional[float]] = {}
         histograms: dict[str, dict] = {}
-        windows: dict[str, dict] = {}
         with self._lock:
             metrics = [self._metrics[k] for k in sorted(self._metrics)]
         for m in metrics:
             if isinstance(m, Counter):
                 counters[m.name] = m.value
-                if isinstance(m, WindowedCounter):
-                    windows[m.name] = {
-                        "window_seconds": m.window_seconds,
-                        "label": _window_label(m.window_seconds),
-                        "value": m.window_value(),
-                    }
             elif isinstance(m, Gauge):
                 gauges[m.name] = m.value
             else:
-                histograms[m.name] = m.summary()
-                if isinstance(m, WindowedHistogram):
-                    windows[m.name] = {
-                        "window_seconds": m.window_seconds,
-                        "label": _window_label(m.window_seconds),
-                        "summary": m.window().summary(),
-                    }
+                histograms[m.name] = m.to_dict()
         if include_cachestats:
             for name, (hits, misses) in sorted(cachestats.snapshot().items()):
                 counters[f"cache.{name}.hits"] = hits
                 counters[f"cache.{name}.misses"] = misses
-        return {
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": histograms,
-            "windows": windows,
-        }
+        return {"counters": counters, "gauges": gauges, "histograms": histograms}
 
     def render(self, include_cachestats: bool = True) -> str:
         snap = self.snapshot(include_cachestats)
@@ -463,8 +318,9 @@ class Registry:
             lines.append(f"  counter   {name:<36s} {v}")
         for name, v in snap["gauges"].items():
             lines.append(f"  gauge     {name:<36s} {v}")
-        for name, s in snap["histograms"].items():
-            if s.get("count"):
+        for name, data in snap["histograms"].items():
+            s = Histogram.from_dict(name, data).summary()
+            if s["count"]:
                 lines.append(
                     f"  histogram {name:<36s} n={s['count']} "
                     f"p50={s['p50']:.4g} p90={s['p90']:.4g} "
@@ -472,17 +328,6 @@ class Registry:
                 )
             else:
                 lines.append(f"  histogram {name:<36s} n=0")
-        for name, w in snap["windows"].items():
-            if "value" in w:
-                lines.append(
-                    f"  window    {name:<36s} {w['label']}={w['value']}"
-                )
-            else:
-                s = w["summary"]
-                lines.append(
-                    f"  window    {name:<36s} {w['label']}: n={s['count']} "
-                    f"p50={s['p50']:.4g} p99={s['p99']:.4g}"
-                )
         return "\n".join(lines)
 
 

@@ -1,4 +1,4 @@
-"""Prometheus text-format exposition: renderer + pure-python checker.
+"""Prometheus text-format exposition of the metric registry.
 
 The renderer turns the metric registry into the Prometheus text format
 (version 0.0.4), so standard scrape tooling can consume the serve
@@ -11,38 +11,23 @@ daemon's telemetry:
   samples with ``le`` upper bounds derived from the log-scale buckets
   (each occupied bucket's upper edge ``base**i``, zeros counted below
   every bound), a ``le="+Inf"`` bucket equal to ``_count``, plus
-  ``_sum`` and ``_count``;
-* windowed metrics additionally expose their rolling view as a small
-  gauge family ``<name>_<label>{stat="count|p50|p90|p99|max"}`` —
-  rolling views shrink, so they must not masquerade as counters.
+  ``_sum`` and ``_count``.
 
-Metric names are sanitized to the Prometheus grammar (dots and other
-illegal characters become underscores).
-
-:func:`check_exposition` is the from-scratch validator CI runs on the
-scraped payload (no prometheus client library in the image, by
-design): line grammar, name/label syntax, float parsing, one ``TYPE``
-per family declared before its samples, counter non-negativity, and
-histogram-family invariants (monotone cumulative buckets, mandatory
-``+Inf``/``_sum``/``_count``, ``+Inf == _count``).  Script entry::
-
-    python -m repro.obs.prom --check metrics.prom   # validate a file
-    python -m repro.obs.prom --scrape HOST:PORT     # fetch from daemon
+Every family is cumulative; a scraper derives rates and windowed
+quantiles from two scrapes, as Prometheus does.  Metric names are
+sanitized to the Prometheus grammar (dots and other illegal characters
+become underscores).
 """
 
 from __future__ import annotations
 
 import math
 import re
-import sys
-from typing import Iterable, Optional
+from typing import Optional
 
 from .metrics import _LOG_BASE, Registry, registry as _registry
 
-_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 _SANITIZE_RE = re.compile(r"[^a-zA-Z0-9_:]")
-_TYPES = {"counter", "gauge", "histogram", "summary", "untyped"}
 
 
 def sanitize(name: str) -> str:
@@ -63,12 +48,6 @@ def _fmt(value: float) -> str:
     if isinstance(value, int) or value == int(value):
         return str(int(value))
     return repr(float(value))
-
-
-def _escape_label(value: str) -> str:
-    return (
-        value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    )
 
 
 def _histogram_lines(name: str, data: dict, lines: list[str]) -> None:
@@ -95,314 +74,23 @@ def _histogram_lines(name: str, data: dict, lines: list[str]) -> None:
     lines.append(f"{name}_count {data['count']}")
 
 
-def _window_gauge_lines(
-    name: str, label: str, summary: dict, lines: list[str]
-) -> None:
-    family = f"{name}_{label}"
-    lines.append(f"# TYPE {family} gauge")
-    for stat in ("count", "p50", "p90", "p99", "max"):
-        lines.append(
-            f'{family}{{stat="{stat}"}} {_fmt(summary[stat])}'
-        )
-
-
 def render_prometheus(
     registry: Optional[Registry] = None, include_cachestats: bool = True
 ) -> str:
     """The whole registry in Prometheus text format (trailing newline
     included — the format requires the final line be terminated)."""
-    from .metrics import Histogram
-
     reg = registry if registry is not None else _registry()
+    snap = reg.snapshot(include_cachestats=include_cachestats)
     lines: list[str] = []
-    for rec in reg.collect(include_cachestats=include_cachestats):
-        name = sanitize(rec["name"])
-        if rec["kind"] == "counter":
-            lines.append(f"# TYPE {name}_total counter")
-            lines.append(f"{name}_total {rec['value']}")
-            window = rec.get("window")
-            if window is not None:
-                family = f"{name}_{window['label']}"
-                lines.append(f"# TYPE {family} gauge")
-                lines.append(f"{family} {window['value']}")
-        elif rec["kind"] == "gauge":
-            if rec["value"] is not None:
-                lines.append(f"# TYPE {name} gauge")
-                lines.append(f"{name} {_fmt(rec['value'])}")
-        else:
-            _histogram_lines(name, rec["data"], lines)
-            window = rec.get("window")
-            if window is not None:
-                summary = Histogram.from_dict(
-                    rec["name"], window["data"]
-                ).summary()
-                _window_gauge_lines(
-                    name, window["label"], summary, lines
-                )
+    for name, value in snap["counters"].items():
+        name = sanitize(name)
+        lines.append(f"# TYPE {name}_total counter")
+        lines.append(f"{name}_total {value}")
+    for name, value in snap["gauges"].items():
+        if value is not None:
+            name = sanitize(name)
+            lines.append(f"# TYPE {name} gauge")
+            lines.append(f"{name} {_fmt(value)}")
+    for name, data in snap["histograms"].items():
+        _histogram_lines(sanitize(name), data, lines)
     return "\n".join(lines) + "\n"
-
-
-# -- the checker --------------------------------------------------------------
-
-
-def _parse_value(text: str) -> Optional[float]:
-    if text in ("+Inf", "Inf"):
-        return math.inf
-    if text == "-Inf":
-        return -math.inf
-    if text == "NaN":
-        return math.nan
-    try:
-        return float(text)
-    except ValueError:
-        return None
-
-
-_SAMPLE_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>.*)\})?"
-    r"\s+(?P<value>\S+)"
-    r"(?:\s+(?P<ts>-?\d+))?\s*$"
-)
-_LABEL_RE = re.compile(
-    r'\s*(?P<name>[a-zA-Z_][a-zA-Z0-9_]*)\s*=\s*'
-    r'"(?P<value>(?:[^"\\]|\\.)*)"\s*(?:,|$)'
-)
-
-
-def _family(sample_name: str) -> str:
-    """The metric family a sample belongs to (histogram samples carry
-    ``_bucket``/``_sum``/``_count`` suffixes on the family name)."""
-    for suffix in ("_bucket", "_sum", "_count"):
-        if sample_name.endswith(suffix):
-            return sample_name[: -len(suffix)]
-    return sample_name
-
-
-def _parse_labels(text: str) -> Optional[dict]:
-    labels: dict[str, str] = {}
-    pos = 0
-    while pos < len(text):
-        m = _LABEL_RE.match(text, pos)
-        if m is None:
-            return None
-        labels[m.group("name")] = m.group("value")
-        pos = m.end()
-    return labels
-
-
-def check_exposition(text: str) -> list[str]:
-    """Every format violation found; empty list = valid exposition."""
-    errors: list[str] = []
-    if not text:
-        return ["empty exposition"]
-    if not text.endswith("\n"):
-        errors.append("exposition must end with a newline")
-    types: dict[str, str] = {}
-    sampled_families: set[str] = set()
-    # histogram family accounting: family -> list of (le, value), sums, counts
-    hist_buckets: dict[str, list[tuple[float, float]]] = {}
-    hist_sum: dict[str, float] = {}
-    hist_count: dict[str, float] = {}
-    counter_samples: dict[str, float] = {}
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line:
-            continue
-        where = f"line {lineno}"
-        if line.startswith("#"):
-            parts = line.split(None, 3)
-            if len(parts) < 2 or parts[1] not in ("TYPE", "HELP"):
-                continue  # free-form comment: legal
-            if parts[1] == "HELP":
-                if len(parts) < 3 or not _NAME_RE.match(parts[2]):
-                    errors.append(f"{where}: malformed HELP line")
-                continue
-            if len(parts) != 4:
-                errors.append(f"{where}: malformed TYPE line")
-                continue
-            _, _, fam, kind = parts
-            if not _NAME_RE.match(fam):
-                errors.append(f"{where}: bad metric name {fam!r} in TYPE")
-                continue
-            if kind not in _TYPES:
-                errors.append(f"{where}: unknown metric type {kind!r}")
-                continue
-            if fam in types:
-                errors.append(f"{where}: duplicate TYPE for {fam}")
-                continue
-            if fam in sampled_families:
-                errors.append(
-                    f"{where}: TYPE for {fam} after its samples"
-                )
-            types[fam] = kind
-            continue
-        m = _SAMPLE_RE.match(line)
-        if m is None:
-            errors.append(f"{where}: unparseable sample line {line!r}")
-            continue
-        name = m.group("name")
-        labels_text = m.group("labels")
-        labels: dict[str, str] = {}
-        if labels_text is not None:
-            parsed = _parse_labels(labels_text)
-            if parsed is None:
-                errors.append(f"{where}: malformed labels {{{labels_text}}}")
-                continue
-            labels = parsed
-            for ln in labels:
-                if not _LABEL_NAME_RE.match(ln):
-                    errors.append(f"{where}: bad label name {ln!r}")
-        value = _parse_value(m.group("value"))
-        if value is None:
-            errors.append(f"{where}: bad sample value {m.group('value')!r}")
-            continue
-        fam = _family(name)
-        declared = types.get(fam) or types.get(name)
-        sampled_families.add(fam)
-        sampled_families.add(name)
-        if declared == "counter":
-            if value < 0:
-                errors.append(f"{where}: counter {name} is negative")
-            counter_samples[name] = value
-        if declared == "histogram":
-            if name.endswith("_bucket"):
-                le = labels.get("le")
-                if le is None:
-                    errors.append(f"{where}: {name} sample lacks an le label")
-                    continue
-                bound = _parse_value(le)
-                if bound is None:
-                    errors.append(f"{where}: bad le bound {le!r}")
-                    continue
-                hist_buckets.setdefault(fam, []).append((bound, value))
-            elif name.endswith("_sum"):
-                hist_sum[fam] = value
-            elif name.endswith("_count"):
-                hist_count[fam] = value
-            else:
-                errors.append(
-                    f"{where}: histogram family {fam} has a bare sample"
-                )
-    # Histogram family invariants.
-    for fam, kind in types.items():
-        if kind != "histogram":
-            continue
-        buckets = hist_buckets.get(fam)
-        if fam not in sampled_families and not buckets:
-            continue  # declared but never sampled: tolerated
-        if not buckets:
-            errors.append(f"{fam}: histogram without _bucket samples")
-            continue
-        bounds = [b for b, _ in buckets]
-        if bounds != sorted(bounds):
-            errors.append(f"{fam}: bucket le bounds not sorted")
-        counts = [v for _, v in buckets]
-        if any(b > a for a, b in zip(counts[1:], counts)):
-            errors.append(f"{fam}: bucket counts not cumulative")
-        if not any(b == math.inf for b in bounds):
-            errors.append(f"{fam}: missing le=\"+Inf\" bucket")
-        if fam not in hist_sum:
-            errors.append(f"{fam}: missing _sum sample")
-        if fam not in hist_count:
-            errors.append(f"{fam}: missing _count sample")
-        if fam in hist_count and any(b == math.inf for b in bounds):
-            inf_count = [v for b, v in buckets if b == math.inf][-1]
-            if inf_count != hist_count[fam]:
-                errors.append(
-                    f"{fam}: le=\"+Inf\" bucket ({inf_count:g}) != _count "
-                    f"({hist_count[fam]:g})"
-                )
-    return errors
-
-
-def scrape(host: str, port: int, timeout: float = 5.0) -> str:
-    """Fetch one exposition from a serve daemon's ``/metrics`` line mode."""
-    import socket
-
-    with socket.create_connection((host, port), timeout=timeout) as sock:
-        sock.sendall(b"/metrics\n")
-        chunks = []
-        while True:
-            chunk = sock.recv(65536)
-            if not chunk:
-                break
-            chunks.append(chunk)
-    return b"".join(chunks).decode("utf-8")
-
-
-def _check_paths(paths: Iterable[str]) -> int:
-    status = 0
-    for path in paths:
-        try:
-            text = (
-                sys.stdin.read()
-                if path == "-"
-                else open(path, encoding="utf-8").read()
-            )
-        except OSError as exc:
-            print(f"{path}: {exc}", file=sys.stderr)
-            status = 1
-            continue
-        errors = check_exposition(text)
-        if errors:
-            status = 1
-            for e in errors:
-                print(f"{path}: {e}", file=sys.stderr)
-        else:
-            samples = sum(
-                1
-                for line in text.split("\n")
-                if line and not line.startswith("#")
-            )
-            print(f"{path}: valid Prometheus exposition ({samples} samples)")
-    return status
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    import argparse
-
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.obs.prom",
-        description="Prometheus text-format tools: validate or scrape",
-    )
-    ap.add_argument(
-        "paths",
-        nargs="*",
-        metavar="FILE",
-        help="exposition files to validate ('-' reads stdin)",
-    )
-    ap.add_argument(
-        "--check",
-        action="store_true",
-        help="validate the given files (or the scraped payload)",
-    )
-    ap.add_argument(
-        "--scrape",
-        metavar="HOST:PORT",
-        help="fetch an exposition from a running serve daemon and print "
-        "it (with --check: validate instead of printing)",
-    )
-    args = ap.parse_args(argv)
-    if args.scrape:
-        host, _, port = args.scrape.rpartition(":")
-        try:
-            text = scrape(host or "127.0.0.1", int(port))
-        except (OSError, ValueError) as exc:
-            print(f"--scrape {args.scrape}: {exc}", file=sys.stderr)
-            return 1
-        if not args.check:
-            sys.stdout.write(text)
-            return 0
-        errors = check_exposition(text)
-        for e in errors:
-            print(f"{args.scrape}: {e}", file=sys.stderr)
-        if not errors:
-            print(f"{args.scrape}: valid Prometheus exposition")
-        return 1 if errors else 0
-    if not args.paths:
-        ap.error("nothing to do: give FILEs to check, or --scrape")
-    return _check_paths(args.paths)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -50,22 +50,6 @@ class SpanRecord:
         for child in self.children:
             yield from child.walk()
 
-    def find(self, name: str) -> list["SpanRecord"]:
-        return [r for r in self.walk() if r.name == name]
-
-    def self_seconds(self) -> float:
-        """Wall time not attributed to any child span."""
-        return max(0.0, self.seconds - sum(c.seconds for c in self.children))
-
-    def child_coverage(self) -> float:
-        """Fraction of this span's wall time covered by its children
-        (1.0 for a leaf: a leaf fully accounts for itself)."""
-        if not self.children:
-            return 1.0
-        if self.seconds <= 0.0:
-            return 1.0
-        return min(1.0, sum(c.seconds for c in self.children) / self.seconds)
-
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -170,24 +154,6 @@ class TraceRecorder:
 
     def find(self, name: str) -> list[SpanRecord]:
         return [r for r in self.walk() if r.name == name]
-
-    def by_program(self) -> dict[str, list[SpanRecord]]:
-        """Root spans grouped by their ``program`` tag (merged traces)."""
-        out: dict[str, list[SpanRecord]] = {}
-        for root in self.roots:
-            out.setdefault(str(root.tags.get("program", "")), []).append(root)
-        return out
-
-    def total_seconds(self) -> float:
-        return sum(r.seconds for r in self.roots)
-
-    def totals(self) -> dict[str, tuple[int, float]]:
-        """Per span name: ``(count, wall seconds)`` over the whole trace."""
-        out: dict[str, tuple[int, float]] = {}
-        for r in self.walk():
-            n, s = out.get(r.name, (0, 0.0))
-            out[r.name] = (n + 1, s + r.seconds)
-        return out
 
     def to_dict(self) -> dict:
         return {

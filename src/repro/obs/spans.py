@@ -26,11 +26,10 @@ Usage::
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from .. import cachestats
 from .recorder import SpanRecord, TraceRecorder
@@ -141,26 +140,6 @@ def enabled() -> bool:
     return _enabled
 
 
-def enable(recorder: Optional[TraceRecorder] = None) -> TraceRecorder:
-    """Turn tracing on, installing ``recorder`` (or a fresh one)."""
-    global _enabled, _recorder
-    _recorder = recorder if recorder is not None else TraceRecorder()
-    _enabled = True
-    return _recorder
-
-
-def disable() -> Optional[TraceRecorder]:
-    """Turn tracing off; returns the recorder that was collecting."""
-    global _enabled, _recorder
-    rec, _recorder = _recorder, None
-    _enabled = False
-    return rec
-
-
-def recorder() -> Optional[TraceRecorder]:
-    return _recorder
-
-
 @contextmanager
 def recording(
     label: Optional[str] = None, into: Optional[TraceRecorder] = None
@@ -187,14 +166,6 @@ def span(name: str, **tags: Any):
     if not _enabled:
         return _NULL
     return Span(name, tags)
-
-
-def current() -> Optional[Span]:
-    """The innermost live span of this thread, or None."""
-    if not _enabled:
-        return None
-    stack = _stack()
-    return stack[-1] if stack else None
 
 
 def annotate(**tags: Any) -> None:
@@ -224,31 +195,3 @@ def instant(name: str, **tags: Any) -> None:
         rec = _recorder
         if rec is not None:
             rec.add_root(record)
-
-
-def traced(
-    fn: Optional[Callable] = None,
-    *,
-    name: Optional[str] = None,
-    **tags: Any,
-) -> Callable:
-    """Decorator tracing every call of ``fn`` as a span.
-
-    Works bare (``@traced``) or parameterized
-    (``@traced(name="distrib.plan", stage="search")``).  The span name
-    defaults to the function's qualified name.
-    """
-
-    def wrap(f: Callable) -> Callable:
-        label = name if name is not None else f.__qualname__
-
-        @functools.wraps(f)
-        def inner(*args: Any, **kwargs: Any):
-            if not _enabled:
-                return f(*args, **kwargs)
-            with Span(label, dict(tags)):
-                return f(*args, **kwargs)
-
-        return inner
-
-    return wrap if fn is None else wrap(fn)

@@ -2,9 +2,16 @@
 
 Polls a running :mod:`repro.serve` daemon over its JSON-lines protocol
 (the ``stats`` and ``metrics`` ops) and renders a refreshing ASCII
-table: lifetime vs rolling-window request counts and hit ratios, the
-windowed p50/p99 of the warm/delta/cold latency histograms, the in-flight
-gauge, cache occupancy, and per-SLO burn rates.
+table: request counts and hit ratios, the p50/p99 of the
+unified/warm/delta/cold latency histograms, the in-flight gauge, cache
+occupancy, and per-SLO burn rates.
+
+The daemon keeps cumulative metrics only.  The left column is the
+daemon's lifetime; the right one is the *last interval*, everything
+between this poll and the previous one, which the dashboard derives by
+subtracting the two polls: counters by value, histograms exactly
+(:meth:`~repro.obs.metrics.Histogram.since`), and SLO burn by
+evaluating the daemon's own objectives over that difference.
 
 No curses, no third-party TUI — plain ANSI clear-and-redraw, so it
 works in any terminal and degrades to sequential snapshots when piped.
@@ -13,7 +20,7 @@ works in any terminal and degrades to sequential snapshots when piped.
 
     python -m repro.obs.watch 127.0.0.1:8723              # refresh loop
     python -m repro.obs.watch 127.0.0.1:8723 --interval 5
-    python -m repro.obs.watch 127.0.0.1:8723 --once       # one snapshot (CI)
+    python -m repro.obs.watch 127.0.0.1:8723 --once       # one frame over one interval
 """
 
 from __future__ import annotations
@@ -23,6 +30,32 @@ import socket
 import sys
 import time
 from typing import Optional
+
+from .metrics import Histogram
+from .slo import SLOTracker, objective
+
+#: (row label, counter) of the per-outcome rows; every request is in
+#: exactly one of the first five.
+_COUNTS = (
+    ("plan hits", "serve.hits.plan"),
+    ("prefix hits", "serve.hits.prefix"),
+    ("delta hits", "serve.hits.delta"),
+    ("misses", "serve.misses"),
+    ("errors", "serve.errors"),
+    ("rejected", "serve.rejected"),
+)
+_HITS = tuple(name for _, name in _COUNTS if name.startswith("serve.hits."))
+
+#: (row label, histogram) of the latency rows.
+_LATENCY = (
+    ("latency p50/p99", "serve.ms"),
+    ("warm p50/p99", "serve.warm_ms"),
+    ("delta p50/p99", "serve.delta_ms"),
+    ("cold p50/p99", "serve.cold_ms"),
+)
+
+_ROWS = ("requests", "hit ratio", *(r for r, _ in _COUNTS), *(r for r, _ in _LATENCY))
+_EMPTY = Histogram("").to_dict()
 
 
 def fetch(host: str, port: int, ops: list[str], timeout: float = 5.0) -> dict:
@@ -40,36 +73,82 @@ def fetch(host: str, port: int, ops: list[str], timeout: float = 5.0) -> dict:
     return out
 
 
+def poll(host: str, port: int, timeout: float = 5.0) -> dict:
+    """One ``stats`` + ``metrics`` poll, stamped with the local
+    monotonic time it was taken at."""
+    replies = fetch(host, port, ["stats", "metrics"], timeout=timeout)
+    for op, reply in replies.items():
+        if reply.get("status") != "ok":
+            raise ConnectionError(f"{op} op failed: {reply}")
+    return {
+        "at": time.monotonic(),
+        "stats": replies["stats"]["stats"],
+        "metrics": replies["metrics"]["metrics"],
+    }
+
+
+def interval(now: dict, before: dict) -> dict:
+    """The metrics snapshot of what happened between two polls.
+
+    Raises ``ValueError`` when a count went down: the daemon restarted
+    between the polls, and the difference means nothing.
+    """
+    old, new = before["metrics"], now["metrics"]
+    counters = {
+        name: value - old["counters"].get(name, 0)
+        for name, value in new["counters"].items()
+    }
+    if any(v < 0 for v in counters.values()):
+        raise ValueError("a counter went down")
+    histograms = {
+        name: Histogram.from_dict(name, data)
+        .since(old["histograms"].get(name, _EMPTY))
+        .to_dict()
+        for name, data in new["histograms"].items()
+    }
+    return {"counters": counters, "histograms": histograms}
+
+
 def _ratio(part: float, whole: float) -> str:
     return f"{100.0 * part / whole:5.1f}%" if whole else "    --"
 
 
-def _ms(summary: dict) -> str:
-    if not summary or not summary.get("count"):
+def _ms(data: Optional[dict]) -> str:
+    if not data or not data["count"]:
         return "--/--"
-    return f"{summary['p50']:.2f}/{summary['p99']:.2f}ms"
+    h = Histogram.from_dict("", data)
+    return f"{h.percentile(0.50):.2f}/{h.percentile(0.99):.2f}ms"
 
 
-def render_dashboard(stats: dict, metrics: dict, address: str) -> str:
-    """The one-screen ASCII dashboard for one stats/metrics poll."""
-    counters = stats.get("counters", {})
-    windows = metrics.get("windows", {})
-    hists = metrics.get("histograms", {})
-    label = next(
-        (w["label"] for w in windows.values() if "label" in w), "window"
-    )
-
-    def wval(name: str) -> float:
-        return windows.get(name, {}).get("value", 0)
-
-    def wsum(name: str) -> dict:
-        return windows.get(name, {}).get("summary", {})
-
-    hit_names = ("serve.hits.plan", "serve.hits.prefix", "serve.hits.delta")
+def _column(snap: dict) -> list[str]:
+    """One dashboard column (the cells of :data:`_ROWS`) of a snapshot."""
+    counters, hists = snap["counters"], snap["histograms"]
     requests = counters.get("serve.requests", 0)
-    hits = sum(counters.get(name, 0) for name in hit_names)
-    w_requests = wval("serve.requests")
-    w_hits = sum(wval(name) for name in hit_names)
+    hits = sum(counters.get(name, 0) for name in _HITS)
+    return [
+        f"{requests}",
+        _ratio(hits, requests),
+        *(f"{counters.get(name, 0)}" for _, name in _COUNTS),
+        *(_ms(hists.get(name)) for _, name in _LATENCY),
+    ]
+
+
+def render_dashboard(
+    now: dict, before: Optional[dict], address: str
+) -> str:
+    """The one-screen ASCII dashboard for one poll; the right column is
+    the interval since ``before`` (``--`` without one)."""
+    stats = now["stats"]
+    last = None
+    if before is not None:
+        try:
+            last = interval(now, before)
+        except ValueError:
+            pass
+    if last is None:
+        label, right = "last interval", ["--"] * len(_ROWS)
+    else:
+        label, right = f"last {now['at'] - before['at']:.1f}s", _column(last)
 
     width = 64
     lines = [
@@ -78,61 +157,7 @@ def render_dashboard(stats: dict, metrics: dict, address: str) -> str:
         f"{'':<18s} {'lifetime':>14s} {label:>14s}",
         "-" * width,
     ]
-    rows = [
-        ("requests", f"{requests}", f"{w_requests:g}"),
-        ("hit ratio", _ratio(hits, requests), _ratio(w_hits, w_requests)),
-        (
-            "plan hits",
-            f"{counters.get('serve.hits.plan', 0)}",
-            f"{wval('serve.hits.plan'):g}",
-        ),
-        (
-            "prefix hits",
-            f"{counters.get('serve.hits.prefix', 0)}",
-            f"{wval('serve.hits.prefix'):g}",
-        ),
-        (
-            "delta hits",
-            f"{counters.get('serve.hits.delta', 0)}",
-            f"{wval('serve.hits.delta'):g}",
-        ),
-        (
-            "misses",
-            f"{counters.get('serve.misses', 0)}",
-            f"{wval('serve.misses'):g}",
-        ),
-        (
-            "errors",
-            f"{counters.get('serve.errors', 0)}",
-            f"{wval('serve.errors'):g}",
-        ),
-        (
-            "rejected",
-            f"{counters.get('serve.rejected', 0)}",
-            f"{wval('serve.rejected'):g}",
-        ),
-        (
-            "latency p50/p99",
-            _ms(hists.get("serve.ms", {})),
-            _ms(wsum("serve.ms")),
-        ),
-        (
-            "warm p50/p99",
-            _ms(hists.get("serve.warm_ms", {})),
-            _ms(wsum("serve.warm_ms")),
-        ),
-        (
-            "delta p50/p99",
-            _ms(hists.get("serve.delta_ms", {})),
-            _ms(wsum("serve.delta_ms")),
-        ),
-        (
-            "cold p50/p99",
-            _ms(hists.get("serve.cold_ms", {})),
-            _ms(wsum("serve.cold_ms")),
-        ),
-    ]
-    for name, life, win in rows:
+    for name, life, win in zip(_ROWS, _column(now["metrics"]), right):
         lines.append(f"{name:<18s} {life:>14s} {win:>14s}")
     lines.append("-" * width)
     lines.append(
@@ -144,35 +169,25 @@ def render_dashboard(stats: dict, metrics: dict, address: str) -> str:
     )
     slo = stats.get("slo", {})
     if slo:
+        recent = {}
+        if last is not None:
+            tracker = SLOTracker([objective(e) for e in slo.values()])
+            recent = tracker.report(last)
         lines.append("-" * width)
         lines.append(
-            f"{'SLO':<18s} {'target':>8s} {'compliance':>11s} "
-            f"{'burn':>7s}  status"
+            f"{'SLO burn':<18s} {'target':>8s} {'lifetime':>10s} "
+            f"{'interval':>10s}  status"
         )
         for name in sorted(slo):
-            entry = slo[name]
-            w = entry["window"]
-            status = "OK" if entry.get("healthy", True) else "BURNING"
+            life, entry = slo[name], recent.get(name)
+            last_burn = f"{entry['burn_rate']:.2f}" if entry else "--"
+            status = "OK" if (entry or life)["healthy"] else "BURNING"
             lines.append(
-                f"{name:<18s} {entry['target'] * 100:>7.1f}% "
-                f"{w['compliance'] * 100:>10.2f}% "
-                f"{w['burn_rate']:>7.2f}  {status}"
+                f"{name:<18s} {life['objective']['target'] * 100:>7.1f}% "
+                f"{life['burn_rate']:>10.2f} {last_burn:>10s}  {status}"
             )
     lines.append("=" * width)
     return "\n".join(lines)
-
-
-def snapshot(host: str, port: int, timeout: float = 5.0) -> str:
-    """One rendered dashboard frame for a running daemon."""
-    replies = fetch(host, port, ["stats", "metrics"], timeout=timeout)
-    for op, reply in replies.items():
-        if reply.get("status") != "ok":
-            raise ConnectionError(f"{op} op failed: {reply}")
-    return render_dashboard(
-        replies["stats"]["stats"],
-        replies["metrics"]["metrics"],
-        f"{host}:{port}",
-    )
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -192,7 +207,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     ap.add_argument(
         "--once",
         action="store_true",
-        help="print a single snapshot and exit (for scripts/CI)",
+        help="poll twice, --interval apart, print that one frame and exit "
+        "(for scripts/CI)",
     )
     ap.add_argument(
         "--timeout",
@@ -207,21 +223,28 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError:
         ap.error(f"bad address {args.address!r}: expected HOST:PORT")
     host = host or "127.0.0.1"
+    address = f"{host}:{port}"
 
     if args.once:
         try:
-            print(snapshot(host, port, timeout=args.timeout))
-        except (OSError, ValueError, ConnectionError) as exc:
+            before = poll(host, port, timeout=args.timeout)
+            time.sleep(args.interval)
+            now = poll(host, port, timeout=args.timeout)
+        except (OSError, ValueError) as exc:
             print(f"watch: {exc}", file=sys.stderr)
             return 1
+        print(render_dashboard(now, before, address))
         return 0
 
     clear = "\x1b[2J\x1b[H" if sys.stdout.isatty() else ""
+    before = None
     try:
         while True:
             try:
-                frame = snapshot(host, port, timeout=args.timeout)
-            except (OSError, ValueError, ConnectionError) as exc:
+                now = poll(host, port, timeout=args.timeout)
+                frame = render_dashboard(now, before, address)
+                before = now
+            except (OSError, ValueError) as exc:
                 frame = f"watch: {exc} (retrying in {args.interval:g}s)"
             print(f"{clear}{frame}", flush=True)
             time.sleep(args.interval)

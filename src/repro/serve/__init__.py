@@ -39,7 +39,6 @@ from .cache import (
 from .daemon import PlanDaemon, run_daemon
 from .service import (
     DEFAULT_NPROCS,
-    DEFAULT_WINDOW,
     PlanService,
     ServeRequest,
     ServeResponse,
@@ -49,7 +48,6 @@ __all__ = [
     "AccessLog",
     "CacheStats",
     "DEFAULT_NPROCS",
-    "DEFAULT_WINDOW",
     "MISS",
     "NonContentAddressedKeyError",
     "PlanCache",

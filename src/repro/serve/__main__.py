@@ -6,7 +6,7 @@ Usage::
                           [--max-entries N] [--jobs J] [--max-pending N]
                           [--retry-after S] [--distribute P]
                           [--topology SPEC] [--access-log FILE]
-                          [--trace-sample R] [--window S]
+                          [--trace-sample R]
 
 ``--cache-dir`` enables the persistent plan cache (omit it for a
 memory-only cache that dies with the process); restarting the daemon on
@@ -18,10 +18,8 @@ fields always win.
 ``--access-log FILE`` appends one structured JSON line per request
 (:mod:`repro.serve.accesslog`); ``--trace-sample R`` makes every
 ``round(1/R)``-th of those records carry a per-span time breakdown.
-``--window S`` sets the rolling-window width the ``stats``/``metrics``
-ops and the watch dashboard report over (default 60s).  Lifecycle
-events (the ``listening`` line, malformed requests) go to stdout as
-JSON records either way.
+Lifecycle events (the ``listening`` line, malformed requests) go to
+stdout as JSON records either way.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import argparse
 import asyncio
 
 from .daemon import run_daemon
-from .service import DEFAULT_NPROCS, DEFAULT_WINDOW, PlanService
+from .service import DEFAULT_NPROCS, PlanService
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -97,19 +95,9 @@ def main(argv: list[str] | None = None) -> int:
         help="fraction of access records carrying a span breakdown "
         "(deterministic: every round(1/R)-th request; default 0: off)",
     )
-    ap.add_argument(
-        "--window",
-        type=float,
-        default=DEFAULT_WINDOW,
-        metavar="S",
-        help="rolling-window width in seconds for windowed metrics "
-        f"and SLO burn rates (default {DEFAULT_WINDOW:g})",
-    )
     args = ap.parse_args(argv)
     if not 0.0 <= args.trace_sample <= 1.0:
         ap.error(f"--trace-sample outside [0, 1]: {args.trace_sample}")
-    if args.window <= 0:
-        ap.error(f"--window must be positive: {args.window}")
     if args.trace_sample and not args.access_log:
         ap.error("--trace-sample needs --access-log")
     try:
@@ -125,7 +113,6 @@ def main(argv: list[str] | None = None) -> int:
             default_topology=args.topology,
             access_log=args.access_log,
             trace_sample=args.trace_sample,
-            window=args.window,
         )
     except ValueError as exc:
         ap.error(str(exc))

@@ -17,12 +17,12 @@ Protocol — one JSON object per line, one response line per request::
 
     → {"op": "stats"}
     ← {"status": "ok", "stats": {...}}          # cache + counters + latency
-                                                # + window + slo + inflight
+                                                # + lifetime slo + inflight
 
     → {"op": "metrics"}
-    ← {"status": "ok", "metrics": {...}}        # full registry snapshot:
-                                                # counters/gauges/histograms
-                                                # + rolling "windows" views
+    ← {"status": "ok", "metrics": {...}}        # full cumulative registry
+                                                # snapshot: counters, gauges,
+                                                # histograms as raw buckets
 
     → {"op": "metrics", "format": "prom"}
     ← {"status": "ok", "format": "prom",
@@ -31,6 +31,9 @@ Protocol — one JSON object per line, one response line per request::
     → {"op": "ping"}
     ← {"status": "ok", "pong": true}
 
+    → {"op": "shutdown"}                        # from a loopback peer only
+    ← {"status": "ok", "op": "shutdown"}
+
 ``op`` defaults to ``"plan"``.  Malformed JSON or a missing ``source``
 yields ``{"status": "error", ...}`` on that line; the connection stays
 open.  A line longer than :data:`MAX_LINE_BYTES` is answered with one
@@ -38,14 +41,15 @@ open.  A line longer than :data:`MAX_LINE_BYTES` is answered with one
 and that connection is closed; the daemon and its other connections
 stay up.  Past the admission high-water mark the daemon answers
 ``{"status": "rejected", "retry_after": ...}`` immediately — clients
-should back off and retry — rather than queueing without bound.
+should back off and retry — rather than queueing without bound.  A
+``shutdown`` from any peer but a loopback one is refused with an error
+reply and one ``shutdown_refused`` event; the daemon keeps serving.
 
 Scrape mode: a raw ``/metrics`` line (no JSON) answers with the
-Prometheus text exposition and closes the connection, so
-``python -m repro.obs.prom --scrape HOST:PORT`` needs no JSON client;
-a ``GET /metrics`` line gets the same body wrapped in a minimal
-HTTP/1.0 response, which is enough for ``curl`` and a Prometheus
-scrape target pointed straight at the daemon port.
+Prometheus text exposition and closes the connection, so a scraper
+needs no JSON client; a ``GET /metrics`` line gets the same body
+wrapped in a minimal HTTP/1.0 response, which is enough for ``curl``
+and a Prometheus scrape target pointed straight at the daemon port.
 
 Operational events (listening, malformed requests, connection resets)
 are JSON-lines records through the daemon's event log — same schema as
@@ -62,6 +66,7 @@ daemon restarts by construction: warm-start re-indexes the directory.
 from __future__ import annotations
 
 import asyncio
+import ipaddress
 import json
 import sys
 from typing import Callable, Optional
@@ -74,6 +79,17 @@ from .service import PlanService, ServeRequest
 #: The longest request line the daemon reads (asyncio's own default,
 #: now stated).  A longer one gets an error reply, never a traceback.
 MAX_LINE_BYTES = 64 * 1024
+
+
+def _is_loopback(peer) -> bool:
+    """Whether a socket peer address is a loopback one (an IPv4-mapped
+    IPv6 address counts as its IPv4 address)."""
+    try:
+        addr = ipaddress.ip_address(peer[0])
+    except (TypeError, ValueError, IndexError):
+        return False
+    mapped = getattr(addr, "ipv4_mapped", None)
+    return (mapped or addr).is_loopback
 
 
 class PlanDaemon:
@@ -148,7 +164,9 @@ class PlanDaemon:
                 ):
                     await self._scrape(writer, http=stripped != b"/metrics")
                     break
-                response = await self._dispatch(line)
+                response = await self._dispatch(
+                    line, writer.get_extra_info("peername")
+                )
                 writer.write(json.dumps(response).encode() + b"\n")
                 await writer.drain()
                 if response.get("op") == "shutdown":
@@ -208,7 +226,9 @@ class PlanDaemon:
         writer.write(body)
         await writer.drain()
 
-    async def _dispatch(self, line: bytes) -> dict:
+    async def _dispatch(self, line: bytes, peer) -> dict:
+        """The reply to one request line from ``peer`` (the connection's
+        ``peername``)."""
         try:
             msg = json.loads(line)
             if not isinstance(msg, dict):
@@ -230,6 +250,10 @@ class PlanDaemon:
                 }
             return {"status": "ok", "metrics": registry().snapshot()}
         if op == "shutdown":
+            if not _is_loopback(peer):
+                error = "shutdown is accepted only from a loopback peer"
+                self._event("shutdown_refused", peer=str(peer), error=error)
+                return {"status": "error", "error": error}
             self.shutdown()
             return {"status": "ok", "op": "shutdown"}
         if op != "plan":

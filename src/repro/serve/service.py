@@ -42,12 +42,12 @@ without bound.  Every stage is wrapped in :mod:`repro.obs` spans
 (``serve.requests``, ``serve.hits.plan``, ``serve.hits.prefix``,
 ``serve.misses``, ``serve.rejected``; latency histograms
 ``serve.warm_ms`` / ``serve.cold_ms`` and the unified ``serve.ms``).
-The request counters and latency histograms are **windowed**
-(:mod:`repro.obs.live`): alongside their lifetime totals they carry a
-rolling last-``window``-seconds view, which :meth:`PlanService.stats`
-surfaces under ``window`` and the declarative SLO objectives
-(``slos=``, default :func:`repro.obs.live.default_serve_slos`) burn
-against.  ``serve.inflight`` gauges the requests currently admitted.
+Every metric is cumulative since the process started; the declarative
+SLO objectives (``slos=``, default
+:func:`repro.obs.slo.default_serve_slos`) are reported over that
+lifetime by :meth:`PlanService.stats`, and a reader that wants a recent
+view subtracts two polls (:mod:`repro.obs.watch`).  ``serve.inflight``
+gauges the requests currently admitted.
 
 Deriving the cache key is most of a hit (parse the source, walk the
 program for its fingerprint), so the service remembers it: a bounded
@@ -96,31 +96,14 @@ from ..align.pipeline import (
 from ..batch.engine import machine_label
 from ..lang.parser import parse
 from ..obs import spans as obs
-from ..obs.live import SLOTracker, default_serve_slos
 from ..obs.metrics import registry
+from ..obs.slo import SLOTracker, default_serve_slos
 from ..passes import PlanContext, content_fingerprint
 from .accesslog import AccessLog
 from .cache import MISS, PlanCache
 
 #: Default target machine when a request names neither nprocs nor topology.
 DEFAULT_NPROCS = 4
-
-#: Default rolling-window width for the serve metrics (seconds).
-DEFAULT_WINDOW = 60.0
-
-#: The serve counters that carry a rolling-window view.
-WINDOWED_COUNTERS = (
-    "serve.requests",
-    "serve.hits.plan",
-    "serve.hits.prefix",
-    "serve.hits.delta",
-    "serve.misses",
-    "serve.rejected",
-    "serve.errors",
-)
-
-#: The serve latency histograms that carry a rolling-window view.
-WINDOWED_HISTOGRAMS = ("serve.warm_ms", "serve.cold_ms", "serve.delta_ms", "serve.ms")
 
 
 @dataclass(frozen=True)
@@ -262,9 +245,7 @@ class PlanService:
         default_topology: Optional[str] = None,
         access_log: Optional[AccessLog | str] = None,
         trace_sample: float = 0.0,
-        window: float = DEFAULT_WINDOW,
         slos: Optional[list] = None,
-        clock=None,
     ) -> None:
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
@@ -282,19 +263,9 @@ class PlanService:
         self.options, _ = planning_records(
             default_nprocs, default_topology, align_kw, self.distrib_options
         )
-        self.window = float(window)
         if isinstance(access_log, str):
             access_log = AccessLog(access_log, trace_sample=trace_sample)
         self.access_log = access_log
-        # Widen the serve metrics to their rolling-window variants;
-        # lifetime totals carry over, so a restart on the same process
-        # (tests, benchmarks) keeps its cumulative view.  ``clock`` is
-        # injectable for sleep-free expiry tests.
-        reg = registry()
-        for name in WINDOWED_COUNTERS:
-            reg.windowed_counter(name, window=self.window, clock=clock)
-        for name in WINDOWED_HISTOGRAMS:
-            reg.windowed_histogram(name, window=self.window, clock=clock)
         self.slo = SLOTracker(
             slos if slos is not None else default_serve_slos()
         )
@@ -542,8 +513,7 @@ class PlanService:
                             reg.counter("serve.misses").inc()
                         reg.histogram("serve.cold_ms").observe(seconds * 1e3)
                     # The unified latency histogram every request lands
-                    # in, warm or cold — what the rolling window and the
-                    # dashboard's headline p50/p99 track.
+                    # in, warm or cold — the dashboard's headline p50/p99.
                     reg.histogram("serve.ms").observe(seconds * 1e3)
                     return ServeResponse(
                         name=request.name,
@@ -663,7 +633,6 @@ class PlanService:
         }
         with self._lock:
             memo_entries = len(self._key_memo)
-        windows = reg.snapshot(include_cachestats=False).get("windows", {})
         reuse_h, reuse_m = cachestats.snapshot().get(
             "passes.artifact_reuse", (0, 0)
         )
@@ -691,12 +660,7 @@ class PlanService:
                 "cold_ms": reg.histogram("serve.cold_ms").summary(),
                 "delta_ms": reg.histogram("serve.delta_ms").summary(),
             },
-            "window": {
-                name: view
-                for name, view in windows.items()
-                if name.startswith("serve.")
-            },
-            "slo": self.slo.report(),
+            "slo": self.slo.report(reg.snapshot(include_cachestats=False)),
         }
 
     def close(self) -> None:

@@ -2,10 +2,10 @@
 
 Theorem 1 of the paper reduces replication labeling to s-t min-cut.  The
 paper notes any standard algorithm works [Papadimitriou & Steiglitz;
-Tarjan]; we provide Dinic's algorithm (default) and Edmonds–Karp (simple
-reference), both on an adjacency-list residual graph with integer-or-
-float capacities and a proper infinity.  ``networkx`` cross-checks both
-in the test suite.
+Tarjan]; we provide Dinic's algorithm (what the planner runs) and
+Edmonds–Karp (the simple reference tests compare it with), both on an
+adjacency-list residual graph with integer-or-float capacities and a
+proper infinity.  ``networkx`` cross-checks both in the test suite.
 """
 
 from __future__ import annotations
@@ -174,7 +174,7 @@ class FlowNetwork:
             total += bottleneck
 
     def min_cut(
-        self, s: NodeId, t: NodeId, method: str = "dinic"
+        self, s: NodeId, t: NodeId
     ) -> tuple[float, set[NodeId], set[NodeId]]:
         """Return ``(cut_value, S_side, T_side)`` of a minimum s-t cut.
 
@@ -182,7 +182,7 @@ class FlowNetwork:
         graph after a max flow; by max-flow/min-cut the forward capacity
         across (S, T) equals the flow value.
         """
-        value = self.max_flow(s, t, method=method)
+        value = self.max_flow(s, t)
         si = self.node(s)
         seen = [False] * self.num_nodes
         seen[si] = True

@@ -14,6 +14,20 @@ from repro.align import (
 )
 from repro.lang import parse
 from repro.lang import programs
+from repro.solvers.maxflow import FlowNetwork
+
+
+def edmonds_karp_labels(monkeypatch, *args, **kw):
+    """``label_replication`` with every cut found by Edmonds–Karp, the
+    max-flow reference, instead of Dinic's algorithm the labeler runs."""
+    dinic = FlowNetwork.max_flow
+    with monkeypatch.context() as m:
+        m.setattr(
+            FlowNetwork,
+            "max_flow",
+            lambda g, s, t: dinic(g, s, t, method="edmonds-karp"),
+        )
+        return label_replication(*args, **kw)
 
 
 class TestSources:
@@ -81,12 +95,11 @@ class TestFigure4:
         }
         assert r_ports == spread_inputs
 
-    def test_maxflow_methods_agree(self):
-        a = label_replication(self.adg, self.skel, self.program, method="dinic")
-        b = label_replication(
-            self.adg, self.skel, self.program, method="edmonds-karp"
-        )
+    def test_maxflow_methods_agree(self, monkeypatch):
+        a = label_replication(self.adg, self.skel, self.program)
+        b = edmonds_karp_labels(monkeypatch, self.adg, self.skel, self.program)
         assert a.cut_value == b.cut_value
+        assert a.labels == b.labels
 
 
 class TestEndToEnd:
@@ -127,7 +140,7 @@ class TestEndToEnd:
         ],
         ids=["figure4-small", "figure4-paper", "figure1"],
     )
-    def test_cut_optimality_vs_exhaustive(self, make):
+    def test_cut_optimality_vs_exhaustive(self, make, monkeypatch):
         """Theorem 1: the cut cost matches brute-force optimal labeling
         (the forced-labels-only labeling is one of those enumerated),
         whichever max-flow algorithm finds it."""
@@ -137,7 +150,7 @@ class TestEndToEnd:
         adg = build_adg(program)
         skel = solve_axis_stride(adg).skeletons
         rep = label_replication(adg, skel, program)
-        ek = label_replication(adg, skel, program, method="edmonds-karp")
+        ek = edmonds_karp_labels(monkeypatch, adg, skel, program)
         assert ek.cut_value == rep.cut_value
         axis = 1
         labeler_cost = rep.cut_value[axis]

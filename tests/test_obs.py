@@ -18,30 +18,26 @@ from repro.lang import programs
 from repro.lang.generate import generate_corpus
 from repro.lang.pretty import pretty
 from repro.obs import (
-    Counter,
-    Gauge,
     Histogram,
     Registry,
-    SpanRecord,
     TraceRecorder,
     flame,
     latency_summary,
     registry,
-    root_coverage,
     to_chrome,
-    to_json,
     write_chrome_trace,
 )
 from repro.obs import spans as obs
-from repro.obs.check import check_file, validate_chrome_trace
+
+from obs_formats import by_program, check_file, validate_chrome_trace
 
 
 @pytest.fixture(autouse=True)
 def _tracing_off():
     """Every test starts and ends with tracing disabled."""
-    obs.disable()
+    assert not obs.enabled()
     yield
-    obs.disable()
+    assert not obs.enabled()
 
 
 # -- spans --------------------------------------------------------------------
@@ -55,7 +51,6 @@ class TestSpans:
         assert s1 is s2  # the shared null object: no allocation
         with s1:
             pass
-        assert obs.current() is None
 
     def test_nesting_builds_a_tree(self):
         with obs.recording(label="t") as rec:
@@ -73,19 +68,20 @@ class TestSpans:
         assert root.seconds >= sum(c.seconds for c in root.children)
 
     def test_recording_restores_prior_state(self):
-        outer = obs.enable()
-        with obs.recording(label="inner") as inner:
-            with obs.span("x"):
+        with obs.recording(label="outer") as outer:
+            with obs.recording(label="inner") as inner:
+                with obs.span("x"):
+                    pass
+            assert obs.enabled()
+            with obs.span("y"):
                 pass
-        assert obs.enabled() and obs.recorder() is outer
+        assert not obs.enabled()
         assert inner.span_names() == {"x"}
-        assert outer.roots == []
-        obs.disable()
+        assert outer.span_names() == {"y"}
 
-    def test_tags_annotate_and_current(self):
+    def test_tags_and_annotate(self):
         with obs.recording() as rec:
-            with obs.span("s", a=1) as live:
-                assert obs.current() is live
+            with obs.span("s", a=1):
                 obs.annotate(b=2)
         assert rec.roots[0].tags["a"] == 1
         assert rec.roots[0].tags["b"] == 2
@@ -113,24 +109,6 @@ class TestSpans:
         assert marker.seconds == 0.0
         assert marker.tags["event"] == "reuse"
 
-    def test_traced_decorator(self):
-        @obs.traced
-        def bare(x):
-            return x + 1
-
-        @obs.traced(name="custom", stage="test")
-        def named(x):
-            return x * 2
-
-        assert bare(1) == 2  # disabled: plain call
-        with obs.recording() as rec:
-            assert bare(1) == 2
-            assert named(3) == 6
-        names = {r.name for r in rec.roots}
-        assert "custom" in names and any("bare" in n for n in names)
-        custom = [r for r in rec.roots if r.name == "custom"][0]
-        assert custom.tags["stage"] == "test"
-
     def test_recorder_pickles(self):
         with obs.recording(label="p") as rec:
             with obs.span("root", k="v"):
@@ -150,7 +128,7 @@ class TestSpans:
             with obs.span("plan:b"):
                 pass
         merged = TraceRecorder.merged([a, b, None], label="batch")
-        by_prog = merged.by_program()
+        by_prog = by_program(merged)
         assert set(by_prog) == {"prog_a", "prog_b"}
         assert merged.span_names() == {"plan:a", "plan:b"}
 
@@ -197,16 +175,6 @@ class TestMetrics:
         with pytest.raises(ValueError):
             h.observe(-1.0)
 
-    def test_histogram_merge(self):
-        a, b = Histogram("a"), Histogram("b")
-        for v in (1.0, 2.0):
-            a.observe(v)
-        for v in (3.0, 4.0):
-            b.observe(v)
-        a.merge(b)
-        s = a.summary()
-        assert s["count"] == 4 and s["min"] == 1.0 and s["max"] == 4.0
-
     def test_registry_absorbs_cachestats(self):
         cachestats.record_hit("obs.test.facade")
         snap = registry().snapshot()
@@ -251,8 +219,8 @@ class TestMetrics:
         h = Histogram("nz")
         h.observe(3.0)
         h.observe(7.0)
-        # q=0 reports the observed minimum, not an invented zero.
-        assert h.percentile(0.0) == 3.0
+        # q=0 reads the lowest occupied bucket, not an invented zero.
+        assert h.percentile(0.0) == pytest.approx(3.0, rel=0.1)
         h.observe(0.0)
         assert h.percentile(0.0) == 0.0
 
@@ -305,11 +273,8 @@ class TestExport:
         }
         assert any("ts" in e for e in validate_chrome_trace(neg))
 
-    def test_structured_json_and_flame(self):
+    def test_flame(self):
         rec = self._sample()
-        blob = to_json(rec)
-        assert blob["totals"]["child"]["count"] == 1
-        assert blob["roots"][0]["name"] == "root"
         art = flame(rec)
         assert "root" in art and "child" in art and "%" in art
 
@@ -318,12 +283,6 @@ class TestExport:
         clone = TraceRecorder.from_dict(rec.to_dict())
         assert clone.span_names() == rec.span_names()
         assert clone.roots[0].children[0].name == "child"
-
-    def test_root_coverage(self):
-        rec = self._sample()
-        # child ~2ms of a ~2ms root: coverage is high but < 1; leaves = 1.
-        assert 0.5 < root_coverage(rec) <= 1.0
-        assert rec.roots[0].children[0].child_coverage() == 1.0
 
 
 # -- pipeline + planner spans -------------------------------------------------
@@ -473,14 +432,14 @@ class TestPoolMerging:
         ms, mp = serial.merged_trace(), pooled.merged_trace()
         assert ms is not None and mp is not None
         # Identical per-program span sets, pool or no pool.
-        assert set(mp.by_program()) == set(ms.by_program()) == {
+        assert set(by_program(mp)) == set(by_program(ms)) == {
             sc.name for sc in corpus
         }
-        for prog, roots in mp.by_program().items():
+        for prog, roots in by_program(mp).items():
             pooled_names = {r.name for root in roots for r in root.walk()}
             serial_names = {
                 r.name
-                for root in ms.by_program()[prog]
+                for root in by_program(ms)[prog]
                 for r in root.walk()
             }
             assert pooled_names == serial_names, prog

@@ -1,14 +1,14 @@
-"""Rolling-window telemetry, SLOs, and Prometheus exposition.
+"""Cumulative metrics, their exact differences, SLOs, and Prometheus
+exposition.
 
-Covers :mod:`repro.obs.live` (windowed counters/histograms on a fake
-clock — zero sleeps anywhere in this file), the exact
-``to_dict``/``from_dict``/``merge`` round trips on
-:class:`~repro.obs.metrics.Histogram` that windowing is built from,
-metric thread-safety (a hammer asserting *exact* counts under
-concurrent increments, plus the overhead guard holding PR 7's line),
-the registry's upgrade path from cumulative to windowed metrics, SLO
-burn-rate math, and :mod:`repro.obs.prom` — renderer and the
-pure-python checker CI runs on scraped expositions.
+Covers the exact ``to_dict``/``from_dict`` round trip and the
+:meth:`~repro.obs.metrics.Histogram.since` difference every rolling view
+is read through (a hypothesis test holds it equal to a histogram of the
+observations in between), metric thread-safety (a hammer asserting
+*exact* counts under concurrent increments, plus the overhead guard),
+SLO burn-rate math over a snapshot and over the difference of two, and
+:mod:`repro.obs.prom`, checked against the from-scratch Prometheus
+format oracle in ``tests/obs_formats.py``.
 """
 
 from __future__ import annotations
@@ -17,39 +17,24 @@ import math
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.obs.live import (
+from repro.obs.metrics import Counter, Gauge, Histogram, Registry
+from repro.obs.prom import render_prometheus, sanitize
+from repro.obs.slo import (
     ErrorRateSLO,
     LatencySLO,
     SLOTracker,
-    WindowedCounter,
-    WindowedHistogram,
-    _SliceRing,
     default_serve_slos,
+    objective,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, Registry
-from repro.obs.prom import (
-    check_exposition,
-    main as prom_main,
-    render_prometheus,
-    sanitize,
-)
+from repro.obs.watch import interval
+
+from obs_formats import check_exposition
 
 
-class FakeClock:
-    """An injectable monotonic clock advanced by hand."""
-
-    def __init__(self, t: float = 1000.0) -> None:
-        self.t = t
-
-    def __call__(self) -> float:
-        return self.t
-
-    def advance(self, dt: float) -> None:
-        self.t += dt
-
-
-# -- histogram round trips (the substrate windowing relies on) -----------------
+# -- histogram round trips (the substrate since() relies on) ------------------
 
 
 class TestHistogramRoundTrips:
@@ -74,24 +59,6 @@ class TestHistogramRoundTrips:
         back = Histogram.from_dict("empty", d)
         assert back.min == math.inf and back.max == -math.inf
 
-    def test_merge_is_exact(self):
-        a, b, both = Histogram("a"), Histogram("b"), Histogram("both")
-        stream_a = [0.0, 0.5, 2.0, 100.0]
-        stream_b = [0.3, 2.0, 7.0]
-        for v in stream_a:
-            a.observe(v)
-            both.observe(v)
-        for v in stream_b:
-            b.observe(v)
-            both.observe(v)
-        a.merge(b)
-        assert a.count == both.count
-        assert a.total == both.total
-        assert a.min == both.min and a.max == both.max
-        assert a.zeros == both.zeros
-        assert a.buckets == both.buckets
-        assert a.summary() == both.summary()
-
     def test_count_le_is_conservative(self):
         h = Histogram("lat")
         for v in (0.0, 1.0, 10.0, 100.0):
@@ -105,144 +72,86 @@ class TestHistogramRoundTrips:
         assert h.count_le(1e9) == 4
 
 
-# -- windowed metrics on a fake clock ------------------------------------------
+# -- the exact difference every rolling view is read through -----------------
+
+_VALUES = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.floats(min_value=1e-6, max_value=1e9, allow_nan=False),
+    ),
+    max_size=60,
+)
 
 
-class TestSliceRing:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="window"):
-            _SliceRing(0.0, 12, None)
-        with pytest.raises(ValueError, match="slice"):
-            _SliceRing(60.0, 0, None)
+class TestHistogramSince:
+    @settings(max_examples=200, deadline=None)
+    @given(before=_VALUES, after=_VALUES)
+    def test_equals_a_histogram_of_the_observations_in_between(
+        self, before, after
+    ):
+        cumulative, later = Histogram("h"), Histogram("h")
+        for v in before:
+            cumulative.observe(v)
+        earlier = cumulative.to_dict()
+        for v in after:
+            cumulative.observe(v)
+            later.observe(v)
+        diff = cumulative.since(earlier)
+        assert (diff.count, diff.zeros, diff.buckets) == (
+            later.count, later.zeros, later.buckets,
+        )
+        assert diff.summary()["count"] == later.summary()["count"]
+        for q in (0.0, 0.5, 0.9, 0.99, 1.0):
+            assert diff.percentile(q) == later.percentile(q)
+        for threshold in (0.0, 1.0, 25.0, 1e3, 1e9):
+            assert diff.count_le(threshold) == later.count_le(threshold)
+        assert diff.total == pytest.approx(
+            later.total, rel=1e-9, abs=1e-12 * cumulative.total
+        )
+        if later.count:
+            # Extremes are bounded at bucket resolution, not subtracted.
+            assert diff.min <= later.min
+            assert diff.max >= later.max * (1 - 1e-9)
+
+    def test_nothing_in_between_is_empty(self):
+        h = Histogram("h")
+        h.observe(3.0)
+        diff = h.since(h.to_dict())
+        assert diff.count == 0 and diff.buckets == {}
+        assert diff.summary() == Histogram("empty").summary()
+
+    def test_refuses_a_snapshot_it_does_not_extend(self):
+        h, other = Histogram("h"), Histogram("other")
+        h.observe(5.0)
+        other.observe(5.0)
+        other.observe(9.0)
+        with pytest.raises(ValueError, match="prefix"):
+            h.since(other.to_dict())
 
 
-class TestWindowedCounter:
-    def test_window_decays_lifetime_does_not(self):
-        clock = FakeClock()
-        c = WindowedCounter("reqs", window=60.0, slices=12, clock=clock)
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-        assert c.window_value() == 5
-        clock.advance(30.0)
-        c.inc(2)
-        assert c.window_value() == 7
-        clock.advance(45.0)  # first burst now 75s old: expired
-        assert c.window_value() == 2
-        clock.advance(120.0)
-        assert c.window_value() == 0
-        assert c.value == 7  # lifetime is untouched by expiry
-
-    def test_is_a_counter(self):
-        assert isinstance(WindowedCounter("c"), Counter)
+# -- the registry's one record ------------------------------------------------
 
 
-class TestWindowedHistogram:
-    def test_window_tracks_only_recent_phase(self):
-        clock = FakeClock()
-        h = WindowedHistogram("ms", window=60.0, slices=12, clock=clock)
-        for _ in range(20):
-            h.observe(100.0)  # the cold burst
-        clock.advance(120.0)  # age it out entirely
-        assert h.window().count == 0
-        for _ in range(20):
-            h.observe(1.0)  # the warm phase
-        win = h.window().summary()
-        life = h.summary()
-        assert win["count"] == 20
-        assert win["p99"] < 2.0
-        assert life["count"] == 40
-        assert life["p99"] > 50.0  # lifetime still remembers the burst
-
-    def test_window_merge_is_exact_across_slices(self):
-        clock = FakeClock()
-        h = WindowedHistogram("ms", window=60.0, slices=12, clock=clock)
-        reference = Histogram("ref")
-        for i in range(12):  # one observation per slice, all live
-            h.observe(float(i))
-            reference.observe(float(i))
-            clock.advance(5.0 - 1e-9)
-        merged = h.window()
-        assert merged.count == reference.count
-        assert merged.buckets == reference.buckets
-        assert merged.zeros == reference.zeros
-
-    def test_is_a_histogram(self):
-        assert isinstance(WindowedHistogram("h"), Histogram)
-
-
-# -- registry integration ------------------------------------------------------
-
-
-class TestRegistryWindowed:
-    def test_upgrade_carries_lifetime(self):
+class TestRegistrySnapshot:
+    def test_histograms_are_raw_and_render_as_summaries(self):
         reg = Registry()
-        reg.counter("serve.requests").inc(10)
-        clock = FakeClock()
-        c = reg.windowed_counter("serve.requests", window=60.0, clock=clock)
-        assert isinstance(c, WindowedCounter)
-        assert c.value == 10  # lifetime carried over
-        assert c.window_value() == 0  # window starts empty
-        # plain accessor still resolves (isinstance passes)
-        assert reg.counter("serve.requests") is c
-
-    def test_histogram_upgrade_carries_state(self):
-        reg = Registry()
-        reg.histogram("ms").observe(5.0)
-        h = reg.windowed_histogram("ms", clock=FakeClock())
-        assert h.count == 1 and h.window().count == 0
-
-    def test_idempotent_re_registration(self):
-        reg = Registry()
-        clock = FakeClock()
-        c = reg.windowed_counter("c", window=60.0, clock=clock)
-        c.inc(3)
-        again = reg.windowed_counter("c", window=60.0, clock=clock)
-        assert again is c  # same clock + window: untouched
-        assert again.window_value() == 3
-
-    def test_reconfigure_resets_window_keeps_lifetime(self):
-        reg = Registry()
-        c = reg.windowed_counter("c", window=60.0, clock=FakeClock())
-        c.inc(3)
-        fresh = reg.windowed_counter("c", window=30.0, clock=FakeClock())
-        assert fresh.value == 3
-        assert fresh.window_value() == 0
-        assert fresh.window_seconds == 30.0
+        reg.counter("reqs").inc(5)
+        h = reg.histogram("ms")
+        h.observe(2.0)
+        snap = reg.snapshot(include_cachestats=False)
+        assert snap == {
+            "counters": {"reqs": 5},
+            "gauges": {},
+            "histograms": {"ms": h.to_dict()},
+        }
+        rendered = reg.render(include_cachestats=False)
+        assert "reqs" in rendered and "n=1" in rendered
 
     def test_kind_mismatch_raises(self):
         reg = Registry()
         reg.gauge("g")
         with pytest.raises(TypeError):
-            reg.windowed_counter("g")
-
-    def test_snapshot_reports_both_views(self):
-        reg = Registry()
-        clock = FakeClock()
-        reg.windowed_counter("reqs", window=60.0, clock=clock).inc(5)
-        reg.windowed_histogram("ms", window=60.0, clock=clock).observe(2.0)
-        clock.advance(120.0)
-        reg.windowed_counter("reqs", window=60.0, clock=clock).inc(1)
-        snap = reg.snapshot(include_cachestats=False)
-        assert snap["counters"]["reqs"] == 6  # lifetime
-        assert snap["windows"]["reqs"] == {
-            "window_seconds": 60.0,
-            "label": "last_60s",
-            "value": 1,
-        }
-        assert snap["histograms"]["ms"]["count"] == 1
-        assert snap["windows"]["ms"]["summary"]["count"] == 0
-        rendered = reg.render(include_cachestats=False)
-        assert "last_60s" in rendered
-
-    def test_collect_carries_raw_window_data(self):
-        reg = Registry()
-        reg.windowed_histogram("ms", clock=FakeClock()).observe(3.0)
-        (rec,) = reg.collect(include_cachestats=False)
-        assert rec["kind"] == "histogram"
-        assert rec["data"]["count"] == 1
-        assert rec["window"]["data"]["count"] == 1
-        assert rec["window"]["label"] == "last_60s"
+            reg.counter("g")
 
 
 # -- thread-safety -------------------------------------------------------------
@@ -273,13 +182,6 @@ class TestConcurrency:
         self._hammer(c.inc)
         assert c.value == self.THREADS * self.PER_THREAD
 
-    def test_windowed_counter_exact_under_hammer(self):
-        c = WindowedCounter("c", window=3600.0, clock=FakeClock())
-        self._hammer(c.inc)
-        expected = self.THREADS * self.PER_THREAD
-        assert c.value == expected
-        assert c.window_value() == expected
-
     def test_gauge_inc_dec_exact_under_hammer(self):
         g = Gauge("g")
         self._hammer(g.inc)
@@ -288,11 +190,11 @@ class TestConcurrency:
         assert g.value == 0
 
     def test_histogram_exact_under_hammer(self):
-        h = WindowedHistogram("h", window=3600.0, clock=FakeClock())
+        h = Histogram("h")
         self._hammer(lambda: h.observe(1.0))
         expected = self.THREADS * self.PER_THREAD
         assert h.count == expected
-        assert h.window().count == expected
+        assert h.buckets == {0: expected}
 
     def test_locked_inc_overhead_within_guard(self):
         # The same guard style PR 7 put on disabled spans: an uncontended
@@ -338,50 +240,50 @@ class TestSLOs:
             SLOTracker([slo, slo])
 
     def test_no_traffic_is_perfect_compliance(self):
-        reg = Registry()
-        tracker = SLOTracker(default_serve_slos(), registry=reg)
-        report = tracker.report()
+        tracker = SLOTracker(default_serve_slos())
+        report = tracker.report(Registry().snapshot(include_cachestats=False))
         for entry in report.values():
             assert entry["healthy"]
-            assert entry["window"]["compliance"] == 1.0
-            assert entry["window"]["burn_rate"] == 0.0
+            assert entry["compliance"] == 1.0
+            assert entry["burn_rate"] == 0.0
 
     def test_error_rate_burn(self):
         reg = Registry()
-        clock = FakeClock()
-        total = reg.windowed_counter("t", clock=clock)
-        errors = reg.windowed_counter("e", clock=clock)
-        total.inc(100)
-        errors.inc(5)  # 5% bad against a 1% budget: burn 5x
+        reg.counter("t").inc(100)
+        reg.counter("e").inc(5)  # 5% bad against a 1% budget: burn 5x
         tracker = SLOTracker(
-            [ErrorRateSLO("avail", total="t", errors="e", target=0.99)],
-            registry=reg,
+            [ErrorRateSLO("avail", total="t", errors="e", target=0.99)]
         )
-        entry = tracker.report()["avail"]
-        assert entry["window"]["burn_rate"] == pytest.approx(5.0)
+        before = reg.snapshot(include_cachestats=False)
+        entry = tracker.report(before)["avail"]
+        assert entry["burn_rate"] == pytest.approx(5.0)
         assert not entry["healthy"]
-        # The window forgets; lifetime does not.
-        clock.advance(3600.0)
-        entry = tracker.report()["avail"]
-        assert entry["healthy"]
-        assert entry["lifetime"]["burn_rate"] == pytest.approx(5.0)
+        # The lifetime remembers; the interval since ``before`` does not.
+        reg.counter("t").inc(100)
+        now = reg.snapshot(include_cachestats=False)
+        last = interval({"metrics": now}, {"metrics": before})
+        assert tracker.report(last)["avail"]["healthy"]
+        assert tracker.report(now)["avail"]["burn_rate"] == pytest.approx(2.5)
 
-    def test_latency_slo_windowed(self):
+    def test_latency_slo(self):
         reg = Registry()
-        clock = FakeClock()
-        h = reg.windowed_histogram("ms", clock=clock)
+        h = reg.histogram("ms")
         for _ in range(99):
             h.observe(1.0)
         h.observe(1000.0)  # exactly the 1% budget
         tracker = SLOTracker(
             [LatencySLO("lat", histogram="ms", threshold_ms=25.0,
-                        target=0.99)],
-            registry=reg,
+                        target=0.99)]
         )
-        entry = tracker.report()["lat"]
-        assert entry["window"]["bad"] == 1
-        assert entry["window"]["burn_rate"] == pytest.approx(1.0)
+        entry = tracker.report(reg.snapshot(include_cachestats=False))["lat"]
+        assert entry["bad"] == 1
+        assert entry["burn_rate"] == pytest.approx(1.0)
         assert entry["healthy"]  # burn == 1.0 is at, not over, budget
+
+    def test_entries_rebuild_their_objectives(self):
+        slos = default_serve_slos()
+        report = SLOTracker(slos).report({})
+        assert [objective(report[s.name]) for s in slos] == slos
 
 
 # -- Prometheus exposition -----------------------------------------------------
@@ -390,12 +292,11 @@ class TestSLOs:
 class TestPromRender:
     def _registry(self):
         reg = Registry()
-        clock = FakeClock()
-        reg.windowed_counter("serve.requests", clock=clock).inc(5)
+        reg.counter("serve.requests").inc(5)
         reg.counter("plain.total.count").inc(2)
         reg.gauge("serve.inflight").set(3)
         reg.gauge("unset.gauge")  # must be omitted (no null in prom)
-        h = reg.windowed_histogram("serve.ms", clock=clock)
+        h = reg.histogram("serve.ms")
         for v in (0.0, 0.5, 2.0, 100.0):
             h.observe(v)
         reg.histogram("empty.hist")
@@ -406,10 +307,9 @@ class TestPromRender:
         assert check_exposition(text) == []
         assert text.endswith("\n")
         assert "serve_requests_total 5" in text
-        assert "# TYPE serve_requests_last_60s gauge" in text
         assert "serve_inflight 3" in text
         assert "unset_gauge" not in text
-        assert 'serve_ms_last_60s{stat="p99"}' in text
+        assert "last_" not in text  # every family is cumulative
 
     def test_histogram_buckets_cumulative_and_complete(self):
         text = render_prometheus(self._registry(), include_cachestats=False)
@@ -473,20 +373,6 @@ class TestPromChecker:
 
     def test_accepts_fullscale_exposition(self):
         reg = Registry()
-        reg.windowed_histogram("h", clock=FakeClock())
+        reg.histogram("h")
         text = render_prometheus(reg, include_cachestats=False)
         assert check_exposition(text) == []  # empty histograms included
-
-
-class TestPromCLI:
-    def test_check_file_mode(self, tmp_path, capsys):
-        good = tmp_path / "good.prom"
-        reg = Registry()
-        reg.counter("c").inc()
-        good.write_text(render_prometheus(reg, include_cachestats=False))
-        assert prom_main(["--check", str(good)]) == 0
-        assert "valid Prometheus exposition" in capsys.readouterr().out
-
-        bad = tmp_path / "bad.prom"
-        bad.write_text("!!\n")
-        assert prom_main(["--check", str(bad)]) == 1

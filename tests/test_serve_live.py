@@ -4,10 +4,10 @@ Covers the observable surface PR 9 added to :mod:`repro.serve` — the
 exactly-once JSON-lines access log with deterministic trace sampling,
 the ``serve.inflight`` gauge, the daemon's ``metrics`` op (JSON and
 Prometheus forms) and raw ``/metrics`` scrape mode, structured daemon
-event logging (the ``listening`` line, malformed requests), windowed
-``stats`` sections decaying on a fake clock (zero sleeps), and the
-daemon protocol under concurrent clients (full stats schema, monotone
-counters).
+event logging (the ``listening`` line, malformed requests, a refused
+``shutdown``), the watch dashboard's interval column against the
+requests served between two polls, and the daemon protocol under
+concurrent clients (full stats schema, monotone counters).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import threading
 
 import pytest
 
-from repro.obs.metrics import registry
+from repro.obs.metrics import Histogram, registry
 from repro.serve import (
     AccessLog,
     PlanDaemon,
@@ -30,6 +30,9 @@ from repro.serve import (
     read_access_log,
     run_daemon,
 )
+from repro.serve.daemon import _is_loopback
+
+from obs_formats import check_exposition, scrape
 
 SRC = """
 real A(64), B(64)
@@ -42,17 +45,6 @@ SRC2 = """
 real C(32), D(32)
 C(1:32) = C(1:32) + D(1:32)
 """
-
-
-class FakeClock:
-    def __init__(self, t: float = 1000.0) -> None:
-        self.t = t
-
-    def __call__(self) -> float:
-        return self.t
-
-    def advance(self, dt: float) -> None:
-        self.t += dt
 
 
 # -- AccessLog unit behavior ---------------------------------------------------
@@ -176,28 +168,15 @@ class TestServiceTelemetry:
         bare = ServeResponse(name="q", status="error")
         assert "fingerprints" not in bare.to_json()
 
-    def test_windowed_stats_decay_on_fake_clock(self, tmp_path):
-        clock = FakeClock()
-        with PlanService(window=60.0, clock=clock) as svc:
-            assert svc.handle(ServeRequest("q", SRC, nprocs=4)).ok
-            window = svc.stats()["window"]
-            assert window["serve.requests"]["value"] >= 1
-            assert window["serve.ms"]["summary"]["count"] >= 1
-            clock.advance(120.0)
-            window = svc.stats()["window"]
-            assert window["serve.requests"]["value"] == 0
-            assert window["serve.ms"]["summary"]["count"] == 0
-            # lifetime view is untouched by window expiry
-            assert svc.stats()["counters"]["serve.requests"] >= 1
-
     def test_slo_section_in_stats(self):
         with PlanService() as svc:
             slo = svc.stats()["slo"]
         assert set(slo) == {"warm_latency", "availability"}
         for entry in slo.values():
-            assert {"kind", "target", "healthy", "lifetime", "window"} <= set(
-                entry
-            )
+            assert set(entry) == {
+                "total", "bad", "compliance", "burn_rate", "healthy",
+                "objective",
+            }
 
 
 # -- daemon: metrics op, scrape mode, event log --------------------------------
@@ -242,13 +221,14 @@ class TestDaemonMetricsOp:
         assert plan["status"] == "ok"
         assert metrics["status"] == "ok"
         snap = metrics["metrics"]
-        assert {"counters", "gauges", "histograms", "windows"} <= set(snap)
+        assert set(snap) == {"counters", "gauges", "histograms"}
         assert snap["counters"]["serve.requests"] >= 1
-        assert "serve.ms" in snap["windows"]
+        # Raw buckets, so a reader subtracts two polls exactly.
+        assert set(snap["histograms"]["serve.ms"]) == {
+            "count", "sum", "min", "max", "zeros", "buckets",
+        }
 
     def test_metrics_op_prom_format(self):
-        from repro.obs.prom import check_exposition
-
         (reply,) = self._roundtrip([{"op": "metrics", "format": "prom"}])
         assert reply["status"] == "ok" and reply["format"] == "prom"
         assert check_exposition(reply["metrics"]) == []
@@ -267,9 +247,13 @@ class TestDaemonMetricsOp:
         assert "wat" in events[0]["error"]
 
     def test_watch_and_scrape_against_a_live_daemon(self, capsys):
-        from repro.obs import prom, watch
+        """The dashboard's interval column is exactly the requests served
+        between its two polls: their counts, and the p50/p99 of their
+        latencies, whatever earlier tests left in the process registry."""
+        from repro.obs import watch
 
         def client(host, port):
+            before = watch.poll(host, port)
             with socket.create_connection((host, port), timeout=30) as sock:
                 f = sock.makefile("rwb")
 
@@ -285,34 +269,45 @@ class TestDaemonMetricsOp:
                     source=SRC_EDIT,
                     base_fingerprint=cold["fingerprints"]["program"],
                 )
+                again = ask(source=SRC)
+            now = watch.poll(host, port)
             return (
-                [r["cached"] for r in (cold, hit, delta)],
-                watch.snapshot(host, port),
-                prom.scrape(host, port),
-                watch.main([f"{host}:{port}", "--once"]),
+                [cold, hit, delta, again],
+                watch.render_dashboard(now, before, f"{host}:{port}"),
+                scrape(host, port),
+                watch.main([f"{host}:{port}", "--once", "--interval", "0"]),
             )
 
-        # A clock of its own: the rolling windows start empty whatever
-        # earlier tests in this process asked of the shared registry.
-        service = PlanService(clock=FakeClock())
-        ((outcomes, frame, scraped, status),) = self._roundtrip(
-            [], service=service, then=client
-        )
-        assert outcomes == [None, "plan", "delta"]
+        ((served, frame, scraped, status),) = self._roundtrip([], then=client)
+        assert [r["cached"] for r in served] == [None, "plan", "delta", "plan"]
         life, window = {}, {}
         for line in frame.split("-" * 64)[1].strip().splitlines():
             name = line[:18].strip()
             life[name], window[name] = line[18:].split()
         # Every request is in exactly one outcome row, a delta one too.
         outcome_rows = ("plan hits", "prefix hits", "delta hits", "misses", "errors")
-        assert window["requests"] == "3"
-        assert [window[r] for r in outcome_rows] == ["1", "0", "1", "1", "0"]
-        assert window["hit ratio"] == "66.7%"
+        assert window["requests"] == "4"
+        assert [window[r] for r in outcome_rows] == ["2", "0", "1", "1", "0"]
+        assert window["hit ratio"] == "75.0%"
         hits = sum(int(life[r]) for r in outcome_rows[:3])
         assert life["hit ratio"] == f"{100 * hits / int(life['requests']):.1f}%"
-        assert window["delta p50/p99"] != "--/--"
+
+        def p50_p99(responses):
+            h = Histogram("ms")
+            for r in responses:
+                h.observe(r["seconds"] * 1e3)
+            return f"{h.percentile(0.5):.2f}/{h.percentile(0.99):.2f}ms"
+
+        by_outcome = {
+            "latency p50/p99": served,
+            "warm p50/p99": [r for r in served if r["cached"] == "plan"],
+            "delta p50/p99": [r for r in served if r["cached"] == "delta"],
+            "cold p50/p99": [r for r in served if r["cached"] is None],
+        }
+        for row, responses in by_outcome.items():
+            assert window[row] == p50_p99(responses), row
         assert "repro.serve" in frame and "SLO" in frame
-        assert prom.check_exposition(scraped) == []
+        assert check_exposition(scraped) == []
         assert status == 0 and "delta hits" in capsys.readouterr().out
 
     def test_watch_once_on_a_dead_port_is_a_one_line_failure(self, capsys):
@@ -327,8 +322,6 @@ class TestDaemonMetricsOp:
         assert len(captured.err.splitlines()) == 1
 
     def test_raw_metrics_line_scrapes_and_closes(self):
-        from repro.obs.prom import check_exposition
-
         async def drive():
             daemon = PlanDaemon(PlanService(), port=0)
             await daemon.start()
@@ -399,6 +392,47 @@ class TestDaemonMetricsOp:
         assert event["kind"] == "event" and event["event"] == "listening"
         assert event["port"] == bound["port"]
         assert event["host"] == "127.0.0.1"
+
+
+class TestDaemonShutdownPeer:
+    """``shutdown`` from a peer that is not loopback: one error reply,
+    one event, the daemon still up.  CI cannot open a real non-loopback
+    connection, so the dispatch is driven with the peername directly."""
+
+    @pytest.mark.parametrize(
+        "peer, loopback",
+        [
+            (("127.0.0.1", 5000), True),
+            (("::1", 5000, 0, 0), True),
+            (("::ffff:127.0.0.1", 5000, 0, 0), True),
+            (("203.0.113.7", 5000), False),
+            (("2001:db8::1", 5000, 0, 0), False),
+            (None, False),
+        ],
+    )
+    def test_loopback_peers(self, peer, loopback):
+        assert _is_loopback(peer) is loopback
+
+    def test_non_loopback_shutdown_is_refused(self):
+        stream = io.StringIO()
+        with PlanService() as service:
+            daemon = PlanDaemon(service, log=AccessLog(stream=stream))
+            reply = _drive(
+                daemon._dispatch(b'{"op": "shutdown"}\n', ("203.0.113.7", 5000))
+            )
+            pong = _drive(
+                daemon._dispatch(b'{"op": "ping"}\n', ("203.0.113.7", 5000))
+            )
+        assert reply == {
+            "status": "error",
+            "error": "shutdown is accepted only from a loopback peer",
+        }
+        assert not daemon._shutdown.is_set()
+        assert pong == {"status": "ok", "pong": True}
+        (event,) = [json.loads(line) for line in stream.getvalue().splitlines()]
+        assert event["kind"] == "event" and event["event"] == "shutdown_refused"
+        assert event["peer"] == "('203.0.113.7', 5000)"
+        assert event["error"] == reply["error"]
 
 
 class TestDaemonOversizedLine:
@@ -487,7 +521,7 @@ class TestDaemonOversizedLine:
 class TestDaemonConcurrentClients:
     STATS_KEYS = {
         "pending", "max_pending", "jobs", "cache_dir", "cache_entries",
-        "cache", "counters", "inflight", "latency", "window", "slo",
+        "cache", "counters", "inflight", "latency", "slo",
     }
 
     def test_stats_schema_and_monotone_counters_under_load(self):
