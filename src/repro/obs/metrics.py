@@ -145,11 +145,13 @@ class Histogram:
         this histogram taken before them, as a histogram of their own.
 
         ``count``, ``zeros`` and every bucket are differences of integers,
-        so they — and every percentile and :meth:`count_le` read off them —
-        equal those of a histogram that observed only the later values;
-        ``sum`` is their float difference.  Extremes do not subtract:
-        ``min``/``max`` are the edges of the outermost occupied buckets,
-        a bound on the true extremes at bucket resolution.  Raises
+        so they and :meth:`count_le` equal those of a histogram that
+        observed only the later values; ``sum`` is their float
+        difference.  Extremes do not subtract: ``min``/``max`` are the
+        edges of the outermost occupied buckets, a bound on the true
+        extremes at bucket resolution, so percentiles read the buckets
+        alone (they equal those of the later values' histogram with its
+        extremes widened to the same edges).  Raises
         ``ValueError`` when ``earlier`` holds something this histogram
         does not (another histogram, or one from before a restart).
         """
@@ -192,12 +194,8 @@ class Histogram:
             return n
 
     def percentile(self, q: float) -> float:
-        """The value at quantile ``q`` in [0, 1], bucket-resolution: the
-        geometric midpoint of the bucket holding the observation ``q``
-        falls on (``0.0`` for the zeros bucket).
+        """The value at quantile ``q`` in [0, 1], bucket-resolution.
 
-        A function of the buckets alone, so a :meth:`since` difference
-        reads the same percentiles as a histogram of the same values.
         Edge cases are defined, not accidental — serve-side p50/p99
         reporting reads these without guards:
 
@@ -205,22 +203,32 @@ class Histogram:
         * an **all-zeros** histogram (zeros live outside ``buckets``)
           returns ``0.0`` for every ``q`` — the zeros mass is counted,
           never skipped;
-        * ``q == 0`` reads the lowest occupied bucket (``0.0`` only when
-          a zero was actually observed), instead of inventing a zero.
+        * ``q == 0`` returns the observed minimum (``0.0`` only when a
+          zero was actually observed), instead of inventing a zero.
+
+        On a :meth:`since` difference ``min``/``max`` are the outermost
+        bucket edges, so there the clamp changes nothing and every
+        percentile is read off the buckets alone.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile {q} outside [0, 1]")
         if self.count == 0:
             return 0.0
-        target = max(q * self.count, 1)
+        if q == 0.0:
+            return 0.0 if self.zeros else self.min
+        target = q * self.count
         seen = self.zeros
         if seen >= target:
             return 0.0
         for i in sorted(self.buckets):
             seen += self.buckets[i]
             if seen >= target:
-                break
-        return math.sqrt(_LOG_BASE ** (i - 1) * _LOG_BASE ** i)
+                lo = _LOG_BASE ** (i - 1)
+                hi = _LOG_BASE ** i
+                # Geometric bucket midpoint, clamped to observed range.
+                mid = math.sqrt(lo * hi)
+                return min(max(mid, self.min), self.max)
+        return self.max
 
     def summary(self) -> dict:
         """JSON-ready summary; always the full schema, so consumers can

@@ -8,17 +8,17 @@ means the objective is being consumed faster than its budget; sustained
 > 1 means it will be violated).
 
 The serve daemon reports its objectives over its lifetime
-(``stats()["slo"]``).  A reader that wants them over an interval
-evaluates the same objectives against the difference of two snapshots,
-which is what :mod:`repro.obs.watch` does; every reported entry carries
-its objective's definition, so :func:`objective` rebuilds it on the far
-side of the wire.
+(``stats()["slo"]``).  Every entry carries its cumulative ``bad`` and
+``total`` counts and its ``target``, so a reader that wants the burn
+over an interval subtracts two reports' counts and applies
+:func:`burn` to the difference, which is what :mod:`repro.obs.watch`
+does.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
-from typing import ClassVar, Mapping, Union
+from dataclasses import dataclass
+from typing import Mapping, Union
 
 from .metrics import Histogram
 
@@ -35,7 +35,6 @@ class LatencySLO:
     latencies at bucket resolution (conservative: a threshold inside a
     bucket excludes that bucket)."""
 
-    kind: ClassVar[str] = "latency"
     name: str
     histogram: str
     threshold_ms: float
@@ -57,7 +56,6 @@ class ErrorRateSLO:
     """``target`` fraction of requests (counter ``total``) must not be
     errors (counter ``errors``)."""
 
-    kind: ClassVar[str] = "error_rate"
     name: str
     total: str
     errors: str
@@ -74,14 +72,7 @@ class ErrorRateSLO:
 Objective = Union[LatencySLO, ErrorRateSLO]
 
 
-def objective(entry: Mapping) -> Objective:
-    """The objective a :meth:`SLOTracker.report` entry was evaluated for."""
-    definition = entry["objective"]
-    cls = LatencySLO if definition["kind"] == LatencySLO.kind else ErrorRateSLO
-    return cls(**{f.name: definition[f.name] for f in fields(cls)})
-
-
-def _burn(bad: int, total: int, target: float) -> dict:
+def burn(bad: int, total: int, target: float) -> dict:
     """One compliance evaluation: fraction in-objective + burn rate.
 
     ``burn_rate`` is the bad fraction over the error budget
@@ -117,13 +108,12 @@ class SLOTracker:
         """Every objective over ``snapshot`` (a registry snapshot, or the
         difference of two), JSON-ready and keyed by SLO name:
         ``total``/``bad``/``compliance``/``burn_rate``, ``healthy`` (burn
-        rate at most 1) and the ``objective`` itself (its fields and
-        ``kind``)."""
+        rate at most 1) and the objective's ``target``."""
         out: dict[str, dict] = {}
         for slo in self.objectives:
-            entry = _burn(*slo.bad_and_total(snapshot), slo.target)
+            entry = burn(*slo.bad_and_total(snapshot), slo.target)
             entry["healthy"] = entry["burn_rate"] <= 1.0
-            entry["objective"] = {"kind": slo.kind, **asdict(slo)}
+            entry["target"] = slo.target
             out[slo.name] = entry
         return out
 

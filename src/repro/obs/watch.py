@@ -10,8 +10,8 @@ The daemon keeps cumulative metrics only.  The left column is the
 daemon's lifetime; the right one is the *last interval*, everything
 between this poll and the previous one, which the dashboard derives by
 subtracting the two polls: counters by value, histograms exactly
-(:meth:`~repro.obs.metrics.Histogram.since`), and SLO burn by
-evaluating the daemon's own objectives over that difference.
+(:meth:`~repro.obs.metrics.Histogram.since`), and SLO burn from the
+difference of each objective's cumulative ``bad``/``total`` counts.
 
 No curses, no third-party TUI — plain ANSI clear-and-redraw, so it
 works in any terminal and degrades to sequential snapshots when piped.
@@ -32,7 +32,7 @@ import time
 from typing import Optional
 
 from .metrics import Histogram
-from .slo import SLOTracker, objective
+from .slo import burn
 
 #: (row label, counter) of the per-outcome rows; every request is in
 #: exactly one of the first five.
@@ -169,22 +169,25 @@ def render_dashboard(
     )
     slo = stats.get("slo", {})
     if slo:
-        recent = {}
-        if last is not None:
-            tracker = SLOTracker([objective(e) for e in slo.values()])
-            recent = tracker.report(last)
+        old = before["stats"].get("slo", {}) if last is not None else {}
         lines.append("-" * width)
         lines.append(
             f"{'SLO burn':<18s} {'target':>8s} {'lifetime':>10s} "
             f"{'interval':>10s}  status"
         )
         for name in sorted(slo):
-            life, entry = slo[name], recent.get(name)
-            last_burn = f"{entry['burn_rate']:.2f}" if entry else "--"
-            status = "OK" if (entry or life)["healthy"] else "BURNING"
+            life, last_burn, healthy = slo[name], "--", slo[name]["healthy"]
+            if name in old:
+                rate = burn(
+                    life["bad"] - old[name]["bad"],
+                    life["total"] - old[name]["total"],
+                    life["target"],
+                )["burn_rate"]
+                last_burn, healthy = f"{rate:.2f}", rate <= 1.0
             lines.append(
-                f"{name:<18s} {life['objective']['target'] * 100:>7.1f}% "
-                f"{life['burn_rate']:>10.2f} {last_burn:>10s}  {status}"
+                f"{name:<18s} {life['target'] * 100:>7.1f}% "
+                f"{life['burn_rate']:>10.2f} {last_burn:>10s}  "
+                f"{'OK' if healthy else 'BURNING'}"
             )
     lines.append("=" * width)
     return "\n".join(lines)

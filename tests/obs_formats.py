@@ -1,4 +1,4 @@
-"""Format oracles for the observability renderers, and two small readers.
+"""Format oracles for the observability renderers, and small readers.
 
 ``check_exposition`` validates Prometheus text format 0.0.4 from
 scratch (no Prometheus client library is needed): line grammar,
@@ -18,6 +18,8 @@ import math
 import re
 import socket
 from typing import Optional
+
+from repro.obs.metrics import Histogram
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -273,3 +275,19 @@ def by_program(recorder) -> dict[str, list]:
     for root in recorder.roots:
         out.setdefault(str(root.tags.get("program", "")), []).append(root)
     return out
+
+
+def bucket_histogram(values) -> Histogram:
+    """A histogram of ``values`` that knows their extremes only at bucket
+    resolution: ``min``/``max`` are the lower edge of the lowest occupied
+    bucket (0 with a zero) and the upper edge of the highest.  That is
+    all a difference of two cumulative snapshots can know, so this is
+    the reference such a difference reads equal to."""
+    h = Histogram("reference")
+    for v in values:
+        h.observe(v)
+    if h.count:
+        base = 2.0 ** 0.25
+        h.min = 0.0 if h.zeros else base ** (min(h.buckets) - 1)
+        h.max = base ** max(h.buckets) if h.buckets else 0.0
+    return h

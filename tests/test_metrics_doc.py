@@ -82,6 +82,9 @@ def emitted(monkeypatch) -> dict[str, str]:
     """``{name: kind}`` of every metric the scenario emits."""
     reg = metrics.Registry()
     monkeypatch.setattr(metrics, "_REGISTRY", reg)
+    # Earlier tests may have planned the same programs: with the kernel
+    # memos warm, a cell behind them (affine.evaluate) would not move.
+    cachestats.clear_caches()
     before = cachestats.snapshot()
     _serve_session()
     plan_many(generate_corpus(2, seed=0), nprocs=4, serial=True)

@@ -219,8 +219,8 @@ class TestMetrics:
         h = Histogram("nz")
         h.observe(3.0)
         h.observe(7.0)
-        # q=0 reads the lowest occupied bucket, not an invented zero.
-        assert h.percentile(0.0) == pytest.approx(3.0, rel=0.1)
+        # q=0 must return the observed min, not an invented zero.
+        assert h.percentile(0.0) == 3.0
         h.observe(0.0)
         assert h.percentile(0.0) == 0.0
 

@@ -20,7 +20,7 @@ import threading
 
 import pytest
 
-from repro.obs.metrics import Histogram, registry
+from repro.obs.metrics import registry
 from repro.serve import (
     AccessLog,
     PlanDaemon,
@@ -32,7 +32,7 @@ from repro.serve import (
 )
 from repro.serve.daemon import _is_loopback
 
-from obs_formats import check_exposition, scrape
+from obs_formats import bucket_histogram, check_exposition, scrape
 
 SRC = """
 real A(64), B(64)
@@ -175,7 +175,7 @@ class TestServiceTelemetry:
         for entry in slo.values():
             assert set(entry) == {
                 "total", "bad", "compliance", "burn_rate", "healthy",
-                "objective",
+                "target",
             }
 
 
@@ -293,9 +293,7 @@ class TestDaemonMetricsOp:
         assert life["hit ratio"] == f"{100 * hits / int(life['requests']):.1f}%"
 
         def p50_p99(responses):
-            h = Histogram("ms")
-            for r in responses:
-                h.observe(r["seconds"] * 1e3)
+            h = bucket_histogram(r["seconds"] * 1e3 for r in responses)
             return f"{h.percentile(0.5):.2f}/{h.percentile(0.99):.2f}ms"
 
         by_outcome = {
