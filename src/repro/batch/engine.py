@@ -559,8 +559,10 @@ def _sweep_task(payload: tuple) -> list[PlanResult]:
     machine of the chunk.
 
     Machines arrive *chunked* so the (heavy) context crosses the pool
-    once per chunk, not once per machine — the suffix itself is a few
-    milliseconds of DP, so serialization would otherwise dominate.
+    once per chunk, not once per machine — the suffix itself is about a
+    millisecond of pricing, so serialization would otherwise dominate.
+    The context carries its profile's compiled pricing front, so no
+    machine of the chunk compiles one.
     ``prefix`` is the measured stage 1 on a program's first chunk and
     ``None`` on the others: the chunk's first result is charged with it.
     """

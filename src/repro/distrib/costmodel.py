@@ -8,8 +8,11 @@ every iteration space) per candidate the way
 into a :class:`CommProfile` — a deduplicated list of move records, each
 holding the template coordinates of one object move's elements per
 active axis (exactly the arrays :func:`repro.machine.comm.count_move`
-would build) plus a multiplicity.  Evaluating a candidate distribution
-is then a handful of vectorized map/abs/sum passes over the records.
+would build) plus a multiplicity.  The same pass compiles the records
+into the profile's pricing front (:mod:`repro.distrib.vectorized`), so
+evaluating candidate distributions — on any machine, in any process the
+profile is shipped to — is a handful of vectorized map/abs/sum passes
+over arrays that already exist.
 
 A move is a function of a few integers: the extents of the object and
 the stride and offset of each template axis at both ends, evaluated at
@@ -45,7 +48,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -58,6 +60,7 @@ from ..ir.symbols import LIV
 from ..machine.comm import _axis_positions
 from ..machine.distribution import AxisDistribution, Distribution
 from ..topology import AxisMetric, Topology, distribution_metrics
+from .vectorized import FrontTensors, compile_front
 
 # Move-record compilation: only a move whose evaluated strides/offsets
 # differ between its two ends on an active axis needs coordinate arrays
@@ -166,10 +169,23 @@ class CommProfile:
     # General (axis/stride-mismatch) moves, counted per iteration point —
     # unlike TrafficReport.general_edges, which counts edges.
     general_moves: int = 0
-    # Per-axis cell pairs and padded group tensors for front pricing
-    # (:mod:`repro.distrib.vectorized`), compiled lazily once per
-    # profile; excluded from equality/repr.
-    _front_tensors: object = field(default=None, repr=False, compare=False)
+    # The pricing front of ``records`` (:mod:`repro.distrib.vectorized`),
+    # compiled when the profile is built; excluded from equality/repr.
+    front: FrontTensors | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.front is None:
+            self.front = compile_front(self)
+
+    def __setstate__(self, state: dict) -> None:
+        # A profile pickled before its front was compiled with it has no
+        # ``front``, and may carry the padded tensors a lazy cache left
+        # as ``_front_tensors``: drop those and compile the front once,
+        # here.  A current pickle carries its front and compiles nothing.
+        self.__dict__.update(state)
+        self.__dict__.pop("_front_tensors", None)
+        if self.__dict__.get("front") is None:
+            self.front = compile_front(self)
 
     # -- evaluation --------------------------------------------------------
 
@@ -204,24 +220,6 @@ class CommProfile:
                 * r.count
             )
         return CostVector(hops, moved, self.broadcast)
-
-    def evaluate_front(
-        self,
-        dists: Sequence[Distribution],
-        topology: Topology | None = None,
-    ) -> np.ndarray:
-        """Exact cost of a whole candidate front, as one matrix.
-
-        Vectorized batch counterpart of :meth:`evaluate`: an int64
-        ``(len(dists), 3)`` array with columns ``(hops, moved,
-        broadcast)``, row ``i`` equal to ``self.evaluate(dists[i],
-        topology)`` — priced in a handful of broadcasted array ops over
-        the profile's padded coordinate tensors
-        (:mod:`repro.distrib.vectorized`).
-        """
-        from .vectorized import evaluate_front
-
-        return evaluate_front(self, dists, topology)
 
     def axis_hops(
         self,
@@ -476,15 +474,15 @@ def build_profile(
     and kept in ``memo``, a mapping the caller may share between
     programs (``None``: one for this call).  What is left here is the
     fold over ``adg.edges``, which keeps the order in which distinct
-    moves first appear.
+    moves first appear, and then the profile's pricing front, compiled
+    once from the finished records (:class:`CommProfile` builds it).
     """
     if memo is None:
         memo = {}
     rank = adg.template_rank
-    profile = CommProfile(template_rank=rank)
     lo: list[int | None] = [None] * rank
     hi: list[int | None] = [None] * rank
-    general_moved = 0
+    elements = general_moves = broadcast = general_moved = 0
     dedup: dict[tuple, MoveRecord] = {}
     for e in adg.edges:
         src = alignments[e.tail.key]
@@ -493,9 +491,9 @@ def build_profile(
         c = memo.get(key)
         if c is None:
             c = memo[key] = _edge_contribution(rank, src, dst, e.space, e.tail)
-        profile.elements += c.elements
-        profile.general_moves += c.general_moves
-        profile.broadcast += c.broadcast
+        elements += c.elements
+        general_moves += c.general_moves
+        broadcast += c.broadcast
         general_moved += c.general_moved
         for t, bounds in enumerate(c.window):
             if bounds is not None:
@@ -504,16 +502,21 @@ def build_profile(
         for move_key, active, s, d, moves in c.moves:
             rec = dedup.get(move_key)
             if rec is None:
-                dedup[move_key] = rec = MoveRecord(active, s, d, moves)
-                profile.records.append(rec)
+                dedup[move_key] = MoveRecord(active, s, d, moves)
             else:
                 rec.count += moves
-    profile.fixed = CostVector(moved=general_moved)
-    profile.window = tuple(
-        (0, 0) if l is None else (l, h)  # type: ignore[misc]
-        for l, h in zip(lo, hi)
+    return CommProfile(
+        template_rank=rank,
+        records=list(dedup.values()),
+        window=tuple(
+            (0, 0) if l is None else (l, h)  # type: ignore[misc]
+            for l, h in zip(lo, hi)
+        ),
+        fixed=CostVector(moved=general_moved),
+        broadcast=broadcast,
+        elements=elements,
+        general_moves=general_moves,
     )
-    return profile
 
 
 def window_extents(profile: CommProfile) -> tuple[int, ...]:

@@ -7,15 +7,18 @@ hundreds of (scheme, grid) candidates per program.  This module is what
 the planner prices with: an *entire enumeration front* in a handful of
 broadcasted NumPy ops:
 
-* :func:`compile_front` compiles each profile's move records **once per
-  profile**, cached on the profile and instrumented under the
-  ``distrib.front_tensors`` cachestats counter.  Per template axis it
-  keeps only the distinct ``(source cell, destination cell)`` pairs that
-  differ on that axis, each with its summed weight — an axis's hop
-  total depends on nothing else; per active-axes signature it stacks the
-  ragged coordinate arrays into padded 2-D tensors (rows = records,
-  columns = elements, padded slots carry zero weight), because ``moved``
-  needs every element's mask over all axes;
+* :func:`compile_front` compiles a profile's move records into its
+  pricing front **once**, when the comm-profile pass builds the profile
+  (:class:`~repro.distrib.costmodel.CommProfile` keeps it as ``front``,
+  so every prefix — forked, pickled, cached — carries it).  The front is
+  keyed by the axes each element actually moves on: an element that
+  moves on no axis is dropped; per template axis an :class:`AxisFront`
+  keeps the distinct ``(source cell, destination cell)`` pairs that
+  differ on that axis, with two summed weights — every element carrying
+  the pair (its hops) and those that move on this axis alone (its
+  ``moved``); only elements that move on two or more axes keep
+  deduplicated :class:`JointFront` rows, because ``moved`` counts such
+  an element once however many of its axes change processor;
 * :func:`axis_front_hops` maps one axis's cell pairs to processor
   coordinates for *all* candidate axis schemes at once — scheme
   parameters become broadcast arrays, the topology's vectorized metric
@@ -23,18 +26,21 @@ broadcasted NumPy ops:
   ``(candidates, pairs)`` array in one call — and returns the
   per-candidate hop totals the per-axis argmin consumes;
 * :func:`evaluate_front` prices full candidate distributions over the
-  padded group tensors and returns an ``(n_candidates, 3)`` cost matrix
-  with columns ``(hops, moved, broadcast)``.
+  same front and returns an ``(n_candidates, 3)`` cost matrix with
+  columns ``(hops, moved, broadcast)``.
 
-The scalar evaluators stay as the reference: every number produced
-here is an exact integer equal to theirs and to the machine simulator
-(asserted per scenario and per topology family in
-``tests/test_differential.py``).  The ``distrib.front_price`` counter
-records how many candidates were priced.
+The suffix only reads the front: the ``distrib.front_tensors`` counter
+records one miss per front compiled and one hit per pricing read.  The
+scalar evaluators stay as the reference: every number produced here is
+an exact integer equal to theirs and to the machine simulator (asserted
+per scenario and per topology family in ``tests/test_differential.py``).
+The ``distrib.front_price`` counter records how many candidates were
+priced.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -52,12 +58,8 @@ from ..topology import AxisMetric, Topology, distribution_metrics_batch
 
 # Candidates priced, in slot 0 (the cell's "hits"; slot 1 stays 0).
 _FRONT_STATS = _cell("distrib.front_price")
-# [tensor-cache hits, tensor compilations] per profile.
+# [pricing reads of a profile's front, fronts compiled].
 _TENSOR_STATS = _cell("distrib.front_tensors")
-
-# Candidates per broadcast chunk in evaluate_front: bounds peak memory
-# at chunk * records * elements without changing any result.
-_CHUNK = 64
 
 # Scheme codes for the broadcast kernels.
 _MODE_BLOCK = 0  # proc = (cell - base) // block
@@ -67,145 +69,163 @@ _MODE_IDENTITY = 2  # proc = cell
 
 @dataclass(frozen=True)
 class AxisFront:
-    """The distinct cell pairs of every record touching one template axis.
+    """The distinct moving cell pairs of one template axis.
 
     An axis's hop total is a function of the multiset of ``(source
     cell, destination cell)`` pairs on that axis alone, so the front
     keeps one entry per distinct pair with ``src != dst`` (an unmoved
     pair is zero hops under every scheme): ``src``/``dst`` are
-    ``(pairs,)`` int64 arrays and ``weight`` sums the fold ``count`` of
-    every element carrying that pair.  ``lo``/``hi`` bound *all* the
-    axis's coordinates, unmoved ones included, for contract checks.
+    ``(pairs,)`` int64 arrays, ``weight`` sums the fold ``count`` of
+    every element carrying the pair, and ``moved`` the part of it whose
+    elements move on this axis and no other.  ``lo``/``hi`` bound *all*
+    the axis's coordinates, unmoved ones included, for contract checks.
     """
 
     src: np.ndarray
     dst: np.ndarray
     weight: np.ndarray
+    moved: np.ndarray
     lo: int
     hi: int
 
 
 @dataclass(frozen=True)
-class GroupFront:
-    """Padded tensors of all records sharing one active-axes signature.
+class JointFront:
+    """The elements that move on exactly the template axes ``axes``
+    (two or more), one row per distinct tuple of cells.
 
-    Full-distribution pricing needs the per-record element mask "moved
-    on *any* active axis", so records are grouped by their ``axes``
-    tuple; ``src[j]``/``dst[j]`` are the ``(records, max_len)`` tensors
-    of active axis ``axes[j]``, sharing one ``weight``/padding layout.
+    ``src[j]``/``dst[j]`` are the ``(rows,)`` cells on axis ``axes[j]``
+    and ``weight`` sums the fold counts of the elements of each row.
+    Such an element is moved once if its processor changes on any of
+    those axes, which no single axis's pairs can tell.
     """
 
     axes: tuple[int, ...]
-    src: tuple[np.ndarray, ...]
-    dst: tuple[np.ndarray, ...]
+    src: np.ndarray
+    dst: np.ndarray
     weight: np.ndarray
-    lo: tuple[int, ...]
-    hi: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class FrontTensors:
-    """Everything :func:`axis_front_hops`/:func:`evaluate_front` need,
-    compiled once per profile."""
+    """A profile's pricing front: everything :func:`axis_front_hops` and
+    :func:`evaluate_front` read, compiled once per profile."""
 
-    template_rank: int
     axes: tuple[Optional[AxisFront], ...]
-    groups: tuple[GroupFront, ...]
+    joints: tuple[JointFront, ...]
 
 
-def _pad_rows(rows: Sequence[np.ndarray], counts: Sequence[int]):
-    """Stack ragged 1-D rows into (R, L) tensors plus the weight mask."""
-    n = len(rows)
-    length = max((r.size for r in rows), default=0)
-    src = np.zeros((n, length), dtype=np.int64)
-    weight = np.zeros((n, length), dtype=np.int64)
-    for i, (row, count) in enumerate(zip(rows, counts)):
-        if not row.size:
-            continue  # an empty record prices to zero via its weights
-        src[i, : row.size] = row
-        src[i, row.size :] = row[0]  # pad in-window: the row's first cell
-        weight[i, : row.size] = count
-    return src, weight
+class GroupFront:
+    """The padded group tensors of a profile pickled before the front was
+    compiled with it.  Only ever unpickled, inside the stale attribute
+    :meth:`~repro.distrib.costmodel.CommProfile.__setstate__` drops."""
 
 
-def _axis_front(
-    srcs: Sequence[np.ndarray], dsts: Sequence[np.ndarray], counts: Sequence[int]
-) -> AxisFront:
-    """Fold one axis's per-record coordinate rows into distinct pairs."""
-    src = np.concatenate(srcs).astype(np.int64, copy=False)
-    dst = np.concatenate(dsts).astype(np.int64, copy=False)
-    # Bounds first: an unmoved cell outside a candidate's covered range
-    # is still a contract violation.
-    lo = int(min(src.min(), dst.min())) if src.size else 0
-    hi = int(max(src.max(), dst.max())) if src.size else 0
-    weight = np.repeat(
-        np.asarray(counts, dtype=np.int64), [row.size for row in srcs]
+def _fold(rows: list[np.ndarray], *weights: np.ndarray):
+    """The distinct tuples ``rows`` hold column-wise, in lexicographic
+    order, and each of ``weights`` summed over the columns folded into
+    one."""
+    if not rows[0].size:
+        return rows, list(weights)
+    lows = [int(row.min()) for row in rows]
+    spans = [int(row.max()) - lo + 1 for row, lo in zip(rows, lows)]
+    if math.prod(spans) <= np.iinfo(np.int64).max:
+        # Each tuple as one mixed-radix integer: one sort of one key.
+        # Records concatenate into long sorted runs, which a stable
+        # (merge) sort takes in about half the time of a quicksort.
+        key = rows[0] - lows[0]
+        for row, lo, span in zip(rows[1:], lows[1:], spans[1:]):
+            key = key * span + (row - lo)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        differs = key[1:] != key[:-1]
+    else:
+        order = np.lexsort(rows[::-1])
+        differs = np.any([row[order][1:] != row[order][:-1] for row in rows], axis=0)
+    starts = np.flatnonzero(np.concatenate(([True], differs)))
+    return (
+        [row[order[starts]] for row in rows],
+        [np.add.reduceat(w[order], starts) for w in weights],
     )
-    moving = src != dst
-    src, dst, weight = src[moving], dst[moving], weight[moving]
-    order = np.lexsort((dst, src))
-    src, dst, weight = src[order], dst[order], weight[order]
-    first = np.ones(src.size, dtype=bool)
-    first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-    starts = np.flatnonzero(first)
-    return AxisFront(
-        src[starts], dst[starts], np.add.reduceat(weight, starts), lo, hi
-    )
+
+
+def _joined(parts: Sequence[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def compile_front(profile) -> FrontTensors:
-    """The profile's pricing tensors, compiled once and cached.
+    """Compile ``profile``'s move records into its pricing front.
 
-    The cache lives on the profile instance, so it ships with the
-    profile across process pools and dies with it; hits and
-    compilations are counted under ``distrib.front_tensors``.
+    Records are grouped by active-axes signature first, so the
+    per-element work is a few array passes per signature, not per
+    record.  Counted as one ``distrib.front_tensors`` miss.
     """
-    cached = getattr(profile, "_front_tensors", None)
-    if cached is not None:
-        _TENSOR_STATS[0] += 1
-        return cached
     _TENSOR_STATS[1] += 1
-
-    rank = profile.template_rank
-    # -- per-axis fronts: the distinct moving cell pairs of every record
-    # touching axis t.
-    axes: list[Optional[AxisFront]] = []
-    for t in range(rank):
-        srcs, dsts, counts = [], [], []
-        for r in profile.records:
-            if t not in r.axes:
-                continue
-            j = r.axes.index(t)
-            srcs.append(r.src[j].ravel())
-            dsts.append(r.dst[j].ravel())
-            counts.append(r.count)
-        axes.append(_axis_front(srcs, dsts, counts) if srcs else None)
-
-    # -- per-signature groups for full-distribution pricing.
     by_axes: dict[tuple[int, ...], list] = {}
     for r in profile.records:
         by_axes.setdefault(r.axes, []).append(r)
-    groups = []
+    # per template axis: the (lo, hi) of all its cells, and the
+    # (src, dst, weight, moved) of its moving elements
+    bounds: dict[int, tuple[int, int]] = {}
+    pieces: dict[int, list] = {}
+    # the axes an element moves on (two or more) -> [(src + dst rows, weight)]
+    joints: dict[tuple[int, ...], list] = {}
     for sig, recs in by_axes.items():
-        counts = [r.count for r in recs]
-        srcs = []
-        dsts = []
-        for j in range(len(sig)):
-            s, weight = _pad_rows([r.src[j].ravel() for r in recs], counts)
-            d, _ = _pad_rows([r.dst[j].ravel() for r in recs], counts)
-            srcs.append(s)
-            dsts.append(d)
-        # Bounds over the valid slots only: padding repeats in-window
-        # cells, but an empty record's row is all zeros.
-        valid = weight > 0
-        cells = [np.concatenate((s[valid], d[valid])) for s, d in zip(srcs, dsts)]
-        lo = tuple(int(c.min()) if c.size else 0 for c in cells)
-        hi = tuple(int(c.max()) if c.size else 0 for c in cells)
-        groups.append(GroupFront(sig, tuple(srcs), tuple(dsts), weight, lo, hi))
+        weight = np.repeat(
+            np.array([r.count for r in recs], dtype=np.int64),
+            [r.src[0].size for r in recs],
+        )
+        if not weight.size:
+            continue
+        src = [
+            np.concatenate([r.src[j].ravel() for r in recs]).astype(np.int64, copy=False)
+            for j in range(len(sig))
+        ]
+        dst = [
+            np.concatenate([r.dst[j].ravel() for r in recs]).astype(np.int64, copy=False)
+            for j in range(len(sig))
+        ]
+        moves = [s != d for s, d in zip(src, dst)]
+        n_moved = np.sum(moves, axis=0)  # the axes each element moves on
+        alone = np.where(n_moved == 1, weight, 0)
+        for t, s, d, m in zip(sig, src, dst, moves):
+            lo, hi = int(min(s.min(), d.min())), int(max(s.max(), d.max()))
+            if t in bounds:
+                lo, hi = min(lo, bounds[t][0]), max(hi, bounds[t][1])
+            bounds[t] = (lo, hi)
+            pieces.setdefault(t, []).append((s[m], d[m], weight[m], alone[m]))
+        multi = np.flatnonzero(n_moved > 1)
+        if multi.size:
+            bits = sum(m[multi].astype(np.int64) << j for j, m in enumerate(moves))
+            for code in np.unique(bits).tolist():
+                on = [j for j in range(len(sig)) if code >> j & 1]
+                cols = multi[bits == code]
+                joints.setdefault(tuple(sig[j] for j in on), []).append(
+                    ([src[j][cols] for j in on] + [dst[j][cols] for j in on], weight[cols])
+                )
+    axes: list[Optional[AxisFront]] = []
+    for t in range(profile.template_rank):
+        if t not in bounds:
+            axes.append(None)
+            continue
+        s, d, w, m = map(_joined, zip(*pieces[t]))
+        (s, d), (w, m) = _fold([s, d], w, m)
+        axes.append(AxisFront(s, d, w, m, *bounds[t]))
+    joint = []
+    for sig, parts in sorted(joints.items()):
+        rows, (w,) = _fold(
+            [_joined(row) for row in zip(*(cells for cells, _ in parts))],
+            _joined([w for _, w in parts]),
+        )
+        k = len(sig)
+        joint.append(JointFront(sig, np.array(rows[:k]), np.array(rows[k:]), w))
+    return FrontTensors(tuple(axes), tuple(joint))
 
-    tensors = FrontTensors(rank, tuple(axes), tuple(groups))
-    profile._front_tensors = tensors
-    return tensors
+
+def _front(profile) -> FrontTensors:
+    """``profile``'s compiled front, read once: one ``distrib.front_tensors`` hit."""
+    _TENSOR_STATS[0] += 1
+    return profile.front
 
 
 # -- scheme parameters as broadcast arrays ------------------------------------
@@ -303,7 +323,7 @@ def axis_front_hops(
     array, entry ``i`` exactly equal to
     ``profile.axis_hops(axis, cands[i].to_axis_distribution(), metric)``.
     """
-    front = compile_front(profile).axes[axis]
+    front = _front(profile).axes[axis]
     _FRONT_STATS[0] += len(cands)
     if front is None or not len(cands):
         return np.zeros(len(cands), dtype=np.int64)
@@ -313,9 +333,7 @@ def axis_front_hops(
         )
         for c in cands
     ]
-    mode, p, block, base = (
-        np.array([pr[k] for pr in params], dtype=np.int64) for k in range(4)
-    )
+    mode, p, block, base = np.array(params, dtype=np.int64).T
     _check_contract(mode, p, block, base, front.lo, front.hi)
     ps = _proc_coords(front.src, mode, p, block, base)
     pd = _proc_coords(front.dst, mode, p, block, base)
@@ -358,44 +376,40 @@ def evaluate_front(
     out[:, 0] = profile.fixed.hops
     out[:, 1] = profile.fixed.moved
     out[:, 2] = profile.broadcast
-    tensors = compile_front(profile)
-    if not tensors.groups:
+    front = _front(profile)
+    if all(af is None for af in front.axes):
         _FRONT_STATS[0] += n
         return out
     metrics = _front_metrics(topology, dists)
-    params = [[_axis_dist_params(ax) for ax in d.axes] for d in dists]
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        idx = list(range(start, stop))
-        for g in tensors.groups:
-            hops = np.zeros(len(idx), dtype=np.int64)
-            moved_any: Optional[np.ndarray] = None
-            for j, t in enumerate(g.axes):
-                mode, p, block, base = (
-                    np.array([params[i][t][k] for i in idx], dtype=np.int64)
-                    for k in range(4)
-                )
-                _check_contract(mode, p, block, base, g.lo[j], g.hi[j])
-                ps = _proc_coords(g.src[j], mode, p, block, base)
-                pd = _proc_coords(g.dst[j], mode, p, block, base)
-                neq = ps != pd
-                moved_any = neq if moved_any is None else (moved_any | neq)
-                # Candidates in the chunk can price this axis with
-                # different metrics (different grids / physical axes):
-                # group rows by metric so each kernel runs once.
-                rows_by_metric: dict = {}
-                for row, i in enumerate(idx):
-                    rows_by_metric.setdefault(metrics[i][t], []).append(row)
-                for metric, rows in rows_by_metric.items():
-                    h = _metric_hops(metric, ps[rows], pd[rows])
-                    hops[rows] += np.sum(
-                        g.weight[None] * h, axis=(1, 2), dtype=np.int64
-                    )
-            assert moved_any is not None
-            out[start:stop, 0] += hops
-            out[start:stop, 1] += np.sum(
-                g.weight[None] * moved_any, axis=(1, 2), dtype=np.int64
+    # (mode, nprocs, block, base) per axis, each an (n,) array.
+    params = np.array(
+        [[_axis_dist_params(ax) for ax in d.axes] for d in dists], dtype=np.int64
+    ).transpose(1, 2, 0)
+    for t, af in enumerate(front.axes):
+        if af is None:
+            continue
+        _check_contract(*params[t], af.lo, af.hi)
+        ps = _proc_coords(af.src, *params[t])
+        pd = _proc_coords(af.dst, *params[t])
+        # Candidates can price this axis with different metrics
+        # (different grids / physical axes): group rows by metric so
+        # each kernel runs once.
+        rows_by_metric: dict = {}
+        for i in range(n):
+            rows_by_metric.setdefault(metrics[i][t], []).append(i)
+        for metric, rows in rows_by_metric.items():
+            if len(rows) == n:
+                rows = slice(None)
+            h = _metric_hops(metric, ps[rows], pd[rows])
+            out[rows, 0] += np.sum(af.weight * h, axis=1, dtype=np.int64)
+        out[:, 1] += np.sum(af.moved * (ps != pd), axis=1, dtype=np.int64)
+    for jf in front.joints:
+        moved = np.zeros((n, jf.weight.size), dtype=bool)
+        for j, t in enumerate(jf.axes):
+            moved |= _proc_coords(jf.src[j], *params[t]) != _proc_coords(
+                jf.dst[j], *params[t]
             )
+        out[:, 1] += np.sum(jf.weight * moved, axis=1, dtype=np.int64)
     _FRONT_STATS[0] += n
     return out
 

@@ -463,9 +463,9 @@ def _cow_profile(profile):
     """A copy-on-write clone of a comm profile.
 
     The record list — the one container a consumer could mutate — is
-    copied; the records themselves and the lazily-compiled front
-    tensors are immutable-in-practice and shared.  The base context's
-    profile is never touched by a replan.
+    copied; the records themselves and the compiled pricing front are
+    immutable-in-practice and shared.  The base context's profile is
+    never touched by a replan.
     """
     return dataclasses.replace(profile, records=list(profile.records))
 

@@ -55,10 +55,13 @@ from .._io import atomic_write_bytes
 #: persisted entry is stamped with it and mismatches are invalidated at
 #: load time (deleted, reported as misses).  2: prefix contexts carry
 #: statement-provenance-stamped ADGs (``ADGNode.stmt``), which the
-#: delta replan path reads.  3: a prefix pickled after its first suffix
-#: run carries ``profile._front_tensors``, whose ``AxisFront``s are now
-#: 1-D distinct cell pairs under the old field names, not padded
-#: ``(records, max_len)`` tensors.
+#: delta replan path reads.  3: a prefix's ``AxisFront``s are 1-D
+#: distinct cell pairs under the field names that once held padded
+#: ``(records, max_len)`` tensors.  Not bumped when the front moved into
+#: the comm-profile pass (``profile.front``): a schema-3 prefix pickled
+#: before that carries no front, or a stale ``_front_tensors``, and
+#: ``CommProfile.__setstate__`` drops the stale one and compiles the
+#: front once, when the entry is loaded.
 SCHEMA_VERSION = 3
 
 #: Sentinel distinguishing "no entry" from a stored ``None`` payload.

@@ -23,7 +23,10 @@ from repro.lang.generate import generate_corpus
 
 #: ``len(pickle.dumps(solve_prefix(program, default options), HIGHEST_PROTOCOL))``
 #: at the parent commit ``8993010``, where every scalar was a ``Fraction``
-#: (1 342 467 bytes in all; 1 292 967 when scalars became canonical).
+#: (1 342 467 bytes in all; 1 292 967 when scalars became canonical).  A
+#: prefix has carried its profile's pricing front since ``9fc4546``: the
+#: pins hold for the prefix without it, and the front's own bytes are
+#: bounded by the distinct moving cells it describes.
 PREFIX_BYTES_BEFORE = {
     "cg_step": 45143, "conditional_update": 23232, "doubly_nested": 42630,
     "example1": 10019, "example2": 10001, "example3": 8588, "example5": 21586,
@@ -80,6 +83,25 @@ def stored_scalars(form) -> list:
     return list(form._terms.values())
 
 
+def distinct_moving_bytes(profile) -> int:
+    """int64 bytes of what a compact front must keep, counted from the
+    records alone: per template axis, four words per distinct moving
+    ``(src, dst)`` pair (cells, weight, ``moved``); per element that
+    moves on k ≥ 2 axes, ``2k + 1`` words per distinct row."""
+    pairs: list[set] = [set() for _ in range(profile.template_rank)]
+    joints: set = set()
+    for r in profile.records:
+        src = [a.ravel().tolist() for a in r.src]
+        dst = [a.ravel().tolist() for a in r.dst]
+        for e in range(r.elements):
+            on = [j for j in range(len(r.axes)) if src[j][e] != dst[j][e]]
+            for j in on:
+                pairs[r.axes[j]].add((src[j][e], dst[j][e]))
+            if len(on) > 1:
+                joints.add(tuple((r.axes[j], src[j][e], dst[j][e]) for j in on))
+    return 32 * sum(map(len, pairs)) + sum(8 * (2 * len(row) + 1) for row in joints)
+
+
 def _programs():
     corpus = Path(__file__).parent.parent / "benchmarks" / "perf" / "corpus"
     for path in sorted(corpus.glob("*.dp")):
@@ -107,8 +129,15 @@ def test_a_solved_prefix_stores_canonical_scalars_and_pickles_no_larger(make, re
     # No integral Fraction anywhere else either (costs, cut values, moments).
     assert [x for x in reachable(prefix, (Fraction,)) if x.denominator == 1] == []
     name = request.node.callspec.id
-    size = len(pickle.dumps(prefix, protocol=pickle.HIGHEST_PROTOCOL))
+    profile = prefix.get("profile")
+    front, profile.front = profile.front, None
+    try:
+        size = len(pickle.dumps(prefix, protocol=pickle.HIGHEST_PROTOCOL))
+    finally:
+        profile.front = front
     assert size <= PREFIX_BYTES_BEFORE[name], (name, size)
+    front_bytes = len(pickle.dumps(front, protocol=pickle.HIGHEST_PROTOCOL))
+    assert front_bytes <= distinct_moving_bytes(profile) + 1024, (name, front_bytes)
     # What was stored is what loads.
     again = pickle.loads(pickle.dumps(prefix, protocol=pickle.HIGHEST_PROTOCOL))
     assert again.get("plan").alignments == prefix.get("plan").alignments
@@ -138,6 +167,27 @@ def test_a_cold_plan_of_jacobi2d_builds_no_form_around_an_integral_fraction(
     bad = [f for f in built if not all(is_canonical(c) for c in stored_scalars(f))]
     assert not bad, bad[:5]
     assert not any(isinstance(c, float) for f in built for c in stored_scalars(f))
+
+
+#: Bytes of the prefix entry a ``PlanService`` stored for each kernel at
+#: ``9fc4546``, where a prefix stored after its first suffix carried the
+#: padded ``(records, max_len)`` front tensors.
+PADDED_PREFIX_ENTRY_BYTES = {"figure1": 671438, "jacobi2d": 960659, "skewed_wavefront": 509268}
+
+
+def test_the_largest_stored_prefixes_are_at_least_halved(corpus_kernels, tmp_path):
+    from repro.serve import PlanService, ServeRequest
+
+    with PlanService(cache_dir=str(tmp_path)) as svc:
+        for name in PADDED_PREFIX_ENTRY_BYTES:
+            assert svc.handle(ServeRequest(name, corpus_kernels[name], nprocs=16)).ok
+    stored = {
+        pickle.loads(path.read_bytes())["payload"].get("program").name: path.stat().st_size
+        for path in (tmp_path / "prefix").glob("*.pkl")
+    }
+    assert stored.keys() == PADDED_PREFIX_ENTRY_BYTES.keys()
+    for name, before in PADDED_PREFIX_ENTRY_BYTES.items():
+        assert 2 * stored[name] <= before, (name, stored[name])
 
 
 def test_a_prefix_pickled_with_fractions_loads_canonical():

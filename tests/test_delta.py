@@ -780,18 +780,18 @@ class TestMutationIsolation:
         base_ctx = _plan(parse(BASE_SRC))
         before = _artifact_snapshot(base_ctx)
         profile = base_ctx.get("profile")
-        tensors = profile._front_tensors
+        tensors = profile.front
         records = [(r, r.count) for r in profile.records]
-        assert tensors is not None, "the base's own distribute compiled them"
+        assert tensors is not None, "the base's comm-profile compiled it"
         new_ctx, _ = replan(base_ctx, machine=MachineSpec.of(8))
         # the distribution search prices on the replan's COW clone: its
-        # own record list, the base's compiled tensors read, not rebuilt
+        # own record list, the base's compiled front read, not rebuilt
         assert base_ctx.get("profile") is profile
-        assert profile._front_tensors is tensors
+        assert profile.front is tensors
         assert [(r, r.count) for r in profile.records] == records
         clone = new_ctx.get("profile")
         assert clone is not profile and clone.records is not profile.records
-        assert clone._front_tensors is tensors
+        assert clone.front is tensors
         assert _artifact_snapshot(base_ctx) == before
 
     def test_carried_maps_are_copies(self):

@@ -2,22 +2,31 @@
 
 The exhaustive scalar/simulator equalities live in
 ``tests/test_differential.py``; this file covers the machinery itself —
-padding of ragged records, tensor caching and its counters, the
-empty/single/degenerate fronts, and contract-violation parity with the
-scalar evaluators.
+the compact front's layout and its counter, a property test of its
+exactness against the scalar evaluators on random move records, the
+empty/single/degenerate fronts, contract-violation parity with the
+scalar evaluators, and the front travelling with a pickled prefix.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+import pickle
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import cachestats, obs
+from repro import cachestats, obs, parse
 from repro.align import align_program
+from repro.align.pipeline import planning_records, solve_prefix, solve_suffix
+from repro.batch import plan_sweep
 from repro.distrib import (
     axis_front_hops,
     build_profile,
-    compile_front,
     evaluate_front,
     front_costs,
     naive_costs,
@@ -25,18 +34,18 @@ from repro.distrib import (
     plan_distribution,
 )
 from repro.distrib.costmodel import CommProfile, CostVector, MoveRecord
-from repro.distrib.enumerate import axis_candidates
+from repro.distrib.enumerate import axis_candidates, candidate_spaces
 from repro.distrib.vectorized import (
     _MODE_BLOCK,
     _MODE_IDENTITY,
     _MODE_WRAP,
     _axis_dist_params,
-    _pad_rows,
 )
 from repro.lang import programs
 from repro.lang.generate import FAMILIES, generate_scenario, topology_corpus
 from repro.machine import Block, BlockCyclic, Cyclic, Distribution, Identity
 from repro.machine.distribution import AxisDistribution
+from repro.passes import MachineSpec
 from repro.topology import parse_topology
 
 
@@ -50,24 +59,9 @@ def profile():
     return _profile(programs.figure1(n=12), replication=False)
 
 
-class TestPadRows:
-    def test_ragged_rows_pad_with_first_coordinate(self):
-        rows = [np.array([5, 6, 7]), np.array([9]), np.array([2, 3])]
-        src, weight = _pad_rows(rows, [10, 20, 30])
-        assert src.shape == weight.shape == (3, 3)
-        # Padded slots repeat the row's own first cell (always
-        # in-window) and carry zero weight.
-        assert src.tolist() == [[5, 6, 7], [9, 9, 9], [2, 3, 2]]
-        assert weight.tolist() == [[10, 10, 10], [20, 0, 0], [30, 30, 0]]
-
-    def test_empty_row_contributes_nothing(self):
-        src, weight = _pad_rows([np.array([], dtype=np.int64), np.array([4])], [7, 8])
-        assert weight[0].tolist() == [0]
-        assert weight[1].tolist() == [8]
-
-    def test_all_empty(self):
-        src, weight = _pad_rows([], [])
-        assert src.shape == (0, 0) and weight.shape == (0, 0)
+def _compiles() -> int:
+    """Fronts compiled so far in this process (``distrib.front_tensors`` misses)."""
+    return cachestats._cell("distrib.front_tensors")[1]
 
 
 class TestAxisDistParams:
@@ -87,33 +81,34 @@ class TestAxisDistParams:
 
 
 class TestCompileFront:
-    def test_cached_once_per_profile(self, profile):
+    def test_compiled_once_when_the_profile_is_built(self):
+        plan = align_program(programs.figure1(n=12), replication=False)
         h0, m0 = cachestats._cell("distrib.front_tensors")
-        first = compile_front(profile)
-        second = compile_front(profile)
-        assert first is second
-        h1, m1 = cachestats._cell("distrib.front_tensors")
-        # At most one compilation for this profile; the second call hit.
-        assert h1 > h0
+        prof = build_profile(plan.adg, plan.alignments)
+        front = prof.front
+        assert cachestats._cell("distrib.front_tensors") == [h0, m0 + 1]
+        with obs.recording() as rec:
+            plan_distribution(prof, 16)
+        # One hit per pricing read and no compile: an axis_front_hops
+        # call per axis of every grid, then one evaluate_front call for
+        # the tied grids.
+        reads = sum(span.tags["axes"] for span in rec.find("distrib.front_price"))
+        assert cachestats._cell("distrib.front_tensors") == [h0 + reads + 1, m0 + 1]
+        assert prof.front is front
 
-    def test_tensor_shapes_cover_every_record(self, profile):
-        tensors = compile_front(profile)
-        assert tensors.template_rank == profile.template_rank
-        n_group_rows = sum(g.weight.shape[0] for g in tensors.groups)
-        assert n_group_rows == len(profile.records)
-        for front in tensors.axes:
-            if front is None:
-                continue
-            assert front.src.shape == front.dst.shape == front.weight.shape
-            assert front.lo <= front.hi
-
-    def test_weights_zero_exactly_on_padding(self, profile):
-        # Reconstruct total moved elements from the group tensors: the
-        # sum of weights must equal count * len for every record.
-        tensors = compile_front(profile)
-        want = sum(r.count * r.src[0].size for r in profile.records if r.axes)
-        got = sum(int(g.weight.sum()) for g in tensors.groups if g.axes)
-        assert got == want
+    def test_every_moving_element_is_priced_once_for_moved(self, profile):
+        # Single-axis movers carry their `moved` weight on their axis's
+        # pairs, joint movers on their joint row: the two together count
+        # every element that moves on some axis exactly once.
+        want = sum(
+            r.count
+            * int(np.sum(np.any([s != d for s, d in zip(r.src, r.dst)], axis=0)))
+            for r in profile.records
+        )
+        front = profile.front
+        got = sum(int(af.moved.sum()) for af in front.axes if af is not None)
+        got += sum(int(jf.weight.sum()) for jf in front.joints)
+        assert got == want > 0
 
 
 def _hand_profile(records, window):
@@ -141,26 +136,31 @@ class TestAxisFrontPairs:
             ],
             [(0, 3)],
         )
-        front = compile_front(prof).axes[0]
+        front = prof.front.axes[0]
         assert front.src.tolist() == [0, 3]
         assert front.dst.tolist() == [1, 1]
         assert front.weight.tolist() == [5 + 5 + 2, 5 + 2]
+        assert front.moved.tolist() == front.weight.tolist()  # rank 1: all alone
         assert (front.lo, front.hi) == (0, 3)
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_weights_count_the_moving_elements(self, family):
         prof = _profile(generate_scenario(3, family=family).parse())
-        for t, front in enumerate(compile_front(prof).axes):
-            want = sum(
-                r.count
-                * int(np.sum(r.src[r.axes.index(t)] != r.dst[r.axes.index(t)]))
-                for r in prof.records
-                if t in r.axes
-            )
+        for t, front in enumerate(prof.front.axes):
+            want = alone = 0
+            for r in prof.records:
+                if t not in r.axes:
+                    continue
+                j = r.axes.index(t)
+                here = r.src[j] != r.dst[j]
+                others = [r.src[i] != r.dst[i] for i in range(len(r.axes)) if i != j]
+                want += r.count * int(np.sum(here))
+                alone += r.count * int(np.sum(here & ~np.any(others, axis=0)))
             if front is None:
                 assert not any(t in r.axes for r in prof.records)
                 continue
             assert int(front.weight.sum()) == want
+            assert int(front.moved.sum()) == alone
             assert np.all(front.src != front.dst)
             pairs = set(zip(front.src.tolist(), front.dst.tolist()))
             assert len(pairs) == front.src.size  # distinct
@@ -193,7 +193,7 @@ class TestAxisFrontPairs:
             [_record((0,), [[(0, 1), (9, 9)]])],
             [(0, 3)],
         )
-        front = compile_front(prof).axes[0]
+        front = prof.front.axes[0]
         assert front.src.tolist() == [0] and front.hi == 9
         cands = axis_candidates(0, 4, 2)
         with pytest.raises(ValueError, match="cell 9 outside covered range"):
@@ -208,7 +208,7 @@ class TestAxisFrontPairs:
             [_record((0, 1), [[(0, 2), (1, 3)], [(1, 1), (2, 2)]], count=3)],
             [(0, 3), (0, 3)],
         )
-        front = compile_front(prof).axes[1]
+        front = prof.front.axes[1]
         assert front is not None and front.src.size == 0
         assert (front.lo, front.hi) == (1, 2)
         cands = axis_candidates(0, 4, 4)
@@ -218,8 +218,10 @@ class TestAxisFrontPairs:
         )
 
 
-class TestGroupFrontPadding:
-    """Group fronts keep the padded (records, max_len) layout."""
+class TestCompactFront:
+    """The front is keyed by the axes each element moves on: no element
+    that moves nowhere, a second weight for single-axis movers, and
+    deduplicated joint rows for the rest."""
 
     @pytest.fixture()
     def ragged(self):
@@ -233,41 +235,165 @@ class TestGroupFrontPadding:
             [(4, 9)],
         )
 
-    def test_ragged_rows_pad_with_first_coordinate(self, ragged):
-        (group,) = compile_front(ragged).groups
-        assert group.axes == (0,)
-        assert group.src[0].tolist() == [[5, 6, 7], [0, 0, 0], [9, 9, 9]]
-        assert group.dst[0].tolist() == [[6, 7, 5], [0, 0, 0], [4, 4, 4]]
-        assert group.weight.tolist() == [[10, 10, 10], [0, 0, 0], [30, 0, 0]]
-
-    def test_bounds_skip_empty_records_and_padding(self, ragged):
-        # The empty record's row is all zeros: cell 0 is below the
-        # window and must not leak into the contract bounds.
-        (group,) = compile_front(ragged).groups
-        assert (group.lo, group.hi) == ((4,), (9,))
-
     def test_empty_record_prices_to_zero(self, ragged):
         dist = Distribution((Block(2, 3, 4),))
         assert front_costs(ragged, [dist], None) == [ragged.evaluate(dist)]
 
-    def test_all_empty_group_has_zero_bounds(self):
+    def test_an_element_unmoved_on_every_axis_is_absent(self):
+        # Element 0 keeps both its cells, element 1 moves on axis 0 only
+        # and element 2 on axis 1 only.
+        prof = _hand_profile(
+            [_record((0, 1), [[(3, 3), (0, 1), (2, 2)], [(3, 3), (1, 1), (0, 2)]], count=4)],
+            [(0, 3), (0, 3)],
+        )
+        ax0, ax1 = prof.front.axes
+        assert (ax0.src.tolist(), ax0.dst.tolist()) == ([0], [1])
+        assert (ax1.src.tolist(), ax1.dst.tolist()) == ([0], [2])
+        assert ax0.weight.tolist() == ax0.moved.tolist() == [4]
+        assert ax1.weight.tolist() == ax1.moved.tolist() == [4]
+        assert prof.front.joints == ()
+        # ... but its cells still bound the axes for the contract checks.
+        assert (ax0.lo, ax0.hi) == (ax1.lo, ax1.hi) == (0, 3)
+
+    def test_moved_weight_counts_only_single_axis_movers(self):
+        # Element 0 moves on axis 0 alone; element 1 on both axes, with
+        # the same axis-0 pair.
+        prof = _hand_profile(
+            [_record((0, 1), [[(0, 1), (0, 1)], [(1, 1), (1, 2)]], count=2)],
+            [(0, 3), (0, 3)],
+        )
+        ax0, ax1 = prof.front.axes
+        assert (ax0.weight.tolist(), ax0.moved.tolist()) == ([4], [2])
+        assert (ax1.weight.tolist(), ax1.moved.tolist()) == ([2], [0])
+        (joint,) = prof.front.joints
+        assert joint.axes == (0, 1)
+        assert (joint.src.tolist(), joint.dst.tolist()) == ([[0], [1]], [[1], [2]])
+        assert joint.weight.tolist() == [2]
+        # Element 1 changes processor on both axes and is moved once.
+        ident = Distribution.identity(2)
+        assert front_costs(prof, [ident]) == [prof.evaluate(ident)]
+        assert prof.evaluate(ident) == CostVector(hops=6, moved=4)
+
+    def test_joint_rows_are_deduplicated(self):
+        # Keyed by the axes an element moves on, not by its record's: the
+        # rank-3 record's first two elements and the (0, 2) record's one
+        # element all move on axes 0 and 2 with the same cells.
+        prof = _hand_profile(
+            [
+                _record(
+                    (0, 1, 2),
+                    [[(0, 1), (0, 1), (0, 1)], [(5, 5), (5, 5), (1, 2)], [(2, 3), (2, 3), (2, 3)]],
+                ),
+                _record((0, 2), [[(0, 1)], [(2, 3)]], count=3),
+            ],
+            [(0, 5)] * 3,
+        )
+        assert [j.axes for j in prof.front.joints] == [(0, 1, 2), (0, 2)]
+        full, pair = prof.front.joints
+        assert (full.src.tolist(), full.dst.tolist()) == ([[0], [1], [2]], [[1], [2], [3]])
+        assert full.weight.tolist() == [1]
+        assert (pair.src.tolist(), pair.dst.tolist()) == ([[0], [2]], [[1], [3]])
+        assert pair.weight.tolist() == [1 + 1 + 3]
+        assert prof.front.axes[0].moved.tolist() == [0]
+
+    def test_joint_rows_too_wide_for_one_integer_key_still_fold(self):
+        # Six cell rows spanning 2 000 cells each: the mixed-radix key
+        # would need 2000**6 > 2**63 values, so the rows are lexsorted.
+        far = 1999
+        prof = _hand_profile(
+            [
+                _record((0, 1, 2), [[(0, far), (far, 0)]] * 3, count=2),
+                _record((0, 1, 2), [[(0, far)]] * 3, count=5),
+            ],
+            [(0, far)] * 3,
+        )
+        (joint,) = prof.front.joints
+        assert joint.src.T.tolist() == [[0, 0, 0], [far, far, far]]
+        assert joint.weight.tolist() == [2 + 5, 2]
+        dists = [
+            Distribution((Block(2, 1000, 0), Cyclic(4), Block(4, 500, 0))),
+            Distribution.identity(3),
+        ]
+        assert front_costs(prof, dists) == [prof.evaluate(d) for d in dists]
+
+    def test_empty_records_leave_no_axis_front(self):
         empty = np.zeros(0, dtype=np.int64)
         prof = _hand_profile([MoveRecord((0,), (empty,), (empty,), 1)], [(0, 0)])
-        tensors = compile_front(prof)
-        assert (tensors.groups[0].lo, tensors.groups[0].hi) == ((0,), (0,))
-        assert tensors.axes[0].src.size == 0
+        assert prof.front.axes == (None,) and prof.front.joints == ()
         assert axis_front_hops(prof, 0, axis_candidates(0, 1, 2)).tolist() == [0, 0]
+        ident = Distribution.identity(1)
+        assert front_costs(prof, [ident]) == [prof.evaluate(ident)]
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_bounds_equal_the_per_record_extremes(self, family):
+    def test_bounds_equal_the_per_axis_extremes(self, family):
         prof = _profile(generate_scenario(3, family=family).parse())
-        for g in compile_front(prof).groups:
-            recs = [r for r in prof.records if r.axes == g.axes]
-            for j in range(len(g.axes)):
-                cells = np.concatenate(
-                    [a.ravel() for r in recs for a in (r.src[j], r.dst[j])]
-                )
-                assert (g.lo[j], g.hi[j]) == (int(cells.min()), int(cells.max()))
+        for t, front in enumerate(prof.front.axes):
+            cells = [
+                a.ravel()
+                for r in prof.records
+                if t in r.axes
+                for a in (r.src[r.axes.index(t)], r.dst[r.axes.index(t)])
+            ]
+            if front is None:
+                assert not cells
+                continue
+            cells = np.concatenate(cells)
+            assert (front.lo, front.hi) == (int(cells.min()), int(cells.max()))
+
+
+#: Cells 0 .. WIDTH - 1 on every axis: few enough that pairs repeat.
+WIDTH = 6
+
+
+@st.composite
+def move_profiles(draw):
+    """A profile of random move records: 1–3 template axes, elements
+    that move on 0, 1, 2 or 3 of their record's axes, repeated cell pairs
+    and records, and empty records."""
+    rank = draw(st.integers(1, 3))
+    cell = st.integers(0, WIDTH - 1)
+    records = []
+    for _ in range(draw(st.integers(0, 4))):
+        axes = tuple(sorted(draw(st.sets(st.integers(0, rank - 1), min_size=1))))
+        src: list[list[int]] = [[] for _ in axes]
+        dst: list[list[int]] = [[] for _ in axes]
+        for _ in range(draw(st.integers(0, 5))):
+            moves_on = draw(st.sets(st.sampled_from(range(len(axes)))))
+            for j in range(len(axes)):
+                a = draw(cell)
+                src[j].append(a)
+                dst[j].append((a + draw(st.integers(1, WIDTH - 1))) % WIDTH if j in moves_on else a)
+        records.append(
+            MoveRecord(
+                axes,
+                tuple(np.array(c, dtype=np.int64) for c in src),
+                tuple(np.array(c, dtype=np.int64) for c in dst),
+                draw(st.integers(1, 3)),
+            )
+        )
+    if records and draw(st.booleans()):
+        records.append(dataclasses.replace(records[0]))
+    return _hand_profile(records, [(0, WIDTH - 1)] * rank)
+
+
+@pytest.mark.parametrize("spec", [None, *topology_corpus(5, seed=0, nprocs=8)], ids=str)
+@settings(max_examples=30, deadline=None)
+@given(prof=move_profiles())
+def test_the_compact_front_prices_like_the_scalar_evaluators(spec, prof):
+    """On the L1 grid and on every topology family: ``axis_front_hops``
+    equals ``axis_hops`` for every per-axis candidate, and
+    ``front_costs`` equals ``evaluate`` for every full candidate."""
+    topo = None if spec is None else parse_topology(spec)
+    dists = []
+    for grid, cands in candidate_spaces(prof, 8, topology=topo):
+        metrics = (None,) * len(grid) if topo is None else topo.metrics(grid)
+        for t, (clist, metric) in enumerate(zip(cands, metrics)):
+            assert axis_front_hops(prof, t, clist, metric).tolist() == [
+                prof.axis_hops(t, c.to_axis_distribution(), metric) for c in clist
+            ]
+        for combo in itertools.product(*cands):
+            dists.append(Distribution(tuple(c.to_axis_distribution() for c in combo)))
+    assert front_costs(prof, dists, topo) == [prof.evaluate(d, topo) for d in dists]
 
 
 class TestFrontEdgeCases:
@@ -339,12 +465,6 @@ class TestFrontEdgeCases:
     def test_axis_front_hops_empty_candidates(self, profile):
         assert axis_front_hops(profile, 0, []).shape == (0,)
 
-    def test_evaluate_front_method_on_profile(self, profile):
-        ident = Distribution.identity(profile.template_rank)
-        out = profile.evaluate_front([ident])
-        cv = profile.evaluate(ident)
-        assert tuple(int(x) for x in out[0]) == (cv.hops, cv.moved, cv.broadcast)
-
 
 class TestCountersAndFallback:
     def test_front_price_counter_counts_candidates_priced(self, profile):
@@ -372,3 +492,68 @@ class TestCountersAndFallback:
         costs = front_costs(profile, [ident, ident], None)
         total = sum(costs)  # exercises CostVector.__radd__
         assert total == costs[0] + costs[1]
+
+
+#: The nine machines of the ``machine_sweep`` benchmark workload.
+SWEEP_MACHINES = (
+    "grid:4x4", "torus:4x4", "ring:16", "hypercube:16", "hier:(grid:2)/(grid:8)@16",
+    "grid:8x8", "torus:8x8", "ring:64", "hypercube:64",
+)  # fmt: skip
+
+#: The solved prefix of a two-axis program with joint movers, pickled
+#: after a suffix run by the planner that cached padded group tensors on
+#: the profile as ``_front_tensors`` (``SCHEMA_VERSION`` 3, not bumped).
+PADDED_PREFIX = Path(__file__).parent / "golden" / "prefix_padded_front.pkl"
+
+
+class TestFrontTravelsWithThePrefix:
+    """The front is compiled once, in comm-profile, and every copy of the
+    prefix carries it: the suffix only reads it."""
+
+    def test_a_prefix_pickled_with_padded_tensors_compiles_once_on_load(self):
+        raw = PADDED_PREFIX.read_bytes()
+        assert b"GroupFront" in raw and b"_front_tensors" in raw
+        before = _compiles()
+        ctx = pickle.loads(raw)
+        assert _compiles() == before + 1
+        profile = ctx.get("profile")
+        assert "_front_tensors" not in vars(profile)
+        assert profile.front.joints  # the program has joint movers
+        fresh = solve_prefix(ctx.get("program"), ctx.get("align_options"))
+        want = fresh.get("profile").front
+        assert [a is None for a in profile.front.axes] == [a is None for a in want.axes]
+        assert len(profile.front.joints) == len(want.joints)
+        for got, expect in zip(
+            profile.front.axes + profile.front.joints, want.axes + want.joints
+        ):
+            for f in dataclasses.fields(got or expect):
+                assert np.array_equal(getattr(got, f.name), getattr(expect, f.name))
+        for spec in SWEEP_MACHINES:
+            machine = MachineSpec.of(topology=spec)
+            assert solve_suffix(ctx.fork(), machine).get(
+                "distribution"
+            ) == solve_suffix(fresh.fork(), machine).get("distribution"), spec
+        assert _compiles() == before + 2  # the load's and the fresh solve's
+
+    def test_a_prefix_pickled_now_compiles_nothing_when_loaded_and_swept(
+        self, corpus_kernels
+    ):
+        options, _ = planning_records()
+        solved = solve_prefix(parse(corpus_kernels["figure1"], name="figure1"), options)
+        blob = pickle.dumps(solved, protocol=pickle.HIGHEST_PROTOCOL)
+        hits, compiled = cachestats._cell("distrib.front_tensors")
+        ctx = pickle.loads(blob)
+        for spec in SWEEP_MACHINES:
+            solve_suffix(ctx.fork(), MachineSpec.of(topology=spec))
+        assert _compiles() == compiled
+        assert cachestats._cell("distrib.front_tensors")[0] > hits
+
+    def test_plan_sweep_compiles_one_front_per_program(self, corpus_kernels):
+        work = [corpus_kernels["figure1"], corpus_kernels["skewed_wavefront"]]
+        before = _compiles()
+        report = plan_sweep(work, SWEEP_MACHINES, serial=True)
+        assert len(report.ok) == len(work) * len(SWEEP_MACHINES)
+        assert _compiles() == before + len(work)  # each prefix's comm-profile
+        for result in report.results:
+            reads, compiled = result.cache["distrib.front_tensors"]
+            assert (compiled, reads > 0) == (0, True), result.name

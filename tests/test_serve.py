@@ -318,10 +318,10 @@ class TestPlanService:
                 ), f"{req.name}: cache hit drifted from cold plan"
 
     def test_prefix_with_padded_axis_fronts_is_replanned(self, tmp_path):
-        # Schema 2 prefixes carry `profile._front_tensors` whose
-        # AxisFronts are padded (records, max_len) tensors under the
-        # field names schema 3 uses for 1-D pairs; pricing one would
-        # raise on every prefix hit.  A warm start must drop it.
+        # Schema 2 prefixes carry AxisFronts of padded (records,
+        # max_len) tensors under the field names schema 3 uses for 1-D
+        # pairs; pricing one would raise on every prefix hit.  A warm
+        # start must drop it.
         import dataclasses
 
         import numpy as np
@@ -340,7 +340,7 @@ class TestPlanService:
         ]
         entry = pickle.loads(open(path, "rb").read())
         profile = entry["payload"].get("profile")
-        tensors = profile._front_tensors
+        tensors = profile.front
         (front,) = tensors.axes
         assert front.src.ndim == 1 and front.src.size > 1
         padded = dataclasses.replace(
@@ -349,7 +349,7 @@ class TestPlanService:
             dst=np.stack([front.dst, front.dst]),
             weight=np.stack([front.weight, front.weight]),
         )
-        profile._front_tensors = dataclasses.replace(tensors, axes=(padded,))
+        profile.front = dataclasses.replace(tensors, axes=(padded,))
         entry["schema"] = 2
         with open(path, "wb") as f:
             f.write(pickle.dumps(entry))
