@@ -6,6 +6,9 @@ alignment-distribution graph, and the Graphviz rendering — the paper's
 Figure 2 regenerated for its Figure 1 fragment.
 """
 
+import tempfile
+from pathlib import Path
+
 from repro.lang import ProgramBuilder, pretty
 from repro.adg import build_adg, summary, to_dot
 
@@ -25,9 +28,9 @@ def main() -> None:
     print("ADG inventory (compare to the paper's Figure 2):")
     print(summary(adg))
 
-    with open("figure2.dot", "w") as f:
-        f.write(to_dot(adg))
-    print("\nGraphviz written to figure2.dot (render with `dot -Tpng`)")
+    path = Path(tempfile.mkdtemp()) / "figure2.dot"
+    path.write_text(to_dot(adg))
+    print(f"\nGraphviz written to {path} (render with `dot -Tpng`)")
 
 
 if __name__ == "__main__":

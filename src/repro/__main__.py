@@ -4,7 +4,8 @@ Usage::
 
     python -m repro FILE [--algorithm fixed|unrolling|...] [--m 3]
                          [--no-replication] [--static] [--dot OUT.dot]
-                         [--measure identity|block|cyclic] [--procs N,N]
+                         [--measure identity|block|cyclic|block-cyclic]
+                         [--procs N,N]
                          [--distribute P] [--phases] [--topology SPEC]
                          [--replan-from BASE]
                          [--trace-passes]
@@ -74,7 +75,7 @@ from ._io import atomic_write_json
 from .adg import to_dot
 from .align import ALGORITHMS
 from .lang import parse
-from .machine import measure_plan
+from .machine import SCHEMES, measure_plan
 
 
 def _load(path: str):
@@ -202,7 +203,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--dot", metavar="OUT", help="write the ADG as Graphviz dot")
     ap.add_argument(
         "--measure",
-        choices=["identity", "block", "cyclic", "block-cyclic"],
+        choices=["identity", *SCHEMES],
         help="measure traffic on the machine simulator",
     )
     ap.add_argument(
@@ -324,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
         replication=not args.no_replication,
         mobile=not args.static,
     )
-    if args.algorithm == "fixed":
+    if "m" in ALGORITHMS[args.algorithm].keywords:
         align_kw["m"] = args.m
     try:
         # The flags become the two option records here, once; without

@@ -15,7 +15,7 @@ programs in :mod:`repro.adg.build`; the cost model and optimization in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator
 
 from ..ir.affine import AffineForm
 from ..ir.itspace import IterationSpace
@@ -197,15 +197,6 @@ class ADG:
     def ports(self) -> Iterator[Port]:
         for n in self.nodes:
             yield from n.ports
-
-    def nodes_of_kind(self, kind: NodeKind) -> list[ADGNode]:
-        return [n for n in self.nodes if n.kind is kind]
-
-    def edge_between(self, tail: Port, head: Port) -> Optional[ADGEdge]:
-        for e in self._out_edges.get(tail.key, []):
-            if e.head is head:
-                return e
-        return None
 
     def stats(self) -> dict[str, int]:
         from collections import Counter

@@ -16,12 +16,16 @@ subranges, and whether the partition is iterated:
    stalled;
 5. **fixed partitioning** — m equal subranges (m = 3 by default); the
    paper's recommended compromise, within ``1 + 2/m**2`` of optimal.
+
+:data:`ALGORITHMS` names each with its callable and its own keywords;
+:func:`check_algorithm` checks a name and keywords against it when the
+options record is built (``AlignOptions.of``), before anything is solved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, MutableMapping
+from typing import Callable, Iterable, Mapping, MutableMapping, NamedTuple
 
 from ..adg.graph import ADG, ADGEdge
 from ..ir.affine import AffineForm, Scalar
@@ -337,13 +341,48 @@ def recursive_refinement(
     )
 
 
+class Algorithm(NamedTuple):
+    """One Section 4.2 algorithm: the callable, and the keywords it takes
+    beyond the ones :func:`solve_mobile_offsets` passes every algorithm."""
+
+    run: Callable[..., MobileOffsetResult]
+    keywords: tuple[str, ...] = ()
+
+
 ALGORITHMS = {
-    "unrolling": unrolling,
-    "state-space": state_space_search,
-    "zero-crossing": tracking_zero_crossings,
-    "recursive-refinement": recursive_refinement,
-    "fixed": fixed_partitioning,
+    "unrolling": Algorithm(unrolling),
+    "state-space": Algorithm(state_space_search, ("max_passes",)),
+    "zero-crossing": Algorithm(tracking_zero_crossings, ("max_iter",)),
+    "recursive-refinement": Algorithm(recursive_refinement, ("max_iter",)),
+    "fixed": Algorithm(fixed_partitioning, ("m",)),
 }
+
+#: What :func:`solve_mobile_offsets` passes every algorithm itself.
+_SOLVER_KEYWORDS = ("replicated", "backend", "static", "memo")
+
+
+def check_algorithm(name: str, keywords: Iterable[str] = ()) -> Algorithm:
+    """The :data:`ALGORITHMS` entry for ``name``, checked against the
+    algorithm keywords a caller gives it — ``ValueError`` for an unknown
+    name, ``TypeError`` for a keyword the solver already passes or the
+    algorithm does not take, in the words of the failing call."""
+    try:
+        alg = ALGORITHMS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown algorithm {name!r}; choose from {sorted(ALGORITHMS)}"
+        ) from None
+    for key in sorted(keywords):
+        if key in _SOLVER_KEYWORDS:
+            raise TypeError(
+                f"{__name__}.solve_mobile_offsets() got multiple values for "
+                f"keyword argument {key!r}"
+            )
+        if key not in alg.keywords:
+            raise TypeError(
+                f"{alg.run.__name__}() got an unexpected keyword argument {key!r}"
+            )
+    return alg
 
 
 def solve_mobile_offsets(
@@ -355,10 +394,5 @@ def solve_mobile_offsets(
     **kw,
 ) -> MobileOffsetResult:
     """Entry point: run one of the five Section 4.2 algorithms."""
-    try:
-        fn = ALGORITHMS[algorithm]
-    except KeyError:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
-        ) from None
-    return fn(adg, skeleton, replicated=replicated, backend=backend, **kw)
+    run = check_algorithm(algorithm).run
+    return run(adg, skeleton, replicated=replicated, backend=backend, **kw)

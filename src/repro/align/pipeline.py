@@ -27,32 +27,38 @@ that sweeps machines solves the prefix once and hands
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import inspect
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (distrib uses align)
     from ..distrib.plan import DistributionPlan
 
-from ..adg.graph import ADG, Port
+from ..adg.graph import ADG
 from ..ir.affine import Scalar
 from ..lang.ast import Program
 from ..lang.typecheck import TypeInfo
 from .axis_stride import AxisStrideResult
 from .cost import AlignmentMap, EdgeCost, cost_breakdown
-from .offset_mobile import MobileOffsetResult
+from .offset_mobile import ALGORITHMS, MobileOffsetResult
 from .position import Alignment
 from .replication import ReplicationResult
 
-#: The planner keywords: what ``distrib_options`` may hold, and what is
-#: caught when smuggled into the alignment keywords.
-_DISTRIB_ONLY_KEYS = frozenset(
-    {"topology", "block_sizes", "exhaustive_limit", "seed", "restarts"}
-)
-#: Alignment keywords that belong in ``align_kw`` — the other direction.
-_ALIGN_ONLY_KEYS = frozenset(
-    {"algorithm", "backend", "replication", "mobile", "max_replication_rounds",
-     "info"}
-)
+
+@functools.cache
+def _option_keys() -> tuple[frozenset, frozenset]:
+    """``(planner keys, alignment keys)``: what ``distrib_options`` and
+    ``align_kw`` may hold, read off what takes them — the distribution
+    planner's keywords (``topology`` among them), and the alignment
+    record's fields with every algorithm's own keywords."""
+    from ..distrib.search import plan_distribution
+    from ..passes import AlignOptions
+
+    planner = set(inspect.signature(plan_distribution).parameters)
+    align = {f.name for f in fields(AlignOptions)} - {"alg_kw"}
+    align.update(key for alg in ALGORITHMS.values() for key in alg.keywords)
+    return frozenset(planner - {"profile", "nprocs"}), frozenset(align)
 
 
 class DistributionOptionsError(ValueError):
@@ -74,9 +80,6 @@ class AlignmentPlan:
     total_cost: Scalar
     replication_rounds: int = 1
     distribution: Optional["DistributionPlan"] = None
-
-    def alignment_of(self, p: Port) -> Alignment:
-        return self.alignments[p.key]
 
     def source_alignments(self) -> dict[str, Alignment]:
         """Final alignment of each declared array (at its source port)."""
@@ -145,35 +148,57 @@ def planning_records(
     """``(AlignOptions, MachineSpec | None)`` from a driver's keywords:
     the two frozen records on either side of the prefix/suffix line.
 
-    The one boundary where options are checked — a key on the wrong side
-    here, the machine by :func:`machine_record`
-    (:class:`DistributionOptionsError`, or the topology parser's
-    ``ValueError``) — so nothing past it re-checks.  With neither
-    ``nprocs`` nor a topology there is no machine: alignment only.
+    The one boundary where options are checked, before anything is
+    planned — a key on the wrong side or one the planner does not take
+    (:class:`DistributionOptionsError`), the machine by
+    :func:`machine_record` (the same, or the topology parser's
+    ``ValueError``), and the algorithm and its keywords by
+    :meth:`AlignOptions.of <repro.passes.AlignOptions.of>` (the
+    ``ValueError`` / ``TypeError`` of
+    :func:`~repro.align.offset_mobile.check_algorithm`) — so nothing past
+    it re-checks.  With neither ``nprocs`` nor a topology there is no
+    machine: alignment only.
     """
     from ..passes import AlignOptions
 
     align_kw = align_kw or {}
     distrib_options = distrib_options or {}
-    _validate_distrib_options(distrib_options, align_kw)
+    _check_distrib_options(distrib_options, align_kw)
     machine = None
     if nprocs is not None or topology is not None or "topology" in distrib_options:
         machine = machine_record(nprocs, topology, distrib_options)
-    else:
-        _known_distrib_options(distrib_options)
     return AlignOptions.of(**align_kw), machine
 
 
-def _known_distrib_options(distrib_options: Mapping) -> None:
-    """Reject a key the distribution planner does not take, here and
-    not as a ``TypeError`` from the distribute pass after the whole
-    alignment prefix has run."""
-    unknown = set(distrib_options) - _DISTRIB_ONLY_KEYS
+def _check_distrib_options(distrib_options: Mapping, align_kw: Mapping = {}) -> None:
+    """Reject an option on the wrong side instead of ignoring it — a
+    planner keyword (``topology`` above all) among the alignment keywords
+    would be dropped on the floor — and a key the distribution planner
+    does not take here, not as a ``TypeError`` from the distribute pass
+    after the whole alignment prefix has run."""
+    planner_keys, align_keys = _option_keys()
+    misplaced = planner_keys.intersection(align_kw)
+    if misplaced:
+        raise DistributionOptionsError(
+            f"distribution option(s) {sorted(misplaced)} passed in align_kw="
+            f"{sorted(align_kw)} but belong in distrib_options="
+            f"{sorted(distrib_options)}; the alignment metric is "
+            "always the paper's L1 grid, so they would be silently ignored"
+        )
+    misplaced = align_keys.intersection(distrib_options)
+    if misplaced:
+        raise DistributionOptionsError(
+            f"alignment option(s) {sorted(misplaced)} passed in distrib_options="
+            f"{sorted(distrib_options)} but belong in align_kw="
+            f"{sorted(align_kw)}; the distribution planner does not "
+            "accept them"
+        )
+    unknown = set(distrib_options) - planner_keys
     if unknown:
         raise DistributionOptionsError(
             f"unknown distribution option(s) {sorted(unknown)} in "
             f"distrib_options={sorted(distrib_options)}; the distribution "
-            f"planner takes {sorted(_DISTRIB_ONLY_KEYS)}"
+            f"planner takes {sorted(planner_keys)}"
         )
 
 
@@ -187,7 +212,7 @@ def machine_record(nprocs, topology, distrib_options: Mapping):
     """
     from ..passes import MachineSpec
 
-    _known_distrib_options(distrib_options)
+    _check_distrib_options(distrib_options)
     if topology is not None:
         if "topology" in distrib_options:
             raise DistributionOptionsError(
@@ -308,29 +333,6 @@ def align_program(
     """
     options, _ = planning_records(align_kw=align_kw)
     return solve_prefix(program, options, info=info, profile=False).get("plan")
-
-
-def _validate_distrib_options(distrib_options: Mapping, align_kw: Mapping) -> None:
-    """Reject an option on the wrong side instead of ignoring it: a
-    planner keyword (``topology`` above all) among the alignment keywords
-    would be dropped on the floor, an alignment keyword in
-    ``distrib_options`` would reach a planner that does not take it."""
-    misplaced = _DISTRIB_ONLY_KEYS.intersection(align_kw)
-    if misplaced:
-        raise DistributionOptionsError(
-            f"distribution option(s) {sorted(misplaced)} passed in align_kw="
-            f"{sorted(align_kw)} but belong in distrib_options="
-            f"{sorted(distrib_options)}; the alignment metric is "
-            "always the paper's L1 grid, so they would be silently ignored"
-        )
-    misplaced = _ALIGN_ONLY_KEYS.intersection(distrib_options)
-    if misplaced:
-        raise DistributionOptionsError(
-            f"alignment option(s) {sorted(misplaced)} passed in distrib_options="
-            f"{sorted(distrib_options)} but belong in align_kw="
-            f"{sorted(align_kw)}; the distribution planner does not "
-            "accept them"
-        )
 
 
 def align_and_distribute(

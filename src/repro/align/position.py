@@ -124,14 +124,6 @@ class Alignment:
     def rank(self) -> int:
         return sum(1 for a in self.axes if a.is_body)
 
-    def body_axes(self) -> dict[int, int]:
-        """Map array axis -> template axis."""
-        return {
-            a.array_axis: t  # type: ignore[misc]
-            for t, a in enumerate(self.axes)
-            if a.is_body
-        }
-
     def template_axis_of(self, array_axis: int) -> int:
         for t, a in enumerate(self.axes):
             if a.array_axis == array_axis:

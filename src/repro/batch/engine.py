@@ -501,7 +501,8 @@ def plan_many(
     and any failure to spawn the pool degrades to it, so ``plan_many``
     works in restricted environments.  ``topology`` is a machine spec
     string applied to every task.  Options and machine are checked here,
-    once: a typo raises before anything is planned.  ``trace=True``
+    once: a typo — a distribution key, an algorithm name or one of its
+    keywords — raises before anything is planned.  ``trace=True``
     records every task's span tree in its worker and ships the recorders
     back for :meth:`BatchReport.merged_trace`.
     """
@@ -603,7 +604,8 @@ def plan_sweep(
     every (program, machine) task forks the shipped context and runs
     only the distribution suffix.  Results are program-major, machine
     order preserved, named ``program@machine``.  Options and machines are
-    checked here, once: a bad machine raises before anything is planned.
+    checked here, once: a bad machine or alignment option raises before
+    anything is planned.
     """
     requests = [PlanRequest.of(item, i) for i, item in enumerate(corpus)]
     options, _ = planning_records(align_kw=align_kw, distrib_options=distrib_options)

@@ -25,6 +25,9 @@ Modules:
 * :mod:`repro.distrib.plan` — the :class:`DistributionPlan` output
   representation and renderer.
 
+The per-axis schemes are the simulator's own records
+(:data:`repro.machine.SCHEMES`), so a plan needs no conversion to run.
+
 Quickstart::
 
     from repro import align_program, parse
@@ -47,7 +50,7 @@ from .enumerate import (
     naive_distributions,
     space_size,
 )
-from .plan import BLOCK, BLOCK_CYCLIC, CYCLIC, SCHEMES, AxisPlan, DistributionPlan
+from .plan import DistributionPlan
 from .remap import (
     PhaseChoice,
     PhasedPlan,
@@ -73,11 +76,6 @@ __all__ = [
     "naive_costs",
     "naive_distributions",
     "space_size",
-    "BLOCK",
-    "BLOCK_CYCLIC",
-    "CYCLIC",
-    "SCHEMES",
-    "AxisPlan",
     "DistributionPlan",
     "PhaseChoice",
     "PhasedPlan",

@@ -3,9 +3,10 @@
 The search space has two nested choices: the *shape* of the processor
 grid (an ordered factorization of the machine size P over the template
 axes) and, per axis, the *scheme* — block with the covering block size,
-cyclic, or block-cyclic with a small block.  This module enumerates
-both, and builds the three naive uniform baselines (all-block,
-all-cyclic, identity) the planner is benchmarked against.
+cyclic, or block-cyclic with a small block, each a scheme record of
+:mod:`repro.machine.distribution`.  This module enumerates both, and
+builds the three naive uniform baselines (all-block, all-cyclic,
+identity) the planner is benchmarked against.
 """
 
 from __future__ import annotations
@@ -13,11 +14,18 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, Sequence
 
-from ..machine.distribution import Distribution
+from ..machine.distribution import (
+    AxisDistribution,
+    Block,
+    BlockCyclic,
+    Cyclic,
+    Distribution,
+    covering_block,
+    uniform,
+)
 from ..topology import Topology
 from ..topology.models import factorizations, most_balanced
-from .costmodel import CommProfile, CostVector, window_extents
-from .plan import BLOCK, BLOCK_CYCLIC, CYCLIC, AxisPlan
+from .costmodel import CommProfile, CostVector
 from .vectorized import front_costs
 
 DEFAULT_BLOCK_SIZES = (2, 4, 8)
@@ -41,17 +49,12 @@ def balanced_factorization(nprocs: int, rank: int) -> tuple[int, ...]:
     return most_balanced(grid_factorizations(nprocs, rank))
 
 
-def covering_block(extent: int, nprocs: int) -> int:
-    """The block size whose blocks exactly cover the axis window."""
-    return max(1, -(-extent // nprocs))  # ceil division
-
-
 def axis_candidates(
     lo: int,
     extent: int,
     nprocs: int,
     block_sizes: Sequence[int] = DEFAULT_BLOCK_SIZES,
-) -> list[AxisPlan]:
+) -> list[AxisDistribution]:
     """All axis schemes for one template axis on ``nprocs`` processors.
 
     * block, with the covering block size (smaller blocks would leave
@@ -64,12 +67,12 @@ def axis_candidates(
     so a single covering block candidate is emitted.
     """
     cover = covering_block(extent, nprocs)
-    out = [AxisPlan(BLOCK, nprocs, cover, lo)]
+    out: list[AxisDistribution] = [Block(nprocs, cover, lo)]
     if nprocs > 1:
-        out.append(AxisPlan(CYCLIC, nprocs, 1, lo))
+        out.append(Cyclic(nprocs, lo))
         for b in sorted(set(block_sizes)):
             if 1 < b < cover:
-                out.append(AxisPlan(BLOCK_CYCLIC, nprocs, b, lo))
+                out.append(BlockCyclic(nprocs, b, lo))
     return out
 
 
@@ -77,7 +80,7 @@ def grid_candidates(
     window: Sequence[tuple[int, int]],
     grid: Sequence[int],
     block_sizes: Sequence[int] = DEFAULT_BLOCK_SIZES,
-) -> list[list[AxisPlan]]:
+) -> list[list[AxisDistribution]]:
     """The per-axis candidate lists of one grid shape over ``window``
     (per-axis ``(lo, hi)`` cells): the one place they are built."""
     return [
@@ -92,7 +95,7 @@ def candidate_spaces(
     block_sizes: Sequence[int] = DEFAULT_BLOCK_SIZES,
     topology: Topology | None = None,
     window: Sequence[tuple[int, int]] | None = None,
-) -> Iterator[tuple[tuple[int, ...], list[list[AxisPlan]]]]:
+) -> Iterator[tuple[tuple[int, ...], list[list[AxisDistribution]]]]:
     """Yield ``(grid shape, per-axis candidate lists)`` per factorization.
 
     ``topology`` drops grid shapes the machine cannot realize (e.g. a
@@ -109,7 +112,7 @@ def candidate_spaces(
 
 
 def covered_size(
-    spaces: Iterable[tuple[tuple[int, ...], list[list[AxisPlan]]]],
+    spaces: Iterable[tuple[tuple[int, ...], list[list[AxisDistribution]]]],
 ) -> int:
     """Candidate distributions covered by ``spaces``: the per-grid
     cross-product of the per-axis candidate lists, summed over grids."""
@@ -138,22 +141,9 @@ def naive_distributions(
     """
     rank = profile.template_rank
     grid = balanced_factorization(nprocs, rank)
-    extents = window_extents(profile)
-    block = Distribution(
-        tuple(
-            AxisPlan(BLOCK, p, covering_block(ext, p), lo).to_axis_distribution()
-            for (lo, _), ext, p in zip(profile.window, extents, grid)
-        )
-    )
-    cyclic = Distribution(
-        tuple(
-            AxisPlan(CYCLIC, p, 1, lo).to_axis_distribution()
-            for (lo, _), p in zip(profile.window, grid)
-        )
-    )
     return {
-        "all-block": block,
-        "all-cyclic": cyclic,
+        "all-block": uniform("block", profile.window, grid),
+        "all-cyclic": uniform("cyclic", profile.window, grid),
         "identity": Distribution.identity(rank),
     }
 

@@ -2,76 +2,30 @@
 
 The paper's deferred second phase assigns each template axis an HPF-style
 distribution onto one axis of a processor grid.  A
-:class:`DistributionPlan` records that choice — per-axis scheme, block
-size and base cell — together with the grid shape and the modeled
-communication cost, and converts to a concrete
-:class:`repro.machine.Distribution` for the simulator.
+:class:`DistributionPlan` records that choice — per axis one of the
+simulator's scheme records (:data:`repro.machine.distribution.SCHEMES`:
+``Block``, ``Cyclic`` or ``BlockCyclic``, each with its processor count,
+block size and base cell) — together with the modeled communication
+cost; :meth:`DistributionPlan.to_distribution` hands those same records
+to the simulator as a :class:`repro.machine.Distribution`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from ..machine.distribution import (
-    AxisDistribution,
-    Block,
-    BlockCyclic,
-    Cyclic,
-    Distribution,
-)
+from ..machine.distribution import AxisDistribution, Distribution
 from .costmodel import CostVector
-
-BLOCK = "block"
-CYCLIC = "cyclic"
-BLOCK_CYCLIC = "block-cyclic"
-SCHEMES = (BLOCK, CYCLIC, BLOCK_CYCLIC)
-
-
-@dataclass(frozen=True)
-class AxisPlan:
-    """Distribution choice for one template axis.
-
-    ``scheme`` is one of :data:`SCHEMES`; ``block`` is the block size
-    (meaningful for block and block-cyclic); ``base`` anchors the
-    distribution at the lowest template cell the axis actually touches,
-    which keeps mobile-offset traffic inside the distribution's covered
-    range.
-    """
-
-    scheme: str
-    nprocs: int
-    block: int = 1
-    base: int = 0
-
-    def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown distribution scheme {self.scheme!r}")
-        if self.nprocs < 1:
-            raise ValueError("nprocs must be >= 1")
-        if self.block < 1:
-            raise ValueError("block must be >= 1")
-
-    def to_axis_distribution(self) -> AxisDistribution:
-        if self.scheme == BLOCK:
-            return Block(self.nprocs, self.block, self.base)
-        if self.scheme == CYCLIC:
-            return Cyclic(self.nprocs, self.base)
-        return BlockCyclic(self.nprocs, self.block, self.base)
-
-    def render(self) -> str:
-        """HPF directive spelling of this axis."""
-        if self.scheme == BLOCK:
-            return f"BLOCK({self.block})"
-        if self.scheme == CYCLIC:
-            return "CYCLIC"
-        return f"CYCLIC({self.block})"
 
 
 @dataclass(frozen=True)
 class DistributionPlan:
     """A complete template distribution chosen by the planner.
 
+    ``axes`` holds one scheme record per template axis; each ``base``
+    anchors its axis at the lowest template cell the axis actually
+    touches, which keeps mobile-offset traffic inside the covered range.
     ``exact`` records whether the choice came from exhaustive search
     (globally optimal over the candidate space) or from the greedy /
     local-search fallback.  ``searched`` counts candidate distributions
@@ -79,7 +33,7 @@ class DistributionPlan:
     plan was priced on (``None``: the paper's default L1 grid machine).
     """
 
-    axes: tuple[AxisPlan, ...]
+    axes: tuple[AxisDistribution, ...]
     cost: CostVector
     exact: bool = True
     searched: int = 0
@@ -101,7 +55,7 @@ class DistributionPlan:
         return n
 
     def to_distribution(self) -> Distribution:
-        return Distribution(tuple(a.to_axis_distribution() for a in self.axes))
+        return Distribution(self.axes)
 
     def directive(self) -> str:
         """One-line HPF-style distribute directive."""

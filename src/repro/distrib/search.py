@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from ..machine.distribution import Distribution
+from ..machine.distribution import AxisDistribution, Distribution
 from ..obs import spans as obs
 from ..topology import AxisMetric, Topology
 from ..topology.models import most_balanced
@@ -37,7 +37,7 @@ from .enumerate import (
     grid_candidates,
     grid_factorizations,
 )
-from .plan import AxisPlan, DistributionPlan
+from .plan import DistributionPlan
 from .vectorized import axis_front_hops, front_costs
 
 EXHAUSTIVE_LIMIT = 20_000
@@ -51,9 +51,9 @@ def _metrics_for_grid(
 
 def _best_axes(
     profile: CommProfile,
-    cands: Sequence[Sequence[AxisPlan]],
+    cands: Sequence[Sequence[AxisDistribution]],
     metrics: Sequence[AxisMetric] | None = None,
-) -> tuple[list[AxisPlan], int]:
+) -> tuple[list[AxisDistribution], int]:
     """The hop-optimal scheme per axis for one grid, and their hop sum.
 
     Each axis's candidate list is priced in one
@@ -67,7 +67,7 @@ def _best_axes(
         candidates=sum(len(clist) for clist in cands),
         axes=len(cands),
     ):
-        axes: list[AxisPlan] = []
+        axes: list[AxisDistribution] = []
         total = 0
         for t, clist in enumerate(cands):
             hops = axis_front_hops(
@@ -79,12 +79,8 @@ def _best_axes(
         return axes, total
 
 
-def _distribution(axes: Sequence[AxisPlan]) -> Distribution:
-    return Distribution(tuple(a.to_axis_distribution() for a in axes))
-
-
 def _plan(
-    axes: Sequence[AxisPlan],
+    axes: Sequence[AxisDistribution],
     cost: CostVector,
     exact: bool,
     searched: int,
@@ -101,14 +97,14 @@ def _plan(
 
 def _priced(
     profile: CommProfile,
-    winners: Sequence[Sequence[AxisPlan]],
+    winners: Sequence[Sequence[AxisDistribution]],
     searched: int,
     topology: Topology | None,
 ) -> list[DistributionPlan]:
     """The grid winners as exact plans, priced in full as one front
     and ordered best first (cost, then the smaller grid)."""
     costs = front_costs(
-        profile, [_distribution(axes) for axes in winners], topology
+        profile, [Distribution(tuple(axes)) for axes in winners], topology
     )
     plans = [
         _plan(axes, cost, True, searched, topology)
@@ -124,7 +120,7 @@ def _spaces(
     block_sizes: Sequence[int],
     topology: Topology | None,
     window: Sequence[tuple[int, int]] | None = None,
-) -> list[tuple[tuple[int, ...], list[list[AxisPlan]]]]:
+) -> list[tuple[tuple[int, ...], list[list[AxisDistribution]]]]:
     """Every realizable grid with its per-axis candidate lists."""
     spaces = list(candidate_spaces(profile, nprocs, block_sizes, topology, window))
     if not spaces:
@@ -260,7 +256,7 @@ def _local_search(
     def supported(g: tuple[int, ...]) -> bool:
         return topology is None or topology.supports_grid(g)
 
-    def best_on(g: tuple[int, ...]) -> tuple[list[AxisPlan], int]:
+    def best_on(g: tuple[int, ...]) -> tuple[list[AxisDistribution], int]:
         return _best_axes(
             profile,
             grid_candidates(profile.window, g, block_sizes),
@@ -270,7 +266,7 @@ def _local_search(
     rng = random.Random(seed)
     rank = profile.template_rank
     searched = 0
-    best_axes: list[AxisPlan] | None = None
+    best_axes: list[AxisDistribution] | None = None
     best_hops = 0
     for r in range(max(1, restarts)):
         if r == 0:
@@ -309,5 +305,5 @@ def _local_search(
                 break
     assert best_axes is not None
     # The search's one result: priced by the scalar evaluator.
-    cost = profile.evaluate(_distribution(best_axes), topology)
+    cost = profile.evaluate(Distribution(tuple(best_axes)), topology)
     return _plan(best_axes, cost, False, searched, topology)

@@ -47,13 +47,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..cachestats import _cell
-from ..machine.distribution import (
-    Block,
-    BlockCyclic,
-    Cyclic,
-    Distribution,
-    Identity,
-)
+from ..machine.distribution import SCHEMES, Block, Distribution, Identity
 from ..topology import AxisMetric, Topology, distribution_metrics_batch
 
 # Candidates priced, in slot 0 (the cell's "hits"; slot 1 stays 0).
@@ -232,14 +226,13 @@ def _front(profile) -> FrontTensors:
 
 
 def _axis_dist_params(ax) -> tuple[int, int, int, int]:
-    """(mode, nprocs, block, base) of one AxisDistribution instance."""
-    if isinstance(ax, Block):
-        return (_MODE_BLOCK, ax.nprocs, ax.block, ax.base)
-    if isinstance(ax, Cyclic):
-        return (_MODE_WRAP, ax.nprocs, 1, ax.base)
-    if isinstance(ax, BlockCyclic):
-        return (_MODE_WRAP, ax.nprocs, ax.block, ax.base)
-    if isinstance(ax, Identity):
+    """(mode, nprocs, block, base) of one axis distribution: a scheme of
+    :data:`~repro.machine.distribution.SCHEMES` (``Cyclic.block`` is 1,
+    so the wrap schemes share one kernel) or the identity."""
+    if SCHEMES.get(getattr(ax, "scheme", None)) is type(ax):
+        mode = _MODE_BLOCK if type(ax) is Block else _MODE_WRAP
+        return (mode, ax.nprocs, ax.block, ax.base)
+    if type(ax) is Identity:
         return (_MODE_IDENTITY, 1, 1, 0)
     raise TypeError(
         f"no front-pricing kernel for axis distribution "
@@ -317,22 +310,16 @@ def axis_front_hops(
 ) -> np.ndarray:
     """Hop totals of one template axis for a whole candidate front.
 
-    ``cands`` is the per-axis candidate list of the enumeration
-    (:class:`~repro.distrib.plan.AxisPlan` values, or anything exposing
-    ``to_axis_distribution``); the result is an int64 ``(len(cands),)``
-    array, entry ``i`` exactly equal to
-    ``profile.axis_hops(axis, cands[i].to_axis_distribution(), metric)``.
+    ``cands`` is the per-axis candidate list of the enumeration (scheme
+    records of :mod:`repro.machine.distribution`); the result is an
+    int64 ``(len(cands),)`` array, entry ``i`` exactly equal to
+    ``profile.axis_hops(axis, cands[i], metric)``.
     """
     front = _front(profile).axes[axis]
     _FRONT_STATS[0] += len(cands)
     if front is None or not len(cands):
         return np.zeros(len(cands), dtype=np.int64)
-    params = [
-        _axis_dist_params(
-            c.to_axis_distribution() if hasattr(c, "to_axis_distribution") else c
-        )
-        for c in cands
-    ]
+    params = [_axis_dist_params(c) for c in cands]
     mode, p, block, base = np.array(params, dtype=np.int64).T
     _check_contract(mode, p, block, base, front.lo, front.hi)
     ps = _proc_coords(front.src, mode, p, block, base)

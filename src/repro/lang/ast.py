@@ -287,15 +287,3 @@ def walk_stmts(stmts):
         elif isinstance(s, If):
             yield from walk_stmts(s.then_body)
             yield from walk_stmts(s.else_body)
-
-
-def referenced_arrays(p: Program) -> set[str]:
-    """Names of arrays that appear in any executable statement."""
-    names: set[str] = set()
-    declared = set(p.array_names())
-    for s in walk_stmts(p.body):
-        if isinstance(s, Assign):
-            for e in list(walk_exprs(s.rhs)) + list(walk_exprs(s.lhs)):
-                if isinstance(e, Ref) and e.name in declared:
-                    names.add(e.name)
-    return names

@@ -26,7 +26,6 @@ from math import floor
 
 from ..ir.affine import AffineForm, exact_div
 from ..ir.itspace import Triplet
-from ..ir.polynomial import Polynomial
 from ..ir.symbols import LIV
 from . import ast as A
 
@@ -146,16 +145,6 @@ class TypeInfo:
         self.program = state["program"]
         self._keepalive = [e for e, _ in state["pairs"]]
         self.shapes = {id(e): shape for e, shape in state["pairs"]}
-
-    def rank_of(self, e: A.Expr) -> int:
-        return len(self.shape_of(e))
-
-    def size_of(self, e: A.Expr) -> Polynomial:
-        """Element count as a polynomial in the LIVs."""
-        total = Polynomial.constant(1)
-        for ext in self.shape_of(e):
-            total = total * Polynomial.from_affine(ext)
-        return total
 
 
 def _extents_equal(a: Shape, b: Shape) -> bool:

@@ -1,13 +1,14 @@
 """Distributed-memory machine simulator: distributions + traffic counting."""
 
-from .template import ProcessorGrid, Template
 from .distribution import (
+    SCHEMES,
     AxisDistribution,
     Block,
     BlockCyclic,
     Cyclic,
     Distribution,
     Identity,
+    uniform,
     validate_cells,
 )
 from .comm import MoveCount, count_move
@@ -22,14 +23,14 @@ from .interp import Interpreter, InterpreterError, run_program
 from .report import format_table
 
 __all__ = [
-    "ProcessorGrid",
-    "Template",
+    "SCHEMES",
     "AxisDistribution",
     "Block",
     "BlockCyclic",
     "Cyclic",
     "Distribution",
     "Identity",
+    "uniform",
     "validate_cells",
     "MoveCount",
     "count_move",

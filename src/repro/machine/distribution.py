@@ -7,6 +7,12 @@ distribution (one processor per cell) under which processor-hop counts
 coincide exactly with the paper's grid-metric cost, which is what the
 equation-1 validation experiment uses.
 
+The three scheme classes are also the distribution planner's per-axis
+choice: each carries its name (``scheme``), its HPF spelling
+(``render()``) and ``nprocs`` / ``block`` / ``base``, and :data:`SCHEMES`
+is the one name → class table the planner, the front-pricing kernel,
+:func:`uniform` and the CLI read.
+
 All mapping functions are vectorized over numpy arrays of cell
 coordinates, and all of them enforce one shared contract via
 :func:`validate_cells`: a distribution owns the template cells in
@@ -24,7 +30,6 @@ from typing import Sequence
 import numpy as np
 
 from ..topology import AxisMetric
-from .template import ProcessorGrid, Template
 
 
 def validate_cells(
@@ -82,6 +87,11 @@ class AxisDistribution:
         return metric.hops(pa, pb)
 
 
+def covering_block(extent: int, nprocs: int) -> int:
+    """The block size whose blocks exactly cover an axis window."""
+    return max(1, -(-extent // nprocs))  # ceil division
+
+
 @dataclass(frozen=True)
 class Block(AxisDistribution):
     """Contiguous blocks of ``block`` cells per processor, from ``base``.
@@ -91,6 +101,8 @@ class Block(AxisDistribution):
     onto the first/last processor, undercounting hops).
     """
 
+    scheme = "block"
+
     nprocs: int
     block: int
     base: int = 0
@@ -98,6 +110,11 @@ class Block(AxisDistribution):
     def __post_init__(self) -> None:
         if self.nprocs <= 0 or self.block <= 0:
             raise ValueError("Block needs nprocs >= 1 and block >= 1")
+
+    @classmethod
+    def over(cls, nprocs: int, lo: int, hi: int) -> "Block":
+        """The block distribution covering cells ``[lo, hi]``."""
+        return cls(nprocs, covering_block(hi - lo + 1, nprocs), lo)
 
     @property
     def coverage(self) -> int:
@@ -107,10 +124,17 @@ class Block(AxisDistribution):
         rel = validate_cells(cells, self.base, self.coverage, "Block")
         return rel // self.block
 
+    def render(self) -> str:
+        return f"BLOCK({self.block})"
+
 
 @dataclass(frozen=True)
 class Cyclic(AxisDistribution):
-    """Cell c lives on processor ``(c - base) mod nprocs``."""
+    """Cell c lives on processor ``(c - base) mod nprocs``: block-cyclic
+    with blocks of one cell."""
+
+    scheme = "cyclic"
+    block = 1
 
     nprocs: int
     base: int = 0
@@ -119,14 +143,24 @@ class Cyclic(AxisDistribution):
         if self.nprocs <= 0:
             raise ValueError("Cyclic needs nprocs >= 1")
 
+    @classmethod
+    def over(cls, nprocs: int, lo: int, hi: int) -> "Cyclic":
+        """The cyclic distribution based at ``lo``."""
+        return cls(nprocs, lo)
+
     def map(self, cells: np.ndarray) -> np.ndarray:
         rel = validate_cells(cells, self.base, None, "Cyclic")
         return np.mod(rel, self.nprocs)
+
+    def render(self) -> str:
+        return "CYCLIC"
 
 
 @dataclass(frozen=True)
 class BlockCyclic(AxisDistribution):
     """Blocks of ``block`` cells dealt cyclically to processors."""
+
+    scheme = "block-cyclic"
 
     nprocs: int
     block: int
@@ -136,9 +170,22 @@ class BlockCyclic(AxisDistribution):
         if self.nprocs <= 0 or self.block <= 0:
             raise ValueError("BlockCyclic needs nprocs >= 1 and block >= 1")
 
+    @classmethod
+    def over(cls, nprocs: int, lo: int, hi: int) -> "BlockCyclic":
+        """Blocks of 4 cells dealt from ``lo``."""
+        return cls(nprocs, 4, lo)
+
     def map(self, cells: np.ndarray) -> np.ndarray:
         rel = validate_cells(cells, self.base, None, "BlockCyclic")
         return np.mod(rel // self.block, self.nprocs)
+
+    def render(self) -> str:
+        return f"CYCLIC({self.block})"
+
+
+#: The HPF schemes by name: the planner's per-axis choices, and what
+#: :func:`uniform` (``measure_plan``, the CLI's ``--measure``) builds.
+SCHEMES = {cls.scheme: cls for cls in (Block, Cyclic, BlockCyclic)}
 
 
 @dataclass(frozen=True)
@@ -151,14 +198,6 @@ class Identity(AxisDistribution):
 
     def map(self, cells: np.ndarray) -> np.ndarray:
         return np.asarray(cells)
-
-
-def _bases(grid: ProcessorGrid, bases: Sequence[int] | None) -> list[int]:
-    if bases is None:
-        return [0] * grid.rank
-    if len(bases) != grid.rank:
-        raise ValueError("bases must match the processor-grid rank")
-    return list(bases)
 
 
 @dataclass
@@ -174,48 +213,6 @@ class Distribution:
     @classmethod
     def identity(cls, rank: int) -> "Distribution":
         return cls(tuple(Identity() for _ in range(rank)))
-
-    @classmethod
-    def block(
-        cls,
-        template: Template,
-        grid: ProcessorGrid,
-        bases: Sequence[int] | None = None,
-    ) -> "Distribution":
-        if not template.extents:
-            raise ValueError("block distribution needs template extents")
-        axes = []
-        for ext, p, lo in zip(template.extents, grid.shape, _bases(grid, bases)):
-            blk = max(1, -(-ext // p))  # ceil division
-            axes.append(Block(p, blk, lo))
-        return cls(tuple(axes))
-
-    @classmethod
-    def cyclic(
-        cls,
-        template: Template,
-        grid: ProcessorGrid,
-        bases: Sequence[int] | None = None,
-    ) -> "Distribution":
-        return cls(
-            tuple(Cyclic(p, lo) for p, lo in zip(grid.shape, _bases(grid, bases)))
-        )
-
-    @classmethod
-    def block_cyclic(
-        cls,
-        template: Template,
-        grid: ProcessorGrid,
-        block: int | Sequence[int] = 4,
-        bases: Sequence[int] | None = None,
-    ) -> "Distribution":
-        blocks = [block] * grid.rank if isinstance(block, int) else list(block)
-        return cls(
-            tuple(
-                BlockCyclic(p, b, lo)
-                for p, b, lo in zip(grid.shape, blocks, _bases(grid, bases))
-            )
-        )
 
     def map_cells(self, cells: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Per-axis processor coordinates for arrays of cell coordinates."""
@@ -255,3 +252,23 @@ class Distribution:
             total = h if total is None else total + h
         assert total is not None
         return total
+
+
+def uniform(
+    scheme: str, window: Sequence[tuple[int, int]], grid: Sequence[int]
+) -> Distribution:
+    """One :data:`SCHEMES` scheme on every axis: axis ``t`` on
+    ``grid[t]`` processors over the cells ``window[t] = (lo, hi)``, based
+    at ``lo`` (block covers the window; block-cyclic deals blocks of 4)."""
+    if scheme not in SCHEMES:
+        raise ValueError(
+            f"unknown distribution scheme {scheme!r}; choose from {sorted(SCHEMES)}"
+        )
+    if len(grid) != len(window):
+        raise ValueError(
+            f"a rank-{len(grid)} processor grid for a rank-{len(window)} template"
+        )
+    cls = SCHEMES[scheme]
+    return Distribution(
+        tuple(cls.over(p, lo, hi) for (lo, hi), p in zip(window, grid))
+    )

@@ -21,8 +21,7 @@ from ..ir.symbols import LIV
 from ..obs import spans as obs
 from ..topology import Topology, distribution_metrics
 from .comm import MoveCount, _axis_positions, count_move
-from .distribution import Distribution
-from .template import ProcessorGrid, Template
+from .distribution import Distribution, uniform
 
 
 @dataclass
@@ -173,31 +172,21 @@ def measure_plan(
 ) -> TrafficReport:
     """Measure an :class:`AlignmentPlan` under a distribution scheme.
 
-    ``scheme`` in {"identity", "block", "cyclic", "block-cyclic"}; for
-    non-identity schemes a processor grid must be given.  The template
-    window is the exact :func:`coordinate_bounds` of the aligned traffic,
-    so the distribution owns every cell the measurement touches.
-    ``topology`` selects the interconnect pricing hops (default: the
-    paper's L1 grid).
+    ``scheme`` is ``"identity"`` or a name in
+    :data:`~repro.machine.distribution.SCHEMES`, built on every axis by
+    :func:`~repro.machine.distribution.uniform` over the ``processors``
+    grid, which non-identity schemes need.  The template window is the
+    exact :func:`coordinate_bounds` of the aligned traffic, so the
+    distribution owns every cell the measurement touches.  ``topology``
+    selects the interconnect pricing hops (default: the paper's L1 grid).
     """
     adg = plan.adg
     if dist is None:
         if scheme == "identity":
             dist = Distribution.identity(adg.template_rank)
+        elif processors is None:
+            raise ValueError("non-identity schemes need a processor grid")
         else:
-            if processors is None:
-                raise ValueError("non-identity schemes need a processor grid")
             bounds = coordinate_bounds(adg, plan.alignments)
-            window = tuple(h - l + 1 for l, h in bounds)
-            bases = tuple(l for l, _ in bounds)
-            template = Template.for_window(window)
-            grid = ProcessorGrid(processors)
-            if scheme == "block":
-                dist = Distribution.block(template, grid, bases)
-            elif scheme == "cyclic":
-                dist = Distribution.cyclic(template, grid, bases)
-            elif scheme == "block-cyclic":
-                dist = Distribution.block_cyclic(template, grid, bases=bases)
-            else:
-                raise ValueError(f"unknown scheme {scheme!r}")
+            dist = uniform(scheme, bounds, processors)
     return measure_traffic(adg, plan.alignments, dist, topology=topology)

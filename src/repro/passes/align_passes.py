@@ -22,7 +22,7 @@ from typing import Any, Optional
 from ..adg.build import build_adg
 from ..align.axis_stride import solve_axis_stride
 from ..align.cost import assemble_alignments, total_cost
-from ..align.offset_mobile import solve_mobile_offsets
+from ..align.offset_mobile import check_algorithm, solve_mobile_offsets
 from ..align.replication import label_replication
 from ..lang.typecheck import typecheck
 from .core import FixpointPass, Pass, PlanContext
@@ -35,7 +35,10 @@ class AlignOptions:
     Mirrors the keyword surface of :func:`repro.align.align_program`;
     ``alg_kw`` holds the algorithm-specific keywords (e.g. ``m`` for
     fixed partitioning) as a sorted item tuple so the whole record is
-    hashable and its repr is content-stable.
+    hashable and its repr is content-stable.  :meth:`of` checks the
+    algorithm and its keywords against
+    :data:`~repro.align.offset_mobile.ALGORITHMS`, so a record that
+    exists names an algorithm that runs.
     """
 
     algorithm: str = "fixed"
@@ -55,6 +58,7 @@ class AlignOptions:
         max_replication_rounds: int = 3,
         **alg_kw: Any,
     ) -> "AlignOptions":
+        check_algorithm(algorithm, alg_kw)
         return cls(
             algorithm,
             backend,
@@ -133,26 +137,17 @@ class ReplicationFixpointPass(FixpointPass):
         adg = ctx.get("adg")
         skel = ctx.get("skeletons")
         program = ctx.get("program")
-        if not opts.replication:
+        if opts.replication:
+            state.replication = label_replication(
+                adg, skel.skeletons, program, state.offsets_in
+            )
+            new_rep = state.replication.replicated_ports() | (state.seen or set())
+        else:
+            # One round, forced labels only.
             state.replication = label_replication(
                 adg, skel.skeletons, program, None, minimal=True
             )
-            state.replicated = state.replication.replicated_ports()
-            state.offsets = solve_mobile_offsets(
-                adg,
-                skel.skeletons,
-                opts.algorithm,
-                replicated=state.replicated,
-                backend=opts.backend,
-                static=not opts.mobile,
-                memo=ctx.memo,
-                **opts.algorithm_kwargs,
-            )
-            return state, True
-        state.replication = label_replication(
-            adg, skel.skeletons, program, state.offsets_in
-        )
-        new_rep = state.replication.replicated_ports() | (state.seen or set())
+            new_rep = state.replication.replicated_ports()
         converged = new_rep == state.seen
         # The offset problem is a function of the replicated set alone,
         # and ``seen`` only grows: the converged round would re-solve
@@ -172,7 +167,7 @@ class ReplicationFixpointPass(FixpointPass):
             state.offsets_in = state.offsets.offsets
         state.seen = new_rep
         state.replicated = new_rep
-        return state, converged
+        return state, converged or not opts.replication
 
     def finish(
         self, ctx: PlanContext, state: _FixpointState, rounds: int

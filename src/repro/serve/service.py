@@ -249,20 +249,21 @@ class PlanService:
     ) -> None:
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
+        self.distrib_options = dict(distrib_options or {})
+        # The one options check: a misplaced key, an unknown algorithm or
+        # algorithm keyword, or an unplannable default machine fails
+        # construction (before the cache is opened), not every request.
+        self.options, _ = planning_records(
+            default_nprocs, default_topology, align_kw, self.distrib_options
+        )
         self.cache = PlanCache(cache_dir, max_entries=max_entries)
         self.jobs = max(1, jobs)
         self.max_pending = max_pending
         self.retry_after = retry_after
-        self.distrib_options = dict(distrib_options or {})
         # Service-wide machine defaults for requests naming neither
         # nprocs nor topology; per-request fields always win.
         self.default_nprocs = default_nprocs
         self.default_topology = default_topology
-        # The one options check: a misplaced key or an unplannable
-        # default machine fails construction, not every request.
-        self.options, _ = planning_records(
-            default_nprocs, default_topology, align_kw, self.distrib_options
-        )
         if isinstance(access_log, str):
             access_log = AccessLog(access_log, trace_sample=trace_sample)
         self.access_log = access_log

@@ -75,10 +75,6 @@ class DiscreteLabelingProblem:
         self.candidates[node] = cands
         self._adj.setdefault(node, [])
 
-    def fix_node(self, node: NodeId, label: Label) -> None:
-        """Pin a node to a single label (pre-aligned object, constraint)."""
-        self.add_node(node, [label])
-
     def add_edge(
         self,
         u: NodeId,

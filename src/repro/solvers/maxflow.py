@@ -61,10 +61,6 @@ class FlowNetwork:
     def num_nodes(self) -> int:
         return len(self._names)
 
-    @property
-    def num_edges(self) -> int:
-        return len(self._edges)
-
     def add_edge(self, u: NodeId, v: NodeId, cap: float) -> int:
         """Add arc u->v with capacity cap; returns an edge handle."""
         if cap < 0:
@@ -77,10 +73,6 @@ class FlowNetwork:
         handle = len(self._edges)
         self._edges.append((ui, len(self.adj[ui]) - 1, vi))
         return handle
-
-    def edge_flow(self, handle: int) -> float:
-        u, ai, _ = self._edges[handle]
-        return self.adj[u][ai].flow
 
     def reset_flow(self) -> None:
         for arcs in self.adj:

@@ -122,13 +122,10 @@ class ReferencePlanner:
             metrics = [None] * len(grid) if topology is None else topology.metrics(grid)
             axes, axis_hops = [], 0
             for t, clist in enumerate(cands):
-                hops = [
-                    profile.axis_hops(t, c.to_axis_distribution(), metrics[t])
-                    for c in clist
-                ]
+                hops = [profile.axis_hops(t, c, metrics[t]) for c in clist]
                 axes.append(clist[hops.index(min(hops))])
                 axis_hops += min(hops)
-            dist = Distribution(tuple(a.to_axis_distribution() for a in axes))
+            dist = Distribution(tuple(axes))
             cost = profile.evaluate(dist, topology)
             # What lets the planner skip the grids above the minimum.
             assert cost.hops == profile.fixed.hops + axis_hops, grid

@@ -115,7 +115,7 @@ class TestMobileOffsets:
     def test_all_algorithms_run_and_bound_exact(self, alg, make):
         adg, skel, _ = solve(make())
         exact = unrolling(adg, skel)
-        res = ALGORITHMS[alg](adg, skel)
+        res = ALGORITHMS[alg].run(adg, skel)
         assert res.cost >= exact.cost  # exact is a lower bound
         assert res.cost <= exact.cost * 60  # and nothing absurd
 

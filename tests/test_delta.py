@@ -830,9 +830,7 @@ class TestReplanContext:
         base_ctx = _plan(parse(BASE_SRC), goal=("plan", "profile"))
         edited = parse(EDITS["op_swap"][1], name="edited")
         with pytest.raises(ValueError, match="align"):
-            solve_prefix(
-                edited, AlignOptions.of(offset_mode="static"), base=base_ctx
-            )
+            solve_prefix(edited, AlignOptions.of(mobile=False), base=base_ctx)
 
     def test_batch_report_exposes_artifact_reuse(self):
         """A replanning batch task's cachestats delta carries the

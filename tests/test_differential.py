@@ -162,9 +162,7 @@ def _candidate_front(profile, nprocs, topology, cap=96):
     dists = []
     for _, cands in candidate_spaces(profile, nprocs, topology=topology):
         for combo in itertools.product(*cands):
-            dists.append(
-                Distribution(tuple(c.to_axis_distribution() for c in combo))
-            )
+            dists.append(Distribution(combo))
             if len(dists) >= cap:
                 return dists
     return dists

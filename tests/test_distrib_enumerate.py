@@ -13,7 +13,6 @@ from repro.distrib import (
     naive_distributions,
     space_size,
 )
-from repro.distrib.plan import BLOCK, BLOCK_CYCLIC, CYCLIC
 from repro.lang import programs
 from repro.machine import Block, Cyclic, Identity
 
@@ -53,14 +52,14 @@ class TestAxisCandidates:
     def test_single_processor_collapses(self):
         cands = axis_candidates(0, 64, 1)
         assert len(cands) == 1
-        assert cands[0].scheme == BLOCK and cands[0].block == 64
+        assert cands[0].scheme == "block" and cands[0].block == 64
 
     def test_schemes_present(self):
         cands = axis_candidates(-3, 64, 4, block_sizes=(2, 4, 8))
         schemes = [c.scheme for c in cands]
-        assert schemes.count(BLOCK) == 1
-        assert schemes.count(CYCLIC) == 1
-        assert schemes.count(BLOCK_CYCLIC) == 3
+        assert schemes.count("block") == 1
+        assert schemes.count("cyclic") == 1
+        assert schemes.count("block-cyclic") == 3
         assert all(c.base == -3 for c in cands)
         assert all(c.nprocs == 4 for c in cands)
 
@@ -68,7 +67,7 @@ class TestAxisCandidates:
         # covering block is 2, so no block-cyclic size fits strictly
         # between cyclic (1) and block (2)
         cands = axis_candidates(0, 8, 4, block_sizes=(2, 4, 8))
-        assert [c.scheme for c in cands] == [BLOCK, CYCLIC]
+        assert [c.scheme for c in cands] == ["block", "cyclic"]
 
 
 class TestNaiveBaselines:

@@ -8,9 +8,6 @@ import pytest
 from repro import obs
 from repro.align import align_program
 from repro.distrib import (
-    BLOCK,
-    BLOCK_CYCLIC,
-    CYCLIC,
     build_profile,
     naive_costs,
     plan_distribution,
@@ -21,7 +18,7 @@ from repro.distrib.enumerate import axis_candidates, candidate_spaces, space_siz
 from repro.distrib.search import _neighbor_grids, _prime_factors
 from repro.lang import programs
 from repro.lang.generate import FAMILIES, generate_scenario, topology_corpus
-from repro.machine import Distribution
+from repro.machine import SCHEMES, Distribution
 from repro.topology import parse_topology
 
 
@@ -35,9 +32,7 @@ def _brute_force_hops(profile, nprocs):
     best = None
     for _, cands in candidate_spaces(profile, nprocs):
         for combo in product(*cands):
-            dist = Distribution(
-                tuple(c.to_axis_distribution() for c in combo)
-            )
+            dist = Distribution(combo)
             hops = profile.evaluate(dist).hops
             if best is None or hops < best:
                 best = hops
@@ -301,7 +296,7 @@ class TestTiedGridPricing:
             window=((0, 8), (0, 8)),
         )
         tied = axis_candidates(0, 9, 3)
-        assert [c.scheme for c in tied] == [BLOCK, CYCLIC, BLOCK_CYCLIC]
+        assert [c.scheme for c in tied] == list(SCHEMES)
         exhaustive = plan_distribution(profile, 3)
         searched = plan_distribution(profile, 3, exhaustive_limit=0)
         assert (exhaustive.exact, searched.exact) == (True, False)

@@ -181,9 +181,7 @@ class TestAxisFrontPairs:
                 cands = axis_candidates(lo, hi - lo + 1, nprocs)
                 hops = axis_front_hops(prof, t, cands, metric)
                 for i, c in enumerate(cands):
-                    assert int(hops[i]) == prof.axis_hops(
-                        t, c.to_axis_distribution(), metric
-                    ), (spec, t, i)
+                    assert int(hops[i]) == prof.axis_hops(t, c, metric), (spec, t, i)
 
     def test_unmoved_cell_outside_the_window_still_raises(self):
         # Cell 9 never moves on axis 0, so it is in no pair — but it is
@@ -199,7 +197,7 @@ class TestAxisFrontPairs:
         with pytest.raises(ValueError, match="cell 9 outside covered range"):
             axis_front_hops(prof, 0, cands)
         with pytest.raises(ValueError, match="outside covered range"):
-            prof.axis_hops(0, cands[0].to_axis_distribution())
+            prof.axis_hops(0, cands[0])
 
     def test_axis_with_only_unmoved_pairs_prices_to_zero(self):
         # Every element keeps its axis-1 cell: the axis has a front (and
@@ -213,9 +211,7 @@ class TestAxisFrontPairs:
         assert (front.lo, front.hi) == (1, 2)
         cands = axis_candidates(0, 4, 4)
         assert axis_front_hops(prof, 1, cands).tolist() == [0] * len(cands)
-        assert all(
-            prof.axis_hops(1, c.to_axis_distribution()) == 0 for c in cands
-        )
+        assert all(prof.axis_hops(1, c) == 0 for c in cands)
 
 
 class TestCompactFront:
@@ -389,10 +385,10 @@ def test_the_compact_front_prices_like_the_scalar_evaluators(spec, prof):
         metrics = (None,) * len(grid) if topo is None else topo.metrics(grid)
         for t, (clist, metric) in enumerate(zip(cands, metrics)):
             assert axis_front_hops(prof, t, clist, metric).tolist() == [
-                prof.axis_hops(t, c.to_axis_distribution(), metric) for c in clist
+                prof.axis_hops(t, c, metric) for c in clist
             ]
         for combo in itertools.product(*cands):
-            dists.append(Distribution(tuple(c.to_axis_distribution() for c in combo)))
+            dists.append(Distribution(combo))
     assert front_costs(prof, dists, topo) == [prof.evaluate(d, topo) for d in dists]
 
 
@@ -447,9 +443,7 @@ class TestFrontEdgeCases:
             hops = axis_front_hops(profile, t, cands)
             assert hops.shape == (len(cands),)
             for i, c in enumerate(cands):
-                assert int(hops[i]) == profile.axis_hops(
-                    t, c.to_axis_distribution()
-                ), (t, i)
+                assert int(hops[i]) == profile.axis_hops(t, c), (t, i)
 
     def test_axis_front_hops_with_metric(self, profile):
         topo = parse_topology("ring:4")
@@ -458,9 +452,7 @@ class TestFrontEdgeCases:
         cands = axis_candidates(lo, hi - lo + 1, 4)
         hops = axis_front_hops(profile, 0, cands, metric)
         for i, c in enumerate(cands):
-            assert int(hops[i]) == profile.axis_hops(
-                0, c.to_axis_distribution(), metric
-            )
+            assert int(hops[i]) == profile.axis_hops(0, c, metric)
 
     def test_axis_front_hops_empty_candidates(self, profile):
         assert axis_front_hops(profile, 0, []).shape == (0,)

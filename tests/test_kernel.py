@@ -213,7 +213,15 @@ BAD_OPTIONS = {
     "misplaced_distrib_key": (4, None, None, {"algorithm": "fixed"}),
     "unknown_distrib_key": (4, None, None, {"restart": 3}),
     "bad_spec": (None, "grid:bogus", None, None),
+    "unknown_algorithm": (4, None, {"algorithm": "nope"}, None),
+    "key_of_another_algorithm": (4, None, {"algorithm": "unrolling", "m": 3}, None),
+    "misspelt_algorithm_key": (4, None, {"algorithm": "fixed", "mm": 3}, None),
+    "solver_key": (4, None, {"static": True}, None),
 }
+#: The cases that are :class:`DistributionOptionsError`; a bad spec is the
+#: topology parser's ValueError, a bad algorithm or algorithm keyword the
+#: ValueError / TypeError of ``check_algorithm``.
+NAMED = {"mismatch", "misplaced_align_key", "misplaced_distrib_key", "unknown_distrib_key"}
 
 
 def _align_and_distribute(nprocs, topology, align_kw, distrib_options):
@@ -249,15 +257,18 @@ def _plan_service(nprocs, topology, align_kw, distrib_options):
 @pytest.mark.parametrize(
     "driver", [_align_and_distribute, _plan_many, _plan_sweep, _plan_service]
 )
-def test_bad_options_are_one_named_error_everywhere(driver, case):
+def test_bad_options_are_one_named_error_everywhere(driver, case, monkeypatch):
     args = BAD_OPTIONS[case]
-    with pytest.raises(ValueError) as boundary:
+    with pytest.raises((ValueError, TypeError)) as boundary:
         planning_records(*args)
-    named = case != "bad_spec"  # a bad spec is the topology parser's ValueError
-    assert isinstance(boundary.value, DistributionOptionsError) == named
+    assert isinstance(boundary.value, DistributionOptionsError) == (case in NAMED)
+    planned = []
+    for module in (repro.align.pipeline, repro.batch.engine):
+        monkeypatch.setattr(module, "solve_prefix", lambda *a, **k: planned.append(a))
     with pytest.raises(type(boundary.value)) as raised:
         driver(*args)
     assert str(raised.value) == str(boundary.value)
+    assert planned == []  # raised before anything was planned
 
 
 @pytest.mark.parametrize("case", ["mismatch", "bad_spec"])

@@ -14,11 +14,10 @@ from repro.machine import (
     Distribution,
     Identity,
     MoveCount,
-    ProcessorGrid,
-    Template,
     count_move,
     format_table,
     measure_plan,
+    uniform,
 )
 
 k = LIV("k", 0)
@@ -42,11 +41,26 @@ class TestDistributions:
         i = Identity()
         assert list(i.map(np.array([3, 9]))) == [3, 9]
 
-    def test_factory_block(self):
-        t = Template.for_window((100,))
-        d = Distribution.block(t, ProcessorGrid((4,)))
-        assert isinstance(d.axes[0], Block)
-        assert d.axes[0].block == 25
+    def test_uniform_block(self):
+        d = uniform("block", [(0, 99)], (4,))
+        assert d.axes == (Block(4, 25, 0),)
+
+    def test_uniform_schemes_are_based_at_the_window(self):
+        window, grid = [(-3, 12), (0, 9)], (4, 2)
+        assert uniform("block", window, grid).axes == (Block(4, 4, -3), Block(2, 5, 0))
+        assert uniform("cyclic", window, grid).axes == (Cyclic(4, -3), Cyclic(2, 0))
+        assert uniform("block-cyclic", window, grid).axes == (
+            BlockCyclic(4, 4, -3),
+            BlockCyclic(2, 4, 0),
+        )
+
+    def test_uniform_rejects_bad_grids_and_names(self):
+        with pytest.raises(ValueError, match="rank-1 processor grid for a rank-2"):
+            uniform("block", [(0, 9), (0, 9)], (4,))
+        with pytest.raises(ValueError, match="nprocs >= 1"):
+            uniform("cyclic", [(0, 9)], (0,))
+        with pytest.raises(ValueError, match="unknown distribution scheme 'blocky'"):
+            uniform("blocky", [(0, 9)], (4,))
 
     def test_moved_mask_and_hops(self):
         d = Distribution((Cyclic(4),))
@@ -90,13 +104,6 @@ class TestDistributions:
 
     def test_identity_allows_any_cell(self):
         assert list(Identity().map(np.array([-7, 0, 7]))) == [-7, 0, 7]
-
-    def test_processor_grid(self):
-        g = ProcessorGrid((2, 3))
-        assert g.num_processors == 6
-        assert g.linearize((1, 2)) == 5
-        with pytest.raises(ValueError):
-            ProcessorGrid((0,))
 
 
 class TestCountMove:
