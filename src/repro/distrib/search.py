@@ -2,15 +2,17 @@
 
 Every hop metric decomposes over template axes, so once a grid
 factorization fixes the processor count per axis, the best scheme per
-axis is an independent choice: :func:`_best_axes` prices each axis's
-whole candidate list in one array call and takes the first minimum.
+axis is an independent choice: :func:`_winners` prices each template
+axis once for every grid (one array call over all their candidate
+lists) and each grid takes the first minimum of its own slice.  The
+same call returns each candidate's ``moved``, so a winner's cost is
+assembled from those numbers (:func:`_plans`), never priced twice.
 Two regimes share it, chosen by the size of the candidate space:
 
 * **Exhaustive** (small spaces): every grid factorization is solved
   exactly; the winner over all factorizations is the hop-optimal
-  distribution.  The argmin already knows each grid winner's hops, and
-  cost orders by hops first, so only the grids tied at the minimum are
-  priced in full (``moved`` breaks the tie).
+  distribution.  Cost orders by hops first, so only the grids tied at
+  the minimum hops can win, and ``moved`` breaks the tie.
 
 * **Local search** (large spaces): the per-grid optimum on a sample of
   grid shapes, then hill-climbing over the factorization neighborhood
@@ -24,9 +26,9 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from ..machine.distribution import AxisDistribution, Distribution
+from ..machine.distribution import AxisDistribution
 from ..obs import spans as obs
-from ..topology import AxisMetric, Topology
+from ..topology import Topology
 from ..topology.models import most_balanced
 from .costmodel import CommProfile, CostVector
 from .enumerate import (
@@ -38,80 +40,84 @@ from .enumerate import (
     grid_factorizations,
 )
 from .plan import DistributionPlan
-from .vectorized import axis_front_hops, front_costs
+from .vectorized import axis_front_hops, joint_moved
 
 EXHAUSTIVE_LIMIT = 20_000
 
-
-def _metrics_for_grid(
-    topology: Topology | None, grid: Sequence[int]
-) -> tuple[AxisMetric, ...] | None:
-    return None if topology is None else topology.metrics(tuple(grid))
+Winner = tuple[list[AxisDistribution], int, int]
 
 
-def _best_axes(
+def _winners(
     profile: CommProfile,
-    cands: Sequence[Sequence[AxisDistribution]],
-    metrics: Sequence[AxisMetric] | None = None,
-) -> tuple[list[AxisDistribution], int]:
-    """The hop-optimal scheme per axis for one grid, and their hop sum.
+    spaces: Sequence[tuple[tuple[int, ...], Sequence[Sequence[AxisDistribution]]]],
+    topology: Topology | None,
+) -> list[Winner]:
+    """Per grid of ``spaces``: the hop-optimal scheme per axis, and the
+    hops and ``moved`` those schemes price on their own axes.
 
-    Each axis's candidate list is priced in one
-    :func:`~repro.distrib.vectorized.axis_front_hops` call and the first
-    minimum wins, so a tie goes to the earlier candidate in
-    :func:`~repro.distrib.enumerate.axis_candidates` order.  The sum is
-    the axes' own hops: ``profile.fixed.hops`` is not in it.
+    Each template axis is one
+    :func:`~repro.distrib.vectorized.axis_front_hops` call over every
+    grid's candidate list for it, with one metric per row; each grid
+    then takes the first minimum of its own slice, so a tie goes to the
+    earlier candidate in
+    :func:`~repro.distrib.enumerate.axis_candidates` order.  Neither sum
+    has the profile's fixed cost or the joint rows in it
+    (:func:`_plans` adds those).
     """
+    metrics = [] if topology is None else [topology.metrics(grid) for grid, _ in spaces]
+    axes: list[list[AxisDistribution]] = [[] for _ in spaces]
+    hops, moved = [0] * len(spaces), [0] * len(spaces)
     with obs.span(
         "distrib.front_price",
-        candidates=sum(len(clist) for clist in cands),
-        axes=len(cands),
+        candidates=sum(len(c) for _, cands in spaces for c in cands),
+        axes=profile.template_rank,
+        grids=len(spaces),
     ):
-        axes: list[AxisDistribution] = []
-        total = 0
-        for t, clist in enumerate(cands):
-            hops = axis_front_hops(
-                profile, t, clist, None if metrics is None else metrics[t]
-            )
-            best = int(hops.argmin())
-            axes.append(clist[best])
-            total += int(hops[best])
-        return axes, total
+        for t in range(profile.template_rank):
+            joined = [c for _, cands in spaces for c in cands[t]]
+            rows = None if topology is None else [
+                m[t] for m, (_, cands) in zip(metrics, spaces) for _ in cands[t]
+            ]
+            t_hops, t_moved = axis_front_hops(profile, t, joined, rows)
+            t_hops, t_moved = t_hops.tolist(), t_moved.tolist()
+            stop = 0
+            for g, (_, cands) in enumerate(spaces):
+                start, stop = stop, stop + len(cands[t])
+                own = t_hops[start:stop]
+                i = start + own.index(min(own))
+                axes[g].append(joined[i])
+                hops[g] += t_hops[i]
+                moved[g] += t_moved[i]
+    return list(zip(axes, hops, moved))
 
 
-def _plan(
-    axes: Sequence[AxisDistribution],
-    cost: CostVector,
+def _plans(
+    profile: CommProfile,
+    winners: Sequence[Winner],
     exact: bool,
     searched: int,
     topology: Topology | None,
-) -> DistributionPlan:
-    return DistributionPlan(
-        tuple(axes),
-        cost,
-        exact,
-        searched,
-        topology=None if topology is None else topology.spec(),
-    )
-
-
-def _priced(
-    profile: CommProfile,
-    winners: Sequence[Sequence[AxisDistribution]],
-    searched: int,
-    topology: Topology | None,
 ) -> list[DistributionPlan]:
-    """The grid winners as exact plans, priced in full as one front
-    and ordered best first (cost, then the smaller grid)."""
-    costs = front_costs(
-        profile, [Distribution(tuple(axes)) for axes in winners], topology
-    )
-    plans = [
-        _plan(axes, cost, True, searched, topology)
-        for axes, cost in zip(winners, costs)
+    """The winners as plans, each cost assembled from its per-axis
+    numbers: the profile's fixed cost, the axes' hops and ``moved``,
+    the joint rows those schemes move, and the broadcast."""
+    joint = joint_moved(profile, [axes for axes, _, _ in winners]).tolist()
+    fixed = profile.fixed
+    return [
+        DistributionPlan(
+            tuple(axes),
+            CostVector(fixed.hops + h, fixed.moved + m + j, profile.broadcast),
+            exact,
+            searched,
+            topology=None if topology is None else topology.spec(),
+        )
+        for (axes, h, m), j in zip(winners, joint)
     ]
-    plans.sort(key=lambda pl: (pl.cost, pl.grid))
-    return plans
+
+
+def _best_first(plans: list[DistributionPlan]) -> list[DistributionPlan]:
+    """``plans`` ordered by cost, then the smaller grid."""
+    return sorted(plans, key=lambda pl: (pl.cost, pl.grid))
 
 
 def _spaces(
@@ -163,22 +169,19 @@ def plan_distribution(
         exhaustive=work <= exhaustive_limit,
     ):
         if work > exhaustive_limit:
-            # No tie rule here: the search's one result is priced in full.
-            obs.annotate(grids_tied=0, grids_priced=1)
+            obs.annotate(grids_tied=0)  # the local search has no tie rule
             return _local_search(
                 profile, nprocs, block_sizes, seed, restarts, topology
             )
-        solved = [
-            _best_axes(profile, cands, _metrics_for_grid(topology, grid))
-            for grid, cands in spaces
-        ]
+        solved = _winners(profile, spaces, topology)
         # Cost orders by hops first and a grid's hop sum is its winner's
         # own (less the profile's fixed hops), so a grid above the
         # minimum cannot win: only the tied grids need ``moved``.
-        least = min(hops for _, hops in solved)
-        tied = [axes for axes, hops in solved if hops == least]
-        obs.annotate(grids_tied=len(tied), grids_priced=len(tied))
-        return _priced(profile, tied, covered_size(spaces), topology)[0]
+        least = min(hops for _, hops, _ in solved)
+        tied = [w for w in solved if w[1] == least]
+        obs.annotate(grids_tied=len(tied))
+        plans = _plans(profile, tied, True, covered_size(spaces), topology)
+        return _best_first(plans)[0]
 
 
 def rank_plans(
@@ -207,12 +210,10 @@ def rank_plans(
             spaces[i][0] for i in rng.sample(range(len(spaces)), max_grids - 1)
         )
         spaces = [space for space in spaces if space[0] in keep]
-    # Ranking needs every grid's full cost, so every winner is priced.
-    winners = [
-        _best_axes(profile, cands, _metrics_for_grid(topology, grid))[0]
-        for grid, cands in spaces
-    ]
-    return _priced(profile, winners, len(spaces), topology)[: max(1, k)]
+    # Ranking needs every grid's full cost: every winner's is assembled.
+    winners = _winners(profile, spaces, topology)
+    plans = _plans(profile, winners, True, len(spaces), topology)
+    return _best_first(plans)[: max(1, k)]
 
 
 # -- local search -------------------------------------------------------------
@@ -256,18 +257,16 @@ def _local_search(
     def supported(g: tuple[int, ...]) -> bool:
         return topology is None or topology.supports_grid(g)
 
-    def best_on(g: tuple[int, ...]) -> tuple[list[AxisDistribution], int]:
-        return _best_axes(
-            profile,
-            grid_candidates(profile.window, g, block_sizes),
-            _metrics_for_grid(topology, g),
+    def best_on(g: tuple[int, ...]) -> Winner:
+        (won,) = _winners(
+            profile, [(g, grid_candidates(profile.window, g, block_sizes))], topology
         )
+        return won
 
     rng = random.Random(seed)
     rank = profile.template_rank
     searched = 0
-    best_axes: list[AxisDistribution] | None = None
-    best_hops = 0
+    best: Winner | None = None
     for r in range(max(1, restarts)):
         if r == 0:
             grid = balanced_factorization(nprocs, rank)
@@ -279,7 +278,7 @@ def _local_search(
             grid = tuple(g)
         if not supported(grid):
             continue
-        axes, hops = best_on(grid)
+        won = best_on(grid)
         searched += 1
         improved = True
         while improved:
@@ -287,23 +286,22 @@ def _local_search(
             for ng in _neighbor_grids(grid):
                 if not supported(ng):
                     continue
-                n_axes, n_hops = best_on(ng)
+                n_won = best_on(ng)
                 searched += 1
-                if n_hops < hops:
-                    grid, axes, hops = ng, n_axes, n_hops
+                if n_won[1] < won[1]:
+                    grid, won = ng, n_won
                     improved = True
                     break  # first-improvement, GSAT style
-        if best_axes is None or hops < best_hops:
-            best_axes, best_hops = axes, hops
-    if best_axes is None:
+        if best is None or won[1] < best[1]:
+            best = won
+    if best is None:
         # Every restart grid was unrealizable: fall back to the first
         # supported factorization (plan_distribution guarantees one).
         for grid in grid_factorizations(nprocs, rank):
             if supported(grid):
-                best_axes, _ = best_on(grid)
+                best = best_on(grid)
                 searched += 1
                 break
-    assert best_axes is not None
-    # The search's one result: priced by the scalar evaluator.
-    cost = profile.evaluate(Distribution(tuple(best_axes)), topology)
-    return _plan(best_axes, cost, False, searched, topology)
+    assert best is not None
+    # The search's one result, its cost assembled from the climb's own numbers.
+    return _plans(profile, [best], False, searched, topology)[0]

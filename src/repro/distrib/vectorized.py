@@ -20,20 +20,25 @@ broadcasted NumPy ops:
   deduplicated :class:`JointFront` rows, because ``moved`` counts such
   an element once however many of its axes change processor;
 * :func:`axis_front_hops` maps one axis's cell pairs to processor
-  coordinates for *all* candidate axis schemes at once — scheme
-  parameters become broadcast arrays, the topology's vectorized metric
-  kernels (:meth:`~repro.topology.AxisMetric.hops`) price the whole
-  ``(candidates, pairs)`` array in one call — and returns the
-  per-candidate hop totals the per-axis argmin consumes;
-* :func:`evaluate_front` prices full candidate distributions over the
-  same front and returns an ``(n_candidates, 3)`` cost matrix with
-  columns ``(hops, moved, broadcast)``.
+  coordinates for *all* candidate axis schemes at once, every grid's
+  candidates joined in one call — scheme parameters become broadcast
+  arrays, the topology's vectorized metric kernels
+  (:meth:`~repro.topology.AxisMetric.hops`) price the whole
+  ``(candidates, pairs)`` array, one kernel call per distinct metric —
+  and returns the per-candidate hop and ``moved`` totals the per-axis
+  argmin consumes;
+* :func:`joint_moved` prices the joint rows, the one ``moved`` term no
+  single axis can tell, for whole candidate distributions;
+* :func:`evaluate_front` prices full candidate distributions with the
+  same two kernels and returns an ``(n_candidates, 3)`` cost matrix
+  with columns ``(hops, moved, broadcast)``.
 
 The suffix only reads the front: the ``distrib.front_tensors`` counter
-records one miss per front compiled and one hit per pricing read.  The
-scalar evaluators stay as the reference: every number produced here is
-an exact integer equal to theirs and to the machine simulator (asserted
-per scenario and per topology family in ``tests/test_differential.py``).
+records one miss per front compiled and one hit per pricing read (an
+:func:`axis_front_hops` or :func:`evaluate_front` call).  The scalar
+evaluators stay as the reference: every number produced here is an
+exact integer equal to theirs and to the machine simulator (asserted per
+scenario and per topology family in ``tests/test_differential.py``).
 The ``distrib.front_price`` counter records how many candidates were
 priced.
 """
@@ -102,8 +107,9 @@ class JointFront:
 
 @dataclass(frozen=True)
 class FrontTensors:
-    """A profile's pricing front: everything :func:`axis_front_hops` and
-    :func:`evaluate_front` read, compiled once per profile."""
+    """A profile's pricing front: everything :func:`axis_front_hops`,
+    :func:`joint_moved` and :func:`evaluate_front` read, compiled once
+    per profile."""
 
     axes: tuple[Optional[AxisFront], ...]
     joints: tuple[JointFront, ...]
@@ -242,6 +248,7 @@ def _axis_dist_params(ax) -> tuple[int, int, int, int]:
 
 
 def _check_contract(
+    cands: Sequence,
     mode: np.ndarray,
     p: np.ndarray,
     block: np.ndarray,
@@ -250,20 +257,21 @@ def _check_contract(
     hi: int,
 ) -> None:
     """Mirror :func:`repro.machine.distribution.validate_cells` for the
-    whole candidate batch: same violations, same ValueError."""
+    whole candidate batch: same violations, same ValueError, naming the
+    offending scheme record."""
     owned = mode != _MODE_IDENTITY
     below = owned & (lo < base)
     if np.any(below):
         i = int(np.argmax(below))
         raise ValueError(
-            f"candidate {i}: cell {lo} below distribution base {int(base[i])}"
+            f"{cands[i]!r}: cell {lo} below distribution base {int(base[i])}"
         )
     blocked = mode == _MODE_BLOCK
     over = blocked & (hi >= base + p * block)
     if np.any(over):
         i = int(np.argmax(over))
         raise ValueError(
-            f"candidate {i}: cell {hi} outside covered range "
+            f"{cands[i]!r}: cell {hi} outside covered range "
             f"[{int(base[i])}, {int(base[i] + p[i] * block[i])})"
         )
 
@@ -279,13 +287,17 @@ def _proc_coords(
     once: ``(C,) + cells.shape`` via broadcasting.
 
     Cyclic is block-cyclic with block 1, so the wrap modes share one
-    kernel; identity rows pass coordinates through unchanged.
+    kernel, and so does block: on the cells :func:`_check_contract`
+    admits, its ``(cell - base) // block`` is already below ``nprocs``.
+    Identity rows pass coordinates through unchanged.
     """
     shape = (-1,) + (1,) * cells.ndim
-    mode_b = mode.reshape(shape)
     q = (cells[None] - base.reshape(shape)) // block.reshape(shape)
-    proc = np.where(mode_b == _MODE_BLOCK, q, np.mod(q, p.reshape(shape)))
-    return np.where(mode_b == _MODE_IDENTITY, cells[None], proc)
+    proc = np.mod(q, p.reshape(shape))
+    identity = mode == _MODE_IDENTITY
+    if identity.any():
+        proc = np.where(identity.reshape(shape), cells[None], proc)
+    return proc
 
 
 def _metric_hops(
@@ -302,30 +314,80 @@ def _metric_hops(
 # -- front pricing ------------------------------------------------------------
 
 
+def _axis_totals(
+    af: AxisFront,
+    cands: Sequence,
+    metrics: Optional[Sequence[Optional[AxisMetric]]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(hops, moved)`` of one axis front under every candidate, row
+    ``i`` priced with ``metrics[i]`` (``metrics`` None: all on the open
+    chain)."""
+    params = np.array([_axis_dist_params(c) for c in cands], dtype=np.int64).T
+    _check_contract(cands, *params, af.lo, af.hi)
+    ps = _proc_coords(af.src, *params)
+    pd = _proc_coords(af.dst, *params)
+    # Rows can price this axis with different metrics (different grids /
+    # physical axes): group them so each metric's kernel runs once
+    # (``metrics`` None: one group, the open chain).
+    rows_by_metric: dict = {}
+    for i, metric in enumerate(metrics or (None,)):
+        rows_by_metric.setdefault(metric, []).append(i)
+    if len(rows_by_metric) == 1:
+        (metric,) = rows_by_metric
+        hops = _metric_hops(metric, ps, pd) @ af.weight
+    else:
+        hops = np.empty(len(cands), dtype=np.int64)
+        for metric, rows in rows_by_metric.items():
+            hops[rows] = _metric_hops(metric, ps[rows], pd[rows]) @ af.weight
+    return hops, (ps != pd) @ af.moved
+
+
 def axis_front_hops(
     profile,
     axis: int,
     cands: Sequence,
-    metric: Optional[AxisMetric] = None,
-) -> np.ndarray:
-    """Hop totals of one template axis for a whole candidate front.
+    metrics: Optional[Sequence[Optional[AxisMetric]]] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hop and ``moved`` totals of one template axis for a whole
+    candidate front, in one call however many grids it joins.
 
-    ``cands`` is the per-axis candidate list of the enumeration (scheme
-    records of :mod:`repro.machine.distribution`); the result is an
-    int64 ``(len(cands),)`` array, entry ``i`` exactly equal to
-    ``profile.axis_hops(axis, cands[i], metric)``.
+    ``cands`` holds per-axis candidates of the enumeration (scheme
+    records of :mod:`repro.machine.distribution`), ``metrics`` one axis
+    metric per candidate (``None``: the open L1 chain for all).  Returns
+    two int64 ``(len(cands),)`` arrays: ``hops[i]`` exactly equals
+    ``profile.axis_hops(axis, cands[i], metrics[i])``, and ``moved[i]``
+    counts the elements that move on this axis alone and change
+    processor under ``cands[i]`` (the joint movers are
+    :func:`joint_moved`'s).
     """
     front = _front(profile).axes[axis]
     _FRONT_STATS[0] += len(cands)
     if front is None or not len(cands):
-        return np.zeros(len(cands), dtype=np.int64)
-    params = [_axis_dist_params(c) for c in cands]
-    mode, p, block, base = np.array(params, dtype=np.int64).T
-    _check_contract(mode, p, block, base, front.lo, front.hi)
-    ps = _proc_coords(front.src, mode, p, block, base)
-    pd = _proc_coords(front.dst, mode, p, block, base)
-    hops = _metric_hops(metric, ps, pd)
-    return np.sum(front.weight[None] * hops, axis=1, dtype=np.int64)
+        return tuple(np.zeros((2, len(cands)), dtype=np.int64))
+    return _axis_totals(front, cands, metrics)
+
+
+def joint_moved(profile, dists: Sequence[Sequence]) -> np.ndarray:
+    """The elements moving on two or more template axes that change
+    processor, per candidate: ``dists[i]`` is one contract-checked
+    scheme per template axis.  An int64 ``(len(dists),)`` array, zero
+    for a profile without joint rows."""
+    out = np.zeros(len(dists), dtype=np.int64)
+    joints = profile.front.joints
+    if not joints or not len(dists):
+        return out
+    # (mode, nprocs, block, base) per axis, each an (n,) array.
+    params = np.array(
+        [[_axis_dist_params(ax) for ax in axes] for axes in dists], dtype=np.int64
+    ).transpose(1, 2, 0)
+    for jf in joints:
+        moved = np.zeros((len(dists), jf.weight.size), dtype=bool)
+        for j, t in enumerate(jf.axes):
+            moved |= _proc_coords(jf.src[j], *params[t]) != _proc_coords(
+                jf.dst[j], *params[t]
+            )
+        out += moved @ jf.weight
+    return out
 
 
 def _front_metrics(
@@ -368,35 +430,14 @@ def evaluate_front(
         _FRONT_STATS[0] += n
         return out
     metrics = _front_metrics(topology, dists)
-    # (mode, nprocs, block, base) per axis, each an (n,) array.
-    params = np.array(
-        [[_axis_dist_params(ax) for ax in d.axes] for d in dists], dtype=np.int64
-    ).transpose(1, 2, 0)
     for t, af in enumerate(front.axes):
-        if af is None:
-            continue
-        _check_contract(*params[t], af.lo, af.hi)
-        ps = _proc_coords(af.src, *params[t])
-        pd = _proc_coords(af.dst, *params[t])
-        # Candidates can price this axis with different metrics
-        # (different grids / physical axes): group rows by metric so
-        # each kernel runs once.
-        rows_by_metric: dict = {}
-        for i in range(n):
-            rows_by_metric.setdefault(metrics[i][t], []).append(i)
-        for metric, rows in rows_by_metric.items():
-            if len(rows) == n:
-                rows = slice(None)
-            h = _metric_hops(metric, ps[rows], pd[rows])
-            out[rows, 0] += np.sum(af.weight * h, axis=1, dtype=np.int64)
-        out[:, 1] += np.sum(af.moved * (ps != pd), axis=1, dtype=np.int64)
-    for jf in front.joints:
-        moved = np.zeros((n, jf.weight.size), dtype=bool)
-        for j, t in enumerate(jf.axes):
-            moved |= _proc_coords(jf.src[j], *params[t]) != _proc_coords(
-                jf.dst[j], *params[t]
+        if af is not None:
+            hops, moved = _axis_totals(
+                af, [d.axes[t] for d in dists], [m[t] for m in metrics]
             )
-        out[:, 1] += np.sum(jf.weight * moved, axis=1, dtype=np.int64)
+            out[:, 0] += hops
+            out[:, 1] += moved
+    out[:, 1] += joint_moved(profile, [d.axes for d in dists])
     _FRONT_STATS[0] += n
     return out
 

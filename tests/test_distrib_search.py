@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from repro import obs
+from repro import cachestats, obs
 from repro.align import align_program
 from repro.distrib import (
     build_profile,
@@ -275,7 +275,8 @@ class TestTiedGridPricing:
         assert plan.cost == CostVector(hops=2, moved=1)
         _assert_same_plan(plan, reference_planner.plan_distribution(profile, 3))
         tags = rec.find("distrib.plan")[0].tags
-        assert (tags["grids"], tags["grids_tied"], tags["grids_priced"]) == (2, 2, 2)
+        assert (tags["grids"], tags["grids_tied"]) == (2, 2)
+        assert "grids_priced" not in tags  # no grid is priced a second time
 
     def test_full_cost_tie_goes_to_the_smaller_grid(self, reference_planner):
         profile = self._two_axis_profile([(0, 2)])
@@ -306,15 +307,25 @@ class TestTiedGridPricing:
             assert plan.axes[1] == tied[0]
 
     def test_only_the_tied_grids_are_priced(self):
+        # The tied grids' cost is assembled from the per-axis numbers:
+        # every candidate is priced once, the winners no second time.
         profile = _profile(programs.figure1(n=12), replication=False)
+        priced = cachestats._cell("distrib.front_price")[0]
         with obs.recording() as rec:
-            plan_distribution(profile, 16)
+            plan = plan_distribution(profile, 16)
         tags = rec.find("distrib.plan")[0].tags
-        assert 1 <= tags["grids_tied"] == tags["grids_priced"] < tags["grids"]
+        assert 1 <= tags["grids_tied"] < tags["grids"]
+        assert "grids_priced" not in tags
+        assert cachestats._cell("distrib.front_price")[0] - priced == tags["candidates"]
+        assert plan.cost == profile.evaluate(plan.to_distribution())
 
     def test_local_search_prices_its_one_result(self):
+        # From the climb's own per-axis numbers, equal to the scalar
+        # evaluator's price of the same distribution.
         profile = _profile(programs.figure1(n=12), replication=False)
         with obs.recording() as rec:
-            plan_distribution(profile, 16, exhaustive_limit=0)
+            plan = plan_distribution(profile, 16, exhaustive_limit=0)
         tags = rec.find("distrib.plan")[0].tags
-        assert (tags["grids_tied"], tags["grids_priced"]) == (0, 1)
+        assert tags["grids_tied"] == 0 and "grids_priced" not in tags
+        assert not plan.exact
+        assert plan.cost == profile.evaluate(plan.to_distribution())

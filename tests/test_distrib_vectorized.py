@@ -2,8 +2,10 @@
 
 The exhaustive scalar/simulator equalities live in
 ``tests/test_differential.py``; this file covers the machinery itself —
-the compact front's layout and its counter, a property test of its
-exactness against the scalar evaluators on random move records, the
+the compact front's layout and its counter, property tests of its
+exactness against the scalar evaluators on random move records (per
+candidate, and for the grid winners and costs the search builds from
+one joined call per template axis), the
 empty/single/degenerate fronts, contract-violation parity with the
 scalar evaluators, and the front travelling with a pickled prefix.
 """
@@ -35,14 +37,21 @@ from repro.distrib import (
 )
 from repro.distrib.costmodel import CommProfile, CostVector, MoveRecord
 from repro.distrib.enumerate import axis_candidates, candidate_spaces
+from repro.distrib.search import _plans, _winners
 from repro.distrib.vectorized import (
     _MODE_BLOCK,
     _MODE_IDENTITY,
     _MODE_WRAP,
     _axis_dist_params,
+    joint_moved,
 )
 from repro.lang import programs
-from repro.lang.generate import FAMILIES, generate_scenario, topology_corpus
+from repro.lang.generate import (
+    FAMILIES,
+    generate_corpus,
+    generate_scenario,
+    topology_corpus,
+)
 from repro.machine import Block, BlockCyclic, Cyclic, Distribution, Identity
 from repro.machine.distribution import AxisDistribution
 from repro.passes import MachineSpec
@@ -89,11 +98,11 @@ class TestCompileFront:
         assert cachestats._cell("distrib.front_tensors") == [h0, m0 + 1]
         with obs.recording() as rec:
             plan_distribution(prof, 16)
-        # One hit per pricing read and no compile: an axis_front_hops
-        # call per axis of every grid, then one evaluate_front call for
-        # the tied grids.
+        # One hit per pricing read and no compile: one axis_front_hops
+        # call per template axis, for every grid at once.
         reads = sum(span.tags["axes"] for span in rec.find("distrib.front_price"))
-        assert cachestats._cell("distrib.front_tensors") == [h0 + reads + 1, m0 + 1]
+        assert reads == prof.template_rank
+        assert cachestats._cell("distrib.front_tensors") == [h0 + reads, m0 + 1]
         assert prof.front is front
 
     def test_every_moving_element_is_priced_once_for_moved(self, profile):
@@ -123,6 +132,30 @@ def _record(axes, pairs_per_axis, count=1):
         tuple(np.array([b for _, b in p], dtype=np.int64) for p in pairs_per_axis),
         count,
     )
+
+
+def _axis_moved(prof, axis, cand):
+    """Scalar reference for ``axis_front_hops``'s ``moved``: the elements
+    that move on ``axis`` alone and whose processor ``cand`` changes."""
+    total = 0
+    for r in prof.records:
+        if axis not in r.axes:
+            continue
+        j = r.axes.index(axis)
+        changes = cand.map(r.src[j]) != cand.map(r.dst[j])
+        for i in range(len(r.axes)):
+            if i != j:
+                changes &= r.src[i] == r.dst[i]
+        total += r.count * int(np.sum(changes))
+    return total
+
+
+def _assert_axis_prices(prof, axis, cands, metric=None):
+    """``axis_front_hops`` equals the scalar hops and moved per candidate."""
+    hops, moved = axis_front_hops(prof, axis, cands, [metric] * len(cands))
+    assert hops.shape == moved.shape == (len(cands),)
+    assert hops.tolist() == [prof.axis_hops(axis, c, metric) for c in cands]
+    assert moved.tolist() == [_axis_moved(prof, axis, c) for c in cands]
 
 
 class TestAxisFrontPairs:
@@ -179,9 +212,7 @@ class TestAxisFrontPairs:
                     continue
                 metric = topo.metrics(grid)[t]
                 cands = axis_candidates(lo, hi - lo + 1, nprocs)
-                hops = axis_front_hops(prof, t, cands, metric)
-                for i, c in enumerate(cands):
-                    assert int(hops[i]) == prof.axis_hops(t, c, metric), (spec, t, i)
+                _assert_axis_prices(prof, t, cands, metric)
 
     def test_unmoved_cell_outside_the_window_still_raises(self):
         # Cell 9 never moves on axis 0, so it is in no pair — but it is
@@ -210,8 +241,9 @@ class TestAxisFrontPairs:
         assert front is not None and front.src.size == 0
         assert (front.lo, front.hi) == (1, 2)
         cands = axis_candidates(0, 4, 4)
-        assert axis_front_hops(prof, 1, cands).tolist() == [0] * len(cands)
-        assert all(prof.axis_hops(1, c) == 0 for c in cands)
+        hops, moved = axis_front_hops(prof, 1, cands)
+        assert hops.tolist() == moved.tolist() == [0] * len(cands)
+        assert all(prof.axis_hops(1, c) == _axis_moved(prof, 1, c) == 0 for c in cands)
 
 
 class TestCompactFront:
@@ -316,7 +348,9 @@ class TestCompactFront:
         empty = np.zeros(0, dtype=np.int64)
         prof = _hand_profile([MoveRecord((0,), (empty,), (empty,), 1)], [(0, 0)])
         assert prof.front.axes == (None,) and prof.front.joints == ()
-        assert axis_front_hops(prof, 0, axis_candidates(0, 1, 2)).tolist() == [0, 0]
+        hops, moved = axis_front_hops(prof, 0, axis_candidates(0, 1, 2))
+        assert hops.tolist() == moved.tolist() == [0, 0]
+        assert joint_moved(prof, [(Identity(),)]).tolist() == [0]
         ident = Distribution.identity(1)
         assert front_costs(prof, [ident]) == [prof.evaluate(ident)]
 
@@ -377,19 +411,64 @@ def move_profiles(draw):
 @given(prof=move_profiles())
 def test_the_compact_front_prices_like_the_scalar_evaluators(spec, prof):
     """On the L1 grid and on every topology family: ``axis_front_hops``
-    equals ``axis_hops`` for every per-axis candidate, and
-    ``front_costs`` equals ``evaluate`` for every full candidate."""
+    equals ``axis_hops`` and the scalar per-axis ``moved`` for every
+    per-axis candidate, and ``front_costs`` equals ``evaluate`` for every
+    full candidate."""
     topo = None if spec is None else parse_topology(spec)
     dists = []
     for grid, cands in candidate_spaces(prof, 8, topology=topo):
         metrics = (None,) * len(grid) if topo is None else topo.metrics(grid)
         for t, (clist, metric) in enumerate(zip(cands, metrics)):
-            assert axis_front_hops(prof, t, clist, metric).tolist() == [
-                prof.axis_hops(t, c, metric) for c in clist
-            ]
+            _assert_axis_prices(prof, t, clist, metric)
         for combo in itertools.product(*cands):
             dists.append(Distribution(combo))
     assert front_costs(prof, dists, topo) == [prof.evaluate(d, topo) for d in dists]
+
+
+def _assert_joined_winners_exact(prof, nprocs, topo):
+    """The grid winners of one joined pricing call are those of each grid
+    priced alone, and each cost assembled from the per-axis numbers
+    equals its ``evaluate_front`` row and ``profile.evaluate``."""
+    spaces = list(candidate_spaces(prof, nprocs, topology=topo))
+    if not spaces:
+        return
+    joined = _winners(prof, spaces, topo)
+    assert joined == [_winners(prof, [space], topo)[0] for space in spaces]
+    costs = [plan.cost for plan in _plans(prof, joined, True, 0, topo)]
+    dists = [Distribution(tuple(axes)) for axes, _, _ in joined]
+    assert costs == front_costs(prof, dists, topo)
+    assert costs == [prof.evaluate(d, topo) for d in dists]
+
+
+@pytest.mark.parametrize("spec", [None, *topology_corpus(5, seed=0, nprocs=8)], ids=str)
+@settings(max_examples=30, deadline=None)
+@given(prof=move_profiles())
+def test_joined_grid_winners_equal_each_grid_priced_alone(spec, prof):
+    """Random profiles with elements moving on 2 or 3 axes (joint rows)
+    and ties everywhere, including at the slice boundaries between
+    grids, on the L1 grid and on every topology family."""
+    _assert_joined_winners_exact(prof, 8, None if spec is None else parse_topology(spec))
+
+
+#: The generated programs of the two corpora whose fronts carry joint rows.
+JOINT_PROGRAMS = {
+    (14, 0): ("twod_5", "twod_12", "wavefront_13"),
+    (42, 5): ("twod_500020", "wavefront_500021", "twod_500027", "twod_500048"),
+}
+
+
+@pytest.mark.parametrize(
+    "size,seed,name",
+    [(size, seed, name) for (size, seed), names in JOINT_PROGRAMS.items() for name in names],
+)
+def test_joined_grid_winners_on_generated_joint_programs(size, seed, name):
+    (scenario,) = [sc for sc in generate_corpus(size, seed=seed) if sc.name == name]
+    prof = _profile(scenario.parse())
+    assert prof.front.joints
+    for nprocs in (16, 64):
+        _assert_joined_winners_exact(prof, nprocs, None)
+        for spec in topology_corpus(5, seed=0, nprocs=nprocs):
+            _assert_joined_winners_exact(prof, nprocs, parse_topology(spec))
 
 
 class TestFrontEdgeCases:
@@ -440,22 +519,49 @@ class TestFrontEdgeCases:
     def test_axis_front_hops_matches_scalar_per_candidate(self, profile):
         for t, (lo, hi) in enumerate(profile.window):
             cands = axis_candidates(lo, hi - lo + 1, 4)
-            hops = axis_front_hops(profile, t, cands)
-            assert hops.shape == (len(cands),)
-            for i, c in enumerate(cands):
-                assert int(hops[i]) == profile.axis_hops(t, c), (t, i)
+            _assert_axis_prices(profile, t, cands)
 
     def test_axis_front_hops_with_metric(self, profile):
         topo = parse_topology("ring:4")
         metric = topo.axis_metric(4, 0)
         lo, hi = profile.window[0]
         cands = axis_candidates(lo, hi - lo + 1, 4)
-        hops = axis_front_hops(profile, 0, cands, metric)
-        for i, c in enumerate(cands):
-            assert int(hops[i]) == profile.axis_hops(0, c, metric)
+        _assert_axis_prices(profile, 0, cands, metric)
+
+    def test_axis_front_hops_with_one_metric_per_row(self, profile):
+        # Two grids' candidate lists joined in one call, each priced with
+        # its own grid's metric, equal each list priced alone.
+        lo, hi = profile.window[0]
+        ring4 = parse_topology("ring:4").axis_metric(4, 0)
+        ring2 = parse_topology("ring:2").axis_metric(2, 0)
+        four = axis_candidates(lo, hi - lo + 1, 4)
+        two = axis_candidates(lo, hi - lo + 1, 2)
+        hops, moved = axis_front_hops(
+            profile, 0, four + two, [ring4] * len(four) + [ring2] * len(two)
+        )
+        alone = [
+            axis_front_hops(profile, 0, four, [ring4] * len(four)),
+            axis_front_hops(profile, 0, two, [ring2] * len(two)),
+        ]
+        assert hops.tolist() == alone[0][0].tolist() + alone[1][0].tolist()
+        assert moved.tolist() == alone[0][1].tolist() + alone[1][1].tolist()
 
     def test_axis_front_hops_empty_candidates(self, profile):
-        assert axis_front_hops(profile, 0, []).shape == (0,)
+        hops, moved = axis_front_hops(profile, 0, [])
+        assert hops.shape == moved.shape == (0,)
+
+    def test_contract_error_names_the_scheme_record(self):
+        # Joined over two grids, the violating candidate is named by its
+        # record, not by its index in a list the caller never built.
+        prof = _hand_profile([_record((0,), [[(0, 1), (9, 9)]])], [(0, 3)])
+        cands = [Cyclic(4, 0)] + axis_candidates(0, 4, 2)
+        with pytest.raises(
+            ValueError,
+            match=r"^Block\(nprocs=2, block=2, base=0\): cell 9 outside covered range",
+        ):
+            axis_front_hops(prof, 0, cands)
+        with pytest.raises(ValueError, match=r"^Cyclic\(nprocs=2, base=1\): cell 0 below"):
+            axis_front_hops(prof, 0, [Cyclic(2, 1)])
 
 
 class TestCountersAndFallback:
@@ -465,8 +571,9 @@ class TestCountersAndFallback:
         with obs.recording() as rec:
             plan = plan_distribution(profile, 4)
         tags = rec.find("distrib.plan")[0].tags
-        # Every candidate once per axis, then the tied winners in full.
-        assert cell[0] - priced0 == tags["candidates"] + tags["grids_priced"]
+        # Every candidate once per axis; the tied winners are not priced
+        # again, their cost is assembled from those numbers.
+        assert cell[0] - priced0 == tags["candidates"]
         assert cell[1] == other0
         assert plan.exact
 

@@ -305,13 +305,14 @@ class TestPipelineSpans:
         assert executed <= names
         assert "distrib.plan" in names
         assert "distrib.front_price" in names
-        # One front-pricing span per grid, nothing between it and the
-        # plan; candidate counts ride on the spans.
+        # One front-pricing span for every grid of the search, nothing
+        # between it and the plan; candidate counts ride on the span.
         plan_span = rec.find("distrib.plan")[0]
         fronts = rec.find("distrib.front_price")
         assert {child.name for child in plan_span.children} == {"distrib.front_price"}
-        assert len(fronts) == plan_span.tags["grids"]
-        assert set(fronts[0].tags) == {"candidates", "axes"}
+        assert len(fronts) == 1
+        assert set(fronts[0].tags) == {"candidates", "axes", "grids"}
+        assert fronts[0].tags["grids"] == plan_span.tags["grids"]
         assert sum(f.tags["candidates"] for f in fronts) == plan_span.tags["candidates"]
 
     def test_reuse_shows_as_instant(self):
