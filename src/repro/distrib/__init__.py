@@ -14,8 +14,8 @@ Modules:
   simulator's measured hop counts;
 * :mod:`repro.distrib.enumerate` — grid factorizations, per-axis scheme
   candidates, naive uniform baselines;
-* :mod:`repro.distrib.search` — the per-axis argmin over every grid
-  shape, exhaustive on small spaces and a local search on large ones;
+* :mod:`repro.distrib.search` — the exact per-axis argmin over every
+  grid shape;
 * :mod:`repro.distrib.vectorized` — NumPy batch pricing of whole
   candidate fronts, which is how the search prices (the scalar
   evaluators of ``CommProfile`` stay as the reference tests compare
@@ -60,7 +60,7 @@ from .remap import (
     split_phases,
     union_window,
 )
-from .search import EXHAUSTIVE_LIMIT, plan_distribution, rank_plans
+from .search import plan_distribution, rank_plans
 from .vectorized import axis_front_hops, compile_front, evaluate_front, front_costs
 
 __all__ = [
@@ -84,7 +84,6 @@ __all__ = [
     "remap_cost",
     "split_phases",
     "union_window",
-    "EXHAUSTIVE_LIMIT",
     "plan_distribution",
     "rank_plans",
     "axis_front_hops",

@@ -233,7 +233,7 @@ class CommProfile:
         distance decomposes over axes — so per-axis hop costs can be
         optimized independently once the processor count per axis is
         fixed, for any interconnect, not just the L1 grid.  This is
-        what makes the exhaustive search a per-axis argmin rather than
+        what makes the search a per-axis argmin rather than
         a cross-product sweep.  The planner prices whole candidate
         lists with :func:`~repro.distrib.vectorized.axis_front_hops`;
         this is the one-candidate reference it is checked against, and
@@ -517,8 +517,3 @@ def build_profile(
         elements=elements,
         general_moves=general_moves,
     )
-
-
-def window_extents(profile: CommProfile) -> tuple[int, ...]:
-    """Occupied cells per axis (window size), at least 1 per axis."""
-    return tuple(hi - lo + 1 for lo, hi in profile.window)

@@ -26,9 +26,9 @@ class DistributionPlan:
     ``axes`` holds one scheme record per template axis; each ``base``
     anchors its axis at the lowest template cell the axis actually
     touches, which keeps mobile-offset traffic inside the covered range.
-    ``exact`` records whether the choice came from exhaustive search
-    (globally optimal over the candidate space) or from the greedy /
-    local-search fallback.  ``searched`` counts candidate distributions
+    ``exact`` is always true (the planner's one search is optimal over
+    the candidate space); it stays for the payload format, which carries
+    it.  ``searched`` counts candidate distributions
     the planner evaluated.  ``topology`` is the interconnect spec the
     plan was priced on (``None``: the paper's default L1 grid machine).
     """
@@ -64,7 +64,7 @@ class DistributionPlan:
         return f"DISTRIBUTE T({axes}) ONTO P({grid})"
 
     def render(self) -> str:
-        mode = "exact" if self.exact else "local-search"
+        mode = "exact" if self.exact else "approximate"
         machine = f" on {self.topology}" if self.topology else ""
         lines = [
             f"distribution plan ({self.num_processors} processors{machine}, "

@@ -7,42 +7,23 @@ axis once for every grid (one array call over all their candidate
 lists) and each grid takes the first minimum of its own slice.  The
 same call returns each candidate's ``moved``, so a winner's cost is
 assembled from those numbers (:func:`_plans`), never priced twice.
-Two regimes share it, chosen by the size of the candidate space:
-
-* **Exhaustive** (small spaces): every grid factorization is solved
-  exactly; the winner over all factorizations is the hop-optimal
-  distribution.  Cost orders by hops first, so only the grids tied at
-  the minimum hops can win, and ``moved`` breaks the tie.
-
-* **Local search** (large spaces): the per-grid optimum on a sample of
-  grid shapes, then hill-climbing over the factorization neighborhood
-  (moving one prime factor between two axes), with random restarts —
-  the GSAT recipe for discrete local search: cheap moves, steepest
-  descent, restart when stuck.
+Every grid factorization is solved this way, so the winner over all of
+them is the hop-optimal distribution.  Cost orders by hops first, so
+only the grids tied at the minimum hops can win, and ``moved`` breaks
+the tie.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Sequence
 
 from ..machine.distribution import AxisDistribution
 from ..obs import spans as obs
 from ..topology import Topology
-from ..topology.models import most_balanced
 from .costmodel import CommProfile, CostVector
-from .enumerate import (
-    DEFAULT_BLOCK_SIZES,
-    balanced_factorization,
-    candidate_spaces,
-    covered_size,
-    grid_candidates,
-    grid_factorizations,
-)
+from .enumerate import DEFAULT_BLOCK_SIZES, candidate_spaces, covered_size
 from .plan import DistributionPlan
 from .vectorized import axis_front_hops, joint_moved
-
-EXHAUSTIVE_LIMIT = 20_000
 
 Winner = tuple[list[AxisDistribution], int, int]
 
@@ -94,7 +75,6 @@ def _winners(
 def _plans(
     profile: CommProfile,
     winners: Sequence[Winner],
-    exact: bool,
     searched: int,
     topology: Topology | None,
 ) -> list[DistributionPlan]:
@@ -107,8 +87,7 @@ def _plans(
         DistributionPlan(
             tuple(axes),
             CostVector(fixed.hops + h, fixed.moved + m + j, profile.broadcast),
-            exact,
-            searched,
+            searched=searched,
             topology=None if topology is None else topology.spec(),
         )
         for (axes, h, m), j in zip(winners, joint)
@@ -142,37 +121,25 @@ def plan_distribution(
     profile: CommProfile,
     nprocs: int,
     block_sizes: Sequence[int] = DEFAULT_BLOCK_SIZES,
-    exhaustive_limit: int = EXHAUSTIVE_LIMIT,
-    seed: int = 0,
-    restarts: int = 8,
     topology: Topology | None = None,
 ) -> DistributionPlan:
-    """Choose the distribution minimizing modeled hops for ``nprocs``.
+    """The hop-optimal distribution for ``nprocs``.
 
-    Exhaustive (hop-optimal) when the work of solving every grid shape
-    exactly is affordable; otherwise local search.  Because every hop
-    metric decomposes over axes (all :mod:`repro.topology` models are
-    separable), the exhaustive work is the per-axis candidate *sum* per
-    grid (not the cross-product), so ``exhaustive_limit`` bounds that
-    sum over all grid shapes — the cross-product space actually covered
-    (reported in ``searched``) is usually far larger.  ``topology``
-    prices hops on the machine's interconnect and rules out
-    unrealizable grid shapes; the default is the paper's open L1 grid.
+    Every hop metric decomposes over axes (all :mod:`repro.topology`
+    models are separable), so every grid shape is solved exactly by a
+    per-axis argmin whose work is the per-axis candidate *sum* per grid,
+    not the cross-product; the cross-product space covered is reported
+    in ``searched``.  ``topology`` prices hops on the machine's
+    interconnect and rules out unrealizable grid shapes; the default is
+    the paper's open L1 grid.
     """
     spaces = _spaces(profile, nprocs, block_sizes, topology)
-    work = sum(len(c) for _, cands in spaces for c in cands)
     with obs.span(
         "distrib.plan",
         nprocs=nprocs,
         grids=len(spaces),
-        candidates=work,
-        exhaustive=work <= exhaustive_limit,
+        candidates=sum(len(c) for _, cands in spaces for c in cands),
     ):
-        if work > exhaustive_limit:
-            obs.annotate(grids_tied=0)  # the local search has no tie rule
-            return _local_search(
-                profile, nprocs, block_sizes, seed, restarts, topology
-            )
         solved = _winners(profile, spaces, topology)
         # Cost orders by hops first and a grid's hop sum is its winner's
         # own (less the profile's fixed hops), so a grid above the
@@ -180,7 +147,7 @@ def plan_distribution(
         least = min(hops for _, hops, _ in solved)
         tied = [w for w in solved if w[1] == least]
         obs.annotate(grids_tied=len(tied))
-        plans = _plans(profile, tied, True, covered_size(spaces), topology)
+        plans = _plans(profile, tied, covered_size(spaces), topology)
         return _best_first(plans)[0]
 
 
@@ -189,12 +156,11 @@ def rank_plans(
     nprocs: int,
     k: int = 4,
     block_sizes: Sequence[int] = DEFAULT_BLOCK_SIZES,
-    max_grids: int = 64,
-    seed: int = 0,
     window: Sequence[tuple[int, int]] | None = None,
     topology: Topology | None = None,
 ) -> list[DistributionPlan]:
-    """The ``k`` best distributions, one per grid shape, best first.
+    """The ``k`` best distributions, one per grid shape, best first;
+    every grid is ranked.
 
     Used by the inter-phase remap planner, which needs *alternatives*:
     the best distribution for one phase may lose globally once
@@ -203,105 +169,7 @@ def rank_plans(
     all phase windows so every candidate owns every remapped cell.
     """
     spaces = _spaces(profile, nprocs, block_sizes, topology, window)
-    if len(spaces) > max_grids:
-        rng = random.Random(seed)
-        keep = {most_balanced([grid for grid, _ in spaces])}
-        keep.update(
-            spaces[i][0] for i in rng.sample(range(len(spaces)), max_grids - 1)
-        )
-        spaces = [space for space in spaces if space[0] in keep]
     # Ranking needs every grid's full cost: every winner's is assembled.
     winners = _winners(profile, spaces, topology)
-    plans = _plans(profile, winners, True, len(spaces), topology)
+    plans = _plans(profile, winners, len(spaces), topology)
     return _best_first(plans)[: max(1, k)]
-
-
-# -- local search -------------------------------------------------------------
-
-
-def _prime_factors(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _neighbor_grids(grid: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Grids reachable by moving one prime factor between two axes."""
-    out = set()
-    for i, pi in enumerate(grid):
-        for f in set(_prime_factors(pi)):
-            for j in range(len(grid)):
-                if i == j:
-                    continue
-                g = list(grid)
-                g[i] //= f
-                g[j] *= f
-                out.add(tuple(g))
-    return sorted(out)
-
-
-def _local_search(
-    profile: CommProfile,
-    nprocs: int,
-    block_sizes: Sequence[int],
-    seed: int,
-    restarts: int,
-    topology: Topology | None = None,
-) -> DistributionPlan:
-    def supported(g: tuple[int, ...]) -> bool:
-        return topology is None or topology.supports_grid(g)
-
-    def best_on(g: tuple[int, ...]) -> Winner:
-        (won,) = _winners(
-            profile, [(g, grid_candidates(profile.window, g, block_sizes))], topology
-        )
-        return won
-
-    rng = random.Random(seed)
-    rank = profile.template_rank
-    searched = 0
-    best: Winner | None = None
-    for r in range(max(1, restarts)):
-        if r == 0:
-            grid = balanced_factorization(nprocs, rank)
-        else:
-            # random restart: shuffle prime factors onto axes
-            g = [1] * rank
-            for f in _prime_factors(nprocs):
-                g[rng.randrange(rank)] *= f
-            grid = tuple(g)
-        if not supported(grid):
-            continue
-        won = best_on(grid)
-        searched += 1
-        improved = True
-        while improved:
-            improved = False
-            for ng in _neighbor_grids(grid):
-                if not supported(ng):
-                    continue
-                n_won = best_on(ng)
-                searched += 1
-                if n_won[1] < won[1]:
-                    grid, won = ng, n_won
-                    improved = True
-                    break  # first-improvement, GSAT style
-        if best is None or won[1] < best[1]:
-            best = won
-    if best is None:
-        # Every restart grid was unrealizable: fall back to the first
-        # supported factorization (plan_distribution guarantees one).
-        for grid in grid_factorizations(nprocs, rank):
-            if supported(grid):
-                best = best_on(grid)
-                searched += 1
-                break
-    assert best is not None
-    # The search's one result, its cost assembled from the climb's own numbers.
-    return _plans(profile, [best], False, searched, topology)[0]

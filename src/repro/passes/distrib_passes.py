@@ -33,8 +33,7 @@ class MachineSpec:
     uses) or a live :class:`~repro.topology.Topology` object (honored
     as-is, so custom implementations outside the spec registry keep
     working in-process; ``None`` is the paper's unbounded L1 grid).
-    ``options`` forwards planner keywords (``block_sizes``,
-    ``exhaustive_limit``, ``seed``, ``restarts``) as a sorted item
+    ``options`` forwards the planner's ``block_sizes`` as a sorted item
     tuple.
     """
 
@@ -91,8 +90,7 @@ class CommProfilePass(Pass):
 class DistributePass(Pass):
     """The program-level distribution search (the paper's deferred phase
     2): grid factorization × per-axis HPF scheme, an exact per-axis
-    argmin with a local search on large spaces, priced on the machine's
-    interconnect."""
+    argmin over every grid, priced on the machine's interconnect."""
 
     name = "distribute"
     requires = ("profile", "machine")

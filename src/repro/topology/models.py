@@ -26,6 +26,7 @@ inequality) on processor coordinates; the property tests in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
@@ -203,13 +204,12 @@ def factorizations(n: int, rank: int) -> list[tuple[int, ...]]:
         raise ValueError("rank must be >= 1")
     if rank == 1:
         return [(n,)]
-    out = []
-    for p in range(1, n + 1):
-        if n % p:
-            continue
-        for rest in factorizations(n // p, rank - 1):
-            out.append((p, *rest))
-    return out
+    # The divisors in increasing order, by trial division up to sqrt(n).
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    divisors = small + [n // d for d in reversed(small) if d * d != n]
+    return [
+        (p, *rest) for p in divisors for rest in factorizations(n // p, rank - 1)
+    ]
 
 
 def most_balanced(grids: Sequence[tuple[int, ...]]) -> tuple[int, ...]:

@@ -10,8 +10,9 @@ fixed seeds):
 * the compiled :class:`~repro.distrib.CommProfile` agrees with the
   executor's counts exactly — general edges included — under both the
   identity distribution and the planner's chosen distribution;
-* the exact-DP distribution planner is never beaten by the
-  greedy/local-search fallback on the same instance;
+* the distribution planner's exact per-axis argmin agrees with an
+  independent reference planner built on the scalar evaluators only,
+  and no distribution in the whole cross-product space beats it;
 * both equalities hold on every machine model: for each scenario family
   and each sampled topology (grid, torus, ring, hypercube,
   hierarchical), analytic cost == simulator cost under the identity
@@ -90,16 +91,25 @@ def test_analytic_cost_matches_simulator_identity(scenario, planned):
 
 
 @pytest.mark.parametrize("scenario", CORPUS, ids=_ids(CORPUS))
-def test_exact_dp_never_beaten_by_fallback(scenario, planned):
+def test_exact_plan_never_beaten_by_any_candidate(scenario, planned):
+    """Brute force over the whole cross-product space: no candidate
+    distribution of any grid prices fewer hops than the planner's
+    per-axis argmin, and the plan is one of those candidates."""
+    import itertools
+
+    from repro.distrib.enumerate import candidate_spaces
+
     _, profile = planned[scenario.name]
-    exact = plan_distribution(profile, NPROCS, exhaustive_limit=10**9)
-    fallback = plan_distribution(profile, NPROCS, exhaustive_limit=0)
-    assert exact.exact and not fallback.exact
-    assert exact.cost <= fallback.cost, (
-        scenario.name,
-        exact.cost,
-        fallback.cost,
-    )
+    plan = plan_distribution(profile, NPROCS)
+    assert plan.exact, scenario.name
+    costs = {
+        combo: profile.evaluate(Distribution(combo))
+        for _, cands in candidate_spaces(profile, NPROCS)
+        for combo in itertools.product(*cands)
+    }
+    assert len(costs) == plan.searched, scenario.name
+    assert costs[plan.axes] == plan.cost, scenario.name
+    assert plan.cost.hops == min(c.hops for c in costs.values()), scenario.name
 
 
 @pytest.mark.parametrize("scenario", CORPUS, ids=_ids(CORPUS))

@@ -18,7 +18,6 @@ from repro.distrib.costmodel import (
     MoveRecord,
     _edge_contribution,
     _walked_livs,
-    window_extents,
 )
 from repro.ir import LIV, AffineForm, IterationSpace
 from repro.lang import programs
@@ -77,9 +76,6 @@ class TestBuildProfile:
         plan, profile = _profile(programs.figure1(n=12), replication=False)
         assert profile.window == coordinate_bounds(plan.adg, plan.alignments)
         assert all(hi >= lo for lo, hi in profile.window)
-        assert window_extents(profile) == tuple(
-            hi - lo + 1 for lo, hi in profile.window
-        )
 
     def test_static_moves_are_deduplicated(self):
         # The stencil repeats the same shifted move every iteration:

@@ -13,7 +13,7 @@ import pytest
 from repro import align_and_distribute, align_program
 from repro.distrib import build_profile, naive_costs, plan_distribution
 from repro.lang import programs
-from repro.machine import Distribution, measure_traffic
+from repro.machine import BlockCyclic, Distribution, measure_traffic
 
 # At least 3 example programs, per the acceptance criteria.
 EXAMPLES = [
@@ -87,11 +87,13 @@ class TestPipelineIntegration:
         plan = align_and_distribute(
             programs.stencil_sweep(n=24, iters=2),
             4,
-            distrib_options=dict(exhaustive_limit=0),
+            distrib_options=dict(block_sizes=()),
             replication=False,
         )
         assert plan.distribution is not None
-        assert not plan.distribution.exact
+        assert not any(isinstance(a, BlockCyclic) for a in plan.distribution.axes)
+        # One grid, (4,), whose only candidates are block and cyclic.
+        assert plan.distribution.searched == 2
 
     def test_plain_align_has_no_distribution(self):
         plan = align_program(programs.example1(n=8))

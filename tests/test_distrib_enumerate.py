@@ -15,6 +15,7 @@ from repro.distrib import (
 )
 from repro.lang import programs
 from repro.machine import Block, Cyclic, Identity
+from repro.topology.models import factorizations
 
 
 class TestGridFactorizations:
@@ -36,6 +37,28 @@ class TestGridFactorizations:
             grid_factorizations(0, 1)
         with pytest.raises(ValueError):
             grid_factorizations(4, 0)
+
+    @staticmethod
+    def _reference(n, rank):
+        """Every integer from 1 to n tried at each level."""
+        if rank == 1:
+            return [(n,)]
+        return [
+            (p, *rest)
+            for p in range(1, n + 1)
+            if n % p == 0
+            for rest in TestGridFactorizations._reference(n // p, rank - 1)
+        ]
+
+    def test_equals_the_trial_of_every_integer(self):
+        for rank in (1, 2, 3):
+            for n in range(1, 301):
+                assert factorizations(n, rank) == self._reference(n, rank), (n, rank)
+
+    def test_divisors_are_found_below_the_square_root(self):
+        # 2**40 integers would be tried one by one at the top level.
+        grids = factorizations(2**40, 2)
+        assert grids == [(2**i, 2 ** (40 - i)) for i in range(41)]
 
     def test_balanced(self):
         assert balanced_factorization(16, 2) == (4, 4)

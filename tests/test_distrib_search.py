@@ -1,4 +1,4 @@
-"""Unit tests for the distribution search (exact argmin and local search)."""
+"""Unit tests for the distribution search (the exact per-axis argmin)."""
 
 from itertools import product
 
@@ -15,7 +15,6 @@ from repro.distrib import (
 )
 from repro.distrib.costmodel import CommProfile, CostVector, MoveRecord
 from repro.distrib.enumerate import axis_candidates, candidate_spaces, space_size
-from repro.distrib.search import _neighbor_grids, _prime_factors
 from repro.lang import programs
 from repro.lang.generate import FAMILIES, generate_scenario, topology_corpus
 from repro.machine import SCHEMES, Distribution
@@ -72,55 +71,6 @@ class TestExhaustive:
         )
 
 
-class TestLocalSearch:
-    def test_fallback_used_when_space_too_big(self):
-        profile = _profile(
-            programs.stencil_sweep(n=32, iters=2), replication=False
-        )
-        plan = plan_distribution(profile, 4, exhaustive_limit=0)
-        assert not plan.exact
-        assert plan.searched > 0
-
-    def test_rank_one_fallback_is_still_optimal(self):
-        # With one template axis there is a single factorization and the
-        # greedy per-axis choice IS the optimum.
-        profile = _profile(
-            programs.stencil_sweep(n=32, iters=2), replication=False
-        )
-        exact = plan_distribution(profile, 4)
-        local = plan_distribution(profile, 4, exhaustive_limit=0)
-        assert local.cost.hops == exact.cost.hops
-
-    @pytest.mark.parametrize(
-        "make,kw",
-        [
-            (lambda: programs.figure1(n=10), dict(replication=False)),
-            (lambda: programs.figure1(n=16), dict(replication=False)),
-            (lambda: programs.figure4(nt=8, nk=6), {}),
-        ],
-        ids=["figure1-10", "figure1-16", "figure4"],
-    )
-    def test_two_dim_fallback_close_to_naive(self, make, kw):
-        profile = _profile(make(), **kw)
-        local = plan_distribution(profile, 4, exhaustive_limit=0, seed=1)
-        naive = naive_costs(profile, 4)
-        assert local.cost.hops <= min(
-            naive["all-block"].hops, naive["all-cyclic"].hops
-        )
-        exact = plan_distribution(profile, 4)
-        assert exact.cost.hops <= local.cost.hops <= 2 * max(1, exact.cost.hops)
-
-    def test_prime_factors(self):
-        assert _prime_factors(12) == [2, 2, 3]
-        assert _prime_factors(7) == [7]
-        assert _prime_factors(1) == []
-
-    def test_neighbor_grids_preserve_product(self):
-        for g in _neighbor_grids((4, 3)):
-            assert g[0] * g[1] == 12
-        assert (2, 6) in _neighbor_grids((4, 3))
-
-
 class TestRankPlans:
     def test_sorted_and_distinct_grids(self):
         profile = _profile(programs.figure1(n=10), replication=False)
@@ -145,20 +95,29 @@ class TestRankPlans:
         plans = rank_plans(profile, 4, k=1, window=wide)
         assert plans[0].axes[0].base == wide[0][0]
 
-    def test_max_grids_samples_the_grids_and_keeps_the_balanced_one(self):
-        profile = _profile(programs.figure1(n=12))
-        every = rank_plans(profile, 64, k=99)
-        assert len(every) == 7 and every[0].searched == 7
-        some = rank_plans(profile, 64, k=99, max_grids=3, seed=1)
-        assert some == rank_plans(profile, 64, k=99, max_grids=3, seed=1)
-        assert len(some) == 3 and {pl.searched for pl in some} == {3}
-        assert (8, 8) in {pl.grid for pl in some}
-        by_grid = {pl.grid: pl for pl in every}
-        for pl in some:
-            assert (pl.axes, pl.cost) == (by_grid[pl.grid].axes, by_grid[pl.grid].cost)
+    def test_every_grid_is_ranked(self, reference_planner):
+        # 2**10 processors on a rank-3 template: C(12, 2) = 66 grids.
+        profile = CommProfile(
+            3,
+            [
+                _axis_record(0, [(0, 5)]),
+                _axis_record(1, [(0, 1), (2, 4)]),
+                _axis_record(2, [(1, 7), (3, 6), (0, 2)]),
+            ],
+            window=((0, 7), (0, 7), (0, 7)),
+        )
+        ranked = rank_plans(profile, 1024, k=66)
+        assert len(ranked) == 66 and {pl.searched for pl in ranked} == {66}
+        assert ranked == reference_planner.rank_plans(profile, 1024, 66)
 
 
 # -- tied-grid pricing vs the per-grid scalar planner --------------------------
+
+
+def _axis_record(axis, moves):
+    """A move record on one template axis: ``moves`` are ``(src, dst)`` cells."""
+    src, dst = (np.array(cells) for cells in zip(*moves))
+    return MoveRecord((axis,), (src,), (dst,))
 
 
 def _assert_same_plan(got, want):
@@ -254,14 +213,9 @@ class TestTiedGridPricing:
         """Rank 2 on a 3x3 window, 3 processors: the grids are (1, 3) and
         (3, 1), and a 3-processor axis owns one cell per processor under
         every scheme, so hops are plain cell distances."""
-
-        def record(axis, moves):
-            src, dst = (np.array(cells) for cells in zip(*moves))
-            return MoveRecord((axis,), (src,), (dst,))
-
         return CommProfile(
             2,
-            [record(0, [(0, 2)]), record(1, axis1_moves)],
+            [_axis_record(0, [(0, 2)]), _axis_record(1, axis1_moves)],
             window=((0, 2), (0, 2)),
         )
 
@@ -298,10 +252,7 @@ class TestTiedGridPricing:
         )
         tied = axis_candidates(0, 9, 3)
         assert [c.scheme for c in tied] == list(SCHEMES)
-        exhaustive = plan_distribution(profile, 3)
-        searched = plan_distribution(profile, 3, exhaustive_limit=0)
-        assert (exhaustive.exact, searched.exact) == (True, False)
-        for plan in (exhaustive, searched, rank_plans(profile, 3, k=1)[0]):
+        for plan in (plan_distribution(profile, 3), rank_plans(profile, 3, k=1)[0]):
             assert plan.grid == (1, 3)
             assert plan.cost.hops == 0
             assert plan.axes[1] == tied[0]
@@ -317,15 +268,4 @@ class TestTiedGridPricing:
         assert 1 <= tags["grids_tied"] < tags["grids"]
         assert "grids_priced" not in tags
         assert cachestats._cell("distrib.front_price")[0] - priced == tags["candidates"]
-        assert plan.cost == profile.evaluate(plan.to_distribution())
-
-    def test_local_search_prices_its_one_result(self):
-        # From the climb's own per-axis numbers, equal to the scalar
-        # evaluator's price of the same distribution.
-        profile = _profile(programs.figure1(n=12), replication=False)
-        with obs.recording() as rec:
-            plan = plan_distribution(profile, 16, exhaustive_limit=0)
-        tags = rec.find("distrib.plan")[0].tags
-        assert tags["grids_tied"] == 0 and "grids_priced" not in tags
-        assert not plan.exact
         assert plan.cost == profile.evaluate(plan.to_distribution())

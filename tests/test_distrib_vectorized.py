@@ -434,7 +434,7 @@ def _assert_joined_winners_exact(prof, nprocs, topo):
         return
     joined = _winners(prof, spaces, topo)
     assert joined == [_winners(prof, [space], topo)[0] for space in spaces]
-    costs = [plan.cost for plan in _plans(prof, joined, True, 0, topo)]
+    costs = [plan.cost for plan in _plans(prof, joined, 0, topo)]
     dists = [Distribution(tuple(axes)) for axes, _, _ in joined]
     assert costs == front_costs(prof, dists, topo)
     assert costs == [prof.evaluate(d, topo) for d in dists]

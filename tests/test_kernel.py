@@ -212,6 +212,9 @@ BAD_OPTIONS = {
     "misplaced_align_key": (4, None, {"topology": "ring:4"}, None),
     "misplaced_distrib_key": (4, None, None, {"algorithm": "fixed"}),
     "unknown_distrib_key": (4, None, None, {"restart": 3}),
+    "exhaustive_limit": (4, None, None, {"exhaustive_limit": 0}),
+    "seed": (4, None, None, {"seed": 1}),
+    "restarts": (4, None, None, {"restarts": 2}),
     "bad_spec": (None, "grid:bogus", None, None),
     "unknown_algorithm": (4, None, {"algorithm": "nope"}, None),
     "key_of_another_algorithm": (4, None, {"algorithm": "unrolling", "m": 3}, None),
@@ -221,7 +224,10 @@ BAD_OPTIONS = {
 #: The cases that are :class:`DistributionOptionsError`; a bad spec is the
 #: topology parser's ValueError, a bad algorithm or algorithm keyword the
 #: ValueError / TypeError of ``check_algorithm``.
-NAMED = {"mismatch", "misplaced_align_key", "misplaced_distrib_key", "unknown_distrib_key"}
+NAMED = {
+    "mismatch", "misplaced_align_key", "misplaced_distrib_key", "unknown_distrib_key",
+    "exhaustive_limit", "seed", "restarts",
+}
 
 
 def _align_and_distribute(nprocs, topology, align_kw, distrib_options):

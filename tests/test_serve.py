@@ -283,7 +283,7 @@ class TestPlanService:
                 PlanService(distrib_options=leftover)
             (key,) = leftover
             assert f"['{key}']" in str(err.value)
-            for valid in ("block_sizes", "exhaustive_limit", "restarts", "seed", "topology"):
+            for valid in ("block_sizes", "topology"):
                 assert valid in str(err.value)
 
     def test_cold_then_plan_hit_then_prefix_hit(self):
