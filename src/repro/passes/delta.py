@@ -800,10 +800,10 @@ def replan(
                 report.strategy = "identical"
             else:
                 report.strategy = "machine_only"
-                # COW the mutable suffix inputs before the fork touches
-                # them: the distribution search memoizes into the
-                # profile, and callers routinely write
-                # ``plan.distribution``; neither may reach the base.
+                # COW the mutable suffix inputs the fork would share: the
+                # base is a shared cache entry, the profile's record list
+                # is its one mutable container, and callers routinely
+                # write ``plan.distribution``; neither may reach the base.
                 if base.has("profile"):
                     ctx.put("profile", _cow_profile(base.get("profile")))
                 if base.has("plan"):

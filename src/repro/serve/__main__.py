@@ -49,7 +49,8 @@ def main(argv: list[str] | None = None) -> int:
         "--max-entries",
         type=int,
         default=1024,
-        help="LRU bound per cache (default 1024)",
+        help="LRU bound on entries held in memory, and on files with "
+        "--cache-dir; both namespaces together (default 1024)",
     )
     ap.add_argument(
         "--jobs",

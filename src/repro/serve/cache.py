@@ -32,14 +32,21 @@ miss — never a wrong payload.
 leaves either no entry or a complete one, never a truncated pickle.
 Stray temp files from killed writers are swept at warm start.
 
-**Bounded LRU.**  At most ``max_entries`` entries per cache; stores past
-the bound evict the least-recently-used entry (file and all).  Warm
-start recovers the recency order from file mtimes, which the eviction
-order only needs approximately.
+**Hits are served from memory.**  Every entry stored or loaded is kept
+decoded, so a hit returns the very object stored, with a directory or
+without; a file warm start indexed is read and checked by its first
+``get`` only.
+
+**Bounded LRU.**  At most ``max_entries`` entries, both namespaces
+together, in memory and on disk; stores past the bound evict the
+least-recently-used entry (file and all).  Warm start recovers the
+recency order from file mtimes, which the eviction order only needs
+approximately.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import pickle
@@ -131,14 +138,14 @@ def _validate_key(namespace: str, key: Sequence[str]) -> tuple[str, ...]:
 
 
 class PlanCache:
-    """On-disk (or in-memory) LRU cache of pickled planning payloads.
+    """In-memory LRU cache of planning payloads, persisted to a directory.
 
-    ``root=None`` keeps everything in memory — same API, same key
-    discipline, no persistence; the serve tests and the in-process
-    :class:`~repro.serve.service.PlanService` default use it.  With a
-    ``root`` directory, entries live under ``root/<namespace>/<digest>.pkl``
-    and a fresh instance warm-starts from whatever a previous process
-    left behind.
+    Every instance keeps its entries decoded in memory and serves hits
+    from there.  ``root=None`` persists nothing (the in-process
+    :class:`~repro.serve.service.PlanService` default).  With a ``root``
+    directory, every store is also written to
+    ``root/<namespace>/<digest>.pkl``, and a fresh instance warm-starts
+    from whatever a previous process left behind.
     """
 
     def __init__(
@@ -154,8 +161,8 @@ class PlanCache:
         self.name = name
         self.stats = CacheStats()
         self._lock = threading.Lock()
-        # digest -> path (disk mode) or digest -> entry dict (memory mode),
-        # in least-recently-used-first order.
+        # digest -> entry dict, or -> path for a file warm start indexed
+        # that no ``get`` has read yet; least-recently-used first.
         self._index: OrderedDict[str, Any] = OrderedDict()
         if self.root is not None:
             self._warm_start()
@@ -216,12 +223,11 @@ class PlanCache:
         parts = _validate_key(namespace, tuple(key))
         digest = self._digest(namespace, parts)
         with self._lock:
-            if digest not in self._index:
+            entry = self._index.get(digest)
+            if entry is None:
                 return self._miss(namespace)
-            if self.root is None:
-                entry = self._index[digest]
-            else:
-                entry = self._load(self._index[digest])
+            if isinstance(entry, str):
+                entry = self._load(entry)
                 if entry is None or not self._entry_matches(
                     entry, namespace, parts
                 ):
@@ -229,6 +235,7 @@ class PlanCache:
                     # drop it so the next probe is a clean miss too.
                     self._invalidate(digest)
                     return self._miss(namespace)
+                self._index[digest] = entry
             self._index.move_to_end(digest)
             self.stats.hits += 1
             cachestats.record_hit(f"{self.name}.{namespace}")
@@ -250,14 +257,12 @@ class PlanCache:
             "payload": payload,
         }
         with self._lock:
-            if self.root is None:
-                self._index[digest] = entry
-            else:
-                path = self._path(namespace, digest)
+            if self.root is not None:
                 atomic_write_bytes(
-                    path, pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
+                    self._path(namespace, digest),
+                    pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL),
                 )
-                self._index[digest] = path
+            self._index[digest] = entry
             self._index.move_to_end(digest)
             self.stats.stores += 1
             while len(self._index) > self.max_entries:
@@ -276,12 +281,8 @@ class PlanCache:
     def clear(self) -> None:
         """Drop every entry (files included in disk mode)."""
         with self._lock:
-            if self.root is not None:
-                for target in self._index.values():
-                    try:
-                        os.unlink(target)
-                    except OSError:
-                        pass
+            for digest, target in self._index.items():
+                self._unlink(digest, target)
             self._index.clear()
 
     # -- internals ---------------------------------------------------------
@@ -311,20 +312,18 @@ class PlanCache:
             return None
         return entry if isinstance(entry, dict) else None
 
-    def _invalidate(self, digest: str) -> None:
-        target = self._index.pop(digest, None)
-        if self.root is not None and isinstance(target, str):
-            try:
+    def _unlink(self, digest: str, target: Any) -> None:
+        """Delete an index entry's file: its path, or where it was stored."""
+        if self.root is not None:
+            if not isinstance(target, str):
+                target = self._path(target["namespace"], digest)
+            with contextlib.suppress(OSError):
                 os.unlink(target)
-            except OSError:
-                pass
+
+    def _invalidate(self, digest: str) -> None:
+        self._unlink(digest, self._index.pop(digest))
         self.stats.invalidated += 1
 
     def _evict_one(self) -> None:
-        digest, target = self._index.popitem(last=False)
-        if self.root is not None and isinstance(target, str):
-            try:
-                os.unlink(target)
-            except OSError:
-                pass
+        self._unlink(*self._index.popitem(last=False))
         self.stats.evictions += 1

@@ -1,12 +1,13 @@
 """The serving layer: persistent plan cache, service, daemon, nonces.
 
 Covers :mod:`repro.serve` end to end — the fingerprint-keyed
-:class:`PlanCache` (round trips, LRU eviction, warm start across a
-fresh process, schema-version invalidation, atomic-write hygiene, the
-refusal of non-content-addressed key chains), the in-process
-:class:`PlanService` (cold/warm/prefix paths with byte-identical
-payloads for every generator family, backpressure, error responses),
-the asyncio daemon protocol, and the fingerprint-nonce bugfix in
+:class:`PlanCache` (round trips, hits served from memory, LRU
+eviction, warm start across a fresh process, schema-version
+invalidation, atomic-write hygiene, the refusal of non-content-addressed
+key chains), the in-process :class:`PlanService` (cold/warm/prefix
+paths with byte-identical payloads for every generator family,
+backpressure, error responses), the asyncio daemon protocol, and the
+fingerprint-nonce bugfix in
 :mod:`repro.passes` that makes identity fingerprints safe to exist
 alongside a persistent cache at all.
 """
@@ -46,9 +47,34 @@ real C(32), D(32)
 C(1:32) = C(1:32) + D(1:32)
 """
 
+SRC_EDIT = SRC.replace("A(1:63) + B(2:64)", "A(1:63) - B(2:64)")
+
 
 def _counter(name: str) -> int:
     return registry().counter(name).value
+
+
+def _count_loads(monkeypatch) -> list[str]:
+    """Record the path of every file :class:`PlanCache` reads."""
+    loads = []
+    real = PlanCache._load
+
+    def counting(path):
+        loads.append(path)
+        return real(path)
+
+    monkeypatch.setattr(PlanCache, "_load", staticmethod(counting))
+    return loads
+
+
+def _entry_files(root: str) -> list[str]:
+    """The ``.pkl`` entry files under a cache directory, sorted."""
+    return sorted(
+        os.path.join(root, ns, f)
+        for ns in ("plan", "prefix")
+        for f in os.listdir(os.path.join(root, ns))
+        if f.endswith(".pkl")
+    )
 
 
 # -- PlanCache: key discipline -------------------------------------------------
@@ -213,6 +239,144 @@ class TestCachePersistence:
         assert len(cache) == 0
         for ns in ("plan", "prefix"):
             assert os.listdir(os.path.join(root, ns)) == []
+
+    # -- hits are served from memory, in both modes --
+
+    def test_a_hit_is_the_stored_object_not_a_reload(self, tmp_path):
+        root = str(tmp_path / "cache")
+        cache = PlanCache(root)
+        payload = {"deep": [1, 2]}
+        cache.put("plan", ("abc123",), payload)
+        assert cache.get("plan", ("abc123",)) is payload
+        (path,) = _entry_files(root)
+        os.unlink(path)
+        assert cache.get("plan", ("abc123",)) is payload
+        assert PlanCache(root).get("plan", ("abc123",)) is MISS
+
+    def test_a_warm_started_entry_is_read_from_disk_once(
+        self, tmp_path, monkeypatch
+    ):
+        root = str(tmp_path / "cache")
+        PlanCache(root).put("prefix", ("abc123",), {"deep": [1, 2]})
+        loads = _count_loads(monkeypatch)
+        fresh = PlanCache(root)
+        first, second, third = (
+            fresh.get("prefix", ("abc123",)) for _ in range(3)
+        )
+        assert first == {"deep": [1, 2]} and first is second is third
+        assert loads == _entry_files(root)
+
+    def test_a_file_corrupted_after_its_first_read_is_caught_by_the_next_process(
+        self, tmp_path
+    ):
+        root = str(tmp_path / "cache")
+        PlanCache(root).put("plan", ("abc123",), "current")
+        reader = PlanCache(root)
+        assert reader.get("plan", ("abc123",)) == "current"
+        (path,) = _entry_files(root)
+        blob = bytearray(open(path, "rb").read())
+        blob[blob.index(b"abc123")] ^= 1  # the echoed key: "abc123" -> "`bc123"
+        with open(path, "wb") as f:
+            f.write(bytes(blob))
+        assert reader.get("plan", ("abc123",)) == "current"
+        assert reader.stats.invalidated == 0
+        fresh = PlanCache(root)
+        assert fresh.get("plan", ("abc123",)) is MISS
+        assert fresh.stats.invalidated == 1
+        assert not os.path.exists(path)
+
+    def test_eviction_and_clear_delete_the_files_of_decoded_entries(
+        self, tmp_path
+    ):
+        root = str(tmp_path / "cache")
+        PlanCache(root).put("prefix", ("a1",), 1)
+        cache = PlanCache(root, max_entries=2)
+        assert cache.get("prefix", ("a1",)) == 1  # decoded from its file
+        cache.put("plan", ("b2",), 2)
+        cache.put("plan", ("c3",), 3)  # evicts a1
+        cache.put("prefix", ("d4",), 4)  # evicts b2
+        assert cache.stats.evictions == 2 and len(_entry_files(root)) == 2
+        cache.clear()
+        assert _entry_files(root) == []
+
+    def test_kernels_and_label_edits_are_served_off_prefixes_loaded_from_disk(
+        self, tmp_path, monkeypatch
+    ):
+        """The benchmark's 16 kernels planned cold into a directory; fresh
+        services on it answer each kernel on a new machine (a prefix
+        hit) and each ``op_swap`` edit off its kernel (a delta), every
+        base read from disk, every payload the bytes a memory-only
+        service answers."""
+        from pathlib import Path
+
+        corpus = Path(__file__).parent.parent / "benchmarks" / "perf" / "corpus"
+        kernels = {p.stem: p.read_text() for p in sorted(corpus.glob("*.dp"))}
+        edits = {
+            p.name.split(".")[0]: (p.name[: -len(".dp")], p.read_text())
+            for p in sorted((corpus / "edits").glob("*.op_swap.dp"))
+        }
+        assert len(kernels) == 16 and len(edits) == 15
+        cold = [ServeRequest(k, src, nprocs=4) for k, src in kernels.items()]
+        torus = [
+            ServeRequest(k, src, topology="torus:4x4")
+            for k, src in kernels.items()
+        ]
+        with PlanService() as memory:
+            base = {}
+            for r in cold:
+                resp = memory.handle(r)
+                assert resp.cached is None
+                base[r.name] = resp.fingerprints["program"]
+            deltas = [
+                ServeRequest(name, src, nprocs=4, base_fingerprint=base[k])
+                for k, (name, src) in edits.items()
+            ]
+            want = [pickle.dumps(memory.handle(r).plan) for r in torus + deltas]
+
+        root = str(tmp_path / "cache")
+        with PlanService(cache_dir=root) as svc:
+            for r in cold:
+                assert svc.handle(r).cached is None
+        loads = _count_loads(monkeypatch)
+        got = []
+        for requests, outcome in ((torus, "prefix"), (deltas, "delta")):
+            del loads[:]
+            with PlanService(cache_dir=root) as svc:
+                for r in requests:
+                    resp = svc.handle(r)
+                    assert resp.cached == outcome, (r.name, resp.error)
+                    got.append(pickle.dumps(resp.plan))
+                assert svc.cache.stats.invalidated == 0
+            assert len(loads) == len(requests)  # one base read from disk each
+        assert got == want
+
+    @pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "disk"])
+    def test_serving_off_an_entry_never_writes_into_it(self, tmp_path, on_disk):
+        """Every hit shares the kept entry: a daemon's threads serve one
+        decoded prefix at once, so nothing downstream may mutate it."""
+        root = str(tmp_path / "cache") if on_disk else None
+        with PlanService(cache_dir=root) as svc:
+            cold = svc.handle(ServeRequest("q", SRC, nprocs=4))
+            fp = cold.fingerprints
+            prefix_key = (fp["program"], fp["options"])
+            plan_key = prefix_key + (fp["machine"],)
+            prefix = svc.cache.get("prefix", prefix_key)
+            payload = svc.cache.get("plan", plan_key)
+            before = pickle.dumps(prefix), pickle.dumps(payload)
+            outcomes = [
+                svc.handle(r).cached
+                for r in (
+                    ServeRequest("q", SRC, nprocs=8),
+                    ServeRequest(
+                        "q", SRC_EDIT, nprocs=4, base_fingerprint=fp["program"]
+                    ),
+                    ServeRequest("q", SRC, nprocs=4),
+                )
+            ]
+            assert outcomes == ["prefix", "delta", "plan"]
+            assert svc.cache.get("prefix", prefix_key) is prefix
+            assert svc.cache.get("plan", plan_key) is payload
+            assert (pickle.dumps(prefix), pickle.dumps(payload)) == before
 
 
 # -- fingerprint nonces (the satellite bugfix) ---------------------------------
@@ -547,8 +711,6 @@ class TestParentFormatCache:
 
 # -- the request-key memo ------------------------------------------------------
 
-
-SRC_EDIT = SRC.replace("A(1:63) + B(2:64)", "A(1:63) - B(2:64)")
 
 PAPER_FRAGMENTS = (
     "figure1", "figure4", "example1", "example2", "example3", "example5",
