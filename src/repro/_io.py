@@ -22,6 +22,11 @@ import os
 import tempfile
 from typing import Any
 
+#: The compact encoding of every JSON-lines record, built once: it is
+#: ``json.dumps(obj, separators=(",", ":"))`` byte for byte, without a
+#: new encoder per record (``encode`` keeps no state between calls).
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
     """Write ``data`` to ``path`` atomically (temp file + ``os.replace``)."""
@@ -84,4 +89,4 @@ def append_jsonl(path: str, obj: Any) -> None:
     record cannot leave a partial line), and the single-write append of
     :func:`append_line` keeps concurrent writers' records intact.
     """
-    append_line(path, json.dumps(obj, separators=(",", ":")))
+    append_line(path, compact_json(obj))

@@ -265,6 +265,8 @@ class Registry:
 
     Thread-safe: creation and snapshots lock the name table (individual
     metric updates lock per metric, so hot paths never contend here).
+    Reading a metric that exists, of exactly the kind asked for, takes
+    no lock: a dict read is atomic, and an entry is never replaced.
     """
 
     def __init__(self) -> None:
@@ -272,6 +274,9 @@ class Registry:
         self._lock = threading.Lock()
 
     def _get(self, name: str, kind: type) -> Metric:
+        m = self._metrics.get(name)
+        if type(m) is kind:
+            return m
         with self._lock:
             m = self._metrics.get(name)
             if m is None:

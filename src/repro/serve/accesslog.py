@@ -41,7 +41,7 @@ import threading
 import time
 from typing import Any, IO, Mapping, Optional
 
-from .._io import append_jsonl
+from .._io import append_jsonl, compact_json
 
 
 class AccessLog:
@@ -127,7 +127,7 @@ class AccessLog:
             # through the syscall.
             append_jsonl(self.path, record)
         else:
-            line = json.dumps(record, separators=(",", ":"))
+            line = compact_json(record)
             with self._lock:
                 self._stream.write(line + "\n")
                 try:

@@ -50,14 +50,19 @@ view subtracts two polls (:mod:`repro.obs.watch`).  ``serve.inflight``
 gauges the requests currently admitted.
 
 Deriving the cache key is most of a hit (parse the source, walk the
-program for its fingerprint), so the service remembers it: a bounded
-**request-key memo** maps a digest of ``(name, source)`` to the program
-fingerprint that text parsed to (``serve.key_memo.hits`` /
-``serve.key_memo.misses``).  A known text goes straight to the cache
-probes and is parsed only where a pass needs the program — a delta or
-cold plan.  The memo stores no plan: :class:`PlanCache` stays the only
-store of results, and a text the memo forgot is re-parsed to the same
-key.
+program for its fingerprint; build and fingerprint the machine), so the
+service remembers it: a bounded **request-key memo** maps a digest of
+``(name, source)`` to the program fingerprint that text parsed to
+(``serve.key_memo.hits`` / ``serve.key_memo.misses``), and its machine
+half maps ``(nprocs, topology)`` to the checked ``MachineSpec`` and its
+fingerprint.  The machine half keeps only a machine ``machine_record``
+accepted, and only for the exact types ``int``/``None`` and
+``str``/``None`` (``4``, ``4.0`` and ``True`` are three machines);
+anything else is derived afresh on every request.  A known request goes
+straight to the cache probes and is parsed only where a pass needs the
+program — a delta or cold plan.  The memo stores no plan:
+:class:`PlanCache` stays the only store of results, and a key the memo
+forgot is derived again, to the same value.
 
 When ``access_log`` is set, every request — served, errored, or
 rejected — appends exactly one structured JSON line
@@ -104,6 +109,10 @@ from .cache import MISS, PlanCache
 
 #: Default target machine when a request names neither nprocs nor topology.
 DEFAULT_NPROCS = 4
+
+#: The machine-field types the request-key memo remembers, exactly.
+_NPROCS_TYPES = (int, type(None))
+_TOPO_TYPES = (str, type(None))
 
 
 @dataclass(frozen=True)
@@ -281,6 +290,10 @@ class PlanService:
         # the cache's ``max_entries`` and guarded by ``_lock``.  It holds
         # no plan — a known text only skips re-deriving its cache key.
         self._key_memo: OrderedDict[bytes, str] = OrderedDict()
+        # Its machine half: (nprocs, topology) -> (MachineSpec, machine
+        # fingerprint), a pure function of the two fields since the
+        # options are constant; bounded and locked the same way.
+        self._machine_memo: OrderedDict[tuple, tuple] = OrderedDict()
         self._trace_lock = threading.Lock()
         self._pending = 0
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -381,23 +394,38 @@ class PlanService:
             trace=trace,
         )
 
-    def _memo_lookup(self, text: bytes) -> Optional[str]:
-        """The program fingerprint ``text`` parsed to last time, if kept."""
+    def _recall(self, memo: OrderedDict, key):
+        """``memo[key]``, marked recently used, or ``None``."""
         with self._lock:
-            pfp = self._key_memo.get(text)
-            if pfp is not None:
-                self._key_memo.move_to_end(text)
-        registry().counter(
-            "serve.key_memo.misses" if pfp is None else "serve.key_memo.hits"
-        ).inc()
-        return pfp
+            value = memo.get(key)
+            if value is not None:
+                memo.move_to_end(key)
+        return value
 
-    def _memo_store(self, text: bytes, pfp: str) -> None:
+    def _remember(self, memo: OrderedDict, key, value) -> None:
         with self._lock:
-            self._key_memo[text] = pfp
-            self._key_memo.move_to_end(text)
-            while len(self._key_memo) > self.cache.max_entries:
-                self._key_memo.popitem(last=False)
+            memo[key] = value
+            memo.move_to_end(key)
+            while len(memo) > self.cache.max_entries:
+                memo.popitem(last=False)
+
+    def _machine_key(self, nprocs, topology):
+        """``(MachineSpec, its content fingerprint)`` for a request's
+        machine fields; raises as :func:`machine_record` does.
+
+        Remembered only for the exact types ``int``/``None`` and
+        ``str``/``None``: ``4``, ``4.0`` and ``True`` are three machines
+        that a value-keyed dict would merge, and a list is unhashable.
+        """
+        key = (nprocs, topology)
+        exact = type(nprocs) in _NPROCS_TYPES and type(topology) in _TOPO_TYPES
+        known = self._recall(self._machine_memo, key) if exact else None
+        if known is None:
+            machine = machine_record(nprocs, topology, self.distrib_options)
+            known = machine, content_fingerprint(machine)
+            if exact:
+                self._remember(self._machine_memo, key, known)
+        return known
 
     def _handle_impl(self, request: ServeRequest) -> ServeResponse:
         """The post-admission pipeline: cache probe → plan → respond."""
@@ -416,10 +444,7 @@ class PlanService:
                     # Fails fast on an unplannable machine (bad spec, no
                     # processor count, a size that contradicts nprocs)
                     # before any planning work.
-                    machine = machine_record(
-                        nprocs, topology, self.distrib_options
-                    )
-                    mfp = content_fingerprint(machine)
+                    machine, mfp = self._machine_key(nprocs, topology)
                     afp = self._options_fp
                     # A text seen before goes to the cache probes on its
                     # remembered fingerprint; it is parsed only where a
@@ -428,12 +453,16 @@ class PlanService:
                     # minted per context and a parse error has none.
                     text = _text_digest(request)
                     program = None
-                    pfp = self._memo_lookup(text)
+                    pfp = self._recall(self._key_memo, text)
+                    reg.counter(
+                        "serve.key_memo.misses" if pfp is None
+                        else "serve.key_memo.hits"
+                    ).inc()
                     if pfp is None:
                         program = parse(request.source, name=request.name)
                         pfp = PlanContext().put("program", program).fingerprint
                         if not pfp.startswith("v"):
-                            self._memo_store(text, pfp)
+                            self._remember(self._key_memo, text, pfp)
 
                 fingerprints = {
                     "program": pfp[:12],

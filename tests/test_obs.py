@@ -151,6 +151,42 @@ class TestMetrics:
         reg.counter("x")
         with pytest.raises(TypeError):
             reg.gauge("x")
+        # A second read of the counter takes the lock-free path; asking
+        # for another kind still goes through the lock and still raises.
+        assert reg.counter("x") is reg.counter("x")
+        with pytest.raises(TypeError, match="is a Counter, not a Histogram"):
+            reg.histogram("x")
+
+    def test_first_touch_from_eight_threads_is_one_metric(self):
+        import sys
+        import threading
+
+        reg = Registry()
+        start = threading.Barrier(8)
+        seen: list = []
+        n = 2000
+
+        def work() -> None:
+            start.wait()
+            seen.append(reg.counter("hot"))
+            for _ in range(n):
+                reg.counter("hot").inc()
+                reg.histogram("hot_ms").observe(1.0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len({id(c) for c in seen}) == 1
+        snap = reg.snapshot(include_cachestats=False)
+        assert snap["counters"] == {"hot": 8 * n}
+        assert snap["histograms"]["hot_ms"]["count"] == 8 * n
 
     def test_histogram_percentiles_within_bucket_resolution(self):
         h = Histogram("lat")

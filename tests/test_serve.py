@@ -740,6 +740,30 @@ def parses(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def machine_keys(monkeypatch):
+    """Every ``machine_record`` / ``content_fingerprint`` call the
+    service makes, by function name."""
+    import repro.serve.service as service
+
+    calls: list[str] = []
+
+    for name in ("machine_record", "content_fingerprint"):
+
+        def call(*args, name=name, real=getattr(service, name)):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(service, name, call)
+    return calls
+
+
+MACHINE_NPROCS = (4, 4.0, True, "4", [4], None)
+MACHINE_TOPOLOGIES = (
+    None, "ring:4", "torus:2x2", "hier:(grid:2)/(grid:2)@4", "bogus:9", 7,
+)
+
+
 class TestRequestKeyMemo:
     def test_known_text_is_parsed_only_where_a_pass_needs_it(self, parses):
         with PlanService() as svc:
@@ -873,11 +897,93 @@ class TestRequestKeyMemo:
             assert again.cached is None and parses == ["q", "r", "q"]
             assert _answer(again) == _answer(first)
 
+    def test_warm_plan_hit_derives_no_machine_key(self, machine_keys):
+        derive = ["machine_record", "content_fingerprint"]
+        with PlanService() as svc:
+            cold = svc.handle(ServeRequest("q", SRC, topology="torus:2x2"))
+            assert cold.cached is None and machine_keys == derive
+            hits = [
+                svc.handle(ServeRequest("q", SRC, topology="torus:2x2"))
+                for _ in range(3)
+            ]
+            assert [h.cached for h in hits] == ["plan"] * 3
+            assert machine_keys == derive
+            assert all(_answer(h) == _answer(cold) for h in hits)
+            # The default machine is remembered under its resolved fields.
+            svc.handle(ServeRequest("q", SRC))
+            svc.handle(ServeRequest("q", SRC, nprocs=4))
+            assert machine_keys == derive * 2
+
+    def test_machine_fields_of_every_type_answer_as_a_fresh_service(self):
+        with PlanService() as svc:
+            for nprocs in MACHINE_NPROCS:
+                for topology in MACHINE_TOPOLOGIES:
+                    req = ServeRequest("q", SRC, nprocs=nprocs, topology=topology)
+                    with PlanService() as fresh:
+                        want = _answer(fresh.handle(req))
+                    first, second = svc.handle(req), svc.handle(req)
+                    assert _answer(first) == want, (nprocs, topology)
+                    assert _answer(second) == want, (nprocs, topology)
+            # Only exact int/None and str/None fields were remembered.
+            assert svc._machine_memo
+            assert all(
+                type(n) in (int, type(None)) and type(t) in (str, type(None))
+                for n, t in svc._machine_memo
+            )
+            machines = [
+                svc.handle(ServeRequest("q", SRC, nprocs=n))
+                for n in (4, 4.0, True)
+            ]
+        assert all(m.ok for m in machines)
+        assert len({m.fingerprints["machine"] for m in machines}) == 3
+
+    def test_bad_machine_is_answered_afresh_and_never_kept(
+        self, tmp_path, machine_keys
+    ):
+        log = str(tmp_path / "access.jsonl")
+        bad = ServeRequest("q", SRC, nprocs=8, topology="torus:2x2")
+        with PlanService(access_log=log) as svc:
+            first, second = svc.handle(bad), svc.handle(bad)
+            assert first.status == second.status == "error"
+            assert first.error == second.error
+            assert "torus:2x2" in first.error
+            assert machine_keys == ["machine_record"] * 2
+            assert not svc._machine_memo
+            assert svc.stats()["key_memo"]["entries"] == 0
+        from repro.serve import read_access_log
+
+        records = [r for r in read_access_log(log) if r["kind"] == "access"]
+        assert [(r["status"], r["error"]) for r in records] == [
+            ("error", first.error)
+        ] * 2
+
+    def test_machine_memo_is_bounded_and_a_forgotten_machine_answers(
+        self, machine_keys
+    ):
+        machines = [2, 4, 8, 16]
+        with PlanService(max_entries=2) as svc:
+            answers = {
+                n: svc.handle(ServeRequest("q", SRC, nprocs=n)) for n in machines
+            }
+            assert all(a.ok for a in answers.values())
+            assert machine_keys.count("machine_record") == 4
+            assert len(svc._machine_memo) == 2
+            again = svc.handle(ServeRequest("q", SRC, nprocs=16))
+            assert machine_keys.count("machine_record") == 4  # still known
+            assert _answer(again) == _answer(answers[16])
+            forgotten = svc.handle(ServeRequest("q", SRC, nprocs=2))
+            assert machine_keys.count("machine_record") == 5
+            assert _answer(forgotten) == _answer(answers[2])
+            assert len(svc._machine_memo) == 2
+
     def test_threads_answer_what_a_serial_service_answers(self):
         import random
         import threading
 
-        machines = [{"nprocs": 4}, {"nprocs": 8}, {"topology": "ring:4"}]
+        machines = [
+            {"nprocs": 4}, {"nprocs": 8}, {"topology": "ring:4"},
+            {"topology": "torus:2x2"},
+        ]
         texts = [
             ("q", SRC), ("r", SRC2), ("q", SRC + "\n"), ("e", SRC_EDIT),
             ("bad", "real A(; nonsense"),

@@ -92,6 +92,32 @@ class TestAccessLog:
         record = json.loads(stream.getvalue())
         assert record["event"] == "x" and record["a"] == 1
 
+    def test_lines_are_the_compact_json_dumps_of_their_records(self, tmp_path):
+        def write(log) -> list[dict]:
+            return [
+                log.access(name="café ∑ 日本", status="ok", cached="plan",
+                           ms=1e308, fingerprints={"program": "ab" * 6}),
+                log.access(
+                    name="\ud800", status="error", cached=None,
+                    ms=float("nan"), error="LexError: \udfff",
+                    trace={"serve.request": {"count": 1, "ms": 0.5},
+                           "nested": {"deep": [1e300, -0.0, float("inf")]}},
+                ),
+                log.event("listening", host="ħøst", port=2**70,
+                          big=1.7976931348623157e308, neg=float("-inf")),
+            ]
+
+        def dumps(records: list[dict]) -> list[str]:
+            return [json.dumps(r, separators=(",", ":")) for r in records]
+
+        path = str(tmp_path / "log.jsonl")
+        records = write(AccessLog(path, clock=lambda: 1.5e9))
+        with open(path, encoding="utf-8") as f:
+            assert f.read().splitlines() == dumps(records)
+        stream = io.StringIO()
+        records = write(AccessLog(stream=stream, clock=lambda: 1.5e9))
+        assert stream.getvalue().splitlines() == dumps(records)
+
     def test_concurrent_appends_never_tear(self, tmp_path):
         path = str(tmp_path / "log.jsonl")
         log = AccessLog(path)
@@ -514,6 +540,48 @@ class TestDaemonOversizedLine:
         assert _drive(asyncio.wait_for(drive(), 30)) == {
             "status": "ok", "pong": True,
         }
+
+
+class TestDaemonBinaryLine:
+    """A request line of invalid UTF-8 and NUL bytes: one error reply, one
+    event, and the same connection still plans (ROADMAP item 10)."""
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b"\xff\xfe\x00\x00\xc3\x28\x80\x00",  # a UTF-32 BOM, then junk
+            b"\x00" * 7,  # sniffed as UTF-32: decodes, then fails to parse
+            b'{"op": "plan", "source": "\xc3\x28\x00\xff"}',
+            b"\x00{\x00}",  # sniffed as UTF-16, an odd byte count
+        ],
+    )
+    def test_error_reply_then_the_connection_still_plans(self, line):
+        stream = io.StringIO()
+        plan = {"op": "plan", "id": 1, "name": "q", "source": SRC, "nprocs": 4}
+
+        async def drive():
+            daemon = PlanDaemon(
+                PlanService(), port=0, log=AccessLog(stream=stream)
+            )
+            await daemon.start()
+            server = asyncio.create_task(daemon.serve_forever())
+            reader, writer = await asyncio.open_connection(*daemon.address)
+            writer.write(line + b"\n")
+            writer.write(json.dumps(plan).encode() + b"\n")
+            await writer.drain()
+            replies = [json.loads(await reader.readline()) for _ in range(2)]
+            writer.close()
+            daemon.shutdown()
+            await server
+            return replies
+
+        refused, planned = _drive(asyncio.wait_for(drive(), 30))
+        events = [json.loads(x) for x in stream.getvalue().splitlines()]
+        assert [e["event"] for e in events] == ["malformed_request"]
+        assert refused == {"status": "error", "error": "bad request: "
+                           + events[0]["error"]}
+        assert planned["status"] == "ok" and planned["id"] == 1
+        assert planned["cached"] is None and planned["plan"]["name"] == "q"
 
 
 class TestDaemonConcurrentClients:
