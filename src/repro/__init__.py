@@ -32,7 +32,7 @@ Subpackages:
   registered pass with requires/provides artifact contracts, run by an
   instrumented, prefix-reusable ``Pipeline`` over a ``PlanContext``
   (machine sweeps re-execute only the machine-dependent suffix);
-* :mod:`repro.solvers` — from-scratch simplex LP and max-flow/min-cut;
+* :mod:`repro.solvers` — the LP model HiGHS solves, and max-flow/min-cut;
 * :mod:`repro.topology` — pluggable machine interconnects (grid, torus,
   ring, hypercube, hierarchical) whose per-axis hop metrics price every
   data movement; the grid default is the paper's L1 machine;

@@ -35,7 +35,6 @@ from .cost import offset_only_cost
 from .offset_static import (
     OffsetLPStats,
     OffsetMap,
-    OffsetSolution,
     PartitionPlan,
     ReplicationLabels,
     edge_is_offset_costed,
@@ -77,18 +76,6 @@ def _count_subranges(plan: PartitionPlan) -> int:
     return sum(len(v) for v in plan.values())
 
 
-def _solve_plan(
-    adg: ADG,
-    skeleton: Skeleton,
-    plan: PartitionPlan,
-    replicated: ReplicationLabels | None,
-    backend: str,
-    static: bool = False,
-    memo: MutableMapping | None = None,
-) -> OffsetSolution:
-    return solve_offsets(adg, skeleton, plan, replicated, backend, static, memo)
-
-
 def _exact_cost(
     adg: ADG,
     skeleton: Skeleton,
@@ -124,14 +111,13 @@ def fixed_partitioning(
     skeleton: Skeleton,
     m: int = 3,
     replicated: ReplicationLabels | None = None,
-    backend: str = "scipy",
     static: bool = False,
     memo: MutableMapping | None = None,
 ) -> MobileOffsetResult:
     """Partition every edge space into ``m`` equal subranges per axis and
     solve once.  Guaranteed within ``1 + 2/m**2`` of optimal."""
     plan = _plan_fixed(adg, m)
-    sol = _solve_plan(adg, skeleton, plan, replicated, backend, static, memo)
+    sol = solve_offsets(adg, skeleton, plan, replicated, static, memo)
     cost = _exact_cost(adg, skeleton, sol.offsets, replicated)
     return MobileOffsetResult(
         f"fixed(m={m})", sol.offsets, cost, sol.stats, 1, _count_subranges(plan)
@@ -147,7 +133,6 @@ def unrolling(
     adg: ADG,
     skeleton: Skeleton,
     replicated: ReplicationLabels | None = None,
-    backend: str = "scipy",
     static: bool = False,
     memo: MutableMapping | None = None,
 ) -> MobileOffsetResult:
@@ -155,7 +140,7 @@ def unrolling(
     (over affine alignments), at the price of an LP that scales with the
     iteration count."""
     plan = _plan_unrolled(adg)
-    sol = _solve_plan(adg, skeleton, plan, replicated, backend, static, memo)
+    sol = solve_offsets(adg, skeleton, plan, replicated, static, memo)
     cost = _exact_cost(adg, skeleton, sol.offsets, replicated)
     return MobileOffsetResult(
         "unrolling", sol.offsets, cost, sol.stats, 1, _count_subranges(plan)
@@ -171,7 +156,6 @@ def state_space_search(
     adg: ADG,
     skeleton: Skeleton,
     replicated: ReplicationLabels | None = None,
-    backend: str = "scipy",
     max_passes: int = 4,
     static: bool = False,
     memo: MutableMapping | None = None,
@@ -185,7 +169,7 @@ def state_space_search(
     their roots.
     """
     plan = _plan_fixed(adg, 1)
-    sol = _solve_plan(adg, skeleton, plan, replicated, backend, static, memo)
+    sol = solve_offsets(adg, skeleton, plan, replicated, static, memo)
     offsets = dict(sol.offsets)
     best = _exact_cost(adg, skeleton, offsets, replicated)
     # Group ports per node: moving a node's ports together preserves all
@@ -233,7 +217,6 @@ def tracking_zero_crossings(
     adg: ADG,
     skeleton: Skeleton,
     replicated: ReplicationLabels | None = None,
-    backend: str = "scipy",
     max_iter: int = 8,
     static: bool = False,
     memo: MutableMapping | None = None,
@@ -242,7 +225,7 @@ def tracking_zero_crossings(
     solved spans' zero crossings and re-solve until the cost stops
     improving (convergence is not guaranteed; the paper says so)."""
     plan = _plan_fixed(adg, 2)
-    sol = _solve_plan(adg, skeleton, plan, replicated, backend, static, memo)
+    sol = solve_offsets(adg, skeleton, plan, replicated, static, memo)
     best_offsets = sol.offsets
     best = _exact_cost(adg, skeleton, best_offsets, replicated)
     stats = list(sol.stats)
@@ -261,7 +244,7 @@ def tracking_zero_crossings(
             break
         iters += 1
         plan = newplan
-        sol = _solve_plan(adg, skeleton, plan, replicated, backend, static, memo)
+        sol = solve_offsets(adg, skeleton, plan, replicated, static, memo)
         stats.extend(sol.stats)
         c = _exact_cost(adg, skeleton, sol.offsets, replicated)
         if c < best:
@@ -283,7 +266,6 @@ def recursive_refinement(
     adg: ADG,
     skeleton: Skeleton,
     replicated: ReplicationLabels | None = None,
-    backend: str = "scipy",
     max_iter: int = 8,
     static: bool = False,
     memo: MutableMapping | None = None,
@@ -291,7 +273,7 @@ def recursive_refinement(
     """One subrange; split any subrange whose solved span changes sign at
     the crossing; re-solve; repeat until clean, stalled, or capped."""
     plan: PartitionPlan = _plan_fixed(adg, 1)
-    sol = _solve_plan(adg, skeleton, plan, replicated, backend, static, memo)
+    sol = solve_offsets(adg, skeleton, plan, replicated, static, memo)
     best_offsets = sol.offsets
     best = _exact_cost(adg, skeleton, best_offsets, replicated)
     stats = list(sol.stats)
@@ -323,7 +305,7 @@ def recursive_refinement(
             break
         iters += 1
         plan = newplan
-        sol = _solve_plan(adg, skeleton, plan, replicated, backend, static, memo)
+        sol = solve_offsets(adg, skeleton, plan, replicated, static, memo)
         stats.extend(sol.stats)
         c = _exact_cost(adg, skeleton, sol.offsets, replicated)
         if c < best:
@@ -358,7 +340,7 @@ ALGORITHMS = {
 }
 
 #: What :func:`solve_mobile_offsets` passes every algorithm itself.
-_SOLVER_KEYWORDS = ("replicated", "backend", "static", "memo")
+_SOLVER_KEYWORDS = ("replicated", "static", "memo")
 
 
 def check_algorithm(name: str, keywords: Iterable[str] = ()) -> Algorithm:
@@ -390,9 +372,8 @@ def solve_mobile_offsets(
     skeleton: Skeleton,
     algorithm: str = "fixed",
     replicated: ReplicationLabels | None = None,
-    backend: str = "scipy",
     **kw,
 ) -> MobileOffsetResult:
     """Entry point: run one of the five Section 4.2 algorithms."""
     run = check_algorithm(algorithm).run
-    return run(adg, skeleton, replicated=replicated, backend=backend, **kw)
+    return run(adg, skeleton, replicated=replicated, **kw)

@@ -157,7 +157,6 @@ class OffsetLP:
         relations: list[OffsetRelation],
         plan: PartitionPlan,
         replicated: ReplicationLabels | None = None,
-        backend: str = "scipy",
         static: bool = False,
         memo: MutableMapping | None = None,
         terms: EdgeTerms | None = None,
@@ -168,9 +167,8 @@ class OffsetLP:
         self.relations = relations
         self.plan = plan
         self.replicated = replicated or set()
-        self.backend = backend
         self.static = static
-        # (backend, digest of a built LP) -> (exact value by column,
+        # ("offset_lp", digest of a built LP) -> (exact value by column,
         # objective)
         self.memo = {} if memo is None else memo
         self.terms = EdgeTerms(adg, skeleton, plan) if terms is None else terms
@@ -314,12 +312,11 @@ class OffsetLP:
 
     def solve(self) -> tuple[dict[Slot, Scalar], OffsetLPStats]:
         self.build()
-        # An equal digest under one backend is an equal solver input,
-        # hence the same vertex.
-        key = ("offset_lp", self.backend, self.model.digest())
+        # An equal digest is an equal solver input, hence the same vertex.
+        key = ("offset_lp", self.model.digest())
         solved = self.memo.get(key)
         if solved is None:
-            sol = self.model.solve(backend=self.backend)
+            sol = self.model.solve()
             if sol.status != "optimal":
                 raise RuntimeError(f"offset LP axis {self.axis}: {sol.status}")
             solved = self.memo[key] = (tuple(map(lp_value, sol.x)), sol.objective)
@@ -426,7 +423,6 @@ def solve_offsets(
     skeleton: Mapping[str, Alignment],
     plan: PartitionPlan,
     replicated: ReplicationLabels | None = None,
-    backend: str = "scipy",
     static: bool = False,
     memo: MutableMapping | None = None,
 ) -> OffsetSolution:
@@ -445,7 +441,7 @@ def solve_offsets(
     for axis in range(adg.template_rank):
         on_axis = [rel for rel in relations if rel.axis == axis]
         lp = OffsetLP(
-            adg, skeleton, axis, on_axis, plan, replicated, backend, static, memo, terms
+            adg, skeleton, axis, on_axis, plan, replicated, static, memo, terms
         )
         values, st = lp.solve()
         offsets.update(lp.rounded_offsets(values))

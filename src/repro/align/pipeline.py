@@ -51,12 +51,12 @@ def _option_keys() -> tuple[frozenset, frozenset]:
     """``(planner keys, alignment keys)``: what ``distrib_options`` and
     ``align_kw`` may hold, read off what takes them — the distribution
     planner's keywords (``topology`` among them), and the alignment
-    record's fields with every algorithm's own keywords."""
+    record's settable fields with every algorithm's own keywords."""
     from ..distrib.search import plan_distribution
     from ..passes import AlignOptions
 
     planner = set(inspect.signature(plan_distribution).parameters)
-    align = {f.name for f in fields(AlignOptions)} - {"alg_kw"}
+    align = {f.name for f in fields(AlignOptions) if f.init} - {"alg_kw"}
     align.update(key for alg in ALGORITHMS.values() for key in alg.keywords)
     return frozenset(planner - {"profile", "nprocs"}), frozenset(align)
 
@@ -329,7 +329,7 @@ def align_program(
     ride along); ``mobile=False`` computes the best *static* alignment
     baseline (program variables pinned, derived positions still track
     sections); ``replication=False`` disables Section 5 labeling (every
-    port N); ``backend`` and ``max_replication_rounds`` as named.
+    port N); ``max_replication_rounds`` as named.
     """
     options, _ = planning_records(align_kw=align_kw)
     return solve_prefix(program, options, info=info, profile=False).get("plan")

@@ -121,7 +121,7 @@ class SLOTracker:
 def default_serve_slos() -> list:
     """The serve daemon's out-of-the-box objectives: warm cache hits
     answer within 25ms for 99% of requests, and 99% of requests do not
-    error.  Override via ``PlanService(slos=[...])``."""
+    error."""
     return [
         LatencySLO(
             "warm_latency",

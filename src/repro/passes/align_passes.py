@@ -42,7 +42,11 @@ class AlignOptions:
     """
 
     algorithm: str = "fixed"
-    backend: str = "scipy"
+    # HiGHS is the only LP solver; the field stays because it is part of
+    # the record's content fingerprint, hence of every serve-cache key
+    # and of tests/golden/fingerprints.json.  No caller can set it, and
+    # it goes with the next cache SCHEMA_VERSION bump.
+    backend: str = field(default="scipy", init=False)
     replication: bool = True
     mobile: bool = True
     max_replication_rounds: int = 3
@@ -52,7 +56,6 @@ class AlignOptions:
     def of(
         cls,
         algorithm: str = "fixed",
-        backend: str = "scipy",
         replication: bool = True,
         mobile: bool = True,
         max_replication_rounds: int = 3,
@@ -61,7 +64,6 @@ class AlignOptions:
         check_algorithm(algorithm, alg_kw)
         return cls(
             algorithm,
-            backend,
             replication,
             mobile,
             max_replication_rounds,
@@ -159,7 +161,6 @@ class ReplicationFixpointPass(FixpointPass):
                 skel.skeletons,
                 opts.algorithm,
                 replicated=new_rep,
-                backend=opts.backend,
                 static=not opts.mobile,
                 memo=ctx.memo,
                 **opts.algorithm_kwargs,

@@ -43,11 +43,10 @@ without bound.  Every stage is wrapped in :mod:`repro.obs` spans
 ``serve.misses``, ``serve.rejected``; latency histograms
 ``serve.warm_ms`` / ``serve.cold_ms`` and the unified ``serve.ms``).
 Every metric is cumulative since the process started; the declarative
-SLO objectives (``slos=``, default
-:func:`repro.obs.slo.default_serve_slos`) are reported over that
-lifetime by :meth:`PlanService.stats`, and a reader that wants a recent
-view subtracts two polls (:mod:`repro.obs.watch`).  ``serve.inflight``
-gauges the requests currently admitted.
+SLO objectives (:func:`repro.obs.slo.default_serve_slos`) are reported
+over that lifetime by :meth:`PlanService.stats`, and a reader that
+wants a recent view subtracts two polls (:mod:`repro.obs.watch`).
+``serve.inflight`` gauges the requests currently admitted.
 
 Deriving the cache key is most of a hit (parse the source, walk the
 program for its fingerprint; build and fingerprint the machine), so the
@@ -254,7 +253,6 @@ class PlanService:
         default_topology: Optional[str] = None,
         access_log: Optional[AccessLog | str] = None,
         trace_sample: float = 0.0,
-        slos: Optional[list] = None,
     ) -> None:
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
@@ -276,9 +274,7 @@ class PlanService:
         if isinstance(access_log, str):
             access_log = AccessLog(access_log, trace_sample=trace_sample)
         self.access_log = access_log
-        self.slo = SLOTracker(
-            slos if slos is not None else default_serve_slos()
-        )
+        self.slo = SLOTracker(default_serve_slos())
         # The options are the service's own constant: fingerprint them
         # once, through the same ``put`` a request's context would use.
         self._options_fp = (

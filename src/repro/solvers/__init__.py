@@ -1,11 +1,11 @@
-"""Optimization substrates: LP (simplex + HiGHS), max-flow/min-cut, DP.
+"""Optimization substrates: LP (HiGHS), max-flow/min-cut, DP.
 
-These are the "standard packages" the paper assumes; all are implemented
-from scratch here, with scipy/networkx used only as cross-checks.
+These are the "standard packages" the paper assumes.  The LP model is
+solved by HiGHS through scipy; max-flow/min-cut and the labeling DP are
+implemented from scratch, with networkx used only as a test cross-check.
 """
 
-from .lp import LinExpr, LPModel, LPSolution, Variable
-from .simplex import SimplexError, solve_simplex
+from .lp import LPModel, LPSolution
 from .scipy_backend import solve_scipy
 from .maxflow import INF, FlowNetwork
 from .dp import (
@@ -16,12 +16,8 @@ from .dp import (
 )
 
 __all__ = [
-    "LinExpr",
     "LPModel",
     "LPSolution",
-    "Variable",
-    "SimplexError",
-    "solve_simplex",
     "solve_scipy",
     "INF",
     "FlowNetwork",

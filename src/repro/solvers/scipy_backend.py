@@ -1,7 +1,4 @@
-"""HiGHS backend for :class:`repro.solvers.lp.LPModel` via scipy.
-
-The backend the planner solves its offset LPs with; the from-scratch
-simplex is the cross-check.
+"""HiGHS, via scipy, solves every :class:`repro.solvers.lp.LPModel`.
 
 ``linprog`` receives the row store as canonical CSC: ``>=`` rows
 negated into ``A_ub`` beside the ``<=`` rows, ``==`` rows in ``A_eq``.

@@ -19,21 +19,18 @@ from repro.lang import programs
 
 k = LIV("k", 0)
 
-BACKENDS = ["scipy", "simplex"]
 
-
-def solve(program, algorithm="fixed", backend="scipy", **kw):
+def solve(program, algorithm="fixed", **kw):
     adg = build_adg(program)
     skel = solve_axis_stride(adg).skeletons
-    res = solve_mobile_offsets(adg, skel, algorithm, backend=backend, **kw)
+    res = solve_mobile_offsets(adg, skel, algorithm, **kw)
     return adg, skel, res
 
 
 class TestStaticOffsets:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_example1_offsets(self, backend):
+    def test_example1_offsets(self):
         """Example 1: B at [i-1] relative to A removes the shift."""
-        adg, skel, res = solve(programs.example1(), backend=backend)
+        adg, skel, res = solve(programs.example1())
         assert res.cost == 0
         offs = {}
         for p in adg.ports():
@@ -180,11 +177,6 @@ class TestMobileOffsets:
         }
         assert max(per_edge.values()) == cells
 
-    def test_backends_agree_on_cost(self):
-        _, _, a = solve(programs.example1(), backend="scipy")
-        _, _, b = solve(programs.example1(), backend="simplex")
-        assert a.cost == b.cost
-
 
 class TestAbsWeightedSpan:
     def test_enumeration_matches_closed_form(self):
@@ -256,15 +248,18 @@ class TestMomentSumsGoThroughTheMemo:
 
 
 # ---------------------------------------------------------------------------
-# Differential: rows written as numbers == the LinExpr-built LP, bit for bit
+# Differential: rows written as numbers == the reference-built LP, bit for bit
 # ---------------------------------------------------------------------------
 
 
 def reference_build(lp):
-    """The offset LP of ``lp``'s inputs assembled through ``LinExpr``
-    arithmetic, ``LPModel.add`` and ``add_abs_bound`` — the builder
-    ``OffsetLP`` had before it wrote its rows as numbers, kept as the
-    reference: same variables in the same first-use order, same rows."""
+    """The offset LP of ``lp``'s inputs rebuilt from its definition, kept
+    as the reference: each row is a ``{column: coefficient}`` map summed
+    term by term (zeros dropped) and handed to ``add_row``, each bound
+    ``theta >= |inner|`` is the two rows ``theta +- inner >= 0``, and a
+    slot's column is created when a row first names it — the builder
+    ``OffsetLP`` had before it wrote its rows as numbers: same columns
+    in the same first-use order, same rows."""
     from repro.adg.nodes import NodeKind
     from repro.align.constraints import (
         EntryEval,
@@ -274,7 +269,7 @@ def reference_build(lp):
     )
     from repro.align.cost import cached_moments
     from repro.align.offset_static import edge_is_offset_costed
-    from repro.solvers.lp import LinExpr, LPModel
+    from repro.solvers.lp import LPModel
 
     m = LPModel(f"offset-axis{lp.axis}")
     slots = {}
@@ -282,8 +277,17 @@ def reference_build(lp):
     def slot(p, liv):
         key = (p.key, liv)
         if key not in slots:
-            slots[key] = m.var(f"p{p.key}_{'c' if liv is None else liv.name}")
+            slots[key] = m.add_column(f"p{p.key}_{'c' if liv is None else liv.name}")
         return slots[key]
+
+    def add(terms, sense, rhs):
+        # ``terms`` is ``[(column, coefficient), ...]`` in the order the
+        # expression names them; the columns exist already.
+        row = {}
+        for col, coef in terms:
+            row[col] = row.get(col, 0.0) + float(coef)
+        row = {col: coef for col, coef in row.items() if coef != 0.0}
+        m.add_row(list(row), list(row.values()), sense, float(rhs))
 
     relations = []
     for n in lp.adg.nodes:
@@ -294,36 +298,29 @@ def reference_build(lp):
             p, q = rel.p, rel.q
             if isinstance(rel, EqualShift):
                 shift = rel.shift
-                m.add(LinExpr.of(slot(q, None)) - slot(p, None), "==", float(shift.const))
+                q0, p0 = slot(q, None), slot(p, None)
+                add([(q0, 1), (p0, -1)], "==", shift.const)
                 livs = set(q.space.livs) | set(p.space.livs) | set(shift.livs())
                 for liv in sorted(livs):
-                    lhs = LinExpr()
+                    terms = []
                     if liv in q.space.livs:
-                        lhs = lhs + slot(q, liv)
+                        terms.append((slot(q, liv), 1))
                     if liv in p.space.livs:
-                        lhs = lhs - LinExpr.of(slot(p, liv))
-                    m.add(lhs, "==", float(shift.coeff(liv)))
+                        terms.append((slot(p, liv), -1))
+                    add(terms, "==", shift.coeff(liv))
             elif isinstance(rel, EntryEval):
-                m.add(
-                    LinExpr.of(slot(q, None))
-                    + LinExpr({slot(q, rel.liv): float(rel.value)})
-                    - slot(p, None),
-                    "==",
-                    0,
-                )
+                q0, qk, p0 = slot(q, None), slot(q, rel.liv), slot(p, None)
+                add([(q0, 1), (qk, rel.value), (p0, -1)], "==", 0)
                 for liv in p.space.livs:
-                    m.add(LinExpr.of(slot(q, liv)) - slot(p, liv), "==", 0)
+                    ql, pl = slot(q, liv), slot(p, liv)
+                    add([(ql, 1), (pl, -1)], "==", 0)
             else:
                 assert isinstance(rel, LoopBack)
-                m.add(
-                    LinExpr.of(slot(q, None))
-                    - slot(p, None)
-                    + LinExpr({slot(p, rel.liv): float(rel.step)}),
-                    "==",
-                    0,
-                )
+                q0, p0, pk = slot(q, None), slot(p, None), slot(p, rel.liv)
+                add([(q0, 1), (p0, -1), (pk, rel.step)], "==", 0)
                 for liv in q.space.livs:
-                    m.add(LinExpr.of(slot(q, liv)) - slot(p, liv), "==", 0)
+                    ql, pl = slot(q, liv), slot(p, liv)
+                    add([(ql, 1), (pl, -1)], "==", 0)
     objective = {}
     for e in lp.adg.edges:
         if not edge_is_offset_costed(e, lp.skeleton, lp.axis, lp.replicated):
@@ -332,19 +329,14 @@ def reference_build(lp):
             if sub.is_empty():
                 continue
             moments = cached_moments(sub, e.weight)
-            inner = LinExpr()
-            inner = inner + LinExpr({slot(e.tail, None): float(moments.m0)}) - LinExpr(
-                {slot(e.head, None): float(moments.m0)}
-            )
-            for liv, m1 in moments.m1.items():
-                inner = (
-                    inner
-                    + LinExpr({slot(e.tail, liv): float(m1)})
-                    - LinExpr({slot(e.head, liv): float(m1)})
-                )
-            theta = m.var(f"th_e{e.eid}_{j}", lower=0)
-            m.add_abs_bound(theta, inner)
-            objective[theta] = e.control_weight
+            inner = []
+            for liv, moment in [(None, moments.m0), *moments.m1.items()]:
+                t, h = slot(e.tail, liv), slot(e.head, liv)
+                inner += [(t, float(moment)), (h, -float(moment))]
+            theta = m.add_column(f"th_e{e.eid}_{j}", lower=0)
+            add([(theta, 1), *inner], ">=", 0)
+            add([(theta, 1), *((c, -v) for c, v in inner)], ">=", 0)
+            objective[theta] = float(e.control_weight)
     # One pin per weakly-connected component, first port in port order.
     parent = {}
 
@@ -366,14 +358,15 @@ def reference_build(lp):
         root = find(p.key)
         if root not in pinned:
             pinned.add(root)
-            m.add(LinExpr.of(slot(p, None)), "==", 0)
+            add([(slot(p, None), 1)], "==", 0)
     if lp.static:
         for n in lp.adg.nodes:
             if n.kind in (NodeKind.SOURCE, NodeKind.MERGE, NodeKind.SINK):
                 for p in n.ports:
                     for liv in p.space.livs:
-                        m.add(LinExpr.of(slot(p, liv)), "==", 0)
-    m.minimize(LinExpr(objective))
+                        add([(slot(p, liv), 1)], "==", 0)
+    objective = {col: w for col, w in objective.items() if w != 0.0}
+    m.set_objective(list(objective), list(objective.values()))
     return m
 
 
@@ -489,9 +482,10 @@ def every_built_lp(monkeypatch):
 
 class TestRowsAreTheLinExprRows:
     """HiGHS must receive the problem it received when ``OffsetLP``
-    assembled its rows through ``LinExpr`` arithmetic and the backend
-    exported them dense: an LP with ties returns a different vertex under
-    a column permutation."""
+    assembled its rows through an expression layer (``LinExpr``, since
+    removed; :func:`reference_build` rebuilds those rows from coefficient
+    maps) and exported them dense: an LP with ties returns a different
+    vertex under a column permutation."""
 
     @pytest.mark.parametrize("mobile", [True, False], ids=["mobile", "static"])
     @pytest.mark.parametrize("alg", sorted(ALGORITHMS))
@@ -553,17 +547,6 @@ class TestRowsAreTheLinExprRows:
             want = reference_rounded_offsets(lp, values)
             assert list(out.items()) == list(want.items())
 
-    @pytest.mark.parametrize(
-        "make", [programs.figure4, programs.stencil_sweep, programs.example5]
-    )
-    def test_backends_agree_on_the_new_rows(self, make):
-        # Both backends read the row store.  (Not figure1 or
-        # skewed_wavefront: the from-scratch simplex loses those two to
-        # round-off, before and after this change.)
-        _, _, a = solve(make(), backend="scipy")
-        _, _, b = solve(make(), backend="simplex")
-        assert a.cost == b.cost
-
     def test_corpus_round_solves_what_the_parent_solved(
         self, every_built_lp, monkeypatch
     ):
@@ -591,58 +574,132 @@ class TestRowsAreTheLinExprRows:
         assert (len(solves), len(every_built_lp)) == (19, 30)
 
 
+def kkt_violations(inp, res):
+    """The worst violation of each optimality condition of the LP
+    ``linprog(**inp)`` by ``res``, HiGHS's primal point and marginals.
+
+    With scipy's signs the certificate of ``min c.x`` subject to
+    ``A_ub x <= b_ub``, ``A_eq x = b_eq`` and ``lo <= x <= hi`` is:
+    ``x`` feasible; ``ineqlin`` and ``upper`` marginals ``<= 0`` and
+    ``lower`` marginals ``>= 0``; ``c = A_ub'y + A_eq'z + l_lo + l_hi``;
+    no multiplier on an infinite bound; and the dual objective
+    ``b_ub.y + b_eq.z + lo.l_lo + hi.l_hi`` equal to ``c.x``."""
+    import numpy as np
+
+    c, x = inp["c"], res.x
+    lo, hi = inp["bounds"][:, 0], inp["bounds"][:, 1]
+    lam_lo, lam_hi = res.lower.marginals, res.upper.marginals
+    primal = [np.maximum(lo - x, 0), np.maximum(x - hi, 0)]
+    signs = [np.maximum(-lam_lo, 0), np.maximum(lam_hi, 0)]
+    combined = lam_lo + lam_hi
+    finite_lo, finite_hi = np.isfinite(lo), np.isfinite(hi)
+    dual = lo[finite_lo] @ lam_lo[finite_lo] + hi[finite_hi] @ lam_hi[finite_hi]
+    if inp["A_ub"] is not None:
+        a, b, y = inp["A_ub"], inp["b_ub"], res.ineqlin.marginals
+        primal.append(np.maximum(a @ x - b, 0))
+        signs.append(np.maximum(y, 0))
+        combined = combined + a.T @ y
+        dual += b @ y
+    if inp["A_eq"] is not None:
+        a, b, z = inp["A_eq"], inp["b_eq"], res.eqlin.marginals
+        primal.append(np.abs(a @ x - b))
+        combined = combined + a.T @ z
+        dual += b @ z
+    on_infinite = np.concatenate((lam_lo[~finite_lo], lam_hi[~finite_hi]))
+    return {
+        "primal": max(np.max(v, initial=0.0) for v in primal),
+        "dual sign": max(np.max(v, initial=0.0) for v in signs),
+        "stationarity": np.max(np.abs(c - combined), initial=0.0),
+        "infinite bound": np.max(np.abs(on_infinite), initial=0.0),
+        "gap": abs(c @ x - dual),
+    }
+
+
+class TestEveryOffsetLPIsCertifiedOptimal:
+    """HiGHS is the only LP solver, so its answer is checked against the
+    optimality conditions of the problem it was given rather than against
+    a second solver: every distinct offset LP the planner builds, each
+    condition within ``1e-6 * max(1, |objective|)``."""
+
+    @pytest.mark.parametrize("alg", sorted(ALGORITHMS))
+    def test_highs_returns_a_kkt_point(self, make_program, alg, every_built_lp):
+        from scipy.optimize import linprog
+
+        from repro.align import align_program
+        from repro.solvers.scipy_backend import linprog_input
+
+        align_program(make_program(), algorithm=alg)
+        assert every_built_lp
+        seen = set()
+        for lp in every_built_lp:
+            digest = lp.model.digest()
+            if digest in seen:
+                continue
+            seen.add(digest)
+            inp = linprog_input(lp.model)
+            res = linprog(**inp, method="highs")
+            assert res.status == 0, res.message
+            worst = kkt_violations(inp, res)
+            tol = 1e-6 * max(1.0, abs(res.fun))
+            assert max(worst.values()) <= tol, (lp.model.name, worst)
+
+
 class TestEachDistinctLPIsSolvedOnce:
     """``OffsetLP.solve`` keeps each solved LP under a digest of the
-    numbers the backend receives; an equal digest is an equal solver
-    input, so a hit must return what a fresh solve returns."""
+    numbers HiGHS receives; an equal digest is an equal solver input, so
+    a hit must return what a fresh solve returns."""
 
     @pytest.fixture
-    def backend_calls(self, monkeypatch):
+    def solver_calls(self, monkeypatch):
         from repro.solvers.lp import LPModel
 
         calls = []
         real = LPModel.solve
 
-        def counting(model, backend="simplex"):
+        def counting(model):
             calls.append(model)
-            return real(model, backend=backend)
+            return real(model)
 
         monkeypatch.setattr(LPModel, "solve", counting)
         return calls
 
     @pytest.mark.parametrize("alg", sorted(ALGORITHMS))
-    def test_a_hit_returns_what_a_fresh_solve_returns(self, alg, backend_calls):
+    def test_a_hit_returns_what_a_fresh_solve_returns(self, alg, solver_calls):
         adg = build_adg(programs.figure1(n=10))
         skel = solve_axis_stride(adg).skeletons
         memo = {}
         first = solve_mobile_offsets(adg, skel, alg, memo=memo)
-        solved = len(backend_calls)
+        solved = len(solver_calls)
         assert 0 < len(memo) == solved <= len(first.lp_stats)
         again = solve_mobile_offsets(adg, skel, alg, memo=memo)
-        assert len(backend_calls) == solved  # answered from the memo
+        assert len(solver_calls) == solved  # answered from the memo
         fresh = solve_mobile_offsets(adg, skel, alg)
-        assert len(backend_calls) == 2 * solved
+        assert len(solver_calls) == 2 * solved
         for other in (again, fresh):
             assert other.offsets == first.offsets
             assert other.lp_stats == first.lp_stats
             assert other.cost == first.cost
 
-    def test_on_every_lp_of_a_plan(self, make_program, backend_calls):
+    def test_on_every_lp_of_a_plan(self, make_program, solver_calls):
         adg = build_adg(make_program())
         skel = solve_axis_stride(adg).skeletons
         plan = {e.eid: e.space.grid_partition(3) for e in adg.edges}
         memo = {}
         first = solve_offsets(adg, skel, plan, memo=memo)
-        solved = len(backend_calls)
+        solved = len(solver_calls)
         again = solve_offsets(adg, skel, plan, memo=memo)
-        assert len(backend_calls) == solved
+        assert len(solver_calls) == solved
         assert again.offsets == first.offsets and again.stats == first.stats
+        # One entry per distinct LP, keyed by its digest alone.
+        assert {len(key) for key in memo} == {2}
+        assert {key[0] for key in memo} == {"offset_lp"}
+        assert len({key[1] for key in memo}) == len(memo) == solved
 
     def test_a_non_optimal_outcome_is_not_kept(self, monkeypatch):
         from repro.solvers.lp import LPModel, LPSolution
 
         monkeypatch.setattr(
-            LPModel, "solve", lambda model, backend="simplex": LPSolution("infeasible")
+            LPModel, "solve", lambda model: LPSolution("infeasible")
         )
         adg = build_adg(programs.example1())
         skel = solve_axis_stride(adg).skeletons
@@ -656,17 +713,17 @@ class TestEachDistinctLPIsSolvedOnce:
         from repro.solvers.lp import LPModel
 
         m = LPModel()
-        x = m.var(names[0])
-        y = m.var(names[1], lower=lower)
-        m.add_row([x.index, y.index], [coeff, -1.0], ">=", rhs)
-        m.add_row([x.index], [1.0], "==", 0.0)
-        m.minimize(x + 3 * y)
+        x = m.add_column(names[0])
+        y = m.add_column(names[1], lower=lower)
+        m.add_row([x, y], [coeff, -1.0], ">=", rhs)
+        m.add_row([x], [1.0], "==", 0.0)
+        m.set_objective([x, y], [1.0, 3.0])
         return m
 
     def test_one_number_apart_is_another_digest(self):
         base = self._model().digest()
         assert base == self._model().digest()
-        # names are not part of what the backend receives
+        # names are not part of what the solver receives
         assert base == self._model(names=("p", "q")).digest()
         others = [
             self._model(rhs=2.0).digest(),
@@ -676,18 +733,6 @@ class TestEachDistinctLPIsSolvedOnce:
         ]
         assert len({base, *others}) == len(others) + 1
         assert all(len(d) == 32 for d in others)  # full-width SHA-256
-
-    def test_backends_never_share_an_entry(self):
-        adg = build_adg(programs.example1())
-        skel = solve_axis_stride(adg).skeletons
-        memo = {}
-        for backend in BACKENDS:
-            solve_offsets(adg, skel, {}, backend=backend, memo=memo)
-        assert sorted(k[:2] for k in memo) == [
-            ("offset_lp", "scipy"),
-            ("offset_lp", "simplex"),
-        ]
-        assert len({k[2] for k in memo}) == 1  # one LP, solved by each
 
 
 class TestOneCompiledProblemPerSolve:

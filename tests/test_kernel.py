@@ -220,6 +220,9 @@ BAD_OPTIONS = {
     "key_of_another_algorithm": (4, None, {"algorithm": "unrolling", "m": 3}, None),
     "misspelt_algorithm_key": (4, None, {"algorithm": "fixed", "mm": 3}, None),
     "solver_key": (4, None, {"static": True}, None),
+    # HiGHS is the only LP solver: there is no backend to choose.
+    "backend_simplex": (4, None, {"backend": "simplex"}, None),
+    "backend_scipy": (4, None, {"backend": "scipy"}, None),
 }
 #: The cases that are :class:`DistributionOptionsError`; a bad spec is the
 #: topology parser's ValueError, a bad algorithm or algorithm keyword the
@@ -275,6 +278,19 @@ def test_bad_options_are_one_named_error_everywhere(driver, case, monkeypatch):
         driver(*args)
     assert str(raised.value) == str(boundary.value)
     assert planned == []  # raised before anything was planned
+
+
+@pytest.mark.parametrize("case", ["backend_simplex", "backend_scipy"])
+def test_there_is_no_lp_backend_to_choose(case):
+    with pytest.raises(TypeError) as raised:
+        planning_records(*BAD_OPTIONS[case])
+    assert str(raised.value) == (
+        "fixed_partitioning() got an unexpected keyword argument 'backend'"
+    )
+    # The record's constant field is no option: on the machine side it
+    # is a key the distribution planner does not take.
+    with pytest.raises(DistributionOptionsError, match="unknown distribution option"):
+        planning_records(4, None, None, {"backend": "scipy"})
 
 
 @pytest.mark.parametrize("case", ["mismatch", "bad_spec"])

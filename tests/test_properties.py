@@ -292,14 +292,17 @@ class TestLPProperties:
     def test_weighted_median_objective(self, points):
         """min sum w|x-a| solved by LP equals brute force over candidates."""
         m = LPModel()
-        x = m.var("x")
-        obj = None
+        x = m.add_column("x")
+        ts, ws = [], []
         for i, (w, a) in enumerate(points):
-            t = m.var(f"t{i}", lower=0)
-            m.add_abs_bound(t, x - a)
-            obj = t * w if obj is None else obj + t * w
-        m.minimize(obj)
-        s = m.solve("scipy")
+            # t >= |x - a| as the two rows t - x >= -a, t + x >= a
+            t = m.add_column(f"t{i}", lower=0)
+            m.add_row([t, x], [1.0, -1.0], ">=", -float(a))
+            m.add_row([t, x], [1.0, 1.0], ">=", float(a))
+            ts.append(t)
+            ws.append(float(w))
+        m.set_objective(ts, ws)
+        s = m.solve()
         best = min(
             sum(w * abs(c - a) for w, a in points)
             for c in {a for _, a in points}
