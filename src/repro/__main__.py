@@ -398,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             ctx = planned(program)
             if args.phases:
-                solve_suffix(ctx, machine, phases={})
+                solve_suffix(ctx, machine, phases=True)
         plan = ctx.get("plan")
         print(plan.report())
 

@@ -63,7 +63,6 @@ def alignment_distance(
     b: Alignment,
     env: Mapping[LIV, int],
     elements: int,
-    extent_per_axis: Mapping[int, int] | None = None,
 ) -> Scalar:
     """Per-iteration realignment cost of moving an object of ``elements``
     elements from alignment ``a`` to ``b`` at LIV environment ``env``.

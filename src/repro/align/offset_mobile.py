@@ -7,17 +7,20 @@ subranges, and whether the partition is iterated:
 1. **unrolling** — every iteration its own subrange; exact but the LP
    grows with the iteration count;
 2. **state-space search** — one subrange, then steepest descent on the
-   exact cost from the rounded solution;
+   exact cost from the rounded solution (at most
+   :data:`STATE_SPACE_PASSES` passes);
 3. **tracking zero crossings** — two equal subranges, then move each
    edge's boundary to its span's zero crossing and re-solve until
-   quiescent (convergence not guaranteed; iteration-capped);
+   quiescent (convergence not guaranteed; capped at
+   :data:`REFINE_ROUNDS` solves);
 4. **recursive refinement** — one subrange, then split any subrange in
-   which the solved span changes sign and re-solve, until clean or
-   stalled;
+   which the solved span changes sign and re-solve, until clean,
+   stalled or :data:`REFINE_ROUNDS` solves;
 5. **fixed partitioning** — m equal subranges (m = 3 by default); the
    paper's recommended compromise, within ``1 + 2/m**2`` of optimal.
 
-:data:`ALGORITHMS` names each with its callable and its own keywords;
+:data:`ALGORITHMS` names each with its callable and its own keywords —
+only fixed partitioning takes one, ``m``; the other caps are constants.
 :func:`check_algorithm` checks a name and keywords against it when the
 options record is built (``AlignOptions.of``), before anything is solved.
 """
@@ -44,6 +47,12 @@ from .position import Alignment
 from .span import has_sign_change, refine_space_at_crossings
 
 Skeleton = Mapping[str, Alignment]
+
+#: Descent passes of the state-space search over the rounded solution.
+STATE_SPACE_PASSES = 4
+#: LP solves, the first included, that zero-crossing tracking and
+#: recursive refinement make at most.
+REFINE_ROUNDS = 8
 
 
 @dataclass
@@ -156,7 +165,6 @@ def state_space_search(
     adg: ADG,
     skeleton: Skeleton,
     replicated: ReplicationLabels | None = None,
-    max_passes: int = 4,
     static: bool = False,
     memo: MutableMapping | None = None,
 ) -> MobileOffsetResult:
@@ -175,7 +183,7 @@ def state_space_search(
     # Group ports per node: moving a node's ports together preserves all
     # intra-node relations (they are relative).
     passes = 0
-    for _ in range(max_passes):
+    for _ in range(STATE_SPACE_PASSES):
         passes += 1
         improved = False
         for n in adg.nodes:
@@ -217,7 +225,6 @@ def tracking_zero_crossings(
     adg: ADG,
     skeleton: Skeleton,
     replicated: ReplicationLabels | None = None,
-    max_iter: int = 8,
     static: bool = False,
     memo: MutableMapping | None = None,
 ) -> MobileOffsetResult:
@@ -230,7 +237,7 @@ def tracking_zero_crossings(
     best = _exact_cost(adg, skeleton, best_offsets, replicated)
     stats = list(sol.stats)
     iters = 1
-    for _ in range(max_iter - 1):
+    for _ in range(REFINE_ROUNDS - 1):
         newplan: PartitionPlan = dict(plan)
         changed = False
         for e, tau, span in _edge_spans(adg, skeleton, best_offsets, replicated):
@@ -266,7 +273,6 @@ def recursive_refinement(
     adg: ADG,
     skeleton: Skeleton,
     replicated: ReplicationLabels | None = None,
-    max_iter: int = 8,
     static: bool = False,
     memo: MutableMapping | None = None,
 ) -> MobileOffsetResult:
@@ -278,7 +284,7 @@ def recursive_refinement(
     best = _exact_cost(adg, skeleton, best_offsets, replicated)
     stats = list(sol.stats)
     iters = 1
-    for _ in range(max_iter - 1):
+    for _ in range(REFINE_ROUNDS - 1):
         newplan: PartitionPlan = {}
         changed = False
         span_by_edge: dict[tuple[int, int], AffineForm] = {}
@@ -333,9 +339,9 @@ class Algorithm(NamedTuple):
 
 ALGORITHMS = {
     "unrolling": Algorithm(unrolling),
-    "state-space": Algorithm(state_space_search, ("max_passes",)),
-    "zero-crossing": Algorithm(tracking_zero_crossings, ("max_iter",)),
-    "recursive-refinement": Algorithm(recursive_refinement, ("max_iter",)),
+    "state-space": Algorithm(state_space_search),
+    "zero-crossing": Algorithm(tracking_zero_crossings),
+    "recursive-refinement": Algorithm(recursive_refinement),
     "fixed": Algorithm(fixed_partitioning, ("m",)),
 }
 

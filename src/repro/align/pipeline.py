@@ -50,8 +50,9 @@ from .replication import ReplicationResult
 def _option_keys() -> tuple[frozenset, frozenset]:
     """``(planner keys, alignment keys)``: what ``distrib_options`` and
     ``align_kw`` may hold, read off what takes them — the distribution
-    planner's keywords (``topology`` among them), and the alignment
-    record's settable fields with every algorithm's own keywords."""
+    planner's keywords (only ``topology``), and the alignment record's
+    settable fields with every algorithm's own keywords (only fixed
+    partitioning's ``m``)."""
     from ..distrib.search import plan_distribution
     from ..passes import AlignOptions
 
@@ -277,21 +278,22 @@ def solve_prefix(
     return replan(base, program=program, goal=goal)
 
 
-def solve_suffix(ctx, machine, phases: Optional[Mapping] = None):
+def solve_suffix(ctx, machine, phases: bool = False):
     """Put ``machine`` on ``ctx`` and run the machine-dependent passes.
 
     ``ctx`` is solved in place and returned: a caller that keeps its
     prefix (a sweep, the serve cache) passes ``prefix.fork()``.  The goal
-    is the program's distribution; with ``phases`` (the phase-chain
-    options, possibly empty) it is the per-phase plan with costed remaps
-    (:mod:`repro.distrib.remap`) instead.
+    is the program's distribution; with ``phases`` it is the per-phase
+    plan with costed remaps (:mod:`repro.distrib.remap`) instead.
+    ``phases`` was once a mapping of phase-chain options, and an empty
+    one asked for the phase plan: anything but a bool is refused.
     """
     from ..passes import default_pipeline
 
+    if not isinstance(phases, bool):
+        raise TypeError(f"solve_suffix: phases must be a bool, got {phases!r}")
     ctx.put("machine", machine)
-    if phases is not None:
-        ctx.put("phase_options", phases)
-    goal = ("plan", "distribution") if phases is None else ("phase_plan",)
+    goal = ("phase_plan",) if phases else ("plan", "distribution")
     return default_pipeline().run(ctx, goal=goal)
 
 

@@ -28,6 +28,7 @@ from ..topology.models import factorizations, most_balanced
 from .costmodel import CommProfile, CostVector
 from .vectorized import front_costs
 
+#: The block-cyclic block sizes every axis tries (ascending).
 DEFAULT_BLOCK_SIZES = (2, 4, 8)
 
 
@@ -49,19 +50,14 @@ def balanced_factorization(nprocs: int, rank: int) -> tuple[int, ...]:
     return most_balanced(grid_factorizations(nprocs, rank))
 
 
-def axis_candidates(
-    lo: int,
-    extent: int,
-    nprocs: int,
-    block_sizes: Sequence[int] = DEFAULT_BLOCK_SIZES,
-) -> list[AxisDistribution]:
+def axis_candidates(lo: int, extent: int, nprocs: int) -> list[AxisDistribution]:
     """All axis schemes for one template axis on ``nprocs`` processors.
 
     * block, with the covering block size (smaller blocks would leave
       cells of the window un-owned — a contract violation);
     * cyclic (only meaningful for nprocs > 1);
-    * block-cyclic for each configured block size strictly between 1
-      (= cyclic) and the covering block (= block).
+    * block-cyclic for each of :data:`DEFAULT_BLOCK_SIZES` strictly
+      between 1 (= cyclic) and the covering block (= block).
 
     On one processor every scheme is the same no-communication mapping,
     so a single covering block candidate is emitted.
@@ -70,21 +66,19 @@ def axis_candidates(
     out: list[AxisDistribution] = [Block(nprocs, cover, lo)]
     if nprocs > 1:
         out.append(Cyclic(nprocs, lo))
-        for b in sorted(set(block_sizes)):
+        for b in DEFAULT_BLOCK_SIZES:
             if 1 < b < cover:
                 out.append(BlockCyclic(nprocs, b, lo))
     return out
 
 
 def grid_candidates(
-    window: Sequence[tuple[int, int]],
-    grid: Sequence[int],
-    block_sizes: Sequence[int] = DEFAULT_BLOCK_SIZES,
+    window: Sequence[tuple[int, int]], grid: Sequence[int]
 ) -> list[list[AxisDistribution]]:
     """The per-axis candidate lists of one grid shape over ``window``
     (per-axis ``(lo, hi)`` cells): the one place they are built."""
     return [
-        axis_candidates(lo, hi - lo + 1, p, block_sizes)
+        axis_candidates(lo, hi - lo + 1, p)
         for (lo, hi), p in zip(window, grid)
     ]
 
@@ -92,7 +86,6 @@ def grid_candidates(
 def candidate_spaces(
     profile: CommProfile,
     nprocs: int,
-    block_sizes: Sequence[int] = DEFAULT_BLOCK_SIZES,
     topology: Topology | None = None,
     window: Sequence[tuple[int, int]] | None = None,
 ) -> Iterator[tuple[tuple[int, ...], list[list[AxisDistribution]]]]:
@@ -108,7 +101,7 @@ def candidate_spaces(
     for grid in grid_factorizations(nprocs, profile.template_rank):
         if topology is not None and not topology.supports_grid(grid):
             continue
-        yield grid, grid_candidates(window, grid, block_sizes)
+        yield grid, grid_candidates(window, grid)
 
 
 def covered_size(
@@ -122,11 +115,10 @@ def covered_size(
 def space_size(
     profile: CommProfile,
     nprocs: int,
-    block_sizes: Sequence[int] = DEFAULT_BLOCK_SIZES,
     topology: Topology | None = None,
 ) -> int:
     """Total number of candidate distributions across all grid shapes."""
-    return covered_size(candidate_spaces(profile, nprocs, block_sizes, topology))
+    return covered_size(candidate_spaces(profile, nprocs, topology))
 
 
 def naive_distributions(

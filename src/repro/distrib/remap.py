@@ -9,7 +9,8 @@ prices those remap edges and solves the classic phase-chain problem:
     minimize  sum_i cost(phase_i, d_i) + sum_i remap(d_i, d_{i+1})
 
 by dynamic programming over a small candidate set of distributions per
-phase (the top-k of :func:`repro.distrib.search.rank_plans`).
+phase: the best :data:`PHASE_CANDIDATES` of
+:func:`repro.distrib.search.rank_plans`.
 
 Phases are taken to be the top-level statements of a program (each loop
 nest is one phase); :func:`split_phases` builds one sub-program per
@@ -29,6 +30,9 @@ from ..topology import Topology
 from .costmodel import CommProfile, CostVector
 from .plan import DistributionPlan
 from .search import rank_plans
+
+#: Candidate distributions per phase: the top-k the phase-chain DP picks from.
+PHASE_CANDIDATES = 4
 
 
 def split_phases(program: Program) -> list[Program]:
@@ -145,16 +149,15 @@ class PhasedPlan:
 def plan_phase_sequence(
     profiles: Sequence[tuple[str, CommProfile]],
     nprocs: int,
-    k: int = 4,
     topology: Topology | None = None,
-    **rank_kw,
 ) -> PhasedPlan:
     """DP over the phase chain with costed remap edges.
 
     ``profiles`` is an ordered list of (phase name, profile).  Each
-    phase contributes its ``k`` best candidate distributions; the DP
-    picks one per phase minimizing phase hops plus remap hops, both
-    priced on ``topology`` (default: the L1 grid machine).
+    phase contributes its :data:`PHASE_CANDIDATES` best candidate
+    distributions; the DP picks one per phase minimizing phase hops plus
+    remap hops, both priced on ``topology`` (default: the L1 grid
+    machine).
     """
     if not profiles:
         raise ValueError("need at least one phase")
@@ -162,7 +165,7 @@ def plan_phase_sequence(
     # Candidates are sized over the union window so that a remap over
     # any cell is within every candidate distribution's covered range.
     cand: list[list[DistributionPlan]] = [
-        rank_plans(p, nprocs, k=k, window=window, topology=topology, **rank_kw)
+        rank_plans(p, nprocs, k=PHASE_CANDIDATES, window=window, topology=topology)
         for _, p in profiles
     ]
     dists = [[pl.to_distribution() for pl in plans] for plans in cand]
@@ -211,10 +214,8 @@ def plan_phase_sequence(
 def plan_program_phases(
     program: Program,
     nprocs: int,
-    k: int = 4,
     align_kw: dict | None = None,
     topology: Topology | None = None,
-    **rank_kw,
 ) -> PhasedPlan:
     """Convenience driver: split, align and profile each phase, then DP.
 
@@ -222,7 +223,7 @@ def plan_program_phases(
     the same answer as :func:`repro.distrib.search.plan_distribution`.
 
     The phase goal of the planning kernel
-    (:func:`repro.align.pipeline.solve_suffix` with ``phases=``): the
+    (:func:`repro.align.pipeline.solve_suffix` with ``phases=True``): the
     per-phase profiles are a machine-independent artifact, so sweeping
     machines over a forked context re-runs only the phase-chain DP.
     """
@@ -230,4 +231,4 @@ def plan_program_phases(
 
     ctx = plan_context(program, **(align_kw or {}))
     machine = machine_record(nprocs, topology, {})
-    return solve_suffix(ctx, machine, phases=dict(k=k, **rank_kw)).get("phase_plan")
+    return solve_suffix(ctx, machine, phases=True).get("phase_plan")

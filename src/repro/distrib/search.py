@@ -21,7 +21,7 @@ from ..machine.distribution import AxisDistribution
 from ..obs import spans as obs
 from ..topology import Topology
 from .costmodel import CommProfile, CostVector
-from .enumerate import DEFAULT_BLOCK_SIZES, candidate_spaces, covered_size
+from .enumerate import candidate_spaces, covered_size
 from .plan import DistributionPlan
 from .vectorized import axis_front_hops, joint_moved
 
@@ -102,12 +102,11 @@ def _best_first(plans: list[DistributionPlan]) -> list[DistributionPlan]:
 def _spaces(
     profile: CommProfile,
     nprocs: int,
-    block_sizes: Sequence[int],
     topology: Topology | None,
     window: Sequence[tuple[int, int]] | None = None,
 ) -> list[tuple[tuple[int, ...], list[list[AxisDistribution]]]]:
     """Every realizable grid with its per-axis candidate lists."""
-    spaces = list(candidate_spaces(profile, nprocs, block_sizes, topology, window))
+    spaces = list(candidate_spaces(profile, nprocs, topology, window))
     if not spaces:
         raise ValueError(
             f"{topology.spec() if topology else 'machine'}: no realizable "
@@ -120,7 +119,6 @@ def _spaces(
 def plan_distribution(
     profile: CommProfile,
     nprocs: int,
-    block_sizes: Sequence[int] = DEFAULT_BLOCK_SIZES,
     topology: Topology | None = None,
 ) -> DistributionPlan:
     """The hop-optimal distribution for ``nprocs``.
@@ -133,7 +131,7 @@ def plan_distribution(
     interconnect and rules out unrealizable grid shapes; the default is
     the paper's open L1 grid.
     """
-    spaces = _spaces(profile, nprocs, block_sizes, topology)
+    spaces = _spaces(profile, nprocs, topology)
     with obs.span(
         "distrib.plan",
         nprocs=nprocs,
@@ -155,7 +153,6 @@ def rank_plans(
     profile: CommProfile,
     nprocs: int,
     k: int = 4,
-    block_sizes: Sequence[int] = DEFAULT_BLOCK_SIZES,
     window: Sequence[tuple[int, int]] | None = None,
     topology: Topology | None = None,
 ) -> list[DistributionPlan]:
@@ -168,7 +165,7 @@ def rank_plans(
     profile's own) lets that planner size candidates over the union of
     all phase windows so every candidate owns every remapped cell.
     """
-    spaces = _spaces(profile, nprocs, block_sizes, topology, window)
+    spaces = _spaces(profile, nprocs, topology, window)
     # Ranking needs every grid's full cost: every winner's is assembled.
     winners = _winners(profile, spaces, topology)
     plans = _plans(profile, winners, len(spaces), topology)

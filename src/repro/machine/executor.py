@@ -116,14 +116,11 @@ def measure_traffic(
     adg: ADG,
     alignments: AlignmentMap,
     dist: Distribution,
-    control_weighted: bool = False,
     topology: Topology | None = None,
 ) -> TrafficReport:
     """Count all residual communication of the aligned program.
 
-    ``control_weighted=False`` counts every edge as executing (the
-    worst-case trace); with True, counts are scaled by the edge's
-    control weight (expected-cost mode for branches).  ``topology``
+    Every edge counts as executing (the worst-case trace).  ``topology``
     prices hops with the machine's interconnect metrics
     (:mod:`repro.topology`); ``None`` is the paper's L1 grid.
     """
@@ -149,16 +146,6 @@ def measure_traffic(
                     metrics,
                 )
                 total = total + mc
-            if control_weighted and e.control_weight != 1.0:
-                f = e.control_weight
-                total = MoveCount(
-                    total.elements,
-                    int(round(total.elements_moved * f)),
-                    int(round(total.hop_cost * f)),
-                    int(round(total.broadcast_elements * f)),
-                    total.general,
-                    int(round(total.general_elements * f)),
-                )
             report.edges.append(EdgeTraffic(e, total))
     return report
 

@@ -14,8 +14,9 @@ The telemetry substrate under every instrumented layer of the planner:
   process pool, mergeable into one multi-process trace.
 * :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto-loadable,
   CLI ``--trace-out``) and an ASCII flame summary.
-* :mod:`repro.obs.slo` — declarative latency/error objectives and their
-  burn rates over a metrics snapshot (:class:`SLOTracker`).
+* :mod:`repro.obs.slo` — the serve daemon's two fixed latency/error
+  objectives and their burn rates over a metrics snapshot
+  (:func:`serve_slo_report`).
 * :mod:`repro.obs.prom` — Prometheus text-format exposition of the
   registry.
 * :mod:`repro.obs.watch` — a live ASCII dashboard polling a running
@@ -33,22 +34,18 @@ from .metrics import (
 )
 from .prom import render_prometheus
 from .recorder import SpanRecord, TraceRecorder
-from .slo import ErrorRateSLO, LatencySLO, SLOTracker, default_serve_slos
+from .slo import serve_slo_report
 from .spans import Span, annotate, enabled, instant, recording, span
 
 __all__ = [
     "Counter",
-    "ErrorRateSLO",
     "Gauge",
     "Histogram",
-    "LatencySLO",
     "Registry",
-    "SLOTracker",
     "Span",
     "SpanRecord",
     "TraceRecorder",
     "annotate",
-    "default_serve_slos",
     "enabled",
     "flame",
     "instant",
@@ -56,6 +53,7 @@ __all__ = [
     "recording",
     "registry",
     "render_prometheus",
+    "serve_slo_report",
     "span",
     "to_chrome",
     "write_chrome_trace",

@@ -1,75 +1,32 @@
-"""Service-level objectives evaluated over cumulative metrics.
+"""The serve daemon's service-level objectives over cumulative metrics.
 
-Declarative objectives (:class:`LatencySLO`, :class:`ErrorRateSLO`)
-are evaluated by :class:`SLOTracker` against a metrics snapshot — the
-shape :meth:`repro.obs.metrics.Registry.snapshot` returns — with the
-classic burn-rate signal: ``burn = bad_fraction / error_budget`` (> 1
-means the objective is being consumed faster than its budget; sustained
-> 1 means it will be violated).
+The daemon keeps two fixed objectives: warm cache hits answer within
+:data:`WARM_THRESHOLD_MS` for a :data:`TARGET` fraction of requests
+(``warm_latency``), and a :data:`TARGET` fraction of requests do not
+error (``availability``).  :func:`serve_slo_report` evaluates both
+against a metrics snapshot — the shape
+:meth:`repro.obs.metrics.Registry.snapshot` returns — with the classic
+burn-rate signal: ``burn = bad_fraction / error_budget`` (> 1 means the
+objective is being consumed faster than its budget; sustained > 1 means
+it will be violated).
 
-The serve daemon reports its objectives over its lifetime
-(``stats()["slo"]``).  Every entry carries its cumulative ``bad`` and
-``total`` counts and its ``target``, so a reader that wants the burn
-over an interval subtracts two reports' counts and applies
-:func:`burn` to the difference, which is what :mod:`repro.obs.watch`
-does.
+The serve daemon reports them over its lifetime (``stats()["slo"]``).
+Every entry carries its cumulative ``bad`` and ``total`` counts and its
+``target``, so a reader that wants the burn over an interval subtracts
+two reports' counts and applies :func:`burn` to the difference, which is
+what :mod:`repro.obs.watch` does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping
 
 from .metrics import Histogram
 
-
-def _check_target(target: float) -> None:
-    if not 0.0 < target < 1.0:
-        raise ValueError(f"SLO target must be in (0, 1): {target}")
-
-
-@dataclass(frozen=True)
-class LatencySLO:
-    """``target`` fraction of requests must complete within
-    ``threshold_ms`` — evaluated against a histogram of millisecond
-    latencies at bucket resolution (conservative: a threshold inside a
-    bucket excludes that bucket)."""
-
-    name: str
-    histogram: str
-    threshold_ms: float
-    target: float
-
-    def __post_init__(self) -> None:
-        _check_target(self.target)
-
-    def bad_and_total(self, snapshot: Mapping) -> tuple[int, int]:
-        data = snapshot.get("histograms", {}).get(self.histogram)
-        if data is None:
-            return 0, 0
-        h = Histogram.from_dict(self.histogram, data)
-        return h.count - h.count_le(self.threshold_ms), h.count
-
-
-@dataclass(frozen=True)
-class ErrorRateSLO:
-    """``target`` fraction of requests (counter ``total``) must not be
-    errors (counter ``errors``)."""
-
-    name: str
-    total: str
-    errors: str
-    target: float
-
-    def __post_init__(self) -> None:
-        _check_target(self.target)
-
-    def bad_and_total(self, snapshot: Mapping) -> tuple[int, int]:
-        counters = snapshot.get("counters", {})
-        return counters.get(self.errors, 0), counters.get(self.total, 0)
-
-
-Objective = Union[LatencySLO, ErrorRateSLO]
+#: The in-objective fraction both serve objectives ask for.
+TARGET = 0.99
+#: The latency a warm cache hit must answer within, in milliseconds.
+WARM_THRESHOLD_MS = 25.0
 
 
 def burn(bad: int, total: int, target: float) -> dict:
@@ -93,46 +50,34 @@ def burn(bad: int, total: int, target: float) -> dict:
     }
 
 
-class SLOTracker:
-    """A checked set of objectives, evaluated against any snapshot."""
-
-    def __init__(self, objectives: list) -> None:
-        seen = set()
-        for obj in objectives:
-            if obj.name in seen:
-                raise ValueError(f"duplicate SLO name {obj.name!r}")
-            seen.add(obj.name)
-        self.objectives = list(objectives)
-
-    def report(self, snapshot: Mapping) -> dict:
-        """Every objective over ``snapshot`` (a registry snapshot, or the
-        difference of two), JSON-ready and keyed by SLO name:
-        ``total``/``bad``/``compliance``/``burn_rate``, ``healthy`` (burn
-        rate at most 1) and the objective's ``target``."""
-        out: dict[str, dict] = {}
-        for slo in self.objectives:
-            entry = burn(*slo.bad_and_total(snapshot), slo.target)
-            entry["healthy"] = entry["burn_rate"] <= 1.0
-            entry["target"] = slo.target
-            out[slo.name] = entry
-        return out
+def _slow_warm_hits(snapshot: Mapping) -> tuple[int, int]:
+    """``(bad, total)`` of the ``serve.warm_ms`` histogram, at bucket
+    resolution (conservative: a threshold inside a bucket excludes that
+    bucket)."""
+    data = snapshot.get("histograms", {}).get("serve.warm_ms")
+    if data is None:
+        return 0, 0
+    h = Histogram.from_dict("serve.warm_ms", data)
+    return h.count - h.count_le(WARM_THRESHOLD_MS), h.count
 
 
-def default_serve_slos() -> list:
-    """The serve daemon's out-of-the-box objectives: warm cache hits
-    answer within 25ms for 99% of requests, and 99% of requests do not
-    error."""
-    return [
-        LatencySLO(
-            "warm_latency",
-            histogram="serve.warm_ms",
-            threshold_ms=25.0,
-            target=0.99,
+def serve_slo_report(snapshot: Mapping) -> dict:
+    """Both serve objectives over ``snapshot`` (a registry snapshot, or
+    the difference of two), JSON-ready and keyed by objective name:
+    ``total``/``bad``/``compliance``/``burn_rate``, ``healthy`` (burn
+    rate at most 1) and the objective's ``target``."""
+    counters = snapshot.get("counters", {})
+    objectives = {
+        "warm_latency": _slow_warm_hits(snapshot),
+        "availability": (
+            counters.get("serve.errors", 0),
+            counters.get("serve.requests", 0),
         ),
-        ErrorRateSLO(
-            "availability",
-            total="serve.requests",
-            errors="serve.errors",
-            target=0.99,
-        ),
-    ]
+    }
+    out: dict[str, dict] = {}
+    for name, (bad, total) in objectives.items():
+        entry = burn(bad, total, TARGET)
+        entry["healthy"] = entry["burn_rate"] <= 1.0
+        entry["target"] = TARGET
+        out[name] = entry
+    return out

@@ -119,15 +119,7 @@ from typing import Any, Optional, Sequence
 
 from .. import cachestats
 from ..adg.graph import ADG
-from ..adg.nodes import (
-    EmptyPayload,
-    ReducePayload,
-    SectionPayload,
-    SinkPayload,
-    SourcePayload,
-    SpreadPayload,
-    TransformerPayload,
-)
+from ..adg.nodes import EmptyPayload, ReducePayload, SectionPayload
 from ..lang import ast as A
 from ..obs import spans as obs
 from ..obs.metrics import registry
@@ -366,13 +358,9 @@ def _payload_key(payload: Any, offsets: bool) -> Optional[str]:
             else:
                 subs.append(s.kind)  # "index" / "full": offset-only content
         return f"section({payload.array};{','.join(subs)})"
-    if isinstance(
-        payload, (SpreadPayload, TransformerPayload, SourcePayload, SinkPayload)
-    ):
-        # Transformer values (loop bounds/steps) stay in both
-        # projections: steps reach strides, and entry/exit values feed
-        # the iteration spaces the stride DP weighs candidates by.
-        return content_fingerprint(payload)
+    # Transformer values (loop bounds/steps) stay in both
+    # projections: steps reach strides, and entry/exit values feed
+    # the iteration spaces the stride DP weighs candidates by.
     return content_fingerprint(payload)
 
 
@@ -822,8 +810,6 @@ def replan(
             _put_carried(ctx, base, "align_options", base.get("align_options"))
             if new_machine is not None:
                 ctx.put("machine", new_machine, fingerprint=new_mfp)
-            if base.has("phase_options"):
-                ctx.put("phase_options", base.get("phase_options"))
             # The graph prefix always re-runs: the diff needs the new
             # ADG, and typecheck/build are the cheap passes.  Its passes
             # report their own seconds, so the diff event leaves them out.

@@ -15,7 +15,7 @@ every other artifact on the context — pickles cleanly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..distrib.costmodel import build_profile
@@ -31,24 +31,24 @@ class MachineSpec:
     ``topology`` is either a spec string (``"torus:4x4"``, ... — the
     picklable, content-fingerprintable form every cross-process caller
     uses) or a live :class:`~repro.topology.Topology` object (honored
-    as-is, so custom implementations outside the spec registry keep
+    as-is, so custom implementations outside the spec table keep
     working in-process; ``None`` is the paper's unbounded L1 grid).
-    ``options`` forwards the planner's ``block_sizes`` as a sorted item
-    tuple.
+    Those two fields are the whole machine: the planner's candidate
+    block sizes are the constant
+    :data:`~repro.distrib.enumerate.DEFAULT_BLOCK_SIZES`.
     """
 
     nprocs: Optional[int] = None
     topology: Any = None  # None | spec str | Topology object
-    options: tuple[tuple[str, Any], ...] = ()
+    # No caller can set it; the field stays because it is part of the
+    # record's content fingerprint, hence of every serve-cache key and
+    # of tests/golden/fingerprints.json.  It goes with the next cache
+    # SCHEMA_VERSION bump, beside AlignOptions.backend.
+    options: tuple[tuple[str, Any], ...] = field(default=(), init=False)
 
     @classmethod
-    def of(
-        cls,
-        nprocs: Optional[int] = None,
-        topology: Any = None,
-        **options: Any,
-    ) -> "MachineSpec":
-        return cls(nprocs, topology, tuple(sorted(options.items())))
+    def of(cls, nprocs: Optional[int] = None, topology: Any = None) -> "MachineSpec":
+        return cls(nprocs, topology)
 
     def topology_object(self):
         if self.topology is None or not isinstance(self.topology, str):
@@ -69,10 +69,6 @@ class MachineSpec:
             f"machine {self} fixes no processor count: give nprocs or a "
             "finite topology"
         )
-
-    @property
-    def options_dict(self) -> dict[str, Any]:
-        return dict(self.options)
 
 
 class CommProfilePass(Pass):
@@ -105,7 +101,6 @@ class DistributePass(Pass):
                 ctx.get("profile"),
                 machine.resolved_nprocs(topo),
                 topology=topo,
-                **machine.options_dict,
             ),
         )
 
@@ -137,7 +132,7 @@ class PhaseRemapPass(Pass):
     """The phase-chain DP with costed remap edges (distrib.remap)."""
 
     name = "phase-remap"
-    requires = ("phase_profiles", "machine", "phase_options")
+    requires = ("phase_profiles", "machine")
     provides = ("phase_plan",)
 
     def run(self, ctx: PlanContext) -> None:
@@ -145,15 +140,11 @@ class PhaseRemapPass(Pass):
 
         machine: MachineSpec = ctx.get("machine")
         topo = machine.topology_object()
-        opts = dict(ctx.get("phase_options"))
-        k = opts.pop("k", 4)
         ctx.put(
             "phase_plan",
             plan_phase_sequence(
                 ctx.get("phase_profiles"),
                 machine.resolved_nprocs(topo),
-                k=k,
                 topology=topo,
-                **opts,
             ),
         )

@@ -42,8 +42,8 @@ without bound.  Every stage is wrapped in :mod:`repro.obs` spans
 (``serve.requests``, ``serve.hits.plan``, ``serve.hits.prefix``,
 ``serve.misses``, ``serve.rejected``; latency histograms
 ``serve.warm_ms`` / ``serve.cold_ms`` and the unified ``serve.ms``).
-Every metric is cumulative since the process started; the declarative
-SLO objectives (:func:`repro.obs.slo.default_serve_slos`) are reported
+Every metric is cumulative since the process started; the two fixed
+SLO objectives (:func:`repro.obs.slo.serve_slo_report`) are reported
 over that lifetime by :meth:`PlanService.stats`, and a reader that
 wants a recent view subtracts two polls (:mod:`repro.obs.watch`).
 ``serve.inflight`` gauges the requests currently admitted.
@@ -101,7 +101,7 @@ from ..batch.engine import machine_label
 from ..lang.parser import parse
 from ..obs import spans as obs
 from ..obs.metrics import registry
-from ..obs.slo import SLOTracker, default_serve_slos
+from ..obs.slo import serve_slo_report
 from ..passes import PlanContext, content_fingerprint
 from .accesslog import AccessLog
 from .cache import MISS, PlanCache
@@ -274,7 +274,6 @@ class PlanService:
         if isinstance(access_log, str):
             access_log = AccessLog(access_log, trace_sample=trace_sample)
         self.access_log = access_log
-        self.slo = SLOTracker(default_serve_slos())
         # The options are the service's own constant: fingerprint them
         # once, through the same ``put`` a request's context would use.
         self._options_fp = (
@@ -686,7 +685,7 @@ class PlanService:
                 "cold_ms": reg.histogram("serve.cold_ms").summary(),
                 "delta_ms": reg.histogram("serve.delta_ms").summary(),
             },
-            "slo": self.slo.report(reg.snapshot(include_cachestats=False)),
+            "slo": serve_slo_report(reg.snapshot(include_cachestats=False)),
         }
 
     def close(self) -> None:

@@ -1,8 +1,9 @@
 """Optimization substrates: LP (HiGHS), max-flow/min-cut, DP.
 
 These are the "standard packages" the paper assumes.  The LP model is
-solved by HiGHS through scipy; max-flow/min-cut and the labeling DP are
-implemented from scratch, with networkx used only as a test cross-check.
+solved by HiGHS through scipy; max-flow/min-cut (Dinic's algorithm, the
+only one) and the labeling DP are implemented from scratch, with
+networkx used only as a test cross-check.
 """
 
 from .lp import LPModel, LPSolution

@@ -2,10 +2,9 @@
 
 Theorem 1 of the paper reduces replication labeling to s-t min-cut.  The
 paper notes any standard algorithm works [Papadimitriou & Steiglitz;
-Tarjan]; we provide Dinic's algorithm (what the planner runs) and
-Edmonds–Karp (the simple reference tests compare it with), both on an
-adjacency-list residual graph with integer-or-float capacities and a
-proper infinity.  ``networkx`` cross-checks both in the test suite.
+Tarjan]; we run Dinic's algorithm on an adjacency-list residual graph
+with integer-or-float capacities and a proper infinity.  ``networkx``
+cross-checks its flow values and cuts in the test suite.
 """
 
 from __future__ import annotations
@@ -81,17 +80,13 @@ class FlowNetwork:
 
     # -- algorithms --------------------------------------------------------
 
-    def max_flow(self, s: NodeId, t: NodeId, method: str = "dinic") -> float:
-        """Compute a maximum s-t flow; flow is left on the arcs."""
+    def max_flow(self, s: NodeId, t: NodeId) -> float:
+        """Compute a maximum s-t flow (Dinic); flow is left on the arcs."""
         si, ti = self.node(s), self.node(t)
         if si == ti:
             raise ValueError("source equals sink")
         self.reset_flow()
-        if method == "dinic":
-            return self._dinic(si, ti)
-        if method == "edmonds-karp":
-            return self._edmonds_karp(si, ti)
-        raise ValueError(f"unknown max-flow method {method!r}")
+        return self._dinic(si, ti)
 
     def _bfs_levels(self, s: int, t: int) -> list[int] | None:
         level = [-1] * self.num_nodes
@@ -133,37 +128,6 @@ class FlowNetwork:
                 if pushed <= 0:
                     break
                 total += pushed
-
-    def _edmonds_karp(self, s: int, t: int) -> float:
-        total = 0.0
-        while True:
-            parent: list[tuple[int, int] | None] = [None] * self.num_nodes
-            parent[s] = (s, -1)
-            q = deque([s])
-            while q and parent[t] is None:
-                u = q.popleft()
-                for ai, arc in enumerate(self.adj[u]):
-                    if parent[arc.to] is None and arc.cap - arc.flow > 1e-12:
-                        parent[arc.to] = (u, ai)
-                        q.append(arc.to)
-            if parent[t] is None:
-                return total
-            # Find bottleneck.
-            bottleneck = INF
-            v = t
-            while v != s:
-                u, ai = parent[v]  # type: ignore[misc]
-                arc = self.adj[u][ai]
-                bottleneck = min(bottleneck, arc.cap - arc.flow)
-                v = u
-            v = t
-            while v != s:
-                u, ai = parent[v]  # type: ignore[misc]
-                arc = self.adj[u][ai]
-                arc.flow += bottleneck
-                self.adj[arc.to][arc.rev].flow -= bottleneck
-                v = u
-            total += bottleneck
 
     def min_cut(
         self, s: NodeId, t: NodeId

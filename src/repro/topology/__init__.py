@@ -38,7 +38,6 @@ from .registry import (
     DEFAULT_HIER_COST,
     default_topology,
     parse_topology,
-    register_topology,
     topology_kinds,
 )
 
@@ -59,6 +58,5 @@ __all__ = [
     "DEFAULT_HIER_COST",
     "default_topology",
     "parse_topology",
-    "register_topology",
     "topology_kinds",
 ]

@@ -1,4 +1,4 @@
-"""Topology registry and the ``parse_topology`` spec parser.
+"""The ``parse_topology`` spec parser and its table of machine kinds.
 
 Specs are compact machine descriptions for CLIs, batch payloads and
 JSON reports::
@@ -12,15 +12,16 @@ JSON reports::
     hier:(torus:2x2)/(grid:4x4)@8   explicit levels and inter-node cost
 
 Every concrete :class:`~repro.topology.models.Topology` round-trips:
-``parse_topology(t.spec()) == t``.  New machine models register under a
-kind name with :func:`register_topology`; the planner, CLI and batch
-engine all resolve specs through this one registry.
+``parse_topology(t.spec()) == t``.  The kinds are the fixed table
+``_PARSERS``; the planner, CLI and batch engine all resolve specs
+through it.  A machine model outside the table is handed to the planner
+as a live :class:`~repro.topology.models.Topology` object instead of a
+spec.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable
 
 from .models import (
     GridTopology,
@@ -32,24 +33,13 @@ from .models import (
     _parse_dims,
 )
 
-_REGISTRY: dict[str, Callable[[str], Topology]] = {}
-
 DEFAULT_HIER_COST = 4
 
 _DIMS = re.compile(r"^\d+(x\d+)*$")
 
 
-def register_topology(kind: str, parser: Callable[[str], Topology]) -> None:
-    """Register a topology kind; ``parser`` gets the text after ``kind:``."""
-    if not kind or ":" in kind:
-        raise ValueError(f"bad topology kind {kind!r}")
-    if kind in _REGISTRY:
-        raise ValueError(f"topology kind {kind!r} already registered")
-    _REGISTRY[kind] = parser
-
-
 def topology_kinds() -> tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
+    return tuple(sorted(_PARSERS))
 
 
 def parse_topology(spec: str) -> Topology:
@@ -60,7 +50,7 @@ def parse_topology(spec: str) -> Topology:
     kind, sep, rest = spec.partition(":")
     if sep and not rest:
         raise ValueError(f"{kind}: missing shape after ':' in {spec!r}")
-    parser = _REGISTRY.get(kind)
+    parser = _PARSERS.get(kind)
     if parser is None:
         raise ValueError(
             f"unknown topology kind {kind!r} in spec {spec!r}; "
@@ -162,8 +152,11 @@ def _parse_hier(rest: str) -> Topology:
     )
 
 
-register_topology("grid", _parse_grid)
-register_topology("torus", _parse_torus)
-register_topology("ring", _parse_ring)
-register_topology("hypercube", _parse_hypercube)
-register_topology("hier", _parse_hier)
+#: Each kind's parser; it gets the text after ``kind:``.
+_PARSERS = {
+    "grid": _parse_grid,
+    "torus": _parse_torus,
+    "ring": _parse_ring,
+    "hypercube": _parse_hypercube,
+    "hier": _parse_hier,
+}

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from repro.adg import build_adg, NodeKind
@@ -17,17 +18,34 @@ from repro.lang import programs
 from repro.solvers.maxflow import FlowNetwork
 
 
-def edmonds_karp_labels(monkeypatch, *args, **kw):
-    """``label_replication`` with every cut found by Edmonds–Karp, the
-    max-flow reference, instead of Dinic's algorithm the labeler runs."""
-    dinic = FlowNetwork.max_flow
+def networkx_checked_labels(monkeypatch, *args, **kw):
+    """``label_replication`` with every cut it takes checked against
+    networkx, the max-flow oracle: the cut value is networkx's minimum
+    cut value, and so is the capacity leaving the labeler's S side."""
+    min_cut = FlowNetwork.min_cut
+    checked = []
+
+    def oracle_checked(g, s, t):
+        value, s_side, t_side = min_cut(g, s, t)
+        G = nx.DiGraph()
+        G.add_nodes_from(g.name_of(i) for i in range(g.num_nodes))
+        for i in range(g.num_nodes):
+            for u, v, c in g.cut_edges({g.name_of(i)}):
+                if G.has_edge(u, v):
+                    G[u][v]["capacity"] += c
+                else:
+                    G.add_edge(u, v, capacity=c)
+        want = nx.minimum_cut_value(G, s, t)
+        assert value == pytest.approx(want)
+        assert sum(c for _, _, c in g.cut_edges(s_side)) == pytest.approx(want)
+        checked.append(value)
+        return value, s_side, t_side
+
     with monkeypatch.context() as m:
-        m.setattr(
-            FlowNetwork,
-            "max_flow",
-            lambda g, s, t: dinic(g, s, t, method="edmonds-karp"),
-        )
-        return label_replication(*args, **kw)
+        m.setattr(FlowNetwork, "min_cut", oracle_checked)
+        result = label_replication(*args, **kw)
+    assert checked, "no cut was taken"
+    return result
 
 
 class TestSources:
@@ -95,9 +113,9 @@ class TestFigure4:
         }
         assert r_ports == spread_inputs
 
-    def test_maxflow_methods_agree(self, monkeypatch):
+    def test_cuts_match_networkx(self, monkeypatch):
         a = label_replication(self.adg, self.skel, self.program)
-        b = edmonds_karp_labels(monkeypatch, self.adg, self.skel, self.program)
+        b = networkx_checked_labels(monkeypatch, self.adg, self.skel, self.program)
         assert a.cut_value == b.cut_value
         assert a.labels == b.labels
 
@@ -142,16 +160,16 @@ class TestEndToEnd:
     )
     def test_cut_optimality_vs_exhaustive(self, make, monkeypatch):
         """Theorem 1: the cut cost matches brute-force optimal labeling
-        (the forced-labels-only labeling is one of those enumerated),
-        whichever max-flow algorithm finds it."""
+        (the forced-labels-only labeling is one of those enumerated), and
+        every cut it takes is networkx's minimum cut."""
         from itertools import product
 
         program = make()
         adg = build_adg(program)
         skel = solve_axis_stride(adg).skeletons
         rep = label_replication(adg, skel, program)
-        ek = edmonds_karp_labels(monkeypatch, adg, skel, program)
-        assert ek.cut_value == rep.cut_value
+        checked = networkx_checked_labels(monkeypatch, adg, skel, program)
+        assert checked.cut_value == rep.cut_value
         axis = 1
         labeler_cost = rep.cut_value[axis]
 

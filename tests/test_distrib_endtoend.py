@@ -13,7 +13,8 @@ import pytest
 from repro import align_and_distribute, align_program
 from repro.distrib import build_profile, naive_costs, plan_distribution
 from repro.lang import programs
-from repro.machine import BlockCyclic, Distribution, measure_traffic
+from repro.machine import Distribution, measure_traffic
+from repro.topology import parse_topology
 
 # At least 3 example programs, per the acceptance criteria.
 EXAMPLES = [
@@ -87,13 +88,13 @@ class TestPipelineIntegration:
         plan = align_and_distribute(
             programs.stencil_sweep(n=24, iters=2),
             4,
-            distrib_options=dict(block_sizes=()),
+            distrib_options=dict(topology="ring:4"),
             replication=False,
         )
-        assert plan.distribution is not None
-        assert not any(isinstance(a, BlockCyclic) for a in plan.distribution.axes)
-        # One grid, (4,), whose only candidates are block and cyclic.
-        assert plan.distribution.searched == 2
+        profile = build_profile(plan.adg, plan.alignments)
+        ring = parse_topology("ring:4")
+        assert plan.distribution == plan_distribution(profile, 4, topology=ring)
+        assert plan.distribution.topology == "ring:4"
 
     def test_plain_align_has_no_distribution(self):
         plan = align_program(programs.example1(n=8))

@@ -78,7 +78,7 @@ class TestAxisCandidates:
         assert cands[0].scheme == "block" and cands[0].block == 64
 
     def test_schemes_present(self):
-        cands = axis_candidates(-3, 64, 4, block_sizes=(2, 4, 8))
+        cands = axis_candidates(-3, 64, 4)
         schemes = [c.scheme for c in cands]
         assert schemes.count("block") == 1
         assert schemes.count("cyclic") == 1
@@ -89,7 +89,7 @@ class TestAxisCandidates:
     def test_block_cyclic_sizes_filtered(self):
         # covering block is 2, so no block-cyclic size fits strictly
         # between cyclic (1) and block (2)
-        cands = axis_candidates(0, 8, 4, block_sizes=(2, 4, 8))
+        cands = axis_candidates(0, 8, 4)
         assert [c.scheme for c in cands] == ["block", "cyclic"]
 
 

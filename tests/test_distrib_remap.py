@@ -13,6 +13,7 @@ from repro.distrib import (
     split_phases,
     union_window,
 )
+from repro.distrib.remap import PHASE_CANDIDATES
 from repro.lang import programs
 from repro.lang.parser import parse
 from repro.machine import Block, Cyclic, Distribution
@@ -103,9 +104,10 @@ class TestPhaseChainDP:
     def test_dp_no_worse_than_any_fixed_selection(self):
         profiles = _phase_profiles(TWO_PHASE)
         win = union_window([p for _, p in profiles])
-        k = 3
-        seq = plan_phase_sequence(profiles, 4, k=k)
-        cands = [rank_plans(p, 4, k=k, window=win) for _, p in profiles]
+        seq = plan_phase_sequence(profiles, 4)
+        cands = [
+            rank_plans(p, 4, k=PHASE_CANDIDATES, window=win) for _, p in profiles
+        ]
         for pick in (0, -1):
             sel = [c[pick] if len(c) > abs(pick) else c[0] for c in cands]
             total = sum(p.cost.hops for p in sel)

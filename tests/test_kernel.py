@@ -20,8 +20,10 @@ import pytest
 
 import repro
 from repro.__main__ import main
+from repro.align.metric import alignment_distance
 from repro.align.pipeline import (
     DistributionOptionsError,
+    _option_keys,
     align_and_distribute,
     align_program,
     plan_facts,
@@ -29,10 +31,15 @@ from repro.align.pipeline import (
     solve_prefix,
     solve_suffix,
 )
+from repro.align.position import Alignment
 from repro.batch import PlanRequest, plan_many, plan_one, plan_sweep
+from repro.distrib import plan_program_phases
 from repro.lang.generate import FAMILIES, generate_scenario
+from repro.machine import Distribution, measure_traffic
 from repro.obs import spans as obs
+from repro.passes import MachineSpec
 from repro.serve import PlanService, ServeRequest
+from repro.solvers import FlowNetwork
 
 SCENARIOS = [
     generate_scenario(seed, family=family)
@@ -223,13 +230,24 @@ BAD_OPTIONS = {
     # HiGHS is the only LP solver: there is no backend to choose.
     "backend_simplex": (4, None, {"backend": "simplex"}, None),
     "backend_scipy": (4, None, {"backend": "scipy"}, None),
+    # Planner settings no driver sets are constants, not options.
+    "block_sizes": (4, None, None, {"block_sizes": (2, 4)}),
+    "state_space_max_passes": (
+        4, None, {"algorithm": "state-space", "max_passes": 2}, None,
+    ),
+    "zero_crossing_max_iter": (
+        4, None, {"algorithm": "zero-crossing", "max_iter": 2}, None,
+    ),
+    "refinement_max_iter": (
+        4, None, {"algorithm": "recursive-refinement", "max_iter": 2}, None,
+    ),
 }
 #: The cases that are :class:`DistributionOptionsError`; a bad spec is the
 #: topology parser's ValueError, a bad algorithm or algorithm keyword the
 #: ValueError / TypeError of ``check_algorithm``.
 NAMED = {
     "mismatch", "misplaced_align_key", "misplaced_distrib_key", "unknown_distrib_key",
-    "exhaustive_limit", "seed", "restarts",
+    "exhaustive_limit", "seed", "restarts", "block_sizes",
 }
 
 
@@ -291,6 +309,78 @@ def test_there_is_no_lp_backend_to_choose(case):
     # is a key the distribution planner does not take.
     with pytest.raises(DistributionOptionsError, match="unknown distribution option"):
         planning_records(4, None, None, {"backend": "scipy"})
+
+
+@pytest.mark.parametrize(
+    "case,call,key",
+    [
+        ("state_space_max_passes", "state_space_search", "max_passes"),
+        ("zero_crossing_max_iter", "tracking_zero_crossings", "max_iter"),
+        ("refinement_max_iter", "recursive_refinement", "max_iter"),
+    ],
+)
+def test_an_algorithm_cap_is_a_constant(case, call, key):
+    with pytest.raises(TypeError) as raised:
+        planning_records(*BAD_OPTIONS[case])
+    assert str(raised.value) == f"{call}() got an unexpected keyword argument '{key}'"
+
+
+def test_the_settable_keys_are_pinned():
+    """Every key a driver may set, so a new setting shows up as a diff."""
+    assert _option_keys() == (
+        {"topology"},
+        {"algorithm", "replication", "mobile", "max_replication_rounds", "m"},
+    )
+
+
+#: Each removed planner setting, passed the way its old callers passed it.
+REMOVED_SETTINGS = {
+    "MachineSpec.of(block_sizes=)": lambda env: MachineSpec.of(4, block_sizes=(2,)),
+    "solve_suffix(phases={})": lambda env: solve_suffix(
+        env["prefix"].fork(), MachineSpec.of(4), phases={}
+    ),
+    "plan_program_phases(k=)": lambda env: plan_program_phases(
+        repro.parse(SRC), 4, k=2
+    ),
+    "max_flow(method=)": lambda env: env["net"].max_flow(
+        "s", "t", method="edmonds-karp"
+    ),
+    "measure_traffic(control_weighted=)": lambda env: measure_traffic(
+        env["plan"].adg, env["plan"].alignments, env["ident"], control_weighted=True
+    ),
+    "alignment_distance(extent_per_axis=)": lambda env: alignment_distance(
+        env["al"], env["al"], {}, 1, extent_per_axis={}
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def removed_env():
+    plan = align_program(repro.parse(SRC))
+    net = FlowNetwork()
+    net.add_edge("s", "t", 1)
+    return {
+        "plan": plan,
+        "ident": Distribution.identity(plan.adg.template_rank),
+        "prefix": solve_prefix(repro.parse(SRC), planning_records()[0]),
+        "net": net,
+        "al": Alignment.canonical(1, 1),
+    }
+
+
+@pytest.mark.parametrize("call", REMOVED_SETTINGS)
+def test_a_removed_setting_is_refused(call, removed_env):
+    with pytest.raises(TypeError):
+        REMOVED_SETTINGS[call](removed_env)
+
+
+def test_the_fixed_extension_points_are_gone():
+    import repro.topology
+
+    assert not hasattr(repro.topology, "register_topology")
+    with PlanService() as svc:
+        assert not hasattr(svc, "slo")
+        assert set(svc.stats()["slo"]) == {"warm_latency", "availability"}
 
 
 @pytest.mark.parametrize("case", ["mismatch", "bad_spec"])

@@ -22,13 +22,7 @@ from hypothesis import strategies as st
 
 from repro.obs.metrics import Counter, Gauge, Histogram, Registry
 from repro.obs.prom import render_prometheus, sanitize
-from repro.obs.slo import (
-    ErrorRateSLO,
-    LatencySLO,
-    SLOTracker,
-    burn,
-    default_serve_slos,
-)
+from repro.obs.slo import burn, serve_slo_report
 
 from obs_formats import bucket_histogram, check_exposition
 
@@ -229,38 +223,28 @@ class TestGauge:
 
 
 class TestSLOs:
-    def test_target_validation(self):
-        with pytest.raises(ValueError, match="target"):
-            LatencySLO("x", histogram="h", threshold_ms=1.0, target=1.0)
-        with pytest.raises(ValueError, match="target"):
-            ErrorRateSLO("x", total="t", errors="e", target=0.0)
-
-    def test_duplicate_names_rejected(self):
-        slo = ErrorRateSLO("x", total="t", errors="e", target=0.5)
-        with pytest.raises(ValueError, match="duplicate"):
-            SLOTracker([slo, slo])
+    def _report(self, reg):
+        return serve_slo_report(reg.snapshot(include_cachestats=False))
 
     def test_no_traffic_is_perfect_compliance(self):
-        tracker = SLOTracker(default_serve_slos())
-        report = tracker.report(Registry().snapshot(include_cachestats=False))
+        report = self._report(Registry())
+        assert list(report) == ["warm_latency", "availability"]
         for entry in report.values():
             assert entry["healthy"]
             assert entry["compliance"] == 1.0
             assert entry["burn_rate"] == 0.0
+            assert entry["target"] == 0.99
 
     def test_error_rate_burn(self):
         reg = Registry()
-        reg.counter("t").inc(100)
-        reg.counter("e").inc(5)  # 5% bad against a 1% budget: burn 5x
-        tracker = SLOTracker(
-            [ErrorRateSLO("avail", total="t", errors="e", target=0.99)]
-        )
-        entry = tracker.report(reg.snapshot(include_cachestats=False))["avail"]
+        reg.counter("serve.requests").inc(100)
+        reg.counter("serve.errors").inc(5)  # 5% bad against a 1% budget: burn 5x
+        entry = self._report(reg)["availability"]
         assert entry["burn_rate"] == pytest.approx(5.0)
         assert not entry["healthy"]
         # The lifetime remembers; the interval since ``entry`` does not.
-        reg.counter("t").inc(100)
-        now = tracker.report(reg.snapshot(include_cachestats=False))["avail"]
+        reg.counter("serve.requests").inc(100)
+        now = self._report(reg)["availability"]
         assert now["burn_rate"] == pytest.approx(2.5)
         last = burn(
             now["bad"] - entry["bad"], now["total"] - entry["total"],
@@ -268,18 +252,14 @@ class TestSLOs:
         )
         assert (last["total"], last["burn_rate"]) == (100, 0.0)
 
-    def test_latency_slo(self):
+    def test_latency_at_budget_is_healthy(self):
         reg = Registry()
-        h = reg.histogram("ms")
+        h = reg.histogram("serve.warm_ms")
         for _ in range(99):
             h.observe(1.0)
         h.observe(1000.0)  # exactly the 1% budget
-        tracker = SLOTracker(
-            [LatencySLO("lat", histogram="ms", threshold_ms=25.0,
-                        target=0.99)]
-        )
-        entry = tracker.report(reg.snapshot(include_cachestats=False))["lat"]
-        assert entry["bad"] == 1
+        entry = self._report(reg)["warm_latency"]
+        assert (entry["bad"], entry["total"]) == (1, 100)
         assert entry["burn_rate"] == pytest.approx(1.0)
         assert entry["healthy"]  # burn == 1.0 is at, not over, budget
 

@@ -6,8 +6,6 @@ import pytest
 
 from repro.solvers import INF, FlowNetwork
 
-METHODS = ["dinic", "edmonds-karp"]
-
 
 def classic_network():
     g = FlowNetwork()
@@ -25,35 +23,34 @@ def classic_network():
     return g, edges
 
 
-@pytest.mark.parametrize("method", METHODS)
 class TestMaxFlow:
-    def test_classic(self, method):
+    def test_classic(self):
         g, _ = classic_network()
-        assert g.max_flow("s", "t", method=method) == pytest.approx(14.0)
+        assert g.max_flow("s", "t") == pytest.approx(14.0)
 
-    def test_disconnected(self, method):
+    def test_disconnected(self):
         g = FlowNetwork()
         g.add_edge("s", "a", 5)
         g.node("t")
-        assert g.max_flow("s", "t", method=method) == 0.0
+        assert g.max_flow("s", "t") == 0.0
 
-    def test_parallel_edges(self, method):
+    def test_parallel_edges(self):
         g = FlowNetwork()
         g.add_edge("s", "t", 3)
         g.add_edge("s", "t", 4)
-        assert g.max_flow("s", "t", method=method) == pytest.approx(7.0)
+        assert g.max_flow("s", "t") == pytest.approx(7.0)
 
-    def test_infinite_arc(self, method):
+    def test_infinite_arc(self):
         g = FlowNetwork()
         g.add_edge("s", "a", INF)
         g.add_edge("a", "t", 5)
-        assert g.max_flow("s", "t", method=method) == pytest.approx(5.0)
+        assert g.max_flow("s", "t") == pytest.approx(5.0)
 
-    def test_source_equals_sink_rejected(self, method):
+    def test_source_equals_sink_rejected(self):
         g = FlowNetwork()
         g.add_edge("s", "t", 1)
         with pytest.raises(ValueError):
-            g.max_flow("s", "s", method=method)
+            g.max_flow("s", "s")
 
 
 class TestMinCut:
@@ -70,12 +67,6 @@ class TestMinCut:
         _, s_side, _ = g.min_cut("s", "t")
         crossing = g.cut_edges(s_side)
         assert sum(c for (_, _, c) in crossing) == pytest.approx(14.0)
-
-    def test_methods_agree(self):
-        g, _ = classic_network()
-        v1 = g.max_flow("s", "t", method="dinic")
-        v2 = g.max_flow("s", "t", method="edmonds-karp")
-        assert v1 == pytest.approx(v2)
 
 
 class TestAgainstNetworkx:
@@ -102,6 +93,13 @@ class TestAgainstNetworkx:
         ours = g.max_flow(0, n - 1)
         theirs = nx.maximum_flow_value(G, 0, n - 1)
         assert ours == pytest.approx(theirs)
+        # The cut, parallel arcs kept apart: its value and the capacity
+        # leaving its S side are both networkx's minimum cut.
+        value, s_side, t_side = g.min_cut(0, n - 1)
+        cut_value, _ = nx.minimum_cut(G, 0, n - 1)
+        assert 0 in s_side and n - 1 in t_side
+        assert value == pytest.approx(cut_value)
+        assert sum(c for _, _, c in g.cut_edges(s_side)) == pytest.approx(cut_value)
 
     def test_negative_capacity_rejected(self):
         g = FlowNetwork()

@@ -37,7 +37,6 @@ from repro.topology import (
     default_topology,
     distribution_metrics,
     parse_topology,
-    register_topology,
     topology_kinds,
 )
 
@@ -95,13 +94,7 @@ class TestRegistryAndParser:
     def test_unknown_kind_lists_known_kinds(self):
         with pytest.raises(ValueError, match="known kinds"):
             parse_topology("moebius:4")
-        assert set(TOPOLOGY_KINDS) <= set(topology_kinds())
-
-    def test_register_rejects_duplicates_and_bad_names(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_topology("grid", lambda rest: GridTopology(()))
-        with pytest.raises(ValueError):
-            register_topology("x:y", lambda rest: GridTopology(()))
+        assert set(TOPOLOGY_KINDS) == set(topology_kinds())
 
     def test_shorthand_hier_levels_are_grids(self):
         t = parse_topology("hier:2x2/4x4")
