@@ -63,7 +63,7 @@ from .align import (
 from .topology import Topology, default_topology, parse_topology
 from .machine import Distribution, measure_plan, run_program
 from .distrib import DistributionPlan, build_profile, plan_distribution
-from .batch import BatchReport, PlanResult, plan_many, plan_one, plan_sweep
+from .batch import BatchReport, PlanResult, plan_many, plan_sweep
 from .passes import MachineSpec, Pipeline, PlanContext
 from .obs import TraceRecorder
 
@@ -96,7 +96,6 @@ __all__ = [
     "BatchReport",
     "PlanResult",
     "plan_many",
-    "plan_one",
     "plan_sweep",
     "MachineSpec",
     "Pipeline",

@@ -23,13 +23,16 @@ option records, runs phases 1–5 (the machine-independent prefix) and
 phase 6 (the machine-dependent suffix), and reads the result.  A caller
 that sweeps machines solves the prefix once and hands
 ``solve_suffix`` a ``prefix.fork()`` per machine.
+
+Every driver names its machine the one way, ``(nprocs, topology)``,
+and :func:`machine_record` is the one place it is checked;
+:func:`align_and_distribute` alone still reads the topology out of a
+``distrib_options`` mapping.
 """
 
 from __future__ import annotations
 
-import functools
-import inspect
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (distrib uses align)
@@ -41,31 +44,18 @@ from ..lang.ast import Program
 from ..lang.typecheck import TypeInfo
 from .axis_stride import AxisStrideResult
 from .cost import AlignmentMap, EdgeCost, cost_breakdown
-from .offset_mobile import ALGORITHMS, MobileOffsetResult
+from .offset_mobile import MobileOffsetResult
 from .position import Alignment
 from .replication import ReplicationResult
 
 
-@functools.cache
-def _option_keys() -> tuple[frozenset, frozenset]:
-    """``(planner keys, alignment keys)``: what ``distrib_options`` and
-    ``align_kw`` may hold, read off what takes them — the distribution
-    planner's keywords (only ``topology``), and the alignment record's
-    settable fields with every algorithm's own keywords (only fixed
-    partitioning's ``m``)."""
-    from ..distrib.search import plan_distribution
-    from ..passes import AlignOptions
-
-    planner = set(inspect.signature(plan_distribution).parameters)
-    align = {f.name for f in fields(AlignOptions) if f.init} - {"alg_kw"}
-    align.update(key for alg in ALGORITHMS.values() for key in alg.keywords)
-    return frozenset(planner - {"profile", "nprocs"}), frozenset(align)
-
-
 class DistributionOptionsError(ValueError):
-    """Conflicting machine/metric options between ``align_kw`` and
-    ``distrib_options``, or a ``distrib_options`` key the planner does
-    not take — raised instead of silently preferring one."""
+    """A machine no planner run could honour — a processor count that is
+    not an ``int >= 1``, a finite topology whose size contradicts it — or
+    one named in the wrong place: ``topology`` among the alignment
+    keywords, or a key other than ``topology`` in
+    :func:`align_and_distribute`'s ``distrib_options``.  Raised before
+    anything is planned, instead of silently preferring one."""
 
 
 @dataclass
@@ -144,16 +134,14 @@ def planning_records(
     nprocs: Optional[int] = None,
     topology=None,
     align_kw: Optional[Mapping] = None,
-    distrib_options: Optional[Mapping] = None,
 ):
     """``(AlignOptions, MachineSpec | None)`` from a driver's keywords:
     the two frozen records on either side of the prefix/suffix line.
 
     The one boundary where options are checked, before anything is
-    planned — a key on the wrong side or one the planner does not take
+    planned — ``topology`` among the alignment keywords
     (:class:`DistributionOptionsError`), the machine by
-    :func:`machine_record` (the same, or the topology parser's
-    ``ValueError``), and the algorithm and its keywords by
+    :func:`machine_record`, and the algorithm and its keywords by
     :meth:`AlignOptions.of <repro.passes.AlignOptions.of>` (the
     ``ValueError`` / ``TypeError`` of
     :func:`~repro.align.offset_mobile.check_algorithm`) — so nothing past
@@ -163,72 +151,46 @@ def planning_records(
     from ..passes import AlignOptions
 
     align_kw = align_kw or {}
-    distrib_options = distrib_options or {}
-    _check_distrib_options(distrib_options, align_kw)
+    if "topology" in align_kw:
+        raise DistributionOptionsError(
+            f"topology passed among the alignment keywords {sorted(align_kw)}: "
+            "it names the machine (topology=, or distrib_options= on "
+            "align_and_distribute); the alignment metric is always the "
+            "paper's L1 grid, so it would be silently ignored"
+        )
     machine = None
-    if nprocs is not None or topology is not None or "topology" in distrib_options:
-        machine = machine_record(nprocs, topology, distrib_options)
+    if nprocs is not None or topology is not None:
+        machine = machine_record(nprocs, topology)
     return AlignOptions.of(**align_kw), machine
 
 
-def _check_distrib_options(distrib_options: Mapping, align_kw: Mapping = {}) -> None:
-    """Reject an option on the wrong side instead of ignoring it — a
-    planner keyword (``topology`` above all) among the alignment keywords
-    would be dropped on the floor — and a key the distribution planner
-    does not take here, not as a ``TypeError`` from the distribute pass
-    after the whole alignment prefix has run."""
-    planner_keys, align_keys = _option_keys()
-    misplaced = planner_keys.intersection(align_kw)
-    if misplaced:
-        raise DistributionOptionsError(
-            f"distribution option(s) {sorted(misplaced)} passed in align_kw="
-            f"{sorted(align_kw)} but belong in distrib_options="
-            f"{sorted(distrib_options)}; the alignment metric is "
-            "always the paper's L1 grid, so they would be silently ignored"
-        )
-    misplaced = align_keys.intersection(distrib_options)
-    if misplaced:
-        raise DistributionOptionsError(
-            f"alignment option(s) {sorted(misplaced)} passed in distrib_options="
-            f"{sorted(distrib_options)} but belong in align_kw="
-            f"{sorted(align_kw)}; the distribution planner does not "
-            "accept them"
-        )
-    unknown = set(distrib_options) - planner_keys
-    if unknown:
-        raise DistributionOptionsError(
-            f"unknown distribution option(s) {sorted(unknown)} in "
-            f"distrib_options={sorted(distrib_options)}; the distribution "
-            f"planner takes {sorted(planner_keys)}"
-        )
-
-
-def machine_record(nprocs, topology, distrib_options: Mapping):
+def machine_record(nprocs, topology):
     """The machine half of :func:`planning_records`, for a caller whose
     options are records already (the serve daemon, once per request).
 
-    Raises on an option the planner does not take, a topology given
-    twice, a bad spec, a machine that fixes no processor count, and a
-    finite topology whose size contradicts ``nprocs``.
+    ``topology`` is a spec string or a live
+    :class:`~repro.topology.Topology`.  Raises
+    :class:`DistributionOptionsError` on an ``nprocs`` that is not an
+    ``int >= 1`` (``None`` lets a finite topology fix it) and on a
+    finite topology whose size contradicts ``nprocs``; the topology
+    parser's ``ValueError`` on a bad spec; and a ``ValueError`` when
+    nothing fixes a processor count.
     """
     from ..passes import MachineSpec
 
-    _check_distrib_options(distrib_options)
-    if topology is not None:
-        if "topology" in distrib_options:
-            raise DistributionOptionsError(
-                f"topology given twice: {topology!r} and distrib_options "
-                f"topology {distrib_options['topology']!r}; drop one"
-            )
-        distrib_options = {**distrib_options, "topology": topology}
-    machine = MachineSpec.of(nprocs, **distrib_options)
+    if nprocs is not None and (type(nprocs) is not int or nprocs < 1):
+        raise DistributionOptionsError(
+            f"nprocs={nprocs!r} is not a processor count: give an int >= 1, "
+            "or None with a finite topology"
+        )
+    machine = MachineSpec.of(nprocs, topology)
     topo = machine.topology_object()
     count = machine.resolved_nprocs(topo)  # raises when nothing fixes one
     if topo is not None and topo.shape and topo.nprocs != count:
         raise DistributionOptionsError(
-            f"distrib_options topology {machine.topology!r} is a "
-            f"{topo.nprocs}-processor machine but nprocs={nprocs} was "
-            "requested; make the two agree (or drop one)"
+            f"topology {machine.topology!r} is a {topo.nprocs}-processor "
+            f"machine but nprocs={nprocs} was requested; make the two agree "
+            "(or drop one)"
         )
     return machine
 
@@ -340,7 +302,7 @@ def align_program(
 def align_and_distribute(
     program: Program,
     nprocs: int,
-    distrib_options: Optional[dict] = None,
+    distrib_options: Optional[Mapping] = None,
     info: TypeInfo | None = None,
     **align_kw,
 ) -> AlignmentPlan:
@@ -348,16 +310,23 @@ def align_and_distribute(
 
     Plans ``program`` for ``nprocs`` processors and attaches the chosen
     :class:`~repro.distrib.plan.DistributionPlan` to the returned plan
-    (``plan.distribution``); ``distrib_options`` forwards keyword
-    arguments to :func:`repro.distrib.search.plan_distribution`.
+    (``plan.distribution``); ``distrib_options`` may name the machine's
+    ``topology`` (a spec string or a live topology), and nothing else.
 
-    Raises :class:`DistributionOptionsError` when the two option sets
-    conflict — a planner option in ``align_kw``, or a finite
-    ``distrib_options`` topology whose size contradicts ``nprocs``.
+    Raises :class:`DistributionOptionsError` for any other
+    ``distrib_options`` key and as :func:`planning_records` does — a
+    ``topology`` among ``align_kw``, a bad ``nprocs``, a finite topology
+    whose size contradicts it.
     """
-    options, machine = planning_records(
-        nprocs, align_kw=align_kw, distrib_options=distrib_options
-    )
+    distrib_options = dict(distrib_options or {})
+    topology = distrib_options.pop("topology", None)
+    if distrib_options:
+        raise DistributionOptionsError(
+            f"unknown distribution option(s) {sorted(distrib_options)} in "
+            "distrib_options; it takes only 'topology', and alignment "
+            "options are keywords of align_and_distribute"
+        )
+    options, machine = planning_records(nprocs, topology, align_kw)
     ctx = solve_suffix(solve_prefix(program, options, info=info), machine)
     plan = ctx.get("plan")
     plan.distribution = ctx.get("distribution")

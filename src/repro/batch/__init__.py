@@ -9,15 +9,18 @@ many concurrently.  This subpackage provides:
   :class:`~repro.passes.PlanContext` prefixes are computed once per
   program, shipped across the pool, and re-priced per machine by the
   pipeline's machine-dependent suffix;
-* :func:`plan_one` / :class:`PlanRequest` / :class:`PlanResult` — the
-  per-program unit of work and its diagnostics record;
+* :class:`PlanRequest` / :class:`PlanResult` — the per-program unit of
+  work and its diagnostics record (one program is ``plan_many([request],
+  serial=True).results[0]``);
 * :class:`BatchReport` — aggregate throughput, failures, per-pass
   pipeline timings, and the cache-hit counters of the memoized hot
   kernels (:mod:`repro.cachestats`).
 
 The engine adds measurement and a pool; every task's plan comes from the
-planning kernel (:mod:`repro.align.pipeline`), and options are turned
-into records and checked once per call, before anything is planned.
+planning kernel (:mod:`repro.align.pipeline`).  Every entry point names
+its machine as ``(nprocs, topology)`` — ``plan_sweep`` takes a list of
+them — and options are turned into records and checked once per call,
+before anything is planned.
 
 Quickstart::
 
@@ -34,7 +37,6 @@ from .engine import (
     PlanResult,
     machine_label,
     plan_many,
-    plan_one,
     plan_sweep,
 )
 
@@ -44,6 +46,5 @@ __all__ = [
     "PlanResult",
     "machine_label",
     "plan_many",
-    "plan_one",
     "plan_sweep",
 ]

@@ -15,7 +15,8 @@ corpus order either way, because planning itself is deterministic and
 ``Executor.map`` preserves input order.
 
 The engine plans nothing itself.  Each entry point turns its keywords
-into the two frozen option records once, up front
+— the machine named as ``(nprocs, topology)`` — into the two frozen
+option records once, up front
 (:func:`repro.align.pipeline.planning_records` — a bad option or
 machine fails the call, not every task), and each task asks the
 planning kernel for its plan (``solve_prefix`` / ``solve_suffix`` /
@@ -231,42 +232,6 @@ def _solve(request: PlanRequest, options, machine):
     program = parse(request.source, name=request.name)
     ctx = solve_prefix(program, options, profile=machine is not None)
     return ctx if machine is None else solve_suffix(ctx, machine)
-
-
-def plan_one(
-    request: PlanRequest,
-    nprocs: int | None = 4,
-    align_kw: Mapping | None = None,
-    distrib_options: Mapping | None = None,
-    verify: bool = False,
-    topology: str | None = None,
-    trace: bool = False,
-) -> PlanResult:
-    """Plan a single program; never raises — failures become diagnostics.
-
-    ``topology`` is a machine spec string (``"torus:4x4"``, …); a bad
-    spec or option is a diagnostic like any other failure.
-    ``nprocs=None`` with no topology plans the alignment only.
-    ``trace=True`` records the task's span tree (pipeline passes, DP,
-    front pricing, simulation) into a picklable recorder on
-    :attr:`PlanResult.trace`; tracing never changes the plan, only
-    observes it.
-    """
-    # Same label scheme as plan_sweep ("torus:4x4", "P8", ...), so the
-    # machine field of a BatchReport has one schema across both engines.
-    label = (
-        None
-        if nprocs is None and topology is None
-        else machine_label(nprocs, topology)
-    )
-
-    def body():
-        options, machine = planning_records(
-            nprocs, topology, align_kw, distrib_options
-        )
-        return _solve(request, options, machine)
-
-    return _measured(request.name, label, trace, body, verify)[0]
 
 
 def _plan_task(payload: tuple) -> PlanResult:
@@ -489,7 +454,6 @@ def plan_many(
     jobs: int | None = None,
     serial: bool = False,
     align_kw: Mapping | None = None,
-    distrib_options: Mapping | None = None,
     verify: bool = False,
     topology: str | None = None,
     trace: bool = False,
@@ -501,12 +465,12 @@ def plan_many(
     and any failure to spawn the pool degrades to it, so ``plan_many``
     works in restricted environments.  ``topology`` is a machine spec
     string applied to every task.  Options and machine are checked here,
-    once: a typo — a distribution key, an algorithm name or one of its
-    keywords — raises before anything is planned.  ``trace=True``
+    once: a bad processor count or topology, an algorithm name or one of
+    its keywords raises before anything is planned.  ``trace=True``
     records every task's span tree in its worker and ships the recorders
     back for :meth:`BatchReport.merged_trace`.
     """
-    options, machine = planning_records(nprocs, topology, align_kw, distrib_options)
+    options, machine = planning_records(nprocs, topology, align_kw)
     payloads = [
         (PlanRequest.of(item, i), options, machine, verify, trace)
         for i, item in enumerate(corpus)
@@ -527,9 +491,7 @@ Machine = Union[int, str, tuple]
 
 
 def _normalize_machine(m: Machine) -> tuple[Optional[int], Optional[str]]:
-    if isinstance(m, bool):  # bool is an int subclass; reject explicitly
-        raise TypeError(f"cannot interpret {m!r} as a machine")
-    if isinstance(m, int):
+    if isinstance(m, int):  # a bool too: machine_record refuses it
         return (m, None)
     if isinstance(m, str):
         return (None, m)
@@ -590,7 +552,6 @@ def plan_sweep(
     jobs: int | None = None,
     serial: bool = False,
     align_kw: Mapping | None = None,
-    distrib_options: Mapping | None = None,
     verify: bool = False,
     trace: bool = False,
 ) -> BatchReport:
@@ -608,11 +569,8 @@ def plan_sweep(
     anything is planned.
     """
     requests = [PlanRequest.of(item, i) for i, item in enumerate(corpus)]
-    options, _ = planning_records(align_kw=align_kw, distrib_options=distrib_options)
-    specs = [
-        machine_record(*_normalize_machine(m), distrib_options or {})
-        for m in machines
-    ]
+    options, _ = planning_records(align_kw=align_kw)
+    specs = [machine_record(*_normalize_machine(m)) for m in machines]
     if not specs:
         raise ValueError("plan_sweep needs at least one machine")
 

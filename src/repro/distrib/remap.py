@@ -230,5 +230,5 @@ def plan_program_phases(
     from ..align.pipeline import machine_record, plan_context, solve_suffix
 
     ctx = plan_context(program, **(align_kw or {}))
-    machine = machine_record(nprocs, topology, {})
+    machine = machine_record(nprocs, topology)
     return solve_suffix(ctx, machine, phases=True).get("phase_plan")

@@ -28,9 +28,11 @@ prefix the cache keeps — and the payload is ``name``, ``machine`` and
 the kernel's ``plan_facts``, built the same way on every path so a hit
 is byte-identical (pickled) to the cold answer it was stored from.
 Options are turned into records and checked once, at construction
-(``planning_records``); a request's machine goes through that
-function's machine half (``machine_record``), so a machine no other
-driver would plan for is ``status="error"`` here too and never reaches
+(``planning_records``); a request's machine, ``(nprocs, topology)``
+like every driver's, goes through that function's machine half
+(``machine_record``), so a machine no other driver would plan for — a
+processor count that is not an ``int >= 1`` among them — is
+``status="error"`` here too, before any pass runs, and never reaches
 the cache.
 
 Admission applies bounded backpressure: past ``max_pending``
@@ -56,10 +58,10 @@ service remembers it: a bounded **request-key memo** maps a digest of
 half maps ``(nprocs, topology)`` to the checked ``MachineSpec`` and its
 fingerprint.  The machine half keeps only a machine ``machine_record``
 accepted, and only for the exact types ``int``/``None`` and
-``str``/``None`` (``4``, ``4.0`` and ``True`` are three machines);
-anything else is derived afresh on every request.  A known request goes
-straight to the cache probes and is parsed only where a pass needs the
-program — a delta or cold plan.  The memo stores no plan:
+``str``/``None`` (``4.0`` and ``True`` are refused, never answered
+from the entry of ``4`` or ``1``); anything else is derived afresh on
+every request.  A known request goes straight to the cache probes and
+is parsed only where a pass needs the program — a delta or cold plan.  The memo stores no plan:
 :class:`PlanCache` stays the only store of results, and a key the memo
 forgot is derived again, to the same value.
 
@@ -248,7 +250,6 @@ class PlanService:
         max_pending: int = 64,
         retry_after: float = 0.05,
         align_kw: Mapping | None = None,
-        distrib_options: Mapping | None = None,
         default_nprocs: Optional[int] = None,
         default_topology: Optional[str] = None,
         access_log: Optional[AccessLog | str] = None,
@@ -256,13 +257,10 @@ class PlanService:
     ) -> None:
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        self.distrib_options = dict(distrib_options or {})
         # The one options check: a misplaced key, an unknown algorithm or
         # algorithm keyword, or an unplannable default machine fails
         # construction (before the cache is opened), not every request.
-        self.options, _ = planning_records(
-            default_nprocs, default_topology, align_kw, self.distrib_options
-        )
+        self.options, _ = planning_records(default_nprocs, default_topology, align_kw)
         self.cache = PlanCache(cache_dir, max_entries=max_entries)
         self.jobs = max(1, jobs)
         self.max_pending = max_pending
@@ -409,14 +407,15 @@ class PlanService:
         machine fields; raises as :func:`machine_record` does.
 
         Remembered only for the exact types ``int``/``None`` and
-        ``str``/``None``: ``4``, ``4.0`` and ``True`` are three machines
-        that a value-keyed dict would merge, and a list is unhashable.
+        ``str``/``None``: a value-keyed dict would answer ``4.0`` and
+        ``True``, which ``machine_record`` refuses, from the entries of
+        ``4`` and ``1``, and a list is unhashable.
         """
         key = (nprocs, topology)
         exact = type(nprocs) in _NPROCS_TYPES and type(topology) in _TOPO_TYPES
         known = self._recall(self._machine_memo, key) if exact else None
         if known is None:
-            machine = machine_record(nprocs, topology, self.distrib_options)
+            machine = machine_record(nprocs, topology)
             known = machine, content_fingerprint(machine)
             if exact:
                 self._remember(self._machine_memo, key, known)

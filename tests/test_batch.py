@@ -22,7 +22,7 @@ import pytest
 
 import repro
 from repro import cachestats
-from repro.batch import BatchReport, PlanRequest, plan_many, plan_one
+from repro.batch import BatchReport, PlanRequest, plan_many
 from repro.lang.generate import GeneratorConfig, generate_corpus, generate_scenario
 
 
@@ -49,10 +49,11 @@ class TestGenerate:
             generate_scenario(0, family="nope")
 
 
-class TestPlanOne:
+class TestOneRequest:
     def test_success_record(self):
         sc = generate_scenario(1, family="wavefront")
-        r = plan_one(PlanRequest(sc.name, sc.source), nprocs=4, verify=True)
+        request = PlanRequest(sc.name, sc.source)
+        r = plan_many([request], nprocs=4, serial=True, verify=True).results[0]
         assert r.ok and r.error is None
         assert r.total_cost is not None and r.distribution is not None
         assert r.verified is True
@@ -60,13 +61,14 @@ class TestPlanOne:
         assert r.alignments  # every declared array rendered
 
     def test_failure_is_diagnosed_not_raised(self):
-        r = plan_one(PlanRequest("broken", "real A(0)"), nprocs=4)
+        r = plan_many([PlanRequest("broken", "real A(0)")], serial=True).results[0]
         assert not r.ok
         assert r.error and "ValueError" in r.error
 
     def test_no_distribution_when_nprocs_none(self):
         sc = generate_scenario(2, family="shift1d")
-        r = plan_one(PlanRequest(sc.name, sc.source), nprocs=None)
+        request = PlanRequest(sc.name, sc.source)
+        r = plan_many([request], nprocs=None, serial=True).results[0]
         assert r.ok and r.distribution is None
 
 

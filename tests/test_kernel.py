@@ -12,7 +12,11 @@ and no second recipe anywhere in the tree.
 from __future__ import annotations
 
 import ast
+import dataclasses
+import importlib
+import inspect
 import pickle
+import pkgutil
 import re
 from pathlib import Path
 
@@ -23,7 +27,6 @@ from repro.__main__ import main
 from repro.align.metric import alignment_distance
 from repro.align.pipeline import (
     DistributionOptionsError,
-    _option_keys,
     align_and_distribute,
     align_program,
     plan_facts,
@@ -32,12 +35,13 @@ from repro.align.pipeline import (
     solve_suffix,
 )
 from repro.align.position import Alignment
-from repro.batch import PlanRequest, plan_many, plan_one, plan_sweep
+from repro.batch import PlanRequest, plan_many, plan_sweep
 from repro.distrib import plan_program_phases
 from repro.lang.generate import FAMILIES, generate_scenario
 from repro.machine import Distribution, measure_traffic
 from repro.obs import spans as obs
-from repro.passes import MachineSpec
+from repro.obs.metrics import registry
+from repro.passes import AlignOptions, MachineSpec
 from repro.serve import PlanService, ServeRequest
 from repro.solvers import FlowNetwork
 
@@ -124,7 +128,8 @@ def test_every_driver_returns_the_same_facts(
 
     # The batch engine, inline and across the pool.
     request = PlanRequest(scenario.name, scenario.source)
-    assert _result_facts(plan_one(request, nprocs=nprocs, topology=spec)) == want
+    one = plan_many([request], nprocs=nprocs, topology=spec, serial=True).results[0]
+    assert _result_facts(one) == want
     for driver in ("plan_many", "sweep_serial", "sweep_pool"):
         assert batch_facts[driver, scenario.name, label] == want, driver
 
@@ -186,17 +191,16 @@ def test_alignment_only_callers_never_profile():
         align_program(program)
     assert "pass:assemble" in rec.span_names()
     assert "pass:comm-profile" not in rec.span_names()
-    request = PlanRequest(scenario.name, scenario.source)
-    one = plan_one(request, nprocs=None)
+    many = plan_many([scenario], nprocs=None, serial=True)
+    one = many.results[0]
     assert one.ok and one.distribution is None and one.machine is None
     assert "assemble" in one.passes and "comm-profile" not in one.passes
-    many = plan_many([scenario], nprocs=None, serial=True)
     assert "comm-profile" not in many.pass_totals()
 
 
 def test_a_sweep_charges_the_prefix_once_per_program():
     scenario = SCENARIOS[0]
-    one = plan_one(PlanRequest(scenario.name, scenario.source), nprocs=16)
+    one = plan_many([scenario], nprocs=16, serial=True).results[0]
     report = plan_sweep([scenario], [16, "torus:4x4", 8], serial=True)
     first, *rest = report.results
     # A fork-free plan and the sweep task that carries the prefix name the
@@ -212,72 +216,72 @@ def test_a_sweep_charges_the_prefix_once_per_program():
 
 SRC = "real A(8), B(8)\nA(1:7) = B(2:8)"
 
-#: Bad options, as ``(nprocs, topology, align_kw, distrib_options)``; what
-#: ``planning_records`` raises for them is what every driver must raise.
+#: Bad options, as ``(nprocs, topology, align_kw)``; what ``planning_records``
+#: raises for them is what every driver must raise.
 BAD_OPTIONS = {
-    "mismatch": (8, "torus:2x2", None, None),
-    "misplaced_align_key": (4, None, {"topology": "ring:4"}, None),
-    "misplaced_distrib_key": (4, None, None, {"algorithm": "fixed"}),
-    "unknown_distrib_key": (4, None, None, {"restart": 3}),
-    "exhaustive_limit": (4, None, None, {"exhaustive_limit": 0}),
-    "seed": (4, None, None, {"seed": 1}),
-    "restarts": (4, None, None, {"restarts": 2}),
-    "bad_spec": (None, "grid:bogus", None, None),
-    "unknown_algorithm": (4, None, {"algorithm": "nope"}, None),
-    "key_of_another_algorithm": (4, None, {"algorithm": "unrolling", "m": 3}, None),
-    "misspelt_algorithm_key": (4, None, {"algorithm": "fixed", "mm": 3}, None),
-    "solver_key": (4, None, {"static": True}, None),
+    "mismatch": (8, "torus:2x2", None),
+    "misplaced_align_key": (4, None, {"topology": "ring:4"}),
+    "bad_spec": (None, "grid:bogus", None),
+    # A processor count is an int >= 1; a bool is no count.
+    "nprocs_true": (True, None, None),
+    "nprocs_float": (4.0, None, None),
+    "nprocs_str": ("4", None, None),
+    "nprocs_zero": (0, None, None),
+    "nprocs_negative": (-2, None, None),
+    "unknown_algorithm": (4, None, {"algorithm": "nope"}),
+    "key_of_another_algorithm": (4, None, {"algorithm": "unrolling", "m": 3}),
+    "misspelt_algorithm_key": (4, None, {"algorithm": "fixed", "mm": 3}),
+    "solver_key": (4, None, {"static": True}),
     # HiGHS is the only LP solver: there is no backend to choose.
-    "backend_simplex": (4, None, {"backend": "simplex"}, None),
-    "backend_scipy": (4, None, {"backend": "scipy"}, None),
+    "backend_simplex": (4, None, {"backend": "simplex"}),
+    "backend_scipy": (4, None, {"backend": "scipy"}),
     # Planner settings no driver sets are constants, not options.
-    "block_sizes": (4, None, None, {"block_sizes": (2, 4)}),
-    "state_space_max_passes": (
-        4, None, {"algorithm": "state-space", "max_passes": 2}, None,
-    ),
-    "zero_crossing_max_iter": (
-        4, None, {"algorithm": "zero-crossing", "max_iter": 2}, None,
-    ),
+    "state_space_max_passes": (4, None, {"algorithm": "state-space", "max_passes": 2}),
+    "zero_crossing_max_iter": (4, None, {"algorithm": "zero-crossing", "max_iter": 2}),
     "refinement_max_iter": (
-        4, None, {"algorithm": "recursive-refinement", "max_iter": 2}, None,
+        4, None, {"algorithm": "recursive-refinement", "max_iter": 2},
     ),
 }
 #: The cases that are :class:`DistributionOptionsError`; a bad spec is the
 #: topology parser's ValueError, a bad algorithm or algorithm keyword the
 #: ValueError / TypeError of ``check_algorithm``.
 NAMED = {
-    "mismatch", "misplaced_align_key", "misplaced_distrib_key", "unknown_distrib_key",
-    "exhaustive_limit", "seed", "restarts", "block_sizes",
+    "mismatch", "misplaced_align_key", "nprocs_true", "nprocs_float",
+    "nprocs_str", "nprocs_zero", "nprocs_negative",
 }
 
 
-def _align_and_distribute(nprocs, topology, align_kw, distrib_options):
-    if topology is not None:
-        distrib_options = {**(distrib_options or {}), "topology": topology}
+def _align_and_distribute(nprocs, topology, align_kw):
     align_and_distribute(
-        repro.parse(SRC), nprocs, distrib_options=distrib_options, **(align_kw or {})
+        repro.parse(SRC),
+        nprocs,
+        distrib_options=None if topology is None else {"topology": topology},
+        **(align_kw or {}),
     )
 
 
-def _plan_many(nprocs, topology, align_kw, distrib_options):
+def _plan_many(nprocs, topology, align_kw):
     plan_many(
-        [SRC], nprocs=nprocs, topology=topology, serial=True,
-        align_kw=align_kw, distrib_options=distrib_options,
+        [SRC], nprocs=nprocs, topology=topology, serial=True, align_kw=align_kw
     )
 
 
-def _plan_sweep(nprocs, topology, align_kw, distrib_options):
-    plan_sweep(
-        [SRC], [(nprocs, topology)], serial=True,
-        align_kw=align_kw, distrib_options=distrib_options,
-    )
+def _plan_sweep(nprocs, topology, align_kw):
+    plan_sweep([SRC], [(nprocs, topology)], serial=True, align_kw=align_kw)
 
 
-def _plan_service(nprocs, topology, align_kw, distrib_options):
+def _plan_service(nprocs, topology, align_kw):
     PlanService(
-        default_nprocs=nprocs, default_topology=topology,
-        align_kw=align_kw, distrib_options=distrib_options,
+        default_nprocs=nprocs, default_topology=topology, align_kw=align_kw
     )
+
+
+def _unplanned(monkeypatch) -> list:
+    """Every ``solve_prefix`` call a driver makes from here on."""
+    planned = []
+    for module in (repro.align.pipeline, repro.batch.engine, repro.serve.service):
+        monkeypatch.setattr(module, "solve_prefix", lambda *a, **k: planned.append(a))
+    return planned
 
 
 @pytest.mark.parametrize("case", BAD_OPTIONS)
@@ -289,12 +293,38 @@ def test_bad_options_are_one_named_error_everywhere(driver, case, monkeypatch):
     with pytest.raises((ValueError, TypeError)) as boundary:
         planning_records(*args)
     assert isinstance(boundary.value, DistributionOptionsError) == (case in NAMED)
-    planned = []
-    for module in (repro.align.pipeline, repro.batch.engine):
-        monkeypatch.setattr(module, "solve_prefix", lambda *a, **k: planned.append(a))
+    planned = _unplanned(monkeypatch)
     with pytest.raises(type(boundary.value)) as raised:
         driver(*args)
     assert str(raised.value) == str(boundary.value)
+    assert planned == []  # raised before anything was planned
+
+
+#: ``align_and_distribute``'s ``distrib_options`` names the topology and
+#: nothing else: an alignment key, a misspelling, a removed planner
+#: setting or the machine record's constant field is refused.
+BAD_DISTRIB_OPTIONS = {
+    "misplaced_distrib_key": {"algorithm": "fixed"},
+    "unknown_distrib_key": {"restart": 3},
+    "exhaustive_limit": {"exhaustive_limit": 0},
+    "seed": {"seed": 1},
+    "restarts": {"restarts": 2},
+    "block_sizes": {"block_sizes": (2, 4)},
+    "backend": {"backend": "scipy"},
+    "beside_a_topology": {"topology": "ring:4", "restart": 3},
+}
+
+
+@pytest.mark.parametrize("case", BAD_DISTRIB_OPTIONS)
+def test_a_distrib_option_other_than_topology_is_refused(case, monkeypatch):
+    options = BAD_DISTRIB_OPTIONS[case]
+    planned = _unplanned(monkeypatch)
+    with pytest.raises(DistributionOptionsError) as raised:
+        align_and_distribute(repro.parse(SRC), 4, distrib_options=options)
+    unknown = sorted(set(options) - {"topology"})
+    assert str(raised.value).startswith(
+        f"unknown distribution option(s) {unknown} in distrib_options"
+    )
     assert planned == []  # raised before anything was planned
 
 
@@ -305,10 +335,6 @@ def test_there_is_no_lp_backend_to_choose(case):
     assert str(raised.value) == (
         "fixed_partitioning() got an unexpected keyword argument 'backend'"
     )
-    # The record's constant field is no option: on the machine side it
-    # is a key the distribution planner does not take.
-    with pytest.raises(DistributionOptionsError, match="unknown distribution option"):
-        planning_records(4, None, None, {"backend": "scipy"})
 
 
 @pytest.mark.parametrize(
@@ -326,11 +352,19 @@ def test_an_algorithm_cap_is_a_constant(case, call, key):
 
 
 def test_the_settable_keys_are_pinned():
-    """Every key a driver may set, so a new setting shows up as a diff."""
-    assert _option_keys() == (
-        {"topology"},
-        {"algorithm", "replication", "mobile", "max_replication_rounds", "m"},
-    )
+    """Every key a driver may set, so a new setting shows up as a diff:
+    the machine is ``(nprocs, topology)``, the alignment the record's
+    settable fields with every algorithm's own keywords."""
+    from repro.align.offset_mobile import ALGORITHMS
+    from repro.distrib.search import plan_distribution
+
+    machine = set(inspect.signature(planning_records).parameters) - {"align_kw"}
+    assert machine == {"nprocs", "topology"}
+    planner = set(inspect.signature(plan_distribution).parameters)
+    assert planner - {"profile"} == machine
+    align = {f.name for f in dataclasses.fields(AlignOptions) if f.init} - {"alg_kw"}
+    align.update(key for alg in ALGORITHMS.values() for key in alg.keywords)
+    assert align == {"algorithm", "replication", "mobile", "max_replication_rounds", "m"}
 
 
 #: Each removed planner setting, passed the way its old callers passed it.
@@ -383,17 +417,30 @@ def test_the_fixed_extension_points_are_gone():
         assert set(svc.stats()["slo"]) == {"warm_latency", "availability"}
 
 
-@pytest.mark.parametrize("case", ["mismatch", "bad_spec"])
-def test_a_bad_machine_on_one_request_is_an_error_never_a_cached_plan(case):
-    nprocs, topology, _, _ = BAD_OPTIONS[case]
+@pytest.mark.parametrize(
+    "case", ["mismatch", "bad_spec", "nprocs_true", "nprocs_float", "nprocs_zero"]
+)
+def test_a_bad_machine_on_one_request_is_an_error_never_a_cached_plan(
+    case, monkeypatch
+):
+    nprocs, topology, _ = BAD_OPTIONS[case]
     with pytest.raises(ValueError) as boundary:
         planning_records(nprocs, topology)
+    # A large program: a machine refused only in distribute would have
+    # planned its whole alignment prefix first.
+    source = repro.pretty(repro.programs.figure1(n=400))
+    planned = _unplanned(monkeypatch)
+    misses = registry().counter("serve.misses")
     with PlanService() as svc:
+        before = misses.value
         for _ in range(2):
-            reply = svc.handle(ServeRequest("q", SRC, nprocs=nprocs, topology=topology))
+            ask = ServeRequest("q", source, nprocs=nprocs, topology=topology)
+            reply = svc.handle(ask)
             assert reply.status == "error" and reply.plan is None
             assert reply.error == f"{type(boundary.value).__name__}: {boundary.value}"
         assert len(svc.cache) == 0
+        assert misses.value == before and planned == []
+        monkeypatch.undo()
         assert svc.handle(ServeRequest("q", SRC, nprocs=4)).ok
 
 
@@ -411,6 +458,15 @@ def test_the_cli_refuses_the_same_machines_in_its_own_words(tmp_path, capsys):
         main([str(path), "--topology", "grid:bogus"])
     assert exit_.value.code == 2
     assert "--topology: grid: bad axis extent 'bogus'" in capsys.readouterr().err
+
+
+def test_the_daemon_refuses_a_bad_default_processor_count(capsys):
+    from repro.serve.__main__ import main as serve_main
+
+    with pytest.raises(SystemExit) as exit_:
+        serve_main(["--port", "0", "--distribute", "0"])
+    assert exit_.value.code == 2
+    assert "nprocs=0 is not a processor count" in capsys.readouterr().err
 
 
 # -- one recipe in the tree ----------------------------------------------------
@@ -475,9 +531,45 @@ def test_the_entry_points_the_kernel_replaced_are_gone():
     gone = (
         "prefix_context", "replan_context", "_plan_one_impl", "_prefix_worker",
         "_suffix_worker", "_pass_seconds", "_run_suffix", "_cold_worker",
-        "PassStats", "stats_table",
+        "PassStats", "stats_table", "plan_one", "_option_keys",
+        "_check_distrib_options",
     )
     for rel, text in _sources():
         for name in gone:
             assert name not in text, (rel, name)
         assert not re.search(r"\b_worker\b|\b_payload\b|\.stats\[", text), rel
+
+
+def _public_callables(package):
+    """``(qualified name, callable)`` for every public function, class and
+    public method defined under ``package``."""
+    modules = [package]
+    if hasattr(package, "__path__"):
+        modules += [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(package.__path__, package.__name__ + ".")
+        ]
+    for module in modules:
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not callable(obj):
+                continue
+            if not getattr(obj, "__module__", "").startswith("repro"):
+                continue
+            if inspect.isclass(obj) and issubclass(obj, BaseException):
+                continue  # an exception's signature is its builtin's
+            yield f"{obj.__module__}.{obj.__qualname__}", obj
+            if inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if not attr.startswith("_") and callable(member):
+                        yield f"{obj.__module__}.{obj.__qualname__}.{attr}", member
+
+
+def test_only_align_and_distribute_takes_distrib_options():
+    """The machine is ``(nprocs, topology)`` everywhere but one wrapper."""
+    takers = set()
+    for package in (repro.align.pipeline, repro.batch, repro.serve):
+        for name, obj in _public_callables(package):
+            if "distrib_options" in inspect.signature(obj).parameters:
+                takers.add(name)
+    assert takers == {"repro.align.pipeline.align_and_distribute"}
+    assert not hasattr(repro.batch, "plan_one") and not hasattr(repro, "plan_one")

@@ -68,7 +68,7 @@ def _serve_session() -> None:
 
 
 def _replan() -> None:
-    options, _ = planning_records(4, None, None, None)
+    options, _ = planning_records(4)
     base = solve_prefix(
         parse((CORPUS_DIR / "figure1.dp").read_text(), name="figure1"), options
     )

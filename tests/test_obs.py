@@ -13,7 +13,7 @@ import pytest
 
 from repro import cachestats
 from repro.__main__ import main
-from repro.batch import PlanRequest, plan_many, plan_one, plan_sweep
+from repro.batch import PlanRequest, plan_many, plan_sweep
 from repro.lang import programs
 from repro.lang.generate import generate_corpus
 from repro.lang.pretty import pretty
@@ -418,7 +418,7 @@ class TestOverheadGuard:
         req = PlanRequest("small", SMALL)
 
         def run():
-            r = plan_one(req, nprocs=4, trace=False)
+            r = plan_many([req], nprocs=4, serial=True, trace=False).results[0]
             assert r.ok, r.error
             return r
 
@@ -443,8 +443,10 @@ class TestOverheadGuard:
 
     def test_tracing_never_changes_plans(self):
         req = PlanRequest("small", SMALL)
-        plain = plan_one(req, nprocs=4, verify=True)
-        traced = plan_one(req, nprocs=4, verify=True, trace=True)
+        plain = plan_many([req], nprocs=4, serial=True, verify=True).results[0]
+        traced = plan_many(
+            [req], nprocs=4, serial=True, verify=True, trace=True
+        ).results[0]
         assert plain.ok and traced.ok
         # Byte-identical planning outcome, trace riding alongside.
         assert traced.total_cost == plain.total_cost

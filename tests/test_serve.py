@@ -438,17 +438,6 @@ class TestFingerprintNonces:
 
 
 class TestPlanService:
-    def test_an_unknown_distrib_option_fails_construction(self):
-        """Not every request after its whole prefix has been planned."""
-        from repro.align.pipeline import DistributionOptionsError
-
-        for leftover in ({"restart": 3}, {"vectorize": False}):
-            with pytest.raises(DistributionOptionsError) as err:
-                PlanService(distrib_options=leftover)
-            (key,) = leftover
-            assert f"['{key}']" in str(err.value)
-            assert "the distribution planner takes ['topology']" in str(err.value)
-
     def test_cold_then_plan_hit_then_prefix_hit(self):
         with PlanService() as svc:
             cold = svc.handle(ServeRequest("q", SRC, nprocs=4))
@@ -931,10 +920,12 @@ class TestRequestKeyMemo:
             )
             machines = [
                 svc.handle(ServeRequest("q", SRC, nprocs=n))
-                for n in (4, 4.0, True)
+                for n in (4, 1, 4.0, True)
             ]
-        assert all(m.ok for m in machines)
-        assert len({m.fingerprints["machine"] for m in machines}) == 3
+        # 4.0 and True are no processor counts: refused, never answered
+        # from the entries of 4 and 1 they equal as dict keys.
+        assert [m.ok for m in machines] == [True, True, False, False]
+        assert all("DistributionOptionsError" in m.error for m in machines[2:])
 
     def test_bad_machine_is_answered_afresh_and_never_kept(
         self, tmp_path, machine_keys

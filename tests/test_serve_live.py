@@ -542,6 +542,49 @@ class TestDaemonOversizedLine:
         }
 
 
+class TestDaemonBadProcessorCount:
+    """A plan request whose ``nprocs`` is no processor count: one error
+    reply, one access record, nothing planned or cached, and the same
+    connection still plans (ROADMAP aim 3)."""
+
+    def test_error_reply_one_record_and_no_cache_entry(self, tmp_path):
+        path = str(tmp_path / "access.jsonl")
+        bad = {"op": "plan", "id": 1, "name": "q", "source": SRC, "nprocs": True}
+        good = {**bad, "id": 2, "nprocs": 4}
+
+        async def drive(service):
+            daemon = PlanDaemon(service, port=0)
+            await daemon.start()
+            server = asyncio.create_task(daemon.serve_forever())
+            reader, writer = await asyncio.open_connection(*daemon.address)
+            writer.write(json.dumps(bad).encode() + b"\n")
+            await writer.drain()
+            first = json.loads(await reader.readline())
+            entries = len(service.cache)
+            writer.write(json.dumps(good).encode() + b"\n")
+            await writer.drain()
+            second = json.loads(await reader.readline())
+            writer.close()
+            daemon.shutdown()
+            await server
+            return first, entries, second
+
+        with PlanService(access_log=path) as service:
+            first, entries, second = _drive(asyncio.wait_for(drive(service), 30))
+        assert (first["status"], first["id"], first["cached"]) == ("error", 1, None)
+        assert first["error"] == (
+            "DistributionOptionsError: nprocs=True is not a processor "
+            "count: give an int >= 1, or None with a finite topology"
+        )
+        assert "plan" not in first and entries == 0
+        assert second["status"] == "ok" and second["id"] == 2
+        records = read_access_log(path)
+        assert [(r["kind"], r["status"]) for r in records] == [
+            ("access", "error"), ("access", "ok"),
+        ]
+        assert records[0]["error"] == first["error"]
+
+
 class TestDaemonBinaryLine:
     """A request line of invalid UTF-8 and NUL bytes: one error reply, one
     event, and the same connection still plans (ROADMAP item 10)."""
