@@ -9,17 +9,11 @@ repository now provides:
 2. compile the aligned ADG into a communication profile;
 3. search distributions (scheme per axis x grid shape) for P procs;
 4. compare against the naive uniform baselines;
-5. verify the modeled cost against the machine simulator;
-6. plan per program *phase*, pricing redistributions between phases.
+5. verify the modeled cost against the machine simulator.
 """
 
 from repro import align_program, parse
-from repro.distrib import (
-    build_profile,
-    naive_costs,
-    plan_distribution,
-    plan_program_phases,
-)
+from repro.distrib import build_profile, naive_costs, plan_distribution
 from repro.machine import format_table, measure_traffic
 
 # The wavefront workload: the mobile alignment of V makes the template
@@ -29,14 +23,6 @@ real A(24,24), V(48)
 do k = 1, 24
   A(k,1:24) = A(k,1:24) * V(k:k+23) + V(k+1:k+24)
 enddo
-"""
-
-# Two top-level statements with different preferred layouts: a stencil
-# phase (likes block) followed by a scatter phase (likes cyclic-ish).
-TWO_PHASE = """
-real U(48), W(48)
-W(2:47) = U(1:46) + U(3:48)
-U(2:47) = W(2:47)
 """
 
 NPROCS = 8
@@ -76,14 +62,6 @@ def main() -> None:
     print(f"simulator check: modeled hops={dplan.cost.hops}, "
           f"measured hops={measured.hop_cost} "
           f"({'exact match' if dplan.cost.hops == measured.hop_cost else 'MISMATCH'})")
-
-    # -- step 6: phase-chain planning with remaps ------------------------
-    print()
-    phased = plan_program_phases(
-        parse(TWO_PHASE, name="two_phase"), NPROCS,
-        align_kw=dict(replication=False),
-    )
-    print(phased.render())
 
 
 if __name__ == "__main__":

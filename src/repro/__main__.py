@@ -6,7 +6,7 @@ Usage::
                          [--no-replication] [--static] [--dot OUT.dot]
                          [--measure identity|block|cyclic|block-cyclic]
                          [--procs N,N]
-                         [--distribute P] [--phases] [--topology SPEC]
+                         [--distribute P] [--topology SPEC]
                          [--replan-from BASE]
                          [--trace-passes]
                          [--trace-out OUT.json] [--metrics]
@@ -16,13 +16,13 @@ Usage::
                          [--distribute P] [--topology SPEC]
                          [--trace-out OUT.json] [--metrics]
                          [--prom-out OUT.prom]
-    python -m repro --explain [--distribute P] [--phases]
+    python -m repro --explain [--distribute P]
 
 Reads a program in the Fortran-90-like surface syntax, runs the full
 alignment pipeline, and prints the report; optionally renders the ADG,
 measures the plan on the machine simulator, or — the paper's deferred
 second phase — plans a distribution automatically for P processors
-(``--distribute``), per program phase with costed remaps (``--phases``).
+(``--distribute``).
 
 ``--topology`` selects the machine interconnect pricing every hop
 (``grid:4x4``, ``torus:4x4``, ``ring:8``, ``hypercube:16``,
@@ -225,11 +225,6 @@ def main(argv: list[str] | None = None) -> int:
         "(default: the paper's open grid)",
     )
     ap.add_argument(
-        "--phases",
-        action="store_true",
-        help="with --distribute: plan per program phase with costed remaps",
-    )
-    ap.add_argument(
         "--trace-passes",
         action="store_true",
         help="print the staged pipeline's per-pass trace (time, fixpoint "
@@ -307,8 +302,6 @@ def main(argv: list[str] | None = None) -> int:
             args.distribute = topology.nprocs
     if args.distribute is not None and args.distribute < 1:
         ap.error("--distribute needs at least 1 processor")
-    if args.phases and args.distribute is None and not args.explain:
-        ap.error("--phases requires --distribute")
     if args.explain and args.batch is not None:
         ap.error("--explain cannot be combined with --batch")
 
@@ -344,8 +337,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.explain:
         print(
             explain_plan(
-                machine=machine is not None or args.topology is not None,
-                phases=args.phases,
+                machine=machine is not None or args.topology is not None
             )
         )
         return 0
@@ -356,7 +348,6 @@ def main(argv: list[str] | None = None) -> int:
             ("a program file", args.file is not None),
             ("--measure", args.measure is not None),
             ("--dot", args.dot is not None),
-            ("--phases", args.phases),
             ("--trace-passes", args.trace_passes),
             ("--replan-from", args.replan_from is not None),
         ]:
@@ -370,8 +361,6 @@ def main(argv: list[str] | None = None) -> int:
         ]:
             if present:
                 ap.error(f"{flag} requires --batch")
-    if args.replan_from is not None and args.phases:
-        ap.error("--replan-from cannot be combined with --phases")
     if args.batch is not None:
         return _run_batch(args, align_kw)
 
@@ -397,8 +386,6 @@ def main(argv: list[str] | None = None) -> int:
             print()
         else:
             ctx = planned(program)
-            if args.phases:
-                solve_suffix(ctx, machine, phases=True)
         plan = ctx.get("plan")
         print(plan.report())
 
@@ -441,8 +428,6 @@ def main(argv: list[str] | None = None) -> int:
                 topology=topology,
             )
             print(f"machine (planned): {traffic.summary()}")
-            if args.phases:
-                print(ctx.get("phase_plan").render())
         return ctx
 
     if args.trace_out:

@@ -195,12 +195,12 @@ def machine_record(nprocs, topology):
     return machine
 
 
-def explain_plan(machine: bool = False, phases: bool = False, delta=None) -> str:
+def explain_plan(machine: bool = False, delta=None) -> str:
     """The pass graph a plan with these stages runs (``--explain``);
     ``delta`` adds a replan's dirty/clean column."""
     from ..passes import default_pipeline
 
-    goal = ("plan",) + ("distribution",) * machine + ("phase_plan",) * phases
+    goal = ("plan",) + ("distribution",) * machine
     return default_pipeline().explain(goal, delta)
 
 
@@ -240,23 +240,17 @@ def solve_prefix(
     return replan(base, program=program, goal=goal)
 
 
-def solve_suffix(ctx, machine, phases: bool = False):
+def solve_suffix(ctx, machine):
     """Put ``machine`` on ``ctx`` and run the machine-dependent passes.
 
     ``ctx`` is solved in place and returned: a caller that keeps its
     prefix (a sweep, the serve cache) passes ``prefix.fork()``.  The goal
-    is the program's distribution; with ``phases`` it is the per-phase
-    plan with costed remaps (:mod:`repro.distrib.remap`) instead.
-    ``phases`` was once a mapping of phase-chain options, and an empty
-    one asked for the phase plan: anything but a bool is refused.
+    is the program's distribution.
     """
     from ..passes import default_pipeline
 
-    if not isinstance(phases, bool):
-        raise TypeError(f"solve_suffix: phases must be a bool, got {phases!r}")
     ctx.put("machine", machine)
-    goal = ("phase_plan",) if phases else ("plan", "distribution")
-    return default_pipeline().run(ctx, goal=goal)
+    return default_pipeline().run(ctx, goal=("plan", "distribution"))
 
 
 def plan_facts(ctx) -> dict:

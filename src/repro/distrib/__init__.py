@@ -20,8 +20,8 @@ Modules:
   candidate fronts, which is how the search prices (the scalar
   evaluators of ``CommProfile`` stay as the reference tests compare
   against);
-* :mod:`repro.distrib.remap` — redistribution planning between program
-  phases with costed remap edges;
+* :mod:`repro.distrib.remap` — the cost of moving a template window
+  between two distributions (a machine-only replan's ``remap``);
 * :mod:`repro.distrib.plan` — the :class:`DistributionPlan` output
   representation and renderer.
 
@@ -51,15 +51,7 @@ from .enumerate import (
     space_size,
 )
 from .plan import DistributionPlan
-from .remap import (
-    PhaseChoice,
-    PhasedPlan,
-    plan_phase_sequence,
-    plan_program_phases,
-    remap_cost,
-    split_phases,
-    union_window,
-)
+from .remap import remap_cost
 from .search import plan_distribution, rank_plans
 from .vectorized import axis_front_hops, compile_front, evaluate_front, front_costs
 
@@ -77,13 +69,7 @@ __all__ = [
     "naive_distributions",
     "space_size",
     "DistributionPlan",
-    "PhaseChoice",
-    "PhasedPlan",
-    "plan_phase_sequence",
-    "plan_program_phases",
     "remap_cost",
-    "split_phases",
-    "union_window",
     "plan_distribution",
     "rank_plans",
     "axis_front_hops",

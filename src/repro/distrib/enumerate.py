@@ -87,21 +87,17 @@ def candidate_spaces(
     profile: CommProfile,
     nprocs: int,
     topology: Topology | None = None,
-    window: Sequence[tuple[int, int]] | None = None,
 ) -> Iterator[tuple[tuple[int, ...], list[list[AxisDistribution]]]]:
     """Yield ``(grid shape, per-axis candidate lists)`` per factorization.
 
     ``topology`` drops grid shapes the machine cannot realize (e.g. a
     hypercube only folds onto power-of-two axis counts); the default
-    grid machine accepts every factorization.  ``window`` sizes the
-    candidates over other cells than the profile's own.
+    grid machine accepts every factorization.
     """
-    if window is None:
-        window = profile.window
     for grid in grid_factorizations(nprocs, profile.template_rank):
         if topology is not None and not topology.supports_grid(grid):
             continue
-        yield grid, grid_candidates(window, grid)
+        yield grid, grid_candidates(profile.window, grid)
 
 
 def covered_size(

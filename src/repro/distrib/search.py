@@ -103,10 +103,9 @@ def _spaces(
     profile: CommProfile,
     nprocs: int,
     topology: Topology | None,
-    window: Sequence[tuple[int, int]] | None = None,
 ) -> list[tuple[tuple[int, ...], list[list[AxisDistribution]]]]:
     """Every realizable grid with its per-axis candidate lists."""
-    spaces = list(candidate_spaces(profile, nprocs, topology, window))
+    spaces = list(candidate_spaces(profile, nprocs, topology))
     if not spaces:
         raise ValueError(
             f"{topology.spec() if topology else 'machine'}: no realizable "
@@ -153,19 +152,13 @@ def rank_plans(
     profile: CommProfile,
     nprocs: int,
     k: int = 4,
-    window: Sequence[tuple[int, int]] | None = None,
     topology: Topology | None = None,
 ) -> list[DistributionPlan]:
     """The ``k`` best distributions, one per grid shape, best first;
-    every grid is ranked.
-
-    Used by the inter-phase remap planner, which needs *alternatives*:
-    the best distribution for one phase may lose globally once
-    redistribution edges are priced in.  ``window`` (default: the
-    profile's own) lets that planner size candidates over the union of
-    all phase windows so every candidate owns every remapped cell.
+    every grid is ranked, so the list shows what the other grid shapes
+    cost beside :func:`plan_distribution`'s answer.
     """
-    spaces = _spaces(profile, nprocs, topology, window)
+    spaces = _spaces(profile, nprocs, topology)
     # Ranking needs every grid's full cost: every winner's is assembled.
     winners = _winners(profile, spaces, topology)
     plans = _plans(profile, winners, len(spaces), topology)

@@ -57,13 +57,7 @@ from .delta import (
     replan,
     statement_key,
 )
-from .distrib_passes import (
-    CommProfilePass,
-    DistributePass,
-    MachineSpec,
-    PhaseProfilesPass,
-    PhaseRemapPass,
-)
+from .distrib_passes import CommProfilePass, DistributePass, MachineSpec
 from .registry import alignment_passes, default_passes, default_pipeline
 
 __all__ = [
@@ -80,8 +74,6 @@ __all__ = [
     "MachineSpec",
     "MissingArtifactError",
     "Pass",
-    "PhaseProfilesPass",
-    "PhaseRemapPass",
     "Pipeline",
     "PipelineError",
     "PlanContext",

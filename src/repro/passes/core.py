@@ -1,8 +1,8 @@
 """The pass-manager core: passes, contexts, and the pipeline driver.
 
 The paper's phases (ADG build → axis/stride → replication ↔ mobile
-offsets → assembly → distribution → phase remaps) used to be hardwired
-inside one monolithic driver.  Here each phase is a :class:`Pass` — a
+offsets → assembly → distribution) used to be hardwired inside one
+monolithic driver.  Here each phase is a :class:`Pass` — a
 named unit declaring the artifact keys it ``requires`` and ``provides``
 — and a :class:`Pipeline` resolves the dependency order, runs only the
 passes a goal needs, instruments each run (wall time, cache-counter

@@ -22,8 +22,9 @@ artifact are untouched.  This module closes that gap:
   changed either — so only the genuinely invalidated suffix
   recomputes.  A machine-only delta (same program, new
   nprocs/topology) forks the base context and re-runs exactly the
-  distribution suffix, pricing the move with the existing remap cost
-  model (:func:`repro.distrib.remap.remap_cost`).
+  distribution suffix, pricing the move of the base's occupied window
+  from the old distribution to the new one
+  (:func:`repro.distrib.remap.remap_cost`).
 
 Carry-over *soundness* is decided by projection fingerprints, not by
 the diff itself.  Two projections of the ``(program, adg)`` pair are

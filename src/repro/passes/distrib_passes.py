@@ -1,4 +1,4 @@
-"""The machine-dependent pipeline suffix: profiling, distribution, remaps.
+"""The machine-dependent pipeline suffix: profiling and distribution.
 
 :class:`CommProfilePass` is the last machine-*independent* stage — the
 compiled :class:`~repro.distrib.costmodel.CommProfile` holds template
@@ -99,51 +99,6 @@ class DistributePass(Pass):
             "distribution",
             plan_distribution(
                 ctx.get("profile"),
-                machine.resolved_nprocs(topo),
-                topology=topo,
-            ),
-        )
-
-
-class PhaseProfilesPass(Pass):
-    """Split the program into phases (one per top-level statement), align
-    and profile each through its own pipeline prefix — machine-independent,
-    so a machine sweep re-prices phases without re-aligning them."""
-
-    name = "phase-profiles"
-    requires = ("program", "align_options")
-    provides = ("phase_profiles",)
-
-    def run(self, ctx: PlanContext) -> None:
-        from ..align.pipeline import solve_prefix
-        from ..distrib.remap import split_phases
-
-        options = ctx.get("align_options")
-        ctx.put(
-            "phase_profiles",
-            [
-                (sub.name, solve_prefix(sub, options).get("profile"))
-                for sub in split_phases(ctx.get("program"))
-            ],
-        )
-
-
-class PhaseRemapPass(Pass):
-    """The phase-chain DP with costed remap edges (distrib.remap)."""
-
-    name = "phase-remap"
-    requires = ("phase_profiles", "machine")
-    provides = ("phase_plan",)
-
-    def run(self, ctx: PlanContext) -> None:
-        from ..distrib.remap import plan_phase_sequence
-
-        machine: MachineSpec = ctx.get("machine")
-        topo = machine.topology_object()
-        ctx.put(
-            "phase_plan",
-            plan_phase_sequence(
-                ctx.get("phase_profiles"),
                 machine.resolved_nprocs(topo),
                 topology=topo,
             ),

@@ -1,11 +1,11 @@
 """The standard pass registry.
 
-``default_passes()`` is the full compilation pipeline — the alignment
-prefix (machine-independent), the profile bridge, and the
-machine-dependent distribution/remap suffix.  Consumers that need a
+``default_passes()`` is the full compilation pipeline, a chain of seven
+passes: the alignment prefix (machine-independent), the profile bridge,
+and the machine-dependent distribution suffix.  Consumers that need a
 subset ask the :class:`~repro.passes.core.Pipeline` for a goal
-("plan", "profile", "distribution", "phase_plan") and get exactly the
-passes that goal transitively requires.
+("plan", "profile", "distribution") and get exactly the passes that
+goal transitively requires.
 """
 
 from __future__ import annotations
@@ -20,12 +20,7 @@ from .align_passes import (
     TypecheckPass,
 )
 from .core import Pass, Pipeline
-from .distrib_passes import (
-    CommProfilePass,
-    DistributePass,
-    PhaseProfilesPass,
-    PhaseRemapPass,
-)
+from .distrib_passes import CommProfilePass, DistributePass
 
 
 def alignment_passes() -> list[Pass]:
@@ -44,8 +39,6 @@ def default_passes() -> list[Pass]:
     return alignment_passes() + [
         CommProfilePass(),
         DistributePass(),
-        PhaseProfilesPass(),
-        PhaseRemapPass(),
     ]
 
 

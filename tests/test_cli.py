@@ -85,19 +85,11 @@ class TestCLI:
         assert main([*run, "--distribute", "4", "--prom-out", str(out)]) == 0
         assert check_exposition(out.read_text()) == []
 
-    def test_distribute_phases(self, prog_file, capsys):
-        assert (
-            main(
-                [prog_file, "--no-replication", "--distribute", "4", "--phases"]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "phased distribution plan" in out
-
-    def test_phases_requires_distribute(self, prog_file):
-        with pytest.raises(SystemExit):
-            main([prog_file, "--phases"])
+    def test_phases_flag_is_gone(self, prog_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([prog_file, "--distribute", "4", "--phases"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --phases" in capsys.readouterr().err
 
     def test_replan_from(self, prog_file, tmp_path, capsys):
         edited = tmp_path / "fig1_edit.dp"
@@ -111,22 +103,9 @@ class TestCLI:
         assert "reused (clean)" in out
         assert "distribution plan" in out
 
-    def test_replan_from_rejects_batch_and_phases(self, prog_file, tmp_path):
-        edited = tmp_path / "e.dp"
-        edited.write_text(FIG1)
+    def test_replan_from_rejects_batch(self, prog_file):
         with pytest.raises(SystemExit):
             main(["--batch", "4", "--replan-from", prog_file])
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    str(edited),
-                    "--replan-from",
-                    prog_file,
-                    "--distribute",
-                    "4",
-                    "--phases",
-                ]
-            )
 
     @pytest.mark.parametrize(
         "argv,diagnostic",
@@ -223,7 +202,6 @@ class TestBatchCLI:
             [prog_file],
             ["--measure", "identity"],
             ["--dot", "/tmp/x.dot"],
-            ["--distribute", "4", "--phases"],
         ):
             with pytest.raises(SystemExit):
                 main(["--batch", "2", *extra])

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import itertools
 import json
 import pickle
 import threading
 
+import numpy as np
 import pytest
 
 from repro import cachestats
@@ -327,11 +329,37 @@ class TestMachineDelta:
         assert new_ctx.get("machine").nprocs == 8
         assert base_ctx.get("machine").nprocs == 4
 
-    def test_remap_is_priced(self):
+    @pytest.mark.parametrize(
+        "machine",
+        [MachineSpec.of(8), MachineSpec.of(topology="torus:2x4")],
+        ids=["4-to-8", "4-to-torus:2x4"],
+    )
+    def test_remap_matches_a_per_cell_recount(self, machine):
+        """The remap a machine-only replan reports, recounted one cell at
+        a time: a cell moves if any axis changes owner, and its hops are
+        the axis metrics' distances summed."""
         base_ctx = _plan(parse(BASE_SRC))
-        _, rpt = replan(base_ctx, machine=MachineSpec.of(8))
-        assert rpt.remap is not None
-        assert rpt.remap.hops >= 0 and rpt.remap.moved >= 0
+        new_ctx, rpt = replan(base_ctx, machine=machine)
+        assert rpt.strategy == "machine_only"
+        src = base_ctx.get("distribution").to_distribution()
+        dst = new_ctx.get("distribution").to_distribution()
+        topo = machine.topology_object()
+        metrics = None if topo is None else topo.metrics((None,) * src.rank)
+        window = base_ctx.get("profile").window
+        hops = moved = 0
+        for cell in itertools.product(*(range(lo, hi + 1) for lo, hi in window)):
+            owners = [
+                (int(a.map(np.asarray([c]))[0]), int(b.map(np.asarray([c]))[0]))
+                for a, b, c in zip(src.axes, dst.axes, cell)
+            ]
+            moved += any(s != d for s, d in owners)
+            hops += sum(
+                abs(s - d) if metrics is None else metrics[t].distance(s, d)
+                for t, (s, d) in enumerate(owners)
+            )
+        assert (rpt.remap.hops, rpt.remap.moved) == (hops, moved)
+        if machine.nprocs == 8:
+            assert moved > 0
 
     def test_matches_scratch_plan(self):
         base_ctx = _plan(parse(BASE_SRC))

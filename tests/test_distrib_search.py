@@ -87,14 +87,6 @@ class TestRankPlans:
             == plan_distribution(profile, 4).cost.hops
         )
 
-    def test_window_override_widens_coverage(self):
-        profile = _profile(
-            programs.stencil_sweep(n=16, iters=2), replication=False
-        )
-        wide = ((profile.window[0][0] - 8, profile.window[0][1] + 8),)
-        plans = rank_plans(profile, 4, k=1, window=wide)
-        assert plans[0].axes[0].base == wide[0][0]
-
     def test_every_grid_is_ranked(self, reference_planner):
         # 2**10 processors on a rank-3 template: C(12, 2) = 66 grids.
         profile = CommProfile(

@@ -36,7 +36,6 @@ from repro.align.pipeline import (
 )
 from repro.align.position import Alignment
 from repro.batch import PlanRequest, plan_many, plan_sweep
-from repro.distrib import plan_program_phases
 from repro.lang.generate import FAMILIES, generate_scenario
 from repro.machine import Distribution, measure_traffic
 from repro.obs import spans as obs
@@ -373,9 +372,6 @@ REMOVED_SETTINGS = {
     "solve_suffix(phases={})": lambda env: solve_suffix(
         env["prefix"].fork(), MachineSpec.of(4), phases={}
     ),
-    "plan_program_phases(k=)": lambda env: plan_program_phases(
-        repro.parse(SRC), 4, k=2
-    ),
     "max_flow(method=)": lambda env: env["net"].max_flow(
         "s", "t", method="edmonds-karp"
     ),
@@ -532,7 +528,9 @@ def test_the_entry_points_the_kernel_replaced_are_gone():
         "prefix_context", "replan_context", "_plan_one_impl", "_prefix_worker",
         "_suffix_worker", "_pass_seconds", "_run_suffix", "_cold_worker",
         "PassStats", "stats_table", "plan_one", "_option_keys",
-        "_check_distrib_options",
+        "_check_distrib_options", "plan_program_phases", "plan_phase_sequence",
+        "split_phases", "union_window", "PhasedPlan", "PHASE_CANDIDATES",
+        "PhaseRemapPass", "PhaseProfilesPass", "phase_plan",
     )
     for rel, text in _sources():
         for name in gone:

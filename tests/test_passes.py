@@ -445,7 +445,6 @@ class TestDistribOptionsValidation:
     def test_unregistered_topology_object_flows_through(self):
         """A custom Topology outside the spec registry must reach the
         planner as the live object — never a spec round-trip."""
-        from repro.distrib import plan_program_phases
         from repro.topology import parse_topology
 
         class Unregistered:
@@ -463,8 +462,6 @@ class TestDistribOptionsValidation:
             programs.example1(), 4, distrib_options={"topology": topo}
         )
         assert plan.distribution.topology == "custom:unregistered"
-        phased = plan_program_phases(programs.example1(), 4, topology=topo)
-        assert phased.phases[0].plan.topology == "custom:unregistered"
 
 
 class TestPickling:
@@ -547,6 +544,19 @@ class TestTraceAndExplain:
             "axis-stride",
             "replication-offsets",
             "assemble",
+        ]
+
+    def test_default_passes_are_the_seven_pass_chain(self):
+        from repro.passes import default_passes
+
+        assert [p.name for p in default_passes()] == [
+            "typecheck",
+            "build-adg",
+            "axis-stride",
+            "replication-offsets",
+            "assemble",
+            "comm-profile",
+            "distribute",
         ]
 
     def test_trace_table_renders(self):
