@@ -331,8 +331,24 @@ class TestMachineDelta:
 
     @pytest.mark.parametrize(
         "machine",
-        [MachineSpec.of(8), MachineSpec.of(topology="torus:2x4")],
-        ids=["4-to-8", "4-to-torus:2x4"],
+        [
+            MachineSpec.of(8),
+            MachineSpec.of(topology="torus:2x4"),
+            MachineSpec.of(2),
+            MachineSpec.of(16),
+            MachineSpec.of(topology="ring:8"),
+            MachineSpec.of(topology="hypercube:16"),
+            MachineSpec.of(topology="hier:(grid:2x2)/(grid:2x2)@4"),
+        ],
+        ids=[
+            "4-to-8",
+            "4-to-torus:2x4",
+            "4-to-2",
+            "4-to-16",
+            "4-to-ring:8",
+            "4-to-hypercube:16",
+            "4-to-hier",
+        ],
     )
     def test_remap_matches_a_per_cell_recount(self, machine):
         """The remap a machine-only replan reports, recounted one cell at

@@ -29,6 +29,7 @@ from repro.align.pipeline import (
     DistributionOptionsError,
     align_and_distribute,
     align_program,
+    explain_plan,
     plan_facts,
     planning_records,
     solve_prefix,
@@ -36,6 +37,8 @@ from repro.align.pipeline import (
 )
 from repro.align.position import Alignment
 from repro.batch import PlanRequest, plan_many, plan_sweep
+from repro.distrib import build_profile, rank_plans
+from repro.distrib.enumerate import candidate_spaces
 from repro.lang.generate import FAMILIES, generate_scenario
 from repro.machine import Distribution, measure_traffic
 from repro.obs import spans as obs
@@ -372,6 +375,13 @@ REMOVED_SETTINGS = {
     "solve_suffix(phases={})": lambda env: solve_suffix(
         env["prefix"].fork(), MachineSpec.of(4), phases={}
     ),
+    "explain_plan(phases=)": lambda env: explain_plan(True, phases=True),
+    "rank_plans(window=)": lambda env: rank_plans(
+        env["profile"], 4, k=1, window=((0, 15),)
+    ),
+    "candidate_spaces(window=)": lambda env: candidate_spaces(
+        env["profile"], 4, window=((0, 15),)
+    ),
     "max_flow(method=)": lambda env: env["net"].max_flow(
         "s", "t", method="edmonds-karp"
     ),
@@ -392,6 +402,7 @@ def removed_env():
     return {
         "plan": plan,
         "ident": Distribution.identity(plan.adg.template_rank),
+        "profile": build_profile(plan.adg, plan.alignments),
         "prefix": solve_prefix(repro.parse(SRC), planning_records()[0]),
         "net": net,
         "al": Alignment.canonical(1, 1),
