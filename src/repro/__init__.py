@@ -29,8 +29,8 @@ Subpackages:
   the five mobile-offset algorithms, replication labeling by min-cut,
   and the full pipeline;
 * :mod:`repro.passes` — the staged planning pipeline: every phase a
-  registered pass with requires/provides artifact contracts, run by an
-  instrumented, prefix-reusable ``Pipeline`` over a ``PlanContext``
+  pass with requires/provides artifact contracts, one fixed chain run by
+  an instrumented, prefix-reusable ``Pipeline`` over a ``PlanContext``
   (machine sweeps re-execute only the machine-dependent suffix);
 * :mod:`repro.solvers` — the LP model HiGHS solves, and max-flow/min-cut;
 * :mod:`repro.topology` — pluggable machine interconnects (grid, torus,

@@ -8,8 +8,8 @@ Phases, in the paper's order (each one a registered pass):
 4. mobile offset alignment by RLP (Sections 4 and 5) until quiescence —
    the paper's resolution of the chicken-and-egg between replication
    (which needs to know which offsets are mobile) and offsets (which
-   skip edges with replicated endpoints) — an explicit
-   :class:`~repro.passes.core.FixpointPass`;
+   skip edges with replicated endpoints) — one pass of kind
+   ``"fixpoint"``;
 5. assembly of full per-port alignments and exact cost accounting;
 6. *(optional, beyond the paper)* automatic distribution planning —
    the phase the paper defers — via :func:`align_and_distribute`,
@@ -141,12 +141,14 @@ def planning_records(
     The one boundary where options are checked, before anything is
     planned — ``topology`` among the alignment keywords
     (:class:`DistributionOptionsError`), the machine by
-    :func:`machine_record`, and the algorithm and its keywords by
+    :func:`machine_record`, and the alignment options by
     :meth:`AlignOptions.of <repro.passes.AlignOptions.of>` (the
     ``ValueError`` / ``TypeError`` of
-    :func:`~repro.align.offset_mobile.check_algorithm`) — so nothing past
-    it re-checks.  With neither ``nprocs`` nor a topology there is no
-    machine: alignment only.
+    :func:`~repro.align.offset_mobile.check_algorithm`, and a
+    ``ValueError`` for a ``replication`` or ``mobile`` that is not a
+    ``bool`` or a ``max_replication_rounds`` that is not an ``int >= 1``)
+    — so nothing past it re-checks.  With neither ``nprocs`` nor a
+    topology there is no machine: alignment only.
     """
     from ..passes import AlignOptions
 
@@ -198,10 +200,10 @@ def machine_record(nprocs, topology):
 def explain_plan(machine: bool = False, delta=None) -> str:
     """The pass graph a plan with these stages runs (``--explain``);
     ``delta`` adds a replan's dirty/clean column."""
-    from ..passes import default_pipeline
+    from ..passes import Pipeline
 
     goal = ("plan",) + ("distribution",) * machine
-    return default_pipeline().explain(goal, delta)
+    return Pipeline().explain(goal, delta)
 
 
 def solve_prefix(
@@ -223,11 +225,11 @@ def solve_prefix(
     (:func:`repro.passes.delta.replan`) and the ``DeltaReport`` is
     returned beside the context.
     """
-    from ..passes import content_fingerprint, default_pipeline, replan
+    from ..passes import Pipeline, content_fingerprint, replan
 
     goal = ("plan", "profile") if profile else ("plan",)
     if base is None:
-        return default_pipeline().run(_seeded(program, options, info), goal=goal)
+        return Pipeline().run(_seeded(program, options, info), goal=goal)
     if content_fingerprint(options) != base.artifact("align_options").fingerprint:
         raise ValueError(
             "solve_prefix: options differ from the base context's "
@@ -247,10 +249,10 @@ def solve_suffix(ctx, machine):
     prefix (a sweep, the serve cache) passes ``prefix.fork()``.  The goal
     is the program's distribution.
     """
-    from ..passes import default_pipeline
+    from ..passes import Pipeline
 
     ctx.put("machine", machine)
-    return default_pipeline().run(ctx, goal=("plan", "distribution"))
+    return Pipeline().run(ctx, goal=("plan", "distribution"))
 
 
 def plan_facts(ctx) -> dict:

@@ -1,13 +1,14 @@
-"""Staged planning pipeline: a pass manager over the paper's phases.
+"""Staged planning pipeline: the paper's phases as one chain of passes.
 
 The phases that used to be hardwired in ``align_program`` — ADG build,
 axis/stride labeling, the replication ↔ mobile-offset fixpoint,
-assembly, and the deferred distribution phase — are registered here as
-:class:`Pass` instances with explicit ``requires``/``provides``
-artifact contracts.  A :class:`Pipeline` resolves dependencies, runs
-only what a goal needs, traces and times every pass, and reuses
-artifacts whose inputs are unchanged, so machine sweeps re-execute only
-the machine-dependent suffix against a shared aligned prefix::
+assembly, and the deferred distribution phase — are :class:`Pass`
+instances with explicit ``requires``/``provides`` artifact contracts,
+chained in the paper's order in :data:`PASSES`.  A :class:`Pipeline`
+runs the chain up to the last pass that provides a goal, traces and
+times every pass, and reuses artifacts whose inputs are unchanged, so
+machine sweeps re-execute only the machine-dependent suffix against a
+shared aligned prefix::
 
     from repro.passes import MachineSpec, Pipeline, PlanContext, AlignOptions
 
@@ -24,9 +25,8 @@ the machine-dependent suffix against a shared aligned prefix::
 Driving a :class:`Pipeline` by hand like this is for tests and
 benchmarks.  Whatever wants a *plan* asks the planning kernel in
 :mod:`repro.align.pipeline` (``planning_records`` / ``solve_prefix`` /
-``solve_suffix`` / ``plan_facts``), which runs exactly this recipe on the
-one shared :func:`default_pipeline`; a pipeline keeps no per-run state —
-what ran is on ``ctx.trace``.
+``solve_suffix`` / ``plan_facts``), which runs exactly this recipe; a
+pipeline keeps no state — what ran is on ``ctx.trace``.
 """
 
 from .align_passes import (
@@ -39,8 +39,6 @@ from .align_passes import (
 )
 from .core import (
     Artifact,
-    FixpointPass,
-    FunctionPass,
     MissingArtifactError,
     Pass,
     Pipeline,
@@ -58,7 +56,7 @@ from .delta import (
     statement_key,
 )
 from .distrib_passes import CommProfilePass, DistributePass, MachineSpec
-from .registry import alignment_passes, default_passes, default_pipeline
+from .registry import PASSES
 
 __all__ = [
     "AlignOptions",
@@ -69,10 +67,9 @@ __all__ = [
     "CommProfilePass",
     "DeltaReport",
     "DistributePass",
-    "FixpointPass",
-    "FunctionPass",
     "MachineSpec",
     "MissingArtifactError",
+    "PASSES",
     "Pass",
     "Pipeline",
     "PipelineError",
@@ -80,10 +77,7 @@ __all__ = [
     "ProgramDiff",
     "ReplicationFixpointPass",
     "TypecheckPass",
-    "alignment_passes",
     "content_fingerprint",
-    "default_passes",
-    "default_pipeline",
     "diff_programs",
     "dirty_region",
     "replan",

@@ -7,17 +7,17 @@ accounting.  Every pass here is machine-independent: a topology or
 processor-count sweep reuses all of them and re-executes only the
 distribution suffix (:mod:`repro.passes.distrib_passes`).
 
-The fixpoint is an explicit :class:`~repro.passes.core.FixpointPass`:
-labels accumulate monotonically (once replication is justified by a
-mobile offset, dropping the offset's cost must not un-justify it), so
-the iteration terminates — at quiescence or at the configured round
-cap, both recorded in the trace.
+The fixpoint is one pass of kind ``"fixpoint"``: labels accumulate
+monotonically (once replication is justified by a mobile offset,
+dropping the offset's cost must not un-justify it), so the iteration
+terminates — at quiescence or at the configured round cap, both
+recorded in the trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 from ..adg.build import build_adg
 from ..align.axis_stride import solve_axis_stride
@@ -25,7 +25,7 @@ from ..align.cost import assemble_alignments, total_cost
 from ..align.offset_mobile import check_algorithm, solve_mobile_offsets
 from ..align.replication import label_replication
 from ..lang.typecheck import typecheck
-from .core import FixpointPass, Pass, PlanContext
+from .core import Pass, PlanContext
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,10 @@ class AlignOptions:
     fixed partitioning) as a sorted item tuple so the whole record is
     hashable and its repr is content-stable.  :meth:`of` checks the
     algorithm and its keywords against
-    :data:`~repro.align.offset_mobile.ALGORITHMS`, so a record that
-    exists names an algorithm that runs.
+    :data:`~repro.align.offset_mobile.ALGORITHMS`, ``replication`` and
+    ``mobile`` for a ``bool`` and ``max_replication_rounds`` for an
+    ``int >= 1``, so a record that exists names a plan that runs, and
+    one plan has one record.
     """
 
     algorithm: str = "fixed"
@@ -62,6 +64,17 @@ class AlignOptions:
         **alg_kw: Any,
     ) -> "AlignOptions":
         check_algorithm(algorithm, alg_kw)
+        for key, value in (("replication", replication), ("mobile", mobile)):
+            if type(value) is not bool:
+                raise ValueError(
+                    f"{key}={value!r} is not a switch: give True or False"
+                )
+        rounds = max_replication_rounds
+        if type(rounds) is not int or rounds < 1:
+            raise ValueError(
+                f"max_replication_rounds={rounds!r} is not a round cap: "
+                "give an int >= 1"
+            )
         return cls(
             algorithm,
             replication,
@@ -102,81 +115,69 @@ class AxisStridePass(Pass):
         ctx.put("skeletons", solve_axis_stride(ctx.get("adg")))
 
 
-@dataclass
-class _FixpointState:
-    """Carries the loop state of the replication ↔ offset iteration."""
-
-    seen: Optional[set[tuple[str, int]]] = None
-    offsets_in: Optional[dict] = None  # feeds the next labeling round
-    replication: Any = None
-    offsets: Any = None
-    replicated: set[tuple[str, int]] = field(default_factory=set)
-
-
-class ReplicationFixpointPass(FixpointPass):
+class ReplicationFixpointPass(Pass):
     """Sections 4–6: replication labeling ↔ mobile offsets to quiescence.
 
+    The loop stops when a round leaves the replicated set as it was, or
+    after ``max_replication_rounds`` rounds (the paper's quiescence
+    loops are all iteration-capped, so hitting the cap is a valid,
+    terminating outcome, recorded as ``converged=False`` in the trace).
     With ``replication=False`` the loop degenerates to one round of
     forced labels only (spread inputs R) — the paper's no-optimization
     baseline — followed by a single offset solve.
     """
 
     name = "replication-offsets"
+    kind = "fixpoint"
     requires = ("program", "adg", "skeletons", "align_options")
     provides = ("replication", "offsets", "replicated", "replication_rounds")
 
-    def max_rounds(self, ctx: PlanContext) -> int:
-        opts: AlignOptions = ctx.get("align_options")
-        return opts.max_replication_rounds if opts.replication else 1
-
-    def init(self, ctx: PlanContext) -> _FixpointState:
-        return _FixpointState()
-
-    def step(
-        self, ctx: PlanContext, state: _FixpointState, rounds: int
-    ) -> tuple[_FixpointState, bool]:
+    def run(self, ctx: PlanContext) -> None:
         opts: AlignOptions = ctx.get("align_options")
         adg = ctx.get("adg")
         skel = ctx.get("skeletons")
         program = ctx.get("program")
-        if opts.replication:
-            state.replication = label_replication(
-                adg, skel.skeletons, program, state.offsets_in
-            )
-            new_rep = state.replication.replicated_ports() | (state.seen or set())
-        else:
-            # One round, forced labels only.
-            state.replication = label_replication(
-                adg, skel.skeletons, program, None, minimal=True
-            )
-            new_rep = state.replication.replicated_ports()
-        converged = new_rep == state.seen
-        # The offset problem is a function of the replicated set alone,
-        # and ``seen`` only grows: the converged round would re-solve
-        # exactly the previous round's problem, so it keeps that answer.
-        # (Round one has ``seen is None``, so it always solves.)
-        if not converged:
-            state.offsets = solve_mobile_offsets(
-                adg,
-                skel.skeletons,
-                opts.algorithm,
-                replicated=new_rep,
-                static=not opts.mobile,
-                memo=ctx.memo,
-                **opts.algorithm_kwargs,
-            )
-            state.offsets_in = state.offsets.offsets
-        state.seen = new_rep
-        state.replicated = new_rep
-        return state, converged or not opts.replication
-
-    def finish(
-        self, ctx: PlanContext, state: _FixpointState, rounds: int
-    ) -> None:
-        ctx.put("replication", state.replication)
-        ctx.put("offsets", state.offsets)
-        ctx.put("replicated", state.replicated)
+        cap = opts.max_replication_rounds if opts.replication else 1
+        seen = None
+        offsets_in = None  # feeds the next labeling round
+        rounds = 0
+        converged = False
+        while rounds < cap and not converged:
+            rounds += 1
+            if opts.replication:
+                replication = label_replication(
+                    adg, skel.skeletons, program, offsets_in
+                )
+                new_rep = replication.replicated_ports() | (seen or set())
+            else:
+                # One round, forced labels only.
+                replication = label_replication(
+                    adg, skel.skeletons, program, None, minimal=True
+                )
+                new_rep = replication.replicated_ports()
+            # The offset problem is a function of the replicated set
+            # alone, and ``seen`` only grows: the converged round would
+            # re-solve exactly the previous round's problem, so it keeps
+            # that answer.  (Round one has ``seen is None``, so it always
+            # solves.)
+            if new_rep != seen:
+                offsets = solve_mobile_offsets(
+                    adg,
+                    skel.skeletons,
+                    opts.algorithm,
+                    replicated=new_rep,
+                    static=not opts.mobile,
+                    memo=ctx.memo,
+                    **opts.algorithm_kwargs,
+                )
+                offsets_in = offsets.offsets
+            converged = new_rep == seen or not opts.replication
+            seen = new_rep
+        ctx.put("replication", replication)
+        ctx.put("offsets", offsets)
+        ctx.put("replicated", seen)
         ctx.put("replication_rounds", rounds)
+        ctx.annotate(rounds=rounds, converged=converged)
 
 
 class AssemblePass(Pass):

@@ -4,10 +4,11 @@ The paper's phases (ADG build → axis/stride → replication ↔ mobile
 offsets → assembly → distribution) used to be hardwired inside one
 monolithic driver.  Here each phase is a :class:`Pass` — a
 named unit declaring the artifact keys it ``requires`` and ``provides``
-— and a :class:`Pipeline` resolves the dependency order, runs only the
-passes a goal needs, instruments each run (wall time, cache-counter
-deltas, structured trace events), and *reuses* artifacts whose inputs
-have not changed.
+— and the passes form one fixed chain
+(:data:`~repro.passes.registry.PASSES`).  A :class:`Pipeline` runs the
+chain up to the last pass that provides a goal, instruments each run
+(wall time, cache-counter deltas, structured trace events), and
+*reuses* artifacts whose inputs have not changed.
 
 Reuse is what makes machine sweeps cheap: a :class:`PlanContext` holds
 typed artifacts versioned by a store-time clock and fingerprinted by
@@ -38,50 +39,41 @@ from ..obs import spans as obs
 
 
 class PipelineError(Exception):
-    """Structural pipeline faults: duplicate providers, cycles."""
+    """A pass that did not provide every artifact it declared."""
 
 
 class MissingArtifactError(KeyError):
     """A required artifact is absent from the context.
 
     Carries enough context to be actionable: the missing key, who asked
-    for it, which pass could provide it (if any), and what *is*
-    available.
+    for it, and what *is* available.  Every pass before the requester
+    has run, so a key still missing is one no pass provides.
     """
 
     def __init__(
         self,
         key: str,
         requester: str | None = None,
-        provider: str | None = None,
         available: Iterable[str] = (),
         goal: bool = False,
     ) -> None:
         self.key = key
         self.requester = requester
-        self.provider = provider
         self.available = sorted(available)
         have = ", ".join(self.available) or "none"
         if goal:
-            # A goal must be *producible* by a registered pass; context
-            # contents are irrelevant (selection happens before any run).
+            # A goal must be *producible* by a pass of the chain; context
+            # contents are irrelevant (the check comes before any run).
             msg = (
                 f"goal {key!r} is not a producible artifact of this "
                 f"pipeline; producible goals: {have}"
             )
         else:
             who = f" (required by pass {requester!r})" if requester else ""
-            if provider:
-                hint = (
-                    f"; pass {provider!r} provides it — add it to the "
-                    "pipeline or run it first"
-                )
-            else:
-                hint = (
-                    "; no registered pass provides it — supply it as a "
-                    "pipeline input"
-                )
-            msg = f"missing artifact {key!r}{who}{hint} (available: {have})"
+            msg = (
+                f"missing artifact {key!r}{who}; no registered pass provides "
+                f"it — supply it as a pipeline input (available: {have})"
+            )
         super().__init__(msg)
 
     def __str__(self) -> str:  # KeyError quotes its arg; keep the message readable
@@ -491,10 +483,12 @@ class Pass:
     tuples) and implement :meth:`run`, reading inputs with ``ctx.get``
     and storing every declared output with ``ctx.put``.  A pass must be
     deterministic in its declared inputs — that is what makes the
-    pipeline's reuse decision sound.
+    pipeline's reuse decision sound.  ``kind`` is the column
+    :meth:`Pipeline.explain` shows.
     """
 
     name: str = "pass"
+    kind: str = "pass"
     requires: tuple[str, ...] = ()
     provides: tuple[str, ...] = ()
 
@@ -508,163 +502,41 @@ class Pass:
         )
 
 
-class FunctionPass(Pass):
-    """A pass wrapping a plain callable ``fn(ctx)`` — the compact way to
-    register a stage (used heavily by the tests)."""
+def _through(goal: str | Sequence[str]) -> Sequence[Pass]:
+    """The prefix of the chain that ends at the last pass providing a
+    ``goal`` artifact.  Each pass requires what the one before it
+    provides, so that prefix is exactly what the goal needs."""
+    from .registry import PASSES
 
-    def __init__(
-        self,
-        name: str,
-        requires: Sequence[str],
-        provides: Sequence[str],
-        fn: Callable[[PlanContext], None],
-    ) -> None:
-        self.name = name
-        self.requires = tuple(requires)
-        self.provides = tuple(provides)
-        self._fn = fn
-
-    def run(self, ctx: PlanContext) -> None:
-        self._fn(ctx)
-
-
-class FixpointPass(Pass):
-    """A pass that iterates a step function to quiescence.
-
-    The replication ↔ mobile-offset loop of Section 6 is the motivating
-    instance: :meth:`step` advances one round and reports convergence;
-    the driver loop caps rounds at :meth:`max_rounds` (the paper's
-    quiescence loops are all iteration-capped, so hitting the cap is a
-    valid, terminating outcome, recorded as ``converged=False`` in the
-    trace).
-    """
-
-    def max_rounds(self, ctx: PlanContext) -> int:
-        return 8
-
-    def init(self, ctx: PlanContext) -> Any:
-        return None
-
-    def step(
-        self, ctx: PlanContext, state: Any, rounds: int
-    ) -> tuple[Any, bool]:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def finish(self, ctx: PlanContext, state: Any, rounds: int) -> None:
-        """Store the converged artifacts; default expects step to have."""
-
-    def run(self, ctx: PlanContext) -> None:
-        state = self.init(ctx)
-        cap = max(1, self.max_rounds(ctx))
-        rounds = 0
-        converged = False
-        while rounds < cap and not converged:
-            rounds += 1
-            state, converged = self.step(ctx, state, rounds)
-        self.finish(ctx, state, rounds)
-        ctx.annotate(rounds=rounds, converged=converged)
+    goals = [goal] if isinstance(goal, str) else list(goal)
+    end = {key: i for i, p in enumerate(PASSES) for key in p.provides}
+    for g in goals:
+        if g not in end:
+            raise MissingArtifactError(g, available=end, goal=True)
+    return PASSES[: max([end[g] + 1 for g in goals], default=0)]
 
 
 class Pipeline:
-    """Dependency-resolving, instrumented driver over registered passes.
+    """The instrumented driver over the fixed chain of passes.
 
-    Construction validates the pass graph (unique providers, no cycles)
-    and fixes a topological execution order.  :meth:`run` executes the
-    subset of passes needed for ``goal`` against a context, skipping any
-    pass whose outputs are already present and whose recorded input
-    signature still matches — version *or* content fingerprint — so
-    forked contexts re-execute only what actually changed.
+    :meth:`run` executes the chain up to the last pass that provides a
+    ``goal`` artifact, skipping any pass whose outputs are already
+    present and whose recorded input signature still matches — version
+    *or* content fingerprint — so forked contexts re-execute only what
+    actually changed.
 
-    A pipeline holds no per-run state — what happened is on the context
-    (``ctx.trace``) — so one instance serves every caller and thread
-    (:func:`repro.passes.registry.default_pipeline`).
+    A pipeline holds no state at all — what happened is on the context
+    (``ctx.trace``) — so any instance serves every caller and thread.
     """
-
-    def __init__(self, passes: Sequence[Pass] | None = None) -> None:
-        if passes is None:
-            from .registry import default_passes
-
-            passes = default_passes()
-        self.passes: list[Pass] = self._order(list(passes))
-
-    # -- graph validation / ordering ---------------------------------------
-
-    @staticmethod
-    def _order(passes: list[Pass]) -> list[Pass]:
-        provider: dict[str, Pass] = {}
-        for p in passes:
-            for key in p.provides:
-                if key in provider:
-                    raise PipelineError(
-                        f"artifact {key!r} provided by both "
-                        f"{provider[key].name!r} and {p.name!r}"
-                    )
-                provider[key] = p
-        # Kahn's algorithm, stable in registration order.
-        index = {id(p): i for i, p in enumerate(passes)}
-        deps: dict[int, set[int]] = {
-            id(p): {
-                id(provider[r]) for r in p.requires if r in provider
-            } - {id(p)}
-            for p in passes
-        }
-        ordered: list[Pass] = []
-        remaining = list(passes)
-        done: set[int] = set()
-        while remaining:
-            ready = [p for p in remaining if deps[id(p)] <= done]
-            if not ready:
-                cyc = ", ".join(p.name for p in remaining)
-                raise PipelineError(f"pass dependency cycle among: {cyc}")
-            ready.sort(key=lambda p: index[id(p)])
-            nxt = ready[0]
-            ordered.append(nxt)
-            done.add(id(nxt))
-            remaining.remove(nxt)
-        return ordered
-
-    @property
-    def provider_of(self) -> dict[str, Pass]:
-        return {key: p for p in self.passes for key in p.provides}
-
-    # -- goal selection ----------------------------------------------------
-
-    def select(self, goal: str | Sequence[str] | None = None) -> list[Pass]:
-        """The passes needed (transitively) to produce ``goal``.
-
-        ``None`` selects every registered pass.  Unknown goals raise a
-        :class:`MissingArtifactError` naming what *is* producible.
-        """
-        if goal is None:
-            return list(self.passes)
-        goals = [goal] if isinstance(goal, str) else list(goal)
-        provider = self.provider_of
-        for g in goals:
-            if g not in provider:
-                raise MissingArtifactError(g, available=provider, goal=True)
-        needed: set[str] = set(goals)
-        chosen: list[Pass] = []
-        for p in reversed(self.passes):
-            if needed & set(p.provides):
-                chosen.append(p)
-                needed |= set(p.requires)
-        return list(reversed(chosen))
 
     # -- execution ---------------------------------------------------------
 
-    def run(
-        self, ctx: PlanContext, goal: str | Sequence[str] | None = None
-    ) -> PlanContext:
-        provider = self.provider_of
-        for p in self.select(goal):
+    def run(self, ctx: PlanContext, goal: str | Sequence[str]) -> PlanContext:
+        for p in _through(goal):
             for req in p.requires:
                 if not ctx.has(req):
-                    prov = provider.get(req)
                     raise MissingArtifactError(
-                        req,
-                        requester=p.name,
-                        provider=prov.name if prov else None,
-                        available=ctx.keys(),
+                        req, requester=p.name, available=ctx.keys()
                     )
             signature = {
                 req: (ctx.artifact(req).version, ctx.artifact(req).fingerprint)
@@ -748,23 +620,17 @@ class Pipeline:
 
     # -- introspection -----------------------------------------------------
 
-    def explain(
-        self,
-        goal: str | Sequence[str] | None = None,
-        delta: Any = None,
-    ) -> str:
-        """Render the pass graph the given goal would execute.
+    def explain(self, goal: str | Sequence[str], delta: Any = None) -> str:
+        """Render the passes the given goal would execute.
 
         ``delta`` (a :class:`~repro.passes.delta.DeltaReport`, or any
         object with a ``pass_status`` mapping) adds a dirty/clean column
         showing what an incremental replan actually did per pass.
         """
-        chosen = self.select(goal)
-        label = goal if goal is None or isinstance(goal, str) else ", ".join(goal)
+        label = goal if isinstance(goal, str) else ", ".join(goal)
         lines = ["planning pipeline" + (f" (goal: {label})" if label else "")]
         status = getattr(delta, "pass_status", None)
-        for i, p in enumerate(chosen):
-            kind = "fixpoint" if isinstance(p, FixpointPass) else "pass"
+        for i, p in enumerate(_through(goal)):
             req = ", ".join(p.requires) or "-"
             prov = ", ".join(p.provides)
             col = (
@@ -773,7 +639,7 @@ class Pipeline:
                 else ""
             )
             lines.append(
-                f"  {i + 1}. {p.name:<22s} [{kind}]{col}  {req}  ->  {prov}"
+                f"  {i + 1}. {p.name:<22s} [{p.kind}]{col}  {req}  ->  {prov}"
             )
         return "\n".join(lines)
 

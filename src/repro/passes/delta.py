@@ -125,7 +125,6 @@ from ..lang import ast as A
 from ..obs import spans as obs
 from ..obs.metrics import registry
 from .core import Pipeline, PlanContext, Rendered, content_fingerprint, render
-from .registry import default_pipeline
 
 __all__ = [
     "DeltaReport",
@@ -691,9 +690,7 @@ def _carry_alignment(
         _put_carried(ctx, base, "distribution", base.get("distribution"))
 
 
-def _account(
-    ctx: PlanContext, pipeline: Pipeline, report: DeltaReport
-) -> None:
+def _account(ctx: PlanContext, report: DeltaReport) -> None:
     """Fill reused/recomputed counts and per-pass status from the trace.
 
     A pass can appear twice (the diff stage runs the graph prefix, then
@@ -721,7 +718,6 @@ def replan(
     program: Optional[A.Program] = None,
     machine=None,
     goal: str | Sequence[str] = ("plan", "distribution"),
-    pipeline: Optional[Pipeline] = None,
 ) -> tuple[PlanContext, DeltaReport]:
     """Incrementally re-plan against a solved base context.
 
@@ -736,7 +732,7 @@ def replan(
     solve would have received identical inputs.
     """
     t0 = time.perf_counter()
-    pipeline = pipeline if pipeline is not None else default_pipeline()
+    pipeline = Pipeline()
     base_art = base.artifact("program")
     base_program = base_art.value
     new_program = program if program is not None else base_program
@@ -883,7 +879,7 @@ def replan(
                 else None,
             )
 
-        _account(ctx, pipeline, report)
+        _account(ctx, report)
         report.memo_hits = dict(ctx.memo.hits)
         report.memo_misses = dict(ctx.memo.misses)
         report.seconds = time.perf_counter() - t0

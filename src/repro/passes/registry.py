@@ -1,16 +1,15 @@
-"""The standard pass registry.
+"""The chain of passes.
 
-``default_passes()`` is the full compilation pipeline, a chain of seven
-passes: the alignment prefix (machine-independent), the profile bridge,
-and the machine-dependent distribution suffix.  Consumers that need a
-subset ask the :class:`~repro.passes.core.Pipeline` for a goal
-("plan", "profile", "distribution") and get exactly the passes that
-goal transitively requires.
+:data:`PASSES` is the whole compilation pipeline, seven passes in the
+paper's order: the alignment prefix (machine-independent), the profile
+bridge, and the machine-dependent distribution suffix.  Each pass
+requires what the one before it provides, so a
+:class:`~repro.passes.core.Pipeline` asked for a goal ("plan",
+"profile", "distribution") runs the chain up to the last pass that
+provides it.
 """
 
 from __future__ import annotations
-
-import functools
 
 from .align_passes import (
     AssemblePass,
@@ -19,32 +18,14 @@ from .align_passes import (
     ReplicationFixpointPass,
     TypecheckPass,
 )
-from .core import Pass, Pipeline
 from .distrib_passes import CommProfilePass, DistributePass
 
-
-def alignment_passes() -> list[Pass]:
-    """The paper's alignment phases (all machine-independent)."""
-    return [
-        TypecheckPass(),
-        BuildADGPass(),
-        AxisStridePass(),
-        ReplicationFixpointPass(),
-        AssemblePass(),
-    ]
-
-
-def default_passes() -> list[Pass]:
-    """The complete registered pipeline, in dependency order."""
-    return alignment_passes() + [
-        CommProfilePass(),
-        DistributePass(),
-    ]
-
-
-@functools.cache
-def default_pipeline() -> Pipeline:
-    """The one pipeline over :func:`default_passes` that the planning
-    kernel (:mod:`repro.align.pipeline`) and :func:`~repro.passes.delta.replan`
-    run every context through."""
-    return Pipeline(default_passes())
+PASSES = (
+    TypecheckPass(),
+    BuildADGPass(),
+    AxisStridePass(),
+    ReplicationFixpointPass(),
+    AssemblePass(),
+    CommProfilePass(),
+    DistributePass(),
+)

@@ -243,10 +243,21 @@ BAD_OPTIONS = {
     "refinement_max_iter": (
         4, None, {"algorithm": "recursive-refinement", "max_iter": 2},
     ),
+    # A round cap is an int >= 1 and a switch is a bool: one plan, one
+    # record, so one serve-cache key.
+    "rounds_zero": (4, None, {"max_replication_rounds": 0}),
+    "rounds_negative": (4, None, {"max_replication_rounds": -2}),
+    "rounds_true": (4, None, {"max_replication_rounds": True}),
+    "rounds_float": (4, None, {"max_replication_rounds": 2.5}),
+    "rounds_str": (4, None, {"max_replication_rounds": "3"}),
+    "rounds_none": (4, None, {"max_replication_rounds": None}),
+    "replication_str": (4, None, {"replication": "yes"}),
+    "mobile_int": (4, None, {"mobile": 0}),
 }
 #: The cases that are :class:`DistributionOptionsError`; a bad spec is the
 #: topology parser's ValueError, a bad algorithm or algorithm keyword the
-#: ValueError / TypeError of ``check_algorithm``.
+#: ValueError / TypeError of ``check_algorithm``, a bad round cap or switch
+#: the ValueError of ``AlignOptions.of``.
 NAMED = {
     "mismatch", "misplaced_align_key", "nprocs_true", "nprocs_float",
     "nprocs_str", "nprocs_zero", "nprocs_negative",
@@ -541,12 +552,27 @@ def test_the_entry_points_the_kernel_replaced_are_gone():
         "PassStats", "stats_table", "plan_one", "_option_keys",
         "_check_distrib_options", "plan_program_phases", "plan_phase_sequence",
         "split_phases", "union_window", "PhasedPlan", "PHASE_CANDIDATES",
-        "PhaseRemapPass", "PhaseProfilesPass", "phase_plan",
+        "PhaseRemapPass", "PhaseProfilesPass", "phase_plan", "FunctionPass",
+        "default_pipeline", "default_passes", "alignment_passes", "provider_of",
     )
     for rel, text in _sources():
         for name in gone:
             assert name not in text, (rel, name)
         assert not re.search(r"\b_worker\b|\b_payload\b|\.stats\[", text), rel
+        # ReplicationFixpointPass stays; the base class it named went.
+        assert not re.search(r"\bFixpointPass\b", text), rel
+
+
+def test_the_pipeline_has_no_settings():
+    """One chain: ``Pipeline()`` takes nothing, a run or an explanation
+    names its goal, and a replan runs the same chain."""
+    from repro.passes import Pipeline, replan
+
+    assert list(inspect.signature(Pipeline).parameters) == []
+    for method in (Pipeline.run, Pipeline.explain):
+        goal = inspect.signature(method).parameters["goal"]
+        assert goal.default is inspect.Parameter.empty, method
+    assert "pipeline" not in inspect.signature(replan).parameters
 
 
 def _public_callables(package):

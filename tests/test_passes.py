@@ -1,11 +1,11 @@
-"""The pass manager: dependency resolution, reuse, fixpoints, wrappers.
+"""The pass chain: goals, reuse, the fixpoint, wrappers.
 
-Covers the :mod:`repro.passes` core in isolation (toy FunctionPasses)
-and end-to-end against the paper programs: requires/provides ordering,
-missing-artifact diagnostics, fixpoint termination, the prefix-reuse
-guarantee (object identity across a machine sweep), wrapper equivalence
-with the staged pipeline, and pickling of context prefixes — the
-property the batch engine's sweep mode is built on.
+Covers the :mod:`repro.passes` core against the paper programs: the
+prefix of the chain each goal runs, missing-artifact diagnostics,
+fixpoint termination, the prefix-reuse guarantee (object identity
+across a machine sweep), wrapper equivalence with the staged pipeline,
+and pickling of context prefixes — the property the batch engine's
+sweep mode is built on.
 """
 
 import dataclasses
@@ -33,9 +33,9 @@ from repro.align.pipeline import (
 )
 from repro.lang import parse, programs
 from repro.passes import (
+    PASSES,
     AlignOptions,
-    FixpointPass,
-    FunctionPass,
+    AssemblePass,
     MachineSpec,
     MissingArtifactError,
     Pipeline,
@@ -51,73 +51,106 @@ from repro.passes.core import (
 )
 
 
-def _mk(name, requires, provides, fn=None):
-    def default(ctx):
-        for key in provides:
-            ctx.put(key, f"{name}:{key}")
+CHAIN = (
+    "typecheck",
+    "build-adg",
+    "axis-stride",
+    "replication-offsets",
+    "assemble",
+    "comm-profile",
+    "distribute",
+)
+#: Each producible artifact → how many passes of the chain a goal of it
+#: runs (its provider is the last of them).
+PREFIX_FOR = {
+    "typeinfo": 1,
+    "adg": 2,
+    "skeletons": 3,
+    "replication": 4,
+    "offsets": 4,
+    "replicated": 4,
+    "replication_rounds": 4,
+    "alignments": 5,
+    "total_cost": 5,
+    "plan": 5,
+    "profile": 6,
+    "distribution": 7,
+}
 
-    return FunctionPass(name, requires, provides, fn or default)
+
+def _fresh_context():
+    ctx = plan_context(programs.example1())
+    ctx.put("machine", MachineSpec.of(4))
+    return ctx
 
 
-class TestDependencyResolution:
-    def test_passes_ordered_by_requires_provides(self):
-        # Registered backwards; the pipeline must topo-sort a -> b -> c.
-        c = _mk("c", ["B"], ["C"])
-        b = _mk("b", ["A"], ["B"])
-        a = _mk("a", [], ["A"])
-        pipe = Pipeline([c, b, a])
-        assert [p.name for p in pipe.passes] == ["a", "b", "c"]
-        ctx = pipe.run(PlanContext())
-        assert ctx.get("C") == "c:C"
+class TestGoals:
+    def test_each_pass_requires_what_the_one_before_provides(self):
+        # Why the prefix ending at a goal's provider is all the goal needs.
+        for before, p in zip(PASSES, PASSES[1:]):
+            assert set(before.provides) & set(p.requires), (before, p)
 
-    def test_goal_selects_minimal_subset(self):
-        pipe = Pipeline(
-            [_mk("a", [], ["A"]), _mk("b", ["A"], ["B"]), _mk("x", [], ["X"])]
-        )
-        assert [p.name for p in pipe.select("B")] == ["a", "b"]
-        assert [p.name for p in pipe.select("X")] == ["x"]
+    @pytest.mark.parametrize(
+        "goal",
+        [
+            *PREFIX_FOR,
+            ("plan", "profile"),
+            ("profile", "plan"),
+            ("adg", "offsets"),
+            ("distribution", "typeinfo"),
+        ],
+    )
+    def test_a_goal_runs_the_chain_up_to_its_provider(self, goal):
+        goals = [goal] if isinstance(goal, str) else goal
+        ctx = Pipeline().run(_fresh_context(), goal=goal)
+        ran = [e["pass"] for e in ctx.trace]
+        assert ran == list(CHAIN[: max(PREFIX_FOR[g] for g in goals)])
+        assert all(e["event"] == "run" for e in ctx.trace)
 
-    def test_duplicate_provider_rejected(self):
-        with pytest.raises(PipelineError, match="provided by both"):
-            Pipeline([_mk("a", [], ["A"]), _mk("a2", [], ["A"])])
-
-    def test_dependency_cycle_rejected(self):
-        with pytest.raises(PipelineError, match="cycle"):
-            Pipeline([_mk("a", ["B"], ["A"]), _mk("b", ["A"], ["B"])])
-
-    def test_unknown_goal_names_producible_artifacts(self):
-        pipe = Pipeline([_mk("a", [], ["A"])])
-        with pytest.raises(
-            MissingArtifactError, match="producible goals: A"
-        ) as ei:
-            pipe.select("nope")
-        # A goal is not an input: the error must not suggest supplying it.
-        assert "supply it as a pipeline input" not in str(ei.value)
+    @pytest.mark.parametrize("goal", ["nope", "program", "machine", "align_options"])
+    def test_unknown_goal_names_producible_artifacts(self, goal):
+        ctx = _fresh_context()
+        pipe = Pipeline()
+        for call in (lambda: pipe.run(ctx, goal=goal), lambda: pipe.explain(goal)):
+            with pytest.raises(MissingArtifactError) as ei:
+                call()
+            msg = str(ei.value)
+            assert msg.startswith(f"goal {goal!r} is not a producible artifact")
+            listed = msg.split("producible goals: ")[1].split(", ")
+            assert listed == sorted(PREFIX_FOR)
+            # A goal is not an input: the error must not suggest supplying it.
+            assert "supply it as a pipeline input" not in msg
+        assert ctx.trace == []  # refused before any pass ran
 
 
 class TestMissingArtifacts:
     def test_error_names_key_pass_and_available(self):
-        pipe = Pipeline([_mk("b", ["A"], ["B"])])
         ctx = PlanContext()
-        ctx.put("other", 1)
+        ctx.put("align_options", AlignOptions.of())
         with pytest.raises(MissingArtifactError) as ei:
-            pipe.run(ctx, goal="B")
+            Pipeline().run(ctx, goal="plan")
         msg = str(ei.value)
-        assert "'A'" in msg and "'b'" in msg
-        assert "no registered pass provides it" in msg
-        assert "other" in msg  # what *is* available
+        assert "'program'" in msg and "'typecheck'" in msg
+        assert "supply it as a pipeline input" in msg
+        assert "align_options" in msg  # what *is* available
 
     def test_error_names_provider_when_one_exists(self):
-        # 'b' needs A; a provider for A exists but is excluded by goal
-        # selection state — simulate by asking the context directly.
+        # The context itself names the missing key and what it holds.
         ctx = PlanContext()
         with pytest.raises(MissingArtifactError, match="missing artifact 'A'"):
             ctx.get("A")
 
-    def test_pass_that_underdelivers_is_diagnosed(self):
-        broken = FunctionPass("broken", [], ["A", "B"], lambda ctx: ctx.put("A", 1))
-        with pytest.raises(PipelineError, match="did not provide: B"):
-            Pipeline([broken]).run(PlanContext())
+    def test_pass_that_underdelivers_is_diagnosed(self, monkeypatch):
+        def without_plan(self, ctx):
+            ctx.put("alignments", {})
+            ctx.put("total_cost", 0)
+
+        monkeypatch.setattr(AssemblePass, "run", without_plan)
+        ctx = plan_context(programs.example1())
+        with pytest.raises(
+            PipelineError, match="'assemble' declared but did not provide: plan$"
+        ):
+            Pipeline().run(ctx, goal="plan")
 
     def test_real_pipeline_distribution_needs_machine(self):
         ctx = plan_context(programs.example1())
@@ -126,47 +159,6 @@ class TestMissingArtifacts:
 
 
 class TestFixpoint:
-    def test_converging_fixpoint_records_rounds(self):
-        class Count(FixpointPass):
-            name = "count"
-            provides = ("n",)
-
-            def max_rounds(self, ctx):
-                return 10
-
-            def init(self, ctx):
-                return 0
-
-            def step(self, ctx, state, rounds):
-                return state + 1, state + 1 >= 3
-
-            def finish(self, ctx, state, rounds):
-                ctx.put("n", state)
-
-        ctx = Pipeline([Count()]).run(PlanContext())
-        assert ctx.get("n") == 3
-        (ev,) = [e for e in ctx.trace if e["pass"] == "count"]
-        assert ev["rounds"] == 3 and ev["converged"] is True
-
-    def test_nonconverging_fixpoint_terminates_at_cap(self):
-        class Never(FixpointPass):
-            name = "never"
-            provides = ("n",)
-
-            def max_rounds(self, ctx):
-                return 4
-
-            def step(self, ctx, state, rounds):
-                return rounds, False
-
-            def finish(self, ctx, state, rounds):
-                ctx.put("n", rounds)
-
-        ctx = Pipeline([Never()]).run(PlanContext())
-        assert ctx.get("n") == 4
-        (ev,) = [e for e in ctx.trace if e["pass"] == "never"]
-        assert ev["rounds"] == 4 and ev["converged"] is False
-
     def test_replication_fixpoint_trace_rounds_match_plan(self):
         ctx = plan_context(programs.figure1())
         Pipeline().run(ctx, goal="plan")
@@ -547,17 +539,8 @@ class TestTraceAndExplain:
         ]
 
     def test_default_passes_are_the_seven_pass_chain(self):
-        from repro.passes import default_passes
-
-        assert [p.name for p in default_passes()] == [
-            "typecheck",
-            "build-adg",
-            "axis-stride",
-            "replication-offsets",
-            "assemble",
-            "comm-profile",
-            "distribute",
-        ]
+        assert tuple(p.name for p in PASSES) == CHAIN
+        assert [p.kind for p in PASSES] == ["pass"] * 3 + ["fixpoint"] + ["pass"] * 3
 
     def test_trace_table_renders(self):
         from repro.passes import trace_table
@@ -580,6 +563,44 @@ class TestTraceAndExplain:
         # --explain must not silently swallow a requested batch run.
         with pytest.raises(SystemExit):
             main(["--batch", "2", "--explain"])
+
+    def test_explain_is_pinned_byte_for_byte(self):
+        from repro.align.pipeline import explain_plan
+        from repro.passes import replan
+
+        prefix = [
+            "  1. typecheck              [pass]{}  program  ->  typeinfo",
+            "  2. build-adg              [pass]{}  program, typeinfo  ->  adg",
+            "  3. axis-stride            [pass]{}  adg  ->  skeletons",
+            "  4. replication-offsets    [fixpoint]{}  program, adg, skeletons,"
+            " align_options  ->  replication, offsets, replicated,"
+            " replication_rounds",
+            "  5. assemble               [pass]{}  program, adg, skeletons,"
+            " replication, offsets, replicated, replication_rounds  ->"
+            "  alignments, total_cost, plan",
+        ]
+        suffix = [
+            "  6. comm-profile           [pass]{}  adg, alignments  ->  profile",
+            "  7. distribute             [pass]{}  profile, machine  ->"
+            "  distribution",
+        ]
+        assert explain_plan() == "\n".join(
+            ["planning pipeline (goal: plan)"] + [ln.format("") for ln in prefix]
+        )
+        assert explain_plan(machine=True) == "\n".join(
+            ["planning pipeline (goal: plan, distribution)"]
+            + [ln.format("") for ln in prefix + suffix]
+        )
+        options, machine = planning_records(4)
+        base = solve_suffix(solve_prefix(programs.example1(), options), machine)
+        _, report = replan(base, machine=MachineSpec.of(8))
+        assert report.strategy == "machine_only"
+        clean, dirty = " [reused (clean)]", " [ran (dirty)   ]"
+        assert explain_plan(True, delta=report) == "\n".join(
+            ["planning pipeline (goal: plan, distribution)"]
+            + [ln.format(clean) for ln in prefix + suffix[:1]]
+            + [suffix[1].format(dirty)]
+        )
 
     def test_sweep_prefix_timings_survive_suffix_failure(self, monkeypatch):
         """When every machine of a program's chunk fails, the stage-1
