@@ -11,7 +11,7 @@ Usage::
                          [--trace-passes]
                          [--trace-out OUT.json] [--metrics]
                          [--prom-out OUT.prom]
-    python -m repro --batch <dir|count> [--jobs J] [--serial]
+    python -m repro --batch <dir|count> [--jobs J]
                          [--batch-seed S] [--batch-json OUT.json]
                          [--distribute P] [--topology SPEC]
                          [--trace-out OUT.json] [--metrics]
@@ -35,8 +35,9 @@ distributions for the same program.
 either a directory of program sources (planned file by file) or an
 integer N (a generated N-program corpus from
 :mod:`repro.lang.generate`); programs are planned concurrently over a
-process pool and the aggregate report — throughput, failures, cache hit
-rates, per-pass timings — is printed, optionally dumped as JSON.
+process pool (``--jobs J`` workers; ``--jobs 1`` plans them inline) and
+the aggregate report — throughput, failures, cache hit rates, per-pass
+timings — is printed, optionally dumped as JSON.
 
 ``--replan-from BASE`` demonstrates incremental re-planning: BASE is
 planned from scratch, then FILE is treated as an edit of it and
@@ -138,7 +139,6 @@ def _run_batch(args, align_kw: dict) -> int:
         corpus,
         nprocs=args.distribute,
         jobs=args.jobs,
-        serial=args.serial,
         align_kw=align_kw,
         verify=True,
         topology=args.topology if args.distribute is not None else None,
@@ -270,12 +270,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument(
         "--jobs",
         type=int,
-        help="worker processes for --batch (default: CPU count)",
-    )
-    ap.add_argument(
-        "--serial",
-        action="store_true",
-        help="with --batch: force the deterministic serial fallback",
+        help="worker processes for --batch (default: CPU count; 1 plans "
+        "inline)",
     )
     ap.add_argument(
         "--batch-seed",
@@ -289,6 +285,8 @@ def main(argv: list[str] | None = None) -> int:
         help="with --batch: write the aggregate report as JSON",
     )
     args = ap.parse_args(argv)
+    if args.jobs is not None and args.jobs < 1:
+        ap.error(f"--jobs must be >= 1, got {args.jobs}")
     topology = None
     if args.topology is not None:
         from .topology import parse_topology
@@ -356,7 +354,6 @@ def main(argv: list[str] | None = None) -> int:
     else:
         for flag, present in [
             ("--jobs", args.jobs is not None),
-            ("--serial", args.serial),
             ("--batch-json", args.batch_json is not None),
         ]:
             if present:

@@ -8,11 +8,13 @@ full alignment + distribution pipeline, and returns a
 alignments, chosen distribution, wall time, failure diagnostics, and
 per-task cache-hit counters from :mod:`repro.cachestats`.
 
-Execution is a :class:`concurrent.futures.ProcessPoolExecutor` fan-out
-with a deterministic serial fallback (``jobs=1``, ``serial=True``, or
-any failure to spawn the pool): results are identical and arrive in
-corpus order either way, because planning itself is deterministic and
-``Executor.map`` preserves input order.
+Execution is a fan-out over a :class:`WorkerPool`, the one process
+pool of every driver (the planning service's cold misses use it too).
+``jobs=1`` or ``serial=True`` plans inline; a fault of the pool (it
+cannot be spawned, it refuses a submit, a worker dies) re-plans inline
+only the tasks the pool lost, and the report says why.  Results are
+identical and arrive in corpus order either way, because planning
+itself is deterministic and the pool maps in order.
 
 The engine plans nothing itself.  Each entry point turns its keywords
 — the machine named as ``(nprocs, topology)`` — into the two frozen
@@ -24,20 +26,22 @@ planning kernel for its plan (``solve_prefix`` / ``solve_suffix`` /
 records.  What the engine adds is the measurement around a task
 (:func:`_measured`: wall time, cache-counter deltas, per-pass seconds
 off ``ctx.trace``, the span tree, failure → diagnostic) and the pool
-(:func:`_run_pool`).  :func:`plan_sweep` plans one corpus against
-*many* machines in two stages on one pool: stage one solves each
-program's machine-independent prefix (a
-:class:`~repro.passes.PlanContext`, which pickles), stage two ships
-those prefixes back across the pool and runs only the suffix, on a
-fork, per (program, machine) pair.
+(:class:`WorkerPool`, one per call, run by :func:`_run_pool`).
+:func:`plan_sweep` plans one corpus against *many* machines in two
+stages on one pool: stage one solves each program's
+machine-independent prefix (a :class:`~repro.passes.PlanContext`, which
+pickles), stage two ships those prefixes back across the pool and runs
+only the suffix, on a fork, per (program, machine) pair.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Union
@@ -401,6 +405,90 @@ class BatchReport:
         return "\n".join(lines)
 
 
+def _run_chunk(fn: Callable, chunk: list) -> list:
+    """One chunk of :meth:`WorkerPool.map`, run in a worker (or inline)."""
+    return [fn(*args) for args in chunk]
+
+
+class WorkerPool:
+    """The one process pool of every driver, and its one fault policy.
+
+    :meth:`map` is the builtin ``map`` made eager, in order, over ``jobs``
+    worker processes (spawned on the first map; none with ``jobs <= 1``)
+    in chunks of ``max(1, n // (4 * jobs))`` tasks.  A fault of the pool
+    — it cannot be spawned, it refuses a submit, a worker dies — is
+    recorded once in ``fault`` (``"Type: message"``) and passed to
+    ``on_fault``: what the pool finished is kept, the chunks it lost run
+    inline, and so does every later map.  What a task raises is that
+    task's, as in the builtin ``map``, and the pool stays up.  A closed
+    pool never spawns again.  Thread-safe: the service maps from many
+    threads at once.
+    """
+
+    def __init__(self, jobs: int, on_fault: Optional[Callable] = None) -> None:
+        self.jobs = jobs
+        self.fault: Optional[str] = None
+        self._on_fault = on_fault
+        self._executor: Optional[ProcessPoolExecutor] = None
+        self._closed = False
+        self._lock = threading.Lock()
+
+    def map(self, fn: Callable, *iterables) -> list:
+        tasks = list(zip(*iterables))
+        size = max(1, len(tasks) // (4 * self.jobs))
+        chunks = [tasks[i : i + size] for i in range(0, len(tasks), size)]
+        results: list = []
+        for chunk, future in zip(chunks, self._submit(fn, chunks)):
+            if future is not None:
+                try:
+                    results.extend(future.result())
+                    continue
+                except BrokenProcessPool as exc:
+                    self._faulted(exc)
+            results.extend(_run_chunk(fn, chunk))
+        return results
+
+    def _submit(self, fn: Callable, chunks: list) -> list:
+        """One future per chunk, ``None`` where the pool takes none."""
+        futures: list = [None] * len(chunks)
+        with self._lock:
+            if self.jobs <= 1 or self.fault is not None or self._closed:
+                return futures
+            try:
+                if self._executor is None:
+                    self._executor = ProcessPoolExecutor(max_workers=self.jobs)
+                for i, chunk in enumerate(chunks):
+                    futures[i] = self._executor.submit(_run_chunk, fn, chunk)
+                return futures
+            except (OSError, ValueError, RuntimeError) as exc:
+                fault = exc
+        self._faulted(fault)
+        return futures
+
+    def _faulted(self, exc: Exception) -> None:
+        with self._lock:
+            first = self.fault is None
+            if first:
+                self.fault = f"{type(exc).__name__}: {exc}"
+        if first and self._on_fault is not None:
+            self._on_fault(exc)
+
+    def close(self, wait: bool = True) -> None:
+        """Shut the executor down (joining its workers with ``wait``);
+        every later map runs inline."""
+        with self._lock:
+            executor, self._executor = self._executor, None
+            self._closed = True
+        if executor is not None:
+            executor.shutdown(wait=wait)
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
+
 def _run_pool(
     work: Callable,
     tasks: int,
@@ -408,42 +496,30 @@ def _run_pool(
     serial: bool,
     topology: Optional[str] = None,
 ) -> BatchReport:
-    """The report of ``work(pmap, jobs)`` run on a process pool, or inline.
+    """The report of ``work(pool)`` run on a fresh :class:`WorkerPool`.
 
-    ``work`` gets a ``map``-like ``pmap(fn, payloads)`` and the worker
-    count (default: the CPU count, capped at ``tasks``) and returns the
-    results; it may map twice — a sweep's stages share one pool.  With
-    ``serial`` or one job ``pmap`` is the builtin ``map``, and when the
-    pool cannot be had (sandbox, worker killed mid-run, interpreter
-    teardown…) the work is run again that way — same results, same
-    order — and the report says why.
+    ``work`` maps its tasks on the pool and returns the results; it may
+    map twice — a sweep's stages share one pool.  The pool has ``jobs``
+    workers (default: the CPU count, capped at ``tasks``), one with
+    ``serial``, and is closed — its workers joined — before the report is
+    made.  A faulted run is reported as serial, with the pool's fault as
+    the reason.
     """
     jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-    jobs = max(1, min(jobs, tasks or 1))
-    reason = None
+    jobs = 1 if serial else max(1, min(jobs, tasks or 1))
     t0 = time.perf_counter()
-    if jobs > 1 and not serial:
-
-        def pmap(fn, payloads):
-            chunk = max(1, len(payloads) // (4 * jobs))
-            return pool.map(fn, payloads, chunksize=chunk)
-
-        try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = work(pmap, jobs)
-            return BatchReport(
-                results, time.perf_counter() - t0, jobs, "process", topology=topology
-            )
-        except (OSError, ValueError, RuntimeError) as exc:
-            reason = f"{type(exc).__name__}: {exc}"
-            t0 = time.perf_counter()
-    results = work(map, 1)
+    with WorkerPool(jobs) as pool:
+        results = work(pool)
+    if jobs == 1 or pool.fault is not None:
+        jobs, mode = 1, "serial"
+    else:
+        mode = "process"
     return BatchReport(
         results,
         time.perf_counter() - t0,
-        1,
-        "serial",
-        fallback_reason=reason,
+        jobs,
+        mode,
+        fallback_reason=pool.fault,
         topology=topology,
     )
 
@@ -461,10 +537,10 @@ def plan_many(
     """Plan every program in ``corpus``; results in corpus order.
 
     ``jobs`` defaults to the machine's CPU count.  ``serial=True`` (or
-    ``jobs=1``) runs the same work inline — the deterministic fallback —
-    and any failure to spawn the pool degrades to it, so ``plan_many``
-    works in restricted environments.  ``topology`` is a machine spec
-    string applied to every task.  Options and machine are checked here,
+    ``jobs=1``) runs the same work inline, and a fault of the pool
+    re-plans inline only what the pool lost (:class:`WorkerPool`), so
+    ``plan_many`` works in restricted environments.  ``topology`` is a
+    machine spec string applied to every task.  Options and machine are checked here,
     once: a bad processor count or topology, an algorithm name or one of
     its keywords raises before anything is planned.  ``trace=True``
     records every task's span tree in its worker and ships the recorders
@@ -476,7 +552,7 @@ def plan_many(
         for i, item in enumerate(corpus)
     ]
     return _run_pool(
-        lambda pmap, _: list(pmap(_plan_task, payloads)),
+        lambda pool: pool.map(_plan_task, payloads),
         len(payloads),
         jobs,
         serial,
@@ -574,19 +650,17 @@ def plan_sweep(
     if not specs:
         raise ValueError("plan_sweep needs at least one machine")
 
-    def work(pmap, jobs):
+    def work(pool):
         # One chunk per program when programs alone fill the pool; more
         # (down to per-machine) when they don't — chunking bounds how
         # often each heavy context is re-pickled across the pool while
         # keeping every worker busy.
-        n = max(1, min(len(specs), jobs // max(1, len(requests))))
+        n = max(1, min(len(specs), pool.jobs // max(1, len(requests))))
         size = -(-len(specs) // n)  # ceil
         chunks = [specs[i : i + size] for i in range(0, len(specs), size)]
-        prefixes = list(
-            pmap(_prefix_task, [(req, options, trace) for req in requests])
-        )
+        prefixes = pool.map(_prefix_task, [(req, options, trace) for req in requests])
         solved = iter(
-            pmap(
+            pool.map(
                 _sweep_task,
                 [
                     (p.name, p if i == 0 else None, ctx, chunk, verify, trace)

@@ -97,6 +97,8 @@ def main(argv: list[str] | None = None) -> int:
         "(deterministic: every round(1/R)-th request; default 0: off)",
     )
     args = ap.parse_args(argv)
+    if args.jobs < 1:
+        ap.error(f"--jobs must be >= 1, got {args.jobs}")
     if not 0.0 <= args.trace_sample <= 1.0:
         ap.error(f"--trace-sample outside [0, 1]: {args.trace_sample}")
     if args.trace_sample and not args.access_log:

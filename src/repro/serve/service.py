@@ -17,9 +17,10 @@ produced:
   suffix recomputed (counted as ``serve.hits.delta``, timed by
   ``serve.delta_ms``; a stale base ticks ``serve.delta_stale`` and
   degrades to cold);
-* ``cached=None`` — a cold miss: the full pipeline ran, sharded to the
-  worker-process pool when the service has one (``jobs > 1``), and both
-  cache namespaces were populated for the next request.
+* ``cached=None`` — a cold miss: the full pipeline ran, in the
+  service's :class:`~repro.batch.engine.WorkerPool` (worker processes
+  when ``jobs > 1``, inline otherwise), and both cache namespaces were
+  populated for the next request.
 
 The service plans nothing itself: the three planning outcomes are calls
 to the planning kernel (:mod:`repro.align.pipeline`) — ``solve_prefix``
@@ -49,6 +50,13 @@ SLO objectives (:func:`repro.obs.slo.serve_slo_report`) are reported
 over that lifetime by :meth:`PlanService.stats`, and a reader that
 wants a recent view subtracts two polls (:mod:`repro.obs.watch`).
 ``serve.inflight`` gauges the requests currently admitted.
+
+The worker pool is the batch engine's, with its one fault policy: a
+pool that cannot be spawned, refuses a submit or loses a worker turns
+the service to inline planning for good, counted once in
+``serve.pool_fallbacks``; a planning error inside a worker is that
+request's error.  After :meth:`PlanService.close` cold misses plan
+inline, and no process or thread pool is created again.
 
 Deriving the cache key is most of a hit (parse the source, walk the
 program for its fingerprint; build and fingerprint the machine), so the
@@ -86,8 +94,7 @@ import hashlib
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
@@ -99,7 +106,7 @@ from ..align.pipeline import (
     solve_prefix,
     solve_suffix,
 )
-from ..batch.engine import machine_label
+from ..batch.engine import WorkerPool, machine_label
 from ..lang.parser import parse
 from ..obs import spans as obs
 from ..obs.metrics import registry
@@ -289,10 +296,11 @@ class PlanService:
         self._machine_memo: OrderedDict[tuple, tuple] = OrderedDict()
         self._trace_lock = threading.Lock()
         self._pending = 0
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_broken = False
-        self._threads: Optional[ThreadPoolExecutor] = None
-        self._closed = False
+        self.pool = WorkerPool(self.jobs, on_fault=self._pool_fault)
+        # Starts no thread before the first submit.
+        self._threads = ThreadPoolExecutor(
+            max_workers=max(2, self.jobs), thread_name_prefix="repro-serve"
+        )
 
     # -- admission / backpressure ------------------------------------------
 
@@ -571,45 +579,16 @@ class PlanService:
         return prefix, _answer(prefix, machine, program.name)
 
     def _plan_cold(self, program, machine):
-        """Full-pipeline cold path, sharded to the worker pool if any.
+        """Full-pipeline cold path, in the worker pool: ``(prefix,
+        payload)``.  A planning error raised in a worker is this
+        request's error; a fault of the pool plans it inline."""
+        (answer,) = self.pool.map(_cold, [program], [self.options], [machine])
+        return answer
 
-        Returns ``(prefix, payload)``.  Only a fault of the *pool* — it
-        cannot take the task, or a worker died under it — degrades the
-        service to inline planning (for good: same results, no
-        concurrency; counted by ``serve.pool_fallbacks``).  An exception
-        the planner raised inside a worker is that request's error and
-        leaves the pool up.
-        """
-        pool = self._worker_pool()
-        if pool is not None:
-            try:
-                future = pool.submit(_cold, program, self.options, machine)
-            except (OSError, RuntimeError) as exc:
-                fault: Exception = exc
-            else:
-                try:
-                    return future.result()
-                except BrokenProcessPool as exc:
-                    fault = exc
-            with self._lock:
-                self._pool_broken = True
-            registry().counter("serve.pool_fallbacks").inc()
-            obs.instant("serve.pool_fallback", error=type(fault).__name__)
-        return _cold(program, self.options, machine)
-
-    def _worker_pool(self) -> Optional[ProcessPoolExecutor]:
-        if self.jobs <= 1:
-            return None
-        with self._lock:
-            if self._pool_broken:
-                return None
-            if self._pool is None:
-                try:
-                    self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-                except (OSError, ValueError, RuntimeError):
-                    self._pool_broken = True
-                    return None
-            return self._pool
+    def _pool_fault(self, exc: Exception) -> None:
+        """The pool's one fault: the service plans inline from now on."""
+        registry().counter("serve.pool_fallbacks").inc()
+        obs.instant("serve.pool_fallback", error=type(exc).__name__)
 
     # -- async front -------------------------------------------------------
 
@@ -621,19 +600,10 @@ class PlanService:
         try:
             loop = asyncio.get_running_loop()
             return await loop.run_in_executor(
-                self._thread_pool(), self.handle_admitted, request
+                self._threads, self.handle_admitted, request
             )
         finally:
             self.release()
-
-    def _thread_pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._threads is None:
-                self._threads = ThreadPoolExecutor(
-                    max_workers=max(2, self.jobs),
-                    thread_name_prefix="repro-serve",
-                )
-            return self._threads
 
     # -- introspection / lifecycle -----------------------------------------
 
@@ -688,14 +658,11 @@ class PlanService:
         }
 
     def close(self) -> None:
-        with self._lock:
-            pool, self._pool = self._pool, None
-            threads, self._threads = self._threads, None
-            self._closed = True
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-        if threads is not None:
-            threads.shutdown(wait=False, cancel_futures=True)
+        """Shut both pools down, without waiting.  A closed service still
+        answers :meth:`handle` (cold misses inline); :meth:`handle_async`
+        needs the thread pool and raises ``RuntimeError``."""
+        self.pool.close(wait=False)
+        self._threads.shutdown(wait=False, cancel_futures=True)
 
     def __enter__(self) -> "PlanService":
         return self

@@ -81,7 +81,7 @@ class TestCLI:
         from obs_formats import check_exposition
 
         out = tmp_path / "metrics.prom"
-        run = ["--batch", "4", "--serial"] if batch else [prog_file]
+        run = ["--batch", "4", "--jobs", "1"] if batch else [prog_file]
         assert main([*run, "--distribute", "4", "--prom-out", str(out)]) == 0
         assert check_exposition(out.read_text()) == []
 
@@ -162,7 +162,8 @@ class TestBatchCLI:
                     "6",
                     "--distribute",
                     "4",
-                    "--serial",
+                    "--jobs",
+                    "1",
                     "--batch-json",
                     str(out_json),
                 ]
@@ -182,7 +183,7 @@ class TestBatchCLI:
         d.mkdir()
         (d / "a.dp").write_text(FIG1)
         (d / "b.dp").write_text("real A(8)\nA(1:8) = A(1:8) + 1.0\n")
-        assert main(["--batch", str(d), "--serial"]) == 0
+        assert main(["--batch", str(d), "--jobs", "1"]) == 0
         out = capsys.readouterr().out
         assert "batch: 2 programs" in out
 
@@ -190,7 +191,7 @@ class TestBatchCLI:
         d = tmp_path / "corpus"
         d.mkdir()
         (d / "bad.dp").write_text("this is junk (\n")
-        assert main(["--batch", str(d), "--serial"]) == 1
+        assert main(["--batch", str(d), "--jobs", "1"]) == 1
         assert "FAILED" in capsys.readouterr().out
 
     def test_file_required_without_batch(self):
@@ -214,11 +215,28 @@ class TestBatchCLI:
         assert main(["--batch", "-5"]) == 1
         assert "must be >= 1" in capsys.readouterr().err
 
+    def test_serial_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--batch", "3", "--serial"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --serial" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_refused_by_both_clis(self, jobs, capsys):
+        from repro.serve.__main__ import main as serve_main
+
+        for run in (main, serve_main):
+            args = ["--batch", "3", "--jobs", jobs] if run is main else ["--jobs", jobs]
+            with pytest.raises(SystemExit) as exc:
+                run(args)
+            assert exc.value.code == 2
+            assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+
     def test_non_utf8_file_is_diagnosed_not_crashed(self, tmp_path, capsys):
         d = tmp_path / "corpus"
         d.mkdir()
         (d / "good.dp").write_text("real A(8)\nA(1:8) = A(1:8) + 1.0\n")
         (d / "junk.bin").write_bytes(b"\xff\xfe\x00garbage\x80")
-        assert main(["--batch", str(d), "--serial"]) == 1
+        assert main(["--batch", str(d), "--jobs", "1"]) == 1
         out = capsys.readouterr().out
         assert "1 ok, 1 failed" in out and "FAILED junk.bin" in out

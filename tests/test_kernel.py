@@ -158,7 +158,7 @@ def test_every_driver_returns_the_same_facts(
         )
     with PlanService(jobs=2) as svc:
         pooled = svc.handle(ask)
-        assert svc._pool is not None and svc._pool_broken is False
+        assert svc.pool._executor is not None and svc.pool.fault is None
     replies = [cold, pooled, prefix_hit, plan_hit, delta]
     assert [r.cached for r in replies] == [None, None, "prefix", "plan", "delta"]
     payload = {"name": scenario.name, "machine": label, **want}

@@ -571,7 +571,7 @@ class TestCLITraceOut:
     def test_batch_trace_out(self, tmp_path, capsys):
         out = str(tmp_path / "batch.json")
         assert (
-            main(["--batch", "3", "--serial", "--trace-out", out]) == 0
+            main(["--batch", "3", "--jobs", "1", "--trace-out", out]) == 0
         )
         assert "trace written to" in capsys.readouterr().out
         assert check_file(out) == []

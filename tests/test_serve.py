@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import multiprocessing
 import os
 import pickle
 import subprocess
@@ -26,7 +25,6 @@ import pytest
 
 from repro.obs.metrics import registry
 from repro.passes import PlanContext, content_fingerprint
-from repro.serve.service import _cold
 from repro.serve import (
     MISS,
     SCHEMA_VERSION,
@@ -574,75 +572,6 @@ class TestPlanService:
             pooled = svc.handle(req)
         assert inline.ok and pooled.ok
         assert pickle.dumps(inline.plan) == pickle.dumps(pooled.plan)
-
-
-# -- pool faults vs planner errors ---------------------------------------------
-
-
-def _task_raises(program, options, machine):
-    """A cold plan the planner fails in (``align/offset_static.py``) —
-    on program ``q``; any other is planned."""
-    if program.name == "q":
-        raise RuntimeError("offset LP axis 0: infeasible")
-    return _cold(program, options, machine)
-
-
-def _task_dies(program, options, machine):
-    """A cold plan whose pool worker is killed under it (inline — the
-    fallback — it is planned)."""
-    if multiprocessing.parent_process() is not None:
-        os._exit(1)
-    return _cold(program, options, machine)
-
-
-class TestPoolFaults:
-    """Only a fault of the pool switches it off; what a task raises is
-    that request's error.  Each case: pool state, counters, the reply
-    and the single access-log record."""
-
-    def _ask(self, tmp_path, monkeypatch, task):
-        import repro.serve.service as service
-        from repro.serve import read_access_log
-
-        log = str(tmp_path / "access.jsonl")
-        before = {
-            name: _counter(name)
-            for name in ("serve.errors", "serve.pool_fallbacks")
-        }
-        monkeypatch.setattr(service, "_cold", task)
-        with PlanService(jobs=2, access_log=log) as svc:
-            resp = svc.handle(ServeRequest("q", SRC, nprocs=4))
-            moved = {name: _counter(name) - n for name, n in before.items()}
-            (record,) = [
-                r for r in read_access_log(log) if r["kind"] == "access"
-            ]
-            again = svc.handle(ServeRequest("r", SRC2, nprocs=4))
-            return svc._pool_broken, moved, resp, record, again
-
-    def test_a_task_that_raises_is_that_requests_error(self, tmp_path, monkeypatch):
-        broken, moved, resp, record, again = self._ask(
-            tmp_path, monkeypatch, _task_raises
-        )
-        assert broken is False
-        assert moved == {"serve.errors": 1, "serve.pool_fallbacks": 0}
-        assert resp.status == "error" and resp.plan is None
-        assert resp.error == "RuntimeError: offset LP axis 0: infeasible"
-        assert (record["status"], record["error"]) == ("error", resp.error)
-        # The pool is still up, and still what plans the next cold miss.
-        assert again.ok and again.cached is None
-
-    def test_a_worker_that_dies_degrades_to_inline(self, tmp_path, monkeypatch):
-        broken, moved, resp, record, again = self._ask(
-            tmp_path, monkeypatch, _task_dies
-        )
-        assert broken is True
-        assert moved == {"serve.errors": 0, "serve.pool_fallbacks": 1}
-        assert resp.ok and resp.cached is None
-        with PlanService() as inline:
-            want = inline.handle(ServeRequest("q", SRC, nprocs=4))
-        assert pickle.dumps(resp.plan) == pickle.dumps(want.plan)
-        assert (record["status"], record.get("error")) == ("ok", None)
-        assert again.ok and again.cached is None  # planned inline from now on
 
 
 class TestParentFormatCache:
