@@ -242,6 +242,14 @@ def _cold(program, options, machine):
     return prefix, _answer(prefix, machine, program.name)
 
 
+def _pool_fault(exc: Exception) -> None:
+    """A service pool's one fault: the service plans inline from now on.
+    Module-level, so the pool holds no reference back to its service (a
+    closed service is freed with its cache as soon as it is dropped)."""
+    registry().counter("serve.pool_fallbacks").inc()
+    obs.instant("serve.pool_fallback", error=type(exc).__name__)
+
+
 class PlanService:
     """In-process planning service with a persistent fingerprint cache.
 
@@ -296,7 +304,7 @@ class PlanService:
         self._machine_memo: OrderedDict[tuple, tuple] = OrderedDict()
         self._trace_lock = threading.Lock()
         self._pending = 0
-        self.pool = WorkerPool(self.jobs, on_fault=self._pool_fault)
+        self.pool = WorkerPool(self.jobs, on_fault=_pool_fault)
         # Starts no thread before the first submit.
         self._threads = ThreadPoolExecutor(
             max_workers=max(2, self.jobs), thread_name_prefix="repro-serve"
@@ -584,11 +592,6 @@ class PlanService:
         request's error; a fault of the pool plans it inline."""
         (answer,) = self.pool.map(_cold, [program], [self.options], [machine])
         return answer
-
-    def _pool_fault(self, exc: Exception) -> None:
-        """The pool's one fault: the service plans inline from now on."""
-        registry().counter("serve.pool_fallbacks").inc()
-        obs.instant("serve.pool_fallback", error=type(exc).__name__)
 
     # -- async front -------------------------------------------------------
 

@@ -16,6 +16,7 @@ import pickle
 import re
 import sys
 import time
+import weakref
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 
@@ -317,3 +318,14 @@ def test_a_closed_service_plans_inline_and_spawns_nothing():
     while set(multiprocessing.active_children()) - others:
         assert time.monotonic() < deadline, "a closed service has live workers"
         time.sleep(0.05)
+
+
+def test_a_dropped_service_is_freed_with_its_cache_at_once():
+    # The pool's fault hook must not point back at its service: a cycle
+    # keeps a closed service and every plan it decoded alive until a
+    # full collection.
+    with PlanService(jobs=2) as svc:
+        assert svc.handle(ServeRequest("q", SRC, nprocs=4)).ok
+        ref = weakref.ref(svc)
+    del svc
+    assert ref() is None
