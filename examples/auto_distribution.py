@@ -9,10 +9,14 @@ repository now provides:
 2. compile the aligned ADG into a communication profile;
 3. search distributions (scheme per axis x grid shape) for P procs;
 4. compare against the naive uniform baselines;
-5. verify the modeled cost against the machine simulator.
+5. verify the modeled cost against the machine simulator;
+6. plan the same program for several machines: the machine-independent
+   prefix (steps 1-2) is solved once, and each machine runs only the
+   distribution suffix on a fork of it.
 """
 
 from repro import align_program, parse
+from repro.align.pipeline import planning_records, solve_prefix, solve_suffix
 from repro.distrib import build_profile, naive_costs, plan_distribution
 from repro.machine import format_table, measure_traffic
 
@@ -26,6 +30,9 @@ enddo
 """
 
 NPROCS = 8
+
+# Three 8-processor machines for step 6.
+MACHINES = ("grid:2x4", "torus:2x4", "ring:8")
 
 
 def main() -> None:
@@ -62,6 +69,25 @@ def main() -> None:
     print(f"simulator check: modeled hops={dplan.cost.hops}, "
           f"measured hops={measured.hop_cost} "
           f"({'exact match' if dplan.cost.hops == measured.hop_cost else 'MISMATCH'})")
+
+    # -- step 6: one prefix, a fork per machine ---------------------------
+    options, _ = planning_records(align_kw={"replication": False})
+    prefix = solve_prefix(program, options)
+    print()
+    for spec in MACHINES:
+        _, machine = planning_records(topology=spec)
+        ctx = solve_suffix(prefix.fork(), machine)
+        aligned, dist = ctx.get("plan"), ctx.get("distribution")
+        measured = measure_traffic(
+            aligned.adg,
+            aligned.alignments,
+            dist.to_distribution(),
+            topology=machine.topology_object(),
+        )
+        print(f"{spec:10s} {dist.directive()}: modeled hops={dist.cost.hops}, "
+              f"measured hops={measured.hop_cost}")
+        if dist.cost.hops != measured.hop_cost:
+            raise SystemExit(f"{spec}: modeled and measured hops differ")
 
 
 if __name__ == "__main__":

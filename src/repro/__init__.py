@@ -31,7 +31,8 @@ Subpackages:
 * :mod:`repro.passes` — the staged planning pipeline: every phase a
   pass with requires/provides artifact contracts, one fixed chain run by
   an instrumented, prefix-reusable ``Pipeline`` over a ``PlanContext``
-  (machine sweeps re-execute only the machine-dependent suffix);
+  (a fork of a solved prefix re-executes only the machine-dependent
+  suffix for another machine);
 * :mod:`repro.solvers` — the LP model HiGHS solves, and max-flow/min-cut;
 * :mod:`repro.topology` — pluggable machine interconnects (grid, torus,
   ring, hypercube, hierarchical) whose per-axis hop metrics price every
@@ -63,7 +64,7 @@ from .align import (
 from .topology import Topology, default_topology, parse_topology
 from .machine import Distribution, measure_plan, run_program
 from .distrib import DistributionPlan, build_profile, plan_distribution
-from .batch import BatchReport, PlanResult, plan_many, plan_sweep
+from .batch import BatchReport, PlanResult, plan_many
 from .passes import MachineSpec, Pipeline, PlanContext
 from .obs import TraceRecorder
 
@@ -96,7 +97,6 @@ __all__ = [
     "BatchReport",
     "PlanResult",
     "plan_many",
-    "plan_sweep",
     "MachineSpec",
     "Pipeline",
     "PlanContext",

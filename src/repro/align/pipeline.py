@@ -218,7 +218,8 @@ def solve_prefix(
 
     Returns a context solved to ``plan`` — and to ``profile``, which the
     suffix starts from, unless the caller wants the alignment only.  It
-    pickles: a sweep ships it across its pool, the serve cache keeps it.
+    pickles: the serve daemon's pool ships it back from a cold miss, and
+    its cache keeps it.
 
     With ``base`` (a solved context of the program this one is an edit
     of, under the same options) the prefix is re-planned incrementally
@@ -246,7 +247,8 @@ def solve_suffix(ctx, machine):
     """Put ``machine`` on ``ctx`` and run the machine-dependent passes.
 
     ``ctx`` is solved in place and returned: a caller that keeps its
-    prefix (a sweep, the serve cache) passes ``prefix.fork()``.  The goal
+    prefix (one program on many machines, the serve cache) passes
+    ``prefix.fork()``.  The goal
     is the program's distribution.
     """
     from ..passes import Pipeline

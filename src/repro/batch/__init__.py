@@ -5,10 +5,6 @@ many concurrently.  This subpackage provides:
 
 * :func:`plan_many` — fan a corpus out over a process pool (with a
   deterministic serial fallback) and collect structured results;
-* :func:`plan_sweep` — one corpus × many machines: aligned
-  :class:`~repro.passes.PlanContext` prefixes are computed once per
-  program, shipped across the pool, and re-priced per machine by the
-  pipeline's machine-dependent suffix;
 * :class:`PlanRequest` / :class:`PlanResult` — the per-program unit of
   work and its diagnostics record (one program is ``plan_many([request],
   serial=True).results[0]``);
@@ -17,10 +13,11 @@ many concurrently.  This subpackage provides:
   kernels (:mod:`repro.cachestats`).
 
 The engine adds measurement and a pool; every task's plan comes from the
-planning kernel (:mod:`repro.align.pipeline`).  Every entry point names
-its machine as ``(nprocs, topology)`` — ``plan_sweep`` takes a list of
-them — and options are turned into records and checked once per call,
-before anything is planned.
+planning kernel (:mod:`repro.align.pipeline`).  The machine is named as
+``(nprocs, topology)``, and options are turned into records and checked
+once per call, before anything is planned.  One program on many
+machines is the kernel's ``solve_prefix`` once, then
+``solve_suffix(prefix.fork(), machine)`` per machine.
 
 Quickstart::
 
@@ -37,7 +34,6 @@ from .engine import (
     PlanResult,
     machine_label,
     plan_many,
-    plan_sweep,
 )
 
 __all__ = [
@@ -46,5 +42,4 @@ __all__ = [
     "PlanResult",
     "machine_label",
     "plan_many",
-    "plan_sweep",
 ]

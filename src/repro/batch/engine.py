@@ -16,7 +16,7 @@ only the tasks the pool lost, and the report says why.  Results are
 identical and arrive in corpus order either way, because planning
 itself is deterministic and the pool maps in order.
 
-The engine plans nothing itself.  Each entry point turns its keywords
+The engine plans nothing itself.  :func:`plan_many` turns its keywords
 — the machine named as ``(nprocs, topology)`` — into the two frozen
 option records once, up front
 (:func:`repro.align.pipeline.planning_records` — a bad option or
@@ -26,17 +26,14 @@ planning kernel for its plan (``solve_prefix`` / ``solve_suffix`` /
 records.  What the engine adds is the measurement around a task
 (:func:`_measured`: wall time, cache-counter deltas, per-pass seconds
 off ``ctx.trace``, the span tree, failure → diagnostic) and the pool
-(:class:`WorkerPool`, one per call, run by :func:`_run_pool`).
-:func:`plan_sweep` plans one corpus against *many* machines in two
-stages on one pool: stage one solves each program's
-machine-independent prefix (a :class:`~repro.passes.PlanContext`, which
-pickles), stage two ships those prefixes back across the pool and runs
-only the suffix, on a fork, per (program, machine) pair.
+(:class:`WorkerPool`, one per call).  To plan one program for many
+machines, solve its prefix once and run ``solve_suffix(prefix.fork(),
+machine)`` per machine, or ask :mod:`repro.serve`, whose prefix cache
+answers a new machine for a known program.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import threading
 import time
@@ -48,7 +45,6 @@ from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .. import cachestats
 from ..align.pipeline import (
-    machine_record,
     plan_facts,
     planning_records,
     solve_prefix,
@@ -128,11 +124,6 @@ def machine_label(nprocs: Optional[int], spec: Optional[str]) -> str:
     return spec if spec is not None else f"P{nprocs}"
 
 
-def _label(machine) -> Optional[str]:
-    """:func:`machine_label` of a ``MachineSpec`` (``None``: no machine)."""
-    return machine and machine_label(machine.nprocs, machine.topology)
-
-
 def _verify(ctx) -> bool:
     """The differential cross-check, inline: analytic cost == simulator.
 
@@ -167,40 +158,34 @@ def _verify(ctx) -> bool:
     return True
 
 
-def _measured(
-    name: str,
-    label: Optional[str],
-    trace: bool,
-    body: Callable,
-    verify: bool = False,
-    prefix: Optional[PlanResult] = None,
-    kind: str = "plan",
-) -> tuple[PlanResult, object]:
-    """Run ``body()``, which returns a solved context, as one task:
-    ``(its PlanResult, the context or None)``.  A task never raises.
+def _measured(payload: tuple) -> PlanResult:
+    """Plan one program of :func:`plan_many` and report it (the pool's
+    entry point).  A task never raises.
 
-    What a task reports beside the plan is taken here, the same way for
-    every entry point: cache-counter deltas, wall time, the ``kind:name``
-    span (in a recorder of its own when ``trace``), the simulator check,
-    the executed passes' seconds off ``ctx.trace`` (reuses contribute
-    nothing), an exception as the ``error`` diagnostic.  ``prefix`` is
-    the measured sweep stage 1 the context was forked from: its pass
-    seconds and span tree are charged to this result, success or failure.
+    The task parses its request and asks the kernel for the prefix, then
+    — given a machine — the suffix on the same context.  What it reports
+    beside the plan is taken here: cache-counter deltas, wall time, the
+    ``plan:name`` span (in a recorder of its own when ``trace``), the
+    simulator check, the executed passes' seconds off ``ctx.trace``
+    (reuses contribute nothing), an exception as the ``error``
+    diagnostic.
     """
-    rec = None
-    if trace:
-        rec = TraceRecorder(label=name)
-        if prefix is not None and prefix.trace is not None:
-            rec.merge(prefix.trace, program=name)
-    passes = dict(prefix.passes) if prefix is not None else {}
+    request, options, machine, verify, trace = payload
+    name = request.name
+    label = machine and machine_label(machine.nprocs, machine.topology)
+    rec = TraceRecorder(label=name) if trace else None
+    passes: dict = {}
     facts: dict = {}
-    ctx = error = verified = None
+    error = verified = None
     with obs.recording(into=rec) if trace else nullcontext():
         before = cachestats.snapshot()
         t0 = time.perf_counter()
-        with obs.span(f"{kind}:{name}", program=name, machine=label):
+        with obs.span(f"plan:{name}", program=name, machine=label):
             try:
-                ctx = body()
+                program = parse(request.source, name=name)
+                ctx = solve_prefix(program, options, profile=machine is not None)
+                if machine is not None:
+                    ctx = solve_suffix(ctx, machine)
                 facts = plan_facts(ctx)
                 if verify:
                     with obs.span("batch.verify"):
@@ -227,39 +212,17 @@ def _measured(
             machine=label,
             trace=rec,
         )
-    return result, ctx
-
-
-def _solve(request: PlanRequest, options, machine):
-    """Parse one request and plan it: the prefix, then — given a machine
-    — the suffix on the same context (nothing keeps the prefix)."""
-    program = parse(request.source, name=request.name)
-    ctx = solve_prefix(program, options, profile=machine is not None)
-    return ctx if machine is None else solve_suffix(ctx, machine)
-
-
-def _plan_task(payload: tuple) -> PlanResult:
-    """One program of :func:`plan_many` (the pool's entry point)."""
-    request, options, machine, verify, trace = payload
-    return _measured(
-        request.name,
-        _label(machine),
-        trace,
-        lambda: _solve(request, options, machine),
-        verify,
-    )[0]
+    return result
 
 
 def _family(name: str) -> str:
     """The program family of a result name, for latency grouping.
 
-    Generated scenarios are named ``family_seed`` and sweep results
-    ``name@machine``; strip the machine suffix, then a trailing numeric
-    seed.  A name with neither is its own family.
+    Generated scenarios are named ``family_seed``: strip a trailing
+    numeric seed.  A name without one is its own family.
     """
-    base = name.split("@", 1)[0]
-    stem, _, tail = base.rpartition("_")
-    return stem if stem and tail.isdigit() else base
+    stem, _, tail = name.rpartition("_")
+    return stem if stem and tail.isdigit() else name
 
 
 @dataclass
@@ -489,39 +452,12 @@ class WorkerPool:
         self.close()
 
 
-def _run_pool(
-    work: Callable,
-    tasks: int,
-    jobs: Optional[int],
-    serial: bool,
-    topology: Optional[str] = None,
-) -> BatchReport:
-    """The report of ``work(pool)`` run on a fresh :class:`WorkerPool`.
-
-    ``work`` maps its tasks on the pool and returns the results; it may
-    map twice — a sweep's stages share one pool.  The pool has ``jobs``
-    workers (default: the CPU count, capped at ``tasks``), one with
-    ``serial``, and is closed — its workers joined — before the report is
-    made.  A faulted run is reported as serial, with the pool's fault as
-    the reason.
-    """
-    jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-    jobs = 1 if serial else max(1, min(jobs, tasks or 1))
-    t0 = time.perf_counter()
-    with WorkerPool(jobs) as pool:
-        results = work(pool)
-    if jobs == 1 or pool.fault is not None:
-        jobs, mode = 1, "serial"
-    else:
-        mode = "process"
-    return BatchReport(
-        results,
-        time.perf_counter() - t0,
-        jobs,
-        mode,
-        fallback_reason=pool.fault,
-        topology=topology,
-    )
+def check_jobs(jobs: object) -> int:
+    """``jobs`` if it is a worker count, an ``int >= 1``; else the
+    ``ValueError`` both drivers raise before they plan or spawn."""
+    if type(jobs) is not int or jobs < 1:
+        raise ValueError(f"jobs={jobs!r} is not a worker count: give an int >= 1")
+    return jobs
 
 
 def plan_many(
@@ -536,157 +472,38 @@ def plan_many(
 ) -> BatchReport:
     """Plan every program in ``corpus``; results in corpus order.
 
-    ``jobs`` defaults to the machine's CPU count.  ``serial=True`` (or
-    ``jobs=1``) runs the same work inline, and a fault of the pool
-    re-plans inline only what the pool lost (:class:`WorkerPool`), so
-    ``plan_many`` works in restricted environments.  ``topology`` is a
-    machine spec string applied to every task.  Options and machine are checked here,
-    once: a bad processor count or topology, an algorithm name or one of
-    its keywords raises before anything is planned.  ``trace=True``
-    records every task's span tree in its worker and ships the recorders
-    back for :meth:`BatchReport.merged_trace`.
+    ``jobs`` (an ``int >= 1``) defaults to the machine's CPU count and is
+    capped at the corpus size.  ``serial=True`` (or ``jobs=1``) runs the
+    same work inline, and a fault of the pool re-plans inline only what
+    the pool lost (:class:`WorkerPool`), so ``plan_many`` works in
+    restricted environments; a faulted run is reported as serial, with
+    the pool's fault as the reason.  ``topology`` is a machine spec
+    string applied to every task.  Options, machine and ``jobs`` are
+    checked here, once: a bad worker or processor count, topology,
+    algorithm name or algorithm keyword raises before anything is
+    planned.  ``trace=True`` records every task's span tree in its
+    worker and ships the recorders back for
+    :meth:`BatchReport.merged_trace`.
     """
+    jobs = check_jobs(jobs) if jobs is not None else (os.cpu_count() or 1)
     options, machine = planning_records(nprocs, topology, align_kw)
     payloads = [
         (PlanRequest.of(item, i), options, machine, verify, trace)
         for i, item in enumerate(corpus)
     ]
-    return _run_pool(
-        lambda pool: pool.map(_plan_task, payloads),
-        len(payloads),
+    jobs = 1 if serial else min(jobs, len(payloads) or 1)
+    t0 = time.perf_counter()
+    with WorkerPool(jobs) as pool:  # closed, its workers joined, on exit
+        results = pool.map(_measured, payloads)
+    if jobs == 1 or pool.fault is not None:
+        jobs, mode = 1, "serial"
+    else:
+        mode = "process"
+    return BatchReport(
+        results,
+        time.perf_counter() - t0,
         jobs,
-        serial,
+        mode,
+        fallback_reason=pool.fault,
         topology=topology,
     )
-
-
-# -- machine sweeps: prefix contexts shipped across the pool ------------------
-
-# One target machine: an nprocs count, a topology spec string, or both.
-Machine = Union[int, str, tuple]
-
-
-def _normalize_machine(m: Machine) -> tuple[Optional[int], Optional[str]]:
-    if isinstance(m, int):  # a bool too: machine_record refuses it
-        return (m, None)
-    if isinstance(m, str):
-        return (None, m)
-    if isinstance(m, tuple) and len(m) == 2:
-        return m
-    raise TypeError(
-        f"machine {m!r} is neither an nprocs int, a topology spec string, "
-        "nor an (nprocs, spec) pair"
-    )
-
-
-def _prefix_task(payload: tuple):
-    """Sweep stage 1: one program's machine-independent prefix, measured.
-    The solved context goes back across the pool beside the result
-    (``None`` beside a failure)."""
-    request, options, trace = payload
-    return _measured(
-        request.name,
-        None,
-        trace,
-        lambda: solve_prefix(parse(request.source, name=request.name), options),
-        kind="prefix",
-    )
-
-
-def _sweep_task(payload: tuple) -> list[PlanResult]:
-    """Sweep stage 2: the suffix on a fork of a shipped prefix, once per
-    machine of the chunk.
-
-    Machines arrive *chunked* so the (heavy) context crosses the pool
-    once per chunk, not once per machine — the suffix itself is about a
-    millisecond of pricing, so serialization would otherwise dominate.
-    The context carries its profile's compiled pricing front, so no
-    machine of the chunk compiles one.
-    ``prefix`` is the measured stage 1 on a program's first chunk and
-    ``None`` on the others: the chunk's first result is charged with it.
-    """
-    name, prefix, ctx, chunk, verify, trace = payload
-    results = []
-    for machine in chunk:
-        label = _label(machine)
-        result, _ = _measured(
-            f"{name}@{label}",
-            label,
-            trace,
-            lambda: solve_suffix(ctx.fork(), machine),
-            verify,
-            prefix,
-        )
-        results.append(result)
-        prefix = None
-    return results
-
-
-def plan_sweep(
-    corpus: Iterable[Work],
-    machines: Iterable[Machine],
-    jobs: int | None = None,
-    serial: bool = False,
-    align_kw: Mapping | None = None,
-    verify: bool = False,
-    trace: bool = False,
-) -> BatchReport:
-    """Plan every program against every machine, reusing aligned prefixes.
-
-    Two stages on one pool.  Stage one aligns and profiles each program
-    once — the machine-independent prefix — and ships the resulting
-    :class:`~repro.passes.PlanContext` back across the pool (possible
-    because every artifact is keyed by stable port uids, not object
-    identity).  Stage two fans each prefix out over the machine list;
-    every (program, machine) task forks the shipped context and runs
-    only the distribution suffix.  Results are program-major, machine
-    order preserved, named ``program@machine``.  Options and machines are
-    checked here, once: a bad machine or alignment option raises before
-    anything is planned.
-    """
-    requests = [PlanRequest.of(item, i) for i, item in enumerate(corpus)]
-    options, _ = planning_records(align_kw=align_kw)
-    specs = [machine_record(*_normalize_machine(m)) for m in machines]
-    if not specs:
-        raise ValueError("plan_sweep needs at least one machine")
-
-    def work(pool):
-        # One chunk per program when programs alone fill the pool; more
-        # (down to per-machine) when they don't — chunking bounds how
-        # often each heavy context is re-pickled across the pool while
-        # keeping every worker busy.
-        n = max(1, min(len(specs), pool.jobs // max(1, len(requests))))
-        size = -(-len(specs) // n)  # ceil
-        chunks = [specs[i : i + size] for i in range(0, len(specs), size)]
-        prefixes = pool.map(_prefix_task, [(req, options, trace) for req in requests])
-        solved = iter(
-            pool.map(
-                _sweep_task,
-                [
-                    (p.name, p if i == 0 else None, ctx, chunk, verify, trace)
-                    for p, ctx in prefixes
-                    if p.ok
-                    for i, chunk in enumerate(chunks)
-                ],
-            )
-        )
-        results: list[PlanResult] = []
-        for p, _ in prefixes:
-            if p.ok:
-                for _ in chunks:
-                    results.extend(next(solved))
-            else:  # the prefix's failure, once per machine it was meant for
-                results.extend(
-                    dataclasses.replace(
-                        p,
-                        name=f"{p.name}@{_label(m)}",
-                        machine=_label(m),
-                        seconds=0.0,
-                        cache={},
-                        trace=None,
-                    )
-                    for m in specs
-                )
-        return results
-
-    return _run_pool(work, len(requests) * len(specs), jobs, serial)

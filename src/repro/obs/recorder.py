@@ -114,21 +114,21 @@ class TraceRecorder:
 
     # -- aggregation -------------------------------------------------------
 
-    def merge(self, other: "TraceRecorder", program: Optional[str] = None) -> None:
+    def merge(self, other: "TraceRecorder") -> None:
         """Fold another recorder's roots into this one.
 
         The incoming roots keep their own pid (their lane in the merged
-        trace); ``program`` (default: the other recorder's label) is
-        stamped as per-program attribution on each incoming root.
+        trace); the other recorder's label is stamped as per-program
+        attribution on each incoming root.
         """
-        attribution = program if program is not None else other.label
+        label = other.label
         for root in other.roots:
-            if attribution is not None:
-                root.tags.setdefault("program", attribution)
+            if label is not None:
+                root.tags.setdefault("program", label)
             self.roots.append(root)
         self.process_labels.update(other.process_labels)
-        if attribution is not None:
-            self.process_labels.setdefault(other.pid, attribution)
+        if label is not None:
+            self.process_labels.setdefault(other.pid, label)
 
     @classmethod
     def merged(

@@ -21,7 +21,8 @@ identity across the sweep.
 
 All per-port artifacts are keyed by the stable ``Port.key`` (never
 ``id(port)``), so a context prefix pickles across process boundaries —
-:mod:`repro.batch` ships exactly these prefixes to its worker pool.
+:mod:`repro.serve` ships exactly these prefixes back from its worker
+pool and keeps them in its cache.
 """
 
 from __future__ import annotations

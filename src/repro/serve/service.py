@@ -106,7 +106,7 @@ from ..align.pipeline import (
     solve_prefix,
     solve_suffix,
 )
-from ..batch.engine import WorkerPool, machine_label
+from ..batch.engine import WorkerPool, check_jobs, machine_label
 from ..lang.parser import parse
 from ..obs import spans as obs
 from ..obs.metrics import registry
@@ -272,12 +272,12 @@ class PlanService:
     ) -> None:
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
+        self.jobs = check_jobs(jobs)
         # The one options check: a misplaced key, an unknown algorithm or
         # algorithm keyword, or an unplannable default machine fails
         # construction (before the cache is opened), not every request.
         self.options, _ = planning_records(default_nprocs, default_topology, align_kw)
         self.cache = PlanCache(cache_dir, max_entries=max_entries)
-        self.jobs = max(1, jobs)
         self.max_pending = max_pending
         self.retry_after = retry_after
         # Service-wide machine defaults for requests naming neither

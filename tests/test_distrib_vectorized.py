@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 from repro import cachestats, obs, parse
 from repro.align import align_program
 from repro.align.pipeline import planning_records, solve_prefix, solve_suffix
-from repro.batch import plan_sweep
 from repro.distrib import (
     axis_front_hops,
     build_profile,
@@ -647,12 +646,3 @@ class TestFrontTravelsWithThePrefix:
         assert _compiles() == compiled
         assert cachestats._cell("distrib.front_tensors")[0] > hits
 
-    def test_plan_sweep_compiles_one_front_per_program(self, corpus_kernels):
-        work = [corpus_kernels["figure1"], corpus_kernels["skewed_wavefront"]]
-        before = _compiles()
-        report = plan_sweep(work, SWEEP_MACHINES, serial=True)
-        assert len(report.ok) == len(work) * len(SWEEP_MACHINES)
-        assert _compiles() == before + len(work)  # each prefix's comm-profile
-        for result in report.results:
-            reads, compiled = result.cache["distrib.front_tensors"]
-            assert (compiled, reads > 0) == (0, True), result.name

@@ -23,9 +23,8 @@ from pathlib import Path
 import pytest
 
 import repro.batch.engine as engine
-from repro.batch import plan_many, plan_sweep
+from repro.batch import plan_many
 from repro.batch.engine import WorkerPool
-from repro.lang.ast import Program
 from repro.lang.generate import generate_corpus
 from repro.obs import spans as obs
 from repro.obs.metrics import registry
@@ -43,7 +42,6 @@ C(1:32) = C(1:32) + D(1:32)
 """
 
 CORPUS = generate_corpus(12, seed=3)
-MACHINES = ["torus:2x2", 8]
 SRC_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
@@ -120,55 +118,38 @@ class TestWorkerPool:
 
 @pytest.fixture
 def killer(monkeypatch):
-    """Kill the pool worker that reaches ``CORPUS[6]`` in the patched
-    kernel call; count that call's runs in the parent (the inline
+    """Kill the pool worker that reaches ``CORPUS[6]`` in
+    ``solve_prefix``; count that call's runs in the parent (the inline
     re-runs).  A function patched before the pool forks stays patched
     in its workers."""
 
-    def patch(name: str) -> list:
-        real = getattr(engine, name)
+    def patch() -> list:
+        real = engine.solve_prefix
         victim = CORPUS[6].name
         reruns = []
 
-        def call(first, *args, **kw):
-            program = first if isinstance(first, Program) else first.get("program")
+        def call(program, *args, **kw):
             if not _in_worker():
                 reruns.append(program.name)
             elif program.name == victim:
                 os._exit(1)
-            return real(first, *args, **kw)
+            return real(program, *args, **kw)
 
-        monkeypatch.setattr(engine, name, call)
+        monkeypatch.setattr(engine, "solve_prefix", call)
         return reruns
 
     return patch
 
 
-def _assert_kept_what_finished(report, want, reruns, total):
+def test_a_killed_worker_under_plan_many_replans_only_what_was_lost(killer):
+    want = plan_many(CORPUS, nprocs=4, serial=True)
+    reruns = killer()
+    report = plan_many(CORPUS, nprocs=4, jobs=2)
     assert report.mode == "serial" and report.jobs == 1
     assert report.fallback_reason.startswith("BrokenProcessPool: ")
     assert _facts(report) == _facts(want)
     assert CORPUS[6].name in reruns
-    assert 0 < len(reruns) < total
-
-
-def test_a_killed_worker_under_plan_many_replans_only_what_was_lost(killer):
-    want = plan_many(CORPUS, nprocs=4, serial=True)
-    reruns = killer("solve_prefix")
-    report = plan_many(CORPUS, nprocs=4, jobs=2)
-    _assert_kept_what_finished(report, want, reruns, len(CORPUS))
-
-
-@pytest.mark.parametrize("stage", ["solve_prefix", "solve_suffix"])
-def test_a_killed_worker_under_plan_sweep_replans_only_what_was_lost(
-    killer, stage
-):
-    want = plan_sweep(CORPUS, MACHINES, serial=True)
-    reruns = killer(stage)
-    report = plan_sweep(CORPUS, MACHINES, jobs=2)
-    # One stage-2 chunk per program: every machine of one program.
-    per_program = 1 if stage == "solve_prefix" else len(MACHINES)
-    _assert_kept_what_finished(report, want, reruns, len(CORPUS) * per_program)
+    assert 0 < len(reruns) < len(CORPUS)
 
 
 # -- the pool cannot be spawned, or refuses a submit ---------------------------
@@ -193,20 +174,16 @@ FAULTS = {
 
 
 @pytest.mark.parametrize("fault", FAULTS)
-def test_both_drivers_plan_inline_when_the_pool_faults_at_the_start(
+def test_a_batch_plans_inline_when_the_pool_faults_at_the_start(
     fault, monkeypatch
 ):
     pool, reason = FAULTS[fault]
-    want_many = plan_many(CORPUS[:3], nprocs=4, serial=True)
-    want_sweep = plan_sweep(CORPUS[:3], MACHINES, serial=True)
+    want = plan_many(CORPUS[:3], nprocs=4, serial=True)
     monkeypatch.setattr(engine, "ProcessPoolExecutor", pool)
-    for report, want in (
-        (plan_many(CORPUS[:3], nprocs=4, jobs=2), want_many),
-        (plan_sweep(CORPUS[:3], MACHINES, jobs=2), want_sweep),
-    ):
-        assert (report.mode, report.jobs) == ("serial", 1)
-        assert report.fallback_reason == reason
-        assert _facts(report) == _facts(want)
+    report = plan_many(CORPUS[:3], nprocs=4, jobs=2)
+    assert (report.mode, report.jobs) == ("serial", 1)
+    assert report.fallback_reason == reason
+    assert _facts(report) == _facts(want)
 
 
 @pytest.mark.parametrize("fault", FAULTS)

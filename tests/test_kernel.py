@@ -36,7 +36,7 @@ from repro.align.pipeline import (
     solve_suffix,
 )
 from repro.align.position import Alignment
-from repro.batch import PlanRequest, plan_many, plan_sweep
+from repro.batch import PlanRequest, plan_many
 from repro.distrib import build_profile, rank_plans
 from repro.distrib.enumerate import candidate_spaces
 from repro.lang.generate import FAMILIES, generate_scenario
@@ -84,21 +84,23 @@ def _label_edit(source: str) -> str:
 
 @pytest.fixture(scope="module")
 def batch_facts():
-    """``{(driver, program, label): facts}`` off the pooled and sweeping
-    batch entry points, each called once over the whole corpus."""
+    """``{(driver, program, label): facts}`` off the pooled batch entry
+    point, called once over the whole corpus, and off forks of one
+    solved prefix per program, one fork per machine."""
     out = {}
     for nprocs, spec, label in MACHINES:
         report = plan_many(SCENARIOS, nprocs=nprocs, topology=spec, jobs=2)
         assert report.mode == "process", report.fallback_reason
         for sc, r in zip(SCENARIOS, report.results):
             out["plan_many", sc.name, label] = _result_facts(r)
-    machines = [(nprocs, spec) for nprocs, spec, _ in MACHINES]
-    for driver, kw in (("sweep_serial", {"serial": True}), ("sweep_pool", {"jobs": 2})):
-        report = plan_sweep(SCENARIOS, machines, **kw)
-        assert (report.mode == "process") == (driver == "sweep_pool")
-        for r in report.results:
-            name, label = r.name.split("@")
-            out[driver, name, label] = _result_facts(r)
+    options, _ = planning_records()
+    for sc in SCENARIOS:
+        prefix = solve_prefix(sc.parse(), options)
+        for nprocs, spec, label in MACHINES:
+            machine = planning_records(nprocs, spec)[1]
+            out["fork", sc.name, label] = plan_facts(
+                solve_suffix(prefix.fork(), machine)
+            )
     return out
 
 
@@ -128,11 +130,12 @@ def test_every_driver_returns_the_same_facts(
         "exact": dist.exact,
     }
 
-    # The batch engine, inline and across the pool.
+    # The batch engine, inline and across the pool; a fork of a prefix
+    # solved once for every machine.
     request = PlanRequest(scenario.name, scenario.source)
     one = plan_many([request], nprocs=nprocs, topology=spec, serial=True).results[0]
     assert _result_facts(one) == want
-    for driver in ("plan_many", "sweep_serial", "sweep_pool"):
+    for driver in ("plan_many", "fork"):
         assert batch_facts[driver, scenario.name, label] == want, driver
 
     # The service: five ways to the same payload, byte for byte.
@@ -200,18 +203,16 @@ def test_alignment_only_callers_never_profile():
     assert "comm-profile" not in many.pass_totals()
 
 
-def test_a_sweep_charges_the_prefix_once_per_program():
-    scenario = SCENARIOS[0]
-    one = plan_many([scenario], nprocs=16, serial=True).results[0]
-    report = plan_sweep([scenario], [16, "torus:4x4", 8], serial=True)
-    first, *rest = report.results
-    # A fork-free plan and the sweep task that carries the prefix name the
-    # same passes; the other machines of the program ran the suffix only.
-    assert set(first.passes) == set(one.passes)
-    assert all(set(r.passes) == {"distribute"} for r in rest)
-    totals = report.pass_totals()
-    assert totals["distribute"][0] == 3
-    assert {n for name, (n, _) in totals.items() if name != "distribute"} == {1}
+def test_a_fork_per_machine_runs_only_the_suffix():
+    program = SCENARIOS[0].parse()
+    options, _ = planning_records()
+    prefix = solve_prefix(program, options)
+    assert "distribute" not in {ev["pass"] for ev in prefix.trace}
+    for nprocs, spec in ((16, None), (None, "torus:4x4"), (8, None)):
+        fork = solve_suffix(prefix.fork(), planning_records(nprocs, spec)[1])
+        runs = [ev["pass"] for ev in fork.trace if ev["event"] == "run"]
+        assert runs == ["distribute"], spec or nprocs
+        assert not prefix.has("distribution")  # the prefix is kept
 
 
 # -- the same named error from every driver ------------------------------------
@@ -279,10 +280,6 @@ def _plan_many(nprocs, topology, align_kw):
     )
 
 
-def _plan_sweep(nprocs, topology, align_kw):
-    plan_sweep([SRC], [(nprocs, topology)], serial=True, align_kw=align_kw)
-
-
 def _plan_service(nprocs, topology, align_kw):
     PlanService(
         default_nprocs=nprocs, default_topology=topology, align_kw=align_kw
@@ -299,7 +296,7 @@ def _unplanned(monkeypatch) -> list:
 
 @pytest.mark.parametrize("case", BAD_OPTIONS)
 @pytest.mark.parametrize(
-    "driver", [_align_and_distribute, _plan_many, _plan_sweep, _plan_service]
+    "driver", [_align_and_distribute, _plan_many, _plan_service]
 )
 def test_bad_options_are_one_named_error_everywhere(driver, case, monkeypatch):
     args = BAD_OPTIONS[case]
@@ -311,6 +308,35 @@ def test_bad_options_are_one_named_error_everywhere(driver, case, monkeypatch):
         driver(*args)
     assert str(raised.value) == str(boundary.value)
     assert planned == []  # raised before anything was planned
+
+
+#: Worker counts neither driver takes: a count is an ``int >= 1``.
+BAD_JOBS = {"zero": 0, "negative": -3, "bool": True, "float": 2.5, "str": "2"}
+
+
+@pytest.mark.parametrize("case", BAD_JOBS)
+@pytest.mark.parametrize("driver", ["plan_many", "PlanService"])
+def test_a_bad_worker_count_is_refused_before_anything_exists(
+    driver, case, monkeypatch
+):
+    jobs = BAD_JOBS[case]
+    planned = _unplanned(monkeypatch)
+    built = []
+    for module, name in (
+        (repro.batch.engine, "WorkerPool"),
+        (repro.serve.service, "WorkerPool"),
+        (repro.serve.service, "PlanCache"),
+    ):
+        monkeypatch.setattr(module, name, lambda *a, **k: built.append(a))
+    with pytest.raises(ValueError) as raised:
+        if driver == "plan_many":
+            plan_many([SRC] * 3, nprocs=4, jobs=jobs)
+        else:
+            PlanService(jobs=jobs)
+    assert str(raised.value) == (
+        f"jobs={jobs!r} is not a worker count: give an int >= 1"
+    )
+    assert planned == [] and built == []
 
 
 #: ``align_and_distribute``'s ``distrib_options`` names the topology and
@@ -554,6 +580,8 @@ def test_the_entry_points_the_kernel_replaced_are_gone():
         "split_phases", "union_window", "PhasedPlan", "PHASE_CANDIDATES",
         "PhaseRemapPass", "PhaseProfilesPass", "phase_plan", "FunctionPass",
         "default_pipeline", "default_passes", "alignment_passes", "provider_of",
+        "plan_sweep", "_sweep_task", "_prefix_task", "_normalize_machine",
+        "_run_pool",
     )
     for rel, text in _sources():
         for name in gone:

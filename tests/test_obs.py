@@ -13,7 +13,7 @@ import pytest
 
 from repro import cachestats
 from repro.__main__ import main
-from repro.batch import PlanRequest, plan_many, plan_sweep
+from repro.batch import PlanRequest, plan_many
 from repro.lang import programs
 from repro.lang.generate import generate_corpus
 from repro.lang.pretty import pretty
@@ -489,18 +489,6 @@ class TestPoolMerging:
         report = plan_many(generate_corpus(2, seed=0), nprocs=4, serial=True)
         assert report.merged_trace() is None
         assert all(r.trace is None for r in report.results)
-
-    def test_plan_sweep_traces_prefix_and_suffix(self):
-        corpus = generate_corpus(2, seed=1)
-        report = plan_sweep(corpus, ["torus:2x2", 8], serial=True, trace=True)
-        merged = report.merged_trace()
-        assert merged is not None
-        names = merged.span_names()
-        for sc in corpus:
-            assert f"prefix:{sc.name}" in names
-            assert f"plan:{sc.name}@torus:2x2" in names
-            assert f"plan:{sc.name}@P8" in names
-        assert validate_chrome_trace(to_chrome(merged)) == []
 
     def test_batch_latency_summaries(self):
         corpus = generate_corpus(4, seed=2)

@@ -4,8 +4,8 @@ Covers the :mod:`repro.passes` core against the paper programs: the
 prefix of the chain each goal runs, missing-artifact diagnostics,
 fixpoint termination, the prefix-reuse guarantee (object identity
 across a machine sweep), wrapper equivalence with the staged pipeline,
-and pickling of context prefixes — the property the batch engine's
-sweep mode is built on.
+and pickling of context prefixes — the property the serve daemon's
+worker pool and prefix cache are built on.
 """
 
 import dataclasses
@@ -495,23 +495,7 @@ class TestPickling:
         assert cost_of(clone.adg, clone.alignments) == plan.total_cost
         assert {p.key for p in clone.adg.ports()} == set(clone.alignments)
 
-    def test_batch_sweep_ships_prefixes(self):
-        from repro.batch import plan_sweep
-
-        report = plan_sweep(
-            ["real A(8), B(8)\nA(1:7) = B(2:8)"],
-            ["grid:2x2", "ring:4", 4],
-            serial=True,
-            verify=True,
-        )
-        assert [r.ok for r in report.results] == [True] * 3
-        assert all(r.verified for r in report.results)
-        assert [r.machine for r in report.results] == ["grid:2x2", "ring:4", "P4"]
-        totals = report.pass_totals()
-        assert totals["distribute"][0] == 3
-        assert totals["axis-stride"][0] == 1  # prefix aligned once
-
-    def test_plan_many_machine_label_matches_sweep_schema(self):
+    def test_plan_many_labels_its_machine(self):
         from repro.batch import plan_many
 
         src = "real A(8), B(8)\nA(1:7) = B(2:8)"
@@ -601,38 +585,6 @@ class TestTraceAndExplain:
             + [ln.format(clean) for ln in prefix + suffix[:1]]
             + [suffix[1].format(dirty)]
         )
-
-    def test_sweep_prefix_timings_survive_suffix_failure(self, monkeypatch):
-        """When every machine of a program's chunk fails, the stage-1
-        prefix executions still appear in the pass totals."""
-        import repro.batch.engine as engine
-        from repro.batch import plan_sweep
-
-        def failing_suffix(ctx, machine):
-            raise RuntimeError("offset LP axis 0: infeasible")
-
-        monkeypatch.setattr(engine, "solve_suffix", failing_suffix)
-        report = plan_sweep(
-            ["real A(8), B(8)\nA(1:7) = B(2:8)"],
-            ["grid:2x2"],
-            serial=True,
-        )
-        assert report.results[0].ok is False
-        assert report.results[0].error.startswith("RuntimeError: offset LP")
-        totals = report.pass_totals()
-        assert totals["axis-stride"][0] == 1
-        assert "distribute" not in totals
-
-    def test_sweep_bad_machine_fails_fast(self):
-        """A machine no task could plan for fails the call — as
-        ``plan_many``'s ``topology=`` typo does — not one row per program."""
-        from repro.batch import plan_sweep
-
-        with pytest.raises(ValueError, match="bogus"):
-            plan_sweep(
-                ["real A(8), B(8)\nA(1:7) = B(2:8)"], ["grid:bogus"], serial=True
-            )
-
 
 # -- the fingerprint renderer --------------------------------------------------
 
