@@ -646,3 +646,14 @@ class TestFrontTravelsWithThePrefix:
         assert _compiles() == compiled
         assert cachestats._cell("distrib.front_tensors")[0] > hits
 
+    @pytest.mark.parametrize("kernel", ["figure1", "skewed_wavefront"])
+    def test_one_prefix_compiles_one_front_for_every_fork(self, corpus_kernels, kernel):
+        options, _ = planning_records()
+        before = _compiles()
+        prefix = solve_prefix(parse(corpus_kernels[kernel], name=kernel), options)
+        assert _compiles() == before + 1  # the prefix's comm-profile
+        for spec in SWEEP_MACHINES:
+            hits = cachestats._cell("distrib.front_tensors")[0]
+            solve_suffix(prefix.fork(), MachineSpec.of(topology=spec))
+            assert cachestats._cell("distrib.front_tensors")[0] > hits, spec
+        assert _compiles() == before + 1

@@ -52,8 +52,13 @@ SCENARIOS = [
     for family in sorted(FAMILIES)
     for seed in (5, 6)
 ]
-#: ``(nprocs, topology spec, label)`` — a bare count and a finite machine.
-MACHINES = [(16, None, "P16"), (None, "torus:4x4", "torus:4x4")]
+#: ``(nprocs, topology spec, label)`` — a bare count and two finite
+#: machines of other families, each the target of one fork per prefix.
+MACHINES = [
+    (16, None, "P16"),
+    (None, "torus:4x4", "torus:4x4"),
+    (None, "ring:8", "ring:8"),
+]
 
 FACT_KEYS = ("total_cost", "alignments", "distribution", "hops", "moved", "exact")
 
@@ -462,8 +467,12 @@ def test_the_fixed_extension_points_are_gone():
 
 
 @pytest.mark.parametrize(
-    "case", ["mismatch", "bad_spec", "nprocs_true", "nprocs_float", "nprocs_zero"]
-)
+    "case",
+    [
+        "mismatch", "bad_spec", "nprocs_true", "nprocs_float", "nprocs_str",
+        "nprocs_zero", "nprocs_negative",
+    ],
+)  # fmt: skip
 def test_a_bad_machine_on_one_request_is_an_error_never_a_cached_plan(
     case, monkeypatch
 ):

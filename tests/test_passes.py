@@ -458,7 +458,7 @@ class TestDistribOptionsValidation:
 
 class TestPickling:
     def test_prefix_context_pickles_and_finishes_elsewhere(self):
-        """The batch sweep contract: a machine-independent prefix can be
+        """The prefix-cache contract: a machine-independent prefix can be
         pickled (stable port uids, no id() keys anywhere), shipped, and
         completed against any machine with identical results."""
         options, machine = planning_records(16, "hypercube:16")
@@ -494,6 +494,31 @@ class TestPickling:
         # The alignment map stays valid against the re-hydrated graph.
         assert cost_of(clone.adg, clone.alignments) == plan.total_cost
         assert {p.key for p in clone.adg.ports()} == set(clone.alignments)
+
+    @pytest.mark.parametrize(
+        "spec", ["grid:2x2", "torus:2x2", "ring:4", "hypercube:4", 4]
+    )
+    def test_a_shipped_prefix_forks_for_every_machine(self, spec):
+        """One prefix, pickled once, planned for a machine of each kind on
+        a fork: only the suffix runs, and the modelled hops are the
+        simulator's."""
+        from repro.machine import measure_traffic
+
+        options, _ = planning_records()
+        program = parse("real A(8), B(8)\nA(1:7) = B(2:8)")
+        blob = pickle.dumps(solve_prefix(program, options))
+        nprocs, topology = (spec, None) if isinstance(spec, int) else (None, spec)
+        machine = planning_records(nprocs, topology)[1]
+        ctx = solve_suffix(pickle.loads(blob).fork(), machine)
+        assert [e["pass"] for e in ctx.trace if e["event"] == "run"] == ["distribute"]
+        plan, dplan = ctx.get("plan"), ctx.get("distribution")
+        measured = measure_traffic(
+            plan.adg,
+            plan.alignments,
+            dplan.to_distribution(),
+            topology=machine.topology_object(),
+        )
+        assert measured.hop_cost == dplan.cost.hops
 
     def test_plan_many_labels_its_machine(self):
         from repro.batch import plan_many
@@ -585,6 +610,32 @@ class TestTraceAndExplain:
             + [ln.format(clean) for ln in prefix + suffix[:1]]
             + [suffix[1].format(dirty)]
         )
+
+    def test_a_failing_suffix_leaves_the_prefix_for_the_next_fork(
+        self, monkeypatch
+    ):
+        """A machine whose suffix raises spoils only its own fork: the
+        prefix gains no machine, keeps its trace, and the next fork plans
+        as a fresh prefix does."""
+        from repro.passes.distrib_passes import DistributePass
+
+        options, machine = planning_records(4, "grid:2x2")
+        prefix = solve_prefix(programs.figure1(), options)
+        trace = list(prefix.trace)
+
+        def failing(self, ctx):
+            raise RuntimeError("offset LP axis 0: infeasible")
+
+        monkeypatch.setattr(DistributePass, "run", failing)
+        with pytest.raises(RuntimeError, match="offset LP"):
+            solve_suffix(prefix.fork(), machine)
+        monkeypatch.undo()
+        assert not prefix.has("distribution") and not prefix.has("machine")
+        assert prefix.trace == trace
+        got = solve_suffix(prefix.fork(), machine).get("distribution")
+        fresh = solve_prefix(programs.figure1(), options)
+        assert got == solve_suffix(fresh, machine).get("distribution")
+
 
 # -- the fingerprint renderer --------------------------------------------------
 
