@@ -380,8 +380,8 @@ class PlanContext:
         self._current_event: dict | None = None
         self.memo = SubproblemMemo()
         # What :mod:`repro.passes.delta` derives from this context as the
-        # *base* of a replan (projection fingerprints, statement keys):
-        # computed once, however many edits are replanned against it.
+        # *base* of a replan (its projections, statement keys): computed
+        # once, however many edits are replanned against it.
         self._delta_base_memo: dict = {}
 
     # -- artifact access ---------------------------------------------------

@@ -26,9 +26,10 @@ artifact are untouched.  This module closes that gap:
   from the old distribution to the new one
   (:func:`repro.distrib.remap.remap_cost`).
 
-Carry-over *soundness* is decided by projection fingerprints, not by
-the diff itself.  Two projections of the ``(program, adg)`` pair are
-hashed:
+Carry-over *soundness* is decided by comparing projections, not by
+the diff itself.  A projection of the ``(program, adg)`` pair is the
+tuple of the values a planning phase reads, and two of them are
+compared with ``==``:
 
 * the **alignment projection** keeps everything the alignment phases
   read — node kinds, payload content, port shapes/spaces, edge weights
@@ -40,27 +41,33 @@ hashed:
   solution even though the mobile-offset LP must re-run.
 
 Equal alignment projections mean the alignment solvers would see
-byte-for-byte identical inputs, so every alignment artifact of the
+equal inputs, value for value, so every alignment artifact of the
 base is *the* answer for the edited program and carrying it over is
 exact, not approximate — the differential harness asserts the
-resulting plans match from-scratch plans on every edit pair.  The
-paper's second phase is a function of what the first leaves behind: the
-comm profile is computed from the alignments (equation 1's sum over
-edges) and the distribution from the profile and the machine, nothing
-else.  So ``carry_all`` carries the base's profile, and when the new
-machine is the base's, the distribution beside the profile it was
-computed from — the search would replay the base's own memo to arrive at
-the base's own answer.  The pipeline honours it as a supplied output
-pinned to the new context's ``(profile, machine)``: a later
-``put("machine", ...)`` re-runs ``distribute``.  A label edit *with* a
-machine change, or against a base solved only to ``profile`` (the serve
-prefix), runs ``distribute`` as any other replan does.
+resulting plans match from-scratch plans on every edit pair.  A
+projection holds the graph's own shapes, spaces and weights, which
+compare by value: two graphs match whether or not they hold their
+equal values in one shared object.
 
-Any value that fails content fingerprinting degrades the projection to
-``None``, which disables carry-over rather than risking a stale reuse;
-the report says so (``fallback``: ``uncacheable``, beside
-``projection_mismatch`` for an edit that is structural and ``no_base``
-for a base with no solved graph to compare with).
+The paper's second phase is a function of what the first leaves
+behind: the comm profile is computed from the alignments (equation 1's
+sum over edges) and the distribution from the profile and the machine,
+nothing else.  So ``carry_all`` carries the base's profile, and when
+the new machine is the base's, the distribution beside the profile it
+was computed from — the search would replay the base's own memo to
+arrive at the base's own answer.  The pipeline honours it as a supplied
+output pinned to the new context's ``(profile, machine)``: a later
+``put("machine", ...)`` re-runs ``distribute``.  A label edit *with* a
+machine change, or against a base solved only to ``profile`` (the
+serve prefix), runs ``distribute`` as any other replan does.
+
+A node payload that is not a value — its type keeps ``object``'s
+identity equality, or is unhashable — degrades the projection to
+``None``: equal content could not be told from a shared object, so
+carry-over is disabled rather than risking a stale reuse.  The report
+says so (``fallback``: ``uncacheable``, beside ``projection_mismatch``
+for an edit that is structural and ``no_base`` for a base with no
+solved graph to compare with).
 
 Below the whole-program projections sits the **subproblem memo**
 (:class:`~repro.passes.core.SubproblemMemo`).  A replan's context reads
@@ -113,14 +120,13 @@ are on the report (``memo_hits`` / ``memo_misses``) and in the counters
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import time
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from .. import cachestats
 from ..adg.graph import ADG
-from ..adg.nodes import EmptyPayload, ReducePayload, SectionPayload
+from ..adg.nodes import ReducePayload, SectionPayload
 from ..lang import ast as A
 from ..obs import spans as obs
 from ..obs.metrics import registry
@@ -323,11 +329,11 @@ def dirty_region(adg: ADG, diff: ProgramDiff) -> tuple[set[int], set[str]]:
     return dirty, ports
 
 
-# -- projection fingerprints ----------------------------------------------
+# -- projections ----------------------------------------------------------
 
 
-def _payload_key(payload: Any, offsets: bool) -> Optional[str]:
-    """Canonical key of one node payload under the given projection.
+def _payload_key(payload: Any, offsets: bool) -> Any:
+    """The value of one node payload under the given projection.
 
     ``offsets=True`` is the alignment projection, ``offsets=False`` the
     skeleton projection (section lower bounds and scalar subscript
@@ -335,96 +341,81 @@ def _payload_key(payload: Any, offsets: bool) -> Optional[str]:
     alignment constraints, never the axis/stride labels).  The reduce
     operator is masked in both: no planning phase reads it (the reduced
     axis is released regardless of whether it folds with ``sum`` or
-    ``maxval``).  Returns ``None`` for content that cannot be
-    fingerprinted, which poisons the whole projection.
+    ``maxval``).  Returns ``None`` for a payload that is not a value
+    (identity equality, or unhashable), which poisons the whole
+    projection.
     """
-    if isinstance(payload, EmptyPayload):
-        return "empty"
     if isinstance(payload, ReducePayload):
-        return f"reduce(dim={payload.dim})"
+        return ("reduce", payload.dim)
     if isinstance(payload, SectionPayload):
-        subs = []
-        for s in payload.subscripts:
-            if offsets:
-                fp = content_fingerprint(s)
-                if fp is None:
-                    return None
-                subs.append(fp)
-            elif s.kind == "slice":
-                fp = content_fingerprint(s.step)
-                if fp is None:
-                    return None
-                subs.append(f"slice:step={fp}")
-            else:
-                subs.append(s.kind)  # "index" / "full": offset-only content
-        return f"section({payload.array};{','.join(subs)})"
+        if offsets:
+            return ("section", payload.array, payload.subscripts)
+        return (
+            "section",
+            payload.array,
+            tuple(
+                # "index" / "full": offset-only content
+                ("slice", s.step) if s.kind == "slice" else s.kind
+                for s in payload.subscripts
+            ),
+        )
     # Transformer values (loop bounds/steps) stay in both
     # projections: steps reach strides, and entry/exit values feed
     # the iteration spaces the stride DP weighs candidates by.
-    return content_fingerprint(payload)
+    tp = type(payload)
+    if tp.__eq__ is object.__eq__ or tp.__hash__ is None:
+        return None
+    return payload
 
 
-def _projection(
-    program: A.Program,
-    adg: ADG,
-    offsets: bool,
-    memo: Optional[dict[int, tuple[Any, Optional[str]]]] = None,
-) -> Optional[str]:
-    """Projection fingerprint of everything the planning phases read.
+def _projection(program: A.Program, adg: ADG, offsets: bool) -> Optional[tuple]:
+    """The values the planning phases read, as one tuple.
 
     Node display labels and provenance tags are excluded (cosmetic), so
     e.g. swapping ``+`` for ``-`` — which only changes an ELEMENTWISE
-    node's label — leaves the alignment projection fixed and the whole
-    alignment solution carries over.  ``None`` when any constituent is
-    not content-addressable: carry-over is then disabled.
+    node's label — leaves the alignment projection equal and the whole
+    alignment solution carries over.  Shapes, spaces and weights are
+    held as they are: equal values compare equal whether or not the
+    two graphs share them.  ``None`` when a payload is not a value:
+    carry-over is then disabled.
     """
     from ..align.replication import read_only_arrays
 
-    # Shapes, spaces and edge weights are heavily shared between ports
-    # (one iteration space serves a whole loop nest), so fingerprints
-    # are memoized by object identity for the duration of this walk —
-    # or of both projections of one graph, when the caller passes one
-    # ``memo`` to the two walks: they hash the same objects.  The memo
-    # holds a reference alongside each digest — an id() can only be
-    # recycled after its object is collected.
-    if memo is None:
-        memo = {}
-
-    def _fp(obj: Any) -> Optional[str]:
-        hit = memo.get(id(obj))
-        if hit is not None:
-            return hit[1]
-        digest = content_fingerprint(obj)
-        memo[id(obj)] = (obj, digest)
-        return digest
-
-    parts = [
-        f"rank={adg.template_rank}",
-        "ro=" + ",".join(sorted(read_only_arrays(program))),
-    ]
+    nodes = []
     for n in adg.nodes:
         pk = _payload_key(n.payload, offsets)
         if pk is None:
             return None
-        parts.append(f"n{n.nid}:{n.kind.name}:{pk}")
-        for p in n.ports:
-            fsh = _fp(p.shape)
-            fsp = _fp(p.space)
-            if fsh is None or fsp is None:
-                return None
-            parts.append(
-                f"p{p.key}:{p.name}:{int(p.is_output)}:{fsh}:{fsp}"
+        nodes.append(
+            (
+                n.nid,
+                n.kind,
+                pk,
+                tuple(
+                    [(p.key, p.name, p.is_output, p.shape, p.space) for p in n.ports]
+                ),
             )
-    for e in adg.edges:
-        fw = _fp(e.weight)
-        fsp = _fp(e.space)
-        if fw is None or fsp is None:
-            return None
-        parts.append(
-            f"e{e.eid}:{e.tail.key}>{e.head.key}:{fw}:{fsp}:"
-            f"{e.control_weight!r}"
         )
-    return hashlib.sha1("|".join(parts).encode()).hexdigest()[:16]
+    edges = tuple(
+        [
+            (
+                e.eid,  # the offset solvers key an edge's terms by it
+                e.tail.key,
+                e.head.key,
+                e.weight,
+                e.space,
+                type(e.control_weight),
+                e.control_weight,
+            )
+            for e in adg.edges
+        ]
+    )
+    return (
+        adg.template_rank,
+        tuple(sorted(read_only_arrays(program))),
+        tuple(nodes),
+        edges,
+    )
 
 
 def _once_per_base(base: PlanContext, what: str, objs: tuple, compute) -> Any:
@@ -432,10 +423,10 @@ def _once_per_base(base: PlanContext, what: str, objs: tuple, compute) -> Any:
 
     A base context is replanned against many times (one edit stream =
     one base, dozens of edits) and its program/graph never change, so
-    whatever a replan derives from the base side alone — projection
-    fingerprints, statement keys — is computed once.  The memo keeps
-    references to the keyed objects: identity keys stay valid exactly
-    as long as the objects they name are alive.
+    whatever a replan derives from the base side alone — projections,
+    statement keys — is computed once.  The memo keeps references to
+    the keyed objects: identity keys stay valid exactly as long as the
+    objects they name are alive.
     """
     key = (what, *map(id, objs))
     hit = base._delta_base_memo.get(key)
@@ -728,8 +719,8 @@ def replan(
     carried over is copied at the container level first.
 
     The incremental result is exact: artifacts carry over only when the
-    relevant projection fingerprints match, i.e. when a from-scratch
-    solve would have received identical inputs.
+    relevant projections are equal, i.e. when a from-scratch solve
+    would have received equal inputs.
     """
     t0 = time.perf_counter()
     pipeline = Pipeline()
@@ -820,12 +811,11 @@ def replan(
             report.total_nodes = len(new_adg.nodes)
             report.total_ports = sum(len(n.ports) for n in new_adg.nodes)
             base_adg = base.get("adg") if base.has("adg") else None
-            fp_memo: dict = {}  # both projections hash the same objects
             fallback = "no_base"  # until a projection has been compared
 
             def _match(offsets: bool) -> bool:
                 nonlocal fallback
-                new_proj = _projection(new_program, new_adg, offsets, fp_memo)
+                new_proj = _projection(new_program, new_adg, offsets)
                 base_proj = None if new_proj is None else _once_per_base(
                     base,
                     "projection",

@@ -73,6 +73,24 @@ def corpus_edits() -> list[tuple[str, str, str]]:
     return out
 
 
+@pytest.fixture(scope="session")
+def corpus_bases(corpus_kernels, corpus_edits) -> dict:
+    """Kernel name -> its context solved to ``("plan", "distribution")``
+    on 16 processors, for each kernel with pinned edits: the bases the
+    edit workloads of ``benchmarks/perf`` replan against.  A replan
+    never mutates its base, so the tests share them."""
+    from repro.align.pipeline import plan_context
+    from repro.lang.parser import parse
+    from repro.passes import MachineSpec, Pipeline
+
+    bases = {}
+    for kernel in sorted({kernel for kernel, _, _ in corpus_edits}):
+        ctx = plan_context(parse(corpus_kernels[kernel], name=kernel))
+        ctx.put("machine", MachineSpec.of(16))
+        bases[kernel] = Pipeline().run(ctx, goal=("plan", "distribution"))
+    return bases
+
+
 def _differential_programs() -> list:
     """The 12 paper fragments of ``lang/programs.py`` and seeds 5, 6 of
     every generator family, each as a zero-argument ``Program`` maker."""

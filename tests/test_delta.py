@@ -3,7 +3,8 @@
 Covers :mod:`repro.passes.delta` end to end — stable statement keys and
 the LCS program diff, statement-provenance dirty regions over the ADG,
 the projection-driven carry strategies (``identical``, ``machine_only``,
-``carry_all``, ``carry_skeletons``, ``full``), byte-identity of every
+``carry_all``, ``carry_skeletons``, ``full``), the projections' value
+comparison against its SHA-1 digest reference, byte-identity of every
 incremental plan against its from-scratch counterpart, the
 mutation-isolation guarantee (a replan never touches base-context
 artifacts), the machine-only fast path (zero alignment passes re-run, a
@@ -15,7 +16,9 @@ stale-base fallback, concurrent-client monotonicity).
 from __future__ import annotations
 
 import asyncio
+import copy
 import dataclasses
+import hashlib
 import itertools
 import json
 import pickle
@@ -25,9 +28,12 @@ import numpy as np
 import pytest
 
 from repro import cachestats
+from repro.adg import build_adg
+from repro.adg.nodes import EmptyPayload, ReducePayload, SectionPayload, SourcePayload
 from repro.align.pipeline import plan_context, plan_facts, solve_prefix
 from repro.batch.engine import machine_label
 from repro.lang import ast as A
+from repro.lang.generate import generate_corpus
 from repro.lang.parser import parse
 from repro.obs.metrics import registry
 from repro.passes import (
@@ -41,6 +47,7 @@ from repro.passes import (
     replan,
     statement_key,
 )
+from repro.passes.delta import _payload_key, _projection
 from repro.serve import PlanDaemon, PlanService, ServeRequest
 
 
@@ -403,14 +410,6 @@ class TestCarriedDistribution:
     """``carry_all`` carries the distribution beside the profile it was
     computed from, when the machine is the base's — and only then."""
 
-    @pytest.fixture(scope="class")
-    def corpus_bases(self, corpus_kernels, corpus_edits):
-        kernels = sorted({kernel for kernel, _, _ in corpus_edits})
-        return {
-            k: _plan(parse(corpus_kernels[k], name=k), MachineSpec.of(16))
-            for k in kernels
-        }
-
     def test_every_pinned_label_edit_carries_it(self, corpus_bases, corpus_edits):
         from repro.align import align_and_distribute
 
@@ -591,6 +590,197 @@ class TestFallbackReason:
         ]
         assert all(r.fallback is None for r in reports)
         assert all("fallback" not in r.render() for r in reports)
+
+
+# -- the projections ----------------------------------------------------------
+
+
+def reference_payload_key(payload, offsets):
+    """The payload key the projections were once hashed from: a string
+    per payload, ``content_fingerprint`` for everything but the masked
+    kinds, ``None`` for content that cannot be fingerprinted."""
+    if isinstance(payload, EmptyPayload):
+        return "empty"
+    if isinstance(payload, ReducePayload):
+        return f"reduce(dim={payload.dim})"
+    if isinstance(payload, SectionPayload):
+        subs = []
+        for s in payload.subscripts:
+            if offsets:
+                fp = content_fingerprint(s)
+                if fp is None:
+                    return None
+                subs.append(fp)
+            elif s.kind == "slice":
+                fp = content_fingerprint(s.step)
+                if fp is None:
+                    return None
+                subs.append(f"slice:step={fp}")
+            else:
+                subs.append(s.kind)
+        return f"section({payload.array};{','.join(subs)})"
+    return content_fingerprint(payload)
+
+
+def reference_projection(program, adg, offsets):
+    """The projection as a digest: every part rendered to a string, the
+    parts joined and SHA-1 hashed.  Two projections were equal when
+    their digests were."""
+    from repro.align.replication import read_only_arrays
+
+    parts = [
+        f"rank={adg.template_rank}",
+        "ro=" + ",".join(sorted(read_only_arrays(program))),
+    ]
+    for n in adg.nodes:
+        pk = reference_payload_key(n.payload, offsets)
+        if pk is None:
+            return None
+        parts.append(f"n{n.nid}:{n.kind.name}:{pk}")
+        for p in n.ports:
+            fsh = content_fingerprint(p.shape)
+            fsp = content_fingerprint(p.space)
+            if fsh is None or fsp is None:
+                return None
+            parts.append(f"p{p.key}:{p.name}:{int(p.is_output)}:{fsh}:{fsp}")
+    for e in adg.edges:
+        fw = content_fingerprint(e.weight)
+        fsp = content_fingerprint(e.space)
+        if fw is None or fsp is None:
+            return None
+        parts.append(
+            f"e{e.eid}:{e.tail.key}>{e.head.key}:{fw}:{fsp}:"
+            f"{e.control_weight!r}"
+        )
+    return hashlib.sha1("|".join(parts).encode()).hexdigest()[:16]
+
+
+def _projection_pairs(corpus_kernels, corpus_edits):
+    """``(where, a, b)``: each kernel against each of its pinned edits and
+    against a second parse of itself, then adjacent generated programs."""
+    kernels = {k: parse(src, name=k) for k, src in corpus_kernels.items()}
+    for kernel, edit_class, source in corpus_edits:
+        yield f"{kernel}.{edit_class}", kernels[kernel], parse(source, name=kernel)
+    for name, source in corpus_kernels.items():
+        yield f"{name}.reparse", kernels[name], parse(source, name=name)
+    for count, seed in ((14, 0), (56, 5)):
+        corpus = [sc.parse() for sc in generate_corpus(count, seed)]
+        for i, (a, b) in enumerate(zip(corpus, corpus[1:])):
+            yield f"generate_corpus({count}, {seed})[{i}]", a, b
+
+
+def _unshared(adg):
+    """``adg`` with a copy of its shape, space and weight at every port
+    and edge: no two places hold one object."""
+    for p in adg.ports():
+        p.shape, p.space = copy.deepcopy(p.shape), copy.deepcopy(p.space)
+    for e in adg.edges:
+        e.weight, e.space = copy.deepcopy(e.weight), copy.deepcopy(e.space)
+    return adg
+
+
+def _held(adg):
+    """(places, distinct objects) of the graph's shapes, spaces, weights."""
+    held = [x for p in adg.ports() for x in (p.shape, p.space)]
+    held += [x for e in adg.edges for x in (e.weight, e.space)]
+    return len(held), len({id(x) for x in held})
+
+
+class _IdentitySource(SourcePayload):
+    """A source payload whose type keeps ``object``'s identity equality."""
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+
+class TestProjection:
+    """A projection is the tuple of what the planning phases read, and two
+    are compared with ``==``: the answer the SHA-1 digest of the same
+    parts gave, without depending on which objects the graphs share."""
+
+    #: Matches among the pairs of ``_projection_pairs``, per projection.
+    MATCHES = {True: 33, False: 40}
+
+    def test_equality_agrees_with_the_reference_digest(
+        self, corpus_kernels, corpus_edits
+    ):
+        pairs = list(_projection_pairs(corpus_kernels, corpus_edits))
+        assert len(pairs) == 48 + 16 + 13 + 55
+        # ``pairs`` keeps every program alive, so ids stay unique.
+        adgs = {id(p): build_adg(p) for _, a, b in pairs for p in (a, b)}
+        matches = {True: 0, False: 0}
+        for where, a, b in pairs:
+            ga, gb = adgs[id(a)], adgs[id(b)]
+            for offsets in (True, False):
+                by_value = _projection(a, ga, offsets) == _projection(b, gb, offsets)
+                by_digest = reference_projection(
+                    a, ga, offsets
+                ) == reference_projection(b, gb, offsets)
+                assert by_value == by_digest, (where, offsets)
+                matches[offsets] += by_value
+        assert matches == self.MATCHES
+
+    def test_a_control_weight_compares_by_type_and_value(self):
+        """``1`` and ``1.0`` are equal numbers but were different digests."""
+        program = parse(BASE_SRC)
+        a, b = build_adg(program), build_adg(program)
+        b.edges[0].control_weight = 1
+        assert type(a.edges[0].control_weight) is float
+        for offsets in (True, False):
+            assert _projection(program, a, offsets) != _projection(program, b, offsets)
+            assert reference_projection(program, a, offsets) != reference_projection(
+                program, b, offsets
+            )
+
+    def test_copied_values_still_carry_everything(self, corpus_kernels):
+        """The edited program's graph holds its own copy of every shape,
+        space and weight, where the base's graph shares them."""
+        from repro.passes import align_passes
+
+        source = corpus_kernels["jacobi2d"]
+        base = _plan(parse(source, name="jacobi2d"))
+        places, distinct = _held(base.get("adg"))
+        assert distinct < places
+        program = parse(source.replace("+", "-", 1), name="jacobi2d")
+        build = align_passes.build_adg
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(align_passes, "build_adg", lambda *a: _unshared(build(*a)))
+            ctx, rpt = replan(base, program)
+        assert _held(ctx.get("adg")) == (places, places)
+        assert rpt.strategy == "carry_all" and rpt.fallback is None
+        for offsets in (True, False):
+            assert _projection(program, ctx.get("adg"), offsets) == _projection(
+                base.get("program"), base.get("adg"), offsets
+            )
+
+    def test_a_payload_that_is_not_a_value_is_uncacheable(self):
+        from repro.passes import align_passes
+
+        @dataclasses.dataclass
+        class Mutable:  # value equality, but no hash: it could change
+            array: str
+
+        for payload in (object(), _IdentitySource("A"), Mutable("A")):
+            for offsets in (True, False):
+                assert _payload_key(payload, offsets) is None
+        assert _payload_key(SourcePayload("A"), True) == SourcePayload("A")
+
+        def identity_sources(*args):
+            adg = build_adg(*args)
+            for n in adg.nodes:
+                if type(n.payload) is SourcePayload:
+                    n.payload = _IdentitySource(**dataclasses.asdict(n.payload))
+            return adg
+
+        base = _plan(parse(BASE_SRC))
+        program = parse(EDITS["op_swap"][1])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(align_passes, "build_adg", identity_sources)
+            ctx, rpt = replan(base, program)
+        assert any(type(n.payload) is _IdentitySource for n in ctx.get("adg").nodes)
+        assert rpt.strategy == "full" and rpt.fallback == "uncacheable"
+        assert rpt.reused_entries == 0
+        assert _blob(ctx) == _blob(_plan(program))
 
 
 # -- the subproblem memo -------------------------------------------------------

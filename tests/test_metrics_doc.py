@@ -1,12 +1,13 @@
-"""``METRICS.md`` documents exactly the metrics the system emits.
+"""``METRICS.md`` documents exactly the metrics and spans the system emits.
 
 A serve session (every outcome: cold, prefix, plan, delta, stale,
-rejected, error, then the ``stats`` op), a ``plan_many`` batch and a
-replan run against a fresh registry.  Every metric name they emit must
-match a row of ``METRICS.md`` of the same kind, and every row must match
-a name they emit: nothing undocumented is emitted, and nothing
-documented is dead.  Cache cells count as emitted when the scenario
-moved them.
+rejected, error, then the ``stats`` op), a verified ``plan_many`` batch
+and a replan run against a fresh registry, under ``obs.recording()``.
+Every metric name they emit must match a row of ``METRICS.md`` of the
+same kind, every span name they record a ``span`` row, and every row
+must match a name they emit: nothing undocumented is emitted, and
+nothing documented is dead.  Cache cells count as emitted when the
+scenario moved them.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import pytest
 
 import repro.obs.metrics as metrics
 from repro import cachestats
+from repro.obs import spans as obs
 from repro.align.pipeline import planning_records, solve_prefix
 from repro.batch import plan_many
 from repro.lang import parse
@@ -32,7 +34,7 @@ real A(64), B(64)
 A(1:63) = A(1:63) + B(2:64)
 """
 
-_ROW = re.compile(r"^\|\s*(`[^|]*`)\s*\|\s*(counter|gauge|histogram)\s*\|")
+_ROW = re.compile(r"^\|\s*(`[^|]*`)\s*\|\s*(counter|gauge|histogram|span)\s*\|")
 
 
 def documented() -> dict[str, str]:
@@ -79,21 +81,25 @@ def _replan() -> None:
 
 @pytest.fixture
 def emitted(monkeypatch) -> dict[str, str]:
-    """``{name: kind}`` of every metric the scenario emits."""
+    """``{name: kind}`` of every metric the scenario emits, and of every
+    span it records (kind ``span``)."""
     reg = metrics.Registry()
     monkeypatch.setattr(metrics, "_REGISTRY", reg)
     # Earlier tests may have planned the same programs: with the kernel
     # memos warm, a cell behind them (affine.evaluate) would not move.
     cachestats.clear_caches()
     before = cachestats.snapshot()
-    _serve_session()
-    plan_many(generate_corpus(2, seed=0), nprocs=4, serial=True)
-    _replan()
+    with obs.recording() as rec:
+        _serve_session()
+        plan_many(generate_corpus(2, seed=0), nprocs=4, serial=True, verify=True)
+        _replan()
     snap = reg.snapshot(include_cachestats=False)
     out = {name: kind[:-1] for kind in snap for name in snap[kind]}
     for cell in cachestats.delta(before):
         out[f"cache.{cell}.hits"] = out[f"cache.{cell}.misses"] = "counter"
-    return out
+    spans = rec.span_names()
+    assert spans and not spans & out.keys()
+    return out | dict.fromkeys(spans, "span")
 
 
 def test_every_emitted_metric_is_documented_and_every_documented_one_emitted(

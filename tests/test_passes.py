@@ -897,16 +897,17 @@ SWEEP_MACHINES = (
 
 class TestPinnedFingerprints:
     def test_digests_match_the_pinned_ones(
-        self, golden, corpus_kernels, corpus_edits
+        self, golden, corpus_kernels, corpus_edits, corpus_bases
     ):
-        """Fingerprints are on-disk cache keys (``repro.serve``) and the
-        delta engine's carry decisions: a renderer change that moves one
-        silently strands every stored entry.  The digests of the pinned
-        corpus, its edits, the sweep machines and the default options
-        are compared with ``tests/golden/fingerprints.json``."""
-        from repro.adg import build_adg
-        from repro.passes import statement_key
-        from repro.passes.delta import _projection
+        """Fingerprints are on-disk cache keys (``repro.serve``): a
+        renderer change that moves one silently strands every stored
+        entry.  The digests of the pinned corpus, its edits, the sweep
+        machines and the default options are compared with
+        ``tests/golden/fingerprints.json``, beside the rung (strategy and
+        fallback) each edit's replan against its kernel takes — the
+        delta engine's carry decisions, which compare projections as
+        values and hash nothing."""
+        from repro.passes import replan, statement_key
 
         def program_digests(program) -> dict:
             return {
@@ -915,18 +916,17 @@ class TestPinnedFingerprints:
                 "statements": [statement_key(s) for s in program.body],
             }
 
-        kernels = {}
-        for name, source in corpus_kernels.items():
-            program = parse(source, name=name)
-            adg = build_adg(program)
-            kernels[name] = program_digests(program) | {
-                "alignment_projection": _projection(program, adg, True),
-                "skeleton_projection": _projection(program, adg, False),
-            }
-        edits = {
-            f"{kernel}.{edit_class}": program_digests(parse(source, name=kernel))
-            for kernel, edit_class, source in corpus_edits
+        kernels = {
+            name: program_digests(parse(source, name=name))
+            for name, source in corpus_kernels.items()
         }
+        edits = {}
+        for kernel, edit_class, source in corpus_edits:
+            program = parse(source, name=kernel)
+            _, report = replan(corpus_bases[kernel], program)
+            edits[f"{kernel}.{edit_class}"] = program_digests(program) | {
+                "replan": {"strategy": report.strategy, "fallback": report.fallback}
+            }
         machines = {
             spec: content_fingerprint(MachineSpec.of(topology=spec))
             for spec in SWEEP_MACHINES
