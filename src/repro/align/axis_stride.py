@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, permutations
 from typing import Callable, Iterable, Optional
 
 from ..adg.graph import ADG, ADGNode, Port
@@ -59,12 +60,14 @@ def _integral_strides(lab: Skeleton) -> bool:
     )
 
 
-def canonical_skeletons(rank: int, template_rank: int) -> list[Skeleton]:
-    """All injective axis embeddings with stride 1 (source candidates)."""
-    from itertools import permutations
-
+def canonical_skeletons(
+    rank: int, template_rank: int, limit: int | None = None
+) -> list[Skeleton]:
+    """The injective axis embeddings with stride 1 (source candidates),
+    in ``permutations`` order: all t!/(t-r)! of them, or the first
+    ``limit``, building no more than it returns."""
     out = []
-    for perm in permutations(range(template_rank), rank):
+    for perm in islice(permutations(range(template_rank), rank), limit):
         axes: list[tuple[Optional[int], Optional[AffineForm]]] = [
             (None, None)
         ] * template_rank
@@ -314,7 +317,12 @@ class AxisStrideSolver:
         for n in self.adg.nodes:
             if n.kind is NodeKind.SOURCE:
                 out = n.outputs()[0]
-                self._offer(out, canonical_skeletons(out.rank, t))
+                # A fresh port keeps the first max_candidates distinct,
+                # integral, rank-matching labels offered: every embedding
+                # is one, so those are the first max_candidates built.
+                self._offer(
+                    out, canonical_skeletons(out.rank, t, self.max_candidates)
+                )
 
     def _offer(self, p: Port, labels: Iterable[Skeleton | None]) -> bool:
         cands = self.candidates[p.key]

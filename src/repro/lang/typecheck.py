@@ -11,7 +11,9 @@ extents, one per axis — and validates:
   scalar);
 * ``transpose`` is rank-2; ``spread`` dims are in range; reductions
   reduce an existing axis;
-* sections with constant bounds fall inside declared extents.
+* sections with constant bounds fall inside declared extents;
+* no extent, loop bound, subscript number or spread count exceeds
+  :data:`MAX_MAGNITUDE` in absolute value.
 
 The inferred shapes drive the ADG's data weights: the element count of
 an object is the product of its extents, a polynomial in the LIVs.
@@ -32,6 +34,18 @@ from . import ast as A
 
 class TypeError_(Exception):
     """Shape/binding violation (named to avoid the builtin)."""
+
+
+#: The largest extent, loop bound, subscript number or spread count a
+#: program may write.  The offset LP's coefficients are moments of the
+#: iteration spaces, which grow with these numbers, and past some size
+#: HiGHS no longer returns the right vertex in floats.  A doubling
+#: search on n over ``x = y`` and ``x(1:n-1) = x(2:n)`` (extent n) and
+#: over ``A(k,1:n) = A(k,1:n) + V(k:k+n-1)`` for ``k = 1..n`` (A n by
+#: n) found each planned with its exact cost (0, n - 1, 2n**2) up to
+#: n = 2**12; the loop fails at n = 2**13 as "offset LP infeasible"
+#: (the other two hold to 2**43).
+MAX_MAGNITUDE = 2**12
 
 
 def section_extent(
@@ -164,6 +178,9 @@ class TypeChecker:
         names = [d.name for d in self.program.decls]
         if len(names) != len(set(names)):
             raise TypeError_("duplicate array declaration")
+        for d in self.program.decls:
+            for extent in d.dims:
+                _check_magnitude(extent, f"extent of {d.name}")
         self._check_block(self.program.body)
         return self.info
 
@@ -186,6 +203,8 @@ class TypeChecker:
             raise TypeError_(f"loop variable {s.liv!r} shadows an enclosing loop")
         if s.liv in {d.name for d in self.program.decls}:
             raise TypeError_(f"loop variable {s.liv!r} collides with an array name")
+        for bound in (s.lo, s.hi, s.step):
+            _check_magnitude(bound, f"bound of loop {s.liv}")
         liv = LIV(s.liv, 0)
         self.bound[s.liv] = liv
         self.ranges[s.liv] = Triplet(s.lo, s.hi, s.step)
@@ -248,6 +267,7 @@ class TypeChecker:
                 )
             if e.ncopies <= 0:
                 raise TypeError_("spread ncopies must be positive")
+            _check_magnitude(e.ncopies, "spread ncopies")
             new = s[: e.dim - 1] + (AffineForm(e.ncopies),) + s[e.dim - 1 :]
             return self._remember(e, new)
         if isinstance(e, A.Reduce):
@@ -307,6 +327,8 @@ class TypeChecker:
     # -- helpers -----------------------------------------------------------------------
 
     def _check_bound_livs(self, form: AffineForm, arr: str) -> None:
+        for number in (form.const, *form.coeffs.values()):
+            _check_magnitude(number, f"subscript of {arr}")
         for liv in form.livs():
             if liv.name not in self.bound:
                 raise TypeError_(
@@ -323,6 +345,14 @@ class TypeChecker:
                 raise TypeError_(
                     f"{arr} axis {axis}: constant index {v} outside 1..{extent}"
                 )
+
+
+def _check_magnitude(value, what: str) -> None:
+    if abs(value) > MAX_MAGNITUDE:
+        raise TypeError_(
+            f"{what}: {value} exceeds the largest magnitude the planner "
+            f"solves exactly, {MAX_MAGNITUDE}"
+        )
 
 
 def typecheck(program: A.Program) -> TypeInfo:

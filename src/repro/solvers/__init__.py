@@ -1,7 +1,8 @@
 """Optimization substrates: LP (HiGHS), max-flow/min-cut, DP.
 
 These are the "standard packages" the paper assumes.  The LP model is
-solved by HiGHS through scipy; max-flow/min-cut (Dinic's algorithm, the
+solved by HiGHS through scipy's public ``milp`` entry, with no
+integrality; max-flow/min-cut (Dinic's algorithm, the
 only one) and the labeling DP are implemented from scratch, with
 networkx used only as a test cross-check.
 """

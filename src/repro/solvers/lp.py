@@ -3,9 +3,9 @@
 Section 4.1 reduces offset alignment to linear programming: minimize
 ``sum w_xy * theta_xy`` subject to ``theta_xy >= +-(pi_x - pi_y)`` plus the
 linear node constraints.  This module is the declarative model those
-reductions target; :meth:`LPModel.solve` hands it to HiGHS
-(:mod:`repro.solvers.scipy_backend`), the "linear programming package"
-the paper assumes.
+reductions target; :meth:`LPModel.solve` hands it to HiGHS through
+``scipy.optimize.milp`` (:mod:`repro.solvers.scipy_backend`), the
+"linear programming package" the paper assumes.
 
 Columns are free (unbounded both ways) by default, matching offsets
 which may be negative.
@@ -115,7 +115,8 @@ class LPModel:
         return self.cols[lo:hi], self.vals[lo:hi], SENSES[self.senses[i]], self.rhs[i]
 
     def solve(self) -> LPSolution:
-        """Solve with HiGHS."""
+        """Solve with HiGHS; a point HiGHS calls optimal but that breaks
+        a bound or a row is a ``RuntimeError``."""
         from .scipy_backend import solve_scipy
 
         return solve_scipy(self)

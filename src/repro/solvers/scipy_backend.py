@@ -1,10 +1,15 @@
 """HiGHS, via scipy, solves every :class:`repro.solvers.lp.LPModel`.
 
-``linprog`` receives the row store as canonical CSC: ``>=`` rows
-negated into ``A_ub`` beside the ``<=`` rows, ``==`` rows in ``A_eq``.
-``linprog`` turns a dense matrix into canonical CSC itself, and a matrix
-without duplicates or explicit zeros has exactly one, so HiGHS gets the
-numbers a dense export would give it, without the dense detour.
+The model reaches HiGHS through ``scipy.optimize.milp`` with no
+integrality, as one ``lo <= A x <= hi`` block: the ``<=`` rows and the
+negated ``>=`` rows first, in row order, then the ``==`` rows.  ``A``
+is built straight from the row store as canonical CSC (no explicit
+zeros, an empty row kept), the one CSC a matrix without duplicates
+has, so HiGHS gets exactly the numbers a dense export would give it.
+
+HiGHS's answer is checked before it is used: a point with a NaN, a
+column outside its bounds or a row activity outside ``[lo, hi]`` by
+more than ``TOL`` raises ``RuntimeError``.
 
 ``scipy`` is imported by the first solve, not with this module: it is
 about 0.4 s and 40 MB of a process's start-up, and a process that only
@@ -13,12 +18,19 @@ serves cached plans (:mod:`repro.serve`) never solves an LP.
 
 from __future__ import annotations
 
+import math
+
 from .lp import LPModel, LPSolution
 
+# How far HiGHS's point may leave a bound or a row side: ten times the
+# square root of 1e-9, HiGHS's feasibility tolerance in scipy.
+TOL = 10 * math.sqrt(1e-9)
 
-def linprog_input(model: LPModel) -> dict:
-    """``c``, ``A_ub``, ``b_ub``, ``A_eq``, ``b_eq`` and ``bounds`` for
-    ``scipy.optimize.linprog``; a block with no rows is ``None``."""
+
+def highs_input(model: LPModel):
+    """``(c, A, lo, hi, lb, ub)``: minimize ``c @ x`` subject to
+    ``lo <= A @ x <= hi`` and ``lb <= x <= ub``, with ``A`` canonical
+    CSC whose inequality rows (``>=`` negated) precede its ``==`` rows."""
     import numpy as np
     from scipy.sparse import csc_array
 
@@ -27,45 +39,54 @@ def linprog_input(model: LPModel) -> dict:
     c[model.obj_cols] = model.obj_vals
     cols = np.array(model.cols, dtype=np.int64)
     vals = np.array(model.vals, dtype=float)
-    rhs = np.array(model.rhs, dtype=float)
+    hi = np.array(model.rhs, dtype=float)
     senses = np.array(model.senses, dtype=np.int8)
     row_of = np.repeat(np.arange(m), np.diff(model.starts))
     ge, eq = senses == 1, senses == 2
-    rhs[ge] = -rhs[ge]
+    hi[ge] = -hi[ge]
     vals[ge[row_of]] *= -1.0
-    # Each row's number inside its own block.
-    block_row = np.empty(m, dtype=np.int64)
-    block_row[~eq] = np.arange(m - int(eq.sum()))
-    block_row[eq] = np.arange(int(eq.sum()))
+    # Inequality rows first, then equality rows, each in row order.
+    order = np.concatenate((np.flatnonzero(~eq), np.flatnonzero(eq)))
+    position = np.empty(m, dtype=np.int64)
+    position[order] = np.arange(m)
+    hi = hi[order]
+    lo = np.where(eq[order], hi, -np.inf)
     keep = vals != 0.0
-
-    def block(rows):
-        if not rows.any():
-            return None, None
-        take = rows[row_of] & keep
-        r, c, v = block_row[row_of[take]], cols[take], vals[take]
-        # Column-major, rows ascending within a column; a row names each
-        # column once, so there is nothing to sum.
-        order = np.lexsort((r, c))
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(c, minlength=n), out=indptr[1:])
-        a = csc_array((v[order], r[order], indptr), shape=(int(rows.sum()), n))
-        return a, rhs[rows]
-
-    a_ub, b_ub = block(~eq)
-    a_eq, b_eq = block(eq)
-    bounds = np.column_stack((model.lower, model.upper))
-    return dict(c=c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds)
+    r, k, v = position[row_of[keep]], cols[keep], vals[keep]
+    # Column-major, rows ascending within a column; a row names each
+    # column once, so there is nothing to sum.
+    by_col = np.lexsort((r, k))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(k, minlength=n), out=indptr[1:])
+    a = csc_array((v[by_col], r[by_col], indptr), shape=(m, n))
+    lb = np.array(model.lower, dtype=float)
+    ub = np.array(model.upper, dtype=float)
+    return c, a, lo, hi, lb, ub
 
 
 def solve_scipy(model: LPModel) -> LPSolution:
-    from scipy.optimize import linprog
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
 
-    res = linprog(**linprog_input(model), method="highs")
+    c, a, lo, hi, lb, ub = highs_input(model)
+    res = milp(c, constraints=LinearConstraint(a, lo, hi), bounds=Bounds(lb, ub))
     if res.status == 2:
         return LPSolution("infeasible")
     if res.status == 3:
         return LPSolution("unbounded")
     if not res.success:
-        raise RuntimeError(f"scipy linprog failed: {res.message}")
-    return LPSolution("optimal", float(res.fun) + model.obj_const, res.x.tolist())
+        raise RuntimeError(f"HiGHS failed: {res.message}")
+    x = res.x
+    if np.isnan(x).any() or math.isnan(res.fun):
+        raise RuntimeError("HiGHS returned NaN for an optimal LP")
+    row = a @ x
+    if (
+        (x < lb - TOL).any()
+        or (x > ub + TOL).any()
+        or (row < lo - TOL).any()
+        or (row > hi + TOL).any()
+    ):
+        raise RuntimeError(
+            f"HiGHS's point violates the LP by more than {TOL:.2e}"
+        )
+    return LPSolution("optimal", float(res.fun) + model.obj_const, x.tolist())

@@ -364,6 +364,66 @@ class TestSemiNaivePropagation:
         assert 0 < totals[0] < totals[1]
 
 
+def _rank_program(rank, template_rank=None):
+    """``A = A + B`` over rank-``rank`` arrays, every extent 2; a
+    rank-``template_rank`` array ``C`` widens the template."""
+    dims = ",".join(["2"] * rank)
+    decls = f"real A({dims}), B({dims})"
+    body = "A = A + B"
+    if template_rank is not None:
+        wide = ",".join(["2"] * template_rank)
+        decls += f", C({wide})"
+        body += "\nC = C + 1"
+    return parse(f"{decls}\n{body}\n", name=f"rank{rank}")
+
+
+class TestSeedStopsAtTheCap:
+    """A source is seeded with the first ``max_candidates`` axis
+    embeddings in ``permutations`` order, and builds no more: those are
+    the labels a full list offered to an empty port would keep."""
+
+    @staticmethod
+    def _count_embeddings(monkeypatch):
+        drawn = []
+        real = axs.permutations
+
+        def counting(*args):
+            for perm in real(*args):
+                drawn.append(perm)
+                yield perm
+
+        monkeypatch.setattr(axs, "permutations", counting)
+        return drawn
+
+    def test_seeds_are_the_full_lists_first_64(self):
+        from repro.adg.nodes import NodeKind
+
+        adg = build_adg(_rank_program(5, template_rank=6))
+        assert adg.template_rank == 6
+        solver = AxisStrideSolver(adg)
+        solver._seed()
+        full = canonical_skeletons(5, 6)
+        assert len(full) == 720
+        sources = [n for n in adg.nodes if n.kind is NodeKind.SOURCE]
+        ranks = sorted(n.outputs()[0].rank for n in sources)
+        assert ranks == [5, 5, 6]
+        for n in sources:
+            out = n.outputs()[0]
+            want = canonical_skeletons(out.rank, 6)[: solver.max_candidates]
+            assert solver.candidates[out.key] == want
+        assert canonical_skeletons(5, 6, 64) == full[:64]
+
+    def test_the_rank_9_witness_builds_64_embeddings_a_source(self, monkeypatch):
+        from repro.align import align_and_distribute
+
+        drawn = self._count_embeddings(monkeypatch)
+        plan = align_and_distribute(_rank_program(9), nprocs=16)
+        assert plan.distribution is not None
+        # Two sources, 64 each, out of 9! = 362 880 apiece; no port was
+        # left without a candidate, so the fallback built none.
+        assert len(drawn) == 2 * 64
+
+
 class TestSolverObjectReuse:
     """The watermarks live and die with the candidate lists."""
 

@@ -17,6 +17,8 @@ from repro.ir import LIV, AffineForm, IterationSpace, Polynomial
 from repro.lang import parse
 from repro.lang import programs
 
+from lp_reference import linprog_input
+
 k = LIV("k", 0)
 
 
@@ -372,12 +374,13 @@ def reference_build(lp):
 
 def dense_reference(model):
     """``(c, (A_ub, b_ub), (A_eq, b_eq))`` of ``model`` the way the scipy
-    backend exported it before it handed ``linprog`` sparse blocks, kept
-    as the reference: dense rows, ``>=`` rows negated into ``A_ub``
-    beside the ``<=`` rows, ``==`` rows in ``A_eq``; each ``A`` is what
-    ``linprog`` made of it, ``csc_array(np.vstack(dense))`` (``None``
-    for a block with no rows).  The dense rows are stacked a slab at a
-    time, so an unrolled LP does not hold its whole matrix dense."""
+    backend exported it before it built sparse blocks, kept as the
+    reference: dense rows, ``>=`` rows negated into ``A_ub`` beside the
+    ``<=`` rows, ``==`` rows in ``A_eq``; each ``A`` is what ``linprog``
+    made of it, ``csc_array(np.vstack(dense))`` (``None`` for a block
+    with no rows), and ``linprog`` stacked ``A_ub`` over ``A_eq``.  The
+    dense rows are stacked a slab at a time, so an unrolled LP does not
+    hold its whole matrix dense."""
     import numpy as np
     from scipy.sparse import csc_array, vstack
 
@@ -493,9 +496,10 @@ class TestRowsAreTheLinExprRows:
         self, make_program, alg, mobile, every_built_lp
     ):
         import numpy as np
+        from scipy.sparse import vstack
 
         from repro.align import align_program
-        from repro.solvers.scipy_backend import linprog_input
+        from repro.solvers.scipy_backend import highs_input
 
         # The real fixpoint: every template axis, under the replicated
         # set of every round that re-solves.
@@ -505,25 +509,27 @@ class TestRowsAreTheLinExprRows:
         for lp in every_built_lp:
             ref = reference_build(lp)
             assert lp.model.names == ref.names
-            got = linprog_input(lp.model)
-            c, ub, eq = dense_reference(ref)
-            assert got["c"].tobytes() == c.tobytes()
-            for a, b, (want, rhs) in (
-                (got["A_ub"], got["b_ub"], ub),
-                (got["A_eq"], got["b_eq"], eq),
-            ):
-                if want is None:
-                    assert a is None and b is None
-                    continue
-                assert a.format == "csc" and a.has_canonical_format
-                assert a.data.all()  # no explicit zeros
-                assert a.shape == want.shape
+            c, a, lo, hi, lb, ub = highs_input(lp.model)
+            want_c, (a_ub, b_ub), (a_eq, b_eq) = dense_reference(ref)
+            assert c.tobytes() == want_c.tobytes()
+            # ``linprog`` stacked ``A_ub`` over ``A_eq`` into one CSC.
+            blocks = [b for b in (a_ub, a_eq) if b is not None]
+            want = vstack(blocks, format="csc") if blocks else None
+            n_ub = 0 if b_ub is None else len(b_ub)
+            n_eq = 0 if b_eq is None else len(b_eq)
+            assert a.format == "csc" and a.has_canonical_format
+            assert a.data.all()  # no explicit zeros
+            assert a.shape == (n_ub + n_eq, len(ref.names))
+            if want is not None:
                 assert np.array_equal(a.indptr, want.indptr)
                 assert np.array_equal(a.indices, want.indices)
                 assert a.data.tobytes() == want.data.tobytes()
-                assert b.tobytes() == rhs.tobytes()
-            bounds = np.column_stack((ref.lower, ref.upper))
-            assert got["bounds"].tobytes() == bounds.tobytes()
+            rhs = np.concatenate([b for b in (b_ub, b_eq) if b is not None] or [[]])
+            assert hi.tobytes() == rhs.tobytes()
+            assert np.isneginf(lo[:n_ub]).all()
+            assert lo[n_ub:].tobytes() == hi[n_ub:].tobytes()
+            assert lb.tobytes() == np.array(ref.lower, dtype=float).tobytes()
+            assert ub.tobytes() == np.array(ref.upper, dtype=float).tobytes()
 
     @pytest.mark.parametrize("mobile", [True, False], ids=["mobile", "static"])
     def test_rounding_is_the_quadratic_reference(
@@ -551,27 +557,37 @@ class TestRowsAreTheLinExprRows:
         self, every_built_lp, monkeypatch
     ):
         """A ``cold_kernels`` round (the 16 pinned kernels of
-        ``benchmarks/perf/corpus``) is 19 offset solves and 30 LPs: the
-        rows got cheaper to write, no problem was added or dropped."""
+        ``benchmarks/perf/corpus``) is 19 offset solves, 30 LPs and 26
+        HiGHS calls (the other 4 LPs are answered by the solved-LP memo):
+        the rows got cheaper to write and the hand-off cheaper to make,
+        no problem was added or dropped."""
         from pathlib import Path
+
+        import scipy.optimize
 
         from repro.align import align_and_distribute
         from repro.passes import align_passes
 
-        solves = []
+        solves, highs = [], []
         real = align_passes.solve_mobile_offsets
+        real_milp = scipy.optimize.milp
 
         def counting(*args, **kw):
             solves.append(1)
             return real(*args, **kw)
 
+        def counting_milp(*args, **kw):
+            highs.append(1)
+            return real_milp(*args, **kw)
+
         monkeypatch.setattr(align_passes, "solve_mobile_offsets", counting)
+        monkeypatch.setattr(scipy.optimize, "milp", counting_milp)
         corpus = Path(__file__).parent.parent / "benchmarks" / "perf" / "corpus"
         kernels = sorted(corpus.glob("*.dp"))
         assert len(kernels) == 16
         for path in kernels:
             align_and_distribute(parse(path.read_text(), name=path.stem), nprocs=16)
-        assert (len(solves), len(every_built_lp)) == (19, 30)
+        assert (len(solves), len(every_built_lp), len(highs)) == (19, 30, 26)
 
 
 def kkt_violations(inp, res):
@@ -619,14 +635,17 @@ class TestEveryOffsetLPIsCertifiedOptimal:
     """HiGHS is the only LP solver, so its answer is checked against the
     optimality conditions of the problem it was given rather than against
     a second solver: every distinct offset LP the planner builds, each
-    condition within ``1e-6 * max(1, |objective|)``."""
+    condition within ``1e-6 * max(1, |objective|)``.  The point checked
+    is the one the planner uses (``LPModel.solve``); ``milp`` returns no
+    multipliers, so the certificate's multipliers are the ones HiGHS
+    returns through ``linprog`` on the same input."""
 
     @pytest.mark.parametrize("alg", sorted(ALGORITHMS))
     def test_highs_returns_a_kkt_point(self, make_program, alg, every_built_lp):
+        import numpy as np
         from scipy.optimize import linprog
 
         from repro.align import align_program
-        from repro.solvers.scipy_backend import linprog_input
 
         align_program(make_program(), algorithm=alg)
         assert every_built_lp
@@ -636,12 +655,63 @@ class TestEveryOffsetLPIsCertifiedOptimal:
             if digest in seen:
                 continue
             seen.add(digest)
+            sol = lp.model.solve()
+            assert sol.status == "optimal"
             inp = linprog_input(lp.model)
             res = linprog(**inp, method="highs")
             assert res.status == 0, res.message
+            res.x = np.array(sol.x)
             worst = kkt_violations(inp, res)
             tol = 1e-6 * max(1.0, abs(res.fun))
             assert max(worst.values()) <= tol, (lp.model.name, worst)
+
+
+def _assert_solves_as_linprog(built):
+    """``LPModel.solve`` on each distinct LP of ``built`` returns, bit
+    for bit, the point and objective ``linprog``'s HiGHS returns."""
+    from scipy.optimize import linprog
+
+    seen = set()
+    for lp in built:
+        digest = lp.model.digest()
+        if digest in seen:
+            continue
+        seen.add(digest)
+        sol = lp.model.solve()
+        res = linprog(**linprog_input(lp.model), method="highs")
+        assert res.status == 0 and sol.status == "optimal", res.message
+        assert sol.x == res.x.tolist(), lp.model.name
+        assert sol.objective == float(res.fun) + lp.model.obj_const
+
+
+class TestMilpSolvesWhatLinprogSolved:
+    """The planner hands HiGHS its LPs through ``milp``; ``linprog`` on
+    :func:`linprog_input` is the hand-off it replaced, kept as the
+    oracle.  Both reach the same HiGHS with the same numbers, so every
+    offset LP of every algorithm, mobile and static, gets the same
+    vertex and objective to the last bit."""
+
+    @pytest.mark.parametrize("mobile", [True, False], ids=["mobile", "static"])
+    @pytest.mark.parametrize("alg", sorted(ALGORITHMS))
+    def test_on_every_differential_lp(
+        self, make_program, alg, mobile, every_built_lp
+    ):
+        from repro.align import align_program
+
+        align_program(make_program(), algorithm=alg, mobile=mobile)
+        assert every_built_lp
+        _assert_solves_as_linprog(every_built_lp)
+
+    @pytest.mark.parametrize("mobile", [True, False], ids=["mobile", "static"])
+    @pytest.mark.parametrize("alg", sorted(ALGORITHMS))
+    def test_on_every_generated_lp(self, alg, mobile, every_built_lp):
+        from repro.align import align_program
+        from repro.lang.generate import generate_corpus
+
+        for sc in generate_corpus(14, 0):
+            align_program(sc.parse(), algorithm=alg, mobile=mobile)
+        assert every_built_lp
+        _assert_solves_as_linprog(every_built_lp)
 
 
 class TestEachDistinctLPIsSolvedOnce:

@@ -125,6 +125,126 @@ class TestErrors:
             typecheck(parse("real A(4,6), r(4)\nr = sum(A, dim=3)"))
 
 
+#: The doubling-search families behind ``MAX_MAGNITUDE``: program text
+#: and exact cost as functions of n (the costs hold from n = 4).
+MAGNITUDE_FAMILIES = {
+    "copy": (lambda n: f"real x({n}), y({n})\nx = y\n", lambda n: 0),
+    "shift": (lambda n: f"real x({n})\nx(1:{n - 1}) = x(2:{n})\n", lambda n: n - 1),
+    "loop": (
+        lambda n: (
+            f"real A({n},{n}), V({2 * n})\ndo k = 1, {n}\n"
+            f"  A(k,1:{n}) = A(k,1:{n}) + V(k:k+{n - 1})\nenddo\n"
+        ),
+        lambda n: 2 * n * n,
+    ),
+}
+
+
+class TestMagnitudes:
+    """Numbers past ``MAX_MAGNITUDE`` give offset LPs whose float
+    coefficients HiGHS no longer solves right ("offset LP infeasible",
+    or a wrong cost); the typechecker refuses them, naming the number,
+    before any pass runs."""
+
+    @staticmethod
+    def _admitted_powers(make):
+        from repro.lang.typecheck import MAX_MAGNITUDE
+
+        n = 4
+        while True:
+            try:
+                typecheck(parse(make(n)))
+            except TypeError_:
+                return
+            yield n
+            n *= 2
+            assert n <= 2 * MAX_MAGNITUDE
+
+    @pytest.mark.parametrize("family", sorted(MAGNITUDE_FAMILIES))
+    def test_every_admitted_power_of_two_plans_its_exact_cost(self, family):
+        from repro.align import align_program
+
+        make, cost = MAGNITUDE_FAMILIES[family]
+        sizes = list(self._admitted_powers(make))
+        assert sizes and sizes[-1] >= 2**11
+        for n in sizes:
+            assert align_program(parse(make(n))).total_cost == cost(n), n
+
+    def test_the_loop_plans_at_the_constant(self, monkeypatch):
+        # The loop at n = MAX_MAGNITUDE declares V(2n), over the constant:
+        # admitted here only to show n itself is still solved exactly.
+        import sys
+
+        from repro.align import align_program
+
+        tc = sys.modules["repro.lang.typecheck"]
+        make, cost = MAGNITUDE_FAMILIES["loop"]
+        n = tc.MAX_MAGNITUDE
+        monkeypatch.setattr(tc, "MAX_MAGNITUDE", 2 * n)
+        assert align_program(parse(make(n))).total_cost == cost(n)
+
+    @pytest.mark.parametrize(
+        "src, what",
+        [
+            ("real x({big}), y({big})\nx = x + y", "extent of x"),
+            ("real x(8)\ndo k = 1, {big}\n  x(1) = k\nenddo", "bound of loop k"),
+            ("real x(8)\ndo k = -{big}, 1\n  x(1) = k\nenddo", "bound of loop k"),
+            ("real x(8)\ndo k = 1, 4\n  x(1:8) = x({big}*k-{big}+1:8)\nenddo",
+             "subscript of x"),
+            ("real t(4), B(4,{big})\nB = spread(t, dim=2, ncopies={big})",
+             "extent of B"),
+        ],
+    )
+    def test_one_past_the_constant_is_refused(self, src, what):
+        from repro.lang.typecheck import MAX_MAGNITUDE
+
+        big = MAX_MAGNITUDE + 1
+        with pytest.raises(TypeError_, match=f"{what}: -?{big} exceeds"):
+            typecheck(parse(src.format(big=big)))
+        # The same program at the constant passes this check.
+        try:
+            typecheck(parse(src.format(big=MAX_MAGNITUDE)))
+        except TypeError_ as exc:
+            assert "exceeds" not in str(exc)
+
+    def test_spread_ncopies_is_bounded(self):
+        from repro.lang.typecheck import MAX_MAGNITUDE
+
+        big = MAX_MAGNITUDE + 1
+        with pytest.raises(TypeError_, match=f"spread ncopies: {big} exceeds"):
+            typecheck(parse(f"real t(4), B(4,8)\nB = spread(t, dim=2, ncopies={big})"))
+
+    def test_ten_to_the_15_is_refused_not_misreported(self):
+        """``x = x + y`` at extent 10**15 used to fail inside the offset
+        LP as "offset LP axis 0: infeasible"; it is now a typecheck error
+        that names the extent, in the kernel and in the batch driver."""
+        from repro.align import align_and_distribute
+        from repro.batch import plan_many
+
+        n = 10**15
+        src = f"real x({n}), y({n})\nx = x + y\n"
+        with pytest.raises(TypeError_, match=f"extent of x: {n} exceeds"):
+            align_and_distribute(parse(src), nprocs=16)
+        (res,) = plan_many([src], jobs=1).results
+        assert res.error.startswith(f"TypeError_: extent of x: {n} exceeds")
+
+    def test_ten_to_the_12_is_refused_too(self):
+        n = 10**12
+        with pytest.raises(TypeError_, match=f"extent of x: {n} exceeds"):
+            typecheck(parse(f"real x({n}), y({n})\nx = x + y\n"))
+
+    def test_every_corpus_program_is_admitted(self, corpus_kernels, corpus_edits):
+        from repro.lang.generate import generate_corpus
+
+        sources = list(corpus_kernels.values())
+        sources += [src for _, _, src in corpus_edits]
+        sources += [sc.source for sc in generate_corpus(14, 0)]
+        sources += [sc.source for sc in generate_corpus(40, 3)]
+        assert len(sources) == 16 + 48 + 14 + 40
+        for src in sources:
+            typecheck(parse(src))
+
+
 class TestSectionExtent:
     def test_constant_step_exact(self):
         ext = section_extent(AffineForm(2), AffineForm(100), AffineForm(2), {})

@@ -9,6 +9,8 @@ import pytest
 
 from repro.solvers import LPModel
 
+from lp_reference import linprog_input
+
 
 def abs_bound(m, bound, cols, vals, const=0.0):
     """``bound >= |sum vals * x[cols] + const|`` as the paper's two rows."""
@@ -172,75 +174,211 @@ class TestRowEntryPoint:
     def test_sparse_export_negates_ge_rows_once(self):
         import numpy as np
 
-        from repro.solvers.scipy_backend import linprog_input
+        from repro.solvers.scipy_backend import highs_input
 
         m = LPModel()
         x, y = m.add_column("x"), m.add_column("y", lower=0, upper=9)
+        m.add_row([y], [3.0], "==", 6.0)
         m.add_row([x, y], [1.0, -2.0], ">=", 1.0)
         m.add_row([x, y], [1.0, 1.0], "<=", 7.0)
-        m.add_row([y], [3.0], "==", 6.0)
         m.set_objective([x, y], [1.0, 2.0])
-        got = linprog_input(m)
-        assert np.array_equal(got["c"], [1.0, 2.0])
-        assert got["A_ub"].format == got["A_eq"].format == "csc"
-        assert np.array_equal(got["A_ub"].toarray(), [[-1.0, 2.0], [1.0, 1.0]])
-        assert np.array_equal(got["b_ub"], [-1.0, 7.0])
-        assert np.array_equal(got["A_eq"].toarray(), [[0.0, 3.0]])
-        assert np.array_equal(got["b_eq"], [6.0])
-        assert np.array_equal(got["bounds"], [[-np.inf, np.inf], [0.0, 9.0]])
+        c, a, lo, hi, lb, ub = highs_input(m)
+        assert np.array_equal(c, [1.0, 2.0])
+        assert a.format == "csc" and a.has_canonical_format
+        # Inequality rows first, in row order, then the ``==`` row.
+        assert np.array_equal(a.toarray(), [[-1.0, 2.0], [1.0, 1.0], [0.0, 3.0]])
+        assert np.array_equal(lo, [-np.inf, -np.inf, 6.0])
+        assert np.array_equal(hi, [-1.0, 7.0, 6.0])
+        assert np.array_equal(lb, [-np.inf, 0.0]) and np.array_equal(ub, [np.inf, 9.0])
 
     @pytest.mark.parametrize("sense", ["<=", "=="])
     def test_an_absent_block_is_left_out(self, sense):
-        from repro.solvers.scipy_backend import linprog_input
+        # ``linprog_input`` gives the sense that is absent no block, and
+        # the stacked export no rows.
+        import numpy as np
+
+        from repro.solvers.scipy_backend import highs_input
 
         m = LPModel()
         x, y = m.add_column("x"), m.add_column("y")
         m.add_row([x, y], [1.0, 1.0], sense, 1.0)
-        got = linprog_input(m)
+        want = linprog_input(m)
         present, absent = ("ub", "eq") if sense == "<=" else ("eq", "ub")
-        assert got[f"A_{absent}"] is None and got[f"b_{absent}"] is None
-        assert got[f"A_{present}"].shape == (1, 2)
+        assert want[f"A_{absent}"] is None and want[f"b_{absent}"] is None
+        _, a, lo, hi, _, _ = highs_input(m)
+        assert a.shape == want[f"A_{present}"].shape == (1, 2)
+        assert np.array_equal(hi, [1.0])
+        assert np.array_equal(lo, [-np.inf] if sense == "<=" else [1.0])
         assert m.solve().status == "optimal"
 
-    def test_an_empty_row_is_kept(self):
+    def test_an_empty_row_is_kept(self, monkeypatch):
         # OffsetLP emits ``0 == shift coefficient`` for a LIV neither port
         # carries; the row must reach the solver, not vanish.
-        from repro.solvers.scipy_backend import linprog_input
+        import scipy.optimize
+
+        from repro.solvers.scipy_backend import highs_input
 
         m = LPModel()
         m.add_column("x", lower=0)
         m.add_row([], [], "==", 1.0)
-        got = linprog_input(m)
-        assert got["A_eq"].shape == (1, 1) and got["A_eq"].nnz == 0
-        assert got["b_eq"][0] == 1.0
-        assert m.solve().status == "infeasible"
+        _, a, lo, hi, _, _ = highs_input(m)
+        assert a.shape == (1, 1) and a.nnz == 0
+        assert lo[0] == hi[0] == 1.0
+        seen = []
+        real = scipy.optimize.milp
 
-    def test_solve_hands_linprog_the_sparse_export(self, monkeypatch):
+        def spy(c, **kw):
+            seen.append(kw["constraints"])
+            return real(c, **kw)
+
+        monkeypatch.setattr(scipy.optimize, "milp", spy)
+        assert m.solve().status == "infeasible"
+        ((con),) = seen
+        assert con.A.shape == (1, 1) and list(con.lb) == list(con.ub) == [1.0]
+
+    def test_solve_hands_milp_the_stacked_export(self, monkeypatch):
         import numpy as np
         import scipy.optimize
-
-        from repro.solvers.scipy_backend import linprog_input
+        from scipy.sparse import vstack
 
         seen = []
-        real = scipy.optimize.linprog
+        real = scipy.optimize.milp
 
-        def spy(**kw):
-            seen.append(kw)
-            return real(**kw)
+        def spy(c, **kw):
+            seen.append((c, kw))
+            return real(c, **kw)
 
-        monkeypatch.setattr(scipy.optimize, "linprog", spy)
+        monkeypatch.setattr(scipy.optimize, "milp", spy)
+        m = LPModel()
+        x, y = m.add_column("x"), m.add_column("y", lower=0)
+        m.add_row([x, y], [1.0, 1.0], "==", 3.0)
+        m.add_row([x, y], [1.0, -1.0], ">=", 1.0)
+        m.set_objective([x, y], [1.0, 2.0], 5.0)
+        s = m.solve()
+        ((c, kw),) = seen
+        # No integrality and no options: HiGHS's defaults, as ``linprog``
+        # left them.
+        assert set(kw) == {"constraints", "bounds"}
+        want = linprog_input(m)
+        con, bounds = kw["constraints"], kw["bounds"]
+        stacked = vstack((want["A_ub"], want["A_eq"]), format="csc")
+        assert con.A.format == "csc" and con.A.has_canonical_format
+        assert np.array_equal(con.A.indptr, stacked.indptr)
+        assert np.array_equal(con.A.indices, stacked.indices)
+        assert con.A.data.tobytes() == stacked.data.tobytes()
+        assert np.array_equal(con.lb, [-np.inf, 3.0])
+        assert np.array_equal(con.ub, [-1.0, 3.0])
+        assert np.array_equal(bounds.lb, want["bounds"][:, 0])
+        assert np.array_equal(bounds.ub, want["bounds"][:, 1])
+        assert c.tobytes() == want["c"].tobytes()
+        assert type(s.x) is list and all(type(v) is float for v in s.x)
+        assert (s.x[x], s.x[y]) == (pytest.approx(3.0), pytest.approx(0.0))
+        assert s.objective == pytest.approx(8.0)
+
+
+class TestThePostSolveCheck:
+    """``solve_scipy`` checks HiGHS's point before the planner uses it,
+    as ``linprog`` did: a NaN, or a bound or row broken by more than
+    ``TOL``, raises instead of becoming a plan."""
+
+    @staticmethod
+    def _model():
         m = LPModel()
         x, y = m.add_column("x"), m.add_column("y", lower=0)
         m.add_row([x, y], [1.0, -1.0], ">=", 1.0)
         m.add_row([x, y], [1.0, 1.0], "==", 3.0)
-        m.set_objective([x, y], [1.0, 2.0], 5.0)
-        s = m.solve()
-        (kw,) = seen
-        want = linprog_input(m)
-        for key in ("A_ub", "A_eq"):
-            assert kw[key].format == "csc" and kw[key].has_canonical_format
-            assert np.array_equal(kw[key].toarray(), want[key].toarray())
-        assert kw["bounds"].shape == (2, 2) and kw["method"] == "highs"
-        assert type(s.x) is list and all(type(v) is float for v in s.x)
-        assert (s.x[x], s.x[y]) == (pytest.approx(3.0), pytest.approx(0.0))
-        assert s.objective == pytest.approx(8.0)
+        m.set_objective([x, y], [1.0, 2.0])
+        return m
+
+    @staticmethod
+    def _doctor(monkeypatch, edit):
+        """Make ``milp`` return HiGHS's result with ``edit`` applied."""
+        import scipy.optimize
+
+        real = scipy.optimize.milp
+
+        def doctored(c, **kw):
+            res = real(c, **kw)
+            edit(res)
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "milp", doctored)
+
+    def test_the_true_point_passes(self, monkeypatch):
+        self._doctor(monkeypatch, lambda res: None)
+        s = self._model().solve()
+        assert s.status == "optimal" and s.objective == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("delta", [1e-3, -1e-3], ids=["up", "down"])
+    def test_a_perturbed_point_raises(self, monkeypatch, delta):
+        from repro.solvers.scipy_backend import TOL
+
+        assert abs(delta) > TOL
+
+        def perturb(res):
+            res.x = res.x + [delta, 0.0]
+
+        self._doctor(monkeypatch, perturb)
+        with pytest.raises(RuntimeError, match="violates the LP"):
+            self._model().solve()
+
+    def test_a_point_off_its_bound_raises(self, monkeypatch):
+        def below_zero(res):
+            res.x = res.x - 1e-3
+
+        m = LPModel()
+        y = m.add_column("y", lower=0)
+        m.set_objective([y], [1.0])
+        self._doctor(monkeypatch, below_zero)
+        with pytest.raises(RuntimeError, match="violates the LP"):
+            m.solve()
+
+    def test_a_move_inside_the_tolerance_passes(self, monkeypatch):
+        from repro.solvers.scipy_backend import TOL
+
+        def nudge(res):
+            res.x = res.x + [TOL / 2, 0.0]
+
+        self._doctor(monkeypatch, nudge)
+        assert self._model().solve().status == "optimal"
+
+    @pytest.mark.parametrize("where", ["x", "fun"])
+    def test_a_nan_raises(self, monkeypatch, where):
+        import numpy as np
+
+        def poison(res):
+            if where == "x":
+                res.x = np.where(np.arange(len(res.x)) == 0, np.nan, res.x)
+            else:
+                res.fun = float("nan")
+
+        self._doctor(monkeypatch, poison)
+        with pytest.raises(RuntimeError, match="NaN"):
+            self._model().solve()
+
+    def test_a_failed_solve_raises(self, monkeypatch):
+        def fail(res):
+            res.status, res.success, res.message = 4, False, "numerical trouble"
+
+        self._doctor(monkeypatch, fail)
+        with pytest.raises(RuntimeError, match="numerical trouble"):
+            self._model().solve()
+
+    def test_an_infeasible_model_is_reported_not_raised(self):
+        m = self._model()
+        m.add_row([0], [1.0], "<=", -10.0)
+        assert m.solve().status == "infeasible"
+
+    def test_an_offset_solve_writes_nothing_to_stdout_or_stderr(self, capfd):
+        # The CLI prints JSON on fd 1 and the daemon logs on fd 2: HiGHS
+        # must not log to either.
+        from repro.adg import build_adg
+        from repro.align import solve_axis_stride, solve_mobile_offsets
+        from repro.lang import programs
+
+        capfd.readouterr()
+        adg = build_adg(programs.figure1(n=10))
+        skel = solve_axis_stride(adg).skeletons
+        res = solve_mobile_offsets(adg, skel, "fixed")
+        assert res.lp_stats
+        assert capfd.readouterr() == ("", "")
