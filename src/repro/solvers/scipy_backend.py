@@ -77,8 +77,8 @@ def solve_scipy(model: LPModel) -> LPSolution:
     if not res.success:
         raise RuntimeError(f"HiGHS failed: {res.message}")
     x = res.x
-    if np.isnan(x).any() or math.isnan(res.fun):
-        raise RuntimeError("HiGHS returned NaN for an optimal LP")
+    if x is None or res.fun is None or np.isnan(x).any() or math.isnan(res.fun):
+        raise RuntimeError("HiGHS returned no point, or a NaN, for an optimal LP")
     row = a @ x
     if (
         (x < lb - TOL).any()

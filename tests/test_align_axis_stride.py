@@ -395,13 +395,16 @@ class TestSeedStopsAtTheCap:
         monkeypatch.setattr(axs, "permutations", counting)
         return drawn
 
-    def test_seeds_are_the_full_lists_first_64(self):
+    def test_seeds_are_the_full_lists_first_64(self, monkeypatch):
         from repro.adg.nodes import NodeKind
 
         adg = build_adg(_rank_program(5, template_rank=6))
         assert adg.template_rank == 6
         solver = AxisStrideSolver(adg)
-        solver._seed()
+        with monkeypatch.context() as patch:
+            drawn = self._count_embeddings(patch)
+            solver._seed()
+        assert len(drawn) == 3 * 64  # of 720 each
         full = canonical_skeletons(5, 6)
         assert len(full) == 720
         sources = [n for n in adg.nodes if n.kind is NodeKind.SOURCE]

@@ -304,11 +304,6 @@ class TestThePostSolveCheck:
 
         monkeypatch.setattr(scipy.optimize, "milp", doctored)
 
-    def test_the_true_point_passes(self, monkeypatch):
-        self._doctor(monkeypatch, lambda res: None)
-        s = self._model().solve()
-        assert s.status == "optimal" and s.objective == pytest.approx(3.0)
-
     @pytest.mark.parametrize("delta", [1e-3, -1e-3], ids=["up", "down"])
     def test_a_perturbed_point_raises(self, monkeypatch, delta):
         from repro.solvers.scipy_backend import TOL
@@ -342,18 +337,20 @@ class TestThePostSolveCheck:
         self._doctor(monkeypatch, nudge)
         assert self._model().solve().status == "optimal"
 
-    @pytest.mark.parametrize("where", ["x", "fun"])
+    @pytest.mark.parametrize("where", ["x", "fun", "no point"])
     def test_a_nan_raises(self, monkeypatch, where):
         import numpy as np
 
         def poison(res):
             if where == "x":
                 res.x = np.where(np.arange(len(res.x)) == 0, np.nan, res.x)
-            else:
+            elif where == "fun":
                 res.fun = float("nan")
+            else:
+                res.x = None
 
         self._doctor(monkeypatch, poison)
-        with pytest.raises(RuntimeError, match="NaN"):
+        with pytest.raises(RuntimeError, match="no point, or a NaN"):
             self._model().solve()
 
     def test_a_failed_solve_raises(self, monkeypatch):
