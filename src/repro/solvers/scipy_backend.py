@@ -23,7 +23,8 @@ import math
 from .lp import LPModel, LPSolution
 
 # How far HiGHS's point may leave a bound or a row side: ten times the
-# square root of 1e-9, HiGHS's feasibility tolerance in scipy.
+# square root of 1e-9, the margin scipy's own LP front end checks
+# HiGHS's answers by.
 TOL = 10 * math.sqrt(1e-9)
 
 

@@ -233,7 +233,7 @@ class TestRowEntryPoint:
 
         monkeypatch.setattr(scipy.optimize, "milp", spy)
         assert m.solve().status == "infeasible"
-        ((con),) = seen
+        (con,) = seen
         assert con.A.shape == (1, 1) and list(con.lb) == list(con.ub) == [1.0]
 
     def test_solve_hands_milp_the_stacked_export(self, monkeypatch):
