@@ -476,13 +476,14 @@ class AxisStrideSolver:
             changed |= self._propagate_edges()
             if not changed:
                 break
-        # Every port must have at least one candidate.
+        # Every port must have at least one candidate, and keeps at most
+        # max_candidates, as a seeded port does.
         t = self.adg.template_rank
         for p in self.adg.ports():
             if not self.candidates[p.key]:
-                self.candidates[p.key] = canonical_skeletons(p.rank, t) or [
-                    _skeleton([(None, None)] * t)
-                ]
+                self.candidates[p.key] = canonical_skeletons(
+                    p.rank, t, self.max_candidates
+                ) or [_skeleton([(None, None)] * t)]
 
     # -- cost weights ---------------------------------------------------------------
 

@@ -141,13 +141,18 @@ class ReplicationLabeler:
 
         pinned_n: set[object] = set()
         pinned_r: set[object] = set()
-        split_ports: dict[str, str] = {}
+        # Spreads along this axis: each is split into an in and an out vertex.
+        split = {
+            n.nid
+            for n in self.adg.nodes
+            if _current_axis_spread(n, self.skeleton, axis)
+        }
 
         def vertex_of(p: Port) -> object:
-            n = p.node
-            if _current_axis_spread(n, self.skeleton, axis):
-                return (n.nid, "in" if not p.is_output else "out")
-            return n.nid
+            nid = p.node.nid
+            if nid in split:
+                return (nid, "in" if not p.is_output else "out")
+            return nid
 
         carriers_mobile: set[int] = set()
         for arr in self.readonly:
@@ -171,11 +176,9 @@ class ReplicationLabeler:
                     carriers_mobile.add(nid)
 
         for n in self.adg.nodes:
-            if _current_axis_spread(n, self.skeleton, axis):
+            if n.nid in split:
                 pinned_r.add((n.nid, "in"))
                 pinned_n.add((n.nid, "out"))
-                for p in n.ports:
-                    split_ports[p.key] = "in" if not p.is_output else "out"
                 continue
             body_here = any(
                 axis < self.skeleton[p.key].template_rank
@@ -223,20 +226,16 @@ class ReplicationLabeler:
             value, s_side = 0.0, {g.name_of(i) for i in range(g.num_nodes)}
 
         labels: dict[int, str] = {}
-        for n in self.adg.nodes:
-            if _current_axis_spread(n, self.skeleton, axis):
-                continue
-            v = n.nid
-            if v in g:
-                labels[n.nid] = "N" if v in s_side else "R"
-            else:
-                labels[n.nid] = "N"
         # Split spreads: fixed labels.
         spread_labels: dict[str, str] = {}
         for n in self.adg.nodes:
-            if _current_axis_spread(n, self.skeleton, axis):
+            if n.nid in split:
                 for p in n.ports:
                     spread_labels[p.key] = "R" if not p.is_output else "N"
+            elif n.nid in g:
+                labels[n.nid] = "N" if n.nid in s_side else "R"
+            else:
+                labels[n.nid] = "N"
         return labels, scalar(Fraction(value).limit_denominator(10**6)), spread_labels
 
     def solve(self) -> ReplicationResult:

@@ -17,13 +17,23 @@ polynomial weights and arbitrary loop nests: it returns the moment sums
 ``M_0 = sum_i w(i)`` and ``M_j = sum_i w(i) * i_j``, which are exactly the
 coefficients that multiply the unknown alignment-coefficient differences in
 the linear program of Section 4.
+
+Over a box a monomial ``prod_j i_j^e_j`` sums to ``prod_j P_e_j(t_j)``,
+with ``P_e(t) = sum_{i in t} i^e`` the triplet's power sums, so each
+moment is ``sum c * prod_j P_e_j(t_j)`` over the weight's terms.  A
+triplet's table ``P_0 .. P_top`` is built once per call from the index
+sums ``sum_{k<n} k^d``: closed forms up to ``d = 3``, Faulhaber's
+:func:`~repro.ir.polynomial.sum_powers` above.  The sigma formulas above
+are its ``e <= 2`` entries.
 """
 
 from __future__ import annotations
 
+from math import comb
+
 from .affine import Scalar, exact_div, scalar
 from .itspace import IterationSpace, Triplet
-from .polynomial import Polynomial
+from .polynomial import Polynomial, sum_powers
 from .symbols import LIV
 
 
@@ -97,30 +107,60 @@ class Moments:
         return f"Moments(m0={self.m0}, m1={{{inner}}})"
 
 
+def _power_sums(t: Triplet, top: int) -> list[int]:
+    """``P_e(t) = sum_{i in t} i**e`` for ``e = 0 .. top``.
+
+    With ``i = lo + step*k`` for ``k < n``, ``P_e`` expands binomially
+    over the index sums ``S_d = sum_{k<n} k**d``.
+    """
+    n = len(t)
+    s1 = n * (n - 1) // 2
+    index = [n, s1, n * (n - 1) * (2 * n - 1) // 6, s1 * s1][: top + 1]
+    index += [sum_powers(n, d) for d in range(4, top + 1)]
+    lo, step = t.lo, t.step
+    return [
+        sum(comb(e, d) * lo ** (e - d) * step**d * index[d] for d in range(e + 1))
+        for e in range(top + 1)
+    ]
+
+
 def weighted_moments(space: IterationSpace, weight: Polynomial) -> Moments:
     """Compute ``M_0`` and per-LIV first moments ``M_j`` exactly.
 
-    Works for any polynomial weight and any loop-nest depth by repeated
-    closed-form summation (no enumeration).  LIVs appearing in ``weight``
-    must all belong to ``space``.
+    Works for any polynomial weight and any loop-nest depth from the
+    triplets' power-sum tables (no enumeration).  LIVs appearing in
+    ``weight`` must all belong to ``space``.
     """
     extra = weight.livs() - set(space.livs)
     if extra:
         names = ", ".join(sorted(v.name for v in extra))
         raise ValueError(f"weight mentions LIVs outside the iteration space: {names}")
 
-    def total(poly: Polynomial) -> Scalar:
-        for liv, trip in zip(space.livs, space.triplets):
-            poly = poly.sum_over(liv, trip.lo, trip.hi, trip.step)
-        if not poly.is_constant:
-            raise AssertionError("sum did not reduce to a constant")
-        return poly.const
+    axis = {liv: j for j, liv in enumerate(space.livs)}
+    terms = []  # (coefficient, exponent of each LIV of the space)
+    for mono, c in weight.terms.items():
+        exps = [0] * len(axis)
+        for liv, e in mono:
+            exps[axis[liv]] = e
+        terms.append((c, exps))
+    # One power above the weight's own, for the first moments.
+    tables = [
+        _power_sums(t, max([x[j] for _, x in terms], default=0) + 1)
+        for j, t in enumerate(space.triplets)
+    ]
 
-    m0 = total(weight)
-    m1 = {
-        liv: total(weight * Polynomial.variable(liv)) for liv in space.livs
-    }
-    return Moments(space, m0, m1)
+    def moment(raised: int) -> Scalar:
+        """``sum c * prod_j P_e_j``, LIV ``raised``'s power one higher."""
+        total = 0
+        for c, exps in terms:
+            term = c
+            for j, e in enumerate(exps):
+                term *= tables[j][e + (j == raised)]
+            total += term
+        return scalar(total)
+
+    m1 = {liv: moment(j) for j, liv in enumerate(space.livs)}
+    return Moments(space, moment(-1), m1)
 
 
 def fixed_size_cost_closed_form(

@@ -7,8 +7,8 @@ object — a product of d affine extents — is a degree-d polynomial.
 
 Communication weights in both the stride problem (Section 3) and the
 offset problem (Sections 4.2–4.3) are sums of these polynomials over
-iteration spaces, which this module evaluates exactly in closed form via
-Faulhaber power sums.
+iteration spaces, which :mod:`repro.ir.closedform` evaluates exactly
+from the power sums of :func:`sum_powers` (Faulhaber).
 
 Coefficients and results are the canonical scalar of
 :mod:`repro.ir.affine` — an ``int`` when integral, a ``Fraction``
@@ -198,7 +198,7 @@ class Polynomial:
             p >>= 1
         return out
 
-    # -- evaluation, substitution, summation ---------------------------------
+    # -- evaluation, substitution ---------------------------------------------
 
     def evaluate(self, env: Mapping[LIV, Scalar]) -> Scalar:
         total = 0
@@ -228,33 +228,6 @@ class Polynomial:
                     factor = Polynomial.constant(repl)
                 term = term * factor**e
             result = result + term
-        return result
-
-    def sum_over(self, liv: LIV, lo: int, hi: int, step: int = 1) -> "Polynomial":
-        """Exact closed-form ``sum_{liv in lo:hi:step} self``.
-
-        The iteration set is ``lo, lo+step, ..., <= hi`` (Fortran triplet
-        semantics; empty if the triplet is empty).  The result no longer
-        mentions ``liv``.
-        """
-        if step == 0:
-            raise ValueError("step must be nonzero")
-        if step > 0:
-            n = max(0, (hi - lo) // step + 1) if hi >= lo else 0
-        else:
-            n = max(0, (lo - hi) // (-step) + 1) if hi <= lo else 0
-        if n == 0:
-            return Polynomial()
-        # liv takes values lo + step*t for t = 0..n-1.
-        result = Polynomial()
-        for m, c in self._terms.items():
-            rest: Monomial = tuple((v, e) for v, e in m if v != liv)
-            p = next((e for v, e in m if v == liv), 0)
-            # sum_t (lo + step*t)^p = sum_j C(p,j) lo^(p-j) step^j S_j(n)
-            s = 0
-            for j in range(p + 1):
-                s += comb(p, j) * lo ** (p - j) * step**j * sum_powers(n, j)
-            result = result + Polynomial({rest: c * s})
         return result
 
     # -- equality, display ------------------------------------------------------

@@ -11,8 +11,13 @@ chain up to the last pass that provides a goal, instruments each run
 *reuses* artifacts whose inputs have not changed.
 
 Reuse is what makes machine sweeps cheap: a :class:`PlanContext` holds
-typed artifacts versioned by a store-time clock and fingerprinted by
-content where the value supports it.  ``ctx.fork()`` shares the solved
+typed artifacts versioned by a store-time clock.  Only the three planner
+inputs (:data:`INPUT_KEYS`: ``program``, ``align_options``, ``machine``)
+are fingerprinted by content: those fingerprints are the serve cache's
+keys, and a machine re-stored with equal content keeps what was solved
+from it.  Every other artifact is fingerprinted by identity,
+``v<version>.<nonce>``: a pass is deterministic in its inputs, so hashing
+what it derives would decide nothing.  ``ctx.fork()`` shares the solved
 artifacts; re-running the pipeline on the fork after replacing only the
 machine artifact re-executes just the machine-dependent suffix — every
 machine-independent pass is skipped with a ``reuse`` trace event, and
@@ -257,27 +262,15 @@ def render(value: Any) -> Optional[Rendered]:
 
 
 def _fresh_nonce() -> str:
-    """A per-context nonce namespacing identity fingerprints.
-
-    Identity fingerprints used to be ``f"v{version}"`` — unique only
-    within one context's store clock.  Two contexts (two forks of the
-    same prefix, or two pool workers whose clocks advance in lockstep)
-    could therefore mint the *same* identity fingerprint for different
-    artifacts, which is fatal the moment fingerprints escape their
-    context and become cache keys.  The nonce makes an identity
-    fingerprint unique to the context instance that minted it.
-    """
+    """A per-context nonce namespacing identity fingerprints: two
+    contexts whose clocks advance in lockstep (two forks of one prefix,
+    two pool workers) must never mint the same one for different
+    artifacts."""
     return uuid.uuid4().hex[:10]
 
 
-def _fingerprint(value: Any, version: int, nonce: str = "") -> str:
-    """A short content fingerprint for content-addressable values; an
-    identity fingerprint (tied to the store version and the context
-    nonce) for everything else."""
-    digest = content_fingerprint(value)
-    if digest is not None:
-        return digest
-    return f"v{version}.{nonce}" if nonce else f"v{version}"
+#: The artifacts fingerprinted by content: the planner's three inputs.
+INPUT_KEYS = frozenset({"program", "align_options", "machine"})
 
 
 class SubproblemMemo:
@@ -391,19 +384,19 @@ class PlanContext:
     ) -> Artifact:
         """Store ``value`` under ``key``.
 
-        ``fingerprint`` lets a caller that already *knows* the content
-        fingerprint (the delta engine carrying a copied artifact whose
-        base ledger entry is content-addressed) skip recomputing it.
-        The caller owns the claim that the value's content matches.
+        An input (:data:`INPUT_KEYS`) is fingerprinted by content, or
+        takes ``fingerprint`` from a caller that already knows it (the
+        delta engine, which rendered the program for its diff); the
+        caller owns the claim that the value's content matches.  Every
+        other artifact is fingerprinted by identity.
         """
         self._clock += 1
+        if key not in INPUT_KEYS:
+            fingerprint = None
+        elif fingerprint is None:
+            fingerprint = content_fingerprint(value)
         art = Artifact(
-            key,
-            value,
-            self._clock,
-            fingerprint
-            if fingerprint is not None
-            else _fingerprint(value, self._clock, self._nonce),
+            key, value, self._clock, fingerprint or f"v{self._clock}.{self._nonce}"
         )
         self._artifacts[key] = art
         return art
@@ -522,9 +515,9 @@ class Pipeline:
 
     :meth:`run` executes the chain up to the last pass that provides a
     ``goal`` artifact, skipping any pass whose outputs are already
-    present and whose recorded input signature still matches — version
-    *or* content fingerprint — so forked contexts re-execute only what
-    actually changed.
+    present and whose recorded input signature still matches — by
+    version, or for a planner input by content fingerprint — so forked
+    contexts re-execute only what actually changed.
 
     A pipeline holds no state at all — what happened is on the context
     (``ctx.trace``) — so any instance serves every caller and thread.
@@ -615,7 +608,7 @@ class Pipeline:
             if version == lv:
                 continue
             if not fp.startswith("v") and fp == lfp:
-                continue  # re-stored but content-identical
+                continue  # an input re-stored with identical content
             return False
         return True
 

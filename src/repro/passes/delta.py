@@ -61,6 +61,13 @@ output pinned to the new context's ``(profile, machine)``: a later
 machine change, or against a base solved only to ``profile`` (the
 serve prefix), runs ``distribute`` as any other replan does.
 
+Only the planner inputs are content-addressed
+(:data:`~repro.passes.core.INPUT_KEYS`); a replan hands ``put`` the
+program and machine fingerprints it already derived.  A carried
+artifact gets a fresh identity fingerprint: the projections decided it
+is the answer, and the pipeline honours it as a supplied output pinned
+to the new context's inputs, so nothing compares its content.
+
 A node payload that is not a value — its type keeps ``object``'s
 identity equality, or is unhashable — degrades the projection to
 ``None``: equal content could not be told from a shared object, so
@@ -584,17 +591,6 @@ _ALIGN_ARTIFACTS = (
 )
 
 
-def _put_carried(ctx: PlanContext, base: PlanContext, key: str, value) -> None:
-    """Store ``value`` — the base's ``key`` artifact or a shallow copy of
-    it — on ``ctx``.  It has the same *content* as the base artifact, so
-    when the base ledger entry is content-addressed its fingerprint
-    transfers verbatim: no re-hash on the replan hot path."""
-    art = base.artifact(key)
-    ctx.put(
-        key, value, fingerprint=art.fingerprint if art.content_addressed else None
-    )
-
-
 def _carry_skeletons(ctx: PlanContext, base: PlanContext, new_adg: ADG):
     """Carry the axis/stride solution onto ``ctx``, rebound to the new
     graph's ports (key sets are identical whenever a projection
@@ -653,12 +649,12 @@ def _carry_alignment(
     rounds = base.get("replication_rounds")
     cost = base.get("total_cost")
 
-    _put_carried(ctx, base, "replication", rep)
-    _put_carried(ctx, base, "offsets", off)
-    _put_carried(ctx, base, "replicated", set(base.get("replicated")))
-    _put_carried(ctx, base, "replication_rounds", rounds)
-    _put_carried(ctx, base, "alignments", alignments)
-    _put_carried(ctx, base, "total_cost", cost)
+    ctx.put("replication", rep)
+    ctx.put("offsets", off)
+    ctx.put("replicated", set(base.get("replicated")))
+    ctx.put("replication_rounds", rounds)
+    ctx.put("alignments", alignments)
+    ctx.put("total_cost", cost)
     ctx.put(
         "plan",
         AlignmentPlan(
@@ -678,7 +674,7 @@ def _carry_alignment(
         # Frozen, so shared as is.  The pipeline honours it as a supplied
         # output and pins it to the (profile, machine) of ``ctx``: a
         # later ``put("machine", ...)`` re-runs distribute.
-        _put_carried(ctx, base, "distribution", base.get("distribution"))
+        ctx.put("distribution", base.get("distribution"))
 
 
 def _account(ctx: PlanContext, report: DeltaReport) -> None:
@@ -795,7 +791,8 @@ def replan(
             # solve themselves stays on the new context.
             ctx.memo = base.memo.child()
             ctx.put("program", new_program, fingerprint=new_fp)
-            _put_carried(ctx, base, "align_options", base.get("align_options"))
+            options = base.artifact("align_options")
+            ctx.put("align_options", options.value, fingerprint=options.fingerprint)
             if new_machine is not None:
                 ctx.put("machine", new_machine, fingerprint=new_mfp)
             # The graph prefix always re-runs: the diff needs the new

@@ -2,28 +2,22 @@
 
 Theorem 1 of the paper reduces replication labeling to s-t min-cut.  The
 paper notes any standard algorithm works [Papadimitriou & Steiglitz;
-Tarjan]; we run Dinic's algorithm on an adjacency-list residual graph
-with integer-or-float capacities and a proper infinity.  ``networkx``
-cross-checks its flow values and cuts in the test suite.
+Tarjan]; we run Dinic's algorithm with integer-or-float capacities and a
+proper infinity.  The residual graph is four flat arc lists — head,
+capacity, flow and reverse arc, indexed by arc number — plus each
+node's arc numbers in insertion order: an edge adds its forward arc
+``2k`` and its reverse arc ``2k + 1``, and no arc is an object.
+``networkx`` cross-checks its flow values and cuts in the test suite.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Hashable
 
 INF = float("inf")
 
 NodeId = Hashable
-
-
-@dataclass
-class _Arc:
-    to: int
-    cap: float
-    flow: float
-    rev: int  # index of the reverse arc in adj[to]
 
 
 class FlowNetwork:
@@ -38,8 +32,11 @@ class FlowNetwork:
     def __init__(self) -> None:
         self._ids: dict[NodeId, int] = {}
         self._names: list[NodeId] = []
-        self.adj: list[list[_Arc]] = []
-        self._edges: list[tuple[int, int, int]] = []  # (u, arc_index, v)
+        self.adj: list[list[int]] = []  # node -> its arc numbers
+        self.head: list[int] = []
+        self.cap: list[float] = []
+        self.flow: list[float] = []
+        self.rev: list[int] = []
 
     def node(self, name: NodeId) -> int:
         idx = self._ids.get(name)
@@ -65,18 +62,17 @@ class FlowNetwork:
         if cap < 0:
             raise ValueError("capacity must be nonnegative")
         ui, vi = self.node(u), self.node(v)
-        fwd = _Arc(vi, float(cap), 0.0, len(self.adj[vi]))
-        rev = _Arc(ui, 0.0, 0.0, len(self.adj[ui]))
+        fwd = len(self.head)
+        self.head += (vi, ui)
+        self.cap += (float(cap), 0.0)
+        self.flow += (0.0, 0.0)
+        self.rev += (fwd + 1, fwd)
         self.adj[ui].append(fwd)
-        self.adj[vi].append(rev)
-        handle = len(self._edges)
-        self._edges.append((ui, len(self.adj[ui]) - 1, vi))
-        return handle
+        self.adj[vi].append(fwd + 1)
+        return fwd // 2
 
     def reset_flow(self) -> None:
-        for arcs in self.adj:
-            for arc in arcs:
-                arc.flow = 0.0
+        self.flow = [0.0] * len(self.flow)
 
     # -- algorithms --------------------------------------------------------
 
@@ -88,37 +84,44 @@ class FlowNetwork:
         self.reset_flow()
         return self._dinic(si, ti)
 
-    def _bfs_levels(self, s: int, t: int) -> list[int] | None:
+    def _levels(self, s: int) -> list[int]:
+        """Breadth-first distance from ``s`` over arcs with residual
+        capacity; -1 where a node is unreachable."""
+        adj, head, cap, flow = self.adj, self.head, self.cap, self.flow
         level = [-1] * self.num_nodes
         level[s] = 0
         q = deque([s])
         while q:
             u = q.popleft()
-            for arc in self.adj[u]:
-                if level[arc.to] < 0 and arc.cap - arc.flow > 1e-12:
-                    level[arc.to] = level[u] + 1
-                    q.append(arc.to)
-        return level if level[t] >= 0 else None
+            for a in adj[u]:
+                v = head[a]
+                if level[v] < 0 and cap[a] - flow[a] > 1e-12:
+                    level[v] = level[u] + 1
+                    q.append(v)
+        return level
 
     def _dinic(self, s: int, t: int) -> float:
+        adj, head, cap, flow, rev = self.adj, self.head, self.cap, self.flow, self.rev
         total = 0.0
         while True:
-            level = self._bfs_levels(s, t)
-            if level is None:
+            level = self._levels(s)
+            if level[t] < 0:
                 return total
             it = [0] * self.num_nodes
 
             def dfs(u: int, pushed: float) -> float:
                 if u == t:
                     return pushed
-                while it[u] < len(self.adj[u]):
-                    arc = self.adj[u][it[u]]
-                    residual = arc.cap - arc.flow
-                    if residual > 1e-12 and level[arc.to] == level[u] + 1:
-                        got = dfs(arc.to, min(pushed, residual))
+                arcs = adj[u]
+                while it[u] < len(arcs):
+                    a = arcs[it[u]]
+                    v = head[a]
+                    residual = cap[a] - flow[a]
+                    if residual > 1e-12 and level[v] == level[u] + 1:
+                        got = dfs(v, min(pushed, residual))
                         if got > 0:
-                            arc.flow += got
-                            self.adj[arc.to][arc.rev].flow -= got
+                            flow[a] += got
+                            flow[rev[a]] -= got
                             return got
                     it[u] += 1
                 return 0.0
@@ -139,25 +142,18 @@ class FlowNetwork:
         across (S, T) equals the flow value.
         """
         value = self.max_flow(s, t)
-        si = self.node(s)
-        seen = [False] * self.num_nodes
-        seen[si] = True
-        q = deque([si])
-        while q:
-            u = q.popleft()
-            for arc in self.adj[u]:
-                if not seen[arc.to] and arc.cap - arc.flow > 1e-12:
-                    seen[arc.to] = True
-                    q.append(arc.to)
-        s_side = {self.name_of(i) for i in range(self.num_nodes) if seen[i]}
-        t_side = {self.name_of(i) for i in range(self.num_nodes) if not seen[i]}
+        level = self._levels(self.node(s))
+        names = self._names
+        s_side = {names[i] for i, d in enumerate(level) if d >= 0}
+        t_side = {names[i] for i, d in enumerate(level) if d < 0}
         return value, s_side, t_side
 
     def cut_edges(self, s_side: set[NodeId]) -> list[tuple[NodeId, NodeId, float]]:
         """Forward arcs crossing from ``s_side`` to its complement."""
         out = []
-        for u, ai, v in self._edges:
-            un, vn = self.name_of(u), self.name_of(v)
+        for a in range(0, len(self.head), 2):
+            un = self._names[self.head[self.rev[a]]]
+            vn = self._names[self.head[a]]
             if un in s_side and vn not in s_side:
-                out.append((un, vn, self.adj[u][ai].cap))
+                out.append((un, vn, self.cap[a]))
         return out

@@ -427,6 +427,32 @@ class TestSeedStopsAtTheCap:
         assert len(drawn) == 2 * 64
 
 
+    def test_the_fallback_stops_at_the_cap(self, monkeypatch):
+        """A port left with no candidate gets the first ``max_candidates``
+        embeddings, as a seeded source does.  No real program reaches the
+        fallback (none of the 16 kernels, their 48 edits,
+        ``generate_corpus(14, 0)`` or ``(40, 3)``), so a solver that
+        seeds nothing sends every port there."""
+        adg = build_adg(_rank_program(5, template_rank=6))
+        solver = AxisStrideSolver(adg)
+
+        def seed_nothing():
+            for p in adg.ports():
+                solver.port_by_key[p.key] = p
+                solver.candidates[p.key] = []
+
+        monkeypatch.setattr(solver, "_seed", seed_nothing)
+        with monkeypatch.context() as patch:
+            drawn = self._count_embeddings(patch)
+            solver.generate_candidates()
+        ports = list(adg.ports())
+        full = {p.key: canonical_skeletons(p.rank, 6) for p in ports}
+        assert max(len(f) for f in full.values()) == 720
+        for p in ports:
+            assert solver.candidates[p.key] == full[p.key][: solver.max_candidates]
+        assert len(drawn) == sum(min(len(f), 64) for f in full.values())
+
+
 class TestSolverObjectReuse:
     """The watermarks live and die with the candidate lists."""
 

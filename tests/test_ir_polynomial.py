@@ -71,44 +71,6 @@ class TestSubstitution:
         assert q.evaluate({j: 3}) == 10
 
 
-class TestSumOver:
-    @pytest.mark.parametrize(
-        "lo,hi,step",
-        [(1, 10, 1), (2, 20, 3), (5, 5, 1), (10, 1, -2), (1, 0, 1)],
-    )
-    def test_degree2_sum(self, lo, hi, step):
-        p = Polynomial.variable(k) ** 2 + Polynomial.variable(k) * 2 + 1
-        expect = sum(v * v + 2 * v + 1 for v in _triplet(lo, hi, step))
-        got = p.sum_over(k, lo, hi, step)
-        assert got.is_constant
-        assert got.const == expect
-
-    def test_sum_keeps_other_vars(self):
-        p = Polynomial.variable(k) * Polynomial.variable(j)
-        s = p.sum_over(k, 1, 4)  # 10 * j
-        assert s.evaluate({j: 3}) == 30
-        assert k not in s.livs()
-
-    def test_zero_step_raises(self):
-        with pytest.raises(ValueError):
-            Polynomial.variable(k).sum_over(k, 1, 5, 0)
-
-
-def _triplet(lo, hi, step):
-    vals = []
-    v = lo
-    if step > 0:
-        while v <= hi:
-            vals.append(v)
-            v += step
-    else:
-        while v >= hi:
-            vals.append(v)
-            v += step
-    return vals
-
-
-
 class TestPickle:
     def test_a_state_of_fractions_loads_canonical(self):
         """The slot state a ``Polynomial`` pickled with before its

@@ -11,6 +11,7 @@ worker pool and prefix cache are built on.
 import dataclasses
 import enum
 import pickle
+import re
 from fractions import Fraction
 from typing import Any, ClassVar, NamedTuple
 
@@ -368,6 +369,74 @@ class TestPrefixReuse:
         assert {
             k: repr(al) for k, al in ctx.get("alignments").items()
         } != strides1
+
+
+INPUTS = {"program", "align_options", "machine"}
+
+
+def assert_only_inputs_content_addressed(ctx):
+    """The three planner inputs carry content fingerprints, and every
+    other artifact its store version and the nonce of the context that
+    minted it."""
+    assert {k for k in ctx.keys() if ctx.artifact(k).content_addressed} == INPUTS
+    for key in ctx.keys():
+        art = ctx.artifact(key)
+        if key in INPUTS:
+            assert art.fingerprint == content_fingerprint(art.value), key
+        else:
+            assert re.fullmatch(rf"v{art.version}\.[0-9a-f]{{10}}", art.fingerprint), key
+
+
+class TestOnlyInputsAreContentAddressed:
+    """Only ``program``, ``align_options`` and ``machine`` reach a cache
+    key, so only they are fingerprinted by content — after every way a
+    context comes to be solved."""
+
+    def test_a_cold_plan(self, corpus_kernels):
+        options, machine = planning_records(16)
+        for kernel, source in corpus_kernels.items():
+            ctx = solve_suffix(solve_prefix(parse(source, name=kernel), options), machine)
+            assert_only_inputs_content_addressed(ctx)
+
+    def test_a_forked_suffix(self):
+        options, machine = planning_records(16)
+        prefix = solve_prefix(programs.figure1(), options)
+        for nprocs in (4, 16):
+            ctx = solve_suffix(prefix.fork(), planning_records(nprocs)[1])
+            assert_only_inputs_content_addressed(ctx)
+            assert ctx.artifact("profile") is prefix.artifact("profile")
+
+    def test_a_carry_all_replan(self, corpus_bases, corpus_edits):
+        from repro.passes import replan
+
+        label = [e for e in corpus_edits if e[1] in ("op_swap", "intrinsic_swap")]
+        for kernel, _, source in label:
+            ctx, report = replan(corpus_bases[kernel], parse(source, name=kernel))
+            assert report.strategy == "carry_all"
+            assert_only_inputs_content_addressed(ctx)
+
+    def test_a_serve_prefix_hit(self, monkeypatch, corpus_kernels):
+        import repro.serve.service as service
+
+        solved = []
+
+        def recording(ctx, machine):
+            solved.append(solve_suffix(ctx, machine))
+            return solved[-1]
+
+        monkeypatch.setattr(service, "solve_suffix", recording)
+        svc = service.PlanService()
+        try:
+            source = corpus_kernels["figure1"]
+            answers = [
+                svc.handle(service.ServeRequest("figure1", source, nprocs=n)).cached
+                for n in (16, 8)
+            ]
+        finally:
+            svc.close()
+        assert answers == [None, "prefix"] and solved
+        for ctx in solved:
+            assert_only_inputs_content_addressed(ctx)
 
 
 class TestWrappers:

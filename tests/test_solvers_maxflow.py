@@ -105,3 +105,63 @@ class TestAgainstNetworkx:
         g = FlowNetwork()
         with pytest.raises(ValueError):
             g.add_edge("a", "b", -1)
+
+
+def networkx_residual_s_side(g, s, t):
+    """networkx's cut of ``g``: its maximum flow value (Edmonds–Karp) and
+    the nodes reachable from ``s`` over arcs its flow leaves residual
+    capacity on.  That set is the same for every maximum flow, so it is
+    the S side ``min_cut`` must report."""
+    from networkx.algorithms.flow import edmonds_karp
+
+    G = nx.DiGraph()
+    G.add_nodes_from(g.name_of(i) for i in range(g.num_nodes))
+    for a in range(0, len(g.head), 2):
+        u, v, c = g.name_of(g.head[g.rev[a]]), g.name_of(g.head[a]), g.cap[a]
+        if G.has_edge(u, v):
+            G[u][v]["capacity"] += c
+        else:
+            G.add_edge(u, v, capacity=c)
+    R = edmonds_karp(G, s, t)
+    seen, stack = {s}, [s]
+    while stack:
+        u = stack.pop()
+        for v, arc in R[u].items():
+            if v not in seen and arc["capacity"] - arc["flow"] > 1e-12:
+                seen.add(v)
+                stack.append(v)
+    return R.graph["flow_value"], seen
+
+
+class TestEveryPlannerNetwork:
+    """Each min-cut network replication labeling builds — every template
+    axis of every fixpoint round, on the 16 kernels and on
+    ``generate_corpus(14, 0)`` — is cut as networkx cuts it: the same
+    value and the same S side."""
+
+    def test_min_cut_agrees_with_networkx(self, monkeypatch, corpus_kernels):
+        from repro.align import align_and_distribute
+        from repro.lang import parse
+        from repro.lang.generate import generate_corpus
+
+        min_cut = FlowNetwork.min_cut
+        cuts = []
+
+        def recording(g, s, t):
+            value, s_side, t_side = min_cut(g, s, t)
+            cuts.append((g, s, t, value, s_side, t_side))
+            return value, s_side, t_side
+
+        monkeypatch.setattr(FlowNetwork, "min_cut", recording)
+        programs = [parse(src, name=k) for k, src in corpus_kernels.items()]
+        programs += [sc.parse() for sc in generate_corpus(14, 0)]
+        for program in programs:
+            align_and_distribute(program, nprocs=16)
+        # One cut per template axis per replication round that finds a
+        # pinned vertex.
+        assert len(cuts) == 100
+        for g, s, t, value, s_side, t_side in cuts:
+            want, reachable = networkx_residual_s_side(g, s, t)
+            assert value == pytest.approx(want)
+            assert s_side == reachable
+            assert t_side == {g.name_of(i) for i in range(g.num_nodes)} - reachable
