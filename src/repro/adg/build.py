@@ -23,6 +23,12 @@ unchanged outer definition.
 Edge iteration spaces are exact: the entry edge flows once (first
 iteration), the loop-back return edge for iterations ``lo+s .. last``,
 the exit edge only at ``last``.
+
+Nodes, ports and edges are numbered in the order the program is read,
+and the offset LP's columns follow that order.  Equal values are built
+once per graph: the ports of one declared array share its shape tuple,
+the edges of one loop share its restricted spaces, and edges leaving
+equal shapes share one weight polynomial.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .graph import ADG, ADGNode, Port
 from .nodes import (
     EMPTY,
     NodeKind,
+    NodePayload,
     ReducePayload,
     SectionPayload,
     SinkPayload,
@@ -90,27 +97,37 @@ class ADGBuilder:
         self.adg = ADG(program.name, template_rank=rank)
         self.defs: dict[str, Port] = {}
         self.space = IterationSpace.scalar()
-        self.region_stack: list[str] = ["top"]
+        # The conditional arm being built: "top", or "top/if<n>.then" ...
+        self.region = "top"
         self.cw = 1.0
         self._distributors: dict[int, _Distributor] = {}  # keyed by id(def port)
         self._use_regions: dict[int, str] = {}  # keyed by id(use port)
         # Edge weights of this build, one per distinct tail shape: edges
-        # leaving equal shapes share the object.
+        # leaving equal shapes share the object.  Most lookups are for a
+        # shape tuple seen before, found by identity without hashing its
+        # forms.
         self._sizes: dict[tuple[AffineForm, ...], Polynomial] = {}
+        self._sizes_by_id: dict[int, tuple[tuple[AffineForm, ...], Polynomial]] = {}
+        # Every port of one declared array shares its shape tuple.
+        self._decl_shapes: dict[str, tuple[AffineForm, ...]] = {}
 
     # -- helpers -----------------------------------------------------------
 
-    @property
-    def region(self) -> str:
-        return "/".join(self.region_stack)
-
     def _decl_shape(self, name: str) -> tuple[AffineForm, ...]:
-        return tuple(AffineForm(d) for d in self.program.decl(name).dims)
+        shape = self._decl_shapes.get(name)
+        if shape is None:
+            dims = self.program.decl(name).dims
+            shape = self._decl_shapes[name] = tuple(AffineForm(d) for d in dims)
+        return shape
 
     def _size(self, shape: tuple[AffineForm, ...]) -> Polynomial:
+        seen = self._sizes_by_id.get(id(shape))
+        if seen is not None and seen[0] is shape:
+            return seen[1]
         size = self._sizes.get(shape)
         if size is None:
             size = self._sizes[shape] = size_poly(shape)
+        self._sizes_by_id[id(shape)] = (shape, size)
         return size
 
     def connect(
@@ -125,13 +142,13 @@ class ADGBuilder:
         space = space if space is not None else tail.space
         cw = cw if cw is not None else self.cw
         weight = self._size(tail.shape)
-        existing = self.adg.out_edges(tail)
         dist = self._distributors.get(id(tail))
-        if dist is None and not existing:
-            self.adg.add_edge(tail, head, weight, space, cw)
-            self._note_use(tail, head)
-            return
         if dist is None:
+            existing = self.adg._out_edges.get(tail.key)
+            if not existing:
+                self.adg.add_edge(tail, head, weight, space, cw)
+                self._note_use(head)
+                return
             # Second consumer: splice a distributor in front of the first.
             old = existing[0]
             node = self.adg.add_node(
@@ -143,25 +160,22 @@ class ADGBuilder:
             out0 = node.add_port("out0", tail.shape, tail.space, is_output=True)
             self.adg.add_edge(out0, old.head, old.weight, old.space, old.control_weight)
             dist = _Distributor(node)
-            dist.regions.add(self._use_region_of(old.head))
+            dist.regions.add(self._use_regions.get(id(old.head), "top"))
             self._distributors[id(tail)] = dist
         node = dist.node
         out = node.add_port(
             f"out{len(node.outputs())}", tail.shape, tail.space, is_output=True
         )
         self.adg.add_edge(out, head, weight, space, cw)
-        self._note_use(tail, head, dist)
+        self._note_use(head, dist)
 
-    def _note_use(self, tail: Port, head: Port, dist: _Distributor | None = None) -> None:
+    def _note_use(self, head: Port, dist: _Distributor | None = None) -> None:
         self._use_regions[id(head)] = self.region
         if dist is not None:
             dist.regions.add(self.region)
             if len(dist.regions) > 1:
                 dist.node.kind = NodeKind.BRANCH
                 dist.node.label = dist.node.label.replace("fanout", "branch")
-
-    def _use_region_of(self, head: Port) -> str:
-        return self._use_regions.get(id(head), "top")
 
     # -- entry point ---------------------------------------------------------
 
@@ -254,8 +268,17 @@ class ADGBuilder:
         touched = sorted(used | defined)
         outer_defs = {name: self.defs[name] for name in touched}
 
-        merges: dict[str, ADGNode] = {}
-        self.space = inner_space
+        # Entry edges flow only at the first iteration, exit edges only at
+        # the last; the loop-back sends at all but the last iteration and
+        # receives at all but the first.
+        first_space = inner_space.restricted(liv, Triplet(s.lo, s.lo, s.step))
+        last_space = inner_space.restricted(liv, Triplet(last, last, s.step))
+        repeats = len(trip) > 1
+        if repeats:
+            send_space = inner_space.restricted(liv, Triplet(s.lo, last - s.step, s.step))
+            recv_space = inner_space.restricted(liv, Triplet(s.lo + s.step, last, s.step))
+
+        backs: dict[str, Port] = {}
         for name in touched:
             shape = self._decl_shape(name)
             tin = self.adg.add_node(
@@ -265,25 +288,19 @@ class ADGBuilder:
             )
             tin_in = tin.add_port("in", shape, outer_space, False)
             tin_out = tin.add_port("out", shape, inner_space, True)
-            self.space = outer_space
             self.connect(self.defs[name], tin_in, space=outer_space)
-            self.space = inner_space
             m = self.adg.add_node(NodeKind.MERGE, EMPTY, f"merge({name},{s.liv})")
             m_entry = m.add_port("entry", shape, inner_space, False)
-            m_back = m.add_port("back", shape, inner_space, False)
-            m_out = m.add_port("out", shape, inner_space, True)
-            # Entry edge flows only at the first iteration.
-            first_space = inner_space.restricted(liv, Triplet(s.lo, s.lo, s.step))
+            backs[name] = m.add_port("back", shape, inner_space, False)
+            self.defs[name] = m.add_port("out", shape, inner_space, True)
             self.adg.add_edge(tin_out, m_entry, self._size(shape), first_space, self.cw)
-            self._note_use(tin_out, m_entry)
-            merges[name] = m
-            self.defs[name] = m_out
+            self._note_use(m_entry)
 
+        self.space = inner_space
         self._build_block(s.body)
 
         for name in touched:
             shape = self._decl_shape(name)
-            m = merges[name]
             final = self.defs[name]
             tb = self.adg.add_node(
                 NodeKind.TRANSFORMER,
@@ -298,12 +315,9 @@ class ADGBuilder:
                 br_back = br.add_port("back", shape, inner_space, True)
                 br_exit = br.add_port("exit", shape, inner_space, True)
                 self.connect(final, br_in, space=inner_space)
-                if len(trip) > 1:
-                    send_space = inner_space.restricted(
-                        liv, Triplet(s.lo, last - s.step, s.step)
-                    )
+                if repeats:
                     self.adg.add_edge(br_back, tb_in, self._size(shape), send_space, self.cw)
-                    self._note_use(br_back, tb_in)
+                    self._note_use(tb_in)
                 tx = self.adg.add_node(
                     NodeKind.TRANSFORMER,
                     TransformerPayload("exit", liv, last),
@@ -311,46 +325,35 @@ class ADGBuilder:
                 )
                 tx_in = tx.add_port("in", shape, inner_space, False)
                 tx_out = tx.add_port("out", shape, outer_space, True)
-                last_space = inner_space.restricted(liv, Triplet(last, last, s.step))
                 self.adg.add_edge(br_exit, tx_in, self._size(shape), last_space, self.cw)
-                self._note_use(br_exit, tx_in)
+                self._note_use(tx_in)
                 self.defs[name] = tx_out
             else:
                 # Read-only: value circulates unchanged; no branch/exit.
-                # The send side of the loop-back flows for all but the
-                # last iteration.
-                if len(trip) > 1:
-                    send_space = inner_space.restricted(
-                        liv, Triplet(s.lo, last - s.step, s.step)
-                    )
+                if repeats:
                     self.connect(final, tb_in, space=send_space)
                 self.defs[name] = outer_defs[name]
-            if len(trip) > 1:
-                recv_space = inner_space.restricted(
-                    liv, Triplet(s.lo + s.step, last, s.step)
-                )
-                self.adg.add_edge(
-                    tb_out, m.inputs()[1], self._size(shape), recv_space, self.cw
-                )
-                self._note_use(tb_out, m.inputs()[1])
+            if repeats:
+                self.adg.add_edge(tb_out, backs[name], self._size(shape), recv_space, self.cw)
+                self._note_use(backs[name])
 
         self.space = outer_space
 
     def _build_if(self, s: A.If) -> None:
-        self.region_stack.append(f"if{id(s) & 0xffff}.then")
+        outer = self.region
+        self.region = f"{outer}/if{id(s) & 0xffff}.then"
         saved_cw = self.cw
         defs_before = dict(self.defs)
         self.cw = saved_cw * s.prob
         self._build_block(s.then_body)
         defs_then = dict(self.defs)
-        self.region_stack.pop()
 
         self.defs = dict(defs_before)
-        self.region_stack.append(f"if{id(s) & 0xffff}.else")
+        self.region = f"{outer}/if{id(s) & 0xffff}.else"
         self.cw = saved_cw * (1.0 - s.prob)
         self._build_block(s.else_body)
         defs_else = dict(self.defs)
-        self.region_stack.pop()
+        self.region = outer
         self.cw = saved_cw
 
         self.defs = defs_before
@@ -373,6 +376,7 @@ class ADGBuilder:
     # -- expressions -----------------------------------------------------------------
 
     def _build_expr(self, e: A.Expr) -> Port | None:
+        shape = self.info.shape_of
         if isinstance(e, (A.Const, A.ScalarRef)):
             return None
         if isinstance(e, A.Ref):
@@ -382,87 +386,63 @@ class ADGBuilder:
             base = self.defs[e.name]
             if not e.subscripts:
                 return base
-            shape = self.info.shape_of(e)
-            node = self.adg.add_node(
-                NodeKind.SECTION,
-                SectionPayload(e.name, _subscript_specs(e.subscripts)),
-                f"section({e.name})",
-            )
-            inp = node.add_port("in", base.shape, self.space, False)
-            self.connect(base, inp)
-            return node.add_port("out", shape, self.space, True)
+            payload = SectionPayload(e.name, _subscript_specs(e.subscripts))
+            label = f"section({e.name})"
+            return self._node(NodeKind.SECTION, payload, label, [("in", base)], shape(e))
         if isinstance(e, A.BinOp):
             l = self._build_expr(e.left)
             r = self._build_expr(e.right)
             operands = [p for p in (l, r) if p is not None]
             if not operands:
                 return None
-            shape = self.info.shape_of(e)
-            node = self.adg.add_node(NodeKind.ELEMENTWISE, EMPTY, e.op)
-            for i, p in enumerate(operands):
-                inp = node.add_port(f"in{i}", p.shape, self.space, False)
-                self.connect(p, inp)
-            return node.add_port("out", shape, self.space, True)
-        if isinstance(e, A.UnaryOp):
+            inputs = [(f"in{i}", p) for i, p in enumerate(operands)]
+            return self._node(NodeKind.ELEMENTWISE, EMPTY, e.op, inputs, shape(e))
+        if isinstance(e, (A.UnaryOp, A.Intrinsic)):
             p = self._build_expr(e.operand)
             if p is None:
                 return None
-            node = self.adg.add_node(NodeKind.ELEMENTWISE, EMPTY, f"neg")
-            inp = node.add_port("in0", p.shape, self.space, False)
-            self.connect(p, inp)
-            return node.add_port("out", p.shape, self.space, True)
-        if isinstance(e, A.Intrinsic):
-            p = self._build_expr(e.operand)
-            if p is None:
-                return None
-            node = self.adg.add_node(NodeKind.ELEMENTWISE, EMPTY, e.name)
-            inp = node.add_port("in0", p.shape, self.space, False)
-            self.connect(p, inp)
-            return node.add_port("out", p.shape, self.space, True)
+            label = "neg" if isinstance(e, A.UnaryOp) else e.name
+            return self._node(NodeKind.ELEMENTWISE, EMPTY, label, [("in0", p)], p.shape)
         if isinstance(e, A.Transpose):
             p = self._build_expr(e.operand)
             assert p is not None
-            shape = self.info.shape_of(e)
-            node = self.adg.add_node(NodeKind.TRANSPOSE, EMPTY, "transpose")
-            inp = node.add_port("in", p.shape, self.space, False)
-            self.connect(p, inp)
-            return node.add_port("out", shape, self.space, True)
+            return self._node(NodeKind.TRANSPOSE, EMPTY, "transpose", [("in", p)], shape(e))
         if isinstance(e, A.Spread):
             p = self._build_expr(e.operand)
             assert p is not None
-            shape = self.info.shape_of(e)
-            node = self.adg.add_node(
-                NodeKind.SPREAD,
-                SpreadPayload(e.dim, e.ncopies),
-                f"spread(dim={e.dim})",
-            )
-            inp = node.add_port("in", p.shape, self.space, False)
-            self.connect(p, inp)
-            return node.add_port("out", shape, self.space, True)
+            payload = SpreadPayload(e.dim, e.ncopies)
+            label = f"spread(dim={e.dim})"
+            return self._node(NodeKind.SPREAD, payload, label, [("in", p)], shape(e))
         if isinstance(e, A.Reduce):
             p = self._build_expr(e.operand)
             assert p is not None
-            node = self.adg.add_node(
-                NodeKind.REDUCE, ReducePayload(e.op, e.dim), f"{e.op}(dim={e.dim})"
-            )
-            inp = node.add_port("in", p.shape, self.space, False)
-            self.connect(p, inp)
-            if e.dim is None:
-                return None
-            shape = self.info.shape_of(e)
-            return node.add_port("out", shape, self.space, True)
+            payload = ReducePayload(e.op, e.dim)
+            label = f"{e.op}(dim={e.dim})"
+            out = None if e.dim is None else shape(e)  # a full reduction is a scalar
+            return self._node(NodeKind.REDUCE, payload, label, [("in", p)], out)
         if isinstance(e, A.Gather):
             table = self._build_expr(e.table)
             index = self._build_expr(e.index)
             assert table is not None and index is not None
-            shape = self.info.shape_of(e)
-            node = self.adg.add_node(NodeKind.GATHER, EMPTY, "gather")
-            t_in = node.add_port("table", table.shape, self.space, False)
-            i_in = node.add_port("index", index.shape, self.space, False)
-            self.connect(table, t_in)
-            self.connect(index, i_in)
-            return node.add_port("out", shape, self.space, True)
+            inputs = [("table", table), ("index", index)]
+            return self._node(NodeKind.GATHER, EMPTY, "gather", inputs, shape(e))
         raise TypeError(f"unknown expression {e!r}")
+
+    def _node(
+        self,
+        kind: NodeKind,
+        payload: NodePayload,
+        label: str,
+        inputs: list[tuple[str, Port]],
+        out: tuple[AffineForm, ...] | None,
+    ) -> Port | None:
+        """A node reading each ``(port name, definition)`` of ``inputs``,
+        and its output port of shape ``out`` (none when ``out`` is None)."""
+        node = self.adg.add_node(kind, payload, label)
+        ins = [node.add_port(name, p.shape, self.space, False) for name, p in inputs]
+        for (_, p), inp in zip(inputs, ins):
+            self.connect(p, inp)
+        return None if out is None else node.add_port("out", out, self.space, True)
 
     # -- scanning ------------------------------------------------------------------------
 

@@ -91,17 +91,10 @@ class ADGNode:
         space: IterationSpace,
         is_output: bool,
     ) -> Port:
-        index = len(self.ports)
-        p = Port(
-            self,
-            name,
-            shape,
-            space,
-            is_output,
-            index=index,
-            key=f"n{self.nid}.{index}",
-        )
-        self.ports.append(p)
+        ports = self.ports
+        index = len(ports)
+        p = Port(self, name, shape, space, is_output, index, f"n{self.nid}.{index}")
+        ports.append(p)
         return p
 
     def inputs(self) -> list[Port]:
@@ -156,10 +149,9 @@ class ADG:
     # -- construction -----------------------------------------------------
 
     def add_node(self, kind: NodeKind, payload: NodePayload, label: str) -> ADGNode:
-        n = ADGNode(
-            kind, payload, label, nid=len(self.nodes), stmt=self.current_stmt
-        )
-        self.nodes.append(n)
+        nodes = self.nodes
+        n = ADGNode(kind, payload, label, len(nodes), [], self.current_stmt)
+        nodes.append(n)
         return n
 
     def add_edge(
@@ -174,8 +166,9 @@ class ADG:
             raise ValueError(f"edge tail {tail.uid} is not an output port")
         if head.is_output:
             raise ValueError(f"edge head {head.uid} is an output port")
-        e = ADGEdge(tail, head, weight, space, control_weight, eid=self._next_eid)
-        self._next_eid += 1
+        eid = self._next_eid
+        e = ADGEdge(tail, head, weight, space, control_weight, eid)
+        self._next_eid = eid + 1
         self.edges.append(e)
         self._out_edges.setdefault(tail.key, []).append(e)
         self._in_edges.setdefault(head.key, []).append(e)
@@ -215,13 +208,16 @@ class ADG:
         (single definition); output ports with multiple consumers must
         belong to fanout-capable kinds (handled during build)."""
         for e in self.edges:
-            if e.tail.rank != e.head.rank:
+            if len(e.tail.shape) != len(e.head.shape):
                 raise AssertionError(
                     f"rank mismatch on {e}: {e.tail.rank} vs {e.head.rank}"
                 )
-        for p in self.ports():
-            if not p.is_output and len(self._in_edges.get(p.key, [])) > 1:
-                raise AssertionError(f"use port {p.uid} has multiple definitions")
+        # Only input ports have in-edges (``add_edge`` refuses the rest).
+        for defs in self._in_edges.values():
+            if len(defs) > 1:
+                raise AssertionError(
+                    f"use port {defs[0].head.uid} has multiple definitions"
+                )
 
     def __repr__(self) -> str:
         return (

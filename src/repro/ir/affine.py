@@ -131,9 +131,11 @@ class AffineForm:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "AffineForm | Scalar") -> "AffineForm":
-        if isinstance(other, (int, Fraction)):
-            return AffineForm(self._const + other, self._coeffs)
+        # ``AffineForm`` first: an ``isinstance`` against ``Fraction``
+        # (an ABC) costs as much as the sum.
         if not isinstance(other, AffineForm):
+            if isinstance(other, (int, Fraction)):
+                return AffineForm(self._const + other, self._coeffs)
             return NotImplemented
         coeffs = dict(self._coeffs)
         for liv, c in other._coeffs.items():
@@ -146,11 +148,9 @@ class AffineForm:
         return AffineForm(-self._const, {v: -c for v, c in self._coeffs.items()})
 
     def __sub__(self, other: "AffineForm | Scalar") -> "AffineForm":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (AffineForm, int, Fraction)):
             return self + (-other)
-        if not isinstance(other, AffineForm):
-            return NotImplemented
-        return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other: Scalar) -> "AffineForm":
         return (-self) + other
@@ -269,11 +269,11 @@ class AffineForm:
         )
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, AffineForm):
+            return self._const == other._const and self._coeffs == other._coeffs
         if isinstance(other, (int, Fraction)):
             return self.is_constant and self._const == other
-        if not isinstance(other, AffineForm):
-            return NotImplemented
-        return self._const == other._const and self._coeffs == other._coeffs
+        return NotImplemented
 
     def __hash__(self) -> int:
         h = self._hash

@@ -3,33 +3,46 @@
 Line-oriented like Fortran: statements end at newline; ``!`` starts a
 comment; keywords are case-insensitive.  Produces a flat token stream
 with positions for error reporting.
+
+The characters of the language are ASCII, as Fortran's are; a comment
+may hold any text.  Each line is read by one pattern, :data:`_TOKEN`,
+whose alternatives are the token grammar: a name (a keyword when it is
+one, in any case), blanks and tabs, the operators, longest first, and a
+number (digits with at most one ``.``, then an optional
+``e``/``E``/``d``/``D`` exponent; an exponent without digits is not
+part of it).  A number with a second ``.`` is a
+:class:`LexError` (``malformed number``), and so is any other character
+(``unexpected character``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+import re
+from typing import NamedTuple
 
 KEYWORDS = {
-    "real",
-    "integer",
-    "do",
-    "enddo",
-    "end",
-    "if",
-    "then",
-    "else",
-    "endif",
-    "readonly",
-    "replicated",
+    "real", "integer", "do", "enddo", "end", "if", "then", "else", "endif",
+    "readonly", "replicated",
 }
 
 # Multi-character operators first so maximal munch works.
 OPERATORS = ["**", "==", "/=", "<=", ">=", "=", "+", "-", "*", "/", "(", ")", ",", ":", "<", ">"]
 
+_TOKEN = re.compile(
+    r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<blank>[ \t]+)"
+    r"|(?P<op>" + "|".join(re.escape(op) for op in OPERATORS) + ")"
+    r"|(?P<malformed>(?:[0-9]+\.[0-9]*|\.[0-9]+)\.)"
+    r"|(?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eEdD][+-]?[0-9]+)?)"
+    r"|(?P<other>.)",
+    re.DOTALL,
+)
 
-@dataclass(frozen=True)
-class Token:
+# The line breaks of ``str.splitlines`` that are ASCII.
+_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e]")
+
+
+class Token(NamedTuple):
     kind: str  # 'ident', 'int', 'float', 'op', 'kw', 'newline', 'eof'
     text: str
     line: int
@@ -45,72 +58,48 @@ class LexError(SyntaxError):
     pass
 
 
+def _lines(source: str) -> list[str]:
+    if source.isascii():
+        return source.splitlines()
+    # A line break outside ASCII is a character of its line like any other.
+    lines = _BREAK.split(source)
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def tokenize(source: str) -> list[Token]:
     """Tokenize ``source``; always ends with exactly one ``eof`` token."""
+    new = tuple.__new__
     tokens: list[Token] = []
-    for lineno, raw in enumerate(source.splitlines(), start=1):
+    append = tokens.append
+    lines = _lines(source)
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("!", 1)[0]
-        col = 0
-        n = len(line)
-        emitted_any = False
-        while col < n:
-            ch = line[col]
-            if ch in " \t":
-                col += 1
+        first = len(tokens)
+        for m in _TOKEN.finditer(line):
+            kind = m.lastgroup
+            if kind == "blank":
                 continue
-            start = col
-            if ch.isdigit() or (
-                ch == "." and col + 1 < n and line[col + 1].isdigit()
-            ):
-                col += 1
-                isfloat = ch == "."
-                while col < n and (line[col].isdigit() or line[col] == "."):
-                    if line[col] == ".":
-                        # Don't swallow '.' of a trailing operator-like token;
-                        # the language has no ranges with '.', so any '.' here
-                        # belongs to the number.
-                        if isfloat:
-                            raise LexError(
-                                f"line {lineno}: malformed number near col {start+1}"
-                            )
-                        isfloat = True
-                    col += 1
-                # exponent part
-                if col < n and line[col] in "eEdD":
-                    mark = col
-                    col += 1
-                    if col < n and line[col] in "+-":
-                        col += 1
-                    if col < n and line[col].isdigit():
-                        isfloat = True
-                        while col < n and line[col].isdigit():
-                            col += 1
-                    else:
-                        col = mark
-                text = line[start:col].replace("d", "e").replace("D", "e")
-                tokens.append(
-                    Token("float" if isfloat else "int", text, lineno, start + 1)
+            text = m.group()
+            col = m.start() + 1
+            if kind == "ident":
+                low = text.lower()
+                if low in KEYWORDS:
+                    kind, text = "kw", low
+            elif kind == "number":
+                if text.isdigit():
+                    kind = "int"
+                else:
+                    kind, text = "float", text.replace("d", "e").replace("D", "e")
+            elif kind == "malformed":
+                raise LexError(f"line {lineno}: malformed number near col {col}")
+            elif kind == "other":
+                raise LexError(
+                    f"line {lineno}: unexpected character {text!r} at col {col}"
                 )
-                emitted_any = True
-                continue
-            if ch.isalpha() or ch == "_":
-                col += 1
-                while col < n and (line[col].isalnum() or line[col] == "_"):
-                    col += 1
-                text = line[start:col]
-                kind = "kw" if text.lower() in KEYWORDS else "ident"
-                tokens.append(Token(kind, text.lower() if kind == "kw" else text, lineno, start + 1))
-                emitted_any = True
-                continue
-            for op in OPERATORS:
-                if line.startswith(op, col):
-                    tokens.append(Token("op", op, lineno, col + 1))
-                    col += len(op)
-                    emitted_any = True
-                    break
-            else:
-                raise LexError(f"line {lineno}: unexpected character {ch!r} at col {col+1}")
-        if emitted_any:
-            tokens.append(Token("newline", "\n", lineno, n + 1))
-    tokens.append(Token("eof", "", len(source.splitlines()) + 1, 1))
+            append(new(Token, (kind, text, lineno, col)))
+        if len(tokens) > first:
+            append(new(Token, ("newline", "\n", lineno, len(line) + 1)))
+    append(new(Token, ("eof", "", len(lines) + 1, 1)))
     return tokens

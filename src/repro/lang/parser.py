@@ -22,11 +22,13 @@ Scalar index expressions (``sexpr``) are affine: sums/differences of
 integer literals and identifiers, products only with an integer constant
 on one side.  Anything else is a parse error — this is precisely the
 restriction of Section 2.4.
+
+The parser reads the token list in place: every stream ends with one
+``eof`` token and ``pos`` never moves past it, so only a look-ahead
+(``peek(1)``) needs a clamp.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from ..ir.affine import AffineForm
 from ..ir.symbols import LIV
@@ -35,6 +37,7 @@ from .lexer import Token, tokenize
 
 ELEMENTWISE_INTRINSICS = {"cos", "sin", "exp", "sqrt", "abs", "log", "tanh"}
 REDUCTIONS = {"sum", "product", "maxval", "minval"}
+CALLS = ELEMENTWISE_INTRINSICS | REDUCTIONS | {"transpose", "spread", "gather"}
 
 
 class ParseError(SyntaxError):
@@ -51,7 +54,9 @@ class Parser:
     # -- token helpers ------------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        if offset:
+            return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
         t = self.tokens[self.pos]
@@ -60,17 +65,19 @@ class Parser:
         return t
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        t = self.peek()
+        t = self.tokens[self.pos]
         return t.kind == kind and (text is None or t.text == text)
 
     def expect(self, kind: str, text: str | None = None) -> Token:
-        t = self.peek()
-        if not self.at(kind, text):
+        t = self.tokens[self.pos]
+        if t.kind != kind or (text is not None and t.text != text):
             want = text or kind
             raise ParseError(
                 f"{self.source_name}:{t.line}: expected {want!r}, found {t.text!r}"
             )
-        return self.next()
+        if kind != "eof":
+            self.pos += 1
+        return t
 
     def skip_newlines(self) -> None:
         while self.at("newline"):
@@ -249,33 +256,25 @@ class Parser:
             self.expect("op", ")")
             return e
         if t.kind == "ident":
-            name = t.text
-            lname = name.lower()
-            if lname == "transpose" and self.peek(1).text == "(":
-                self.next()
-                self.expect("op", "(")
-                inner = self.parse_expr()
-                self.expect("op", ")")
-                return A.Transpose(inner)
-            if lname == "spread" and self.peek(1).text == "(":
+            lname = t.text.lower()
+            if lname not in CALLS or self.peek(1).text != "(":
+                return self.parse_ref()
+            if lname == "spread":
                 return self.parse_spread()
-            if lname == "gather" and self.peek(1).text == "(":
-                self.next()
-                self.expect("op", "(")
+            if lname in REDUCTIONS:
+                return self.parse_reduction(lname)
+            self.next()
+            self.expect("op", "(")
+            if lname == "gather":
                 table = self.parse_ref()
                 self.expect("op", ",")
-                index = self.parse_expr()
-                self.expect("op", ")")
-                return A.Gather(table, index)
-            if lname in REDUCTIONS and self.peek(1).text == "(":
-                return self.parse_reduction(lname)
-            if lname in ELEMENTWISE_INTRINSICS and self.peek(1).text == "(":
-                self.next()
-                self.expect("op", "(")
-                inner = self.parse_expr()
-                self.expect("op", ")")
-                return A.Intrinsic(lname, inner)
-            return self.parse_ref()
+                e = A.Gather(table, self.parse_expr())
+            elif lname == "transpose":
+                e = A.Transpose(self.parse_expr())
+            else:
+                e = A.Intrinsic(lname, self.parse_expr())
+            self.expect("op", ")")
+            return e
         raise ParseError(
             f"{self.source_name}:{t.line}: unexpected token {t.text!r} in expression"
         )

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from fractions import Fraction
+from itertools import product
 from math import floor
 
 from ..ir.affine import AffineForm, exact_div
@@ -74,33 +74,23 @@ def section_extent(
     analyzes.
     """
     diff = hi - lo
-
-    def env_points(livs):
-        """All value combinations of the given LIVs (ranges are small)."""
-        from itertools import product as iproduct
-
-        names = [v for v in livs]
-        axes = []
-        for v in names:
-            if v.name not in ranges:
-                raise TypeError_(f"LIV {v.name} has no known range")
-            axes.append(list(ranges[v.name]))
-        for combo in iproduct(*axes):
-            yield dict(zip(names, combo))
-
     if step.is_constant:
         s = step.const
-        cand = diff / s
+        cand = diff if s == 1 else diff / s
         if cand.is_integral():
             return cand + 1
-        # Floor correction must be a constant over the iteration ranges.
+        # Floor correction must be a constant over the iteration ranges
+        # (all value combinations of the LIVs; ranges are small).
+        livs = list(diff.livs())
+        for v in livs:
+            if v.name not in ranges:
+                raise TypeError_(f"LIV {v.name} has no known range")
         corrections = set()
-        for env in env_points(diff.livs()):
-            val = exact_div(diff.evaluate(env), s)
+        for combo in product(*[list(ranges[v.name]) for v in livs]):
+            val = exact_div(diff.evaluate(dict(zip(livs, combo))), s)
             corrections.add(floor(val) - val)
-        vals = {c for c in corrections}
-        if len(vals) == 1:
-            return cand + next(iter(vals)) + 1
+        if len(corrections) == 1:
+            return cand + corrections.pop() + 1
         raise TypeError_(
             f"section extent floor(({diff})/{s}) + 1 is not affine over the loop ranges"
         )
@@ -120,7 +110,7 @@ def section_extent(
         if sv == 0:
             raise TypeError_(f"section step {step} vanishes at {k.name}={kv}")
         dv = diff.evaluate({k: kv})
-        counts.add(floor(exact_div(dv, sv)) + 1)
+        counts.add(dv // sv + 1)  # the floor of the exact ratio
     if len(counts) == 1:
         return AffineForm(next(iter(counts)))
     raise TypeError_(

@@ -28,6 +28,12 @@ All per-port artifacts are keyed by the stable ``Port.key`` (never
 ``id(port)``), so a context prefix pickles across process boundaries —
 :mod:`repro.serve` ships exactly these prefixes back from its worker
 pool and keeps them in its cache.
+
+A content fingerprint is the digest of a canonical rendering
+(:func:`_stable_repr`) that charges one unit of a fixed budget per value
+it writes.  A program holds many affine forms, so ``AffineForm`` has its
+own renderer (:func:`_render_affine`): the text and the charge of the
+generic ``__content_key__`` rendering, written directly.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .. import cachestats
+from ..ir.affine import AffineForm
 from ..obs import spans as obs
 
 
@@ -164,8 +171,34 @@ def _render_rendered(value: Rendered, budget: list[int]) -> str:
     return value.text
 
 
-# The one type the precedence of the scheme does not cover.
+def _render_affine(value: AffineForm, budget: list[int]) -> str:
+    """What ``render_keyed`` writes for an ``AffineForm`` (its
+    ``__content_key__``: the constant and the coefficient map, every
+    scalar as a ``Fraction``), at the same cost (the key tuple, the
+    constant, the map, and a key and a value per coefficient), without
+    building a ``Fraction`` per scalar."""
+    coeffs = value._coeffs
+    budget[0] -= 3 + len(coeffs)
+    if budget[0] < 0:
+        raise _NotContentAddressable
+    items = sorted(
+        [(_stable_repr(liv, budget), _fraction_repr(c)) for liv, c in coeffs.items()]
+    )
+    inner = ",".join([f"{k}:{v}" for k, v in items])
+    return f"AffineForm<tuple({_fraction_repr(value._const)},dict({inner}))>"
+
+
+def _fraction_repr(x: int | Fraction) -> str:
+    """``repr(Fraction(x))`` of a canonical scalar."""
+    if type(x) is int:
+        return f"Fraction({x}, 1)"
+    return f"Fraction({x.numerator}, {x.denominator})"
+
+
+# The types the precedence of the scheme does not cover, or renders the
+# long way round.
 _RENDERERS[Rendered] = _render_rendered
+_RENDERERS[AffineForm] = _render_affine
 
 
 def _resolve_renderer(tp: type) -> _Renderer:

@@ -795,9 +795,10 @@ def replan(
             ctx.put("align_options", options.value, fingerprint=options.fingerprint)
             if new_machine is not None:
                 ctx.put("machine", new_machine, fingerprint=new_mfp)
-            # The graph prefix always re-runs: the diff needs the new
-            # ADG, and typecheck/build are the cheap passes.  Its passes
-            # report their own seconds, so the diff event leaves them out.
+            # The graph prefix always re-runs: the dirty region and the
+            # projections are read off the new program's own ADG, which
+            # no base graph can stand in for.  Its passes report their
+            # own seconds, so the diff event leaves them out.
             t_graph = time.perf_counter()
             pipeline.run(ctx, goal="adg")
             graph_seconds = time.perf_counter() - t_graph

@@ -65,6 +65,16 @@ class TestOneRequest:
         assert not r.ok
         assert r.error and "ValueError" in r.error
 
+    def test_a_character_outside_ascii_is_the_tasks_error(self):
+        """``str.isdigit`` took ``²`` (and ``int`` refused it) and ``٣``
+        (read as 3); the language's characters are ASCII."""
+        requests = [PlanRequest(n, f"real A({c})\nA = 1") for n, c in (("sup", "²"), ("ar", "٣"))]
+        results = plan_many(requests, serial=True).results
+        assert [r.error for r in results] == [
+            "LexError: line 1: unexpected character '²' at col 8",
+            "LexError: line 1: unexpected character '٣' at col 8",
+        ]
+
     def test_no_distribution_when_nprocs_none(self):
         sc = generate_scenario(2, family="shift1d")
         request = PlanRequest(sc.name, sc.source)

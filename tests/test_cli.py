@@ -124,6 +124,10 @@ class TestCLI:
                 ["bad.dp"],
                 "error: bad.dp: ValueError: array A has nonpositive extent",
             ),
+            (
+                ["sup.dp"],
+                "error: sup.dp: LexError: line 1: unexpected character '²' at col 8",
+            ),
         ],
     )
     def test_unreadable_program_is_a_diagnostic_not_a_traceback(
@@ -134,6 +138,7 @@ class TestCLI:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "ok.dp").write_text(FIG1, encoding="utf-8")
         (tmp_path / "bad.dp").write_text("real A(0)\n", encoding="utf-8")
+        (tmp_path / "sup.dp").write_text("real A(²)\nA = 1\n", encoding="utf-8")
         with pytest.raises(SystemExit) as exit_:
             main(argv)
         assert exit_.value.code == 1

@@ -1,7 +1,10 @@
 """Unit tests for the lexer."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lexer_reference import reference_tokenize
 from repro.lang import LexError, tokenize
 
 
@@ -72,3 +75,65 @@ class TestTokens:
     def test_double_dot_rejected(self):
         with pytest.raises(LexError):
             tokenize("x = 1.2.3")
+
+    def test_malformed_number_names_its_column(self):
+        with pytest.raises(LexError, match=r"^line 2: malformed number near col 5$"):
+            tokenize("x = 1\nx = 1.2.3")
+
+    def test_exponent_without_digits_is_not_part_of_the_number(self):
+        assert kinds("x = 1e + 1.e5 + .5d-2") == [
+            ("ident", "x"), ("op", "="), ("int", "1"), ("ident", "e"),
+            ("op", "+"), ("float", "1.e5"), ("op", "+"), ("float", ".5e-2"),
+        ]  # fmt: skip
+
+
+class TestAsciiOnly:
+    """The characters of the language are ASCII; comments hold any text."""
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("real A(²)", "line 1: unexpected character '²' at col 8"),
+            ("real A(٣)", "line 1: unexpected character '٣' at col 8"),
+            ("real Aé(4)", "line 1: unexpected character 'é' at col 7"),
+            ("real A(4)\nA\u2028= 1", "line 2: unexpected character '\\u2028' at col 2"),
+        ],
+    )
+    def test_a_character_outside_ascii_is_refused(self, source, message):
+        with pytest.raises(LexError) as exc:
+            tokenize(source)
+        assert str(exc.value) == message
+
+    def test_a_comment_may_hold_any_text(self):
+        assert kinds("x = 1 ! café ²") == [("ident", "x"), ("op", "="), ("int", "1")]
+
+    def test_lines_break_where_they_did_on_ascii_text(self):
+        source = "a = 1\r\nb = 2\x0bc = 3\x0c\x1cd = 4\n"
+        assert tokenize(source) == reference_tokenize(source)
+        assert tokenize(source + "! é")[-1].line == 7
+
+
+_ascii_lines = st.lists(
+    st.one_of(
+        st.sampled_from(
+            [" ", "\t", "!", "1.", ".5", "1e", "1.e5", "1.5d0", "1.2.3", "2D-3",
+             "e+", ".", "**", "==", "/=", "<=", ">=", "=", "*", "/", "(", ")",
+             ":", ",", "do", "EndDo", "x_1", "A", "\n", "\r\n", "\x0b", "@"]
+        ),
+        st.text(st.characters(max_codepoint=127), max_size=3),
+    ),
+    max_size=24,
+).map("".join)
+
+
+@given(_ascii_lines)
+@settings(max_examples=600, deadline=None)
+def test_equals_the_character_loop_on_ascii_text(source):
+    try:
+        want = reference_tokenize(source)
+    except LexError as exc:
+        with pytest.raises(LexError) as got:
+            tokenize(source)
+        assert str(got.value) == str(exc)
+        return
+    assert tokenize(source) == want

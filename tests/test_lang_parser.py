@@ -3,7 +3,8 @@
 import pytest
 
 from repro.ir import LIV, AffineForm
-from repro.lang import ParseError, ast as A, parse
+from repro.lang import ParseError, ast as A, parse, tokenize
+from repro.lang.parser import Parser
 
 k = LIV("k", 0)
 
@@ -173,3 +174,39 @@ class TestIntrinsics:
         # a bare identifier 'sum' (no parens) is an array reference
         p = parse("real sum(4), x(4)\nx = sum")
         assert isinstance(p.body[0].rhs, A.Ref)
+
+
+class TestTokenCursor:
+    """The parser reads its token list in place; ``eof`` ends every
+    stream and the cursor never passes it."""
+
+    @pytest.mark.parametrize("source", ["", "real A(3)", "A = B"])
+    def test_a_look_ahead_past_the_end_is_eof(self, source):
+        parser = Parser(tokenize(source))
+        for _ in range(len(parser.tokens) + 2):
+            parser.next()
+        assert parser.peek().kind == "eof"
+        assert [parser.peek(k).kind for k in (1, 2, 5)] == ["eof"] * 3
+        assert parser.at("eof") and parser.expect("eof").kind == "eof"
+        assert parser.peek().kind == "eof"
+
+    def test_an_intrinsic_name_without_a_call_is_a_reference(self):
+        p = parse("real sum(4), B(4)\nB = sum + B\nB = sum(B) + B(1)")
+        first, second = (s.rhs for s in p.body)
+        assert first.left == A.Ref("sum")
+        assert isinstance(second.left, A.Reduce) and second.right == A.Ref(
+            "B", (A.Index(AffineForm(1)),)
+        )
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("real A(4)\nA = transpose(A", "main:2: expected ')', found '\\n'"),
+            ("real A(4)\nA = gather(A A)", "main:2: expected ',', found 'A'"),
+            ("real A(4)\nA = cos(", "main:2: unexpected token '\\n' in expression"),
+        ],
+    )
+    def test_a_broken_call_names_what_it_expected(self, source, message):
+        with pytest.raises(ParseError) as exc:
+            parse(source)
+        assert str(exc.value) == message

@@ -32,6 +32,8 @@ from repro.align.pipeline import (
     solve_prefix,
     solve_suffix,
 )
+from repro.ir.affine import AffineForm
+from repro.ir.symbols import LIV
 from repro.lang import parse, programs
 from repro.passes import (
     PASSES,
@@ -948,6 +950,43 @@ class TestStableRepr:
         assert content_fingerprint((half, half)) is None
         assert content_fingerprint((part, part)) is None
         assert render((part, part)) is None
+
+
+_scalars = st.integers(-5, 5) | st.fractions(max_denominator=4)
+_affine_forms = st.builds(
+    AffineForm,
+    _scalars,
+    st.dictionaries(
+        st.builds(LIV, st.sampled_from(["i", "j", "k"]), st.integers(0, 2)),
+        _scalars,
+        max_size=3,
+    ),
+)
+
+
+class TestAffineFormRenderer:
+    """``AffineForm`` has its own renderer; it writes and charges what
+    the ``__content_key__`` rendering did."""
+
+    @given(_affine_forms)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_content_key_rendering(self, form):
+        assert _rendered(_stable_repr, form) == _rendered(_reference_repr, form)
+        assert _rendered(_stable_repr, (form, [form])) == _rendered(
+            _reference_repr, (form, [form])
+        )
+
+    def test_the_budget_runs_out_where_it_did(self):
+        form = AffineForm(Fraction(1, 2), {LIV("k"): 2})
+        # the form, the key tuple, the constant, the map, and per
+        # coefficient the LIV (with its two fields) and the value
+        assert render(form).cost == 8
+        fits = (_FINGERPRINT_BUDGET - 1) // 8
+        for n in (fits, fits + 1):
+            forms = (form,) * n
+            assert _rendered(_stable_repr, forms) == _rendered(_reference_repr, forms)
+        assert content_fingerprint((form,) * fits) is not None
+        assert content_fingerprint((form,) * (fits + 1)) is None
 
 
 #: The nine machines ``machine_sweep`` of ``benchmarks/perf`` prices.

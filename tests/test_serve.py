@@ -522,6 +522,12 @@ class TestPlanService:
             assert resp.plan is None and resp.error
             assert _counter("serve.errors") == before + 1
 
+    def test_a_character_outside_ascii_is_an_error_reply(self):
+        with PlanService() as svc:
+            resp = svc.handle(ServeRequest("q", "real A(²)\nA = 1"))
+            assert resp.status == "error" and resp.plan is None
+            assert resp.error == "LexError: line 1: unexpected character '²' at col 8"
+
     def test_backpressure_rejects_past_high_water_mark(self):
         with PlanService(max_pending=1, retry_after=0.25) as svc:
             assert svc.try_admit()  # occupy the only slot
