@@ -144,13 +144,12 @@ class ADGBuilder:
         weight = self._size(tail.shape)
         dist = self._distributors.get(id(tail))
         if dist is None:
-            existing = self.adg._out_edges.get(tail.key)
-            if not existing:
+            old = self.adg.first_out_edge(tail)
+            if old is None:
                 self.adg.add_edge(tail, head, weight, space, cw)
                 self._note_use(head)
                 return
             # Second consumer: splice a distributor in front of the first.
-            old = existing[0]
             node = self.adg.add_node(
                 NodeKind.FANOUT, EMPTY, f"fanout({tail.node.label})"
             )

@@ -187,6 +187,12 @@ class ADG:
     def in_edges(self, p: Port) -> list[ADGEdge]:
         return list(self._in_edges.get(p.key, []))
 
+    def first_out_edge(self, p: Port) -> ADGEdge | None:
+        """The oldest edge out of ``p`` (``None`` if there is none),
+        without copying the edge list."""
+        edges = self._out_edges.get(p.key)
+        return edges[0] if edges else None
+
     def ports(self) -> Iterator[Port]:
         for n in self.nodes:
             yield from n.ports

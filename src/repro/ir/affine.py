@@ -18,8 +18,9 @@ normalises; the constructors apply it).  Strides, rounded offsets and
 sums over integer triplets are integers, so almost all of the planner's
 arithmetic is ``int`` arithmetic.  ``int`` and ``Fraction`` of equal
 value compare and hash equal, so no dict, set or LP row order depends on
-which one a value is; ``str`` renders both alike and ``__content_key__``
-writes both as a ``Fraction``, so no fingerprint or payload does either.
+which one a value is; ``str`` renders both alike and the fingerprint
+renderer (:mod:`repro.passes.core`) writes both as a ``Fraction``, so no
+fingerprint or payload does either.
 
 **The division rule.**  A planner scalar is never divided with ``/``:
 ``int / int`` is a ``float``, and no ``float`` may enter the symbolic
@@ -252,21 +253,6 @@ class AffineForm:
         self.__init__(*state)
 
     # -- equality, hashing, display ----------------------------------------
-
-    def __content_key__(self) -> tuple:
-        """Structural content for :mod:`repro.passes` fingerprinting: an
-        AffineForm is fully determined by its constant and coefficient
-        map (the evaluation memo is excluded — it is state, not content).
-        Without this, every AST containing an affine form would degrade
-        to an identity fingerprint and fall out of the persistent plan
-        cache of :mod:`repro.serve`.
-
-        Scalars are written as ``Fraction``, integral or not: the key is
-        an on-disk format older than the canonical scalar."""
-        return (
-            Fraction(self._const),
-            {liv: Fraction(c) for liv, c in self._coeffs.items()},
-        )
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, AffineForm):

@@ -136,7 +136,7 @@ class Polynomial:
         canonically ordered tuple.  Monomials sort by their (LIV, exponent)
         pairs — :class:`LIV` is an ordered dataclass — so two polynomials
         with equal terms always serialize identically.  Coefficients are
-        written as ``Fraction``, as :class:`AffineForm` writes its own."""
+        written as ``Fraction``, as an :class:`AffineForm`'s are."""
         return tuple(sorted((m, Fraction(c)) for m, c in self._terms.items()))
 
     def as_affine(self) -> AffineForm:

@@ -4,8 +4,12 @@ Line-oriented like Fortran: statements end at newline; ``!`` starts a
 comment; keywords are case-insensitive.  Produces a flat token stream
 with positions for error reporting.
 
-The characters of the language are ASCII, as Fortran's are; a comment
-may hold any text.  Each line is read by one pattern, :data:`_TOKEN`,
+The characters of the language are ASCII, as Fortran's are, and so are
+its line breaks (those of ``str.splitlines`` below U+0080).  A comment
+may hold any other text, but not a line break outside ASCII (U+0085,
+U+2028, U+2029): read as a character, it would hide the statement after
+it in the comment, so it is refused there as everywhere else.  Each line
+is read by one pattern, :data:`_TOKEN`,
 whose alternatives are the token grammar: a name (a keyword when it is
 one, in any case), blanks and tabs, the operators, longest first, and a
 number (digits with at most one ``.``, then an optional
@@ -38,8 +42,10 @@ _TOKEN = re.compile(
     re.DOTALL,
 )
 
-# The line breaks of ``str.splitlines`` that are ASCII.
+# The line breaks of ``str.splitlines`` that are ASCII, and those that
+# are not.
 _BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e]")
+_FOREIGN_BREAK = re.compile("[\x85\u2028\u2029]")
 
 
 class Token(NamedTuple):
@@ -58,22 +64,14 @@ class LexError(SyntaxError):
     pass
 
 
-def _lines(source: str) -> list[str]:
-    if source.isascii():
-        return source.splitlines()
-    # A line break outside ASCII is a character of its line like any other.
-    lines = _BREAK.split(source)
-    if not lines[-1]:
-        lines.pop()
-    return lines
-
-
 def tokenize(source: str) -> list[Token]:
     """Tokenize ``source``; always ends with exactly one ``eof`` token."""
     new = tuple.__new__
     tokens: list[Token] = []
     append = tokens.append
-    lines = _lines(source)
+    lines = _BREAK.split(source)
+    if not lines[-1]:
+        lines.pop()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("!", 1)[0]
         first = len(tokens)
@@ -99,6 +97,11 @@ def tokenize(source: str) -> list[Token]:
                     f"line {lineno}: unexpected character {text!r} at col {col}"
                 )
             append(new(Token, (kind, text, lineno, col)))
+        m = _FOREIGN_BREAK.search(raw, len(line))
+        if m:
+            raise LexError(
+                f"line {lineno}: unexpected character {m.group()!r} at col {m.start() + 1}"
+            )
         if len(tokens) > first:
             append(new(Token, ("newline", "\n", lineno, len(line) + 1)))
     append(new(Token, ("eof", "", len(lines) + 1, 1)))

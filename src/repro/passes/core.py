@@ -32,8 +32,9 @@ pool and keeps them in its cache.
 A content fingerprint is the digest of a canonical rendering
 (:func:`_stable_repr`) that charges one unit of a fixed budget per value
 it writes.  A program holds many affine forms, so ``AffineForm`` has its
-own renderer (:func:`_render_affine`): the text and the charge of the
-generic ``__content_key__`` rendering, written directly.
+own renderer (:func:`_render_affine`), which alone owns the form's
+format: the constant and the coefficient map, every scalar written as a
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -172,11 +173,11 @@ def _render_rendered(value: Rendered, budget: list[int]) -> str:
 
 
 def _render_affine(value: AffineForm, budget: list[int]) -> str:
-    """What ``render_keyed`` writes for an ``AffineForm`` (its
-    ``__content_key__``: the constant and the coefficient map, every
-    scalar as a ``Fraction``), at the same cost (the key tuple, the
-    constant, the map, and a key and a value per coefficient), without
-    building a ``Fraction`` per scalar."""
+    """An ``AffineForm`` as ``AffineForm<tuple(const,dict(liv:coeff,..))>``,
+    every scalar written as ``repr(Fraction(x))`` (an on-disk format
+    older than the canonical scalar), without building a ``Fraction``
+    per scalar.  It costs what rendering that tuple would: the tuple,
+    the constant, the map, and a key and a value per coefficient."""
     coeffs = value._coeffs
     budget[0] -= 3 + len(coeffs)
     if budget[0] < 0:
@@ -245,8 +246,9 @@ def _stable_repr(value: Any, budget: list[int]) -> str:
 
     Only structurally transparent values qualify: primitives, containers
     of such values, frozen dataclasses (``MachineSpec``,
-    ``AlignOptions``, ``LIV``, ...), and immutable classes exposing a
-    ``__content_key__()`` of such values (``AffineForm``).  Everything
+    ``AlignOptions``, ``LIV``, ...), ``AffineForm`` (its own renderer),
+    and immutable classes exposing a ``__content_key__()`` of such
+    values (``Polynomial``).  Everything
     else — in particular objects with summary-style reprs like
     ``<ADG main: 4 nodes...>``, which do not distinguish distinct
     contents — raises :class:`_NotContentAddressable` so the fingerprint

@@ -88,7 +88,8 @@ class TestTokens:
 
 
 class TestAsciiOnly:
-    """The characters of the language are ASCII; comments hold any text."""
+    """The characters of the language are ASCII; comments hold any text
+    but a line break outside ASCII."""
 
     @pytest.mark.parametrize(
         "source, message",
@@ -97,6 +98,12 @@ class TestAsciiOnly:
             ("real A(٣)", "line 1: unexpected character '٣' at col 8"),
             ("real Aé(4)", "line 1: unexpected character 'é' at col 7"),
             ("real A(4)\nA\u2028= 1", "line 2: unexpected character '\\u2028' at col 2"),
+            # str.splitlines once ended the line at these breaks: read as
+            # comment text they would hide ``A = 2``.
+            ("A = 1 ! n\x85A = 2\nB = 3", "line 1: unexpected character '\\x85' at col 10"),
+            ("A = 1 ! n\u2028A = 2", "line 1: unexpected character '\\u2028' at col 10"),
+            ("A = 1 ! n\u2029A = 2", "line 1: unexpected character '\\u2029' at col 10"),
+            ("A = ² ! \u2028", "line 1: unexpected character '²' at col 5"),
         ],
     )
     def test_a_character_outside_ascii_is_refused(self, source, message):

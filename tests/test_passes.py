@@ -780,6 +780,14 @@ def _reference_repr(value, budget):
             for f in dataclasses.fields(value)
         )
         return f"{type(value).__qualname__}({fields})"
+    if isinstance(value, AffineForm):
+        # The key an AffineForm was once rendered from: the constant and
+        # the coefficient map, every scalar as a Fraction.
+        key = (
+            Fraction(value._const),
+            {liv: Fraction(c) for liv, c in value._coeffs.items()},
+        )
+        return f"AffineForm<{_reference_repr(key, budget)}>"
     key_fn = getattr(value, "__content_key__", None)
     if key_fn is not None:
         return f"{type(value).__qualname__}<{_reference_repr(key_fn(), budget)}>"
@@ -966,7 +974,8 @@ _affine_forms = st.builds(
 
 class TestAffineFormRenderer:
     """``AffineForm`` has its own renderer; it writes and charges what
-    the ``__content_key__`` rendering did."""
+    the generic rendering of its old key (constant, coefficient map, as
+    ``Fraction``s) did."""
 
     @given(_affine_forms)
     @settings(max_examples=300, deadline=None)

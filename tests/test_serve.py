@@ -404,9 +404,9 @@ class TestFingerprintNonces:
         )
 
     def test_affine_forms_are_content_addressable(self):
-        # The opt-in __content_key__ protocol: without it every AST
-        # containing an AffineForm degraded to identity fingerprints
-        # and fell out of the persistent cache.
+        # AffineForm's own renderer: without it every AST containing
+        # an AffineForm would degrade to identity fingerprints and fall
+        # out of the persistent cache.
         from repro.ir.affine import AffineForm
         from repro.ir.symbols import LIV
 
