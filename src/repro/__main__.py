@@ -71,11 +71,12 @@ import argparse
 import json
 import os
 import sys
+from typing import NoReturn
 
 from ._io import atomic_write_json
 from .adg import to_dot
 from .align import ALGORITHMS
-from .lang import parse
+from .lang import TypeError_, parse
 from .machine import SCHEMES, measure_plan
 
 
@@ -92,8 +93,14 @@ def _load(path: str):
                 source = f.read()
         return parse(source, name=path)
     except (OSError, SyntaxError, ValueError) as exc:
-        print(f"error: {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        raise SystemExit(1) from None
+        _refuse(path, exc)
+
+
+def _refuse(path: str, exc: Exception) -> NoReturn:
+    """Exit status 1 with the one-line ``error: path: Type: message``
+    diagnostic of a program the CLI cannot plan."""
+    print(f"error: {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+    raise SystemExit(1) from None
 
 
 def _run_batch(args, align_kw: dict) -> int:
@@ -363,10 +370,14 @@ def main(argv: list[str] | None = None) -> int:
 
     from .passes import trace_table
 
-    def planned(program):
+    def planned(program, path):
         """``program`` planned cold: the prefix, and the suffix on the
-        same context when the flags name a machine."""
-        ctx = solve_prefix(program, options, profile=machine is not None)
+        same context when the flags name a machine.  A program the
+        typechecker refuses is a one-line diagnostic, as a parse error is."""
+        try:
+            ctx = solve_prefix(program, options, profile=machine is not None)
+        except TypeError_ as exc:
+            _refuse(path, exc)
         return ctx if machine is None else solve_suffix(ctx, machine)
 
     def run_single():
@@ -374,15 +385,18 @@ def main(argv: list[str] | None = None) -> int:
         if args.replan_from is not None:
             # Incremental mode: solve the base program fully, then
             # re-plan FILE as an edit of it, as far as the base went.
-            base_ctx = planned(_load(args.replan_from))
-            ctx, dreport = solve_prefix(
-                program, options, base=base_ctx, profile=machine is not None
-            )
+            base_ctx = planned(_load(args.replan_from), args.replan_from)
+            try:
+                ctx, dreport = solve_prefix(
+                    program, options, base=base_ctx, profile=machine is not None
+                )
+            except TypeError_ as exc:
+                _refuse(args.file, exc)
             print(dreport.render())
             print(explain_plan(machine=machine is not None, delta=dreport))
             print()
         else:
-            ctx = planned(program)
+            ctx = planned(program, args.file)
         plan = ctx.get("plan")
         print(plan.report())
 

@@ -235,7 +235,7 @@ class CommProfile:
         fixed, for any interconnect, not just the L1 grid.  This is
         what makes the search a per-axis argmin rather than
         a cross-product sweep.  The planner prices whole candidate
-        lists with :func:`~repro.distrib.vectorized.axis_front_hops`;
+        fronts with :func:`~repro.distrib.vectorized.axis_row_hops`;
         this is the one-candidate reference it is checked against, and
         it computes on every call.
         """

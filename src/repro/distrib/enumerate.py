@@ -3,10 +3,16 @@
 The search space has two nested choices: the *shape* of the processor
 grid (an ordered factorization of the machine size P over the template
 axes) and, per axis, the *scheme* — block with the covering block size,
-cyclic, or block-cyclic with a small block, each a scheme record of
-:mod:`repro.machine.distribution`.  This module enumerates both, and
-builds the three naive uniform baselines (all-block, all-cyclic,
-identity) the planner is benchmarked against.
+cyclic, or block-cyclic with a small block.  This module enumerates
+both, and builds the three naive uniform baselines (all-block,
+all-cyclic, identity) the planner is benchmarked against.
+
+A per-axis scheme is enumerated once, as a front row ``(mode, nprocs,
+block, base)`` of integers (:func:`axis_rows`, :func:`row_spaces`): the
+search prices whole fronts of rows and builds a scheme record of
+:mod:`repro.machine.distribution` only for each winner.
+:func:`axis_candidates` and :func:`candidate_spaces` are the records'
+view of the same rows, for callers that price one scheme at a time.
 """
 
 from __future__ import annotations
@@ -14,19 +20,11 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, Sequence
 
-from ..machine.distribution import (
-    AxisDistribution,
-    Block,
-    BlockCyclic,
-    Cyclic,
-    Distribution,
-    covering_block,
-    uniform,
-)
+from ..machine.distribution import AxisDistribution, Distribution, covering_block, uniform
 from ..topology import Topology
 from ..topology.models import factorizations, most_balanced
 from .costmodel import CommProfile, CostVector
-from .vectorized import front_costs
+from .vectorized import _MODE_BLOCK, _MODE_WRAP, _row_scheme, front_costs
 
 #: The block-cyclic block sizes every axis tries (ascending).
 DEFAULT_BLOCK_SIZES = (2, 4, 8)
@@ -50,8 +48,14 @@ def balanced_factorization(nprocs: int, rank: int) -> tuple[int, ...]:
     return most_balanced(grid_factorizations(nprocs, rank))
 
 
-def axis_candidates(lo: int, extent: int, nprocs: int) -> list[AxisDistribution]:
-    """All axis schemes for one template axis on ``nprocs`` processors.
+#: One per-axis candidate as a front row: ``(mode, nprocs, block, base)``
+#: in the codes of :mod:`repro.distrib.vectorized`.
+Row = tuple[int, int, int, int]
+
+
+def axis_rows(lo: int, extent: int, nprocs: int) -> list[Row]:
+    """All axis schemes for one template axis on ``nprocs`` processors,
+    as front rows, in enumeration order:
 
     * block, with the covering block size (smaller blocks would leave
       cells of the window un-owned — a contract violation);
@@ -60,35 +64,30 @@ def axis_candidates(lo: int, extent: int, nprocs: int) -> list[AxisDistribution]
       between 1 (= cyclic) and the covering block (= block).
 
     On one processor every scheme is the same no-communication mapping,
-    so a single covering block candidate is emitted.
+    so a single covering block row is emitted.  This is the one
+    enumeration: :func:`axis_candidates` is its object view.
     """
     cover = covering_block(extent, nprocs)
-    out: list[AxisDistribution] = [Block(nprocs, cover, lo)]
+    rows = [(_MODE_BLOCK, nprocs, cover, lo)]
     if nprocs > 1:
-        out.append(Cyclic(nprocs, lo))
-        for b in DEFAULT_BLOCK_SIZES:
-            if 1 < b < cover:
-                out.append(BlockCyclic(nprocs, b, lo))
-    return out
+        rows.append((_MODE_WRAP, nprocs, 1, lo))
+        rows.extend((_MODE_WRAP, nprocs, b, lo) for b in DEFAULT_BLOCK_SIZES if 1 < b < cover)
+    return rows
 
 
-def grid_candidates(
-    window: Sequence[tuple[int, int]], grid: Sequence[int]
-) -> list[list[AxisDistribution]]:
-    """The per-axis candidate lists of one grid shape over ``window``
-    (per-axis ``(lo, hi)`` cells): the one place they are built."""
-    return [
-        axis_candidates(lo, hi - lo + 1, p)
-        for (lo, hi), p in zip(window, grid)
-    ]
+def axis_candidates(lo: int, extent: int, nprocs: int) -> list[AxisDistribution]:
+    """:func:`axis_rows` as scheme records (:class:`Block`,
+    :class:`Cyclic`, :class:`BlockCyclic`)."""
+    return [_row_scheme(*row) for row in axis_rows(lo, extent, nprocs)]
 
 
-def candidate_spaces(
+def row_spaces(
     profile: CommProfile,
     nprocs: int,
     topology: Topology | None = None,
-) -> Iterator[tuple[tuple[int, ...], list[list[AxisDistribution]]]]:
-    """Yield ``(grid shape, per-axis candidate lists)`` per factorization.
+) -> Iterator[tuple[tuple[int, ...], list[list[Row]]]]:
+    """Yield ``(grid shape, per-axis row lists)`` per factorization,
+    over the profile's window (per-axis ``(lo, hi)`` cells).
 
     ``topology`` drops grid shapes the machine cannot realize (e.g. a
     hypercube only folds onto power-of-two axis counts); the default
@@ -97,14 +96,25 @@ def candidate_spaces(
     for grid in grid_factorizations(nprocs, profile.template_rank):
         if topology is not None and not topology.supports_grid(grid):
             continue
-        yield grid, grid_candidates(profile.window, grid)
+        yield grid, [
+            axis_rows(lo, hi - lo + 1, p) for (lo, hi), p in zip(profile.window, grid)
+        ]
 
 
-def covered_size(
-    spaces: Iterable[tuple[tuple[int, ...], list[list[AxisDistribution]]]],
-) -> int:
+def candidate_spaces(
+    profile: CommProfile,
+    nprocs: int,
+    topology: Topology | None = None,
+) -> Iterator[tuple[tuple[int, ...], list[list[AxisDistribution]]]]:
+    """:func:`row_spaces` with every row as its scheme record."""
+    for grid, rows in row_spaces(profile, nprocs, topology):
+        yield grid, [[_row_scheme(*row) for row in axis] for axis in rows]
+
+
+def covered_size(spaces: Iterable[tuple[tuple[int, ...], Sequence[Sequence]]]) -> int:
     """Candidate distributions covered by ``spaces``: the per-grid
-    cross-product of the per-axis candidate lists, summed over grids."""
+    cross-product of the per-axis candidate lists (rows or records),
+    summed over grids."""
     return sum(math.prod(len(c) for c in cands) for _, cands in spaces)
 
 
@@ -114,7 +124,7 @@ def space_size(
     topology: Topology | None = None,
 ) -> int:
     """Total number of candidate distributions across all grid shapes."""
-    return covered_size(candidate_spaces(profile, nprocs, topology))
+    return covered_size(row_spaces(profile, nprocs, topology))
 
 
 def naive_distributions(

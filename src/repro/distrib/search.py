@@ -3,70 +3,78 @@
 Every hop metric decomposes over template axes, so once a grid
 factorization fixes the processor count per axis, the best scheme per
 axis is an independent choice: :func:`_winners` prices each template
-axis once for every grid (one array call over all their candidate
-lists) and each grid takes the first minimum of its own slice.  The
-same call returns each candidate's ``moved``, so a winner's cost is
-assembled from those numbers (:func:`_plans`), never priced twice.
-Every grid factorization is solved this way, so the winner over all of
-them is the hop-optimal distribution.  Cost orders by hops first, so
-only the grids tied at the minimum hops can win, and ``moved`` breaks
-the tie.
+axis once for every grid — the axis's enumeration rows
+(:func:`~repro.distrib.enumerate.row_spaces`) of all grids joined into
+one integer array, one
+:func:`~repro.distrib.vectorized.axis_row_hops` call — and each grid
+takes the first minimum of its own slice; only those winning rows
+become scheme records.  The same call returns each row's ``moved``, so
+a winner's cost is assembled from those numbers (:func:`_plans`), never
+priced twice.  Every grid factorization is solved this way, so the
+winner over all of them is the hop-optimal distribution.  Cost orders
+by hops first, so only the grids tied at the minimum hops can win, and
+``moved`` breaks the tie.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from ..machine.distribution import AxisDistribution
 from ..obs import spans as obs
 from ..topology import Topology
 from .costmodel import CommProfile, CostVector
-from .enumerate import candidate_spaces, covered_size
+from .enumerate import Row, covered_size, row_spaces
 from .plan import DistributionPlan
-from .vectorized import axis_front_hops, joint_moved
+from .vectorized import _row_scheme, axis_row_hops, joint_moved
 
 Winner = tuple[list[AxisDistribution], int, int]
+Space = tuple[tuple[int, ...], list[list[Row]]]
 
 
 def _winners(
     profile: CommProfile,
-    spaces: Sequence[tuple[tuple[int, ...], Sequence[Sequence[AxisDistribution]]]],
+    spaces: Sequence[Space],
     topology: Topology | None,
 ) -> list[Winner]:
     """Per grid of ``spaces``: the hop-optimal scheme per axis, and the
     hops and ``moved`` those schemes price on their own axes.
 
     Each template axis is one
-    :func:`~repro.distrib.vectorized.axis_front_hops` call over every
-    grid's candidate list for it, with one metric per row; each grid
-    then takes the first minimum of its own slice, so a tie goes to the
-    earlier candidate in
-    :func:`~repro.distrib.enumerate.axis_candidates` order.  Neither sum
-    has the profile's fixed cost or the joint rows in it
-    (:func:`_plans` adds those).
+    :func:`~repro.distrib.vectorized.axis_row_hops` call over every
+    grid's rows for it joined into one array, with one metric per grid;
+    each grid then takes the first minimum of its own slice, so a tie
+    goes to the earlier row in
+    :func:`~repro.distrib.enumerate.axis_rows` order, and only that row
+    becomes a scheme record.  Neither sum has the profile's fixed cost
+    or the joint rows in it (:func:`_plans` adds those).
     """
     metrics = [] if topology is None else [topology.metrics(grid) for grid, _ in spaces]
     axes: list[list[AxisDistribution]] = [[] for _ in spaces]
     hops, moved = [0] * len(spaces), [0] * len(spaces)
     with obs.span(
         "distrib.front_price",
-        candidates=sum(len(c) for _, cands in spaces for c in cands),
+        candidates=sum(len(r) for _, rows in spaces for r in rows),
         axes=profile.template_rank,
         grids=len(spaces),
     ):
         for t in range(profile.template_rank):
-            joined = [c for _, cands in spaces for c in cands[t]]
-            rows = None if topology is None else [
-                m[t] for m, (_, cands) in zip(metrics, spaces) for _ in cands[t]
+            joined = [row for _, rows in spaces for row in rows[t]]
+            runs = None if topology is None else [
+                (m[t], len(rows[t])) for m, (_, rows) in zip(metrics, spaces)
             ]
-            t_hops, t_moved = axis_front_hops(profile, t, joined, rows)
+            t_hops, t_moved = axis_row_hops(
+                profile, t, np.array(joined, dtype=np.int64).reshape(-1, 4), runs
+            )
             t_hops, t_moved = t_hops.tolist(), t_moved.tolist()
             stop = 0
-            for g, (_, cands) in enumerate(spaces):
-                start, stop = stop, stop + len(cands[t])
+            for g, (_, rows) in enumerate(spaces):
+                start, stop = stop, stop + len(rows[t])
                 own = t_hops[start:stop]
                 i = start + own.index(min(own))
-                axes[g].append(joined[i])
+                axes[g].append(_row_scheme(*joined[i]))
                 hops[g] += t_hops[i]
                 moved[g] += t_moved[i]
     return list(zip(axes, hops, moved))
@@ -103,9 +111,9 @@ def _spaces(
     profile: CommProfile,
     nprocs: int,
     topology: Topology | None,
-) -> list[tuple[tuple[int, ...], list[list[AxisDistribution]]]]:
-    """Every realizable grid with its per-axis candidate lists."""
-    spaces = list(candidate_spaces(profile, nprocs, topology))
+) -> list[Space]:
+    """Every realizable grid with its per-axis row lists."""
+    spaces = list(row_spaces(profile, nprocs, topology))
     if not spaces:
         raise ValueError(
             f"{topology.spec() if topology else 'machine'}: no realizable "
@@ -135,7 +143,7 @@ def plan_distribution(
         "distrib.plan",
         nprocs=nprocs,
         grids=len(spaces),
-        candidates=sum(len(c) for _, cands in spaces for c in cands),
+        candidates=sum(len(r) for _, rows in spaces for r in rows),
     ):
         solved = _winners(profile, spaces, topology)
         # Cost orders by hops first and a grid's hop sum is its winner's

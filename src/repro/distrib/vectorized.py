@@ -19,14 +19,19 @@ broadcasted NumPy ops:
   ``moved``); only elements that move on two or more axes keep
   deduplicated :class:`JointFront` rows, because ``moved`` counts such
   an element once however many of its axes change processor;
-* :func:`axis_front_hops` maps one axis's cell pairs to processor
+* :func:`axis_row_hops` maps one axis's cell pairs to processor
   coordinates for *all* candidate axis schemes at once, every grid's
-  candidates joined in one call — scheme parameters become broadcast
-  arrays, the topology's vectorized metric kernels
-  (:meth:`~repro.topology.AxisMetric.hops`) price the whole
-  ``(candidates, pairs)`` array, one kernel call per distinct metric —
-  and returns the per-candidate hop and ``moved`` totals the per-axis
-  argmin consumes;
+  candidates joined in one call.  A candidate is a row ``(mode,
+  nprocs, block, base)`` of an ``(n, 4)`` int64 array (the search's
+  rows come straight from :func:`~repro.distrib.enumerate.axis_rows`,
+  so no scheme record is built to be priced); the rows are sorted by
+  metric once (stable), so each of the topology's vectorized metric
+  kernels (:meth:`~repro.topology.AxisMetric.hops`) prices one
+  contiguous slice of the ``(candidates, pairs)`` array; it returns the
+  per-candidate hop and ``moved`` totals the per-axis argmin consumes.
+  :func:`axis_front_hops` and :func:`evaluate_front` are the scheme
+  records' adapters onto the same kernel (:func:`_axis_totals`): they
+  turn records into rows with :func:`_axis_dist_params`;
 * :func:`joint_moved` prices the joint rows, the one ``moved`` term no
   single axis can tell, for whole candidate distributions;
 * :func:`evaluate_front` prices full candidate distributions with the
@@ -35,7 +40,7 @@ broadcasted NumPy ops:
 
 The suffix only reads the front: the ``distrib.front_tensors`` counter
 records one miss per front compiled and one hit per pricing read (an
-:func:`axis_front_hops` or :func:`evaluate_front` call).  The scalar
+:func:`axis_row_hops` or :func:`evaluate_front` call).  The scalar
 evaluators stay as the reference: every number produced here is an
 exact integer equal to theirs and to the machine simulator (asserted per
 scenario and per topology family in ``tests/test_differential.py``).
@@ -52,7 +57,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..cachestats import _cell
-from ..machine.distribution import SCHEMES, Block, Distribution, Identity
+from ..machine.distribution import (
+    SCHEMES,
+    AxisDistribution,
+    Block,
+    BlockCyclic,
+    Cyclic,
+    Distribution,
+    Identity,
+)
 from ..topology import AxisMetric, Topology, distribution_metrics_batch
 
 # Candidates priced, in slot 0 (the cell's "hits"; slot 1 stays 0).
@@ -107,7 +120,7 @@ class JointFront:
 
 @dataclass(frozen=True)
 class FrontTensors:
-    """A profile's pricing front: everything :func:`axis_front_hops`,
+    """A profile's pricing front: everything :func:`axis_row_hops`,
     :func:`joint_moved` and :func:`evaluate_front` read, compiled once
     per profile."""
 
@@ -247,33 +260,45 @@ def _axis_dist_params(ax) -> tuple[int, int, int, int]:
     )
 
 
+def _params(cands: Sequence) -> np.ndarray:
+    """The ``(n, 4)`` int64 rows of scheme records ``cands``."""
+    return np.array([_axis_dist_params(c) for c in cands], dtype=np.int64).reshape(-1, 4)
+
+
+def _row_scheme(mode: int, nprocs: int, block: int, base: int) -> AxisDistribution:
+    """The scheme record of one enumeration row, the inverse of
+    :func:`_axis_dist_params` on the rows
+    :func:`~repro.distrib.enumerate.axis_rows` emits (a wrap row of
+    block 1 is :class:`Cyclic`)."""
+    if mode == _MODE_BLOCK:
+        return Block(nprocs, block, base)
+    if block == 1:
+        return Cyclic(nprocs, base)
+    return BlockCyclic(nprocs, block, base)
+
+
 def _check_contract(
-    cands: Sequence,
-    mode: np.ndarray,
-    p: np.ndarray,
-    block: np.ndarray,
-    base: np.ndarray,
-    lo: int,
-    hi: int,
+    rows: np.ndarray, lo: int, hi: int, cands: Optional[Sequence] = None
 ) -> None:
     """Mirror :func:`repro.machine.distribution.validate_cells` for the
-    whole candidate batch: same violations, same ValueError, naming the
-    offending scheme record."""
+    whole ``(n, 4)`` row batch: same violations, same ValueError, naming
+    the offending scheme record (``cands[i]``, or the record row ``i``
+    stands for when ``cands`` is None), which is built only to raise."""
+    mode, p, block, base = rows.T
     owned = mode != _MODE_IDENTITY
-    below = owned & (lo < base)
-    if np.any(below):
-        i = int(np.argmax(below))
-        raise ValueError(
-            f"{cands[i]!r}: cell {lo} below distribution base {int(base[i])}"
-        )
     blocked = mode == _MODE_BLOCK
-    over = blocked & (hi >= base + p * block)
-    if np.any(over):
-        i = int(np.argmax(over))
-        raise ValueError(
-            f"{cands[i]!r}: cell {hi} outside covered range "
-            f"[{int(base[i])}, {int(base[i] + p[i] * block[i])})"
-        )
+    below = owned & (lo < base)
+    bad = below if below.any() else blocked & (hi >= base + p * block)
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    name = _row_scheme(*map(int, rows[i])) if cands is None else cands[i]
+    b = int(base[i])
+    if below[i]:
+        raise ValueError(f"{name!r}: cell {lo} below distribution base {b}")
+    raise ValueError(
+        f"{name!r}: cell {hi} outside covered range [{b}, {b + int(p[i] * block[i])})"
+    )
 
 
 def _proc_coords(
@@ -314,32 +339,73 @@ def _metric_hops(
 # -- front pricing ------------------------------------------------------------
 
 
+Runs = Sequence[tuple[Optional[AxisMetric], int]]
+
+
 def _axis_totals(
     af: AxisFront,
-    cands: Sequence,
-    metrics: Optional[Sequence[Optional[AxisMetric]]],
+    rows: np.ndarray,
+    runs: Optional[Runs],
+    cands: Optional[Sequence] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(hops, moved)`` of one axis front under every candidate, row
-    ``i`` priced with ``metrics[i]`` (``metrics`` None: all on the open
-    chain)."""
-    params = np.array([_axis_dist_params(c) for c in cands], dtype=np.int64).T
-    _check_contract(cands, *params, af.lo, af.hi)
+    """``(hops, moved)`` of one axis front under every ``(n, 4)`` scheme
+    row.  ``runs`` holds ``(metric, count)`` pairs in row order: the
+    first ``count`` rows price with the first metric, and so on (None:
+    all on the open chain).  ``cands``, the records the rows came from,
+    only names a contract violation."""
+    _check_contract(rows, af.lo, af.hi, cands)
+    # Rows can price this axis with different metrics (different grids /
+    # physical axes): each metric's kernel runs once, on one contiguous
+    # slice.  The runs already are such slices unless a metric recurs
+    # after another; then one stable sort of the rows by metric makes them.
+    runs = runs or ((None, len(rows)),)
+    ids: dict = {}
+    key = [ids.setdefault(m, len(ids)) for m, _ in runs]
+    sizes = [0] * len(ids)
+    for k, (_, n) in zip(key, runs):
+        sizes[k] += n
+    order = None
+    if key != sorted(key):
+        order = np.argsort(np.repeat(key, [n for _, n in runs]), kind="stable")
+        rows = rows[order]
+    params = rows.T
     ps = _proc_coords(af.src, *params)
     pd = _proc_coords(af.dst, *params)
-    # Rows can price this axis with different metrics (different grids /
-    # physical axes): group them so each metric's kernel runs once
-    # (``metrics`` None: one group, the open chain).
-    rows_by_metric: dict = {}
-    for i, metric in enumerate(metrics or (None,)):
-        rows_by_metric.setdefault(metric, []).append(i)
-    if len(rows_by_metric) == 1:
-        (metric,) = rows_by_metric
-        hops = _metric_hops(metric, ps, pd) @ af.weight
-    else:
-        hops = np.empty(len(cands), dtype=np.int64)
-        for metric, rows in rows_by_metric.items():
-            hops[rows] = _metric_hops(metric, ps[rows], pd[rows]) @ af.weight
-    return hops, (ps != pd) @ af.moved
+    moved = (ps != pd) @ af.moved
+    if len(ids) == 1:
+        (metric,) = ids
+        return _metric_hops(metric, ps, pd) @ af.weight, moved
+    hops = np.empty(len(rows), dtype=np.int64)
+    stop = 0
+    for metric, n in zip(ids, sizes):
+        start, stop = stop, stop + n
+        hops[start:stop] = _metric_hops(metric, ps[start:stop], pd[start:stop]) @ af.weight
+    if order is None:
+        return hops, moved
+    out_hops, out_moved = np.empty_like(hops), np.empty_like(moved)
+    out_hops[order], out_moved[order] = hops, moved
+    return out_hops, out_moved
+
+
+def axis_row_hops(
+    profile,
+    axis: int,
+    rows: np.ndarray,
+    runs: Optional[Runs] = None,
+    cands: Optional[Sequence] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hop and ``moved`` totals of one template axis for a whole front of
+    ``(n, 4)`` int64 ``(mode, nprocs, block, base)`` scheme rows (the
+    rows of :func:`~repro.distrib.enumerate.axis_rows`), in one call
+    however many grids it joins.  ``runs`` holds ``(axis metric,
+    count)`` pairs covering the rows in order, one per joined grid
+    (``None``: the open L1 chain for all).  See
+    :func:`axis_front_hops` for what the two ``(n,)`` arrays hold."""
+    front = _front(profile).axes[axis]
+    _FRONT_STATS[0] += len(rows)
+    if front is None or not len(rows):
+        return tuple(np.zeros((2, len(rows)), dtype=np.int64))
+    return _axis_totals(front, rows, runs, cands)
 
 
 def axis_front_hops(
@@ -349,22 +415,20 @@ def axis_front_hops(
     metrics: Optional[Sequence[Optional[AxisMetric]]] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Hop and ``moved`` totals of one template axis for a whole
-    candidate front, in one call however many grids it joins.
+    candidate front of scheme records: :func:`axis_row_hops` on their
+    rows.
 
-    ``cands`` holds per-axis candidates of the enumeration (scheme
-    records of :mod:`repro.machine.distribution`), ``metrics`` one axis
-    metric per candidate (``None``: the open L1 chain for all).  Returns
-    two int64 ``(len(cands),)`` arrays: ``hops[i]`` exactly equals
+    ``cands`` holds per-axis candidates (scheme records of
+    :mod:`repro.machine.distribution`), ``metrics`` one axis metric per
+    candidate (``None``: the open L1 chain for all).  Returns two int64
+    ``(len(cands),)`` arrays: ``hops[i]`` exactly equals
     ``profile.axis_hops(axis, cands[i], metrics[i])``, and ``moved[i]``
     counts the elements that move on this axis alone and change
     processor under ``cands[i]`` (the joint movers are
     :func:`joint_moved`'s).
     """
-    front = _front(profile).axes[axis]
-    _FRONT_STATS[0] += len(cands)
-    if front is None or not len(cands):
-        return tuple(np.zeros((2, len(cands)), dtype=np.int64))
-    return _axis_totals(front, cands, metrics)
+    runs = None if metrics is None else [(m, 1) for m in metrics]
+    return axis_row_hops(profile, axis, _params(cands), runs, cands)
 
 
 def joint_moved(profile, dists: Sequence[Sequence]) -> np.ndarray:
@@ -432,9 +496,9 @@ def evaluate_front(
     metrics = _front_metrics(topology, dists)
     for t, af in enumerate(front.axes):
         if af is not None:
-            hops, moved = _axis_totals(
-                af, [d.axes[t] for d in dists], [m[t] for m in metrics]
-            )
+            cands = [d.axes[t] for d in dists]
+            runs = [(m[t], 1) for m in metrics]
+            hops, moved = _axis_totals(af, _params(cands), runs, cands)
             out[:, 0] += hops
             out[:, 1] += moved
     out[:, 1] += joint_moved(profile, [d.axes for d in dists])

@@ -23,6 +23,11 @@ integer literals and identifiers, products only with an integer constant
 on one side.  Anything else is a parse error — this is precisely the
 restriction of Section 2.4.
 
+An expression nests at most :data:`MAX_NESTING` levels (parentheses,
+call arguments and unary signs, in expressions and in indices): a
+deeper line is a :class:`ParseError` naming its line, before the
+recursion could run out of Python frames.
+
 The parser reads the token list in place: every stream ends with one
 ``eof`` token and ``pos`` never moves past it, so only a look-ahead
 (``peek(1)``) needs a clamp.
@@ -40,6 +45,13 @@ REDUCTIONS = {"sum", "product", "maxval", "minval"}
 CALLS = ELEMENTWISE_INTRINSICS | REDUCTIONS | {"transpose", "spread", "gather"}
 
 
+#: The deepest expression nesting a line may write: parentheses,
+#: intrinsic and reduction arguments and unary signs each open one
+#: level.  Each level costs the parser a few Python frames, so deeper
+#: input would end in a ``RecursionError`` instead of a ``ParseError``.
+MAX_NESTING = 100
+
+
 class ParseError(SyntaxError):
     pass
 
@@ -50,6 +62,7 @@ class Parser:
         self.pos = 0
         self.source_name = source_name
         self.declared: dict[str, A.Decl] = {}
+        self.depth = 0  # open nesting levels of the expression being read
 
     # -- token helpers ------------------------------------------------------
 
@@ -78,6 +91,19 @@ class Parser:
         if kind != "eof":
             self.pos += 1
         return t
+
+    def nest(self, parse, *args):
+        """``parse(*args)`` one nesting level deeper; past
+        :data:`MAX_NESTING` levels a :class:`ParseError`."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"{self.source_name}:{self.peek().line}: expression nested "
+                f"deeper than {MAX_NESTING} levels"
+            )
+        self.depth += 1
+        out = parse(*args)
+        self.depth -= 1
+        return out
 
     def skip_newlines(self) -> None:
         while self.at("newline"):
@@ -242,7 +268,7 @@ class Parser:
     def parse_factor(self) -> A.Expr:
         if self.at("op", "-"):
             self.next()
-            return A.UnaryOp("-", self.parse_factor())
+            return A.UnaryOp("-", self.nest(self.parse_factor))
         return self.parse_primary()
 
     def parse_primary(self) -> A.Expr:
@@ -252,7 +278,7 @@ class Parser:
             return A.Const(float(t.text))
         if t.kind == "op" and t.text == "(":
             self.next()
-            e = self.parse_expr()
+            e = self.nest(self.parse_expr)
             self.expect("op", ")")
             return e
         if t.kind == "ident":
@@ -260,19 +286,19 @@ class Parser:
             if lname not in CALLS or self.peek(1).text != "(":
                 return self.parse_ref()
             if lname == "spread":
-                return self.parse_spread()
+                return self.nest(self.parse_spread)
             if lname in REDUCTIONS:
-                return self.parse_reduction(lname)
+                return self.nest(self.parse_reduction, lname)
             self.next()
             self.expect("op", "(")
             if lname == "gather":
                 table = self.parse_ref()
                 self.expect("op", ",")
-                e = A.Gather(table, self.parse_expr())
+                e = A.Gather(table, self.nest(self.parse_expr))
             elif lname == "transpose":
-                e = A.Transpose(self.parse_expr())
+                e = A.Transpose(self.nest(self.parse_expr))
             else:
-                e = A.Intrinsic(lname, self.parse_expr())
+                e = A.Intrinsic(lname, self.nest(self.parse_expr))
             self.expect("op", ")")
             return e
         raise ParseError(
@@ -394,13 +420,13 @@ class Parser:
     def parse_affine_atom(self) -> AffineForm:
         if self.at("op", "-"):
             self.next()
-            return -self.parse_affine_atom()
+            return -self.nest(self.parse_affine_atom)
         if self.at("op", "+"):
             self.next()
-            return self.parse_affine_atom()
+            return self.nest(self.parse_affine_atom)
         if self.at("op", "("):
             self.next()
-            e = self.parse_affine()
+            e = self.nest(self.parse_affine)
             self.expect("op", ")")
             return e
         t = self.peek()

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from itertools import product
 from math import floor
 
 from ..ir.affine import AffineForm, exact_div
@@ -63,8 +62,9 @@ def section_extent(
 
     * constant step ``s``: if ``(hi - lo)/s`` has integral coefficients
       the count is exact; otherwise the fractional part must be constant
-      over the loop ranges (verified by enumeration) so that the floor is
-      an affine shift.
+      over the loop ranges (one range step of each LIV moves
+      ``(hi - lo)/s`` by an integer) so that the floor is an affine
+      shift.
     * LIV-dependent step (Example 5's ``1:20*k:k``): polynomial-divide
       ``hi - lo`` by ``step``; the quotient must be an integer constant
       and the floor of the remainder ratio constant over the LIV range.
@@ -79,21 +79,26 @@ def section_extent(
         cand = diff if s == 1 else diff / s
         if cand.is_integral():
             return cand + 1
-        # Floor correction must be a constant over the iteration ranges
-        # (all value combinations of the LIVs; ranges are small).
+        # The floor correction must be a constant over the iteration
+        # ranges.  The ranges are progressions and their product a
+        # lattice box, so it is exactly when one range step of every
+        # LIV that takes two or more values moves diff/s by an integer;
+        # it is then read at one point.
         livs = list(diff.livs())
         for v in livs:
             if v.name not in ranges:
                 raise TypeError_(f"LIV {v.name} has no known range")
-        corrections = set()
-        for combo in product(*[list(ranges[v.name]) for v in livs]):
-            val = exact_div(diff.evaluate(dict(zip(livs, combo))), s)
-            corrections.add(floor(val) - val)
-        if len(corrections) == 1:
-            return cand + corrections.pop() + 1
-        raise TypeError_(
-            f"section extent floor(({diff})/{s}) + 1 is not affine over the loop ranges"
-        )
+        point = {}
+        for v in livs:
+            r = ranges[v.name]
+            n = len(r)
+            if not n or (n > 1 and type(exact_div(diff.coeff(v) * r.step, s)) is not int):
+                raise TypeError_(
+                    f"section extent floor(({diff})/{s}) + 1 is not affine over the loop ranges"
+                )
+            point[v] = r.lo
+        val = exact_div(diff.evaluate(point), s)
+        return cand + (floor(val) - val) + 1
     livs = step.livs()
     if len(livs) != 1:
         raise TypeError_(f"section step {step} depends on more than one LIV")

@@ -33,18 +33,27 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 
+#: Set bits of every byte value: ``_BYTE_BITS[v] == bin(v).count("1")``.
+_BYTE_BITS = np.array([bin(v).count("1") for v in range(256)], dtype=np.int64)
+
+
 def _popcount(x: np.ndarray) -> np.ndarray:
     """Per-element population count of a nonnegative int64 array.
 
     Portable across numpy versions (``np.bitwise_count`` is 2.x-only):
-    peel one bit per round; coordinates are already reduced mod the
-    axis size, so the loop runs log2(p) times.
+    one gather from the 256-entry byte table :data:`_BYTE_BITS` per
+    byte the largest value spans, so a hypercube axis of up to 2**8
+    processors (coordinates are already reduced mod the axis size)
+    costs one table read per element.
     """
-    x = np.asarray(x, dtype=np.int64).copy()
-    out = np.zeros_like(x)
-    while np.any(x):
-        out += x & 1
-        x >>= 1
+    x = np.asarray(x, dtype=np.int64)
+    out = _BYTE_BITS[x & 0xFF]
+    top = int(x.max()) >> 8 if x.size else 0
+    shift = 8
+    while top:
+        out += _BYTE_BITS[(x >> shift) & 0xFF]
+        top >>= 8
+        shift += 8
     return out
 
 
@@ -127,9 +136,10 @@ class HammingAxis(AxisMetric):
             )
 
     def hops(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        ga = _gray(np.mod(np.asarray(a), self.p))
-        gb = _gray(np.mod(np.asarray(b), self.p))
-        return _popcount(ga ^ gb)
+        # Mod a power of two is a mask, and the Gray code is linear over
+        # XOR (``gray(a) ^ gray(b) == gray(a ^ b)``): one XOR, one mask
+        # and one Gray code give the bits the two coordinates differ in.
+        return _popcount(_gray((np.asarray(a) ^ np.asarray(b)) & (self.p - 1)))
 
 
 @dataclass(frozen=True)

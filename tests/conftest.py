@@ -18,6 +18,18 @@ import pytest
 GOLDEN_DIR = Path(__file__).parent / "golden"
 CORPUS_DIR = Path(__file__).parent.parent / "benchmarks" / "perf" / "corpus"
 
+#: A line nested 400 parentheses deep: past the parser's nesting bound.
+DEEP_SOURCE = "real x(8)\nx = " + "(" * 400 + "x" + ")" * 400 + "\n"
+#: A section whose extent floors ``i/2`` over 4096 x 4096 loop points:
+#: the typechecker refuses it without visiting them.
+FLOOR_SOURCE = """real A(4096)
+do i = 1, 4096
+  do j = 1, 4096
+    A(i/2+1:j+4096) = 1
+  enddo
+enddo
+"""
+
 
 def pytest_addoption(parser: pytest.Parser) -> None:
     parser.addoption(

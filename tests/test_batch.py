@@ -21,6 +21,7 @@ import weakref
 import pytest
 
 import repro
+from conftest import DEEP_SOURCE
 from repro import cachestats
 from repro.batch import BatchReport, PlanRequest, plan_many
 from repro.lang.generate import GeneratorConfig, generate_corpus, generate_scenario
@@ -74,6 +75,28 @@ class TestOneRequest:
             "LexError: line 1: unexpected character '²' at col 8",
             "LexError: line 1: unexpected character '٣' at col 8",
         ]
+
+    def test_a_line_nested_too_deep_is_the_tasks_parse_error(self):
+        request = PlanRequest("deep", DEEP_SOURCE)
+        want = "ParseError: deep:2: expression nested deeper than 100 levels"
+        assert plan_many([request], serial=True).results[0].error == want
+        pooled = plan_many([request, request], jobs=2)
+        assert pooled.mode != "serial"
+        assert [r.error for r in pooled.results] == [want, want]
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "(" * 100 + "x" + ")" * 100,
+            "sin(" * 100 + "x" + ")" * 100,
+            "- " * 100 + "x",
+        ],
+        ids=["parentheses", "intrinsics", "unary minus"],
+    )
+    def test_a_line_at_the_nesting_bound_plans(self, line):
+        r = plan_many([PlanRequest("deep", f"real x(8)\nx = {line}\n")], serial=True).results[0]
+        assert r.ok, r.error
+        assert r.distribution is not None
 
     def test_no_distribution_when_nprocs_none(self):
         sc = generate_scenario(2, family="shift1d")

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from conftest import DEEP_SOURCE as DEEP
+from conftest import FLOOR_SOURCE as FLOOR
 from repro.__main__ import main
 
 FIG1 = """real A(64,64), V(128)
@@ -128,6 +130,20 @@ class TestCLI:
                 ["sup.dp"],
                 "error: sup.dp: LexError: line 1: unexpected character '²' at col 8",
             ),
+            (
+                ["deep.dp", "--distribute", "4"],
+                "error: deep.dp: ParseError: deep.dp:2: expression nested deeper than 100 levels",
+            ),
+            (
+                ["floor.dp", "--distribute", "4"],
+                "error: floor.dp: TypeError_: section extent floor((4095 - 1/2*i + j)/1) + 1 "
+                "is not affine over the loop ranges",
+            ),
+            (
+                ["ok.dp", "--replan-from", "floor.dp"],
+                "error: floor.dp: TypeError_: section extent floor((4095 - 1/2*i + j)/1) + 1 "
+                "is not affine over the loop ranges",
+            ),
         ],
     )
     def test_unreadable_program_is_a_diagnostic_not_a_traceback(
@@ -139,6 +155,8 @@ class TestCLI:
         (tmp_path / "ok.dp").write_text(FIG1, encoding="utf-8")
         (tmp_path / "bad.dp").write_text("real A(0)\n", encoding="utf-8")
         (tmp_path / "sup.dp").write_text("real A(²)\nA = 1\n", encoding="utf-8")
+        (tmp_path / "deep.dp").write_text(DEEP, encoding="utf-8")
+        (tmp_path / "floor.dp").write_text(FLOOR, encoding="utf-8")
         with pytest.raises(SystemExit) as exit_:
             main(argv)
         assert exit_.value.code == 1

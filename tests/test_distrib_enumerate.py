@@ -1,6 +1,8 @@
 """Unit tests for distribution-candidate enumeration."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.align import align_program
 from repro.distrib import (
@@ -13,8 +15,10 @@ from repro.distrib import (
     naive_distributions,
     space_size,
 )
+from repro.distrib.enumerate import DEFAULT_BLOCK_SIZES, axis_rows
+from repro.distrib.vectorized import _axis_dist_params, _row_scheme
 from repro.lang import programs
-from repro.machine import Block, Cyclic, Identity
+from repro.machine import Block, BlockCyclic, Cyclic, Identity
 from repro.topology.models import factorizations
 
 
@@ -91,6 +95,33 @@ class TestAxisCandidates:
         # between cyclic (1) and block (2)
         cands = axis_candidates(0, 8, 4)
         assert [c.scheme for c in cands] == ["block", "cyclic"]
+
+
+def reference_axis_candidates(lo, extent, nprocs):
+    """The object enumerator the rows replaced: covering block, then
+    cyclic and each listed block-cyclic size strictly inside (1, cover)."""
+    cover = max(1, -(-extent // nprocs))
+    out = [Block(nprocs, cover, lo)]
+    if nprocs > 1:
+        out.append(Cyclic(nprocs, lo))
+        out += [BlockCyclic(nprocs, b, lo) for b in DEFAULT_BLOCK_SIZES if 1 < b < cover]
+    return out
+
+
+class TestAxisRows:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lo=st.integers(-4096, 4096),
+        extent=st.integers(1, 4096),
+        nprocs=st.integers(1, 64),
+    )
+    def test_candidates_are_the_object_view_of_the_rows(self, lo, extent, nprocs):
+        rows = axis_rows(lo, extent, nprocs)
+        cands = axis_candidates(lo, extent, nprocs)
+        assert cands == [_row_scheme(*row) for row in rows]
+        assert cands == reference_axis_candidates(lo, extent, nprocs)
+        assert rows == [_axis_dist_params(c) for c in cands]
+        assert all(type(v) is int for row in rows for v in row)
 
 
 class TestNaiveBaselines:

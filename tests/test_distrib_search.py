@@ -15,10 +15,17 @@ from repro.distrib import (
 )
 from repro.distrib.costmodel import CommProfile, CostVector, MoveRecord
 from repro.distrib.enumerate import axis_candidates, candidate_spaces, space_size
-from repro.lang import programs
+from repro.align.pipeline import planning_records, solve_prefix
+from repro.lang import parse, programs
 from repro.lang.generate import FAMILIES, generate_scenario, topology_corpus
 from repro.machine import SCHEMES, Distribution
 from repro.topology import parse_topology
+from conftest import CORPUS_DIR
+from test_distrib_vectorized import SWEEP_MACHINES
+
+
+#: The 16 pinned kernels of ``benchmarks/perf/corpus``.
+KERNELS = sorted(p.stem for p in CORPUS_DIR.glob("*.dp"))
 
 
 def _profile(prog, **kw):
@@ -187,6 +194,26 @@ class TestTiedGridPricing:
             got = rank_plans(profile, nprocs, k=4, topology=topology)
             want = reference_planner.rank_plans(profile, nprocs, 4, topology)
             assert len(got) == len(want)
+            for g, w in zip(got, want):
+                _assert_same_plan(g, w)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_sweep_machines_equal_the_scalar_planner(self, corpus_kernels, kernel, reference_planner):
+        """The 16 pinned kernels on the nine ``machine_sweep`` machines:
+        the row front's winners are the scalar per-grid argmin's."""
+        options, _ = planning_records()
+        ctx = solve_prefix(parse(corpus_kernels[kernel], name=kernel), options)
+        profile = ctx.get("profile")
+        for spec in SWEEP_MACHINES:
+            topology = parse_topology(spec)
+            nprocs = topology.nprocs
+            _assert_same_plan(
+                plan_distribution(profile, nprocs, topology=topology),
+                reference_planner.plan_distribution(profile, nprocs, topology),
+            )
+            got = rank_plans(profile, nprocs, k=4, topology=topology)
+            want = reference_planner.rank_plans(profile, nprocs, 4, topology)
+            assert len(got) == len(want), spec
             for g, w in zip(got, want):
                 _assert_same_plan(g, w)
 

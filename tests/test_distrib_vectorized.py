@@ -35,13 +35,14 @@ from repro.distrib import (
     plan_distribution,
 )
 from repro.distrib.costmodel import CommProfile, CostVector, MoveRecord
-from repro.distrib.enumerate import axis_candidates, candidate_spaces
+from repro.distrib.enumerate import axis_candidates, candidate_spaces, row_spaces
 from repro.distrib.search import _plans, _winners
 from repro.distrib.vectorized import (
     _MODE_BLOCK,
     _MODE_IDENTITY,
     _MODE_WRAP,
     _axis_dist_params,
+    axis_row_hops,
     joint_moved,
 )
 from repro.lang import programs
@@ -428,7 +429,7 @@ def _assert_joined_winners_exact(prof, nprocs, topo):
     """The grid winners of one joined pricing call are those of each grid
     priced alone, and each cost assembled from the per-axis numbers
     equals its ``evaluate_front`` row and ``profile.evaluate``."""
-    spaces = list(candidate_spaces(prof, nprocs, topology=topo))
+    spaces = list(row_spaces(prof, nprocs, topology=topo))
     if not spaces:
         return
     joined = _winners(prof, spaces, topo)
@@ -561,6 +562,39 @@ class TestFrontEdgeCases:
             axis_front_hops(prof, 0, cands)
         with pytest.raises(ValueError, match=r"^Cyclic\(nprocs=2, base=1\): cell 0 below"):
             axis_front_hops(prof, 0, [Cyclic(2, 1)])
+
+    @pytest.mark.parametrize(
+        "cands,message",
+        [
+            (
+                [Cyclic(4, 0), Block(2, 2, 0), Cyclic(2, 0)],
+                "Block(nprocs=2, block=2, base=0): cell 9 outside covered range [0, 4)",
+            ),
+            (
+                [Block(4, 1, 0), BlockCyclic(2, 2, 1)],
+                "BlockCyclic(nprocs=2, block=2, base=1): cell 0 below distribution base 1",
+            ),
+            ([Cyclic(2, 1)], "Cyclic(nprocs=2, base=1): cell 0 below distribution base 1"),
+            (
+                [BlockCyclic(2, 1, 1)],
+                "BlockCyclic(nprocs=2, block=1, base=1): cell 0 below distribution base 1",
+            ),
+        ],
+    )
+    def test_rows_raise_the_records_contract_error(self, cands, message):
+        # Records are named as given; bare rows by the record the
+        # enumerator builds from them, only to raise (a wrap row of block
+        # 1 is Cyclic).
+        prof = _hand_profile([_record((0,), [[(0, 1), (9, 9)]])], [(0, 3)])
+        with pytest.raises(ValueError) as err:
+            axis_front_hops(prof, 0, cands)
+        assert str(err.value) == message
+        rows = np.array([_axis_dist_params(c) for c in cands], dtype=np.int64)
+        with pytest.raises(ValueError) as err:
+            axis_row_hops(prof, 0, rows)
+        assert str(err.value) == message.replace(
+            "BlockCyclic(nprocs=2, block=1, base=1)", "Cyclic(nprocs=2, base=1)"
+        )
 
 
 class TestCountersAndFallback:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.ir import LIV, AffineForm
 from repro.lang import ParseError, ast as A, parse, tokenize
-from repro.lang.parser import Parser
+from repro.lang.parser import MAX_NESTING, Parser
 
 k = LIV("k", 0)
 
@@ -210,3 +210,39 @@ class TestTokenCursor:
         with pytest.raises(ParseError) as exc:
             parse(source)
         assert str(exc.value) == message
+
+
+#: One line per way an expression nests, ``n`` levels deep.
+NESTINGS = {
+    "parentheses": lambda n: "x = " + "(" * n + "x" + ")" * n,
+    "intrinsics": lambda n: "x = " + "sin(" * n + "x" + ")" * n,
+    "reductions": lambda n: "s = " + "sum(" * n + "x" + ")" * n,
+    "unary minus": lambda n: "x = " + "- " * n + "x",
+    "index parentheses": lambda n: "x(" + "(" * n + "1" + ")" * n + ") = 1",
+    "index signs": lambda n: "x(" + "- " * n + "1) = 1",
+}
+
+
+class TestNestingBound:
+    """Each nesting level costs the parser a few Python frames: past
+    ``MAX_NESTING`` levels a line is a ``ParseError`` naming it, not a
+    ``RecursionError``."""
+
+    @pytest.mark.parametrize("kind", NESTINGS)
+    def test_four_hundred_levels_are_a_parse_error(self, kind):
+        with pytest.raises(ParseError) as err:
+            parse("real x(8), s(8)\n" + NESTINGS[kind](400))
+        assert str(err.value) == (
+            f"main:2: expression nested deeper than {MAX_NESTING} levels"
+        )
+
+    @pytest.mark.parametrize("kind", NESTINGS)
+    def test_the_bound_itself_parses_and_one_more_level_does_not(self, kind):
+        parse("real x(8), s(8)\n" + NESTINGS[kind](MAX_NESTING))
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse("real x(8), s(8)\n" + NESTINGS[kind](MAX_NESTING + 1))
+
+    def test_levels_close_again(self):
+        # Siblings do not add up: only the open levels count.
+        line = " + ".join(["(" * MAX_NESTING + "x" + ")" * MAX_NESTING] * 5)
+        parse("real x(8)\nx = " + line + "\nx = " + line)

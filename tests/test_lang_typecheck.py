@@ -1,8 +1,17 @@
 """Unit tests for shape/binding analysis and section extents."""
 
-import pytest
+import time
+from fractions import Fraction
+from itertools import product
+from math import floor
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import FLOOR_SOURCE
 from repro.ir import LIV, AffineForm, Triplet
+from repro.ir.affine import exact_div
 from repro.lang import TypeError_, parse, typecheck
 from repro.lang.typecheck import section_extent
 
@@ -295,3 +304,89 @@ class TestSectionExtent:
         # (k - 1)/1 + 1 = k is affine without needing the range.
         ext = section_extent(AffineForm(1), AffineForm.variable(k), AffineForm(1), {})
         assert ext == AffineForm.variable(k)
+
+
+def reference_section_extent(lo, hi, step, ranges):
+    """``section_extent`` for a constant step the way it was first
+    written: the floor correction at every point of the product of the
+    LIV ranges, accepted when there is exactly one."""
+    diff = hi - lo
+    s = step.const
+    cand = diff if s == 1 else diff / s
+    if cand.is_integral():
+        return cand + 1
+    livs = list(diff.livs())
+    for v in livs:
+        if v.name not in ranges:
+            raise TypeError_(f"LIV {v.name} has no known range")
+    corrections = set()
+    for combo in product(*[list(ranges[v.name]) for v in livs]):
+        val = exact_div(diff.evaluate(dict(zip(livs, combo))), s)
+        corrections.add(floor(val) - val)
+    if len(corrections) == 1:
+        return cand + corrections.pop() + 1
+    raise TypeError_(
+        f"section extent floor(({diff})/{s}) + 1 is not affine over the loop ranges"
+    )
+
+
+_LIVS = [LIV(name, 0) for name in "ijk"]
+_FRACTIONS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
+_STEPS = st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4])
+
+
+@st.composite
+def constant_step_sections(draw):
+    """``(lo, hi, step, ranges)`` over 1-3 LIVs with fractional
+    coefficients, ranges of 0-5 values on steps of +-1..4, and now and
+    then a LIV with no range."""
+    livs = _LIVS[: draw(st.integers(1, 3))]
+    lo = AffineForm(draw(_FRACTIONS), {v: draw(_FRACTIONS) for v in livs})
+    hi = AffineForm(draw(_FRACTIONS), {v: draw(_FRACTIONS) for v in livs})
+    ranges = {}
+    for v in livs:
+        if draw(st.integers(0, 9)):
+            r_step = draw(_STEPS)
+            first = draw(st.integers(-6, 6))
+            ranges[v.name] = Triplet(first, first + r_step * (draw(st.integers(0, 5)) - 1), r_step)
+    return lo, hi, AffineForm(draw(_STEPS)), ranges
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except TypeError_ as exc:
+        return str(exc)
+
+
+class TestSectionExtentAgainstTheEnumeration:
+    @settings(max_examples=1500, deadline=None)
+    @given(constant_step_sections())
+    def test_per_liv_test_equals_the_enumeration(self, section):
+        assert _outcome(section_extent, *section) == _outcome(
+            reference_section_extent, *section
+        )
+
+    def test_empty_range_refuses(self):
+        i = _LIVS[0]
+        with pytest.raises(TypeError_, match="not affine over the loop ranges"):
+            section_extent(
+                AffineForm(1), AffineForm(0, {i: Fraction(1, 2)}), AffineForm(1),
+                {"i": Triplet(5, 1)},
+            )
+
+    def test_a_fractional_liv_with_one_value_is_a_constant_shift(self):
+        i = _LIVS[0]
+        ext = section_extent(
+            AffineForm(1), AffineForm(0, {i: Fraction(1, 2)}), AffineForm(1),
+            {"i": Triplet(3, 3)},
+        )
+        # floor((3/2 - 1)/1) + 1 = 1 elements, as i/2 - 1/2 at i = 3
+        assert ext == AffineForm(Fraction(-1, 2), {i: Fraction(1, 2)})
+
+    def test_the_product_of_two_large_ranges_is_refused_at_once(self):
+        program = parse(FLOOR_SOURCE)
+        t0 = time.perf_counter()
+        with pytest.raises(TypeError_, match="not affine over the loop ranges"):
+            typecheck(program)
+        assert time.perf_counter() - t0 < 0.05

@@ -23,6 +23,7 @@ import sys
 
 import pytest
 
+from conftest import DEEP_SOURCE
 from repro.obs.metrics import registry
 from repro.passes import PlanContext, content_fingerprint
 from repro.serve import (
@@ -527,6 +528,12 @@ class TestPlanService:
             resp = svc.handle(ServeRequest("q", "real A(²)\nA = 1"))
             assert resp.status == "error" and resp.plan is None
             assert resp.error == "LexError: line 1: unexpected character '²' at col 8"
+
+    def test_a_line_nested_too_deep_is_an_error_reply(self):
+        with PlanService() as svc:
+            resp = svc.handle(ServeRequest("q", DEEP_SOURCE))
+            assert resp.status == "error" and resp.plan is None
+            assert resp.error == "ParseError: q:2: expression nested deeper than 100 levels"
 
     def test_backpressure_rejects_past_high_water_mark(self):
         with PlanService(max_pending=1, retry_after=0.25) as svc:

@@ -12,6 +12,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.align import align_program
 from repro.distrib import build_profile, naive_costs, plan_distribution
@@ -177,6 +179,20 @@ class TestAxisMetrics:
         assert m.distance(15, 0) == 1  # the Gray cycle closes
         # never exceeds the cube dimension
         assert max(m.distance(a, b) for a in range(16) for b in range(16)) == 4
+
+    def test_hamming_hops_equal_the_bitwise_distance_up_to_4096(self):
+        """Coordinates past 255 take the table popcount's second byte."""
+        rng = np.random.default_rng(7)
+        for k in range(13):
+            p = 2**k
+            m = HammingAxis(p)
+            a = rng.integers(-3 * p, 3 * p, size=400)
+            b = rng.integers(-3 * p, 3 * p, size=400)
+            gray = [(x % p) ^ (x % p) >> 1 for x in a.tolist()]
+            other = [(y % p) ^ (y % p) >> 1 for y in b.tolist()]
+            want = [bin(g ^ h).count("1") for g, h in zip(gray, other)]
+            assert m.hops(a, b).tolist() == want
+            assert [m.distance(x, y) for x, y in zip(a[:20].tolist(), b[:20].tolist())] == want[:20]
 
     def test_hamming_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
@@ -478,3 +494,13 @@ class TestGoldenTopologyPlans:
                 "topology": d.topology,
             }
         golden.check(f"topology_{name}", snap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**62 - 1), max_size=40))
+def test_table_popcount_counts_every_bit(values):
+    from repro.topology.models import _popcount
+
+    got = _popcount(np.array(values, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert got.tolist() == [bin(v).count("1") for v in values]
