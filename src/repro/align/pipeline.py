@@ -41,7 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (distrib uses align)
 from ..adg.graph import ADG
 from ..ir.affine import Scalar
 from ..lang.ast import Program
-from ..lang.typecheck import TypeInfo
 from .axis_stride import AxisStrideResult
 from .cost import AlignmentMap, EdgeCost, cost_breakdown
 from .offset_mobile import MobileOffsetResult
@@ -105,26 +104,23 @@ class AlignmentPlan:
         return "\n".join(lines)
 
 
-def _seeded(program: Program, options, info: TypeInfo | None = None):
-    """A fresh context holding ``program``, the frozen ``options`` and —
-    when supplied — a precomputed :class:`TypeInfo`."""
+def _seeded(program: Program, options):
+    """A fresh context holding ``program`` and the frozen ``options``."""
     from ..passes import PlanContext
 
     ctx = PlanContext()
     ctx.put("program", program)
-    if info is not None:
-        ctx.put("typeinfo", info)
     ctx.put("align_options", options)
     return ctx
 
 
-def plan_context(program: Program, info: TypeInfo | None = None, **align_kw):
+def plan_context(program: Program, **align_kw):
     """A :class:`~repro.passes.core.PlanContext` seeded for ``program``
     (``align_kw`` as for :func:`align_program`), not yet solved: for
     callers that drive a :class:`~repro.passes.core.Pipeline` by hand
     (tests, benchmarks).  Whatever wants a *plan* asks the kernel below.
     """
-    return _seeded(program, planning_records(align_kw=align_kw)[0], info)
+    return _seeded(program, planning_records(align_kw=align_kw)[0])
 
 
 # -- the planning kernel ------------------------------------------------------
@@ -210,7 +206,6 @@ def solve_prefix(
     program: Program,
     options,
     *,
-    info: TypeInfo | None = None,
     base=None,
     profile: bool = True,
 ):
@@ -230,7 +225,7 @@ def solve_prefix(
 
     goal = ("plan", "profile") if profile else ("plan",)
     if base is None:
-        return Pipeline().run(_seeded(program, options, info), goal=goal)
+        return Pipeline().run(_seeded(program, options), goal=goal)
     if content_fingerprint(options) != base.artifact("align_options").fingerprint:
         raise ValueError(
             "solve_prefix: options differ from the base context's "
@@ -280,9 +275,7 @@ def plan_facts(ctx) -> dict:
     }
 
 
-def align_program(
-    program: Program, info: TypeInfo | None = None, **align_kw
-) -> AlignmentPlan:
+def align_program(program: Program, **align_kw) -> AlignmentPlan:
     """Run the complete alignment analysis on a program.
 
     ``align_kw`` are the keywords of
@@ -294,14 +287,13 @@ def align_program(
     port N); ``max_replication_rounds`` as named.
     """
     options, _ = planning_records(align_kw=align_kw)
-    return solve_prefix(program, options, info=info, profile=False).get("plan")
+    return solve_prefix(program, options, profile=False).get("plan")
 
 
 def align_and_distribute(
     program: Program,
     nprocs: int,
     distrib_options: Optional[Mapping] = None,
-    info: TypeInfo | None = None,
     **align_kw,
 ) -> AlignmentPlan:
     """Alignment plus the paper's deferred phase: distribution planning.
@@ -325,7 +317,7 @@ def align_and_distribute(
             "options are keywords of align_and_distribute"
         )
     options, machine = planning_records(nprocs, topology, align_kw)
-    ctx = solve_suffix(solve_prefix(program, options, info=info), machine)
+    ctx = solve_suffix(solve_prefix(program, options), machine)
     plan = ctx.get("plan")
     plan.distribution = ctx.get("distribution")
     return plan

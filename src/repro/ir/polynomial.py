@@ -130,15 +130,6 @@ class Polynomial:
             out.update(liv for liv, _ in m)
         return frozenset(out)
 
-    def __content_key__(self) -> tuple:
-        """Structural content for fingerprinting (see
-        :func:`repro.passes.core.content_fingerprint`): the term map as a
-        canonically ordered tuple.  Monomials sort by their (LIV, exponent)
-        pairs — :class:`LIV` is an ordered dataclass — so two polynomials
-        with equal terms always serialize identically.  Coefficients are
-        written as ``Fraction``, as an :class:`AffineForm`'s are."""
-        return tuple(sorted((m, Fraction(c)) for m, c in self._terms.items()))
-
     def as_affine(self) -> AffineForm:
         """Convert to an AffineForm; raises ``ValueError`` if degree > 1."""
         if self.degree() > 1:

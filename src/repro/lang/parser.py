@@ -23,10 +23,13 @@ integer literals and identifiers, products only with an integer constant
 on one side.  Anything else is a parse error — this is precisely the
 restriction of Section 2.4.
 
-An expression nests at most :data:`MAX_NESTING` levels (parentheses,
-call arguments and unary signs, in expressions and in indices): a
-deeper line is a :class:`ParseError` naming its line, before the
-recursion could run out of Python frames.
+An expression nests at most :data:`MAX_NESTING` levels, counted two
+ways: the parser's own open levels (parentheses, call arguments and
+unary signs, in expressions and in indices), and the levels of the tree
+it returns, where each operator of a left-associative chain
+(``x + x + ... + x``) is one more level above the chain's first term.
+A deeper line is a :class:`ParseError` naming its line, before the
+parser, or a pass that walks the tree, could run out of Python frames.
 
 The parser reads the token list in place: every stream ends with one
 ``eof`` token and ``pos`` never moves past it, so only a look-ahead
@@ -47,8 +50,10 @@ CALLS = ELEMENTWISE_INTRINSICS | REDUCTIONS | {"transpose", "spread", "gather"}
 
 #: The deepest expression nesting a line may write: parentheses,
 #: intrinsic and reduction arguments and unary signs each open one
-#: level.  Each level costs the parser a few Python frames, so deeper
-#: input would end in a ``RecursionError`` instead of a ``ParseError``.
+#: level of the parser, and each operator, sign or call one level of
+#: the expression tree.  Each level costs the parser, the typechecker
+#: and the fingerprint renderer a few Python frames, so deeper input
+#: would end in a ``RecursionError`` instead of a ``ParseError``.
 MAX_NESTING = 100
 
 
@@ -63,6 +68,7 @@ class Parser:
         self.source_name = source_name
         self.declared: dict[str, A.Decl] = {}
         self.depth = 0  # open nesting levels of the expression being read
+        self.height = 0  # operator levels of the expression last returned
 
     # -- token helpers ------------------------------------------------------
 
@@ -92,18 +98,29 @@ class Parser:
             self.pos += 1
         return t
 
+    def too_deep(self) -> ParseError:
+        return ParseError(
+            f"{self.source_name}:{self.peek().line}: expression nested "
+            f"deeper than {MAX_NESTING} levels"
+        )
+
     def nest(self, parse, *args):
         """``parse(*args)`` one nesting level deeper; past
         :data:`MAX_NESTING` levels a :class:`ParseError`."""
         if self.depth == MAX_NESTING:
-            raise ParseError(
-                f"{self.source_name}:{self.peek().line}: expression nested "
-                f"deeper than {MAX_NESTING} levels"
-            )
+            raise self.too_deep()
         self.depth += 1
         out = parse(*args)
         self.depth -= 1
         return out
+
+    def rise(self, height: int) -> None:
+        """The expression just built stands one level above a subtree
+        ``height`` levels high; past :data:`MAX_NESTING` levels a
+        :class:`ParseError`."""
+        if height == MAX_NESTING:
+            raise self.too_deep()
+        self.height = height + 1
 
     def skip_newlines(self) -> None:
         while self.at("newline"):
@@ -253,28 +270,35 @@ class Parser:
         left = self.parse_term()
         while self.at("op", "+") or self.at("op", "-"):
             op = self.next().text
+            height = self.height
             right = self.parse_term()
             left = A.BinOp(op, left, right)
+            self.rise(max(height, self.height))
         return left
 
     def parse_term(self) -> A.Expr:
         left = self.parse_factor()
         while self.at("op", "*") or self.at("op", "/"):
             op = self.next().text
+            height = self.height
             right = self.parse_factor()
             left = A.BinOp(op, left, right)
+            self.rise(max(height, self.height))
         return left
 
     def parse_factor(self) -> A.Expr:
         if self.at("op", "-"):
             self.next()
-            return A.UnaryOp("-", self.nest(self.parse_factor))
+            operand = self.nest(self.parse_factor)
+            self.rise(self.height)
+            return A.UnaryOp("-", operand)
         return self.parse_primary()
 
     def parse_primary(self) -> A.Expr:
         t = self.peek()
         if t.kind in ("int", "float"):
             self.next()
+            self.height = 0
             return A.Const(float(t.text))
         if t.kind == "op" and t.text == "(":
             self.next()
@@ -284,22 +308,25 @@ class Parser:
         if t.kind == "ident":
             lname = t.text.lower()
             if lname not in CALLS or self.peek(1).text != "(":
+                self.height = 0
                 return self.parse_ref()
             if lname == "spread":
-                return self.nest(self.parse_spread)
-            if lname in REDUCTIONS:
-                return self.nest(self.parse_reduction, lname)
-            self.next()
-            self.expect("op", "(")
-            if lname == "gather":
-                table = self.parse_ref()
-                self.expect("op", ",")
-                e = A.Gather(table, self.nest(self.parse_expr))
-            elif lname == "transpose":
-                e = A.Transpose(self.nest(self.parse_expr))
+                e = self.nest(self.parse_spread)
+            elif lname in REDUCTIONS:
+                e = self.nest(self.parse_reduction, lname)
             else:
-                e = A.Intrinsic(lname, self.nest(self.parse_expr))
-            self.expect("op", ")")
+                self.next()
+                self.expect("op", "(")
+                if lname == "gather":
+                    table = self.parse_ref()
+                    self.expect("op", ",")
+                    e = A.Gather(table, self.nest(self.parse_expr))
+                elif lname == "transpose":
+                    e = A.Transpose(self.nest(self.parse_expr))
+                else:
+                    e = A.Intrinsic(lname, self.nest(self.parse_expr))
+                self.expect("op", ")")
+            self.rise(self.height)
             return e
         raise ParseError(
             f"{self.source_name}:{t.line}: unexpected token {t.text!r} in expression"

@@ -15,9 +15,9 @@ typed artifacts versioned by a store-time clock.  Only the three planner
 inputs (:data:`INPUT_KEYS`: ``program``, ``align_options``, ``machine``)
 are fingerprinted by content: those fingerprints are the serve cache's
 keys, and a machine re-stored with equal content keeps what was solved
-from it.  Every other artifact is fingerprinted by identity,
-``v<version>.<nonce>``: a pass is deterministic in its inputs, so hashing
-what it derives would decide nothing.  ``ctx.fork()`` shares the solved
+from it.  Every other artifact has no fingerprint and is identified by
+its version: a pass is deterministic in its inputs, so hashing what it
+derives would decide nothing.  ``ctx.fork()`` shares the solved
 artifacts; re-running the pipeline on the fork after replacing only the
 machine artifact re-executes just the machine-dependent suffix — every
 machine-independent pass is skipped with a ``reuse`` trace event, and
@@ -30,8 +30,9 @@ All per-port artifacts are keyed by the stable ``Port.key`` (never
 pool and keeps them in its cache.
 
 A content fingerprint is the digest of a canonical rendering
-(:func:`_stable_repr`) that charges one unit of a fixed budget per value
-it writes.  A program holds many affine forms, so ``AffineForm`` has its
+(:func:`_stable_repr`) of atoms, tuples, lists and frozen dataclasses,
+whatever their size; the parser bounds how deep an expression nests.
+A program holds many affine forms, so ``AffineForm`` has its
 own renderer (:func:`_render_affine`), which alone owns the form's
 format: the constant and the coefficient map, every scalar written as a
 ``Fraction``.
@@ -42,7 +43,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import time
-import uuid
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
@@ -98,11 +98,8 @@ class _NotContentAddressable(Exception):
     pass
 
 
-_FINGERPRINT_BUDGET = 10_000  # recursion item cap: stay cheap on big values
-
-
-#: Renders one value of a given exact type, drawing on the shared budget.
-_Renderer = Callable[[Any, list[int]], str]
+#: Renders one value of a given exact type.
+_Renderer = Callable[[Any], str]
 
 #: ``type(value)`` → how values of exactly that type are rendered.  It
 #: holds code, never a rendered value: what a type resolves to depends
@@ -110,31 +107,16 @@ _Renderer = Callable[[Any, list[int]], str]
 _RENDERERS: dict[type, _Renderer] = {}
 
 
-def _render_atom(value: Any, budget: list[int]) -> str:
+def _render_atom(value: Any) -> str:
     return repr(value)
 
 
-def _render_sequence(value: Any, budget: list[int]) -> str:
-    inner = ",".join([_stable_repr(v, budget) for v in value])
+def _render_sequence(value: Any) -> str:
+    inner = ",".join([_stable_repr(v) for v in value])
     return f"{type(value).__name__}({inner})"
 
 
-def _render_set(value: Any, budget: list[int]) -> str:
-    inner = ",".join(sorted([_stable_repr(v, budget) for v in value]))
-    return f"{type(value).__name__}({inner})"
-
-
-def _render_dict(value: Any, budget: list[int]) -> str:
-    items = sorted(
-        [
-            (_stable_repr(k, budget), _stable_repr(v, budget))
-            for k, v in value.items()
-        ]
-    )
-    return "dict(" + ",".join([f"{k}:{v}" for k, v in items]) + ")"
-
-
-def _render_opaque(value: Any, budget: list[int]) -> str:
+def _render_opaque(value: Any) -> str:
     raise _NotContentAddressable
 
 
@@ -143,21 +125,20 @@ def _digest(type_name: str, text: str) -> str:
 
 
 class Rendered:
-    """A value rendered once: its canonical string, the type name its
-    digest is taken under, and the budget it cost (:func:`render`).
+    """A value rendered once: its canonical string and the type name its
+    digest is taken under (:func:`render`).
 
     Put in the value's place inside a larger value, it renders as that
-    string for that cost, so the larger value's fingerprint is exactly
-    what it was — without walking the part again.  The delta engine keys
-    a program's statements this way and then fingerprints the program.
+    string, so the larger value's fingerprint is exactly what it was —
+    without walking the part again.  The delta engine keys a program's
+    statements this way and then fingerprints the program.
     """
 
-    __slots__ = ("text", "type_name", "cost")
+    __slots__ = ("text", "type_name")
 
-    def __init__(self, text: str, type_name: str, cost: int) -> None:
+    def __init__(self, text: str, type_name: str) -> None:
         self.text = text
         self.type_name = type_name
-        self.cost = cost
 
     @property
     def fingerprint(self) -> str:
@@ -165,25 +146,17 @@ class Rendered:
         return _digest(self.type_name, self.text)
 
 
-def _render_rendered(value: Rendered, budget: list[int]) -> str:
-    budget[0] -= value.cost - 1  # one unit is already paid, like any value
-    if budget[0] < 0:
-        raise _NotContentAddressable
+def _render_rendered(value: Rendered) -> str:
     return value.text
 
 
-def _render_affine(value: AffineForm, budget: list[int]) -> str:
+def _render_affine(value: AffineForm) -> str:
     """An ``AffineForm`` as ``AffineForm<tuple(const,dict(liv:coeff,..))>``,
     every scalar written as ``repr(Fraction(x))`` (an on-disk format
     older than the canonical scalar), without building a ``Fraction``
-    per scalar.  It costs what rendering that tuple would: the tuple,
-    the constant, the map, and a key and a value per coefficient."""
-    coeffs = value._coeffs
-    budget[0] -= 3 + len(coeffs)
-    if budget[0] < 0:
-        raise _NotContentAddressable
+    per scalar."""
     items = sorted(
-        [(_stable_repr(liv, budget), _fraction_repr(c)) for liv, c in coeffs.items()]
+        [(_stable_repr(liv), _fraction_repr(c)) for liv, c in value._coeffs.items()]
     )
     inner = ",".join([f"{k}:{v}" for k, v in items])
     return f"AffineForm<tuple({_fraction_repr(value._const)},dict({inner}))>"
@@ -196,8 +169,7 @@ def _fraction_repr(x: int | Fraction) -> str:
     return f"Fraction({x.numerator}, {x.denominator})"
 
 
-# The types the precedence of the scheme does not cover, or renders the
-# long way round.
+# The types the precedence of the scheme does not cover.
 _RENDERERS[Rendered] = _render_rendered
 _RENDERERS[AffineForm] = _render_affine
 
@@ -206,102 +178,67 @@ def _resolve_renderer(tp: type) -> _Renderer:
     """The renderer for values whose exact type is ``tp``.
 
     The precedence is part of the fingerprint scheme: atoms, then
-    tuple/list, set/frozenset, dict, frozen dataclass, a class exposing
-    ``__content_key__``, and otherwise not content-addressable.  A
-    subclass renders as its first matching base does, under its own
-    name (a ``NamedTuple`` as a tuple, an ``IntEnum`` member by its
-    ``repr``).
+    tuple/list, then frozen dataclass, and otherwise not
+    content-addressable.  A subclass renders as its first matching base
+    does, under its own name (a ``NamedTuple`` as a tuple, an
+    ``IntEnum`` member by its ``repr``).
     """
     if tp is type(None) or issubclass(tp, (bool, int, float, str, Fraction)):
         return _render_atom
     if issubclass(tp, (tuple, list)):
         return _render_sequence
-    if issubclass(tp, (set, frozenset)):
-        return _render_set
-    if issubclass(tp, dict):
-        return _render_dict
-    qualname = tp.__qualname__
     if dataclasses.is_dataclass(tp) and tp.__dataclass_params__.frozen:
+        qualname = tp.__qualname__
         names = tuple(f.name for f in dataclasses.fields(tp))
 
-        def render_dataclass(value: Any, budget: list[int]) -> str:
-            fields = ",".join(
-                [f"{n}={_stable_repr(getattr(value, n), budget)}" for n in names]
-            )
+        def render_dataclass(value: Any) -> str:
+            fields = ",".join([f"{n}={_stable_repr(getattr(value, n))}" for n in names])
             return f"{qualname}({fields})"
 
         return render_dataclass
-    if getattr(tp, "__content_key__", None) is not None:
-        # Immutable non-dataclass values opt in by returning the
-        # structural content that fully determines them.
-        def render_keyed(value: Any, budget: list[int]) -> str:
-            return f"{qualname}<{_stable_repr(value.__content_key__(), budget)}>"
-
-        return render_keyed
     return _render_opaque
 
 
-def _stable_repr(value: Any, budget: list[int]) -> str:
+def _stable_repr(value: Any) -> str:
     """A canonical string for values whose *content* fully determines it.
 
-    Only structurally transparent values qualify: primitives, containers
-    of such values, frozen dataclasses (``MachineSpec``,
-    ``AlignOptions``, ``LIV``, ...), ``AffineForm`` (its own renderer),
-    and immutable classes exposing a ``__content_key__()`` of such
-    values (``Polynomial``).  Everything
-    else — in particular objects with summary-style reprs like
-    ``<ADG main: 4 nodes...>``, which do not distinguish distinct
-    contents — raises :class:`_NotContentAddressable` so the fingerprint
-    falls back to store-version identity, which never spuriously
-    matches.
-
-    Each value costs one unit of ``budget``; how it is rendered is
+    Only what the planner inputs are made of qualifies: primitives,
+    tuples and lists of such values, frozen dataclasses (``Program`` and
+    its AST, ``MachineSpec``, ``AlignOptions``, ``LIV``, ...) and
+    ``AffineForm`` (its own renderer).  Everything else — in particular
+    objects with summary-style reprs like ``<ADG main: 4 nodes...>``,
+    which do not distinguish distinct contents — raises
+    :class:`_NotContentAddressable`.  How a value is rendered is
     resolved once per exact type (:data:`_RENDERERS`).
     """
-    budget[0] -= 1
-    if budget[0] < 0:
-        raise _NotContentAddressable
     tp = type(value)
     render = _RENDERERS.get(tp)
     if render is None:
         render = _RENDERERS[tp] = _resolve_renderer(tp)
-    return render(value, budget)
+    return render(value)
 
 
 def content_fingerprint(value: Any) -> Optional[str]:
     """A short content fingerprint, or ``None`` when the value is not
-    content-addressable (opaque objects, over-budget containers).
+    content-addressable (an opaque object, or nesting too deep to walk).
 
     This is the public face of the fingerprinting scheme: two values
     with the same fingerprint have the same canonical content, across
     processes and machines.  Persistent caches (:mod:`repro.serve`) key
     on exactly these — a ``None`` here must never become a cache key.
     """
-    try:
-        r = _stable_repr(value, [_FINGERPRINT_BUDGET])
-    except Exception:  # noqa: BLE001 - fingerprinting must never fail
-        return None
-    return _digest(type(value).__name__, r)
+    r = render(value)
+    return None if r is None else r.fingerprint
 
 
 def render(value: Any) -> Optional[Rendered]:
     """``value`` rendered for reuse inside a larger value (see
     :class:`Rendered`); ``None`` exactly where :func:`content_fingerprint`
     is."""
-    budget = [_FINGERPRINT_BUDGET]
     try:
-        text = _stable_repr(value, budget)
-    except Exception:  # noqa: BLE001 - as content_fingerprint
+        return Rendered(_stable_repr(value), type(value).__name__)
+    except Exception:  # noqa: BLE001 - fingerprinting must never fail
         return None
-    return Rendered(text, type(value).__name__, _FINGERPRINT_BUDGET - budget[0])
-
-
-def _fresh_nonce() -> str:
-    """A per-context nonce namespacing identity fingerprints: two
-    contexts whose clocks advance in lockstep (two forks of one prefix,
-    two pool workers) must never mint the same one for different
-    artifacts."""
-    return uuid.uuid4().hex[:10]
 
 
 #: The artifacts fingerprinted by content: the planner's three inputs.
@@ -372,11 +309,9 @@ class Artifact:
     key: str
     value: Any
     version: int
-    fingerprint: str
-
-    @property
-    def content_addressed(self) -> bool:
-        return not self.fingerprint.startswith("v")
+    #: The content digest of a planner input (:data:`INPUT_KEYS`);
+    #: ``None`` for everything else, which ``version`` identifies.
+    fingerprint: Optional[str]
 
 
 class PlanContext:
@@ -397,13 +332,8 @@ class PlanContext:
     def __init__(self) -> None:
         self._artifacts: dict[str, Artifact] = {}
         self._clock = 0
-        # Namespaces this context's identity fingerprints: forks and
-        # unpickled copies get their own, so "v3" minted here can never
-        # collide with "v3" minted by a sibling lineage (see
-        # :func:`_fresh_nonce`).
-        self._nonce = _fresh_nonce()
         # pass name -> {required key -> (version, fingerprint) at last run}
-        self._ledger: dict[str, dict[str, tuple[int, str]]] = {}
+        self._ledger: dict[str, dict[str, tuple[int, Optional[str]]]] = {}
         self.trace: list[dict] = []
         self._current_event: dict | None = None
         self.memo = SubproblemMemo()
@@ -423,16 +353,14 @@ class PlanContext:
         takes ``fingerprint`` from a caller that already knows it (the
         delta engine, which rendered the program for its diff); the
         caller owns the claim that the value's content matches.  Every
-        other artifact is fingerprinted by identity.
+        other artifact has no fingerprint: its version identifies it.
         """
         self._clock += 1
         if key not in INPUT_KEYS:
             fingerprint = None
         elif fingerprint is None:
             fingerprint = content_fingerprint(value)
-        art = Artifact(
-            key, value, self._clock, fingerprint or f"v{self._clock}.{self._nonce}"
-        )
+        art = Artifact(key, value, self._clock, fingerprint)
         self._artifacts[key] = art
         return art
 
@@ -493,13 +421,12 @@ class PlanContext:
         return state
 
     def __setstate__(self, state: dict) -> None:
+        # A context pickled when derived artifacts had identity
+        # fingerprints carries the nonce that namespaced them.
+        state.pop("_nonce", None)
         self.__dict__.update(state)
         self.memo = SubproblemMemo()
         self._delta_base_memo = {}
-        # An unpickled copy is a new lineage: its future puts must not
-        # mint the same identity fingerprints as the original's (both
-        # clocks continue from the same value in different processes).
-        self._nonce = _fresh_nonce()
 
     def __repr__(self) -> str:
         return f"<PlanContext {len(self._artifacts)} artifacts: {', '.join(self.keys())}>"
@@ -584,18 +511,11 @@ class Pipeline:
                         "pass": p.name,
                         "event": "reuse",
                         "seconds": 0.0,
-                        "provides": {
-                            key: ctx.artifact(key).fingerprint
-                            for key in p.provides
-                        },
+                        "provides": p.provides,
                     }
                 )
                 continue
-            event: dict = {
-                "pass": p.name,
-                "event": "run",
-                "requires": {req: sig[1] for req, sig in signature.items()},
-            }
+            event: dict = {"pass": p.name, "event": "run"}
             ctx._current_event = event
             before = cachestats.snapshot()
             t0 = time.perf_counter()
@@ -616,16 +536,16 @@ class Pipeline:
                     f"pass {p.name!r} declared but did not provide: "
                     f"{', '.join(missing)}"
                 )
-            event["provides"] = {
-                key: ctx.artifact(key).fingerprint for key in p.provides
-            }
+            event["provides"] = p.provides
             ctx.trace.append(event)
             ctx._ledger[p.name] = signature
         return ctx
 
     @staticmethod
     def _reusable(
-        ctx: PlanContext, p: Pass, signature: Mapping[str, tuple[int, str]]
+        ctx: PlanContext,
+        p: Pass,
+        signature: Mapping[str, tuple[int, Optional[str]]],
     ) -> bool:
         if not all(ctx.has(key) for key in p.provides):
             return False
@@ -642,7 +562,7 @@ class Pipeline:
             lv, lfp = last[req]
             if version == lv:
                 continue
-            if not fp.startswith("v") and fp == lfp:
+            if fp is not None and fp == lfp:
                 continue  # an input re-stored with identical content
             return False
         return True

@@ -64,9 +64,10 @@ serve prefix), runs ``distribute`` as any other replan does.
 Only the planner inputs are content-addressed
 (:data:`~repro.passes.core.INPUT_KEYS`); a replan hands ``put`` the
 program and machine fingerprints it already derived.  A carried
-artifact gets a fresh identity fingerprint: the projections decided it
-is the answer, and the pipeline honours it as a supplied output pinned
-to the new context's inputs, so nothing compares its content.
+artifact, like any derived one, has no fingerprint: the projections
+decided it is the answer, and the pipeline honours it as a supplied
+output pinned to the new context's inputs, so nothing compares its
+content.
 
 A node payload that is not a value — its type keeps ``object``'s
 identity equality, or is unhashable — degrades the projection to
@@ -158,9 +159,9 @@ def statement_key(stmt: Any) -> str:
     The statement analogue of ``Port.key``: two parses of the same
     source text yield the same key, across processes.  Every AST node
     is a frozen dataclass, so :func:`content_fingerprint` covers the
-    whole subtree; the identity fallback (only reachable for a subtree
-    exceeding the fingerprint budget) never matches anything, which
-    degrades the diff to "changed" — conservative, never stale.
+    whole subtree; the fallback for a statement that cannot be rendered
+    (one built by hand around an opaque value) never matches anything,
+    which degrades the diff to "changed" — conservative, never stale.
     """
     return _statement_key(stmt, render(stmt))
 
@@ -266,9 +267,9 @@ def _diff_side(program: A.Program, parts: Optional[_Parts] = None) -> _DiffSide:
 
 def _program_fingerprint(program: A.Program, parts: _Parts) -> Optional[str]:
     """``content_fingerprint(program)``, the parts not walked again: a
-    copy of the program holding the rendered parts renders — and costs —
-    what the program does, and a part that cannot be rendered leaves the
-    program as opaque as itself."""
+    copy of the program holding the rendered parts renders what the
+    program does, and a part that cannot be rendered leaves the program
+    as opaque as itself."""
     stmts, decls = parts
     if decls is None or None in stmts:
         return None
@@ -726,7 +727,7 @@ def replan(
     # Each program is walked once: the base's when it was stored, the new
     # one here — its statements for the diff keys, and the fingerprint
     # (handed on to ``put`` below) from those.
-    base_fp = base_art.fingerprint if base_art.content_addressed else None
+    base_fp = base_art.fingerprint
     if new_program is base_program:
         new_parts, new_fp = None, base_fp
     else:
@@ -739,11 +740,7 @@ def replan(
     machine_art = base.artifact("machine") if base.has("machine") else None
     base_machine = machine_art.value if machine_art is not None else None
     new_machine = machine if machine is not None else base_machine
-    base_mfp = (
-        machine_art.fingerprint
-        if machine_art is not None and machine_art.content_addressed
-        else None
-    )
+    base_mfp = machine_art.fingerprint if machine_art is not None else None
     new_mfp = (
         base_mfp
         if new_machine is base_machine

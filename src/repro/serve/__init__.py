@@ -33,7 +33,6 @@ from .cache import (
     MISS,
     SCHEMA_VERSION,
     CacheStats,
-    NonContentAddressedKeyError,
     PlanCache,
 )
 from .daemon import PlanDaemon, run_daemon
@@ -49,7 +48,6 @@ __all__ = [
     "CacheStats",
     "DEFAULT_NPROCS",
     "MISS",
-    "NonContentAddressedKeyError",
     "PlanCache",
     "PlanDaemon",
     "PlanService",

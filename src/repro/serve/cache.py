@@ -13,13 +13,10 @@ namespaces:
 Correctness properties, each load-bearing for a cache that outlives its
 process:
 
-**Content-addressed keys only.**  Identity fingerprints (``"v3.ab12…"``)
-are unique only within the context lineage that minted them; two
-different artifacts from two contexts may share one.  Persisting under
-such a key would serve artifact A to a requester of artifact B, so
-:meth:`PlanCache.put` and :meth:`PlanCache.get` *refuse* any key chain
-containing a non-content-addressed part
-(:class:`NonContentAddressedKeyError`).
+**Content-addressed keys only.**  Every key part is a content
+fingerprint, a non-empty string; a planner input that has none
+(``None``) can be neither stored nor probed — :meth:`PlanCache.put`
+and :meth:`PlanCache.get` raise ``ValueError``.
 
 **Schema versioning.**  Every entry is stamped with
 :data:`SCHEMA_VERSION` (and echoes its own namespace + key chain).  A
@@ -77,27 +74,6 @@ MISS = object()
 _NAMESPACES = ("prefix", "plan")
 
 
-class NonContentAddressedKeyError(ValueError):
-    """A cache key chain contains an identity (non-content) fingerprint.
-
-    Identity fingerprints (``v<clock>.<nonce>``) never spuriously match
-    — but they also never *correctly* match across processes, and
-    before they were nonce-namespaced two context lineages could mint
-    colliding ones.  Either way they must not become persistent keys.
-    """
-
-    def __init__(self, namespace: str, key: Sequence[str], part: str) -> None:
-        self.namespace = namespace
-        self.key = tuple(key)
-        self.part = part
-        super().__init__(
-            f"cache key {tuple(key)!r} (namespace {namespace!r}) contains "
-            f"non-content-addressed fingerprint {part!r}; identity "
-            "fingerprints are only unique within one context lineage and "
-            "must never be persisted"
-        )
-
-
 @dataclass
 class CacheStats:
     """Counters for one :class:`PlanCache` instance (process-local)."""
@@ -130,10 +106,6 @@ def _validate_key(namespace: str, key: Sequence[str]) -> tuple[str, ...]:
     for part in parts:
         if not isinstance(part, str) or not part:
             raise ValueError(f"cache key part {part!r} is not a fingerprint")
-        # Content fingerprints are hex digests; identity fingerprints
-        # carry the "v<clock>" prefix (optionally nonce-suffixed).
-        if part.startswith("v"):
-            raise NonContentAddressedKeyError(namespace, parts, part)
     return parts
 
 
@@ -216,9 +188,8 @@ class PlanCache:
     def get(self, namespace: str, key: Iterable[str]) -> Any:
         """The stored payload, or :data:`MISS`.
 
-        Raises :class:`NonContentAddressedKeyError` for identity
-        fingerprints in the chain — a key that can't be stored can't be
-        probed either.
+        Raises ``ValueError`` for a key part that is not a fingerprint —
+        a key that can't be stored can't be probed either.
         """
         parts = _validate_key(namespace, tuple(key))
         digest = self._digest(namespace, parts)
@@ -244,9 +215,8 @@ class PlanCache:
     def put(self, namespace: str, key: Iterable[str], payload: Any) -> None:
         """Store ``payload`` under the fingerprint chain, atomically.
 
-        Refuses non-content-addressed key chains
-        (:class:`NonContentAddressedKeyError`); evicts LRU entries past
-        ``max_entries``.
+        Refuses a key part that is not a fingerprint (``ValueError``);
+        evicts LRU entries past ``max_entries``.
         """
         parts = _validate_key(namespace, tuple(key))
         digest = self._digest(namespace, parts)

@@ -80,11 +80,11 @@ cache outcome, latency, status, and (at a deterministic
 ``trace_sample`` rate) a per-span time breakdown of that request.
 
 Cache-correctness discipline: payloads are keyed only by *content*
-fingerprints.  If any fingerprint in the chain degrades to an identity
-fingerprint (opaque or over-budget value), the request is planned
-normally but never persisted — :class:`~repro.serve.cache.PlanCache`
-would refuse the store, and the service counts it as
-``serve.uncacheable`` instead of risking a cross-context collision.
+fingerprints.  If a planner input has none (a machine whose live
+topology model is not a value, a program whose blocks nest too deep to
+walk), the request is planned normally but never persisted — :class:`~repro.serve.cache.PlanCache` would refuse
+a ``None`` key part — and the service counts it as
+``serve.uncacheable``.
 """
 
 from __future__ import annotations
@@ -155,10 +155,11 @@ class ServeResponse:
     error: Optional[str] = None
     retry_after: Optional[float] = None
     #: The content-fingerprint chain the cache was probed with
-    #: (program/options/machine, truncated).  Exposed on the wire so an
-    #: editing client can quote ``fingerprints["program"]`` back as the
-    #: next request's ``base_fingerprint``.
-    fingerprints: Optional[Mapping[str, str]] = None
+    #: (program/options/machine; ``None`` for an input that has none).
+    #: Exposed on the wire so an editing client can quote
+    #: ``fingerprints["program"]`` back as the next request's
+    #: ``base_fingerprint``.
+    fingerprints: Optional[Mapping[str, Optional[str]]] = None
 
     @property
     def ok(self) -> bool:
@@ -459,8 +460,7 @@ class PlanService:
                     # A text seen before goes to the cache probes on its
                     # remembered fingerprint; it is parsed only where a
                     # pass needs the program (delta, cold).  Only content
-                    # fingerprints are remembered: an identity one is
-                    # minted per context and a parse error has none.
+                    # fingerprints are remembered: a parse error has none.
                     text = _text_digest(request)
                     program = None
                     pfp = self._recall(self._key_memo, text)
@@ -471,19 +471,15 @@ class PlanService:
                     if pfp is None:
                         program = parse(request.source, name=request.name)
                         pfp = PlanContext().put("program", program).fingerprint
-                        if not pfp.startswith("v"):
+                        if pfp is not None:
                             self._remember(self._key_memo, text, pfp)
 
                 fingerprints = {
-                    "program": pfp[:12],
-                    "options": afp[:12],
-                    "machine": mfp[:12] if mfp else None,
+                    "program": pfp,
+                    "options": afp,
+                    "machine": mfp,
                 }
-                cacheable = (
-                    mfp is not None
-                    and not pfp.startswith("v")
-                    and not afp.startswith("v")
-                )
+                cacheable = None not in (pfp, afp, mfp)
                 if not cacheable:
                     reg.counter("serve.uncacheable").inc()
 

@@ -20,6 +20,9 @@ CORPUS_DIR = Path(__file__).parent.parent / "benchmarks" / "perf" / "corpus"
 
 #: A line nested 400 parentheses deep: past the parser's nesting bound.
 DEEP_SOURCE = "real x(8)\nx = " + "(" * 400 + "x" + ")" * 400 + "\n"
+#: A flat sum of 1 000 terms: its left-associative chain is a tree 999
+#: levels deep, past the parser's nesting bound.
+CHAIN_SOURCE = "real x(8)\nx = " + " + ".join(["x"] * 1000) + "\n"
 #: A section whose extent floors ``i/2`` over 4096 x 4096 loop points:
 #: the typechecker refuses it without visiting them.
 FLOOR_SOURCE = """real A(4096)

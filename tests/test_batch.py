@@ -21,7 +21,7 @@ import weakref
 import pytest
 
 import repro
-from conftest import DEEP_SOURCE
+from conftest import CHAIN_SOURCE, DEEP_SOURCE
 from repro import cachestats
 from repro.batch import BatchReport, PlanRequest, plan_many
 from repro.lang.generate import GeneratorConfig, generate_corpus, generate_scenario
@@ -76,8 +76,11 @@ class TestOneRequest:
             "LexError: line 1: unexpected character '٣' at col 8",
         ]
 
-    def test_a_line_nested_too_deep_is_the_tasks_parse_error(self):
-        request = PlanRequest("deep", DEEP_SOURCE)
+    @pytest.mark.parametrize(
+        "source", [DEEP_SOURCE, CHAIN_SOURCE], ids=["parentheses", "flat sum"]
+    )
+    def test_a_line_nested_too_deep_is_the_tasks_parse_error(self, source):
+        request = PlanRequest("deep", source)
         want = "ParseError: deep:2: expression nested deeper than 100 levels"
         assert plan_many([request], serial=True).results[0].error == want
         pooled = plan_many([request, request], jobs=2)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from conftest import CHAIN_SOURCE as CHAIN
 from conftest import DEEP_SOURCE as DEEP
 from conftest import FLOOR_SOURCE as FLOOR
 from repro.__main__ import main
@@ -144,6 +145,10 @@ class TestCLI:
                 "error: floor.dp: TypeError_: section extent floor((4095 - 1/2*i + j)/1) + 1 "
                 "is not affine over the loop ranges",
             ),
+            (
+                ["chain.dp", "--distribute", "4"],
+                "error: chain.dp: ParseError: chain.dp:2: expression nested deeper than 100 levels",
+            ),
         ],
     )
     def test_unreadable_program_is_a_diagnostic_not_a_traceback(
@@ -157,6 +162,7 @@ class TestCLI:
         (tmp_path / "sup.dp").write_text("real A(²)\nA = 1\n", encoding="utf-8")
         (tmp_path / "deep.dp").write_text(DEEP, encoding="utf-8")
         (tmp_path / "floor.dp").write_text(FLOOR, encoding="utf-8")
+        (tmp_path / "chain.dp").write_text(CHAIN, encoding="utf-8")
         with pytest.raises(SystemExit) as exit_:
             main(argv)
         assert exit_.value.code == 1

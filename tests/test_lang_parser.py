@@ -220,7 +220,21 @@ NESTINGS = {
     "unary minus": lambda n: "x = " + "- " * n + "x",
     "index parentheses": lambda n: "x(" + "(" * n + "1" + ")" * n + ") = 1",
     "index signs": lambda n: "x(" + "- " * n + "1) = 1",
+    "sums": lambda n: "x = " + " + ".join(["x"] * (n + 1)),
+    "products": lambda n: "x = " + " * ".join(["x"] * (n + 1)),
 }
+
+
+def _tree_depth(expr) -> int:
+    """Operator levels of an expression tree, walked without recursion."""
+    deepest, stack = 0, [(expr, 0)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        for child in (getattr(node, f, None) for f in ("left", "right", "operand", "index")):
+            if child is not None:
+                stack.append((child, depth + 1))
+    return deepest
 
 
 class TestNestingBound:
@@ -241,6 +255,26 @@ class TestNestingBound:
         parse("real x(8), s(8)\n" + NESTINGS[kind](MAX_NESTING))
         with pytest.raises(ParseError, match="nested deeper"):
             parse("real x(8), s(8)\n" + NESTINGS[kind](MAX_NESTING + 1))
+
+    @pytest.mark.parametrize(
+        "first",
+        ["sin(" * 50 + "x" + ")" * 50, "- " * 50 + "x", "(" + " + ".join(["x"] * 51) + ")"],
+        ids=["intrinsics", "unary minus", "parenthesised sum"],
+    )
+    def test_a_chain_stands_on_its_first_terms_levels(self, first):
+        """A chain's first term is the deepest leaf of its tree: each
+        operator after it is one more level above it."""
+        program = parse("real x(8)\nx = " + first + " + x" * 50)
+        assert _tree_depth(program.body[0].rhs) == MAX_NESTING
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse("real x(8)\nx = " + first + " + x" * 51)
+
+    def test_no_tree_is_deeper_than_the_bound(self):
+        lines = [f(MAX_NESTING) for f in NESTINGS.values() if f(1).startswith("x =")]
+        lines.append("x = " + " + ".join(["(" + " * ".join(["x"] * 60) + ")"] * 41))
+        for line in lines:
+            program = parse("real x(8), s(8)\n" + line)
+            assert _tree_depth(program.body[0].rhs) <= MAX_NESTING, line
 
     def test_levels_close_again(self):
         # Siblings do not add up: only the open levels count.

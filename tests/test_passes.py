@@ -11,7 +11,6 @@ worker pool and prefix cache are built on.
 import dataclasses
 import enum
 import pickle
-import re
 from fractions import Fraction
 from typing import Any, ClassVar, NamedTuple
 
@@ -19,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fingerprint_reference import reference_fingerprint, reference_repr
 from repro.align import (
     DistributionOptionsError,
     align_and_distribute,
@@ -46,12 +46,7 @@ from repro.passes import (
     PlanContext,
     content_fingerprint,
 )
-from repro.passes.core import (
-    _FINGERPRINT_BUDGET,
-    _NotContentAddressable,
-    _stable_repr,
-    render,
-)
+from repro.passes.core import _stable_repr, render
 
 
 CHAIN = (
@@ -331,9 +326,11 @@ class TestPrefixReuse:
         from repro.lang.typecheck import typecheck
 
         program = programs.example1()
-        info = typecheck(program)
-        plan = align_program(program, info=info)
-        assert plan.total_cost == align_program(program).total_cost
+        ctx = plan_context(program)
+        ctx.put("typeinfo", typecheck(program))
+        Pipeline().run(ctx, goal="plan")
+        assert _events("run", "typecheck", ctx) == 0
+        assert ctx.get("total_cost") == align_program(program).total_cost
 
     def test_external_typeinfo_goes_stale_when_program_changes(self):
         """An externally supplied artifact is pinned to the inputs it
@@ -343,7 +340,8 @@ class TestPrefixReuse:
 
         p1, p2 = programs.example1(), programs.figure1()
         pipe = Pipeline()
-        ctx = plan_context(p1, info=typecheck(p1))
+        ctx = plan_context(p1)
+        ctx.put("typeinfo", typecheck(p1))
         pipe.run(ctx, goal="plan")
         assert _events("run", "typecheck", ctx) == 0  # honored external info
         ctx.put("program", p2)
@@ -353,8 +351,8 @@ class TestPrefixReuse:
 
     def test_summary_reprs_are_not_content_fingerprinted(self):
         """Same-shape, different-content programs: the rebuilt ADG's
-        summary repr ('<ADG s: N nodes...>') coincides, so it must get an
-        identity fingerprint and invalidate every downstream pass."""
+        summary repr ('<ADG s: N nodes...>') coincides, so it must not be
+        fingerprinted: its new version invalidates every downstream pass."""
         p1 = parse("real A(10), B(20)\nA(1:10) = B(1:20:2)", name="s")
         p2 = parse("real A(10), B(30)\nA(1:10) = B(1:30:3)", name="s")
         pipe = Pipeline()
@@ -378,15 +376,11 @@ INPUTS = {"program", "align_options", "machine"}
 
 def assert_only_inputs_content_addressed(ctx):
     """The three planner inputs carry content fingerprints, and every
-    other artifact its store version and the nonce of the context that
-    minted it."""
-    assert {k for k in ctx.keys() if ctx.artifact(k).content_addressed} == INPUTS
-    for key in ctx.keys():
+    other artifact none: its version identifies it."""
+    assert {k for k in ctx.keys() if ctx.artifact(k).fingerprint} == INPUTS
+    for key in INPUTS:
         art = ctx.artifact(key)
-        if key in INPUTS:
-            assert art.fingerprint == content_fingerprint(art.value), key
-        else:
-            assert re.fullmatch(rf"v{art.version}\.[0-9a-f]{{10}}", art.fingerprint), key
+        assert art.fingerprint == content_fingerprint(art.value) is not None, key
 
 
 class TestOnlyInputsAreContentAddressed:
@@ -737,7 +731,7 @@ class _FrozenChild(_Frozen):
 
 
 class _Keyed:
-    """A non-frozen class that opts in with ``__content_key__``."""
+    """A class exposing ``__content_key__``, which the scheme once took."""
 
     def __init__(self, *parts):
         self.parts = parts
@@ -750,61 +744,24 @@ class _Opaque:
     pass
 
 
-def _reference_repr(value, budget):
-    """``_stable_repr`` as it was before the per-type table: the
-    ``isinstance`` chain, kept here as the renderer's reference."""
-    budget[0] -= 1
-    if budget[0] < 0:
-        raise _NotContentAddressable
-    if value is None or isinstance(value, (bool, int, float, str, Fraction)):
-        return repr(value)
-    if isinstance(value, (tuple, list)):
-        inner = ",".join(_reference_repr(v, budget) for v in value)
-        return f"{type(value).__name__}({inner})"
-    if isinstance(value, (set, frozenset)):
-        inner = ",".join(sorted(_reference_repr(v, budget) for v in value))
-        return f"{type(value).__name__}({inner})"
-    if isinstance(value, dict):
-        items = sorted(
-            (_reference_repr(k, budget), _reference_repr(v, budget))
-            for k, v in value.items()
-        )
-        return "dict(" + ",".join(f"{k}:{v}" for k, v in items) + ")"
-    if (
-        dataclasses.is_dataclass(value)
-        and not isinstance(value, type)
-        and type(value).__dataclass_params__.frozen
-    ):
-        fields = ",".join(
-            f"{f.name}={_reference_repr(getattr(value, f.name), budget)}"
-            for f in dataclasses.fields(value)
-        )
-        return f"{type(value).__qualname__}({fields})"
-    if isinstance(value, AffineForm):
-        # The key an AffineForm was once rendered from: the constant and
-        # the coefficient map, every scalar as a Fraction.
-        key = (
-            Fraction(value._const),
-            {liv: Fraction(c) for liv, c in value._coeffs.items()},
-        )
-        return f"AffineForm<{_reference_repr(key, budget)}>"
-    key_fn = getattr(value, "__content_key__", None)
-    if key_fn is not None:
-        return f"{type(value).__qualname__}<{_reference_repr(key_fn(), budget)}>"
-    raise _NotContentAddressable
-
-
-def _rendered(render, value):
-    """``(string, budget left)``, or ``None`` where ``content_fingerprint``
+def _rendered(value):
+    """``_stable_repr(value)``, or ``None`` where ``content_fingerprint``
     would answer ``None``."""
-    budget = [_FINGERPRINT_BUDGET]
     try:
-        return render(value, budget), budget[0]
+        return _stable_repr(value)
     except Exception:  # noqa: BLE001 - as content_fingerprint catches
         return None
 
 
-_hashable_leaves = st.one_of(
+def _reference(value):
+    """``reference_repr(value)``, or ``None`` likewise."""
+    try:
+        return reference_repr(value)
+    except Exception:  # noqa: BLE001 - as content_fingerprint catches
+        return None
+
+
+_leaves = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-3, 3),
@@ -814,20 +771,17 @@ _hashable_leaves = st.one_of(
     st.just(_Color.RED),
     st.builds(_Point, st.integers(0, 2), st.integers(0, 2)),
     st.builds(_Frozen, st.integers(0, 2)),
+    st.builds(_Opaque),
+    st.just(_Frozen),
 )
-_leaves = _hashable_leaves | st.builds(_Opaque) | st.just(_Frozen)
 _values = st.recursive(
     _leaves,
     lambda inner: st.one_of(
         st.lists(inner, max_size=3),
         st.lists(inner, max_size=3).map(tuple),
-        st.sets(_hashable_leaves, max_size=3),
-        st.frozensets(_hashable_leaves, max_size=3),
-        st.dictionaries(_hashable_leaves, inner, max_size=3),
         st.builds(_Frozen, inner, inner),
         st.builds(_FrozenChild, inner),
         st.builds(_Thawed, inner),
-        st.builds(_Keyed, inner, inner),
     ),
     max_leaves=12,
 )
@@ -847,31 +801,23 @@ class TestStableRepr:
         ([1, "a"], "list(1,'a')"),
         ((), "tuple()"),
         (_Point(1, 2), "_Point(1,2)"),
-        ({10, 9}, "set(10,9)"),  # ordered by the rendered strings
-        (frozenset({2, 1}), "frozenset(1,2)"),
-        ({"b": 1, "a": [2]}, "dict('a':list(2),'b':1)"),
         (_Frozen(1, (2,)), "_Frozen(a=1,b=tuple(2))"),
         (_FrozenChild(None), "_FrozenChild(a=None,b=tuple())"),
-        (_Keyed(1, "k"), "_Keyed<tuple(1,'k')>"),
         # The constant ``options`` field still renders: machine digests stay put.
         (MachineSpec.of(4), "MachineSpec(nprocs=4,topology=None,options=tuple())"),
     ]  # fmt: skip
 
     @pytest.mark.parametrize("value, expected", ROWS, ids=[r[1] for r in ROWS])
     def test_renders_exactly(self, value, expected):
-        assert _stable_repr(value, [_FINGERPRINT_BUDGET]) == expected
-        assert _reference_repr(value, [_FINGERPRINT_BUDGET]) == expected
+        assert _stable_repr(value) == expected
+        assert reference_repr(value) == expected
         assert content_fingerprint(value) is not None
 
     def test_equal_numbers_of_different_types_differ(self):
         digests = {content_fingerprint(v) for v in (True, 1, 1.0, Fraction(1))}
         assert len(digests) == 4
 
-    def test_containers_ignore_insertion_order(self):
-        assert content_fingerprint({1, 2, 3}) == content_fingerprint({3, 2, 1})
-        assert content_fingerprint({"a": 1, "b": 2}) == content_fingerprint(
-            {"b": 2, "a": 1}
-        )
+    def test_containers_of_different_types_differ(self):
         assert content_fingerprint((1, 2)) != content_fingerprint([1, 2])
         assert content_fingerprint((1, 2)) != content_fingerprint(_Point(1, 2))
 
@@ -880,7 +826,6 @@ class TestStableRepr:
         [
             _Thawed(1),  # a dataclass, but not frozen
             _Frozen,  # a dataclass *class object*
-            _Keyed,  # its __content_key__ needs an instance
             _Opaque(),
             object(),
             (1, [_Opaque()]),  # poisons whatever holds it
@@ -890,30 +835,44 @@ class TestStableRepr:
     )
     def test_not_content_addressable(self, value):
         assert content_fingerprint(value) is None
-        assert _rendered(_reference_repr, value) is None
+        assert _reference(value) is None
+
+    @pytest.mark.parametrize(
+        "value",
+        [{10, 9}, frozenset({2, 1}), {"b": 1, "a": [2]}, _Keyed(1, "k"), (1, {2: 3})],
+        ids=repr,
+    )
+    def test_sets_dicts_and_content_keys_are_not_rendered(self, value):
+        """The first scheme also took these; no planner input holds one
+        (``TestDigestIdentity``), so they are opaque now."""
+        assert _reference(value) is not None
+        assert content_fingerprint(value) is None
 
     def test_an_adg_is_not_content_addressable(self):
         from repro.adg import build_adg
 
         assert content_fingerprint(build_adg(programs.example1())) is None
 
-    def test_the_budget_is_one_unit_per_value(self):
-        """10 000 values: the container counts as one of them."""
-        assert content_fingerprint(tuple(range(9_999))) is not None
-        assert content_fingerprint(tuple(range(10_000))) is None
-        assert content_fingerprint(tuple(range(10_001))) is None
-        assert content_fingerprint([(i,) for i in range(5_000)]) is None
-        budget = [_FINGERPRINT_BUDGET]
-        _stable_repr(_Frozen({"k": (1, 2)}), budget)
-        # the dataclass, a dict, its key, a tuple, two items, and b=()
-        assert budget[0] == _FINGERPRINT_BUDGET - 7
+    def test_a_long_value_renders_whole(self):
+        """No budget: a value of any length renders, and its digest is
+        the reference's."""
+        for value in (tuple(range(10_001)), [(i,) for i in range(5_000)]):
+            assert content_fingerprint(value) == reference_fingerprint(value)
+            assert content_fingerprint(value) is not None
+
+    def test_a_value_nested_past_the_recursion_limit_is_not_rendered(self):
+        deep: Any = ()
+        for _ in range(5_000):
+            deep = (deep,)
+        assert content_fingerprint(deep) is None
+        assert render(deep) is None
 
     def test_a_type_is_resolved_once_and_holds_no_value(self):
         from repro.passes.core import _RENDERERS
 
+        @dataclasses.dataclass(frozen=True)
         class Local:
-            def __content_key__(self):
-                return 7
+            a: int = 7
 
         assert Local not in _RENDERERS
         first = content_fingerprint(Local())
@@ -925,12 +884,12 @@ class TestStableRepr:
     @given(_values)
     @settings(max_examples=300, deadline=None)
     def test_equals_the_isinstance_chain(self, value):
-        assert _rendered(_stable_repr, value) == _rendered(_reference_repr, value)
+        assert _rendered(value) == _reference(value)
 
     @given(_values)
     @settings(max_examples=200, deadline=None)
     def test_a_rendered_part_stands_for_its_value(self, value):
-        """Same string, same budget, same digest, wherever it is put."""
+        """Same string, same digest, wherever it is put."""
         part = render(value)
         if part is None:
             assert content_fingerprint(value) is None
@@ -939,25 +898,14 @@ class TestStableRepr:
         for hold in (
             lambda v: (1, v),
             lambda v: [v, v],
-            lambda v: _Frozen(v, {"k": (v,)}),
+            lambda v: _Frozen(v, ("k", (v,))),
         ):
-            whole = _rendered(_stable_repr, hold(value))
+            whole = _rendered(hold(value))
             assert whole is not None
-            assert _rendered(_stable_repr, hold(part)) == whole
+            assert _rendered(hold(part)) == whole
             assert content_fingerprint(hold(part)) == content_fingerprint(
                 hold(value)
             )
-
-    def test_a_rendered_part_is_charged_what_it_cost(self):
-        half = tuple(range(5_000))
-        part = render(half)
-        assert part.cost == 5_001
-        assert content_fingerprint((part,)) == content_fingerprint((half,))
-        assert content_fingerprint((half,)) is not None
-        # each half fits the budget; the two together do not
-        assert content_fingerprint((half, half)) is None
-        assert content_fingerprint((part, part)) is None
-        assert render((part, part)) is None
 
 
 _scalars = st.integers(-5, 5) | st.fractions(max_denominator=4)
@@ -973,29 +921,15 @@ _affine_forms = st.builds(
 
 
 class TestAffineFormRenderer:
-    """``AffineForm`` has its own renderer; it writes and charges what
-    the generic rendering of its old key (constant, coefficient map, as
+    """``AffineForm`` has its own renderer; it writes what the generic
+    rendering of its old key (constant, coefficient map, as
     ``Fraction``s) did."""
 
     @given(_affine_forms)
     @settings(max_examples=300, deadline=None)
     def test_equals_the_content_key_rendering(self, form):
-        assert _rendered(_stable_repr, form) == _rendered(_reference_repr, form)
-        assert _rendered(_stable_repr, (form, [form])) == _rendered(
-            _reference_repr, (form, [form])
-        )
-
-    def test_the_budget_runs_out_where_it_did(self):
-        form = AffineForm(Fraction(1, 2), {LIV("k"): 2})
-        # the form, the key tuple, the constant, the map, and per
-        # coefficient the LIV (with its two fields) and the value
-        assert render(form).cost == 8
-        fits = (_FINGERPRINT_BUDGET - 1) // 8
-        for n in (fits, fits + 1):
-            forms = (form,) * n
-            assert _rendered(_stable_repr, forms) == _rendered(_reference_repr, forms)
-        assert content_fingerprint((form,) * fits) is not None
-        assert content_fingerprint((form,) * (fits + 1)) is None
+        assert _rendered(form) == reference_repr(form)
+        assert _rendered((form, [form])) == reference_repr((form, [form]))
 
 
 #: The nine machines ``machine_sweep`` of ``benchmarks/perf`` prices.
@@ -1010,6 +944,61 @@ SWEEP_MACHINES = (
     "ring:64",
     "hypercube:64",
 )
+
+
+class TestDigestIdentity:
+    """The renderer covers only what the planner inputs are made of; on
+    every one of them its digest is the first scheme's
+    (``tests/fingerprint_reference.py``), so no cache key moves."""
+
+    @staticmethod
+    def _programs(corpus_kernels, corpus_edits):
+        from repro.lang.generate import generate_corpus
+
+        yield from (parse(src, name=name) for name, src in corpus_kernels.items())
+        yield from (parse(src, name=kernel) for kernel, _, src in corpus_edits)
+        for count, seed in ((40, 3), (14, 0)):
+            for scenario in generate_corpus(count, seed=seed):
+                yield parse(scenario.source, name=scenario.name)
+
+    def test_programs_their_statements_and_declarations(
+        self, corpus_kernels, corpus_edits
+    ):
+        seen = 0
+        for program in self._programs(corpus_kernels, corpus_edits):
+            for value in (program, program.decls, *program.decls, *program.body):
+                assert content_fingerprint(value) == reference_fingerprint(value)
+                assert content_fingerprint(value) is not None, program.name
+            seen += 1
+        assert seen == 16 + 48 + 54
+
+    def test_align_options_for_each_algorithm(self):
+        records = [AlignOptions.of(algorithm=name) for name in ALGORITHMS]
+        records += [
+            AlignOptions.of(m=3),
+            AlignOptions.of(replication=False, mobile=False, max_replication_rounds=1),
+        ]
+        for options in records:
+            assert content_fingerprint(options) == reference_fingerprint(options)
+            assert content_fingerprint(options) is not None
+
+    def test_machines_of_every_topology_kind(self):
+        from repro.topology import parse_topology, topology_kinds
+
+        specs = {
+            "grid": "grid:4x4",
+            "torus": "torus:4x4",
+            "ring": "ring:16",
+            "hypercube": "hypercube:16",
+            "hier": "hier:(grid:2)/(grid:8)@16",
+        }
+        assert set(specs) == set(topology_kinds())
+        machines = [MachineSpec.of(4), MachineSpec.of(None, "grid:2x2")]
+        for spec in specs.values():
+            machines += [MachineSpec.of(topology=spec), MachineSpec.of(16, parse_topology(spec))]
+        for machine in machines:
+            assert content_fingerprint(machine) == reference_fingerprint(machine)
+            assert content_fingerprint(machine) is not None
 
 
 class TestPinnedFingerprints:

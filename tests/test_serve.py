@@ -1,15 +1,13 @@
-"""The serving layer: persistent plan cache, service, daemon, nonces.
+"""The serving layer: persistent plan cache, service, daemon.
 
 Covers :mod:`repro.serve` end to end — the fingerprint-keyed
 :class:`PlanCache` (round trips, hits served from memory, LRU
 eviction, warm start across a fresh process, schema-version
-invalidation, atomic-write hygiene, the refusal of non-content-addressed
-key chains), the in-process :class:`PlanService` (cold/warm/prefix
+invalidation, atomic-write hygiene, the refusal of a key part that is
+not a fingerprint), the in-process :class:`PlanService` (cold/warm/prefix
 paths with byte-identical payloads for every generator family,
-backpressure, error responses), the asyncio daemon protocol, and the
-fingerprint-nonce bugfix in
-:mod:`repro.passes` that makes identity fingerprints safe to exist
-alongside a persistent cache at all.
+backpressure, error responses, fingerprints read back as delta bases),
+and the asyncio daemon protocol.
 """
 
 from __future__ import annotations
@@ -23,13 +21,12 @@ import sys
 
 import pytest
 
-from conftest import DEEP_SOURCE
+from conftest import CHAIN_SOURCE, DEEP_SOURCE
 from repro.obs.metrics import registry
 from repro.passes import PlanContext, content_fingerprint
 from repro.serve import (
     MISS,
     SCHEMA_VERSION,
-    NonContentAddressedKeyError,
     PlanCache,
     PlanDaemon,
     PlanService,
@@ -92,16 +89,21 @@ class TestCacheKeys:
         cache.put("plan", ("abc123",), None)
         assert cache.get("plan", ("abc123",)) is None
 
-    def test_identity_fingerprints_refused(self):
-        # "v<clock>.<nonce>" chains are lineage-local; a persistent
-        # cache keyed on one would serve artifact A to requester B.
+    def test_a_missing_fingerprint_is_refused(self):
+        # A planner input that cannot be rendered has no fingerprint
+        # (None): it can be neither stored nor probed.
         cache = PlanCache()
-        for bad in ("v3", "v3.ab12cd34ef"):
-            with pytest.raises(NonContentAddressedKeyError) as ei:
+        for bad in (None, ""):
+            with pytest.raises(ValueError, match="is not a fingerprint"):
                 cache.put("plan", ("abc123", bad), {"x": 1})
-            assert ei.value.part == bad
-            with pytest.raises(NonContentAddressedKeyError):
+            with pytest.raises(ValueError, match="is not a fingerprint"):
                 cache.get("plan", ("abc123", bad))
+
+    def test_any_string_is_a_key_a_probe_can_miss(self):
+        # A client quotes fingerprints back; one the cache never stored
+        # is a miss, whatever it looks like.
+        cache = PlanCache()
+        assert cache.get("prefix", ("v3.deadbeef", "abc123")) is MISS
 
     def test_bad_namespace_and_empty_key_rejected(self):
         cache = PlanCache()
@@ -378,36 +380,22 @@ class TestCachePersistence:
             assert (pickle.dumps(prefix), pickle.dumps(payload)) == before
 
 
-# -- fingerprint nonces (the satellite bugfix) ---------------------------------
+# -- content fingerprints -----------------------------------------------------
 
 
-class TestFingerprintNonces:
-    def test_two_contexts_mint_distinct_identity_fingerprints(self):
-        # Before the fix both said "v1": same version clock, different
-        # lineages, colliding keys.  Now the per-context nonce splits them.
-        a, b = PlanContext(), PlanContext()
-        a.put("x", object())
-        b.put("x", object())
-        fa = a.artifact("x").fingerprint
-        fb = b.artifact("x").fingerprint
-        assert fa.startswith("v") and fb.startswith("v")
-        assert fa != fb
-        assert not a.artifact("x").content_addressed
-
-    def test_unpickled_context_refreshes_its_nonce(self):
+class TestContentFingerprints:
+    def test_derived_artifacts_have_no_fingerprint(self):
         ctx = PlanContext()
         ctx.put("x", object())
+        assert ctx.artifact("x").fingerprint is None
         clone = pickle.loads(pickle.dumps(ctx))
-        ctx.put("y", object())
-        clone.put("y", object())
-        assert (
-            ctx.artifact("y").fingerprint != clone.artifact("y").fingerprint
-        )
+        assert "_nonce" not in vars(clone)
+        assert clone.artifact("x").fingerprint is None
 
     def test_affine_forms_are_content_addressable(self):
         # AffineForm's own renderer: without it every AST containing
-        # an AffineForm would degrade to identity fingerprints and fall
-        # out of the persistent cache.
+        # an AffineForm would have no fingerprint and fall out of the
+        # persistent cache.
         from repro.ir.affine import AffineForm
         from repro.ir.symbols import LIV
 
@@ -427,10 +415,7 @@ class TestFingerprintNonces:
         for scenario in generate_corpus(7, seed=0):
             ctx = plan_context(parse(scenario.source, name=scenario.name))
             art = ctx.artifact("program")
-            assert art.content_addressed, (
-                f"{scenario.family}: program fingerprint degraded to "
-                f"identity ({art.fingerprint})"
-            )
+            assert art.fingerprint is not None, scenario.family
 
 
 # -- PlanService ---------------------------------------------------------------
@@ -529,9 +514,12 @@ class TestPlanService:
             assert resp.status == "error" and resp.plan is None
             assert resp.error == "LexError: line 1: unexpected character '²' at col 8"
 
-    def test_a_line_nested_too_deep_is_an_error_reply(self):
+    @pytest.mark.parametrize(
+        "source", [DEEP_SOURCE, CHAIN_SOURCE], ids=["parentheses", "flat sum"]
+    )
+    def test_a_line_nested_too_deep_is_an_error_reply(self, source):
         with PlanService() as svc:
-            resp = svc.handle(ServeRequest("q", DEEP_SOURCE))
+            resp = svc.handle(ServeRequest("q", source))
             assert resp.status == "error" and resp.plan is None
             assert resp.error == "ParseError: q:2: expression nested deeper than 100 levels"
 
@@ -550,8 +538,8 @@ class TestPlanService:
             assert svc.handle(ServeRequest("q", SRC, nprocs=4)).ok
 
     def test_uncacheable_requests_are_planned_but_not_stored(self, monkeypatch):
-        # Simulate a fingerprint chain degrading to identity: the
-        # request must still be answered, but nothing may be persisted.
+        # Simulate a machine with no fingerprint: the request must
+        # still be answered, but nothing may be persisted.
         import repro.serve.service as service
 
         monkeypatch.setattr(service, "content_fingerprint", lambda v: None)
@@ -563,6 +551,43 @@ class TestPlanService:
             assert b.cached is None  # no hit: nothing was stored
             assert len(svc.cache) == 0
             assert _counter("serve.uncacheable") == before + 2
+
+    def test_a_base_it_never_issued_is_a_cold_plan(self):
+        """``"v3.deadbeef"`` looks like nothing the service hands out: a
+        stale base, so a cold plan and one ``serve.delta_stale`` tick —
+        never an error."""
+        with PlanService() as fresh:
+            want = fresh.handle(ServeRequest("q", SRC, nprocs=4))
+        with PlanService() as svc:
+            stale = _counter("serve.delta_stale")
+            errors = _counter("serve.errors")
+            resp = svc.handle(
+                ServeRequest("q", SRC, nprocs=4, base_fingerprint="v3.deadbeef")
+            )
+            assert resp.ok and resp.cached is None, resp.error
+            assert pickle.dumps(resp.plan) == pickle.dumps(want.plan)
+            assert _counter("serve.delta_stale") == stale + 1
+            assert _counter("serve.errors") == errors
+
+    def test_a_program_past_the_old_render_budget_is_cached_and_read_back(self):
+        """1 430 declarations rendered to more than the 10 000 values the
+        fingerprint once stopped at: such a program was planned cold on
+        every request, and its fingerprint could not be quoted back."""
+        from repro.lang.parser import parse
+
+        decls = "real " + ", ".join(f"a{i}(8)" for i in range(1430)) + "\n"
+        source, edit = decls + "a0 = a0 + a1\n", decls + "a0 = a0 - a1\n"
+        with PlanService() as svc:
+            cold = svc.handle(ServeRequest("wide", source, nprocs=4))
+            hit = svc.handle(ServeRequest("wide", source, nprocs=4))
+            base = cold.fingerprints["program"]
+            delta = svc.handle(
+                ServeRequest("wide", edit, nprocs=4, base_fingerprint=base)
+            )
+        assert cold.ok and cold.cached is None
+        assert base == content_fingerprint(parse(source, name="wide"))
+        assert hit.cached == "plan" and hit.plan == cold.plan
+        assert delta.ok and delta.cached == "delta", delta.error
 
     def test_stats_shape(self):
         with PlanService() as svc:
@@ -610,6 +635,48 @@ class TestParentFormatCache:
         assert list(hit.plan) == list(want4.plan)
         assert pickle.dumps(prefix.plan) == pickle.dumps(want8.plan)
 
+    def test_a_prefix_pickled_with_identity_fingerprints_forks_and_replans(self):
+        """The golden prefix was pickled when every derived artifact had
+        a fingerprint (``v<version>.<nonce>`` or a content digest), the
+        context a nonce, and each trace event fingerprint maps.  It
+        loads without the nonce, serves a new machine off a fork, and
+        replans an edit to what a cold plan gives."""
+        from pathlib import Path
+
+        from repro.align.pipeline import (
+            plan_facts,
+            planning_records,
+            solve_prefix,
+            solve_suffix,
+        )
+        from repro.lang.parser import parse
+
+        golden = Path(__file__).parent / "golden" / "serve_cache_pr17" / "prefix"
+        (path,) = golden.glob("*.pkl")
+        raw = path.read_bytes()
+        ctx = pickle.loads(raw)["payload"]
+        assert b"_nonce" in raw and "_nonce" not in vars(ctx)
+        assert ctx.artifact("adg").fingerprint.startswith("v")
+        assert all(isinstance(ev["provides"], dict) for ev in ctx.trace)
+        program = ctx.get("program")
+        assert ctx.artifact("program").fingerprint == content_fingerprint(program)
+        options, machine = planning_records(8)
+
+        def cold(program) -> dict:
+            return plan_facts(solve_suffix(solve_prefix(program, options), machine))
+
+        assert plan_facts(solve_suffix(ctx.fork(), machine)) == cold(program)
+        edit = parse(SRC_EDIT, name="q")
+        want = cold(edit)
+        new, report = solve_prefix(edit, options, base=ctx)
+        assert report.strategy == "carry_all"
+        assert plan_facts(solve_suffix(new, machine)) == want
+        base = ctx.artifact("program").fingerprint
+        with PlanService() as svc:
+            svc.cache.put("prefix", (base, svc._options_fp), ctx)
+            resp = svc.handle(ServeRequest("q", SRC_EDIT, nprocs=8, base_fingerprint=base))
+        assert resp.cached == "delta"
+        assert {key: resp.plan[key] for key in want} == want
 
     def test_a_profile_pickled_with_a_hop_memo_loads_prices_and_replans(self):
         """The golden prefix's ``CommProfile`` was pickled when the class
@@ -784,19 +851,18 @@ class TestRequestKeyMemo:
             ("error", first.error)
         ] * 2
 
-    def test_identity_fingerprint_is_never_kept(self, monkeypatch, parses):
-        # An over-budget program fingerprints by identity ("v..."): each
-        # context mints its own, so the text must be parsed every time.
+    def test_a_program_without_a_fingerprint_is_never_kept(self, monkeypatch, parses):
+        # A program that cannot be rendered has no fingerprint: there is
+        # nothing to remember, so the text must be parsed every time.
         import repro.passes.core as core
 
-        monkeypatch.setattr(core, "_FINGERPRINT_BUDGET", 3)
+        monkeypatch.setattr(core, "content_fingerprint", lambda value: None)
         with PlanService() as svc:
             before = _counter("serve.uncacheable")
             a = svc.handle(ServeRequest("q", SRC, nprocs=4))
             b = svc.handle(ServeRequest("q", SRC, nprocs=4))
             assert a.ok and b.ok and b.cached is None
-            assert a.fingerprints["program"].startswith("v")
-            assert a.fingerprints["program"] != b.fingerprints["program"]
+            assert a.fingerprints["program"] is b.fingerprints["program"] is None
             assert parses == ["q", "q"]
             assert svc.stats()["key_memo"]["entries"] == 0
             assert _counter("serve.uncacheable") == before + 2
@@ -1026,6 +1092,18 @@ class TestDaemon:
         assert bad_source["status"] == "error"
         assert "source" in bad_source["error"]
         assert bad_op["status"] == "error"
+
+    def test_a_base_it_never_issued_is_a_cold_plan_over_the_wire(self):
+        stale = _counter("serve.delta_stale")
+        cold, stats = self._roundtrip(
+            [
+                {"name": "q", "source": SRC, "nprocs": 4, "base_fingerprint": "v3.deadbeef"},
+                {"op": "stats"},
+            ]
+        )
+        assert cold["status"] == "ok" and cold["cached"] is None
+        assert "error" not in cold
+        assert stats["stats"]["counters"]["serve.delta_stale"] == stale + 1
 
     def test_malformed_json_keeps_connection_open(self):
         async def drive() -> list[dict]:
