@@ -16,7 +16,7 @@ from .constraints import (
     section_shifts,
 )
 from .offset_static import (
-    OffsetLP,
+    OffsetProblem,
     OffsetLPStats,
     OffsetSolution,
     solve_offsets,
@@ -36,7 +36,7 @@ from .replication import (
     ReplicationResult,
     label_replication,
     read_only_arrays,
-    value_carrier_nodes,
+    value_carriers,
 )
 from .span import has_sign_change, refine_space_at_crossings, span_form
 from .cost import (
@@ -74,7 +74,7 @@ __all__ = [
     "LoopBack",
     "node_offset_relations",
     "section_shifts",
-    "OffsetLP",
+    "OffsetProblem",
     "OffsetLPStats",
     "OffsetSolution",
     "solve_offsets",
@@ -90,7 +90,7 @@ __all__ = [
     "ReplicationResult",
     "label_replication",
     "read_only_arrays",
-    "value_carrier_nodes",
+    "value_carriers",
     "has_sign_change",
     "refine_space_at_crossings",
     "span_form",

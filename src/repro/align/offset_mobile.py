@@ -28,6 +28,7 @@ options record is built (``AlignOptions.of``), before anything is solved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, MutableMapping, NamedTuple
 
 from ..adg.graph import ADG, ADGEdge
@@ -38,10 +39,10 @@ from .cost import offset_only_cost
 from .offset_static import (
     OffsetLPStats,
     OffsetMap,
+    OffsetProblem,
     PartitionPlan,
     ReplicationLabels,
     edge_is_offset_costed,
-    solve_offsets,
 )
 from .position import Alignment
 from .span import has_sign_change, refine_space_at_crossings
@@ -57,28 +58,37 @@ REFINE_ROUNDS = 8
 
 @dataclass
 class MobileOffsetResult:
+    """One algorithm's offsets and their exact offset-only cost.
+
+    ``priced_on`` is the graph, skeleton and replicated set the offsets
+    were solved under.  ``cost`` is computed from it where it is first
+    read, unless the algorithm priced the offsets while it searched.
+    """
+
     algorithm: str
     offsets: OffsetMap
-    cost: Scalar
     lp_stats: list[OffsetLPStats] = field(default_factory=list)
     iterations: int = 1
     subranges_total: int = 0
+    priced_on: tuple = field(default=(), repr=False, compare=False)
+
+    @cached_property
+    def cost(self) -> Scalar:
+        return _exact_cost(*self.priced_on, self.offsets)
 
     @property
     def lp_vars_total(self) -> int:
         return sum(s.num_vars for s in self.lp_stats)
 
 
-def _plan_fixed(adg: ADG, m: int) -> PartitionPlan:
-    return {e.eid: e.space.grid_partition(m) for e in adg.edges}
-
-
-def _plan_unrolled(adg: ADG) -> PartitionPlan:
-    plan: PartitionPlan = {}
-    for e in adg.edges:
-        n = max((len(t) for t in e.space.triplets), default=1)
-        plan[e.eid] = e.space.grid_partition(n)
-    return plan
+def _problem(
+    adg: ADG, skeleton: Skeleton, static: bool, problem: OffsetProblem | None
+) -> OffsetProblem:
+    if problem is None:
+        return OffsetProblem(adg, skeleton, static)
+    if problem.adg is not adg or problem.static != static:
+        raise ValueError("the compiled offset problem is of another graph or mode")
+    return problem
 
 
 def _count_subranges(plan: PartitionPlan) -> int:
@@ -88,8 +98,8 @@ def _count_subranges(plan: PartitionPlan) -> int:
 def _exact_cost(
     adg: ADG,
     skeleton: Skeleton,
-    offsets: OffsetMap,
     replicated: ReplicationLabels | None,
+    offsets: OffsetMap,
 ) -> Scalar:
     return offset_only_cost(adg, skeleton, offsets, set(replicated or ()))
 
@@ -122,14 +132,20 @@ def fixed_partitioning(
     replicated: ReplicationLabels | None = None,
     static: bool = False,
     memo: MutableMapping | None = None,
+    problem: OffsetProblem | None = None,
 ) -> MobileOffsetResult:
     """Partition every edge space into ``m`` equal subranges per axis and
     solve once.  Guaranteed within ``1 + 2/m**2`` of optimal."""
-    plan = _plan_fixed(adg, m)
-    sol = solve_offsets(adg, skeleton, plan, replicated, static, memo)
-    cost = _exact_cost(adg, skeleton, sol.offsets, replicated)
+    problem = _problem(adg, skeleton, static, problem)
+    plan = problem.partition(m)
+    sol = problem.solve(plan, replicated, memo)
     return MobileOffsetResult(
-        f"fixed(m={m})", sol.offsets, cost, sol.stats, 1, _count_subranges(plan)
+        f"fixed(m={m})",
+        sol.offsets,
+        sol.stats,
+        1,
+        _count_subranges(plan),
+        (adg, skeleton, replicated),
     )
 
 
@@ -144,15 +160,21 @@ def unrolling(
     replicated: ReplicationLabels | None = None,
     static: bool = False,
     memo: MutableMapping | None = None,
+    problem: OffsetProblem | None = None,
 ) -> MobileOffsetResult:
     """Every iteration its own subrange: the exact mobile-offset optimum
     (over affine alignments), at the price of an LP that scales with the
     iteration count."""
-    plan = _plan_unrolled(adg)
-    sol = solve_offsets(adg, skeleton, plan, replicated, static, memo)
-    cost = _exact_cost(adg, skeleton, sol.offsets, replicated)
+    problem = _problem(adg, skeleton, static, problem)
+    plan = problem.partition(None)
+    sol = problem.solve(plan, replicated, memo)
     return MobileOffsetResult(
-        "unrolling", sol.offsets, cost, sol.stats, 1, _count_subranges(plan)
+        "unrolling",
+        sol.offsets,
+        sol.stats,
+        1,
+        _count_subranges(plan),
+        (adg, skeleton, replicated),
     )
 
 
@@ -167,6 +189,7 @@ def state_space_search(
     replicated: ReplicationLabels | None = None,
     static: bool = False,
     memo: MutableMapping | None = None,
+    problem: OffsetProblem | None = None,
 ) -> MobileOffsetResult:
     """One-subrange RLP seed, then steepest descent on the exact cost.
 
@@ -176,10 +199,11 @@ def state_space_search(
     solution's free slots, since node-derived slots move rigidly with
     their roots.
     """
-    plan = _plan_fixed(adg, 1)
-    sol = solve_offsets(adg, skeleton, plan, replicated, static, memo)
+    problem = _problem(adg, skeleton, static, problem)
+    plan = problem.partition(1)
+    sol = problem.solve(plan, replicated, memo)
     offsets = dict(sol.offsets)
-    best = _exact_cost(adg, skeleton, offsets, replicated)
+    best = _exact_cost(adg, skeleton, replicated, offsets)
     # Group ports per node: moving a node's ports together preserves all
     # intra-node relations (they are relative).
     passes = 0
@@ -203,7 +227,7 @@ def state_space_search(
                                 trial[key] = form + delta
                             elif slot in p.space.livs:
                                 trial[key] = form + AffineForm.variable(slot, delta)
-                        c = _exact_cost(adg, skeleton, trial, replicated)
+                        c = _exact_cost(adg, skeleton, replicated, trial)
                         if c < best:
                             best = c
                             offsets = trial
@@ -211,9 +235,16 @@ def state_space_search(
                             break
         if not improved:
             break
-    return MobileOffsetResult(
-        "state-space", offsets, best, sol.stats, passes, _count_subranges(plan)
+    result = MobileOffsetResult(
+        "state-space",
+        offsets,
+        sol.stats,
+        passes,
+        _count_subranges(plan),
+        (adg, skeleton, replicated),
     )
+    result.cost = best  # priced by the search
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -227,14 +258,16 @@ def tracking_zero_crossings(
     replicated: ReplicationLabels | None = None,
     static: bool = False,
     memo: MutableMapping | None = None,
+    problem: OffsetProblem | None = None,
 ) -> MobileOffsetResult:
     """Two equal subranges per edge; then move subrange boundaries to the
     solved spans' zero crossings and re-solve until the cost stops
     improving (convergence is not guaranteed; the paper says so)."""
-    plan = _plan_fixed(adg, 2)
-    sol = solve_offsets(adg, skeleton, plan, replicated, static, memo)
+    problem = _problem(adg, skeleton, static, problem)
+    plan = problem.partition(2)
+    sol = problem.solve(plan, replicated, memo)
     best_offsets = sol.offsets
-    best = _exact_cost(adg, skeleton, best_offsets, replicated)
+    best = _exact_cost(adg, skeleton, replicated, best_offsets)
     stats = list(sol.stats)
     iters = 1
     for _ in range(REFINE_ROUNDS - 1):
@@ -251,17 +284,24 @@ def tracking_zero_crossings(
             break
         iters += 1
         plan = newplan
-        sol = solve_offsets(adg, skeleton, plan, replicated, static, memo)
+        sol = problem.solve(plan, replicated, memo)
         stats.extend(sol.stats)
-        c = _exact_cost(adg, skeleton, sol.offsets, replicated)
+        c = _exact_cost(adg, skeleton, replicated, sol.offsets)
         if c < best:
             best = c
             best_offsets = sol.offsets
         else:
             break
-    return MobileOffsetResult(
-        "zero-crossing", best_offsets, best, stats, iters, _count_subranges(plan)
+    result = MobileOffsetResult(
+        "zero-crossing",
+        best_offsets,
+        stats,
+        iters,
+        _count_subranges(plan),
+        (adg, skeleton, replicated),
     )
+    result.cost = best  # priced by the search
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +315,15 @@ def recursive_refinement(
     replicated: ReplicationLabels | None = None,
     static: bool = False,
     memo: MutableMapping | None = None,
+    problem: OffsetProblem | None = None,
 ) -> MobileOffsetResult:
     """One subrange; split any subrange whose solved span changes sign at
     the crossing; re-solve; repeat until clean, stalled, or capped."""
-    plan: PartitionPlan = _plan_fixed(adg, 1)
-    sol = solve_offsets(adg, skeleton, plan, replicated, static, memo)
+    problem = _problem(adg, skeleton, static, problem)
+    plan: PartitionPlan = problem.partition(1)
+    sol = problem.solve(plan, replicated, memo)
     best_offsets = sol.offsets
-    best = _exact_cost(adg, skeleton, best_offsets, replicated)
+    best = _exact_cost(adg, skeleton, replicated, best_offsets)
     stats = list(sol.stats)
     iters = 1
     for _ in range(REFINE_ROUNDS - 1):
@@ -311,22 +353,24 @@ def recursive_refinement(
             break
         iters += 1
         plan = newplan
-        sol = solve_offsets(adg, skeleton, plan, replicated, static, memo)
+        sol = problem.solve(plan, replicated, memo)
         stats.extend(sol.stats)
-        c = _exact_cost(adg, skeleton, sol.offsets, replicated)
+        c = _exact_cost(adg, skeleton, replicated, sol.offsets)
         if c < best:
             best = c
             best_offsets = sol.offsets
         else:
             break
-    return MobileOffsetResult(
+    result = MobileOffsetResult(
         "recursive-refinement",
         best_offsets,
-        best,
         stats,
         iters,
         _count_subranges(plan),
+        (adg, skeleton, replicated),
     )
+    result.cost = best  # priced by the search
+    return result
 
 
 class Algorithm(NamedTuple):
@@ -346,7 +390,7 @@ ALGORITHMS = {
 }
 
 #: What :func:`solve_mobile_offsets` passes every algorithm itself.
-_SOLVER_KEYWORDS = ("replicated", "static", "memo")
+_SOLVER_KEYWORDS = ("replicated", "static", "memo", "problem")
 
 
 def check_algorithm(name: str, keywords: Iterable[str] = ()) -> Algorithm:
@@ -380,6 +424,12 @@ def solve_mobile_offsets(
     replicated: ReplicationLabels | None = None,
     **kw,
 ) -> MobileOffsetResult:
-    """Entry point: run one of the five Section 4.2 algorithms."""
+    """Entry point: run one of the five Section 4.2 algorithms.
+
+    ``problem`` (keyword), an :class:`OffsetProblem` compiled for this
+    graph, skeleton and ``static`` flag, carries its compiled rows and
+    solved axes from one call to the next; without it each call
+    compiles its own.
+    """
     run = check_algorithm(algorithm).run
     return run(adg, skeleton, replicated=replicated, **kw)

@@ -20,13 +20,20 @@ vertex per ADG node (two for current-axis spreads), infinite-capacity
 arcs pinning the prelabeled vertices, and ADG edges carrying their
 closed-form total data weights.  The max-flow/min-cut theorem makes the
 optimum exact (Theorem 1); we solve it with Dinic's algorithm.
+
+Only rule 3 depends on the offsets, so :class:`ReplicationLabeler` is
+compiled once per graph and skeleton: one pass over the ADG finds the
+carriers of every read-only array, each edge's capacity is priced once,
+and each axis's cut graph holds its arcs and its fixed pins.  Labeling
+under a set of offsets then only decides which carriers are mobile, and
+a set of R pins already cut keeps its cut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Collection, Mapping
 
 from ..adg.graph import ADG, ADGNode, Port
 from ..adg.nodes import NodeKind, SourcePayload, SpreadPayload
@@ -66,32 +73,33 @@ def read_only_arrays(program: Program) -> set[str]:
     return out
 
 
-def value_carrier_nodes(adg: ADG, array: str) -> set[int]:
-    """Nodes that carry the (unmodified) value of ``array``.
+_PASSTHROUGH = frozenset(
+    (NodeKind.TRANSFORMER, NodeKind.MERGE, NodeKind.FANOUT, NodeKind.BRANCH)
+)
 
-    BFS from the array's source through value-preserving node kinds:
+
+def value_carriers(adg: ADG, arrays: Collection[str]) -> set[int]:
+    """Nodes that carry the (unmodified) value of any of ``arrays``.
+
+    One scan of the nodes finds the arrays' sources; one search from
+    all of them at once follows value-preserving node kinds:
     transformers, merges, fanouts, branches.  Computation nodes stop the
-    propagation — past them the value is a different object.
+    propagation — past them the value is a different object.  Each node
+    is visited at most twice, however many arrays there are.
     """
     carriers: set[int] = set()
     frontier: list[ADGNode] = []
     for n in adg.nodes:
         if n.kind is NodeKind.SOURCE and isinstance(n.payload, SourcePayload):
-            if n.payload.array == array:
+            if n.payload.array in arrays:
                 carriers.add(n.nid)
                 frontier.append(n)
-    passthrough = {
-        NodeKind.TRANSFORMER,
-        NodeKind.MERGE,
-        NodeKind.FANOUT,
-        NodeKind.BRANCH,
-    }
     while frontier:
         n = frontier.pop()
         for p in n.outputs():
             for e in adg.out_edges(p):
                 m = e.head.node
-                if m.kind in passthrough and m.nid not in carriers:
+                if m.kind in _PASSTHROUGH and m.nid not in carriers:
                     carriers.add(m.nid)
                     frontier.append(m)
     return carriers
@@ -109,7 +117,42 @@ def _current_axis_spread(n: ADGNode, skeleton: Skeleton, axis: int) -> bool:
         return False
 
 
+@dataclass
+class _AxisCut:
+    """One axis's min-cut graph, all but the mobile-carrier pins.
+
+    ``base`` holds the ADG edges' arcs and the N pins (``pins_n`` says
+    whether there are any); ``r_pins`` lists every R pin in node order,
+    each a vertex and either ``None`` (always pinned) or the port keys
+    of a read-only carrier, pinned when one of them has a mobile offset
+    on the axis; ``ports`` is each port's key with its fixed label or
+    the node vertex whose side labels it.  ``answers`` keeps the labels
+    and cut value under each set of R pins cut so far: the cut is a
+    function of the pins alone.
+    """
+
+    base: FlowNetwork
+    pins_n: bool
+    r_pins: list[tuple[object, list[str] | None]]
+    ports: list[tuple[str, str | None, int]]
+    answers: dict = field(default_factory=dict)
+
+
+_S, _T = ("__source__",), ("__sink__",)
+
+
 class ReplicationLabeler:
+    """Theorem 1's labeling, compiled once per graph and skeleton.
+
+    Construction finds the read-only arrays' carriers in one pass over
+    the ADG, prices each edge's capacity (its total data weight) once,
+    and builds each axis's cut graph with its fixed pins: spreads along
+    the axis split in two, body-axis, source and sink vertices.  A
+    :meth:`solve` then only pins the carriers that its offsets make
+    mobile and cuts, so a replication fixpoint labels every round
+    against one compiled labeler.
+    """
+
     def __init__(
         self,
         adg: ADG,
@@ -126,136 +169,152 @@ class ReplicationLabeler:
         # everything else N) — the no-replication-optimization baseline.
         self.minimal = minimal
         self.readonly = read_only_arrays(program) if program is not None else set()
+        carriers = value_carriers(adg, self.readonly) if self.readonly else set()
+        capacity = [
+            float(cached_moments(e.space, e.weight).m0) * e.control_weight
+            for e in adg.edges
+        ]
+        # The edge arcs of an axis with no split spread, the same on
+        # every such axis: built once, copied per axis.
+        arcs = FlowNetwork()
+        arcs.node(_S)
+        arcs.node(_T)
+        for e, cap in zip(adg.edges, capacity):
+            if e.tail.node is not e.head.node:
+                arcs.add_edge(e.tail.node.nid, e.head.node.nid, cap)
+        self._axes = [
+            self._compile(axis, carriers, capacity, arcs)
+            for axis in range(adg.template_rank)
+        ]
 
-    def _edge_weight(self, e) -> float:
-        m = cached_moments(e.space, e.weight)
-        return float(m.m0) * e.control_weight
+    def _compile(
+        self,
+        axis: int,
+        carriers: set[int],
+        capacity: list[float],
+        arcs: FlowNetwork,
+    ) -> _AxisCut:
+        skel = self.skeleton
 
-    def label_axis(self, axis: int) -> tuple[dict[int, str], Scalar, dict[str, str]]:
-        """Label every node for one axis; returns (node labels, cut value,
-        spread-split labels keyed by port key)."""
-        g = FlowNetwork()
-        S, T = ("__source__",), ("__sink__",)
-        g.node(S)
-        g.node(T)
+        def body(p: Port) -> bool:
+            sk = skel[p.key]
+            return axis < sk.template_rank and sk.axes[axis].is_body
 
-        pinned_n: set[object] = set()
-        pinned_r: set[object] = set()
         # Spreads along this axis: each is split into an in and an out vertex.
         split = {
-            n.nid
-            for n in self.adg.nodes
-            if _current_axis_spread(n, self.skeleton, axis)
+            n.nid for n in self.adg.nodes if _current_axis_spread(n, skel, axis)
         }
-
-        def vertex_of(p: Port) -> object:
-            nid = p.node.nid
-            if nid in split:
-                return (nid, "in" if not p.is_output else "out")
-            return nid
-
-        carriers_mobile: set[int] = set()
-        for arr in self.readonly:
-            carriers = value_carrier_nodes(self.adg, arr)
-            for nid in carriers:
-                node = self.adg.nodes[nid]
-                mobile = False
-                space_ok = True
-                for p in node.ports:
-                    sk = self.skeleton[p.key]
-                    if axis >= sk.template_rank:
-                        space_ok = False
-                        break
-                    if sk.axes[axis].is_body:
-                        space_ok = False
-                        break
-                    off = self.offsets.get((p.key, axis))
-                    if off is not None and not off.is_constant:
-                        mobile = True
-                if space_ok and mobile:
-                    carriers_mobile.add(nid)
-
+        pinned_n: set[object] = set()
+        r_pins: list[tuple[object, list[str] | None]] = []
+        ports: list[tuple[str, str | None, int]] = []
         for n in self.adg.nodes:
-            if n.nid in split:
-                pinned_r.add((n.nid, "in"))
-                pinned_n.add((n.nid, "out"))
+            nid = n.nid
+            if nid in split:
+                r_pins.append(((nid, "in"), None))
+                pinned_n.add((nid, "out"))
+                ports.extend(
+                    (p.key, "N" if p.is_output or body(p) else "R", nid)
+                    for p in n.ports
+                )
                 continue
-            body_here = any(
-                axis < self.skeleton[p.key].template_rank
-                and self.skeleton[p.key].axes[axis].is_body
-                for p in n.ports
+            on_body = [body(p) for p in n.ports]
+            ports.extend(
+                (p.key, "N" if b else None, nid) for p, b in zip(n.ports, on_body)
             )
-            if body_here:
-                pinned_n.add(n.nid)
-                continue
-            if n.kind is NodeKind.SOURCE and isinstance(n.payload, SourcePayload):
+            if any(on_body):
+                pinned_n.add(nid)
+            elif n.kind is NodeKind.SOURCE and isinstance(n.payload, SourcePayload):
                 if n.payload.replicate_hint:
-                    pinned_r.add(n.nid)  # rule 4: replicated lookup tables
+                    r_pins.append((nid, None))  # rule 4: replicated lookup tables
                 else:
                     # Subroutine boundary: initial data arrives with one
                     # copy (rule 4's "specified labels").
-                    pinned_n.add(n.nid)
-                continue
-            if n.kind is NodeKind.SINK:
-                pinned_n.add(n.nid)  # results must be written back single-copy
-                continue
-            if n.nid in carriers_mobile:
-                pinned_r.add(n.nid)
+                    pinned_n.add(nid)
+            elif n.kind is NodeKind.SINK:
+                pinned_n.add(nid)  # results must be written back single-copy
+            elif nid in carriers and all(
+                axis < skel[p.key].template_rank for p in n.ports
+            ):
+                # rule 3: a read-only value with a mobile offset here
+                r_pins.append((nid, [p.key for p in n.ports]))
 
-        for e in self.adg.edges:
-            u = vertex_of(e.tail)
-            v = vertex_of(e.head)
-            if u == v:
-                continue
-            g.add_edge(u, v, self._edge_weight(e))
+        if split:
+
+            def vertex_of(p: Port) -> object:
+                nid = p.node.nid
+                if nid in split:
+                    return (nid, "in" if not p.is_output else "out")
+                return nid
+
+            g = FlowNetwork()
+            g.node(_S)
+            g.node(_T)
+            for e, cap in zip(self.adg.edges, capacity):
+                u = vertex_of(e.tail)
+                v = vertex_of(e.head)
+                if u != v:
+                    g.add_edge(u, v, cap)
+        else:
+            g = arcs.copy()
         for nv in pinned_n:
-            g.add_edge(S, nv, INF)
-        for rv in pinned_r:
-            g.add_edge(rv, T, INF)
+            g.add_edge(_S, nv, INF)
+        return _AxisCut(g, bool(pinned_n), r_pins, ports)
 
+    def label_axis(
+        self, axis: int, offsets: OffsetMap | None = None
+    ) -> tuple[dict[str, str], Scalar]:
+        """Label every port for one axis under ``offsets`` (default: the
+        labeler's); returns (labels by port key, cut value)."""
+        offsets = self.offsets if offsets is None else offsets
+        cut = self._axes[axis]
+        pinned = tuple(
+            vertex
+            for vertex, keys in cut.r_pins
+            if keys is None
+            or any(
+                off is not None and not off.is_constant
+                for off in (offsets.get((key, axis)) for key in keys)
+            )
+        )
+        answer = cut.answers.get(pinned)
+        if answer is None:
+            answer = cut.answers[pinned] = self._cut(cut, pinned)
+        return answer
+
+    def _cut(
+        self, cut: _AxisCut, pinned: tuple
+    ) -> tuple[dict[str, str], Scalar]:
+        pinned_r = set(pinned)
+        g = cut.base.copy()
+        for rv in pinned_r:
+            g.add_edge(rv, _T, INF)
+        names = (g.name_of(i) for i in range(g.num_nodes))
         if self.minimal:
             # Forced labels only: every unpinned vertex stays N.
-            s_side = {g.name_of(i) for i in range(g.num_nodes)} - set(pinned_r)
-            value = sum(
-                w for (u, v, w) in g.cut_edges(s_side) if w != INF
-            )
-        elif pinned_r or pinned_n:
-            value, s_side, _ = g.min_cut(S, T)
+            s_side = set(names) - pinned_r
+            value = sum(w for (u, v, w) in g.cut_edges(s_side) if w != INF)
+        elif pinned_r or cut.pins_n:
+            value, s_side, _ = g.min_cut(_S, _T)
         else:
             # Nothing forces replication: all N, no broadcasts.
-            value, s_side = 0.0, {g.name_of(i) for i in range(g.num_nodes)}
+            value, s_side = 0.0, set(names)
+        labels = {
+            key: fixed
+            if fixed is not None
+            else ("R" if nid in g and nid not in s_side else "N")
+            for key, fixed, nid in cut.ports
+        }
+        return labels, scalar(Fraction(value).limit_denominator(10**6))
 
-        labels: dict[int, str] = {}
-        # Split spreads: fixed labels.
-        spread_labels: dict[str, str] = {}
-        for n in self.adg.nodes:
-            if n.nid in split:
-                for p in n.ports:
-                    spread_labels[p.key] = "R" if not p.is_output else "N"
-            elif n.nid in g:
-                labels[n.nid] = "N" if n.nid in s_side else "R"
-            else:
-                labels[n.nid] = "N"
-        return labels, scalar(Fraction(value).limit_denominator(10**6)), spread_labels
-
-    def solve(self) -> ReplicationResult:
+    def solve(self, offsets: OffsetMap | None = None) -> ReplicationResult:
+        """Label every template axis under ``offsets`` (default: the
+        labeler's)."""
         result = ReplicationResult()
         for axis in range(self.adg.template_rank):
-            node_labels, value, spread_labels = self.label_axis(axis)
+            labels, value = self.label_axis(axis, offsets)
             result.cut_value[axis] = value
-            for n in self.adg.nodes:
-                for p in n.ports:
-                    if p.key in spread_labels:
-                        lab = spread_labels[p.key]
-                    else:
-                        lab = node_labels.get(n.nid, "N")
-                    sk = self.skeleton[p.key]
-                    if (
-                        axis < sk.template_rank
-                        and sk.axes[axis].is_body
-                    ):
-                        lab = "N"  # rule 1, port-level
-                    result.labels[(p.key, axis)] = lab
+            for key, lab in labels.items():
+                result.labels[(key, axis)] = lab
         return result
 
 

@@ -30,6 +30,8 @@ it returns, where each operator of a left-associative chain
 (``x + x + ... + x``) is one more level above the chain's first term.
 A deeper line is a :class:`ParseError` naming its line, before the
 parser, or a pass that walks the tree, could run out of Python frames.
+``do`` and ``if`` blocks nest at most :data:`MAX_NESTING` deep too: the
+opening line of the one block too many is the error's line.
 
 The parser reads the token list in place: every stream ends with one
 ``eof`` token and ``pos`` never moves past it, so only a look-ahead
@@ -51,9 +53,11 @@ CALLS = ELEMENTWISE_INTRINSICS | REDUCTIONS | {"transpose", "spread", "gather"}
 #: The deepest expression nesting a line may write: parentheses,
 #: intrinsic and reduction arguments and unary signs each open one
 #: level of the parser, and each operator, sign or call one level of
-#: the expression tree.  Each level costs the parser, the typechecker
-#: and the fingerprint renderer a few Python frames, so deeper input
-#: would end in a ``RecursionError`` instead of a ``ParseError``.
+#: the expression tree.  It also bounds how deep ``do`` and ``if``
+#: blocks nest.  Each level costs the parser, the typechecker and the
+#: fingerprint renderer a few Python frames, so deeper input would end
+#: in a ``RecursionError`` (or, in the renderer, an unfingerprintable
+#: program) instead of a ``ParseError``.
 MAX_NESTING = 100
 
 
@@ -69,6 +73,7 @@ class Parser:
         self.declared: dict[str, A.Decl] = {}
         self.depth = 0  # open nesting levels of the expression being read
         self.height = 0  # operator levels of the expression last returned
+        self.blocks = 0  # open do/if blocks around the statement being read
 
     # -- token helpers ------------------------------------------------------
 
@@ -194,10 +199,23 @@ class Parser:
 
     def parse_stmt(self) -> A.Stmt:
         if self.at("kw", "do"):
-            return self.parse_do()
+            return self.block(self.parse_do)
         if self.at("kw", "if"):
-            return self.parse_if()
+            return self.block(self.parse_if)
         return self.parse_assign()
+
+    def block(self, parse):
+        """``parse()`` one block deeper; the block past
+        :data:`MAX_NESTING` open ones is a :class:`ParseError`."""
+        if self.blocks == MAX_NESTING:
+            raise ParseError(
+                f"{self.source_name}:{self.peek().line}: blocks nested "
+                f"deeper than {MAX_NESTING} levels"
+            )
+        self.blocks += 1
+        out = parse()
+        self.blocks -= 1
+        return out
 
     def parse_do(self) -> A.Do:
         self.expect("kw", "do")

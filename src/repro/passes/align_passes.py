@@ -23,7 +23,8 @@ from ..adg.build import build_adg
 from ..align.axis_stride import solve_axis_stride
 from ..align.cost import assemble_alignments, total_cost
 from ..align.offset_mobile import check_algorithm, solve_mobile_offsets
-from ..align.replication import label_replication
+from ..align.offset_static import OffsetProblem
+from ..align.replication import ReplicationLabeler
 from ..lang.typecheck import typecheck
 from .core import Pass, PlanContext
 
@@ -125,6 +126,11 @@ class ReplicationFixpointPass(Pass):
     With ``replication=False`` the loop degenerates to one round of
     forced labels only (spread inputs R) — the paper's no-optimization
     baseline — followed by a single offset solve.
+
+    The labeler and the offset problem are compiled once per run, so a
+    round re-pins only the read-only carriers its offsets made mobile,
+    and re-solves only the axes whose costed edges its replicated set
+    changed.
     """
 
     name = "replication-offsets"
@@ -138,28 +144,31 @@ class ReplicationFixpointPass(Pass):
         skel = ctx.get("skeletons")
         program = ctx.get("program")
         cap = opts.max_replication_rounds if opts.replication else 1
+        # Compiled once for the whole run, and dropped with it: the
+        # labeler's fixed pins and capacities, the offset problem's rows
+        # and each axis's answer under the costed edges it has seen.
+        # With replication=False the loop is one round of forced labels
+        # only (spread inputs R), the no-optimization baseline.
+        labeler = ReplicationLabeler(
+            adg, skel.skeletons, program, minimal=not opts.replication
+        )
+        problem = OffsetProblem(adg, skel.skeletons, static=not opts.mobile)
         seen = None
         offsets_in = None  # feeds the next labeling round
         rounds = 0
         converged = False
         while rounds < cap and not converged:
             rounds += 1
+            replication = labeler.solve(offsets_in)
+            new_rep = replication.replicated_ports()
             if opts.replication:
-                replication = label_replication(
-                    adg, skel.skeletons, program, offsets_in
-                )
-                new_rep = replication.replicated_ports() | (seen or set())
-            else:
-                # One round, forced labels only.
-                replication = label_replication(
-                    adg, skel.skeletons, program, None, minimal=True
-                )
-                new_rep = replication.replicated_ports()
+                new_rep |= seen or set()
             # The offset problem is a function of the replicated set
             # alone, and ``seen`` only grows: the converged round would
             # re-solve exactly the previous round's problem, so it keeps
             # that answer.  (Round one has ``seen is None``, so it always
             # solves.)
+            converged = new_rep == seen or not opts.replication
             if new_rep != seen:
                 offsets = solve_mobile_offsets(
                     adg,
@@ -168,11 +177,11 @@ class ReplicationFixpointPass(Pass):
                     replicated=new_rep,
                     static=not opts.mobile,
                     memo=ctx.memo,
+                    problem=problem,
                     **opts.algorithm_kwargs,
                 )
                 offsets_in = offsets.offsets
-            converged = new_rep == seen or not opts.replication
-            seen = new_rep
+                seen = new_rep
         ctx.put("replication", replication)
         ctx.put("offsets", offsets)
         ctx.put("replicated", seen)

@@ -91,11 +91,15 @@ cold-planned kernel, the same under every hash seed
 =============  =================  ===============
 edit class     edge hits/lookups  LP hits/lookups
 =============  =================  ===============
-stmt_insert    254 / 254           1 / 15
-stmt_delete    165 / 182           1 / 14
-section_shift  150 / 176           8 / 15
-iters_change   160 / 220           1 / 15
+stmt_insert    254 / 254           0 / 14
+stmt_delete    165 / 182           0 / 13
+section_shift  150 / 176           6 / 13
+iters_change   160 / 220           0 / 14
 =============  =================  ===============
+
+An LP lookup is one LP built: an axis that a later fixpoint round
+leaves with the costed edges it was solved with reuses its answer
+without building or looking up anything.
 
 * **Holds: one ADG edge's share of the comm profile.**  The cost is a
   sum over edges (equation 1), and an edge's moves are a function of
@@ -642,9 +646,13 @@ def _carry_alignment(
     rep = dataclasses.replace(
         rep, labels=dict(rep.labels), cut_value=dict(rep.cut_value)
     )
+    replicated = set(base.get("replicated"))
     off = base.get("offsets")
     off = dataclasses.replace(
-        off, offsets=dict(off.offsets), lp_stats=list(off.lp_stats)
+        off,
+        offsets=dict(off.offsets),
+        lp_stats=list(off.lp_stats),
+        priced_on=(new_adg, skel.skeletons, replicated),
     )
     alignments = dict(base.get("alignments"))
     rounds = base.get("replication_rounds")
@@ -652,7 +660,7 @@ def _carry_alignment(
 
     ctx.put("replication", rep)
     ctx.put("offsets", off)
-    ctx.put("replicated", set(base.get("replicated")))
+    ctx.put("replicated", replicated)
     ctx.put("replication_rounds", rounds)
     ctx.put("alignments", alignments)
     ctx.put("total_cost", cost)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence, Union
@@ -52,7 +51,8 @@ class LPModel:
     of flat arrays: row ``i`` is ``vals[k] * x[cols[k]]`` summed over
     ``k`` in ``range(starts[i], starts[i + 1])``, compared by
     ``SENSES[senses[i]]`` with ``rhs[i]``.  Bounds are floats, ``-inf`` /
-    ``inf`` where a column has none.
+    ``inf`` where a column has none.  :meth:`from_arrays` makes a
+    complete model from those arrays at once.
     """
 
     def __init__(self, name: str = "lp") -> None:
@@ -68,6 +68,31 @@ class LPModel:
         self.obj_cols: list[int] = []
         self.obj_vals: list[float] = []
         self.obj_const = 0.0
+
+    @classmethod
+    def from_arrays(
+        cls,
+        name: str,
+        *,
+        names: list[str],
+        lower: Sequence[float],
+        upper: Sequence[float],
+        cols: Sequence[int],
+        vals: Sequence[float],
+        starts: Sequence[int],
+        senses: Sequence[int],
+        rhs: Sequence[float],
+        obj_cols: Sequence[int],
+        obj_vals: Sequence[float],
+    ) -> "LPModel":
+        """A model whose columns, row store and objective are given whole
+        (sense codes index :data:`SENSES`); numpy arrays are kept as they
+        are, so add no column or row to it."""
+        m = cls(name)
+        m.names, m.lower, m.upper = names, lower, upper
+        m.cols, m.vals, m.starts, m.senses, m.rhs = cols, vals, starts, senses, rhs
+        m.obj_cols, m.obj_vals = obj_cols, obj_vals
+        return m
 
     def add_column(
         self, name: str, lower: Number | None = None, upper: Number | None = None
@@ -130,16 +155,14 @@ class LPModel:
         for both; names play no part.  Full-width SHA-256: to whoever
         keys solved LPs by it, a collision would be a wrong answer.
         """
-        ints = array("q", [self.num_vars, self.num_constraints, len(self.cols)])
-        ints.append(len(self.obj_cols))
-        ints.extend(self.starts)
-        ints.extend(self.cols)
-        ints.extend(self.senses)
-        ints.extend(self.obj_cols)
-        nums = array("d", self.lower)
-        nums.extend(self.upper)
-        nums.extend(self.vals)
-        nums.extend(self.rhs)
-        nums.extend(self.obj_vals)
-        nums.append(self.obj_const)
-        return hashlib.sha256(ints.tobytes() + nums.tobytes()).digest()
+        import numpy as np
+
+        sizes = [self.num_vars, self.num_constraints, len(self.cols), len(self.obj_cols)]
+        ints = (sizes, self.starts, self.cols, self.senses, self.obj_cols)
+        nums = (self.lower, self.upper, self.vals, self.rhs, self.obj_vals, [self.obj_const])
+        h = hashlib.sha256()
+        for part in ints:
+            h.update(np.asarray(part, dtype=np.int64).tobytes())
+        for part in nums:
+            h.update(np.asarray(part, dtype=float).tobytes())
+        return h.digest()

@@ -38,6 +38,17 @@ class FlowNetwork:
         self.flow: list[float] = []
         self.rev: list[int] = []
 
+    def copy(self) -> "FlowNetwork":
+        """An independent network with the same nodes and arcs, in the
+        same order, and the same flow."""
+        g = FlowNetwork.__new__(FlowNetwork)
+        g._ids = dict(self._ids)
+        g._names = list(self._names)
+        g.adj = [list(arcs) for arcs in self.adj]
+        g.head, g.cap = list(self.head), list(self.cap)
+        g.flow, g.rev = list(self.flow), list(self.rev)
+        return g
+
     def node(self, name: NodeId) -> int:
         idx = self._ids.get(name)
         if idx is None:

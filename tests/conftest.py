@@ -23,6 +23,24 @@ DEEP_SOURCE = "real x(8)\nx = " + "(" * 400 + "x" + ")" * 400 + "\n"
 #: A flat sum of 1 000 terms: its left-associative chain is a tree 999
 #: levels deep, past the parser's nesting bound.
 CHAIN_SOURCE = "real x(8)\nx = " + " + ".join(["x"] * 1000) + "\n"
+
+
+def nested_blocks(kind: str, levels: int) -> str:
+    """One assignment inside ``levels`` nested ``do`` or ``if`` blocks."""
+    opener = {"do": "do i{} = 1, 1\n", "if": "if (c{}) then\n"}[kind]
+    closer = {"do": "enddo\n", "if": "endif\n"}[kind]
+    return (
+        "real x(8)\n"
+        + "".join(opener.format(j) for j in range(levels))
+        + "x = x + 1\n"
+        + closer * levels
+    )
+
+
+#: 170 nested ``do`` / ``if`` blocks: past the parser's nesting bound,
+#: whose 101st block opens on line 102.
+DEEP_DO_SOURCE = nested_blocks("do", 170)
+DEEP_IF_SOURCE = nested_blocks("if", 170)
 #: A section whose extent floors ``i/2`` over 4096 x 4096 loop points:
 #: the typechecker refuses it without visiting them.
 FLOOR_SOURCE = """real A(4096)

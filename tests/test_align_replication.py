@@ -11,7 +11,7 @@ from repro.align import (
     label_replication,
     read_only_arrays,
     solve_axis_stride,
-    value_carrier_nodes,
+    value_carriers,
 )
 from repro.lang import parse
 from repro.lang import programs
@@ -59,11 +59,102 @@ class TestSources:
 
     def test_carrier_nodes_stop_at_computation(self):
         adg = build_adg(programs.figure1())
-        carriers = value_carrier_nodes(adg, "V")
+        carriers = value_carriers(adg, {"V"})
         labels = {adg.nodes[nid].label for nid in carriers}
         assert any(l.startswith("merge(V") for l in labels)
         assert any(l.startswith("loopback(V") for l in labels)
         assert not any(l.startswith("section") for l in labels)
+
+
+class TestCarrierIndexScales:
+    """The read-only carriers are found in one pass over the ADG, not
+    one per read-only array: unused declarations are read-only, and a
+    scan per array made planning quadratic in their number."""
+
+    @staticmethod
+    def visited(unused: int, monkeypatch) -> int:
+        """ADG nodes the carrier search of ``a0 = a0 + a1`` beside
+        ``unused`` unused declarations visits: each node a scan yields,
+        and each output port it follows."""
+        from repro.adg.graph import ADG
+        from repro.align import replication
+
+        decls = "".join(f"real u{i}(8)\n" for i in range(unused))
+        program = parse("real a0(8), a1(8)\n" + decls + "a0 = a0 + a1\n")
+        adg = build_adg(program)
+        count = [0]
+
+        class Counted(list):
+            def __iter__(self):
+                for n in super().__iter__():
+                    count[0] += 1
+                    yield n
+
+        real_out_edges = ADG.out_edges
+
+        def out_edges(graph, p):
+            count[0] += 1
+            return real_out_edges(graph, p)
+
+        searches = []
+        real_search = replication.value_carriers
+
+        def search(graph, arrays):
+            searches.append(arrays)
+            nodes, graph.nodes = graph.nodes, Counted(graph.nodes)
+            with monkeypatch.context() as m:
+                m.setattr(ADG, "out_edges", out_edges)
+                try:
+                    return real_search(graph, arrays)
+                finally:
+                    graph.nodes = nodes
+
+        monkeypatch.setattr(replication, "value_carriers", search)
+        skel = solve_axis_stride(adg).skeletons
+        label_replication(adg, skel, program)
+        assert len(searches) == 1 and len(searches[0]) == unused + 1
+        return count[0]
+
+    @staticmethod
+    def reference_carriers(adg, array):
+        """The search per array the index replaced: scan for the array's
+        sources, then follow transformers, merges, fanouts and branches."""
+        passthrough = {"TRANSFORMER", "MERGE", "FANOUT", "BRANCH"}
+        carriers = {
+            n.nid
+            for n in adg.nodes
+            if n.kind is NodeKind.SOURCE and getattr(n.payload, "array", None) == array
+        }
+        frontier = list(carriers)
+        while frontier:
+            n = adg.nodes[frontier.pop()]
+            for p in n.outputs():
+                for e in adg.out_edges(p):
+                    m = e.head.node
+                    if m.kind.name in passthrough and m.nid not in carriers:
+                        carriers.add(m.nid)
+                        frontier.append(m.nid)
+        return carriers
+
+    def test_the_index_is_the_search_per_array(self, corpus_kernels):
+        from repro.lang.generate import generate_corpus
+
+        sources = ["real a0(8), a1(8)\na0 = a0 + a1\n", *corpus_kernels.values()]
+        sources += [sc.source for sc in generate_corpus(40, 3)]
+        for src in sources:
+            program = parse(src)
+            adg = build_adg(program)
+            arrays = read_only_arrays(program)
+            want = set()
+            for array in arrays:
+                want |= self.reference_carriers(adg, array)
+            assert value_carriers(adg, arrays) == want, src
+
+    def test_doubling_the_unused_declarations_at_most_doubles_the_visits(
+        self, monkeypatch
+    ):
+        counts = [self.visited(n, monkeypatch) for n in (200, 400, 800)]
+        assert counts[1] <= 2 * counts[0] and counts[2] <= 2 * counts[1], counts
 
 
 class TestFigure4:

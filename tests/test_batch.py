@@ -21,7 +21,13 @@ import weakref
 import pytest
 
 import repro
-from conftest import CHAIN_SOURCE, DEEP_SOURCE
+from conftest import (
+    CHAIN_SOURCE,
+    DEEP_DO_SOURCE,
+    DEEP_IF_SOURCE,
+    DEEP_SOURCE,
+    nested_blocks,
+)
 from repro import cachestats
 from repro.batch import BatchReport, PlanRequest, plan_many
 from repro.lang.generate import GeneratorConfig, generate_corpus, generate_scenario
@@ -86,6 +92,24 @@ class TestOneRequest:
         pooled = plan_many([request, request], jobs=2)
         assert pooled.mode != "serial"
         assert [r.error for r in pooled.results] == [want, want]
+
+    @pytest.mark.parametrize(
+        "source", [DEEP_DO_SOURCE, DEEP_IF_SOURCE], ids=["do", "if"]
+    )
+    def test_blocks_nested_too_deep_are_the_tasks_parse_error(self, source):
+        request = PlanRequest("deep", source)
+        want = "ParseError: deep:102: blocks nested deeper than 100 levels"
+        assert plan_many([request], serial=True).results[0].error == want
+        pooled = plan_many([request, request], jobs=2)
+        assert pooled.mode != "serial"
+        assert [r.error for r in pooled.results] == [want, want]
+
+    @pytest.mark.parametrize("kind", ["do", "if"])
+    def test_blocks_at_the_nesting_bound_plan(self, kind):
+        request = PlanRequest("deep", nested_blocks(kind, 100))
+        r = plan_many([request], serial=True).results[0]
+        assert r.ok, r.error
+        assert r.distribution is not None
 
     @pytest.mark.parametrize(
         "line",

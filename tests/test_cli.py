@@ -6,6 +6,8 @@ import sys
 import pytest
 
 from conftest import CHAIN_SOURCE as CHAIN
+from conftest import DEEP_DO_SOURCE as DEEP_DO
+from conftest import DEEP_IF_SOURCE as DEEP_IF
 from conftest import DEEP_SOURCE as DEEP
 from conftest import FLOOR_SOURCE as FLOOR
 from repro.__main__ import main
@@ -149,6 +151,14 @@ class TestCLI:
                 ["chain.dp", "--distribute", "4"],
                 "error: chain.dp: ParseError: chain.dp:2: expression nested deeper than 100 levels",
             ),
+            (
+                ["do.dp", "--distribute", "4"],
+                "error: do.dp: ParseError: do.dp:102: blocks nested deeper than 100 levels",
+            ),
+            (
+                ["if.dp", "--distribute", "4"],
+                "error: if.dp: ParseError: if.dp:102: blocks nested deeper than 100 levels",
+            ),
         ],
     )
     def test_unreadable_program_is_a_diagnostic_not_a_traceback(
@@ -163,6 +173,8 @@ class TestCLI:
         (tmp_path / "deep.dp").write_text(DEEP, encoding="utf-8")
         (tmp_path / "floor.dp").write_text(FLOOR, encoding="utf-8")
         (tmp_path / "chain.dp").write_text(CHAIN, encoding="utf-8")
+        (tmp_path / "do.dp").write_text(DEEP_DO, encoding="utf-8")
+        (tmp_path / "if.dp").write_text(DEEP_IF, encoding="utf-8")
         with pytest.raises(SystemExit) as exit_:
             main(argv)
         assert exit_.value.code == 1

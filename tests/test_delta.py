@@ -784,10 +784,10 @@ class TestProjection:
 #: structural edit against its cold-planned kernel, per edit class (the
 #: soundness table of ``repro.passes.delta``); no hash seed moves it.
 SOUNDNESS_TABLE = {
-    "stmt_insert": {"edge": [254, 254], "offset_lp": [1, 15]},
-    "stmt_delete": {"edge": [165, 182], "offset_lp": [1, 14]},
-    "section_shift": {"edge": [150, 176], "offset_lp": [8, 15]},
-    "iters_change": {"edge": [160, 220], "offset_lp": [1, 15]},
+    "stmt_insert": {"edge": [254, 254], "offset_lp": [0, 14]},
+    "stmt_delete": {"edge": [165, 182], "offset_lp": [0, 13]},
+    "section_shift": {"edge": [150, 176], "offset_lp": [6, 13]},
+    "iters_change": {"edge": [160, 220], "offset_lp": [0, 14]},
 }
 
 _TABLE_SCRIPT = """

@@ -280,3 +280,37 @@ class TestNestingBound:
         # Siblings do not add up: only the open levels count.
         line = " + ".join(["(" * MAX_NESTING + "x" + ")" * MAX_NESTING] * 5)
         parse("real x(8)\nx = " + line + "\nx = " + line)
+
+
+class TestBlockNestingBound:
+    """``do`` and ``if`` blocks nest at most ``MAX_NESTING`` deep: a
+    deeper program would parse but leave the fingerprint renderer out
+    of frames, so it could never be cached."""
+
+    @pytest.mark.parametrize("kind", ["do", "if"])
+    def test_170_blocks_are_a_parse_error_on_the_101st(self, kind):
+        from conftest import nested_blocks
+
+        with pytest.raises(ParseError) as err:
+            parse(nested_blocks(kind, 170), name="w")
+        assert str(err.value) == (
+            f"w:{MAX_NESTING + 2}: blocks nested deeper than {MAX_NESTING} levels"
+        )
+
+    @pytest.mark.parametrize("kind", ["do", "if"])
+    def test_the_bound_itself_fingerprints_and_one_more_block_does_not_parse(
+        self, kind
+    ):
+        from conftest import nested_blocks
+        from repro.passes import content_fingerprint
+
+        program = parse(nested_blocks(kind, MAX_NESTING))
+        assert content_fingerprint(program) is not None
+        with pytest.raises(ParseError, match="blocks nested deeper"):
+            parse(nested_blocks(kind, MAX_NESTING + 1))
+
+    def test_sibling_blocks_do_not_add_up(self):
+        from conftest import nested_blocks
+
+        inner = nested_blocks("if", MAX_NESTING).split("\n", 1)[1]
+        parse("real x(8)\n" + inner + inner)

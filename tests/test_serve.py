@@ -21,7 +21,7 @@ import sys
 
 import pytest
 
-from conftest import CHAIN_SOURCE, DEEP_SOURCE
+from conftest import CHAIN_SOURCE, DEEP_DO_SOURCE, DEEP_IF_SOURCE, DEEP_SOURCE
 from repro.obs.metrics import registry
 from repro.passes import PlanContext, content_fingerprint
 from repro.serve import (
@@ -522,6 +522,15 @@ class TestPlanService:
             resp = svc.handle(ServeRequest("q", source))
             assert resp.status == "error" and resp.plan is None
             assert resp.error == "ParseError: q:2: expression nested deeper than 100 levels"
+
+    @pytest.mark.parametrize(
+        "source", [DEEP_DO_SOURCE, DEEP_IF_SOURCE], ids=["do", "if"]
+    )
+    def test_blocks_nested_too_deep_are_an_error_reply(self, source):
+        with PlanService() as svc:
+            resp = svc.handle(ServeRequest("q", source))
+            assert resp.status == "error" and resp.plan is None
+            assert resp.error == "ParseError: q:102: blocks nested deeper than 100 levels"
 
     def test_backpressure_rejects_past_high_water_mark(self):
         with PlanService(max_pending=1, retry_after=0.25) as svc:

@@ -212,7 +212,7 @@ class TestRowEntryPoint:
         assert m.solve().status == "optimal"
 
     def test_an_empty_row_is_kept(self, monkeypatch):
-        # OffsetLP emits ``0 == shift coefficient`` for a LIV neither port
+        # The offset LP has ``0 == shift coefficient`` for a LIV neither port
         # carries; the row must reach the solver, not vanish.
         import scipy.optimize
 
