@@ -513,7 +513,7 @@ class OffsetProblem:
         item_edge: list[int] = []
         weight: list[float] = []
         theta_names: list[str] = []
-        moments_of: list[float] = []  # every item's [m0, m1...], in a row
+        moments_of: list[Scalar] = []  # every item's [m0, m1...], in a row
         terms: list[int] = []  # per item: 1 + its LIVs
         tails: list[int] = []  # per moment: the tail's and the head's slot
         heads: list[int] = []
