@@ -86,8 +86,14 @@ def _problem(
 ) -> OffsetProblem:
     if problem is None:
         return OffsetProblem(adg, skeleton, static)
-    if problem.adg is not adg or problem.static != static:
-        raise ValueError("the compiled offset problem is of another graph or mode")
+    if (
+        problem.adg is not adg
+        or problem.static != static
+        or problem.skeleton != dict(skeleton)
+    ):
+        raise ValueError(
+            "the compiled offset problem is of another graph, skeleton or mode"
+        )
     return problem
 
 

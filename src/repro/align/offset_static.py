@@ -250,9 +250,9 @@ class _EdgeBlock:
     names: np.ndarray | None = None  # column names by slot code, once numbered
 
 
-# Rounding steps: seed a port from its own slots, derive q from p or p
-# from q, or give a port the (immutable) offset of one it equals.
-_SEED, _Q, _P, _SAME = 0, 1, 2, 3
+# Rounding steps: seed a port from its own slots, or derive q from p or
+# p from q.
+_SEED, _Q, _P = 0, 1, 2
 
 
 class OffsetProblem:
@@ -285,7 +285,6 @@ class OffsetProblem:
         self._names: list[str] = []
         self._base: dict[str, int] = {}
         self._extra: dict[Slot, int] = {}
-        self._orders: dict[tuple[LIV, ...], list[int]] = {}
         self._port_slots: dict[str, tuple[int, list[tuple[LIV, int]]]] = {}
         for p in ports:
             base = self._base[p.key] = len(self._names)
@@ -356,14 +355,6 @@ class OffsetProblem:
                 touch += (q0, p0)
                 rows.add([q0, p0], [1.0, -1.0], float(shift.const))
                 q_livs, p_livs = q.space.livs, p.space.livs
-                if shift.is_constant and q_livs == p_livs:
-                    # One space, no LIV in the shift: ``a_ql = a_pl`` for
-                    # each LIV, in LIV order.
-                    for j in self._liv_order(q_livs):
-                        ql, pl = q0 + 1 + j, p0 + 1 + j
-                        touch += (ql, pl)
-                        rows.add([ql, pl], [1.0, -1.0], 0.0)
-                    continue
                 for liv in sorted({*q_livs, *p_livs, *shift.livs()}):
                     cols, vals = [], []
                     if liv in q_livs:
@@ -419,13 +410,6 @@ class OffsetProblem:
             port_keys,
         )
 
-    def _liv_order(self, livs: tuple[LIV, ...]) -> list[int]:
-        """The positions of ``livs`` in sorted LIV order."""
-        order = self._orders.get(livs)
-        if order is None:
-            order = self._orders[livs] = sorted(range(len(livs)), key=livs.__getitem__)
-        return order
-
     def _pinned_ports(self, rels: list[OffsetRelation]) -> list[Port]:
         """The first port, in port order, of each component that the
         relations and the edges make."""
@@ -473,19 +457,12 @@ class OffsetProblem:
                         continue
                     if not pa and not qa:
                         continue
-                    same = type(rel) is EqualShift and rel.shift == 0
                     if pa:
-                        if same:
-                            steps.append((_SAME, rel.q.key, rel.p.key, None))
-                        else:
-                            qk = self._slot(rel.q, rel.liv) if type(rel) is EntryEval else -1
-                            steps.append((_Q, rel, qk, None))
+                        qk = self._slot(rel.q, rel.liv) if type(rel) is EntryEval else -1
+                        steps.append((_Q, rel, qk, None))
                         assigned.add(rel.q.key)
                     else:
-                        if same:
-                            steps.append((_SAME, rel.p.key, rel.q.key, None))
-                        else:
-                            steps.append((_P, rel, -1, None))
+                        steps.append((_P, rel, -1, None))
                         assigned.add(rel.p.key)
                     pending.remove(rel)
                     progress = True
@@ -659,9 +636,7 @@ class OffsetProblem:
         ax = self._axes[axis]
         assigned: dict[str, AffineForm] = {}
         for kind, a, b, livs in ax.steps:
-            if kind == _SAME:
-                assigned[a] = assigned[b]
-            elif kind == _SEED:
+            if kind == _SEED:
                 assigned[a] = AffineForm(v[b], {liv: v[s] for liv, s in livs})
             elif kind == _Q:
                 assigned[a.q.key] = derive_q(a, assigned[a.p.key], v[b] if b >= 0 else 0)

@@ -158,13 +158,11 @@ class ReplicationLabeler:
         adg: ADG,
         skeleton: Skeleton,
         program: Program | None = None,
-        offsets: OffsetMap | None = None,
         minimal: bool = False,
     ) -> None:
         self.adg = adg
         self.skeleton = skeleton
         self.program = program
-        self.offsets = offsets or {}
         # minimal: apply only the *forced* labels (spread inputs R,
         # everything else N) — the no-replication-optimization baseline.
         self.minimal = minimal
@@ -174,25 +172,13 @@ class ReplicationLabeler:
             float(cached_moments(e.space, e.weight).m0) * e.control_weight
             for e in adg.edges
         ]
-        # The edge arcs of an axis with no split spread, the same on
-        # every such axis: built once, copied per axis.
-        arcs = FlowNetwork()
-        arcs.node(_S)
-        arcs.node(_T)
-        for e, cap in zip(adg.edges, capacity):
-            if e.tail.node is not e.head.node:
-                arcs.add_edge(e.tail.node.nid, e.head.node.nid, cap)
         self._axes = [
-            self._compile(axis, carriers, capacity, arcs)
+            self._compile(axis, carriers, capacity)
             for axis in range(adg.template_rank)
         ]
 
     def _compile(
-        self,
-        axis: int,
-        carriers: set[int],
-        capacity: list[float],
-        arcs: FlowNetwork,
+        self, axis: int, carriers: set[int], capacity: list[float]
     ) -> _AxisCut:
         skel = self.skeleton
 
@@ -238,24 +224,20 @@ class ReplicationLabeler:
                 # rule 3: a read-only value with a mobile offset here
                 r_pins.append((nid, [p.key for p in n.ports]))
 
-        if split:
+        def vertex_of(p: Port) -> object:
+            nid = p.node.nid
+            if nid in split:
+                return (nid, "in" if not p.is_output else "out")
+            return nid
 
-            def vertex_of(p: Port) -> object:
-                nid = p.node.nid
-                if nid in split:
-                    return (nid, "in" if not p.is_output else "out")
-                return nid
-
-            g = FlowNetwork()
-            g.node(_S)
-            g.node(_T)
-            for e, cap in zip(self.adg.edges, capacity):
-                u = vertex_of(e.tail)
-                v = vertex_of(e.head)
-                if u != v:
-                    g.add_edge(u, v, cap)
-        else:
-            g = arcs.copy()
+        g = FlowNetwork()
+        g.node(_S)
+        g.node(_T)
+        for e, cap in zip(self.adg.edges, capacity):
+            u = vertex_of(e.tail)
+            v = vertex_of(e.head)
+            if u != v:
+                g.add_edge(u, v, cap)
         for nv in pinned_n:
             g.add_edge(_S, nv, INF)
         return _AxisCut(g, bool(pinned_n), r_pins, ports)
@@ -263,9 +245,9 @@ class ReplicationLabeler:
     def label_axis(
         self, axis: int, offsets: OffsetMap | None = None
     ) -> tuple[dict[str, str], Scalar]:
-        """Label every port for one axis under ``offsets`` (default: the
-        labeler's); returns (labels by port key, cut value)."""
-        offsets = self.offsets if offsets is None else offsets
+        """Label every port for one axis under ``offsets`` (default: none,
+        so no carrier is mobile); returns (labels by port key, cut value)."""
+        offsets = offsets or {}
         cut = self._axes[axis]
         pinned = tuple(
             vertex
@@ -307,8 +289,7 @@ class ReplicationLabeler:
         return labels, scalar(Fraction(value).limit_denominator(10**6))
 
     def solve(self, offsets: OffsetMap | None = None) -> ReplicationResult:
-        """Label every template axis under ``offsets`` (default: the
-        labeler's)."""
+        """Label every template axis under ``offsets`` (default: none)."""
         result = ReplicationResult()
         for axis in range(self.adg.template_rank):
             labels, value = self.label_axis(axis, offsets)
@@ -330,6 +311,4 @@ def label_replication(
     ``minimal=True`` applies only the forced labels (the no-optimization
     baseline); otherwise the min-cut of Theorem 1 decides.
     """
-    return ReplicationLabeler(
-        adg, skeleton, program, offsets, minimal
-    ).solve()
+    return ReplicationLabeler(adg, skeleton, program, minimal=minimal).solve(offsets)

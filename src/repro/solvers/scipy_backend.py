@@ -46,24 +46,17 @@ def highs_input(model: LPModel):
     ge, eq = senses == 1, senses == 2
     hi[ge] = -hi[ge]
     vals[ge[row_of]] *= -1.0
+    # Inequality rows first, then equality rows, each in row order.
+    order = np.concatenate((np.flatnonzero(~eq), np.flatnonzero(eq)))
+    position = np.empty(m, dtype=np.int64)
+    position[order] = np.arange(m)
+    hi = hi[order]
+    lo = np.where(eq[order], hi, -np.inf)
     keep = vals != 0.0
-    r, k, v = row_of[keep], cols[keep], vals[keep]
-    if eq[m - int(eq.sum()) :].all():
-        # Inequality rows first already: each row keeps its number, and
-        # ``r`` ascends, so a stable sort by column is column-major.
-        lo = np.where(eq, hi, -np.inf)
-        by_col = np.argsort(k, kind="stable")
-    else:
-        # Inequality rows first, then equality rows, each in row order.
-        order = np.concatenate((np.flatnonzero(~eq), np.flatnonzero(eq)))
-        position = np.empty(m, dtype=np.int64)
-        position[order] = np.arange(m)
-        hi = hi[order]
-        lo = np.where(eq[order], hi, -np.inf)
-        r = position[r]
-        # Column-major, rows ascending within a column; a row names
-        # each column once, so there is nothing to sum.
-        by_col = np.lexsort((r, k))
+    r, k, v = position[row_of[keep]], cols[keep], vals[keep]
+    # Column-major, rows ascending within a column; a row names each
+    # column once, so there is nothing to sum.
+    by_col = np.lexsort((r, k))
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(k, minlength=n), out=indptr[1:])
     a = csc_array((v[by_col], r[by_col], indptr), shape=(m, n))

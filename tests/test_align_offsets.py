@@ -932,6 +932,24 @@ class TestOneCompiledProblemPerSolve:
         assert len(costed) == 2 * len(once)
         assert 0 < len(lookups) <= len(once)
 
+    def test_a_problem_compiled_for_other_inputs_is_refused(self):
+        from repro.align.offset_static import OffsetProblem
+
+        adg = build_adg(programs.figure1())
+        skel = solve_axis_stride(adg).skeletons
+        # Another skeleton: one port takes an alignment it does not have.
+        key = next(iter(skel))
+        other = dict(skel)
+        other[key] = next(a for a in skel.values() if a != skel[key])
+        fixed_partitioning(adg, skel, problem=OffsetProblem(adg, skel))
+        for problem in (
+            OffsetProblem(adg, other),
+            OffsetProblem(adg, skel, static=True),
+            OffsetProblem(build_adg(programs.figure1()), skel),
+        ):
+            with pytest.raises(ValueError, match="another graph, skeleton or mode"):
+                fixed_partitioning(adg, skel, problem=problem)
+
     @pytest.mark.parametrize(
         "x", [0.5000000001, 2.4999999999, -1.5, 0.5, 2.5, -0.4999999999, 1 / 3]
     )
