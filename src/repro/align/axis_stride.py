@@ -16,13 +16,20 @@ is solved by compact dynamic programming: candidate sets are generated by
 constraint propagation from canonical source alignments, the label graph
 is solved exactly on its spanning-tree structure and polished by
 coordinate descent (the general problem is NP-hard).
+
+The labeling is compiled once per solve: every distinct skeleton gets an
+integer id, each label transform runs once per id, and each label edge is
+priced once into a table of integer numerators that the solvers of
+:mod:`repro.solvers.dp` read (see :class:`AxisStrideSolver`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from itertools import islice, permutations
+from math import lcm
 from typing import Callable, Iterable, Optional
 
 from ..adg.graph import ADG, ADGNode, Port
@@ -265,6 +272,10 @@ def reduce_backward(out_lab: Skeleton, dim: int) -> list[Skeleton]:
 
 
 def substitute_liv(lab: Skeleton, liv: LIV, repl: AffineForm) -> Skeleton:
+    """``lab`` with ``liv`` replaced by ``repl``: ``lab`` itself when no
+    stride mentions ``liv``."""
+    if all(ax.stride.coeff(liv) == 0 for ax in lab.axes if ax.is_body):
+        return lab
     axes = []
     for ax in lab.axes:
         if ax.is_body:
@@ -294,7 +305,29 @@ class AxisStrideResult:
 
 
 class AxisStrideSolver:
-    """Compact DP over skeleton labels (Section 3)."""
+    """Compact DP over skeleton labels (Section 3).
+
+    One :meth:`solve` compiles the labeling once, over integer ids:
+
+    - each distinct skeleton is numbered in the order it is first built,
+      with its rank and stride integrality worked out once; a port's
+      candidates are an id list (the order they were accepted in) and an
+      id set (membership), mirrored as the skeleton lists of
+      :attr:`candidates`;
+    - each node's label maps (input to output and back) are compiled
+      once, each map runs once per id, and candidate propagation and
+      pricing share its numbered image;
+    - every label edge, a functional node constraint or a data edge, is
+      priced once into a table of exact integer numerators over one
+      common denominator, filled from the image of each candidate; the
+      solvers of :mod:`repro.solvers.dp` only read those tables.
+
+    Ids and tables never leave the solver: the result holds skeletons.  "Exact" (``AxisStrideResult.exact``) is exact over the
+    candidate sets: at most ``max_candidates`` (64) per port, and a
+    source seeded with the first 64 of its axis embeddings in
+    ``permutations`` order.  Above template rank 4 that seed depends on
+    the order of the template axes.
+    """
 
     def __init__(self, adg: ADG, max_candidates: int = 64, rounds: int = 16) -> None:
         self.adg = adg
@@ -306,40 +339,99 @@ class AxisStrideSolver:
         # candidates that site has read; see _fresh.
         self._offered: dict[tuple[object, str], int] = {}
 
+    # -- numbered skeletons ------------------------------------------------------
+
+    def _reset(self, keep: bool = False) -> None:
+        """Forget every numbered skeleton and empty each port's
+        candidates, or (``keep``) number the hand-edited lists afresh."""
+        self._labels: list[Skeleton] = []  # id -> skeleton
+        self._id_of: dict[Skeleton, int] = {}
+        self._fit: list[int] = []  # id -> rank, or -1 if a stride is fractional
+        self._images: dict[tuple[Callable, int], list[int | None]] = {}
+        self._relations: dict[ADGNode, tuple | None] = {}
+        self._ids: dict[str, list[int]] = {}
+        self._has: dict[str, set[int]] = {}
+        # The use sites (see _fresh) that read a port, and those with a
+        # port that gained labels since they read it: only those can offer.
+        self._readers: dict[str, list[object]] = {}
+        self._stale: set[object] = set()
+        for p in self.adg.ports():
+            self.port_by_key[p.key] = p
+            self._readers[p.key] = [p.node]
+            if keep:
+                ids = list(dict.fromkeys(map(self._id, self.candidates[p.key])))
+            else:
+                ids, self.candidates[p.key] = [], []
+            self._ids[p.key], self._has[p.key] = ids, set(ids)
+        for e in self.adg.edges:
+            self._readers[e.tail.key].append(e.eid)
+            self._readers[e.head.key].append(e.eid)
+
+    def _id(self, lab: Skeleton) -> int:
+        i = self._id_of.get(lab)
+        if i is None:
+            i = self._id_of[lab] = len(self._labels)
+            self._labels.append(lab)
+            self._fit.append(lab.rank if _integral_strides(lab) else -1)
+        return i
+
+    def _map(self, fn: Callable | None, ids: list[int]) -> list:
+        """The numbered images of ``ids`` under one node's compiled map
+        ``fn`` (None: the identity), each computed once; a map with
+        several images (a spread's new axis) contributes all of them."""
+        if fn is None:
+            return ids
+        memo = self._images
+        out: list[int | None] = []
+        for i in ids:
+            img = memo.get((fn, i))
+            if img is None:
+                lab = fn(self._labels[i])
+                if lab is self._labels[i]:
+                    img = [i]
+                elif isinstance(lab, list):
+                    img = [self._id(l) for l in lab]
+                else:
+                    img = [None if lab is None else self._id(lab)]
+                memo[(fn, i)] = img
+            out += img
+        return out
+
     # -- candidate generation --------------------------------------------------
 
     def _seed(self) -> None:
         t = self.adg.template_rank
         self._offered.clear()
-        for p in self.adg.ports():
-            self.port_by_key[p.key] = p
-            self.candidates[p.key] = []
+        self._reset()
         for n in self.adg.nodes:
             if n.kind is NodeKind.SOURCE:
                 out = n.outputs()[0]
                 # A fresh port keeps the first max_candidates distinct,
                 # integral, rank-matching labels offered: every embedding
                 # is one, so those are the first max_candidates built.
-                self._offer(
-                    out, canonical_skeletons(out.rank, t, self.max_candidates)
-                )
+                seeds = canonical_skeletons(out.rank, t, self.max_candidates)
+                self._offer(out, [self._id(l) for l in seeds])
 
-    def _offer(self, p: Port, labels: Iterable[Skeleton | None]) -> bool:
-        cands = self.candidates[p.key]
+    def _offer(self, p: Port, ids: Iterable[int | None]) -> bool:
+        cands, has, labels = self._ids[p.key], self._has[p.key], self.candidates[p.key]
+        fit = self._fit
         changed = False
-        for lab in labels:
-            if lab is None:
+        for i in ids:
+            if len(cands) >= self.max_candidates:
+                break
+            # Refused: rank mismatch, or a fractional stride (template
+            # cells are integral; 1/2-strides are illegal).
+            if i is None or i in has or fit[i] != p.rank:
                 continue
-            if lab.rank != p.rank:
-                continue
-            if not _integral_strides(lab):
-                continue  # template cells are integral; 1/2-strides are illegal
-            if lab not in cands and len(cands) < self.max_candidates:
-                cands.append(lab)
-                changed = True
+            cands.append(i)
+            has.add(i)
+            labels.append(self._labels[i])
+            changed = True
+        if changed:
+            self._stale.update(self._readers[p.key])
         return changed
 
-    def _fresh(self, site: object, src: Port) -> list[Skeleton]:
+    def _fresh(self, site: object, src: Port) -> list[int]:
         """The labels ``src`` gained since ``site`` last read it.
 
         Propagation is semi-naive: the image of a label a use site has
@@ -351,16 +443,106 @@ class AxisStrideSolver:
         into one pool or through one transform, so the targets fed from
         that place share the watermark.
         """
-        cands = self.candidates[src.key]
+        cands = self._ids[src.key]
         key = (site, src.key)
         start = self._offered.get(key, 0)
         self._offered[key] = len(cands)
         return cands[start:]
 
+    def _relation(self, n: ADGNode):
+        """``(inp, out, forward, backward, priced_backward)`` for a node
+        that relates the labels of one input and one output, compiled
+        once per solve; None for any other node.
+
+        ``forward`` maps an input label to the output's label (or list of
+        candidates), ``backward`` an output label to the input's; None is
+        the identity.  The node's hard constraint is ``out ==
+        forward(inp)``, or ``inp == backward(out)`` when
+        ``priced_backward`` (a spread's forward map has several images, a
+        loop entry's is the identity).
+        """
+        if n in self._relations:
+            return self._relations[n]
+        kind, payload = n.kind, n.payload
+        ports = {p.name: p for p in n.ports}
+        rel = None
+        if kind is NodeKind.SECTION_ASSIGN and "value" in ports:
+            assert isinstance(payload, SectionPayload)
+            subs, arr = payload.subscripts, ports["array"]
+            rel = (
+                arr,
+                ports["value"],
+                lambda l: section_forward(l, subs),
+                lambda l: section_backward(l, subs, arr.rank),
+                False,
+            )
+        elif kind is NodeKind.TRANSPOSE:
+            # Its own inverse: one map, so one image per label, both ways.
+            inp, out = n.inputs()[0], n.outputs()[0]
+            rel = (inp, out, transpose_transform, transpose_transform, False)
+        elif kind is NodeKind.SECTION:
+            assert isinstance(payload, SectionPayload)
+            subs = payload.subscripts
+            inp, out = n.inputs()[0], n.outputs()[0]
+            rel = (
+                inp,
+                out,
+                lambda l: section_forward(l, subs),
+                lambda l: section_backward(l, subs, inp.rank),
+                False,
+            )
+        elif kind is NodeKind.SPREAD:
+            assert isinstance(payload, SpreadPayload)
+            dim = payload.dim
+            rel = (
+                n.inputs()[0],
+                n.outputs()[0],
+                lambda l: spread_forward(l, dim),
+                lambda l: spread_backward(l, dim),
+                True,
+            )
+        elif kind is NodeKind.REDUCE:
+            assert isinstance(payload, ReducePayload)
+            outs, dim = n.outputs(), payload.dim
+            if outs and dim is not None:
+                rel = (
+                    n.inputs()[0],
+                    outs[0],
+                    lambda l: reduce_forward(l, dim),
+                    lambda l: reduce_backward(l, dim),
+                    False,
+                )
+        elif kind is NodeKind.TRANSFORMER:
+            assert isinstance(payload, TransformerPayload)
+            inp, out = n.inputs()[0], n.outputs()[0]
+            k, v = payload.liv, payload.value
+            if payload.kind == "entry":
+                # f_out(k=lo) = f_in: constants pass through; backward
+                # evaluates the mobile label at the first iteration.
+                at = AffineForm(v)
+                rel = (inp, out, None, lambda l: substitute_liv(l, k, at), True)
+            elif payload.kind == "exit":
+                at = AffineForm(v)
+                rel = (inp, out, lambda l: substitute_liv(l, k, at), None, False)
+            else:  # loop_back: f_out(k) = f_in(k - step)
+                back, ahead = AffineForm.variable(k) - v, AffineForm.variable(k) + v
+                rel = (
+                    inp,
+                    out,
+                    lambda l: substitute_liv(l, k, back),
+                    lambda l: substitute_liv(l, k, ahead),
+                    False,
+                )
+        self._relations[n] = rel
+        return rel
+
     def _propagate_node(self, n: ADGNode) -> bool:
+        if n not in self._stale:
+            return False  # no port gained a label since n read it
+        self._stale.discard(n)
         changed = False
         kind = n.kind
-        offer, fresh = self._offer, self._fresh
+        offer, fresh, image = self._offer, self._fresh, self._map
         if kind in (
             NodeKind.ELEMENTWISE,
             NodeKind.MERGE,
@@ -370,99 +552,37 @@ class AxisStrideSolver:
             pool = [l for p in n.ports for l in fresh(n, p)]
             for p in n.ports:
                 changed |= offer(p, pool)
-        elif kind is NodeKind.TRANSPOSE:
-            inp, out = n.inputs()[0], n.outputs()[0]
-            changed |= offer(out, [transpose_transform(l) for l in fresh(n, inp)])
-            changed |= offer(inp, [transpose_transform(l) for l in fresh(n, out)])
-        elif kind is NodeKind.SECTION:
-            payload = n.payload
-            assert isinstance(payload, SectionPayload)
-            inp, out = n.inputs()[0], n.outputs()[0]
-            subs = payload.subscripts
-            changed |= offer(out, [section_forward(l, subs) for l in fresh(n, inp)])
-            changed |= offer(
-                inp, [section_backward(l, subs, inp.rank) for l in fresh(n, out)]
-            )
-        elif kind is NodeKind.SECTION_ASSIGN:
-            payload = n.payload
-            assert isinstance(payload, SectionPayload)
+        elif kind in (NodeKind.SECTION_ASSIGN, NodeKind.GATHER):
             ports = {p.name: p for p in n.ports}
-            arr, out = ports["array"], ports["out"]
-            value = ports.get("value")
-            subs = payload.subscripts
-            pool = fresh(n, arr) + fresh(n, out)
-            changed |= offer(arr, pool)
-            changed |= offer(out, pool)
-            if value is not None:
-                changed |= offer(value, [section_forward(l, subs) for l in pool])
-                gained = fresh(n, value)
-                # One image per target: ``AffineForm`` memoizes its
-                # evaluations per instance, so which ports share a label
-                # object shows in the ``affine.evaluate`` cell.
-                for target in (arr, out):
-                    changed |= offer(
-                        target,
-                        [section_backward(l, subs, arr.rank) for l in gained],
-                    )
-        elif kind is NodeKind.SPREAD:
-            payload = n.payload
-            assert isinstance(payload, SpreadPayload)
-            inp, out = n.inputs()[0], n.outputs()[0]
-            for l in fresh(n, inp):
-                changed |= offer(out, spread_forward(l, payload.dim))
-            changed |= offer(
-                inp, [spread_backward(l, payload.dim) for l in fresh(n, out)]
-            )
-        elif kind is NodeKind.REDUCE:
-            payload = n.payload
-            assert isinstance(payload, ReducePayload)
-            outs = n.outputs()
-            if outs and payload.dim is not None:
-                inp, out = n.inputs()[0], outs[0]
-                changed |= offer(
-                    out, [reduce_forward(l, payload.dim) for l in fresh(n, inp)]
-                )
-                for l in fresh(n, out):
-                    changed |= offer(inp, reduce_backward(l, payload.dim))
-        elif kind is NodeKind.GATHER:
-            ports = {p.name: p for p in n.ports}
-            index, out = ports["index"], ports["out"]
-            pool = fresh(n, index) + fresh(n, out)
-            changed |= offer(index, pool)
-            changed |= offer(out, pool)
-        elif kind is NodeKind.TRANSFORMER:
-            payload = n.payload
-            assert isinstance(payload, TransformerPayload)
-            inp, out = n.inputs()[0], n.outputs()[0]
-            k = payload.liv
-            if payload.kind == "entry":
-                # f_out(k=lo) = f_in: constants pass through; backward
-                # evaluates the mobile label at the first iteration.
-                at = AffineForm(payload.value)
-                changed |= offer(out, fresh(n, inp))
-                changed |= offer(
-                    inp, [substitute_liv(l, k, at) for l in fresh(n, out)]
-                )
-            elif payload.kind == "exit":
-                at = AffineForm(payload.value)
-                changed |= offer(
-                    out, [substitute_liv(l, k, at) for l in fresh(n, inp)]
-                )
-                changed |= offer(inp, fresh(n, out))
-            else:  # loop_back: f_out(k) = f_in(k - step)
-                shift_out = AffineForm.variable(k) - payload.value
-                shift_in = AffineForm.variable(k) + payload.value
-                changed |= offer(
-                    out, [substitute_liv(l, k, shift_out) for l in fresh(n, inp)]
-                )
-                changed |= offer(
-                    inp, [substitute_liv(l, k, shift_in) for l in fresh(n, out)]
-                )
+            if kind is NodeKind.GATHER:
+                joined = ports["index"], ports["out"]
+            else:
+                joined = ports["array"], ports["out"]
+            pool = fresh(n, joined[0]) + fresh(n, joined[1])
+            for p in joined:
+                changed |= offer(p, pool)
+            rel = self._relation(n)
+            if rel is not None:
+                _, value, forward, backward, _ = rel
+                changed |= offer(value, image(forward, pool))
+                gained = image(backward, fresh(n, value))
+                for p in joined:
+                    changed |= offer(p, gained)
+        else:
+            rel = self._relation(n)
+            if rel is not None:
+                inp, out, forward, backward, _ = rel
+                changed |= offer(out, image(forward, fresh(n, inp)))
+                changed |= offer(inp, image(backward, fresh(n, out)))
         return changed
 
     def _propagate_edges(self) -> bool:
         changed = False
+        stale = self._stale
         for e in self.adg.edges:
+            if e.eid not in stale:
+                continue
+            stale.discard(e.eid)
             changed |= self._offer(e.head, self._fresh(e.eid, e.tail))
             changed |= self._offer(e.tail, self._fresh(e.eid, e.head))
         return changed
@@ -480,16 +600,21 @@ class AxisStrideSolver:
         # max_candidates, as a seeded port does.
         t = self.adg.template_rank
         for p in self.adg.ports():
-            if not self.candidates[p.key]:
-                self.candidates[p.key] = canonical_skeletons(
-                    p.rank, t, self.max_candidates
-                ) or [_skeleton([(None, None)] * t)]
+            if not self._ids[p.key]:
+                labels = canonical_skeletons(p.rank, t, self.max_candidates) or [
+                    _skeleton([(None, None)] * t)
+                ]
+                ids = self._ids[p.key] = [self._id(l) for l in labels]
+                self._has[p.key] = set(ids)
+                self.candidates[p.key] = [self._labels[i] for i in ids]
 
     # -- cost weights ---------------------------------------------------------------
 
     def _edge_weight(self, e) -> Scalar:
-        m = cached_moments(e.space, e.weight)
-        return scalar(m.m0 * Fraction(e.control_weight).limit_denominator(10**6))
+        m0, cw = cached_moments(e.space, e.weight).m0, e.control_weight
+        if cw == 1:
+            return scalar(m0)
+        return scalar(m0 * Fraction(cw).limit_denominator(10**6))
 
     # -- identity contraction --------------------------------------------------------
 
@@ -540,6 +665,8 @@ class AxisStrideSolver:
         as best-static-stride)."""
         if regenerate or not any(self.candidates.values()):
             self.generate_candidates()
+        else:
+            self._reset(keep=True)
         cls = self._identity_classes()
 
         # Class candidate sets: intersection of members (equality classes
@@ -548,47 +675,46 @@ class AxisStrideSolver:
         members: dict[str, list[str]] = {}
         for pk, root in cls.items():
             members.setdefault(root, []).append(pk)
-        class_cands: dict[str, list[Skeleton]] = {}
+        class_ids: dict[str, list[int]] = {}
         for root, pks in members.items():
-            inter: list[Skeleton] | None = None
-            for pk in pks:
-                cands = self.candidates[pk]
-                if inter is None:
-                    inter = list(cands)
-                else:
-                    inter = [l for l in inter if l in cands]
+            inter = self._ids[pks[0]]
+            for pk in pks[1:]:
+                has = self._has[pk]
+                inter = [i for i in inter if i in has]
             if not inter:
-                seen: list[Skeleton] = []
-                for pk in pks:
-                    for l in self.candidates[pk]:
-                        if l not in seen:
-                            seen.append(l)
-                inter = seen
-            class_cands[root] = inter
+                inter = list(dict.fromkeys(i for pk in pks for i in self._ids[pk]))
+            class_ids[root] = inter
+        node_of = {root: k for k, root in enumerate(class_ids)}
 
-        prob = DiscreteLabelingProblem()
-        for root, cands in class_cands.items():
-            prob.add_node(root, cands)
-        total_w = sum(self._edge_weight(e) for e in self.adg.edges)
-        big = total_w * 1000 + 1
-
+        weights = [self._edge_weight(e) for e in self.adg.edges]
+        den = lcm(*(w.denominator for w in weights))
+        big = sum(weights) * 1000 + 1
+        prob = DiscreteLabelingProblem(map(len, class_ids.values()), den)
         # Functional node constraints between classes.
         for n in self.adg.nodes:
-            for p, q, pred in self._functional_constraints(n):
-                rp, rq = cls[p.key], cls[q.key]
-                if rp == rq:
-                    continue
-                prob.add_edge(rp, rq, big, predicate=pred)
+            rel = self._relation(n)
+            if rel is None:
+                continue
+            p, q, forward, backward, priced_backward = rel
+            rp, rq = cls[p.key], cls[q.key]
+            if rp == rq:
+                continue
+            image = partial(self._map, backward if priced_backward else forward)
+            table = _priced(
+                class_ids[rp], class_ids[rq], big * den, image, priced_backward
+            )
+            prob.add_edge(node_of[rp], node_of[rq], table)
         # Soft data edges between classes.
-        for e in self.adg.edges:
+        for e, w in zip(self.adg.edges, weights):
             rt, rh = cls[e.tail.key], cls[e.head.key]
             if rt == rh:
                 continue  # same class: always aligned, cost 0
-            prob.add_edge(rt, rh, self._edge_weight(e))
+            table = _priced(class_ids[rt], class_ids[rh], w * den)
+            prob.add_edge(node_of[rt], node_of[rh], table)
 
         space = 1
-        for cands in class_cands.values():
-            space *= max(1, len(cands))
+        for size in prob.sizes:
+            space *= size
         if space <= 200_000:
             result = prob.solve_exhaustive()
         else:
@@ -598,68 +724,39 @@ class AxisStrideSolver:
                 "axis/stride labeling violates a node constraint; "
                 "candidate generation needs more rounds/candidates"
             )
-        skeletons = {pk: result.labels[root] for pk, root in cls.items()}
+        chosen = [self._labels[ids[i]] for ids, i in zip(class_ids.values(), result.labels)]
+        skeletons = {pk: chosen[node_of[root]] for pk, root in cls.items()}
         return AxisStrideResult(
             skeletons, dict(self.port_by_key), result.cost, result.exact
         )
 
-    def _functional_constraints(self, n: ADGNode):
-        """Yield (p, q, predicate) hard constraints that are not identities."""
-        kind = n.kind
-        if kind is NodeKind.TRANSPOSE:
-            inp, out = n.inputs()[0], n.outputs()[0]
-            yield inp, out, lambda a, b: transpose_transform(a) == b
-        elif kind is NodeKind.SECTION:
-            payload = n.payload
-            assert isinstance(payload, SectionPayload)
-            inp, out = n.inputs()[0], n.outputs()[0]
-            subs = payload.subscripts
-            yield inp, out, lambda a, b, subs=subs: section_forward(a, subs) == b
-        elif kind is NodeKind.SECTION_ASSIGN:
-            payload = n.payload
-            assert isinstance(payload, SectionPayload)
-            ports = {p.name: p for p in n.ports}
-            value = ports.get("value")
-            if value is not None:
-                subs = payload.subscripts
-                yield ports["array"], value, (
-                    lambda a, b, subs=subs: section_forward(a, subs) == b
-                )
-        elif kind is NodeKind.SPREAD:
-            payload = n.payload
-            assert isinstance(payload, SpreadPayload)
-            inp, out = n.inputs()[0], n.outputs()[0]
-            dim = payload.dim
-            yield inp, out, lambda a, b, dim=dim: spread_backward(b, dim) == a
-        elif kind is NodeKind.REDUCE:
-            payload = n.payload
-            assert isinstance(payload, ReducePayload)
-            outs = n.outputs()
-            if outs and payload.dim is not None:
-                inp, out = n.inputs()[0], outs[0]
-                dim = payload.dim
-                yield inp, out, lambda a, b, dim=dim: reduce_forward(a, dim) == b
-        elif kind is NodeKind.TRANSFORMER:
-            payload = n.payload
-            assert isinstance(payload, TransformerPayload)
-            inp, out = n.inputs()[0], n.outputs()[0]
-            k, v = payload.liv, payload.value
-            if payload.kind == "entry":
-                yield inp, out, (
-                    lambda a, b, k=k, v=v: substitute_liv(b, k, AffineForm(v)) == a
-                )
-            elif payload.kind == "exit":
-                yield inp, out, (
-                    lambda a, b, k=k, v=v: substitute_liv(a, k, AffineForm(v)) == b
-                )
-            else:
-                s = payload.value
-                yield inp, out, (
-                    lambda a, b, k=k, s=s: substitute_liv(
-                        a, k, AffineForm.variable(k) - s
-                    )
-                    == b
-                )
+def _priced(
+    tails: list[int],
+    heads: list[int],
+    weight: Scalar,
+    image: Callable[[list[int]], list] | None = None,
+    backward: bool = False,
+) -> list[list[int]]:
+    """The integer table of a label edge: ``weight`` (a whole number),
+    except 0 where the head's label is the image of the tail's (or,
+    ``backward``, the tail's is the image of the head's).  The identity
+    when ``image`` is None.  One image per candidate, not per pair."""
+    w = int(weight)
+    table = [[w] * len(heads) for _ in tails]
+    if backward:
+        assert image is not None
+        at = {l: i for i, l in enumerate(tails)}
+        for j, l in enumerate(image(heads)):
+            i = at.get(l)
+            if i is not None:
+                table[i][j] = 0
+    else:
+        at = {l: j for j, l in enumerate(heads)}
+        for i, l in enumerate(tails if image is None else image(tails)):
+            j = at.get(l)
+            if j is not None:
+                table[i][j] = 0
+    return table
 
 
 def solve_axis_stride(adg: ADG, **kw) -> AxisStrideResult:

@@ -139,6 +139,20 @@ class IterationSpace:
         if len(self.livs) != len(self.triplets):
             raise ValueError("livs and triplets must have equal length")
 
+    # -- hashing (memo keys hash a space on every lookup) --------------------
+
+    def __hash__(self) -> int:
+        # Cached on the instance, outside the compared fields, and never
+        # pickled: LIV names hash per process.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.livs, self.triplets))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        return {"livs": self.livs, "triplets": self.triplets}
+
     @classmethod
     def scalar(cls) -> "IterationSpace":
         return cls((), ())

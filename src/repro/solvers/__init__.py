@@ -10,12 +10,7 @@ networkx used only as a test cross-check.
 from .lp import LPModel, LPSolution
 from .scipy_backend import solve_scipy
 from .maxflow import INF, FlowNetwork
-from .dp import (
-    DiscreteLabelingProblem,
-    LabelEdge,
-    LabelingResult,
-    identity_relation,
-)
+from .dp import DiscreteLabelingProblem, LabelingResult
 
 __all__ = [
     "LPModel",
@@ -24,7 +19,5 @@ __all__ = [
     "INF",
     "FlowNetwork",
     "DiscreteLabelingProblem",
-    "LabelEdge",
     "LabelingResult",
-    "identity_relation",
 ]

@@ -9,53 +9,33 @@ authors' POPL'93 paper: exact on trees via bottom-up tables over the
 candidate sets, with spanning-tree + iterated-local-search refinement on
 graphs with cycles, and exhaustive enumeration of small label spaces.
 
-The formulation here is deliberately generic — a
-:class:`DiscreteLabelingProblem` over hashable labels with per-edge
-*relations* (e.g. a transpose node relates an axis permutation on one
-side to the swapped permutation on the other) — so that axis and stride
-alignment are both thin wrappers around it.
+The problem arrives compiled: node ``k`` has ``sizes[k]`` candidates,
+known only by their index, and every edge is a priced table, ``table[i]
+[j]`` the exact integer numerator of what the edge costs when its tail
+takes candidate ``i`` and its head candidate ``j``, over the problem's
+one common denominator ``den``.  What the labels are and how an edge
+relates them (an identity, a transpose, a section) is the caller's,
+who prices each edge once (:class:`repro.align.axis_stride.
+AxisStrideSolver`); every solver here only reads the tables, in node
+and edge insertion order, and keeps the first minimum it meets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
-from math import lcm
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Iterable, Sequence
 
-from ..ir.affine import Scalar, exact_div, scalar
+from ..ir.affine import Scalar, exact_div
 
-Label = Hashable
-NodeId = Hashable
-# A relation maps the label at the edge tail to the label the head must
-# carry for the edge to be communication-free.  Identity by default.
-Relation = Callable[[Label], Label]
-# Alternatively a predicate decides compatibility directly (used for
-# non-functional constraints like transformer evaluation equalities).
-Predicate = Callable[[Label, Label], bool]
-
-
-def identity_relation(x: Label) -> Label:
-    return x
-
-
-@dataclass
-class LabelEdge:
-    u: NodeId
-    v: NodeId
-    weight: Scalar
-    relation: Relation = identity_relation
-    predicate: Predicate | None = None
-
-    def cost(self, lu: Label, lv: Label) -> Scalar:
-        if self.predicate is not None:
-            return 0 if self.predicate(lu, lv) else self.weight
-        return 0 if self.relation(lu) == lv else self.weight
+# table[i][j]: the edge's cost numerator when its tail takes candidate i
+# and its head candidate j.
+Table = list[list[int]]
 
 
 @dataclass
 class LabelingResult:
-    labels: dict[NodeId, Label]
+    labels: list[int]  # the chosen candidate index of each node
     cost: Scalar
     exact: bool
 
@@ -63,45 +43,39 @@ class LabelingResult:
 class DiscreteLabelingProblem:
     """Minimize total discrete-metric edge cost over per-node label choices."""
 
-    def __init__(self) -> None:
-        self.candidates: dict[NodeId, list[Label]] = {}
-        self.edges: list[LabelEdge] = []
-        self._adj: dict[NodeId, list[int]] = {}
+    def __init__(self, sizes: Iterable[int], den: int = 1) -> None:
+        self.sizes = list(sizes)
+        if not all(s > 0 for s in self.sizes):
+            raise ValueError("every node needs a nonempty candidate set")
+        self.den = den
+        self.edges: list[tuple[int, int, Table]] = []
+        self._adj: list[list[int]] = [[] for _ in self.sizes]
 
-    def add_node(self, node: NodeId, candidates: Iterable[Label]) -> None:
-        cands = list(dict.fromkeys(candidates))
-        if not cands:
-            raise ValueError(f"node {node!r} has an empty candidate set")
-        self.candidates[node] = cands
-        self._adj.setdefault(node, [])
-
-    def add_edge(
-        self,
-        u: NodeId,
-        v: NodeId,
-        weight: Scalar,
-        relation: Relation = identity_relation,
-        predicate: Predicate | None = None,
-    ) -> None:
-        if u not in self.candidates or v not in self.candidates:
-            raise KeyError("both endpoints must be added before the edge")
-        e = LabelEdge(u, v, scalar(weight), relation, predicate)
-        idx = len(self.edges)
-        self.edges.append(e)
-        self._adj[u].append(idx)
-        self._adj[v].append(idx)
+    def add_edge(self, u: int, v: int, table: Table) -> None:
+        if not (0 <= u < len(self.sizes) and 0 <= v < len(self.sizes)):
+            raise KeyError("both endpoints must be nodes of the problem")
+        if len(table) != self.sizes[u] or len(table[0]) != self.sizes[v]:
+            raise ValueError(f"edge table is not {self.sizes[u]} x {self.sizes[v]}")
+        self._adj[u].append(len(self.edges))
+        self._adj[v].append(len(self.edges))
+        self.edges.append((u, v, table))
 
     # -- cost of a complete labeling -----------------------------------------
 
-    def total_cost(self, labels: Mapping[NodeId, Label]) -> Scalar:
-        return scalar(sum(e.cost(labels[e.u], labels[e.v]) for e in self.edges))
+    def total_cost(self, labels: Sequence[int]) -> Scalar:
+        return exact_div(sum(t[labels[u]][labels[v]] for u, v, t in self.edges), self.den)
+
+    def _costs(self, node: int, ei: int) -> Table:
+        """Edge ``ei``'s table with ``node``'s candidates as its rows."""
+        u, _, table = self.edges[ei]
+        return table if u == node else [list(c) for c in zip(*table)]
 
     # -- exact DP on trees ------------------------------------------------------
 
     def _is_forest(self) -> bool:
         seen_edges: set[int] = set()
-        visited: set[NodeId] = set()
-        for root in self.candidates:
+        visited: set[int] = set()
+        for root in range(len(self.sizes)):
             if root in visited:
                 continue
             stack = [(root, -1)]
@@ -111,8 +85,8 @@ class DiscreteLabelingProblem:
                 for ei in self._adj[node]:
                     if ei == via or ei in seen_edges:
                         continue
-                    e = self.edges[ei]
-                    other = e.v if e.u == node else e.u
+                    u, v, _ = self.edges[ei]
+                    other = v if u == node else u
                     if other in visited:
                         return False
                     seen_edges.add(ei)
@@ -124,13 +98,13 @@ class DiscreteLabelingProblem:
         """Exact bottom-up DP; requires the edge structure to be a forest."""
         if not self._is_forest():
             raise ValueError("labeling graph is not a forest; use solve()")
-        labels: dict[NodeId, Label] = {}
+        labels = [0] * len(self.sizes)
         total = 0
-        visited: set[NodeId] = set()
-        for root in self.candidates:
+        visited: set[int] = set()
+        for root in range(len(self.sizes)):
             if root in visited:
                 continue
-            order: list[tuple[NodeId, int]] = []  # (node, via-edge) postorder
+            order: list[tuple[int, int]] = []  # (node, via-edge) postorder
             stack = [(root, -1)]
             visited.add(root)
             while stack:
@@ -139,56 +113,49 @@ class DiscreteLabelingProblem:
                 for ei in self._adj[node]:
                     if ei == via:
                         continue
-                    e = self.edges[ei]
-                    other = e.v if e.u == node else e.u
+                    u, v, _ = self.edges[ei]
+                    other = v if u == node else u
                     if other not in visited:
                         visited.add(other)
                         stack.append((other, ei))
-            # table[node][label] = best cost of node's subtree given label
-            table: dict[NodeId, dict[Label, Scalar]] = {}
-            choice: dict[tuple[NodeId, Label, int], Label] = {}
+            # table[node][i] = best cost of node's subtree given candidate i
+            table: dict[int, list[int]] = {}
+            choice: dict[tuple[int, int, int], int] = {}
             for node, via in reversed(order):
-                t = {lab: 0 for lab in self.candidates[node]}
+                t = [0] * self.sizes[node]
                 for ei in self._adj[node]:
                     if ei == via:
                         continue
-                    e = self.edges[ei]
-                    child = e.v if e.u == node else e.u
+                    u, v, _ = self.edges[ei]
+                    child = v if u == node else u
                     if child not in table:
                         continue  # not in this subtree (shouldn't happen)
-                    for lab in t:
-                        best = None
-                        best_child = None
-                        for clab, ccost in table[child].items():
-                            ec = (
-                                e.cost(lab, clab)
-                                if e.u == node
-                                else e.cost(clab, lab)
-                            )
-                            cand = ccost + ec
-                            if best is None or cand < best:
-                                best = cand
-                                best_child = clab
-                        t[lab] += best  # type: ignore[arg-type]
-                        choice[(node, lab, ei)] = best_child
+                    below = table[child]
+                    for i, row in enumerate(self._costs(node, ei)):
+                        sums = [a + b for a, b in zip(below, row)]
+                        best = min(sums)
+                        t[i] += best
+                        choice[(node, i, ei)] = sums.index(best)
                 table[node] = t
             # choose root label, then propagate down
-            root_label = min(table[root], key=lambda lab: table[root][lab])
-            total += table[root][root_label]
-            labels[root] = root_label
+            t = table[root]
+            labels[root] = t.index(min(t))
+            total += t[labels[root]]
+            done = {root}
             down = [(root, -1)]
             while down:
                 node, via = down.pop()
                 for ei in self._adj[node]:
                     if ei == via:
                         continue
-                    e = self.edges[ei]
-                    child = e.v if e.u == node else e.u
-                    if child in labels:
+                    u, v, _ = self.edges[ei]
+                    child = v if u == node else u
+                    if child in done:
                         continue
+                    done.add(child)
                     labels[child] = choice[(node, labels[node], ei)]
                     down.append((child, ei))
-        return LabelingResult(labels, scalar(total), exact=True)
+        return LabelingResult(labels, exact_div(total, self.den), exact=True)
 
     # -- exhaustive enumeration --------------------------------------------------
 
@@ -202,42 +169,25 @@ class DiscreteLabelingProblem:
         plan; ``limit`` is only this method's own refusal point for a
         direct caller, above which it raises ``ValueError``.
 
-        Each edge is priced once per pair of candidate labels, into a
-        table of integer numerators over the weights' common
-        denominator; the walk is ``itertools.product`` order over the
-        nodes in insertion order, and the first minimum wins.
+        The walk is ``itertools.product`` order over the nodes in
+        insertion order, and the first minimum wins.
         """
-        nodes = list(self.candidates)
         size = 1
-        for n in nodes:
-            size *= len(self.candidates[n])
+        for s in self.sizes:
+            size *= s
             if size > limit:
                 raise ValueError(f"search space exceeds limit ({limit})")
-        den = lcm(*(e.weight.denominator for e in self.edges))
-        pos = {n: i for i, n in enumerate(nodes)}
-        priced = [
-            (
-                pos[e.u],
-                pos[e.v],
-                [
-                    [int(e.cost(lu, lv) * den) for lv in self.candidates[e.v]]
-                    for lu in self.candidates[e.u]
-                ],
-            )
-            for e in self.edges
-        ]
         best_cost: int | None = None
         best: tuple[int, ...] = ()
-        for combo in product(*(range(len(self.candidates[n])) for n in nodes)):
+        for combo in product(*(range(s) for s in self.sizes)):
             c = 0
-            for iu, iv, table in priced:
+            for iu, iv, table in self.edges:
                 c += table[combo[iu]][combo[iv]]
             if best_cost is None or c < best_cost:
                 best_cost = c
                 best = combo
         assert best_cost is not None
-        labels = {n: self.candidates[n][i] for n, i in zip(nodes, best)}
-        return LabelingResult(labels, exact_div(best_cost, den), exact=True)
+        return LabelingResult(list(best), exact_div(best_cost, self.den), exact=True)
 
     # -- general graphs: spanning-tree seed + iterated conditional modes ---------
 
@@ -248,15 +198,15 @@ class DiscreteLabelingProblem:
         (the POPL'93 paper); this mirrors the authors' "compact dynamic
         programming" practice: solve the dominant tree structure exactly,
         then settle cycle edges by coordinate descent to a local optimum.
+        A node moves only to a strictly cheaper candidate, the first one
+        in candidate order at the least cost.
         """
         if self._is_forest():
             return self.solve_tree()
         # Build a spanning forest sub-problem with the same candidates.
-        tree = DiscreteLabelingProblem()
-        for n, cands in self.candidates.items():
-            tree.add_node(n, cands)
-        visited: set[NodeId] = set()
-        for root in self.candidates:
+        tree = DiscreteLabelingProblem(self.sizes, self.den)
+        visited: set[int] = set()
+        for root in range(len(self.sizes)):
             if root in visited:
                 continue
             visited.add(root)
@@ -264,42 +214,32 @@ class DiscreteLabelingProblem:
             while stack:
                 node = stack.pop()
                 for ei in self._adj[node]:
-                    e = self.edges[ei]
-                    other = e.v if e.u == node else e.u
+                    u, v, table = self.edges[ei]
+                    other = v if u == node else u
                     if other in visited:
                         continue
                     visited.add(other)
-                    tree.add_edge(e.u, e.v, e.weight, e.relation, e.predicate)
+                    tree.add_edge(u, v, table)
                     stack.append(other)
-        seed = tree.solve_tree().labels
-        labels = dict(seed)
+        labels = tree.solve_tree().labels
         # Iterated conditional modes on the full edge set.
         for _ in range(max_rounds):
             changed = False
-            for node in self.candidates:
-                if len(self.candidates[node]) == 1:
+            for node, size in enumerate(self.sizes):
+                if size == 1:
                     continue
-                best_lab = labels[node]
-                best_cost = self._local_cost(node, best_lab, labels)
-                for lab in self.candidates[node]:
-                    c = self._local_cost(node, lab, labels)
-                    if c < best_cost:
-                        best_cost = c
-                        best_lab = lab
-                        changed = True
-                labels[node] = best_lab
+                local = [0] * size
+                for ei in self._adj[node]:
+                    u, v, table = self.edges[ei]
+                    if u == node:
+                        col = labels[v]
+                        local = [c + row[col] for c, row in zip(local, table)]
+                    else:
+                        local = [c + x for c, x in zip(local, table[labels[u]])]
+                best = min(local)
+                if best < local[labels[node]]:
+                    labels[node] = local.index(best)
+                    changed = True
             if not changed:
                 break
         return LabelingResult(labels, self.total_cost(labels), exact=False)
-
-    def _local_cost(
-        self, node: NodeId, lab: Label, labels: Mapping[NodeId, Label]
-    ) -> Scalar:
-        total = 0
-        for ei in self._adj[node]:
-            e = self.edges[ei]
-            if e.u == node:
-                total += e.cost(lab, labels[e.v])
-            else:
-                total += e.cost(labels[e.u], lab)
-        return total

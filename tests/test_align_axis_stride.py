@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from axis_stride_reference import ReferenceSolver
 
 from repro.adg import build_adg
 from repro.adg.nodes import SubscriptSpec
@@ -146,7 +147,7 @@ class TestPaperExamples:
 # ---------------------------------------------------------------------------
 
 
-class NaiveSolver(AxisStrideSolver):
+class NaiveSolver(ReferenceSolver):
     """``reference_generate_candidates``: the propagation as it was before
     use sites kept watermarks — every round re-transforms and re-offers
     every label of every source port.  Kept as the reference only."""
@@ -436,12 +437,8 @@ class TestSeedStopsAtTheCap:
         adg = build_adg(_rank_program(5, template_rank=6))
         solver = AxisStrideSolver(adg)
 
-        def seed_nothing():
-            for p in adg.ports():
-                solver.port_by_key[p.key] = p
-                solver.candidates[p.key] = []
-
-        monkeypatch.setattr(solver, "_seed", seed_nothing)
+        # _reset is _seed without the seeds: every port empty.
+        monkeypatch.setattr(solver, "_seed", solver._reset)
         with monkeypatch.context() as patch:
             drawn = self._count_embeddings(patch)
             solver.generate_candidates()
@@ -496,3 +493,142 @@ class TestSolverObjectReuse:
         naive.generate_candidates()
         static_only(naive)
         assert naive.solve(regenerate=False).skeletons == static.skeletons
+
+
+# ---------------------------------------------------------------------------
+# Differential: numbered skeletons and integer tables == the label objects
+# and predicates of the reference solver
+# ---------------------------------------------------------------------------
+
+
+def _reference_programs() -> list:
+    """The 16 pinned kernels, their 48 edits, ``generate_corpus(14, 0)``
+    and ``generate_corpus(40, 3)``, as ``(name, source)`` params."""
+    from pathlib import Path
+
+    from repro.lang.generate import generate_corpus
+
+    corpus = Path(__file__).parent.parent / "benchmarks" / "perf" / "corpus"
+    out = [(p.stem, p.read_text()) for p in sorted(corpus.glob("*.dp"))]
+    out += [(p.stem, p.read_text()) for p in sorted((corpus / "edits").glob("*.dp"))]
+    for n, seed in ((14, 0), (40, 3)):
+        out += [
+            (f"{sc.name}@corpus{n},{seed}", sc.source)
+            for sc in generate_corpus(n, seed=seed)
+        ]
+    return [pytest.param(name, source, id=name) for name, source in out]
+
+
+def _solve_both(monkeypatch, fast, slow, regenerate=True):
+    """Solve with ``fast`` (an ``AxisStrideSolver``) and ``slow`` (a
+    ``ReferenceSolver``) on the same candidates; assert equal results
+    and equal problems (the reference's priced pair by pair)."""
+    import axis_stride_reference as ref
+    from axis_stride_reference import LabeledProblem, tabulate
+
+    from repro.solvers.dp import DiscreteLabelingProblem
+
+    built = {}
+
+    def capture(base):
+        class Captured(base):
+            def __init__(self, *args) -> None:
+                super().__init__(*args)
+                built.setdefault(base, self)  # not ICM's spanning tree
+
+        return Captured
+
+    with monkeypatch.context() as patch:
+        patch.setattr(axs, "DiscreteLabelingProblem", capture(DiscreteLabelingProblem))
+        patch.setattr(ref, "LabeledProblem", capture(LabeledProblem))
+        got, want = fast.solve(regenerate), slow.solve(regenerate)
+    assert list(fast.candidates) == list(slow.candidates)
+    for key, labels in slow.candidates.items():
+        assert fast.candidates[key] == labels, fast.port_by_key[key]
+    assert got.skeletons == want.skeletons
+    assert (got.cost, got.exact) == (want.cost, want.exact)
+
+    problem = built[DiscreteLabelingProblem]
+    priced = tabulate(built[LabeledProblem])
+    assert problem.sizes == priced.sizes
+
+    def exact(prob):
+        return [
+            (u, v, [[Fraction(c, prob.den) for c in row] for row in table])
+            for u, v, table in prob.edges
+        ]
+
+    assert exact(problem) == exact(priced)
+
+
+class TestAgainstTheReferenceSolver:
+    """The solver that numbers its skeletons and prices every label edge
+    once into an integer table makes the reference's candidate lists,
+    in order, poses the same labeling problem, and chooses the same
+    skeletons at the same cost with the same ``exact``."""
+
+    @pytest.mark.parametrize("name, source", _reference_programs())
+    def test_candidates_tables_and_result_equal_the_reference(
+        self, monkeypatch, name, source
+    ):
+        adg = build_adg(parse(source, name=name.split("@")[0]))
+        _solve_both(monkeypatch, AxisStrideSolver(adg), ReferenceSolver(adg))
+
+    def test_an_empty_intersection_falls_back_to_the_union_in_list_order(
+        self, monkeypatch
+    ):
+        """No real program reaches the union fallback, so edit by hand:
+        the elementwise node's ports share no candidate, and the first
+        lists its two labels in the order opposite to their numbering."""
+        adg = build_adg(parse("real A(4,4), B(4,4)\nA = A + transpose(B)\n", name="t"))
+        (node,) = [n for n in adg.nodes if n.kind.name == "ELEMENTWISE"]
+        fast, slow = AxisStrideSolver(adg), ReferenceSolver(adg)
+        for solver in (fast, slow):
+            solver.generate_candidates()
+            ident, swap = solver.candidates[node.ports[0].key]
+            assert ident.axis_signature() == (0, 1)
+            solver.candidates[node.ports[0].key] = [swap, ident]
+            for p in node.ports[1:]:
+                solver.candidates[p.key] = []
+        _solve_both(monkeypatch, fast, slow, regenerate=False)
+
+
+class TestUnusedRank20Arrays:
+    """``x = x + y`` beside N unused ``real zᵢ(2,…,2)`` of rank 20 (the
+    template rank): every zᵢ is a source–sink component seeded with the
+    same 64 embeddings.  The skeletons are numbered once, so their count
+    does not grow with N, and the transforms computed and the table
+    cells priced grow at most linearly."""
+
+    @staticmethod
+    def _counts(monkeypatch, n):
+        from repro.solvers.dp import DiscreteLabelingProblem
+
+        dims = ",".join(["2"] * 20)
+        decls = "real x(8), y(8)" + "".join(f", z{i}({dims})" for i in range(n))
+        adg = build_adg(parse(f"{decls}\nx = x + y\n", name=f"unused{n}"))
+        assert adg.template_rank == 20
+        built = []
+
+        class Captured(DiscreteLabelingProblem):
+            def __init__(self, *args) -> None:
+                super().__init__(*args)
+                built.append(self)
+
+        solver = TrackedSolver(adg)
+        with monkeypatch.context() as patch:
+            patch.setattr(axs, "DiscreteLabelingProblem", Captured)
+            calls = count_transforms(patch, solver)
+            result = solver.solve()
+        assert result.cost == 0
+        (problem,) = built
+        cells = sum(len(t) * len(t[0]) for _, _, t in problem.edges)
+        return len(solver._labels), sum(calls.values()), cells
+
+    def test_skeletons_do_not_grow_and_work_grows_linearly(self, monkeypatch):
+        (s4, t4, c4), (s8, t8, c8), (s16, t16, c16) = (
+            self._counts(monkeypatch, n) for n in (4, 8, 16)
+        )
+        assert s4 == s8 == s16
+        assert t8 <= 2 * t4 and t16 <= 2 * t8
+        assert 0 < c8 <= 2 * c4 and c16 <= 2 * c8

@@ -163,7 +163,9 @@ def test_a_cold_plan_of_jacobi2d_builds_no_form_around_an_integral_fraction(
         monkeypatch.setattr(cls, "__init__", recording)
     cachestats.clear_caches()
     plan = align_and_distribute(parse(corpus_kernels["jacobi2d"], name="jacobi2d"), nprocs=16)
-    assert plan.distribution is not None and len(built) > 1000
+    # 806 forms (1 634 before the axis/stride labeling numbered its
+    # skeletons and ran each label map once per skeleton).
+    assert plan.distribution is not None and len(built) > 500
     bad = [f for f in built if not all(is_canonical(c) for c in stored_scalars(f))]
     assert not bad, bad[:5]
     assert not any(isinstance(c, float) for f in built for c in stored_scalars(f))

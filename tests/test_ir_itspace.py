@@ -128,6 +128,57 @@ class TestIterationSpace:
             s.triplet_of(j)
 
 
+class TestHashIsCachedNotKept:
+    """A space caches its hash (``cached_moments`` hashes the whole space
+    on every lookup), but never compares it and never pickles it."""
+
+    @staticmethod
+    def _space():
+        return IterationSpace((k, j), (Triplet(1, 9, 2), Triplet(0, 4)))
+
+    def test_hashed_and_fresh_spaces_are_equal_and_pickle_alike(self):
+        import pickle
+
+        hashed, fresh = self._space(), self._space()
+        assert hash(hashed) == hash(hashed) == hash(fresh)
+        assert hashed == fresh and not hashed != fresh
+        for proto in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.dumps(hashed, proto) == pickle.dumps(self._space(), proto)
+        back = pickle.loads(pickle.dumps(hashed))
+        assert vars(back) == {"livs": hashed.livs, "triplets": hashed.triplets}
+
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_an_unpickled_space_hashes_as_the_process_builds_it(self, seed):
+        """Unpickled under another ``PYTHONHASHSEED``, a space hashes
+        like a fresh one of that process: a kept hash would be this
+        process's."""
+        import os
+        import pickle
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        hashed = self._space()
+        hash(hashed)
+        script = (
+            "import pickle, sys\n"
+            "from repro.ir import LIV, IterationSpace, Triplet\n"
+            "got = pickle.loads(sys.stdin.buffer.read())\n"
+            "fresh = IterationSpace((LIV('k'), LIV('j')), (Triplet(1, 9, 2), Triplet(0, 4)))\n"
+            "print(hash(got) == hash(fresh), got == fresh, {fresh: 1}[got])\n"
+        )
+        src = Path(__file__).parent.parent / "src"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            input=pickle.dumps(hashed),
+            capture_output=True,
+            env=env,
+            check=True,
+        )
+        assert run.stdout.split() == [b"True", b"True", b"1"]
+
+
 class TestProjected:
     nest = IterationSpace(
         (i, j, k), (Triplet(1, 3), Triplet(2, 8, 3), Triplet(5, 1, -2))

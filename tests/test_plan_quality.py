@@ -25,10 +25,12 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from axis_stride_reference import LabeledProblem, tabulate
 
 import repro.align.axis_stride as axis_stride
 from repro.adg import build_adg
 from repro.lang import parse
+from repro.ir.affine import exact_div
 from repro.lang.generate import generate_corpus
 from repro.solvers.dp import DiscreteLabelingProblem
 
@@ -70,23 +72,23 @@ def _programs() -> list:
 def exact_minimum(prob: DiscreteLabelingProblem):
     """The minimum total cost of ``prob`` by bucket elimination.
 
-    Every edge becomes a table over its two nodes' candidate indices
-    (parallel edges summed into one); then, repeatedly, the node with
-    the fewest neighbours (first in insertion order on a tie) is
-    eliminated: the tables that mention it are added and minimized over
-    its candidates into one table on its neighbours.
+    Every compiled edge table becomes a table over its two nodes'
+    candidate indices, low node first (parallel edges summed into one);
+    then, repeatedly, the node with the fewest neighbours (lowest on a
+    tie) is eliminated: the tables that mention it are added and
+    minimized over its candidates into one table on its neighbours.
     """
-    nodes = list(prob.candidates)
-    rank = {n: i for i, n in enumerate(nodes)}
-    size = {n: len(c) for n, c in prob.candidates.items()}
+    nodes = range(len(prob.sizes))
+    rank = {n: n for n in nodes}
+    size = dict(enumerate(prob.sizes))
     tables: dict[tuple, dict] = {}
-    for e in prob.edges:
-        u, v = sorted((e.u, e.v), key=rank.get)
+    for eu, ev, priced in prob.edges:
+        u, v = sorted((eu, ev))
         table = tables.setdefault((u, v), {})
-        for i, lu in enumerate(prob.candidates[e.u]):
-            for j, lv in enumerate(prob.candidates[e.v]):
-                key = (i, j) if u == e.u else (j, i)
-                table[key] = table.get(key, 0) + e.cost(lu, lv)
+        for i, row in enumerate(priced):
+            for j, cost in enumerate(row):
+                key = (i, j) if u == eu else (j, i)
+                table[key] = table.get(key, 0) + cost
     factors = list(tables.items())
     total = 0
     remaining = set(nodes)
@@ -114,7 +116,7 @@ def exact_minimum(prob: DiscreteLabelingProblem):
         else:
             total += reduced[()]
         remaining.remove(x)
-    return total
+    return exact_div(total, prob.den)
 
 
 @pytest.fixture
@@ -124,8 +126,8 @@ def solve_and_capture(monkeypatch):
     built: list[DiscreteLabelingProblem] = []
 
     class Captured(DiscreteLabelingProblem):
-        def __init__(self) -> None:
-            super().__init__()
+        def __init__(self, *args) -> None:
+            super().__init__(*args)
             built.append(self)
 
     monkeypatch.setattr(axis_stride, "DiscreteLabelingProblem", Captured)
@@ -142,7 +144,7 @@ def solve_and_capture(monkeypatch):
 def test_oracle_matches_enumeration_on_a_cycle():
     """The oracle against plain enumeration on a small cyclic problem
     with parallel edges and a transposing relation."""
-    prob = DiscreteLabelingProblem()
+    prob = LabeledProblem()
     for n, cands in (("a", "xy"), ("b", "xyz"), ("c", "xz"), ("d", "y")):
         prob.add_node(n, cands)
     prob.add_edge("a", "b", 3)
@@ -154,7 +156,8 @@ def test_oracle_matches_enumeration_on_a_cycle():
         prob.total_cost(dict(zip(prob.candidates, combo)))
         for combo in product(*prob.candidates.values())
     )
-    assert exact_minimum(prob) == brute == prob.solve_exhaustive().cost
+    compiled = tabulate(prob)
+    assert exact_minimum(compiled) == brute == compiled.solve_exhaustive().cost
 
 
 @pytest.mark.parametrize("name, source", _programs())
