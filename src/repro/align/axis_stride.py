@@ -272,10 +272,6 @@ def reduce_backward(out_lab: Skeleton, dim: int) -> list[Skeleton]:
 
 
 def substitute_liv(lab: Skeleton, liv: LIV, repl: AffineForm) -> Skeleton:
-    """``lab`` with ``liv`` replaced by ``repl``: ``lab`` itself when no
-    stride mentions ``liv``."""
-    if all(ax.stride.coeff(liv) == 0 for ax in lab.axes if ax.is_body):
-        return lab
     axes = []
     for ax in lab.axes:
         if ax.is_body:
@@ -387,9 +383,7 @@ class AxisStrideSolver:
             img = memo.get((fn, i))
             if img is None:
                 lab = fn(self._labels[i])
-                if lab is self._labels[i]:
-                    img = [i]
-                elif isinstance(lab, list):
+                if isinstance(lab, list):
                     img = [self._id(l) for l in lab]
                 else:
                     img = [None if lab is None else self._id(lab)]
@@ -611,10 +605,8 @@ class AxisStrideSolver:
     # -- cost weights ---------------------------------------------------------------
 
     def _edge_weight(self, e) -> Scalar:
-        m0, cw = cached_moments(e.space, e.weight).m0, e.control_weight
-        if cw == 1:
-            return scalar(m0)
-        return scalar(m0 * Fraction(cw).limit_denominator(10**6))
+        m = cached_moments(e.space, e.weight)
+        return scalar(m.m0 * Fraction(e.control_weight).limit_denominator(10**6))
 
     # -- identity contraction --------------------------------------------------------
 
