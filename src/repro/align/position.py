@@ -160,18 +160,3 @@ class Alignment:
                 axes.append(AxisAlignment(None, None, AffineForm(0)))
         return cls(tuple(axes))
 
-    def with_offset(self, template_axis: int, offset: AffineForm) -> "Alignment":
-        axes = list(self.axes)
-        a = axes[template_axis]
-        axes[template_axis] = AxisAlignment(a.array_axis, a.stride, offset, a.replication)
-        return Alignment(tuple(axes))
-
-    def with_replication(
-        self, template_axis: int, extent: ReplicatedExtent | None
-    ) -> "Alignment":
-        axes = list(self.axes)
-        a = axes[template_axis]
-        if a.is_body and extent is not None:
-            raise ValueError("cannot replicate a body axis")
-        axes[template_axis] = AxisAlignment(a.array_axis, a.stride, a.offset, extent)
-        return Alignment(tuple(axes))

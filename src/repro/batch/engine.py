@@ -259,9 +259,6 @@ class BatchReport:
             cachestats.merge(totals, r.cache)
         return totals
 
-    def cache_hit_rates(self) -> dict[str, float]:
-        return cachestats.hit_rate(self.cache_totals())
-
     def latency_summaries(self, unit: float = 1e3) -> dict[str, dict]:
         """Histogram-backed per-task latency (p50/p90/p99) per program
         family, plus an ``"*"`` row for the whole batch; milliseconds by

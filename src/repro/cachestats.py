@@ -77,10 +77,6 @@ def clear_caches() -> None:
         cache.clear()
 
 
-def cache_sizes() -> dict[str, int]:
-    return {c.name: len(c) for c in _CACHES}
-
-
 class BoundedCache:
     """A small memo table with shared hit/miss counters and a size bound.
 

@@ -177,16 +177,6 @@ class CommProfile:
         if self.front is None:
             self.front = compile_front(self)
 
-    def __setstate__(self, state: dict) -> None:
-        # A profile pickled before its front was compiled with it has no
-        # ``front``, and may carry the padded tensors a lazy cache left
-        # as ``_front_tensors``: drop those and compile the front once,
-        # here.  A current pickle carries its front and compiles nothing.
-        self.__dict__.update(state)
-        self.__dict__.pop("_front_tensors", None)
-        if self.__dict__.get("front") is None:
-            self.front = compile_front(self)
-
     # -- evaluation --------------------------------------------------------
 
     def evaluate(

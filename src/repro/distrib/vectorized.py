@@ -128,12 +128,6 @@ class FrontTensors:
     joints: tuple[JointFront, ...]
 
 
-class GroupFront:
-    """The padded group tensors of a profile pickled before the front was
-    compiled with it.  Only ever unpickled, inside the stale attribute
-    :meth:`~repro.distrib.costmodel.CommProfile.__setstate__` drops."""
-
-
 def _fold(rows: list[np.ndarray], *weights: np.ndarray):
     """The distinct tuples ``rows`` hold column-wise, in lexicographic
     order, and each of ``weights`` summed over the columns folded into

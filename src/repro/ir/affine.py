@@ -30,7 +30,7 @@ layer.  :func:`exact_div` is the one division.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from ..cachestats import _cell
 from .symbols import LIV
@@ -221,21 +221,6 @@ class AffineForm:
         """Substitute ``liv -> liv + delta`` (loop-back transformer semantics)."""
         return self.substitute({liv: AffineForm.variable(liv) + delta})
 
-    # -- vector view -----------------------------------------------------
-
-    def coefficient_vector(self, livs: Iterable[LIV]) -> tuple[Scalar, ...]:
-        """``(a0, a1, ..., ak)`` against an explicit LIV ordering."""
-        return (self._const,) + tuple(self.coeff(v) for v in livs)
-
-    @classmethod
-    def from_coefficient_vector(
-        cls, vec: Iterable[Scalar], livs: Iterable[LIV]
-    ) -> "AffineForm":
-        it = iter(vec)
-        const = next(it)
-        coeffs = {liv: c for liv, c in zip(livs, it)}
-        return cls(const, coeffs)
-
     def rounded(self) -> "AffineForm":
         """Round every coefficient to the nearest integer (the R of RLP)."""
         return AffineForm(
@@ -248,8 +233,7 @@ class AffineForm:
         return (self._const, self._coeffs)
 
     def __setstate__(self, state) -> None:
-        # Through the constructor: a state written before scalars were
-        # canonical holds ``Fraction(3, 1)`` where this one holds ``3``.
+        # Through the constructor: it sets the slots the state leaves out.
         self.__init__(*state)
 
     # -- equality, hashing, display ----------------------------------------

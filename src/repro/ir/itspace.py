@@ -186,12 +186,6 @@ class IterationSpace:
         for combo in product(*(iter(t) for t in self.triplets)):
             yield dict(zip(self.livs, combo))
 
-    def triplet_of(self, liv: LIV) -> Triplet:
-        try:
-            return self.triplets[self.livs.index(liv)]
-        except ValueError:
-            raise KeyError(f"LIV {liv.name} not in iteration space") from None
-
     def extended(self, liv: LIV, t: Triplet) -> "IterationSpace":
         """Add an inner loop dimension."""
         if liv in self.livs:

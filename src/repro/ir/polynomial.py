@@ -130,15 +130,6 @@ class Polynomial:
             out.update(liv for liv, _ in m)
         return frozenset(out)
 
-    def as_affine(self) -> AffineForm:
-        """Convert to an AffineForm; raises ``ValueError`` if degree > 1."""
-        if self.degree() > 1:
-            raise ValueError(f"polynomial {self} is not affine")
-        coeffs = {
-            m[0][0]: c for m, c in self._terms.items() if m != _EMPTY
-        }
-        return AffineForm(self.const, coeffs)
-
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "Polynomial | AffineForm | Scalar") -> "Polynomial":
@@ -244,8 +235,7 @@ class Polynomial:
         return None, {"_terms": self._terms}
 
     def __setstate__(self, state) -> None:
-        # Through the constructor: a state written before scalars were
-        # canonical holds ``Fraction(3, 1)`` where this one holds ``3``.
+        # Through the constructor: it sets the slots the state leaves out.
         self.__init__(state[1]["_terms"])
 
     def __repr__(self) -> str:

@@ -253,11 +253,6 @@ def generate_corpus(
     return out
 
 
-def random_program(seed: int, config: GeneratorConfig | None = None) -> str:
-    """Source text of one scenario — drop-in for the old fuzzer hook."""
-    return generate_scenario(seed, config=config).source
-
-
 # ---------------------------------------------------------------------------
 # Topology sampling.  The differential harness and the batch engine pair
 # generated programs with generated machines, so the analytic-vs-simulator

@@ -16,7 +16,7 @@ recorded in the trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from ..adg.build import build_adg
@@ -45,11 +45,6 @@ class AlignOptions:
     """
 
     algorithm: str = "fixed"
-    # HiGHS is the only LP solver; the field stays because it is part of
-    # the record's content fingerprint, hence of every serve-cache key
-    # and of tests/golden/fingerprints.json.  No caller can set it, and
-    # it goes with the next cache SCHEMA_VERSION bump.
-    backend: str = field(default="scipy", init=False)
     replication: bool = True
     mobile: bool = True
     max_replication_rounds: int = 3

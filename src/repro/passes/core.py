@@ -421,9 +421,6 @@ class PlanContext:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        # A context pickled when derived artifacts had identity
-        # fingerprints carries the nonce that namespaced them.
-        state.pop("_nonce", None)
         self.__dict__.update(state)
         self.memo = SubproblemMemo()
         self._delta_base_memo = {}

@@ -15,7 +15,7 @@ every other artifact on the context — pickles cleanly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..distrib.costmodel import build_profile
@@ -40,11 +40,6 @@ class MachineSpec:
 
     nprocs: Optional[int] = None
     topology: Any = None  # None | spec str | Topology object
-    # No caller can set it; the field stays because it is part of the
-    # record's content fingerprint, hence of every serve-cache key and
-    # of tests/golden/fingerprints.json.  It goes with the next cache
-    # SCHEMA_VERSION bump, beside AlignOptions.backend.
-    options: tuple[tuple[str, Any], ...] = field(default=(), init=False)
 
     @classmethod
     def of(cls, nprocs: Optional[int] = None, topology: Any = None) -> "MachineSpec":

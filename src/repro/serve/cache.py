@@ -55,18 +55,14 @@ from typing import Any, Iterable, Optional, Sequence
 from .. import cachestats
 from .._io import atomic_write_bytes
 
-#: Bump when the pickled payload layout changes incompatibly; every
-#: persisted entry is stamped with it and mismatches are invalidated at
-#: load time (deleted, reported as misses).  2: prefix contexts carry
-#: statement-provenance-stamped ADGs (``ADGNode.stmt``), which the
-#: delta replan path reads.  3: a prefix's ``AxisFront``s are 1-D
-#: distinct cell pairs under the field names that once held padded
-#: ``(records, max_len)`` tensors.  Not bumped when the front moved into
-#: the comm-profile pass (``profile.front``): a schema-3 prefix pickled
-#: before that carries no front, or a stale ``_front_tensors``, and
-#: ``CommProfile.__setstate__`` drops the stale one and compiles the
-#: front once, when the entry is loaded.
-SCHEMA_VERSION = 3
+#: Bump on any change to what an entry pickles
+#: (``tests/golden/cache_layout.json`` pins the layout to it); every
+#: persisted entry is stamped with it, and a mismatch is deleted at load
+#: and reported as a miss.
+#: 2: prefix ADGs carry statement provenance (``ADGNode.stmt``).
+#: 3: a prefix's ``AxisFront``s are 1-D distinct cell pairs.
+#: 4: profiles carry their front; options and machines lose constant fields.
+SCHEMA_VERSION = 4
 
 #: Sentinel distinguishing "no entry" from a stored ``None`` payload.
 MISS = object()

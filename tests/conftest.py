@@ -37,6 +37,15 @@ def nested_blocks(kind: str, levels: int) -> str:
     )
 
 
+def with_axis(alignment, template_axis: int, **fields):
+    """``alignment`` with the named fields of one template axis replaced
+    (``offset=``, ``replication=``); the axis and the alignment re-check
+    their invariants."""
+    axes = list(alignment.axes)
+    axes[template_axis] = dataclasses.replace(axes[template_axis], **fields)
+    return type(alignment)(tuple(axes))
+
+
 #: 170 nested ``do`` / ``if`` blocks: past the parser's nesting bound,
 #: whose 101st block opens on line 102.
 DEEP_DO_SOURCE = nested_blocks("do", 170)

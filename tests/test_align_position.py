@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import with_axis
 from repro.align import (
     Alignment,
     alignment_distance,
@@ -26,7 +27,7 @@ class TestAlignment:
         assert a.axes[0].is_body and not a.axes[1].is_body
 
     def test_position_body_and_space(self):
-        a = Alignment.canonical(1, 2).with_offset(1, AffineForm(0, {k: 1}))
+        a = with_axis(Alignment.canonical(1, 2), 1, offset=AffineForm(0, {k: 1}))
         pos = a.position({0: 7}, {k: 3})
         assert pos == (7, 3)
 
@@ -53,11 +54,11 @@ class TestAlignment:
         with pytest.raises(ValueError):
             ax.position({}, {})
 
-    def test_with_replication(self):
-        a = Alignment.canonical(1, 2).with_replication(1, ReplicatedExtent())
+    def test_only_a_space_axis_replicates(self):
+        a = with_axis(Alignment.canonical(1, 2), 1, replication=ReplicatedExtent())
         assert a.axes[1].is_replicated
-        with pytest.raises(ValueError):
-            a.with_replication(0, ReplicatedExtent())
+        with pytest.raises(ValueError, match="space axes"):
+            with_axis(a, 0, replication=ReplicatedExtent())
 
     def test_template_axis_of(self):
         a = Alignment.canonical(2, 3)
@@ -66,7 +67,7 @@ class TestAlignment:
             a.template_axis_of(2)
 
     def test_repr_mobile(self):
-        a = Alignment.canonical(1, 2).with_offset(0, AffineForm(1, {k: -1}))
+        a = with_axis(Alignment.canonical(1, 2), 0, offset=AffineForm(1, {k: -1}))
         assert "i0" in repr(a)
 
 
@@ -84,7 +85,7 @@ class TestMetrics:
 
     def test_alignment_distance_offset(self):
         a = Alignment.canonical(1, 1)
-        b = a.with_offset(0, AffineForm(3))
+        b = with_axis(a, 0, offset=AffineForm(3))
         assert alignment_distance(a, b, {}, elements=10) == 30
 
     def test_alignment_distance_stride_mismatch(self):
@@ -95,12 +96,12 @@ class TestMetrics:
 
     def test_alignment_distance_broadcast(self):
         a = Alignment.canonical(1, 2)
-        b = a.with_replication(1, ReplicatedExtent())
+        b = with_axis(a, 1, replication=ReplicatedExtent())
         assert alignment_distance(a, b, {}, elements=7) == 7
 
     def test_alignment_distance_from_replicated_free(self):
-        a = Alignment.canonical(1, 2).with_replication(1, ReplicatedExtent())
-        b = Alignment.canonical(1, 2).with_offset(1, AffineForm(9))
+        a = with_axis(Alignment.canonical(1, 2), 1, replication=ReplicatedExtent())
+        b = with_axis(Alignment.canonical(1, 2), 1, offset=AffineForm(9))
         assert alignment_distance(a, b, {}, elements=7) == 0
 
     def test_mobile_strides_compare_pointwise(self):

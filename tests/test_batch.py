@@ -33,6 +33,11 @@ from repro.batch import BatchReport, PlanRequest, plan_many
 from repro.lang.generate import GeneratorConfig, generate_corpus, generate_scenario
 
 
+def cache_sizes() -> dict[str, int]:
+    """The entry count of every registered memo table, by name."""
+    return {cache.name: len(cache) for cache in cachestats._CACHES}
+
+
 class TestGenerate:
     def test_corpus_is_deterministic_and_prefix_stable(self):
         a = generate_corpus(10, seed=5)
@@ -165,7 +170,7 @@ class TestPlanMany:
         for cell in ("affine.evaluate", "distrib.move_records", "align.moments"):
             assert sum(totals.get(cell, (0, 0))) > 0, cell
         assert totals["align.moments"][0] > 0
-        rates = report.cache_hit_rates()
+        rates = cachestats.hit_rate(totals)
         assert 0.0 <= min(rates.values()) and max(rates.values()) <= 1.0
         rendered = report.render()
         assert "cache affine.evaluate" in rendered
@@ -256,7 +261,7 @@ class TestCacheHygiene:
     def test_module_caches_stay_bounded(self):
         corpus = generate_corpus(10, seed=13)
         plan_many(corpus, nprocs=4, serial=True)
-        sizes = cachestats.cache_sizes()
+        sizes = cache_sizes()
         assert sizes  # the registry saw the batch
         from repro.align.cost import _MOMENTS, _SPANS
         from repro.distrib.costmodel import _POSITIONS
@@ -267,4 +272,4 @@ class TestCacheHygiene:
     def test_clear_caches_empties_everything(self):
         plan_many(generate_corpus(2, seed=17), nprocs=4, serial=True)
         cachestats.clear_caches()
-        assert all(n == 0 for n in cachestats.cache_sizes().values())
+        assert all(n == 0 for n in cache_sizes().values())

@@ -190,25 +190,3 @@ def test_the_largest_stored_prefixes_are_at_least_halved(corpus_kernels, tmp_pat
     assert stored.keys() == PADDED_PREFIX_ENTRY_BYTES.keys()
     for name, before in PADDED_PREFIX_ENTRY_BYTES.items():
         assert 2 * stored[name] <= before, (name, stored[name])
-
-
-def test_a_prefix_pickled_with_fractions_loads_canonical():
-    """``tests/golden/serve_cache_pr17`` is a cache directory written when
-    every scalar was a ``Fraction`` (``SCHEMA_VERSION`` 3, not bumped since).
-    Its prefix entry loads into canonical forms, equal and hash-equal to a
-    fresh solve's; ``test_serve.py::TestParentFormatCache`` has the same
-    directory answer a prefix hit whose payload is byte-identical."""
-    golden = Path(__file__).parent / "golden" / "serve_cache_pr17" / "prefix"
-    (path,) = golden.glob("*.pkl")
-    raw = path.read_bytes()
-    assert b"Fraction" in raw
-    stored = pickle.loads(raw)["payload"]
-    forms = reachable(stored, (AffineForm, Polynomial))
-    assert forms and all(is_canonical(c) for f in forms for c in stored_scalars(f))
-    assert all(f.is_integral() for f in forms if isinstance(f, AffineForm))
-    fresh = solve_prefix(stored.get("program"), stored.get("align_options"))
-    assert stored.get("alignments") == fresh.get("alignments")
-    assert stored.get("skeletons").skeletons == fresh.get("skeletons").skeletons
-    want = {f: hash(f) for f in reachable(fresh, (AffineForm,))}
-    assert all(want.get(f) == hash(f) for f in reachable(stored, (AffineForm,)))
-    assert len(pickle.dumps(stored, protocol=pickle.HIGHEST_PROTOCOL)) < len(raw)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import with_axis
 from repro import cachestats
 from repro.align import align_program
 from repro.align.position import Alignment, AxisAlignment
@@ -250,8 +251,8 @@ class TestProfileEqualsPerPointWalk:
         axis = next(
             t for t, ax in enumerate(tail.axes) if not ax.is_replicated
         )
-        alignments[edge.tail.key] = tail.with_offset(
-            axis, tail.axes[axis].offset + AffineForm.variable(liv, 2)
+        alignments[edge.tail.key] = with_axis(
+            tail, axis, offset=tail.axes[axis].offset + AffineForm.variable(liv, 2)
         )
         assert _walked_livs(
             edge.tail.shape,
@@ -268,8 +269,8 @@ class TestProfileEqualsPerPointWalk:
         edge = plan.adg.edges[0]
         alignments = dict(plan.alignments)
         tail = alignments[edge.tail.key]
-        alignments[edge.tail.key] = tail.with_offset(
-            0, AffineForm.variable(LIV("nowhere", 0))
+        alignments[edge.tail.key] = with_axis(
+            tail, 0, offset=AffineForm.variable(LIV("nowhere", 0))
         )
         with pytest.raises(KeyError, match="unbound LIV nowhere"):
             build_profile(plan.adg, alignments)

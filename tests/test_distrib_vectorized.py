@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import pickle
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -632,40 +631,9 @@ SWEEP_MACHINES = (
     "grid:8x8", "torus:8x8", "ring:64", "hypercube:64",
 )  # fmt: skip
 
-#: The solved prefix of a two-axis program with joint movers, pickled
-#: after a suffix run by the planner that cached padded group tensors on
-#: the profile as ``_front_tensors`` (``SCHEMA_VERSION`` 3, not bumped).
-PADDED_PREFIX = Path(__file__).parent / "golden" / "prefix_padded_front.pkl"
-
-
 class TestFrontTravelsWithThePrefix:
     """The front is compiled once, in comm-profile, and every copy of the
     prefix carries it: the suffix only reads it."""
-
-    def test_a_prefix_pickled_with_padded_tensors_compiles_once_on_load(self):
-        raw = PADDED_PREFIX.read_bytes()
-        assert b"GroupFront" in raw and b"_front_tensors" in raw
-        before = _compiles()
-        ctx = pickle.loads(raw)
-        assert _compiles() == before + 1
-        profile = ctx.get("profile")
-        assert "_front_tensors" not in vars(profile)
-        assert profile.front.joints  # the program has joint movers
-        fresh = solve_prefix(ctx.get("program"), ctx.get("align_options"))
-        want = fresh.get("profile").front
-        assert [a is None for a in profile.front.axes] == [a is None for a in want.axes]
-        assert len(profile.front.joints) == len(want.joints)
-        for got, expect in zip(
-            profile.front.axes + profile.front.joints, want.axes + want.joints
-        ):
-            for f in dataclasses.fields(got or expect):
-                assert np.array_equal(getattr(got, f.name), getattr(expect, f.name))
-        for spec in SWEEP_MACHINES:
-            machine = MachineSpec.of(topology=spec)
-            assert solve_suffix(ctx.fork(), machine).get(
-                "distribution"
-            ) == solve_suffix(fresh.fork(), machine).get("distribution"), spec
-        assert _compiles() == before + 2  # the load's and the fresh solve's
 
     def test_a_prefix_pickled_now_compiles_nothing_when_loaded_and_swept(
         self, corpus_kernels

@@ -22,13 +22,13 @@ import pytest
 from repro.align import align_program
 from repro.align.constraints import EqualShift, node_offset_relations
 from repro.lang import parse, pretty, typecheck
-from repro.lang.generate import random_program
+from repro.lang.generate import generate_scenario
 from repro.machine import measure_plan, run_program
 
 
 @pytest.mark.parametrize("seed", range(14))
 def test_random_program_pipeline(seed):
-    src = random_program(seed)
+    src = generate_scenario(seed).source
     prog = parse(src, name=f"fuzz{seed}")
     typecheck(prog)
     # Round-trip.
@@ -58,7 +58,7 @@ def test_random_program_pipeline(seed):
 @pytest.mark.parametrize("seed", range(14, 21))
 def test_random_program_static_vs_mobile(seed):
     """Mobility can only help (static is a restriction of mobile)."""
-    prog = parse(random_program(seed), name=f"fuzz{seed}")
+    prog = parse(generate_scenario(seed).source, name=f"fuzz{seed}")
     mobile = align_program(prog, replication=False, algorithm="unrolling")
     static = align_program(
         prog, replication=False, mobile=False, algorithm="unrolling"
@@ -68,5 +68,5 @@ def test_random_program_static_vs_mobile(seed):
 
 def test_seeds_are_deterministic():
     """The same seed must yield byte-identical source, run to run."""
-    assert random_program(3) == random_program(3)
-    assert random_program(3) != random_program(4)
+    assert generate_scenario(3).source == generate_scenario(3).source
+    assert generate_scenario(3).source != generate_scenario(4).source

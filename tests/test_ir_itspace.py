@@ -121,12 +121,6 @@ class TestIterationSpace:
         s = IterationSpace.scalar()
         assert s.grid_partition(3) == [s]
 
-    def test_triplet_of(self):
-        s = IterationSpace.single(k, 1, 5)
-        assert s.triplet_of(k) == Triplet(1, 5)
-        with pytest.raises(KeyError):
-            s.triplet_of(j)
-
 
 class TestHashIsCachedNotKept:
     """A space caches its hash (``cached_moments`` hashes the whole space

@@ -50,14 +50,6 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             Polynomial.variable(k) ** -1
 
-    def test_as_affine_roundtrip(self):
-        f = AffineForm(5, {k: -2})
-        assert Polynomial.from_affine(f).as_affine() == f
-
-    def test_as_affine_degree2_raises(self):
-        with pytest.raises(ValueError):
-            (Polynomial.variable(k) ** 2).as_affine()
-
 
 class TestSubstitution:
     def test_substitute_affine(self):

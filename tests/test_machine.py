@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import with_axis
 from repro.align import align_program
 from repro.align.position import Alignment, AxisAlignment, ReplicatedExtent
 from repro.ir import LIV, AffineForm
@@ -109,7 +110,7 @@ class TestDistributions:
 class TestCountMove:
     def test_pure_shift(self):
         a = Alignment.canonical(1, 1)
-        b = a.with_offset(0, AffineForm(3))
+        b = with_axis(a, 0, offset=AffineForm(3))
         mc = count_move(a, b, (10,), {}, Distribution.identity(1))
         assert mc.elements_moved == 10
         assert mc.hop_cost == 30
@@ -129,20 +130,20 @@ class TestCountMove:
 
     def test_broadcast(self):
         a = Alignment.canonical(1, 2)
-        b = a.with_replication(1, ReplicatedExtent())
+        b = with_axis(a, 1, replication=ReplicatedExtent())
         mc = count_move(a, b, (10,), {}, Distribution.identity(2))
         assert mc.broadcast_elements == 10
 
     def test_from_replicated_is_free(self):
-        a = Alignment.canonical(1, 2).with_replication(1, ReplicatedExtent())
-        b = Alignment.canonical(1, 2).with_offset(1, AffineForm(5))
+        a = with_axis(Alignment.canonical(1, 2), 1, replication=ReplicatedExtent())
+        b = with_axis(Alignment.canonical(1, 2), 1, offset=AffineForm(5))
         mc = count_move(a, b, (10,), {}, Distribution.identity(2))
         assert mc.elements_moved == 0
         assert mc.broadcast_elements == 0
 
     def test_block_absorbs_small_shift(self):
         a = Alignment.canonical(1, 1)
-        b = a.with_offset(0, AffineForm(1))
+        b = with_axis(a, 0, offset=AffineForm(1))
         # cells span [1, 17]; blocks of 9 from base 1 cover [1, 19)
         d = Distribution((Block(nprocs=2, block=9, base=1),))
         mc = count_move(a, b, (16,), {}, d)

@@ -803,8 +803,8 @@ class TestStableRepr:
         (_Point(1, 2), "_Point(1,2)"),
         (_Frozen(1, (2,)), "_Frozen(a=1,b=tuple(2))"),
         (_FrozenChild(None), "_FrozenChild(a=None,b=tuple())"),
-        # The constant ``options`` field still renders: machine digests stay put.
-        (MachineSpec.of(4), "MachineSpec(nprocs=4,topology=None,options=tuple())"),
+        # A planner input: every field of the machine record renders.
+        (MachineSpec.of(4), "MachineSpec(nprocs=4,topology=None)"),
     ]  # fmt: skip
 
     @pytest.mark.parametrize("value, expected", ROWS, ids=[r[1] for r in ROWS])

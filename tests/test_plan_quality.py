@@ -15,7 +15,7 @@ spanning-tree + ICM paths.
 Programs: the 16 pinned kernels, their 48 pinned edits, and the
 generated corpora ``generate_corpus(14, seed=0)`` and
 ``generate_corpus(42, seed=5)``.  On two of them ICM stops above the
-optimum; they are strict xfails until ROADMAP item 4's exact solver
+optimum; they are strict xfails until ROADMAP item 3's exact solver
 replaces ICM.
 """
 
@@ -36,10 +36,10 @@ from repro.solvers.dp import DiscreteLabelingProblem
 
 CORPUS_DIR = Path(__file__).parent.parent / "benchmarks" / "perf" / "corpus"
 
-#: Where ICM's local optimum is not the global one (ROADMAP item 4).
+#: Where ICM's local optimum is not the global one (ROADMAP item 3).
 ICM_GAPS = {
-    "twod_12": "ICM reaches 242, the optimum is 50 (ROADMAP item 4)",
-    "twod_500048": "ICM reaches 108, the optimum is 32 (ROADMAP item 4)",
+    "twod_12": "ICM reaches 242, the optimum is 50 (ROADMAP item 3)",
+    "twod_500048": "ICM reaches 108, the optimum is 32 (ROADMAP item 3)",
 }
 
 

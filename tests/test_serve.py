@@ -621,98 +621,38 @@ class TestPlanService:
         assert pickle.dumps(inline.plan) == pickle.dumps(pooled.plan)
 
 
-class TestParentFormatCache:
-    def test_a_cache_directory_written_before_the_kernel_is_served(self, tmp_path):
-        """``tests/golden/serve_cache_pr17`` holds the two entries PR 17's
-        service stored for ``("q", SRC, nprocs=4)``: the payload's keys,
-        order and value types and the pickled prefix are an on-disk
-        format, and ``SCHEMA_VERSION`` was not bumped."""
+class TestOlderSchemaCache:
+    #: The key chains of the two entries in ``tests/golden/serve_cache_pr17``,
+    #: stored at schema 3 for ``("q", SRC, nprocs=4)``: program, options
+    #: (and machine) digests from before the options and machine records
+    #: lost their constant fields.
+    STORED_KEYS = (
+        ("prefix", ("5561d8a95f1b", "f98ec0f72357")),
+        ("plan", ("5561d8a95f1b", "f98ec0f72357", "beaf53323b11")),
+    )
+
+    def test_a_schema_3_cache_directory_is_invalidated_not_served(self, tmp_path):
+        """A service on the directory never probes the old keys and plans
+        cold, to the payload a fresh service gives; a cache probing the
+        stored keys finds the old schema, deletes both files and misses."""
         import shutil
         from pathlib import Path
 
         root = tmp_path / "cache"
         shutil.copytree(Path(__file__).parent / "golden" / "serve_cache_pr17", root)
+        files = sorted(root.glob("*/*.pkl"))
+        assert len(files) == 2
         with PlanService() as fresh:
-            want4 = fresh.handle(ServeRequest("q", SRC, nprocs=4))
-            want8 = fresh.handle(ServeRequest("q", SRC, nprocs=8))
+            want = fresh.handle(ServeRequest("q", SRC, nprocs=4))
         with PlanService(cache_dir=str(root)) as svc:
-            hit = svc.handle(ServeRequest("q", SRC, nprocs=4))
-            prefix = svc.handle(ServeRequest("q", SRC, nprocs=8))
-            assert svc.cache.stats.invalidated == 0
-        assert hit.cached == "plan" and prefix.cached == "prefix"
-        assert pickle.dumps(hit.plan) == pickle.dumps(want4.plan)
-        assert list(hit.plan) == list(want4.plan)
-        assert pickle.dumps(prefix.plan) == pickle.dumps(want8.plan)
-
-    def test_a_prefix_pickled_with_identity_fingerprints_forks_and_replans(self):
-        """The golden prefix was pickled when every derived artifact had
-        a fingerprint (``v<version>.<nonce>`` or a content digest), the
-        context a nonce, and each trace event fingerprint maps.  It
-        loads without the nonce, serves a new machine off a fork, and
-        replans an edit to what a cold plan gives."""
-        from pathlib import Path
-
-        from repro.align.pipeline import (
-            plan_facts,
-            planning_records,
-            solve_prefix,
-            solve_suffix,
-        )
-        from repro.lang.parser import parse
-
-        golden = Path(__file__).parent / "golden" / "serve_cache_pr17" / "prefix"
-        (path,) = golden.glob("*.pkl")
-        raw = path.read_bytes()
-        ctx = pickle.loads(raw)["payload"]
-        assert b"_nonce" in raw and "_nonce" not in vars(ctx)
-        assert ctx.artifact("adg").fingerprint.startswith("v")
-        assert all(isinstance(ev["provides"], dict) for ev in ctx.trace)
-        program = ctx.get("program")
-        assert ctx.artifact("program").fingerprint == content_fingerprint(program)
-        options, machine = planning_records(8)
-
-        def cold(program) -> dict:
-            return plan_facts(solve_suffix(solve_prefix(program, options), machine))
-
-        assert plan_facts(solve_suffix(ctx.fork(), machine)) == cold(program)
-        edit = parse(SRC_EDIT, name="q")
-        want = cold(edit)
-        new, report = solve_prefix(edit, options, base=ctx)
-        assert report.strategy == "carry_all"
-        assert plan_facts(solve_suffix(new, machine)) == want
-        base = ctx.artifact("program").fingerprint
-        with PlanService() as svc:
-            svc.cache.put("prefix", (base, svc._options_fp), ctx)
-            resp = svc.handle(ServeRequest("q", SRC_EDIT, nprocs=8, base_fingerprint=base))
-        assert resp.cached == "delta"
-        assert {key: resp.plan[key] for key in want} == want
-
-    def test_a_profile_pickled_with_a_hop_memo_loads_prices_and_replans(self):
-        """The golden prefix's ``CommProfile`` was pickled when the class
-        still had a ``_hops_cache`` field: the state loads as a stray
-        attribute, and the profile prices and replans like a fresh one."""
-        from pathlib import Path
-
-        from repro import parse
-        from repro.align.pipeline import planning_records, solve_prefix, solve_suffix
-        from repro.distrib import plan_distribution
-        from repro.passes import MachineSpec, replan
-
-        golden = Path(__file__).parent / "golden" / "serve_cache_pr17" / "prefix"
-        (path,) = golden.glob("*.pkl")
-        ctx = pickle.loads(path.read_bytes())["payload"]
-        profile = ctx.get("profile")
-        assert "_hops_cache" in vars(profile)
-        options, _ = planning_records()
-        fresh = solve_prefix(parse(SRC, name="q"), options).get("profile")
-        want = plan_distribution(fresh, 8)
-        assert plan_distribution(profile, 8) == want
-        dist = want.to_distribution()
-        assert profile.evaluate(dist) == fresh.evaluate(dist) == want.cost
-        solved = solve_suffix(ctx.fork(), MachineSpec.of(4))
-        new_ctx, report = replan(solved, machine=MachineSpec.of(8))
-        assert report.strategy == "machine_only"
-        assert new_ctx.get("distribution") == want
+            got = svc.handle(ServeRequest("q", SRC, nprocs=4))
+        assert got.ok and got.cached is None
+        assert pickle.dumps(got.plan) == pickle.dumps(want.plan)
+        assert all(path.exists() for path in files)  # left to the LRU bound
+        cache = PlanCache(str(root))
+        assert [cache.get(ns, key) for ns, key in self.STORED_KEYS] == [MISS, MISS]
+        assert cache.stats.invalidated == 2
+        assert not any(path.exists() for path in files)
 
 
 # -- the request-key memo ------------------------------------------------------
