@@ -54,7 +54,7 @@ class TestAlignment:
         with pytest.raises(ValueError):
             ax.position({}, {})
 
-    def test_only_a_space_axis_replicates(self):
+    def test_with_replication(self):
         a = with_axis(Alignment.canonical(1, 2), 1, replication=ReplicatedExtent())
         assert a.axes[1].is_replicated
         with pytest.raises(ValueError, match="space axes"):

@@ -631,10 +631,9 @@ class TestOlderSchemaCache:
         ("plan", ("5561d8a95f1b", "f98ec0f72357", "beaf53323b11")),
     )
 
-    def test_a_schema_3_cache_directory_is_invalidated_not_served(self, tmp_path):
-        """A service on the directory never probes the old keys and plans
-        cold, to the payload a fresh service gives; a cache probing the
-        stored keys finds the old schema, deletes both files and misses."""
+    @staticmethod
+    def copied(tmp_path):
+        """A copy of the golden directory and its two entry files."""
         import shutil
         from pathlib import Path
 
@@ -642,13 +641,38 @@ class TestOlderSchemaCache:
         shutil.copytree(Path(__file__).parent / "golden" / "serve_cache_pr17", root)
         files = sorted(root.glob("*/*.pkl"))
         assert len(files) == 2
+        return root, files
+
+    def test_only_the_program_digest_of_the_stored_keys_is_current(self):
+        """The options and machine records lost their constant fields, so
+        their digests moved and the old entries sit under keys no request
+        forms; the program digest did not move."""
+        from repro.lang.parser import parse
+
+        (_, (program_fp, options_fp)), (_, (_, _, machine_fp)) = self.STORED_KEYS
+        assert content_fingerprint(parse(SRC, name="q")) == program_fp
+        with PlanService() as svc:
+            assert svc._options_fp != options_fp
+            assert svc._machine_key(4, None)[1] != machine_fp
+
+    def test_a_service_on_a_schema_3_directory_plans_cold(self, tmp_path):
+        """A service on the directory never probes the old keys: it plans
+        cold, to the payload a fresh service gives, and leaves the old
+        files to the LRU bound."""
+        root, files = self.copied(tmp_path)
         with PlanService() as fresh:
             want = fresh.handle(ServeRequest("q", SRC, nprocs=4))
         with PlanService(cache_dir=str(root)) as svc:
             got = svc.handle(ServeRequest("q", SRC, nprocs=4))
+            assert svc.cache.stats.invalidated == 0
         assert got.ok and got.cached is None
         assert pickle.dumps(got.plan) == pickle.dumps(want.plan)
-        assert all(path.exists() for path in files)  # left to the LRU bound
+        assert all(path.exists() for path in files)
+
+    def test_a_schema_3_cache_directory_is_invalidated_not_served(self, tmp_path):
+        """A cache probing the stored keys finds the old schema, deletes
+        both files and misses."""
+        root, files = self.copied(tmp_path)
         cache = PlanCache(str(root))
         assert [cache.get(ns, key) for ns, key in self.STORED_KEYS] == [MISS, MISS]
         assert cache.stats.invalidated == 2
