@@ -68,7 +68,6 @@ Prometheus text exposition.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import NoReturn

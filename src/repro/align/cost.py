@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from ..adg.graph import ADG, ADGEdge, Port
+from ..adg.graph import ADG, ADGEdge
 from ..cachestats import MISS, BoundedCache
 from ..ir.affine import AffineForm, Scalar, scalar
 from ..ir.closedform import Moments, weighted_moments

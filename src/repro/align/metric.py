@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from ..ir.affine import AffineForm, Scalar, scalar
+from ..ir.affine import Scalar, scalar
 from ..ir.symbols import LIV
 from ..topology import default_topology
 from .position import Alignment

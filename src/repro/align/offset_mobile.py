@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, MutableMapping, NamedTuple
 
-from ..adg.graph import ADG, ADGEdge
+from ..adg.graph import ADG
 from ..ir.affine import AffineForm, Scalar
 from ..ir.itspace import IterationSpace
 from ..ir.symbols import LIV

@@ -37,7 +37,7 @@ from typing import Collection, Mapping
 
 from ..adg.graph import ADG, ADGNode, Port
 from ..adg.nodes import NodeKind, SourcePayload, SpreadPayload
-from ..ir.affine import AffineForm, Scalar, scalar
+from ..ir.affine import Scalar, scalar
 from ..lang.ast import Program, walk_stmts, Assign
 from ..solvers.maxflow import INF, FlowNetwork
 from .cost import cached_moments

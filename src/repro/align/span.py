@@ -12,7 +12,6 @@ and crossing-aware splitting of iteration triplets.
 from __future__ import annotations
 
 from math import ceil
-from typing import Mapping
 
 from ..ir.affine import AffineForm, Scalar, exact_div
 from ..ir.itspace import IterationSpace, Triplet

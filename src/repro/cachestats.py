@@ -15,7 +15,7 @@ task and merges back into the aggregate report.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Mapping
 
 # name -> [hits, misses]; the lists are shared with the caches so the
 # hot path is a bare integer increment, not a registry lookup.

@@ -21,8 +21,9 @@ the window (an axis is monotone in its index, so its two ends bound
 it), the element count, whether the move is general (strides differ)
 and whether it is free (the same numbers on every active axis are the
 same coordinates, which is what a mobile alignment achieves at every
-iteration).  Arrays exist only for records: they are built for a move
-whose numbers differ, and kept when its coordinates do.
+iteration).  Arrays exist only for records: they are built, from those
+integers, for a non-empty move whose offsets differ on an active axis
+under equal strides, and every element of such a move shifts on it.
 
 Because the records hold the *same coordinates* the executor maps, the
 model is exact by construction: for any distribution,
@@ -45,7 +46,6 @@ paper's L1 grid, so one profile serves any number of machine models.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -57,30 +57,54 @@ from ..align.position import Alignment
 from ..cachestats import MISS, BoundedCache
 from ..ir.affine import AffineForm, scalar
 from ..ir.symbols import LIV
-from ..machine.comm import _axis_positions
 from ..machine.distribution import AxisDistribution, Distribution
 from ..topology import AxisMetric, Topology, distribution_metrics
 from .vectorized import FrontTensors, compile_front
 
-# Move-record compilation: only a move whose evaluated strides/offsets
-# differ between its two ends on an active axis needs coordinate arrays
-# (the numbers alone decide free, general and window).  The arrays are
-# pure functions of (shape, per-axis evaluated numbers), so they cache
-# across classes, edges and programs.  Cached arrays are shared and must
-# be treated as read-only by all consumers.
+# Move-record compilation: only a move whose evaluated offsets differ
+# between its two ends on an active axis needs coordinate arrays (the
+# numbers alone decide free, general and window).  The arrays are pure
+# functions of (shape, per-axis evaluated numbers), so they cache across
+# classes, edges and programs.  Cached arrays are shared and must be
+# treated as read-only by all consumers.
 _POSITIONS = BoundedCache("distrib.move_records", maxsize=2048)
 
 
-def _cached_axis_positions(
-    align: Alignment, shape: tuple[int, ...], axis_key: tuple, env
-) -> tuple[np.ndarray, ...]:
-    """Memoized :func:`repro.machine.comm._axis_positions`.
+def _positions(shape: tuple[int, ...], axis_key: tuple) -> tuple[np.ndarray, ...]:
+    """The arrays :func:`repro.machine.comm._axis_positions` builds, from
+    the numbers it would evaluate: per template axis of ``axis_key``,
+    ``off + stride * i`` along a body axis's array axis (``i`` in
+    ``1..extent``), ``off`` on a space axis and zeros on a replicated
+    one, each over the whole ``shape``."""
+    out = []
+    for part in axis_key:
+        if part == "R":
+            out.append(np.zeros(shape, dtype=np.int64))
+        elif part[0] is None:
+            out.append(np.full(shape, part[1], dtype=np.int64))
+        elif not shape:  # a scalar object on a body axis: index 1
+            out.append(np.array(part[2] + part[1], dtype=np.int64))
+        else:
+            axis, stride, off = part
+            line = off + stride * np.arange(1, shape[axis] + 1, dtype=np.int64)
+            if len(shape) > 1:
+                lines = [1] * len(shape)
+                lines[axis] = shape[axis]
+                line = np.ascontiguousarray(
+                    np.broadcast_to(line.reshape(lines), shape)
+                )
+            out.append(line)
+    return tuple(out)
 
-    Keyed on the *evaluated* per-axis numbers (``axis_key``, the
-    integers ``_axis_positions`` computes from ``env``), not on the LIV
-    environment: :func:`build_profile` looks it up once per distinct
-    class of iteration points that moves, and ``env`` is any one point
-    of that class.
+
+def _cached_axis_positions(
+    shape: tuple[int, ...], axis_key: tuple
+) -> tuple[np.ndarray, ...]:
+    """Memoized :func:`_positions`.
+
+    Keyed on the object's shape and the alignment's per-axis numbers
+    (``axis_key``, the class key's integers): :func:`build_profile`
+    looks it up once per distinct class of iteration points that moves.
 
     Entries are immutable by construction: a **tuple** of **read-only**
     arrays, frozen on the one store path — so no consumer can swap an
@@ -93,7 +117,7 @@ def _cached_axis_positions(
     key = (shape, axis_key)
     pos = _POSITIONS.lookup(key)
     if pos is MISS:
-        arrays = tuple(_axis_positions(align, shape, env))
+        arrays = _positions(shape, axis_key)
         for a in arrays:
             a.setflags(write=False)  # shared cache entries: enforce read-only
         pos = _POSITIONS.store(key, arrays)
@@ -310,9 +334,13 @@ def _edge_contribution(
     The walk covers the projection of the edge's space onto the LIVs
     its shape and alignments mention, every point of it standing for
     ``mult`` identical moves.  Points are grouped by the numbers the
-    move is a function of; those numbers decide the window and whether
-    the move is free or general, and arrays are built only for a class
-    whose numbers differ on an active axis.
+    move is a function of.  Which of those numbers each class test
+    reads is decided once per edge: the window spans of both ends (a
+    span the ends share is one span), the stride pairs that can differ
+    (a form both ends share is one slot, never compared) and the offset
+    pairs on the active axes.  Per class, integer compares and min/max
+    remain; arrays are built, from the class's own numbers, only for a
+    non-empty class whose offsets differ on an active axis.
     """
     if space.is_empty():
         return EdgeContribution()
@@ -334,8 +362,8 @@ def _edge_contribution(
             ) from None
         slot_of[form] = len(table)
         table.append((what, form, form.const, terms))
-    # the values of all forms at a point -> [that point, moves]
-    classes: dict[tuple, list] = {}
+    # the values of all forms at a point -> moves
+    classes: dict[tuple, int] = {}
     for point in product(*walk.triplets):
         vals = []
         for what, form, v, terms in table:
@@ -349,9 +377,12 @@ def _edge_contribution(
                     f"{dict(zip(walk.livs, point))}"
                 )
             vals.append(v)
-        seen = classes.setdefault(tuple(vals), [point, 0])
-        seen[1] += mult
-    # Where each part of the class key reads its numbers from.
+        key = tuple(vals)
+        classes[key] = classes.get(key, 0) + mult
+    # Where each class test reads its numbers from, as slots of a class
+    # key.  Per end and template axis: "R" (replicated), (array axis,
+    # stride slot, offset slot) on a body axis, (None, offset slot) on a
+    # space axis.
     shape_slots = [slot_of[ext] for ext in tail.shape]
     key_slots = [
         [
@@ -364,7 +395,6 @@ def _edge_contribution(
         ]
         for align in (src, dst)
     ]
-    axes_differ = src.axis_signature() != dst.axis_signature()
     pairs = list(zip(src.axes, dst.axes))
     broadcasts = sum(
         a2.is_replicated and not a1.is_replicated for a1, a2 in pairs
@@ -374,56 +404,90 @@ def _edge_contribution(
         for t, (a1, a2) in enumerate(pairs)
         if not (a1.is_replicated or a2.is_replicated)
     )
-    body = [t for t, ax in enumerate(src.axes) if ax.is_body]
+    # Window spans (same rule as executor.coordinate_bounds): min/max
+    # coordinate of either end on every non-replicated axis.  A body
+    # axis is monotone in its index, so its extremes are its two ends:
+    # (axis, extent slot, stride slot, offset slot), the extent None on
+    # a scalar object (one element); (axis, None, None, offset slot) on
+    # a space axis.
+    spans: list[tuple] = []
+    for parts in key_slots:
+        for t, p in enumerate(parts):
+            if p == "R":
+                continue
+            if p[0] is None:
+                span = (t, None, None, p[1])
+            else:
+                extent = shape_slots[p[0]] if shape_slots else None
+                span = (t, extent, p[1], p[2])
+            if span not in spans:
+                spans.append(span)
+    # A move is general when its axes differ (every class) or a body
+    # axis's strides differ; it is free when, besides, its offsets agree
+    # on every active axis (the same numbers: the same coordinates).
+    src_slots, dst_slots = key_slots
+    strides: list[tuple[int, int]] | None = None
+    offsets: list[tuple[int, int]] = []
+    if src.axis_signature() == dst.axis_signature():
+        strides = [
+            (src_slots[t][1], dst_slots[t][1])
+            for t, ax in enumerate(src.axes)
+            if ax.is_body and src_slots[t][1] != dst_slots[t][1]
+        ]
+        offsets = [
+            (src_slots[t][-1], dst_slots[t][-1])
+            for t in active
+            if src_slots[t][-1] != dst_slots[t][-1]
+        ]
     elements = general_moved = general_moves = broadcast = 0
     lo: list[int | None] = [None] * rank
     hi: list[int | None] = [None] * rank
     distinct: dict[tuple, list] = {}
-    for vals, (point, moves) in classes.items():
-        shape = tuple([vals[i] for i in shape_slots])
-        src_key, dst_key = (
-            tuple(
-                [
-                    p if p == "R" else (p[0], *[vals[i] for i in p[1:]])
-                    for p in parts
-                ]
-            )
-            for parts in key_slots
-        )
-        n = math.prod(shape)
+    for vals, moves in classes.items():
+        n = 1
+        for i in shape_slots:
+            n *= vals[i]
         elements += n * moves
-        # Window bounds (same rule as executor.coordinate_bounds):
-        # min/max coordinate of either endpoint on every non-replicated
-        # axis.  A body axis is monotone in its index, so its extremes
-        # are its two ends; an empty object touches nothing.
-        for key in (src_key, dst_key) if n else ():
-            for t, part in enumerate(key):
-                if part == "R":
-                    continue
-                if part[0] is None:
-                    a_lo = a_hi = part[1]
-                else:
-                    axis, stride, off = part
-                    last = off + stride * (shape[axis] if shape else 1)
-                    a_lo, a_hi = sorted((off + stride, last))
-                lo[t] = a_lo if lo[t] is None else min(lo[t], a_lo)
-                hi[t] = a_hi if hi[t] is None else max(hi[t], a_hi)
-        if axes_differ or any(src_key[t][1] != dst_key[t][1] for t in body):
+        if n:  # an empty object touches nothing
+            for t, e, s, o in spans:
+                a_lo = a_hi = vals[o]
+                if s is not None:
+                    stride = vals[s]
+                    a_hi += stride * (1 if e is None else vals[e])
+                    a_lo += stride
+                    if a_hi < a_lo:
+                        a_lo, a_hi = a_hi, a_lo
+                if lo[t] is None or a_lo < lo[t]:
+                    lo[t] = a_lo
+                if hi[t] is None or a_hi > hi[t]:
+                    hi[t] = a_hi
+        if strides is None or any(vals[a] != vals[b] for a, b in strides):
             # General comm has no routing distance: moves, not hops
             # (mirrors count_move, keeping topology costs well-defined).
             general_moved += n * moves
             general_moves += moves
             continue
         broadcast += broadcasts * n * moves
-        if all(src_key[t] == dst_key[t] for t in active):
-            continue  # the same numbers: the same coordinates
-        env = dict(zip(walk.livs, point))
-        src_pos = _cached_axis_positions(src, shape, src_key, env)
-        dst_pos = _cached_axis_positions(dst, shape, dst_key, env)
+        if not n or all(vals[a] == vals[b] for a, b in offsets):
+            # The same numbers are the same coordinates, and an empty
+            # object has none.  Otherwise an active axis's offsets
+            # differ under equal strides: every element moves on it.
+            continue
+        shape = tuple([vals[i] for i in shape_slots])
+        src_pos, dst_pos = (
+            _cached_axis_positions(
+                shape,
+                tuple(
+                    [
+                        p if p == "R" else (p[0], *[vals[i] for i in p[1:]])
+                        for p in parts
+                    ]
+                ),
+            )
+            for parts in key_slots
+        )
         s = tuple(np.ascontiguousarray(src_pos[t]) for t in active)
         d = tuple(np.ascontiguousarray(dst_pos[t]) for t in active)
-        if all(np.array_equal(a, b) for a, b in zip(s, d)):
-            continue  # no axis shifts: free under every distribution
         key = (
             active,
             tuple(a.shape for a in s),

@@ -23,8 +23,8 @@ Quickstart::
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 from .ast import Program
 from .parser import parse

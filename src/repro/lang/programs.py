@@ -9,7 +9,7 @@ by the benchmark harness.
 from __future__ import annotations
 
 from .ast import Program
-from .builder import ProgramBuilder, cos, spread, transpose
+from .builder import ProgramBuilder
 from .parser import parse
 
 

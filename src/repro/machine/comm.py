@@ -28,7 +28,6 @@ index grids, so a d-dimensional object costs O(elements) numpy work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np

@@ -11,7 +11,6 @@ experiment E11 asserts that.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping
 
 from ..adg.graph import ADG, ADGEdge

@@ -43,7 +43,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 

@@ -49,7 +49,7 @@ import os
 import pickle
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence
 
 from .. import cachestats

@@ -133,6 +133,24 @@ def corpus_bases(corpus_kernels, corpus_edits) -> dict:
     return bases
 
 
+def reference_programs() -> list:
+    """The 16 pinned kernels, their 48 edits, ``generate_corpus(14, 0)``
+    and ``generate_corpus(40, 3)``, as ``(name, source)`` params: the
+    inputs on which a fast path is compared with its test-only
+    reference over whole programs."""
+    from repro.lang.generate import generate_corpus
+
+    out = [(p.stem, p.read_text()) for p in sorted(CORPUS_DIR.glob("*.dp"))]
+    edits = sorted((CORPUS_DIR / "edits").glob("*.dp"))
+    out += [(p.stem, p.read_text()) for p in edits]
+    for n, seed in ((14, 0), (40, 3)):
+        out += [
+            (f"{sc.name}@corpus{n},{seed}", sc.source)
+            for sc in generate_corpus(n, seed=seed)
+        ]
+    return [pytest.param(name, source, id=name) for name, source in out]
+
+
 def _differential_programs() -> list:
     """The 12 paper fragments of ``lang/programs.py`` and seeds 5, 6 of
     every generator family, each as a zero-argument ``Program`` maker."""

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from axis_stride_reference import ReferenceSolver
+from conftest import reference_programs
 
 from repro.adg import build_adg
 from repro.adg.nodes import SubscriptSpec
@@ -501,24 +502,6 @@ class TestSolverObjectReuse:
 # ---------------------------------------------------------------------------
 
 
-def _reference_programs() -> list:
-    """The 16 pinned kernels, their 48 edits, ``generate_corpus(14, 0)``
-    and ``generate_corpus(40, 3)``, as ``(name, source)`` params."""
-    from pathlib import Path
-
-    from repro.lang.generate import generate_corpus
-
-    corpus = Path(__file__).parent.parent / "benchmarks" / "perf" / "corpus"
-    out = [(p.stem, p.read_text()) for p in sorted(corpus.glob("*.dp"))]
-    out += [(p.stem, p.read_text()) for p in sorted((corpus / "edits").glob("*.dp"))]
-    for n, seed in ((14, 0), (40, 3)):
-        out += [
-            (f"{sc.name}@corpus{n},{seed}", sc.source)
-            for sc in generate_corpus(n, seed=seed)
-        ]
-    return [pytest.param(name, source, id=name) for name, source in out]
-
-
 def _solve_both(monkeypatch, fast, slow, regenerate=True):
     """Solve with ``fast`` (an ``AxisStrideSolver``) and ``slow`` (a
     ``ReferenceSolver``) on the same candidates; assert equal results
@@ -567,7 +550,7 @@ class TestAgainstTheReferenceSolver:
     in order, poses the same labeling problem, and chooses the same
     skeletons at the same cost with the same ``exact``."""
 
-    @pytest.mark.parametrize("name, source", _reference_programs())
+    @pytest.mark.parametrize("name, source", reference_programs())
     def test_candidates_tables_and_result_equal_the_reference(
         self, monkeypatch, name, source
     ):

@@ -6,13 +6,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from costmodel_reference import reference_edge_contribution
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import with_axis
+from conftest import reference_programs, with_axis
 from repro import cachestats
 from repro.align import align_program
-from repro.align.position import Alignment, AxisAlignment
+from repro.align.position import Alignment, AxisAlignment, ReplicatedExtent
 from repro.distrib import CostVector, build_profile
 from repro.distrib.costmodel import (
     CommProfile,
@@ -20,8 +21,8 @@ from repro.distrib.costmodel import (
     _edge_contribution,
     _walked_livs,
 )
-from repro.ir import LIV, AffineForm, IterationSpace
-from repro.lang import programs
+from repro.ir import LIV, AffineForm, IterationSpace, Triplet
+from repro.lang import parse, programs
 from repro.lang.generate import FAMILIES, generate_scenario
 from repro.machine import (
     Block,
@@ -318,7 +319,7 @@ def constant_edges(draw):
 class TestNumbersDecideBeforeArrays:
     """The window, and whether a move is free or general, come from the
     evaluated stride/offset integers; coordinate arrays are built only
-    for a class whose numbers differ on an active axis."""
+    for a non-empty class whose numbers differ on an active axis."""
 
     @given(constant_edges())
     def test_window_from_the_numbers_is_the_arrays_min_and_max(self, edge):
@@ -345,7 +346,7 @@ class TestNumbersDecideBeforeArrays:
         [
             # extent 1: 0 + 2*1 == 1 + 1*1, yet the strides differ
             ((1,), body(0, 2, 0), body(0, 1, 1), 1),
-            # nothing to move: only array_equal can tell
+            # nothing to move: the object is empty
             ((0,), body(0, 1, 0), body(0, 1, 3), 0),
             ((3, 0), body(1, 1, 5), body(1, 1, -5), 0),
         ],
@@ -356,7 +357,9 @@ class TestNumbersDecideBeforeArrays:
         adg, alignments = one_edge(
             shape, Alignment((src, space_axis(0))), Alignment((dst, space_axis(0)))
         )
+        before = cachestats.snapshot()
         profile = build_profile(adg, alignments)
+        assert "distrib.move_records" not in cachestats.delta(before)  # no arrays
         assert profile.records == [] and profile.general_moves == general
         assert_same_profile(profile, reference_profile(adg, alignments))
 
@@ -385,9 +388,9 @@ class TestNumbersDecideBeforeArrays:
                 (_shape_at(e.tail, env), numbers(src, env), numbers(dst, env))
                 for env in space.points()
             }
-            for _, s, d in classes:
+            for shape, s, d in classes:
                 active = [(a, b) for a, b in zip(s, d) if a and b]
-                if all(a[0] == b[0] for a, b in active):  # not general
+                if all(a[0] == b[0] for a, b in active) and 0 not in shape:
                     moving += any(a != b for a, b in active)
         assert moving
         cachestats.clear_caches()
@@ -395,7 +398,235 @@ class TestNumbersDecideBeforeArrays:
         build_profile(plan.adg, plan.alignments)
         counts = cachestats.delta(before)
         assert sum(counts["distrib.move_records"]) == 2 * moving
-        assert sum(counts["affine.evaluate"]) < 1000
+        # the class numbers build the arrays: nothing is evaluated
+        assert sum(counts.get("affine.evaluate", (0, 0))) == 0
+
+
+def _comparable(c):
+    """An :class:`EdgeContribution` as plain values: each move's key,
+    axes and multiplicity, and each of its arrays' bytes, shape, dtype,
+    C-contiguity and read-only flag."""
+    return (
+        c.elements,
+        c.window,
+        c.general_moved,
+        c.general_moves,
+        c.broadcast,
+        [
+            (
+                key,
+                axes,
+                count,
+                [
+                    (a.tobytes(), a.shape, a.dtype.str,
+                     a.flags.c_contiguous, a.flags.writeable)
+                    for a in s + d
+                ],
+            )
+            for key, axes, s, d, count in c.moves
+        ],
+    )  # fmt: skip
+
+
+def compiled(compile_edge, *edge):
+    """What ``compile_edge`` makes of ``edge``: its contribution, or
+    the type and text of the error it raises."""
+    try:
+        return _comparable(compile_edge(*edge))
+    except (KeyError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_edge_matches_reference(*edge):
+    got = compiled(_edge_contribution, *edge)
+    assert got == compiled(reference_edge_contribution, *edge)
+    return got
+
+
+K, J = LIV("k", 0), LIV("j", 1)
+
+
+def liv(v, coeff=1, const=0):
+    return AffineForm.variable(v, coeff) + AffineForm(const)
+
+
+def edge_of(shape, src, dst, space=IterationSpace.scalar()):
+    """``(rank, src, dst, space, tail)``: the arguments of one edge."""
+    shape = tuple(e if isinstance(e, AffineForm) else AffineForm(e) for e in shape)
+    return src.template_rank, src, dst, space, SimpleNamespace(shape=shape)
+
+
+@st.composite
+def liv_edges(draw):
+    """One edge in a loop nest of depth 0..2 (a triplet may be empty or
+    run backwards) whose extents, strides and offsets are drawn from
+    small pools of forms in its LIVs (strides from a pool of one or
+    two), so the two ends share some forms and not others.  A template
+    axis off the body is a space axis or a replicated one, on either
+    end; extents run from 0 (and may go negative at some point, an
+    error both walks must name alike); an offset may be ``k/2 + h/2``,
+    integral at every point or not."""
+    livs = (K, J)[: draw(st.integers(0, 2))]
+    triplets = []
+    for _ in livs:
+        lo = draw(st.integers(-2, 3))
+        step = draw(st.sampled_from([1, 2, -1]))
+        triplets.append(Triplet(lo, lo + step * (draw(st.integers(0, 3)) - 1), step))
+    space = IterationSpace(livs, tuple(triplets))
+
+    def form(lo, hi):
+        f = AffineForm(draw(st.integers(lo, hi)))
+        for v in livs:
+            if draw(st.booleans()):
+                f = f + liv(v, draw(st.sampled_from([1, -1, 2])))
+        return f
+
+    forms = [form(-4, 4) for _ in range(draw(st.integers(1, 3)))]
+    strides = [form(-2, 2) for _ in range(draw(st.integers(1, 2)))]
+    if livs and draw(st.booleans()):
+        forms.append(liv(livs[0], Fraction(1, 2), Fraction(draw(st.integers(0, 1)), 2)))
+    extents = [AffineForm(draw(st.integers(0, 3)))]
+    if livs:
+        extents.append(liv(livs[-1], 1, draw(st.integers(1, 4))))
+    ndim = draw(st.integers(0, 2))
+    shape = tuple(draw(st.sampled_from(extents)) for _ in range(ndim))
+    rank = draw(st.integers(max(ndim, 1), 3))
+    bodies = ndim or draw(st.integers(0, 1))
+
+    def alignment(placement):
+        axes = [None] * rank
+        for a, t in enumerate(placement):
+            axes[t] = AxisAlignment(
+                a, draw(st.sampled_from(strides)), draw(st.sampled_from(forms))
+            )
+        for t in range(rank):
+            if axes[t] is None:
+                replicated = draw(st.integers(0, 3)) == 0
+                axes[t] = AxisAlignment(
+                    None, None, draw(st.sampled_from(forms)),
+                    ReplicatedExtent() if replicated else None,
+                )
+        return Alignment(tuple(axes))
+
+    placement = draw(st.permutations(range(rank)))[:bodies]
+    src = alignment(placement)
+    if draw(st.booleans()):
+        placement = draw(st.permutations(range(rank)))[:bodies]
+    dst = alignment(placement)
+    return rank, src, dst, space, SimpleNamespace(shape=shape)
+
+
+class TestEdgeContributionEqualsTheReference:
+    """The class tests compiled once per edge, with coordinates built
+    from the class numbers, must compile every edge as the class walk
+    that built its keys per class and evaluated its arrays through
+    ``AffineForm.evaluate`` (``tests/costmodel_reference.py``): field by
+    field, moves in order, every array equal in bytes, shape, dtype,
+    C-contiguity and read-only flag, and the same error where it
+    raises."""
+
+    @pytest.mark.parametrize("name, source", reference_programs())
+    def test_every_distinct_edge_of_the_corpus(self, name, source):
+        plan = align_program(parse(source, name=name.split("@")[0]))
+        rank = plan.adg.template_rank
+        edges = {}
+        for e in plan.adg.edges:
+            src, dst = plan.alignments[e.tail.key], plan.alignments[e.head.key]
+            edges.setdefault(
+                (src, dst, e.space, e.tail.shape), (rank, src, dst, e.space, e.tail)
+            )
+        assert edges
+        for edge in edges.values():
+            assert isinstance(assert_edge_matches_reference(*edge)[0], int)
+
+    def test_the_corpus_is_the_pinned_one(self):
+        assert len(reference_programs()) == 16 + 48 + 14 + 40
+
+    @settings(max_examples=300, deadline=None)
+    @given(liv_edges())
+    def test_edges_in_a_loop_nest(self, edge):
+        assert_edge_matches_reference(*edge)
+
+    def test_ends_sharing_their_forms_move_nothing(self):
+        k = liv(K)
+        a = Alignment((AxisAlignment(0, k, k), AxisAlignment(None, None, -k)))
+        got = assert_edge_matches_reference(
+            *edge_of((3,), a, a, IterationSpace.single(K, 1, 4))
+        )
+        assert got == (12, ((2, 16), (-4, -1)), 0, 0, 0, [])
+
+    def test_ends_sharing_a_stride_but_not_an_offset_move(self):
+        k = liv(K)
+        src = Alignment((AxisAlignment(0, k, k),))
+        dst = Alignment((AxisAlignment(0, k, AffineForm(1)),))
+        got = assert_edge_matches_reference(
+            *edge_of((3,), src, dst, IterationSpace.single(K, 1, 4))
+        )
+        # k = 1 is free (offsets 1 and 1); k = 2, 3, 4 each move
+        assert [count for _, _, count, _ in got[5]] == [1, 1, 1]
+
+    def test_ends_sharing_no_form_are_general_where_strides_differ(self):
+        src = Alignment((body(0, 1, 0),))
+        dst = Alignment((AxisAlignment(0, liv(K), AffineForm(0)),))
+        got = assert_edge_matches_reference(
+            *edge_of((2,), src, dst, IterationSpace.single(K, 1, 3))
+        )
+        assert got[2:4] == (4, 2)  # k = 2 and k = 3: two elements each
+
+    @pytest.mark.parametrize("end", ["src", "dst"])
+    def test_a_replicated_axis_on_either_end(self, end):
+        replicated = AxisAlignment(None, None, AffineForm(0), ReplicatedExtent())
+        plain = Alignment((AxisAlignment(0, AffineForm(1), liv(K)), space_axis(2)))
+        other = Alignment((body(0, 1, 0), replicated))
+        src, dst = (other, plain) if end == "src" else (plain, other)
+        got = assert_edge_matches_reference(
+            *edge_of((4,), src, dst, IterationSpace.single(K, 0, 2))
+        )
+        assert got[4] == (12 if end == "dst" else 0)  # a broadcast per move
+        assert [axes for _, axes, *_ in got[5]] == [(0,), (0,)]
+
+    def test_a_zero_extent(self):
+        src = Alignment((AxisAlignment(0, AffineForm(1), liv(K)),))
+        got = assert_edge_matches_reference(
+            *edge_of(
+                (liv(K, 1, -1),), src, Alignment((body(0, 1, 0),)),
+                IterationSpace.single(K, 1, 3),
+            )
+        )  # fmt: skip
+        # k = 1: nothing moves and no cell is touched
+        assert got[0] == 0 + 1 + 2 and len(got[5]) == 2
+
+    def test_an_extent_1_axis_whose_strides_differ(self):
+        # 0 + 2*1 == 1 + 1*1: equal coordinates, yet general
+        got = assert_edge_matches_reference(
+            *edge_of((1,), Alignment((body(0, 2, 0),)), Alignment((body(0, 1, 1),)))
+        )
+        assert got == (1, ((2, 2),), 1, 1, 0, [])
+
+    def test_a_fraction_offset_integral_at_every_point(self):
+        half = liv(K, Fraction(1, 2))
+        src = Alignment((AxisAlignment(0, AffineForm(1), half),))
+        got = assert_edge_matches_reference(
+            *edge_of(
+                (2,), src, Alignment((body(0, 1, 0),)),
+                IterationSpace.single(K, 2, 8, 2),
+            )
+        )  # fmt: skip
+        assert [count for _, _, count, _ in got[5]] == [1, 1, 1, 1]
+
+    def test_a_fraction_offset_not_integral_names_the_first_failing_point(self):
+        half = liv(K, Fraction(1, 2), Fraction(1, 2))  # integral at odd k
+        src = Alignment((AxisAlignment(0, AffineForm(1), half),))
+        got = assert_edge_matches_reference(
+            *edge_of(
+                (2,), src, Alignment((body(0, 1, 0),)),
+                IterationSpace.single(K, 1, 4),
+            )
+        )  # fmt: skip
+        assert got == (
+            "ValueError",
+            f"offset {half} evaluates to 3/2 at {({K: 2})}",
+        )
 
 
 class TestFractionalCoordinateIsAnError:
