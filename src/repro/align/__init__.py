@@ -15,12 +15,7 @@ from .constraints import (
     node_offset_relations,
     section_shifts,
 )
-from .offset_static import (
-    OffsetProblem,
-    OffsetLPStats,
-    OffsetSolution,
-    solve_offsets,
-)
+from .offset_static import OffsetLPStats, OffsetProblem, OffsetSolution
 from .offset_mobile import (
     ALGORITHMS,
     MobileOffsetResult,
@@ -38,7 +33,7 @@ from .replication import (
     read_only_arrays,
     value_carriers,
 )
-from .span import has_sign_change, refine_space_at_crossings, span_form
+from .span import has_sign_change, refine_space_at_crossings
 from .cost import (
     AlignmentMap,
     EdgeCost,
@@ -77,7 +72,6 @@ __all__ = [
     "OffsetProblem",
     "OffsetLPStats",
     "OffsetSolution",
-    "solve_offsets",
     "ALGORITHMS",
     "MobileOffsetResult",
     "fixed_partitioning",
@@ -93,7 +87,6 @@ __all__ = [
     "value_carriers",
     "has_sign_change",
     "refine_space_at_crossings",
-    "span_form",
     "AlignmentMap",
     "EdgeCost",
     "abs_weighted_span",

@@ -34,8 +34,9 @@ even when its coefficient is 0), then edge rows tail before head with
 ``theta`` after its slots (zero-moment slots included), then the pins,
 then the static rows.  The LP has ties and HiGHS returns a different
 vertex under a column permutation, so that order is part of the result.
-The model HiGHS gets, the memo digest and the read-back all come from
-those arrays; rounding follows a per-node derivation order computed
+The LP HiGHS gets (:class:`repro.solvers.lp.LP`, in its own canonical
+CSC form), the memo digest and the read-back all come from those
+arrays; rounding follows a per-node derivation order computed
 once per axis, because it depends on the relations and not on the
 values.
 
@@ -57,7 +58,7 @@ from ..adg.nodes import NodeKind
 from ..ir.affine import AffineForm, Scalar
 from ..ir.itspace import IterationSpace
 from ..ir.symbols import LIV
-from ..solvers.lp import LPModel
+from ..solvers.lp import LP, solve
 from .constraints import EntryEval, EqualShift, LoopBack, OffsetRelation, node_offset_relations
 from .cost import cached_moments
 from .position import Alignment
@@ -239,15 +240,13 @@ class _EdgeBlock:
     plan: PartitionPlan
     item_edge: np.ndarray  # index into OffsetProblem.edges
     weight: np.ndarray  # the edge's control weight
-    theta_names: list[str]
     touch: np.ndarray
     touch_item: np.ndarray
     slots: np.ndarray  # plus row then minus row of each item
-    vals: np.ndarray
+    vals: np.ndarray  # as ``<=`` rows
     entry_item: np.ndarray
     lens: np.ndarray  # two rows per item
     answers: dict = field(default_factory=dict)  # (axis, costed edges) -> answer
-    names: np.ndarray | None = None  # column names by slot code, once numbered
 
 
 # Rounding steps: seed a port from its own slots, or derive q from p or
@@ -266,7 +265,7 @@ class OffsetProblem:
     same plan reuses that answer without building the LP: the LP is a
     function of those edges alone.
     ``memo`` keeps each distinct numeric LP's rounded point under the
-    digest of the model HiGHS receives; pass one mapping to many solves
+    digest of the LP HiGHS receives; pass one mapping to many solves
     and an LP any of them has solved is not solved again.
 
     Build one per graph, skeleton and ``static`` flag and drop it with
@@ -282,15 +281,14 @@ class OffsetProblem:
         # Each port's slots are numbered together, its constant first,
         # then its space's LIVs; a LIV outside the space gets one later.
         ports = list(adg.ports())
-        self._names: list[str] = []
+        self._n_slots = 0
         self._base: dict[str, int] = {}
         self._extra: dict[Slot, int] = {}
         self._port_slots: dict[str, tuple[int, list[tuple[LIV, int]]]] = {}
         for p in ports:
-            base = self._base[p.key] = len(self._names)
+            base = self._base[p.key] = self._n_slots
             livs = p.space.livs
-            self._names.append(f"p{p.key}_c")
-            self._names += [f"p{p.key}_{liv.name}" for liv in livs]
+            self._n_slots += 1 + len(livs)
             self._port_slots[p.key] = (base, [(liv, base + 1 + j) for j, liv in enumerate(livs)])
         rank = adg.template_rank
         self.relations: list[list[OffsetRelation]] = [[] for _ in range(rank)]
@@ -334,8 +332,8 @@ class OffsetProblem:
             key = (p.key, liv)
             s = self._extra.get(key)
             if s is None:
-                s = self._extra[key] = len(self._names)
-                self._names.append(f"p{p.key}_{liv.name}")
+                s = self._extra[key] = self._n_slots
+                self._n_slots += 1
             return s
 
     # -- compilation --------------------------------------------------------------
@@ -489,7 +487,6 @@ class OffsetProblem:
         slot = self._slot
         item_edge: list[int] = []
         weight: list[float] = []
-        theta_names: list[str] = []
         moments_of: list[Scalar] = []  # every item's [m0, m1...], in a row
         terms: list[int] = []  # per item: 1 + its LIVs
         tails: list[int] = []  # per moment: the tail's and the head's slot
@@ -498,7 +495,7 @@ class OffsetProblem:
             tail, head = e.tail, e.head
             cw = float(e.control_weight)
             livs = None
-            for j, sub in enumerate(plan.get(e.eid, [e.space])):
+            for sub in plan.get(e.eid, [e.space]):
                 if sub.is_empty():
                     continue
                 if sub.livs is not livs:
@@ -510,7 +507,6 @@ class OffsetProblem:
                 moments = cached_moments(sub, e.weight)
                 item_edge.append(i)
                 weight.append(cw)
-                theta_names.append(f"th_e{e.eid}_{j}")
                 moments_of.append(moments.m0)
                 moments_of += moments.m1.values()
                 terms.append(len(t_slots))
@@ -531,9 +527,9 @@ class OffsetProblem:
         # theta >= |inner|, inner = sum of moment * (tail slot - head
         # slot), as the two rows theta +- inner >= 0: per item the plus
         # row (t: m, h: -m per nonzero moment, then theta), then the
-        # minus row (h: m, t: -m, then theta).  An edge runs from an
-        # output port to an input port, so each slot gets exactly one
-        # coefficient.
+        # minus row (h: m, t: -m, then theta), each negated into a
+        # ``<=`` row.  An edge runs from an output port to an input
+        # port, so each slot gets exactly one coefficient.
         nz = m != 0.0
         kept = np.bincount(term_item[nz], minlength=n_items)
         pm = np.column_stack((m, -m))[nz].ravel()
@@ -550,13 +546,12 @@ class OffsetProblem:
         slots = np.concatenate(
             (np.column_stack((t, h))[nz].ravel(), theta, np.column_stack((h, t))[nz].ravel(), theta)
         )[order]
-        vals = np.concatenate((pm, ones, pm, ones))[order]
+        vals = -np.concatenate((pm, ones, pm, ones))[order]
         row_len = 2 * kept + 1
         block = _EdgeBlock(
             plan,
             np.array(item_edge, dtype=np.int64),
             np.array(weight, dtype=float),
-            theta_names,
             touch,
             np.repeat(np.arange(n_items), 2 * counts + 1),
             slots,
@@ -588,47 +583,57 @@ class OffsetProblem:
 
     def lp(
         self, axis: int, plan: PartitionPlan, replicated: ReplicationLabels
-    ) -> tuple[LPModel, np.ndarray]:
+    ) -> tuple[LP, np.ndarray]:
         """The LP of ``axis`` under ``plan`` and ``replicated``, and the
         slot code of each of its columns (``n_slots + k`` for item
-        ``k``'s ``theta``).  Rows are the edge rows (``>=``) in edge
-        order, then the relation rows, the pins and the static rows
-        (``==``): the order in which HiGHS takes them."""
+        ``k``'s ``theta``).  Rows are the edge rows (``<=``, right-hand
+        side ``-0.0``) in edge order, then the relation rows, the pins
+        and the static rows (``==``): the order in which HiGHS takes
+        them."""
         ax, block = self._axes[axis], self._block(plan)
-        n_slots = len(self._names)
+        n_slots = self._n_slots
         item_ok = self._live(axis, replicated)[block.item_edge]
         seq = np.concatenate((ax.touch, block.touch[item_ok[block.touch_item]], ax.tail_touch))
         theta = seq < 0
         seq[theta] = n_slots - 1 - seq[theta]
         uniq, first = np.unique(seq, return_index=True)
         ids = uniq[np.argsort(first)]
+        n = len(ids)
         col_of = np.empty(n_slots + len(block.item_edge), dtype=np.int64)
-        col_of[ids] = np.arange(len(ids))
+        col_of[ids] = np.arange(n)
         entry_ok = item_ok[block.entry_item]
         edge_slots = block.slots[entry_ok]
         theta = edge_slots < 0
         edge_slots[theta] = n_slots - 1 - edge_slots[theta]
         n_ineq = 2 * int(item_ok.sum())
         lens = np.concatenate((block.lens[np.repeat(item_ok, 2)], ax.lens))
-        starts = np.zeros(len(lens) + 1, dtype=np.int64)
-        np.cumsum(lens, out=starts[1:])
+        m = len(lens)
+        row = np.repeat(np.arange(m), lens)
+        col = col_of[np.concatenate((edge_slots, ax.slots))]
+        val = np.concatenate((block.vals[entry_ok], ax.vals))
+        keep = val != 0.0
+        row, col, val = row[keep], col[keep], val[keep]
+        # Canonical CSC: column-major, rows ascending within a column; a
+        # row names each column once, so there is nothing to sum.  An
+        # empty row keeps its place, a column with no entry its own.
+        by_col = np.lexsort((row, col))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(col, minlength=n), out=indptr[1:])
         costed = np.flatnonzero(item_ok & (block.weight != 0.0))
-        if block.names is None or len(block.names) != n_slots + len(block.theta_names):
-            block.names = np.array(self._names + block.theta_names, dtype=object)
-        model = LPModel.from_arrays(
-            f"offset-axis{axis}",
-            names=block.names[ids].tolist(),
-            lower=np.where(ids >= n_slots, 0.0, -np.inf),
-            upper=np.full(len(ids), np.inf),
-            cols=col_of[np.concatenate((edge_slots, ax.slots))],
-            vals=np.concatenate((block.vals[entry_ok], ax.vals)),
-            starts=starts,
-            senses=np.repeat(np.array([1, 2], dtype=np.int8), (n_ineq, len(ax.rhs))),
-            rhs=np.concatenate((np.zeros(n_ineq), ax.rhs)),
-            obj_cols=col_of[n_slots + costed],
-            obj_vals=block.weight[costed],
+        c = np.zeros(n)
+        c[col_of[n_slots + costed]] = block.weight[costed]
+        lp = LP(
+            c,
+            indptr,
+            row[by_col],
+            val[by_col],
+            (m, n),
+            lo=np.concatenate((np.full(n_ineq, -np.inf), ax.rhs)),
+            hi=np.concatenate((np.full(n_ineq, -0.0), ax.rhs)),
+            lb=np.where(ids >= n_slots, 0.0, -np.inf),
+            ub=np.full(n, np.inf),
         )
-        return model, ids
+        return lp, ids
 
     def rounded_offsets(self, axis: int, v: list[int]) -> OffsetMap:
         """Integer offsets of every port on ``axis`` from the rounded LP
@@ -651,23 +656,24 @@ class OffsetProblem:
         replicated: ReplicationLabels,
         memo: MutableMapping,
     ) -> tuple[OffsetMap, OffsetLPStats]:
-        model, ids = self.lp(axis, plan, replicated)
+        lp, ids = self.lp(axis, plan, replicated)
         # An equal digest is an equal solver input, hence the same vertex.
-        key = ("offset_lp", model.digest())
+        key = ("offset_lp", lp.digest())
         solved = memo.get(key)
         if solved is None:
-            sol = model.solve()
+            sol = solve(lp)
             if sol.status != "optimal":
                 raise RuntimeError(f"offset LP axis {axis}: {sol.status}")
             x = rounded_lp_values(np.array(sol.x, dtype=float))
             x.flags.writeable = False
             solved = memo[key] = (x, sol.objective)
         x, objective = solved
-        n_slots = len(self._names)
+        n_slots = self._n_slots
         v = np.zeros(n_slots, dtype=np.int64)
         is_slot = ids < n_slots
         v[ids[is_slot]] = x[is_slot]
-        stats = OffsetLPStats(axis, model.num_vars, model.num_constraints, objective)
+        m, n = lp.shape
+        stats = OffsetLPStats(axis, n, m, objective)
         return self.rounded_offsets(axis, v.tolist()), stats
 
     def solve(
@@ -692,19 +698,3 @@ class OffsetProblem:
             offsets.update(answer[0])
             stats.append(answer[1])
         return OffsetSolution(offsets, stats)
-
-
-def solve_offsets(
-    adg: ADG,
-    skeleton: Mapping[str, Alignment],
-    plan: PartitionPlan,
-    replicated: ReplicationLabels | None = None,
-    static: bool = False,
-    memo: MutableMapping | None = None,
-) -> OffsetSolution:
-    """Solve the offset problem for every template axis under one plan.
-
-    One :class:`OffsetProblem`, compiled for this call; ``memo`` as for
-    :meth:`OffsetProblem.solve`.
-    """
-    return OffsetProblem(adg, skeleton, static).solve(plan, replicated, memo)

@@ -5,8 +5,8 @@ offset difference between its two ports.  When the span does not change
 sign over a subrange, the sum of absolute values equals the absolute
 value of the sum and the closed forms of Section 4.3 apply; when it does,
 the interchange is wrong (Figure 3(b)) and the subrange must be split at
-the crossing.  This module provides span evaluation, crossing location,
-and crossing-aware splitting of iteration triplets.
+the crossing.  This module tests a span for a sign change over a space
+and splits iteration triplets and spaces at its crossings.
 """
 
 from __future__ import annotations
@@ -16,24 +16,6 @@ from math import ceil
 from ..ir.affine import AffineForm, Scalar, exact_div
 from ..ir.itspace import IterationSpace, Triplet
 from ..ir.symbols import LIV
-
-
-def span_form(offset_x: AffineForm, offset_y: AffineForm) -> AffineForm:
-    """The span as an affine form in the LIVs."""
-    return offset_x - offset_y
-
-
-def crossing_point(span: AffineForm, liv: LIV) -> Scalar | None:
-    """The real value of ``liv`` where the span crosses zero, holding all
-    other LIVs fixed at zero contribution.  None when the span is constant
-    in ``liv``."""
-    c = span.coeff(liv)
-    if c == 0:
-        return None
-    rest = span - AffineForm.variable(liv, c)
-    if not rest.is_constant:
-        raise ValueError("crossing_point needs a single-LIV span")
-    return exact_div(-rest.const, c)
 
 
 def has_sign_change(span: AffineForm, space: IterationSpace) -> bool:

@@ -6,7 +6,7 @@ All arithmetic is exact — an ``int`` while a value is integral, a
 :func:`exact_div`); floats only appear at the LP-solver boundary.
 """
 
-from .symbols import LIV, LoopContext, SymbolTable
+from .symbols import LIV
 from .affine import AffineForm, ONE, ZERO, Scalar, exact_div, scalar
 from .polynomial import Polynomial, sum_powers
 from .itspace import IterationSpace, Triplet
@@ -22,8 +22,6 @@ from .closedform import (
 
 __all__ = [
     "LIV",
-    "LoopContext",
-    "SymbolTable",
     "AffineForm",
     "ZERO",
     "ONE",

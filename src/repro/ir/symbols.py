@@ -2,9 +2,8 @@
 
 The paper restricts mobile alignments and object extents to affine (and
 data weights to polynomial) functions of the loop induction variables of
-the enclosing ``do`` loops.  This module provides the tiny symbol layer
-those functions are written over: interned, ordered LIV symbols plus a
-``LoopContext`` describing a nest of loops.
+the enclosing ``do`` loops.  This module holds the one symbol those
+functions are written over, the LIV.
 
 LIVs are ordered outermost-first; an :class:`~repro.ir.affine.AffineForm`
 over a k-deep nest is the coefficient vector ``(a0, a1, ..., ak)`` of the
@@ -14,8 +13,7 @@ coefficient of the i-th LIV.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, order=True)
@@ -33,87 +31,3 @@ class LIV:
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.name
-
-
-class SymbolTable:
-    """Interning table assigning stable indices to LIVs.
-
-    The index of a LIV is its position in the coefficient vector of every
-    :class:`~repro.ir.affine.AffineForm` built against this table.  Index 0
-    is always the constant term, so LIV ``j`` occupies coefficient ``j+1``.
-    """
-
-    def __init__(self, livs: Sequence[LIV] = ()) -> None:
-        self._livs: list[LIV] = []
-        self._index: dict[LIV, int] = {}
-        for v in livs:
-            self.intern(v)
-
-    def intern(self, liv: LIV) -> int:
-        """Return the index of ``liv``, adding it if unseen."""
-        idx = self._index.get(liv)
-        if idx is None:
-            idx = len(self._livs)
-            self._livs.append(liv)
-            self._index[liv] = idx
-        return idx
-
-    def index(self, liv: LIV) -> int:
-        """Return the index of an already-interned LIV.
-
-        Raises ``KeyError`` for unknown LIVs — affine arithmetic must never
-        silently grow the symbol universe of an existing form.
-        """
-        return self._index[liv]
-
-    def __len__(self) -> int:
-        return len(self._livs)
-
-    def __iter__(self) -> Iterator[LIV]:
-        return iter(self._livs)
-
-    def __contains__(self, liv: LIV) -> bool:
-        return liv in self._index
-
-    def livs(self) -> tuple[LIV, ...]:
-        return tuple(self._livs)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SymbolTable({[str(v) for v in self._livs]})"
-
-
-@dataclass
-class LoopContext:
-    """A stack of enclosing loops, outermost first.
-
-    Carries both the LIV symbols and their iteration triplets (as raw
-    ``(lo, hi, step)`` integers).  The ADG builder threads a LoopContext
-    through statement traversal; transformer nodes are emitted when data
-    crosses from one context into another.
-    """
-
-    livs: list[LIV] = field(default_factory=list)
-    triplets: list[tuple[int, int, int]] = field(default_factory=list)
-
-    def push(self, liv: LIV, lo: int, hi: int, step: int = 1) -> None:
-        if step == 0:
-            raise ValueError("loop step must be nonzero")
-        self.livs.append(liv)
-        self.triplets.append((lo, hi, step))
-
-    def pop(self) -> tuple[LIV, tuple[int, int, int]]:
-        return self.livs.pop(), self.triplets.pop()
-
-    @property
-    def depth(self) -> int:
-        return len(self.livs)
-
-    def copy(self) -> "LoopContext":
-        return LoopContext(list(self.livs), list(self.triplets))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        parts = [
-            f"{v.name}={lo}:{hi}:{s}"
-            for v, (lo, hi, s) in zip(self.livs, self.triplets)
-        ]
-        return f"LoopContext[{', '.join(parts)}]"

@@ -109,7 +109,7 @@ without building or looking up anything.
   separable (Sections 2.3, 4.1), so an edit confined to one axis leaves
   the other axis's LP number for number what the base solved; an equal
   solver input has an equal vertex —
-  :meth:`repro.solvers.lp.LPModel.digest`.
+  :meth:`repro.solvers.lp.LP.digest`.
 * **Does not hold: axis/stride labeling.**  Candidate propagation and
   the labeling DP couple every port of a connected component; there is
   no per-statement piece whose answer is independent of the rest.

@@ -1,53 +1,105 @@
-"""The offset LP as ``scipy.optimize.linprog`` takes it: the test-only
-oracle that the production hand-off (``solvers/scipy_backend.py``,
-``milp``) is checked against.
+"""LPs written row by row, and the test-only oracles built from them.
 
-``linprog_input`` is the solver input the planner sent HiGHS through
-``linprog``: ``>=`` rows negated into ``A_ub`` beside the ``<=`` rows,
-``==`` rows in ``A_eq``, each block canonical CSC.  ``linprog`` stacks
-``A_ub`` over ``A_eq`` and hands HiGHS ``-inf <= A_ub x <= b_ub``,
-``b_eq <= A_eq x <= b_eq``, which is what ``highs_input`` builds in one
-piece.
+:class:`Rows` is an LP as its definition reads: a bound pair per column,
+and rows ``{column: coefficient} sense rhs`` with ``sense`` one of
+``<=``, ``>=``, ``==``.  The planner never writes one; the tests build
+small LPs with it and rebuild the offset LP from its definition
+(``test_align_offsets.reference_build``).
+
+``dense_blocks`` exports it the way the solver hand-off did before it
+built sparse arrays: dense rows, ``>=`` rows negated into ``A_ub``
+beside the ``<=`` rows, ``==`` rows in ``A_eq``, each block
+``csc_array(np.vstack(dense))``.  ``linprog_input`` is those blocks as
+``scipy.optimize.linprog`` takes them, the hand-off ``milp`` replaced;
+``linprog`` stacks ``A_ub`` over ``A_eq``, and :func:`as_lp` is that
+stack as a :class:`repro.solvers.lp.LP`.
 """
 
 from __future__ import annotations
 
+import math
 
-def linprog_input(model) -> dict:
-    """``c``, ``A_ub``, ``b_ub``, ``A_eq``, ``b_eq`` and ``bounds`` for
-    ``scipy.optimize.linprog``; a block with no rows is ``None``."""
+
+class Rows:
+    """Columns numbered in creation order; ``objective`` maps a column
+    to its cost."""
+
+    def __init__(self) -> None:
+        self.lower: list[float] = []
+        self.upper: list[float] = []
+        self.rows: list[tuple[dict[int, float], str, float]] = []
+        self.objective: dict[int, float] = {}
+
+    def column(self, lower: float = -math.inf, upper: float = math.inf) -> int:
+        self.lower.append(float(lower))
+        self.upper.append(float(upper))
+        return len(self.lower) - 1
+
+    def add(self, coefs: dict[int, float], sense: str, rhs: float) -> None:
+        assert sense in ("<=", ">=", "==")
+        self.rows.append((coefs, sense, float(rhs)))
+
+
+def dense_blocks(rows: Rows):
+    """``(c, (A_ub, b_ub), (A_eq, b_eq))``; a block with no rows is
+    ``(None, None)``.  The dense rows are stacked a slab at a time, so an
+    unrolled LP does not hold its whole matrix dense."""
     import numpy as np
-    from scipy.sparse import csc_array
+    from scipy.sparse import csc_array, vstack
 
-    n, m = model.num_vars, model.num_constraints
+    n = len(rows.lower)
     c = np.zeros(n)
-    c[model.obj_cols] = model.obj_vals
-    cols = np.array(model.cols, dtype=np.int64)
-    vals = np.array(model.vals, dtype=float)
-    rhs = np.array(model.rhs, dtype=float)
-    senses = np.array(model.senses, dtype=np.int8)
-    row_of = np.repeat(np.arange(m), np.diff(model.starts))
-    ge, eq = senses == 1, senses == 2
-    rhs[ge] = -rhs[ge]
-    vals[ge[row_of]] *= -1.0
-    # Each row's number inside its own block.
-    block_row = np.empty(m, dtype=np.int64)
-    block_row[~eq] = np.arange(m - int(eq.sum()))
-    block_row[eq] = np.arange(int(eq.sum()))
-    keep = vals != 0.0
+    for j, coef in rows.objective.items():
+        c[j] = coef
+    slab = max(1, 2**20 // max(n, 1))
 
-    def block(rows):
-        if not rows.any():
+    def block(picked):
+        if not picked:
             return None, None
-        take = rows[row_of] & keep
-        r, c, v = block_row[row_of[take]], cols[take], vals[take]
-        order = np.lexsort((r, c))
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(c, minlength=n), out=indptr[1:])
-        a = csc_array((v[order], r[order], indptr), shape=(int(rows.sum()), n))
-        return a, rhs[rows]
+        parts, rhs = [], []
+        for k in range(0, len(picked), slab):
+            dense = []
+            for coefs, sense, b in picked[k : k + slab]:
+                row = np.zeros(n)
+                neg = sense == ">="
+                for j, v in coefs.items():
+                    row[j] = -v if neg else v
+                rhs.append(-b if neg else b)
+                dense.append(row)
+            parts.append(csc_array(np.vstack(dense)))
+        a = parts[0] if len(parts) == 1 else vstack(parts, format="csc")
+        return a, np.array(rhs)
 
-    a_ub, b_ub = block(~eq)
-    a_eq, b_eq = block(eq)
-    bounds = np.column_stack((model.lower, model.upper))
+    ub = [r for r in rows.rows if r[1] != "=="]
+    eq = [r for r in rows.rows if r[1] == "=="]
+    return c, block(ub), block(eq)
+
+
+def linprog_input(rows: Rows) -> dict:
+    """``c``, ``A_ub``, ``b_ub``, ``A_eq``, ``b_eq`` and ``bounds`` for
+    ``scipy.optimize.linprog``."""
+    import numpy as np
+
+    c, (a_ub, b_ub), (a_eq, b_eq) = dense_blocks(rows)
+    bounds = np.column_stack((rows.lower, rows.upper))
     return dict(c=c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds)
+
+
+def as_lp(rows: Rows):
+    """The :class:`~repro.solvers.lp.LP` that ``linprog`` makes of
+    :func:`linprog_input`: ``A_ub`` over ``A_eq``, ``-inf <= A_ub x <=
+    b_ub`` and ``b_eq <= A_eq x <= b_eq``."""
+    import numpy as np
+    from scipy.sparse import csc_array, vstack
+
+    from repro.solvers.lp import LP
+
+    n = len(rows.lower)
+    c, (a_ub, b_ub), (a_eq, b_eq) = dense_blocks(rows)
+    blocks = [b for b in (a_ub, a_eq) if b is not None]
+    a = vstack(blocks, format="csc") if blocks else csc_array((0, n))
+    n_ub = 0 if b_ub is None else len(b_ub)
+    hi = np.concatenate([b for b in (b_ub, b_eq) if b is not None] or [[]])
+    lo = np.concatenate((np.full(n_ub, -np.inf), hi[n_ub:]))
+    lb, ub = np.array(rows.lower), np.array(rows.upper)
+    return LP(c, a.indptr, a.indices, a.data, a.shape, lo, hi, lb, ub)

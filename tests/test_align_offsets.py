@@ -8,18 +8,18 @@ from hypothesis import strategies as st
 
 from repro.adg import build_adg
 from repro.align import (
+    OffsetProblem,
     abs_weighted_span,
     offset_only_cost,
     solve_axis_stride,
     solve_mobile_offsets,
-    solve_offsets,
 )
 from repro.align.offset_mobile import ALGORITHMS, fixed_partitioning, unrolling
 from repro.ir import LIV, AffineForm, IterationSpace, Polynomial
 from repro.lang import parse
 from repro.lang import programs
 
-from lp_reference import linprog_input
+from lp_reference import Rows, as_lp, linprog_input
 
 k = LIV("k", 0)
 
@@ -264,11 +264,15 @@ class TestMomentSumsGoThroughTheMemo:
 def reference_build(lp):
     """The offset LP of ``lp``'s inputs rebuilt from its definition, kept
     as the reference: each row is a ``{column: coefficient}`` map summed
-    term by term (zeros dropped) and handed to ``add_row``, each bound
-    ``theta >= |inner|`` is the two rows ``theta +- inner >= 0``, and a
-    slot's column is created when a row first names it — the builder the
-    offset LP had before it wrote its rows as numbers: same columns in
-    the same first-use order, same rows."""
+    term by term (zeros dropped), each bound ``theta >= |inner|`` is the
+    two rows ``theta +- inner >= 0``, and a slot's column is created when
+    a row first names it — the builder the offset LP had before it wrote
+    its rows as numbers: same columns in the same first-use order, same
+    rows.  Returns the :class:`Rows` and each column's key: ``(port key,
+    LIV or None)`` for a slot, ``("theta", edge id, j)`` for the bound
+    of the edge's ``j``-th non-empty subrange."""
+    import math
+
     from repro.adg.nodes import NodeKind
     from repro.align.constraints import (
         EntryEval,
@@ -278,16 +282,19 @@ def reference_build(lp):
     )
     from repro.align.cost import cached_moments
     from repro.align.offset_static import edge_is_offset_costed
-    from repro.solvers.lp import LPModel
 
-    m = LPModel(f"offset-axis{lp.axis}")
+    m = Rows()
+    order = []
     slots = {}
+
+    def column(key, lower=-math.inf):
+        slots[key] = m.column(lower)
+        order.append(key)
+        return slots[key]
 
     def slot(p, liv):
         key = (p.key, liv)
-        if key not in slots:
-            slots[key] = m.add_column(f"p{p.key}_{'c' if liv is None else liv.name}")
-        return slots[key]
+        return slots[key] if key in slots else column(key)
 
     def add(terms, sense, rhs):
         # ``terms`` is ``[(column, coefficient), ...]`` in the order the
@@ -295,8 +302,7 @@ def reference_build(lp):
         row = {}
         for col, coef in terms:
             row[col] = row.get(col, 0.0) + float(coef)
-        row = {col: coef for col, coef in row.items() if coef != 0.0}
-        m.add_row(list(row), list(row.values()), sense, float(rhs))
+        m.add({col: coef for col, coef in row.items() if coef != 0.0}, sense, rhs)
 
     relations = []
     for n in lp.adg.nodes:
@@ -334,15 +340,14 @@ def reference_build(lp):
     for e in lp.adg.edges:
         if not edge_is_offset_costed(e, lp.skeleton, lp.axis, lp.replicated):
             continue
-        for j, sub in enumerate(lp.plan.get(e.eid, [e.space])):
-            if sub.is_empty():
-                continue
+        subs = [sub for sub in lp.plan.get(e.eid, [e.space]) if not sub.is_empty()]
+        for j, sub in enumerate(subs):
             moments = cached_moments(sub, e.weight)
             inner = []
             for liv, moment in [(None, moments.m0), *moments.m1.items()]:
                 t, h = slot(e.tail, liv), slot(e.head, liv)
                 inner += [(t, float(moment)), (h, -float(moment))]
-            theta = m.add_column(f"th_e{e.eid}_{j}", lower=0)
+            theta = column(("theta", e.eid, j), lower=0.0)
             add([(theta, 1), *inner], ">=", 0)
             add([(theta, 1), *((c, -v) for c, v in inner)], ">=", 0)
             objective[theta] = float(e.control_weight)
@@ -374,53 +379,8 @@ def reference_build(lp):
                 for p in n.ports:
                     for liv in p.space.livs:
                         add([(slot(p, liv), 1)], "==", 0)
-    objective = {col: w for col, w in objective.items() if w != 0.0}
-    m.set_objective(list(objective), list(objective.values()))
-    return m
-
-
-def dense_reference(model):
-    """``(c, (A_ub, b_ub), (A_eq, b_eq))`` of ``model`` the way the scipy
-    backend exported it before it built sparse blocks, kept as the
-    reference: dense rows, ``>=`` rows negated into ``A_ub`` beside the
-    ``<=`` rows, ``==`` rows in ``A_eq``; each ``A`` is what ``linprog``
-    made of it, ``csc_array(np.vstack(dense))`` (``None`` for a block
-    with no rows), and ``linprog`` stacked ``A_ub`` over ``A_eq``.  The
-    dense rows are stacked a slab at a time, so an unrolled LP does not
-    hold its whole matrix dense."""
-    import numpy as np
-    from scipy.sparse import csc_array, vstack
-
-    n = model.num_vars
-    c = np.zeros(n)
-    for j, coef in zip(model.obj_cols, model.obj_vals):
-        c[j] = coef
-    ub, eq = [], []
-    for i in range(model.num_constraints):
-        (eq if model.row(i)[2] == "==" else ub).append(i)
-    slab = max(1, 2**20 // max(n, 1))
-
-    def block(rows):
-        if not rows:
-            return None, None
-        parts, rhs = [], []
-        for k in range(0, len(rows), slab):
-            dense = []
-            for i in rows[k : k + slab]:
-                cols, vals, sense, b = model.row(i)
-                row = np.zeros(n)
-                if sense == ">=":
-                    row[cols] = [-v for v in vals]
-                    rhs.append(-b)
-                else:
-                    row[cols] = vals
-                    rhs.append(b)
-                dense.append(row)
-            parts.append(csc_array(np.vstack(dense)))
-        a = parts[0] if len(parts) == 1 else vstack(parts, format="csc")
-        return a, np.array(rhs)
-
-    return c, block(ub), block(eq)
+    m.objective = {col: w for col, w in objective.items() if w != 0.0}
+    return m, order
 
 
 def _reference_derive_q(rel, pa, q, values):
@@ -502,11 +462,26 @@ def reference_rounded_offsets(lp, values):
     return out
 
 
+def column_keys(problem, plan, ids):
+    """The :func:`reference_build` key of each slot code in ``ids``."""
+    key_of = {s: key for key, s in problem._extra.items()}
+    for port, (base, livs) in problem._port_slots.items():
+        key_of[base] = (port, None)
+        key_of.update((s, (port, liv)) for liv, s in livs)
+    thetas, seen = [], {}
+    for i in problem._block(plan).item_edge:
+        eid = problem.edges[i].eid
+        thetas.append(("theta", eid, seen.get(eid, 0)))
+        seen[eid] = seen.get(eid, 0) + 1
+    n_slots = problem._n_slots
+    return [key_of[s] if s < n_slots else thetas[s - n_slots] for s in ids]
+
+
 @pytest.fixture
 def every_built_lp(monkeypatch):
     """Every offset LP the planner builds while the fixture is live
-    (``OffsetProblem.lp``): its model, and the inputs it was built from
-    as ``reference_build`` reads them."""
+    (``OffsetProblem.lp``): the LP, its columns' keys, and the inputs it
+    was built from as ``reference_build`` reads them."""
     from types import SimpleNamespace
 
     from repro.align.offset_static import OffsetProblem
@@ -515,7 +490,7 @@ def every_built_lp(monkeypatch):
     real_lp = OffsetProblem.lp
 
     def recording_lp(problem, axis, plan, replicated):
-        model, ids = real_lp(problem, axis, plan, replicated)
+        lp, ids = real_lp(problem, axis, plan, replicated)
         built.append(
             SimpleNamespace(
                 adg=problem.adg,
@@ -524,10 +499,11 @@ def every_built_lp(monkeypatch):
                 plan=plan,
                 replicated=set(replicated),
                 static=problem.static,
-                model=model,
+                lp=lp,
+                keys=column_keys(problem, plan, ids),
             )
         )
-        return model, ids
+        return lp, ids
 
     monkeypatch.setattr(OffsetProblem, "lp", recording_lp)
     return built
@@ -544,38 +520,24 @@ ZERO_MOMENT_SOURCES = [
 
 def assert_built_lps_are_the_reference(built, mobile):
     """Every LP of ``built`` reaches HiGHS as :func:`reference_build`
-    and :func:`dense_reference` make it, byte for byte."""
-    import numpy as np
-    from scipy.sparse import vstack
-
-    from repro.solvers.scipy_backend import highs_input
+    and the dense export (``lp_reference.as_lp``) make it, byte for
+    byte, its columns in the reference's first-use order."""
+    from scipy.sparse import csc_array
 
     assert built
-    assert {lp.static for lp in built} == {not mobile}
-    for lp in built:
-        ref = reference_build(lp)
-        assert lp.model.names == ref.names
-        c, a, lo, hi, lb, ub = highs_input(lp.model)
-        want_c, (a_ub, b_ub), (a_eq, b_eq) = dense_reference(ref)
-        assert c.tobytes() == want_c.tobytes()
-        # ``linprog`` stacked ``A_ub`` over ``A_eq`` into one CSC.
-        blocks = [b for b in (a_ub, a_eq) if b is not None]
-        want = vstack(blocks, format="csc") if blocks else None
-        n_ub = 0 if b_ub is None else len(b_ub)
-        n_eq = 0 if b_eq is None else len(b_eq)
-        assert a.format == "csc" and a.has_canonical_format
-        assert a.data.all()  # no explicit zeros
-        assert a.shape == (n_ub + n_eq, len(ref.names))
-        if want is not None:
-            assert np.array_equal(a.indptr, want.indptr)
-            assert np.array_equal(a.indices, want.indices)
-            assert a.data.tobytes() == want.data.tobytes()
-        rhs = np.concatenate([b for b in (b_ub, b_eq) if b is not None] or [[]])
-        assert hi.tobytes() == rhs.tobytes()
-        assert np.isneginf(lo[:n_ub]).all()
-        assert lo[n_ub:].tobytes() == hi[n_ub:].tobytes()
-        assert lb.tobytes() == np.array(ref.lower, dtype=float).tobytes()
-        assert ub.tobytes() == np.array(ref.upper, dtype=float).tobytes()
+    assert {rec.static for rec in built} == {not mobile}
+    for rec in built:
+        rows, order = reference_build(rec)
+        assert rec.keys == order
+        lp, want = rec.lp, as_lp(rows)
+        assert lp.shape == want.shape == (len(rows.rows), len(order))
+        a = csc_array((lp.data, lp.indices, lp.indptr), shape=lp.shape)
+        assert a.has_canonical_format
+        assert lp.data.all()  # no explicit zeros
+        assert lp.indptr.tolist() == want.indptr.tolist()
+        assert lp.indices.tolist() == want.indices.tolist()
+        for name in ("c", "data", "lo", "hi", "lb", "ub"):
+            assert getattr(lp, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 class TestRowsAreTheLinExprRows:
@@ -730,7 +692,7 @@ class TestEveryOffsetLPIsCertifiedOptimal:
     optimality conditions of the problem it was given rather than against
     a second solver: every distinct offset LP the planner builds, each
     condition within ``1e-6 * max(1, |objective|)``.  The point checked
-    is the one the planner uses (``LPModel.solve``); ``milp`` returns no
+    is the one the planner uses (``solve``); ``milp`` returns no
     multipliers, so the certificate's multipliers are the ones HiGHS
     returns through ``linprog`` on the same input."""
 
@@ -740,42 +702,46 @@ class TestEveryOffsetLPIsCertifiedOptimal:
         from scipy.optimize import linprog
 
         from repro.align import align_program
+        from repro.solvers.lp import solve
 
         align_program(make_program(), algorithm=alg)
         assert every_built_lp
         seen = set()
-        for lp in every_built_lp:
-            digest = lp.model.digest()
+        for rec in every_built_lp:
+            digest = rec.lp.digest()
             if digest in seen:
                 continue
             seen.add(digest)
-            sol = lp.model.solve()
+            sol = solve(rec.lp)
             assert sol.status == "optimal"
-            inp = linprog_input(lp.model)
+            inp = linprog_input(reference_build(rec)[0])
             res = linprog(**inp, method="highs")
             assert res.status == 0, res.message
             res.x = np.array(sol.x)
             worst = kkt_violations(inp, res)
             tol = 1e-6 * max(1.0, abs(res.fun))
-            assert max(worst.values()) <= tol, (lp.model.name, worst)
+            assert max(worst.values()) <= tol, (rec.axis, worst)
 
 
 def _assert_solves_as_linprog(built):
-    """``LPModel.solve`` on each distinct LP of ``built`` returns, bit
-    for bit, the point and objective ``linprog``'s HiGHS returns."""
+    """``solve`` on each distinct LP of ``built`` returns, bit for bit,
+    the point and objective ``linprog``'s HiGHS returns on the reference
+    rows of that LP."""
     from scipy.optimize import linprog
 
+    from repro.solvers.lp import solve
+
     seen = set()
-    for lp in built:
-        digest = lp.model.digest()
+    for rec in built:
+        digest = rec.lp.digest()
         if digest in seen:
             continue
         seen.add(digest)
-        sol = lp.model.solve()
-        res = linprog(**linprog_input(lp.model), method="highs")
+        sol = solve(rec.lp)
+        res = linprog(**linprog_input(reference_build(rec)[0]), method="highs")
         assert res.status == 0 and sol.status == "optimal", res.message
-        assert sol.x == res.x.tolist(), lp.model.name
-        assert sol.objective == float(res.fun) + lp.model.obj_const
+        assert sol.x == res.x.tolist(), rec.axis
+        assert sol.objective == float(res.fun)
 
 
 class TestMilpSolvesWhatLinprogSolved:
@@ -815,16 +781,16 @@ class TestEachDistinctLPIsSolvedOnce:
 
     @pytest.fixture
     def solver_calls(self, monkeypatch):
-        from repro.solvers.lp import LPModel
+        from repro.align import offset_static
 
         calls = []
-        real = LPModel.solve
+        real = offset_static.solve
 
-        def counting(model):
-            calls.append(model)
-            return real(model)
+        def counting(lp):
+            calls.append(lp)
+            return real(lp)
 
-        monkeypatch.setattr(LPModel, "solve", counting)
+        monkeypatch.setattr(offset_static, "solve", counting)
         return calls
 
     @pytest.mark.parametrize("alg", sorted(ALGORITHMS))
@@ -849,9 +815,10 @@ class TestEachDistinctLPIsSolvedOnce:
         skel = solve_axis_stride(adg).skeletons
         plan = {e.eid: e.space.grid_partition(3) for e in adg.edges}
         memo = {}
-        first = solve_offsets(adg, skel, plan, memo=memo)
+        # A fresh problem each time: its answers are the memo's alone.
+        first = OffsetProblem(adg, skel).solve(plan, memo=memo)
         solved = len(solver_calls)
-        again = solve_offsets(adg, skel, plan, memo=memo)
+        again = OffsetProblem(adg, skel).solve(plan, memo=memo)
         assert len(solver_calls) == solved
         assert again.offsets == first.offsets and again.stats == first.stats
         # One entry per distinct LP, keyed by its digest alone.
@@ -860,47 +827,51 @@ class TestEachDistinctLPIsSolvedOnce:
         assert len({key[1] for key in memo}) == len(memo) == solved
 
     def test_a_non_optimal_outcome_is_not_kept(self, monkeypatch):
-        from repro.solvers.lp import LPModel, LPSolution
+        from repro.align import offset_static
+        from repro.solvers.lp import LPSolution
 
-        monkeypatch.setattr(
-            LPModel, "solve", lambda model: LPSolution("infeasible")
-        )
+        monkeypatch.setattr(offset_static, "solve", lambda lp: LPSolution("infeasible"))
         adg = build_adg(programs.example1())
         skel = solve_axis_stride(adg).skeletons
         memo = {}
         with pytest.raises(RuntimeError, match="infeasible"):
-            solve_offsets(adg, skel, {}, memo=memo)
+            OffsetProblem(adg, skel).solve({}, memo=memo)
         assert memo == {}
 
     @staticmethod
-    def _model(rhs=1.0, lower=0.0, coeff=2.0, names=("x", "y")):
-        from repro.solvers.lp import LPModel
-
-        m = LPModel()
-        x = m.add_column(names[0])
-        y = m.add_column(names[1], lower=lower)
-        m.add_row([x, y], [coeff, -1.0], ">=", rhs)
-        m.add_row([x], [1.0], "==", 0.0)
-        m.set_objective([x, y], [1.0, 3.0])
-        return m
+    def _lp(rhs=1.0, lower=0.0, coeff=2.0):
+        m = Rows()
+        x, y = m.column(), m.column(lower)
+        m.add({x: coeff, y: -1.0}, ">=", rhs)
+        m.add({x: 1.0}, "==", 0.0)
+        m.objective = {x: 1.0, y: 3.0}
+        return as_lp(m)
 
     def test_one_number_apart_is_another_digest(self):
-        base = self._model().digest()
-        assert base == self._model().digest()
-        # names are not part of what the solver receives
-        assert base == self._model(names=("p", "q")).digest()
+        import dataclasses
+
+        import numpy as np
+
+        base = self._lp().digest()
+        assert base == self._lp().digest()
+        # The numbers count, not the width of the index arrays.
+        lp = self._lp()
+        wide = dataclasses.replace(
+            lp, indptr=lp.indptr.astype(np.int64), indices=lp.indices.astype(np.int64)
+        )
+        assert lp.indices.dtype != wide.indices.dtype and wide.digest() == base
         others = [
-            self._model(rhs=2.0).digest(),
-            self._model(lower=1.0).digest(),
-            self._model(lower=None).digest(),
-            self._model(coeff=3.0).digest(),
+            self._lp(rhs=2.0).digest(),
+            self._lp(lower=1.0).digest(),
+            self._lp(lower=-np.inf).digest(),
+            self._lp(coeff=3.0).digest(),
         ]
         assert len({base, *others}) == len(others) + 1
         assert all(len(d) == 32 for d in others)  # full-width SHA-256
 
 
 class TestOneCompiledProblemPerSolve:
-    """``solve_offsets`` prices each edge's moments once for all template
+    """An offset solve prices each edge's moments once for all template
     axes and reads the LP's values by column."""
 
     def test_moments_are_looked_up_once_per_costed_subrange(self, monkeypatch):
@@ -919,7 +890,7 @@ class TestOneCompiledProblemPerSolve:
             return real(space, weight)
 
         monkeypatch.setattr(offset_static, "cached_moments", counting)
-        solve_offsets(adg, skel, plan)
+        OffsetProblem(adg, skel).solve(plan)
         costed = [
             (e.eid, j, axis)
             for axis in range(adg.template_rank)

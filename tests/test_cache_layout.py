@@ -1,19 +1,26 @@
-"""The pickled layout of a serve-cache entry is pinned to its schema.
+"""The pickled layout of a serve-cache entry, and the plans it holds,
+are pinned to its schema.
 
 An entry stamped with another ``SCHEMA_VERSION`` is deleted at load, so
 a layout change that bumps the schema needs no upgrade path in ``src/``.
-This test makes the bump hard to forget: it pickles a solved ``figure1``
-prefix and its plan payload as the service stores them, records for
-every ``repro.*`` object the pickle reaches the attribute names of its
-state, and compares them with ``tests/golden/cache_layout.json``, which
-stores the schema number beside the layout.  After a deliberate layout
-change, bump ``SCHEMA_VERSION`` and re-pin with ``pytest --update-golden``.
-The tests after it change a copy of the entries (a field added, a field
-dropped, a slotted state grown) and check that the pin names the class.
+These tests make the bump hard to forget.  The first pickles a solved
+``figure1`` prefix and its plan payload as the service stores them,
+records for every ``repro.*`` object the pickle reaches the attribute
+names of its state, and compares them with the ``layout`` section of
+``tests/golden/cache_layout.json``, which stores the schema number
+beside it.  The second compares the SHA-256 of each of the 16 kernels'
+plan payloads, pickled as the service stores them, with its
+``payloads`` section: a change that moves a plan under the same schema
+would leave a stored cache answering the old plan.  After a deliberate
+change, bump ``SCHEMA_VERSION`` and re-pin with ``pytest
+--update-golden``.  The tests after them change a copy of the entries
+(a field added, a field dropped, a slotted state grown, a plan moved)
+and check that the pin names the class or the kernel.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import pickle
@@ -75,13 +82,37 @@ def layout_of(entries) -> dict[str, list[str]]:
     return {name: sorted(names) for name, names in sorted(pickler.layout.items())}
 
 
-def changed_classes(layout, stored) -> list[str]:
-    """The classes whose state names differ between two layouts."""
+def changed_keys(pinned, stored) -> list[str]:
+    """The keys (classes, kernels) whose values differ between two pins."""
     return sorted(
         name
-        for name in layout.keys() | stored.keys()
-        if layout.get(name) != stored.get(name)
+        for name in pinned.keys() | stored.keys()
+        if pinned.get(name) != stored.get(name)
     )
+
+
+def check_pinned(golden, section: str, pinned: dict, what: str) -> None:
+    """Compare ``pinned`` with ``section`` of the golden file, pinned
+    under the schema number it stores; ``--update-golden`` rewrites the
+    section and the number."""
+    path = GOLDEN_DIR / "cache_layout.json"
+    stored = json.loads(path.read_text()) if path.exists() else {}
+    if golden.update:
+        stored.update({"schema": SCHEMA_VERSION, section: pinned})
+        path.write_text(json.dumps(stored, indent=2, sort_keys=True) + "\n")
+        return
+    if stored.get("schema") != SCHEMA_VERSION:
+        pytest.fail(
+            f"{path} is pinned under schema {stored.get('schema')}, not "
+            f"SCHEMA_VERSION {SCHEMA_VERSION}: re-pin with --update-golden"
+        )
+    changed = changed_keys(pinned, stored.get(section, {}))
+    if changed:
+        pytest.fail(
+            f"{what} of {changed} changed under SCHEMA_VERSION {SCHEMA_VERSION}: "
+            "bump SCHEMA_VERSION, so that old entries are deleted at load, "
+            "and re-pin with --update-golden"
+        )
 
 
 def test_the_cached_layout_is_pinned_to_the_schema_version(
@@ -90,17 +121,34 @@ def test_the_cached_layout_is_pinned_to_the_schema_version(
     layout = layout_of(cached_entries(corpus_kernels["figure1"], tmp_path))
     assert "repro.distrib.costmodel.CommProfile" in layout
     assert "repro.passes.core.PlanContext" in layout
-    path = GOLDEN_DIR / "cache_layout.json"
-    stored = json.loads(path.read_text()) if path.exists() else {"schema": None}
-    if not golden.update and stored["schema"] == SCHEMA_VERSION:
-        changed = changed_classes(layout, stored["layout"])
-        if changed:
-            pytest.fail(
-                f"the pickled layout of {changed} changed under SCHEMA_VERSION "
-                f"{SCHEMA_VERSION}: bump it, so that old entries are deleted "
-                "at load, and re-pin with --update-golden"
-            )
-    golden.check("cache_layout", {"schema": SCHEMA_VERSION, "layout": layout})
+    check_pinned(golden, "layout", layout, "the pickled layout")
+
+
+@pytest.fixture(scope="module")
+def kernel_payloads(corpus_kernels) -> dict[str, dict]:
+    """Kernel name -> the plan payload a service stores for it on 16
+    processors."""
+    with PlanService() as svc:
+        out = {}
+        for name, source in corpus_kernels.items():
+            response = svc.handle(ServeRequest(name, source, nprocs=16))
+            assert response.ok and response.cached is None
+            out[name] = response.plan
+    return out
+
+
+def payload_digests(payloads) -> dict[str, str]:
+    return {
+        name: hashlib.sha256(
+            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        ).hexdigest()
+        for name, payload in payloads.items()
+    }
+
+
+def test_the_plan_payloads_are_pinned_to_the_schema_version(golden, kernel_payloads):
+    assert len(kernel_payloads) == 16
+    check_pinned(golden, "payloads", payload_digests(kernel_payloads), "the plan payload")
 
 
 # -- the pin catches a layout change ------------------------------------------
@@ -132,10 +180,10 @@ def instances(entries, qualname: str) -> list:
     return found
 
 
-def stored_layout() -> dict[str, list[str]]:
+def stored_pin(section: str) -> dict:
     stored = json.loads((GOLDEN_DIR / "cache_layout.json").read_text())
     assert stored["schema"] == SCHEMA_VERSION
-    return stored["layout"]
+    return stored[section]
 
 
 def ids(rows) -> list[str]:
@@ -157,7 +205,7 @@ def test_a_field_added_without_a_bump_fails_the_pin(figure1_entries, qualname, f
     entries = pickle.loads(figure1_entries)
     for obj in instances(entries, qualname):
         object.__setattr__(obj, field, None)  # AlignOptions is frozen
-    assert changed_classes(layout_of(entries), stored_layout()) == [qualname]
+    assert changed_keys(layout_of(entries), stored_pin("layout")) == [qualname]
 
 
 #: Fields the layout keeps whose loss drops no class from the reach.
@@ -172,7 +220,7 @@ def test_a_field_dropped_without_a_bump_fails_the_pin(figure1_entries, qualname,
     entries = pickle.loads(figure1_entries)
     for obj in instances(entries, qualname):
         del vars(obj)[field]
-    assert changed_classes(layout_of(entries), stored_layout()) == [qualname]
+    assert changed_keys(layout_of(entries), stored_pin("layout")) == [qualname]
 
 
 def test_a_slotted_state_change_without_a_bump_fails_the_pin(
@@ -185,6 +233,12 @@ def test_a_slotted_state_change_without_a_bump_fails_the_pin(
     entries = pickle.loads(figure1_entries)
     before = AffineForm.__getstate__
     monkeypatch.setattr(AffineForm, "__getstate__", lambda f: (*before(f), None))
-    assert changed_classes(layout_of(entries), stored_layout()) == [
+    assert changed_keys(layout_of(entries), stored_pin("layout")) == [
         "repro.ir.affine.AffineForm"
     ]
+
+
+def test_a_plan_moved_without_a_bump_fails_the_pin(kernel_payloads):
+    moved = {name: dict(payload) for name, payload in kernel_payloads.items()}
+    moved["figure1"]["total_cost"] += "1"
+    assert changed_keys(payload_digests(moved), stored_pin("payloads")) == ["figure1"]

@@ -16,9 +16,10 @@ from repro.ir import (
     sigma2,
     sum_powers,
 )
+from lp_reference import Rows, as_lp
 from moments_reference import sum_over
 from repro.align.span import split_at_crossing
-from repro.solvers import LPModel
+from repro.solvers import solve
 
 k = LIV("k")
 j = LIV("j")
@@ -280,18 +281,15 @@ class TestLPProperties:
     @settings(max_examples=30, deadline=None)
     def test_weighted_median_objective(self, points):
         """min sum w|x-a| solved by LP equals brute force over candidates."""
-        m = LPModel()
-        x = m.add_column("x")
-        ts, ws = [], []
-        for i, (w, a) in enumerate(points):
+        m = Rows()
+        x = m.column()
+        for w, a in points:
             # t >= |x - a| as the two rows t - x >= -a, t + x >= a
-            t = m.add_column(f"t{i}", lower=0)
-            m.add_row([t, x], [1.0, -1.0], ">=", -float(a))
-            m.add_row([t, x], [1.0, 1.0], ">=", float(a))
-            ts.append(t)
-            ws.append(float(w))
-        m.set_objective(ts, ws)
-        s = m.solve()
+            t = m.column(0)
+            m.add({t: 1.0, x: -1.0}, ">=", -float(a))
+            m.add({t: 1.0, x: 1.0}, ">=", float(a))
+            m.objective[t] = float(w)
+        s = solve(as_lp(m))
         best = min(
             sum(w * abs(c - a) for w, a in points)
             for c in {a for _, a in points}

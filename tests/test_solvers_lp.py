@@ -1,4 +1,4 @@
-"""Unit tests for the LP layer: the row store and its HiGHS solve."""
+"""Unit tests for the LP value and its HiGHS solve."""
 
 import os
 import subprocess
@@ -7,109 +7,102 @@ from pathlib import Path
 
 import pytest
 
-from repro.solvers import LPModel
+from repro.solvers import solve
 
-from lp_reference import linprog_input
+from lp_reference import Rows, as_lp, linprog_input
 
 
-def abs_bound(m, bound, cols, vals, const=0.0):
-    """``bound >= |sum vals * x[cols] + const|`` as the paper's two rows."""
-    m.add_row([bound, *cols], [1.0, *vals], ">=", -const)
-    m.add_row([bound, *cols], [1.0, *(-v for v in vals)], ">=", const)
+def abs_bound(m, bound, x, const):
+    """``bound >= |x + const|`` as the paper's two rows."""
+    m.add({bound: 1.0, x: 1.0}, ">=", -const)
+    m.add({bound: 1.0, x: -1.0}, ">=", const)
 
 
 class TestBasicLPs:
     def test_bounded_minimum(self):
-        m = LPModel()
-        x = m.add_column("x")
-        y = m.add_column("y", lower=0)
-        m.add_row([x, y], [1.0, -1.0], ">=", 1.0)
-        m.add_row([x, y], [1.0, 1.0], ">=", 3.0)
-        m.set_objective([x, y], [1.0, 2.0])
-        s = m.solve()
+        m = Rows()
+        x, y = m.column(), m.column(0)
+        m.add({x: 1.0, y: -1.0}, ">=", 1.0)
+        m.add({x: 1.0, y: 1.0}, ">=", 3.0)
+        m.objective = {x: 1.0, y: 2.0}
+        s = solve(as_lp(m))
         assert s.status == "optimal"
         assert s.objective == pytest.approx(3.0)
 
     def test_equality_constraints(self):
-        m = LPModel()
-        x = m.add_column("x", lower=0)
-        y = m.add_column("y", lower=0)
-        m.add_row([x, y], [1.0, 1.0], "==", 10.0)
-        m.set_objective([x, y], [3.0, 1.0])
-        s = m.solve()
+        m = Rows()
+        x, y = m.column(0), m.column(0)
+        m.add({x: 1.0, y: 1.0}, "==", 10.0)
+        m.objective = {x: 3.0, y: 1.0}
+        s = solve(as_lp(m))
         assert s.objective == pytest.approx(10.0)
         assert s.x[y] == pytest.approx(10.0)
 
     def test_free_variable_negative_optimum(self):
-        m = LPModel()
-        x = m.add_column("x")
-        m.add_row([x], [1.0], ">=", -7.0)
-        m.set_objective([x], [1.0])
-        s = m.solve()
+        m = Rows()
+        x = m.column()
+        m.add({x: 1.0}, ">=", -7.0)
+        m.objective = {x: 1.0}
+        s = solve(as_lp(m))
         assert s.objective == pytest.approx(-7.0)
 
     def test_upper_bounds(self):
-        m = LPModel()
-        x = m.add_column("x", lower=0, upper=4)
-        m.set_objective([x], [-1.0])
-        s = m.solve()
+        m = Rows()
+        x = m.column(0, 4)
+        m.objective = {x: -1.0}
+        s = solve(as_lp(m))
         assert s.objective == pytest.approx(-4.0)
 
     def test_infeasible(self):
-        m = LPModel()
-        x = m.add_column("x", lower=0)
-        m.add_row([x], [1.0], "<=", -1.0)
-        m.set_objective([x], [1.0])
-        assert m.solve().status == "infeasible"
+        m = Rows()
+        x = m.column(0)
+        m.add({x: 1.0}, "<=", -1.0)
+        m.objective = {x: 1.0}
+        assert solve(as_lp(m)).status == "infeasible"
 
     def test_unbounded(self):
-        m = LPModel()
-        x = m.add_column("x")
-        m.set_objective([x], [1.0])
-        s = m.solve()
+        m = Rows()
+        x = m.column()
+        m.objective = {x: 1.0}
+        s = solve(as_lp(m))
         assert s.status == "unbounded"
 
     def test_abs_bound_pair(self):
         # minimize |x - 5| + |x - 9| -> 4 anywhere in [5, 9]
-        m = LPModel()
-        x = m.add_column("x")
-        t1 = m.add_column("t1", lower=0)
-        t2 = m.add_column("t2", lower=0)
-        abs_bound(m, t1, [x], [1.0], -5.0)
-        abs_bound(m, t2, [x], [1.0], -9.0)
-        m.set_objective([t1, t2], [1.0, 1.0])
-        s = m.solve()
+        m = Rows()
+        x, t1, t2 = m.column(), m.column(0), m.column(0)
+        abs_bound(m, t1, x, -5.0)
+        abs_bound(m, t2, x, -9.0)
+        m.objective = {t1: 1.0, t2: 1.0}
+        s = solve(as_lp(m))
         assert s.objective == pytest.approx(4.0)
         assert 5 - 1e-6 <= s.x[x] <= 9 + 1e-6
 
     def test_weighted_median(self):
         # minimize sum w_i |x - a_i|: optimum at weighted median (a=3)
-        m = LPModel()
-        x = m.add_column("x")
-        ts, ws = [], []
+        m = Rows()
+        x = m.column()
         for w, a in [(1, 0), (5, 3), (1, 10)]:
-            t = m.add_column(f"t{a}", lower=0)
-            abs_bound(m, t, [x], [1.0], -float(a))
-            ts.append(t)
-            ws.append(float(w))
-        m.set_objective(ts, ws)
-        s = m.solve()
+            t = m.column(0)
+            abs_bound(m, t, x, -float(a))
+            m.objective[t] = float(w)
+        s = solve(as_lp(m))
         assert s.x[x] == pytest.approx(3.0, abs=1e-6)
 
     def test_unconstrained_zero_objective(self):
-        m = LPModel()
-        m.add_column("x")
-        t = m.add_column("t", lower=0)
-        m.set_objective([t], [1.0])
-        s = m.solve()
+        m = Rows()
+        m.column()
+        t = m.column(0)
+        m.objective = {t: 1.0}
+        s = solve(as_lp(m))
         assert s.status == "optimal"
         assert s.objective == pytest.approx(0.0)
 
     def test_solve_takes_no_solver_choice(self):
-        m = LPModel()
-        m.add_column("x", lower=0)
+        m = Rows()
+        m.column(0)
         with pytest.raises(TypeError):
-            m.solve("scipy")
+            solve(as_lp(m), "scipy")
 
 
 class TestSciPyIsARuntimeDependency:
@@ -131,13 +124,14 @@ class TestDeferredSciPyImport:
             "import sys\n"
             "import repro, repro.serve.__main__\n"
             "assert 'scipy' not in sys.modules, 'scipy imported at start-up'\n"
-            "from repro.solvers import LPModel\n"
-            "m = LPModel()\n"
-            "x = m.add_column('x'); y = m.add_column('y', lower=0)\n"
-            "m.add_row([x, y], [1.0, -1.0], '>=', 1.0)\n"
-            "m.add_row([x, y], [1.0, 1.0], '>=', 3.0)\n"
-            "m.set_objective([x, y], [1.0, 2.0])\n"
-            "s = m.solve()\n"
+            "import numpy as np\n"
+            "from repro.solvers import LP, solve\n"
+            "# min x + 2y subject to -x + y <= -1, -x - y <= -3, y >= 0\n"
+            "lp = LP(np.array([1.0, 2.0]), np.array([0, 2, 4]),\n"
+            "        np.array([0, 1, 0, 1]), np.array([-1.0, -1.0, 1.0, -1.0]),\n"
+            "        (2, 2), np.full(2, -np.inf), np.array([-1.0, -3.0]),\n"
+            "        np.array([-np.inf, 0.0]), np.full(2, np.inf))\n"
+            "s = solve(lp)\n"
             "assert 'scipy.optimize' in sys.modules\n"
             "assert s.status == 'optimal' and abs(s.objective - 3.0) < 1e-6, s\n"
             "print('deferred-ok')\n"
@@ -159,87 +153,12 @@ class TestDeferredSciPyImport:
 
 
 class TestRowEntryPoint:
-    """``add_row`` appends to the one row store the solver reads."""
+    """Where rows enter HiGHS: ``solve`` hands ``milp`` the LP's own
+    arrays, the ``<=`` rows stacked over the ``==`` rows."""
 
-    def test_add_row_appends_to_the_row_store(self):
-        m = LPModel()
-        x, y = m.add_column("x"), m.add_column("y")
-        assert m.add_row([y, x], [2.0, -1.0], "<=", 4.0) == 0
-        assert m.add_row([x], [1.0], "==", 0.0) == 1
-        assert (m.cols, m.vals, m.starts) == ([1, 0, 0], [2.0, -1.0, 1.0], [0, 2, 3])
-        assert (m.senses, m.rhs) == ([0, 2], [4.0, 0.0])
-        assert m.num_constraints == 2
-        assert m.row(0) == ([1, 0], [2.0, -1.0], "<=", 4.0)
-
-    def test_sparse_export_negates_ge_rows_once(self):
-        import numpy as np
-
-        from repro.solvers.scipy_backend import highs_input
-
-        m = LPModel()
-        x, y = m.add_column("x"), m.add_column("y", lower=0, upper=9)
-        m.add_row([y], [3.0], "==", 6.0)
-        m.add_row([x, y], [1.0, -2.0], ">=", 1.0)
-        m.add_row([x, y], [1.0, 1.0], "<=", 7.0)
-        m.set_objective([x, y], [1.0, 2.0])
-        c, a, lo, hi, lb, ub = highs_input(m)
-        assert np.array_equal(c, [1.0, 2.0])
-        assert a.format == "csc" and a.has_canonical_format
-        # Inequality rows first, in row order, then the ``==`` row.
-        assert np.array_equal(a.toarray(), [[-1.0, 2.0], [1.0, 1.0], [0.0, 3.0]])
-        assert np.array_equal(lo, [-np.inf, -np.inf, 6.0])
-        assert np.array_equal(hi, [-1.0, 7.0, 6.0])
-        assert np.array_equal(lb, [-np.inf, 0.0]) and np.array_equal(ub, [np.inf, 9.0])
-
-    @pytest.mark.parametrize("sense", ["<=", "=="])
-    def test_an_absent_block_is_left_out(self, sense):
-        # ``linprog_input`` gives the sense that is absent no block, and
-        # the stacked export no rows.
-        import numpy as np
-
-        from repro.solvers.scipy_backend import highs_input
-
-        m = LPModel()
-        x, y = m.add_column("x"), m.add_column("y")
-        m.add_row([x, y], [1.0, 1.0], sense, 1.0)
-        want = linprog_input(m)
-        present, absent = ("ub", "eq") if sense == "<=" else ("eq", "ub")
-        assert want[f"A_{absent}"] is None and want[f"b_{absent}"] is None
-        _, a, lo, hi, _, _ = highs_input(m)
-        assert a.shape == want[f"A_{present}"].shape == (1, 2)
-        assert np.array_equal(hi, [1.0])
-        assert np.array_equal(lo, [-np.inf] if sense == "<=" else [1.0])
-        assert m.solve().status == "optimal"
-
-    def test_an_empty_row_is_kept(self, monkeypatch):
-        # The offset LP has ``0 == shift coefficient`` for a LIV neither port
-        # carries; the row must reach the solver, not vanish.
+    @staticmethod
+    def _spy(monkeypatch):
         import scipy.optimize
-
-        from repro.solvers.scipy_backend import highs_input
-
-        m = LPModel()
-        m.add_column("x", lower=0)
-        m.add_row([], [], "==", 1.0)
-        _, a, lo, hi, _, _ = highs_input(m)
-        assert a.shape == (1, 1) and a.nnz == 0
-        assert lo[0] == hi[0] == 1.0
-        seen = []
-        real = scipy.optimize.milp
-
-        def spy(c, **kw):
-            seen.append(kw["constraints"])
-            return real(c, **kw)
-
-        monkeypatch.setattr(scipy.optimize, "milp", spy)
-        assert m.solve().status == "infeasible"
-        (con,) = seen
-        assert con.A.shape == (1, 1) and list(con.lb) == list(con.ub) == [1.0]
-
-    def test_solve_hands_milp_the_stacked_export(self, monkeypatch):
-        import numpy as np
-        import scipy.optimize
-        from scipy.sparse import vstack
 
         seen = []
         real = scipy.optimize.milp
@@ -249,46 +168,98 @@ class TestRowEntryPoint:
             return real(c, **kw)
 
         monkeypatch.setattr(scipy.optimize, "milp", spy)
-        m = LPModel()
-        x, y = m.add_column("x"), m.add_column("y", lower=0)
-        m.add_row([x, y], [1.0, 1.0], "==", 3.0)
-        m.add_row([x, y], [1.0, -1.0], ">=", 1.0)
-        m.set_objective([x, y], [1.0, 2.0], 5.0)
-        s = m.solve()
+        return seen
+
+    @pytest.mark.parametrize("sense", ["<=", "=="])
+    def test_an_absent_block_is_left_out(self, sense):
+        # ``linprog_input`` gives the sense that is absent no block, and
+        # the LP no rows of it.
+        import numpy as np
+
+        m = Rows()
+        x, y = m.column(), m.column()
+        m.add({x: 1.0, y: 1.0}, sense, 1.0)
+        want = linprog_input(m)
+        present, absent = ("ub", "eq") if sense == "<=" else ("eq", "ub")
+        assert want[f"A_{absent}"] is None and want[f"b_{absent}"] is None
+        lp = as_lp(m)
+        assert lp.shape == want[f"A_{present}"].shape == (1, 2)
+        assert np.array_equal(lp.hi, [1.0])
+        assert np.array_equal(lp.lo, [-np.inf] if sense == "<=" else [1.0])
+        assert solve(lp).status == "optimal"
+
+    def test_an_empty_row_is_kept(self, monkeypatch):
+        # The offset LP has ``0 == shift coefficient`` for a LIV neither port
+        # carries; the row must reach the solver, not vanish.
+        import numpy as np
+
+        from repro.solvers import LP
+
+        seen = self._spy(monkeypatch)
+        lp = LP(
+            np.zeros(1), np.zeros(2, dtype=np.int64), np.zeros(0, dtype=np.int64),
+            np.zeros(0), (1, 1), np.ones(1), np.ones(1), np.zeros(1), np.full(1, np.inf),
+        )
+        assert solve(lp).status == "infeasible"
+        ((_, kw),) = seen
+        con = kw["constraints"]
+        assert con.A.shape == (1, 1) and con.A.nnz == 0
+        assert list(con.lb) == list(con.ub) == [1.0]
+
+    def test_solve_hands_milp_the_stacked_export(self, monkeypatch):
+        import numpy as np
+
+        seen = self._spy(monkeypatch)
+        m = Rows()
+        x, y = m.column(), m.column(0)
+        m.add({x: 1.0, y: -1.0}, ">=", 1.0)
+        m.add({x: 1.0, y: 1.0}, "==", 3.0)
+        m.objective = {x: 1.0, y: 2.0}
+        lp = as_lp(m)
+        s = solve(lp)
         ((c, kw),) = seen
         # No integrality and no options: HiGHS's defaults, as ``linprog``
         # left them.
         assert set(kw) == {"constraints", "bounds"}
-        want = linprog_input(m)
         con, bounds = kw["constraints"], kw["bounds"]
-        stacked = vstack((want["A_ub"], want["A_eq"]), format="csc")
         assert con.A.format == "csc" and con.A.has_canonical_format
-        assert np.array_equal(con.A.indptr, stacked.indptr)
-        assert np.array_equal(con.A.indices, stacked.indices)
-        assert con.A.data.tobytes() == stacked.data.tobytes()
-        assert np.array_equal(con.lb, [-np.inf, 3.0])
-        assert np.array_equal(con.ub, [-1.0, 3.0])
-        assert np.array_equal(bounds.lb, want["bounds"][:, 0])
-        assert np.array_equal(bounds.ub, want["bounds"][:, 1])
-        assert c.tobytes() == want["c"].tobytes()
+        assert np.array_equal(con.A.indptr, lp.indptr)
+        assert np.array_equal(con.A.indices, lp.indices)
+        assert con.A.data.tobytes() == lp.data.tobytes()
+        assert con.lb.tobytes() == lp.lo.tobytes() and con.ub.tobytes() == lp.hi.tobytes()
+        assert bounds.lb.tobytes() == lp.lb.tobytes()
+        assert bounds.ub.tobytes() == lp.ub.tobytes()
+        assert c.tobytes() == lp.c.tobytes()
         assert type(s.x) is list and all(type(v) is float for v in s.x)
         assert (s.x[x], s.x[y]) == (pytest.approx(3.0), pytest.approx(0.0))
-        assert s.objective == pytest.approx(8.0)
+        assert s.objective == pytest.approx(3.0)
+
+    def test_the_lp_is_read_only(self):
+        import dataclasses
+
+        lp = as_lp(Rows())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lp.c = lp.c
+        with pytest.raises(ValueError):
+            lp.hi[:] = 0.0
 
 
 class TestThePostSolveCheck:
-    """``solve_scipy`` checks HiGHS's point before the planner uses it,
+    """``solve`` checks HiGHS's point before the planner uses it,
     as ``linprog`` did: a NaN, or a bound or row broken by more than
     ``TOL``, raises instead of becoming a plan."""
 
     @staticmethod
-    def _model():
-        m = LPModel()
-        x, y = m.add_column("x"), m.add_column("y", lower=0)
-        m.add_row([x, y], [1.0, -1.0], ">=", 1.0)
-        m.add_row([x, y], [1.0, 1.0], "==", 3.0)
-        m.set_objective([x, y], [1.0, 2.0])
+    def _rows():
+        m = Rows()
+        x, y = m.column(), m.column(0)
+        m.add({x: 1.0, y: -1.0}, ">=", 1.0)
+        m.add({x: 1.0, y: 1.0}, "==", 3.0)
+        m.objective = {x: 1.0, y: 2.0}
         return m
+
+    def _lp(self):
+        return as_lp(self._rows())
 
     @staticmethod
     def _doctor(monkeypatch, edit):
@@ -306,7 +277,7 @@ class TestThePostSolveCheck:
 
     @pytest.mark.parametrize("delta", [1e-3, -1e-3], ids=["up", "down"])
     def test_a_perturbed_point_raises(self, monkeypatch, delta):
-        from repro.solvers.scipy_backend import TOL
+        from repro.solvers.lp import TOL
 
         assert abs(delta) > TOL
 
@@ -315,27 +286,27 @@ class TestThePostSolveCheck:
 
         self._doctor(monkeypatch, perturb)
         with pytest.raises(RuntimeError, match="violates the LP"):
-            self._model().solve()
+            solve(self._lp())
 
     def test_a_point_off_its_bound_raises(self, monkeypatch):
         def below_zero(res):
             res.x = res.x - 1e-3
 
-        m = LPModel()
-        y = m.add_column("y", lower=0)
-        m.set_objective([y], [1.0])
+        m = Rows()
+        y = m.column(0)
+        m.objective = {y: 1.0}
         self._doctor(monkeypatch, below_zero)
         with pytest.raises(RuntimeError, match="violates the LP"):
-            m.solve()
+            solve(as_lp(m))
 
     def test_a_move_inside_the_tolerance_passes(self, monkeypatch):
-        from repro.solvers.scipy_backend import TOL
+        from repro.solvers.lp import TOL
 
         def nudge(res):
             res.x = res.x + [TOL / 2, 0.0]
 
         self._doctor(monkeypatch, nudge)
-        assert self._model().solve().status == "optimal"
+        assert solve(self._lp()).status == "optimal"
 
     @pytest.mark.parametrize("where", ["x", "fun", "no point"])
     def test_a_nan_raises(self, monkeypatch, where):
@@ -351,7 +322,7 @@ class TestThePostSolveCheck:
 
         self._doctor(monkeypatch, poison)
         with pytest.raises(RuntimeError, match="no point, or a NaN"):
-            self._model().solve()
+            solve(self._lp())
 
     def test_a_failed_solve_raises(self, monkeypatch):
         def fail(res):
@@ -359,12 +330,12 @@ class TestThePostSolveCheck:
 
         self._doctor(monkeypatch, fail)
         with pytest.raises(RuntimeError, match="numerical trouble"):
-            self._model().solve()
+            solve(self._lp())
 
     def test_an_infeasible_model_is_reported_not_raised(self):
-        m = self._model()
-        m.add_row([0], [1.0], "<=", -10.0)
-        assert m.solve().status == "infeasible"
+        m = self._rows()
+        m.add({0: 1.0}, "<=", -10.0)
+        assert solve(as_lp(m)).status == "infeasible"
 
     def test_an_offset_solve_writes_nothing_to_stdout_or_stderr(self, capfd):
         # The CLI prints JSON on fd 1 and the daemon logs on fd 2: HiGHS

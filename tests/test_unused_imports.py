@@ -11,6 +11,7 @@ files re-export, so they are exempt, and so is a name a module lists in
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -113,3 +114,67 @@ class TestTheCheck:
     def test_a_dotted_import_binds_its_first_name(self):
         assert unread_imports("import os.path\nos.getcwd()\n") == []
         assert unread_imports("import os.path\n") == [(1, "os")]
+
+
+# -- every top-level definition under src/repro is named somewhere -----------
+
+ROOT = SRC.parent.parent
+USER_DIRS = ("src", "tests", "benchmarks", "examples")
+
+
+def _names(node: ast.AST) -> Counter:
+    """How often ``node`` names each identifier: expression names,
+    attribute names and string annotations.  An import is not a use, nor
+    is a string, so an ``__init__`` re-export and ``__all__`` are none."""
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+    for ann in _annotations(node):
+        for const in ast.walk(ann):
+            if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                quoted = ast.parse(const.value, mode="eval")
+                found.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return found
+
+
+def unnamed_definitions(trees: dict[str, ast.Module], defined_in) -> list[str]:
+    """``path:name`` of each top-level function or class of a module in
+    ``defined_in`` that no tree of ``trees`` names outside its own body."""
+    uses = Counter()
+    for tree in trees.values():
+        uses.update(_names(tree))
+    out = []
+    for path in defined_in:
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if uses[node.name] == _names(node)[node.name]:
+                    out.append(f"{path}:{node.name}")
+    return out
+
+
+def test_every_top_level_definition_is_named_outside_its_body():
+    files = sorted(p for d in USER_DIRS for p in (ROOT / d).rglob("*.py"))
+    trees = {str(p.relative_to(ROOT)): ast.parse(p.read_text()) for p in files}
+    src = [path for path in trees if path.startswith("src/repro/")]
+    assert unnamed_definitions(trees, src) == []
+
+
+def test_a_re_export_an_all_string_and_a_definitions_own_body_are_no_use():
+    trees = {
+        "src/repro/m.py": ast.parse(
+            "def f():\n    return f()\n"
+            "class C:\n    def g(self) -> 'C':\n        return C()\n"
+            "def h():\n    pass\n"
+        ),
+        "src/repro/__init__.py": ast.parse(
+            "from .m import f, C, h\n__all__ = ['f', 'C', 'h']\n"
+        ),
+        "tests/t.py": ast.parse("from repro.m import h\nh()\n"),
+    }
+    assert unnamed_definitions(trees, ["src/repro/m.py"]) == [
+        "src/repro/m.py:f",
+        "src/repro/m.py:C",
+    ]
