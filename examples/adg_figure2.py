@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Build a program with the Python DSL and inspect its ADG (Figure 2).
+"""Parse the paper's Figure 1 and inspect its ADG (Figure 2).
 
-Shows the builder API (no parsing), the node/edge inventory of the
+Shows the parser front end, the node/edge inventory of the
 alignment-distribution graph, and the Graphviz rendering — the paper's
 Figure 2 regenerated for its Figure 1 fragment.
 """
@@ -9,17 +9,19 @@ Figure 2 regenerated for its Figure 1 fragment.
 import tempfile
 from pathlib import Path
 
-from repro.lang import ProgramBuilder, pretty
+from repro.lang import parse, pretty
 from repro.adg import build_adg, summary, to_dot
+
+FIGURE1 = """
+real A(100,100), V(200)
+do k = 1, 100
+  A(k,1:100) = A(k,1:100) + V(k:k+99)
+enddo
+"""
 
 
 def main() -> None:
-    b = ProgramBuilder("figure1")
-    A = b.real("A", 100, 100)
-    V = b.real("V", 200)
-    with b.do("k", 1, 100) as k:
-        b.assign(A[k, 1:100], A[k, 1:100] + V[k : k + 99])
-    program = b.build()
+    program = parse(FIGURE1, name="figure1")
 
     print("surface syntax:")
     print(pretty(program))

@@ -20,7 +20,7 @@ Quickstart::
 
 Subpackages:
 
-* :mod:`repro.lang` — the Fortran-90-like mini language (parser, DSL,
+* :mod:`repro.lang` — the Fortran-90-like mini language (parser,
   typechecker, reference programs);
 * :mod:`repro.ir` — affine forms, polynomials, iteration spaces,
   closed-form sums;
@@ -48,7 +48,7 @@ Subpackages:
   generated workloads (:mod:`repro.lang.generate`).
 """
 
-from .lang import ProgramBuilder, parse, pretty, typecheck
+from .lang import parse, pretty, typecheck
 from .lang import programs
 from .adg import build_adg
 from .align import (
@@ -71,7 +71,6 @@ from .obs import TraceRecorder
 __version__ = "1.5.0"
 
 __all__ = [
-    "ProgramBuilder",
     "parse",
     "pretty",
     "typecheck",

@@ -51,8 +51,9 @@ FILE; only the work to get there shrinks.
 Every plan is produced by the staged pass pipeline
 (:mod:`repro.passes`).  ``--explain`` prints the pass graph the chosen
 flags would execute and exits; ``--trace-passes`` appends the per-pass
-trace (wall time, fixpoint rounds, cache-counter deltas) to a normal
-run's report.
+trace (wall time, fixpoint rounds, provided artifacts) to a normal
+run's report.  Per-pass cache-counter deltas are on each pass's span
+(``--trace-out``).
 
 ``--trace-out OUT.json`` records the run through :mod:`repro.obs` —
 hierarchical spans over every pipeline pass, distribution search, and
@@ -234,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
         "--trace-passes",
         action="store_true",
         help="print the staged pipeline's per-pass trace (time, fixpoint "
-        "rounds, cache deltas) after the report",
+        "rounds, provided artifacts) after the report",
     )
     ap.add_argument(
         "--trace-out",

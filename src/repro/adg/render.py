@@ -34,7 +34,7 @@ def to_dot(adg: ADG) -> str:
 
 
 def summary(adg: ADG) -> str:
-    """Human-readable node/edge inventory (``examples/dsl_and_adg.py`` prints it)."""
+    """Human-readable node/edge inventory (``examples/adg_figure2.py`` prints it)."""
     lines = [repr(adg)]
     for n in adg.nodes:
         ports = ", ".join(

@@ -34,12 +34,10 @@ AlignmentMap = dict[str, Alignment]  # keyed by Port.key
 _ENUM_LIMIT = 4096
 
 # Edge-cost construction is re-run per pipeline phase (objective
-# evaluation, assembly, breakdown) and per batched program; both the
-# moment sums and the absolute weighted spans are pure functions of
-# hashable (span, weight, space) values, so they memoize safely across
-# edges, phases and programs within a process.
+# evaluation, assembly, breakdown) and per batched program; the moment
+# sums are pure functions of hashable (space, weight) values, so they
+# memoize safely across edges, phases and programs within a process.
 _MOMENTS = BoundedCache("align.moments", maxsize=4096)
-_SPANS = BoundedCache("align.edge_cost", maxsize=8192)
 
 
 def cached_moments(space: IterationSpace, weight: Polynomial) -> Moments:
@@ -57,33 +55,21 @@ def abs_weighted_span(
     """Exact ``sum_i weight(i) * |span(i)|`` over the space.
 
     Requires the weight to be nonnegative on the space (data weights
-    are element counts, so they are).  Memoized on the argument triple;
-    recursive sign-change splits share the cache.
+    are element counts, so they are).
     """
-    key = (span, weight, space)
-    cached = _SPANS.lookup(key)
-    if cached is not MISS:
-        return cached  # type: ignore[return-value]
-    return _SPANS.store(key, scalar(_abs_weighted_span(span, weight, space)))  # type: ignore[return-value]
-
-
-def _abs_weighted_span(
-    span: AffineForm, weight: Polynomial, space: IterationSpace
-) -> Scalar:
     if space.is_empty():
         return 0
     if space.depth == 0:
-        return abs(span.const) * weight.const if weight.is_constant else abs(
-            span.const
-        ) * weight.evaluate({})
+        w = weight.const if weight.is_constant else weight.evaluate({})
+        return scalar(abs(span.const) * w)
     if not has_sign_change(span, space):
         m = cached_moments(space, weight)
-        return abs(m.span_sum(span.const, span.coeffs))
+        return scalar(abs(m.span_sum(span.const, span.coeffs)))
     if space.count <= _ENUM_LIMIT:
         total = 0
         for env in space.points():
             total += weight.evaluate(env) * abs(span.evaluate(env))
-        return total
+        return scalar(total)
     # Split the largest axis in half and recurse.
     sizes = [len(t) for t in space.triplets]
     axis = max(range(space.depth), key=lambda j: sizes[j])
@@ -95,7 +81,7 @@ def _abs_weighted_span(
             total += abs_weighted_span(
                 span, weight, space.restricted(space.livs[axis], part)
             )
-    return total
+    return scalar(total)
 
 
 @dataclass

@@ -611,12 +611,13 @@ class OffsetProblem:
         row = np.repeat(np.arange(m), lens)
         col = col_of[np.concatenate((edge_slots, ax.slots))]
         val = np.concatenate((block.vals[entry_ok], ax.vals))
-        keep = val != 0.0
-        row, col, val = row[keep], col[keep], val[keep]
-        # Canonical CSC: column-major, rows ascending within a column; a
-        # row names each column once, so there is nothing to sum.  An
+        # Canonical CSC: column-major, rows ascending within a column
+        # (the entries are in row order, so a stable sort on the column
+        # keeps them so); a row names each column once, so there is
+        # nothing to sum, and no entry is zero (``_block`` drops zero
+        # moments; every other coefficient is a nonzero constant).  An
         # empty row keeps its place, a column with no entry its own.
-        by_col = np.lexsort((row, col))
+        by_col = np.argsort(col, kind="stable")
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(col, minlength=n), out=indptr[1:])
         costed = np.flatnonzero(item_ok & (block.weight != 0.0))

@@ -32,16 +32,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Union
 
-from ..cachestats import _cell
 from .symbols import LIV
 
 Scalar = Union[int, Fraction]
-
-# Shared hit/miss counters for the per-instance evaluation caches
-# (see cachestats): [hits, misses], surfaced as "affine.evaluate".
-_EVAL_STATS = _cell("affine.evaluate")
-_EVAL_CACHE_LIMIT = 512
-_MISS = object()
 
 
 def scalar(x: Scalar | float) -> Scalar:
@@ -72,7 +65,7 @@ class AffineForm:
     zero.  Supports +, -, scalar *, substitution, and evaluation.
     """
 
-    __slots__ = ("_const", "_coeffs", "_ecache", "_hash")
+    __slots__ = ("_const", "_coeffs", "_hash")
 
     def __init__(
         self,
@@ -87,10 +80,7 @@ class AffineForm:
                 if fc != 0:
                     cleaned[liv] = fc
         self._coeffs = cleaned
-        # Per-instance evaluation memo, keyed on the tuple of bound LIV
-        # values (the instance itself is immutable).  Created lazily so
-        # short-lived forms pay nothing; so is the hash.
-        self._ecache: dict[tuple, Scalar] | None = None
+        # Computed lazily so short-lived forms pay nothing.
         self._hash: int | None = None
 
     # -- constructors -------------------------------------------------
@@ -173,33 +163,14 @@ class AffineForm:
     # -- evaluation and substitution ------------------------------------
 
     def evaluate(self, env: Mapping[LIV, Scalar]) -> Scalar:
-        """Evaluate at a point; every LIV with nonzero coefficient must be bound.
-
-        Results are memoized per instance, keyed on the values the form
-        actually depends on — batch planning evaluates the same handful
-        of offset/stride/extent forms at the same iteration points over
-        and over (once per edge walk, again per candidate distribution).
-        """
+        """Evaluate at a point; every LIV with nonzero coefficient must be bound."""
+        total = self._const
         try:
-            key = tuple(env[liv] for liv in self._coeffs)
+            for liv, c in self._coeffs.items():
+                total += c * env[liv]
         except KeyError as exc:
             raise KeyError(f"unbound LIV {exc.args[0].name} in evaluation") from None
-        cache = self._ecache
-        if cache is None:
-            cache = self._ecache = {}
-        total = cache.get(key, _MISS)
-        if total is not _MISS:
-            _EVAL_STATS[0] += 1
-            return total  # type: ignore[return-value]
-        _EVAL_STATS[1] += 1
-        total = self._const
-        for liv, c in self._coeffs.items():
-            total += c * env[liv]
-        total = scalar(total)
-        if len(cache) >= _EVAL_CACHE_LIMIT:
-            cache.clear()
-        cache[key] = total
-        return total
+        return scalar(total)
 
     def substitute(self, env: Mapping[LIV, "AffineForm | Scalar"]) -> "AffineForm":
         """Replace LIVs by affine forms (loop normalization, transformer nodes).
@@ -227,7 +198,7 @@ class AffineForm:
             round(self._const), {v: round(c) for v, c in self._coeffs.items()}
         )
 
-    # -- pickling (drop the evaluation memo and the hash) --------------------
+    # -- pickling (drop the hash) ----------------------------------------------
 
     def __getstate__(self):
         return (self._const, self._coeffs)

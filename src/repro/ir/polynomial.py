@@ -42,6 +42,11 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(exps.items(), key=lambda p: (p[0].depth, p[0].name)))
 
 
+# Unbounded, but keyed by the index alone: it holds B_0 .. B_p for the
+# highest power-sum degree p asked for.  The planner asks only through
+# ``closedform._power_sums``, for one above a weight's highest power of
+# one LIV, and only from degree 4 up (none of the 16 benchmark kernels'
+# weights reach it, so planning them never calls this).
 @lru_cache(maxsize=None)
 def _bernoulli(n: int) -> Scalar:
     """Bernoulli numbers B_n (B_1 = -1/2 convention), via the standard recurrence."""

@@ -23,21 +23,6 @@ from .ast import (
     Transpose,
     UnaryOp,
 )
-from .builder import (
-    ArrayHandle,
-    ExprHandle,
-    LivHandle,
-    ProgramBuilder,
-    cos,
-    gather,
-    intrinsic,
-    reduce_,
-    sin,
-    spread,
-    sqrt,
-    sum_,
-    transpose,
-)
 from .lexer import LexError, tokenize
 from .parser import ParseError, parse
 from .pretty import expr_str, pretty
@@ -68,19 +53,6 @@ __all__ = [
     "Stmt",
     "Transpose",
     "UnaryOp",
-    "ArrayHandle",
-    "ExprHandle",
-    "LivHandle",
-    "ProgramBuilder",
-    "cos",
-    "gather",
-    "intrinsic",
-    "reduce_",
-    "sin",
-    "spread",
-    "sqrt",
-    "sum_",
-    "transpose",
     "LexError",
     "tokenize",
     "ParseError",

@@ -9,7 +9,6 @@ by the benchmark harness.
 from __future__ import annotations
 
 from .ast import Program
-from .builder import ProgramBuilder
 from .parser import parse
 
 
@@ -127,14 +126,15 @@ def lookup_table(n: int = 256, m: int = 1000) -> Program:
     replication source (replicated "with the programmer's permission" —
     the ``replicated`` attribute here).
     """
-    b = ProgramBuilder("lookup_table")
-    table = b.real("tab", n, readonly=True, replicate_hint=True)
-    idx = b.integer("idx", m)
-    out = b.real("y", m)
-    from .builder import gather
-
-    b.assign(out[1:m], gather(table, idx[1:m]))
-    return b.build()
+    return parse(
+        f"""
+readonly replicated real tab({n})
+integer idx({m})
+real y({m})
+y(1:{m}) = gather(tab, idx(1:{m}))
+""",
+        name="lookup_table",
+    )
 
 
 def stencil_sweep(n: int = 128, iters: int = 10) -> Program:

@@ -7,8 +7,8 @@ named unit declaring the artifact keys it ``requires`` and ``provides``
 — and the passes form one fixed chain
 (:data:`~repro.passes.registry.PASSES`).  A :class:`Pipeline` runs the
 chain up to the last pass that provides a goal, instruments each run
-(wall time, cache-counter deltas, structured trace events), and
-*reuses* artifacts whose inputs have not changed.
+(wall time and a structured trace event; the pass's span holds its
+cache-counter deltas), and *reuses* artifacts whose inputs have not changed.
 
 Reuse is what makes machine sweeps cheap: a :class:`PlanContext` holds
 typed artifacts versioned by a store-time clock.  Only the three planner
@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
-from .. import cachestats
 from ..ir.affine import AffineForm
 from ..obs import spans as obs
 
@@ -514,18 +513,17 @@ class Pipeline:
                 continue
             event: dict = {"pass": p.name, "event": "run"}
             ctx._current_event = event
-            before = cachestats.snapshot()
             t0 = time.perf_counter()
             try:
                 # The span subsumes the trace event when tracing is on:
-                # same name, wall time, and cache deltas, but as a node
-                # in the hierarchical trace (nested under whatever span
-                # the caller — CLI root, batch task — has open).
+                # same name and wall time, plus the pass's cache-counter
+                # deltas, as a node in the hierarchical trace (nested
+                # under whatever span the caller — CLI root, batch task —
+                # has open).
                 with obs.span(f"pass:{p.name}", kind="pass"):
                     p.run(ctx)
             finally:
                 event["seconds"] = time.perf_counter() - t0
-                event["cache"] = cachestats.delta(before)
                 ctx._current_event = None
             missing = [key for key in p.provides if not ctx.has(key)]
             if missing:
@@ -602,11 +600,6 @@ def trace_table(trace: Sequence[Mapping], indent: str = "") -> str:
                 f"rounds={ev['rounds']}"
                 + ("" if ev.get("converged", True) else " (capped)")
             )
-        cache = ev.get("cache") or {}
-        hits = sum(h for h, _ in cache.values())
-        misses = sum(m for _, m in cache.values())
-        if hits or misses:
-            detail.append(f"cache {hits}h/{misses}m")
         if ev.get("provides"):
             detail.append("-> " + ", ".join(ev["provides"]))
         lines.append(

@@ -426,9 +426,7 @@ class ReferenceSolver:
             if value is not None:
                 changed |= offer(value, [section_forward(l, subs) for l in pool])
                 gained = fresh(n, value)
-                # One image per target: ``AffineForm`` memoizes its
-                # evaluations per instance, so which ports share a label
-                # object shows in the ``affine.evaluate`` cell.
+                # One image per target: no two ports share a label object.
                 for target in (arr, out):
                     changed |= offer(
                         target,

@@ -167,13 +167,13 @@ class TestPlanMany:
         cachestats.clear_caches()
         report = plan_many(self.CORPUS, nprocs=4, serial=True)
         totals = report.cache_totals()
-        for cell in ("affine.evaluate", "distrib.move_records", "align.moments"):
+        for cell in ("distrib.move_records", "align.moments"):
             assert sum(totals.get(cell, (0, 0))) > 0, cell
         assert totals["align.moments"][0] > 0
         rates = cachestats.hit_rate(totals)
         assert 0.0 <= min(rates.values()) and max(rates.values()) <= 1.0
         rendered = report.render()
-        assert "cache affine.evaluate" in rendered
+        assert "cache align.moments" in rendered
         assert report.throughput > 0
 
     def test_report_json_round_trips(self):
@@ -263,10 +263,10 @@ class TestCacheHygiene:
         plan_many(corpus, nprocs=4, serial=True)
         sizes = cache_sizes()
         assert sizes  # the registry saw the batch
-        from repro.align.cost import _MOMENTS, _SPANS
+        from repro.align.cost import _MOMENTS
         from repro.distrib.costmodel import _POSITIONS
 
-        for cache in (_MOMENTS, _SPANS, _POSITIONS):
+        for cache in (_MOMENTS, _POSITIONS):
             assert len(cache) <= cache.maxsize
 
     def test_clear_caches_empties_everything(self):

@@ -213,7 +213,7 @@ class TestBatchCLI:
         )
         out = capsys.readouterr().out
         assert "batch: 6 programs" in out
-        assert "cache affine.evaluate" in out
+        assert "cache align.moments" in out
         import json
 
         blob = json.loads(out_json.read_text())

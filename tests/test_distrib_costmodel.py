@@ -398,8 +398,26 @@ class TestNumbersDecideBeforeArrays:
         build_profile(plan.adg, plan.alignments)
         counts = cachestats.delta(before)
         assert sum(counts["distrib.move_records"]) == 2 * moving
-        # the class numbers build the arrays: nothing is evaluated
-        assert sum(counts.get("affine.evaluate", (0, 0))) == 0
+
+    def test_no_kernel_evaluates_an_affine_form(self, corpus_kernels, monkeypatch):
+        """Comm-profile reads every window and coordinate from the class
+        numbers: on none of the 16 kernels does it evaluate an
+        ``AffineForm``, with its caches cold."""
+        assert len(corpus_kernels) == 16
+        calls = []
+        evaluate = AffineForm.evaluate
+
+        def counted(form, env):
+            calls.append(form)
+            return evaluate(form, env)
+
+        for kernel, source in corpus_kernels.items():
+            plan = align_program(parse(source, name=kernel))
+            cachestats.clear_caches()
+            with monkeypatch.context() as m:
+                m.setattr(AffineForm, "evaluate", counted)
+                build_profile(plan.adg, plan.alignments)
+            assert calls == [], kernel
 
 
 def _comparable(c):

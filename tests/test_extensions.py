@@ -29,7 +29,7 @@ endif
 A(1:99) = B(1:99)
 """
         prog_rare = parse(src_template)
-        # prob defaults to 0.5; rebuild with prob 0.1 via the builder AST
+        # prob defaults to 0.5; rebuild with prob 0.1 on the AST
         from repro.lang import ast as A
 
         def with_prob(p, prob):

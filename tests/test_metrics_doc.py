@@ -86,7 +86,7 @@ def emitted(monkeypatch) -> dict[str, str]:
     reg = metrics.Registry()
     monkeypatch.setattr(metrics, "_REGISTRY", reg)
     # Earlier tests may have planned the same programs: with the kernel
-    # memos warm, a cell behind them (affine.evaluate) would not move.
+    # memos warm, a cell behind them (align.moments) would not move.
     cachestats.clear_caches()
     before = cachestats.snapshot()
     with obs.recording() as rec:

@@ -554,7 +554,7 @@ class TestCLITraceOut:
     def test_metrics_flag(self, prog_file, capsys):
         assert main([prog_file, "--metrics"]) == 0
         out = capsys.readouterr().out
-        assert "metrics:" in out and "cache.affine.evaluate.hits" in out
+        assert "metrics:" in out and "cache.align.moments.hits" in out
 
     def test_batch_trace_out(self, tmp_path, capsys):
         out = str(tmp_path / "batch.json")
