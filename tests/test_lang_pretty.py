@@ -1,10 +1,79 @@
-"""Unit tests for the pretty-printer round-trip."""
+"""Unit tests for the pretty-printer round-trip and the constructs the
+parser reads."""
 
 import pytest
 
-from repro.lang import parse, pretty, typecheck
+from repro.lang import ParseError, parse, pretty, typecheck
 from repro.lang import programs
+from repro.lang.typecheck import TypeError_
 from repro.passes import content_fingerprint
+
+
+class TestConstructs:
+    def test_figure1_equivalent(self):
+        src = (
+            "real A(100,100), V(200)\n"
+            "do k = 1, 100\n"
+            "  A(k,1:100) = A(k,1:100) + V(k:k+99)\n"
+            "enddo\n"
+        )
+        assert pretty(parse(src, name="fig1")) == pretty(programs.figure1())
+
+    def test_operator_overloads(self):
+        p = parse("real A(8)\nreal B(8)\nA = 2 * B - 1\nA = -B / 2\n")
+        typecheck(p)
+        assert "2 * B - 1" in pretty(p)
+
+    def test_full_slice(self):
+        p = parse("real A(4,6)\nreal B(6)\nA(2,:) = B\n")
+        typecheck(p)
+        assert "A(2,:)" in pretty(p)
+
+    def test_intrinsics(self):
+        typecheck(
+            parse(
+                "real t(4)\nreal B(4,6)\nreal r(4)\n"
+                "t = cos(t)\n"
+                "B = spread(t, dim=2, ncopies=6)\n"
+                "r = sum(B, dim=2)\n"
+            )
+        )
+
+    def test_transpose(self):
+        typecheck(parse("real B(4,4)\nreal C(4,4)\nB = B + transpose(C)\n"))
+
+    def test_gather(self):
+        typecheck(
+            parse(
+                "readonly replicated real T(16)\ninteger idx(5)\nreal y(5)\n"
+                "y(1:5) = gather(T, idx(1:5))\n"
+            )
+        )
+
+    def test_if_blocks(self):
+        p = parse(
+            "real A(8)\n"
+            "if (converged) then\n  A = A + 1\nelse\n  A = A - 1\nendif\n"
+        )
+        s = p.body[0]
+        assert s.prob == 0.5  # the text carries no weight: the default
+        assert len(s.then_body) == 1 and len(s.else_body) == 1
+
+    def test_gather_from_rank2_table_rejected(self):
+        p = parse(
+            "readonly replicated real T(4,4)\ninteger idx(5)\nreal y(5)\n"
+            "y(1:5) = gather(T, idx(1:5))\n"
+        )
+        with pytest.raises(TypeError_, match="gather table must be rank-1"):
+            typecheck(p)
+
+    def test_open_slice_rejected(self):
+        with pytest.raises(ParseError):
+            parse("real A(8)\nA(1:) = 1\n")
+
+    def test_assign_to_expression_rejected(self):
+        with pytest.raises(ParseError, match="expected '='"):
+            parse("real A(8)\nA + 1 = A\n")
 
 
 class TestRoundTrip:
