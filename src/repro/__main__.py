@@ -43,10 +43,12 @@ timings — is printed, optionally dumped as JSON.
 planned from scratch, then FILE is treated as an edit of it and
 re-planned through the delta engine (:mod:`repro.passes.delta`) —
 unchanged alignment artifacts carry over, and the printed delta report
-shows the statement diff, the dirty ADG region, and which passes ran
-versus reused per pass (the same dirty/clean column ``--explain``
-shows).  The incremental plan is identical to a from-scratch plan of
-FILE; only the work to get there shrinks.
+shows the rung the replan took, where the edited program's projections
+first differ from the base's when a rung below ``carry_all`` was taken
+(``fallback detail``), and which passes ran versus reused per pass (the
+same dirty/clean column ``--explain`` shows).  The incremental plan is
+identical to a from-scratch plan of FILE; only the work to get there
+shrinks.
 
 Every plan is produced by the staged pass pipeline
 (:mod:`repro.passes`).  ``--explain`` prints the pass graph the chosen
@@ -261,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="BASE",
         help="incremental mode: plan BASE first, then re-plan FILE as an "
         "edit of it — unchanged alignment artifacts carry over and the "
-        "delta report (dirty region, per-pass reuse) is printed",
+        "delta report (rung, first difference, per-pass reuse) is printed",
     )
     ap.add_argument(
         "--explain",

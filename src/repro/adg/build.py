@@ -181,11 +181,9 @@ class ADGBuilder:
     def build(self) -> ADG:
         # Every node is stamped with the provenance tag of the top-level
         # statement (or declaration) being built when it was created —
-        # ``"s<i>"`` / ``"decl:<name>"`` — so the delta engine can map a
-        # program diff onto the dirty ADG region.  Distributor nodes
-        # spliced lazily in :meth:`connect` inherit the tag of the use
-        # that triggered them, which is one of the statements reading
-        # the definition — inside the dirty closure either way.
+        # ``"s<i>"`` / ``"decl:<name>"``; distributor nodes spliced
+        # lazily in :meth:`connect` inherit the tag of the use that
+        # triggered them.  Nothing reads the tags (``ADGNode.stmt``).
         for d in self.program.decls:
             self.adg.current_stmt = f"decl:{d.name}"
             node = self.adg.add_node(

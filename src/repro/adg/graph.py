@@ -68,9 +68,8 @@ class ADGNode:
     declaration) whose construction created the node — ``"s<i>"`` for
     the i-th body statement, ``"decl:<name>"`` for declaration
     sources/sinks, ``""`` when unknown (e.g. graphs unpickled from an
-    older cache).  The delta engine (:mod:`repro.passes.delta`) uses it
-    to map a program diff onto the dirty ADG region; nothing in the
-    alignment solvers reads it.
+    older cache).  Nothing reads it: it stays only because it is part of
+    the pickled ADG layout (``serve/cache.py::SCHEMA_VERSION``).
     """
 
     kind: NodeKind

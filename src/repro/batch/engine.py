@@ -133,9 +133,11 @@ def _verify(ctx) -> bool:
     * on the default (grid) machine, measured hops + broadcasts +
       general elements must equal the equation-1 cost exactly (general
       moves carry the discrete-metric charge, never hops);
-    * for every topology, the compiled profile must agree with the
-      executor's counts exactly — general edges included.
+    * for every topology, the compiled profile's pricing front — what
+      the planner prices — must agree with the executor's counts
+      exactly, general edges included.
     """
+    from ..distrib.vectorized import evaluate_front
     from ..machine.distribution import Distribution
     from ..machine.executor import measure_traffic
 
@@ -148,12 +150,8 @@ def _verify(ctx) -> bool:
         if plan.total_cost != total:
             return False
     if ctx.has("profile"):
-        cv = ctx.get("profile").evaluate(ident, topo)
-        if (
-            cv.hops != rep.hop_cost
-            or cv.moved != rep.elements_moved
-            or cv.broadcast != rep.broadcast_elements
-        ):
+        (priced,) = evaluate_front(ctx.get("profile"), [ident], topo).tolist()
+        if priced != [rep.hop_cost, rep.elements_moved, rep.broadcast_elements]:
             return False
     return True
 

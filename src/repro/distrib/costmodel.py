@@ -26,10 +26,12 @@ integers, for a non-empty move whose offsets differ on an active axis
 under equal strides, and every element of such a move shifts on it.
 
 Because the records hold the *same coordinates* the executor maps, the
-model is exact by construction: for any distribution,
-``profile.evaluate(dist)`` equals the executor's measured counts, and
-under the identity distribution the hop count equals the paper's
-equation-1 cost.  The end-to-end tests assert both equalities.
+model is exact by construction: for any distribution, the front's price
+(:func:`~repro.distrib.vectorized.evaluate_front`) equals the
+executor's measured counts, and under the identity distribution the
+hop count equals the paper's equation-1 cost.  The end-to-end tests
+assert both equalities, against a scalar walk of the records that
+lives with them (``tests/conftest.py::evaluate``).
 
 Distribution-independent traffic is folded into the profile up front:
 
@@ -39,8 +41,8 @@ Distribution-independent traffic is folded into the profile up front:
   :func:`repro.machine.comm.count_move`);
 * *broadcasts* along replicated axes cost the object size once.
 
-Hop pricing is topology-aware: ``evaluate`` and ``axis_hops`` accept
-the interconnect metrics of :mod:`repro.topology`, defaulting to the
+Hop pricing is topology-aware: the front is priced under the
+interconnect metrics of :mod:`repro.topology`, defaulting to the
 paper's L1 grid, so one profile serves any number of machine models.
 """
 
@@ -57,8 +59,6 @@ from ..align.position import Alignment
 from ..cachestats import MISS, BoundedCache
 from ..ir.affine import AffineForm, scalar
 from ..ir.symbols import LIV
-from ..machine.distribution import AxisDistribution, Distribution
-from ..topology import AxisMetric, Topology, distribution_metrics
 from .vectorized import FrontTensors, compile_front
 
 # Move-record compilation: only a move whose evaluated offsets differ
@@ -200,69 +200,6 @@ class CommProfile:
     def __post_init__(self) -> None:
         if self.front is None:
             self.front = compile_front(self)
-
-    # -- evaluation --------------------------------------------------------
-
-    def evaluate(
-        self, dist: Distribution, topology: Topology | None = None
-    ) -> CostVector:
-        """Exact modeled cost of ``dist``: matches the executor's counts.
-
-        ``topology`` prices hops with the machine's interconnect
-        metrics; ``None`` is the paper's L1 grid.
-        """
-        if dist.rank != self.template_rank:
-            raise ValueError(
-                f"distribution rank {dist.rank} != template rank "
-                f"{self.template_rank}"
-            )
-        metrics = (
-            None if topology is None else distribution_metrics(topology, dist)
-        )
-        hops = self.fixed.hops
-        moved = self.fixed.moved
-        for r in self.records:
-            sub = Distribution(tuple(dist.axes[t] for t in r.axes))
-            sub_metrics = (
-                None
-                if metrics is None
-                else tuple(metrics[t] for t in r.axes)
-            )
-            moved += int(np.sum(sub.moved_mask(r.src, r.dst))) * r.count
-            hops += (
-                int(np.sum(sub.hop_distance(r.src, r.dst, sub_metrics)))
-                * r.count
-            )
-        return CostVector(hops, moved, self.broadcast)
-
-    def axis_hops(
-        self,
-        axis: int,
-        axdist: AxisDistribution,
-        metric: AxisMetric | None = None,
-    ) -> int:
-        """Hops contributed by one template axis under one axis scheme.
-
-        Every topology in :mod:`repro.topology` is separable — its hop
-        distance decomposes over axes — so per-axis hop costs can be
-        optimized independently once the processor count per axis is
-        fixed, for any interconnect, not just the L1 grid.  This is
-        what makes the search a per-axis argmin rather than
-        a cross-product sweep.  The planner prices whole candidate
-        fronts with :func:`~repro.distrib.vectorized.axis_row_hops`;
-        this is the one-candidate reference it is checked against, and
-        it computes on every call.
-        """
-        total = 0
-        for r in self.records:
-            if axis not in r.axes:
-                continue
-            j = r.axes.index(axis)
-            d = axdist.processor_coordinate_distance(
-                r.src[j], r.dst[j], metric
-            )
-            total += int(np.sum(d)) * r.count
-        return total
 
     # -- introspection -----------------------------------------------------
 

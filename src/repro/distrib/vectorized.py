@@ -1,11 +1,10 @@
 """Vectorized batch pricing of whole candidate enumerations.
 
-The scalar evaluators (:meth:`CommProfile.axis_hops`,
-:meth:`CommProfile.evaluate`) walk the move records in Python once per
-candidate — fine for a single plan, dominant in a search that prices
-hundreds of (scheme, grid) candidates per program.  This module is what
-the planner prices with: an *entire enumeration front* in a handful of
-broadcasted NumPy ops:
+A scalar evaluator (the tests' reference, ``tests/conftest.py``) walks
+the move records in Python once per candidate — fine for a single plan,
+dominant in a search that prices hundreds of (scheme, grid) candidates
+per program.  This module is what the planner prices with: an *entire
+enumeration front* in a handful of broadcasted NumPy ops:
 
 * :func:`compile_front` compiles a profile's move records into its
   pricing front **once**, when the comm-profile pass builds the profile
@@ -415,11 +414,11 @@ def axis_front_hops(
     ``cands`` holds per-axis candidates (scheme records of
     :mod:`repro.machine.distribution`), ``metrics`` one axis metric per
     candidate (``None``: the open L1 chain for all).  Returns two int64
-    ``(len(cands),)`` arrays: ``hops[i]`` exactly equals
-    ``profile.axis_hops(axis, cands[i], metrics[i])``, and ``moved[i]``
-    counts the elements that move on this axis alone and change
-    processor under ``cands[i]`` (the joint movers are
-    :func:`joint_moved`'s).
+    ``(len(cands),)`` arrays: ``hops[i]`` exactly equals the scalar
+    reference ``axis_hops(profile, axis, cands[i], metrics[i])``
+    (``tests/conftest.py``), and ``moved[i]`` counts the elements that
+    move on this axis alone and change processor under ``cands[i]``
+    (the joint movers are :func:`joint_moved`'s).
     """
     runs = None if metrics is None else [(m, 1) for m in metrics]
     return axis_row_hops(profile, axis, _params(cands), runs, cands)
@@ -465,9 +464,10 @@ def evaluate_front(
     """Exact cost of every candidate distribution, as one cost matrix.
 
     Returns an int64 ``(len(dists), 3)`` array with columns
-    ``(hops, moved, broadcast)``; row ``i`` equals
-    ``profile.evaluate(dists[i], topology)`` entry for entry (asserted
-    by the differential harness on every scenario × topology family).
+    ``(hops, moved, broadcast)``; row ``i`` equals the scalar reference
+    ``evaluate(profile, dists[i], topology)`` (``tests/conftest.py``)
+    entry for entry (asserted by the differential harness on every
+    scenario × topology family).
     An empty front prices to a ``(0, 3)`` matrix.
     """
     n = len(dists)

@@ -51,7 +51,6 @@ from .delta import (
     DeltaReport,
     ProgramDiff,
     diff_programs,
-    dirty_region,
     replan,
     statement_key,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "TypecheckPass",
     "content_fingerprint",
     "diff_programs",
-    "dirty_region",
     "replan",
     "statement_key",
     "trace_table",

@@ -119,36 +119,6 @@ def _render_opaque(value: Any) -> str:
     raise _NotContentAddressable
 
 
-def _digest(type_name: str, text: str) -> str:
-    return hashlib.sha1(f"{type_name}|{text}".encode()).hexdigest()[:12]
-
-
-class Rendered:
-    """A value rendered once: its canonical string and the type name its
-    digest is taken under (:func:`render`).
-
-    Put in the value's place inside a larger value, it renders as that
-    string, so the larger value's fingerprint is exactly what it was —
-    without walking the part again.  The delta engine keys a program's
-    statements this way and then fingerprints the program.
-    """
-
-    __slots__ = ("text", "type_name")
-
-    def __init__(self, text: str, type_name: str) -> None:
-        self.text = text
-        self.type_name = type_name
-
-    @property
-    def fingerprint(self) -> str:
-        """``content_fingerprint`` of the value this was rendered from."""
-        return _digest(self.type_name, self.text)
-
-
-def _render_rendered(value: Rendered) -> str:
-    return value.text
-
-
 def _render_affine(value: AffineForm) -> str:
     """An ``AffineForm`` as ``AffineForm<tuple(const,dict(liv:coeff,..))>``,
     every scalar written as ``repr(Fraction(x))`` (an on-disk format
@@ -169,7 +139,6 @@ def _fraction_repr(x: int | Fraction) -> str:
 
 
 # The types the precedence of the scheme does not cover.
-_RENDERERS[Rendered] = _render_rendered
 _RENDERERS[AffineForm] = _render_affine
 
 
@@ -226,18 +195,11 @@ def content_fingerprint(value: Any) -> Optional[str]:
     processes and machines.  Persistent caches (:mod:`repro.serve`) key
     on exactly these — a ``None`` here must never become a cache key.
     """
-    r = render(value)
-    return None if r is None else r.fingerprint
-
-
-def render(value: Any) -> Optional[Rendered]:
-    """``value`` rendered for reuse inside a larger value (see
-    :class:`Rendered`); ``None`` exactly where :func:`content_fingerprint`
-    is."""
     try:
-        return Rendered(_stable_repr(value), type(value).__name__)
+        text = f"{type(value).__name__}|{_stable_repr(value)}"
     except Exception:  # noqa: BLE001 - fingerprinting must never fail
         return None
+    return hashlib.sha1(text.encode()).hexdigest()[:12]
 
 
 #: The artifacts fingerprinted by content: the planner's three inputs.
@@ -337,8 +299,8 @@ class PlanContext:
         self._current_event: dict | None = None
         self.memo = SubproblemMemo()
         # What :mod:`repro.passes.delta` derives from this context as the
-        # *base* of a replan (its projections, statement keys): computed
-        # once, however many edits are replanned against it.
+        # *base* of a replan (its two projections): computed once, however
+        # many edits are replanned against it.
         self._delta_base_memo: dict = {}
 
     # -- artifact access ---------------------------------------------------

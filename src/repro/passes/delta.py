@@ -4,32 +4,20 @@ A single-statement edit to a program changes its content fingerprint,
 so the serve cache (:mod:`repro.serve`) treats the edited program as a
 cold miss and the pipeline re-runs every pass from typecheck through
 distribute — even though most of the ADG and almost every alignment
-artifact are untouched.  This module closes that gap:
+artifact are untouched.  :func:`replan` closes that gap: it re-enters
+the pipeline against a fresh context with unchanged artifacts carried
+over from a prior ``PlanContext`` — skeletons, replication labels,
+mobile offsets, per-port alignments and the comm profile, and the
+distribution when the machine has not changed either — so only the
+genuinely invalidated suffix recomputes.  A machine-only delta (same
+program, new nprocs/topology) forks the base context and re-runs
+exactly the distribution suffix, pricing the move of the base's
+occupied window from the old distribution to the new one
+(:func:`repro.distrib.remap.remap_cost`).
 
-* :func:`diff_programs` compares two programs statement-by-statement
-  under stable *statement keys* (content fingerprints — the statement
-  analogue of ``Port.key``) and reports which top-level statements
-  changed.
-* :func:`dirty_region` maps the changed statements onto the new ADG via
-  the build-time provenance tags (``ADGNode.stmt``) and takes the
-  forward reachability closure: the dirty nodes and ports an edit can
-  influence.  This drives the *accounting* (dirty/total counts in the
-  trace, ``passes.delta.dirty_ports``).
-* :func:`replan` re-enters the pipeline against a fresh context with
-  unchanged artifacts carried over from a prior ``PlanContext`` —
-  skeletons, replication labels, mobile offsets, per-port alignments
-  and the comm profile, and the distribution when the machine has not
-  changed either — so only the genuinely invalidated suffix
-  recomputes.  A machine-only delta (same program, new
-  nprocs/topology) forks the base context and re-runs exactly the
-  distribution suffix, pricing the move of the base's occupied window
-  from the old distribution to the new one
-  (:func:`repro.distrib.remap.remap_cost`).
-
-Carry-over *soundness* is decided by comparing projections, not by
-the diff itself.  A projection of the ``(program, adg)`` pair is the
-tuple of the values a planning phase reads, and two of them are
-compared with ``==``:
+Carry-over is decided by comparing projections and nothing else.  A
+projection of the ``(program, adg)`` pair is the tuple of the values a
+planning phase reads, and two of them are compared with ``==``:
 
 * the **alignment projection** keeps everything the alignment phases
   read — node kinds, payload content, port shapes/spaces, edge weights
@@ -75,7 +63,16 @@ identity equality, or is unhashable — degrades the projection to
 carry-over is disabled rather than risking a stale reuse.  The report
 says so (``fallback``: ``uncacheable``, beside ``projection_mismatch``
 for an edit that is structural and ``no_base`` for a base with no
-solved graph to compare with).
+solved graph to compare with).  Two projections that differ are walked
+to the first element where they do, and the report names it
+(``fallback_detail``): the node, port or edge and the field of it the
+edit changed — on a ``full`` replan the skeleton projection's
+difference, on ``carry_skeletons`` the alignment projection's, which
+says why ``carry_all`` did not hold.
+
+:func:`diff_programs` is a statement-level diff of two programs
+(an LCS pairing of their statements' content fingerprints).  A replan
+does not run it: what it says decides nothing the projections do not.
 
 Below the whole-program projections sits the **subproblem memo**
 (:class:`~repro.passes.core.SubproblemMemo`).  A replan's context reads
@@ -121,8 +118,7 @@ without building or looking up anything.
   costs.
 
 Every per-pass reuse/recompute shows up in the context trace, the
-``passes.artifact_reuse`` cachestats cell, and the obs counters
-``passes.delta.dirty_ports`` / ``passes.delta.reused`` /
+``passes.artifact_reuse`` cachestats cell, and the obs counter
 ``passes.delta.fallback.<reason>``; memo outcomes
 are on the report (``memo_hits`` / ``memo_misses``) and in the counters
 ``passes.delta.memo_hits.<kind>`` / ``passes.delta.memo_misses.<kind>``
@@ -142,13 +138,12 @@ from ..adg.nodes import ReducePayload, SectionPayload
 from ..lang import ast as A
 from ..obs import spans as obs
 from ..obs.metrics import registry
-from .core import Pipeline, PlanContext, Rendered, content_fingerprint, render
+from .core import Pipeline, PlanContext, content_fingerprint
 
 __all__ = [
     "DeltaReport",
     "ProgramDiff",
     "diff_programs",
-    "dirty_region",
     "replan",
     "statement_key",
 ]
@@ -167,13 +162,8 @@ def statement_key(stmt: Any) -> str:
     (one built by hand around an opaque value) never matches anything,
     which degrades the diff to "changed" — conservative, never stale.
     """
-    return _statement_key(stmt, render(stmt))
-
-
-def _statement_key(stmt: Any, rendered: Optional[Rendered]) -> str:
-    if rendered is None:
-        return f"!opaque-{id(stmt):x}"
-    return rendered.fingerprint
+    fp = content_fingerprint(stmt)
+    return f"!opaque-{id(stmt):x}" if fp is None else fp
 
 
 @dataclass(frozen=True)
@@ -249,96 +239,23 @@ def _lcs_pairs(a: Sequence[str], b: Sequence[str]) -> list[tuple[int, int]]:
     return pairs
 
 
-#: One side of a diff: (statement keys, declaration-list fingerprint).
-_DiffSide = tuple[tuple[str, ...], Optional[str]]
-
-
-#: A program's statements and its declaration list, each rendered once.
-_Parts = tuple[list[Optional[Rendered]], Optional[Rendered]]
-
-
-def _render_parts(program: A.Program) -> _Parts:
-    return [render(s) for s in program.body], render(program.decls)
-
-
-def _diff_side(program: A.Program, parts: Optional[_Parts] = None) -> _DiffSide:
-    stmts, decls = parts if parts is not None else _render_parts(program)
-    return (
-        tuple(_statement_key(s, r) for s, r in zip(program.body, stmts)),
-        None if decls is None else decls.fingerprint,
-    )
-
-
-def _program_fingerprint(program: A.Program, parts: _Parts) -> Optional[str]:
-    """``content_fingerprint(program)``, the parts not walked again: a
-    copy of the program holding the rendered parts renders what the
-    program does, and a part that cannot be rendered leaves the program
-    as opaque as itself."""
-    stmts, decls = parts
-    if decls is None or None in stmts:
-        return None
-    return content_fingerprint(
-        dataclasses.replace(program, decls=decls, body=tuple(stmts))
-    )
-
-
-def _diff_sides(base: _DiffSide, new: _DiffSide) -> ProgramDiff:
-    (base_keys, base_decls), (new_keys, new_decls) = base, new
+def diff_programs(base: A.Program, new: A.Program) -> ProgramDiff:
+    """Statement-level diff of two programs (see :class:`ProgramDiff`)."""
+    base_keys = tuple(map(statement_key, base.body))
+    new_keys = tuple(map(statement_key, new.body))
     matched = tuple(_lcs_pairs(base_keys, new_keys))
     mb = {i for i, _ in matched}
     mn = {j for _, j in matched}
+    new_decls = content_fingerprint(new.decls)
     return ProgramDiff(
         base_keys=base_keys,
         new_keys=new_keys,
         matched=matched,
         changed_base=tuple(i for i in range(len(base_keys)) if i not in mb),
         changed_new=tuple(j for j in range(len(new_keys)) if j not in mn),
-        decls_changed=new_decls is None or base_decls != new_decls,
+        decls_changed=new_decls is None
+        or content_fingerprint(base.decls) != new_decls,
     )
-
-
-def diff_programs(base: A.Program, new: A.Program) -> ProgramDiff:
-    """Statement-level diff of two programs (see :class:`ProgramDiff`)."""
-    return _diff_sides(_diff_side(base), _diff_side(new))
-
-
-# -- dirty-region computation ---------------------------------------------
-
-
-def dirty_region(adg: ADG, diff: ProgramDiff) -> tuple[set[int], set[str]]:
-    """Dirty ``(node ids, port keys)`` of ``adg`` under ``diff``.
-
-    Seeds are the nodes whose provenance tag (``ADGNode.stmt``) names a
-    changed statement — or *any* declaration node when the declaration
-    list changed — plus nodes with unknown provenance (older pickled
-    graphs), which are conservatively dirty.  The region is the forward
-    dataflow closure of the seeds: everything an edit's new values can
-    reach, hence everything whose alignment decision the edit could
-    perturb through the cost terms downstream.
-    """
-    tags = {f"s{j}" for j in diff.changed_new}
-    decls_dirty = diff.decls_changed
-    dirty: set[int] = set()
-    frontier: list = []
-    for n in adg.nodes:
-        seeded = (
-            n.stmt in tags
-            or n.stmt == ""
-            or (decls_dirty and n.stmt.startswith("decl:"))
-        )
-        if seeded:
-            dirty.add(n.nid)
-            frontier.append(n)
-    while frontier:
-        n = frontier.pop()
-        for p in n.outputs():
-            for e in adg.out_edges(p):
-                m = e.head.node
-                if m.nid not in dirty:
-                    dirty.add(m.nid)
-                    frontier.append(m)
-    ports = {p.key for n in adg.nodes if n.nid in dirty for p in n.ports}
-    return dirty, ports
 
 
 # -- projections ----------------------------------------------------------
@@ -430,17 +347,71 @@ def _projection(program: A.Program, adg: ADG, offsets: bool) -> Optional[tuple]:
     )
 
 
-def _once_per_base(base: PlanContext, what: str, objs: tuple, compute) -> Any:
+#: The fields of a node, a port and an edge entry of a projection,
+#: named, with the index (or slice) of the entry that holds each.
+_NODE_FIELDS = (("kind", 1), ("payload", 2))
+_PORT_FIELDS = (("name", 1), ("direction", 2), ("shape", 3), ("space", 4))
+_EDGE_FIELDS = (
+    ("endpoints", slice(1, 3)),
+    ("weight", 3),
+    ("space", 4),
+    ("control weight", slice(5, 7)),
+)
+
+
+def _differing(fields: tuple, base: tuple, new: tuple) -> Optional[str]:
+    """The name of the first of ``fields`` where two entries differ."""
+    return next((name for name, at in fields if base[at] != new[at]), None)
+
+
+def _first_difference(base: tuple, new: tuple, adg: ADG) -> Optional[str]:
+    """The first element where two unequal projections differ, and the
+    field of it that does, named after ``adg`` — the new program's graph.
+
+    Nodes come before edges, a node's own fields before its ports', a
+    count only where every element both sides hold is equal, and the
+    program-wide fields only where the graphs are: an element says where
+    in the program the edit is.
+    """
+    (base_rank, base_ro, base_nodes, base_edges) = base
+    (new_rank, new_ro, new_nodes, new_edges) = new
+    for node, b, n in zip(adg.nodes, base_nodes, new_nodes):
+        where = f"node {node.nid} ({node.kind.name} {node.label})"
+        field_ = _differing(_NODE_FIELDS, b, n)
+        if field_ is None and len(b[3]) != len(n[3]):
+            field_ = "port count"
+        if field_ is not None:
+            return f"{where}: {field_}"
+        for bp, np_ in zip(b[3], n[3]):
+            field_ = _differing(_PORT_FIELDS, bp, np_)
+            if field_ is not None:
+                return f"port {np_[0]}: {field_}"
+    if len(base_nodes) != len(new_nodes):
+        return f"node count: {len(base_nodes)} -> {len(new_nodes)}"
+    for edge, b, n in zip(adg.edges, base_edges, new_edges):
+        field_ = _differing(_EDGE_FIELDS, b, n)
+        if field_ is not None:
+            return f"edge {edge.eid} ({edge.tail.key} -> {edge.head.key}): {field_}"
+    if len(base_edges) != len(new_edges):
+        return f"edge count: {len(base_edges)} -> {len(new_edges)}"
+    if base_rank != new_rank:
+        return "template_rank"
+    if base_ro != new_ro:
+        return "read_only arrays"
+    return None
+
+
+def _once_per_base(base: PlanContext, objs: tuple, compute) -> Any:
     """``compute()``, once per base context and identity of ``objs``.
 
     A base context is replanned against many times (one edit stream =
     one base, dozens of edits) and its program/graph never change, so
-    whatever a replan derives from the base side alone — projections,
-    statement keys — is computed once.  The memo keeps references to
+    what a replan derives from the base side alone — its two
+    projections — is computed once.  The memo keeps references to
     the keyed objects: identity keys stay valid exactly as long as the
     objects they name are alive.
     """
-    key = (what, *map(id, objs))
+    key = tuple(map(id, objs))
     hit = base._delta_base_memo.get(key)
     if hit is None:
         hit = base._delta_base_memo[key] = (objs, compute())
@@ -504,6 +475,14 @@ class DeltaReport:
     compared), ``no_base`` (the base holds no graph, or no solution on
     it, to compare with).
 
+    ``fallback_detail`` names the first element where the last pair of
+    projections compared differ, and the field of it that does: on
+    ``full`` the skeleton projection's (``node 5 (SECTION ...):
+    payload``), on ``carry_skeletons`` the alignment projection's, which
+    is why ``carry_all`` did not hold.  It is ``None`` on every other
+    rung and beside ``uncacheable`` and ``no_base``, where no two
+    projections were compared.
+
     ``memo_hits`` / ``memo_misses`` count, per kind of subproblem
     (``edge``, ``offset_lp``), the lookups the passes that *ran* made in
     the context's :class:`~repro.passes.core.SubproblemMemo`.  They say
@@ -512,17 +491,13 @@ class DeltaReport:
     """
 
     strategy: str
-    diff: Optional[ProgramDiff]
-    dirty_nodes: int = 0
-    dirty_ports: int = 0
-    total_nodes: int = 0
-    total_ports: int = 0
     reused: dict[str, int] = field(default_factory=dict)
     recomputed: dict[str, int] = field(default_factory=dict)
     pass_status: dict[str, str] = field(default_factory=dict)
     memo_hits: dict[str, int] = field(default_factory=dict)
     memo_misses: dict[str, int] = field(default_factory=dict)
     fallback: Optional[str] = None  # why ``full``; None on every other rung
+    fallback_detail: Optional[str] = None  # where the projections differ
     remap: Any = None  # CostVector for machine deltas with a base distribution
     seconds: float = 0.0
 
@@ -538,12 +513,8 @@ class DeltaReport:
         lines = [f"delta replan: strategy={self.strategy}"]
         if self.fallback is not None:
             lines.append(f"  fallback: {self.fallback}")
-        if self.diff is not None:
-            lines.append(f"  diff: {self.diff.summary()}")
-        lines.append(
-            f"  dirty region: {self.dirty_nodes}/{self.total_nodes} nodes, "
-            f"{self.dirty_ports}/{self.total_ports} ports"
-        )
+        if self.fallback_detail is not None:
+            lines.append(f"  fallback detail: {self.fallback_detail}")
 
         def _fmt(counts: dict[str, int]) -> str:
             return (
@@ -732,15 +703,14 @@ def replan(
     base_art = base.artifact("program")
     base_program = base_art.value
     new_program = program if program is not None else base_program
-    # Each program is walked once: the base's when it was stored, the new
-    # one here — its statements for the diff keys, and the fingerprint
-    # (handed on to ``put`` below) from those.
+    # Each program is fingerprinted once: the base's when it was stored,
+    # the new one here (and handed on to ``put`` below).
     base_fp = base_art.fingerprint
-    if new_program is base_program:
-        new_parts, new_fp = None, base_fp
-    else:
-        new_parts = _render_parts(new_program)
-        new_fp = _program_fingerprint(new_program, new_parts)
+    new_fp = (
+        base_fp
+        if new_program is base_program
+        else content_fingerprint(new_program)
+    )
     program_same = new_program is base_program or (
         base_fp is not None and base_fp == new_fp
     )
@@ -760,16 +730,7 @@ def replan(
     )
 
     with obs.span("passes.delta", kind="delta"):
-        base_side = _once_per_base(
-            base, "diff", (base_program,), lambda: _diff_side(base_program)
-        )
-        diff = _diff_sides(
-            base_side,
-            base_side
-            if new_program is base_program
-            else _diff_side(new_program, new_parts),
-        )
-        report = DeltaReport(strategy="full", diff=diff)
+        report = DeltaReport(strategy="full")
         graph_seconds = 0.0
         if program_same:
             ctx = base.fork()
@@ -786,10 +747,6 @@ def replan(
                 if base.has("plan"):
                     ctx.put("plan", dataclasses.replace(base.get("plan")))
                 ctx.put("machine", new_machine, fingerprint=new_mfp)
-            adg = base.get("adg") if base.has("adg") else None
-            if adg is not None:
-                report.total_nodes = len(adg.nodes)
-                report.total_ports = sum(len(n.ports) for n in adg.nodes)
         else:
             ctx = PlanContext()
             # The passes that run read what the base solved; what they
@@ -800,28 +757,24 @@ def replan(
             ctx.put("align_options", options.value, fingerprint=options.fingerprint)
             if new_machine is not None:
                 ctx.put("machine", new_machine, fingerprint=new_mfp)
-            # The graph prefix always re-runs: the dirty region and the
-            # projections are read off the new program's own ADG, which
-            # no base graph can stand in for.  Its passes report their
-            # own seconds, so the diff event leaves them out.
+            # The graph prefix always re-runs: the projections are read
+            # off the new program's own ADG, which no base graph can
+            # stand in for.  Its passes report their own seconds, so the
+            # delta event leaves them out.
             t_graph = time.perf_counter()
             pipeline.run(ctx, goal="adg")
             graph_seconds = time.perf_counter() - t_graph
             new_adg = ctx.get("adg")
-            dirty_nodes, dirty_ports = dirty_region(new_adg, diff)
-            report.dirty_nodes = len(dirty_nodes)
-            report.dirty_ports = len(dirty_ports)
-            report.total_nodes = len(new_adg.nodes)
-            report.total_ports = sum(len(n.ports) for n in new_adg.nodes)
             base_adg = base.get("adg") if base.has("adg") else None
-            fallback = "no_base"  # until a projection has been compared
+            # Until a projection has been compared; then what the last
+            # comparison found.
+            fallback, detail = "no_base", None
 
             def _match(offsets: bool) -> bool:
-                nonlocal fallback
+                nonlocal fallback, detail
                 new_proj = _projection(new_program, new_adg, offsets)
                 base_proj = None if new_proj is None else _once_per_base(
                     base,
-                    "projection",
                     (base_program, base_adg, offsets),
                     lambda: _projection(base_program, base_adg, offsets),
                 )
@@ -829,7 +782,10 @@ def replan(
                     fallback = "uncacheable"
                     return False
                 fallback = "projection_mismatch"
-                return new_proj == base_proj
+                if new_proj == base_proj:
+                    return True
+                detail = _first_difference(base_proj, new_proj, new_adg)
+                return False
 
             if base_adg is not None:
                 if all(base.has(k) for k in _ALIGN_ARTIFACTS) and _match(
@@ -842,6 +798,7 @@ def replan(
                     _carry_skeletons(ctx, base, new_adg)
             if report.strategy == "full":
                 report.fallback = fallback
+            report.fallback_detail = detail
 
         ctx.trace.append(
             {
@@ -849,8 +806,6 @@ def replan(
                 "event": "diff",
                 "seconds": time.perf_counter() - t0 - graph_seconds,
                 "strategy": report.strategy,
-                "dirty_nodes": report.dirty_nodes,
-                "dirty_ports": report.dirty_ports,
             }
         )
         pipeline.run(ctx, goal=goal)
@@ -877,8 +832,6 @@ def replan(
         report.memo_misses = dict(ctx.memo.misses)
         report.seconds = time.perf_counter() - t0
         reg = registry()
-        reg.counter("passes.delta.dirty_ports").inc(report.dirty_ports)
-        reg.counter("passes.delta.reused").inc(report.reused_entries)
         if report.fallback is not None:
             reg.counter(f"passes.delta.fallback.{report.fallback}").inc()
         for outcome, counts in (
@@ -893,7 +846,7 @@ def replan(
         )
         obs.annotate(
             strategy=report.strategy,
-            dirty_ports=report.dirty_ports,
+            fallback_detail=report.fallback_detail,
             reused=report.reused_entries,
             recomputed=report.recomputed_entries,
         )

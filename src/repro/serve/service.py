@@ -11,7 +11,7 @@ produced:
 * ``cached="prefix"`` — the machine-independent pipeline prefix came
   from the cache and only the distribution suffix ran;
 * ``cached="delta"`` — the exact probes missed, but the request named a
-  ``base_fingerprint`` whose prefix is cached: the program diff engine
+  ``base_fingerprint`` whose prefix is cached: the delta engine
   (:mod:`repro.passes.delta`) carried the base's unchanged alignment
   artifacts into an incremental re-plan, and only the invalidated
   suffix recomputed (counted as ``serve.hits.delta``, timed by
@@ -130,8 +130,8 @@ class ServeRequest:
     ``base_fingerprint`` opts into the incremental path: the program
     fingerprint of a previously planned request this one is an edit of.
     When the exact plan and prefix probes miss but the *base* prefix is
-    still cached, the service diffs the two programs and re-plans
-    incrementally (:func:`repro.passes.delta.replan`) instead of
+    still cached, the service compares the two programs' projections and
+    re-plans incrementally (:func:`repro.passes.delta.replan`) instead of
     running the pipeline cold.  A stale or unknown base degrades to the
     cold path (counted under ``serve.delta_stale``) — never an error.
     """
@@ -255,7 +255,10 @@ class PlanService:
     """In-process planning service with a persistent fingerprint cache.
 
     Thread-safe: the daemon drives :meth:`handle` from a thread pool;
-    admission, cache, and metrics updates are internally locked.
+    admission, cache, and metrics updates are internally locked.  A
+    delta hit's ``serve.delta`` instant names the rung its replan took
+    and, below ``carry_all``, the first element where the projections
+    differed (``DeltaReport.fallback_detail``).
     """
 
     def __init__(
@@ -570,14 +573,15 @@ class PlanService:
 
     def _plan_delta(self, base_ctx, program, machine):
         """Incremental plan against a cached base prefix: the kernel
-        diffs ``program`` against the base context's and carries the
-        unchanged artifacts over (:func:`repro.passes.delta.replan`).
-        Returns ``(new prefix, payload)``."""
+        compares ``program``'s projections with the base context's and
+        carries the unchanged artifacts over
+        (:func:`repro.passes.delta.replan`).  Returns ``(new prefix,
+        payload)``."""
         prefix, report = solve_prefix(program, self.options, base=base_ctx)
         obs.instant(
             "serve.delta",
             strategy=report.strategy,
-            dirty_ports=report.dirty_ports,
+            fallback_detail=report.fallback_detail,
             reused=report.reused_entries,
         )
         return prefix, _answer(prefix, machine, program.name)

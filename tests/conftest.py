@@ -13,6 +13,7 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -180,12 +181,53 @@ def pytest_generate_tests(metafunc: pytest.Metafunc) -> None:
         metafunc.parametrize("make_program", _differential_programs())
 
 
+def evaluate(profile, dist, topology=None):
+    """The scalar reference of a profile's price: exact modeled cost of
+    ``dist`` walked record by record, which matches the executor's
+    counts.  ``topology`` prices hops with the machine's interconnect
+    metrics; ``None`` is the paper's L1 grid.  The planner prices the
+    compiled front instead (``repro.distrib.vectorized.evaluate_front``).
+    """
+    from repro.distrib.costmodel import CostVector
+    from repro.machine import Distribution
+    from repro.topology import distribution_metrics
+
+    if dist.rank != profile.template_rank:
+        raise ValueError(
+            f"distribution rank {dist.rank} != template rank "
+            f"{profile.template_rank}"
+        )
+    metrics = None if topology is None else distribution_metrics(topology, dist)
+    hops, moved = profile.fixed.hops, profile.fixed.moved
+    for r in profile.records:
+        sub = Distribution(tuple(dist.axes[t] for t in r.axes))
+        sub_metrics = None if metrics is None else tuple(metrics[t] for t in r.axes)
+        moved += int(np.sum(sub.moved_mask(r.src, r.dst))) * r.count
+        hops += int(np.sum(sub.hop_distance(r.src, r.dst, sub_metrics))) * r.count
+    return CostVector(hops, moved, profile.broadcast)
+
+
+def axis_hops(profile, axis, axdist, metric=None) -> int:
+    """Hops one template axis contributes under one axis scheme, walked
+    record by record: the one-candidate reference the planner's front
+    kernels (``repro.distrib.vectorized.axis_front_hops``) are checked
+    against.  Every topology is separable — its hop distance decomposes
+    over axes — which is what makes the search a per-axis argmin."""
+    total = 0
+    for r in profile.records:
+        if axis in r.axes:
+            j = r.axes.index(axis)
+            d = axdist.processor_coordinate_distance(r.src[j], r.dst[j], metric)
+            total += int(np.sum(d)) * r.count
+    return total
+
+
 class ReferencePlanner:
     """``plan_distribution`` / ``rank_plans`` rebuilt on the scalar
     oracles only, the way the planner worked before it priced fronts and
     only the tied grids: per grid and per axis the first minimum of
-    ``profile.axis_hops`` over the enumerator's candidates, every grid's
-    winner priced by ``profile.evaluate``.  Shares nothing with
+    ``axis_hops`` over the enumerator's candidates, every grid's winner
+    priced by ``evaluate``.  Shares nothing with
     ``repro.distrib.search`` or ``repro.distrib.vectorized``."""
 
     @staticmethod
@@ -198,15 +240,15 @@ class ReferencePlanner:
         plans = []
         for grid, cands in candidate_spaces(profile, nprocs, topology=topology):
             metrics = [None] * len(grid) if topology is None else topology.metrics(grid)
-            axes, axis_hops = [], 0
+            axes, hops_sum = [], 0
             for t, clist in enumerate(cands):
-                hops = [profile.axis_hops(t, c, metrics[t]) for c in clist]
+                hops = [axis_hops(profile, t, c, metrics[t]) for c in clist]
                 axes.append(clist[hops.index(min(hops))])
-                axis_hops += min(hops)
+                hops_sum += min(hops)
             dist = Distribution(tuple(axes))
-            cost = profile.evaluate(dist, topology)
+            cost = evaluate(profile, dist, topology)
             # What lets the planner skip the grids above the minimum.
-            assert cost.hops == profile.fixed.hops + axis_hops, grid
+            assert cost.hops == profile.fixed.hops + hops_sum, grid
             plans.append(
                 DistributionPlan(
                     tuple(axes),

@@ -1,10 +1,10 @@
-"""The delta engine: program diffs, dirty regions, artifact carry-over.
+"""The delta engine: program diffs, artifact carry-over, fallbacks.
 
 Covers :mod:`repro.passes.delta` end to end — stable statement keys and
-the LCS program diff, statement-provenance dirty regions over the ADG,
-the projection-driven carry strategies (``identical``, ``machine_only``,
-``carry_all``, ``carry_skeletons``, ``full``), the projections' value
-comparison against its SHA-1 digest reference, byte-identity of every
+the LCS program diff, the projection-driven carry strategies
+(``identical``, ``machine_only``, ``carry_all``, ``carry_skeletons``,
+``full``) and the first difference a fallback names, the projections'
+value comparison against its SHA-1 digest reference, byte-identity of every
 incremental plan against its from-scratch counterpart, the
 mutation-isolation guarantee (a replan never touches base-context
 artifacts), the machine-only fast path (zero alignment passes re-run, a
@@ -22,6 +22,7 @@ import hashlib
 import itertools
 import json
 import pickle
+import re
 import threading
 
 import numpy as np
@@ -44,11 +45,10 @@ from repro.passes import (
     Pipeline,
     content_fingerprint,
     diff_programs,
-    dirty_region,
     replan,
     statement_key,
 )
-from repro.passes.delta import _payload_key, _projection
+from repro.passes.delta import _first_difference, _payload_key, _projection
 from repro.serve import PlanDaemon, PlanService, ServeRequest
 
 
@@ -161,33 +161,7 @@ class TestDiff:
         assert d.decls_changed
         assert not d.identical
 
-    def test_the_program_fingerprint_is_spliced_from_the_statement_renders(
-        self, corpus_kernels, corpus_edits
-    ):
-        """``replan`` walks an edited program once: the parts rendered
-        for the diff keys are what its fingerprint is made of."""
-        from repro.passes.delta import (
-            _diff_side,
-            _program_fingerprint,
-            _render_parts,
-        )
-
-        sources = [(k, src) for k, src in corpus_kernels.items()]
-        sources += [(k, src) for k, _, src in corpus_edits]
-        for name, source in sources:
-            program = parse(source, name=name)
-            parts = _render_parts(program)
-            assert _program_fingerprint(program, parts) == content_fingerprint(
-                program
-            )
-            assert _diff_side(program, parts) == (
-                tuple(statement_key(s) for s in program.body),
-                content_fingerprint(program.decls),
-            )
-
     def test_a_statement_that_cannot_be_rendered_matches_nothing(self):
-        from repro.passes.delta import _program_fingerprint, _render_parts
-
         base = parse(BASE_SRC)
         opaque = (1, object())  # a hand-built statement around an object
         new = dataclasses.replace(base, body=base.body + (opaque,))
@@ -195,37 +169,10 @@ class TestDiff:
         d = diff_programs(base, new)
         assert d.changed_new == (2,) and d.changed_base == ()
         assert content_fingerprint(new) is None
-        assert _program_fingerprint(new, _render_parts(new)) is None
 
     def test_summary_readable(self):
         d = diff_programs(parse(BASE_SRC), parse(EDITS["op_swap"][1]))
         assert "changed" in d.summary()
-
-
-class TestDirtyRegion:
-    def test_edit_dirties_downstream_only(self):
-        base = parse(BASE_SRC)
-        # edit the *second* statement: the first statement's region and
-        # the B source must stay clean
-        new = parse(EDITS["intrinsic_swap"][1])
-        ctx = plan_context(new)
-        Pipeline().run(ctx, goal="adg")
-        adg = ctx.get("adg")
-        diff = diff_programs(base, new)
-        nodes, ports = dirty_region(adg, diff)
-        assert nodes and ports
-        tags = {adg.nodes[nid].stmt for nid in nodes}
-        assert "s0" not in tags  # statement 0 untouched
-        assert len(nodes) < len(adg.nodes)
-
-    def test_everything_changed_dirties_everything(self):
-        base = parse("real X(8)\nX(1:8) = X(1:8) + X(1:8)\n")
-        new = parse(BASE_SRC)
-        ctx = plan_context(new)
-        Pipeline().run(ctx, goal="adg")
-        adg = ctx.get("adg")
-        nodes, _ = dirty_region(adg, diff_programs(base, new))
-        assert len(nodes) == len(adg.nodes)
 
 
 # -- carry strategies and byte-identity ----------------------------------------
@@ -254,7 +201,6 @@ class TestStrategies:
             base_ctx, program=parse(BASE_SRC), goal=("plan", "distribution")
         )
         assert rpt.strategy == "identical"
-        assert rpt.diff is not None and rpt.diff.identical
         assert _blob(new_ctx) == _blob(base_ctx)
 
     def test_carry_all_reuses_alignment_passes(self, base_ctx):
@@ -291,16 +237,14 @@ class TestStrategies:
         assert "reused" in text and "recomputed" in text
 
     def test_counters_move(self, base_ctx):
-        reg = registry()
-        before_reused = reg.counter("passes.delta.reused").value
         snap = cachestats.snapshot().get("passes.artifact_reuse", (0, 0))
         _, rpt = replan(
             base_ctx,
             program=parse(EDITS["op_swap"][1]),
             goal=("plan", "distribution"),
         )
-        assert reg.counter("passes.delta.reused").value > before_reused
         after = cachestats.snapshot()["passes.artifact_reuse"]
+        assert rpt.reused_entries > 0
         assert after[0] >= snap[0] + rpt.reused_entries
 
     def test_explain_gains_delta_column(self, base_ctx):
@@ -524,9 +468,19 @@ class TestCarriedDistribution:
         assert strategies == {"carry_skeletons", "full"}
 
 
+#: A ``fallback_detail``: one node, port or edge, then the field of it.
+_DETAIL = re.compile(
+    r"(node \d+ \([A-Z_]+ [^)]*\)?\): (kind|payload|port count)"
+    r"|port n\d+\.\d+: (name|direction|shape|space)"
+    r"|edge \d+ \(n\d+\.\d+ -> n\d+\.\d+\): "
+    r"(endpoints|weight|space|control weight))"
+)
+
+
 class TestFallbackReason:
     """Why a replan fell to ``full`` — on the report, in ``render()`` and
-    in ``passes.delta.fallback.<reason>``."""
+    in ``passes.delta.fallback.<reason>`` — and where the projections it
+    compared first differ (``fallback_detail``)."""
 
     def _replan(self, base, src=EDITS["stmt_add"][1]):
         reg = registry()
@@ -546,7 +500,10 @@ class TestFallbackReason:
         assert rpt.strategy == "full"
         assert rpt.fallback == "projection_mismatch"
         assert moved == {"projection_mismatch": 1}
-        assert "  fallback: projection_mismatch" in rpt.render().splitlines()
+        assert _DETAIL.fullmatch(rpt.fallback_detail), rpt.fallback_detail
+        lines = rpt.render().splitlines()
+        assert "  fallback: projection_mismatch" in lines
+        assert f"  fallback detail: {rpt.fallback_detail}" in lines
 
     def test_a_constituent_that_cannot_be_hashed_is_uncacheable(self, monkeypatch):
         """A label edit that would carry, were its payloads addressable."""
@@ -556,6 +513,7 @@ class TestFallbackReason:
         rpt, moved = self._replan(_plan(parse(BASE_SRC)), EDITS["op_swap"][1])
         assert rpt.strategy == "full"
         assert rpt.fallback == "uncacheable"
+        assert rpt.fallback_detail is None
         assert moved == {"uncacheable": 1}
 
     def test_a_base_with_no_graph_or_solution_is_no_base(self):
@@ -563,9 +521,11 @@ class TestFallbackReason:
         base.put("machine", MachineSpec.of(4))
         rpt, moved = self._replan(base, EDITS["op_swap"][1])
         assert rpt.strategy == "full" and rpt.fallback == "no_base"
+        assert rpt.fallback_detail is None
         Pipeline().run(base, goal="adg")  # a graph, nothing solved on it
         rpt, more = self._replan(base, EDITS["op_swap"][1])
         assert rpt.strategy == "full" and rpt.fallback == "no_base"
+        assert rpt.fallback_detail is None
         assert moved == more == {"no_base": 1}
 
     def test_no_other_rung_names_one(self):
@@ -583,7 +543,85 @@ class TestFallbackReason:
             "identical",
         ]
         assert all(r.fallback is None for r in reports)
-        assert all("fallback" not in r.render() for r in reports)
+        assert all("fallback:" not in r.render() for r in reports)
+        # Only carry_skeletons says why the rung above it did not hold.
+        details = [r.fallback_detail for r in reports]
+        assert details[0] is None and details[2:] == [None, None]
+        assert _DETAIL.fullmatch(details[1]) and details[1].endswith(": payload")
+        assert [("fallback detail" in r.render()) for r in reports] == [
+            False,
+            True,
+            False,
+            False,
+        ]
+
+    @pytest.mark.parametrize(
+        "edit, expected",
+        [
+            ("rank", "template_rank"),
+            ("read_only", "read_only arrays"),
+            ("node_kind", "node 0 ({kind} {label}): kind"),
+            ("ports", "node 0 ({kind} {label}): port count"),
+            ("port_name", "port {port}: name"),
+            ("direction", "port {port}: direction"),
+            ("nodes", "node count: {n} -> {n_less}"),
+            ("endpoints", "edge {eid} ({tail} -> {head}): endpoints"),
+            ("weight", "edge {eid} ({tail} -> {head}): weight"),
+            ("control", "edge {eid} ({tail} -> {head}): control weight"),
+            ("edges", "edge count: {e} -> {e_less}"),
+        ],
+    )
+    def test_each_field_is_named(self, edit, expected):
+        """``_first_difference`` on a projection with one field changed:
+        the graph's elements first, counts after them, then the fields
+        of the whole program."""
+        program = parse(BASE_SRC)
+        ctx = plan_context(program)
+        Pipeline().run(ctx, goal="adg")
+        adg = ctx.get("adg")
+        base = _projection(program, adg, True)
+        rank, ro, nodes, edges = base
+        (nid, kind, payload, ports), *others = nodes
+        (port, *rest), edge = ports, edges[0]
+        new = {
+            "rank": (rank + 1, ro, nodes, edges),
+            "read_only": (rank, ro + ("Z",), nodes, edges),
+            "node_kind": (rank, ro, ((nid, None, payload, ports), *others), edges),
+            "ports": (rank, ro, ((nid, kind, payload, ports[:-1]), *others), edges),
+            "port_name": (
+                rank,
+                ro,
+                ((nid, kind, payload, ((port[0], "z", *port[2:]), *rest)), *others),
+                edges,
+            ),
+            "direction": (
+                rank,
+                ro,
+                (
+                    (nid, kind, payload, ((*port[:2], not port[2], *port[3:]), *rest)),
+                    *others,
+                ),
+                edges,
+            ),
+            "nodes": (rank, ro, nodes[:-1], edges),
+            "endpoints": (rank, ro, nodes, ((*edge[:2], "n0.0", *edge[3:]), *edges[1:])),
+            "weight": (rank, ro, nodes, ((*edge[:3], None, *edge[4:]), *edges[1:])),
+            "control": (rank, ro, nodes, ((*edge[:5], str, "w"), *edges[1:])),
+            "edges": (rank, ro, nodes, edges[:-1]),
+        }[edit]
+        node, e = adg.nodes[0], adg.edges[0]
+        assert _first_difference(base, new, adg) == expected.format(
+            kind=node.kind.name,
+            label=node.label,
+            port=port[0],
+            n=len(nodes),
+            n_less=len(nodes) - 1,
+            eid=e.eid,
+            tail=e.tail.key,
+            head=e.head.key,
+            e=len(edges),
+            e_less=len(edges) - 1,
+        )
 
 
 # -- the projections ----------------------------------------------------------

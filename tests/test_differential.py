@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import evaluate
 from repro.align import align_program
 from repro.distrib import plan_distribution, rank_plans
 from repro.lang.generate import (
@@ -84,7 +85,7 @@ def test_analytic_cost_matches_simulator_identity(scenario, planned):
     ), scenario.name
     # The profile equality is unconditional too (general edges are
     # priced identically by model and simulator).
-    cv = profile.evaluate(Distribution.identity(profile.template_rank))
+    cv = evaluate(profile, Distribution.identity(profile.template_rank))
     assert cv.hops == rep.hop_cost, scenario.name
     assert cv.moved == rep.elements_moved, scenario.name
     assert cv.broadcast == rep.broadcast_elements, scenario.name
@@ -103,7 +104,7 @@ def test_exact_plan_never_beaten_by_any_candidate(scenario, planned):
     plan = plan_distribution(profile, NPROCS)
     assert plan.exact, scenario.name
     costs = {
-        combo: profile.evaluate(Distribution(combo))
+        combo: evaluate(profile, Distribution(combo))
         for _, cands in candidate_spaces(profile, NPROCS)
         for combo in itertools.product(*cands)
     }
@@ -150,7 +151,7 @@ def test_every_family_on_every_topology(family, spec, planned):
     topo = parse_topology(spec)
     ident = Distribution.identity(profile.template_rank)
     rep = measure_traffic(plan.adg, plan.alignments, ident, topology=topo)
-    cv = profile.evaluate(ident, topo)
+    cv = evaluate(profile, ident, topo)
     assert cv.hops == rep.hop_cost, (family, spec)
     assert cv.moved == rep.elements_moved, (family, spec)
     assert cv.broadcast == rep.broadcast_elements, (family, spec)
@@ -198,7 +199,7 @@ def test_front_pricing_matches_scalar_and_simulator(family, spec, planned):
     matrix = evaluate_front(profile, dists, topo)
     assert matrix.shape == (len(dists), 3)
     for i, dist in enumerate(dists):
-        cv = profile.evaluate(dist, topo)
+        cv = evaluate(profile, dist, topo)
         assert tuple(int(x) for x in matrix[i]) == (
             cv.hops,
             cv.moved,

@@ -10,7 +10,7 @@ from costmodel_reference import reference_edge_contribution
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_programs, with_axis
+from conftest import axis_hops, evaluate, reference_programs, with_axis
 from repro import cachestats
 from repro.align import align_program
 from repro.align.position import Alignment, AxisAlignment, ReplicatedExtent
@@ -755,7 +755,7 @@ class TestEvaluateExactness:
     def test_identity_equals_executor_and_equation1(self, make, kw):
         plan, profile = _profile(make(), **kw)
         ident = Distribution.identity(profile.template_rank)
-        modeled = profile.evaluate(ident)
+        modeled = evaluate(profile, ident)
         measured = measure_traffic(plan.adg, plan.alignments, ident)
         assert modeled.hops == measured.hop_cost
         assert modeled.moved == measured.elements_moved
@@ -776,7 +776,7 @@ class TestEvaluateExactness:
                 else:
                     axes.append(Cyclic(4, lo))
             dist = Distribution(tuple(axes))
-            modeled = profile.evaluate(dist)
+            modeled = evaluate(profile, dist)
             measured = measure_traffic(plan.adg, plan.alignments, dist)
             assert modeled.hops == measured.hop_cost, scheme
             assert modeled.moved == measured.elements_moved, scheme
@@ -784,7 +784,7 @@ class TestEvaluateExactness:
     def test_rank_mismatch_rejected(self):
         _, profile = _profile(programs.example1(n=8))
         with pytest.raises(ValueError, match="rank"):
-            profile.evaluate(Distribution.identity(profile.template_rank + 1))
+            evaluate(profile, Distribution.identity(profile.template_rank + 1))
 
 
 class TestCachedPositionAliasing:
@@ -873,6 +873,6 @@ class TestAxisHops:
             axes.append(Block(2, max(1, -(-ext // 2)), lo))
         dist = Distribution(tuple(axes))
         per_axis = sum(
-            profile.axis_hops(t, ax) for t, ax in enumerate(dist.axes)
+            axis_hops(profile, t, ax) for t, ax in enumerate(dist.axes)
         )
-        assert per_axis + profile.fixed.hops == profile.evaluate(dist).hops
+        assert per_axis + profile.fixed.hops == evaluate(profile, dist).hops

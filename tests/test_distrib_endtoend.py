@@ -10,6 +10,7 @@ planned distribution too).
 
 import pytest
 
+from conftest import evaluate
 from repro import align_and_distribute, align_program
 from repro.distrib import build_profile, naive_costs, plan_distribution
 from repro.lang import programs
@@ -50,7 +51,7 @@ class TestAcceptance:
     def test_model_exact_under_identity(self, name, make, kw):
         plan, profile, _ = _planned(make, kw)
         ident = Distribution.identity(profile.template_rank)
-        modeled = profile.evaluate(ident)
+        modeled = evaluate(profile, ident)
         measured = measure_traffic(plan.adg, plan.alignments, ident)
         assert modeled.hops == measured.hop_cost, name
         # and the identity machine realizes the paper's equation-1 cost:

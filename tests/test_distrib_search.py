@@ -20,7 +20,7 @@ from repro.lang import parse, programs
 from repro.lang.generate import FAMILIES, generate_scenario, topology_corpus
 from repro.machine import SCHEMES, Distribution
 from repro.topology import parse_topology
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, evaluate
 from test_distrib_vectorized import SWEEP_MACHINES
 
 
@@ -39,7 +39,7 @@ def _brute_force_hops(profile, nprocs):
     for _, cands in candidate_spaces(profile, nprocs):
         for combo in product(*cands):
             dist = Distribution(combo)
-            hops = profile.evaluate(dist).hops
+            hops = evaluate(profile, dist).hops
             if best is None or hops < best:
                 best = hops
     return best
@@ -68,7 +68,7 @@ class TestExhaustive:
         assert plan.num_processors == 8
         assert plan.rank == profile.template_rank
         # the reported cost is the plan's own evaluation
-        assert profile.evaluate(plan.to_distribution()) == plan.cost
+        assert evaluate(profile, plan.to_distribution()) == plan.cost
 
     def test_beats_or_matches_naive(self):
         profile = _profile(programs.figure1(n=10), replication=False)
@@ -287,4 +287,4 @@ class TestTiedGridPricing:
         assert 1 <= tags["grids_tied"] < tags["grids"]
         assert "grids_priced" not in tags
         assert cachestats._cell("distrib.front_price")[0] - priced == tags["candidates"]
-        assert plan.cost == profile.evaluate(plan.to_distribution())
+        assert plan.cost == evaluate(profile, plan.to_distribution())

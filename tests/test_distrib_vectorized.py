@@ -18,6 +18,7 @@ import pickle
 
 import numpy as np
 import pytest
+from conftest import axis_hops, evaluate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -153,7 +154,7 @@ def _assert_axis_prices(prof, axis, cands, metric=None):
     """``axis_front_hops`` equals the scalar hops and moved per candidate."""
     hops, moved = axis_front_hops(prof, axis, cands, [metric] * len(cands))
     assert hops.shape == moved.shape == (len(cands),)
-    assert hops.tolist() == [prof.axis_hops(axis, c, metric) for c in cands]
+    assert hops.tolist() == [axis_hops(prof, axis, c, metric) for c in cands]
     assert moved.tolist() == [_axis_moved(prof, axis, c) for c in cands]
 
 
@@ -227,7 +228,7 @@ class TestAxisFrontPairs:
         with pytest.raises(ValueError, match="cell 9 outside covered range"):
             axis_front_hops(prof, 0, cands)
         with pytest.raises(ValueError, match="outside covered range"):
-            prof.axis_hops(0, cands[0])
+            axis_hops(prof, 0, cands[0])
 
     def test_axis_with_only_unmoved_pairs_prices_to_zero(self):
         # Every element keeps its axis-1 cell: the axis has a front (and
@@ -242,7 +243,7 @@ class TestAxisFrontPairs:
         cands = axis_candidates(0, 4, 4)
         hops, moved = axis_front_hops(prof, 1, cands)
         assert hops.tolist() == moved.tolist() == [0] * len(cands)
-        assert all(prof.axis_hops(1, c) == _axis_moved(prof, 1, c) == 0 for c in cands)
+        assert all(axis_hops(prof, 1, c) == _axis_moved(prof, 1, c) == 0 for c in cands)
 
 
 class TestCompactFront:
@@ -264,7 +265,7 @@ class TestCompactFront:
 
     def test_empty_record_prices_to_zero(self, ragged):
         dist = Distribution((Block(2, 3, 4),))
-        assert front_costs(ragged, [dist], None) == [ragged.evaluate(dist)]
+        assert front_costs(ragged, [dist], None) == [evaluate(ragged, dist)]
 
     def test_an_element_unmoved_on_every_axis_is_absent(self):
         # Element 0 keeps both its cells, element 1 moves on axis 0 only
@@ -298,8 +299,8 @@ class TestCompactFront:
         assert joint.weight.tolist() == [2]
         # Element 1 changes processor on both axes and is moved once.
         ident = Distribution.identity(2)
-        assert front_costs(prof, [ident]) == [prof.evaluate(ident)]
-        assert prof.evaluate(ident) == CostVector(hops=6, moved=4)
+        assert front_costs(prof, [ident]) == [evaluate(prof, ident)]
+        assert evaluate(prof, ident) == CostVector(hops=6, moved=4)
 
     def test_joint_rows_are_deduplicated(self):
         # Keyed by the axes an element moves on, not by its record's: the
@@ -341,7 +342,7 @@ class TestCompactFront:
             Distribution((Block(2, 1000, 0), Cyclic(4), Block(4, 500, 0))),
             Distribution.identity(3),
         ]
-        assert front_costs(prof, dists) == [prof.evaluate(d) for d in dists]
+        assert front_costs(prof, dists) == [evaluate(prof, d) for d in dists]
 
     def test_empty_records_leave_no_axis_front(self):
         empty = np.zeros(0, dtype=np.int64)
@@ -351,7 +352,7 @@ class TestCompactFront:
         assert hops.tolist() == moved.tolist() == [0, 0]
         assert joint_moved(prof, [(Identity(),)]).tolist() == [0]
         ident = Distribution.identity(1)
-        assert front_costs(prof, [ident]) == [prof.evaluate(ident)]
+        assert front_costs(prof, [ident]) == [evaluate(prof, ident)]
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_bounds_equal_the_per_axis_extremes(self, family):
@@ -421,7 +422,7 @@ def test_the_compact_front_prices_like_the_scalar_evaluators(spec, prof):
             _assert_axis_prices(prof, t, clist, metric)
         for combo in itertools.product(*cands):
             dists.append(Distribution(combo))
-    assert front_costs(prof, dists, topo) == [prof.evaluate(d, topo) for d in dists]
+    assert front_costs(prof, dists, topo) == [evaluate(prof, d, topo) for d in dists]
 
 
 def _assert_joined_winners_exact(prof, nprocs, topo):
@@ -436,7 +437,7 @@ def _assert_joined_winners_exact(prof, nprocs, topo):
     costs = [plan.cost for plan in _plans(prof, joined, 0, topo)]
     dists = [Distribution(tuple(axes)) for axes, _, _ in joined]
     assert costs == front_costs(prof, dists, topo)
-    assert costs == [prof.evaluate(d, topo) for d in dists]
+    assert costs == [evaluate(prof, d, topo) for d in dists]
 
 
 @pytest.mark.parametrize("spec", [None, *topology_corpus(5, seed=0, nprocs=8)], ids=str)
@@ -479,7 +480,7 @@ class TestFrontEdgeCases:
     def test_single_candidate_equals_scalar(self, profile):
         ident = Distribution.identity(profile.template_rank)
         out = evaluate_front(profile, [ident])
-        cv = profile.evaluate(ident)
+        cv = evaluate(profile, ident)
         assert out.shape == (1, 3)
         assert tuple(int(x) for x in out[0]) == (cv.hops, cv.moved, cv.broadcast)
 
@@ -492,7 +493,7 @@ class TestFrontEdgeCases:
         ident = Distribution.identity(prof.template_rank)
         out = evaluate_front(prof, [ident, ident])
         for row in out:
-            cv = prof.evaluate(ident)
+            cv = evaluate(prof, ident)
             assert tuple(int(x) for x in row) == (cv.hops, cv.moved, cv.broadcast)
 
     def test_rank_mismatch_rejected_like_scalar(self, profile):
@@ -513,7 +514,7 @@ class TestFrontEdgeCases:
         with pytest.raises(ValueError, match="below distribution base"):
             evaluate_front(profile, [bad])
         with pytest.raises(ValueError):
-            profile.evaluate(bad)
+            evaluate(profile, bad)
 
     def test_axis_front_hops_matches_scalar_per_candidate(self, profile):
         for t, (lo, hi) in enumerate(profile.window):
@@ -613,7 +614,7 @@ class TestCountersAndFallback:
         topo = parse_topology("torus:2x2")
         costs = naive_costs(profile, 4, topo)
         assert costs == {
-            name: profile.evaluate(dist, topo)
+            name: evaluate(profile, dist, topo)
             for name, dist in naive_distributions(profile, 4).items()
         }
         assert all(isinstance(c, CostVector) for c in costs.values())
@@ -659,3 +660,34 @@ class TestFrontTravelsWithThePrefix:
             solve_suffix(prefix.fork(), MachineSpec.of(topology=spec))
             assert cachestats._cell("distrib.front_tensors")[0] > hits, spec
         assert _compiles() == before + 1
+
+
+@pytest.fixture(scope="module")
+def kernel_profiles(corpus_kernels) -> dict:
+    """Kernel name -> its comm profile, for the 16 pinned kernels."""
+    options, _ = planning_records()
+    return {
+        name: solve_prefix(parse(source, name=name), options).get("profile")
+        for name, source in corpus_kernels.items()
+    }
+
+
+#: One machine of every topology family.
+FAMILY_MACHINES = SWEEP_MACHINES[:5]
+
+
+@pytest.mark.parametrize("spec", [None, *FAMILY_MACHINES])
+def test_the_identity_front_price_is_the_scalar_reference(kernel_profiles, spec):
+    """What the batch engine's second oracle prices: the front's price of
+    the identity distribution, which must equal the scalar walk of the
+    records on every kernel, under the open grid and every topology
+    family."""
+    from repro.topology import topology_kinds
+
+    assert {parse_topology(s).kind for s in FAMILY_MACHINES} == set(topology_kinds())
+    topo = None if spec is None else parse_topology(spec)
+    assert len(kernel_profiles) == 16
+    for name, profile in kernel_profiles.items():
+        ident = Distribution.identity(profile.template_rank)
+        (row,) = evaluate_front(profile, [ident], topo).tolist()
+        assert CostVector(*row) == evaluate(profile, ident, topo), name
