@@ -296,6 +296,12 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     if args.jobs is not None and args.jobs < 1:
         ap.error(f"--jobs must be >= 1, got {args.jobs}")
+    try:
+        procs = tuple(int(x) for x in args.procs.split(","))
+    except ValueError:
+        procs = ()
+    if not procs or min(procs) < 1:
+        ap.error(f"--procs needs comma-separated integers >= 1, got {args.procs!r}")
     topology = None
     if args.topology is not None:
         from .topology import parse_topology
@@ -341,6 +347,8 @@ def main(argv: list[str] | None = None) -> int:
             f"{topology.nprocs}-processor machine but --distribute "
             f"asked for {args.distribute}"
         )
+    except (ValueError, TypeError) as exc:
+        ap.error(str(exc))
     if args.explain:
         print(
             explain_plan(
@@ -411,13 +419,20 @@ def main(argv: list[str] | None = None) -> int:
             print(f"machine model: {topology.describe()}")
 
         if args.measure:
-            procs = tuple(int(x) for x in args.procs.split(","))
-            if len(procs) == 1:
-                procs = procs * plan.adg.template_rank
+            rank = plan.adg.template_rank
+            grid = procs * rank if len(procs) == 1 else procs
+            if args.measure != "identity" and len(grid) != rank:
+                _refuse(
+                    args.file,
+                    ValueError(
+                        f"--procs {args.procs}: a rank-{len(grid)} processor "
+                        f"grid for a rank-{rank} template"
+                    ),
+                )
             traffic = measure_plan(
                 plan,
                 scheme=args.measure,
-                processors=None if args.measure == "identity" else procs,
+                processors=None if args.measure == "identity" else grid,
                 topology=topology,
             )
             print(f"machine ({args.measure}): {traffic.summary()}")

@@ -1,11 +1,13 @@
 """Process-wide cache instrumentation for the memoized hot kernels.
 
-The batched planning engine (:mod:`repro.batch`) hammers a handful of
-kernels — affine evaluation, edge-cost moment sums, move-record
-compilation — hard enough that memoization pays.
+The batched planning engine (:mod:`repro.batch`) hammers two kernels —
+edge-cost moment sums (``align.moments``) and move-record compilation
+(``distrib.move_records``) — hard enough that memoization pays.
 Every cache in the package registers here under a dotted name so the
 batch report can surface hit rates, and so tests can assert the caches
-stay bounded.
+stay bounded; plain counters (``distrib.front_price``,
+``distrib.front_tensors``, the serve cache's namespaces) share the
+registry.
 
 The registry is per-process: worker processes of a
 :class:`~concurrent.futures.ProcessPoolExecutor` each accumulate their

@@ -12,14 +12,16 @@ Modules:
 * :mod:`repro.distrib.costmodel` — compiles the aligned ADG into a
   :class:`CommProfile` whose evaluation agrees exactly with the machine
   simulator's measured hop counts;
-* :mod:`repro.distrib.enumerate` — grid factorizations, per-axis scheme
-  candidates, naive uniform baselines;
+* :mod:`repro.distrib.enumerate` — the candidate rows ``(mode, nprocs,
+  block, base)`` per grid factorization and template axis, and the
+  naive uniform baselines;
 * :mod:`repro.distrib.search` — the exact per-axis argmin over every
-  grid shape;
+  grid shape, on those rows;
 * :mod:`repro.distrib.vectorized` — NumPy batch pricing of whole
-  candidate fronts, which is how the search prices (the scalar
-  evaluators of ``CommProfile`` stay as the reference tests compare
-  against);
+  fronts of rows, which is how the search prices, and
+  :func:`evaluate_front`, the one entry that prices scheme records
+  (the scalar walks of a profile's move records in the tests stay as
+  the reference it is compared against);
 * :mod:`repro.distrib.remap` — the cost of moving a template window
   between two distributions (a machine-only replan's ``remap``);
 * :mod:`repro.distrib.plan` — the :class:`DistributionPlan` output
@@ -40,20 +42,11 @@ Quickstart::
 """
 
 from .costmodel import CommProfile, CostVector, MoveRecord, build_profile
-from .enumerate import (
-    DEFAULT_BLOCK_SIZES,
-    axis_candidates,
-    balanced_factorization,
-    covering_block,
-    grid_factorizations,
-    naive_costs,
-    naive_distributions,
-    space_size,
-)
+from .enumerate import DEFAULT_BLOCK_SIZES, covering_block, naive_costs, naive_distributions
 from .plan import DistributionPlan
 from .remap import remap_cost
 from .search import plan_distribution, rank_plans
-from .vectorized import axis_front_hops, compile_front, evaluate_front, front_costs
+from .vectorized import compile_front, evaluate_front
 
 __all__ = [
     "CommProfile",
@@ -61,19 +54,13 @@ __all__ = [
     "MoveRecord",
     "build_profile",
     "DEFAULT_BLOCK_SIZES",
-    "axis_candidates",
-    "balanced_factorization",
     "covering_block",
-    "grid_factorizations",
     "naive_costs",
     "naive_distributions",
-    "space_size",
     "DistributionPlan",
     "remap_cost",
     "plan_distribution",
     "rank_plans",
-    "axis_front_hops",
     "compile_front",
     "evaluate_front",
-    "front_costs",
 ]

@@ -7,13 +7,13 @@ axis once for every grid — the axis's enumeration rows
 (:func:`~repro.distrib.enumerate.row_spaces`) of all grids joined into
 one integer array, one
 :func:`~repro.distrib.vectorized.axis_row_hops` call — and each grid
-takes the first minimum of its own slice; only those winning rows
-become scheme records.  The same call returns each row's ``moved``, so
-a winner's cost is assembled from those numbers (:func:`_plans`), never
-priced twice.  Every grid factorization is solved this way, so the
-winner over all of them is the hop-optimal distribution.  Cost orders
-by hops first, so only the grids tied at the minimum hops can win, and
-``moved`` breaks the tie.
+takes the first minimum of its own slice.  The same call returns each
+row's ``moved``, so a winner's cost is assembled from those numbers
+(:func:`_plans`), never priced twice, and only the winning rows of the
+plans returned become scheme records.  Every grid factorization is
+solved this way, so the winner over all of them is the hop-optimal
+distribution.  Cost orders by hops first, so only the grids tied at the
+minimum hops can win, and ``moved`` breaks the tie.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..machine.distribution import AxisDistribution
 from ..obs import spans as obs
 from ..topology import Topology
 from .costmodel import CommProfile, CostVector
@@ -30,7 +29,7 @@ from .enumerate import Row, covered_size, row_spaces
 from .plan import DistributionPlan
 from .vectorized import _row_scheme, axis_row_hops, joint_moved
 
-Winner = tuple[list[AxisDistribution], int, int]
+Winner = tuple[list[Row], int, int]
 Space = tuple[tuple[int, ...], list[list[Row]]]
 
 
@@ -39,20 +38,20 @@ def _winners(
     spaces: Sequence[Space],
     topology: Topology | None,
 ) -> list[Winner]:
-    """Per grid of ``spaces``: the hop-optimal scheme per axis, and the
-    hops and ``moved`` those schemes price on their own axes.
+    """Per grid of ``spaces``: the hop-optimal row per axis, and the
+    hops and ``moved`` those rows price on their own axes.
 
     Each template axis is one
     :func:`~repro.distrib.vectorized.axis_row_hops` call over every
     grid's rows for it joined into one array, with one metric per grid;
     each grid then takes the first minimum of its own slice, so a tie
     goes to the earlier row in
-    :func:`~repro.distrib.enumerate.axis_rows` order, and only that row
-    becomes a scheme record.  Neither sum has the profile's fixed cost
-    or the joint rows in it (:func:`_plans` adds those).
+    :func:`~repro.distrib.enumerate.axis_rows` order.  Neither sum has
+    the profile's fixed cost or the joint rows in it (:func:`_plans`
+    adds those).
     """
     metrics = [] if topology is None else [topology.metrics(grid) for grid, _ in spaces]
-    axes: list[list[AxisDistribution]] = [[] for _ in spaces]
+    axes: list[list[Row]] = [[] for _ in spaces]
     hops, moved = [0] * len(spaces), [0] * len(spaces)
     with obs.span(
         "distrib.front_price",
@@ -74,7 +73,7 @@ def _winners(
                 start, stop = stop, stop + len(rows[t])
                 own = t_hops[start:stop]
                 i = start + own.index(min(own))
-                axes[g].append(_row_scheme(*joined[i]))
+                axes[g].append(joined[i])
                 hops[g] += t_hops[i]
                 moved[g] += t_moved[i]
     return list(zip(axes, hops, moved))
@@ -88,12 +87,14 @@ def _plans(
 ) -> list[DistributionPlan]:
     """The winners as plans, each cost assembled from its per-axis
     numbers: the profile's fixed cost, the axes' hops and ``moved``,
-    the joint rows those schemes move, and the broadcast."""
-    joint = joint_moved(profile, [axes for axes, _, _ in winners]).tolist()
+    the joint rows those schemes move, and the broadcast.  Each
+    winner's rows become scheme records here."""
+    rows = np.array([axes for axes, _, _ in winners], dtype=np.int64)
+    joint = joint_moved(profile, rows).tolist()
     fixed = profile.fixed
     return [
         DistributionPlan(
-            tuple(axes),
+            tuple(_row_scheme(*row) for row in axes),
             CostVector(fixed.hops + h, fixed.moved + m + j, profile.broadcast),
             searched=searched,
             topology=None if topology is None else topology.spec(),

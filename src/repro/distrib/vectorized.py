@@ -27,15 +27,16 @@ enumeration front* in a handful of broadcasted NumPy ops:
   metric once (stable), so each of the topology's vectorized metric
   kernels (:meth:`~repro.topology.AxisMetric.hops`) prices one
   contiguous slice of the ``(candidates, pairs)`` array; it returns the
-  per-candidate hop and ``moved`` totals the per-axis argmin consumes.
-  :func:`axis_front_hops` and :func:`evaluate_front` are the scheme
-  records' adapters onto the same kernel (:func:`_axis_totals`): they
-  turn records into rows with :func:`_axis_dist_params`;
+  per-candidate hop and ``moved`` totals the per-axis argmin consumes;
 * :func:`joint_moved` prices the joint rows, the one ``moved`` term no
-  single axis can tell, for whole candidate distributions;
+  single axis can tell, for whole candidate distributions given as an
+  ``(n, template_rank, 4)`` array of the same rows;
 * :func:`evaluate_front` prices full candidate distributions with the
   same two kernels and returns an ``(n_candidates, 3)`` cost matrix
-  with columns ``(hops, moved, broadcast)``.
+  with columns ``(hops, moved, broadcast)``.  It is the one place that
+  takes scheme records: it turns them into rows once
+  (:func:`_axis_dist_params`); the search builds a record only for a
+  winner (:func:`_row_scheme`).
 
 The suffix only reads the front: the ``distrib.front_tensors`` counter
 records one miss per front compiled and one hit per pricing read (an
@@ -65,7 +66,7 @@ from ..machine.distribution import (
     Distribution,
     Identity,
 )
-from ..topology import AxisMetric, Topology, distribution_metrics_batch
+from ..topology import AxisMetric, Topology, distribution_metrics
 
 # Candidates priced, in slot 0 (the cell's "hits"; slot 1 stays 0).
 _FRONT_STATS = _cell("distrib.front_price")
@@ -253,11 +254,6 @@ def _axis_dist_params(ax) -> tuple[int, int, int, int]:
     )
 
 
-def _params(cands: Sequence) -> np.ndarray:
-    """The ``(n, 4)`` int64 rows of scheme records ``cands``."""
-    return np.array([_axis_dist_params(c) for c in cands], dtype=np.int64).reshape(-1, 4)
-
-
 def _row_scheme(mode: int, nprocs: int, block: int, base: int) -> AxisDistribution:
     """The scheme record of one enumeration row, the inverse of
     :func:`_axis_dist_params` on the rows
@@ -385,75 +381,46 @@ def axis_row_hops(
     axis: int,
     rows: np.ndarray,
     runs: Optional[Runs] = None,
-    cands: Optional[Sequence] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Hop and ``moved`` totals of one template axis for a whole front of
     ``(n, 4)`` int64 ``(mode, nprocs, block, base)`` scheme rows (the
     rows of :func:`~repro.distrib.enumerate.axis_rows`), in one call
     however many grids it joins.  ``runs`` holds ``(axis metric,
     count)`` pairs covering the rows in order, one per joined grid
-    (``None``: the open L1 chain for all).  See
-    :func:`axis_front_hops` for what the two ``(n,)`` arrays hold."""
+    (``None``: the open L1 chain for all).
+
+    Returns two int64 ``(n,)`` arrays: ``hops[i]`` is the hops this axis
+    contributes under row ``i`` (the scalar reference is
+    ``tests/conftest.py::axis_hops``), and ``moved[i]`` counts the
+    elements that move on this axis alone and change processor under it
+    (the joint movers are :func:`joint_moved`'s)."""
     front = _front(profile).axes[axis]
     _FRONT_STATS[0] += len(rows)
     if front is None or not len(rows):
         return tuple(np.zeros((2, len(rows)), dtype=np.int64))
-    return _axis_totals(front, rows, runs, cands)
+    return _axis_totals(front, rows, runs)
 
 
-def axis_front_hops(
-    profile,
-    axis: int,
-    cands: Sequence,
-    metrics: Optional[Sequence[Optional[AxisMetric]]] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Hop and ``moved`` totals of one template axis for a whole
-    candidate front of scheme records: :func:`axis_row_hops` on their
-    rows.
-
-    ``cands`` holds per-axis candidates (scheme records of
-    :mod:`repro.machine.distribution`), ``metrics`` one axis metric per
-    candidate (``None``: the open L1 chain for all).  Returns two int64
-    ``(len(cands),)`` arrays: ``hops[i]`` exactly equals the scalar
-    reference ``axis_hops(profile, axis, cands[i], metrics[i])``
-    (``tests/conftest.py``), and ``moved[i]`` counts the elements that
-    move on this axis alone and change processor under ``cands[i]``
-    (the joint movers are :func:`joint_moved`'s).
-    """
-    runs = None if metrics is None else [(m, 1) for m in metrics]
-    return axis_row_hops(profile, axis, _params(cands), runs, cands)
-
-
-def joint_moved(profile, dists: Sequence[Sequence]) -> np.ndarray:
+def joint_moved(profile, rows: np.ndarray) -> np.ndarray:
     """The elements moving on two or more template axes that change
-    processor, per candidate: ``dists[i]`` is one contract-checked
-    scheme per template axis.  An int64 ``(len(dists),)`` array, zero
+    processor, per candidate: ``rows`` is an int64 ``(n, template_rank,
+    4)`` array, one contract-checked ``(mode, nprocs, block, base)`` row
+    per template axis of each candidate.  An int64 ``(n,)`` array, zero
     for a profile without joint rows."""
-    out = np.zeros(len(dists), dtype=np.int64)
+    out = np.zeros(len(rows), dtype=np.int64)
     joints = profile.front.joints
-    if not joints or not len(dists):
+    if not joints or not len(rows):
         return out
     # (mode, nprocs, block, base) per axis, each an (n,) array.
-    params = np.array(
-        [[_axis_dist_params(ax) for ax in axes] for axes in dists], dtype=np.int64
-    ).transpose(1, 2, 0)
+    params = rows.transpose(1, 2, 0)
     for jf in joints:
-        moved = np.zeros((len(dists), jf.weight.size), dtype=bool)
+        moved = np.zeros((len(rows), jf.weight.size), dtype=bool)
         for j, t in enumerate(jf.axes):
             moved |= _proc_coords(jf.src[j], *params[t]) != _proc_coords(
                 jf.dst[j], *params[t]
             )
         out += moved @ jf.weight
     return out
-
-
-def _front_metrics(
-    topology: Optional[Topology], dists: Sequence[Distribution]
-) -> list[tuple[Optional[AxisMetric], ...]]:
-    if topology is None:
-        return [(None,) * d.rank for d in dists]
-    # One metric tuple per distinct grid, however many candidates share it.
-    return distribution_metrics_batch(topology, dists)
 
 
 def evaluate_front(
@@ -487,28 +454,19 @@ def evaluate_front(
     if all(af is None for af in front.axes):
         _FRONT_STATS[0] += n
         return out
-    metrics = _front_metrics(topology, dists)
+    rows = np.array(
+        [[_axis_dist_params(ax) for ax in d.axes] for d in dists], dtype=np.int64
+    )
+    metrics = (
+        None if topology is None else [distribution_metrics(topology, d) for d in dists]
+    )
     for t, af in enumerate(front.axes):
         if af is not None:
+            runs = None if metrics is None else [(m[t], 1) for m in metrics]
             cands = [d.axes[t] for d in dists]
-            runs = [(m[t], 1) for m in metrics]
-            hops, moved = _axis_totals(af, _params(cands), runs, cands)
+            hops, moved = _axis_totals(af, rows[:, t], runs, cands)
             out[:, 0] += hops
             out[:, 1] += moved
-    out[:, 1] += joint_moved(profile, [d.axes for d in dists])
+    out[:, 1] += joint_moved(profile, rows)
     _FRONT_STATS[0] += n
     return out
-
-
-def front_costs(
-    profile,
-    dists: Sequence[Distribution],
-    topology: Optional[Topology] = None,
-) -> list:
-    """:func:`evaluate_front` as :class:`~repro.distrib.CostVector`s."""
-    from .costmodel import CostVector
-
-    matrix = evaluate_front(profile, dists, topology)
-    return [
-        CostVector(int(h), int(m), int(b)) for h, m, b in matrix
-    ]

@@ -39,9 +39,9 @@ class AlignOptions:
     hashable and its repr is content-stable.  :meth:`of` checks the
     algorithm and its keywords against
     :data:`~repro.align.offset_mobile.ALGORITHMS`, ``replication`` and
-    ``mobile`` for a ``bool`` and ``max_replication_rounds`` for an
-    ``int >= 1``, so a record that exists names a plan that runs, and
-    one plan has one record.
+    ``mobile`` for a ``bool`` and ``max_replication_rounds`` and ``m``
+    (fixed partitioning's subranges) for an ``int >= 1``, so a record
+    that exists names a plan that runs, and one plan has one record.
     """
 
     algorithm: str = "fixed"
@@ -71,6 +71,9 @@ class AlignOptions:
                 f"max_replication_rounds={rounds!r} is not a round cap: "
                 "give an int >= 1"
             )
+        m = alg_kw.get("m", 1)
+        if type(m) is not int or m < 1:
+            raise ValueError(f"m={m!r} is not a subrange count: give an int >= 1")
         return cls(
             algorithm,
             replication,

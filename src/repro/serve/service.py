@@ -91,6 +91,7 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
+import math
 import threading
 import time
 from collections import OrderedDict
@@ -276,6 +277,12 @@ class PlanService:
     ) -> None:
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
+        # The hint goes out as a JSON number: NaN and infinity are not
+        # JSON (RFC 8259), and a negative wait means nothing.
+        if not (isinstance(retry_after, (int, float)) and 0 <= retry_after < math.inf):
+            raise ValueError(
+                f"retry_after must be a finite number >= 0, got {retry_after!r}"
+            )
         self.jobs = check_jobs(jobs)
         # The one options check: a misplaced key, an unknown algorithm or
         # algorithm keyword, or an unplannable default machine fails

@@ -32,7 +32,6 @@ from .models import (
     TorusTopology,
     TwoLevelAxis,
     distribution_metrics,
-    distribution_metrics_batch,
 )
 from .registry import (
     DEFAULT_HIER_COST,
@@ -54,7 +53,6 @@ __all__ = [
     "HypercubeTopology",
     "HierarchicalTopology",
     "distribution_metrics",
-    "distribution_metrics_batch",
     "DEFAULT_HIER_COST",
     "default_topology",
     "parse_topology",

@@ -282,27 +282,6 @@ class Topology:
             for t, p in enumerate(grid)
         )
 
-    def metrics_batch(
-        self, grids: Sequence[Sequence[int | None]]
-    ) -> list[tuple[AxisMetric, ...]]:
-        """:meth:`metrics` for a whole batch of logical grids at once.
-
-        The batched entry point the vectorized front pricing uses when
-        one enumeration spans many grid factorizations: duplicate grids
-        share one metric tuple (metrics are frozen value objects), so a
-        candidate front over G grids builds at most G metric tuples no
-        matter how many candidates it prices.
-        """
-        memo: dict[tuple[int | None, ...], tuple[AxisMetric, ...]] = {}
-        out = []
-        for grid in grids:
-            key = tuple(grid)
-            got = memo.get(key)
-            if got is None:
-                got = memo[key] = self.metrics(key)
-            out.append(got)
-        return out
-
     def _physical_axis(self, t: int, rank: int) -> int:
         if not self.shape:
             return t
@@ -353,25 +332,6 @@ class Topology:
         total = 0
         for m, a, b in zip(ms, cell_a, cell_b):
             total = total + m.distance(a, b)
-        return total
-
-    def pairwise_hops(
-        self,
-        positions_a: Sequence[np.ndarray],
-        positions_b: Sequence[np.ndarray],
-    ) -> np.ndarray:
-        """Vectorized :meth:`distance` over per-axis coordinate arrays."""
-        if len(positions_a) != len(positions_b):
-            raise ValueError(
-                f"{self.kind} pairwise_hops needs equal-rank positions: "
-                f"got rank {len(positions_a)} vs rank {len(positions_b)}"
-            )
-        ms = self.metrics(self._grid_for_rank(len(positions_a)))
-        total: np.ndarray | None = None
-        for m, a, b in zip(ms, positions_a, positions_b):
-            h = m.hops(np.asarray(a), np.asarray(b))
-            total = h if total is None else total + h
-        assert total is not None
         return total
 
     def bisection_bandwidth(self) -> int:
@@ -587,18 +547,4 @@ def distribution_metrics(topology: Topology, dist) -> tuple[AxisMetric, ...]:
     """
     return topology.metrics(
         tuple(getattr(ax, "nprocs", None) for ax in dist.axes)
-    )
-
-
-def distribution_metrics_batch(
-    topology: Topology, dists: Sequence
-) -> list[tuple[AxisMetric, ...]]:
-    """:func:`distribution_metrics` over a whole candidate front.
-
-    Funnels through :meth:`Topology.metrics_batch`, so a front of
-    hundreds of candidates spanning a handful of grid factorizations
-    builds one metric tuple per distinct grid, not per candidate.
-    """
-    return topology.metrics_batch(
-        [tuple(getattr(ax, "nprocs", None) for ax in d.axes) for d in dists]
     )

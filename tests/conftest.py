@@ -210,7 +210,7 @@ def evaluate(profile, dist, topology=None):
 def axis_hops(profile, axis, axdist, metric=None) -> int:
     """Hops one template axis contributes under one axis scheme, walked
     record by record: the one-candidate reference the planner's front
-    kernels (``repro.distrib.vectorized.axis_front_hops``) are checked
+    kernel (``repro.distrib.vectorized.axis_row_hops``) is checked
     against.  Every topology is separable — its hop distance decomposes
     over axes — which is what makes the search a per-axis argmin."""
     total = 0
@@ -220,6 +220,47 @@ def axis_hops(profile, axis, axdist, metric=None) -> int:
             d = axdist.processor_coordinate_distance(r.src[j], r.dst[j], metric)
             total += int(np.sum(d)) * r.count
     return total
+
+
+def axis_candidates(lo, extent, nprocs) -> list:
+    """The enumerator's rows for one template axis
+    (``repro.distrib.enumerate.axis_rows``) as scheme records, in
+    enumeration order: the candidates the scalar references price one
+    at a time."""
+    from repro.distrib.enumerate import axis_rows
+    from repro.distrib.vectorized import _row_scheme
+
+    return [_row_scheme(*row) for row in axis_rows(lo, extent, nprocs)]
+
+
+def candidate_spaces(profile, nprocs, topology=None):
+    """``repro.distrib.enumerate.row_spaces`` with every row as its
+    scheme record: ``(grid shape, per-axis record lists)`` per grid the
+    machine realizes."""
+    from repro.distrib.enumerate import row_spaces
+    from repro.distrib.vectorized import _row_scheme
+
+    for grid, rows in row_spaces(profile, nprocs, topology):
+        yield grid, [[_row_scheme(*row) for row in axis] for axis in rows]
+
+
+def space_size(profile, nprocs, topology=None) -> int:
+    """Candidate distributions the planner covers: the cross-product of
+    each grid's per-axis rows, summed over the realizable grids."""
+    from repro.distrib.enumerate import covered_size, row_spaces
+
+    return covered_size(row_spaces(profile, nprocs, topology))
+
+
+def axis_front_hops(profile, axis, cands, metrics=None):
+    """``repro.distrib.vectorized.axis_row_hops`` on the rows of the
+    scheme records ``cands``, one axis metric per record (``None``: the
+    open L1 chain for all)."""
+    from repro.distrib.vectorized import _axis_dist_params, axis_row_hops
+
+    rows = np.array([_axis_dist_params(c) for c in cands], dtype=np.int64).reshape(-1, 4)
+    runs = None if metrics is None else [(m, 1) for m in metrics]
+    return axis_row_hops(profile, axis, rows, runs)
 
 
 class ReferencePlanner:
@@ -232,7 +273,6 @@ class ReferencePlanner:
 
     @staticmethod
     def grid_plans(profile, nprocs, topology=None) -> list:
-        from repro.distrib.enumerate import candidate_spaces, space_size
         from repro.distrib.plan import DistributionPlan
         from repro.machine import Distribution
 

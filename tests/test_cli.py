@@ -182,6 +182,53 @@ class TestCLI:
         assert captured.err.strip() == diagnostic
         assert "Traceback" not in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize(
+        "flags,status,diagnostic",
+        [
+            (
+                ["--measure", "block", "--procs", "x"],
+                2,
+                "python -m repro: error: --procs needs comma-separated "
+                "integers >= 1, got 'x'",
+            ),
+            (
+                ["--measure", "block", "--procs", "0"],
+                2,
+                "python -m repro: error: --procs needs comma-separated "
+                "integers >= 1, got '0'",
+            ),
+            (
+                ["--measure", "block", "--procs", "4,4,4"],
+                1,
+                "error: fig1.dp: ValueError: --procs 4,4,4: a rank-3 processor "
+                "grid for a rank-2 template",
+            ),
+            (
+                ["--m", "0"],
+                2,
+                "python -m repro: error: m=0 is not a subrange count: "
+                "give an int >= 1",
+            ),
+        ],
+        ids=["procs_not_an_int", "procs_zero", "procs_wrong_rank", "m_zero"],
+    )
+    def test_bad_flag_values_are_refused_without_a_traceback(
+        self, flags, status, diagnostic, tmp_path, monkeypatch, capsys
+    ):
+        """A flag value nothing can plan with is an argparse error (exit
+        2); a processor grid that does not fit the program's template is
+        the one-line diagnostic of the program (exit 1)."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "fig1.dp").write_text(FIG1, encoding="utf-8")
+        with pytest.raises(SystemExit) as exit_:
+            main(["fig1.dp", *flags])
+        assert exit_.value.code == status
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1] == diagnostic
+        if status == 1:
+            assert err.count("\n") == 1
+
     def test_subprocess_invocation(self, prog_file):
         res = subprocess.run(
             [sys.executable, "-m", "repro", prog_file, "--m", "3"],

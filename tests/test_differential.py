@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import evaluate
+from conftest import candidate_spaces, evaluate
 from repro.align import align_program
 from repro.distrib import plan_distribution, rank_plans
 from repro.lang.generate import (
@@ -98,8 +98,6 @@ def test_exact_plan_never_beaten_by_any_candidate(scenario, planned):
     per-axis argmin, and the plan is one of those candidates."""
     import itertools
 
-    from repro.distrib.enumerate import candidate_spaces
-
     _, profile = planned[scenario.name]
     plan = plan_distribution(profile, NPROCS)
     assert plan.exact, scenario.name
@@ -167,8 +165,6 @@ def _candidate_front(profile, nprocs, topology, cap=96):
     """Full candidate distributions from the planner's own enumeration:
     every per-axis scheme crossed per grid shape, capped for test time."""
     import itertools
-
-    from repro.distrib.enumerate import candidate_spaces
 
     dists = []
     for _, cands in candidate_spaces(profile, nprocs, topology=topology):

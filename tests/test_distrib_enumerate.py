@@ -4,33 +4,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import axis_candidates, space_size
 from repro.align import align_program
-from repro.distrib import (
-    axis_candidates,
-    balanced_factorization,
-    build_profile,
-    covering_block,
-    grid_factorizations,
-    naive_costs,
-    naive_distributions,
-    space_size,
-)
+from repro.distrib import build_profile, covering_block, naive_costs, naive_distributions
 from repro.distrib.enumerate import DEFAULT_BLOCK_SIZES, axis_rows
 from repro.distrib.vectorized import _axis_dist_params, _row_scheme
 from repro.lang import programs
 from repro.machine import Block, BlockCyclic, Cyclic, Identity
-from repro.topology.models import factorizations
+from repro.topology.models import factorizations, most_balanced
 
 
 class TestGridFactorizations:
     def test_rank_one(self):
-        assert grid_factorizations(6, 1) == [(6,)]
+        assert factorizations(6, 1) == [(6,)]
 
     def test_rank_two(self):
-        assert grid_factorizations(4, 2) == [(1, 4), (2, 2), (4, 1)]
+        assert factorizations(4, 2) == [(1, 4), (2, 2), (4, 1)]
 
     def test_products_and_completeness(self):
-        grids = grid_factorizations(12, 3)
+        grids = factorizations(12, 3)
         assert all(g[0] * g[1] * g[2] == 12 for g in grids)
         assert len(grids) == len(set(grids))
         # d(12)=6 divisors; ordered factorizations into 3 parts: 18
@@ -38,9 +30,9 @@ class TestGridFactorizations:
 
     def test_bad_input(self):
         with pytest.raises(ValueError):
-            grid_factorizations(0, 1)
+            factorizations(0, 1)
         with pytest.raises(ValueError):
-            grid_factorizations(4, 0)
+            factorizations(4, 0)
 
     @staticmethod
     def _reference(n, rank):
@@ -65,9 +57,9 @@ class TestGridFactorizations:
         assert grids == [(2**i, 2 ** (40 - i)) for i in range(41)]
 
     def test_balanced(self):
-        assert balanced_factorization(16, 2) == (4, 4)
-        assert balanced_factorization(8, 3) == (2, 2, 2)
-        assert balanced_factorization(7, 2) in [(1, 7), (7, 1)]
+        assert most_balanced(factorizations(16, 2)) == (4, 4)
+        assert most_balanced(factorizations(8, 3)) == (2, 2, 2)
+        assert most_balanced(factorizations(7, 2)) in [(1, 7), (7, 1)]
 
 
 class TestAxisCandidates:

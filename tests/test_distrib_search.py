@@ -14,13 +14,12 @@ from repro.distrib import (
     rank_plans,
 )
 from repro.distrib.costmodel import CommProfile, CostVector, MoveRecord
-from repro.distrib.enumerate import axis_candidates, candidate_spaces, space_size
 from repro.align.pipeline import planning_records, solve_prefix
 from repro.lang import parse, programs
 from repro.lang.generate import FAMILIES, generate_scenario, topology_corpus
 from repro.machine import SCHEMES, Distribution
 from repro.topology import parse_topology
-from conftest import CORPUS_DIR, evaluate
+from conftest import CORPUS_DIR, axis_candidates, candidate_spaces, evaluate, space_size
 from test_distrib_vectorized import SWEEP_MACHINES
 
 

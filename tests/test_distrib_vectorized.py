@@ -18,7 +18,7 @@ import pickle
 
 import numpy as np
 import pytest
-from conftest import axis_hops, evaluate
+from conftest import axis_candidates, axis_front_hops, axis_hops, candidate_spaces, evaluate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,22 +26,21 @@ from repro import cachestats, obs, parse
 from repro.align import align_program
 from repro.align.pipeline import planning_records, solve_prefix, solve_suffix
 from repro.distrib import (
-    axis_front_hops,
     build_profile,
     evaluate_front,
-    front_costs,
     naive_costs,
     naive_distributions,
     plan_distribution,
 )
 from repro.distrib.costmodel import CommProfile, CostVector, MoveRecord
-from repro.distrib.enumerate import axis_candidates, candidate_spaces, row_spaces
+from repro.distrib.enumerate import row_spaces
 from repro.distrib.search import _plans, _winners
 from repro.distrib.vectorized import (
     _MODE_BLOCK,
     _MODE_IDENTITY,
     _MODE_WRAP,
     _axis_dist_params,
+    _row_scheme,
     axis_row_hops,
     joint_moved,
 )
@@ -98,7 +97,7 @@ class TestCompileFront:
         assert cachestats._cell("distrib.front_tensors") == [h0, m0 + 1]
         with obs.recording() as rec:
             plan_distribution(prof, 16)
-        # One hit per pricing read and no compile: one axis_front_hops
+        # One hit per pricing read and no compile: one axis_row_hops
         # call per template axis, for every grid at once.
         reads = sum(span.tags["axes"] for span in rec.find("distrib.front_price"))
         assert reads == prof.template_rank
@@ -265,7 +264,8 @@ class TestCompactFront:
 
     def test_empty_record_prices_to_zero(self, ragged):
         dist = Distribution((Block(2, 3, 4),))
-        assert front_costs(ragged, [dist], None) == [evaluate(ragged, dist)]
+        (row,) = evaluate_front(ragged, [dist], None).tolist()
+        assert CostVector(*row) == evaluate(ragged, dist)
 
     def test_an_element_unmoved_on_every_axis_is_absent(self):
         # Element 0 keeps both its cells, element 1 moves on axis 0 only
@@ -299,8 +299,8 @@ class TestCompactFront:
         assert joint.weight.tolist() == [2]
         # Element 1 changes processor on both axes and is moved once.
         ident = Distribution.identity(2)
-        assert front_costs(prof, [ident]) == [evaluate(prof, ident)]
-        assert evaluate(prof, ident) == CostVector(hops=6, moved=4)
+        (row,) = evaluate_front(prof, [ident]).tolist()
+        assert CostVector(*row) == evaluate(prof, ident) == CostVector(hops=6, moved=4)
 
     def test_joint_rows_are_deduplicated(self):
         # Keyed by the axes an element moves on, not by its record's: the
@@ -342,7 +342,8 @@ class TestCompactFront:
             Distribution((Block(2, 1000, 0), Cyclic(4), Block(4, 500, 0))),
             Distribution.identity(3),
         ]
-        assert front_costs(prof, dists) == [evaluate(prof, d) for d in dists]
+        costs = [CostVector(*row) for row in evaluate_front(prof, dists).tolist()]
+        assert costs == [evaluate(prof, d) for d in dists]
 
     def test_empty_records_leave_no_axis_front(self):
         empty = np.zeros(0, dtype=np.int64)
@@ -350,9 +351,10 @@ class TestCompactFront:
         assert prof.front.axes == (None,) and prof.front.joints == ()
         hops, moved = axis_front_hops(prof, 0, axis_candidates(0, 1, 2))
         assert hops.tolist() == moved.tolist() == [0, 0]
-        assert joint_moved(prof, [(Identity(),)]).tolist() == [0]
+        assert joint_moved(prof, np.array([[_axis_dist_params(Identity())]])).tolist() == [0]
         ident = Distribution.identity(1)
-        assert front_costs(prof, [ident]) == [evaluate(prof, ident)]
+        (row,) = evaluate_front(prof, [ident]).tolist()
+        assert CostVector(*row) == evaluate(prof, ident)
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_bounds_equal_the_per_axis_extremes(self, family):
@@ -412,8 +414,8 @@ def move_profiles(draw):
 def test_the_compact_front_prices_like_the_scalar_evaluators(spec, prof):
     """On the L1 grid and on every topology family: ``axis_front_hops``
     equals ``axis_hops`` and the scalar per-axis ``moved`` for every
-    per-axis candidate, and ``front_costs`` equals ``evaluate`` for every
-    full candidate."""
+    per-axis candidate, and ``evaluate_front`` equals ``evaluate`` for
+    every full candidate."""
     topo = None if spec is None else parse_topology(spec)
     dists = []
     for grid, cands in candidate_spaces(prof, 8, topology=topo):
@@ -422,7 +424,8 @@ def test_the_compact_front_prices_like_the_scalar_evaluators(spec, prof):
             _assert_axis_prices(prof, t, clist, metric)
         for combo in itertools.product(*cands):
             dists.append(Distribution(combo))
-    assert front_costs(prof, dists, topo) == [evaluate(prof, d, topo) for d in dists]
+    costs = [CostVector(*row) for row in evaluate_front(prof, dists, topo).tolist()]
+    assert costs == [evaluate(prof, d, topo) for d in dists]
 
 
 def _assert_joined_winners_exact(prof, nprocs, topo):
@@ -435,8 +438,8 @@ def _assert_joined_winners_exact(prof, nprocs, topo):
     joined = _winners(prof, spaces, topo)
     assert joined == [_winners(prof, [space], topo)[0] for space in spaces]
     costs = [plan.cost for plan in _plans(prof, joined, 0, topo)]
-    dists = [Distribution(tuple(axes)) for axes, _, _ in joined]
-    assert costs == front_costs(prof, dists, topo)
+    dists = [Distribution(tuple(_row_scheme(*row) for row in axes)) for axes, _, _ in joined]
+    assert costs == [CostVector(*row) for row in evaluate_front(prof, dists, topo).tolist()]
     assert costs == [evaluate(prof, d, topo) for d in dists]
 
 
@@ -475,7 +478,6 @@ class TestFrontEdgeCases:
     def test_empty_front_prices_to_empty_matrix(self, profile):
         out = evaluate_front(profile, [])
         assert out.shape == (0, 3)
-        assert front_costs(profile, [], None) == []
 
     def test_single_candidate_equals_scalar(self, profile):
         ident = Distribution.identity(profile.template_rank)
@@ -582,12 +584,12 @@ class TestFrontEdgeCases:
         ],
     )
     def test_rows_raise_the_records_contract_error(self, cands, message):
-        # Records are named as given; bare rows by the record the
-        # enumerator builds from them, only to raise (a wrap row of block
-        # 1 is Cyclic).
+        # Records (evaluate_front's input) are named as given; bare rows
+        # by the record the enumerator builds from them, only to raise (a
+        # wrap row of block 1 is Cyclic).
         prof = _hand_profile([_record((0,), [[(0, 1), (9, 9)]])], [(0, 3)])
         with pytest.raises(ValueError) as err:
-            axis_front_hops(prof, 0, cands)
+            evaluate_front(prof, [Distribution((c,)) for c in cands])
         assert str(err.value) == message
         rows = np.array([_axis_dist_params(c) for c in cands], dtype=np.int64)
         with pytest.raises(ValueError) as err:
@@ -619,9 +621,9 @@ class TestCountersAndFallback:
         }
         assert all(isinstance(c, CostVector) for c in costs.values())
 
-    def test_front_costs_are_costvectors_summable(self, profile):
+    def test_front_rows_as_costvectors_are_summable(self, profile):
         ident = Distribution.identity(profile.template_rank)
-        costs = front_costs(profile, [ident, ident], None)
+        costs = [CostVector(*row) for row in evaluate_front(profile, [ident, ident]).tolist()]
         total = sum(costs)  # exercises CostVector.__radd__
         assert total == costs[0] + costs[1]
 

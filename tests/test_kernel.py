@@ -38,7 +38,7 @@ from repro.align.pipeline import (
 from repro.align.position import Alignment
 from repro.batch import PlanRequest, plan_many
 from repro.distrib import build_profile, rank_plans
-from repro.distrib.enumerate import candidate_spaces
+from repro.distrib.enumerate import row_spaces
 from repro.lang.generate import FAMILIES, generate_scenario
 from repro.machine import Distribution, measure_traffic
 from repro.obs import spans as obs
@@ -259,11 +259,14 @@ BAD_OPTIONS = {
     "rounds_none": (4, None, {"max_replication_rounds": None}),
     "replication_str": (4, None, {"replication": "yes"}),
     "mobile_int": (4, None, {"mobile": 0}),
+    # Fixed partitioning's subrange count is an int >= 1 too.
+    "m_zero": (4, None, {"m": 0}),
+    "m_float": (4, None, {"m": 2.5}),
 }
 #: The cases that are :class:`DistributionOptionsError`; a bad spec is the
 #: topology parser's ValueError, a bad algorithm or algorithm keyword the
-#: ValueError / TypeError of ``check_algorithm``, a bad round cap or switch
-#: the ValueError of ``AlignOptions.of``.
+#: ValueError / TypeError of ``check_algorithm``, a bad round cap,
+#: subrange count or switch the ValueError of ``AlignOptions.of``.
 NAMED = {
     "mismatch", "misplaced_align_key", "nprocs_true", "nprocs_float",
     "nprocs_str", "nprocs_zero", "nprocs_negative",
@@ -421,7 +424,7 @@ REMOVED_SETTINGS = {
     "rank_plans(window=)": lambda env: rank_plans(
         env["profile"], 4, k=1, window=((0, 15),)
     ),
-    "candidate_spaces(window=)": lambda env: candidate_spaces(
+    "row_spaces(window=)": lambda env: row_spaces(
         env["profile"], 4, window=((0, 15),)
     ),
     "max_flow(method=)": lambda env: env["net"].max_flow(

@@ -546,6 +546,28 @@ class TestPlanService:
                 svc.release()
             assert svc.handle(ServeRequest("q", SRC, nprocs=4)).ok
 
+    @pytest.mark.parametrize("retry_after", [float("nan"), float("inf"), -1])
+    def test_retry_after_must_be_a_finite_number_at_least_zero(
+        self, retry_after, monkeypatch, capsys
+    ):
+        # A rejection carries the hint as a JSON number: NaN and infinity
+        # would put a token no strict JSON parser accepts on the wire.
+        from repro.serve import __main__ as serve_cli
+
+        with pytest.raises(ValueError, match="retry_after must be a finite number >= 0"):
+            PlanService(retry_after=retry_after)
+
+        def no_daemon(*args, **kwargs):  # the refusal comes first
+            raise AssertionError("the daemon started")
+
+        monkeypatch.setattr(serve_cli, "run_daemon", no_daemon)
+        with pytest.raises(SystemExit) as exit_:
+            serve_cli.main(["--retry-after", str(retry_after)])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "retry_after must be a finite number >= 0" in err
+        assert "Traceback" not in err
+
     def test_uncacheable_requests_are_planned_but_not_stored(self, monkeypatch):
         # Simulate a machine with no fingerprint: the request must
         # still be answered, but nothing may be persisted.

@@ -139,13 +139,16 @@ class TestMetricAxioms:
             assert t.distance(a, c) <= dab + t.distance(b, c)
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
-    def test_pairwise_hops_matches_scalar_distance(self, spec):
+    def test_vectorized_metric_hops_match_scalar_distance(self, spec):
+        # The per-axis kernels the front pricing calls, summed over the
+        # machine's own grid, equal its scalar cell distance.
         t = parse_topology(spec)
         rank = max(1, t.rank)
         rng = np.random.default_rng(abs(hash(spec)) % (2**32))
         a = [rng.integers(0, 32, size=50) for _ in range(rank)]
         b = [rng.integers(0, 32, size=50) for _ in range(rank)]
-        hops = t.pairwise_hops(a, b)
+        metrics = t.metrics(t._grid_for_rank(rank))
+        hops = sum(m.hops(x, y) for m, x, y in zip(metrics, a, b))
         for i in range(50):
             pa = tuple(int(x[i]) for x in a)
             pb = tuple(int(x[i]) for x in b)
@@ -155,9 +158,7 @@ class TestMetricAxioms:
         with pytest.raises(ValueError, match="rank 2 vs rank 3"):
             parse_topology("grid").distance((1, 2), (1, 2, 3))
         with pytest.raises(ValueError, match="rank 1 vs rank 2"):
-            parse_topology("torus:4x4").pairwise_hops(
-                [np.arange(3)], [np.arange(3), np.arange(3)]
-            )
+            parse_topology("torus:4x4").distance((1,), (1, 2))
 
 
 class TestAxisMetrics:
