@@ -71,6 +71,7 @@ Prometheus text exposition.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import NoReturn
@@ -427,6 +428,16 @@ def main(argv: list[str] | None = None) -> int:
                     ValueError(
                         f"--procs {args.procs}: a rank-{len(grid)} processor "
                         f"grid for a rank-{rank} template"
+                    ),
+                )
+            size = math.prod(grid)
+            finite = topology is not None and topology.shape
+            if args.measure != "identity" and finite and size != topology.nprocs:
+                _refuse(
+                    args.file,
+                    ValueError(
+                        f"--procs {args.procs}: a {size}-processor grid on the "
+                        f"{topology.nprocs}-processor machine {topology.spec()}"
                     ),
                 )
             traffic = measure_plan(

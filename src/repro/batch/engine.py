@@ -12,7 +12,8 @@ Execution is a fan-out over a :class:`WorkerPool`, the one process
 pool of every driver (the planning service's cold misses use it too).
 ``jobs=1`` or ``serial=True`` plans inline; a fault of the pool (it
 cannot be spawned, it refuses a submit, a worker dies) re-plans inline
-only the tasks the pool lost, and the report says why.  Results are
+only the tasks the pool lost, the report says why, and the next call
+forks a fresh pool.  Results are
 identical and arrive in corpus order either way, because planning
 itself is deterministic and the pool maps in order.
 
@@ -26,7 +27,7 @@ planning kernel for its plan (``solve_prefix`` / ``solve_suffix`` /
 records.  What the engine adds is the measurement around a task
 (:func:`_measured`: wall time, cache-counter deltas, per-pass seconds
 off ``ctx.trace``, the span tree, failure → diagnostic) and the pool
-(:class:`WorkerPool`, one per call).  To plan one program for many
+(:class:`WorkerPool`, one for the process).  To plan one program for many
 machines, solve its prefix once and run ``solve_suffix(prefix.fork(),
 machine)`` per machine, or ask :mod:`repro.serve`, whose prefix cache
 answers a new machine for a known program.
@@ -34,6 +35,7 @@ answers a new machine for a known program.
 
 from __future__ import annotations
 
+import atexit
 import os
 import threading
 import time
@@ -377,10 +379,11 @@ class WorkerPool:
     — it cannot be spawned, it refuses a submit, a worker dies — is
     recorded once in ``fault`` (``"Type: message"``) and passed to
     ``on_fault``: what the pool finished is kept, the chunks it lost run
-    inline, and so does every later map.  What a task raises is that
-    task's, as in the builtin ``map``, and the pool stays up.  A closed
-    pool never spawns again.  Thread-safe: the service maps from many
-    threads at once.
+    inline, and so does every later map (:func:`plan_many` replaces a
+    faulted pool at its next call; the service keeps planning inline).
+    What a task raises is that task's, as in the builtin ``map``, and
+    the pool stays up.  A closed pool never spawns again.  Thread-safe:
+    the service maps from many threads at once.
     """
 
     def __init__(self, jobs: int, on_fault: Optional[Callable] = None) -> None:
@@ -447,6 +450,36 @@ class WorkerPool:
         self.close()
 
 
+# The batch pool, kept for the process.  Pooled calls take turns on it
+# under the lock, so no call has its pool closed under it (re-entrant:
+# a call replaces its pool through close_batch_pool).
+_pool: Optional[WorkerPool] = None
+_pool_lock = threading.RLock()
+
+
+def _pooled(payloads: list, jobs: int) -> tuple[list, Optional[str]]:
+    """:func:`_measured` over ``payloads`` on the batch pool, first
+    replaced if it has another size or a fault; the results and fault."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None and (_pool.jobs, _pool.fault) != (jobs, None):
+            close_batch_pool()
+        if _pool is None:
+            _pool = WorkerPool(jobs)
+        return _pool.map(_measured, payloads), _pool.fault
+
+
+@atexit.register
+def close_batch_pool() -> None:
+    """Close the batch pool and join its workers; the next pooled call
+    forks new ones from the module state of that moment."""
+    global _pool
+    with _pool_lock:
+        pool, _pool = _pool, None
+        if pool is not None:
+            pool.close(wait=True)
+
+
 def check_jobs(jobs: object) -> int:
     """``jobs`` if it is a worker count, an ``int >= 1``; else the
     ``ValueError`` both drivers raise before they plan or spawn."""
@@ -469,15 +502,18 @@ def plan_many(
 
     ``jobs`` (an ``int >= 1``) defaults to the machine's CPU count and is
     capped at the corpus size.  ``serial=True`` (or ``jobs=1``) runs the
-    same work inline, and a fault of the pool re-plans inline only what
-    the pool lost (:class:`WorkerPool`), so ``plan_many`` works in
-    restricted environments; a faulted run is reported as serial, with
-    the pool's fault as the reason.  ``topology`` is a machine spec
-    string applied to every task.  Options, machine and ``jobs`` are
-    checked here, once: a bad worker or processor count, topology,
-    algorithm name or algorithm keyword raises before anything is
-    planned.  ``trace=True`` records every task's span tree in its
-    worker and ships the recorders back for
+    same work inline.  Otherwise the call runs on the process's batch
+    pool, forked at the first pooled call (its workers keep the module
+    state of that moment) and kept until the process exits or a call
+    with another ``jobs`` or a fault replaces it.  A fault of the pool
+    re-plans inline only what the pool lost (:class:`WorkerPool`), so
+    ``plan_many`` works in restricted environments; a faulted run is
+    reported as serial, with the pool's fault as the reason.
+    ``topology`` is a machine spec string applied to every task.
+    Options, machine and ``jobs`` are checked here, once: a bad worker
+    or processor count, topology, algorithm name or algorithm keyword
+    raises before anything is planned.  ``trace=True`` records every
+    task's span tree in its worker and ships the recorders back for
     :meth:`BatchReport.merged_trace`.
     """
     jobs = check_jobs(jobs) if jobs is not None else (os.cpu_count() or 1)
@@ -488,9 +524,11 @@ def plan_many(
     ]
     jobs = 1 if serial else min(jobs, len(payloads) or 1)
     t0 = time.perf_counter()
-    with WorkerPool(jobs) as pool:  # closed, its workers joined, on exit
-        results = pool.map(_measured, payloads)
-    if jobs == 1 or pool.fault is not None:
+    if jobs == 1:
+        results, fault = list(map(_measured, payloads)), None
+    else:
+        results, fault = _pooled(payloads, jobs)
+    if jobs == 1 or fault is not None:
         jobs, mode = 1, "serial"
     else:
         mode = "process"
@@ -499,6 +537,6 @@ def plan_many(
         time.perf_counter() - t0,
         jobs,
         mode,
-        fallback_reason=pool.fault,
+        fallback_reason=fault,
         topology=topology,
     )

@@ -38,6 +38,16 @@ def nested_blocks(kind: str, levels: int) -> str:
     )
 
 
+def report_facts(report) -> list:
+    """What a batch report decided for each program, without timings or
+    cache counters: pooled and serial runs must agree on it."""
+    return [
+        (r.name, r.ok, r.total_cost, dict(r.alignments), r.distribution,
+         r.dist_hops, r.dist_moved, r.machine)
+        for r in report.results
+    ]
+
+
 def with_axis(alignment, template_axis: int, **fields):
     """``alignment`` with the named fields of one template axis replaced
     (``offset=``, ``replication=``); the axis and the alignment re-check

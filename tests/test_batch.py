@@ -1,7 +1,8 @@
 """The batched planning engine, and the memoization-hygiene audit.
 
 Covers :mod:`repro.batch` (ordering, serial/process determinism,
-failure diagnostics, cache counters, report rendering) and the cache
+failure diagnostics, cache counters, report rendering, the batch pool
+kept across calls) and the cache
 rules the engine relies on: no ``lru_cache`` on bound methods anywhere
 in the package (they pin ``self`` forever), bounded module-level
 caches, and no growth of memory-resident plan objects across repeated
@@ -15,8 +16,14 @@ import gc
 import importlib
 import inspect
 import json
+import multiprocessing
+import os
 import pkgutil
+import subprocess
+import sys
 import weakref
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -27,10 +34,15 @@ from conftest import (
     DEEP_IF_SOURCE,
     DEEP_SOURCE,
     nested_blocks,
+    report_facts,
 )
+import repro.batch.engine as engine
 from repro import cachestats
 from repro.batch import BatchReport, PlanRequest, plan_many
 from repro.lang.generate import GeneratorConfig, generate_corpus, generate_scenario
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def cache_sizes() -> dict[str, int]:
@@ -193,6 +205,82 @@ class TestPlanMany:
         )
         assert all(r.ok for r in report.results)
         assert report.results[0].name == "example1"
+
+
+def _children() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+class TestBatchPool:
+    """``plan_many`` keeps one worker pool for the process: a call with
+    the same ``jobs`` runs on the last call's workers, another ``jobs``
+    replaces them, and the interpreter still exits on its own."""
+
+    CORPUS = generate_corpus(6, seed=3)
+
+    def test_two_pooled_calls_run_on_the_same_workers(self):
+        want = report_facts(plan_many(self.CORPUS, nprocs=4, serial=True))
+        engine.close_batch_pool()
+        others = _children()
+        first = plan_many(self.CORPUS, nprocs=4, jobs=2)
+        workers = _children() - others
+        second = plan_many(self.CORPUS, nprocs=4, jobs=2)
+        assert len(workers) == 2
+        assert _children() - others == workers
+        for report in (first, second):
+            assert (report.mode, report.jobs) == ("process", 2)
+            assert report_facts(report) == want
+
+    def test_another_jobs_replaces_the_pool(self):
+        engine.close_batch_pool()
+        others = _children()
+        plan_many(self.CORPUS, nprocs=4, jobs=2)
+        two = _children() - others
+        report = plan_many(self.CORPUS, nprocs=4, jobs=3)
+        three = _children() - others
+        assert (report.mode, report.jobs) == ("process", 3)
+        assert len(two) == 2 and len(three) == 3
+        assert not two & three  # the 2-worker pool was joined
+
+    def test_threads_with_different_jobs_all_plan(self):
+        """More callers than cores, alternating ``jobs`` 2 and 3, under a
+        short switch interval: every call plans what a serial run plans,
+        and one pool is left, so no replaced pool kept its workers."""
+        want = report_facts(plan_many(self.CORPUS, nprocs=4, serial=True))
+        engine.close_batch_pool()
+        others = _children()
+        sizes = (2, 3) * 3
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(sizes)) as threads:
+                futures = [
+                    threads.submit(plan_many, self.CORPUS, nprocs=4, jobs=jobs)
+                    for jobs in sizes
+                ]
+                reports = [f.result(timeout=300) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for jobs, report in zip(sizes, reports):
+            assert (report.mode, report.jobs) == ("process", jobs)
+            assert report_facts(report) == want
+        assert len(_children() - others) == engine._pool.jobs
+
+    def test_an_interpreter_with_a_live_pool_exits(self):
+        script = (
+            "from repro.batch import plan_many\n"
+            "report = plan_many(['real A(64)\\nA(1:63) = A(2:64)'] * 2, jobs=2)\n"
+            "print(report.mode, report.jobs)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        res = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (res.returncode, res.stdout, res.stderr) == (0, "process 2\n", "")
 
 
 class TestCacheStatsDelta:

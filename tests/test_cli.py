@@ -71,6 +71,11 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "machine (block):" in out
 
+    def test_measure_with_a_grid_that_fills_a_finite_machine(self, prog_file, capsys):
+        args = [prog_file, "--topology", "grid:3x3", "--measure", "block", "--procs", "3"]
+        assert main(args) == 0
+        assert "machine (block):" in capsys.readouterr().out
+
     def test_distribute(self, prog_file, capsys):
         assert main([prog_file, "--no-replication", "--distribute", "4"]) == 0
         out = capsys.readouterr().out
@@ -204,20 +209,33 @@ class TestCLI:
                 "grid for a rank-2 template",
             ),
             (
+                ["--topology", "grid:3x3", "--measure", "block", "--procs", "2"],
+                1,
+                "error: fig1.dp: ValueError: --procs 2: a 4-processor grid on "
+                "the 9-processor machine grid:3x3",
+            ),
+            (
                 ["--m", "0"],
                 2,
                 "python -m repro: error: m=0 is not a subrange count: "
                 "give an int >= 1",
             ),
         ],
-        ids=["procs_not_an_int", "procs_zero", "procs_wrong_rank", "m_zero"],
+        ids=[
+            "procs_not_an_int",
+            "procs_zero",
+            "procs_wrong_rank",
+            "procs_short_of_the_machine",
+            "m_zero",
+        ],
     )
     def test_bad_flag_values_are_refused_without_a_traceback(
         self, flags, status, diagnostic, tmp_path, monkeypatch, capsys
     ):
         """A flag value nothing can plan with is an argparse error (exit
-        2); a processor grid that does not fit the program's template is
-        the one-line diagnostic of the program (exit 1)."""
+        2); a processor grid that does not fit the program's template or
+        fill a finite machine is the one-line diagnostic of the program
+        (exit 1)."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "fig1.dp").write_text(FIG1, encoding="utf-8")
         with pytest.raises(SystemExit) as exit_:

@@ -4,8 +4,9 @@ Batch and serve run one :class:`~repro.batch.engine.WorkerPool` with one
 fault policy.  A fault of the pool — it cannot be spawned, it refuses a
 submit, a worker dies — is recorded once and turns the pool off: what
 finished in it is kept, only what it lost is planned inline, and so is
-everything after.  What a task raises is that task's.  A closed service
-spawns nothing again.
+everything after.  The batch pool outlives a call, and the next batch
+replaces a faulted one.  What a task raises is that task's.  A closed
+service spawns nothing again.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import repro.batch.engine as engine
+from conftest import report_facts as _facts
 from repro.batch import plan_many
 from repro.batch.engine import WorkerPool
 from repro.lang.generate import generate_corpus
@@ -51,14 +53,6 @@ def _counter(name: str) -> int:
 
 def _in_worker() -> bool:
     return multiprocessing.parent_process() is not None
-
-
-def _facts(report) -> list:
-    return [
-        (r.name, r.ok, r.total_cost, dict(r.alignments), r.distribution,
-         r.dist_hops, r.dist_moved, r.machine)
-        for r in report.results
-    ]
 
 
 # -- the pool itself -----------------------------------------------------------
@@ -121,9 +115,11 @@ def killer(monkeypatch):
     """Kill the pool worker that reaches ``CORPUS[6]`` in
     ``solve_prefix``; count that call's runs in the parent (the inline
     re-runs).  A function patched before the pool forks stays patched
-    in its workers."""
+    in its workers: the batch pool outlives a call, so it is closed
+    first and the next pooled call forks after the patch."""
 
     def patch() -> list:
+        engine.close_batch_pool()
         real = engine.solve_prefix
         victim = CORPUS[6].name
         reruns = []
@@ -150,6 +146,17 @@ def test_a_killed_worker_under_plan_many_replans_only_what_was_lost(killer):
     assert _facts(report) == _facts(want)
     assert CORPUS[6].name in reruns
     assert 0 < len(reruns) < len(CORPUS)
+
+
+def test_a_faulted_batch_pool_is_replaced_on_the_next_call(killer, monkeypatch):
+    want = plan_many(CORPUS, nprocs=4, serial=True)
+    killer()
+    assert plan_many(CORPUS, nprocs=4, jobs=2).mode == "serial"
+    monkeypatch.undo()  # the next pool forks without the killer
+    report = plan_many(CORPUS, nprocs=4, jobs=2)
+    assert (report.mode, report.jobs) == ("process", 2)
+    assert report.fallback_reason is None
+    assert _facts(report) == _facts(want)
 
 
 # -- the pool cannot be spawned, or refuses a submit ---------------------------
@@ -179,6 +186,7 @@ def test_a_batch_plans_inline_when_the_pool_faults_at_the_start(
 ):
     pool, reason = FAULTS[fault]
     want = plan_many(CORPUS[:3], nprocs=4, serial=True)
+    engine.close_batch_pool()  # the next pooled call spawns under the patch
     monkeypatch.setattr(engine, "ProcessPoolExecutor", pool)
     report = plan_many(CORPUS[:3], nprocs=4, jobs=2)
     assert (report.mode, report.jobs) == ("serial", 1)
