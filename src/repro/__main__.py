@@ -322,6 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     from .align.pipeline import (
         DistributionOptionsError,
         explain_plan,
+        machine_record,
         planning_records,
         solve_prefix,
         solve_suffix,
@@ -422,24 +423,16 @@ def main(argv: list[str] | None = None) -> int:
         if args.measure:
             rank = plan.adg.template_rank
             grid = procs * rank if len(procs) == 1 else procs
-            if args.measure != "identity" and len(grid) != rank:
-                _refuse(
-                    args.file,
-                    ValueError(
-                        f"--procs {args.procs}: a rank-{len(grid)} processor "
-                        f"grid for a rank-{rank} template"
-                    ),
-                )
-            size = math.prod(grid)
-            finite = topology is not None and topology.shape
-            if args.measure != "identity" and finite and size != topology.nprocs:
-                _refuse(
-                    args.file,
-                    ValueError(
-                        f"--procs {args.procs}: a {size}-processor grid on the "
-                        f"{topology.nprocs}-processor machine {topology.spec()}"
-                    ),
-                )
+            if args.measure != "identity":
+                try:
+                    if len(grid) != rank:
+                        raise ValueError(
+                            f"a rank-{len(grid)} processor grid for a "
+                            f"rank-{rank} template"
+                        )
+                    machine_record(math.prod(grid), args.topology)
+                except ValueError as exc:
+                    _refuse(args.file, ValueError(f"--procs {args.procs}: {exc}"))
             traffic = measure_plan(
                 plan,
                 scheme=args.measure,

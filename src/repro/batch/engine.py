@@ -12,8 +12,7 @@ Execution is a fan-out over a :class:`WorkerPool`, the one process
 pool of every driver (the planning service's cold misses use it too).
 ``jobs=1`` or ``serial=True`` plans inline; a fault of the pool (it
 cannot be spawned, it refuses a submit, a worker dies) re-plans inline
-only the tasks the pool lost, the report says why, and the next call
-forks a fresh pool.  Results are
+only the tasks the pool lost, and the report says why.  Results are
 identical and arrive in corpus order either way, because planning
 itself is deterministic and the pool maps in order.
 
@@ -379,11 +378,10 @@ class WorkerPool:
     — it cannot be spawned, it refuses a submit, a worker dies — is
     recorded once in ``fault`` (``"Type: message"``) and passed to
     ``on_fault``: what the pool finished is kept, the chunks it lost run
-    inline, and so does every later map (:func:`plan_many` replaces a
-    faulted pool at its next call; the service keeps planning inline).
-    What a task raises is that task's, as in the builtin ``map``, and
-    the pool stays up.  A closed pool never spawns again.  Thread-safe:
-    the service maps from many threads at once.
+    inline, and so does every later map.  What a task raises is that
+    task's, as in the builtin ``map``, and the pool stays up.  A closed
+    pool never spawns again.  Thread-safe: the service maps from many
+    threads at once.
     """
 
     def __init__(self, jobs: int, on_fault: Optional[Callable] = None) -> None:
@@ -443,41 +441,31 @@ class WorkerPool:
         if executor is not None:
             executor.shutdown(wait=wait)
 
-    def __enter__(self) -> "WorkerPool":
-        return self
 
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-
-# The batch pool, kept for the process.  Pooled calls take turns on it
-# under the lock, so no call has its pool closed under it (re-entrant:
-# a call replaces its pool through close_batch_pool).
+# The batch pool, kept for the process; pooled calls take turns on it.
 _pool: Optional[WorkerPool] = None
-_pool_lock = threading.RLock()
+_pool_lock = threading.Lock()
 
 
 def _pooled(payloads: list, jobs: int) -> tuple[list, Optional[str]]:
-    """:func:`_measured` over ``payloads`` on the batch pool, first
-    replaced if it has another size or a fault; the results and fault."""
+    """The results and fault of the batch pool's map over ``payloads``."""
     global _pool
     with _pool_lock:
-        if _pool is not None and (_pool.jobs, _pool.fault) != (jobs, None):
-            close_batch_pool()
-        if _pool is None:
+        if _pool is None or (_pool.jobs, _pool.fault) != (jobs, None):
+            if _pool is not None:
+                _pool.close()
             _pool = WorkerPool(jobs)
         return _pool.map(_measured, payloads), _pool.fault
 
 
 @atexit.register
 def close_batch_pool() -> None:
-    """Close the batch pool and join its workers; the next pooled call
-    forks new ones from the module state of that moment."""
+    """Close the batch pool and join its workers (the ``atexit`` hook)."""
     global _pool
     with _pool_lock:
-        pool, _pool = _pool, None
-        if pool is not None:
-            pool.close(wait=True)
+        if _pool is not None:
+            _pool.close()
+        _pool = None
 
 
 def check_jobs(jobs: object) -> int:
@@ -502,18 +490,16 @@ def plan_many(
 
     ``jobs`` (an ``int >= 1``) defaults to the machine's CPU count and is
     capped at the corpus size.  ``serial=True`` (or ``jobs=1``) runs the
-    same work inline.  Otherwise the call runs on the process's batch
-    pool, forked at the first pooled call (its workers keep the module
-    state of that moment) and kept until the process exits or a call
-    with another ``jobs`` or a fault replaces it.  A fault of the pool
-    re-plans inline only what the pool lost (:class:`WorkerPool`), so
-    ``plan_many`` works in restricted environments; a faulted run is
-    reported as serial, with the pool's fault as the reason.
-    ``topology`` is a machine spec string applied to every task.
-    Options, machine and ``jobs`` are checked here, once: a bad worker
-    or processor count, topology, algorithm name or algorithm keyword
-    raises before anything is planned.  ``trace=True`` records every
-    task's span tree in its worker and ships the recorders back for
+    same work inline; other calls share the process's batch pool (one
+    ``jobs`` at a time, replaced after a fault).  A fault re-plans inline
+    only what the pool lost (:class:`WorkerPool`), so ``plan_many`` works
+    in restricted environments; a faulted run is reported as serial,
+    with the pool's fault as the reason.  ``topology`` is a machine spec
+    string applied to every task.  Options, machine and ``jobs`` are
+    checked here, once: a bad worker or processor count, topology,
+    algorithm name or algorithm keyword raises before anything is
+    planned.  ``trace=True`` records every task's span tree in its
+    worker and ships the recorders back for
     :meth:`BatchReport.merged_trace`.
     """
     jobs = check_jobs(jobs) if jobs is not None else (os.cpu_count() or 1)

@@ -26,6 +26,7 @@ Usage::
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from contextlib import contextmanager
@@ -45,6 +46,15 @@ def _stack() -> list:
     except AttributeError:
         _local.stack = []
         return _local.stack
+
+
+def _untraced() -> None:
+    """A forked child starts untraced: nothing reads its parent's spans."""
+    global _enabled, _recorder, _local
+    _enabled, _recorder, _local = False, None, threading.local()
+
+
+os.register_at_fork(after_in_child=_untraced)
 
 
 class _NullSpan:

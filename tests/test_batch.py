@@ -38,6 +38,7 @@ from conftest import (
 )
 import repro.batch.engine as engine
 from repro import cachestats
+from repro.obs import spans as obs
 from repro.batch import BatchReport, PlanRequest, plan_many
 from repro.lang.generate import GeneratorConfig, generate_corpus, generate_scenario
 
@@ -211,6 +212,11 @@ def _children() -> set[int]:
     return {p.pid for p in multiprocessing.active_children()}
 
 
+def _span_state(_) -> tuple:
+    """A worker's tracing state: on/off, its recorder, its open spans."""
+    return obs._enabled, obs._recorder, len(obs._stack())
+
+
 class TestBatchPool:
     """``plan_many`` keeps one worker pool for the process: a call with
     the same ``jobs`` runs on the last call's workers, another ``jobs``
@@ -265,6 +271,19 @@ class TestBatchPool:
             assert (report.mode, report.jobs) == ("process", jobs)
             assert report_facts(report) == want
         assert len(_children() - others) == engine._pool.jobs
+
+    def test_workers_forked_under_a_recording_do_not_record(self):
+        """The pool forks inside a caller's recording and open span; the
+        workers record nothing of a later untraced call, where a copied
+        recorder would grow for the life of the process."""
+        engine.close_batch_pool()
+        with obs.recording() as rec, obs.span("caller"):
+            plan_many(self.CORPUS, nprocs=4, jobs=2)
+        report = plan_many(self.CORPUS, nprocs=4, jobs=2)
+        assert report.mode == "process"
+        assert len(rec.roots) == 1  # the caller's own span, nothing shipped
+        states = engine._pool.map(_span_state, range(8))
+        assert states == [(False, None, 0)] * 8
 
     def test_an_interpreter_with_a_live_pool_exits(self):
         script = (

@@ -211,8 +211,9 @@ class TestCLI:
             (
                 ["--topology", "grid:3x3", "--measure", "block", "--procs", "2"],
                 1,
-                "error: fig1.dp: ValueError: --procs 2: a 4-processor grid on "
-                "the 9-processor machine grid:3x3",
+                "error: fig1.dp: ValueError: --procs 2: topology 'grid:3x3' is a "
+                "9-processor machine but nprocs=4 was requested; make the two "
+                "agree (or drop one)",
             ),
             (
                 ["--m", "0"],

@@ -60,8 +60,9 @@ def _in_worker() -> bool:
 
 class TestWorkerPool:
     def test_maps_in_order_like_the_builtin_map(self):
-        with WorkerPool(2) as pool:
-            got = pool.map(pow, range(9), [2] * 9)
+        pool = WorkerPool(2)
+        got = pool.map(pow, range(9), [2] * 9)
+        pool.close()
         assert got == list(map(pow, range(9), [2] * 9))
         assert pool.fault is None
 
